@@ -547,20 +547,21 @@ let fastpath_json ~app ~backend ~fp (r : Engine.result) =
     "{\"section\":\"fastpath\",\"app\":\"%s\",\"backend\":\"%s\",\"fastpath\":%b,\
      \"makespan\":%d,\"capture_check_cycles\":%d,\"summary_rejects\":%d,\
      \"mru_hits\":%d,\"backend_probes\":%d,\"promotions\":%d,\
-     \"overflows\":%d,\"commits\":%d,\"aborts\":%d,\"reads_elided_heap\":%d,\
-     \"writes_elided_heap\":%d}\n"
+     \"overflows\":%d,\"site_bypasses\":%d,\"commits\":%d,\"aborts\":%d,\
+     \"reads_elided_heap\":%d,\"writes_elided_heap\":%d}\n"
     app
     (Alloc_log.backend_name backend)
     fp r.Engine.makespan s.Stats.capture_check_cycles
     s.Stats.capture_summary_rejects s.Stats.capture_mru_hits
     s.Stats.capture_backend_probes s.Stats.capture_promotions
-    s.Stats.capture_log_overflows s.Stats.commits s.Stats.aborts
+    s.Stats.capture_log_overflows s.Stats.capture_site_bypasses
+    s.Stats.commits s.Stats.aborts
     s.Stats.reads_elided_heap s.Stats.writes_elided_heap
 
 let fastpath () =
   headline
-    "Fast path A/B: hierarchical capture check (summary + MRU + promotion) \
-     on vs off, 1 thread, simulator (JSON lines)";
+    "Fast path A/B: hierarchical capture check (site tier + summary + MRU \
+     + promotion) on vs off, 1 thread, simulator (JSON lines)";
   List.iter
     (fun app ->
       List.iter
@@ -587,7 +588,7 @@ let fastpath () =
           in
           Printf.printf
             "# %-14s %-9s capture-check cycles %9d -> %9d (%+5.1f%%)  \
-             makespan %+5.1f%%\n"
+             makespan %+5.1f%%  site bypasses %d\n"
             app.App.name
             (Alloc_log.backend_name backend)
             off.Engine.stats.Stats.capture_check_cycles
@@ -595,7 +596,8 @@ let fastpath () =
             (-.improvement ~base:(cc off) (cc on))
             (-.improvement
                 ~base:(float_of_int (max 1 off.Engine.makespan))
-                (float_of_int on.Engine.makespan)))
+                (float_of_int on.Engine.makespan))
+            on.Engine.stats.Stats.capture_site_bypasses)
         fastpath_backends)
     apps
 

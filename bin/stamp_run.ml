@@ -75,7 +75,8 @@ let print_json ~app ~config ~mode ~threads (r : Engine.result) ~native =
      \"waw_hits\":%d,\"undo_entries\":%d,\"lock_waits\":%d,\
      \"tx_allocs\":%d,\"tx_frees\":%d,\"summary_rejects\":%d,\
      \"mru_hits\":%d,\"backend_probes\":%d,\"promotions\":%d,\
-     \"overflows\":%d,\"capture_check_cycles\":%d,\"validations\":%d,\
+     \"overflows\":%d,\"capture_check_cycles\":%d,\
+     \"capture_site_bypasses\":%d,\"validations\":%d,\
      \"validations_skipped\":%d,\"snapshot_extensions\":%d,\
      \"readonly_fast_commits\":%d,\"clock_advances\":%d,\
      \"clock_cas\":%d,\"clock_resyncs\":%d,\
@@ -103,7 +104,8 @@ let print_json ~app ~config ~mode ~threads (r : Engine.result) ~native =
     s.Stats.tx_frees s.Stats.capture_summary_rejects s.Stats.capture_mru_hits
     s.Stats.capture_backend_probes s.Stats.capture_promotions
     s.Stats.capture_log_overflows s.Stats.capture_check_cycles
-    s.Stats.validations s.Stats.validations_skipped
+    s.Stats.capture_site_bypasses s.Stats.validations
+    s.Stats.validations_skipped
     s.Stats.snapshot_extensions s.Stats.readonly_fast_commits
     s.Stats.clock_advances s.Stats.clock_cas s.Stats.clock_resyncs
     s.Stats.redo_inserts s.Stats.redo_hits s.Stats.redo_skips
@@ -152,6 +154,7 @@ let print_result (r : Engine.result) ~native =
   Printf.printf "  promotions:       %d\n" s.Stats.capture_promotions;
   Printf.printf "  array overflows:  %d\n" s.Stats.capture_log_overflows;
   Printf.printf "  check cycles:     %d\n" s.Stats.capture_check_cycles;
+  Printf.printf "  site bypasses:    %d\n" s.Stats.capture_site_bypasses;
   Printf.printf "validation:         full-scans %d / skipped %d / \
                  extensions %d\n"
     s.Stats.validations s.Stats.validations_skipped

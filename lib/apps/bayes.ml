@@ -108,7 +108,7 @@ let prepare ~nthreads ~scale config =
   done;
   let read_adtree tx cell =
     match tx with
-    | Some tx -> Txn.read ~site:site_data_r tx cell
+    | Some tx -> Txn.read_at ~site:site_data_r tx cell
     | None -> Memory.get mem cell
   in
   (* Joint counts of (var=xv, parents=combo bits) from the adtree row of
@@ -179,7 +179,7 @@ let prepare ~nthreads ~scale config =
     Tvector.push_back acc qv var;
     let plist =
       match tx with
-      | Some tx -> Txn.read ~site:site_parents_r tx (parents + var)
+      | Some tx -> Txn.read_at ~site:site_parents_r tx (parents + var)
       | None -> Memory.get mem (parents + var)
     in
     (match tx with
@@ -245,12 +245,12 @@ let prepare ~nthreads ~scale config =
   in
   let push_task acc tx var gain pid =
     let t = Txn.alloc tx task_words in
-    Txn.write ~site:site_task_init_var tx (t + t_var) var;
-    Txn.write ~site:site_task_init_parent tx (t + t_parent) pid;
-    Txn.write ~site:site_task_init_gain tx (t + t_gain) gain;
+    Txn.write_at ~site:site_task_init_var tx (t + t_var) var;
+    Txn.write_at ~site:site_task_init_parent tx (t + t_parent) pid;
+    Txn.write_at ~site:site_task_init_gain tx (t + t_gain) gain;
     Theap.insert acc heap_cmp work t;
-    Txn.write ~site:site_pending_w tx pending
-      (Txn.read ~site:site_pending_r tx pending + 1)
+    Txn.write_at ~site:site_pending_w tx pending
+      (Txn.read_at ~site:site_pending_r tx pending + 1)
   in
   let body th =
     let tid = Txn.thread_id th in
@@ -274,9 +274,9 @@ let prepare ~nthreads ~scale config =
             match Theap.pop acc heap_cmp work with
             | None -> None
             | Some task ->
-                let var = Txn.read ~site:site_task_var_r tx (task + t_var) in
+                let var = Txn.read_at ~site:site_task_var_r tx (task + t_var) in
                 let pid =
-                  Txn.read ~site:site_task_parent_r tx (task + t_parent)
+                  Txn.read_at ~site:site_task_parent_r tx (task + t_parent)
                 in
                 Txn.free tx task;
                 Some (var, pid))
@@ -291,8 +291,8 @@ let prepare ~nthreads ~scale config =
       | Some (var, pid) ->
           Txn.atomic th (fun tx ->
               let acc = Access.of_tx tx in
-              Txn.write ~site:site_pending_w tx pending
-                (Txn.read ~site:site_pending_r tx pending - 1);
+              Txn.write_at ~site:site_pending_w tx pending
+                (Txn.read_at ~site:site_pending_r tx pending - 1);
               if
                 parent_count acc var < p.max_parents
                 && (not (has_parent acc var pid))
@@ -308,7 +308,7 @@ let prepare ~nthreads ~scale config =
                 Txn.work th (p.nrecords * 4);
                 if s - base > 0 then begin
                   let plist =
-                    Txn.read ~site:site_parents_r tx (parents + var)
+                    Txn.read_at ~site:site_parents_r tx (parents + var)
                   in
                   ignore (Tlist.insert acc plist ~key:pid ~value:1 : bool);
                   (* Queue the next improvement for this var. *)

@@ -131,9 +131,9 @@ let prepare ~nthreads ~scale config =
         Txn.atomic th (fun tx ->
             match Tmap.find (Access.of_tx tx) suffix_index key with
             | Some pred when pred <> r ->
-                let pc = Txn.read ~site:site_content_r tx (pred + s_content) in
+                let pc = Txn.read_at ~site:site_content_r tx (pred + s_content) in
                 ignore pc;
-                Txn.write ~site:site_link_w tx (pred + s_next) r
+                Txn.write_at ~site:site_link_w tx (pred + s_next) r
             | Some _ | None -> ()))
       owned.(tid);
     Sync.wait barrier th ()

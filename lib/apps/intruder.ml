@@ -112,50 +112,50 @@ let prepare ~nthreads ~scale config =
             match Tqueue.pop acc input with
             | None -> `Drained
             | Some frag ->
-                let flow = Txn.read ~site:site_frag_flow_r tx (frag + f_flow) in
-                let fid = Txn.read ~site:site_frag_id_r tx (frag + f_frag) in
+                let flow = Txn.read_at ~site:site_frag_flow_r tx (frag + f_flow) in
+                let fid = Txn.read_at ~site:site_frag_id_r tx (frag + f_frag) in
                 let nfrags =
-                  Txn.read ~site:site_frag_nfrags_r tx (frag + f_nfrags)
+                  Txn.read_at ~site:site_frag_nfrags_r tx (frag + f_nfrags)
                 in
-                let flen = Txn.read ~site:site_frag_len_r tx (frag + f_len) in
+                let flen = Txn.read_at ~site:site_frag_len_r tx (frag + f_len) in
                 let sess =
                   match Tmap.find acc sessions flow with
                   | Some s -> s
                   | None ->
                       let s = Txn.alloc tx session_words in
-                      Txn.write ~site:site_sess_init_received tx
+                      Txn.write_at ~site:site_sess_init_received tx
                         (s + se_received) 0;
-                      Txn.write ~site:site_sess_init_len tx (s + se_len) 0;
-                      Txn.write ~site:site_sess_init_list tx (s + se_list)
+                      Txn.write_at ~site:site_sess_init_len tx (s + se_len) 0;
+                      Txn.write_at ~site:site_sess_init_list tx (s + se_list)
                         (Tlist.create acc);
                       ignore (Tmap.insert acc sessions ~key:flow ~value:s : bool);
                       s
                 in
-                let lst = Txn.read ~site:site_sess_list_r tx (sess + se_list) in
+                let lst = Txn.read_at ~site:site_sess_list_r tx (sess + se_list) in
                 ignore (Tlist.insert acc lst ~key:fid ~value:frag : bool);
                 let received =
-                  Txn.read ~site:site_sess_received_r tx (sess + se_received) + 1
+                  Txn.read_at ~site:site_sess_received_r tx (sess + se_received) + 1
                 in
-                Txn.write ~site:site_sess_received_w tx (sess + se_received)
+                Txn.write_at ~site:site_sess_received_w tx (sess + se_received)
                   received;
                 let total_len =
-                  Txn.read ~site:site_sess_len_r tx (sess + se_len) + flen
+                  Txn.read_at ~site:site_sess_len_r tx (sess + se_len) + flen
                 in
-                Txn.write ~site:site_sess_len_w tx (sess + se_len) total_len;
+                Txn.write_at ~site:site_sess_len_w tx (sess + se_len) total_len;
                 if received < nfrags then `Continue
                 else begin
                   (* Complete: assemble into a fresh (captured) buffer. *)
                   let buf = Txn.alloc tx (total_len + 1) in
-                  Txn.write ~site:site_buf_w tx buf total_len;
+                  Txn.write_at ~site:site_buf_w tx buf total_len;
                   let pos = ref 1 in
                   let it = Txn.alloca tx Tlist.iter_words in
                   Tlist.iter_reset acc ~iter:it lst;
                   while Tlist.iter_has_next acc ~iter:it do
                     let _, fr = Tlist.iter_next acc ~iter:it in
-                    let fl = Txn.read ~site:site_frag_len_r tx (fr + f_len) in
+                    let fl = Txn.read_at ~site:site_frag_len_r tx (fr + f_len) in
                     for k = 0 to fl - 1 do
-                      Txn.write ~site:site_buf_w tx (buf + !pos)
-                        (Txn.read ~site:site_frag_char_r tx
+                      Txn.write_at ~site:site_buf_w tx (buf + !pos)
+                        (Txn.read_at ~site:site_frag_char_r tx
                            (fr + frag_header_words + k));
                       incr pos
                     done
@@ -184,10 +184,10 @@ let prepare ~nthreads ~scale config =
           let attacked = !found in
           Txn.atomic th (fun tx ->
               if attacked then
-                Txn.write ~site:site_attacks_w tx counters
-                  (Txn.read ~site:site_attacks_r tx counters + 1);
-              Txn.write ~site:site_done_w tx (counters + 1)
-                (Txn.read ~site:site_done_r tx (counters + 1) + 1));
+                Txn.write_at ~site:site_attacks_w tx counters
+                  (Txn.read_at ~site:site_attacks_r tx counters + 1);
+              Txn.write_at ~site:site_done_w tx (counters + 1)
+                (Txn.read_at ~site:site_done_r tx (counters + 1) + 1));
           Txn.raw_free th buf
     done
   in

@@ -174,12 +174,12 @@ let prepare ~high ~nthreads ~scale (config : Config.t) =
         done;
         let c = !best in
         Txn.atomic th (fun tx ->
-            Txn.write ~site:site_count_w tx (counts + c)
-              (Txn.read ~site:site_count_r tx (counts + c) + 1);
+            Txn.write_at ~site:site_count_w tx (counts + c)
+              (Txn.read_at ~site:site_count_r tx (counts + c) + 1);
             for d = 0 to p.dims - 1 do
               let a = acc + (c * p.dims) + d in
-              Txn.write ~site:site_acc_w tx a
-                (Txn.read ~site:site_acc_r tx a + point.(d))
+              Txn.write_at ~site:site_acc_w tx a
+                (Txn.read_at ~site:site_acc_r tx a + point.(d))
             done)
       done;
       Sync.wait barrier th ~serial:recompute ()

@@ -111,7 +111,7 @@ let prepare ~nthreads ~scale config =
                         then begin
                           let c' = idx x' y' z' in
                           if cost.(c') < 0 then begin
-                            let v = Txn.read ~site:site_grid_r tx (grid + c') in
+                            let v = Txn.read_at ~site:site_grid_r tx (grid + c') in
                             Txn.work th 2;
                             if v = 0 || v = path_id then begin
                               cost.(c') <- cost.(c) + 1;
@@ -127,7 +127,7 @@ let prepare ~nthreads ~scale config =
                   (* Traceback: claim cells dst -> src with barrier
                      writes. *)
                   let rec back c =
-                    Txn.write ~site:site_grid_w tx (grid + c) path_id;
+                    Txn.write_at ~site:site_grid_w tx (grid + c) path_id;
                     if c <> src then begin
                       let z = c / (p.width * p.height) in
                       let y = c mod (p.width * p.height) / p.width in
@@ -148,7 +148,7 @@ let prepare ~nthreads ~scale config =
                     end
                   in
                   back dst;
-                  Txn.write ~site:site_routed_w tx (routed + path_id) 1;
+                  Txn.write_at ~site:site_routed_w tx (routed + path_id) 1;
                   true
                 end)
           in

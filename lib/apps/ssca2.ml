@@ -55,8 +55,8 @@ let prepare ~nthreads ~scale config =
     for e = lo to hi - 1 do
       let u = Txn.raw_read th (edge_src + e) in
       Txn.atomic th (fun tx ->
-          Txn.write ~site:site_deg_w tx (degree + u)
-            (Txn.read ~site:site_deg_r tx (degree + u) + 1))
+          Txn.write_at ~site:site_deg_w tx (degree + u)
+            (Txn.read_at ~site:site_deg_r tx (degree + u) + 1))
     done;
     let prefix_sums () =
       let total = ref 0 in
@@ -73,9 +73,9 @@ let prepare ~nthreads ~scale config =
       let v_ = Txn.raw_read th (edge_dst + e) in
       let base = Txn.raw_read th (offset + u) in
       Txn.atomic th (fun tx ->
-          let k = Txn.read ~site:site_fill_r tx (fill + u) in
-          Txn.write ~site:site_fill_w tx (fill + u) (k + 1);
-          Txn.write ~site:site_adj_w tx (adj + base + k) v_)
+          let k = Txn.read_at ~site:site_fill_r tx (fill + u) in
+          Txn.write_at ~site:site_fill_w tx (fill + u) (k + 1);
+          Txn.write_at ~site:site_adj_w tx (adj + base + k) v_)
     done;
     Sync.wait barrier th ()
   in

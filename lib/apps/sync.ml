@@ -19,15 +19,15 @@ let wait t th ?serial () =
   let my_sense = 1 - Txn.raw_read th (t.base + 1) in
   let last =
     Txn.atomic th (fun tx ->
-        let n = Txn.read ~site:site_count_r tx t.base + 1 in
-        Txn.write ~site:site_count_w tx t.base n;
+        let n = Txn.read_at ~site:site_count_r tx t.base + 1 in
+        Txn.write_at ~site:site_count_w tx t.base n;
         n = t.nthreads)
   in
   if last then begin
     (match serial with Some f -> f () | None -> ());
     Txn.atomic th (fun tx ->
-        Txn.write ~site:site_count_w tx t.base 0;
-        Txn.write ~site:site_sense_w tx (t.base + 1) my_sense)
+        Txn.write_at ~site:site_count_w tx t.base 0;
+        Txn.write_at ~site:site_sense_w tx (t.base + 1) my_sense)
   end
   else
     while Txn.raw_read th (t.base + 1) <> my_sense do

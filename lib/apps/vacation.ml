@@ -150,8 +150,8 @@ let prepare ~high ~nthreads ~scale config =
                 match Tmap.find acc resource_maps.(t) id with
                 | None -> ()
                 | Some r ->
-                    let free = Txn.read ~site:site_free_r tx (r + r_free) in
-                    let price = Txn.read ~site:site_price_r tx (r + r_price) in
+                    let free = Txn.read_at ~site:site_free_r tx (r + r_free) in
+                    let price = Txn.read_at ~site:site_price_r tx (r + r_price) in
                     if free > 0 && price > best_price.(t) then begin
                       best_price.(t) <- price;
                       best_id.(t) <- id
@@ -165,13 +165,13 @@ let prepare ~high ~nthreads ~scale config =
                 | Some c -> c
                 | None ->
                     let c = Txn.alloc tx customer_words in
-                    Txn.write ~site:site_cust_init_id tx (c + c_id) cid;
-                    Txn.write ~site:site_cust_init_list tx (c + c_list)
+                    Txn.write_at ~site:site_cust_init_id tx (c + c_id) cid;
+                    Txn.write_at ~site:site_cust_init_list tx (c + c_list)
                       (Tlist.create acc);
                     ignore (Tmap.insert acc customer_map ~key:cid ~value:c : bool);
                     c
               in
-              let lst = Txn.read ~site:site_cust_list_r tx (cust + c_list) in
+              let lst = Txn.read_at ~site:site_cust_list_r tx (cust + c_list) in
               for t = 0 to ntypes - 1 do
                 if best_id.(t) >= 0 then begin
                   match Tmap.find acc resource_maps.(t) best_id.(t) with
@@ -180,16 +180,16 @@ let prepare ~high ~nthreads ~scale config =
                       let key = (t * p.relations * 4) + best_id.(t) in
                       if not (Tlist.contains acc lst key) then begin
                         let info = Txn.alloc tx info_words in
-                        Txn.write ~site:site_info_init_type tx (info + i_type) t;
-                        Txn.write ~site:site_info_init_rid tx (info + i_rid)
+                        Txn.write_at ~site:site_info_init_type tx (info + i_type) t;
+                        Txn.write_at ~site:site_info_init_rid tx (info + i_rid)
                           best_id.(t);
-                        Txn.write ~site:site_info_init_price tx
+                        Txn.write_at ~site:site_info_init_price tx
                           (info + i_price) best_price.(t);
                         ignore (Tlist.insert acc lst ~key ~value:info : bool);
-                        Txn.write ~site:site_free_w tx (r + r_free)
-                          (Txn.read ~site:site_free_r tx (r + r_free) - 1);
-                        Txn.write ~site:site_used_w tx (r + r_used)
-                          (Txn.read ~site:site_used_r tx (r + r_used) + 1)
+                        Txn.write_at ~site:site_free_w tx (r + r_free)
+                          (Txn.read_at ~site:site_free_r tx (r + r_free) - 1);
+                        Txn.write_at ~site:site_used_w tx (r + r_used)
+                          (Txn.read_at ~site:site_used_r tx (r + r_used) + 1)
                       end
                   end
               done
@@ -203,20 +203,20 @@ let prepare ~high ~nthreads ~scale config =
             match Tmap.find acc customer_map cid with
             | None -> ()
             | Some cust ->
-                let lst = Txn.read ~site:site_cust_list_r tx (cust + c_list) in
+                let lst = Txn.read_at ~site:site_cust_list_r tx (cust + c_list) in
                 (* Iterator on the transaction stack (Figure 1(a)). *)
                 let it = Txn.alloca tx Tlist.iter_words in
                 Tlist.iter_reset acc ~iter:it lst;
                 while Tlist.iter_has_next acc ~iter:it do
                   let _, info = Tlist.iter_next acc ~iter:it in
-                  let t = Txn.read ~site:site_info_type_r tx (info + i_type) in
-                  let id = Txn.read ~site:site_info_rid_r tx (info + i_rid) in
+                  let t = Txn.read_at ~site:site_info_type_r tx (info + i_type) in
+                  let id = Txn.read_at ~site:site_info_rid_r tx (info + i_rid) in
                   (match Tmap.find acc resource_maps.(t) id with
                   | Some r ->
-                      Txn.write ~site:site_free_w tx (r + r_free)
-                        (Txn.read ~site:site_free_r tx (r + r_free) + 1);
-                      Txn.write ~site:site_used_w tx (r + r_used)
-                        (Txn.read ~site:site_used_r tx (r + r_used) - 1)
+                      Txn.write_at ~site:site_free_w tx (r + r_free)
+                        (Txn.read_at ~site:site_free_r tx (r + r_free) + 1);
+                      Txn.write_at ~site:site_used_w tx (r + r_used)
+                        (Txn.read_at ~site:site_used_r tx (r + r_used) - 1)
                   | None -> ());
                   Txn.free tx info
                 done;
@@ -239,10 +239,10 @@ let prepare ~high ~nthreads ~scale config =
                 match Tmap.find acc resource_maps.(t) id with
                 | Some r ->
                     if add then
-                      Txn.write ~site:site_price_w tx (r + r_price) price
+                      Txn.write_at ~site:site_price_w tx (r + r_price) price
                     else begin
                       (* Only retire resources nobody holds. *)
-                      let used = Txn.read ~site:site_used_r tx (r + r_used) in
+                      let used = Txn.read_at ~site:site_used_r tx (r + r_used) in
                       if used = 0 then begin
                         ignore (Tmap.remove acc resource_maps.(t) id : bool);
                         Txn.free tx r
@@ -251,12 +251,12 @@ let prepare ~high ~nthreads ~scale config =
                 | None ->
                     if add then begin
                       let r = Txn.alloc tx resource_words in
-                      Txn.write ~site:site_res_init_total tx (r + r_total)
+                      Txn.write_at ~site:site_res_init_total tx (r + r_total)
                         p.initial_capacity;
-                      Txn.write ~site:site_res_init_used tx (r + r_used) 0;
-                      Txn.write ~site:site_res_init_free tx (r + r_free)
+                      Txn.write_at ~site:site_res_init_used tx (r + r_used) 0;
+                      Txn.write_at ~site:site_res_init_free tx (r + r_free)
                         p.initial_capacity;
-                      Txn.write ~site:site_res_init_price tx (r + r_price)
+                      Txn.write_at ~site:site_res_init_price tx (r + r_price)
                         price;
                       ignore (Tmap.insert acc resource_maps.(t) ~key:id ~value:r : bool)
                     end)

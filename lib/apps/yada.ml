@@ -134,43 +134,43 @@ let prepare ~nthreads ~scale config =
             | None -> false
             | Some e ->
                 let bumped = ref (-1) in
-                let alive = Txn.read ~site:site_elem_alive_r tx (e + e_alive) in
+                let alive = Txn.read_at ~site:site_elem_alive_r tx (e + e_alive) in
                 if alive = 0 then begin
                   (* Defensive: still account the popped work item. *)
-                  Txn.write ~site:site_pending_w tx pending
-                    (Txn.read ~site:site_pending_r tx pending - 1);
+                  Txn.write_at ~site:site_pending_w tx pending
+                    (Txn.read_at ~site:site_pending_r tx pending - 1);
                   true
                 end
                 else begin
-                  let a = Txn.read ~site:site_elem_v_r tx (e + e_v1) in
-                  let b = Txn.read ~site:site_elem_v_r tx (e + e_v2) in
-                  let c = Txn.read ~site:site_elem_v_r tx (e + e_v3) in
-                  let xa = Txn.read ~site:site_vertex_x_r tx (a + v_x) in
-                  let ya = Txn.read ~site:site_vertex_y_r tx (a + v_y) in
-                  let xb = Txn.read ~site:site_vertex_x_r tx (b + v_x) in
-                  let yb = Txn.read ~site:site_vertex_y_r tx (b + v_y) in
-                  let xc = Txn.read ~site:site_vertex_x_r tx (c + v_x) in
-                  let yc = Txn.read ~site:site_vertex_y_r tx (c + v_y) in
+                  let a = Txn.read_at ~site:site_elem_v_r tx (e + e_v1) in
+                  let b = Txn.read_at ~site:site_elem_v_r tx (e + e_v2) in
+                  let c = Txn.read_at ~site:site_elem_v_r tx (e + e_v3) in
+                  let xa = Txn.read_at ~site:site_vertex_x_r tx (a + v_x) in
+                  let ya = Txn.read_at ~site:site_vertex_y_r tx (a + v_y) in
+                  let xb = Txn.read_at ~site:site_vertex_x_r tx (b + v_x) in
+                  let yb = Txn.read_at ~site:site_vertex_y_r tx (b + v_y) in
+                  let xc = Txn.read_at ~site:site_vertex_x_r tx (c + v_x) in
+                  let yc = Txn.read_at ~site:site_vertex_y_r tx (c + v_y) in
                   (* Centroid: exact because coordinates are multiples of
                      powers of 3. *)
                   let gx = (xa + xb + xc) / 3 and gy = (ya + yb + yc) / 3 in
                   Txn.work th 30;
                   let g = Txn.alloc tx vertex_words in
-                  Txn.write ~site:site_vertex_init_x tx (g + v_x) gx;
-                  Txn.write ~site:site_vertex_init_y tx (g + v_y) gy;
-                  Txn.write ~site:site_elem_alive_w tx (e + e_alive) 0;
+                  Txn.write_at ~site:site_vertex_init_x tx (g + v_x) gx;
+                  Txn.write_at ~site:site_vertex_init_y tx (g + v_y) gy;
+                  Txn.write_at ~site:site_elem_alive_w tx (e + e_alive) 0;
                   let spawn v1 v2 =
                     let child = Txn.alloc tx element_words in
-                    let x1 = Txn.read ~site:site_vertex_x_r tx (v1 + v_x) in
-                    let y1 = Txn.read ~site:site_vertex_y_r tx (v1 + v_y) in
-                    let x2 = Txn.read ~site:site_vertex_x_r tx (v2 + v_x) in
-                    let y2 = Txn.read ~site:site_vertex_y_r tx (v2 + v_y) in
+                    let x1 = Txn.read_at ~site:site_vertex_x_r tx (v1 + v_x) in
+                    let y1 = Txn.read_at ~site:site_vertex_y_r tx (v1 + v_y) in
+                    let x2 = Txn.read_at ~site:site_vertex_x_r tx (v2 + v_x) in
+                    let y2 = Txn.read_at ~site:site_vertex_y_r tx (v2 + v_y) in
                     let ar = area2 x1 y1 x2 y2 gx gy in
-                    Txn.write ~site:site_elem_init_v1 tx (child + e_v1) v1;
-                    Txn.write ~site:site_elem_init_v2 tx (child + e_v2) v2;
-                    Txn.write ~site:site_elem_init_v3 tx (child + e_v3) g;
-                    Txn.write ~site:site_elem_init_area tx (child + e_area) ar;
-                    Txn.write ~site:site_elem_init_alive tx (child + e_alive) 1;
+                    Txn.write_at ~site:site_elem_init_v1 tx (child + e_v1) v1;
+                    Txn.write_at ~site:site_elem_init_v2 tx (child + e_v2) v2;
+                    Txn.write_at ~site:site_elem_init_v3 tx (child + e_v3) g;
+                    Txn.write_at ~site:site_elem_init_area tx (child + e_area) ar;
+                    Txn.write_at ~site:site_elem_init_alive tx (child + e_alive) 1;
                     register acc child;
                     if ar > p.area_threshold2 then begin
                       Theap.insert acc heap_cmp work child;
@@ -180,8 +180,8 @@ let prepare ~nthreads ~scale config =
                   spawn a b;
                   spawn b c;
                   spawn c a;
-                  Txn.write ~site:site_pending_w tx pending
-                    (Txn.read ~site:site_pending_r tx pending + !bumped);
+                  Txn.write_at ~site:site_pending_w tx pending
+                    (Txn.read_at ~site:site_pending_r tx pending + !bumped);
                   true
                 end)
       in

@@ -47,6 +47,17 @@ let capture_summary_check = 2
 let capture_mru_check = 2
 let capture_promote = 48
 
+(* Site tier ([Site_tier], +fp): one load of the site's sampling counter
+   from a thread-owned table and one branch — the same work, and price,
+   as [redo_summary_check].  Its bypass threshold, a hit rate of 1/16,
+   sits under the break-even rate of both barrier kinds at the cheapest
+   failed check (stack + summary = 4 cycles): a hit saves a read barrier
+   28 + commit_per_read 2 + validate_per_read 2 - direct_access 1 = 31
+   cycles (break-even 4/31), a write acquire 45 + undo_log_entry 10 +
+   commit_per_orec 6 - 1 = 60 (break-even 4/60).  A bypassed site
+   therefore cannot be one whose checks were paying for themselves. *)
+let site_check = 1
+
 let backoff ~attempt ~jitter =
   let shift = min attempt 10 in
   (64 lsl shift) + (jitter land 63) * attempt

@@ -72,6 +72,10 @@ val capture_mru_check : int
 val capture_promote : int
 (** One-time cost of promoting a saturated range array to a range tree. *)
 
+val site_check : int
+(** [+fp] site tier ({!Site_tier}): the per-access lookup of the site's
+    bypass state, paid by every in-scope access, checked or bypassed. *)
+
 val backoff : attempt:int -> jitter:int -> int
 (** Exponential backoff cycles for retry [attempt] (1-based); [jitter] in
     [0, 63] decorrelates threads.  Monotone in [attempt] (capped at 10

@@ -122,6 +122,28 @@ let insert t a v =
   t.n <- t.n + 1;
   t.summary <- t.summary lor bit a
 
+(* Compacts the log in place; the table is rebuilt (same size, next
+   generation) only when something was dropped, so the common no-match
+   call is one pass over the entries past [from]. *)
+let remove_range t ~from ~lo ~hi =
+  let j = ref from in
+  for k = from to t.n - 1 do
+    let a = t.log_addrs.(k) in
+    if a < lo || a >= hi then begin
+      t.log_addrs.(!j) <- a;
+      t.log_vals.(!j) <- t.log_vals.(k);
+      incr j
+    end
+  done;
+  if !j < t.n then begin
+    t.n <- !j;
+    t.epoch <- t.epoch + 1;
+    t.used <- 0;
+    for i = 0 to t.n - 1 do
+      place t t.log_addrs.(i) i
+    done
+  end
+
 let truncate t m =
   for k = t.n - 1 downto m do
     let a = t.log_addrs.(k) in

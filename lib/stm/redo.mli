@@ -44,6 +44,13 @@ val set_value : t -> int -> int -> unit
     returned [-1]). Grows the table as needed. *)
 val insert : t -> int -> int -> unit
 
+(** [remove_range t ~from ~lo ~hi] drops the entries at log index
+    [from] or later whose address lies in [\[lo, hi)], keeping the
+    others in publish order — a transaction freeing a block it
+    allocated must not publish stores into it.  Summary bits are left
+    stale (conservative). *)
+val remove_range : t -> from:int -> lo:int -> hi:int -> unit
+
 (** Drop log entries [\[n..)] — the fresh inserts of an aborting
     nested scope, which are always a suffix of the log. Their table
     slots are tombstoned; summary bits are left stale

@@ -35,6 +35,7 @@ type t = {
   mutable capture_promotions : int;
   mutable capture_log_overflows : int;
   mutable capture_check_cycles : int;
+  mutable capture_site_bypasses : int;
   mutable validations_skipped : int;
   mutable snapshot_extensions : int;
   mutable readonly_fast_commits : int;
@@ -106,6 +107,7 @@ let create () =
     capture_promotions = 0;
     capture_log_overflows = 0;
     capture_check_cycles = 0;
+    capture_site_bypasses = 0;
     validations_skipped = 0;
     snapshot_extensions = 0;
     readonly_fast_commits = 0;
@@ -206,6 +208,7 @@ let reset t =
   t.capture_promotions <- 0;
   t.capture_log_overflows <- 0;
   t.capture_check_cycles <- 0;
+  t.capture_site_bypasses <- 0;
   t.validations_skipped <- 0;
   t.snapshot_extensions <- 0;
   t.readonly_fast_commits <- 0;
@@ -281,6 +284,8 @@ let merge acc x =
   acc.capture_log_overflows <-
     acc.capture_log_overflows + x.capture_log_overflows;
   acc.capture_check_cycles <- acc.capture_check_cycles + x.capture_check_cycles;
+  acc.capture_site_bypasses <-
+    acc.capture_site_bypasses + x.capture_site_bypasses;
   acc.validations_skipped <- acc.validations_skipped + x.validations_skipped;
   acc.snapshot_extensions <- acc.snapshot_extensions + x.snapshot_extensions;
   acc.readonly_fast_commits <-

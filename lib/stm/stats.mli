@@ -58,6 +58,9 @@ type t = {
   mutable capture_check_cycles : int;
       (** Total simulated cycles charged for heap capture checks — the
           quantity the fast path exists to shrink. *)
+  mutable capture_site_bypasses : int;
+      (** In-scope accesses whose capture check the [+fp] site tier
+          skipped because their site rarely hits ({!Site_tier}). *)
   (* timestamp-based validation ([Config.tvalidate]) *)
   mutable validations_skipped : int;
       (** Full read-set scans replaced by an O(1) clock-vs-snapshot

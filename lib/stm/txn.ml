@@ -94,6 +94,9 @@ type thread = {
      configurations draw no PRNG, consume no cycles, so their schedules
      stay bit-identical. *)
   reclaim : Reclaim.t option;
+  (* +fp site tier: per-site hit windows deciding which sites skip the
+     capture check (thread-owned; sized from the sites declared so far). *)
+  site_tier : Site_tier.t;
   mutable epoch : int;
   mutable active : tx option;
 }
@@ -192,6 +195,7 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
          | Some s -> Some (Reclaim.handle s ~slot:tid)
          | None -> None
        else None);
+    site_tier = Site_tier.create ~sites:(Site.count ());
     epoch = 0;
     active = None;
   }
@@ -603,6 +607,32 @@ let private_check th addr size cost =
     else elision ~cls:keep_code ~cost:c
   else elision ~cls:keep_code ~cost
 
+(* The runtime stack and heap capture checks of one access: a stack or
+   heap elision, or [keep_code]; either way the cost is [cost] plus what
+   the checks charged. *)
+let capture_check tx addr size ~cost =
+  let th = tx.thread in
+  let sc = th.config.Config.scope in
+  let scope = innermost tx in
+  if
+    sc.check_stack
+    && Tstack.in_live_range th.stack ~from_sp:scope.start_sp addr size
+  then elision ~cls:elide_stack_code ~cost:(cost + Costs.stack_check)
+  else begin
+    let cost = if sc.check_stack then cost + Costs.stack_check else cost in
+    match scope.capture_log with
+    | Some log when sc.check_heap ->
+        let r = heap_capture_check th log ~lo:addr ~hi:(addr + size) in
+        let cost = cost + (r lsr 1) in
+        elision ~cls:(if r land 1 = 1 then elide_heap_code else keep_code) ~cost
+    | Some _ | None -> elision ~cls:keep_code ~cost
+  end
+
+(* Runtime analysis under +fp puts the site tier first: a site whose
+   checks rarely hit is bypassed, and its access takes the same path as
+   an access outside the check scope — private-log check, then the full
+   barrier.  That is sound because the full barrier is correct for any
+   address, captured or not (see [free] for the one hazard it had). *)
 let try_elide tx addr size ~site ~is_write =
   let th = tx.thread in
   let cfg = th.config in
@@ -619,22 +649,18 @@ let try_elide tx addr size ~site ~is_write =
         && not (cfg.static_filter && Site.is_shared_static site)
       in
       if not applies then private_check th addr size 0
+      else if cfg.fastpath && Site_tier.bypass th.site_tier site then begin
+        th.stats.capture_site_bypasses <- th.stats.capture_site_bypasses + 1;
+        private_check th addr size Costs.site_check
+      end
       else begin
-        let scope = innermost tx in
-        if
-          sc.check_stack
-          && Tstack.in_live_range th.stack ~from_sp:scope.start_sp addr size
-        then elision ~cls:elide_stack_code ~cost:Costs.stack_check
-        else begin
-          let cost = if sc.check_stack then Costs.stack_check else 0 in
-          match scope.capture_log with
-          | Some log when sc.check_heap ->
-              let r = heap_capture_check th log ~lo:addr ~hi:(addr + size) in
-              let cost = cost + (r lsr 1) in
-              if r land 1 = 1 then elision ~cls:elide_heap_code ~cost
-              else private_check th addr size cost
-          | Some _ | None -> private_check th addr size cost
-        end
+        let e =
+          capture_check tx addr size
+            ~cost:(if cfg.fastpath then Costs.site_check else 0)
+        in
+        let captured = elision_class e <> keep_code in
+        if cfg.fastpath then Site_tier.record th.site_tier site ~hit:captured;
+        if captured then e else private_check th addr size (elision_cost e)
       end
 
 (* Audit-mode classification for Figure 8: a precise tree + the stack check
@@ -836,7 +862,7 @@ let access_class_of cls =
   else if cls = elide_private_code then Elided_private
   else Elided_static
 
-let read ?(site = Site.anonymous_read) tx addr =
+let read_at ~site tx addr =
   let th = tx.thread in
   let st = th.stats in
   st.reads <- st.reads + 1;
@@ -893,6 +919,8 @@ let read ?(site = Site.anonymous_read) tx addr =
     | Some f -> f th.tid (Ev_read { addr; value; cls = access_class_of cls }));
     value
   end
+
+let read tx addr = read_at ~site:Site.anonymous_read tx addr
 
 (* ------------------------------------------------------------------ *)
 (* Write barrier                                                       *)
@@ -1011,7 +1039,7 @@ let lazy_write tx addr v ~site =
     end
   end
 
-let write ?(site = Site.anonymous_write) tx addr v =
+let write_at ~site tx addr v =
   let th = tx.thread in
   let st = th.stats in
   st.writes <- st.writes + 1;
@@ -1053,6 +1081,8 @@ let write ?(site = Site.anonymous_write) tx addr v =
     | Some f ->
         f th.tid (Ev_write { addr; value = v; cls = access_class_of cls })
   end
+
+let write tx addr v = write_at ~site:Site.anonymous_write tx addr v
 
 (* ------------------------------------------------------------------ *)
 (* Transactional allocation                                            *)
@@ -1127,6 +1157,29 @@ let unlog_alloc scope addr =
     sz
   end
 
+(* A block this scope allocated and now frees is dead, and so are the
+   instrumented writes into it: an undo entry would be rolled back, and
+   a redo entry published, over the free-list link [Alloc.free] stores
+   in the block's first word — a lost block after an abort, or a
+   corrupted free list after a lazy commit.  Writes to a block happen
+   after its allocation, so only the entries logged since this scope
+   began are scanned; none are charged. *)
+let drop_block_entries tx scope ~lo ~hi =
+  if tx.thread.config.Config.lazy_versioning then
+    Redo.remove_range tx.redo ~from:scope.redo_mark ~lo ~hi
+  else begin
+    let j = ref scope.undo_mark in
+    for k = scope.undo_mark to tx.n_undo - 1 do
+      let a = tx.undo_addrs.(k) in
+      if a < lo || a >= hi then begin
+        tx.undo_addrs.(!j) <- a;
+        tx.undo_vals.(!j) <- tx.undo_vals.(k);
+        incr j
+      end
+    done;
+    tx.n_undo <- !j
+  end
+
 let free tx addr =
   let th = tx.thread in
   burn_fuel tx;
@@ -1134,9 +1187,12 @@ let free tx addr =
   th.stats.tx_frees <- th.stats.tx_frees + 1;
   let scope = innermost tx in
   emit th.tid (Ev_free { addr });
-  if unlog_alloc scope addr >= 0 then
+  let size = unlog_alloc scope addr in
+  if size >= 0 then begin
     (* Allocated by this very scope: really free it now. *)
+    drop_block_entries tx scope ~lo:addr ~hi:(addr + size);
     Alloc.free th.arena addr
+  end
   else
     (* Not ours (or an outer scope's): the free takes effect only if the
        whole transaction commits. *)

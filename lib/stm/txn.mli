@@ -77,11 +77,18 @@ val depth : tx -> int
 
 (** {2 Barriers} *)
 
-(** [read ?site tx addr] — transactional load.  [site] identifies the
-    static access site (defaults to the anonymous catch-all). *)
-val read : ?site:Site.id -> tx -> Memory.addr -> int
+(** [read_at ~site tx addr] — transactional load.  [site] identifies the
+    static access site.  The label is required, not optional: with
+    cross-module inlining off (dune's dev profile) an optional argument
+    would box [Some site] on every barrier call. *)
+val read_at : site:Site.id -> tx -> Memory.addr -> int
 
-val write : ?site:Site.id -> tx -> Memory.addr -> int -> unit
+val write_at : site:Site.id -> tx -> Memory.addr -> int -> unit
+
+(** [read tx addr] — {!read_at} at the anonymous catch-all site. *)
+val read : tx -> Memory.addr -> int
+
+val write : tx -> Memory.addr -> int -> unit
 
 (** {2 Transactional allocation} *)
 

@@ -100,7 +100,7 @@ and exec_stmt genv th tx frame (stmt : Ir.stmt) =
       let a = ev addr in
       let v =
         match tx with
-        | Some tx -> Txn.read ~site:(site_id site ~manual ~write:false) tx a
+        | Some tx -> Txn.read_at ~site:(site_id site ~manual ~write:false) tx a
         | None -> Txn.raw_read th a
       in
       Hashtbl.replace frame.vars dst v;
@@ -109,7 +109,7 @@ and exec_stmt genv th tx frame (stmt : Ir.stmt) =
       let a = ev addr in
       let v = ev value in
       (match tx with
-      | Some tx -> Txn.write ~site:(site_id site ~manual ~write:true) tx a v
+      | Some tx -> Txn.write_at ~site:(site_id site ~manual ~write:true) tx a v
       | None -> Txn.raw_write th a v);
       Normal
   | Ir.Alloca { dst; words; _ } ->

@@ -11,8 +11,8 @@ type t = {
 
 let of_tx tx =
   {
-    read = (fun ~site a -> Txn.read ~site tx a);
-    write = (fun ~site a v -> Txn.write ~site tx a v);
+    read = (fun ~site a -> Txn.read_at ~site tx a);
+    write = (fun ~site a v -> Txn.write_at ~site tx a v);
     alloc = (fun n -> Txn.alloc tx n);
     free = (fun a -> Txn.free tx a);
   }

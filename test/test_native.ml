@@ -260,6 +260,38 @@ let test_zero_alloc_elided_path () =
   check "accesses really were elided" true
     (s.Stats.reads_elided_heap + s.Stats.reads_elided_private > 500)
 
+let bypassed_site =
+  Captured_core.Site.declare ~write:true "native.test.bypassed"
+
+let test_zero_alloc_bypassed_site () =
+  (* +fp site tier: a named site that only ever touches shared memory is
+     bypassed after one window, and its accesses then pay the tier and
+     the full barrier — with no allocation either. *)
+  let w =
+    Engine.create ~nthreads:1
+      (Config.with_fastpath (Config.runtime Alloc_log.Tree))
+  in
+  let th = Engine.setup_thread w in
+  let span = 2048 in
+  let base = Alloc.alloc (Engine.global_arena w) span in
+  let site = bypassed_site in
+  let touch tx n =
+    for k = 0 to n - 1 do
+      Txn.write_at ~site tx (base + k) (Txn.read_at ~site tx (base + k) + 1)
+    done
+  in
+  (* Warm-up: sizes the tx arrays and closes the site's first window. *)
+  Txn.atomic th (fun tx -> touch tx span);
+  let s = Txn.thread_stats th in
+  let bypasses = s.Stats.capture_site_bypasses in
+  let measure n =
+    Txn.atomic th (fun tx -> minor_delta (fun () -> touch tx n))
+  in
+  let small = measure 64 and large = measure 512 in
+  Alcotest.(check (float 0.)) "bypassed barriers allocate nothing" small large;
+  check "accesses really were bypassed" true
+    (s.Stats.capture_site_bypasses - bypasses > 1000)
+
 (* ------------------------------------------------------------------ *)
 (* Simulator determinism: the hot-path rewrite must not change a single
    scheduling decision.  Reference numbers captured from the simulator
@@ -275,7 +307,12 @@ let sim_refs =
       90,
       268125 );
     ("tree", tree, 72, 375584);
-    ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 108, 225439);
+    (* Re-pinned for the +fp site tier (was 108 aborts, 225439 cycles):
+       every in-scope access pays the tier's cycle, accesses at bypassed
+       sites skip the stack and heap checks, and the few captured writes
+       among them now take full barriers and lock orecs, which adds
+       conflicts at 4 threads. *)
+    ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 117, 238073);
   ]
 
 let test_sim_determinism (name, config, aborts, makespan) () =
@@ -332,6 +369,8 @@ let () =
             test_zero_alloc_full_path;
           Alcotest.test_case "elided barrier path" `Quick
             test_zero_alloc_elided_path;
+          Alcotest.test_case "bypassed site path" `Quick
+            test_zero_alloc_bypassed_site;
         ] );
       ( "sim-determinism",
         List.map

@@ -113,6 +113,63 @@ let test_alloc_then_free_same_txn cfg =
       Txn.free tx a);
   check_int (Config.name cfg) 0 (Alloc.live_blocks (Engine.arena_of w 0))
 
+(* A block a transaction allocates, writes through the full barrier and
+   frees again must leave the free list intact: rolling back (eager
+   abort) or publishing (lazy commit) that write used to land on the
+   free-list link [Alloc.free] stores in the block's first word, leaking
+   a block or handing out address 4242.  [cool] runs first; the fastpath
+   case uses it to get [site] bypassed, so the writes below take the full
+   barrier even though the block is captured. *)
+let free_site = Site.declare ~write:true "stm.test.free_own_block"
+
+let check_free_own_block ?(cool = fun _ _ -> ()) ?(bypassed = 0) cfg =
+  let w = mk_world cfg in
+  let th = Engine.setup_thread w in
+  let arena = Engine.arena_of w 0 in
+  let x = Alloc.alloc arena 4 and y = Alloc.alloc arena 4 in
+  Alloc.free arena x;
+  Alloc.free arena y;
+  cool w th;
+  let st = Txn.thread_stats th in
+  let bypasses0 = st.Stats.capture_site_bypasses in
+  let alloc_write_free tx =
+    let a = Txn.alloc tx 4 in
+    Txn.write_at ~site:free_site tx a 4242;
+    Txn.free tx a
+  in
+  Txn.atomic th alloc_write_free;
+  (try
+     Txn.atomic th (fun tx ->
+         alloc_write_free tx;
+         Txn.abort tx)
+   with Txn.User_abort -> ());
+  check_int "writes took the full barrier" bypassed
+    (st.Stats.capture_site_bypasses - bypasses0);
+  let got = List.sort compare (List.init 3 (fun _ -> Alloc.alloc arena 4)) in
+  check "both freed blocks come back, then a fresh one" true
+    (match got with
+    | [ b1; b2; fresh ] ->
+        [ b1; b2 ] = List.sort compare [ x; y ] && fresh > max x y
+    | _ -> false)
+
+let test_free_own_block_baseline () = check_free_own_block Config.baseline
+
+let test_free_own_block_baseline_lazy () =
+  check_free_own_block (Config.with_lazy Config.baseline)
+
+let test_free_own_block_bypassed () =
+  let cool w th =
+    (* One hitless window of first writes to shared cells. *)
+    let n = Site_tier.window in
+    let cells = Alloc.alloc (Engine.global_arena w) n in
+    Txn.atomic th (fun tx ->
+        for k = 0 to n - 1 do
+          Txn.write_at ~site:free_site tx (cells + k) k
+        done)
+  in
+  check_free_own_block ~cool ~bypassed:2
+    (Config.with_lazy (Config.with_fastpath (Config.runtime Alloc_log.Tree)))
+
 let test_alloca_restored_on_abort cfg =
   let w = mk_world cfg in
   let th = Engine.setup_thread w in
@@ -222,8 +279,8 @@ let test_compiler_elides_by_site () =
   let th = Engine.setup_thread w in
   Txn.atomic th (fun tx ->
       let a = Txn.alloc tx 4 in
-      Txn.write ~site:s_cap tx a 1;
-      Txn.write ~site:s_shared tx cell 2);
+      Txn.write_at ~site:s_cap tx a 1;
+      Txn.write_at ~site:s_shared tx cell 2);
   let st = Txn.thread_stats th in
   check_int "static elided" 1 st.Stats.writes_elided_static;
   check_int "shared kept" 1 (st.Stats.writes - Stats.writes_elided st);
@@ -276,7 +333,7 @@ let test_hybrid_skips_checks_on_shared_sites () =
       (* ...while the statically-shared site takes the full barrier
          without even running the checks (observable as a plain write
          that is not elided). *)
-      Txn.write ~site:s_shared tx cell 2);
+      Txn.write_at ~site:s_shared tx cell 2);
   let st = Txn.thread_stats th in
   check_int "captured still elided" 1 st.Stats.writes_elided_heap;
   check_int "shared site kept" 1 (st.Stats.writes - Stats.writes_elided st);
@@ -312,8 +369,8 @@ let test_audit_classification () =
       let s = Txn.alloca tx 2 in
       ignore (Txn.read tx h : int);
       ignore (Txn.read tx s : int);
-      ignore (Txn.read ~site:s_req tx cell : int);
-      ignore (Txn.read ~site:s_other tx cell : int));
+      ignore (Txn.read_at ~site:s_req tx cell : int);
+      ignore (Txn.read_at ~site:s_other tx cell : int));
   let st = Txn.thread_stats th in
   check_int "heap" 1 st.Stats.audit_reads_heap;
   check_int "stack" 1 st.Stats.audit_reads_stack;
@@ -1566,6 +1623,115 @@ let config_cases name f =
     all_configs
 
 (* ------------------------------------------------------------------ *)
+(* Site tier (+fp): per-site sampled capture checks                    *)
+
+let tier_site = Site.declare ~write:false "stm.test.tier"
+
+(* One access through the tier as [Txn.try_elide] makes it: [true] when
+   the capture check ran (and found [hit]). *)
+let tier_access t ~hit =
+  (not (Site_tier.bypass t tier_site))
+  && begin
+       Site_tier.record t tier_site ~hit;
+       true
+     end
+
+(* Checks run by the next [n] accesses, all hitting or all missing. *)
+let tier_checks t ~hit n =
+  let c = ref 0 in
+  for _ = 1 to n do
+    if tier_access t ~hit then incr c
+  done;
+  !c
+
+let test_tier_window_threshold () =
+  let after_window_with hits =
+    let t = Site_tier.create ~sites:(Site.count ()) in
+    for k = 1 to Site_tier.window do
+      check "first window is fully checked" true
+        (tier_access t ~hit:(k <= hits))
+    done;
+    tier_checks t ~hit:false Site_tier.sample_every
+  in
+  check_int "hitless window bypasses all but one in sample_every" 1
+    (after_window_with 0);
+  check_int "min_hits - 1 hits bypass" 1
+    (after_window_with (Site_tier.min_hits - 1));
+  check_int "min_hits hits keep checking" Site_tier.sample_every
+    (after_window_with Site_tier.min_hits)
+
+let test_tier_reenables_within_a_window () =
+  let t = Site_tier.create ~sites:(Site.count ()) in
+  ignore (tier_checks t ~hit:false Site_tier.window : int);
+  let n = Site_tier.window * Site_tier.sample_every in
+  check_int "one bypassed access in sample_every is checked"
+    (n / Site_tier.sample_every) (tier_checks t ~hit:true n);
+  check_int "re-enabled within window * sample_every accesses"
+    Site_tier.sample_every
+    (tier_checks t ~hit:true Site_tier.sample_every)
+
+let test_tier_ids_beyond_table () =
+  let t = Site_tier.create ~sites:0 in
+  let n = 4 * Site_tier.window in
+  check_int "always checked" n (tier_checks t ~hit:false n)
+
+let fp_tree = Config.with_fastpath (Config.runtime Alloc_log.Tree)
+
+(* End to end through the read barrier: a site reading shared memory is
+   bypassed after its first window and its reads keep their full
+   barriers; once the same site reads only captured memory, it is
+   checked — and elided — again within window * sample_every reads.
+   Without +fp the tier is absent. *)
+let test_tier_in_barrier () =
+  let w = mk_world fp_tree in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let th = Engine.setup_thread w in
+  let st = Txn.thread_stats th in
+  let read_n tx addr n =
+    for _ = 1 to n do
+      ignore (Txn.read_at ~site:tier_site tx addr : int)
+    done
+  in
+  Txn.atomic th (fun tx -> read_n tx cell Site_tier.window);
+  check_int "first window checked" 0 st.Stats.capture_site_bypasses;
+  Txn.atomic th (fun tx -> read_n tx cell Site_tier.sample_every);
+  check_int "then all but one in sample_every bypassed"
+    (Site_tier.sample_every - 1) st.Stats.capture_site_bypasses;
+  check_int "shared reads never elided" 0 (Stats.reads_elided st);
+  Txn.atomic th (fun tx ->
+      let a = Txn.alloc tx 1 in
+      read_n tx a (Site_tier.window * Site_tier.sample_every);
+      let bypasses = st.Stats.capture_site_bypasses
+      and elided = st.Stats.reads_elided_heap in
+      read_n tx a Site_tier.window;
+      check_int "re-enabled: no more bypasses" bypasses
+        st.Stats.capture_site_bypasses;
+      check_int "re-enabled: every read elided" (elided + Site_tier.window)
+        st.Stats.reads_elided_heap);
+  let w = mk_world (Config.runtime Alloc_log.Tree) in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let th = Engine.setup_thread w in
+  Txn.atomic th (fun tx -> read_n tx cell (4 * Site_tier.window));
+  check_int "no tier without +fp" 0
+    (Txn.thread_stats th).Stats.capture_site_bypasses
+
+(* A site declared after the thread was created lies beyond its table
+   and is checked on every access. *)
+let test_tier_late_site_checked () =
+  let w = mk_world fp_tree in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let th = Engine.setup_thread w in
+  let late = Site.declare ~write:false "stm.test.tier_late" in
+  let n = 4 * Site_tier.window in
+  Txn.atomic th (fun tx ->
+      for _ = 1 to n do
+        ignore (Txn.read_at ~site:late tx cell : int)
+      done);
+  let st = Txn.thread_stats th in
+  check_int "never bypassed" 0 st.Stats.capture_site_bypasses;
+  check_int "every read checked" n st.Stats.capture_summary_rejects
+
+(* ------------------------------------------------------------------ *)
 (* Epoch-based reclamation (Reclaim) unit tests                        *)
 
 let test_reclaim_advance_gated () =
@@ -1661,7 +1827,27 @@ let () =
         @ config_cases "alloc abort frees" test_alloc_abort_frees
         @ config_cases "free deferred on abort" test_free_deferred_on_abort
         @ config_cases "alloc+free same txn" test_alloc_then_free_same_txn
-        @ config_cases "alloca restored" test_alloca_restored_on_abort );
+        @ config_cases "alloca restored" test_alloca_restored_on_abort
+        @ [
+            Alcotest.test_case "free own written block [baseline]" `Quick
+              test_free_own_block_baseline;
+            Alcotest.test_case "free own written block [baseline+lazy]" `Quick
+              test_free_own_block_baseline_lazy;
+            Alcotest.test_case "free own written block [tree+fp+lazy bypassed]"
+              `Quick test_free_own_block_bypassed;
+          ] );
+      ( "site tier",
+        [
+          Alcotest.test_case "window threshold" `Quick
+            test_tier_window_threshold;
+          Alcotest.test_case "re-enabled within a window" `Quick
+            test_tier_reenables_within_a_window;
+          Alcotest.test_case "ids beyond the table" `Quick
+            test_tier_ids_beyond_table;
+          Alcotest.test_case "in the read barrier" `Quick test_tier_in_barrier;
+          Alcotest.test_case "late site always checked" `Quick
+            test_tier_late_site_checked;
+        ] );
       ( "elision",
         [
           Alcotest.test_case "runtime elides heap" `Quick
