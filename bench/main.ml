@@ -14,7 +14,6 @@ module Engine = Captured_stm.Engine
 module Stats = Captured_stm.Stats
 module Txn = Captured_stm.Txn
 module Alloc_log = Captured_core.Alloc_log
-module Site = Captured_core.Site
 module Ustats = Captured_util.Stats
 
 (* ------------------------------------------------------------------ *)
@@ -821,8 +820,6 @@ let scale_section () =
 (* ------------------------------------------------------------------ *)
 (* Shards: orec-table sharding + decentralized clock A/B                *)
 
-module Orec = Captured_stm.Orec
-
 let int_array_json a =
   "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]"
 
@@ -837,18 +834,18 @@ let pairs_json s =
          top)
   ^ "]"
 
-let shards_json ~app ~backend ~shards ~map ~threads (r : Engine.result) =
+let shards_json ~app ~backend ~shards ~threads (r : Engine.result) =
   let s = r.Engine.stats in
   Printf.printf
     "{\"section\":\"shards\",\"app\":\"%s\",\"backend\":\"%s\",\"shards\":%d,\
-     \"map\":\"%s\",\"threads\":%d,\"commits\":%d,\"aborts\":%d,\
-     \"abort_ratio\":%.3f,\"clock_advances\":%d,\"clock_cas\":%d,\
+     \"threads\":%d,\"commits\":%d,\"aborts\":%d,\
+     \"abort_ratio\":%.3f,\"clock_advances\":%d,\
      \"clock_resyncs\":%d,\"snapshot_extensions\":%d,\"lock_waits\":%d,\
      \"makespan\":%d,\"wall_ms\":%.3f,\"shard_acquires\":%s,\
      \"shard_conflicts\":%s,\"top_conflict_pairs\":%s}\n"
-    app backend shards map threads s.Stats.commits s.Stats.aborts
-    (Stats.abort_ratio s) s.Stats.clock_advances s.Stats.clock_cas
-    s.Stats.clock_resyncs s.Stats.snapshot_extensions s.Stats.lock_waits
+    app backend shards threads s.Stats.commits s.Stats.aborts
+    (Stats.abort_ratio s) s.Stats.clock_advances s.Stats.clock_resyncs
+    s.Stats.snapshot_extensions s.Stats.lock_waits
     r.Engine.makespan (1000. *. r.Engine.wall)
     (int_array_json s.Stats.shard_acquires)
     (int_array_json s.Stats.shard_conflicts)
@@ -862,74 +859,26 @@ let shards_section () =
   let base = Config.with_tvalidate (Config.runtime Alloc_log.Tree) in
   List.iter
     (fun app ->
-      (* (a) Shard-count sweep, simulator: shards=1 is the centralized
-         clock (every writer commit pays one clock CAS); shards>1 switch
-         to the decentralized scheme, whose writer commits must never
-         touch the shared clock. *)
+      (* Shard-count sweep, simulator: shards=1 is the Global clock
+         (every writer commit advances the shared clock); shards>1 switch
+         to the Local clock, whose writer commits must never touch it. *)
       List.iter
         (fun shards ->
           let cfg = Config.with_shards shards base in
           let r = run_sim app cfg ~nthreads:sim_threads ~seed:1 in
           let s = r.Engine.stats in
-          if shards > 1 then
-            (* The tentpole claim, enforced: no clock CAS on any writer
-               commit in decentralized mode. *)
-            assert (s.Stats.clock_cas = 0);
-          shards_json ~app:app.App.name ~backend:"sim" ~shards ~map:"hash"
+          if shards > 1 then assert (s.Stats.clock_advances = 0);
+          shards_json ~app:app.App.name ~backend:"sim" ~shards
             ~threads:sim_threads r;
           Printf.printf
             "# %-14s sim %2d shards  commits %6d  abort/commit %5.2f  \
-             clock-cas %6d  resyncs %5d  makespan %9d\n%!"
+             clock-advances %6d  resyncs %5d  makespan %9d\n%!"
             app.App.name shards s.Stats.commits (Stats.abort_ratio s)
-            s.Stats.clock_cas s.Stats.clock_resyncs r.Engine.makespan)
+            s.Stats.clock_advances s.Stats.clock_resyncs r.Engine.makespan)
         shard_counts;
-      (* (b) Mapping-policy A/B at 4 shards.  In the simulator a shard map
-         is a pure relabeling (a permutation cannot merge or split the
-         hash classes), so hash and affinity must agree bit for bit on
-         commits, aborts and makespan — a whole-system check of the
-         two-level refinement.  The per-shard histograms permute. *)
-      let cfg_hash = Config.with_shards 4 base in
-      let r_hash = run_sim app cfg_hash ~nthreads:sim_threads ~seed:1 in
-      let cfg_aff = Config.with_shards ~map:Orec.Affinity 4 base in
-      let r_aff = run_sim app cfg_aff ~nthreads:sim_threads ~seed:1 in
-      assert (
-        r_hash.Engine.stats.Stats.commits = r_aff.Engine.stats.Stats.commits
-        && r_hash.Engine.stats.Stats.aborts = r_aff.Engine.stats.Stats.aborts
-        && r_hash.Engine.makespan = r_aff.Engine.makespan);
-      shards_json ~app:app.App.name ~backend:"sim" ~shards:4 ~map:"affinity"
-        ~threads:sim_threads r_aff;
-      (* (c) Profile-driven remap through the runtime hook: rank shards by
-         the profiling run's conflict counts and relabel hottest-first,
-         installing the permutation on a fresh world before any
-         transaction runs.  Same invariance must hold. *)
-      let conflicts = r_hash.Engine.stats.Stats.shard_conflicts in
-      let order = Array.init 4 (fun s -> s) in
-      Array.sort
-        (fun a b -> compare conflicts.(b) conflicts.(a))
-        order;
-      let remap = Array.make 4 0 in
-      Array.iteri (fun rank s -> remap.(s) <- rank) order;
-      Site.reset_verdicts ();
-      let p =
-        app.App.prepare ~nthreads:sim_threads ~scale:(scale ()) cfg_hash
-      in
-      Orec.set_shard_map (Engine.orecs p.App.world) remap;
-      let r_prof = Engine.run_sim ~seed:1 p.App.world p.App.body in
-      (match p.App.verify () with
-      | Ok () -> ()
-      | Error m -> failwith ("shards profiled remap: " ^ m));
-      assert (
-        r_prof.Engine.stats.Stats.commits = r_hash.Engine.stats.Stats.commits
-        && r_prof.Engine.makespan = r_hash.Engine.makespan);
-      shards_json ~app:app.App.name ~backend:"sim" ~shards:4 ~map:"profiled"
-        ~threads:sim_threads r_prof;
-      Printf.printf
-        "# %-14s map A/B: hash = affinity = profiled (commits %d, \
-         makespan %d) — relabeling invariance holds\n%!"
-        app.App.name r_hash.Engine.stats.Stats.commits r_hash.Engine.makespan;
-      (* (d) Native leg: real domains, wall clock.  Kept small — the
-         point is the counter semantics (clock_cas = 0 stays true under
-         real parallelism), not a full scaling study. *)
+      (* Native leg: real domains, wall clock.  Kept small — the point is
+         the counter semantics (no clock advance on Local writer commits
+         under real parallelism), not a full scaling study. *)
       let domains = if !scale_domains <> [] then !scale_domains else [ 2 ] in
       List.iter
         (fun n ->
@@ -940,14 +889,14 @@ let shards_section () =
                 App.run app ~nthreads:n ~scale:(scale ()) ~mode:`Native cfg
               in
               let s = r.Engine.stats in
-              if shards > 1 then assert (s.Stats.clock_cas = 0);
-              shards_json ~app:app.App.name ~backend:"native" ~shards ~map:"hash"
+              if shards > 1 then assert (s.Stats.clock_advances = 0);
+              shards_json ~app:app.App.name ~backend:"native" ~shards
                 ~threads:n r;
               Printf.printf
                 "# %-14s native %2d dom %2d shards  commits %6d  \
-                 abort/commit %5.2f  clock-cas %6d  wall %8.2f ms\n%!"
+                 abort/commit %5.2f  clock-advances %6d  wall %8.2f ms\n%!"
                 app.App.name n shards s.Stats.commits (Stats.abort_ratio s)
-                s.Stats.clock_cas (1000. *. r.Engine.wall))
+                s.Stats.clock_advances (1000. *. r.Engine.wall))
             [ 1; 4 ])
         domains)
     apps

@@ -79,7 +79,7 @@ let print_json ~app ~config ~mode ~threads (r : Engine.result) ~native =
      \"capture_site_bypasses\":%d,\"validations\":%d,\
      \"validations_skipped\":%d,\"snapshot_extensions\":%d,\
      \"readonly_fast_commits\":%d,\"clock_advances\":%d,\
-     \"clock_cas\":%d,\"clock_resyncs\":%d,\
+     \"clock_resyncs\":%d,\
      \"redo_inserts\":%d,\"redo_hits\":%d,\"redo_skips\":%d,\
      \"publish_cycles\":%d,\
      \"validation_cycles\":%d,\"spin_aborts\":%d,\"backoff_cycles\":%d,\
@@ -107,7 +107,7 @@ let print_json ~app ~config ~mode ~threads (r : Engine.result) ~native =
     s.Stats.capture_site_bypasses s.Stats.validations
     s.Stats.validations_skipped
     s.Stats.snapshot_extensions s.Stats.readonly_fast_commits
-    s.Stats.clock_advances s.Stats.clock_cas s.Stats.clock_resyncs
+    s.Stats.clock_advances s.Stats.clock_resyncs
     s.Stats.redo_inserts s.Stats.redo_hits s.Stats.redo_skips
     s.Stats.publish_cycles
     s.Stats.validation_cycles s.Stats.spin_aborts
@@ -160,8 +160,7 @@ let print_result (r : Engine.result) ~native =
     s.Stats.validations s.Stats.validations_skipped
     s.Stats.snapshot_extensions;
   Printf.printf "  ro fast commits:  %d\n" s.Stats.readonly_fast_commits;
-  Printf.printf "  clock advances:   %d\n" s.Stats.clock_advances;
-  Printf.printf "  clock CASes:      %d (resyncs %d)\n" s.Stats.clock_cas
+  Printf.printf "  clock advances:   %d (resyncs %d)\n" s.Stats.clock_advances
     s.Stats.clock_resyncs;
   Printf.printf "  cycles:           %d\n" s.Stats.validation_cycles;
   if s.Stats.redo_inserts + s.Stats.redo_hits + s.Stats.redo_skips > 0 then begin
@@ -239,11 +238,6 @@ let fault_of_name = function
             (Printf.sprintf "unknown fault %s (known: %s)" name
                (String.concat " " Fault.names)))
 
-let orec_map_of_name = function
-  | "hash" -> Ok Captured_stm.Orec.Hash
-  | "affinity" -> Ok Captured_stm.Orec.Affinity
-  | other -> Error (Printf.sprintf "unknown orec map %s" other)
-
 let print_recovery ~json dir (rc : Wal.recovery) =
   if json then
     Printf.printf
@@ -270,8 +264,8 @@ let print_recovery ~json dir (rc : Wal.recovery) =
   end
 
 let run_cmd app_name config_name scope_name scale_name threads native seed
-    pessimistic fastpath tvalidate lazy_ fences ebr shards orec_map_name
-    cm_name fuel fault_name wal_dir wal_group recover json =
+    pessimistic fastpath tvalidate lazy_ fences ebr shards cm_name fuel
+    fault_name wal_dir wal_group recover json =
   let ( let* ) = Result.bind in
   let outcome =
     let* scope = scope_of_name scope_name in
@@ -282,11 +276,10 @@ let run_cmd app_name config_name scope_name scale_name threads native seed
     let config = if lazy_ then Config.with_lazy config else config in
     let config = if fences then Config.with_fences config else config in
     let config = if ebr then Config.with_ebr config else config in
-    let* orec_map = orec_map_of_name orec_map_name in
     let* config =
       if shards < 1 || shards land (shards - 1) <> 0 then
         Error "--shards must be a power of two >= 1"
-      else Ok (Config.with_shards ~map:orec_map shards config)
+      else Ok (Config.with_shards shards config)
     in
     let* cm = cm_of_name cm_name in
     let config = Config.with_cm cm config in
@@ -479,12 +472,6 @@ let shards_arg =
                  decentralized version clock (no clock CAS on writer \
                  commits).")
 
-let orec_map_arg =
-  Arg.(value & opt string "hash"
-       & info [ "orec-map" ] ~docv:"POLICY"
-           ~doc:"Shard-mapping policy: hash (identity) | affinity \
-                 (spreading permutation).")
-
 let cm_arg =
   Arg.(value & opt string "backoff"
        & info [ "cm" ] ~docv:"POLICY"
@@ -540,7 +527,7 @@ let run_term =
   Term.(ret (const run_cmd $ app_arg $ config_arg $ scope_arg $ scale_arg
              $ threads_arg $ native_arg $ seed_arg $ pessimistic_arg
              $ fastpath_arg $ tvalidate_arg $ lazy_arg $ fences_arg
-             $ ebr_arg $ shards_arg $ orec_map_arg $ cm_arg $ fuel_arg
+             $ ebr_arg $ shards_arg $ cm_arg $ fuel_arg
              $ fault_arg $ wal_dir_arg $ wal_group_arg $ recover_arg
              $ json_arg))
 

@@ -24,14 +24,11 @@ type t = {
   array_capacity : int;
   filter_buckets : int;
   spin_limit : int;
-  validate_every : int;
   cm : Cm.policy;
   fuel : int;
   fault : Fault.kind option;
   fences : bool;
   orec_shards : int;
-  orec_map : Orec.mapping;
-  dclock : bool;
   lazy_versioning : bool;
   durable : bool;
   wal_group : int;
@@ -63,14 +60,11 @@ let default =
     array_capacity = 4;
     filter_buckets = 4096;
     spin_limit = 32;
-    validate_every = 512;
     cm = Cm.Backoff;
     fuel = 0;
     fault = None;
     fences = false;
     orec_shards = 1;
-    orec_map = Orec.Hash;
-    dclock = false;
     lazy_versioning = false;
     durable = false;
     wal_group = 4;
@@ -96,20 +90,18 @@ let with_fuel fuel t =
 
 let with_fences ?(on = true) t = { t with fences = on }
 
-let with_shards ?map n t =
+let with_shards n t =
   if n < 1 || n land (n - 1) <> 0 then
     invalid_arg "Config.with_shards: shards must be a power of two >= 1";
-  {
-    t with
-    orec_shards = n;
-    (* Sharding the table and decentralizing the clock travel together:
-       the point of both is removing system-wide hot words.  [dclock]
-       stays separately togglable ([with_dclock]) for A/Bs. *)
-    dclock = n > 1;
-    orec_map = (match map with Some m -> m | None -> t.orec_map);
-  }
+  { t with orec_shards = n }
 
-let with_dclock ?(on = true) t = { t with dclock = on }
+type clock = Scan | Global | Local
+
+(* Sharding the table and decentralizing the clock travel together: the
+   point of both is removing system-wide hot words. *)
+let clock t =
+  if not t.tvalidate then Scan else if t.orec_shards = 1 then Global else Local
+
 let with_lazy ?(on = true) t = { t with lazy_versioning = on }
 
 let with_durable ?group ?(on = true) t =
@@ -123,14 +115,8 @@ let with_durable ?group ?(on = true) t =
   { t with durable = on; wal_group }
 
 let with_ebr ?(on = true) t = { t with ebr = on }
-let with_orec_map m t = { t with orec_map = m }
 let with_fault fault t = { t with fault }
 let has_fault t kind = t.fault = Some kind
-
-let with_skip_validation ?(on = true) t =
-  if on then { t with fault = Some Fault.Skip_validation }
-  else if t.fault = Some Fault.Skip_validation then { t with fault = None }
-  else t
 
 let audit = { default with audit = true }
 
@@ -160,10 +146,6 @@ let name t =
     ^ (if t.fuel > 0 then Printf.sprintf "+fuel:%d" t.fuel else "")
     ^ (if t.orec_shards > 1 then Printf.sprintf "+shards:%d" t.orec_shards
        else "")
-    ^ (match t.orec_map with Orec.Affinity -> "+map:affinity" | Orec.Hash -> "")
-    ^ (if t.dclock && t.orec_shards = 1 then "+dclock"
-       else if (not t.dclock) && t.orec_shards > 1 then "+gvclock"
-       else "")
     ^ (if t.fences then "+fence" else "")
     ^ (match t.fault with
       | None -> ""
@@ -185,7 +167,4 @@ let mode_name t =
   ^ (if t.ebr then "+ebr" else "")
   ^ (if t.pessimistic_reads then "+pessimistic" else "")
   ^ (if t.orec_shards > 1 then Printf.sprintf "+shards:%d" t.orec_shards
-     else "")
-  ^ (if t.dclock && t.orec_shards = 1 then "+dclock"
-     else if (not t.dclock) && t.orec_shards > 1 then "+gvclock"
      else "")

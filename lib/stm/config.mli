@@ -42,8 +42,9 @@ type t = {
           then a fresh timestamp) instead of an abort.  [maybe_validate]
           becomes an O(1) clock compare, commit skips the read-set scan
           when the snapshot is current, and read-only transactions commit
-          with no validation and no clock bump.  Works under every
-          [analysis]; semantics-preserving. *)
+          with no validation and no clock bump.  With [orec_shards > 1]
+          the shared clock gives way to per-thread stamps ({!clock}).
+          Works under every [analysis]; semantics-preserving. *)
   static_filter : bool;
       (** Skip runtime capture checks at sites the compiler proved
           definitely shared (the paper's §3.2/§6 future work); only
@@ -66,8 +67,6 @@ type t = {
   array_capacity : int;
   filter_buckets : int;
   spin_limit : int;  (** lock-wait spins before self-abort. *)
-  validate_every : int;
-      (** Barriers between incremental validations (zombie guard). *)
   cm : Cm.policy;
       (** Contention-management policy for the retry loop ([+cm:<name>]
           suffix; [Backoff] — the default — is suffix-free and reproduces
@@ -75,7 +74,7 @@ type t = {
   fuel : int;
       (** Validation fuel per transaction attempt: every transactional
           operation — including elided/owned accesses and [tx_work],
-          which the periodic [validate_every] guard never sees — burns
+          which the periodic barrier-path guard never sees — burns
           one unit, and exhaustion forces a revalidation (then refills).
           Bounds how long a zombie can run regardless of what it does.
           [0] (default) disables the budget; [+fuel:<n>] suffix. *)
@@ -95,19 +94,6 @@ type t = {
           two, 1 = monolithic).  Two-level hash: shard = high bits, slot
           within shard = low bits; [shards = 1] is bit-identical to the
           flat table. *)
-  orec_map : Orec.mapping;
-      (** Shard-mapping policy ([+map:affinity] suffix for [Affinity]):
-          how shard ids of the hash are placed onto physical sub-tables.
-          See {!Orec.mapping}. *)
-  dclock : bool;
-      (** Decentralized version clock (GV5/GV7 family; DESIGN.md §11).
-          Only meaningful with [tvalidate]: writers stamp released orecs
-          with per-thread [(local_epoch, tid)] values and never touch the
-          shared clock at commit; freshness is judged against per-peer
-          epoch watermarks, and the shared clock is consulted only on
-          abort-driven resync.  Set automatically by [with_shards n] for
-          [n > 1] ([+gvclock]/[+dclock] suffixes mark the off-diagonal
-          combinations). *)
   lazy_versioning : bool;
       (** Deferred-update (lazy-versioning, TL2-style) backend ([+lazy]
           suffix).  Write barriers buffer into a per-transaction redo
@@ -186,19 +172,24 @@ val with_fuel : int -> t -> t
 val with_fences : ?on:bool -> t -> t
 
 (** [with_shards n t] shards the orec table into [n] sub-tables
-    ([+shards:<n>] suffix) and — for [n > 1] — switches the version clock
-    to the decentralized scheme ([dclock]).  [?map] also selects the
-    shard-mapping policy.  Raises [Invalid_argument] unless [n] is a
-    power of two [>= 1]. *)
-val with_shards : ?map:Orec.mapping -> int -> t -> t
+    ([+shards:<n>] suffix); under [tvalidate], [n > 1] also selects the
+    decentralized version clock (see {!clock}).  Raises
+    [Invalid_argument] unless [n] is a power of two [>= 1]. *)
+val with_shards : int -> t -> t
 
-(** [with_dclock t] forces the decentralized clock on ([?on:false]: off)
-    independently of the shard count — the A/B knob for separating the
-    two halves of the optimisation. *)
-val with_dclock : ?on:bool -> t -> t
+(** The validation clock a configuration runs under, derived from
+    [tvalidate] and [orec_shards] (DESIGN.md §11):
+    - [Scan]: no [+tv] — commits bump each released orec's version and
+      validate by scanning the read set;
+    - [Global]: [+tv] on one shard — TL2/LSA-style shared version
+      clock, O(1) snapshot checks;
+    - [Local]: [+tv] on [> 1] shards — decentralized clock (GV5/GV7
+      family): writers stamp released orecs with per-thread
+      [(epoch, tid)] values and never touch the shared clock at commit;
+      freshness is judged against per-peer epoch watermarks. *)
+type clock = Scan | Global | Local
 
-(** [with_orec_map m t] selects the shard-mapping policy. *)
-val with_orec_map : Orec.mapping -> t -> t
+val clock : t -> clock
 
 (** [with_lazy t] selects the deferred-update backend ([+lazy] suffix;
     [?on:false] returns to eager undo). *)
@@ -219,10 +210,6 @@ val with_fault : Fault.kind option -> t -> t
 (** [has_fault t k] — is fault [k] the one injected in [t]? *)
 val has_fault : t -> Fault.kind -> bool
 
-(** [with_skip_validation t] injects the validation-skipping fault —
-    kept as the checker's historical canary spelling of
-    [with_fault (Some Fault.Skip_validation)]. *)
-val with_skip_validation : ?on:bool -> t -> t
 val audit : t
 (** Baseline + audit counting (Figure 8 runs). *)
 

@@ -25,7 +25,7 @@ type kind =
       (** Decentralized-clock commit occasionally reuses the thread's
           previous epoch instead of advancing it, so the released stamp
           collides with an older one and peer watermarks accept stale
-          values (breaks +shards/+dclock snapshot checks). *)
+          values (breaks +tv+shards snapshot checks). *)
   | Redo_drop
       (** Lazy-mode write barrier occasionally drops the store on the way
           into the redo buffer: the transaction commits without it (lost

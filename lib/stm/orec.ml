@@ -1,7 +1,5 @@
 module Padding = Captured_util.Padding
 
-type mapping = Hash | Affinity
-
 type t = {
   shards : int Atomic.t array array;
   (* Two-level decomposition of the flat 2^bits index space:
@@ -12,11 +10,6 @@ type t = {
   slot_bits : int;
   slot_mask : int;
   shard_mask : int;
-  (* Shard-id permutation applied by [index_of]: the mapping-policy hook.
-     Identity under [Hash]; a fixed spreading bijection under [Affinity];
-     replaceable at runtime ({!set_shard_map}) so a profile-driven policy
-     can remap hot shards away from conflicting domain pairs. *)
-  shard_map : int array;
   shift : int; (* take the HIGH bits of the multiplicative hash *)
   line_words_log2 : int;
   version_clock : int Atomic.t;
@@ -33,35 +26,18 @@ let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
    default 14 bits), paid once per table.  Sharding does not change the
    total size, only the grouping: each sub-table is one contiguous
    padded region ({!Padding.padded_table}). *)
-let create ~bits ?(shards = 1) ?(map = Hash) ~line_words_log2 () =
+let create ~bits ?(shards = 1) ~line_words_log2 () =
   if bits < 4 || bits > 24 then invalid_arg "Orec.create: bits";
   if shards < 1 || shards land (shards - 1) <> 0 then
     invalid_arg "Orec.create: shards must be a power of two >= 1";
   let shard_bits = log2 shards in
   if shard_bits >= bits then invalid_arg "Orec.create: more shards than orecs";
   let slot_bits = bits - shard_bits in
-  let shard_map =
-    Array.init shards (fun s ->
-        match map with
-        | Hash -> s
-        | Affinity ->
-            (* Bit-reversal of the shard-id bits: an involution that sends
-               hash-adjacent shard ids to maximally distant ones at every
-               power-of-two size (a multiplicative constant mod 2^k fixes
-               the low bits, degenerating to the identity for small k). *)
-            let r = ref 0 in
-            for i = 0 to shard_bits - 1 do
-              if s land (1 lsl i) <> 0 then
-                r := !r lor (1 lsl (shard_bits - 1 - i))
-            done;
-            !r)
-  in
   {
     shards = Array.init shards (fun _ -> Padding.padded_table (1 lsl slot_bits) 0);
     slot_bits;
     slot_mask = (1 lsl slot_bits) - 1;
     shard_mask = shards - 1;
-    shard_map;
     shift = 62 - bits;
     line_words_log2;
     version_clock = Padding.padded_atomic 0;
@@ -69,19 +45,12 @@ let create ~bits ?(shards = 1) ?(map = Hash) ~line_words_log2 () =
 
 (* Fibonacci hashing: the low product bits are periodic in the address
    (stride 2^k aliasing!), so the index must come from the HIGH bits.
-   The two-level refinement reads the shard id from the high bits of the
-   hash and the slot from the low bits, then permutes the shard id
-   through [shard_map]; with one shard the mask is 0 and the value is the
-   bare hash, unchanged from the monolithic table. *)
+   Sharding reads the same index two-level — shard id from its high
+   bits, slot from its low bits — so every address maps to the record it
+   had in the monolithic table. *)
 let index_of t addr =
-  let base =
-    (((addr lsr t.line_words_log2) * 0x2545F4914F6CDD1D) land max_int)
-    lsr t.shift
-  in
-  if t.shard_mask = 0 then base
-  else
-    (t.shard_map.(base lsr t.slot_bits) lsl t.slot_bits)
-    lor (base land t.slot_mask)
+  (((addr lsr t.line_words_log2) * 0x2545F4914F6CDD1D) land max_int)
+  lsr t.shift
 
 let count t = (t.shard_mask + 1) lsl t.slot_bits
 let shard_count t = t.shard_mask + 1
@@ -89,20 +58,6 @@ let slot_bits t = t.slot_bits
 let shard_of t i = i lsr t.slot_bits
 let slot_of t i = i land t.slot_mask
 
-let set_shard_map t perm =
-  let n = t.shard_mask + 1 in
-  if Array.length perm <> n then
-    invalid_arg "Orec.set_shard_map: wrong length";
-  let seen = Array.make n false in
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= n || seen.(s) then
-        invalid_arg "Orec.set_shard_map: not a permutation"
-      else seen.(s) <- true)
-    perm;
-  Array.blit perm 0 t.shard_map 0 n
-
-let shard_map t = Array.copy t.shard_map
 let get t i = Atomic.get t.shards.(i lsr t.slot_bits).(i land t.slot_mask)
 let is_locked word = word land 1 = 1
 let owner_of word = word lsr 1
@@ -120,8 +75,8 @@ let unlock t i word =
 (* Global version clock (TL2/LSA-style).  Commit-time stamps are clock
    values, so "record version <= snapshot timestamp" certifies that the
    line is unchanged since the snapshot was taken — the O(1) consistency
-   check timestamp-based validation rests on.  In decentralized-clock
-   mode ({!Config.t.dclock}) writer commits never touch this word; it
+   check timestamp-based validation rests on.  Under the decentralized
+   ([Local]) clock writer commits never touch this word; it
    survives as the resync rendezvous aborting threads use to jump their
    local epoch past everything already published. *)
 

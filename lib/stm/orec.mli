@@ -11,12 +11,10 @@
     decentralized-clock mode — see {!stamp}).
 
     The table may be {e sharded}: 2^bits records split across [shards]
-    contiguous, independently padded sub-tables.  Indexing is two-level —
-    shard id from the high bits of the Fibonacci hash, slot from the low
-    bits — and the shard id passes through a runtime-replaceable
-    permutation ({!set_shard_map}), the locality-mapping policy hook.
-    With [shards = 1] the arithmetic collapses to the exact flat hash of
-    the monolithic table, bit for bit.
+    contiguous, independently padded sub-tables.  The record index is the
+    flat Fibonacci hash at every shard count; the shard is its high bits
+    and the slot its low bits, so sharding changes where a record lives,
+    never which record an address maps to.
 
     Each record — and the global version clock — occupies its own cache
     line ({!Captured_util.Padding}), so CASes on one orec never falsely
@@ -24,21 +22,12 @@
 
 type t
 
-type mapping = Hash | Affinity
-(** Shard-mapping policy: [Hash] is the identity (shard = high hash
-    bits); [Affinity] installs a fixed spreading permutation
-    (bit-reversal of the shard-id bits) so hash-adjacent shards land far
-    apart — the static flavour of the remapping that {!set_shard_map}
-    makes profile-driven. *)
-
-val create :
-  bits:int -> ?shards:int -> ?map:mapping -> line_words_log2:int -> unit -> t
+val create : bits:int -> ?shards:int -> line_words_log2:int -> unit -> t
 (** [shards] (default 1) must be a power of two below 2^bits. *)
 
 val index_of : t -> int -> int
-(** Record index for a word address: [(shard_map(hi) lsl slot_bits) lor
-    lo].  The flat, global index — shard and slot are recovered with
-    {!shard_of} / {!slot_of}. *)
+(** Record index for a word address: the flat, global index — shard and
+    slot are recovered with {!shard_of} / {!slot_of}. *)
 
 val count : t -> int
 
@@ -54,16 +43,6 @@ val shard_of : t -> int -> int
 
 val slot_of : t -> int -> int
 (** Slot within the shard of a record index. *)
-
-val set_shard_map : t -> int array -> unit
-(** Install a shard-id permutation (length [shard_count], each id once).
-    Only sound while no transactions are live: remapping moves addresses
-    between records, which invalidates any outstanding read/acquire
-    logs.  The bench's profile-driven affinity policy calls this between
-    a profiling run and the measured run. *)
-
-val shard_map : t -> int array
-(** Copy of the current shard-id permutation. *)
 
 val get : t -> int -> int
 (** Current word of record [i]. *)
@@ -95,8 +74,8 @@ val unlock : t -> int -> int -> unit
     per-record bump, so a record whose version is [<=] a transaction's
     snapshot timestamp is provably unchanged since the snapshot.
 
-    In decentralized-clock mode ({!Config.t.dclock}) writer commits never
-    touch this counter; it remains only as the resync rendezvous for
+    Under the decentralized clock ({!Config.clock} [Local]) writer
+    commits never touch this counter; it remains only as the resync rendezvous for
     aborting threads (see {!Txn}). *)
 
 val clock : t -> int

@@ -49,7 +49,6 @@ type t = {
   mutable faults_injected : int;
   mutable cm_max_consec_aborts : int;
   mutable cm_starvation_events : int;
-  mutable clock_cas : int;
   mutable clock_resyncs : int;
   mutable redo_inserts : int;
   mutable redo_hits : int;
@@ -121,7 +120,6 @@ let create () =
     faults_injected = 0;
     cm_max_consec_aborts = 0;
     cm_starvation_events = 0;
-    clock_cas = 0;
     clock_resyncs = 0;
     redo_inserts = 0;
     redo_hits = 0;
@@ -222,7 +220,6 @@ let reset t =
   t.faults_injected <- 0;
   t.cm_max_consec_aborts <- 0;
   t.cm_starvation_events <- 0;
-  t.clock_cas <- 0;
   t.clock_resyncs <- 0;
   t.redo_inserts <- 0;
   t.redo_hits <- 0;
@@ -301,7 +298,6 @@ let merge acc x =
   (* A per-thread maximum, not a flow count: merging takes the max. *)
   acc.cm_max_consec_aborts <- max acc.cm_max_consec_aborts x.cm_max_consec_aborts;
   acc.cm_starvation_events <- acc.cm_starvation_events + x.cm_starvation_events;
-  acc.clock_cas <- acc.clock_cas + x.clock_cas;
   acc.clock_resyncs <- acc.clock_resyncs + x.clock_resyncs;
   acc.redo_inserts <- acc.redo_inserts + x.redo_inserts;
   acc.redo_hits <- acc.redo_hits + x.redo_hits;

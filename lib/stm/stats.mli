@@ -74,7 +74,9 @@ type t = {
       (** Read-only transactions (no acquired orecs) committed with no
           validation scan and no clock bump. *)
   mutable clock_advances : int;
-      (** Commit-time global-version-clock CASes (fetch-and-add). *)
+      (** Commit-time global-version-clock CASes (fetch-and-add).  Always
+          0 under the decentralized clock ({!Config.clock} [Local]), whose
+          writer commits never touch the shared clock. *)
   mutable validation_cycles : int;
       (** Total simulated cycles charged for consistency checking: full
           read-set scans, per-read timestamp compares, clock compares and
@@ -106,11 +108,6 @@ type t = {
       (** Transactions the [Timestamp] policy declared starving (past the
           consecutive-abort threshold). *)
   (* sharded orec table + decentralized clock *)
-  mutable clock_cas : int;
-      (** Shared-clock RMWs performed on the {e writer-commit} path.
-          Equals [clock_advances] under centralized [tvalidate]; must be
-          0 in decentralized-clock mode — the acceptance assertion for
-          removing the clock CAS from the hot path. *)
   mutable clock_resyncs : int;
       (** Abort-driven decentralized-clock resyncs (the one shared-clock
           access that mode retains, off the commit path). *)

@@ -10,15 +10,6 @@ module Prng = Captured_util.Prng
 exception Retry_conflict
 exception User_abort
 
-(* Debug hook: when set, every lock-wait records the contended address. *)
-let debug_lock_trace : (int, int) Hashtbl.t option ref = ref None
-
-let note_lock_wait addr =
-  match !debug_lock_trace with
-  | None -> ()
-  | Some h ->
-      Hashtbl.replace h addr (1 + Option.value ~default:0 (Hashtbl.find_opt h addr))
-
 (* ------------------------------------------------------------------ *)
 (* Event tracing (schedule-exploration checker hook)                   *)
 
@@ -65,6 +56,8 @@ type thread = {
   arena : Alloc.t;
   orecs : Orec.t;
   config : Config.t;
+  (* Validation clock, fixed for the thread's lifetime by [config]. *)
+  clock : Config.clock;
   stats : Stats.t;
   private_log : Private_log.t;
   prng : Prng.t;
@@ -77,15 +70,14 @@ type thread = {
   read_seen_word : int array;
   (* Private target for the debug read-barrier fence (Config.fences). *)
   fence_dummy : int Atomic.t;
-  (* Decentralized clock (Config.dclock): [local_epoch] is this thread's
-     own stamp counter; [peer_epoch.(j)] is a watermark under which peer
-     [j]'s commits are known to predate this thread's last full
-     validation, so stamps at or below it need no revalidation. *)
+  (* Local clock: [local_epoch] is this thread's own stamp counter;
+     [peer_epoch.(j)] is a watermark under which peer [j]'s commits are
+     known to predate this thread's last full validation, so stamps at or
+     below it need no revalidation. *)
   peer_epoch : int array;
   mutable local_epoch : int;
   (* Cached shard geometry (avoids re-deriving it per barrier). *)
   orec_slot_bits : int;
-  orec_shard_mask : int;
   (* Durable transactions: the shared write-ahead log, when attached
      ([Engine.attach_wal]).  [None] makes every WAL site free. *)
   wal : Wal.t option;
@@ -129,8 +121,8 @@ and tx = {
   mutable ops_since_validate : int;
   (* Validation fuel left this attempt (0 when the budget is disabled). *)
   mutable fuel : int;
-  (* Snapshot timestamp (tvalidate): the read set is known consistent at
-     the instant the global clock held this value. *)
+  (* Snapshot timestamp (Global clock): the read set is known consistent
+     at the instant the global clock held this value. *)
   mutable start_ts : int;
 }
 
@@ -175,6 +167,7 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     arena;
     orecs;
     config;
+    clock = Config.clock config;
     stats;
     private_log = Private_log.create ();
     prng = Prng.create seed;
@@ -187,7 +180,6 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     peer_epoch = Array.make Orec.max_tids 0;
     local_epoch = 0;
     orec_slot_bits = Orec.slot_bits orecs;
-    orec_shard_mask = Orec.shard_count orecs - 1;
     wal = (if config.Config.durable then wal else None);
     reclaim =
       (if config.Config.ebr then
@@ -446,64 +438,59 @@ let validate tx =
      end)
   || reads_valid th tx.read_orecs tx.read_words tx.n_reads 0
 
-(* Snapshot extension (lazy snapshot algorithm): a newer-than-snapshot
-   version was observed.  Sample the clock, then fully validate; success
-   proves the whole read set is consistent at the sampled instant (orec
-   versions only grow, so "valid after the sample" implies "valid at the
-   sample"), and the snapshot moves forward instead of aborting. *)
-let extend_snapshot tx =
+(* Snapshot extension (lazy snapshot algorithm): a version newer than
+   the snapshot was observed.  One full validation proves every logged
+   read still holds now, and the snapshot moves forward instead of
+   aborting.  Global: the clock is sampled first — orec versions only
+   grow, so "valid after the sample" implies "valid at the sample" — and
+   becomes the new [start_ts].  Local: no shared-clock access; every
+   commit the peer owning [stamp] published up to its epoch predates
+   this consistent instant, so the watermark for that peer rises to it. *)
+let extend_snapshot tx ~stamp =
   let th = tx.thread in
-  let now = Orec.clock th.orecs in
+  let now =
+    match th.clock with Global -> Orec.clock th.orecs | Scan | Local -> 0
+  in
   th.stats.snapshot_extensions <- th.stats.snapshot_extensions + 1;
   charge_validation th Costs.snapshot_extend;
-  if validate tx then tx.start_ts <- now else raise Retry_conflict
+  if not (validate tx) then raise Retry_conflict;
+  match th.clock with
+  | Global -> tx.start_ts <- now
+  | Local ->
+      th.peer_epoch.(Orec.tid_of_stamp stamp) <- Orec.epoch_of_stamp stamp
+  | Scan -> ()
 
-(* Decentralized-clock snapshot extension: a peer's stamp lies above our
-   watermark for it, so the line may postdate the reads logged so far.
-   One full validation proves every logged read still holds *now*; every
-   commit the peer published up to the observed epoch therefore predates
-   this consistent instant, and the watermark can rise to it.  No
-   shared-clock access — extension cost is the validation itself. *)
-let dclock_extend tx ts =
+(* The zombie guard.  Under the Global clock it is O(1): an unmoved
+   clock means nothing committed since the snapshot, so the read set
+   cannot have been invalidated.  Scan and Local have no global instant
+   to compare against, so the guard is a full validation — under Local,
+   part of the GV5-style price paid for removing the commit-path clock
+   CAS. *)
+let revalidate tx =
   let th = tx.thread in
-  th.stats.snapshot_extensions <- th.stats.snapshot_extensions + 1;
-  charge_validation th Costs.snapshot_extend;
-  if validate tx then
-    th.peer_epoch.(Orec.tid_of_stamp ts) <- Orec.epoch_of_stamp ts
-  else raise Retry_conflict
+  match th.clock with
+  | Global ->
+      charge_validation th Costs.tvalidate_check;
+      if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx ~stamp:0
+      else th.stats.validations_skipped <- th.stats.validations_skipped + 1
+  | Scan | Local -> if not (validate tx) then raise Retry_conflict
+
+(* Instrumented barrier slow paths between periodic zombie guards. *)
+let validate_every = 512
 
 let maybe_validate tx =
   tx.ops_since_validate <- tx.ops_since_validate + 1;
-  if tx.ops_since_validate >= tx.thread.config.validate_every then begin
+  if tx.ops_since_validate >= validate_every then begin
     tx.ops_since_validate <- 0;
-    let th = tx.thread in
-    if th.config.Config.tvalidate then begin
-      if th.config.Config.dclock then begin
-        (* No global clock to consult in decentralized mode: the periodic
-           zombie guard is a full validation — part of the GV5-style
-           price paid for removing the commit-path clock CAS. *)
-        if not (validate tx) then raise Retry_conflict
-      end
-      else begin
-        (* O(1) zombie guard: an unmoved clock means nothing committed
-           since the snapshot, so the read set cannot have been
-           invalidated. *)
-        charge_validation th Costs.tvalidate_check;
-        if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx
-        else
-          th.stats.validations_skipped <- th.stats.validations_skipped + 1
-      end
-    end
-    else if not (validate tx) then raise Retry_conflict
+    revalidate tx
   end
 
 (* Validation fuel: a hard bound on un-revalidated execution.  The
-   periodic [validate_every] guard above only runs on instrumented
-   barrier slow paths; owned reads, capture-elided accesses and
-   [tx_work] never reach it, so a zombie spinning in those is otherwise
-   immortal.  Every transactional operation burns one unit; an empty
-   tank forces a revalidation — the same check [maybe_validate] would do
-   — and refills. *)
+   periodic guard above only runs on instrumented barrier slow paths;
+   owned reads, capture-elided accesses and [tx_work] never reach it, so
+   a zombie spinning in those is otherwise immortal.  Every
+   transactional operation burns one unit; an empty tank forces the same
+   revalidation and refills. *)
 let burn_fuel tx =
   if tx.fuel > 0 then begin
     tx.fuel <- tx.fuel - 1;
@@ -511,18 +498,7 @@ let burn_fuel tx =
       let th = tx.thread in
       tx.fuel <- th.config.Config.fuel;
       th.stats.fuel_exhaustions <- th.stats.fuel_exhaustions + 1;
-      if th.config.Config.tvalidate then begin
-        if th.config.Config.dclock then begin
-          if not (validate tx) then raise Retry_conflict
-        end
-        else begin
-          charge_validation th Costs.tvalidate_check;
-          if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx
-          else
-            th.stats.validations_skipped <- th.stats.validations_skipped + 1
-        end
-      end
-      else if not (validate tx) then raise Retry_conflict
+      revalidate tx
     end
   end
 
@@ -712,7 +688,6 @@ let rec full_read_loop tx oi addr spins =
   if Orec.is_locked w1 then begin
     th.stats.lock_waits <- th.stats.lock_waits + 1;
     if spins = 0 then note_shard_conflict th oi w1;
-    note_lock_wait addr;
     if spins >= Cm.spin_patience th.cm ~default:th.config.Config.spin_limit
     then begin
       th.stats.spin_aborts <- th.stats.spin_aborts + 1;
@@ -769,28 +744,24 @@ let rec full_read_loop tx oi addr spins =
            very line can land in between, leaving (v, w1) stale inside
            the extended snapshot.  Re-run the read under the new
            [start_ts] instead of logging the pre-extension pair. *)
-        let cfg = th.config in
-        let extend =
-          cfg.Config.tvalidate
-          && begin
-               charge_validation th Costs.ts_read_check;
-               (if cfg.Config.dclock then
-                  (* Decentralized clock: the stamp names (peer, epoch).
-                     At or below the peer's watermark the line provably
-                     predates this attempt's last consistent instant;
-                     above it, extend (validate, then raise the
-                     watermark) and re-run the read. *)
-                  let ts = Orec.version_of w1 in
-                  ts <> 0
-                  && Orec.epoch_of_stamp ts
-                     > th.peer_epoch.(Orec.tid_of_stamp ts)
-                else Orec.version_of w1 > tx.start_ts)
-               && not (Config.has_fault cfg Fault.Skip_validation)
-             end
+        let ts = Orec.version_of w1 in
+        let newer =
+          match th.clock with
+          | Scan -> false
+          | Global ->
+              charge_validation th Costs.ts_read_check;
+              ts > tx.start_ts
+          | Local ->
+              (* The stamp names (peer, epoch).  At or below the peer's
+                 watermark the line provably predates this attempt's
+                 last consistent instant. *)
+              charge_validation th Costs.ts_read_check;
+              ts <> 0
+              && Orec.epoch_of_stamp ts > th.peer_epoch.(Orec.tid_of_stamp ts)
         in
-        if extend then begin
-          if cfg.Config.dclock then dclock_extend tx (Orec.version_of w1)
-          else extend_snapshot tx;
+        if newer && not (Config.has_fault th.config Fault.Skip_validation)
+        then begin
+          extend_snapshot tx ~stamp:ts;
           full_read_loop tx oi addr spins
         end
         else begin
@@ -1284,12 +1255,10 @@ let begin_top tx =
   tx.ops_since_validate <- 0;
   tx.fuel <- th.config.Config.fuel;
   if tx.attempts = 0 then Cm.note_begin th.cm;
-  (* Decentralized mode has no snapshot timestamp (watermarks replace
-     it), and skipping the clock read keeps begin fully clock-free. *)
+  (* Only the Global clock has a snapshot timestamp (Local watermarks
+     replace it), and skipping the clock read keeps begin clock-free. *)
   tx.start_ts <-
-    (if th.config.Config.tvalidate && not th.config.Config.dclock then
-       Orec.clock th.orecs
-     else 0);
+    (match th.clock with Global -> Orec.clock th.orecs | Scan | Local -> 0);
   Waw.clear tx.waw;
   Redo.clear tx.redo;
   (match tx.top_capture_log with Some l -> Alloc_log.clear l | None -> ());
@@ -1316,63 +1285,39 @@ let free_scope_allocs th scope =
   done;
   scope.n_allocs <- 0
 
+(* Release words.  A non-negative word is a stamped version stored into
+   every released orec (Global and Local commits).  The two negative
+   codes derive each orec's word from the version it held when it was
+   acquired: [restore_prev] puts that version back (abort), [bump_prev]
+   stores it plus one (Scan commit). *)
+let restore_prev = -1
+let bump_prev = -2
+
 (* Orec release walks the acquisition log in order; with a sharded table
    each shard boundary crossed is charged ([Costs.shard_cross]) through
    [platform.shard_point], a distinct decision point the checker can
    preempt at — another thread may then observe one shard's orecs
-   released while the next shard's are still held.  Recursive loops with
-   the previous shard as a plain int argument: a [ref] would allocate on
-   the commit path.  Single-shard tables skip all of it, keeping those
-   schedules bit-identical. *)
-let release_all tx ~commit =
-  let th = tx.thread in
-  if th.orec_shard_mask = 0 then
-    for k = 0 to tx.n_acq - 1 do
-      let oi = tx.acq_orecs.(k) in
-      let prev = th.owned_prev.(oi) in
-      Orec.unlock th.orecs oi (if commit then Orec.bumped prev else prev)
-    done
-  else begin
-    let rec go k prev_shard =
-      if k < tx.n_acq then begin
-        let oi = tx.acq_orecs.(k) in
-        let s = oi lsr th.orec_slot_bits in
-        if prev_shard >= 0 && s <> prev_shard then
-          th.platform.shard_point Costs.shard_cross;
-        let prev = th.owned_prev.(oi) in
-        Orec.unlock th.orecs oi (if commit then Orec.bumped prev else prev);
-        go (k + 1) s
-      end
-    in
-    go 0 (-1)
-  end;
-  tx.n_acq <- 0
+   released while the next shard's are still held.  On a single-shard
+   table every index is in shard 0, so no boundary is ever crossed and
+   those schedules stay bit-identical.  Top-level recursion with the
+   previous shard as a plain int argument: a closure or [ref] would
+   allocate on the commit path. *)
+let rec release_from th tx word k prev_shard =
+  if k < tx.n_acq then begin
+    let oi = tx.acq_orecs.(k) in
+    let s = oi lsr th.orec_slot_bits in
+    if prev_shard >= 0 && s <> prev_shard then
+      th.platform.shard_point Costs.shard_cross;
+    Orec.unlock th.orecs oi
+      (if word >= 0 then word
+       else
+         let prev = th.owned_prev.(oi) in
+         if word = bump_prev then Orec.bumped prev else prev);
+    release_from th tx word (k + 1) s
+  end
 
-(* Commit-time release under tvalidate: every acquired orec is stamped
-   with the commit's clock value (versions still only grow — any prior
-   stamp predates this commit's clock advance).  Under the decentralized
-   clock [ts] is this thread's fresh [(epoch, tid)] stamp, monotonic in
-   the thread's own version subspace. *)
-let release_all_stamped tx ~ts =
-  let th = tx.thread in
-  let word = Orec.stamped ~ts in
-  if th.orec_shard_mask = 0 then
-    for k = 0 to tx.n_acq - 1 do
-      Orec.unlock th.orecs tx.acq_orecs.(k) word
-    done
-  else begin
-    let rec go k prev_shard =
-      if k < tx.n_acq then begin
-        let oi = tx.acq_orecs.(k) in
-        let s = oi lsr th.orec_slot_bits in
-        if prev_shard >= 0 && s <> prev_shard then
-          th.platform.shard_point Costs.shard_cross;
-        Orec.unlock th.orecs oi word;
-        go (k + 1) s
-      end
-    in
-    go 0 (-1)
-  end;
+let release tx ~word =
+  release_from tx.thread tx word 0 (-1);
   tx.n_acq <- 0
 
 let commit_epilogue tx =
@@ -1548,8 +1493,67 @@ let commit_serialize tx =
     wal_crash th
   end
 
-(* The commit event is emitted at the serialization point — validation
-   has succeeded and every store is (or is about to become, under locks
+(* Local writer commit stamp: NO shared-clock access.  The stamp is the
+   thread's next epoch, monotonic within its own version subspace, so
+   versions-only-grow holds per record. *)
+let next_local_stamp th =
+  let stale =
+    (* Injected fault: reuse the current epoch instead of advancing it —
+       the released stamp word collides with this thread's previous
+       commit's, fooling both peer-epoch watermarks and word-compare
+       validation. *)
+    fault_fires th Fault.Stale_epoch && th.local_epoch > 0
+  in
+  let epoch = if stale then th.local_epoch else th.local_epoch + 1 in
+  th.local_epoch <- epoch;
+  th.peer_epoch.(th.tid) <- epoch;
+  Orec.stamped ~ts:(Orec.stamp ~epoch ~tid:th.tid)
+
+(* Commit-time validation: charge the commit, prove the read set still
+   consistent (or raise), and return the word {!release} stores into the
+   acquired orecs.  Scan and Local charge the same cycles and run the
+   same full validation — Local has no global instant to O(1)-compare
+   against; its win is that no writer commit touches the shared clock —
+   and differ only in the release word. *)
+let commit_validate tx =
+  let th = tx.thread in
+  match th.clock with
+  | Global ->
+      th.platform.consume
+        (Costs.commit_base + Costs.clock_advance
+        + (Costs.commit_per_orec * tx.n_acq));
+      let wv =
+        (* Injected fault: stamp with the clock's current value without
+           advancing it — released orecs look no newer than the last
+           real commit, so O(1) snapshot checks wrongly accept them. *)
+        if fault_fires th Fault.Clock_stall then Orec.clock th.orecs
+        else begin
+          th.stats.clock_advances <- th.stats.clock_advances + 1;
+          Orec.advance_clock th.orecs
+        end
+      in
+      if wv - 1 = tx.start_ts then begin
+        (* No commit landed since the snapshot: the read set is still
+           current by construction; the O(n_reads) scan is one compare. *)
+        charge_validation th Costs.tvalidate_check;
+        th.stats.validations_skipped <- th.stats.validations_skipped + 1
+      end
+      else begin
+        th.platform.consume (Costs.commit_per_read * tx.n_reads);
+        if not (validate tx) then raise Retry_conflict
+      end;
+      Orec.stamped ~ts:wv
+  | Scan | Local ->
+      th.platform.consume
+        (Costs.commit_base
+        + (Costs.commit_per_read * tx.n_reads)
+        + (Costs.commit_per_orec * tx.n_acq));
+      if not (validate tx) then raise Retry_conflict;
+      if th.clock = Scan then bump_prev else next_local_stamp th
+
+(* One commit sequence for every clock and versioning mode.  The commit
+   event is emitted at the serialization point — validation has
+   succeeded and every store is (or is about to become, under locks
    still held) the committed state — and *before* the first orec
    release.  Release is not atomic with a sharded table: the shard-cross
    decision point lets a peer read one shard's released value, commit,
@@ -1559,100 +1563,35 @@ let commit_serialize tx =
    commit order consistent with visibility order. *)
 let commit_top tx =
   let th = tx.thread in
-  let lazy_mode = th.config.Config.lazy_versioning in
   (* Injected crash: death at commit entry — nothing acquired, nothing
      published, nothing logged.  Recovery must show none of it. *)
   crash_point th Fault.Crash_pre_commit;
   (* Lazy mode acquires the write set up front; [tx.n_acq] below then
      means the same thing it does in eager mode (notably for the
      read-only fast path: an empty buffer acquired nothing). *)
-  if lazy_mode then lazy_acquire tx;
-  (if th.config.Config.tvalidate then begin
-     if tx.n_acq = 0 then begin
-       (* Read-only fast path: every read was checked against the
-          snapshot as it happened, so the read set is a consistent
-          snapshot at [start_ts] by construction — serialize there.  No
-          validation scan, no clock bump, nothing to release. *)
-       th.platform.consume Costs.commit_base;
-       th.stats.readonly_fast_commits <- th.stats.readonly_fast_commits + 1;
-       (* Acquired nothing, but may still have durable effects: an
-          alloc-only transaction (every write elided into its own
-          blocks) reaches here with a nonempty alloc set whose images
-          must survive — append its record.  True read-only commits
-          append nothing, keeping the fast path fast. *)
-       wal_append_commit tx;
-       emit th.tid Ev_commit
-     end
-     else if th.config.Config.dclock then begin
-       (* Decentralized writer commit: NO shared-clock access.  The price
-          is a full read-set validation on every writing commit — there
-          is no global instant to O(1)-compare against — the win is that
-          the one word every writing core used to fetch-and-add is gone
-          from the hot path ([clock_cas] stays 0).  The stamp is the
-          thread's next epoch, monotonic within its own version
-          subspace, so versions-only-grow holds per record. *)
-       th.platform.consume
-         (Costs.commit_base
-         + (Costs.commit_per_orec * tx.n_acq)
-         + (Costs.commit_per_read * tx.n_reads));
-       if not (validate tx) then raise Retry_conflict;
-       commit_serialize tx;
-       if fault_fires th Fault.Delayed_unlock then
-         th.platform.consume Costs.fault_unlock_delay;
-       let stale =
-         (* Injected fault: reuse the current epoch instead of advancing
-            it — the released stamp word collides with this thread's
-            previous commit's, fooling both peer-epoch watermarks and
-            word-compare validation. *)
-         fault_fires th Fault.Stale_epoch && th.local_epoch > 0
-       in
-       let epoch = if stale then th.local_epoch else th.local_epoch + 1 in
-       th.local_epoch <- epoch;
-       th.peer_epoch.(th.tid) <- epoch;
-       release_all_stamped tx ~ts:(Orec.stamp ~epoch ~tid:th.tid)
-     end
-     else begin
-       th.platform.consume
-         (Costs.commit_base + Costs.clock_advance
-         + (Costs.commit_per_orec * tx.n_acq));
-       let wv =
-         (* Injected fault: stamp with the clock's current value without
-            advancing it — released orecs look no newer than the last
-            real commit, so O(1) snapshot checks wrongly accept them. *)
-         if fault_fires th Fault.Clock_stall then Orec.clock th.orecs
-         else begin
-           th.stats.clock_advances <- th.stats.clock_advances + 1;
-           th.stats.clock_cas <- th.stats.clock_cas + 1;
-           Orec.advance_clock th.orecs
-         end
-       in
-       if wv - 1 = tx.start_ts then begin
-         (* No commit landed since the snapshot: the read set is still
-            current by construction; the O(n_reads) scan is one compare. *)
-         charge_validation th Costs.tvalidate_check;
-         th.stats.validations_skipped <- th.stats.validations_skipped + 1
-       end
-       else begin
-         th.platform.consume (Costs.commit_per_read * tx.n_reads);
-         if not (validate tx) then raise Retry_conflict
-       end;
-       commit_serialize tx;
-       if fault_fires th Fault.Delayed_unlock then
-         th.platform.consume Costs.fault_unlock_delay;
-       release_all_stamped tx ~ts:wv
-     end
-   end
-   else begin
-     th.platform.consume
-       (Costs.commit_base
-       + (Costs.commit_per_read * tx.n_reads)
-       + (Costs.commit_per_orec * tx.n_acq));
-     if not (validate tx) then raise Retry_conflict;
-     commit_serialize tx;
-     if tx.n_acq > 0 && fault_fires th Fault.Delayed_unlock then
-       th.platform.consume Costs.fault_unlock_delay;
-     release_all tx ~commit:true
-   end);
+  if th.config.Config.lazy_versioning then lazy_acquire tx;
+  if th.clock <> Scan && tx.n_acq = 0 then begin
+    (* Read-only fast path: every read was checked against the snapshot
+       as it happened, so the read set is a consistent snapshot by
+       construction — serialize there.  No validation scan, no clock
+       bump, nothing to release. *)
+    th.platform.consume Costs.commit_base;
+    th.stats.readonly_fast_commits <- th.stats.readonly_fast_commits + 1;
+    (* Acquired nothing, but may still have durable effects: an
+       alloc-only transaction (every write elided into its own blocks)
+       reaches here with a nonempty alloc set whose images must survive
+       — append its record.  True read-only commits append nothing,
+       keeping the fast path fast. *)
+    wal_append_commit tx;
+    emit th.tid Ev_commit
+  end
+  else begin
+    let word = commit_validate tx in
+    commit_serialize tx;
+    if tx.n_acq > 0 && fault_fires th Fault.Delayed_unlock then
+      th.platform.consume Costs.fault_unlock_delay;
+    release tx ~word
+  end;
   commit_epilogue tx
 
 let abort_top tx ~user =
@@ -1666,7 +1605,7 @@ let abort_top tx ~user =
        it. *)
     tx.n_undo <- 0
   else rollback_undo tx ~down_to:0;
-  release_all tx ~commit:false;
+  release tx ~word:restore_prev;
   (* Free speculative allocations scope by scope, innermost first. *)
   List.iter (fun scope -> free_scope_allocs th scope) tx.scopes;
   (* Restore the stack to the outermost scope's entry point. *)
@@ -1681,19 +1620,20 @@ let abort_top tx ~user =
   end
   else begin
     th.stats.aborts <- th.stats.aborts + 1;
-    if th.config.Config.tvalidate && th.config.Config.dclock then begin
-      (* Validation-failure-driven resync: the one place the
-         decentralized scheme touches the shared clock (off the commit
-         hot path).  Folding the global count into [local_epoch] makes
-         the next commit's stamps jump past everything already
-         published, damping the watermark-extension storms a lagging
-         epoch would otherwise cause under contention. *)
-      th.stats.clock_resyncs <- th.stats.clock_resyncs + 1;
-      th.platform.consume Costs.epoch_resync;
-      let c = Orec.advance_clock th.orecs in
-      if c > th.local_epoch then th.local_epoch <- c;
-      th.peer_epoch.(th.tid) <- th.local_epoch
-    end
+    match th.clock with
+    | Local ->
+        (* Validation-failure-driven resync: the one place the Local
+           clock touches the shared clock (off the commit hot path).
+           Folding the global count into [local_epoch] makes the next
+           commit's stamps jump past everything already published,
+           damping the watermark-extension storms a lagging epoch would
+           otherwise cause under contention. *)
+        th.stats.clock_resyncs <- th.stats.clock_resyncs + 1;
+        th.platform.consume Costs.epoch_resync;
+        let c = Orec.advance_clock th.orecs in
+        if c > th.local_epoch then th.local_epoch <- c;
+        th.peer_epoch.(th.tid) <- th.local_epoch
+    | Scan | Global -> ()
   end;
   (* EBR: an aborted attempt is quiescent too — its reads are dead, so
      it must stop holding the global epoch back before the retry's

@@ -1,14 +1,23 @@
 (** Transactions: descriptors, barriers with capture analysis, nesting.
 
-    The STM is in-place-update with eager write locking and optimistic
-    invisible reads (Intel C++ STM / McRT style, paper §2.1):
+    Reads are optimistic and invisible (Intel C++ STM / McRT style, paper
+    §2.1): a read barrier logs the orec version it observed, validated at
+    commit and periodically as a zombie guard.  Writes take one of two
+    versioning modes ({!Config.t.lazy_versioning}):
 
-    - a read barrier logs the orec version it observed and is validated at
-      commit (plus periodically, as a zombie guard);
-    - a write barrier acquires the orec eagerly, undo-logs the old value
-      (unless the write-after-write filter has seen the address) and
-      stores in place;
-    - conflicts abort the requester with exponential backoff.
+    - eager (default): a write barrier acquires the orec, undo-logs the
+      old value (unless the write-after-write filter has seen the
+      address) and stores in place;
+    - lazy: a write barrier buffers the value in a per-transaction redo
+      log; commit acquires the write set, then publishes the buffer.
+
+    Validation runs under one of three clocks ({!Config.clock}): [Scan]
+    (full read-set scans, per-record version bumps), [Global] (shared
+    version clock, O(1) snapshot checks) or [Local] (per-thread epoch
+    stamps and peer watermarks).  Every commit goes through one sequence:
+    lazy acquire, read-only fast path, per-clock validation, serialize
+    (publish, WAL append, commit event), release.  Conflicts abort the
+    requester, which retries after the contention manager's backoff.
 
     Every barrier first runs the capture analysis configured in
     {!Config.t} (paper Figure 2): accesses proven captured go straight to
@@ -154,10 +163,6 @@ val tx_work : tx -> int -> unit
 
 val validate : tx -> bool
 
-(** Diagnostics: when set, lock waits in read barriers record the
-    contended address. *)
-val debug_lock_trace : (int, int) Hashtbl.t option ref
-
 (** {2 Event tracing}
 
     Hook for the schedule-exploration checker ({!Captured_check}): when a
@@ -184,7 +189,10 @@ type event =
   | Ev_scope_begin  (** nested scope opened *)
   | Ev_scope_commit
   | Ev_scope_abort  (** nested scope rolled back (partial abort) *)
-  | Ev_commit  (** top-level commit completed (locks released) *)
+  | Ev_commit
+      (** top-level commit serialized: validation passed and the write
+          set is (or is about to be) published, but the acquired orecs
+          are still held — the event fires before release *)
   | Ev_abort of { user : bool }  (** top-level rollback completed *)
   | Ev_raw_write of { addr : int; value : int }
       (** non-transactional store *)

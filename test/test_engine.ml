@@ -81,9 +81,9 @@ let sharded_tables =
 
 let arb_addr = QCheck.int_range 0 ((1 lsl 30) - 1)
 
-(* The tentpole's compatibility obligation: under the identity (Hash)
-   map, the two-level decomposition is a refinement of the flat hash —
-   no address maps any differently, at any shard count. *)
+(* The compatibility obligation: the two-level decomposition is a
+   refinement of the flat hash — no address maps any differently, at any
+   shard count. *)
 let prop_shard_refinement =
   QCheck.Test.make ~name:"two-level hash refines the flat hash" ~count:2000
     arb_addr (fun addr ->
@@ -91,24 +91,6 @@ let prop_shard_refinement =
       List.for_all
         (fun t -> Orec.index_of t addr = Orec.index_of flat addr)
         (Lazy.force sharded_tables))
-
-(* Affinity only permutes the shard id; the slot (low bits) is exactly
-   the flat hash's low bits, and the shard is the mapped high bits. *)
-let prop_affinity_slot_preserving =
-  let aff =
-    lazy
-      (Orec.create ~bits:10 ~shards:16 ~map:Orec.Affinity ~line_words_log2:2
-         ())
-  in
-  QCheck.Test.make ~name:"affinity permutes shards, preserves slots"
-    ~count:2000 arb_addr (fun addr ->
-      let flat = Lazy.force flat_table in
-      let t = Lazy.force aff in
-      let base = Orec.index_of flat addr in
-      let i = Orec.index_of t addr in
-      let sb = Orec.slot_bits t in
-      Orec.slot_of t i = base land ((1 lsl sb) - 1)
-      && Orec.shard_of t i = (Orec.shard_map t).(base lsr sb))
 
 let prop_stamp_roundtrip =
   QCheck.Test.make ~name:"decentralized stamp roundtrip" ~count:1000
@@ -118,40 +100,6 @@ let prop_stamp_roundtrip =
       Orec.epoch_of_stamp s = epoch
       && Orec.tid_of_stamp s = tid
       && not (Orec.is_locked (Orec.stamped ~ts:s)))
-
-let test_affinity_bijection () =
-  List.iter
-    (fun shards ->
-      let t =
-        Orec.create ~bits:12 ~shards ~map:Orec.Affinity ~line_words_log2:2 ()
-      in
-      let m = Orec.shard_map t in
-      let sorted = Array.copy m in
-      Array.sort compare sorted;
-      check
-        (Printf.sprintf "affinity map is a permutation at %d shards" shards)
-        true
-        (sorted = Array.init shards (fun i -> i)))
-    [ 1; 2; 4; 8; 16; 64 ]
-
-let test_set_shard_map () =
-  let t = Orec.create ~bits:8 ~shards:4 ~line_words_log2:2 () in
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument "Orec.set_shard_map: wrong length") (fun () ->
-      Orec.set_shard_map t [| 0; 1 |]);
-  Alcotest.check_raises "duplicate id"
-    (Invalid_argument "Orec.set_shard_map: not a permutation") (fun () ->
-      Orec.set_shard_map t [| 0; 1; 1; 3 |]);
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Orec.set_shard_map: not a permutation") (fun () ->
-      Orec.set_shard_map t [| 0; 1; 2; 4 |]);
-  (* A valid permutation relabels shards and index_of follows it. *)
-  let before = Orec.index_of t 12345 in
-  Orec.set_shard_map t [| 3; 2; 1; 0 |];
-  let after = Orec.index_of t 12345 in
-  check_int "slot unchanged" (Orec.slot_of t before) (Orec.slot_of t after);
-  check_int "shard relabeled" (3 - Orec.shard_of t before)
-    (Orec.shard_of t after)
 
 let test_shard_create_validation () =
   Alcotest.check_raises "non-power-of-two shards"
@@ -168,7 +116,15 @@ let test_shard_create_validation () =
 let test_shards_config () =
   let cfg = Config.with_shards 4 Config.baseline in
   check_int "orec_shards" 4 cfg.Config.orec_shards;
-  check "dclock on at >1 shards" true cfg.Config.dclock;
+  let tv = Config.with_tvalidate Config.baseline in
+  check "no +tv: Scan at any shard count" true
+    (Config.clock cfg = Config.Scan && Config.clock Config.baseline = Config.Scan);
+  check "+tv on 1 shard: Global" true (Config.clock tv = Config.Global);
+  check "+tv on >1 shards: Local" true
+    (Config.clock (Config.with_shards 4 tv) = Config.Local);
+  check "sharding back to 1 returns to Global" true
+    (Config.clock (Config.with_shards 1 (Config.with_shards 4 tv))
+    = Config.Global);
   check "+shards in name" true
     (let name = Config.name cfg in
      let needle = "+shards:4" in
@@ -178,7 +134,6 @@ let test_shards_config () =
      in
      find 0);
   let one = Config.with_shards 1 Config.baseline in
-  check "dclock off at 1 shard" false one.Config.dclock;
   check "no suffix at 1 shard" true (Config.name one = Config.name Config.baseline);
   Alcotest.check_raises "non-power-of-two rejected"
     (Invalid_argument "Config.with_shards: shards must be a power of two >= 1")
@@ -461,15 +416,12 @@ let () =
             test_orec_hash_no_power_of_two_aliasing;
         ] );
       ( "shards",
-        Alcotest.test_case "affinity bijection" `Quick test_affinity_bijection
-        :: Alcotest.test_case "set_shard_map" `Quick test_set_shard_map
-        :: Alcotest.test_case "create validation" `Quick
+        Alcotest.test_case "create validation" `Quick
              test_shard_create_validation
         :: Alcotest.test_case "config plumbing" `Quick test_shards_config
         :: List.map Qc.to_alcotest
              [
                prop_shard_refinement;
-               prop_affinity_slot_preserving;
                prop_stamp_roundtrip;
              ] );
       ( "waw",
