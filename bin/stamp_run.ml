@@ -62,11 +62,15 @@ let pairs_json s =
          top)
   ^ "]"
 
-let print_json ~app ~config ~mode ~threads (r : Engine.result) ~native =
+(* Orec table geometry: runs that differ only in table size behave
+   differently under contention, so every report names it. *)
+let orec_records config = 1 lsl config.Config.orec_bits
+
+let print_json ~app ~config ~threads (r : Engine.result) ~native =
   let s = r.Engine.stats in
   Printf.printf
     "{\"app\":\"%s\",\"config\":\"%s\",\"threads\":%d,\"backend\":\"%s\",\
-     \"mode\":\"%s\",\
+     \"mode\":\"%s\",\"orecs\":%d,\"orec_shards\":%d,\
      \"commits\":%d,\"aborts\":%d,\"user_aborts\":%d,\"reads\":%d,\
      \"writes\":%d,\"reads_elided_stack\":%d,\"reads_elided_heap\":%d,\
      \"reads_elided_private\":%d,\"reads_elided_static\":%d,\
@@ -92,9 +96,9 @@ let print_json ~app ~config ~mode ~threads (r : Engine.result) ~native =
      \"epoch_advances\":%d,\"reclaim_stalls\":%d,\"grace_waits\":%d,\
      \"makespan\":%d,\
      \"wall_ms\":%.3f,\"per_thread_wall_ms\":[%s]}\n"
-    app config threads
+    app (Config.name config) threads
     (if native then "native" else "sim")
-    mode
+    (Config.mode_name config) (orec_records config) config.Config.orec_shards
     s.Stats.commits s.Stats.aborts s.Stats.user_aborts s.Stats.reads
     s.Stats.writes s.Stats.reads_elided_stack s.Stats.reads_elided_heap
     s.Stats.reads_elided_private s.Stats.reads_elided_static
@@ -316,9 +320,11 @@ let run_cmd app_name config_name scope_name scale_name threads native seed
              (String.concat " " (Registry.names ())))
     | Some app ->
         if not json then
-          Printf.printf "%s [%s, %d threads, %s, %s]\n\n" app.App.name
-            (Config.name config) threads scale_name
-            (if native then "native domains" else "simulator");
+          Printf.printf "%s [%s, %d threads, %s, %s, %d orecs in %d shard%s]\n\n"
+            app.App.name (Config.name config) threads scale_name
+            (if native then "native domains" else "simulator")
+            (orec_records config) config.Config.orec_shards
+            (if config.Config.orec_shards = 1 then "" else "s");
         let mode = if native then `Native else `Sim seed in
         let wal_dir_opt = if wal_dir = "" then None else Some wal_dir in
         let after_run () =
@@ -342,8 +348,7 @@ let run_cmd app_name config_name scope_name scale_name threads native seed
         | `Done result ->
             let* result = result in
             if json then
-              print_json ~app:app.App.name ~config:(Config.name config)
-                ~mode:(Config.mode_name config) ~threads result ~native
+              print_json ~app:app.App.name ~config ~threads result ~native
             else begin
               print_result result ~native;
               Printf.printf "\nverification: OK\n"
@@ -467,7 +472,7 @@ let ebr_arg =
 let shards_arg =
   Arg.(value & opt int 1
        & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard the orec table into N (power of two) padded \
+           ~doc:"Shard the orec table into N (power of two) contiguous \
                  sub-tables; N > 1 also switches +tvalidate to the \
                  decentralized version clock (no clock CAS on writer \
                  commits).")

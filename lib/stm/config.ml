@@ -55,7 +55,7 @@ let default =
     waw_filter = true;
     use_private_log = true;
     audit = false;
-    orec_bits = 14;
+    orec_bits = 17;
     line_words_log2 = 2;
     array_capacity = 4;
     filter_buckets = 4096;

@@ -62,7 +62,9 @@ type t = {
   audit : bool;
       (** Maintain a precise side tree and classify every instrumented
           access (Figure 8 measurement mode); independent of elision. *)
-  orec_bits : int;  (** log2 of the ownership-record table size. *)
+  orec_bits : int;
+      (** log2 of the ownership-record table size (default 17: one word
+          per record, 1 MiB). *)
   line_words_log2 : int;  (** words per conflict-detection granule. *)
   array_capacity : int;
   filter_buckets : int;

@@ -1,7 +1,17 @@
 module Padding = Captured_util.Padding
 
+(* SC load, store and CAS on one element of an int array
+   ([orec_stubs.c]); the slot index is never checked. *)
+external load : int array -> int -> int = "captured_orec_load" [@@noalloc]
+
+external store : int array -> int -> int -> unit = "captured_orec_store"
+[@@noalloc]
+
+external cas : int array -> int -> int -> int -> bool = "captured_orec_cas"
+[@@noalloc]
+
 type t = {
-  shards : int Atomic.t array array;
+  shards : int array array;
   (* Two-level decomposition of the flat 2^bits index space:
      [shard = index lsr slot_bits], [slot = index land slot_mask].  With
      one shard ([shard_mask = 0]) the layout and the arithmetic collapse
@@ -17,15 +27,15 @@ type t = {
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-(* Every atomic here lives alone on its cache line ({!Padding}): a plain
-   [Atomic.make] boxes the int in a one-word block, so [Array.init] would
-   pack eight orecs per 64-byte line and every CAS on one would invalidate
-   the other seven in remote caches — classic false sharing, and the
-   version clock (touched by every tvalidate commit) is the hottest word
-   in the system.  Cost is memory only: 2^bits * 64 B (1 MiB at the
-   default 14 bits), paid once per table.  Sharding does not change the
-   total size, only the grouping: each sub-table is one contiguous
-   padded region ({!Padding.padded_table}). *)
+(* Records are dense: one word each, eight to a 64-byte line, so a CAS
+   on one record invalidates its seven neighbours in remote caches.  The
+   hash scatters addresses, so those neighbours belong to unrelated lines
+   and a peer touches one only by chance, while every record the same
+   memory buys cuts aliasing between addresses, and an aliasing conflict
+   costs an abort, not a cache miss.  The version clock is the opposite
+   case, one word every [+tv] writer commit touches, so it keeps its own
+   padded line ({!Padding}).  Cost: 2^bits words (1 MiB at the default 17
+   bits).  Each shard is one contiguous array. *)
 let create ~bits ?(shards = 1) ~line_words_log2 () =
   if bits < 4 || bits > 24 then invalid_arg "Orec.create: bits";
   if shards < 1 || shards land (shards - 1) <> 0 then
@@ -34,7 +44,7 @@ let create ~bits ?(shards = 1) ~line_words_log2 () =
   if shard_bits >= bits then invalid_arg "Orec.create: more shards than orecs";
   let slot_bits = bits - shard_bits in
   {
-    shards = Array.init shards (fun _ -> Padding.padded_table (1 lsl slot_bits) 0);
+    shards = Array.init shards (fun _ -> Array.make (1 lsl slot_bits) 0);
     slot_bits;
     slot_mask = (1 lsl slot_bits) - 1;
     shard_mask = shards - 1;
@@ -58,7 +68,7 @@ let slot_bits t = t.slot_bits
 let shard_of t i = i lsr t.slot_bits
 let slot_of t i = i land t.slot_mask
 
-let get t i = Atomic.get t.shards.(i lsr t.slot_bits).(i land t.slot_mask)
+let get t i = load t.shards.(i lsr t.slot_bits) (i land t.slot_mask)
 let is_locked word = word land 1 = 1
 let owner_of word = word lsr 1
 let version_of word = word lsr 1
@@ -66,11 +76,10 @@ let locked_word ~owner = (owner lsl 1) lor 1
 let bumped prev = ((version_of prev) + 1) lsl 1
 
 let try_lock t i ~owner ~expected =
-  Atomic.compare_and_set t.shards.(i lsr t.slot_bits).(i land t.slot_mask)
-    expected (locked_word ~owner)
+  cas t.shards.(i lsr t.slot_bits) (i land t.slot_mask) expected
+    (locked_word ~owner)
 
-let unlock t i word =
-  Atomic.set t.shards.(i lsr t.slot_bits).(i land t.slot_mask) word
+let unlock t i word = store t.shards.(i lsr t.slot_bits) (i land t.slot_mask) word
 
 (* Global version clock (TL2/LSA-style).  Commit-time stamps are clock
    values, so "record version <= snapshot timestamp" certifies that the

@@ -11,14 +11,18 @@
     decentralized-clock mode — see {!stamp}).
 
     The table may be {e sharded}: 2^bits records split across [shards]
-    contiguous, independently padded sub-tables.  The record index is the
-    flat Fibonacci hash at every shard count; the shard is its high bits
-    and the slot its low bits, so sharding changes where a record lives,
-    never which record an address maps to.
+    contiguous sub-tables.  The record index is the flat Fibonacci hash
+    at every shard count; the shard is its high bits and the slot its low
+    bits, so sharding changes where a record lives, never which record an
+    address maps to.
 
-    Each record — and the global version clock — occupies its own cache
-    line ({!Captured_util.Padding}), so CASes on one orec never falsely
-    invalidate neighbouring orecs in other domains' caches. *)
+    Records are dense: each sub-table is one [int array], one word per
+    record, read and written only through sequentially consistent C
+    stubs (load, store, CAS; the ordering [Atomic] gives).  Eight records
+    share a cache line; the hash makes neighbours unrelated, and the
+    memory padding would cost buys 8x the records, hence fewer false
+    conflicts.  The global version clock, one word every domain writes,
+    keeps its own padded line ({!Captured_util.Padding}). *)
 
 type t
 

@@ -62,12 +62,10 @@ type thread = {
   private_log : Private_log.t;
   prng : Prng.t;
   cm : Cm.t;
-  (* O(1) "do I own this orec / have I read it" maps, epoch-invalidated per
-     transaction attempt. *)
-  owned_epoch : int array;
-  owned_prev : int array;
-  read_seen_epoch : int array;
-  read_seen_word : int array;
+  (* The orec word this thread's acquisitions store.  An orec holds it
+     exactly while the current attempt owns the record: every attempt
+     releases all it acquired before the next begins. *)
+  lock_word : int;
   (* Private target for the debug read-barrier fence (Config.fences). *)
   fence_dummy : int Atomic.t;
   (* Local clock: [local_epoch] is this thread's own stamp counter;
@@ -89,22 +87,24 @@ type thread = {
   (* +fp site tier: per-site hit windows deciding which sites skip the
      capture check (thread-owned; sized from the sites declared so far). *)
   site_tier : Site_tier.t;
-  mutable epoch : int;
   mutable active : tx option;
 }
 
 and tx = {
   thread : thread;
-  (* read set: distinct orecs with the word observed first *)
+  (* read set: distinct orecs with the word observed first, indexed by
+     orec in [read_index] *)
   mutable read_orecs : int array;
   mutable read_words : int array;
   mutable n_reads : int;
+  read_index : Read_map.t;
   (* undo log *)
   mutable undo_addrs : int array;
   mutable undo_vals : int array;
   mutable n_undo : int;
-  (* acquired orec indices *)
+  (* acquired orec indices, each with the unlocked word it replaced *)
   mutable acq_orecs : int array;
+  mutable acq_prev : int array;
   mutable n_acq : int;
   waw : Waw.t;
   (* Redo buffer (lazy versioning): buffered writes live here until
@@ -151,7 +151,6 @@ and scope = {
 
 let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     ?cm_shared ?wal ?reclaim_shared ~seed () =
-  let n = Orec.count orecs in
   if tid < 0 || tid >= Orec.max_tids then
     invalid_arg "Txn.create_thread: tid outside the stamp encoding";
   let cm_shared =
@@ -172,10 +171,7 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     private_log = Private_log.create ();
     prng = Prng.create seed;
     cm = Cm.create ~policy:config.Config.cm ~shared:cm_shared;
-    owned_epoch = Array.make n 0;
-    owned_prev = Array.make n 0;
-    read_seen_epoch = Array.make n 0;
-    read_seen_word = Array.make n 0;
+    lock_word = Orec.locked_word ~owner:tid;
     fence_dummy = Atomic.make 0;
     peer_epoch = Array.make Orec.max_tids 0;
     local_epoch = 0;
@@ -188,7 +184,6 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
          | None -> None
        else None);
     site_tier = Site_tier.create ~sites:(Site.count ());
-    epoch = 0;
     active = None;
   }
 
@@ -231,6 +226,7 @@ let push_read tx oi word =
   end;
   Array.unsafe_set tx.read_orecs n oi;
   Array.unsafe_set tx.read_words n word;
+  Read_map.add tx.read_index oi n;
   tx.n_reads <- n + 1
 
 let push_undo tx addr value =
@@ -245,15 +241,16 @@ let push_undo tx addr value =
   tx.n_undo <- n + 1;
   tx.thread.stats.undo_entries <- tx.thread.stats.undo_entries + 1
 
-let push_acq tx oi =
-  let cap = Array.length tx.acq_orecs in
-  if tx.n_acq >= cap then begin
-    let a = Array.make (2 * cap) 0 in
-    Array.blit tx.acq_orecs 0 a 0 cap;
-    tx.acq_orecs <- a
+let push_acq tx oi prev =
+  let n = tx.n_acq in
+  if n >= Array.length tx.acq_orecs then begin
+    let xs, ys = grow2 tx.acq_orecs tx.acq_prev in
+    tx.acq_orecs <- xs;
+    tx.acq_prev <- ys
   end;
-  tx.acq_orecs.(tx.n_acq) <- oi;
-  tx.n_acq <- tx.n_acq + 1
+  Array.unsafe_set tx.acq_orecs n oi;
+  Array.unsafe_set tx.acq_prev n prev;
+  tx.n_acq <- n + 1
 
 (* Scope alloc/deferred-free logs.  Scopes start with this shared empty
    array (a scope is born on every transaction attempt; most never
@@ -315,10 +312,12 @@ let make_tx th =
     read_orecs = Array.make 64 0;
     read_words = Array.make 64 0;
     n_reads = 0;
+    read_index = Read_map.create ();
     undo_addrs = Array.make 64 0;
     undo_vals = Array.make 64 0;
     n_undo = 0;
     acq_orecs = Array.make 16 0;
+    acq_prev = Array.make 16 0;
     n_acq = 0;
     waw = Waw.create ();
     redo = Redo.create ();
@@ -342,13 +341,17 @@ let depth tx = List.length tx.scopes
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
-let read_entry_valid th oi word =
-  let cur = Orec.get th.orecs oi in
-  cur = word
-  || (Orec.is_locked cur
-     && Orec.owner_of cur = th.tid
-     && th.owned_epoch.(oi) = th.epoch
-     && th.owned_prev.(oi) = word)
+(* A logged read holds while its orec still carries the logged word.  An
+   orec the attempt read and then acquired carries [lock_word]; the
+   acquisition re-logs the read as [lock_word] when the version it
+   replaced is the one read ([acquire_loop]), so such a read holds
+   exactly when the write did not follow a concurrent commit. *)
+let read_entry_valid th oi word = Orec.get th.orecs oi = word
+
+(* An attempt that has acquired nothing owns nothing, which spares
+   read-only prefixes the orec load. *)
+let owns tx oi =
+  tx.n_acq > 0 && Orec.get tx.thread.orecs oi = tx.thread.lock_word
 
 let charge_validation th cost =
   th.platform.consume cost;
@@ -704,10 +707,8 @@ let rec full_read_loop tx oi addr spins =
     (* Debug mode: pin the data load before the confirming orec load even
        under a hypothetically weaker model (see Config.fences). *)
     if th.config.Config.fences then fence th;
-    if
-      th.read_seen_epoch.(oi) <> th.epoch
-      && fault_fires th Fault.Stale_read
-    then begin
+    let logged = Read_map.find tx.read_index oi in
+    if logged < 0 && fault_fires th Fault.Stale_read then begin
       (* Injected TOCTOU: open a scheduling window after the value load,
          then log whatever version the orec holds on the other side —
          skipping the w1=w2 sandwich and the +tv snapshot check.  If a
@@ -717,8 +718,6 @@ let rec full_read_loop tx oi addr spins =
       let w2 = Orec.get th.orecs oi in
       if Orec.is_locked w2 then full_read_loop tx oi addr (spins + 1)
       else begin
-        th.read_seen_epoch.(oi) <- th.epoch;
-        th.read_seen_word.(oi) <- w2;
         push_read tx oi w2;
         v
       end
@@ -728,8 +727,8 @@ let rec full_read_loop tx oi addr spins =
     if w1 = w2 then begin
       (* Dedup: log each orec once; observing a *different* version than
          first logged is already a conflict. *)
-      if th.read_seen_epoch.(oi) = th.epoch then begin
-        if th.read_seen_word.(oi) <> w1 then raise Retry_conflict;
+      if logged >= 0 then begin
+        if tx.read_words.(logged) <> w1 then raise Retry_conflict;
         v
       end
       else begin
@@ -765,8 +764,6 @@ let rec full_read_loop tx oi addr spins =
           full_read_loop tx oi addr spins
         end
         else begin
-          th.read_seen_epoch.(oi) <- th.epoch;
-          th.read_seen_word.(oi) <- w1;
           push_read tx oi w1;
           v
         end
@@ -796,18 +793,22 @@ let rec acquire_loop tx oi spins =
     end
   end
   else if Orec.try_lock th.orecs oi ~owner:th.tid ~expected:w then begin
-    th.owned_epoch.(oi) <- th.epoch;
-    th.owned_prev.(oi) <- w;
+    (* A read of this orec logged earlier in the attempt stays valid while
+       the lock is held iff it read the version just replaced (see
+       [read_entry_valid]). *)
+    let logged = Read_map.find tx.read_index oi in
+    if logged >= 0 && tx.read_words.(logged) = w then
+      tx.read_words.(logged) <- th.lock_word;
     let s = oi lsr th.orec_slot_bits in
     th.stats.shard_acquires.(s) <- th.stats.shard_acquires.(s) + 1;
-    push_acq tx oi
+    push_acq tx oi w
   end
   else acquire_loop tx oi (spins + 1)
 
 let full_read tx addr =
   let th = tx.thread in
   let oi = Orec.index_of th.orecs addr in
-  if th.owned_epoch.(oi) = th.epoch then begin
+  if owns tx oi then begin
     th.platform.consume Costs.read_owned;
     mem_get th addr
   end
@@ -899,7 +900,7 @@ let read tx addr = read_at ~site:Site.anonymous_read tx addr
 let full_write tx addr v =
   let th = tx.thread in
   let oi = Orec.index_of th.orecs addr in
-  if th.owned_epoch.(oi) = th.epoch then th.platform.consume Costs.write_barrier_owned
+  if owns tx oi then th.platform.consume Costs.write_barrier_owned
   else begin
     th.platform.consume Costs.write_barrier_acquire;
     maybe_validate tx;
@@ -1248,8 +1249,8 @@ let begin_top tx =
   | Some r ->
       th.platform.consume Costs.ebr_announce;
       Reclaim.announce r);
-  th.epoch <- th.epoch + 1;
   tx.n_reads <- 0;
+  Read_map.next_attempt tx.read_index;
   tx.n_undo <- 0;
   tx.n_acq <- 0;
   tx.ops_since_validate <- 0;
@@ -1311,7 +1312,7 @@ let rec release_from th tx word k prev_shard =
     Orec.unlock th.orecs oi
       (if word >= 0 then word
        else
-         let prev = th.owned_prev.(oi) in
+         let prev = tx.acq_prev.(k) in
          if word = bump_prev then Orec.bumped prev else prev);
     release_from th tx word (k + 1) s
   end
@@ -1371,7 +1372,7 @@ let lazy_acquire tx =
     let addr = Redo.addr r k in
     sandbox_bounds tx addr;
     let oi = Orec.index_of th.orecs addr in
-    if th.owned_epoch.(oi) <> th.epoch then begin
+    if not (owns tx oi) then begin
       th.platform.consume Costs.commit_acquire;
       acquire_loop tx oi 0
     end

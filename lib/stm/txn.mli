@@ -58,9 +58,11 @@ val create_thread :
   seed:int ->
   unit ->
   thread
-(** [cm_shared] links this thread's contention manager to its world's
-    ticket source; omitted, the thread gets a private one (fine for
-    single-thread use).  [wal] attaches the world's write-ahead log
+(** Threads that run transactions concurrently on one orec table need
+    distinct [tid]s: an orec locked with a thread's id is that thread's
+    to read and write.  [cm_shared] links this thread's contention
+    manager to its world's ticket source; omitted, the thread gets a
+    private one (fine for single-thread use).  [wal] attaches the world's write-ahead log
     device; it only takes effect when [config.durable] is set.
     [reclaim_shared] links this thread into the world's epoch-based
     reclamation state (announcement slot = [tid]); it only takes effect

@@ -31,11 +31,8 @@ let padded_atomic (v : int) : int Atomic.t =
   Obj.set_field b 0 (Obj.repr v);
   (Obj.obj b : int Atomic.t)
 
-(* One sub-table's worth of padded cells, allocated back-to-back so a
-   shard's records cluster in the address space.  The clustering is what
-   makes orec-table sharding mean something physically: all of one
-   shard's lines sit in one contiguous 64 B * n region instead of being
-   interleaved with every other shard's. *)
+(* [n] padded cells allocated back-to-back, one line each (per-thread
+   slots that every domain polls, such as EBR announcements). *)
 let padded_table n (v : int) : int Atomic.t array =
   if n < 0 then invalid_arg "Padding.padded_table: negative size";
   Array.init n (fun _ -> padded_atomic v)

@@ -2,9 +2,9 @@
     [Atomic.make_contended]).
 
     A padded atomic occupies a full cache line by itself, so CAS/store
-    traffic on one record never invalidates a neighbour's line — the
-    false-sharing killer for the ownership-record table and the global
-    version clock under real multicore execution. *)
+    traffic on one word never invalidates a neighbour's line — for the
+    few words every domain hammers: the global version clock and the EBR
+    epoch and announcement slots. *)
 
 val cache_line_bytes : int
 (** Assumed cache-line size (64). *)
@@ -16,5 +16,5 @@ val padded_atomic : int -> int Atomic.t
 
 val padded_table : int -> int -> int Atomic.t array
 (** [padded_table n v] is an array of [n] fresh padded atomics, all [v],
-    allocated consecutively so the table occupies one contiguous region —
-    the building block for one orec-table shard. *)
+    allocated consecutively so the table occupies one contiguous
+    region. *)

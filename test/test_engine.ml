@@ -68,9 +68,8 @@ let test_orec_hash_no_power_of_two_aliasing () =
 (* ------------------------------------------------------------------ *)
 (* Sharded orec table *)
 
-(* Shared tables for the qcheck properties: a padded table is ~64 B per
-   record, so building them once outside the generator keeps the
-   properties cheap. *)
+(* Shared tables for the qcheck properties, built once outside the
+   generator. *)
 let flat_table = lazy (Orec.create ~bits:10 ~line_words_log2:2 ())
 
 let sharded_tables =
@@ -163,7 +162,73 @@ let test_waw_no_false_hits () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Read-set index *)
+
+(* Random add / find / next-attempt sequences against a Hashtbl model.
+   Keys come from a pool of 2-200 keys: small pools revisit keys (value
+   replacement, repeat finds); large ones double the 64-slot table two or
+   three times within an attempt.  Every table is filled up to its half-full
+   growth point, so keys share home slots and probe past each other.
+   Pools mix small, huge and negative keys. *)
+let prop_read_map_model =
+  QCheck.Test.make ~name:"read map vs Hashtbl model" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let module P = Captured_util.Prng in
+      let g = P.create seed in
+      let pool =
+        Array.init
+          (2 + P.int g 199)
+          (fun k ->
+            match P.int g 3 with
+            | 0 -> k
+            | 1 -> P.int g (1 lsl 40)
+            | _ -> -1 - P.int g 1000)
+      in
+      let m = Read_map.create () in
+      let model : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      let ok = ref true in
+      let agrees k =
+        Read_map.find m k
+        = (match Hashtbl.find_opt model k with Some v -> v | None -> -1)
+      in
+      for _ = 1 to 1000 do
+        let k = pool.(P.int g (Array.length pool)) in
+        (match P.int g 200 with
+        | 0 ->
+            Read_map.next_attempt m;
+            Hashtbl.reset model
+        | n when n < 110 ->
+            let v = P.int g 1_000_000 in
+            Read_map.add m k v;
+            Hashtbl.replace model k v
+        | _ -> if not (agrees k) then ok := false);
+        if Read_map.length m <> Hashtbl.length model then ok := false
+      done;
+      Array.iter (fun k -> if not (agrees k) then ok := false) pool;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
 (* Engine *)
+
+(* Words allocated by [f ()] on either heap. *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* A thread's transaction state is sized by what it touches, not by the
+   orec table: no per-record map survives in [Txn.create_thread]. *)
+let test_thread_size_independent_of_orecs () =
+  let words bits =
+    let w =
+      Engine.create ~nthreads:1 { Config.baseline with Config.orec_bits = bits }
+    in
+    allocated_words (fun () -> Engine.setup_thread w)
+  in
+  Alcotest.(check (float 0.)) "same words at 2^10 and 2^20 orecs" (words 10)
+    (words 20)
 
 let test_engine_memory_layout_disjoint () =
   let w = Engine.create ~nthreads:4 Config.baseline in
@@ -429,6 +494,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_waw_basic;
           Alcotest.test_case "no false hits" `Quick test_waw_no_false_hits;
         ] );
+      ("read map", List.map Qc.to_alcotest [ prop_read_map_model ]);
       ( "engine",
         [
           Alcotest.test_case "disjoint layout" `Quick
@@ -439,6 +505,8 @@ let () =
             test_engine_seed_changes_run;
           Alcotest.test_case "per-thread stats" `Quick
             test_engine_per_thread_stats;
+          Alcotest.test_case "thread size independent of orecs" `Quick
+            test_thread_size_independent_of_orecs;
         ] );
       ( "sync",
         [

@@ -174,6 +174,46 @@ let test_bank_invariant () =
   check_int "balance conserved" (accounts * opening) !total
 
 (* ------------------------------------------------------------------ *)
+(* Orec stubs under real parallelism *)
+
+(* Domains lock eight adjacent records of the dense table (one cache
+   line's worth) with [Orec.try_lock]/[unlock], each record guarding a
+   plain counter.  A lost increment means two domains held one record at
+   once; every record must end unlocked, bumped once per increment. *)
+let test_orec_adjacent_mutex ndomains () =
+  let t = Orec.create ~bits:10 ~line_words_log2:2 () in
+  let first = 64 and rounds = 5000 in
+  let counters = Array.make 8 0 in
+  let worker d () =
+    for k = 1 to rounds do
+      let r = (d + k) land 7 in
+      let i = first + r in
+      let held = ref (-1) in
+      while !held < 0 do
+        let w = Orec.get t i in
+        if (not (Orec.is_locked w)) && Orec.try_lock t i ~owner:d ~expected:w
+        then held := w
+        else Domain.cpu_relax ()
+      done;
+      counters.(r) <- counters.(r) + 1;
+      Orec.unlock t i (Orec.bumped !held)
+    done
+  in
+  let spawned =
+    List.init (ndomains - 1) (fun d -> Domain.spawn (worker (d + 1)))
+  in
+  worker 0 ();
+  List.iter Domain.join spawned;
+  check_int "no lost increment" (ndomains * rounds)
+    (Array.fold_left ( + ) 0 counters);
+  Array.iteri
+    (fun r n ->
+      let w = Orec.get t (first + r) in
+      check "record ends unlocked" false (Orec.is_locked w);
+      check_int "one version bump per increment" n (Orec.version_of w))
+    counters
+
+(* ------------------------------------------------------------------ *)
 (* STAMP app natively, across the scale-bench config matrix *)
 
 let vacation = Option.get (Registry.find "vacation-low")
@@ -365,6 +405,10 @@ let () =
             (test_counter_domains 4);
           Alcotest.test_case "counter tvalidate" `Quick test_counter_tvalidate;
           Alcotest.test_case "bank invariant" `Quick test_bank_invariant;
+          Alcotest.test_case "adjacent orecs 2 domains" `Quick
+            (test_orec_adjacent_mutex 2);
+          Alcotest.test_case "adjacent orecs 4 domains" `Quick
+            (test_orec_adjacent_mutex 4);
         ] );
       ( "dclock",
         [
