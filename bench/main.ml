@@ -391,6 +391,37 @@ let micro () =
             done;
             Txn.free tx b))
   in
+  (* Re-reads: 64 lines, each read at two line-mates [m] and [m + 1]
+     (one read-log entry per line, naming the address read last).  Then
+     [reread_passes] passes re-read [m + 1] — forwarded from the entry —
+     or alternate [m], [m + 1], ... so each re-read names the address the
+     entry does not and takes the full barrier (orec load, data load,
+     orec load, map probe).  [None]: the first pass only, the baseline
+     both are measured against. *)
+  let reread_passes = 64 in
+  let txn_rereads forwarded =
+    let line = 1 lsl Config.baseline.Config.line_words_log2 in
+    let w = Engine.create ~nthreads:1 Config.baseline in
+    let cell =
+      Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
+    in
+    let th = Engine.setup_thread w in
+    let lines = Array.init accesses (fun k -> cell + (k * line)) in
+    Staged.stage (fun () ->
+        Txn.atomic th (fun tx ->
+            Array.iter
+              (fun m ->
+                ignore (Txn.read tx m : int);
+                ignore (Txn.read tx (m + 1) : int))
+              lines;
+            match forwarded with
+            | None -> ()
+            | Some fwd ->
+                for p = 1 to reread_passes do
+                  let d = if fwd then 1 else (p + 1) land 1 in
+                  Array.iter (fun m -> ignore (Txn.read tx (m + d) : int)) lines
+                done))
+  in
   let empty_txn =
     let th, _ = mk_world Config.baseline in
     Staged.stage (fun () -> Txn.atomic th (fun _ -> ()))
@@ -421,6 +452,10 @@ let micro () =
         Test.make ~name:"tree-64-shared-reads(miss)" (txn_shared_reads cfg_tree);
         Test.make ~name:"array-64-shared-reads(miss)" (txn_shared_reads cfg_array);
         Test.make ~name:"filter-64-shared-reads(miss)" (txn_shared_reads cfg_filter);
+        Test.make ~name:"baseline-128-line-mate-reads" (txn_rereads None);
+        Test.make ~name:"baseline-...+4096-rereads(forwarded)"
+          (txn_rereads (Some true));
+        Test.make ~name:"baseline-...+4096-rereads(full)" (txn_rereads (Some false));
       ]
   in
   let cfg =
@@ -439,7 +474,31 @@ let micro () =
       match Analyze.OLS.estimates (Hashtbl.find results name) with
       | Some (est :: _) -> Printf.printf "%-42s %12.1f ns\n" name est
       | Some [] | None -> Printf.printf "%-42s %12s\n" name "n/a")
-    (List.sort compare names)
+    (List.sort compare names);
+  (* The simulator prices a forwarded re-read as an owned read; set the
+     native per-read costs beside that ratio. *)
+  let est name =
+    match Hashtbl.find_opt results ("stm/" ^ name) with
+    | Some r -> (
+        match Analyze.OLS.estimates r with Some (e :: _) -> Some e | _ -> None)
+    | None -> None
+  in
+  match
+    ( est "baseline-128-line-mate-reads",
+      est "baseline-...+4096-rereads(forwarded)",
+      est "baseline-...+4096-rereads(full)" )
+  with
+  | Some base, Some fwd, Some full ->
+      let per t = (t -. base) /. float_of_int (reread_passes * accesses) in
+      let module Costs = Captured_stm.Costs in
+      Printf.printf
+        "# re-read per read: forwarded %.1f ns, full barrier %.1f ns, ratio \
+         %.2f (simulated %d / %d = %.2f)\n"
+        (per fwd) (per full)
+        (per fwd /. per full)
+        Costs.read_owned Costs.read_barrier
+        (float_of_int Costs.read_owned /. float_of_int Costs.read_barrier)
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                            *)
@@ -569,7 +628,8 @@ let fastpath_json ~app ~backend ~fp (r : Engine.result) =
      \"makespan\":%d,\"capture_check_cycles\":%d,\"summary_rejects\":%d,\
      \"mru_hits\":%d,\"backend_probes\":%d,\"promotions\":%d,\
      \"overflows\":%d,\"site_bypasses\":%d,\"commits\":%d,\"aborts\":%d,\
-     \"reads_elided_heap\":%d,\"writes_elided_heap\":%d}\n"
+     \"reads_elided_heap\":%d,\"writes_elided_heap\":%d,\
+     \"reads_forwarded\":%d}\n"
     app
     (Alloc_log.backend_name backend)
     fp r.Engine.makespan s.Stats.capture_check_cycles
@@ -578,6 +638,7 @@ let fastpath_json ~app ~backend ~fp (r : Engine.result) =
     s.Stats.capture_log_overflows s.Stats.capture_site_bypasses
     s.Stats.commits s.Stats.aborts
     s.Stats.reads_elided_heap s.Stats.writes_elided_heap
+    s.Stats.reads_forwarded
 
 let fastpath () =
   headline

@@ -51,12 +51,12 @@ let json_escape s =
 
 let report_json (r : Harness.report) union =
   Printf.sprintf
-    "{\"workload\":\"%s\",\"config\":\"%s\",\"strategy\":\"%s\",\"runs\":%d,\"new_schedules\":%d,\"union_distinct\":%d,\"truncated\":%d,\"crashes\":%d,\"dfrees\":%d,\"violations\":%d%s}"
+    "{\"workload\":\"%s\",\"config\":\"%s\",\"strategy\":\"%s\",\"runs\":%d,\"new_schedules\":%d,\"union_distinct\":%d,\"truncated\":%d,\"crashes\":%d,\"dfrees\":%d,\"forwarded\":%d,\"violations\":%d%s}"
     (json_escape r.Harness.workload)
     (json_escape r.Harness.config)
     r.Harness.strategy r.Harness.runs r.Harness.distinct union
     r.Harness.truncated r.Harness.crashes r.Harness.total_dfrees
-    r.Harness.violations
+    r.Harness.total_forwarded r.Harness.violations
     (match r.Harness.first with
     | None -> ""
     | Some f ->
@@ -225,15 +225,15 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
      the fault requires +ebr (it skips the grace period EBR imposes) and
      a workload that actually frees across threads. *)
   let ebr = ebr_flag || fault = Some Fault.Premature_reuse in
-  (* The zombie workload's spin is bounded only by correct validation —
+  (* The zombie workloads' spins are bounded only by correct validation —
      the one thing the injected faults deliberately break — so fault
-     sweeps leave it out of the default set. *)
+     sweeps leave them out of the default set. *)
   let workload_names =
     if workloads_csv = "" && apps_csv = "" then
       if fault = Some Fault.Premature_reuse then [ "free_race" ]
       else
         [ "counter"; "bank"; "publish"; "scoped" ]
-        @ (if fault = None then [ "zombie" ] else [])
+        @ (if fault = None then [ "zombie"; "zombie_reread" ] else [])
     else split_csv workloads_csv
   in
   let resolve name =
@@ -316,7 +316,7 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
                       |> Config.with_ebr ~on:ebr
                     in
                     let seen = Hashtbl.create (8 * runs) in
-                    let cell_dfrees = ref 0 in
+                    let cell_dfrees = ref 0 and cell_forwarded = ref 0 in
                     (* Crash-point faults (and the seeded recovery bug)
                        draw from the thread PRNG: whether a commit
                        crashes depends on the world seed, not the
@@ -339,6 +339,8 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
                         in
                         total_runs := !total_runs + r.Harness.runs;
                         cell_dfrees := !cell_dfrees + r.Harness.total_dfrees;
+                        cell_forwarded :=
+                          !cell_forwarded + r.Harness.total_forwarded;
                         (match r.Harness.first with
                         | Some f
                           when f.Harness.violation.Oracle.kind
@@ -385,6 +387,17 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
                           w.Workloads.name (Config.name config) !cell_dfrees
                           min_dfrees
                     end;
+                    (* Likewise the read-forwarding workload's floor. *)
+                    let min_forwarded = Workloads.min_forwarded w in
+                    if !cell_forwarded < min_forwarded then begin
+                      incr vacuous;
+                      if not json then
+                        Printf.printf
+                          "FAIL %s %s: %d forwarded reads < %d required \
+                           (vacuous reread cell)\n"
+                          w.Workloads.name (Config.name config)
+                          !cell_forwarded min_forwarded
+                    end;
                     if fault = None && union < min_distinct then begin
                       incr failures;
                       if not json then
@@ -412,7 +425,8 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
               `Error
                 ( false,
                   Printf.sprintf
-                    "%d cells below the --min-dfrees floor (vacuous)"
+                    "%d vacuous cells: below the --min-dfrees floor, or a \
+                     forwarding workload that forwarded no read"
                     !vacuous )
             else
               match fault with
@@ -470,11 +484,13 @@ open Cmdliner
 let workloads_arg =
   let doc =
     "Comma-separated micro workloads (counter, bank, publish, scoped, \
-     zombie, free_race, privatize_race).  Default: the first five — \
-     fault sweeps drop zombie, whose termination depends on the \
-     validation machinery faults break (unless $(b,--apps) is given \
-     alone); the reclaim pair is red by design without $(b,--ebr) and \
-     must be named explicitly."
+     zombie, zombie_reread, reread, free_race, privatize_race).  \
+     Default: the first six — fault sweeps drop the two zombies, whose \
+     termination depends on the validation machinery faults break \
+     (unless $(b,--apps) is given alone); reread, the read-forwarding \
+     workload, fails any cell that \
+     forwarded no read; the reclaim pair is red by design without \
+     $(b,--ebr) and must be named explicitly."
   in
   Arg.(value & opt string "" & info [ "workloads"; "w" ] ~docv:"NAMES" ~doc)
 

@@ -74,8 +74,9 @@ let print_json ~app ~config ~threads (r : Engine.result) ~native =
      \"commits\":%d,\"aborts\":%d,\"user_aborts\":%d,\"reads\":%d,\
      \"writes\":%d,\"reads_elided_stack\":%d,\"reads_elided_heap\":%d,\
      \"reads_elided_private\":%d,\"reads_elided_static\":%d,\
-     \"writes_elided_stack\":%d,\"writes_elided_heap\":%d,\
-     \"writes_elided_private\":%d,\"writes_elided_static\":%d,\
+     \"reads_forwarded\":%d,\"writes_elided_stack\":%d,\
+     \"writes_elided_heap\":%d,\"writes_elided_private\":%d,\
+     \"writes_elided_static\":%d,\
      \"waw_hits\":%d,\"undo_entries\":%d,\"lock_waits\":%d,\
      \"tx_allocs\":%d,\"tx_frees\":%d,\"summary_rejects\":%d,\
      \"mru_hits\":%d,\"backend_probes\":%d,\"promotions\":%d,\
@@ -102,8 +103,9 @@ let print_json ~app ~config ~threads (r : Engine.result) ~native =
     s.Stats.commits s.Stats.aborts s.Stats.user_aborts s.Stats.reads
     s.Stats.writes s.Stats.reads_elided_stack s.Stats.reads_elided_heap
     s.Stats.reads_elided_private s.Stats.reads_elided_static
-    s.Stats.writes_elided_stack s.Stats.writes_elided_heap
-    s.Stats.writes_elided_private s.Stats.writes_elided_static
+    s.Stats.reads_forwarded s.Stats.writes_elided_stack
+    s.Stats.writes_elided_heap s.Stats.writes_elided_private
+    s.Stats.writes_elided_static
     s.Stats.waw_hits s.Stats.undo_entries s.Stats.lock_waits s.Stats.tx_allocs
     s.Stats.tx_frees s.Stats.capture_summary_rejects s.Stats.capture_mru_hits
     s.Stats.capture_backend_probes s.Stats.capture_promotions
@@ -142,6 +144,7 @@ let print_result (r : Engine.result) ~native =
   Printf.printf "  elided (heap):    %d\n" s.Stats.reads_elided_heap;
   Printf.printf "  elided (private): %d\n" s.Stats.reads_elided_private;
   Printf.printf "  elided (static):  %d\n" s.Stats.reads_elided_static;
+  Printf.printf "  forwarded:        %d\n" s.Stats.reads_forwarded;
   Printf.printf "writes:             %d\n" s.Stats.writes;
   Printf.printf "  elided (stack):   %d\n" s.Stats.writes_elided_stack;
   Printf.printf "  elided (heap):    %d\n" s.Stats.writes_elided_heap;

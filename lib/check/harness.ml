@@ -19,6 +19,9 @@ type run = {
       (* [Ev_free] events observed — the reclaim sweeps' vacuity signal:
          a cell claiming the use-after-free rule held must actually have
          exercised frees *)
+  forwarded : int;
+      (* [Stats.reads_forwarded] of a completed run (0 otherwise) — the
+         reread sweeps' vacuity signal *)
 }
 
 let count_dfrees hist =
@@ -112,6 +115,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         aborts = 0;
         events = History.length hist;
         dfrees;
+        forwarded = 0;
       }
   | `Crashed (_, Wal.Crashed) when wal <> None ->
       (* Injected process death: the run ends mid-flight by design.  The
@@ -127,6 +131,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         aborts = 0;
         events = History.length hist;
         dfrees;
+        forwarded = 0;
       }
   | `Crashed (tid, e) ->
       (* No fiber raises in a correct run (conflicts retry internally):
@@ -147,6 +152,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         aborts = 0;
         events = History.length hist;
         dfrees;
+        forwarded = 0;
       }
   | `Done r ->
       let orecs = Engine.orecs p.App.world in
@@ -192,6 +198,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         aborts = r.Engine.stats.Stats.aborts;
         events = History.length hist;
         dfrees;
+        forwarded = r.Engine.stats.Stats.reads_forwarded;
       }
 
 type found = {
@@ -215,6 +222,7 @@ type report = {
   total_dfrees : int;
       (* deferred frees summed over runs — zero means the sweep never
          exercised the path it claims to check (vacuous) *)
+  total_forwarded : int;  (* forwarded reads summed over runs, likewise *)
 }
 
 (* Bounded exhaustive DFS with preemption bounding: run a prescription,
@@ -271,6 +279,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
   and max_events = ref 0
   and total_commits = ref 0
   and total_dfrees = ref 0
+  and total_forwarded = ref 0
   and ran = ref 0 in
   let first = ref None in
   let note (r : run) interventions =
@@ -285,6 +294,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
     max_events := max !max_events r.events;
     total_commits := !total_commits + r.commits;
     total_dfrees := !total_dfrees + r.dfrees;
+    total_forwarded := !total_forwarded + r.forwarded;
     match r.violation with
     | None -> ()
     | Some v ->
@@ -349,6 +359,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
     max_events = !max_events;
     total_commits = !total_commits;
     total_dfrees = !total_dfrees;
+    total_forwarded = !total_forwarded;
   }
 
 let report_to_string r =
@@ -356,9 +367,11 @@ let report_to_string r =
     r.workload r.config r.strategy r.runs r.distinct r.truncated
     ((if r.crashes = 0 then ""
       else Printf.sprintf "crashes=%d " r.crashes)
+    ^ (if r.total_dfrees = 0 then ""
+       else Printf.sprintf "dfrees=%d " r.total_dfrees)
     ^
-    if r.total_dfrees = 0 then ""
-    else Printf.sprintf "dfrees=%d " r.total_dfrees)
+    if r.total_forwarded = 0 then ""
+    else Printf.sprintf "forwarded=%d " r.total_forwarded)
     (if r.violations = 0 then "ok"
      else
        match r.first with

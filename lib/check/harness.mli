@@ -20,6 +20,9 @@ type run = {
   dfrees : int;
       (** [Ev_free] events observed — reclaim sweeps use it as a
           vacuity signal (a cell that never freed proves nothing) *)
+  forwarded : int;
+      (** forwarded reads of a completed run (0 for truncated or crashed
+          ones) — checked against {!Workloads.min_forwarded} *)
 }
 
 (** Oracle strictness a configuration has earned: [All_attempts] under
@@ -70,6 +73,7 @@ type report = {
   max_events : int;
   total_commits : int;
   total_dfrees : int;  (** deferred frees summed over the runs *)
+  total_forwarded : int;  (** forwarded reads summed over the runs *)
 }
 
 (** [explore ~workload ~config ~strategy ()] runs one strategy's budget

@@ -194,26 +194,30 @@ let scoped ~nthreads ~incs =
         { App.world; body; verify });
   }
 
-(* Zombie loop: a reader spins on a condition only an inconsistent
-   snapshot can satisfy.  The writer bumps [a] and [b] together in one
+(* Zombies: a reader spins on a condition only an inconsistent snapshot
+   can satisfy.  The writer bumps [a] and [b] together in one
    transaction, so every consistent view has a = b; a reader that
-   observes a <> b is a zombie and enters an unbounded [tx_work] loop
-   that the periodic validate_every guard never reaches (it only runs
-   in read/write barriers).  Only the validation-fuel budget bounds the
-   spin, which is what this workload proves: [prepare] arms a small
-   budget and every explored schedule must terminate.  Fault sweeps
-   exclude this workload — the injected faults break exactly the
-   validation machinery the fuel mechanism relies on. *)
-let zombie_loop ~nthreads ~rounds =
+   observes a <> b is a zombie and enters a [spin] loop that a sound
+   engine aborts within a few hundred iterations.  Every explored
+   schedule must terminate.  A zombie that survives [zombie_spins]
+   iterations marks a raw cell (no undo rolls it back), bails out — the
+   sandbox turns the exception into a retry — and fails [verify]: a
+   reported violation, not a hung sweep (once the writer finishes, the
+   spin has no scheduling point to exhaust the step budget at).  Fault
+   sweeps exclude these workloads — the injected faults break exactly
+   the validation machinery that bounds the spin. *)
+let zombie_spins = 10_000
+
+let zombie ~name ~fuel ~spin ~nthreads ~rounds =
   {
-    name = Printf.sprintf "zombie-%dx%d" nthreads rounds;
+    name = Printf.sprintf "%s-%dx%d" name nthreads rounds;
     nthreads;
     reclaim_oracle = false;
     prepare =
       (fun config ->
         let config =
-          if config.Config.fuel > 0 then config
-          else Config.with_fuel 384 config
+          if fuel = 0 || config.Config.fuel > 0 then config
+          else Config.with_fuel fuel config
         in
         let world = small_world ~nthreads config in
         let arena = Engine.global_arena world in
@@ -223,6 +227,8 @@ let zombie_loop ~nthreads ~rounds =
            a genuinely separate orec observation. *)
         let _spacer = Alloc.alloc arena 8 in
         let b = Alloc.alloc arena 1 in
+        let escaped = Alloc.alloc arena 1 in
+        let mem = Engine.memory world in
         let body th =
           if Txn.thread_id th = 0 then
             for _ = 1 to rounds do
@@ -237,17 +243,23 @@ let zombie_loop ~nthreads ~rounds =
                   let x = Txn.read tx a in
                   Txn.tx_work tx 10;
                   let y = Txn.read tx b in
-                  if x <> y then
+                  if x <> y then begin
                     (* Unreachable from a consistent snapshot. *)
-                    while true do
-                      Txn.tx_work tx 25
-                    done)
+                    for _ = 1 to zombie_spins do
+                      spin tx b
+                    done;
+                    Memory.set mem escaped 1;
+                    raise Exit
+                  end)
             done
         in
         let verify () =
-          let mem = Engine.memory world in
           let va = Memory.get mem a and vb = Memory.get mem b in
-          if va = rounds && vb = rounds then Ok ()
+          if Memory.get mem escaped <> 0 then
+            Error
+              (Printf.sprintf "a zombie survived %d spins unvalidated"
+                 zombie_spins)
+          else if va = rounds && vb = rounds then Ok ()
           else
             Error
               (Printf.sprintf "zombie cells (%d, %d), expected (%d, %d)" va vb
@@ -255,6 +267,103 @@ let zombie_loop ~nthreads ~rounds =
         in
         { App.world; body; verify });
   }
+
+(* The spin is [tx_work], which the periodic validate-every guard never
+   reaches (it only runs in read/write barriers): only the
+   validation-fuel budget bounds it, so [prepare] arms a small one. *)
+let zombie_loop =
+  zombie ~name:"zombie" ~fuel:384 ~spin:(fun tx _ -> Txn.tx_work tx 25)
+
+(* The spin re-reads [b], with fuel left as the config has it (off by
+   default).  Under the Scan clock the zombie's read of [b] was logged
+   unchecked, and memory keeps the logged value, so every re-read is
+   forwarded from the read log: only the periodic guard, which forwarded
+   reads still count toward, bounds the spin. *)
+let zombie_reread =
+  zombie ~name:"zombie_reread" ~fuel:0 ~spin:(fun tx b ->
+      ignore (Txn.read tx b : int))
+
+(* Re-read: read-after-read forwarding under concurrent commits.  Cells
+   [a] and [b] share a conflict-detection line (one orec), [c] sits two
+   lines on; the writer (thread 0) keeps b = 2a and c = 3a, so the three
+   values are distinct and a read answered for the wrong address breaks
+   the invariant.  Readers read a and c, leave a window for a commit,
+   then re-read a (forwarded from its read-log entry), read line-mate b
+   (which takes over the entry's forwarding pair), re-read c and b
+   (forwarded) and a (full path: the entry now names b).
+   Every other round a reader also writes what it saw, so both the
+   read-only fast path and writer commit validation run over forwarded
+   reads.  The oracle holds every committed snapshot to the invariant;
+   the sweep fails a cell that never forwarded a read. *)
+let reread ~nthreads ~rounds =
+  {
+    name = Printf.sprintf "reread-%dx%d" nthreads rounds;
+    nthreads;
+    reclaim_oracle = false;
+    prepare =
+      (fun config ->
+        let world = small_world ~nthreads config in
+        let arena = Engine.global_arena world in
+        let line = 1 lsl config.Config.line_words_log2 in
+        let block = Alloc.alloc arena (4 * line) in
+        let a = (block + line - 1) land lnot (line - 1) in
+        let b = a + 1 and c = a + (2 * line) in
+        let seen = Alloc.alloc arena nthreads in
+        let body th =
+          let tid = Txn.thread_id th in
+          if tid = 0 then
+            for _ = 1 to rounds do
+              Txn.atomic th (fun tx ->
+                  Txn.write tx a (Txn.read tx a + 1);
+                  Txn.write tx b (Txn.read tx b + 2);
+                  Txn.write tx c (Txn.read tx c + 3))
+            done
+          else
+            for r = 1 to rounds do
+              Txn.atomic th (fun tx ->
+                  let a1 = Txn.read tx a in
+                  let c1 = Txn.read tx c in
+                  Txn.tx_work tx 10;
+                  let a2 = Txn.read tx a in
+                  let b1 = Txn.read tx b in
+                  let c2 = Txn.read tx c in
+                  let b2 = Txn.read tx b in
+                  let a3 = Txn.read tx a in
+                  if r land 1 = 0 then
+                    Txn.write tx (seen + tid) (a1 + a2 + a3 + b1 + b2 + c1 + c2));
+              Txn.work th 3
+            done
+        in
+        let verify () =
+          let mem = Engine.memory world in
+          let va = Memory.get mem a
+          and vb = Memory.get mem b
+          and vc = Memory.get mem c in
+          let torn =
+            (* A consistent snapshot sums to 13a; zero if never written. *)
+            List.find_opt
+              (fun tid -> Memory.get mem (seen + tid) mod 13 <> 0)
+              (List.init (nthreads - 1) (fun i -> i + 1))
+          in
+          if (va, vb, vc) <> (rounds, 2 * rounds, 3 * rounds) then
+            Error
+              (Printf.sprintf "reread cells (%d, %d, %d), expected (%d, %d, %d)"
+                 va vb vc rounds (2 * rounds) (3 * rounds))
+          else
+            match torn with
+            | Some tid ->
+                Error
+                  (Printf.sprintf "reader %d committed the torn sum %d" tid
+                     (Memory.get mem (seen + tid)))
+            | None -> Ok ()
+        in
+        { App.world; body; verify });
+  }
+
+(* Vacuity floor, in the one place that knows which workload exists to
+   forward reads: a [reread] cell that forwarded none proved nothing. *)
+let min_forwarded w =
+  if String.starts_with ~prefix:"reread-" w.name then 1 else 0
 
 (* Free race: the reclamation hazard end to end.  Thread 0 publishes a
    fresh node, retracts it with a deferred [Txn.free], then immediately
@@ -415,6 +524,8 @@ let micros ~nthreads =
     publish ~nthreads ~nodes:3;
     scoped ~nthreads ~incs:2;
     zombie_loop ~nthreads ~rounds:3;
+    zombie_reread ~nthreads ~rounds:3;
+    reread ~nthreads ~rounds:3;
   ]
 
 (* Kept out of [micros]: without [+ebr] these are red by design (they

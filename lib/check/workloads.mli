@@ -28,13 +28,33 @@ val publish : nthreads:int -> nodes:int -> t
 val scoped : nthreads:int -> incs:int -> t
 (** Closed nesting with partial aborts. *)
 
+val zombie_spins : int
+(** Spin iterations after which a zombie workload gives up and reports
+    that no guard aborted it (sound guards fire within a few hundred). *)
+
 val zombie_loop : nthreads:int -> rounds:int -> t
-(** A reader spins forever on a condition only an inconsistent snapshot
-    satisfies; the validation-fuel budget (armed by [prepare] when the
+(** A reader spins in [tx_work] on a condition only an inconsistent
+    snapshot satisfies; the validation-fuel budget (armed by [prepare] when the
     config leaves it off) must terminate it in every schedule. *)
 
+val zombie_reread : nthreads:int -> rounds:int -> t
+(** The same zombie, spinning on re-reads of an address it already read
+    and with fuel left as the config has it: the re-reads are forwarded
+    from the read log, and the periodic validation guard they still
+    count toward must terminate the spin in every schedule. *)
+
+val reread : nthreads:int -> rounds:int -> t
+(** Readers re-read cells on a shared line and on a distinct one while a
+    writer commits between the reads, so read-after-read forwarding
+    runs against concurrent commits; the cells hold distinct values, so
+    a read answered for the wrong address breaks the invariant. *)
+
+val min_forwarded : t -> int
+(** Vacuity floor: the forwarded reads a sweep cell of this workload
+    must record — 1 for {!reread}, 0 for every other workload. *)
+
 val micros : nthreads:int -> t list
-(** The five micro workloads at smoke-test sizes. *)
+(** The seven micro workloads at smoke-test sizes. *)
 
 val free_race : nthreads:int -> rounds:int -> t
 (** Publish / retract-with-deferred-free / recycle-same-class against

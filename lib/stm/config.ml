@@ -116,7 +116,9 @@ let with_durable ?group ?(on = true) t =
 
 let with_ebr ?(on = true) t = { t with ebr = on }
 let with_fault fault t = { t with fault }
-let has_fault t kind = t.fault = Some kind
+(* A match, not [t.fault = Some kind]: that boxes [Some kind] on every
+   call, and validation asks on the barrier path. *)
+let has_fault t kind = match t.fault with Some k -> k = kind | None -> false
 
 let audit = { default with audit = true }
 

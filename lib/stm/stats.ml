@@ -10,6 +10,7 @@ type t = {
   mutable reads_elided_heap : int;
   mutable reads_elided_private : int;
   mutable reads_elided_static : int;
+  mutable reads_forwarded : int;
   mutable writes_elided_stack : int;
   mutable writes_elided_heap : int;
   mutable writes_elided_private : int;
@@ -81,6 +82,7 @@ let create () =
     reads_elided_heap = 0;
     reads_elided_private = 0;
     reads_elided_static = 0;
+    reads_forwarded = 0;
     writes_elided_stack = 0;
     writes_elided_heap = 0;
     writes_elided_private = 0;
@@ -181,6 +183,7 @@ let reset t =
   t.reads_elided_heap <- 0;
   t.reads_elided_private <- 0;
   t.reads_elided_static <- 0;
+  t.reads_forwarded <- 0;
   t.writes_elided_stack <- 0;
   t.writes_elided_heap <- 0;
   t.writes_elided_private <- 0;
@@ -250,6 +253,7 @@ let merge acc x =
   acc.reads_elided_heap <- acc.reads_elided_heap + x.reads_elided_heap;
   acc.reads_elided_private <- acc.reads_elided_private + x.reads_elided_private;
   acc.reads_elided_static <- acc.reads_elided_static + x.reads_elided_static;
+  acc.reads_forwarded <- acc.reads_forwarded + x.reads_forwarded;
   acc.writes_elided_stack <- acc.writes_elided_stack + x.writes_elided_stack;
   acc.writes_elided_heap <- acc.writes_elided_heap + x.writes_elided_heap;
   acc.writes_elided_private <-

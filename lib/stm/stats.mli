@@ -19,6 +19,10 @@ type t = {
   mutable reads_elided_heap : int;
   mutable reads_elided_private : int;
   mutable reads_elided_static : int;
+  mutable reads_forwarded : int;
+      (** Instrumented reads of an address the attempt had already read,
+          answered from the read log without the orec sandwich (a subset
+          of [reads] minus the elided ones). *)
   mutable writes_elided_stack : int;
   mutable writes_elided_heap : int;
   mutable writes_elided_private : int;

@@ -93,9 +93,12 @@ type thread = {
 and tx = {
   thread : thread;
   (* read set: distinct orecs with the word observed first, indexed by
-     orec in [read_index] *)
+     orec in [read_index]; beside each, the address and value last read
+     under that orec (read-after-read forwarding, [full_read]) *)
   mutable read_orecs : int array;
   mutable read_words : int array;
+  mutable read_addrs : int array;
+  mutable read_vals : int array;
   mutable n_reads : int;
   read_index : Read_map.t;
   (* undo log *)
@@ -207,34 +210,36 @@ let mem_set th addr v =
 (* ------------------------------------------------------------------ *)
 (* Growable int-pair logs                                              *)
 
-(* Grown pairwise so the arrays stay parallel; the push sites write the
-   new entry directly into the (possibly fresh) arrays — no [ref] cells,
-   these run on the barrier fast path. *)
-let grow2 xs ys =
+(* Parallel logs grow together (each push site grows every array of its
+   log at the same length); the push sites write the new entry directly
+   into the (possibly fresh) arrays — no [ref] cells or tuples, these run
+   on the barrier fast path. *)
+let grow xs =
   let cap = Array.length xs in
-  let xs' = Array.make (2 * cap) 0 and ys' = Array.make (2 * cap) 0 in
+  let xs' = Array.make (2 * cap) 0 in
   Array.blit xs 0 xs' 0 cap;
-  Array.blit ys 0 ys' 0 cap;
-  (xs', ys')
+  xs'
 
-let push_read tx oi word =
+let push_read tx oi word addr value =
   let n = tx.n_reads in
   if n >= Array.length tx.read_orecs then begin
-    let xs, ys = grow2 tx.read_orecs tx.read_words in
-    tx.read_orecs <- xs;
-    tx.read_words <- ys
+    tx.read_orecs <- grow tx.read_orecs;
+    tx.read_words <- grow tx.read_words;
+    tx.read_addrs <- grow tx.read_addrs;
+    tx.read_vals <- grow tx.read_vals
   end;
   Array.unsafe_set tx.read_orecs n oi;
   Array.unsafe_set tx.read_words n word;
+  Array.unsafe_set tx.read_addrs n addr;
+  Array.unsafe_set tx.read_vals n value;
   Read_map.add tx.read_index oi n;
   tx.n_reads <- n + 1
 
 let push_undo tx addr value =
   let n = tx.n_undo in
   if n >= Array.length tx.undo_addrs then begin
-    let xs, ys = grow2 tx.undo_addrs tx.undo_vals in
-    tx.undo_addrs <- xs;
-    tx.undo_vals <- ys
+    tx.undo_addrs <- grow tx.undo_addrs;
+    tx.undo_vals <- grow tx.undo_vals
   end;
   Array.unsafe_set tx.undo_addrs n addr;
   Array.unsafe_set tx.undo_vals n value;
@@ -244,9 +249,8 @@ let push_undo tx addr value =
 let push_acq tx oi prev =
   let n = tx.n_acq in
   if n >= Array.length tx.acq_orecs then begin
-    let xs, ys = grow2 tx.acq_orecs tx.acq_prev in
-    tx.acq_orecs <- xs;
-    tx.acq_prev <- ys
+    tx.acq_orecs <- grow tx.acq_orecs;
+    tx.acq_prev <- grow tx.acq_prev
   end;
   Array.unsafe_set tx.acq_orecs n oi;
   Array.unsafe_set tx.acq_prev n prev;
@@ -311,6 +315,8 @@ let make_tx th =
     thread = th;
     read_orecs = Array.make 64 0;
     read_words = Array.make 64 0;
+    read_addrs = Array.make 64 0;
+    read_vals = Array.make 64 0;
     n_reads = 0;
     read_index = Read_map.create ();
     undo_addrs = Array.make 64 0;
@@ -685,7 +691,10 @@ let note_shard_conflict th oi w =
   if owner <> th.tid && owner < Orec.max_tids then
     Stats.note_pair th.stats ~shard:s ~tid:th.tid ~peer:owner
 
-let rec full_read_loop tx oi addr spins =
+(* [logged] is the orec's read-log position ([Read_map.find], -1 when
+   fresh), probed once by [full_read]: only this thread adds entries, and
+   nothing in the loop does before it returns. *)
+let rec full_read_loop tx oi addr logged spins =
   let th = tx.thread in
   let w1 = Orec.get th.orecs oi in
   if Orec.is_locked w1 then begin
@@ -699,7 +708,7 @@ let rec full_read_loop tx oi addr spins =
     else begin
       th.platform.consume Costs.lock_spin;
       th.platform.yield ();
-      full_read_loop tx oi addr (spins + 1)
+      full_read_loop tx oi addr logged (spins + 1)
     end
   end
   else begin
@@ -707,7 +716,6 @@ let rec full_read_loop tx oi addr spins =
     (* Debug mode: pin the data load before the confirming orec load even
        under a hypothetically weaker model (see Config.fences). *)
     if th.config.Config.fences then fence th;
-    let logged = Read_map.find tx.read_index oi in
     if logged < 0 && fault_fires th Fault.Stale_read then begin
       (* Injected TOCTOU: open a scheduling window after the value load,
          then log whatever version the orec holds on the other side —
@@ -716,9 +724,9 @@ let rec full_read_loop tx oi addr spins =
          current, so commit-time validation passes a broken snapshot. *)
       th.platform.consume 1;
       let w2 = Orec.get th.orecs oi in
-      if Orec.is_locked w2 then full_read_loop tx oi addr (spins + 1)
+      if Orec.is_locked w2 then full_read_loop tx oi addr logged (spins + 1)
       else begin
-        push_read tx oi w2;
+        push_read tx oi w2 addr v;
         v
       end
     end
@@ -726,9 +734,13 @@ let rec full_read_loop tx oi addr spins =
     let w2 = Orec.get th.orecs oi in
     if w1 = w2 then begin
       (* Dedup: log each orec once; observing a *different* version than
-         first logged is already a conflict. *)
+         first logged is already a conflict.  The entry's forwarding pair
+         moves to this read: (addr, v) is as current under the logged
+         word as the pair it replaces. *)
       if logged >= 0 then begin
         if tx.read_words.(logged) <> w1 then raise Retry_conflict;
+        Array.unsafe_set tx.read_addrs logged addr;
+        Array.unsafe_set tx.read_vals logged v;
         v
       end
       else begin
@@ -761,15 +773,15 @@ let rec full_read_loop tx oi addr spins =
         if newer && not (Config.has_fault th.config Fault.Skip_validation)
         then begin
           extend_snapshot tx ~stamp:ts;
-          full_read_loop tx oi addr spins
+          full_read_loop tx oi addr logged spins
         end
         else begin
-          push_read tx oi w1;
+          push_read tx oi w1 addr v;
           v
         end
       end
     end
-    else full_read_loop tx oi addr (spins + 1)
+    else full_read_loop tx oi addr logged (spins + 1)
     end
   end
 
@@ -820,9 +832,37 @@ let full_read tx addr =
     mem_get th addr
   end
   else begin
-    th.platform.consume Costs.read_barrier;
-    maybe_validate tx;
-    full_read_loop tx oi addr 0
+    let logged = Read_map.find tx.read_index oi in
+    if
+      logged >= 0
+      && Array.unsafe_get tx.read_addrs logged = addr
+      && mem_get th addr = Array.unsafe_get tx.read_vals logged
+    then begin
+      (* Read-after-read forwarding: this attempt already read [addr]
+         under the logged word, and the logged value is the one its
+         snapshot holds — the first read's sandwich proved it current
+         under that word, and every validation since re-checked the word
+         — so the orec sandwich would only re-prove it.  Commit
+         validation still catches a concurrent commit to the line.  The
+         value guard is for this thread's own direct stores (elided
+         captured or private writes, raw stores), which bump no orec yet
+         can follow a full-barrier read (reads outside the check scope,
+         or at a bypassed +fp site): memory that no longer holds the
+         logged value takes the full path.  The price is an owned
+         read's: the map lookup plus one data load.  It still counts
+         toward the periodic zombie guard: under Scan a fresh read is
+         logged unchecked, so a zombie spinning on re-reads of it would
+         otherwise never revalidate (fuel is off by default). *)
+      th.stats.reads_forwarded <- th.stats.reads_forwarded + 1;
+      th.platform.consume Costs.read_owned;
+      maybe_validate tx;
+      Array.unsafe_get tx.read_vals logged
+    end
+    else begin
+      th.platform.consume Costs.read_barrier;
+      maybe_validate tx;
+      full_read_loop tx oi addr logged 0
+    end
   end
 
 (* Event class for an int-encoded elision verdict (traced paths only —
@@ -1420,13 +1460,16 @@ let publish tx =
    the transaction itself allocated, whose final image rides along here.
    Transactions with no shared effect append nothing and consume no seq.
 
-   Every cycle is charged *before* the device is touched ([will_sync]
-   pre-computes whether this append group-commits), so there is no
-   scheduling point between the append and the [Ev_commit] emission —
-   log order provably matches recorded commit order. *)
+   The append's cycles are charged *before* the device is touched, so
+   there is no scheduling point between the append and the [Ev_commit]
+   emission — log order provably matches recorded commit order.  An
+   append that completes a group triggers the fsync; its cycles are
+   returned, not charged: the caller pays them once its orecs are
+   released ([commit_top]), so peers do not spin on locks held across
+   the device wait. *)
 let wal_append_commit tx =
   match tx.thread.wal with
-  | None -> ()
+  | None -> 0
   | Some w ->
       let th = tx.thread in
       let writes =
@@ -1452,10 +1495,7 @@ let wal_append_commit tx =
         || Array.length frees > 0
       then begin
         let words = Wal.commit_record_words ~writes ~allocs ~frees in
-        let will_sync = Wal.pending_records w + 1 >= Wal.group w in
-        th.platform.consume
-          ((Costs.wal_append_per_word * words)
-          + if will_sync then Costs.wal_fsync else 0);
+        th.platform.consume (Costs.wal_append_per_word * words);
         (* Injected crash: the fsync tears mid-record — a byte prefix
            reaches the log, nothing is acknowledged, the process dies.
            Group commit is suppressed so the record is still pending
@@ -1471,12 +1511,18 @@ let wal_append_commit tx =
         let bytes, synced = Wal.append_commit w ~tid:th.tid ~writes ~allocs ~frees in
         th.stats.wal_records <- th.stats.wal_records + 1;
         th.stats.wal_bytes <- th.stats.wal_bytes + bytes;
-        if synced then th.stats.wal_fsyncs <- th.stats.wal_fsyncs + 1
+        if synced then begin
+          th.stats.wal_fsyncs <- th.stats.wal_fsyncs + 1;
+          Costs.wal_fsync
+        end
+        else 0
       end
+      else 0
 
 (* Serialization point of a writing commit: write back buffered values
    (lazy), log the commit durably, emit the commit event — in that
-   order, with crash points bracketing the sequence. *)
+   order, with crash points bracketing the sequence.  Returns the fsync
+   cycles the append owes ([wal_append_commit]). *)
 let commit_serialize tx =
   let th = tx.thread in
   if th.config.Config.lazy_versioning then publish tx
@@ -1484,7 +1530,7 @@ let commit_serialize tx =
     (* Eager "mid-publish": stores are already in place from the body;
        the crash window is after them and before the WAL append. *)
     crash_point th Fault.Crash_mid_publish;
-  wal_append_commit tx;
+  let fsync = wal_append_commit tx in
   emit th.tid Ev_commit;
   (* Post-publish crash: force the fsync first — the record is durable,
      the acknowledgement was delivered, and the process dies before a
@@ -1492,7 +1538,8 @@ let commit_serialize tx =
   if th.wal <> None && fault_fires th Fault.Crash_post_publish then begin
     (match th.wal with Some w -> Wal.sync w | None -> ());
     wal_crash th
-  end
+  end;
+  fsync
 
 (* Local writer commit stamp: NO shared-clock access.  The stamp is the
    thread's next epoch, monotonic within its own version subspace, so
@@ -1561,7 +1608,13 @@ let commit_validate tx =
    and have its whole lifetime recorded before a trailing-release commit
    event, which the oracle would (rightly) reject as reading a value no
    committed instant held.  Emitting before release keeps the recorded
-   commit order consistent with visibility order. *)
+   commit order consistent with visibility order.
+
+   A group-commit fsync is paid after release: the append and the commit
+   event stay under the locks (log order = commit order), but peers need
+   not wait out the device.  Group commit already releases three commits
+   in four before they are durable, so acknowledging after the release
+   weakens nothing. *)
 let commit_top tx =
   let th = tx.thread in
   (* Injected crash: death at commit entry — nothing acquired, nothing
@@ -1571,28 +1624,33 @@ let commit_top tx =
      means the same thing it does in eager mode (notably for the
      read-only fast path: an empty buffer acquired nothing). *)
   if th.config.Config.lazy_versioning then lazy_acquire tx;
-  if th.clock <> Scan && tx.n_acq = 0 then begin
-    (* Read-only fast path: every read was checked against the snapshot
-       as it happened, so the read set is a consistent snapshot by
-       construction — serialize there.  No validation scan, no clock
-       bump, nothing to release. *)
-    th.platform.consume Costs.commit_base;
-    th.stats.readonly_fast_commits <- th.stats.readonly_fast_commits + 1;
-    (* Acquired nothing, but may still have durable effects: an
-       alloc-only transaction (every write elided into its own blocks)
-       reaches here with a nonempty alloc set whose images must survive
-       — append its record.  True read-only commits append nothing,
-       keeping the fast path fast. *)
-    wal_append_commit tx;
-    emit th.tid Ev_commit
-  end
-  else begin
-    let word = commit_validate tx in
-    commit_serialize tx;
-    if tx.n_acq > 0 && fault_fires th Fault.Delayed_unlock then
-      th.platform.consume Costs.fault_unlock_delay;
-    release tx ~word
-  end;
+  let fsync =
+    if th.clock <> Scan && tx.n_acq = 0 then begin
+      (* Read-only fast path: every read was checked against the snapshot
+         as it happened, so the read set is a consistent snapshot by
+         construction — serialize there.  No validation scan, no clock
+         bump, nothing to release. *)
+      th.platform.consume Costs.commit_base;
+      th.stats.readonly_fast_commits <- th.stats.readonly_fast_commits + 1;
+      (* Acquired nothing, but may still have durable effects: an
+         alloc-only transaction (every write elided into its own blocks)
+         reaches here with a nonempty alloc set whose images must survive
+         — append its record.  True read-only commits append nothing,
+         keeping the fast path fast. *)
+      let fsync = wal_append_commit tx in
+      emit th.tid Ev_commit;
+      fsync
+    end
+    else begin
+      let word = commit_validate tx in
+      let fsync = commit_serialize tx in
+      if tx.n_acq > 0 && fault_fires th Fault.Delayed_unlock then
+        th.platform.consume Costs.fault_unlock_delay;
+      release tx ~word;
+      fsync
+    end
+  in
+  if fsync > 0 then th.platform.consume fsync;
   commit_epilogue tx
 
 let abort_top tx ~user =

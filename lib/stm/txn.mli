@@ -2,7 +2,10 @@
 
     Reads are optimistic and invisible (Intel C++ STM / McRT style, paper
     §2.1): a read barrier logs the orec version it observed, validated at
-    commit and periodically as a zombie guard.  Writes take one of two
+    commit and periodically as a zombie guard.  A re-read of an address
+    the attempt already read is answered from the read log while memory
+    still holds the logged value ({!Stats.t.reads_forwarded}).  Writes
+    take one of two
     versioning modes ({!Config.t.lazy_versioning}):
 
     - eager (default): a write barrier acquires the orec, undo-logs the
@@ -16,7 +19,8 @@
     version clock, O(1) snapshot checks) or [Local] (per-thread epoch
     stamps and peer watermarks).  Every commit goes through one sequence:
     lazy acquire, read-only fast path, per-clock validation, serialize
-    (publish, WAL append, commit event), release.  Conflicts abort the
+    (publish, WAL append, commit event), release, then the fsync a
+    group-completing WAL append owes.  Conflicts abort the
     requester, which retries after the contention manager's backoff.
 
     Every barrier first runs the capture analysis configured in

@@ -24,6 +24,15 @@ let configs =
     Config.audit;
   ]
 
+(* Forwarded reads are a subset of the instrumented ones: an elided read
+   never reaches the read log.  Vacation re-reads addresses in most
+   transactions, so its forwarding can never be silently off. *)
+let check_forwarded app (s : Stats.t) =
+  check "forwarded <= reads - elided reads" true
+    (s.Stats.reads_forwarded <= s.Stats.reads - Stats.reads_elided s);
+  if List.mem app.App.name [ "vacation-high"; "vacation-low" ] then
+    check "vacation forwards re-reads" true (s.Stats.reads_forwarded > 0)
+
 (* Every app, under every configuration, at 1 and 4 simulated threads,
    must run to completion and satisfy its own verifier. *)
 let test_app_config app cfg nthreads () =
@@ -31,7 +40,8 @@ let test_app_config app cfg nthreads () =
     App.run_checked app ~nthreads ~scale:App.Test ~mode:(`Sim 7) cfg
   with
   | Ok r ->
-      check "committed something" true (r.Engine.stats.Stats.commits > 0)
+      check "committed something" true (r.Engine.stats.Stats.commits > 0);
+      check_forwarded app r.Engine.stats
   | Error m -> Alcotest.failf "verify failed: %s" m
 
 (* The compiler verdicts must never contradict the precise runtime
@@ -211,6 +221,7 @@ let test_app_durable app () =
     (List.length rc.Wal.r_applied_seqs);
   check "clean log tail" true (not rc.Wal.r_torn && not rc.Wal.r_corrupt);
   check "logged something" true (r.Engine.stats.Stats.wal_records > 0);
+  check_forwarded app r.Engine.stats;
   if
     List.mem app.App.name
       [ "vacation-high"; "vacation-low"; "genome"; "intruder"; "yada" ]

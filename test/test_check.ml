@@ -277,7 +277,12 @@ let test_micros_clean () =
               Alcotest.(check int)
                 (Printf.sprintf "%s/%s/%s truncations" r.Harness.workload
                    r.Harness.config r.Harness.strategy)
-                0 r.Harness.truncated)
+                0 r.Harness.truncated;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s/%s forwarded-read floor"
+                   r.Harness.workload r.Harness.config r.Harness.strategy)
+                true
+                (r.Harness.total_forwarded >= Workloads.min_forwarded workload))
             [
               Strategy.Random { persist = 85 };
               Strategy.Pct { depth = 3 };
@@ -324,7 +329,8 @@ let test_injected_bug_caught_by_dfs () =
   Alcotest.(check bool) "dfs finds it" true (r.Harness.violations > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Zombie loop: the trap genuinely fires, and fuel still terminates it *)
+(* Zombies: the trap genuinely fires, and fuel or the periodic guard   *)
+(* terminates it                                                       *)
 
 let all_strategies =
   [
@@ -333,12 +339,12 @@ let all_strategies =
     Strategy.Dfs { preemptions = 2 };
   ]
 
-let test_zombie_trap_fires_and_terminates () =
-  (* The micros sweep already proves zombie runs terminate; this probe
-     (same shape, plus an OCaml-side flag set on trap entry) proves the
-     inconsistent read is actually reached — without that, termination
-     would be vacuous. *)
-  let trapped = ref false in
+(* The micros sweep already proves zombie runs terminate; this probe
+   (same shape, plus an OCaml-side flag set on trap entry) proves the
+   inconsistent read is actually reached — without that, termination
+   would be vacuous.  [fuel] 0 leaves the budget off. *)
+let zombie_trap_fires_and_terminates ~fuel ~spin =
+  let trapped = ref false and escaped = ref false in
   let workload =
     {
       Workloads.name = "zombie-probe";
@@ -346,7 +352,7 @@ let test_zombie_trap_fires_and_terminates () =
       reclaim_oracle = false;
       prepare =
         (fun config ->
-          let config = Config.with_fuel 256 config in
+          let config = Config.with_fuel fuel config in
           let world =
             Engine.create ~global_words:1024 ~stack_words:256
               ~arena_words:1024 ~nthreads:2
@@ -373,9 +379,11 @@ let test_zombie_trap_fires_and_terminates () =
                     let y = Txn.read tx b in
                     if x <> y then begin
                       trapped := true;
-                      while true do
-                        Txn.tx_work tx 25
-                      done
+                      for _ = 1 to Workloads.zombie_spins do
+                        spin tx b
+                      done;
+                      escaped := true;
+                      raise Exit
                     end)
               done
           in
@@ -399,7 +407,19 @@ let test_zombie_trap_fires_and_terminates () =
         Alcotest.failf "%s" (Harness.report_to_string r);
       Alcotest.(check int) "no truncations" 0 r.Harness.truncated)
     all_strategies;
-  Alcotest.(check bool) "trap entered at least once" true !trapped
+  Alcotest.(check bool) "trap entered at least once" true !trapped;
+  Alcotest.(check bool) "no zombie outlived the spin cap" false !escaped
+
+let test_zombie_trap_fires_and_terminates () =
+  zombie_trap_fires_and_terminates ~fuel:256 ~spin:(fun tx _ ->
+      Txn.tx_work tx 25)
+
+(* Fuel off, spinning on re-reads of [b]: the Scan clock logged the
+   zombie's read of [b] unchecked, so every re-read is forwarded from the
+   read log, and only the periodic guard they count toward ends it. *)
+let test_zombie_reread_terminates_without_fuel () =
+  zombie_trap_fires_and_terminates ~fuel:0 ~spin:(fun tx b ->
+      ignore (Txn.read tx b : int))
 
 (* ------------------------------------------------------------------ *)
 (* Structured faults: contained ones stay silent, flagged ones are     *)
@@ -743,6 +763,8 @@ let () =
         [
           Alcotest.test_case "zombie trap fires and terminates" `Quick
             test_zombie_trap_fires_and_terminates;
+          Alcotest.test_case "zombie re-read terminates without fuel" `Quick
+            test_zombie_reread_terminates_without_fuel;
           Alcotest.test_case "contained faults stay contained" `Quick
             test_contained_faults_stay_contained;
           Alcotest.test_case "stale-read flagged" `Quick

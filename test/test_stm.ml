@@ -1732,6 +1732,65 @@ let test_tier_late_site_checked () =
   check_int "every read checked" n st.Stats.capture_summary_rejects
 
 (* ------------------------------------------------------------------ *)
+(* Read-after-read forwarding: the value guard                          *)
+
+(* A re-read is answered from the read log only while memory still holds
+   the logged value.  This attempt's own direct stores bump no orec, so
+   the guard is all that sends a re-read after one down the full path.
+   Here the reads take full barriers (reads are out of the check scope,
+   or their site is bypassed) while the write between them is elided as
+   captured: the second read must see the write, and only the third,
+   with memory unchanged since, is forwarded. *)
+let forward_site = Site.declare ~write:false "stm.test.forward_guard"
+
+let check_forward_guard ?(cool = fun _ _ -> ()) ?(bypassed = 0) cfg =
+  let w = mk_world cfg in
+  let th = Engine.setup_thread w in
+  cool w th;
+  let st = Txn.thread_stats th in
+  let forwarded0 = st.Stats.reads_forwarded
+  and bypasses0 = st.Stats.capture_site_bypasses
+  and elided0 = Stats.reads_elided st in
+  let first, second, third =
+    Txn.atomic th (fun tx ->
+        let a = Txn.alloc tx 1 in
+        let first = Txn.read_at ~site:forward_site tx a in
+        Txn.write tx a (first + 42);
+        let second = Txn.read_at ~site:forward_site tx a in
+        (first, second, Txn.read_at ~site:forward_site tx a))
+  in
+  let name = Config.name cfg in
+  check_int (name ^ ": the write was a direct store") 1
+    (Stats.writes_elided st);
+  check_int (name ^ ": reads took full barriers") elided0
+    (Stats.reads_elided st);
+  check_int (name ^ ": reads were bypassed") bypassed
+    (st.Stats.capture_site_bypasses - bypasses0);
+  check_int (name ^ ": re-read sees the elided write") (first + 42) second;
+  check_int (name ^ ": unchanged re-read") second third;
+  check_int (name ^ ": only the unchanged re-read is forwarded") 1
+    (st.Stats.reads_forwarded - forwarded0)
+
+let heap_write_only = Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree
+
+let test_forward_guard_eager () = check_forward_guard heap_write_only
+
+let test_forward_guard_lazy () =
+  check_forward_guard (Config.with_lazy heap_write_only)
+
+let test_forward_guard_bypassed () =
+  let cool w th =
+    (* One hitless window of reads of shared cells bypasses the site for
+       the next sample_every - 1 accesses. *)
+    let cells = Alloc.alloc (Engine.global_arena w) Site_tier.window in
+    Txn.atomic th (fun tx ->
+        for k = 0 to Site_tier.window - 1 do
+          ignore (Txn.read_at ~site:forward_site tx (cells + k) : int)
+        done)
+  in
+  check_forward_guard ~cool ~bypassed:3 fp_tree
+
+(* ------------------------------------------------------------------ *)
 (* Epoch-based reclamation (Reclaim) unit tests                        *)
 
 let test_reclaim_advance_gated () =
@@ -1847,6 +1906,15 @@ let () =
           Alcotest.test_case "in the read barrier" `Quick test_tier_in_barrier;
           Alcotest.test_case "late site always checked" `Quick
             test_tier_late_site_checked;
+        ] );
+      ( "forwarding",
+        [
+          Alcotest.test_case "value guard [heap,w]" `Quick
+            test_forward_guard_eager;
+          Alcotest.test_case "value guard [heap,w+lazy]" `Quick
+            test_forward_guard_lazy;
+          Alcotest.test_case "value guard [tree+fp bypassed]" `Quick
+            test_forward_guard_bypassed;
         ] );
       ( "elision",
         [
