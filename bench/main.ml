@@ -110,6 +110,74 @@ let run_native1 app cfg =
 
 let improvement ~base x = 100. *. (base -. x) /. base
 
+(* Percent change of [x] from [base] (negative = fewer cycles). *)
+let change ~base x =
+  -.improvement ~base:(float_of_int (max 1 base)) (float_of_int x)
+
+let str s = "\"" ^ s ^ "\""
+
+(* Every section's JSON line: the section's own keys, every counter
+   ({!Stats.json_fields}), then the abort ratio, the makespan (cycles; ns
+   on native runs) and the wall time. *)
+let json_line ~section extras (r : Engine.result) =
+  let s = r.Engine.stats in
+  Printf.printf
+    "{%s,%s,\"abort_ratio\":%.3f,\"makespan\":%d,\"wall_ms\":%.3f}\n"
+    (String.concat ","
+       (List.map
+          (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v)
+          (("section", str section) :: extras)))
+    (Stats.json_fields s) (Stats.abort_ratio s) r.Engine.makespan
+    (1000. *. r.Engine.wall)
+
+(* Named counters of one run, ["name value"], for the [#] summary lines. *)
+let show (s : Stats.t) names =
+  String.concat "  "
+    (List.map
+       (fun n ->
+         let c = List.find (fun c -> c.Stats.name = n) Stats.counters in
+         Printf.sprintf "%s %d" n (c.Stats.get s))
+       names)
+
+(* Every counter that differs between two runs, ["name a->b"]. *)
+let moved (a : Stats.t) (b : Stats.t) =
+  String.concat "  "
+    (List.filter_map
+       (fun c ->
+         let x = c.Stats.get a and y = c.Stats.get b in
+         if x = y then None
+         else Some (Printf.sprintf "%s %d->%d" c.Stats.name x y))
+       Stats.counters)
+
+let run_json ~section ~nthreads app cfg =
+  let r = run_sim app cfg ~nthreads ~seed:1 in
+  json_line ~section
+    [
+      ("app", str app.App.name);
+      ("config", str (Config.name cfg));
+      ("mode", str (Config.mode_name cfg));
+      ("threads", string_of_int nthreads);
+    ]
+    r;
+  r
+
+(* The A/B sections: [app] on one thread under [off] and [on], same seed.
+   The change may move costs, never outcomes, so commits and user aborts
+   must match (each app verified its own invariants inside [run_sim]).
+   Prints both JSON lines, then a [#] line with the makespan change and
+   every counter that moved; returns the [on] run. *)
+let ab ~section app off on =
+  let a = run_json ~section ~nthreads:1 app off in
+  let b = run_json ~section ~nthreads:1 app on in
+  let sa = a.Engine.stats and sb = b.Engine.stats in
+  assert (sa.Stats.commits = sb.Stats.commits);
+  assert (sa.Stats.user_aborts = sb.Stats.user_aborts);
+  Printf.printf "# %-14s %s: %s vs %s  makespan %+5.1f%%  %s\n%!" app.App.name
+    (Config.name off) (Config.mode_name off) (Config.mode_name on)
+    (change ~base:a.Engine.makespan b.Engine.makespan)
+    (moved sa sb);
+  b
+
 (* ------------------------------------------------------------------ *)
 (* Figure 8: breakdown of compiler-inserted barriers                    *)
 
@@ -539,19 +607,6 @@ let ablation () =
          (capture gain %.1f%%)\n"
         bits ratio base fp (improvement ~base fp))
     [ 8; 10; 12; 14; 17; 18 ];
-  (* (b) WAW filter on/off (yada, single thread): undo-log entries. *)
-  Printf.printf "\n(b) write-after-write filter (yada, 1 thr)\n";
-  List.iter
-    (fun waw ->
-      let cfg = { Config.baseline with Config.waw_filter = waw } in
-      let r =
-        App.run (Option.get (Registry.find "yada")) ~nthreads:1
-          ~scale:(scale ()) ~mode:(`Sim 1) cfg
-      in
-      Printf.printf "  waw=%-5b undo entries=%d  waw hits=%d  makespan=%d\n" waw
-        r.Engine.stats.Stats.undo_entries r.Engine.stats.Stats.waw_hits
-        r.Engine.makespan)
-    [ true; false ];
   (* (c) Range-array capacity (yada, write elision rate). *)
   Printf.printf "\n(c) range-array capacity vs writes elided (yada, 1 thr)\n";
   List.iter
@@ -621,25 +676,6 @@ let ablation () =
 let fastpath_backends =
   [ Alloc_log.Tree; Alloc_log.Array; Alloc_log.Filter ]
 
-let fastpath_json ~app ~backend ~fp (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"fastpath\",\"app\":\"%s\",\"backend\":\"%s\",\"fastpath\":%b,\
-     \"makespan\":%d,\"capture_check_cycles\":%d,\"summary_rejects\":%d,\
-     \"mru_hits\":%d,\"backend_probes\":%d,\"promotions\":%d,\
-     \"overflows\":%d,\"site_bypasses\":%d,\"commits\":%d,\"aborts\":%d,\
-     \"reads_elided_heap\":%d,\"writes_elided_heap\":%d,\
-     \"reads_forwarded\":%d}\n"
-    app
-    (Alloc_log.backend_name backend)
-    fp r.Engine.makespan s.Stats.capture_check_cycles
-    s.Stats.capture_summary_rejects s.Stats.capture_mru_hits
-    s.Stats.capture_backend_probes s.Stats.capture_promotions
-    s.Stats.capture_log_overflows s.Stats.capture_site_bypasses
-    s.Stats.commits s.Stats.aborts
-    s.Stats.reads_elided_heap s.Stats.writes_elided_heap
-    s.Stats.reads_forwarded
-
 let fastpath () =
   headline
     "Fast path A/B: hierarchical capture check (site tier + summary + MRU \
@@ -648,64 +684,13 @@ let fastpath () =
     (fun app ->
       List.iter
         (fun backend ->
-          let run fp =
-            let cfg =
-              Config.with_fastpath ~on:fp (Config.runtime backend)
-            in
-            run_sim app cfg ~nthreads:1 ~seed:1
-          in
-          let off = run false in
-          let on = run true in
-          (* Semantics preservation under identical seeds: the fast path
-             may change costs and elision counts, never outcomes.  (App
-             invariants were verified inside run_sim for both.) *)
-          assert (off.Engine.stats.Stats.commits = on.Engine.stats.Stats.commits);
-          assert (
-            off.Engine.stats.Stats.user_aborts
-            = on.Engine.stats.Stats.user_aborts);
-          fastpath_json ~app:app.App.name ~backend ~fp:false off;
-          fastpath_json ~app:app.App.name ~backend ~fp:true on;
-          let cc (r : Engine.result) =
-            float_of_int (max 1 r.Engine.stats.Stats.capture_check_cycles)
-          in
-          Printf.printf
-            "# %-14s %-9s capture-check cycles %9d -> %9d (%+5.1f%%)  \
-             makespan %+5.1f%%  site bypasses %d\n"
-            app.App.name
-            (Alloc_log.backend_name backend)
-            off.Engine.stats.Stats.capture_check_cycles
-            on.Engine.stats.Stats.capture_check_cycles
-            (-.improvement ~base:(cc off) (cc on))
-            (-.improvement
-                ~base:(float_of_int (max 1 off.Engine.makespan))
-                (float_of_int on.Engine.makespan))
-            on.Engine.stats.Stats.capture_site_bypasses)
+          let cfg = Config.runtime backend in
+          ignore (ab ~section:"fastpath" app cfg (Config.with_fastpath cfg)))
         fastpath_backends)
     apps
 
 (* ------------------------------------------------------------------ *)
 (* Timestamp validation A/B: global-version-clock validation on vs off   *)
-
-let tvalidate_configs =
-  ("baseline", Config.baseline)
-  :: List.map
-       (fun backend ->
-         (Alloc_log.backend_name backend, Config.runtime backend))
-       fastpath_backends
-
-let tvalidate_json ~app ~config ~tv (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"tvalidate\",\"app\":\"%s\",\"config\":\"%s\",\
-     \"tvalidate\":%b,\"makespan\":%d,\"validation_cycles\":%d,\
-     \"validations\":%d,\"validations_skipped\":%d,\
-     \"snapshot_extensions\":%d,\"readonly_fast_commits\":%d,\
-     \"clock_advances\":%d,\"commits\":%d,\"aborts\":%d,\
-     \"user_aborts\":%d}\n"
-    app config tv r.Engine.makespan s.Stats.validation_cycles
-    s.Stats.validations s.Stats.validations_skipped
-    s.Stats.snapshot_extensions s.Stats.readonly_fast_commits
-    s.Stats.clock_advances s.Stats.commits s.Stats.aborts s.Stats.user_aborts
 
 let tvalidate () =
   headline
@@ -715,53 +700,13 @@ let tvalidate () =
   List.iter
     (fun app ->
       List.iter
-        (fun (cfg_name, cfg) ->
-          let run tv =
-            run_sim app (Config.with_tvalidate ~on:tv cfg) ~nthreads:1 ~seed:1
-          in
-          let off = run false in
-          let on = run true in
-          (* Semantics preservation under identical seeds: timestamp
-             validation may change where validation cycles go, never
-             outcomes.  (App invariants were verified inside run_sim for
-             both.) *)
-          assert (off.Engine.stats.Stats.commits = on.Engine.stats.Stats.commits);
-          assert (
-            off.Engine.stats.Stats.user_aborts
-            = on.Engine.stats.Stats.user_aborts);
-          tvalidate_json ~app:app.App.name ~config:cfg_name ~tv:false off;
-          tvalidate_json ~app:app.App.name ~config:cfg_name ~tv:true on;
-          let vc (r : Engine.result) =
-            float_of_int (max 1 r.Engine.stats.Stats.validation_cycles)
-          in
-          Printf.printf
-            "# %-14s %-9s validation cycles %9d -> %9d (%+5.1f%%)  \
-             makespan %+5.1f%%  ro-fast %d/%d commits\n"
-            app.App.name cfg_name off.Engine.stats.Stats.validation_cycles
-            on.Engine.stats.Stats.validation_cycles
-            (-.improvement ~base:(vc off) (vc on))
-            (-.improvement
-                ~base:(float_of_int (max 1 off.Engine.makespan))
-                (float_of_int on.Engine.makespan))
-            on.Engine.stats.Stats.readonly_fast_commits
-            on.Engine.stats.Stats.commits)
-        tvalidate_configs)
+        (fun cfg ->
+          ignore (ab ~section:"tvalidate" app cfg (Config.with_tvalidate cfg)))
+        (Config.baseline :: List.map Config.runtime fastpath_backends))
     apps
 
 (* ------------------------------------------------------------------ *)
 (* Contention: CM policy sweep — abort behaviour vs thread count         *)
-
-let contention_json ~policy ~nthreads (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"contention\",\"policy\":\"%s\",\"threads\":%d,\
-     \"commits\":%d,\"aborts\":%d,\"abort_ratio\":%.3f,\"spin_aborts\":%d,\
-     \"backoff_cycles\":%d,\"cm_max_consec_aborts\":%d,\
-     \"cm_starvation_events\":%d,\"makespan\":%d}\n"
-    (Cm.policy_name policy) nthreads s.Stats.commits s.Stats.aborts
-    (Stats.abort_ratio s) s.Stats.spin_aborts s.Stats.backoff_cycles
-    s.Stats.cm_max_consec_aborts s.Stats.cm_starvation_events
-    r.Engine.makespan
 
 let contention () =
   headline
@@ -794,14 +739,18 @@ let contention () =
           assert (
             Captured_tmem.Memory.get (Engine.memory w) cell
             = nthreads * incs);
-          contention_json ~policy ~nthreads r;
-          let s = r.Engine.stats in
-          Printf.printf
-            "# %-9s %2d thr  abort/commit %5.2f  max-consec %3d  \
-             starvation %3d  makespan %9d\n"
-            (Cm.policy_name policy) nthreads (Stats.abort_ratio s)
-            s.Stats.cm_max_consec_aborts s.Stats.cm_starvation_events
-            r.Engine.makespan)
+          json_line ~section:"contention"
+            [
+              ("policy", str (Cm.policy_name policy));
+              ("threads", string_of_int nthreads);
+            ]
+            r;
+          Printf.printf "# %-9s %2d thr  abort/commit %5.2f  makespan %9d  %s\n"
+            (Cm.policy_name policy) nthreads
+            (Stats.abort_ratio r.Engine.stats)
+            r.Engine.makespan
+            (show r.Engine.stats
+               [ "cm_max_consec_aborts"; "cm_starvation_events" ]))
         [ 2; 4; 8; 16 ])
     Cm.all_policies
 
@@ -816,20 +765,6 @@ let scale_configs =
     ("tv", Config.with_tvalidate base);
     ("fptv", Config.with_fastpath (Config.with_tvalidate base));
   ]
-
-let scale_json ~app ~config ~domains ~reps ~wall_ms ~throughput ~speedup
-    ~ar_delta (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"scale\",\"app\":\"%s\",\"config\":\"%s\",\"domains\":%d,\
-     \"reps\":%d,\"commits\":%d,\"aborts\":%d,\"abort_ratio\":%.3f,\
-     \"abort_ratio_delta_vs_1\":%.3f,\
-     \"spin_aborts\":%d,\"lock_waits\":%d,\"wall_ms\":%.3f,\
-     \"makespan_ns\":%d,\"throughput_commits_per_s\":%.0f,\
-     \"speedup_vs_1\":%.3f}\n"
-    app config domains reps s.Stats.commits s.Stats.aborts
-    (Stats.abort_ratio s) ar_delta s.Stats.spin_aborts s.Stats.lock_waits
-    wall_ms r.Engine.makespan throughput speedup
 
 let scale_section () =
   headline
@@ -888,14 +823,23 @@ let scale_section () =
               (* How much contention the extra domains add: abort ratio
                  here minus this config's own 1-domain baseline. *)
               let ar_delta = ar -. !base_ar in
-              scale_json ~app:app.App.name ~config:cfg_name ~domains:n ~reps
-                ~wall_ms:(1000. *. med_wall) ~throughput ~speedup ~ar_delta r;
+              json_line ~section:"scale"
+                [
+                  ("app", str app.App.name);
+                  ("config", str cfg_name);
+                  ("domains", string_of_int n);
+                  ("reps", string_of_int reps);
+                  ("abort_ratio_delta_vs_1", Printf.sprintf "%.3f" ar_delta);
+                  ( "throughput_commits_per_s",
+                    Printf.sprintf "%.0f" throughput );
+                  ("speedup_vs_1", Printf.sprintf "%.3f" speedup);
+                ]
+                r;
               Printf.printf
-                "# %-14s %-5s %2d dom  commits %6d  abort/commit %5.2f \
-                 (%+5.2f vs 1 dom)  wall %8.2f ms  %9.0f commits/s  \
-                 speedup %5.2fx\n%!"
-                app.App.name cfg_name n r.Engine.stats.Stats.commits ar
-                ar_delta (1000. *. med_wall) throughput speedup)
+                "# %-14s %-5s %2d dom  abort/commit %5.2f (%+5.2f vs 1 dom)  \
+                 wall %8.2f ms  %9.0f commits/s  speedup %5.2fx\n%!"
+                app.App.name cfg_name n ar ar_delta (1000. *. med_wall)
+                throughput speedup)
             domain_counts)
         scale_configs)
     apps
@@ -903,36 +847,15 @@ let scale_section () =
 (* ------------------------------------------------------------------ *)
 (* Shards: orec-table sharding + decentralized clock A/B                *)
 
-let int_array_json a =
-  "[" ^ String.concat "," (List.map string_of_int (Array.to_list a)) ^ "]"
-
-let pairs_json s =
-  let top = List.filteri (fun i _ -> i < 8) (Stats.pairs s) in
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun (shard, tid, peer, n) ->
-           Printf.sprintf "{\"shard\":%d,\"tid\":%d,\"peer\":%d,\"count\":%d}"
-             shard tid peer n)
-         top)
-  ^ "]"
-
-let shards_json ~app ~backend ~shards ~threads (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"shards\",\"app\":\"%s\",\"backend\":\"%s\",\"shards\":%d,\
-     \"threads\":%d,\"commits\":%d,\"aborts\":%d,\
-     \"abort_ratio\":%.3f,\"clock_advances\":%d,\
-     \"clock_resyncs\":%d,\"snapshot_extensions\":%d,\"lock_waits\":%d,\
-     \"makespan\":%d,\"wall_ms\":%.3f,\"shard_acquires\":%s,\
-     \"shard_conflicts\":%s,\"top_conflict_pairs\":%s}\n"
-    app backend shards threads s.Stats.commits s.Stats.aborts
-    (Stats.abort_ratio s) s.Stats.clock_advances s.Stats.clock_resyncs
-    s.Stats.snapshot_extensions s.Stats.lock_waits
-    r.Engine.makespan (1000. *. r.Engine.wall)
-    (int_array_json s.Stats.shard_acquires)
-    (int_array_json s.Stats.shard_conflicts)
-    (pairs_json s)
+let shards_json ~app ~backend ~shards ~threads r =
+  json_line ~section:"shards"
+    [
+      ("app", str app);
+      ("backend", str backend);
+      ("shards", string_of_int shards);
+      ("threads", string_of_int threads);
+    ]
+    r
 
 let shards_section () =
   headline
@@ -954,10 +877,9 @@ let shards_section () =
           shards_json ~app:app.App.name ~backend:"sim" ~shards
             ~threads:sim_threads r;
           Printf.printf
-            "# %-14s sim %2d shards  commits %6d  abort/commit %5.2f  \
-             clock-advances %6d  resyncs %5d  makespan %9d\n%!"
-            app.App.name shards s.Stats.commits (Stats.abort_ratio s)
-            s.Stats.clock_advances s.Stats.clock_resyncs r.Engine.makespan)
+            "# %-14s sim %2d shards  abort/commit %5.2f  makespan %9d  %s\n%!"
+            app.App.name shards (Stats.abort_ratio s) r.Engine.makespan
+            (show s [ "commits"; "clock_advances"; "clock_resyncs" ]))
         shard_counts;
       (* Native leg: real domains, wall clock.  Kept small — the point is
          the counter semantics (no clock advance on Local writer commits
@@ -976,30 +898,17 @@ let shards_section () =
               shards_json ~app:app.App.name ~backend:"native" ~shards
                 ~threads:n r;
               Printf.printf
-                "# %-14s native %2d dom %2d shards  commits %6d  \
-                 abort/commit %5.2f  clock-advances %6d  wall %8.2f ms\n%!"
-                app.App.name n shards s.Stats.commits (Stats.abort_ratio s)
-                s.Stats.clock_advances (1000. *. r.Engine.wall))
+                "# %-14s native %2d dom %2d shards  abort/commit %5.2f  \
+                 wall %8.2f ms  %s\n%!"
+                app.App.name n shards (Stats.abort_ratio s)
+                (1000. *. r.Engine.wall)
+                (show s [ "commits"; "clock_advances" ]))
             [ 1; 4 ])
         domains)
     apps
 
 (* ------------------------------------------------------------------ *)
 (* Eager vs lazy versioning A/B: same app, same seed, deferred updates   *)
-
-let lazyab_json ~app ~config ~mode (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"lazyab\",\"app\":\"%s\",\"config\":\"%s\",\"mode\":\"%s\",\
-     \"makespan\":%d,\"commits\":%d,\"aborts\":%d,\"user_aborts\":%d,\
-     \"writes\":%d,\"writes_elided_heap\":%d,\"writes_elided_stack\":%d,\
-     \"redo_inserts\":%d,\"redo_hits\":%d,\"redo_skips\":%d,\
-     \"publish_cycles\":%d,\"undo_entries\":%d,\"waw_hits\":%d}\n"
-    app config mode r.Engine.makespan s.Stats.commits s.Stats.aborts
-    s.Stats.user_aborts s.Stats.writes s.Stats.writes_elided_heap
-    s.Stats.writes_elided_stack s.Stats.redo_inserts s.Stats.redo_hits
-    s.Stats.redo_skips s.Stats.publish_cycles s.Stats.undo_entries
-    s.Stats.waw_hits
 
 (* Apps whose transactions initialise freshly-allocated structures, so the
    capture check must prove writes captured and lazy mode must elide their
@@ -1010,47 +919,17 @@ let lazyab () =
   headline
     "Eager vs lazy versioning A/B: write-buffer (redo) backend, captured \
      writes bypass the buffer, 1 thread, simulator (JSON lines)";
-  let configs =
-    [
-      ("tree", Config.runtime Alloc_log.Tree);
-      ("tree+fp", Config.with_fastpath (Config.runtime Alloc_log.Tree));
-    ]
-  in
+  let tree = Config.runtime Alloc_log.Tree in
   List.iter
     (fun app ->
       List.iter
-        (fun (cname, cfg) ->
-          let eager = run_sim app cfg ~nthreads:1 ~seed:1 in
-          let lz = run_sim app (Config.with_lazy cfg) ~nthreads:1 ~seed:1 in
-          let es = eager.Engine.stats and ls = lz.Engine.stats in
-          (* Semantics preservation under identical seeds: versioning
-             policy may change costs, never outcomes.  (App invariants
-             were verified inside run_sim for both.) *)
-          assert (es.Stats.commits = ls.Stats.commits);
-          assert (es.Stats.user_aborts = ls.Stats.user_aborts);
+        (fun cfg ->
+          let lz = ab ~section:"lazyab" app cfg (Config.with_lazy cfg) in
           (* The paper's payoff must actually materialise on the alloc-
              heavy apps once the capture check is in play. *)
           if List.mem app.App.name lazyab_must_skip then
-            assert (ls.Stats.redo_skips > 0);
-          lazyab_json ~app:app.App.name ~config:cname
-            ~mode:(Config.mode_name cfg) eager;
-          lazyab_json ~app:app.App.name ~config:cname
-            ~mode:(Config.mode_name (Config.with_lazy cfg)) lz;
-          let shared_w = ls.Stats.redo_inserts + ls.Stats.waw_hits in
-          let skipped = ls.Stats.redo_skips in
-          Printf.printf
-            "# %-14s %-8s redo-skips %7d / %7d buffered+skipped writes \
-             (%5.1f%% bypass)  publish cycles %7d  makespan %+5.1f%%\n"
-            app.App.name cname skipped
-            (shared_w + skipped)
-            (100.
-            *. float_of_int skipped
-            /. float_of_int (max 1 (shared_w + skipped)))
-            ls.Stats.publish_cycles
-            (-.improvement
-                ~base:(float_of_int (max 1 eager.Engine.makespan))
-                (float_of_int lz.Engine.makespan)))
-        configs)
+            assert (lz.Engine.stats.Stats.redo_skips > 0))
+        [ tree; Config.with_fastpath tree ])
     apps
 
 (* ------------------------------------------------------------------ *)
@@ -1058,37 +937,23 @@ let lazyab () =
 
 module Wal = Captured_stm.Wal
 
-let wal_json ~app ~mode ~commits ~(s : Stats.t) ~appended ~log_bytes
-    ~recovery_ms =
-  Printf.printf
-    "{\"section\":\"wal\",\"app\":\"%s\",\"mode\":\"%s\",\
-     \"commits\":%d,\"wal\":{\"records\":%d,\"log_bytes\":%d,\
-     \"appended_bytes\":%d,\"bytes_per_commit\":%.1f,\"fsyncs\":%d,\
-     \"wal_skips\":%d,\"writes_elided\":%d,\"recovery_ms\":%.3f}}\n"
-    app mode commits s.Stats.wal_records log_bytes appended
-    (float_of_int appended /. float_of_int (max 1 commits))
-    s.Stats.wal_fsyncs s.Stats.wal_skips
-    (s.Stats.writes_elided_stack + s.Stats.writes_elided_heap
-    + s.Stats.writes_elided_static)
-    recovery_ms
-
 let wal_section () =
   headline
     "Durable transactions: WAL overhead + captured-write log elision + \
      recovery replay (1 thread, simulator, JSON lines)";
+  let eager =
+    Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree
+  in
   let configs =
     [
-      ("eager+wal", Config.runtime ~scope:Config.heap_write_only_scope
-                      Alloc_log.Tree |> Config.with_durable);
-      ("lazy+wal", Config.runtime ~scope:Config.heap_write_only_scope
-                     Alloc_log.Tree |> Config.with_lazy
-                   |> Config.with_tvalidate |> Config.with_durable);
+      Config.with_durable eager;
+      eager |> Config.with_lazy |> Config.with_tvalidate |> Config.with_durable;
     ]
   in
   List.iter
     (fun app ->
       List.iter
-        (fun (mname, cfg) ->
+        (fun cfg ->
           let p = app.App.prepare ~nthreads:1 ~scale:(scale ()) cfg in
           let w = Wal.create ~group:cfg.Config.wal_group () in
           Engine.attach_wal p.App.world w;
@@ -1105,42 +970,38 @@ let wal_section () =
           (* Recovery must replay every synced commit record. *)
           assert (List.length rc.Wal.r_applied_seqs = Wal.synced_seq w);
           let s = r.Engine.stats in
+          let mode = Config.mode_name cfg in
+          let appended = Wal.appended_bytes w in
+          let per_commit =
+            float_of_int appended /. float_of_int (max 1 s.Stats.commits)
+          in
+          json_line ~section:"wal"
+            [
+              ("app", str app.App.name);
+              ("mode", str mode);
+              ("log_bytes", string_of_int (Wal.log_bytes w));
+              ("appended_bytes", string_of_int appended);
+              ("bytes_per_commit", Printf.sprintf "%.1f" per_commit);
+              ("recovery_ms", Printf.sprintf "%.3f" rc.Wal.r_wall_ms);
+            ]
+            r;
           let elided =
             s.Stats.writes_elided_stack + s.Stats.writes_elided_heap
             + s.Stats.writes_elided_static
           in
-          wal_json ~app:app.App.name ~mode:mname ~commits:s.Stats.commits
-            ~s ~appended:(Wal.appended_bytes w) ~log_bytes:(Wal.log_bytes w)
-            ~recovery_ms:rc.Wal.r_wall_ms;
           Printf.printf
-            "# %-14s %-10s %7d B logged / %5d commits (%6.1f B/txn)  \
-             fsyncs %5d  captured-skips %7d/%7d (%5.1f%% of elided \
-             writes)  recovery %7.3f ms\n"
-            app.App.name mname (Wal.appended_bytes w) s.Stats.commits
-            (float_of_int (Wal.appended_bytes w)
-            /. float_of_int (max 1 s.Stats.commits))
-            s.Stats.wal_fsyncs s.Stats.wal_skips elided
-            (100.
-            *. float_of_int s.Stats.wal_skips
+            "# %-14s %-12s %7d B logged (%6.1f B/txn)  log skips %5.1f%% of \
+             elided writes  recovery %7.3f ms  %s\n"
+            app.App.name mode appended per_commit
+            (100. *. float_of_int s.Stats.wal_skips
             /. float_of_int (max 1 elided))
-            rc.Wal.r_wall_ms)
+            rc.Wal.r_wall_ms
+            (show s [ "commits"; "wal_fsyncs"; "wal_skips" ]))
         configs)
     apps
 
 (* ------------------------------------------------------------------ *)
 (* Epoch-based reclamation A/B: limbo depth and reclaim-stall overhead  *)
-
-let reclaim_json ~app ~ebr ~threads (r : Engine.result) =
-  let s = r.Engine.stats in
-  Printf.printf
-    "{\"section\":\"reclaim\",\"app\":\"%s\",\"ebr\":%b,\"threads\":%d,\
-     \"commits\":%d,\"aborts\":%d,\"user_aborts\":%d,\"tx_frees\":%d,\
-     \"limbo_blocks\":%d,\"limbo_words\":%d,\"epoch_advances\":%d,\
-     \"reclaim_stalls\":%d,\"grace_waits\":%d,\"makespan\":%d}\n"
-    app ebr threads s.Stats.commits s.Stats.aborts s.Stats.user_aborts
-    s.Stats.tx_frees s.Stats.limbo_blocks s.Stats.limbo_words
-    s.Stats.epoch_advances s.Stats.reclaim_stalls s.Stats.grace_waits
-    r.Engine.makespan
 
 let reclaim_section () =
   headline
@@ -1152,34 +1013,21 @@ let reclaim_section () =
       (* (a) Single-thread A/B under identical seeds: EBR only defers when
          a freed block returns to the free lists, so commit and user-abort
          counts must match exactly. *)
-      let off = run_sim app cfg ~nthreads:1 ~seed:1 in
-      let on = run_sim app (Config.with_ebr cfg) ~nthreads:1 ~seed:1 in
-      assert (off.Engine.stats.Stats.commits = on.Engine.stats.Stats.commits);
-      assert (
-        off.Engine.stats.Stats.user_aborts = on.Engine.stats.Stats.user_aborts);
-      reclaim_json ~app:app.App.name ~ebr:false ~threads:1 off;
-      reclaim_json ~app:app.App.name ~ebr:true ~threads:1 on;
+      ignore (ab ~section:"reclaim" app cfg (Config.with_ebr cfg));
       (* (b) 16-thread leg: limbo depth and epoch traffic under real
          contention (EBR's extra cycles shift interleavings, so only the
          +ebr run's own counters are meaningful here). *)
-      let off16 = run_sim app cfg ~nthreads:sim_threads ~seed:1 in
-      let on16 =
-        run_sim app (Config.with_ebr cfg) ~nthreads:sim_threads ~seed:1
-      in
-      reclaim_json ~app:app.App.name ~ebr:false ~threads:sim_threads off16;
-      reclaim_json ~app:app.App.name ~ebr:true ~threads:sim_threads on16;
-      let s = on16.Engine.stats in
-      Printf.printf
-        "# %-14s frees %6d  limbo high-water %4d blocks / %5d words  \
-         epoch-advances %5d  stalls %4d  makespan %+5.1f%% (1 thr %+5.1f%%)\n"
-        app.App.name s.Stats.tx_frees s.Stats.limbo_blocks s.Stats.limbo_words
-        s.Stats.epoch_advances s.Stats.reclaim_stalls
-        (-.improvement
-            ~base:(float_of_int (max 1 off16.Engine.makespan))
-            (float_of_int on16.Engine.makespan))
-        (-.improvement
-            ~base:(float_of_int (max 1 off.Engine.makespan))
-            (float_of_int on.Engine.makespan)))
+      let run = run_json ~section:"reclaim" ~nthreads:sim_threads app in
+      let off = run cfg in
+      let on = run (Config.with_ebr cfg) in
+      Printf.printf "# %-14s %d thr: makespan %+5.1f%%  %s\n" app.App.name
+        sim_threads
+        (change ~base:off.Engine.makespan on.Engine.makespan)
+        (show on.Engine.stats
+           [
+             "tx_frees"; "limbo_blocks"; "limbo_words"; "epoch_advances";
+             "reclaim_stalls";
+           ]))
     apps
 
 (* ------------------------------------------------------------------ *)

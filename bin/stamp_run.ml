@@ -41,90 +41,19 @@ let scale_of_name = function
   | "large" -> Ok App.Large
   | other -> Error (Printf.sprintf "unknown scale %s" other)
 
-let int_array_json a =
-  "["
-  ^ String.concat "," (List.map string_of_int (Array.to_list a))
-  ^ "]"
-
-(* Top conflicting (shard, tid, peer) pairs, capped so a pathological run
-   cannot flood the JSON line. *)
-let pairs_json s =
-  let top =
-    List.filteri (fun i _ -> i < 8) (Stats.pairs s)
-  in
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun (shard, tid, peer, n) ->
-           Printf.sprintf
-             "{\"shard\":%d,\"tid\":%d,\"peer\":%d,\"count\":%d}" shard tid
-             peer n)
-         top)
-  ^ "]"
-
 (* Orec table geometry: runs that differ only in table size behave
    differently under contention, so every report names it. *)
 let orec_records config = 1 lsl config.Config.orec_bits
 
 let print_json ~app ~config ~threads (r : Engine.result) ~native =
-  let s = r.Engine.stats in
   Printf.printf
     "{\"app\":\"%s\",\"config\":\"%s\",\"threads\":%d,\"backend\":\"%s\",\
-     \"mode\":\"%s\",\"orecs\":%d,\"orec_shards\":%d,\
-     \"commits\":%d,\"aborts\":%d,\"user_aborts\":%d,\"reads\":%d,\
-     \"writes\":%d,\"reads_elided_stack\":%d,\"reads_elided_heap\":%d,\
-     \"reads_elided_private\":%d,\"reads_elided_static\":%d,\
-     \"reads_forwarded\":%d,\"writes_elided_stack\":%d,\
-     \"writes_elided_heap\":%d,\"writes_elided_private\":%d,\
-     \"writes_elided_static\":%d,\
-     \"waw_hits\":%d,\"undo_entries\":%d,\"lock_waits\":%d,\
-     \"tx_allocs\":%d,\"tx_frees\":%d,\"summary_rejects\":%d,\
-     \"mru_hits\":%d,\"backend_probes\":%d,\"promotions\":%d,\
-     \"overflows\":%d,\"capture_check_cycles\":%d,\
-     \"capture_site_bypasses\":%d,\"validations\":%d,\
-     \"validations_skipped\":%d,\"snapshot_extensions\":%d,\
-     \"readonly_fast_commits\":%d,\"clock_advances\":%d,\
-     \"clock_resyncs\":%d,\
-     \"redo_inserts\":%d,\"redo_hits\":%d,\"redo_skips\":%d,\
-     \"publish_cycles\":%d,\
-     \"validation_cycles\":%d,\"spin_aborts\":%d,\"backoff_cycles\":%d,\
-     \"fuel_exhaustions\":%d,\"sandbox_aborts\":%d,\"sandbox_bounds\":%d,\
-     \"faults_injected\":%d,\"cm_max_consec_aborts\":%d,\
-     \"cm_starvation_events\":%d,\"shard_acquires\":%s,\
-     \"shard_conflicts\":%s,\"top_conflict_pairs\":%s,\
-     \"wal_records\":%d,\"wal_bytes\":%d,\"wal_fsyncs\":%d,\
-     \"wal_skips\":%d,\"limbo_blocks\":%d,\"limbo_words\":%d,\
-     \"epoch_advances\":%d,\"reclaim_stalls\":%d,\"grace_waits\":%d,\
-     \"makespan\":%d,\
+     \"mode\":\"%s\",\"orecs\":%d,\"orec_shards\":%d,%s,\"makespan\":%d,\
      \"wall_ms\":%.3f,\"per_thread_wall_ms\":[%s]}\n"
     app (Config.name config) threads
     (if native then "native" else "sim")
     (Config.mode_name config) (orec_records config) config.Config.orec_shards
-    s.Stats.commits s.Stats.aborts s.Stats.user_aborts s.Stats.reads
-    s.Stats.writes s.Stats.reads_elided_stack s.Stats.reads_elided_heap
-    s.Stats.reads_elided_private s.Stats.reads_elided_static
-    s.Stats.reads_forwarded s.Stats.writes_elided_stack
-    s.Stats.writes_elided_heap s.Stats.writes_elided_private
-    s.Stats.writes_elided_static
-    s.Stats.waw_hits s.Stats.undo_entries s.Stats.lock_waits s.Stats.tx_allocs
-    s.Stats.tx_frees s.Stats.capture_summary_rejects s.Stats.capture_mru_hits
-    s.Stats.capture_backend_probes s.Stats.capture_promotions
-    s.Stats.capture_log_overflows s.Stats.capture_check_cycles
-    s.Stats.capture_site_bypasses s.Stats.validations
-    s.Stats.validations_skipped
-    s.Stats.snapshot_extensions s.Stats.readonly_fast_commits
-    s.Stats.clock_advances s.Stats.clock_resyncs
-    s.Stats.redo_inserts s.Stats.redo_hits s.Stats.redo_skips
-    s.Stats.publish_cycles
-    s.Stats.validation_cycles s.Stats.spin_aborts
-    s.Stats.backoff_cycles s.Stats.fuel_exhaustions s.Stats.sandbox_aborts
-    s.Stats.sandbox_bounds s.Stats.faults_injected
-    s.Stats.cm_max_consec_aborts s.Stats.cm_starvation_events
-    (int_array_json s.Stats.shard_acquires)
-    (int_array_json s.Stats.shard_conflicts)
-    (pairs_json s) s.Stats.wal_records s.Stats.wal_bytes s.Stats.wal_fsyncs
-    s.Stats.wal_skips s.Stats.limbo_blocks s.Stats.limbo_words
-    s.Stats.epoch_advances s.Stats.reclaim_stalls s.Stats.grace_waits
+    (Stats.json_fields r.Engine.stats)
     r.Engine.makespan
     (1000. *. r.Engine.wall)
     (String.concat ","
@@ -135,96 +64,19 @@ let print_json ~app ~config ~threads (r : Engine.result) ~native =
 
 let print_result (r : Engine.result) ~native =
   let s = r.Engine.stats in
-  Printf.printf "commits:            %d\n" s.Stats.commits;
-  Printf.printf "aborts:             %d (ratio %.3f)\n" s.Stats.aborts
-    (Stats.abort_ratio s);
-  Printf.printf "user aborts:        %d\n" s.Stats.user_aborts;
-  Printf.printf "reads:              %d\n" s.Stats.reads;
-  Printf.printf "  elided (stack):   %d\n" s.Stats.reads_elided_stack;
-  Printf.printf "  elided (heap):    %d\n" s.Stats.reads_elided_heap;
-  Printf.printf "  elided (private): %d\n" s.Stats.reads_elided_private;
-  Printf.printf "  elided (static):  %d\n" s.Stats.reads_elided_static;
-  Printf.printf "  forwarded:        %d\n" s.Stats.reads_forwarded;
-  Printf.printf "writes:             %d\n" s.Stats.writes;
-  Printf.printf "  elided (stack):   %d\n" s.Stats.writes_elided_stack;
-  Printf.printf "  elided (heap):    %d\n" s.Stats.writes_elided_heap;
-  Printf.printf "  elided (private): %d\n" s.Stats.writes_elided_private;
-  Printf.printf "  elided (static):  %d\n" s.Stats.writes_elided_static;
-  Printf.printf "waw filter hits:    %d\n" s.Stats.waw_hits;
-  Printf.printf "undo log entries:   %d\n" s.Stats.undo_entries;
-  Printf.printf "lock waits:         %d\n" s.Stats.lock_waits;
-  Printf.printf "tx allocs / frees:  %d / %d\n" s.Stats.tx_allocs s.Stats.tx_frees;
-  Printf.printf "capture fast path:  summary-reject %d / mru-hit %d / \
-                 backend-probe %d\n"
-    s.Stats.capture_summary_rejects s.Stats.capture_mru_hits
-    s.Stats.capture_backend_probes;
-  Printf.printf "  promotions:       %d\n" s.Stats.capture_promotions;
-  Printf.printf "  array overflows:  %d\n" s.Stats.capture_log_overflows;
-  Printf.printf "  check cycles:     %d\n" s.Stats.capture_check_cycles;
-  Printf.printf "  site bypasses:    %d\n" s.Stats.capture_site_bypasses;
-  Printf.printf "validation:         full-scans %d / skipped %d / \
-                 extensions %d\n"
-    s.Stats.validations s.Stats.validations_skipped
-    s.Stats.snapshot_extensions;
-  Printf.printf "  ro fast commits:  %d\n" s.Stats.readonly_fast_commits;
-  Printf.printf "  clock advances:   %d (resyncs %d)\n" s.Stats.clock_advances
-    s.Stats.clock_resyncs;
-  Printf.printf "  cycles:           %d\n" s.Stats.validation_cycles;
-  if s.Stats.redo_inserts + s.Stats.redo_hits + s.Stats.redo_skips > 0 then begin
-    Printf.printf "redo buffer:        inserts %d / read-hits %d / \
-                   captured-skips %d\n"
-      s.Stats.redo_inserts s.Stats.redo_hits s.Stats.redo_skips;
-    Printf.printf "  publish cycles:   %d\n" s.Stats.publish_cycles
-  end;
-  if Array.length s.Stats.shard_conflicts > 1 then begin
-    Printf.printf "shard locality:     acquires [%s] / conflicts [%s]\n"
-      (String.concat " "
-         (List.map string_of_int (Array.to_list s.Stats.shard_acquires)))
-      (String.concat " "
-         (List.map string_of_int (Array.to_list s.Stats.shard_conflicts)));
-    match Stats.pairs s with
-    | [] -> ()
-    | (shard, tid, peer, n) :: _ ->
-        Printf.printf "  hottest pair:     shard %d, t%d vs t%d (%d waits)\n"
-          shard tid peer n
-  end;
-  Printf.printf "contention:         spin-aborts %d / backoff-cycles %d / \
-                 max-consec-aborts %d\n"
-    s.Stats.spin_aborts s.Stats.backoff_cycles s.Stats.cm_max_consec_aborts;
-  Printf.printf "  starvation:       %d\n" s.Stats.cm_starvation_events;
-  Printf.printf "sandbox:            fuel-exhaustions %d / aborts %d / \
-                 bounds %d\n"
-    s.Stats.fuel_exhaustions s.Stats.sandbox_aborts s.Stats.sandbox_bounds;
-  if s.Stats.faults_injected > 0 then
-    Printf.printf "faults injected:    %d\n" s.Stats.faults_injected;
-  if s.Stats.wal_records + s.Stats.wal_skips > 0 then
-    Printf.printf "wal:                records %d / bytes %d / fsyncs %d / \
-                   captured-skips %d\n"
-      s.Stats.wal_records s.Stats.wal_bytes s.Stats.wal_fsyncs
-      s.Stats.wal_skips;
-  if
-    s.Stats.epoch_advances + s.Stats.limbo_blocks + s.Stats.reclaim_stalls
-    + s.Stats.grace_waits
-    > 0
-  then begin
-    Printf.printf "reclaim:            epoch-advances %d / stalls %d / \
-                   grace-waits %d\n"
-      s.Stats.epoch_advances s.Stats.reclaim_stalls s.Stats.grace_waits;
-    Printf.printf "  limbo high-water: %d blocks / %d words\n"
-      s.Stats.limbo_blocks s.Stats.limbo_words
-  end;
+  print_string (Stats.report s);
+  Printf.printf "%-25s %.3f\n" "abort ratio:" (Stats.abort_ratio s);
   if native then begin
-    Printf.printf "wall time:          %.3f ms\n" (1000. *. r.Engine.wall);
-    Printf.printf "native makespan:    %.3f ms (slowest domain)\n"
+    Printf.printf "%-25s %.3f ms\n" "wall time:" (1000. *. r.Engine.wall);
+    Printf.printf "%-25s %.3f ms (slowest domain)\n" "native makespan:"
       (float_of_int r.Engine.makespan /. 1e6);
     Array.iteri
       (fun tid tw ->
-        Printf.printf "  domain %-2d wall:   %.3f ms (%d commits)\n" tid
-          (1000. *. tw)
-          r.Engine.per_thread.(tid).Stats.commits)
+        Printf.printf "  domain %-2d wall: %8.3f ms  %s\n" tid (1000. *. tw)
+          (Format.asprintf "%a" Stats.pp r.Engine.per_thread.(tid)))
       r.Engine.per_thread_wall
   end
-  else Printf.printf "virtual makespan:   %d cycles\n" r.Engine.makespan
+  else Printf.printf "%-25s %d cycles\n" "virtual makespan:" r.Engine.makespan
 
 let cm_of_name name =
   match Cm.policy_of_name name with

@@ -16,8 +16,6 @@ type t = {
   tvalidate : bool;
   static_filter : bool;
   pessimistic_reads : bool;
-  waw_filter : bool;
-  use_private_log : bool;
   audit : bool;
   orec_bits : int;
   line_words_log2 : int;
@@ -52,8 +50,6 @@ let default =
     tvalidate = false;
     static_filter = false;
     pessimistic_reads = false;
-    waw_filter = true;
-    use_private_log = true;
     audit = false;
     orec_bits = 17;
     line_words_log2 = 2;

@@ -54,11 +54,6 @@ type t = {
           versioned reads — the mode the paper's §2.1 says Intel's STM
           falls back to "in certain cases".  Readers are exclusive here
           (no shared read locks), the simplest pessimistic scheme. *)
-  waw_filter : bool;
-  use_private_log : bool;
-      (** Consult the thread-local/read-only annotation log in barriers
-          (cheap when empty; the paper's experiments leave annotations
-          unused, and so do ours except the annotation examples). *)
   audit : bool;
       (** Maintain a precise side tree and classify every instrumented
           access (Figure 8 measurement mode); independent of elision. *)

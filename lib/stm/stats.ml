@@ -171,153 +171,141 @@ let pairs t =
     t.conflict_pairs []
   |> List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a)
 
-let reset t =
-  t.commits <- 0;
-  t.aborts <- 0;
-  t.user_aborts <- 0;
-  t.nested_commits <- 0;
-  t.nested_aborts <- 0;
-  t.reads <- 0;
-  t.writes <- 0;
-  t.reads_elided_stack <- 0;
-  t.reads_elided_heap <- 0;
-  t.reads_elided_private <- 0;
-  t.reads_elided_static <- 0;
-  t.reads_forwarded <- 0;
-  t.writes_elided_stack <- 0;
-  t.writes_elided_heap <- 0;
-  t.writes_elided_private <- 0;
-  t.writes_elided_static <- 0;
-  t.waw_hits <- 0;
-  t.undo_entries <- 0;
-  t.validations <- 0;
-  t.lock_waits <- 0;
-  t.audit_reads_heap <- 0;
-  t.audit_reads_stack <- 0;
-  t.audit_reads_required <- 0;
-  t.audit_reads_other <- 0;
-  t.audit_writes_heap <- 0;
-  t.audit_writes_stack <- 0;
-  t.audit_writes_required <- 0;
-  t.audit_writes_other <- 0;
-  t.audit_static_violations <- 0;
-  t.tx_allocs <- 0;
-  t.tx_frees <- 0;
-  t.capture_summary_rejects <- 0;
-  t.capture_mru_hits <- 0;
-  t.capture_backend_probes <- 0;
-  t.capture_promotions <- 0;
-  t.capture_log_overflows <- 0;
-  t.capture_check_cycles <- 0;
-  t.capture_site_bypasses <- 0;
-  t.validations_skipped <- 0;
-  t.snapshot_extensions <- 0;
-  t.readonly_fast_commits <- 0;
-  t.clock_advances <- 0;
-  t.validation_cycles <- 0;
-  t.spin_aborts <- 0;
-  t.backoff_cycles <- 0;
-  t.fuel_exhaustions <- 0;
-  t.sandbox_aborts <- 0;
-  t.sandbox_bounds <- 0;
-  t.faults_injected <- 0;
-  t.cm_max_consec_aborts <- 0;
-  t.cm_starvation_events <- 0;
-  t.clock_resyncs <- 0;
-  t.redo_inserts <- 0;
-  t.redo_hits <- 0;
-  t.redo_skips <- 0;
-  t.publish_cycles <- 0;
-  t.wal_records <- 0;
-  t.wal_bytes <- 0;
-  t.wal_fsyncs <- 0;
-  t.wal_skips <- 0;
-  t.limbo_blocks <- 0;
-  t.limbo_words <- 0;
-  t.epoch_advances <- 0;
-  t.reclaim_stalls <- 0;
-  t.grace_waits <- 0;
-  Array.fill t.shard_acquires 0 (Array.length t.shard_acquires) 0;
-  Array.fill t.shard_conflicts 0 (Array.length t.shard_conflicts) 0;
-  Hashtbl.reset t.conflict_pairs
+type merge = Sum | Max
+
+type counter = {
+  name : string;
+  merge : merge;
+  get : t -> int;
+  set : t -> int -> unit;
+}
+
+(* One row per integer field of [t], in field order.  [merge], the JSON
+   fields and the text report are derived from this table; test_engine
+   fails when a field has no row. *)
+let counters =
+  let row merge name get set = { name; merge; get; set } in
+  let sum = row Sum and peak = row Max in
+  [
+    sum "commits" (fun t -> t.commits) (fun t v -> t.commits <- v);
+    sum "aborts" (fun t -> t.aborts) (fun t v -> t.aborts <- v);
+    sum "user_aborts" (fun t -> t.user_aborts) (fun t v -> t.user_aborts <- v);
+    sum "nested_commits" (fun t -> t.nested_commits)
+      (fun t v -> t.nested_commits <- v);
+    sum "nested_aborts" (fun t -> t.nested_aborts)
+      (fun t v -> t.nested_aborts <- v);
+    sum "reads" (fun t -> t.reads) (fun t v -> t.reads <- v);
+    sum "writes" (fun t -> t.writes) (fun t v -> t.writes <- v);
+    sum "reads_elided_stack" (fun t -> t.reads_elided_stack)
+      (fun t v -> t.reads_elided_stack <- v);
+    sum "reads_elided_heap" (fun t -> t.reads_elided_heap)
+      (fun t v -> t.reads_elided_heap <- v);
+    sum "reads_elided_private" (fun t -> t.reads_elided_private)
+      (fun t v -> t.reads_elided_private <- v);
+    sum "reads_elided_static" (fun t -> t.reads_elided_static)
+      (fun t v -> t.reads_elided_static <- v);
+    sum "reads_forwarded" (fun t -> t.reads_forwarded)
+      (fun t v -> t.reads_forwarded <- v);
+    sum "writes_elided_stack" (fun t -> t.writes_elided_stack)
+      (fun t v -> t.writes_elided_stack <- v);
+    sum "writes_elided_heap" (fun t -> t.writes_elided_heap)
+      (fun t v -> t.writes_elided_heap <- v);
+    sum "writes_elided_private" (fun t -> t.writes_elided_private)
+      (fun t v -> t.writes_elided_private <- v);
+    sum "writes_elided_static" (fun t -> t.writes_elided_static)
+      (fun t v -> t.writes_elided_static <- v);
+    sum "waw_hits" (fun t -> t.waw_hits) (fun t v -> t.waw_hits <- v);
+    sum "undo_entries" (fun t -> t.undo_entries)
+      (fun t v -> t.undo_entries <- v);
+    sum "validations" (fun t -> t.validations) (fun t v -> t.validations <- v);
+    sum "lock_waits" (fun t -> t.lock_waits) (fun t v -> t.lock_waits <- v);
+    sum "audit_reads_heap" (fun t -> t.audit_reads_heap)
+      (fun t v -> t.audit_reads_heap <- v);
+    sum "audit_reads_stack" (fun t -> t.audit_reads_stack)
+      (fun t v -> t.audit_reads_stack <- v);
+    sum "audit_reads_required" (fun t -> t.audit_reads_required)
+      (fun t v -> t.audit_reads_required <- v);
+    sum "audit_reads_other" (fun t -> t.audit_reads_other)
+      (fun t v -> t.audit_reads_other <- v);
+    sum "audit_writes_heap" (fun t -> t.audit_writes_heap)
+      (fun t v -> t.audit_writes_heap <- v);
+    sum "audit_writes_stack" (fun t -> t.audit_writes_stack)
+      (fun t v -> t.audit_writes_stack <- v);
+    sum "audit_writes_required" (fun t -> t.audit_writes_required)
+      (fun t v -> t.audit_writes_required <- v);
+    sum "audit_writes_other" (fun t -> t.audit_writes_other)
+      (fun t v -> t.audit_writes_other <- v);
+    sum "audit_static_violations" (fun t -> t.audit_static_violations)
+      (fun t v -> t.audit_static_violations <- v);
+    sum "tx_allocs" (fun t -> t.tx_allocs) (fun t v -> t.tx_allocs <- v);
+    sum "tx_frees" (fun t -> t.tx_frees) (fun t v -> t.tx_frees <- v);
+    sum "capture_summary_rejects" (fun t -> t.capture_summary_rejects)
+      (fun t v -> t.capture_summary_rejects <- v);
+    sum "capture_mru_hits" (fun t -> t.capture_mru_hits)
+      (fun t v -> t.capture_mru_hits <- v);
+    sum "capture_backend_probes" (fun t -> t.capture_backend_probes)
+      (fun t v -> t.capture_backend_probes <- v);
+    sum "capture_promotions" (fun t -> t.capture_promotions)
+      (fun t v -> t.capture_promotions <- v);
+    sum "capture_log_overflows" (fun t -> t.capture_log_overflows)
+      (fun t v -> t.capture_log_overflows <- v);
+    sum "capture_check_cycles" (fun t -> t.capture_check_cycles)
+      (fun t v -> t.capture_check_cycles <- v);
+    sum "capture_site_bypasses" (fun t -> t.capture_site_bypasses)
+      (fun t v -> t.capture_site_bypasses <- v);
+    sum "validations_skipped" (fun t -> t.validations_skipped)
+      (fun t v -> t.validations_skipped <- v);
+    sum "snapshot_extensions" (fun t -> t.snapshot_extensions)
+      (fun t v -> t.snapshot_extensions <- v);
+    sum "readonly_fast_commits" (fun t -> t.readonly_fast_commits)
+      (fun t v -> t.readonly_fast_commits <- v);
+    sum "clock_advances" (fun t -> t.clock_advances)
+      (fun t v -> t.clock_advances <- v);
+    sum "validation_cycles" (fun t -> t.validation_cycles)
+      (fun t v -> t.validation_cycles <- v);
+    sum "spin_aborts" (fun t -> t.spin_aborts) (fun t v -> t.spin_aborts <- v);
+    sum "backoff_cycles" (fun t -> t.backoff_cycles)
+      (fun t v -> t.backoff_cycles <- v);
+    sum "fuel_exhaustions" (fun t -> t.fuel_exhaustions)
+      (fun t v -> t.fuel_exhaustions <- v);
+    sum "sandbox_aborts" (fun t -> t.sandbox_aborts)
+      (fun t v -> t.sandbox_aborts <- v);
+    sum "sandbox_bounds" (fun t -> t.sandbox_bounds)
+      (fun t v -> t.sandbox_bounds <- v);
+    sum "faults_injected" (fun t -> t.faults_injected)
+      (fun t v -> t.faults_injected <- v);
+    peak "cm_max_consec_aborts" (fun t -> t.cm_max_consec_aborts)
+      (fun t v -> t.cm_max_consec_aborts <- v);
+    sum "cm_starvation_events" (fun t -> t.cm_starvation_events)
+      (fun t v -> t.cm_starvation_events <- v);
+    sum "clock_resyncs" (fun t -> t.clock_resyncs)
+      (fun t v -> t.clock_resyncs <- v);
+    sum "redo_inserts" (fun t -> t.redo_inserts)
+      (fun t v -> t.redo_inserts <- v);
+    sum "redo_hits" (fun t -> t.redo_hits) (fun t v -> t.redo_hits <- v);
+    sum "redo_skips" (fun t -> t.redo_skips) (fun t v -> t.redo_skips <- v);
+    sum "publish_cycles" (fun t -> t.publish_cycles)
+      (fun t v -> t.publish_cycles <- v);
+    sum "wal_records" (fun t -> t.wal_records) (fun t v -> t.wal_records <- v);
+    sum "wal_bytes" (fun t -> t.wal_bytes) (fun t v -> t.wal_bytes <- v);
+    sum "wal_fsyncs" (fun t -> t.wal_fsyncs) (fun t v -> t.wal_fsyncs <- v);
+    sum "wal_skips" (fun t -> t.wal_skips) (fun t v -> t.wal_skips <- v);
+    peak "limbo_blocks" (fun t -> t.limbo_blocks)
+      (fun t v -> t.limbo_blocks <- v);
+    peak "limbo_words" (fun t -> t.limbo_words) (fun t v -> t.limbo_words <- v);
+    sum "epoch_advances" (fun t -> t.epoch_advances)
+      (fun t v -> t.epoch_advances <- v);
+    sum "reclaim_stalls" (fun t -> t.reclaim_stalls)
+      (fun t v -> t.reclaim_stalls <- v);
+    sum "grace_waits" (fun t -> t.grace_waits) (fun t v -> t.grace_waits <- v)
+  ]
 
 let merge acc x =
-  acc.commits <- acc.commits + x.commits;
-  acc.aborts <- acc.aborts + x.aborts;
-  acc.user_aborts <- acc.user_aborts + x.user_aborts;
-  acc.nested_commits <- acc.nested_commits + x.nested_commits;
-  acc.nested_aborts <- acc.nested_aborts + x.nested_aborts;
-  acc.reads <- acc.reads + x.reads;
-  acc.writes <- acc.writes + x.writes;
-  acc.reads_elided_stack <- acc.reads_elided_stack + x.reads_elided_stack;
-  acc.reads_elided_heap <- acc.reads_elided_heap + x.reads_elided_heap;
-  acc.reads_elided_private <- acc.reads_elided_private + x.reads_elided_private;
-  acc.reads_elided_static <- acc.reads_elided_static + x.reads_elided_static;
-  acc.reads_forwarded <- acc.reads_forwarded + x.reads_forwarded;
-  acc.writes_elided_stack <- acc.writes_elided_stack + x.writes_elided_stack;
-  acc.writes_elided_heap <- acc.writes_elided_heap + x.writes_elided_heap;
-  acc.writes_elided_private <-
-    acc.writes_elided_private + x.writes_elided_private;
-  acc.writes_elided_static <- acc.writes_elided_static + x.writes_elided_static;
-  acc.waw_hits <- acc.waw_hits + x.waw_hits;
-  acc.undo_entries <- acc.undo_entries + x.undo_entries;
-  acc.validations <- acc.validations + x.validations;
-  acc.lock_waits <- acc.lock_waits + x.lock_waits;
-  acc.audit_reads_heap <- acc.audit_reads_heap + x.audit_reads_heap;
-  acc.audit_reads_stack <- acc.audit_reads_stack + x.audit_reads_stack;
-  acc.audit_reads_required <- acc.audit_reads_required + x.audit_reads_required;
-  acc.audit_reads_other <- acc.audit_reads_other + x.audit_reads_other;
-  acc.audit_writes_heap <- acc.audit_writes_heap + x.audit_writes_heap;
-  acc.audit_writes_stack <- acc.audit_writes_stack + x.audit_writes_stack;
-  acc.audit_writes_required <-
-    acc.audit_writes_required + x.audit_writes_required;
-  acc.audit_writes_other <- acc.audit_writes_other + x.audit_writes_other;
-  acc.audit_static_violations <-
-    acc.audit_static_violations + x.audit_static_violations;
-  acc.tx_allocs <- acc.tx_allocs + x.tx_allocs;
-  acc.tx_frees <- acc.tx_frees + x.tx_frees;
-  acc.capture_summary_rejects <-
-    acc.capture_summary_rejects + x.capture_summary_rejects;
-  acc.capture_mru_hits <- acc.capture_mru_hits + x.capture_mru_hits;
-  acc.capture_backend_probes <-
-    acc.capture_backend_probes + x.capture_backend_probes;
-  acc.capture_promotions <- acc.capture_promotions + x.capture_promotions;
-  acc.capture_log_overflows <-
-    acc.capture_log_overflows + x.capture_log_overflows;
-  acc.capture_check_cycles <- acc.capture_check_cycles + x.capture_check_cycles;
-  acc.capture_site_bypasses <-
-    acc.capture_site_bypasses + x.capture_site_bypasses;
-  acc.validations_skipped <- acc.validations_skipped + x.validations_skipped;
-  acc.snapshot_extensions <- acc.snapshot_extensions + x.snapshot_extensions;
-  acc.readonly_fast_commits <-
-    acc.readonly_fast_commits + x.readonly_fast_commits;
-  acc.clock_advances <- acc.clock_advances + x.clock_advances;
-  acc.validation_cycles <- acc.validation_cycles + x.validation_cycles;
-  acc.spin_aborts <- acc.spin_aborts + x.spin_aborts;
-  acc.backoff_cycles <- acc.backoff_cycles + x.backoff_cycles;
-  acc.fuel_exhaustions <- acc.fuel_exhaustions + x.fuel_exhaustions;
-  acc.sandbox_aborts <- acc.sandbox_aborts + x.sandbox_aborts;
-  acc.sandbox_bounds <- acc.sandbox_bounds + x.sandbox_bounds;
-  acc.faults_injected <- acc.faults_injected + x.faults_injected;
-  (* A per-thread maximum, not a flow count: merging takes the max. *)
-  acc.cm_max_consec_aborts <- max acc.cm_max_consec_aborts x.cm_max_consec_aborts;
-  acc.cm_starvation_events <- acc.cm_starvation_events + x.cm_starvation_events;
-  acc.clock_resyncs <- acc.clock_resyncs + x.clock_resyncs;
-  acc.redo_inserts <- acc.redo_inserts + x.redo_inserts;
-  acc.redo_hits <- acc.redo_hits + x.redo_hits;
-  acc.redo_skips <- acc.redo_skips + x.redo_skips;
-  acc.publish_cycles <- acc.publish_cycles + x.publish_cycles;
-  acc.wal_records <- acc.wal_records + x.wal_records;
-  acc.wal_bytes <- acc.wal_bytes + x.wal_bytes;
-  acc.wal_fsyncs <- acc.wal_fsyncs + x.wal_fsyncs;
-  acc.wal_skips <- acc.wal_skips + x.wal_skips;
-  (* Limbo depth is a per-thread high-water mark, like
-     [cm_max_consec_aborts]: merging takes the max. *)
-  acc.limbo_blocks <- max acc.limbo_blocks x.limbo_blocks;
-  acc.limbo_words <- max acc.limbo_words x.limbo_words;
-  acc.epoch_advances <- acc.epoch_advances + x.epoch_advances;
-  acc.reclaim_stalls <- acc.reclaim_stalls + x.reclaim_stalls;
-  acc.grace_waits <- acc.grace_waits + x.grace_waits;
+  List.iter
+    (fun c ->
+      let a = c.get acc and b = c.get x in
+      c.set acc (match c.merge with Sum -> a + b | Max -> max a b))
+    counters;
   ensure_shards acc (Array.length x.shard_acquires);
   Array.iteri
     (fun i v -> acc.shard_acquires.(i) <- acc.shard_acquires.(i) + v)
@@ -356,3 +344,42 @@ let pp fmt t =
      (elided %d) waw=%d undo=%d"
     t.commits t.aborts (abort_ratio t) t.reads (reads_elided t) t.writes
     (writes_elided t) t.waw_hits t.undo_entries
+
+let ints sep a = String.concat sep (List.map string_of_int (Array.to_list a))
+
+(* The conflict-pair list is capped so a pathological run cannot flood a
+   JSON line. *)
+let json_fields t =
+  let pair (shard, tid, peer, n) =
+    Printf.sprintf "{\"shard\":%d,\"tid\":%d,\"peer\":%d,\"count\":%d}" shard
+      tid peer n
+  in
+  String.concat ","
+    (List.map (fun c -> Printf.sprintf "\"%s\":%d" c.name (c.get t)) counters
+    @ [
+        Printf.sprintf "\"shard_acquires\":[%s]" (ints "," t.shard_acquires);
+        Printf.sprintf "\"shard_conflicts\":[%s]" (ints "," t.shard_conflicts);
+        Printf.sprintf "\"top_conflict_pairs\":[%s]"
+          (String.concat ","
+             (List.map pair (List.filteri (fun i _ -> i < 8) (pairs t))));
+      ])
+
+let report t =
+  let b = Buffer.create 1024 in
+  let line label fmt = Printf.bprintf b ("%-25s " ^^ fmt ^^ "\n") label in
+  List.iter
+    (fun c ->
+      let v = c.get t in
+      if v <> 0 || c.name = "commits" || c.name = "aborts" then
+        line (c.name ^ ":") "%d" v)
+    counters;
+  if Array.length t.shard_conflicts > 1 then begin
+    line "shard_acquires:" "[%s]" (ints " " t.shard_acquires);
+    line "shard_conflicts:" "[%s]" (ints " " t.shard_conflicts);
+    match pairs t with
+    | [] -> ()
+    | (shard, tid, peer, n) :: _ ->
+        line "top_conflict_pair:" "shard %d, t%d vs t%d (%d waits)" shard tid
+          peer n
+  end;
+  Buffer.contents b

@@ -4,7 +4,11 @@
     ratios (Table 1), elided-barrier fractions (Figure 9), and — in audit
     mode — the Figure 8 classification of each instrumented access as
     captured-heap, captured-stack, required (STAMP's manual
-    instrumentation would also barrier it) or other-not-required. *)
+    instrumentation would also barrier it) or other-not-required.
+
+    The record below is the one list of counters.  Each integer field has
+    one row in {!counters}, which derives {!merge}, {!json_fields} and
+    {!report}; a field's name is its JSON key and its report label. *)
 
 type t = {
   mutable commits : int;
@@ -169,10 +173,24 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
+
+type merge =
+  | Sum  (** a flow count: merging adds *)
+  | Max  (** a per-thread high-water mark: merging takes the larger *)
+
+type counter = {
+  name : string;  (** the record field's name *)
+  merge : merge;
+  get : t -> int;
+  set : t -> int -> unit;
+}
+
+val counters : counter list
+(** Every integer field of {!t}, once each, in field order. *)
+
 val merge : t -> t -> unit
-(** [merge acc x] adds [x] into [acc] (shard arrays grow to the larger
-    length; conflict pairs add per key). *)
+(** [merge acc x] folds [x] into [acc] row by row of {!counters} (shard
+    arrays grow to the larger length; conflict pairs add per key). *)
 
 val sum : t list -> t
 
@@ -193,3 +211,15 @@ val abort_ratio : t -> float
 (** aborts / commits — the paper's Table 1 metric. *)
 
 val pp : Format.formatter -> t -> unit
+(** One-line summary: commits, aborts, reads, writes, elisions. *)
+
+val json_fields : t -> string
+(** The comma-separated JSON fields ["name":value] of every counter, then
+    [shard_acquires], [shard_conflicts] and [top_conflict_pairs] (the
+    eight hottest [{shard, tid, peer, count}]); no enclosing braces, so
+    callers add their own keys. *)
+
+val report : t -> string
+(** The text report: one ["name: value"] line per non-zero counter
+    ([commits] and [aborts] always), then the per-shard arrays and the
+    hottest conflict pair when the table has more than one shard. *)

@@ -582,10 +582,7 @@ let heap_capture_check th log ~lo ~hi =
   (cost lsl 1) lor captured
 
 let private_check th addr size cost =
-  if
-    th.config.Config.use_private_log
-    && Private_log.size th.private_log > 0
-  then
+  if Private_log.size th.private_log > 0 then
     let c = cost + Private_log.search_cost th.private_log in
     if Private_log.contains th.private_log ~addr ~size then
       elision ~cls:elide_private_code ~cost:c
@@ -946,20 +943,14 @@ let full_write tx addr v =
     maybe_validate tx;
     acquire_loop tx oi 0
   end;
-  (if th.config.Config.waw_filter then begin
-     if Waw.note tx.waw addr then begin
-       th.stats.waw_hits <- th.stats.waw_hits + 1;
-       th.platform.consume Costs.waw_hit
-     end
-     else begin
-       th.platform.consume Costs.undo_log_entry;
-       push_undo tx addr (mem_get th addr)
-     end
-   end
-   else begin
-     th.platform.consume Costs.undo_log_entry;
-     push_undo tx addr (mem_get th addr)
-   end);
+  if Waw.note tx.waw addr then begin
+    th.stats.waw_hits <- th.stats.waw_hits + 1;
+    th.platform.consume Costs.waw_hit
+  end
+  else begin
+    th.platform.consume Costs.undo_log_entry;
+    push_undo tx addr (mem_get th addr)
+  end;
   mem_set th addr v
 
 (* Lazy-versioning write barrier.  Probe the buffer first (same ordering
@@ -987,7 +978,7 @@ let lazy_write tx addr v ~site =
        log uses, and skipped entirely at top level, where abort drops
        the whole buffer wholesale. *)
     th.platform.consume Costs.redo_lookup;
-    (if th.config.Config.waw_filter && Waw.note tx.waw addr then begin
+    (if Waw.note tx.waw addr then begin
        st.waw_hits <- st.waw_hits + 1;
        th.platform.consume Costs.waw_hit
      end
@@ -1014,8 +1005,7 @@ let lazy_write tx addr v ~site =
       else begin
         th.platform.consume Costs.redo_insert;
         st.redo_inserts <- st.redo_inserts + 1;
-        if th.config.Config.waw_filter then
-          ignore (Waw.note tx.waw addr : bool);
+        ignore (Waw.note tx.waw addr : bool);
         Redo.insert tx.redo addr v
       end;
       match !tracer with

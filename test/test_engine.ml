@@ -326,18 +326,83 @@ let test_barrier_serial_once_per_round () =
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
-let test_stats_merge_and_reset () =
-  let a = Stats.create () and b = Stats.create () in
-  a.Stats.commits <- 3;
-  a.Stats.reads <- 10;
-  b.Stats.commits <- 4;
-  b.Stats.writes_elided_heap <- 2;
-  let s = Stats.sum [ a; b ] in
-  check_int "commits" 7 s.Stats.commits;
-  check_int "reads" 10 s.Stats.reads;
-  check_int "writes elided" 2 (Stats.writes_elided s);
-  Stats.reset s;
-  check_int "reset" 0 s.Stats.commits
+(* A fresh record whose row [i] holds [i + 1]. *)
+let numbered () =
+  let s = Stats.create () in
+  List.iteri (fun i c -> c.Stats.set s (i + 1)) Stats.counters;
+  s
+
+(* The integer fields, read in declaration order, must be exactly
+   [1 .. rows]: a field with no row stays 0, a row out of field order or
+   two rows on one field break the sequence. *)
+let test_stats_schema_covers_fields () =
+  let s = numbered () in
+  let r = Obj.repr s in
+  let ints =
+    List.filter_map
+      (fun i ->
+        let f = Obj.field r i in
+        if Obj.is_int f then Some (Obj.obj f : int) else None)
+      (List.init (Obj.size r) Fun.id)
+  in
+  let rows = List.length Stats.counters in
+  check_int "one row per integer field" rows (List.length ints);
+  check "fields hold 1 .. rows in order" true
+    (ints = List.init rows (fun i -> i + 1));
+  List.iteri
+    (fun i c -> check_int c.Stats.name (i + 1) (c.Stats.get s))
+    Stats.counters
+
+let test_stats_merge_kinds () =
+  let a = numbered () and b = Stats.create () in
+  List.iteri (fun i c -> c.Stats.set b (1000 - i)) Stats.counters;
+  let before = List.map (fun c -> c.Stats.get a) Stats.counters in
+  Stats.ensure_shards a 2;
+  Stats.ensure_shards b 4;
+  a.Stats.shard_acquires.(1) <- 5;
+  b.Stats.shard_acquires.(1) <- 7;
+  b.Stats.shard_conflicts.(3) <- 2;
+  Stats.note_pair a ~shard:1 ~tid:2 ~peer:3;
+  Stats.note_pair b ~shard:1 ~tid:2 ~peer:3;
+  Stats.note_pair b ~shard:0 ~tid:1 ~peer:0;
+  Stats.merge a b;
+  List.iteri
+    (fun i (c, x) ->
+      let y = 1000 - i in
+      let want =
+        match c.Stats.merge with Stats.Sum -> x + y | Stats.Max -> max x y
+      in
+      check_int c.Stats.name want (c.Stats.get a))
+    (List.combine Stats.counters before);
+  check "three max rows" true
+    (List.filter_map
+       (fun c -> if c.Stats.merge = Stats.Max then Some c.Stats.name else None)
+       Stats.counters
+    = [ "cm_max_consec_aborts"; "limbo_blocks"; "limbo_words" ]);
+  check "acquires grown and added" true
+    (a.Stats.shard_acquires = [| 0; 12; 0; 0 |]);
+  check "conflicts grown and added" true
+    (a.Stats.shard_conflicts = [| 0; 0; 0; 2 |]);
+  check "pairs added per key" true
+    (Stats.pairs a = [ (1, 2, 3, 2); (0, 1, 0, 1) ])
+
+let occurrences sub s =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+let test_stats_json_fields () =
+  let json = Stats.json_fields (numbered ()) in
+  List.iteri
+    (fun i c ->
+      let key = Printf.sprintf "\"%s\":" c.Stats.name in
+      check_int (c.Stats.name ^ " once") 1 (occurrences key json);
+      check_int (c.Stats.name ^ " value") 1
+        (occurrences (Printf.sprintf "%s%d," key (i + 1)) json))
+    Stats.counters
 
 let test_abort_ratio () =
   let s = Stats.create () in
@@ -516,7 +581,10 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "merge/reset" `Quick test_stats_merge_and_reset;
+          Alcotest.test_case "schema covers fields" `Quick
+            test_stats_schema_covers_fields;
+          Alcotest.test_case "merge kinds" `Quick test_stats_merge_kinds;
+          Alcotest.test_case "json fields" `Quick test_stats_json_fields;
           Alcotest.test_case "abort ratio" `Quick test_abort_ratio;
         ] );
       ( "costs",

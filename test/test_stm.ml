@@ -206,7 +206,7 @@ let test_waw_single_undo cfg =
          Txn.abort tx)
    with Txn.User_abort -> ());
   check_int "rolled back through waw" 3 (Memory.get (Engine.memory w) cell);
-  if cfg.Config.waw_filter && cfg.Config.analysis = Config.Baseline then
+  if cfg.Config.analysis = Config.Baseline then
     check "waw hits counted" true ((Txn.thread_stats th).Stats.waw_hits >= 9)
 
 (* ------------------------------------------------------------------ *)
