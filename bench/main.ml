@@ -5,7 +5,7 @@
 
    Usage: main.exe [--quick] [--only fig8,table1,...] [--app NAME,...]
    Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b micro ablation
-   fastpath tvalidate contention scale shards lazyab *)
+   fastpath tvalidate contention scale lazyab wal reclaim *)
 
 open Captured_apps
 module Config = Captured_stm.Config
@@ -26,8 +26,8 @@ let only_apps : string list ref = ref []
 let known_sections =
   [
     "fig8"; "fig9"; "table1"; "table2"; "fig10"; "fig11a"; "fig11b"; "micro";
-    "ablation"; "fastpath"; "tvalidate"; "contention"; "scale"; "shards";
-    "lazyab"; "wal"; "reclaim";
+    "ablation"; "fastpath"; "tvalidate"; "contention"; "scale"; "lazyab";
+    "wal"; "reclaim";
   ]
 
 let scale_domains : int list ref = ref []
@@ -845,69 +845,6 @@ let scale_section () =
     apps
 
 (* ------------------------------------------------------------------ *)
-(* Shards: orec-table sharding + decentralized clock A/B                *)
-
-let shards_json ~app ~backend ~shards ~threads r =
-  json_line ~section:"shards"
-    [
-      ("app", str app);
-      ("backend", str backend);
-      ("shards", string_of_int shards);
-      ("threads", string_of_int threads);
-    ]
-    r
-
-let shards_section () =
-  headline
-    "Shards: sharded orec table + decentralized version clock A/B \
-     (simulator + native; JSON lines)";
-  let shard_counts = if !quick then [ 1; 4 ] else [ 1; 4; 16 ] in
-  let base = Config.with_tvalidate (Config.runtime Alloc_log.Tree) in
-  List.iter
-    (fun app ->
-      (* Shard-count sweep, simulator: shards=1 is the Global clock
-         (every writer commit advances the shared clock); shards>1 switch
-         to the Local clock, whose writer commits must never touch it. *)
-      List.iter
-        (fun shards ->
-          let cfg = Config.with_shards shards base in
-          let r = run_sim app cfg ~nthreads:sim_threads ~seed:1 in
-          let s = r.Engine.stats in
-          if shards > 1 then assert (s.Stats.clock_advances = 0);
-          shards_json ~app:app.App.name ~backend:"sim" ~shards
-            ~threads:sim_threads r;
-          Printf.printf
-            "# %-14s sim %2d shards  abort/commit %5.2f  makespan %9d  %s\n%!"
-            app.App.name shards (Stats.abort_ratio s) r.Engine.makespan
-            (show s [ "commits"; "clock_advances"; "clock_resyncs" ]))
-        shard_counts;
-      (* Native leg: real domains, wall clock.  Kept small — the point is
-         the counter semantics (no clock advance on Local writer commits
-         under real parallelism), not a full scaling study. *)
-      let domains = if !scale_domains <> [] then !scale_domains else [ 2 ] in
-      List.iter
-        (fun n ->
-          List.iter
-            (fun shards ->
-              let cfg = Config.with_shards shards base in
-              let r =
-                App.run app ~nthreads:n ~scale:(scale ()) ~mode:`Native cfg
-              in
-              let s = r.Engine.stats in
-              if shards > 1 then assert (s.Stats.clock_advances = 0);
-              shards_json ~app:app.App.name ~backend:"native" ~shards
-                ~threads:n r;
-              Printf.printf
-                "# %-14s native %2d dom %2d shards  abort/commit %5.2f  \
-                 wall %8.2f ms  %s\n%!"
-                app.App.name n shards (Stats.abort_ratio s)
-                (1000. *. r.Engine.wall)
-                (show s [ "commits"; "clock_advances" ]))
-            [ 1; 4 ])
-        domains)
-    apps
-
-(* ------------------------------------------------------------------ *)
 (* Eager vs lazy versioning A/B: same app, same seed, deferred updates   *)
 
 (* Apps whose transactions initialise freshly-allocated structures, so the
@@ -1050,7 +987,6 @@ let () =
   if wants "tvalidate" then tvalidate ();
   if wants "contention" then contention ();
   if wants "scale" then scale_section ();
-  if wants "shards" then shards_section ();
   if wants "lazyab" then lazyab ();
   if wants "wal" then wal_section ();
   if wants "reclaim" then reclaim_section ();

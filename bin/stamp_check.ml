@@ -92,14 +92,15 @@ let crash_matrix nthreads runs seed max_steps persist pct_depth json =
       ("fptv",
        fun c ->
          c |> Config.with_fastpath ~on:true |> Config.with_tvalidate ~on:true);
-      ("lazy+shards4",
-       fun c -> c |> Config.with_lazy ~on:true |> Config.with_shards 4);
+      ("lazy+tv", Config.with_lazy ~on:true %> Config.with_tvalidate ~on:true);
       (* +ebr legs: crash while deferred frees sit in limbo — recovery
          must apply exactly the durably-freed set (never materialize a
-         still-limbo block as free, never leak a durably freed one). *)
+         still-limbo block as free, never leak a durably freed one).
+         lazy+tv+ebr is the durable benchmark's family (intruder-durable:
+         lazy, Global clock, WAL, EBR). *)
       ("eager+ebr", Config.with_ebr ~on:true);
-      ("lazy+shards4+ebr",
-       Config.with_lazy ~on:true %> Config.with_shards 4
+      ("lazy+tv+ebr",
+       Config.with_lazy ~on:true %> Config.with_tvalidate ~on:true
        %> Config.with_ebr ~on:true);
     ]
   in
@@ -198,7 +199,7 @@ let crash_matrix nthreads runs seed max_steps persist pct_depth json =
           !vacuous )
   else `Ok ()
 
-let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
+let sweep workloads_csv apps_csv nthreads analysis_name modes_csv
     strategies_csv runs seed max_steps persist pct_depth dfs_preemptions
     min_distinct fault_name inject_bug wal wal_bug ebr_flag min_dfrees
     crash_matrix_flag json smoke =
@@ -274,18 +275,8 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
                 | _ -> None)
             @@ split_csv strategies_csv
           in
-          let shard_counts =
-            List.filter_map
-              (fun s ->
-                match int_of_string_opt s with
-                | Some n when n >= 1 && n land (n - 1) = 0 -> Some n
-                | _ -> None)
-              (split_csv shards_csv)
-          in
           if modes = [] then `Error (false, "no valid modes")
           else if strategies = [] then `Error (false, "no valid strategies")
-          else if shard_counts = [] then
-            `Error (false, "no valid shard counts (powers of two >= 1)")
           else begin
             let failures = ref 0
             and caught = ref 0
@@ -298,7 +289,7 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
             List.iter
               (fun w ->
                 List.iter
-                  (fun ((_mname, (fp, tv, lz)), shards) ->
+                  (fun (_mname, (fp, tv, lz)) ->
                     let durable =
                       wal || wal_bug
                       || match fault with
@@ -310,7 +301,6 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
                       |> Config.with_fastpath ~on:fp
                       |> Config.with_tvalidate ~on:tv
                       |> Config.with_lazy ~on:lz
-                      |> Config.with_shards shards
                       |> Config.with_fault fault
                       |> Config.with_durable ~on:durable
                       |> Config.with_ebr ~on:ebr
@@ -406,16 +396,13 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv shards_csv
                           w.Workloads.name (Config.name config) union
                           min_distinct
                     end)
-                  (List.concat_map
-                     (fun m -> List.map (fun s -> (m, s)) shard_counts)
-                     modes))
+                  modes)
               workloads;
             if not json then
               Printf.printf
                 "total: %d runs, %d distinct schedules across %d workload×config cells\n"
                 !total_runs !total_distinct
-                (List.length workloads * List.length modes
-                * List.length shard_counts);
+                (List.length workloads * List.length modes);
             if !hung > 0 then
               `Error
                 ( false,
@@ -515,13 +502,6 @@ let modes_arg =
   Arg.(
     value & opt string "base,fp,tv,fptv" & info [ "modes" ] ~docv:"NAMES" ~doc)
 
-let shards_arg =
-  let doc =
-    "Comma-separated orec shard counts (powers of two) multiplying the \
-     mode grid; counts > 1 switch +tv cells to the decentralized clock."
-  in
-  Arg.(value & opt string "1" & info [ "shards" ] ~docv:"NS" ~doc)
-
 let strategies_arg =
   let doc = "Exploration strategies: random, pct, dfs." in
   Arg.(
@@ -564,7 +544,7 @@ let fault_arg =
   let doc =
     "Inject a structured fault (skip-validation, stale-read, \
      delayed-unlock, spurious-abort, alloc-log-drop, clock-stall, \
-     stale-epoch, redo-drop, publish-partial, premature-reuse) and \
+     redo-drop, publish-partial, premature-reuse) and \
      judge the sweep by the fault's expectation: $(i,contained) faults \
      must produce zero violations, $(i,flagged) faults must be detected \
      by the oracle with no exception escaping a fiber."
@@ -616,7 +596,7 @@ let crash_matrix_arg =
   let doc =
     "Sweep every crash-point fault (crash-pre-commit, crash-mid-publish, \
      crash-post-publish, crash-mid-checkpoint, torn-wal-record) across \
-     eager, lazy, fptv, lazy+shards:4 and the +ebr pair of durable \
+     eager, lazy, fptv, lazy+tv and the +ebr pair of durable \
      configurations (the +ebr cells add the free_race workload, so \
      crashes land while frees sit in limbo); every simulated death must \
      recover to a prefix-consistent state (zero violations)."
@@ -672,7 +652,7 @@ let cmd =
     Term.(
       ret
         (const sweep $ workloads_arg $ apps_arg $ threads_arg $ analysis_arg
-       $ modes_arg $ shards_arg $ strategies_arg $ runs_arg $ seed_arg $ max_steps_arg
+       $ modes_arg $ strategies_arg $ runs_arg $ seed_arg $ max_steps_arg
        $ persist_arg $ pct_depth_arg $ dfs_preemptions_arg $ min_distinct_arg
        $ fault_arg $ inject_bug_arg $ wal_arg $ wal_bug_arg $ ebr_arg
        $ min_dfrees_arg $ crash_matrix_arg $ json_arg $ smoke_arg))

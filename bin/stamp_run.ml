@@ -48,11 +48,11 @@ let orec_records config = 1 lsl config.Config.orec_bits
 let print_json ~app ~config ~threads (r : Engine.result) ~native =
   Printf.printf
     "{\"app\":\"%s\",\"config\":\"%s\",\"threads\":%d,\"backend\":\"%s\",\
-     \"mode\":\"%s\",\"orecs\":%d,\"orec_shards\":%d,%s,\"makespan\":%d,\
+     \"mode\":\"%s\",\"orecs\":%d,%s,\"makespan\":%d,\
      \"wall_ms\":%.3f,\"per_thread_wall_ms\":[%s]}\n"
     app (Config.name config) threads
     (if native then "native" else "sim")
-    (Config.mode_name config) (orec_records config) config.Config.orec_shards
+    (Config.mode_name config) (orec_records config)
     (Stats.json_fields r.Engine.stats)
     r.Engine.makespan
     (1000. *. r.Engine.wall)
@@ -123,7 +123,7 @@ let print_recovery ~json dir (rc : Wal.recovery) =
   end
 
 let run_cmd app_name config_name scope_name scale_name threads native seed
-    pessimistic fastpath tvalidate lazy_ fences ebr shards cm_name fuel
+    pessimistic fastpath tvalidate lazy_ fences ebr cm_name fuel
     fault_name wal_dir wal_group recover json =
   let ( let* ) = Result.bind in
   let outcome =
@@ -135,11 +135,6 @@ let run_cmd app_name config_name scope_name scale_name threads native seed
     let config = if lazy_ then Config.with_lazy config else config in
     let config = if fences then Config.with_fences config else config in
     let config = if ebr then Config.with_ebr config else config in
-    let* config =
-      if shards < 1 || shards land (shards - 1) <> 0 then
-        Error "--shards must be a power of two >= 1"
-      else Ok (Config.with_shards shards config)
-    in
     let* cm = cm_of_name cm_name in
     let config = Config.with_cm cm config in
     let* config =
@@ -175,11 +170,10 @@ let run_cmd app_name config_name scope_name scale_name threads native seed
              (String.concat " " (Registry.names ())))
     | Some app ->
         if not json then
-          Printf.printf "%s [%s, %d threads, %s, %s, %d orecs in %d shard%s]\n\n"
+          Printf.printf "%s [%s, %d threads, %s, %s, %d orecs]\n\n"
             app.App.name (Config.name config) threads scale_name
             (if native then "native domains" else "simulator")
-            (orec_records config) config.Config.orec_shards
-            (if config.Config.orec_shards = 1 then "" else "s");
+            (orec_records config);
         let mode = if native then `Native else `Sim seed in
         let wal_dir_opt = if wal_dir = "" then None else Some wal_dir in
         let after_run () =
@@ -324,14 +318,6 @@ let ebr_arg =
                  attempt can read a recarved block.  Adds the limbo / \
                  epoch-advance / reclaim-stall counters to the report.")
 
-let shards_arg =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard the orec table into N (power of two) contiguous \
-                 sub-tables; N > 1 also switches +tvalidate to the \
-                 decentralized version clock (no clock CAS on writer \
-                 commits).")
-
 let cm_arg =
   Arg.(value & opt string "backoff"
        & info [ "cm" ] ~docv:"POLICY"
@@ -350,7 +336,7 @@ let fault_arg =
        & info [ "fault" ] ~docv:"NAME"
            ~doc:"Inject a structured fault (skip-validation | stale-read | \
                  delayed-unlock | spurious-abort | alloc-log-drop | \
-                 clock-stall | stale-epoch | redo-drop | publish-partial | \
+                 clock-stall | redo-drop | publish-partial | \
                  premature-reuse). Testing only: verification may fail, \
                  which is the point.")
 
@@ -387,7 +373,7 @@ let run_term =
   Term.(ret (const run_cmd $ app_arg $ config_arg $ scope_arg $ scale_arg
              $ threads_arg $ native_arg $ seed_arg $ pessimistic_arg
              $ fastpath_arg $ tvalidate_arg $ lazy_arg $ fences_arg
-             $ ebr_arg $ shards_arg $ cm_arg $ fuel_arg
+             $ ebr_arg $ cm_arg $ fuel_arg
              $ fault_arg $ wal_dir_arg $ wal_group_arg $ recover_arg
              $ json_arg))
 

@@ -162,10 +162,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
           ~lazy_mode:config.Config.lazy_versioning
           ~reclaim:
             (config.Config.ebr || workload.Workloads.reclaim_oracle)
-          ~index_of:(fun a ->
-            let i = Captured_stm.Orec.index_of orecs a in
-            ( Captured_stm.Orec.shard_of orecs i,
-              Captured_stm.Orec.slot_of orecs i ))
+          ~index_of:(Captured_stm.Orec.index_of orecs)
           ~initial:(fun a -> init.(a))
           ~final:(fun a -> Memory.get mem a)
           ~history:hist ~verify:p.App.verify ()
@@ -251,11 +248,7 @@ let dfs_explore ~workload ~config ~seed ~max_steps ~wal_bug ~bound ~budget ~note
           let detail = Strategy.detail r.trace in
           Array.iteri
             (fun i (d : Strategy.decision) ->
-              if
-                i > last
-                && (d.Strategy.d_point = Sched.Consume_point
-                   || d.Strategy.d_point = Sched.Shard_point)
-              then
+              if i > last && d.Strategy.d_point = Sched.Consume_point then
                 Array.iter
                   (fun alt ->
                     if alt <> d.Strategy.d_chosen then

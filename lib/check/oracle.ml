@@ -28,14 +28,11 @@ type attempt = {
       (* deferred frees (addresses this attempt did not allocate),
          newest first; they take effect only if the attempt commits *)
   mutable freed_n : int;
-  locked : (int * int, unit) Hashtbl.t;
-      (* (shard, slot) of each orec this attempt write-locked.  A read of
-         ANY address mapping to a locked orec — the written address
-         itself, a line-mate, or a hash-collided line — takes the owned
-         fast path: memory access with no validation.  The key is the
-         sharded table's two-level coordinate, so the exemption tracks
-         exactly the record the engine locked even when a shard-map
-         permutation moves shards around between configs.  Partial aborts
+  locked : (int, unit) Hashtbl.t;
+      (* Index of each orec this attempt write-locked.  A read of ANY
+         address mapping to a locked orec — the written address itself,
+         a line-mate, or a hash-collided line — takes the owned fast
+         path: memory access with no validation.  Partial aborts
          roll pending writes back but KEEP the locks (txn.ml keeps
          acquired orecs through nested aborts), so those reads can
          legally observe states newer than the snapshot; they are outside
@@ -70,7 +67,7 @@ let own_pending a addr =
 let in_owned a addr =
   List.exists (fun (lo, hi) -> addr >= lo && addr < hi) a.owned
 
-let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> (0, a))
+let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
     ?(lazy_mode = false) ?(reclaim = false) ~initial ~final ~history ~verify
     () =
   (* Per-address committed-value timeline, newest entry first.  An address

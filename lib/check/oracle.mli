@@ -40,12 +40,8 @@
     address → orec coordinate mapping) decides: partial aborts roll
     writes back but keep the locks, and the owned fast path reads memory
     with no validation, so such reads carry no consistency promise in
-    any mode.  With the sharded orec table the coordinate is the
-    [(shard, slot)] pair — exemption must be granular to the exact
-    record, not the flat pre-sharding index, or a shard-map permutation
-    would silently shift which collisions are exempt.  The default maps
-    every address to shard 0, slot [addr] (the identity for unsharded
-    worlds).
+    any mode.  The default maps every address to its own record (no
+    collisions).
 
     [All_attempts] is sound for configurations that validate every read
     ([Config.tvalidate]) or lock reads ([Config.pessimistic_reads]); the
@@ -76,7 +72,7 @@ val violation_to_string : violation -> string
     workload opts in ([Workloads.reclaim_oracle]). *)
 val check :
   ?strictness:strictness ->
-  ?index_of:(int -> int * int) ->
+  ?index_of:(int -> int) ->
   ?lazy_mode:bool ->
   ?reclaim:bool ->
   initial:(int -> int) ->

@@ -14,12 +14,11 @@ let kind_name = function
 let mem ready id = Array.exists (fun x -> x = id) ready
 
 (* The default policy every strategy's deviations are measured against:
-   keep running at consume points (shard-crossing charges included),
-   rotate round-robin at explicit yields (a spinning fiber that yields
+   keep running at consume points, rotate round-robin at explicit yields (a spinning fiber that yields
    must lose the CPU or it livelocks). *)
 let default_choice ~ready ~current ~point =
   match point with
-  | (Sched.Consume_point | Sched.Shard_point) when mem ready current -> current
+  | Sched.Consume_point when mem ready current -> current
   | _ ->
       (* [ready] is sorted ascending: next id after [current], else wrap. *)
       let next = ref (-1) in
@@ -83,10 +82,10 @@ let random_control ~seed ~persist : Sched.control =
   let g = Prng.create seed in
   fun ~ready ~current ~point ->
     match point with
-    | (Sched.Consume_point | Sched.Shard_point)
+    | Sched.Consume_point
       when mem ready current && Prng.chance g ~percent:persist ->
         current
-    | Sched.Consume_point | Sched.Shard_point ->
+    | Sched.Consume_point ->
         ready.(Prng.int g (Array.length ready))
     | Sched.Yield_point -> (
         let others =

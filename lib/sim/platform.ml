@@ -3,7 +3,6 @@ type t = {
   yield : unit -> unit;
   self : unit -> int;
   relax : int -> unit;
-  shard_point : int -> unit;
 }
 
 (* Native backoff: short waits spin with [Domain.cpu_relax] (PAUSE-class
@@ -23,7 +22,6 @@ let native ~tid =
     yield = Domain.cpu_relax;
     self = (fun () -> tid);
     relax = native_relax;
-    shard_point = ignore;
   }
 
 let simulated ctx =
@@ -34,5 +32,4 @@ let simulated ctx =
     (* The simulator charges backoff via [consume] (virtual time); a real
        delay here would only slow the host down. *)
     relax = ignore;
-    shard_point = Sched.shard_point ctx;
   }

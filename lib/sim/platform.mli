@@ -15,11 +15,6 @@ type t = {
           on the native platform short waits spin with [Domain.cpu_relax]
           and long waits sleep so oversubscribed domains release the core
           their lock holder may need. *)
-  shard_point : int -> unit;
-      (** Charge virtual cycles at a cross-shard orec-release boundary
-          ({!Sched.shard_point}); no-op natively.  Only called when the
-          orec table has more than one shard, so single-shard schedules
-          are untouched. *)
 }
 
 (** [native ~tid] is a platform for a real domain: [consume] is free,

@@ -14,7 +14,7 @@ and state =
   | Running
   | Done
 
-type point = Consume_point | Yield_point | Shard_point
+type point = Consume_point | Yield_point
 
 type control = ready:int array -> current:int -> point:point -> int
 
@@ -106,22 +106,6 @@ let consume ctx c =
   if ctx.sched.controlled then begin
     if ctx.sched.heap_len > 0 then begin
       ctx.sched.pending_point <- Consume_point;
-      Effect.perform Yield
-    end
-  end
-  else if f.vtime >= ctx.sched.deadline then reschedule ctx
-
-(* Identical to [consume] except for the point kind it publishes: a
-   commit releasing orecs across a shard boundary is a distinct place to
-   preempt it (another thread can then observe one shard released and the
-   other still locked), and exploration strategies may want to treat such
-   cross-shard windows differently from ordinary cost charges. *)
-let shard_point ctx c =
-  let f = ctx.fiber in
-  f.vtime <- f.vtime + c;
-  if ctx.sched.controlled then begin
-    if ctx.sched.heap_len > 0 then begin
-      ctx.sched.pending_point <- Shard_point;
       Effect.perform Yield
     end
   end

@@ -21,12 +21,8 @@ type ctx
     a cycle charge inside straight-line code (the default policy continues
     the current fiber); [Yield_point] is an explicit reschedule request —
     a spin loop waiting for another fiber — where the default policy must
-    switch away or spinning code would livelock.  [Shard_point] is a cycle
-    charge at a shard boundary inside a commit's orec-release loop
-    (sharded orec table): preempting there lets another fiber observe one
-    shard's orecs released while the next shard's are still held, the
-    cross-shard windows the checker must be able to interleave. *)
-type point = Consume_point | Yield_point | Shard_point
+    switch away or spinning code would livelock. *)
+type point = Consume_point | Yield_point
 
 type control = ready:int array -> current:int -> point:point -> int
 (** A scheduling strategy for controlled mode.  Called at every decision
@@ -54,10 +50,6 @@ val consume : ctx -> int -> unit
 (** [yield ctx] charges one cycle and unconditionally reschedules; spinning
     code must call it so lock owners can make progress. *)
 val yield : ctx -> unit
-
-(** [shard_point ctx c] is [consume ctx c] published as a [Shard_point]
-    decision (cross-shard release window). *)
-val shard_point : ctx -> int -> unit
 
 (** [self ctx] is the calling fiber's thread id (its index in [threads]). *)
 val self : ctx -> int

@@ -26,7 +26,6 @@ type t = {
   fuel : int;
   fault : Fault.kind option;
   fences : bool;
-  orec_shards : int;
   lazy_versioning : bool;
   durable : bool;
   wal_group : int;
@@ -60,7 +59,6 @@ let default =
     fuel = 0;
     fault = None;
     fences = false;
-    orec_shards = 1;
     lazy_versioning = false;
     durable = false;
     wal_group = 4;
@@ -86,17 +84,9 @@ let with_fuel fuel t =
 
 let with_fences ?(on = true) t = { t with fences = on }
 
-let with_shards n t =
-  if n < 1 || n land (n - 1) <> 0 then
-    invalid_arg "Config.with_shards: shards must be a power of two >= 1";
-  { t with orec_shards = n }
+type clock = Scan | Global
 
-type clock = Scan | Global | Local
-
-(* Sharding the table and decentralizing the clock travel together: the
-   point of both is removing system-wide hot words. *)
-let clock t =
-  if not t.tvalidate then Scan else if t.orec_shards = 1 then Global else Local
+let clock t = if t.tvalidate then Global else Scan
 
 let with_lazy ?(on = true) t = { t with lazy_versioning = on }
 
@@ -142,8 +132,6 @@ let name t =
       | Cm.Backoff -> ""
       | p -> "+cm:" ^ Cm.policy_name p)
     ^ (if t.fuel > 0 then Printf.sprintf "+fuel:%d" t.fuel else "")
-    ^ (if t.orec_shards > 1 then Printf.sprintf "+shards:%d" t.orec_shards
-       else "")
     ^ (if t.fences then "+fence" else "")
     ^ (match t.fault with
       | None -> ""
@@ -163,6 +151,4 @@ let mode_name t =
   ^ (if t.tvalidate then "+tv" else "")
   ^ (if t.durable then "+wal" else "")
   ^ (if t.ebr then "+ebr" else "")
-  ^ (if t.pessimistic_reads then "+pessimistic" else "")
-  ^ (if t.orec_shards > 1 then Printf.sprintf "+shards:%d" t.orec_shards
-     else "")
+  ^ if t.pessimistic_reads then "+pessimistic" else ""

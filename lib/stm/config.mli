@@ -42,9 +42,8 @@ type t = {
           then a fresh timestamp) instead of an abort.  [maybe_validate]
           becomes an O(1) clock compare, commit skips the read-set scan
           when the snapshot is current, and read-only transactions commit
-          with no validation and no clock bump.  With [orec_shards > 1]
-          the shared clock gives way to per-thread stamps ({!clock}).
-          Works under every [analysis]; semantics-preserving. *)
+          with no validation and no clock bump.  Works under every
+          [analysis]; semantics-preserving. *)
   static_filter : bool;
       (** Skip runtime capture checks at sites the compiler proved
           definitely shared (the paper's §3.2/§6 future work); only
@@ -86,11 +85,6 @@ type t = {
           flag exists to empirically separate "memory-model bug" from
           "logic bug" when chasing a native-mode failure — if a symptom
           vanishes under [+fence], suspect the ordering argument. *)
-  orec_shards : int;
-      (** Number of orec-table sub-tables ([+shards:<n>] suffix, power of
-          two, 1 = monolithic).  Two-level hash: shard = high bits, slot
-          within shard = low bits; [shards = 1] is bit-identical to the
-          flat table. *)
   lazy_versioning : bool;
       (** Deferred-update (lazy-versioning, TL2-style) backend ([+lazy]
           suffix).  Write barriers buffer into a per-transaction redo
@@ -168,23 +162,13 @@ val with_fuel : int -> t -> t
     fence ([+fence] suffix). *)
 val with_fences : ?on:bool -> t -> t
 
-(** [with_shards n t] shards the orec table into [n] sub-tables
-    ([+shards:<n>] suffix); under [tvalidate], [n > 1] also selects the
-    decentralized version clock (see {!clock}).  Raises
-    [Invalid_argument] unless [n] is a power of two [>= 1]. *)
-val with_shards : int -> t -> t
-
 (** The validation clock a configuration runs under, derived from
-    [tvalidate] and [orec_shards] (DESIGN.md §11):
+    [tvalidate] (DESIGN.md §11):
     - [Scan]: no [+tv] — commits bump each released orec's version and
       validate by scanning the read set;
-    - [Global]: [+tv] on one shard — TL2/LSA-style shared version
-      clock, O(1) snapshot checks;
-    - [Local]: [+tv] on [> 1] shards — decentralized clock (GV5/GV7
-      family): writers stamp released orecs with per-thread
-      [(epoch, tid)] values and never touch the shared clock at commit;
-      freshness is judged against per-peer epoch watermarks. *)
-type clock = Scan | Global | Local
+    - [Global]: [+tv] — TL2/LSA-style shared version clock, O(1)
+      snapshot checks. *)
+type clock = Scan | Global
 
 val clock : t -> clock
 
@@ -213,7 +197,7 @@ val audit : t
 val name : t -> string
 
 (** [mode_name t] — the versioning mode plus the active optimisation
-    suffixes, e.g. ["eager"], ["lazy+fp+tv"], ["lazy+shards:4"].
+    suffixes, e.g. ["eager"], ["lazy+fp+tv"], ["lazy+tv+wal+ebr"].
     Stable across analysis/scope choices, so A/B result streams are
     self-describing (the [mode] field of [stamp_run --json] and bench
     JSON lines). *)

@@ -32,14 +32,6 @@ let tvalidate_check = 2
 let clock_advance = 8
 let snapshot_extend = 4
 
-(* Sharded orec table + decentralized clock: crossing from one shard's
-   region to another while releasing a commit's orecs is one extra line
-   fetch; an abort-driven epoch resync is a shared-clock fetch-and-add
-   plus local bookkeeping (same contended-RMW magnitude as
-   [clock_advance]). *)
-let shard_cross = 1
-let epoch_resync = 8
-
 (* Hierarchical capture-check fast path: the bounds summary is two
    compares, the MRU block cache two more; promoting a saturated range
    array into a tree rebuilds a cache line's worth of entries once. *)

@@ -54,15 +54,6 @@ val snapshot_extend : int
 (** Bookkeeping of a snapshot extension, on top of the full validation it
     triggers. *)
 
-val shard_cross : int
-(** Sharded orec table: crossing a shard boundary while releasing a
-    commit's acquired orecs (one extra remote-line fetch; also a
-    scheduling point under the checker — {!Captured_sim.Sched.point}). *)
-
-val epoch_resync : int
-(** Decentralized clock: abort-driven resync against the shared clock
-    (the one shared-clock RMW that mode keeps, off the commit path). *)
-
 val capture_summary_check : int
 (** Fast-path tier 1: empty-log short-circuit + lo/hi envelope compare. *)
 

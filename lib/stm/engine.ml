@@ -35,7 +35,7 @@ let create ?(global_words = 1 lsl 18) ?(stack_words = 1 lsl 14)
   let memory = Memory.create ~words in
   let orecs =
     Orec.create ~bits:config.Config.orec_bits
-      ~shards:config.Config.orec_shards ~line_words_log2:config.Config.line_words_log2 ()
+      ~line_words_log2:config.Config.line_words_log2 ()
   in
   let global_arena = Alloc.create memory ~base:1 ~words:global_words in
   let stacks =

@@ -21,7 +21,6 @@ type kind =
   | Spurious_abort
   | Alloc_log_drop
   | Clock_stall
-  | Stale_epoch
   | Redo_drop
   | Publish_partial
   | Crash_pre_commit
@@ -39,7 +38,6 @@ let all =
     Spurious_abort;
     Alloc_log_drop;
     Clock_stall;
-    Stale_epoch;
     Redo_drop;
     Publish_partial;
     Crash_pre_commit;
@@ -57,7 +55,6 @@ let name = function
   | Spurious_abort -> "spurious-abort"
   | Alloc_log_drop -> "alloc-log-drop"
   | Clock_stall -> "clock-stall"
-  | Stale_epoch -> "stale-epoch"
   | Redo_drop -> "redo-drop"
   | Publish_partial -> "publish-partial"
   | Crash_pre_commit -> "crash-pre-commit"
@@ -79,15 +76,15 @@ let is_crash = function
   | Crash_mid_checkpoint | Torn_wal_record ->
       true
   | Skip_validation | Stale_read | Delayed_unlock | Spurious_abort
-  | Alloc_log_drop | Clock_stall | Stale_epoch | Redo_drop | Publish_partial
+  | Alloc_log_drop | Clock_stall | Redo_drop | Publish_partial
   | Premature_reuse ->
       false
 
 type expectation = Contained | Flagged
 
 let expectation = function
-  | Skip_validation | Stale_read | Clock_stall | Stale_epoch | Redo_drop
-  | Publish_partial | Premature_reuse ->
+  | Skip_validation | Stale_read | Clock_stall | Redo_drop | Publish_partial
+  | Premature_reuse ->
       Flagged
   | Delayed_unlock | Spurious_abort | Alloc_log_drop | Crash_pre_commit
   | Crash_mid_publish | Crash_post_publish | Crash_mid_checkpoint
@@ -106,7 +103,6 @@ let rate = function
   | Spurious_abort -> 4
   | Alloc_log_drop -> 50
   | Clock_stall -> 50
-  | Stale_epoch -> 50
   | Redo_drop -> 50
   | Publish_partial -> 50
   (* Crash points: moderate rates so a few transactions usually land
@@ -143,12 +139,6 @@ let describe = function
       "a writing commit occasionally stamps its orecs with an un-advanced \
        clock value (under +tv, O(1) snapshot checks wrongly accept lines \
        changed since the snapshot)"
-  | Stale_epoch ->
-      "a decentralized-clock commit occasionally reuses its previous \
-       epoch instead of advancing it, so the released stamp word is \
-       indistinguishable from the prior commit's (peer-epoch watermarks \
-       and word-compare validation are both fooled into accepting \
-       changed lines)"
   | Redo_drop ->
       "a lazy-mode write barrier occasionally loses its store on the way \
        into the redo buffer (the transaction commits without it — lost \

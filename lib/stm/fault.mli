@@ -21,11 +21,6 @@ type kind =
   | Clock_stall
       (** Commit occasionally stamps orecs without advancing the global
           version clock (breaks +tv snapshot checks). *)
-  | Stale_epoch
-      (** Decentralized-clock commit occasionally reuses the thread's
-          previous epoch instead of advancing it, so the released stamp
-          collides with an older one and peer watermarks accept stale
-          values (breaks +tv+shards snapshot checks). *)
   | Redo_drop
       (** Lazy-mode write barrier occasionally drops the store on the way
           into the redo buffer: the transaction commits without it (lost

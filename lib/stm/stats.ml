@@ -50,7 +50,6 @@ type t = {
   mutable faults_injected : int;
   mutable cm_max_consec_aborts : int;
   mutable cm_starvation_events : int;
-  mutable clock_resyncs : int;
   mutable redo_inserts : int;
   mutable redo_hits : int;
   mutable redo_skips : int;
@@ -64,8 +63,8 @@ type t = {
   mutable epoch_advances : int;
   mutable reclaim_stalls : int;
   mutable grace_waits : int;
-  mutable shard_acquires : int array;
-  mutable shard_conflicts : int array;
+  mutable orec_acquires : int;
+  mutable conflict_episodes : int;
   conflict_pairs : (int, int) Hashtbl.t;
 }
 
@@ -122,7 +121,6 @@ let create () =
     faults_injected = 0;
     cm_max_consec_aborts = 0;
     cm_starvation_events = 0;
-    clock_resyncs = 0;
     redo_inserts = 0;
     redo_hits = 0;
     redo_skips = 0;
@@ -136,29 +134,17 @@ let create () =
     epoch_advances = 0;
     reclaim_stalls = 0;
     grace_waits = 0;
-    shard_acquires = [||];
-    shard_conflicts = [||];
+    orec_acquires = 0;
+    conflict_episodes = 0;
     conflict_pairs = Hashtbl.create 8;
   }
 
-let ensure_shards t n =
-  if Array.length t.shard_acquires < n then begin
-    let grow a =
-      let b = Array.make n 0 in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    t.shard_acquires <- grow t.shard_acquires;
-    t.shard_conflicts <- grow t.shard_conflicts
-  end
+(* Conflict pairs are keyed [(waiter, owner)] packed into one int, 10
+   bits per tid. *)
+let max_tids = 1024
 
-(* Conflict pairs are keyed [(shard, waiter, owner)] packed into one int:
-   tids fit the stamp's 10-bit field ({!Orec.tid_bits}), so 20 low bits
-   carry the pair and the rest the shard. *)
-let pair_key ~shard ~tid ~peer = (shard lsl 20) lor (tid lsl 10) lor peer
-
-let note_pair t ~shard ~tid ~peer =
-  let k = pair_key ~shard ~tid ~peer in
+let note_pair t ~tid ~peer =
+  let k = (tid * max_tids) lor peer in
   let prev = match Hashtbl.find_opt t.conflict_pairs k with
     | Some n -> n
     | None -> 0
@@ -167,9 +153,9 @@ let note_pair t ~shard ~tid ~peer =
 
 let pairs t =
   Hashtbl.fold
-    (fun k n acc -> (k lsr 20, (k lsr 10) land 1023, k land 1023, n) :: acc)
+    (fun k n acc -> (k / max_tids, k mod max_tids, n) :: acc)
     t.conflict_pairs []
-  |> List.sort (fun (_, _, _, a) (_, _, _, b) -> compare b a)
+  |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
 
 type merge = Sum | Max
 
@@ -278,8 +264,6 @@ let counters =
       (fun t v -> t.cm_max_consec_aborts <- v);
     sum "cm_starvation_events" (fun t -> t.cm_starvation_events)
       (fun t v -> t.cm_starvation_events <- v);
-    sum "clock_resyncs" (fun t -> t.clock_resyncs)
-      (fun t v -> t.clock_resyncs <- v);
     sum "redo_inserts" (fun t -> t.redo_inserts)
       (fun t v -> t.redo_inserts <- v);
     sum "redo_hits" (fun t -> t.redo_hits) (fun t v -> t.redo_hits <- v);
@@ -297,7 +281,11 @@ let counters =
       (fun t v -> t.epoch_advances <- v);
     sum "reclaim_stalls" (fun t -> t.reclaim_stalls)
       (fun t v -> t.reclaim_stalls <- v);
-    sum "grace_waits" (fun t -> t.grace_waits) (fun t v -> t.grace_waits <- v)
+    sum "grace_waits" (fun t -> t.grace_waits) (fun t v -> t.grace_waits <- v);
+    sum "orec_acquires" (fun t -> t.orec_acquires)
+      (fun t v -> t.orec_acquires <- v);
+    sum "conflict_episodes" (fun t -> t.conflict_episodes)
+      (fun t v -> t.conflict_episodes <- v);
   ]
 
 let merge acc x =
@@ -306,13 +294,6 @@ let merge acc x =
       let a = c.get acc and b = c.get x in
       c.set acc (match c.merge with Sum -> a + b | Max -> max a b))
     counters;
-  ensure_shards acc (Array.length x.shard_acquires);
-  Array.iteri
-    (fun i v -> acc.shard_acquires.(i) <- acc.shard_acquires.(i) + v)
-    x.shard_acquires;
-  Array.iteri
-    (fun i v -> acc.shard_conflicts.(i) <- acc.shard_conflicts.(i) + v)
-    x.shard_conflicts;
   Hashtbl.iter
     (fun k n ->
       let prev = match Hashtbl.find_opt acc.conflict_pairs k with
@@ -345,20 +326,15 @@ let pp fmt t =
     t.commits t.aborts (abort_ratio t) t.reads (reads_elided t) t.writes
     (writes_elided t) t.waw_hits t.undo_entries
 
-let ints sep a = String.concat sep (List.map string_of_int (Array.to_list a))
-
 (* The conflict-pair list is capped so a pathological run cannot flood a
    JSON line. *)
 let json_fields t =
-  let pair (shard, tid, peer, n) =
-    Printf.sprintf "{\"shard\":%d,\"tid\":%d,\"peer\":%d,\"count\":%d}" shard
-      tid peer n
+  let pair (tid, peer, n) =
+    Printf.sprintf "{\"tid\":%d,\"peer\":%d,\"count\":%d}" tid peer n
   in
   String.concat ","
     (List.map (fun c -> Printf.sprintf "\"%s\":%d" c.name (c.get t)) counters
     @ [
-        Printf.sprintf "\"shard_acquires\":[%s]" (ints "," t.shard_acquires);
-        Printf.sprintf "\"shard_conflicts\":[%s]" (ints "," t.shard_conflicts);
         Printf.sprintf "\"top_conflict_pairs\":[%s]"
           (String.concat ","
              (List.map pair (List.filteri (fun i _ -> i < 8) (pairs t))));
@@ -373,13 +349,8 @@ let report t =
       if v <> 0 || c.name = "commits" || c.name = "aborts" then
         line (c.name ^ ":") "%d" v)
     counters;
-  if Array.length t.shard_conflicts > 1 then begin
-    line "shard_acquires:" "[%s]" (ints " " t.shard_acquires);
-    line "shard_conflicts:" "[%s]" (ints " " t.shard_conflicts);
-    match pairs t with
-    | [] -> ()
-    | (shard, tid, peer, n) :: _ ->
-        line "top_conflict_pair:" "shard %d, t%d vs t%d (%d waits)" shard tid
-          peer n
-  end;
+  (match pairs t with
+  | [] -> ()
+  | (tid, peer, n) :: _ ->
+      line "top_conflict_pair:" "t%d vs t%d (%d waits)" tid peer n);
   Buffer.contents b

@@ -82,9 +82,7 @@ type t = {
       (** Read-only transactions (no acquired orecs) committed with no
           validation scan and no clock bump. *)
   mutable clock_advances : int;
-      (** Commit-time global-version-clock CASes (fetch-and-add).  Always
-          0 under the decentralized clock ({!Config.clock} [Local]), whose
-          writer commits never touch the shared clock. *)
+      (** Commit-time global-version-clock CASes (fetch-and-add). *)
   mutable validation_cycles : int;
       (** Total simulated cycles charged for consistency checking: full
           read-set scans, per-read timestamp compares, clock compares and
@@ -115,10 +113,6 @@ type t = {
   mutable cm_starvation_events : int;
       (** Transactions the [Timestamp] policy declared starving (past the
           consecutive-abort threshold). *)
-  (* sharded orec table + decentralized clock *)
-  mutable clock_resyncs : int;
-      (** Abort-driven decentralized-clock resyncs (the one shared-clock
-          access that mode retains, off the commit path). *)
   (* lazy versioning ([Config.lazy_versioning]) *)
   mutable redo_inserts : int;
       (** Fresh entries appended to the redo buffer (distinct shared
@@ -160,16 +154,17 @@ type t = {
   mutable grace_waits : int;
       (** Spin iterations inside {!Txn.quiesce} waiting for the global
           epoch to pass the privatization fence. *)
-  mutable shard_acquires : int array;
-      (** Per-shard orec acquisitions (length = shard count; [[||]] until
-          the thread is bound to a table). *)
-  mutable shard_conflicts : int array;
-      (** Per-shard lock-wait episodes (a barrier found the orec held by
-          another thread; counted once per wait, not per spin). *)
+  (* conflict accounting *)
+  mutable orec_acquires : int;
+      (** Orec acquisitions (write locks, and read locks under
+          [pessimistic_reads]). *)
+  mutable conflict_episodes : int;
+      (** Lock-wait episodes: a barrier found the orec held by another
+          thread (counted once per wait, not per spin). *)
   conflict_pairs : (int, int) Hashtbl.t;
-      (** Conflict-locality map: [(shard, waiter-tid, owner-tid)] packed
-          as [(shard lsl 20) lor (tid lsl 10) lor peer] → episode count.
-          Decode with {!pairs}. *)
+      (** Conflict-locality map: [(waiter-tid, owner-tid)] packed as
+          [(tid lsl 10) lor peer] → episode count.  Decode with
+          {!pairs}. *)
 }
 
 val create : unit -> t
@@ -189,21 +184,22 @@ val counters : counter list
 (** Every integer field of {!t}, once each, in field order. *)
 
 val merge : t -> t -> unit
-(** [merge acc x] folds [x] into [acc] row by row of {!counters} (shard
-    arrays grow to the larger length; conflict pairs add per key). *)
+(** [merge acc x] folds [x] into [acc] row by row of {!counters}
+    (conflict pairs add per key). *)
 
 val sum : t list -> t
 
-val ensure_shards : t -> int -> unit
-(** Grow the per-shard arrays to (at least) [n] slots. *)
+val max_tids : int
+(** Thread ids the conflict-pair key can hold (1024): both tids of a
+    pair share one int, 10 bits each. *)
 
-val note_pair : t -> shard:int -> tid:int -> peer:int -> unit
-(** Record one conflict episode of [tid] waiting on [peer] in [shard].
-    Both tids must be below {!Orec.max_tids}. *)
+val note_pair : t -> tid:int -> peer:int -> unit
+(** Record one conflict episode of [tid] waiting on [peer].  Both tids
+    must be below {!max_tids}. *)
 
-val pairs : t -> (int * int * int * int) list
-(** Decoded conflict-locality map, [(shard, waiter, owner, count)],
-    sorted by descending count. *)
+val pairs : t -> (int * int * int) list
+(** Decoded conflict-locality map, [(waiter, owner, count)], sorted by
+    descending count. *)
 
 val reads_elided : t -> int
 val writes_elided : t -> int
@@ -215,11 +211,10 @@ val pp : Format.formatter -> t -> unit
 
 val json_fields : t -> string
 (** The comma-separated JSON fields ["name":value] of every counter, then
-    [shard_acquires], [shard_conflicts] and [top_conflict_pairs] (the
-    eight hottest [{shard, tid, peer, count}]); no enclosing braces, so
-    callers add their own keys. *)
+    [top_conflict_pairs] (the eight hottest [{tid, peer, count}]); no
+    enclosing braces, so callers add their own keys. *)
 
 val report : t -> string
 (** The text report: one ["name: value"] line per non-zero counter
-    ([commits] and [aborts] always), then the per-shard arrays and the
-    hottest conflict pair when the table has more than one shard. *)
+    ([commits] and [aborts] always), then the hottest conflict pair
+    when there is one. *)

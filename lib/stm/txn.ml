@@ -68,14 +68,6 @@ type thread = {
   lock_word : int;
   (* Private target for the debug read-barrier fence (Config.fences). *)
   fence_dummy : int Atomic.t;
-  (* Local clock: [local_epoch] is this thread's own stamp counter;
-     [peer_epoch.(j)] is a watermark under which peer [j]'s commits are
-     known to predate this thread's last full validation, so stamps at or
-     below it need no revalidation. *)
-  peer_epoch : int array;
-  mutable local_epoch : int;
-  (* Cached shard geometry (avoids re-deriving it per barrier). *)
-  orec_slot_bits : int;
   (* Durable transactions: the shared write-ahead log, when attached
      ([Engine.attach_wal]).  [None] makes every WAL site free. *)
   wal : Wal.t option;
@@ -154,13 +146,11 @@ and scope = {
 
 let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     ?cm_shared ?wal ?reclaim_shared ~seed () =
-  if tid < 0 || tid >= Orec.max_tids then
-    invalid_arg "Txn.create_thread: tid outside the stamp encoding";
+  if tid < 0 || tid >= Stats.max_tids then
+    invalid_arg "Txn.create_thread: tid does not fit the conflict-pair key";
   let cm_shared =
     match cm_shared with Some s -> s | None -> Cm.create_shared ()
   in
-  let stats = Stats.create () in
-  Stats.ensure_shards stats (Orec.shard_count orecs);
   {
     tid;
     platform;
@@ -170,15 +160,12 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     orecs;
     config;
     clock = Config.clock config;
-    stats;
+    stats = Stats.create ();
     private_log = Private_log.create ();
     prng = Prng.create seed;
     cm = Cm.create ~policy:config.Config.cm ~shared:cm_shared;
     lock_word = Orec.locked_word ~owner:tid;
     fence_dummy = Atomic.make 0;
-    peer_epoch = Array.make Orec.max_tids 0;
-    local_epoch = 0;
-    orec_slot_bits = Orec.slot_bits orecs;
     wal = (if config.Config.durable then wal else None);
     reclaim =
       (if config.Config.ebr then
@@ -447,42 +434,32 @@ let validate tx =
      end)
   || reads_valid th tx.read_orecs tx.read_words tx.n_reads 0
 
-(* Snapshot extension (lazy snapshot algorithm): a version newer than
-   the snapshot was observed.  One full validation proves every logged
-   read still holds now, and the snapshot moves forward instead of
-   aborting.  Global: the clock is sampled first — orec versions only
-   grow, so "valid after the sample" implies "valid at the sample" — and
-   becomes the new [start_ts].  Local: no shared-clock access; every
-   commit the peer owning [stamp] published up to its epoch predates
-   this consistent instant, so the watermark for that peer rises to it. *)
-let extend_snapshot tx ~stamp =
+(* Snapshot extension (lazy snapshot algorithm, Global clock only): a
+   version newer than the snapshot was observed.  The clock is sampled
+   first, then one full validation proves every logged read still holds
+   — orec versions only grow, so "valid after the sample" implies "valid
+   at the sample" — and the sample becomes the new [start_ts] instead of
+   the attempt aborting. *)
+let extend_snapshot tx =
   let th = tx.thread in
-  let now =
-    match th.clock with Global -> Orec.clock th.orecs | Scan | Local -> 0
-  in
+  let now = Orec.clock th.orecs in
   th.stats.snapshot_extensions <- th.stats.snapshot_extensions + 1;
   charge_validation th Costs.snapshot_extend;
   if not (validate tx) then raise Retry_conflict;
-  match th.clock with
-  | Global -> tx.start_ts <- now
-  | Local ->
-      th.peer_epoch.(Orec.tid_of_stamp stamp) <- Orec.epoch_of_stamp stamp
-  | Scan -> ()
+  tx.start_ts <- now
 
 (* The zombie guard.  Under the Global clock it is O(1): an unmoved
    clock means nothing committed since the snapshot, so the read set
-   cannot have been invalidated.  Scan and Local have no global instant
-   to compare against, so the guard is a full validation — under Local,
-   part of the GV5-style price paid for removing the commit-path clock
-   CAS. *)
+   cannot have been invalidated.  Scan has no global instant to compare
+   against, so the guard is a full validation. *)
 let revalidate tx =
   let th = tx.thread in
   match th.clock with
   | Global ->
       charge_validation th Costs.tvalidate_check;
-      if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx ~stamp:0
+      if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx
       else th.stats.validations_skipped <- th.stats.validations_skipped + 1
-  | Scan | Local -> if not (validate tx) then raise Retry_conflict
+  | Scan -> if not (validate tx) then raise Retry_conflict
 
 (* Instrumented barrier slow paths between periodic zombie guards. *)
 let validate_every = 512
@@ -678,15 +655,13 @@ let audit_classify tx addr size ~site ~is_write =
 (* ------------------------------------------------------------------ *)
 (* Read barrier                                                        *)
 
-(* Conflict-locality accounting: one episode per wait (first spin only),
-   keyed by shard and by the (waiter, owner) thread pair.  Pure counters
-   — no cycle charges, no PRNG draws — so schedules are untouched. *)
-let note_shard_conflict th oi w =
-  let s = oi lsr th.orec_slot_bits in
-  th.stats.shard_conflicts.(s) <- th.stats.shard_conflicts.(s) + 1;
+(* Conflict accounting: one episode per wait (first spin only), keyed by
+   the (waiter, owner) thread pair.  Pure counters — no cycle charges, no
+   PRNG draws — so schedules are untouched. *)
+let note_conflict th w =
+  th.stats.conflict_episodes <- th.stats.conflict_episodes + 1;
   let owner = Orec.owner_of w in
-  if owner <> th.tid && owner < Orec.max_tids then
-    Stats.note_pair th.stats ~shard:s ~tid:th.tid ~peer:owner
+  if owner <> th.tid then Stats.note_pair th.stats ~tid:th.tid ~peer:owner
 
 (* [logged] is the orec's read-log position ([Read_map.find], -1 when
    fresh), probed once by [full_read]: only this thread adds entries, and
@@ -696,7 +671,7 @@ let rec full_read_loop tx oi addr logged spins =
   let w1 = Orec.get th.orecs oi in
   if Orec.is_locked w1 then begin
     th.stats.lock_waits <- th.stats.lock_waits + 1;
-    if spins = 0 then note_shard_conflict th oi w1;
+    if spins = 0 then note_conflict th w1;
     if spins >= Cm.spin_patience th.cm ~default:th.config.Config.spin_limit
     then begin
       th.stats.spin_aborts <- th.stats.spin_aborts + 1;
@@ -759,17 +734,10 @@ let rec full_read_loop tx oi addr logged spins =
           | Global ->
               charge_validation th Costs.ts_read_check;
               ts > tx.start_ts
-          | Local ->
-              (* The stamp names (peer, epoch).  At or below the peer's
-                 watermark the line provably predates this attempt's
-                 last consistent instant. *)
-              charge_validation th Costs.ts_read_check;
-              ts <> 0
-              && Orec.epoch_of_stamp ts > th.peer_epoch.(Orec.tid_of_stamp ts)
         in
         if newer && not (Config.has_fault th.config Fault.Skip_validation)
         then begin
-          extend_snapshot tx ~stamp:ts;
+          extend_snapshot tx;
           full_read_loop tx oi addr logged spins
         end
         else begin
@@ -789,7 +757,7 @@ let rec acquire_loop tx oi spins =
   let w = Orec.get th.orecs oi in
   if Orec.is_locked w then begin
     th.stats.lock_waits <- th.stats.lock_waits + 1;
-    if spins = 0 then note_shard_conflict th oi w;
+    if spins = 0 then note_conflict th w;
     if spins >= Cm.spin_patience th.cm ~default:th.config.Config.spin_limit
     then begin
       th.stats.spin_aborts <- th.stats.spin_aborts + 1;
@@ -808,8 +776,7 @@ let rec acquire_loop tx oi spins =
     let logged = Read_map.find tx.read_index oi in
     if logged >= 0 && tx.read_words.(logged) = w then
       tx.read_words.(logged) <- th.lock_word;
-    let s = oi lsr th.orec_slot_bits in
-    th.stats.shard_acquires.(s) <- th.stats.shard_acquires.(s) + 1;
+    th.stats.orec_acquires <- th.stats.orec_acquires + 1;
     push_acq tx oi w
   end
   else acquire_loop tx oi (spins + 1)
@@ -1286,10 +1253,9 @@ let begin_top tx =
   tx.ops_since_validate <- 0;
   tx.fuel <- th.config.Config.fuel;
   if tx.attempts = 0 then Cm.note_begin th.cm;
-  (* Only the Global clock has a snapshot timestamp (Local watermarks
-     replace it), and skipping the clock read keeps begin clock-free. *)
-  tx.start_ts <-
-    (match th.clock with Global -> Orec.clock th.orecs | Scan | Local -> 0);
+  (* Only the Global clock has a snapshot timestamp; skipping the clock
+     read keeps Scan's begin clock-free. *)
+  tx.start_ts <- (match th.clock with Global -> Orec.clock th.orecs | Scan -> 0);
   Waw.clear tx.waw;
   Redo.clear tx.redo;
   (match tx.top_capture_log with Some l -> Alloc_log.clear l | None -> ());
@@ -1317,38 +1283,29 @@ let free_scope_allocs th scope =
   scope.n_allocs <- 0
 
 (* Release words.  A non-negative word is a stamped version stored into
-   every released orec (Global and Local commits).  The two negative
+   every released orec (Global commits).  The two negative
    codes derive each orec's word from the version it held when it was
    acquired: [restore_prev] puts that version back (abort), [bump_prev]
    stores it plus one (Scan commit). *)
 let restore_prev = -1
 let bump_prev = -2
 
-(* Orec release walks the acquisition log in order; with a sharded table
-   each shard boundary crossed is charged ([Costs.shard_cross]) through
-   [platform.shard_point], a distinct decision point the checker can
-   preempt at — another thread may then observe one shard's orecs
-   released while the next shard's are still held.  On a single-shard
-   table every index is in shard 0, so no boundary is ever crossed and
-   those schedules stay bit-identical.  Top-level recursion with the
-   previous shard as a plain int argument: a closure or [ref] would
-   allocate on the commit path. *)
-let rec release_from th tx word k prev_shard =
-  if k < tx.n_acq then begin
-    let oi = tx.acq_orecs.(k) in
-    let s = oi lsr th.orec_slot_bits in
-    if prev_shard >= 0 && s <> prev_shard then
-      th.platform.shard_point Costs.shard_cross;
-    Orec.unlock th.orecs oi
+(* Orec release walks the acquisition log in order, and is not atomic:
+   between two consecutive releases a zero-cycle [consume] is a decision
+   point the checker can preempt at, so a peer may observe one orec
+   released while the next is still held.  Outside the checker a
+   zero-cycle charge never reaches the scheduler's deadline (and is free
+   natively), so schedules are untouched. *)
+let release tx ~word =
+  let th = tx.thread in
+  for k = 0 to tx.n_acq - 1 do
+    if k > 0 then th.platform.consume 0;
+    Orec.unlock th.orecs tx.acq_orecs.(k)
       (if word >= 0 then word
        else
          let prev = tx.acq_prev.(k) in
-         if word = bump_prev then Orec.bumped prev else prev);
-    release_from th tx word (k + 1) s
-  end
-
-let release tx ~word =
-  release_from tx.thread tx word 0 (-1);
+         if word = bump_prev then Orec.bumped prev else prev)
+  done;
   tx.n_acq <- 0
 
 let commit_epilogue tx =
@@ -1531,28 +1488,9 @@ let commit_serialize tx =
   end;
   fsync
 
-(* Local writer commit stamp: NO shared-clock access.  The stamp is the
-   thread's next epoch, monotonic within its own version subspace, so
-   versions-only-grow holds per record. *)
-let next_local_stamp th =
-  let stale =
-    (* Injected fault: reuse the current epoch instead of advancing it —
-       the released stamp word collides with this thread's previous
-       commit's, fooling both peer-epoch watermarks and word-compare
-       validation. *)
-    fault_fires th Fault.Stale_epoch && th.local_epoch > 0
-  in
-  let epoch = if stale then th.local_epoch else th.local_epoch + 1 in
-  th.local_epoch <- epoch;
-  th.peer_epoch.(th.tid) <- epoch;
-  Orec.stamped ~ts:(Orec.stamp ~epoch ~tid:th.tid)
-
 (* Commit-time validation: charge the commit, prove the read set still
    consistent (or raise), and return the word {!release} stores into the
-   acquired orecs.  Scan and Local charge the same cycles and run the
-   same full validation — Local has no global instant to O(1)-compare
-   against; its win is that no writer commit touches the shared clock —
-   and differ only in the release word. *)
+   acquired orecs. *)
 let commit_validate tx =
   let th = tx.thread in
   match th.clock with
@@ -1581,23 +1519,23 @@ let commit_validate tx =
         if not (validate tx) then raise Retry_conflict
       end;
       Orec.stamped ~ts:wv
-  | Scan | Local ->
+  | Scan ->
       th.platform.consume
         (Costs.commit_base
         + (Costs.commit_per_read * tx.n_reads)
         + (Costs.commit_per_orec * tx.n_acq));
       if not (validate tx) then raise Retry_conflict;
-      if th.clock = Scan then bump_prev else next_local_stamp th
+      bump_prev
 
 (* One commit sequence for every clock and versioning mode.  The commit
    event is emitted at the serialization point — validation has
    succeeded and every store is (or is about to become, under locks
    still held) the committed state — and *before* the first orec
-   release.  Release is not atomic with a sharded table: the shard-cross
-   decision point lets a peer read one shard's released value, commit,
-   and have its whole lifetime recorded before a trailing-release commit
-   event, which the oracle would (rightly) reject as reading a value no
-   committed instant held.  Emitting before release keeps the recorded
+   release.  Release is not atomic: the decision point between two
+   releases ([release]) lets a peer read one orec's released value,
+   commit, and have its whole lifetime recorded before a trailing-release
+   commit event, which the oracle would (rightly) reject as reading a
+   value no committed instant held.  Emitting before release keeps the recorded
    commit order consistent with visibility order.
 
    A group-commit fsync is paid after release: the append and the commit
@@ -1667,23 +1605,7 @@ let abort_top tx ~user =
     th.stats.user_aborts <- th.stats.user_aborts + 1;
     tx.attempts <- 0
   end
-  else begin
-    th.stats.aborts <- th.stats.aborts + 1;
-    match th.clock with
-    | Local ->
-        (* Validation-failure-driven resync: the one place the Local
-           clock touches the shared clock (off the commit hot path).
-           Folding the global count into [local_epoch] makes the next
-           commit's stamps jump past everything already published,
-           damping the watermark-extension storms a lagging epoch would
-           otherwise cause under contention. *)
-        th.stats.clock_resyncs <- th.stats.clock_resyncs + 1;
-        th.platform.consume Costs.epoch_resync;
-        let c = Orec.advance_clock th.orecs in
-        if c > th.local_epoch then th.local_epoch <- c;
-        th.peer_epoch.(th.tid) <- th.local_epoch
-    | Scan | Global -> ()
-  end;
+  else th.stats.aborts <- th.stats.aborts + 1;
   (* EBR: an aborted attempt is quiescent too — its reads are dead, so
      it must stop holding the global epoch back before the retry's
      begin re-announces. *)

@@ -14,10 +14,10 @@
     - lazy: a write barrier buffers the value in a per-transaction redo
       log; commit acquires the write set, then publishes the buffer.
 
-    Validation runs under one of three clocks ({!Config.clock}): [Scan]
-    (full read-set scans, per-record version bumps), [Global] (shared
-    version clock, O(1) snapshot checks) or [Local] (per-thread epoch
-    stamps and peer watermarks).  Every commit goes through one sequence:
+    Validation runs under one of two clocks ({!Config.clock}): [Scan]
+    (full read-set scans, per-record version bumps) or [Global] (shared
+    version clock, O(1) snapshot checks).  Every commit goes through one
+    sequence:
     lazy acquire, read-only fast path, per-clock validation, serialize
     (publish, WAL append, commit event), release, then the fsync a
     group-completing WAL append owes.  Conflicts abort the
@@ -64,7 +64,9 @@ val create_thread :
   thread
 (** Threads that run transactions concurrently on one orec table need
     distinct [tid]s: an orec locked with a thread's id is that thread's
-    to read and write.  [cm_shared] links this thread's contention
+    to read and write.  [tid] must be below {!Stats.max_tids}, the bound
+    the conflict-pair key packs tids into; raises [Invalid_argument]
+    otherwise.  [cm_shared] links this thread's contention
     manager to its world's ticket source; omitted, the thread gets a
     private one (fine for single-thread use).  [wal] attaches the world's write-ahead log
     device; it only takes effect when [config.durable] is set.

@@ -7,6 +7,7 @@ module Config = Captured_stm.Config
 module Fault = Captured_stm.Fault
 module Engine = Captured_stm.Engine
 module Txn = Captured_stm.Txn
+module Orec = Captured_stm.Orec
 module Alloc = Captured_tmem.Alloc
 module App = Captured_apps.App
 module Alloc_log = Captured_core.Alloc_log
@@ -80,6 +81,54 @@ let test_schedules_differ () =
   Alcotest.(check bool)
     "at least 20 distinct schedules out of 40 seeds" true
     (Hashtbl.length hashes >= 20)
+
+(* Orec release is not atomic: between two releases the committing
+   thread passes a decision point, so a peer scheduled there sees one
+   orec of the commit released while the next is still locked — the
+   window in which a commit event emitted after release would let the
+   peer read a value no committed instant held.  Thread 0 commits writes
+   to two lines on distinct orecs; thread 1 samples both orec words at
+   every decision point, and the control always switches fibers. *)
+let test_partial_release_observable () =
+  List.iter
+    (fun config ->
+      let w = Engine.create ~nthreads:2 config in
+      let orecs = Engine.orecs w in
+      let a = Alloc.alloc (Engine.global_arena w) 64 in
+      let b = a + 32 in
+      let ia = Orec.index_of orecs a and ib = Orec.index_of orecs b in
+      Alcotest.(check bool) "distinct orecs" true (ia <> ib);
+      let locked i = Orec.is_locked (Orec.get orecs i) in
+      let released i = (not (locked i)) && Orec.get orecs i <> 0 in
+      let done_ = ref false and seen = ref false in
+      let switch ~ready ~current ~point:_ =
+        match Array.find_opt (fun id -> id <> current) ready with
+        | Some id -> id
+        | None -> ready.(0)
+      in
+      let _ =
+        Engine.run_sim ~control:switch w (fun th ->
+            if Txn.thread_id th = 0 then begin
+              Txn.atomic th (fun tx ->
+                  Txn.write tx a 1;
+                  Txn.write tx b 2);
+              done_ := true
+            end
+            else
+              while not !done_ do
+                if (released ia && locked ib) || (released ib && locked ia)
+                then seen := true;
+                Txn.work th 1
+              done)
+      in
+      Alcotest.(check bool)
+        (Config.name config ^ ": one orec released, the other locked")
+        true !seen)
+    [
+      Config.baseline;
+      Config.with_lazy Config.baseline;
+      Config.with_tvalidate Config.baseline;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Oracle unit tests on hand-built histories                           *)
@@ -729,6 +778,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "replay fidelity" `Quick test_replay_fidelity;
           Alcotest.test_case "schedules differ" `Quick test_schedules_differ;
+          Alcotest.test_case "partial release observable" `Quick
+            test_partial_release_observable;
         ] );
       ( "oracle",
         [

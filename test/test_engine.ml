@@ -66,77 +66,66 @@ let test_orec_hash_no_power_of_two_aliasing () =
   check "no systematic aliasing at power-of-two strides" true (!collisions <= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded orec table *)
+(* Table geometry, validation clocks, thread ids *)
 
-(* Shared tables for the qcheck properties, built once outside the
-   generator. *)
-let flat_table = lazy (Orec.create ~bits:10 ~line_words_log2:2 ())
+let test_orec_create_validation () =
+  Alcotest.check_raises "too few bits" (Invalid_argument "Orec.create: bits")
+    (fun () -> ignore (Orec.create ~bits:3 ~line_words_log2:2 ()));
+  check_int "2^bits records" 256
+    (Orec.count (Orec.create ~bits:8 ~line_words_log2:2 ()))
 
-let sharded_tables =
-  lazy
-    (List.map
-       (fun shards -> Orec.create ~bits:10 ~shards ~line_words_log2:2 ())
-       [ 4; 16; 64 ])
-
-let arb_addr = QCheck.int_range 0 ((1 lsl 30) - 1)
-
-(* The compatibility obligation: the two-level decomposition is a
-   refinement of the flat hash — no address maps any differently, at any
-   shard count. *)
-let prop_shard_refinement =
-  QCheck.Test.make ~name:"two-level hash refines the flat hash" ~count:2000
-    arb_addr (fun addr ->
-      let flat = Lazy.force flat_table in
+(* At every table size the index is a record of the table, and the four
+   words of a line map to one record. *)
+let prop_index_in_table =
+  let tables =
+    List.map (fun bits -> Orec.create ~bits ~line_words_log2:2 ()) [ 4; 10; 17 ]
+  in
+  QCheck.Test.make ~name:"index in range, line-mates share a record"
+    ~count:2000 (QCheck.int_range 0 ((1 lsl 30) - 1)) (fun addr ->
+      let line = addr land lnot 3 and ok t i = 0 <= i && i < Orec.count t in
       List.for_all
-        (fun t -> Orec.index_of t addr = Orec.index_of flat addr)
-        (Lazy.force sharded_tables))
+        (fun t ->
+          let i = Orec.index_of t addr in
+          ok t i && i = Orec.index_of t line && i = Orec.index_of t (line + 3))
+        tables)
 
-let prop_stamp_roundtrip =
-  QCheck.Test.make ~name:"decentralized stamp roundtrip" ~count:1000
-    QCheck.(pair (int_range 0 ((1 lsl 40) - 1)) (int_range 0 (Orec.max_tids - 1)))
-    (fun (epoch, tid) ->
-      let s = Orec.stamp ~epoch ~tid in
-      Orec.epoch_of_stamp s = epoch
-      && Orec.tid_of_stamp s = tid
-      && not (Orec.is_locked (Orec.stamped ~ts:s)))
+(* Version and lock words decode to what they encode, a version word is
+   never a lock, and later clock stamps are larger words. *)
+let prop_word_roundtrip =
+  QCheck.Test.make ~name:"version and lock words roundtrip" ~count:1000
+    QCheck.(pair (int_range 0 ((1 lsl 40) - 1)) (int_range 0 (Stats.max_tids - 1)))
+    (fun (ts, owner) ->
+      let v = Orec.stamped ~ts and l = Orec.locked_word ~owner in
+      (not (Orec.is_locked v)) && Orec.version_of v = ts
+      && Orec.version_of (Orec.bumped v) = ts + 1
+      && Orec.stamped ~ts:(ts + 1) > v
+      && Orec.is_locked l && Orec.owner_of l = owner)
 
-let test_shard_create_validation () =
-  Alcotest.check_raises "non-power-of-two shards"
-    (Invalid_argument "Orec.create: shards must be a power of two >= 1")
-    (fun () -> ignore (Orec.create ~bits:8 ~shards:3 ~line_words_log2:2 ()));
-  Alcotest.check_raises "too many shards"
-    (Invalid_argument "Orec.create: more shards than orecs") (fun () ->
-      ignore (Orec.create ~bits:4 ~shards:16 ~line_words_log2:2 ()));
-  let t = Orec.create ~bits:8 ~shards:8 ~line_words_log2:2 () in
-  check_int "count preserved" 256 (Orec.count t);
-  check_int "shard count" 8 (Orec.shard_count t);
-  check_int "slot bits" 5 (Orec.slot_bits t)
+let test_clock_of_config () =
+  check "no +tv: Scan" true (Config.clock Config.baseline = Config.Scan);
+  check "+tv: Global" true
+    (Config.clock (Config.with_tvalidate Config.baseline) = Config.Global)
 
-let test_shards_config () =
-  let cfg = Config.with_shards 4 Config.baseline in
-  check_int "orec_shards" 4 cfg.Config.orec_shards;
-  let tv = Config.with_tvalidate Config.baseline in
-  check "no +tv: Scan at any shard count" true
-    (Config.clock cfg = Config.Scan && Config.clock Config.baseline = Config.Scan);
-  check "+tv on 1 shard: Global" true (Config.clock tv = Config.Global);
-  check "+tv on >1 shards: Local" true
-    (Config.clock (Config.with_shards 4 tv) = Config.Local);
-  check "sharding back to 1 returns to Global" true
-    (Config.clock (Config.with_shards 1 (Config.with_shards 4 tv))
-    = Config.Global);
-  check "+shards in name" true
-    (let name = Config.name cfg in
-     let needle = "+shards:4" in
-     let rec find i =
-       i + String.length needle <= String.length name
-       && (String.sub name i (String.length needle) = needle || find (i + 1))
-     in
-     find 0);
-  let one = Config.with_shards 1 Config.baseline in
-  check "no suffix at 1 shard" true (Config.name one = Config.name Config.baseline);
-  Alcotest.check_raises "non-power-of-two rejected"
-    (Invalid_argument "Config.with_shards: shards must be a power of two >= 1")
-    (fun () -> ignore (Config.with_shards 6 Config.baseline))
+(* A tid must fit the conflict-pair key; the largest that does is
+   accepted. *)
+let test_tid_bound () =
+  let w = Engine.create ~nthreads:1 Config.baseline in
+  let mem = Engine.memory w in
+  let thread tid =
+    Txn.create_thread ~tid ~platform:(Captured_sim.Platform.native ~tid)
+      ~memory:mem
+      ~stack:(Captured_tmem.Tstack.create mem ~base:1 ~words:16)
+      ~arena:(Engine.arena_of w 0) ~orecs:(Engine.orecs w)
+      ~config:Config.baseline ~seed:1 ()
+  in
+  ignore (thread (Stats.max_tids - 1) : Txn.thread);
+  List.iter
+    (fun tid ->
+      Alcotest.check_raises (Printf.sprintf "tid %d" tid)
+        (Invalid_argument
+           "Txn.create_thread: tid does not fit the conflict-pair key")
+        (fun () -> ignore (thread tid : Txn.thread)))
+    [ -1; Stats.max_tids ]
 
 (* ------------------------------------------------------------------ *)
 (* WAW filter *)
@@ -357,14 +346,10 @@ let test_stats_merge_kinds () =
   let a = numbered () and b = Stats.create () in
   List.iteri (fun i c -> c.Stats.set b (1000 - i)) Stats.counters;
   let before = List.map (fun c -> c.Stats.get a) Stats.counters in
-  Stats.ensure_shards a 2;
-  Stats.ensure_shards b 4;
-  a.Stats.shard_acquires.(1) <- 5;
-  b.Stats.shard_acquires.(1) <- 7;
-  b.Stats.shard_conflicts.(3) <- 2;
-  Stats.note_pair a ~shard:1 ~tid:2 ~peer:3;
-  Stats.note_pair b ~shard:1 ~tid:2 ~peer:3;
-  Stats.note_pair b ~shard:0 ~tid:1 ~peer:0;
+  Stats.note_pair a ~tid:2 ~peer:3;
+  Stats.note_pair b ~tid:2 ~peer:3;
+  Stats.note_pair b ~tid:1 ~peer:0;
+  Stats.note_pair b ~tid:(Stats.max_tids - 1) ~peer:(Stats.max_tids - 2);
   Stats.merge a b;
   List.iteri
     (fun i (c, x) ->
@@ -379,12 +364,12 @@ let test_stats_merge_kinds () =
        (fun c -> if c.Stats.merge = Stats.Max then Some c.Stats.name else None)
        Stats.counters
     = [ "cm_max_consec_aborts"; "limbo_blocks"; "limbo_words" ]);
-  check "acquires grown and added" true
-    (a.Stats.shard_acquires = [| 0; 12; 0; 0 |]);
-  check "conflicts grown and added" true
-    (a.Stats.shard_conflicts = [| 0; 0; 0; 2 |]);
   check "pairs added per key" true
-    (Stats.pairs a = [ (1, 2, 3, 2); (0, 1, 0, 1) ])
+    (match Stats.pairs a with
+    | (2, 3, 2) :: rest ->
+        List.sort compare rest
+        = [ (1, 0, 1); (Stats.max_tids - 1, Stats.max_tids - 2, 1) ]
+    | _ -> false)
 
 let occurrences sub s =
   let n = String.length sub in
@@ -395,14 +380,30 @@ let occurrences sub s =
   go 0 0
 
 let test_stats_json_fields () =
-  let json = Stats.json_fields (numbered ()) in
+  let s = numbered () in
+  Stats.note_pair s ~tid:2 ~peer:3;
+  Stats.note_pair s ~tid:2 ~peer:3;
+  Stats.note_pair s ~tid:1 ~peer:0;
+  let json = Stats.json_fields s in
   List.iteri
     (fun i c ->
       let key = Printf.sprintf "\"%s\":" c.Stats.name in
       check_int (c.Stats.name ^ " once") 1 (occurrences key json);
       check_int (c.Stats.name ^ " value") 1
         (occurrences (Printf.sprintf "%s%d," key (i + 1)) json))
-    Stats.counters
+    Stats.counters;
+  check_int "pairs hottest first, keyed (tid, peer)" 1
+    (occurrences
+       "\"top_conflict_pairs\":[{\"tid\":2,\"peer\":3,\"count\":2},\
+        {\"tid\":1,\"peer\":0,\"count\":1}]"
+       json)
+
+(* The hottest pair is reported whenever one exists. *)
+let test_stats_report_pair () =
+  let s = Stats.create () in
+  check_int "no pair, no line" 0 (occurrences "top_conflict_pair" (Stats.report s));
+  Stats.note_pair s ~tid:4 ~peer:5;
+  check_int "pair line" 1 (occurrences "t4 vs t5 (1 waits)" (Stats.report s))
 
 let test_abort_ratio () =
   let s = Stats.create () in
@@ -545,15 +546,13 @@ let () =
           Alcotest.test_case "no pow2 aliasing" `Quick
             test_orec_hash_no_power_of_two_aliasing;
         ] );
-      ( "shards",
+      ( "geometry",
         Alcotest.test_case "create validation" `Quick
-             test_shard_create_validation
-        :: Alcotest.test_case "config plumbing" `Quick test_shards_config
-        :: List.map Qc.to_alcotest
-             [
-               prop_shard_refinement;
-               prop_stamp_roundtrip;
-             ] );
+          test_orec_create_validation
+        :: Alcotest.test_case "clock of config" `Quick test_clock_of_config
+        :: Alcotest.test_case "tid bound" `Quick test_tid_bound
+        :: List.map Qc.to_alcotest [ prop_index_in_table; prop_word_roundtrip ]
+      );
       ( "waw",
         [
           Alcotest.test_case "basic" `Quick test_waw_basic;
@@ -585,6 +584,7 @@ let () =
             test_stats_schema_covers_fields;
           Alcotest.test_case "merge kinds" `Quick test_stats_merge_kinds;
           Alcotest.test_case "json fields" `Quick test_stats_json_fields;
+          Alcotest.test_case "report pair" `Quick test_stats_report_pair;
           Alcotest.test_case "abort ratio" `Quick test_abort_ratio;
         ] );
       ( "costs",

@@ -28,11 +28,11 @@ let run_counter ~nthreads ~incs config =
           Txn.atomic th (fun tx -> Txn.write tx cell (Txn.read tx cell + 1))
         done)
   in
-  (r, Memory.get (Engine.memory w) cell)
+  (r, Memory.get (Engine.memory w) cell, Orec.clock (Engine.orecs w))
 
 let test_counter_domains nthreads () =
   let incs = 200 in
-  let r, total = run_counter ~nthreads ~incs Config.baseline in
+  let r, total, _ = run_counter ~nthreads ~incs Config.baseline in
   check_int "no lost updates" (nthreads * incs) total;
   check_int "every transaction committed" (nthreads * incs)
     r.Engine.stats.Stats.commits;
@@ -49,101 +49,67 @@ let test_counter_domains nthreads () =
   check_int "makespan = slowest domain" (int_of_float (1e9 *. slowest))
     r.Engine.makespan
 
-let test_counter_tvalidate () =
-  let r, total =
-    run_counter ~nthreads:4 ~incs:100 (Config.with_tvalidate Config.baseline)
-  in
-  check_int "no lost updates under tvalidate" 400 total;
-  check_int "commits" 400 r.Engine.stats.Stats.commits
+let global_config = Config.with_tvalidate Config.baseline
 
-(* ------------------------------------------------------------------ *)
-(* Decentralized clock: sharded orec table on real domains *)
-
-let dclock_config = Config.with_shards 4 (Config.with_tvalidate Config.baseline)
-
-let test_counter_dclock () =
-  let r, total = run_counter ~nthreads:4 ~incs:100 dclock_config in
-  check_int "no lost updates under dclock" 400 total;
+(* Under the Global clock every writer commit advances the shared clock
+   once, and nothing else does: the clock ends at the advances counted. *)
+let test_counter_global config () =
+  let r, total, clock = run_counter ~nthreads:4 ~incs:100 config in
+  let advances = r.Engine.stats.Stats.clock_advances in
+  check_int "no lost updates" 400 total;
   check_int "commits" 400 r.Engine.stats.Stats.commits;
-  (* The tentpole invariant: decentralized writer commits never touch the
-     shared clock. *)
-  check_int "no clock CAS on writer commits" 0
-    r.Engine.stats.Stats.clock_advances
+  check "each commit advanced the clock" true (advances >= 400);
+  check_int "clock = advances" advances clock
 
-(* Epoch skew: thread 0 commits [rounds] writer transactions back to
-   back, driving its local epoch far past every peer's watermark for it;
-   the other threads then each run one transaction over the stamped
-   cells.  Their first fresh read of a high-epoch stamp must trigger a
-   watermark resync (a snapshot extension), after which the whole scan
-   validates — same commits and aborts as the centralized shards=1
-   reference, with zero clock CASes. *)
-let run_epoch_skew ~mode config =
-  let nthreads = 4 and rounds = 30 in
-  let w = Engine.create ~nthreads config in
-  let cells = Alloc.alloc (Engine.global_arena w) rounds in
-  let out = Alloc.alloc (Engine.global_arena w) nthreads in
-  let flag = Atomic.make false in
+(* Thread 1 reads one cell, then waits inside its transaction while
+   thread 0 commits to the other cells (one line each), stamping them
+   past thread 1's snapshot: thread 1 must extend its snapshot and commit
+   without an abort, in the simulator and on real domains alike. *)
+let run_snapshot_extension ~mode =
+  let rounds = 16 and stride = 8 in
+  let w = Engine.create ~nthreads:2 global_config in
+  let cells = Alloc.alloc (Engine.global_arena w) (rounds * stride) in
+  let out = Alloc.alloc (Engine.global_arena w) 1 in
+  let opened = Atomic.make false and written = Atomic.make false in
   let body th =
     if Txn.thread_id th = 0 then begin
-      for k = 0 to rounds - 1 do
-        Txn.atomic th (fun tx -> Txn.write tx (cells + k) (k + 1))
-      done;
-      Atomic.set flag true
-    end
-    else begin
-      while not (Atomic.get flag) do
+      while not (Atomic.get opened) do
         Txn.yield_hint th
       done;
-      Txn.atomic th (fun tx ->
-          let sum = ref 0 in
-          for k = 0 to rounds - 1 do
-            sum := !sum + Txn.read tx (cells + k)
-          done;
-          Txn.write tx (out + Txn.thread_id th) !sum)
+      for k = 1 to rounds - 1 do
+        Txn.atomic th (fun tx -> Txn.write tx (cells + (k * stride)) k)
+      done;
+      Atomic.set written true
     end
+    else
+      Txn.atomic th (fun tx ->
+          let sum = ref (Txn.read tx cells) in
+          Atomic.set opened true;
+          while not (Atomic.get written) do
+            Txn.yield_hint th
+          done;
+          for k = 1 to rounds - 1 do
+            sum := !sum + Txn.read tx (cells + (k * stride))
+          done;
+          Txn.write tx out !sum)
   in
   let r =
     match mode with
     | `Native -> Engine.run_native w body
     | `Sim seed -> Engine.run_sim ~seed w body
   in
-  let expected = rounds * (rounds + 1) / 2 in
-  for tid = 1 to nthreads - 1 do
-    check_int "reader summed a consistent snapshot" expected
-      (Memory.get (Engine.memory w) (out + tid))
-  done;
-  r
+  check_int "reader summed every write" (rounds * (rounds - 1) / 2)
+    (Memory.get (Engine.memory w) out);
+  check_int "commits" rounds r.Engine.stats.Stats.commits;
+  check_int "aborts" 0 r.Engine.stats.Stats.aborts;
+  check_int "one clock advance per writer commit" rounds
+    r.Engine.stats.Stats.clock_advances;
+  check "newer stamps forced a snapshot extension" true
+    (r.Engine.per_thread.(1).Stats.snapshot_extensions >= 1)
 
-let test_dclock_epoch_skew () =
-  let centralized = Config.with_tvalidate Config.baseline in
-  let r_ref = run_epoch_skew ~mode:(`Sim 11) centralized in
-  let r_sim = run_epoch_skew ~mode:(`Sim 11) dclock_config in
-  let r_nat = run_epoch_skew ~mode:`Native dclock_config in
-  let commits (r : Engine.result) = r.Engine.stats.Stats.commits in
-  let aborts (r : Engine.result) = r.Engine.stats.Stats.aborts in
-  (* Phase separation makes the workload conflict-free, so the outcome
-     is schedule-independent and all three runs must agree exactly. *)
-  check_int "centralized reference commits" 33 (commits r_ref);
-  check_int "dclock sim commits match reference" (commits r_ref)
-    (commits r_sim);
-  check_int "dclock native commits match reference" (commits r_ref)
-    (commits r_nat);
-  check_int "centralized aborts" 0 (aborts r_ref);
-  check_int "dclock sim aborts" 0 (aborts r_sim);
-  check_int "dclock native aborts" 0 (aborts r_nat);
-  (* Centralized writer commits each pay the clock CAS; decentralized
-     ones never do, even with real parallelism. *)
-  check "centralized pays clock CASes" true
-    (r_ref.Engine.stats.Stats.clock_advances > 0);
-  check_int "dclock sim clock CASes" 0 r_sim.Engine.stats.Stats.clock_advances;
-  check_int "dclock native clock CASes" 0
-    r_nat.Engine.stats.Stats.clock_advances;
-  (* Each reader's first fresh read of an epoch beyond its watermark must
-     have forced a validating resync. *)
-  check "epoch skew forced watermark resyncs" true
-    (r_sim.Engine.stats.Stats.snapshot_extensions >= 3);
-  check "native skew forced watermark resyncs" true
-    (r_nat.Engine.stats.Stats.snapshot_extensions >= 3)
+let test_snapshot_extension () =
+  run_snapshot_extension ~mode:(`Sim 11);
+  run_snapshot_extension ~mode:`Native
 
 (* ------------------------------------------------------------------ *)
 (* Bank micro: random transfers conserve the total balance *)
@@ -394,23 +360,12 @@ let sim_refs =
     ("tree", tree, 74, 283028);
     (* was 117, 238073 *)
     ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 83, 260829);
-    (* Commit-path coverage: the lazy acquire, the Local (per-thread
-       epoch) clock that [+tv] switches to at >1 shards, and the durable
-       commit record. *)
+    (* Commit-path coverage: the lazy acquire and the durable commit
+       record. *)
     (* was 83, 258251 *)
     ("tree+lazy", Config.with_lazy tree, 60, 284687);
     (* was 78, 268579 *)
     ("tree+lazy+tv", Config.with_lazy (Config.with_tvalidate tree), 71, 254751);
-    (* was 125, 305902 *)
-    ( "tree+tv+shards:4",
-      Config.with_shards 4 (Config.with_tvalidate tree),
-      103,
-      278143 );
-    (* was 74, 248796 *)
-    ( "tree+lazy+tv+shards:4",
-      Config.with_shards 4 (Config.with_lazy (Config.with_tvalidate tree)),
-      89,
-      210020 );
     (* was 88, 244191 *)
     ( "tree+lazy+tv+wal",
       Config.with_durable (Config.with_lazy (Config.with_tvalidate tree)),
@@ -447,18 +402,20 @@ let () =
             (test_counter_domains 2);
           Alcotest.test_case "counter 4 domains" `Quick
             (test_counter_domains 4);
-          Alcotest.test_case "counter tvalidate" `Quick test_counter_tvalidate;
+          Alcotest.test_case "counter tvalidate" `Quick
+            (test_counter_global global_config);
           Alcotest.test_case "bank invariant" `Quick test_bank_invariant;
           Alcotest.test_case "adjacent orecs 2 domains" `Quick
             (test_orec_adjacent_mutex 2);
           Alcotest.test_case "adjacent orecs 4 domains" `Quick
             (test_orec_adjacent_mutex 4);
         ] );
-      ( "dclock",
+      ( "global clock",
         [
-          Alcotest.test_case "counter dclock" `Quick test_counter_dclock;
-          Alcotest.test_case "epoch skew resync" `Quick
-            test_dclock_epoch_skew;
+          Alcotest.test_case "counter lazy+tv" `Quick
+            (test_counter_global (Config.with_lazy global_config));
+          Alcotest.test_case "snapshot extension" `Quick
+            test_snapshot_extension;
         ] );
       ( "stamp",
         List.map

@@ -1608,10 +1608,11 @@ let test_mode_name_wal_suffix () =
        (Config.baseline |> Config.with_lazy |> Config.with_tvalidate
       |> Config.with_durable)
     = "lazy+tv+wal");
-  check "+wal before +shards" true
+  check "+wal before +ebr" true
     (Config.mode_name
-       (Config.with_durable (Config.with_shards 4 Config.baseline))
-    = "eager+wal+shards:4")
+       (Config.baseline |> Config.with_lazy |> Config.with_tvalidate
+      |> Config.with_durable |> Config.with_ebr)
+    = "lazy+tv+wal+ebr")
 
 let config_cases name f =
   List.map
