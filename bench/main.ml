@@ -468,7 +468,7 @@ let micro () =
      both are measured against. *)
   let reread_passes = 64 in
   let txn_rereads forwarded =
-    let line = 1 lsl Config.baseline.Config.line_words_log2 in
+    let line = Captured_stm.Orec.line_words in
     let w = Engine.create ~nthreads:1 Config.baseline in
     let cell =
       Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
@@ -640,25 +640,6 @@ let ablation () =
         (run (Config.runtime Alloc_log.Tree))
         (run (Config.runtime_hybrid Alloc_log.Tree)))
     [ "kmeans-high"; "ssca2"; "labyrinth"; "vacation-high" ];
-  (* (f) Optimistic vs pessimistic reads: with read locks, every barrier
-     is a lock acquisition, so capture-based read elision saves even
-     more. *)
-  Printf.printf "\n(f) read strategy (vacation-high, 16 thr: abort ratio / makespan)\n";
-  List.iter
-    (fun (name, cfg) ->
-      let r =
-        App.run (Option.get (Registry.find "vacation-high")) ~nthreads:sim_threads
-          ~scale:(scale ()) ~mode:(`Sim 1) cfg
-      in
-      Printf.printf "  %-36s %5.2f  %9d\n" name
-        (Stats.abort_ratio r.Engine.stats)
-        r.Engine.makespan)
-    [
-      ("optimistic baseline", Config.baseline);
-      ("pessimistic baseline", Config.pessimistic Config.baseline);
-      ("optimistic runtime-tree", Config.runtime Alloc_log.Tree);
-      ("pessimistic runtime-tree", Config.pessimistic (Config.runtime Alloc_log.Tree));
-    ];
   (* (d) Check scope: runtime checks on reads are what hurts kmeans. *)
   Printf.printf "\n(d) runtime check scope vs makespan (kmeans-high, 1 thr)\n";
   List.iter
@@ -710,8 +691,8 @@ let tvalidate () =
 
 let contention () =
   headline
-    "Contention: CM policy sweep (shared-counter increments, simulator, \
-     JSON lines)";
+    "Contention: CM policy sweep (shared-counter increments, then four \
+     apps at 16 threads; simulator, JSON lines)";
   let incs = if !quick then 40 else 200 in
   List.iter
     (fun policy ->
@@ -752,7 +733,50 @@ let contention () =
             (show r.Engine.stats
                [ "cm_max_consec_aborts"; "cm_starvation_events" ]))
         [ 2; 4; 8; 16 ])
-    Cm.all_policies
+    Cm.all_policies;
+  (* Every policy on real apps, each under its benchmark configuration:
+     [run_sim] fails unless the app's own verification passes. *)
+  List.iter
+    (fun (name, cfg) ->
+      match List.find_opt (fun app -> app.App.name = name) apps with
+      | None -> ()
+      | Some app ->
+          (* [Cm.all_policies] lists the default, [Backoff], first. *)
+          let base = ref 0 in
+          List.iter
+            (fun policy ->
+              let cfg = Config.with_cm policy cfg in
+              let r = run_sim app cfg ~nthreads:sim_threads ~seed:1 in
+              if policy = Cm.Backoff then base := r.Engine.makespan;
+              json_line ~section:"contention"
+                [
+                  ("policy", str (Cm.policy_name policy));
+                  ("app", str name);
+                  ("config", str (Config.name cfg));
+                  ("mode", str (Config.mode_name cfg));
+                  ("threads", string_of_int sim_threads);
+                ]
+                r;
+              Printf.printf
+                "# %-14s %-9s %2d thr  abort/commit %5.2f  makespan %9d \
+                 (%+5.1f%% vs backoff)  %s\n"
+                name (Cm.policy_name policy) sim_threads
+                (Stats.abort_ratio r.Engine.stats)
+                r.Engine.makespan
+                (change ~base:!base r.Engine.makespan)
+                (show r.Engine.stats
+                   [ "cm_max_consec_aborts"; "cm_starvation_events" ]))
+            Cm.all_policies)
+    [
+      ( "vacation-high",
+        Config.runtime Alloc_log.Tree |> Config.with_fastpath
+        |> Config.with_ebr );
+      ("kmeans-high", Config.runtime Alloc_log.Tree |> Config.with_fastpath);
+      ("bayes", Config.runtime Alloc_log.Tree);
+      ( "intruder",
+        Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree
+        |> Config.with_lazy |> Config.with_tvalidate |> Config.with_ebr );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Scale: native multicore sweep — real domains, wall clock              *)

@@ -123,13 +123,12 @@ let print_recovery ~json dir (rc : Wal.recovery) =
   end
 
 let run_cmd app_name config_name scope_name scale_name threads native seed
-    pessimistic fastpath tvalidate lazy_ fences ebr cm_name fuel
+    fastpath tvalidate lazy_ fences ebr cm_name fuel
     fault_name wal_dir wal_group recover json =
   let ( let* ) = Result.bind in
   let outcome =
     let* scope = scope_of_name scope_name in
     let* config = config_of_name ~scope config_name in
-    let config = if pessimistic then Config.pessimistic config else config in
     let config = if fastpath then Config.with_fastpath config else config in
     let config = if tvalidate then Config.with_tvalidate config else config in
     let config = if lazy_ then Config.with_lazy config else config in
@@ -274,10 +273,6 @@ let native_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulator seed.")
 
-let pessimistic_arg =
-  Arg.(value & flag
-       & info [ "pessimistic" ] ~doc:"Lock records for reads (2PL).")
-
 let fastpath_arg =
   Arg.(value & flag
        & info [ "fastpath" ]
@@ -371,7 +366,7 @@ let wal_pos_arg =
 
 let run_term =
   Term.(ret (const run_cmd $ app_arg $ config_arg $ scope_arg $ scale_arg
-             $ threads_arg $ native_arg $ seed_arg $ pessimistic_arg
+             $ threads_arg $ native_arg $ seed_arg
              $ fastpath_arg $ tvalidate_arg $ lazy_arg $ fences_arg
              $ ebr_arg $ cm_arg $ fuel_arg
              $ fault_arg $ wal_dir_arg $ wal_group_arg $ recover_arg

@@ -35,9 +35,7 @@ let count_dfrees hist =
 (* The oracle's strict (aborted-attempts-too) mode is sound exactly when
    every read is validated as it happens. *)
 let strictness_for (config : Config.t) =
-  if config.Config.tvalidate || config.Config.pessimistic_reads then
-    Oracle.All_attempts
-  else Oracle.Committed_only
+  if config.Config.tvalidate then Oracle.All_attempts else Oracle.Committed_only
 
 module Wal = Captured_stm.Wal
 

@@ -26,8 +26,7 @@ type run = {
 }
 
 (** Oracle strictness a configuration has earned: [All_attempts] under
-    per-read validation (+tv) or pessimistic reads, else
-    [Committed_only]. *)
+    per-read validation (+tv), else [Committed_only]. *)
 val strictness_for : Config.t -> Oracle.strictness
 
 (** [run_one ~workload ~config control] prepares a fresh world, runs it

@@ -355,10 +355,10 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
         match Hashtbl.find_opt live tid with
         | None -> ()
         | Some a ->
-            (* Under per-read validation (+tv) or pessimistic reads even
-               aborted attempts must be opaque; the baseline's periodic
-               validation admits bounded zombie windows, so only committed
-               attempts are held to the snapshot rule there. *)
+            (* Under per-read validation (+tv) even aborted attempts
+               must be opaque; the baseline's periodic validation admits
+               bounded zombie windows, so only committed attempts are
+               held to the snapshot rule there. *)
             if strictness = All_attempts && not (snapshot_exists a ~end_seq:seq)
             then
               fail ~kind:"no-snapshot-aborted" ~tid ~seq

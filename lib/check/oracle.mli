@@ -44,9 +44,9 @@
     collisions).
 
     [All_attempts] is sound for configurations that validate every read
-    ([Config.tvalidate]) or lock reads ([Config.pessimistic_reads]); the
-    baseline's periodic validation ([validate_every]) permits bounded
-    zombie windows in aborted attempts, so it gets [Committed_only]. *)
+    ([Config.tvalidate]); the baseline's periodic validation
+    ([validate_every]) permits bounded zombie windows in aborted
+    attempts, so it gets [Committed_only]. *)
 
 type strictness = Committed_only | All_attempts
 

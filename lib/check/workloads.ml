@@ -304,7 +304,7 @@ let reread ~nthreads ~rounds =
       (fun config ->
         let world = small_world ~nthreads config in
         let arena = Engine.global_arena world in
-        let line = 1 lsl config.Config.line_words_log2 in
+        let line = Captured_stm.Orec.line_words in
         let block = Alloc.alloc arena (4 * line) in
         let a = (block + line - 1) land lnot (line - 1) in
         let b = a + 1 and c = a + (2 * line) in

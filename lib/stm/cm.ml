@@ -89,7 +89,7 @@ let on_abort t (st : Stats.t) ~attempt ~work ~jitter =
         + (jitter land 63)
         + 1
 
-let spin_patience t ~default =
+let spin_patience t =
   match t.policy with
-  | Timestamp when t.starving -> default * 8
-  | Backoff | Karma | Timestamp -> default
+  | Timestamp when t.starving -> Costs.spin_limit * 8
+  | Backoff | Karma | Timestamp -> Costs.spin_limit

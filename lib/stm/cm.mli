@@ -47,6 +47,6 @@ val on_abort : t -> Stats.t -> attempt:int -> work:int -> jitter:int -> int
     loop).  Updates [cm_max_consec_aborts] / [cm_starvation_events] in
     [stats].  Always ≥ 1. *)
 
-val spin_patience : t -> default:int -> int
-(** Effective lock-wait spin limit: [default] except for starving
-    [Timestamp] transactions, which get 8×. *)
+val spin_patience : t -> int
+(** Effective lock-wait spin limit: {!Costs.spin_limit} except for
+    starving [Timestamp] transactions, which get 8×. *)

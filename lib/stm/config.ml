@@ -15,13 +15,9 @@ type t = {
   fastpath : bool;
   tvalidate : bool;
   static_filter : bool;
-  pessimistic_reads : bool;
   audit : bool;
   orec_bits : int;
-  line_words_log2 : int;
   array_capacity : int;
-  filter_buckets : int;
-  spin_limit : int;
   cm : Cm.policy;
   fuel : int;
   fault : Fault.kind option;
@@ -48,13 +44,9 @@ let default =
     fastpath = false;
     tvalidate = false;
     static_filter = false;
-    pessimistic_reads = false;
     audit = false;
     orec_bits = 17;
-    line_words_log2 = 2;
     array_capacity = 4;
-    filter_buckets = 4096;
-    spin_limit = 32;
     cm = Cm.Backoff;
     fuel = 0;
     fault = None;
@@ -74,7 +66,6 @@ let compiler = { default with analysis = Compiler }
 let runtime_hybrid ?(scope = full_scope) backend =
   { default with analysis = Runtime backend; scope; static_filter = true }
 
-let pessimistic t = { t with pessimistic_reads = true }
 let with_fastpath ?(on = true) t = { t with fastpath = on }
 let with_tvalidate ?(on = true) t = { t with tvalidate = on }
 let with_cm policy t = { t with cm = policy }
@@ -127,7 +118,6 @@ let name t =
     ^ (if t.lazy_versioning then "+lazy" else "")
     ^ (if t.durable then "+wal" else "")
     ^ (if t.ebr then "+ebr" else "")
-    ^ (if t.pessimistic_reads then "+pessimistic" else "")
     ^ (match t.cm with
       | Cm.Backoff -> ""
       | p -> "+cm:" ^ Cm.policy_name p)
@@ -150,5 +140,4 @@ let mode_name t =
   ^ (if t.fastpath then "+fp" else "")
   ^ (if t.tvalidate then "+tv" else "")
   ^ (if t.durable then "+wal" else "")
-  ^ (if t.ebr then "+ebr" else "")
-  ^ if t.pessimistic_reads then "+pessimistic" else ""
+  ^ if t.ebr then "+ebr" else ""

@@ -48,21 +48,13 @@ type t = {
       (** Skip runtime capture checks at sites the compiler proved
           definitely shared (the paper's §3.2/§6 future work); only
           meaningful with [Runtime]. *)
-  pessimistic_reads : bool;
-      (** Lock records for reads (two-phase locking) instead of optimistic
-          versioned reads — the mode the paper's §2.1 says Intel's STM
-          falls back to "in certain cases".  Readers are exclusive here
-          (no shared read locks), the simplest pessimistic scheme. *)
   audit : bool;
       (** Maintain a precise side tree and classify every instrumented
           access (Figure 8 measurement mode); independent of elision. *)
   orec_bits : int;
       (** log2 of the ownership-record table size (default 17: one word
           per record, 1 MiB). *)
-  line_words_log2 : int;  (** words per conflict-detection granule. *)
   array_capacity : int;
-  filter_buckets : int;
-  spin_limit : int;  (** lock-wait spins before self-abort. *)
   cm : Cm.policy;
       (** Contention-management policy for the retry loop ([+cm:<name>]
           suffix; [Backoff] — the default — is suffix-free and reproduces
@@ -137,9 +129,6 @@ val compiler : t
 (** Runtime capture analysis + compiler shared-site filtering: barriers at
     definitely-shared sites skip the runtime checks entirely. *)
 val runtime_hybrid : ?scope:scope -> Captured_core.Alloc_log.backend -> t
-
-(** [pessimistic t] switches [t] to read-locking barriers. *)
-val pessimistic : t -> t
 
 (** [with_fastpath t] enables ([?on:false]: disables) the hierarchical
     capture-check fast path. *)

@@ -6,7 +6,6 @@ let write_barrier_owned = 16
 let undo_log_entry = 10
 let waw_hit = 5
 let read_owned = 12
-let pessimistic_read = 40
 
 let commit_base = 20
 let commit_per_read = 2
@@ -20,6 +19,7 @@ let alloca = 2
 
 let validate_per_read = 2
 let lock_spin = 4
+let spin_limit = 32
 let txn_begin = 12
 
 (* Timestamp-based validation: a snapshot check is one clock load and one
@@ -92,6 +92,6 @@ let ebr_advance = 6
 let grace_wait = 10
 
 (* Fault injection: extra cycles a Delayed_unlock commit burns while
-   still holding its orecs — deliberately beyond the default lock-wait
-   budget (spin_limit * lock_spin = 128) so waiters spin out. *)
+   still holding its orecs — deliberately beyond the lock-wait budget
+   (spin_limit * lock_spin = 128) so waiters spin out. *)
 let fault_unlock_delay = 160

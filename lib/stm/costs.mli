@@ -23,9 +23,6 @@ val undo_log_entry : int
 val waw_hit : int
 val read_owned : int
 
-val pessimistic_read : int
-(** Read-locking barrier (CAS acquisition, like a write). *)
-
 val commit_base : int
 val commit_per_read : int
 val commit_per_orec : int
@@ -38,6 +35,12 @@ val alloca : int
 
 val validate_per_read : int
 val lock_spin : int
+(** One lock-wait spin iteration on a held orec. *)
+
+val spin_limit : int
+(** Lock-wait spins before a barrier self-aborts ({!Cm.spin_patience}
+    scales it for starving transactions). *)
+
 val txn_begin : int
 
 val ts_read_check : int
@@ -124,4 +127,5 @@ val grace_wait : int
 
 val fault_unlock_delay : int
 (** {!Fault.Delayed_unlock}: cycles a commit holds its locks beyond the
-    release point. *)
+    release point — more than a waiter's whole budget,
+    [spin_limit * lock_spin]. *)

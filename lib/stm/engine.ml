@@ -33,10 +33,7 @@ let create ?(global_words = 1 lsl 18) ?(stack_words = 1 lsl 14)
     1 + global_words + (nthreads * (stack_words + arena_words))
   in
   let memory = Memory.create ~words in
-  let orecs =
-    Orec.create ~bits:config.Config.orec_bits
-      ~line_words_log2:config.Config.line_words_log2 ()
-  in
+  let orecs = Orec.create ~bits:config.Config.orec_bits in
   let global_arena = Alloc.create memory ~base:1 ~words:global_words in
   let stacks =
     Array.init nthreads (fun i ->

@@ -10,10 +10,13 @@ external store : int array -> int -> int -> unit = "captured_orec_store"
 external cas : int array -> int -> int -> int -> bool = "captured_orec_cas"
 [@@noalloc]
 
+(* Conflict-detection granule: four words share a record. *)
+let line_words_log2 = 2
+let line_words = 1 lsl line_words_log2
+
 type t = {
   records : int array;
   shift : int; (* take the HIGH bits of the multiplicative hash *)
-  line_words_log2 : int;
   version_clock : int Atomic.t;
 }
 
@@ -26,19 +29,18 @@ type t = {
    case, one word every [+tv] writer commit touches, so it keeps its own
    padded line ({!Padding}).  Cost: 2^bits words (1 MiB at the default 17
    bits). *)
-let create ~bits ~line_words_log2 () =
+let create ~bits =
   if bits < 4 || bits > 24 then invalid_arg "Orec.create: bits";
   {
     records = Array.make (1 lsl bits) 0;
     shift = 62 - bits;
-    line_words_log2;
     version_clock = Padding.padded_atomic 0;
   }
 
 (* Fibonacci hashing: the low product bits are periodic in the address
    (stride 2^k aliasing!), so the index must come from the HIGH bits. *)
 let index_of t addr =
-  (((addr lsr t.line_words_log2) * 0x2545F4914F6CDD1D) land max_int)
+  (((addr lsr line_words_log2) * 0x2545F4914F6CDD1D) land max_int)
   lsr t.shift
 
 let count t = Array.length t.records

@@ -19,7 +19,11 @@
 
 type t
 
-val create : bits:int -> line_words_log2:int -> unit -> t
+val line_words : int
+(** Words per conflict-detection granule (4): aligned runs of this many
+    words always map to one record. *)
+
+val create : bits:int -> t
 (** A table of 2^[bits] records ([4 <= bits <= 24]). *)
 
 val index_of : t -> int -> int

@@ -156,8 +156,7 @@ type t = {
           epoch to pass the privatization fence. *)
   (* conflict accounting *)
   mutable orec_acquires : int;
-      (** Orec acquisitions (write locks, and read locks under
-          [pessimistic_reads]). *)
+      (** Orec acquisitions (write locks). *)
   mutable conflict_episodes : int;
       (** Lock-wait episodes: a barrier found the orec held by another
           thread (counted once per wait, not per spin). *)

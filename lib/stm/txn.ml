@@ -290,8 +290,7 @@ let make_tx th =
       | Config.Runtime backend ->
           Some
             (Alloc_log.create ~array_capacity:cfg.array_capacity
-               ~filter_buckets:cfg.filter_buckets ~fastpath:cfg.fastpath
-               backend)
+               ~fastpath:cfg.fastpath backend)
       | Config.Baseline | Config.Compiler -> None
     else None
   in
@@ -518,6 +517,34 @@ let elision ~cls ~cost = (cost lsl 3) lor cls
 let elision_class e = e land 7
 let elision_cost e = e asr 3
 
+(* The per-class counter of an elided ([cls <> keep_code]) access. *)
+let count_elided_read (st : Stats.t) cls =
+  if cls = elide_stack_code then
+    st.reads_elided_stack <- st.reads_elided_stack + 1
+  else if cls = elide_heap_code then
+    st.reads_elided_heap <- st.reads_elided_heap + 1
+  else if cls = elide_private_code then
+    st.reads_elided_private <- st.reads_elided_private + 1
+  else st.reads_elided_static <- st.reads_elided_static + 1
+
+let count_elided_write (st : Stats.t) cls =
+  if cls = elide_stack_code then
+    st.writes_elided_stack <- st.writes_elided_stack + 1
+  else if cls = elide_heap_code then
+    st.writes_elided_heap <- st.writes_elided_heap + 1
+  else if cls = elide_private_code then
+    st.writes_elided_private <- st.writes_elided_private + 1
+  else st.writes_elided_static <- st.writes_elided_static + 1
+
+(* Durable elision of an elided store: captured (stack/heap/static)
+   stores need no WAL entry — stacks are transient and own-allocation
+   images ride in the commit record.  Private stores are immediately
+   visible shared state and survive aborts, so they are logged raw. *)
+let wal_elided_store th cls addr v =
+  if th.wal <> None then
+    if cls = elide_private_code then wal_raw th addr v
+    else th.stats.wal_skips <- th.stats.wal_skips + 1
+
 (* One hierarchical heap capture check: classify the probe, charge the
    tier that answered, and account it.  Without fastpath the hierarchy
    degenerates to the bare backend probe at its usual price.  Result is
@@ -663,6 +690,18 @@ let note_conflict th w =
   let owner = Orec.owner_of w in
   if owner <> th.tid then Stats.note_pair th.stats ~tid:th.tid ~peer:owner
 
+(* One lock-wait spin on an orec found holding the locked word [w]; the
+   attempt self-aborts once the contention manager's patience is spent. *)
+let spin_on_lock th w spins =
+  th.stats.lock_waits <- th.stats.lock_waits + 1;
+  if spins = 0 then note_conflict th w;
+  if spins >= Cm.spin_patience th.cm then begin
+    th.stats.spin_aborts <- th.stats.spin_aborts + 1;
+    raise Retry_conflict
+  end;
+  th.platform.consume Costs.lock_spin;
+  th.platform.yield ()
+
 (* [logged] is the orec's read-log position ([Read_map.find], -1 when
    fresh), probed once by [full_read]: only this thread adds entries, and
    nothing in the loop does before it returns. *)
@@ -670,18 +709,8 @@ let rec full_read_loop tx oi addr logged spins =
   let th = tx.thread in
   let w1 = Orec.get th.orecs oi in
   if Orec.is_locked w1 then begin
-    th.stats.lock_waits <- th.stats.lock_waits + 1;
-    if spins = 0 then note_conflict th w1;
-    if spins >= Cm.spin_patience th.cm ~default:th.config.Config.spin_limit
-    then begin
-      th.stats.spin_aborts <- th.stats.spin_aborts + 1;
-      raise Retry_conflict
-    end
-    else begin
-      th.platform.consume Costs.lock_spin;
-      th.platform.yield ();
-      full_read_loop tx oi addr logged (spins + 1)
-    end
+    spin_on_lock th w1 spins;
+    full_read_loop tx oi addr logged (spins + 1)
   end
   else begin
     let v = mem_get th addr in
@@ -750,49 +779,11 @@ let rec full_read_loop tx oi addr logged spins =
     end
   end
 
-(* Forward declaration dance: the pessimistic read acquires exactly like a
-   write, so [acquire_loop] is defined before both. *)
-let rec acquire_loop tx oi spins =
-  let th = tx.thread in
-  let w = Orec.get th.orecs oi in
-  if Orec.is_locked w then begin
-    th.stats.lock_waits <- th.stats.lock_waits + 1;
-    if spins = 0 then note_conflict th w;
-    if spins >= Cm.spin_patience th.cm ~default:th.config.Config.spin_limit
-    then begin
-      th.stats.spin_aborts <- th.stats.spin_aborts + 1;
-      raise Retry_conflict
-    end
-    else begin
-      th.platform.consume Costs.lock_spin;
-      th.platform.yield ();
-      acquire_loop tx oi (spins + 1)
-    end
-  end
-  else if Orec.try_lock th.orecs oi ~owner:th.tid ~expected:w then begin
-    (* A read of this orec logged earlier in the attempt stays valid while
-       the lock is held iff it read the version just replaced (see
-       [read_entry_valid]). *)
-    let logged = Read_map.find tx.read_index oi in
-    if logged >= 0 && tx.read_words.(logged) = w then
-      tx.read_words.(logged) <- th.lock_word;
-    th.stats.orec_acquires <- th.stats.orec_acquires + 1;
-    push_acq tx oi w
-  end
-  else acquire_loop tx oi (spins + 1)
-
 let full_read tx addr =
   let th = tx.thread in
   let oi = Orec.index_of th.orecs addr in
   if owns tx oi then begin
     th.platform.consume Costs.read_owned;
-    mem_get th addr
-  end
-  else if th.config.Config.pessimistic_reads then begin
-    (* Two-phase locking: lock the record for reading; no read set, no
-       validation, no zombies. *)
-    th.platform.consume Costs.pessimistic_read;
-    acquire_loop tx oi 0;
     mem_get th addr
   end
   else begin
@@ -879,13 +870,7 @@ let read_at ~site tx addr =
         full_read tx addr
       end
       else begin
-        (if cls = elide_stack_code then
-           st.reads_elided_stack <- st.reads_elided_stack + 1
-         else if cls = elide_heap_code then
-           st.reads_elided_heap <- st.reads_elided_heap + 1
-         else if cls = elide_private_code then
-           st.reads_elided_private <- st.reads_elided_private + 1
-         else st.reads_elided_static <- st.reads_elided_static + 1);
+        count_elided_read st cls;
         th.platform.consume (elision_cost e + Costs.direct_access);
         mem_get th addr
       end
@@ -900,6 +885,25 @@ let read tx addr = read_at ~site:Site.anonymous_read tx addr
 
 (* ------------------------------------------------------------------ *)
 (* Write barrier                                                       *)
+
+let rec acquire_loop tx oi spins =
+  let th = tx.thread in
+  let w = Orec.get th.orecs oi in
+  if Orec.is_locked w then begin
+    spin_on_lock th w spins;
+    acquire_loop tx oi (spins + 1)
+  end
+  else if Orec.try_lock th.orecs oi ~owner:th.tid ~expected:w then begin
+    (* A read of this orec logged earlier in the attempt stays valid while
+       the lock is held iff it read the version just replaced (see
+       [read_entry_valid]). *)
+    let logged = Read_map.find tx.read_index oi in
+    if logged >= 0 && tx.read_words.(logged) = w then
+      tx.read_words.(logged) <- th.lock_word;
+    th.stats.orec_acquires <- th.stats.orec_acquires + 1;
+    push_acq tx oi w
+  end
+  else acquire_loop tx oi (spins + 1)
 
 let full_write tx addr v =
   let th = tx.thread in
@@ -984,22 +988,10 @@ let lazy_write tx addr v ~site =
          commit-time write-back.  Direct stores touch memory now, so
          the sandbox bounds guard applies here. *)
       sandbox_bounds tx addr;
-      (if cls = elide_stack_code then
-         st.writes_elided_stack <- st.writes_elided_stack + 1
-       else if cls = elide_heap_code then
-         st.writes_elided_heap <- st.writes_elided_heap + 1
-       else if cls = elide_private_code then
-         st.writes_elided_private <- st.writes_elided_private + 1
-       else st.writes_elided_static <- st.writes_elided_static + 1);
+      count_elided_write st cls;
       st.redo_skips <- st.redo_skips + 1;
       th.platform.consume (elision_cost e + Costs.direct_access);
-      (* Durable elision: captured (stack/heap/static) stores need no
-         WAL entry — stacks are transient and own-allocation images ride
-         in the commit record.  Private stores are immediately visible
-         shared state and survive aborts, so they are logged raw. *)
-      (if th.wal <> None then
-         if cls = elide_private_code then wal_raw th addr v
-         else st.wal_skips <- st.wal_skips + 1);
+      wal_elided_store th cls addr v;
       mem_set th addr v;
       match !tracer with
       | None -> ()
@@ -1031,18 +1023,9 @@ let write_at ~site tx addr v =
        full_write tx addr v
      end
      else begin
-       (if cls = elide_stack_code then
-          st.writes_elided_stack <- st.writes_elided_stack + 1
-        else if cls = elide_heap_code then
-          st.writes_elided_heap <- st.writes_elided_heap + 1
-        else if cls = elide_private_code then
-          st.writes_elided_private <- st.writes_elided_private + 1
-        else st.writes_elided_static <- st.writes_elided_static + 1);
+       count_elided_write st cls;
        th.platform.consume (elision_cost e + Costs.direct_access);
-       (* Same durable-elision split as the lazy barrier above. *)
-       (if th.wal <> None then
-          if cls = elide_private_code then wal_raw th addr v
-          else st.wal_skips <- st.wal_skips + 1);
+       wal_elided_store th cls addr v;
        mem_set th addr v
      end);
     match !tracer with
@@ -1202,7 +1185,6 @@ let push_scope tx ~top =
       | Config.Runtime backend when cfg.Config.scope.Config.check_heap ->
           Some
             (Alloc_log.create ~array_capacity:cfg.Config.array_capacity
-               ~filter_buckets:cfg.Config.filter_buckets
                ~fastpath:cfg.Config.fastpath backend)
       | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
   in
@@ -1214,7 +1196,7 @@ let push_scope tx ~top =
   (* A nested scope must not trust the parent's write-after-write notes:
      an address undo-logged by the outer scope still needs a fresh undo
      entry inside the child, or partial abort cannot restore it (the
-     paper's Â§2.2.1 live-in observation, applied to the WAW filter). *)
+     paper's §2.2.1 live-in observation, applied to the WAW filter). *)
   if not top then Waw.clear tx.waw;
   tx.scopes <-
     {

@@ -21,7 +21,7 @@ let test_orec_encoding () =
   check_int "version of bumped" 22 (Orec.version_of (Orec.bumped 42))
 
 let test_orec_lock_cycle () =
-  let t = Orec.create ~bits:6 ~line_words_log2:2 () in
+  let t = Orec.create ~bits:6 in
   let i = Orec.index_of t 1234 in
   let before = Orec.get t i in
   check "initially unlocked" false (Orec.is_locked before);
@@ -34,7 +34,7 @@ let test_orec_lock_cycle () =
     && Orec.version_of (Orec.get t i) = Orec.version_of before + 1)
 
 let test_orec_clock () =
-  let t = Orec.create ~bits:6 ~line_words_log2:2 () in
+  let t = Orec.create ~bits:6 in
   check_int "starts at zero" 0 (Orec.clock t);
   check_int "first advance returns 1" 1 (Orec.advance_clock t);
   check_int "second advance returns 2" 2 (Orec.advance_clock t);
@@ -47,7 +47,7 @@ let test_orec_clock () =
   check "monotone" true (Orec.stamped ~ts:2 > Orec.stamped ~ts:1)
 
 let test_orec_line_granularity () =
-  let t = Orec.create ~bits:10 ~line_words_log2:2 () in
+  let t = Orec.create ~bits:10 in
   (* Addresses within one 4-word line map to the same record. *)
   check_int "same line" (Orec.index_of t 100) (Orec.index_of t 103);
   check "across lines usually differ" true
@@ -56,7 +56,7 @@ let test_orec_line_granularity () =
 
 let test_orec_hash_no_power_of_two_aliasing () =
   (* The bring-up bug: strides of 2^18 (arena spacing) must not alias. *)
-  let t = Orec.create ~bits:14 ~line_words_log2:2 () in
+  let t = Orec.create ~bits:14 in
   let base = 8 in
   let collisions = ref 0 in
   for k = 1 to 16 do
@@ -70,15 +70,15 @@ let test_orec_hash_no_power_of_two_aliasing () =
 
 let test_orec_create_validation () =
   Alcotest.check_raises "too few bits" (Invalid_argument "Orec.create: bits")
-    (fun () -> ignore (Orec.create ~bits:3 ~line_words_log2:2 ()));
+    (fun () -> ignore (Orec.create ~bits:3));
   check_int "2^bits records" 256
-    (Orec.count (Orec.create ~bits:8 ~line_words_log2:2 ()))
+    (Orec.count (Orec.create ~bits:8))
 
 (* At every table size the index is a record of the table, and the four
    words of a line map to one record. *)
 let prop_index_in_table =
   let tables =
-    List.map (fun bits -> Orec.create ~bits ~line_words_log2:2 ()) [ 4; 10; 17 ]
+    List.map (fun bits -> Orec.create ~bits) [ 4; 10; 17 ]
   in
   QCheck.Test.make ~name:"index in range, line-mates share a record"
     ~count:2000 (QCheck.int_range 0 ((1 lsl 30) - 1)) (fun addr ->
@@ -427,6 +427,12 @@ let test_costs_relative_magnitudes () =
   check "backoff capped" true
     (Costs.backoff ~attempt:60 ~jitter:0 = Costs.backoff ~attempt:11 ~jitter:0)
 
+(* Fault.Delayed_unlock only makes waiters spin out if the commit holds
+   its locks longer than a waiter's whole lock-wait budget. *)
+let test_costs_delayed_unlock_outlasts_wait () =
+  check "delay > spin_limit * lock_spin" true
+    (Costs.fault_unlock_delay > Costs.spin_limit * Costs.lock_spin)
+
 (* The documented contract of Costs.backoff, as properties: monotone in
    the attempt number, jitter adds at most [63 * attempt] over the
    jitter-free value, and the result is never negative. *)
@@ -505,10 +511,10 @@ let test_cm_timestamp_starvation () =
   check_int "max consecutive aborts tracked" 12 st.Stats.cm_max_consec_aborts;
   let starved = Cm.on_abort old st ~attempt:13 ~work:3 ~jitter:7 in
   check "starving retry is near-immediate" true (starved <= 64);
-  check "starving spins longer" true
-    (Cm.spin_patience old ~default:32 > 32);
+  check_int "starving spins 8x longer" (8 * Costs.spin_limit)
+    (Cm.spin_patience old);
   Cm.on_complete old;
-  check_int "patience resets" 32 (Cm.spin_patience old ~default:32)
+  check_int "patience resets" Costs.spin_limit (Cm.spin_patience old)
 
 let test_cm_names_roundtrip () =
   List.iter
@@ -589,6 +595,8 @@ let () =
         ] );
       ( "costs",
         Alcotest.test_case "magnitudes" `Quick test_costs_relative_magnitudes
+        :: Alcotest.test_case "delayed unlock outlasts lock wait" `Quick
+             test_costs_delayed_unlock_outlasts_wait
         :: List.map Qc.to_alcotest
              [
                prop_backoff_monotone;

@@ -147,7 +147,7 @@ let test_bank_invariant () =
    plain counter.  A lost increment means two domains held one record at
    once; every record must end unlocked, bumped once per increment. *)
 let test_orec_adjacent_mutex ndomains () =
-  let t = Orec.create ~bits:10 ~line_words_log2:2 () in
+  let t = Orec.create ~bits:10 in
   let first = 64 and rounds = 5000 in
   let counters = Array.make 8 0 in
   let worker d () =
@@ -309,7 +309,7 @@ let test_zero_alloc_forwarded_path () =
   let th = Engine.setup_thread w in
   (* One cell per conflict-detection line, so each has its own read-log
      entry (a line-mate's read would take the entry's forwarding pair). *)
-  let line = 1 lsl Config.baseline.Config.line_words_log2 and cells = 64 in
+  let line = Orec.line_words and cells = 64 in
   let base = Alloc.alloc (Engine.global_arena w) (line * cells) in
   let cell k = base + (line * (k land (cells - 1))) in
   let s = Txn.thread_stats th in

@@ -15,8 +15,6 @@ let all_configs =
     Config.runtime Alloc_log.Filter;
     Config.compiler;
     Config.audit;
-    Config.pessimistic Config.baseline;
-    Config.pessimistic (Config.runtime Alloc_log.Tree);
     Config.with_tvalidate Config.baseline;
     Config.with_tvalidate (Config.runtime Alloc_log.Tree);
     Config.with_tvalidate (Config.with_fastpath (Config.runtime Alloc_log.Array));
@@ -26,6 +24,12 @@ let all_configs =
     Config.with_lazy (Config.runtime Alloc_log.Tree);
     Config.with_lazy (Config.with_fastpath (Config.runtime Alloc_log.Tree));
     Config.with_lazy (Config.with_tvalidate Config.baseline);
+    (* the benchmark families: kv's config (epoch-based reclamation) and
+       the non-default contention managers *)
+    Config.runtime Alloc_log.Tree |> Config.with_fastpath
+    |> Config.with_tvalidate |> Config.with_ebr;
+    Config.with_cm Cm.Timestamp (Config.runtime Alloc_log.Tree);
+    Config.with_cm Cm.Karma (Config.with_lazy (Config.runtime Alloc_log.Tree));
   ]
 
 let mk_world ?(nthreads = 1) config = Engine.create ~nthreads config
@@ -100,8 +104,11 @@ let test_free_deferred_on_abort cfg =
          Txn.free tx addr;
          Txn.abort tx)
    with Txn.User_abort -> ());
-  (* The block survived: freeing it now must work exactly once. *)
+  (* The block survived: freeing it now must work exactly once.  Under
+     +ebr the committed free parks in limbo until a quiescence point
+     (a no-op without EBR). *)
   Txn.atomic th (fun tx -> Txn.free tx addr);
+  Txn.quiesce th;
   check_int "back to zero" 0 (Alloc.live_blocks (Engine.arena_of w 0))
 
 let test_alloc_then_free_same_txn cfg =
@@ -285,37 +292,6 @@ let test_compiler_elides_by_site () =
   check_int "static elided" 1 st.Stats.writes_elided_static;
   check_int "shared kept" 1 (st.Stats.writes - Stats.writes_elided st);
   Site.reset_verdicts ()
-
-let test_pessimistic_no_read_set () =
-  (* Read-locking means no optimistic read entries and no zombies: a read
-     immediately owns the record, so a subsequent read is an owned hit. *)
-  let w = mk_world (Config.pessimistic Config.baseline) in
-  let cell = Alloc.alloc (Engine.global_arena w) 1 in
-  Memory.set (Engine.memory w) cell 17;
-  let th = Engine.setup_thread w in
-  let v =
-    Txn.atomic th (fun tx -> Txn.read tx cell + Txn.read tx cell)
-  in
-  check_int "read twice" 34 v;
-  (* Readers exclude writers: a reader holding the lock forces a
-     concurrent writer to retry; conservation must still hold. *)
-  let w2 = mk_world ~nthreads:4 (Config.pessimistic Config.baseline) in
-  let acct = Alloc.alloc (Engine.global_arena w2) 2 in
-  Memory.set (Engine.memory w2) acct 100;
-  Memory.set (Engine.memory w2) (acct + 1) 100;
-  let _ =
-    Engine.run_sim w2 (fun th ->
-        for _ = 1 to 50 do
-          Txn.atomic th (fun tx ->
-              let a = Txn.read tx acct in
-              if a > 0 then begin
-                Txn.write tx acct (a - 1);
-                Txn.write tx (acct + 1) (Txn.read tx (acct + 1) + 1)
-              end)
-        done)
-  in
-  check_int "conserved under 2PL" 200
-    (Memory.get (Engine.memory w2) acct + Memory.get (Engine.memory w2) (acct + 1))
 
 let test_hybrid_skips_checks_on_shared_sites () =
   Site.reset_verdicts ();
@@ -1930,8 +1906,6 @@ let () =
           Alcotest.test_case "shared not elided" `Quick test_shared_not_elided;
           Alcotest.test_case "compiler elides by site" `Quick
             test_compiler_elides_by_site;
-          Alcotest.test_case "pessimistic reads" `Quick
-            test_pessimistic_no_read_set;
           Alcotest.test_case "hybrid skips checks" `Quick
             test_hybrid_skips_checks_on_shared_sites;
           Alcotest.test_case "private annotation" `Quick
