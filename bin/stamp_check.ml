@@ -234,7 +234,8 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv
       if fault = Some Fault.Premature_reuse then [ "free_race" ]
       else
         [ "counter"; "bank"; "publish"; "scoped" ]
-        @ (if fault = None then [ "zombie"; "zombie_reread" ] else [])
+        @ (if fault = None then [ "zombie"; "zombie_reread"; "zombie_owned" ]
+           else [])
     else split_csv workloads_csv
   in
   let resolve name =
@@ -471,13 +472,13 @@ open Cmdliner
 let workloads_arg =
   let doc =
     "Comma-separated micro workloads (counter, bank, publish, scoped, \
-     zombie, zombie_reread, reread, free_race, privatize_race).  \
-     Default: the first six — fault sweeps drop the two zombies, whose \
-     termination depends on the validation machinery faults break \
-     (unless $(b,--apps) is given alone); reread, the read-forwarding \
-     workload, fails any cell that \
-     forwarded no read; the reclaim pair is red by design without \
-     $(b,--ebr) and must be named explicitly."
+     zombie, zombie_reread, zombie_owned, reread, free_race, \
+     privatize_race).  Default: the first seven — fault sweeps drop the \
+     three zombies, whose termination depends on the validation \
+     machinery faults break (unless $(b,--apps) is given alone); reread, \
+     the read-forwarding workload, fails any cell that forwarded no read; \
+     the reclaim pair is red by design without $(b,--ebr) and must be \
+     named explicitly."
   in
   Arg.(value & opt string "" & info [ "workloads"; "w" ] ~docv:"NAMES" ~doc)
 

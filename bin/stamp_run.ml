@@ -123,7 +123,7 @@ let print_recovery ~json dir (rc : Wal.recovery) =
   end
 
 let run_cmd app_name config_name scope_name scale_name threads native seed
-    fastpath tvalidate lazy_ fences ebr cm_name fuel
+    fastpath tvalidate lazy_ fences ebr cm_name
     fault_name wal_dir wal_group recover json =
   let ( let* ) = Result.bind in
   let outcome =
@@ -136,10 +136,6 @@ let run_cmd app_name config_name scope_name scale_name threads native seed
     let config = if ebr then Config.with_ebr config else config in
     let* cm = cm_of_name cm_name in
     let config = Config.with_cm cm config in
-    let* config =
-      if fuel < 0 then Error "negative --fuel"
-      else Ok (Config.with_fuel fuel config)
-    in
     let* fault = fault_of_name fault_name in
     let config = Config.with_fault fault config in
     let* config =
@@ -318,14 +314,6 @@ let cm_arg =
        & info [ "cm" ] ~docv:"POLICY"
            ~doc:"Contention-management policy: backoff | karma | timestamp.")
 
-let fuel_arg =
-  Arg.(value & opt int 0
-       & info [ "fuel" ] ~docv:"N"
-           ~doc:"Validation fuel per transaction attempt (0 = disabled): \
-                 every transactional operation burns one unit and \
-                 exhaustion forces a revalidation, bounding zombie \
-                 execution.")
-
 let fault_arg =
   Arg.(value & opt string ""
        & info [ "fault" ] ~docv:"NAME"
@@ -368,7 +356,7 @@ let run_term =
   Term.(ret (const run_cmd $ app_arg $ config_arg $ scope_arg $ scale_arg
              $ threads_arg $ native_arg $ seed_arg
              $ fastpath_arg $ tvalidate_arg $ lazy_arg $ fences_arg
-             $ ebr_arg $ cm_arg $ fuel_arg
+             $ ebr_arg $ cm_arg
              $ fault_arg $ wal_dir_arg $ wal_group_arg $ recover_arg
              $ json_arg))
 

@@ -356,7 +356,7 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
         | None -> ()
         | Some a ->
             (* Under per-read validation (+tv) even aborted attempts
-               must be opaque; the baseline's periodic validation admits
+               must be opaque; the baseline's fuel-forced validation admits
                bounded zombie windows, so only committed attempts are
                held to the snapshot rule there. *)
             if strictness = All_attempts && not (snapshot_exists a ~end_seq:seq)

@@ -44,8 +44,8 @@
     collisions).
 
     [All_attempts] is sound for configurations that validate every read
-    ([Config.tvalidate]); the baseline's periodic validation
-    ([validate_every]) permits bounded zombie windows in aborted
+    ([Config.tvalidate]); the baseline's fuel-forced validation
+    ([Costs.fuel_budget]) permits bounded zombie windows in aborted
     attempts, so it gets [Committed_only]. *)
 
 type strictness = Committed_only | All_attempts

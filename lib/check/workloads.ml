@@ -208,17 +208,13 @@ let scoped ~nthreads ~incs =
    the validation machinery that bounds the spin. *)
 let zombie_spins = 10_000
 
-let zombie ~name ~fuel ~spin ~nthreads ~rounds =
+let zombie ~name ~spin ~nthreads ~rounds =
   {
     name = Printf.sprintf "%s-%dx%d" name nthreads rounds;
     nthreads;
     reclaim_oracle = false;
     prepare =
       (fun config ->
-        let config =
-          if fuel = 0 || config.Config.fuel > 0 then config
-          else Config.with_fuel fuel config
-        in
         let world = small_world ~nthreads config in
         let arena = Engine.global_arena world in
         let a = Alloc.alloc arena 1 in
@@ -267,21 +263,6 @@ let zombie ~name ~fuel ~spin ~nthreads ~rounds =
         in
         { App.world; body; verify });
   }
-
-(* The spin is [tx_work], which the periodic validate-every guard never
-   reaches (it only runs in read/write barriers): only the
-   validation-fuel budget bounds it, so [prepare] arms a small one. *)
-let zombie_loop =
-  zombie ~name:"zombie" ~fuel:384 ~spin:(fun tx _ -> Txn.tx_work tx 25)
-
-(* The spin re-reads [b], with fuel left as the config has it (off by
-   default).  Under the Scan clock the zombie's read of [b] was logged
-   unchecked, and memory keeps the logged value, so every re-read is
-   forwarded from the read log: only the periodic guard, which forwarded
-   reads still count toward, bounds the spin. *)
-let zombie_reread =
-  zombie ~name:"zombie_reread" ~fuel:0 ~spin:(fun tx b ->
-      ignore (Txn.read tx b : int))
 
 (* Re-read: read-after-read forwarding under concurrent commits.  Cells
    [a] and [b] share a conflict-detection line (one orec), [c] sits two
@@ -523,8 +504,21 @@ let micros ~nthreads =
     bank ~nthreads ~accounts:4 ~transfers:3;
     publish ~nthreads ~nodes:3;
     scoped ~nthreads ~incs:2;
-    zombie_loop ~nthreads ~rounds:3;
-    zombie_reread ~nthreads ~rounds:3;
+    (* No zombie spin touches a barrier slow path, so only the
+       validation fuel every transactional operation burns bounds it.
+       [zombie_reread]: under the Scan clock the zombie's read of [b] was
+       logged unchecked and memory keeps the logged value, so every
+       re-read is forwarded from the read log.  [zombie_owned]: after
+       the first write every access hits the owned orec (eager) or the
+       redo buffer (lazy). *)
+    zombie ~name:"zombie" ~spin:(fun tx _ -> Txn.tx_work tx 25) ~nthreads
+      ~rounds:3;
+    zombie ~name:"zombie_reread"
+      ~spin:(fun tx b -> ignore (Txn.read tx b : int))
+      ~nthreads ~rounds:3;
+    zombie ~name:"zombie_owned"
+      ~spin:(fun tx b -> Txn.write tx b (Txn.read tx b))
+      ~nthreads ~rounds:3;
     reread ~nthreads ~rounds:3;
   ]
 

@@ -28,20 +28,17 @@ val publish : nthreads:int -> nodes:int -> t
 val scoped : nthreads:int -> incs:int -> t
 (** Closed nesting with partial aborts. *)
 
-val zombie_spins : int
-(** Spin iterations after which a zombie workload gives up and reports
-    that no guard aborted it (sound guards fire within a few hundred). *)
-
-val zombie_loop : nthreads:int -> rounds:int -> t
-(** A reader spins in [tx_work] on a condition only an inconsistent
-    snapshot satisfies; the validation-fuel budget (armed by [prepare] when the
-    config leaves it off) must terminate it in every schedule. *)
-
-val zombie_reread : nthreads:int -> rounds:int -> t
-(** The same zombie, spinning on re-reads of an address it already read
-    and with fuel left as the config has it: the re-reads are forwarded
-    from the read log, and the periodic validation guard they still
-    count toward must terminate the spin in every schedule. *)
+val zombie :
+  name:string -> spin:(Captured_stm.Txn.tx -> int -> unit) -> nthreads:int ->
+  rounds:int -> t
+(** A writer keeps two cells on distinct orecs equal; a reader that sees
+    them differ (only an inconsistent snapshot can) runs [spin tx b] up
+    to 10,000 times, [b] being the second cell.  The validation fuel
+    every transactional operation burns must abort it well before that
+    in every schedule.  {!micros} holds three: [zombie] spins in
+    [tx_work], [zombie_reread] re-reads [b] (forwarded from the read
+    log), [zombie_owned] read-modify-writes [b] (an owned orec, or under
+    [+lazy] a redo-buffer hit). *)
 
 val reread : nthreads:int -> rounds:int -> t
 (** Readers re-read cells on a shared line and on a distinct one while a
@@ -54,7 +51,7 @@ val min_forwarded : t -> int
     must record — 1 for {!reread}, 0 for every other workload. *)
 
 val micros : nthreads:int -> t list
-(** The seven micro workloads at smoke-test sizes. *)
+(** The eight micro workloads at smoke-test sizes. *)
 
 val free_race : nthreads:int -> rounds:int -> t
 (** Publish / retract-with-deferred-free / recycle-same-class against

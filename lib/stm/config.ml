@@ -19,7 +19,6 @@ type t = {
   orec_bits : int;
   array_capacity : int;
   cm : Cm.policy;
-  fuel : int;
   fault : Fault.kind option;
   fences : bool;
   lazy_versioning : bool;
@@ -48,7 +47,6 @@ let default =
     orec_bits = 17;
     array_capacity = 4;
     cm = Cm.Backoff;
-    fuel = 0;
     fault = None;
     fences = false;
     lazy_versioning = false;
@@ -69,9 +67,6 @@ let runtime_hybrid ?(scope = full_scope) backend =
 let with_fastpath ?(on = true) t = { t with fastpath = on }
 let with_tvalidate ?(on = true) t = { t with tvalidate = on }
 let with_cm policy t = { t with cm = policy }
-let with_fuel fuel t =
-  if fuel < 0 then invalid_arg "Config.with_fuel: negative budget";
-  { t with fuel }
 
 let with_fences ?(on = true) t = { t with fences = on }
 
@@ -121,7 +116,6 @@ let name t =
     ^ (match t.cm with
       | Cm.Backoff -> ""
       | p -> "+cm:" ^ Cm.policy_name p)
-    ^ (if t.fuel > 0 then Printf.sprintf "+fuel:%d" t.fuel else "")
     ^ (if t.fences then "+fence" else "")
     ^ (match t.fault with
       | None -> ""

@@ -39,10 +39,10 @@ type t = {
           transaction records a snapshot timestamp at begin; reads whose
           orec version is within the snapshot need no revalidation, newer
           versions trigger snapshot {e extension} (one full validation,
-          then a fresh timestamp) instead of an abort.  [maybe_validate]
-          becomes an O(1) clock compare, commit skips the read-set scan
-          when the snapshot is current, and read-only transactions commit
-          with no validation and no clock bump.  Works under every
+          then a fresh timestamp) instead of an abort.  The fuel-forced
+          zombie guard becomes an O(1) clock compare, commit skips the
+          read-set scan when the snapshot is current, and read-only
+          transactions commit with no validation and no clock bump.  Works under every
           [analysis]; semantics-preserving. *)
   static_filter : bool;
       (** Skip runtime capture checks at sites the compiler proved
@@ -59,13 +59,6 @@ type t = {
       (** Contention-management policy for the retry loop ([+cm:<name>]
           suffix; [Backoff] — the default — is suffix-free and reproduces
           the pre-CM behaviour bit for bit). *)
-  fuel : int;
-      (** Validation fuel per transaction attempt: every transactional
-          operation — including elided/owned accesses and [tx_work],
-          which the periodic barrier-path guard never sees — burns
-          one unit, and exhaustion forces a revalidation (then refills).
-          Bounds how long a zombie can run regardless of what it does.
-          [0] (default) disables the budget; [+fuel:<n>] suffix. *)
   fault : Fault.kind option;
       (** Injected fault for the robustness layer / checker self-tests
           ([+fault:<name>] suffix).  Never enable outside tests. *)
@@ -141,11 +134,6 @@ val with_tvalidate : ?on:bool -> t -> t
 (** [with_cm policy t] selects the contention-management policy
     ([+cm:<name>] suffix for non-default policies). *)
 val with_cm : Cm.policy -> t -> t
-
-(** [with_fuel n t] arms the per-attempt validation-fuel budget
-    ([+fuel:<n>] suffix; [n = 0] disables).  Raises [Invalid_argument] on
-    negative [n]. *)
-val with_fuel : int -> t -> t
 
 (** [with_fences t] enables ([?on:false]: disables) the debug read-barrier
     fence ([+fence] suffix). *)

@@ -20,6 +20,7 @@ let alloca = 2
 let validate_per_read = 2
 let lock_spin = 4
 let spin_limit = 32
+let fuel_budget = 512
 let txn_begin = 12
 
 (* Timestamp-based validation: a snapshot check is one clock load and one

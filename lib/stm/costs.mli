@@ -41,6 +41,12 @@ val spin_limit : int
 (** Lock-wait spins before a barrier self-aborts ({!Cm.spin_patience}
     scales it for starving transactions). *)
 
+val fuel_budget : int
+(** Zombie guard: transactional operations per attempt between forced
+    revalidations.  Every read, write, alloc, free, alloca and [tx_work]
+    burns one unit, captured and owned accesses included, so an
+    inconsistent attempt runs at most this many operations unchecked. *)
+
 val txn_begin : int
 
 val ts_read_check : int

@@ -72,7 +72,7 @@ type t = {
   (* timestamp-based validation ([Config.tvalidate]) *)
   mutable validations_skipped : int;
       (** Full read-set scans replaced by an O(1) clock-vs-snapshot
-          compare (periodic zombie guards and commit-time validations
+          compare (fuel-forced zombie guards and commit-time validations
           whose snapshot was still current). *)
   mutable snapshot_extensions : int;
       (** Snapshot extensions: a newer-than-snapshot orec version forced
@@ -96,8 +96,9 @@ type t = {
       (** Total simulated cycles burnt between a conflict abort and its
           retry, whatever the contention-management policy. *)
   mutable fuel_exhaustions : int;
-      (** Validation-fuel budgets that ran dry, forcing a revalidation
-          ([Config.fuel]; counts forced checks, not aborts). *)
+      (** Zombie-guard firings: validation-fuel budgets
+          ([Costs.fuel_budget] operations) that ran dry, forcing a
+          revalidation; counts forced checks, not aborts. *)
   mutable sandbox_aborts : int;
       (** Exceptions raised inside an attempt that post-hoc validation
           proved to be zombie fallout — silently converted to

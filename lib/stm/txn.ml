@@ -113,8 +113,7 @@ and tx = {
   mutable scopes : scope list; (* innermost first; non-empty while live *)
   mutable live : bool;
   mutable attempts : int;
-  mutable ops_since_validate : int;
-  (* Validation fuel left this attempt (0 when the budget is disabled). *)
+  (* Zombie-guard fuel left this attempt (see [burn_fuel]). *)
   mutable fuel : int;
   (* Snapshot timestamp (Global clock): the read set is known consistent
      at the instant the global clock held this value. *)
@@ -318,7 +317,6 @@ let make_tx th =
     scopes = [];
     live = false;
     attempts = 0;
-    ops_since_validate = 0;
     fuel = 0;
     start_ts = 0;
   }
@@ -414,7 +412,7 @@ let wal_raw th addr value =
       if synced then th.stats.wal_fsyncs <- th.stats.wal_fsyncs + 1
 
 (* Top-level recursion: a local [let rec] would close over the tx and
-   allocate on every validation (which [maybe_validate] runs from the
+   allocate on every validation (which [burn_fuel] runs from the
    barrier path). *)
 let rec reads_valid th orecs words n k =
   k >= n
@@ -460,31 +458,19 @@ let revalidate tx =
       else th.stats.validations_skipped <- th.stats.validations_skipped + 1
   | Scan -> if not (validate tx) then raise Retry_conflict
 
-(* Instrumented barrier slow paths between periodic zombie guards. *)
-let validate_every = 512
-
-let maybe_validate tx =
-  tx.ops_since_validate <- tx.ops_since_validate + 1;
-  if tx.ops_since_validate >= validate_every then begin
-    tx.ops_since_validate <- 0;
-    revalidate tx
-  end
-
-(* Validation fuel: a hard bound on un-revalidated execution.  The
-   periodic guard above only runs on instrumented barrier slow paths;
-   owned reads, capture-elided accesses and [tx_work] never reach it, so
-   a zombie spinning in those is otherwise immortal.  Every
-   transactional operation burns one unit; an empty tank forces the same
-   revalidation and refills. *)
+(* Validation fuel: the one bound on un-revalidated execution.  Every
+   transactional operation burns one unit — owned, forwarded and
+   capture-elided accesses and [tx_work] included, which no barrier slow
+   path sees — so a zombie spinning on any of them dies within
+   [Costs.fuel_budget] operations.  An empty tank forces the zombie
+   guard and refills. *)
 let burn_fuel tx =
-  if tx.fuel > 0 then begin
-    tx.fuel <- tx.fuel - 1;
-    if tx.fuel = 0 then begin
-      let th = tx.thread in
-      tx.fuel <- th.config.Config.fuel;
-      th.stats.fuel_exhaustions <- th.stats.fuel_exhaustions + 1;
-      revalidate tx
-    end
+  tx.fuel <- tx.fuel - 1;
+  if tx.fuel = 0 then begin
+    let th = tx.thread in
+    tx.fuel <- Costs.fuel_budget;
+    th.stats.fuel_exhaustions <- th.stats.fuel_exhaustions + 1;
+    revalidate tx
   end
 
 (* Zombie pointer sandbox: a transaction on an invalid snapshot can
@@ -804,18 +790,15 @@ let full_read tx addr =
          can follow a full-barrier read (reads outside the check scope,
          or at a bypassed +fp site): memory that no longer holds the
          logged value takes the full path.  The price is an owned
-         read's: the map lookup plus one data load.  It still counts
-         toward the periodic zombie guard: under Scan a fresh read is
-         logged unchecked, so a zombie spinning on re-reads of it would
-         otherwise never revalidate (fuel is off by default). *)
+         read's: the map lookup plus one data load.  Under Scan a fresh
+         read is logged unchecked, so a zombie spinning on re-reads of
+         it is ended only by the fuel [read_at] burns. *)
       th.stats.reads_forwarded <- th.stats.reads_forwarded + 1;
       th.platform.consume Costs.read_owned;
-      maybe_validate tx;
       Array.unsafe_get tx.read_vals logged
     end
     else begin
       th.platform.consume Costs.read_barrier;
-      maybe_validate tx;
       full_read_loop tx oi addr logged 0
     end
   end
@@ -911,7 +894,6 @@ let full_write tx addr v =
   if owns tx oi then th.platform.consume Costs.write_barrier_owned
   else begin
     th.platform.consume Costs.write_barrier_acquire;
-    maybe_validate tx;
     acquire_loop tx oi 0
   end;
   if Waw.note tx.waw addr then begin
@@ -969,7 +951,6 @@ let lazy_write tx addr v ~site =
     let cls = elision_class e in
     if cls = keep_code then begin
       th.platform.consume (elision_cost e);
-      maybe_validate tx;
       (* Injected fault: the store is lost on the way into the buffer —
          the transaction commits without it. *)
       if fault_fires th Fault.Redo_drop then ()
@@ -1232,8 +1213,7 @@ let begin_top tx =
   Read_map.next_attempt tx.read_index;
   tx.n_undo <- 0;
   tx.n_acq <- 0;
-  tx.ops_since_validate <- 0;
-  tx.fuel <- th.config.Config.fuel;
+  tx.fuel <- Costs.fuel_budget;
   if tx.attempts = 0 then Cm.note_begin th.cm;
   (* Only the Global clock has a snapshot timestamp; skipping the clock
      read keeps Scan's begin clock-free. *)

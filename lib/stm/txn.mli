@@ -2,7 +2,8 @@
 
     Reads are optimistic and invisible (Intel C++ STM / McRT style, paper
     §2.1): a read barrier logs the orec version it observed, validated at
-    commit and periodically as a zombie guard.  A re-read of an address
+    commit and, as a zombie guard, whenever the attempt's validation
+    fuel ({!Costs.fuel_budget} operations) runs out.  A re-read of an address
     the attempt already read is answered from the read log while memory
     still holds the logged value ({!Stats.t.reads_forwarded}).  Writes
     take one of two
@@ -164,7 +165,8 @@ val work : thread -> int -> unit
     it so simulator fibers make progress). *)
 val yield_hint : thread -> unit
 
-(** [tx_work tx c] — as [work], from inside a transaction. *)
+(** [tx_work tx c] — as [work], from inside a transaction; like every
+    transactional operation it burns one unit of validation fuel. *)
 val tx_work : tx -> int -> unit
 
 (** {2 Introspection} *)

@@ -378,7 +378,7 @@ let test_injected_bug_caught_by_dfs () =
   Alcotest.(check bool) "dfs finds it" true (r.Harness.violations > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Zombies: the trap genuinely fires, and fuel or the periodic guard   *)
+(* Zombies: the trap genuinely fires, and the always-armed fuel        *)
 (* terminates it                                                       *)
 
 let all_strategies =
@@ -389,63 +389,18 @@ let all_strategies =
   ]
 
 (* The micros sweep already proves zombie runs terminate; this probe
-   (same shape, plus an OCaml-side flag set on trap entry) proves the
-   inconsistent read is actually reached — without that, termination
-   would be vacuous.  [fuel] 0 leaves the budget off. *)
-let zombie_trap_fires_and_terminates ~fuel ~spin =
-  let trapped = ref false and escaped = ref false in
+   (the same workload, plus an OCaml-side flag set on trap entry) proves
+   the inconsistent read is actually reached — without that,
+   termination would be vacuous.  A zombie that outlives the spin cap
+   fails the workload's verify: a reported violation.  No probe arms
+   anything: the fuel budget is always on. *)
+let zombie_trap_fires_and_terminates ~spin =
+  let trapped = ref false in
   let workload =
-    {
-      Workloads.name = "zombie-probe";
-      nthreads = 2;
-      reclaim_oracle = false;
-      prepare =
-        (fun config ->
-          let config = Config.with_fuel fuel config in
-          let world =
-            Engine.create ~global_words:1024 ~stack_words:256
-              ~arena_words:1024 ~nthreads:2
-              { config with Config.orec_bits = 10 }
-          in
-          let arena = Engine.global_arena world in
-          let a = Alloc.alloc arena 1 in
-          let _spacer = Alloc.alloc arena 8 in
-          let b = Alloc.alloc arena 1 in
-          let rounds = 3 in
-          let body th =
-            if Txn.thread_id th = 0 then
-              for _ = 1 to rounds do
-                Txn.atomic th (fun tx ->
-                    Txn.write tx a (Txn.read tx a + 1);
-                    Txn.tx_work tx 30;
-                    Txn.write tx b (Txn.read tx b + 1))
-              done
-            else
-              for _ = 1 to rounds do
-                Txn.atomic th (fun tx ->
-                    let x = Txn.read tx a in
-                    Txn.tx_work tx 10;
-                    let y = Txn.read tx b in
-                    if x <> y then begin
-                      trapped := true;
-                      for _ = 1 to Workloads.zombie_spins do
-                        spin tx b
-                      done;
-                      escaped := true;
-                      raise Exit
-                    end)
-              done
-          in
-          let verify () =
-            let m = Captured_stm.Engine.memory world in
-            if
-              Captured_tmem.Memory.get m a = rounds
-              && Captured_tmem.Memory.get m b = rounds
-            then Ok ()
-            else Error "zombie cells diverged"
-          in
-          { App.world; body; verify })
-    }
+    Workloads.zombie ~name:"zombie-probe" ~nthreads:2 ~rounds:3
+      ~spin:(fun tx b ->
+        trapped := true;
+        spin tx b)
   in
   List.iter
     (fun strategy ->
@@ -456,19 +411,31 @@ let zombie_trap_fires_and_terminates ~fuel ~spin =
         Alcotest.failf "%s" (Harness.report_to_string r);
       Alcotest.(check int) "no truncations" 0 r.Harness.truncated)
     all_strategies;
-  Alcotest.(check bool) "trap entered at least once" true !trapped;
-  Alcotest.(check bool) "no zombie outlived the spin cap" false !escaped
+  Alcotest.(check bool) "trap entered at least once" true !trapped
 
 let test_zombie_trap_fires_and_terminates () =
-  zombie_trap_fires_and_terminates ~fuel:256 ~spin:(fun tx _ ->
-      Txn.tx_work tx 25)
+  zombie_trap_fires_and_terminates ~spin:(fun tx _ -> Txn.tx_work tx 25)
 
-(* Fuel off, spinning on re-reads of [b]: the Scan clock logged the
-   zombie's read of [b] unchecked, so every re-read is forwarded from the
-   read log, and only the periodic guard they count toward ends it. *)
-let test_zombie_reread_terminates_without_fuel () =
-  zombie_trap_fires_and_terminates ~fuel:0 ~spin:(fun tx b ->
+(* Spinning on re-reads of [b]: the Scan clock logged the zombie's read
+   of [b] unchecked, so every re-read is forwarded from the read log and
+   only the fuel each read burns ends it. *)
+let test_zombie_reread_terminates () =
+  zombie_trap_fires_and_terminates ~spin:(fun tx b ->
       ignore (Txn.read tx b : int))
+
+(* Read-modify-write of [b]: after the first write every access hits the
+   owned orec, which no barrier slow path sees. *)
+let test_zombie_owned_terminates () =
+  zombie_trap_fires_and_terminates ~spin:(fun tx b ->
+      Txn.write tx b (Txn.read tx b))
+
+(* Alloc, write and free a cell: the write to the fresh block is
+   captured and elided, so again only the fuel bounds the spin. *)
+let test_zombie_elided_terminates () =
+  zombie_trap_fires_and_terminates ~spin:(fun tx _ ->
+      let p = Txn.alloc tx 1 in
+      Txn.write tx p 1;
+      Txn.free tx p)
 
 (* ------------------------------------------------------------------ *)
 (* Structured faults: contained ones stay silent, flagged ones are     *)
@@ -814,8 +781,12 @@ let () =
         [
           Alcotest.test_case "zombie trap fires and terminates" `Quick
             test_zombie_trap_fires_and_terminates;
-          Alcotest.test_case "zombie re-read terminates without fuel" `Quick
-            test_zombie_reread_terminates_without_fuel;
+          Alcotest.test_case "zombie re-read terminates" `Quick
+            test_zombie_reread_terminates;
+          Alcotest.test_case "zombie owned spin terminates" `Quick
+            test_zombie_owned_terminates;
+          Alcotest.test_case "zombie elided spin terminates" `Quick
+            test_zombie_elided_terminates;
           Alcotest.test_case "contained faults stay contained" `Quick
             test_contained_faults_stay_contained;
           Alcotest.test_case "stale-read flagged" `Quick

@@ -303,8 +303,8 @@ let test_zero_alloc_bypassed_site () =
 let test_zero_alloc_forwarded_path () =
   (* Re-reads of addresses the attempt already read are forwarded from
      the read log — with no allocation either.  The 512-read leg also
-     crosses the periodic zombie guard, which forwarded reads count
-     toward, so it covers one validation as well. *)
+     empties the validation fuel, which forwarded reads burn, so it
+     covers one zombie-guard validation as well. *)
   let w = Engine.create ~nthreads:1 Config.baseline in
   let th = Engine.setup_thread w in
   (* One cell per conflict-detection line, so each has its own read-log

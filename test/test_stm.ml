@@ -843,30 +843,42 @@ let prop_stm_torture cfg =
 (* Robustness: validation fuel, zombie sandbox, fault injection        *)
 
 let test_fuel_forces_validation () =
-  (* [tx_work] never reaches the periodic validate_every guard, so only
-     the fuel budget can interrupt it: 100 units on a 16-unit tank must
-     force several revalidations (all passing — the txn is valid). *)
-  let w = mk_world (Config.with_fuel 16 Config.baseline) in
+  (* [tx_work] reaches no barrier, yet burns fuel like any operation:
+     the write plus k budgets of it empty the tank exactly k times, each
+     forcing a revalidation (all passing — the txn is valid). *)
+  let w = mk_world Config.baseline in
   let cell = Alloc.alloc (Engine.global_arena w) 1 in
   let th = Engine.setup_thread w in
+  let k = 3 in
   Txn.atomic th (fun tx ->
       Txn.write tx cell 1;
-      for _ = 1 to 100 do
+      for _ = 1 to k * Costs.fuel_budget do
         Txn.tx_work tx 1
       done);
   let s = Txn.thread_stats th in
-  check "several exhaustions" true (s.Stats.fuel_exhaustions >= 5);
+  check_int "one exhaustion per budget" k s.Stats.fuel_exhaustions;
   check_int "still commits" 1 s.Stats.commits;
   check_int "value intact" 1 (Memory.get (Engine.memory w) cell)
 
-let test_fuel_disabled_by_default () =
+let test_fuel_armed_by_default () =
+  (* The default config arms the budget, owned accesses burn it, and
+     every attempt starts with a full tank. *)
   let w = mk_world Config.baseline in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
   let th = Engine.setup_thread w in
-  Txn.atomic th (fun tx ->
-      for _ = 1 to 200 do
-        Txn.tx_work tx 1
-      done);
-  check_int "no exhaustions" 0 (Txn.thread_stats th).Stats.fuel_exhaustions
+  let run ops =
+    Txn.atomic th (fun tx ->
+        Txn.write tx cell 0;
+        for _ = 2 to ops do
+          ignore (Txn.read tx cell : int)
+        done)
+  in
+  let exhaustions () = (Txn.thread_stats th).Stats.fuel_exhaustions in
+  run (Costs.fuel_budget - 1);
+  run (Costs.fuel_budget - 1);
+  check_int "refilled at begin" 0 (exhaustions ());
+  run Costs.fuel_budget;
+  check_int "owned accesses burn fuel" 1 (exhaustions ())
 
 let test_sandbox_bounds_error_propagates () =
   (* In a transaction whose snapshot is valid, a wild address is the
@@ -1033,8 +1045,6 @@ let test_cm_backoff_schedule_unchanged () =
 let test_config_name_suffixes () =
   let n = Config.name (Config.with_cm Cm.Karma Config.baseline) in
   check "cm suffix" true (n = "baseline+cm:karma");
-  let n = Config.name (Config.with_fuel 64 Config.baseline) in
-  check "fuel suffix" true (n = "baseline+fuel:64");
   let n =
     Config.name (Config.with_fault (Some Fault.Stale_read) Config.baseline)
   in
@@ -1954,8 +1964,8 @@ let () =
         [
           Alcotest.test_case "fuel forces validation" `Quick
             test_fuel_forces_validation;
-          Alcotest.test_case "fuel off by default" `Quick
-            test_fuel_disabled_by_default;
+          Alcotest.test_case "fuel armed by default" `Quick
+            test_fuel_armed_by_default;
           Alcotest.test_case "sandbox bounds propagate when valid" `Quick
             test_sandbox_bounds_error_propagates;
           Alcotest.test_case "phantom exceptions sandboxed" `Quick
