@@ -1,6 +1,7 @@
 module Sched = Captured_sim.Sched
 module Memory = Captured_tmem.Memory
 module Config = Captured_stm.Config
+module Fault = Captured_stm.Fault
 module Engine = Captured_stm.Engine
 module Stats = Captured_stm.Stats
 module App = Captured_apps.App
@@ -371,3 +372,155 @@ let report_to_string r =
            Printf.sprintf "VIOLATIONS=%d first=%s minimized=%s" r.violations
              (Oracle.violation_to_string f.violation)
              (Strategy.interventions_to_string f.minimized))
+
+(* One sweep cell: a workload under one config (which carries the
+   cell's fault).  Crash-point faults (and the seeded recovery bug) draw
+   from the thread PRNG, so whether a commit crashes depends on the
+   world seed, not the schedule: durable cells spread their run budget
+   over five world seeds. *)
+type cell = {
+  workload : Workloads.t;
+  config : Config.t;
+  reports : report list;
+  union : int;
+}
+
+let world_seeds ~seed (config : Config.t) =
+  if config.Config.durable then List.init 5 (fun i -> seed + (31 * i))
+  else [ seed ]
+
+let run_cell ?max_steps ?wal_bug ?(on_report = fun _ ~union:_ -> ())
+    ~strategies ~runs ~seed ~workload ~config () =
+  let seeds = world_seeds ~seed config in
+  let runs = max 1 (runs / List.length seeds) in
+  let seen = Hashtbl.create (8 * runs) in
+  let reports =
+    List.concat_map
+      (fun strategy ->
+        List.map
+          (fun seed ->
+            let r =
+              explore ~workload ~config ~strategy ~runs ~seed ?max_steps
+                ?wal_bug ~seen ()
+            in
+            on_report r ~union:(Hashtbl.length seen);
+            r)
+          seeds)
+      strategies
+  in
+  { workload; config; reports; union = Hashtbl.length seen }
+
+let total f c = List.fold_left (fun acc r -> acc + f r) 0 c.reports
+
+(* What a cell must show to count as evidence, whatever its fault
+   promises: no truncated run, every floor met. *)
+let floor_failures ~min_distinct c =
+  let label = c.workload.Workloads.name ^ " " ^ Config.name c.config in
+  let below what n floor =
+    if n < floor then
+      Some
+        (Printf.sprintf "%s: %d %s < %d required (vacuous)" label n what
+           floor)
+    else None
+  in
+  let crash_fault =
+    match c.config.Config.fault with Some f -> Fault.is_crash f | None -> false
+  in
+  List.filter_map Fun.id
+    [
+      (let n = total (fun r -> r.truncated) c in
+       if n > 0 then
+         Some
+           (Printf.sprintf
+              "%s: %d truncated runs (possible livelock; raise the step \
+               budget if legitimate)"
+              label n)
+       else None);
+      below "injected crashes" (total (fun r -> r.crashes) c)
+        (if crash_fault then 1 else 0);
+      below "deferred frees"
+        (total (fun r -> r.total_dfrees) c)
+        (Workloads.min_dfrees c.workload);
+      below "forwarded reads"
+        (total (fun r -> r.total_forwarded) c)
+        (Workloads.min_forwarded c.workload);
+      below "distinct schedules" c.union
+        (if c.config.Config.fault = None then min_distinct else 0);
+    ]
+
+(* Every cell sharing [fault], judged by its expectation: fault-free and
+   Contained cells must stay silent, Flagged ones must be caught without
+   an exception escaping a fiber.  Returns (notes, failures). *)
+let fault_verdict ~wal_bug fault cells =
+  let caught =
+    List.concat_map
+      (fun c ->
+        List.filter_map
+          (fun r -> if r.violations > 0 then Some (c, r) else None)
+          c.reports)
+      cells
+  in
+  let fail fmt = Printf.ksprintf (fun m -> ([], [ m ])) fmt in
+  match fault with
+  | None ->
+      ( [],
+        List.map
+          (fun (c, r) ->
+            Printf.sprintf "%s %s %s: %d oracle violations"
+              c.workload.Workloads.name (Config.name c.config) r.strategy
+              r.violations)
+          caught )
+  | Some f -> (
+      let name = Fault.name f in
+      let escaped =
+        List.filter
+          (fun (_, r) ->
+            match r.first with
+            | Some f -> f.violation.Oracle.kind = "fiber-exception"
+            | None -> false)
+          caught
+      in
+      match if wal_bug then Fault.Flagged else Fault.expectation f with
+      | Fault.Contained when caught <> [] ->
+          fail "fault %s escaped containment: violations in %d strategy runs"
+            name (List.length caught)
+      | Fault.Contained -> ([], [])
+      | Fault.Flagged when escaped <> [] ->
+          fail "fault %s: exceptions escaped fibers in %d runs (sandbox failed)"
+            name (List.length escaped)
+      | Fault.Flagged when caught = [] ->
+          fail "injected fault %s was NOT flagged by any strategy" name
+      | Fault.Flagged ->
+          ( List.map
+              (fun (c, r) ->
+                Printf.sprintf
+                  "flagged injected fault %s on %s (minimized to %d \
+                   interventions)"
+                  name c.workload.Workloads.name
+                  (match r.first with
+                  | Some f -> List.length f.minimized
+                  | None -> 0))
+              caught,
+            [] ))
+
+let verdict ?(min_distinct = 0) ?(wal_bug = false) cells =
+  let faults =
+    List.fold_left
+      (fun acc c ->
+        let f = c.config.Config.fault in
+        if List.mem f acc then acc else acc @ [ f ])
+      [] cells
+  in
+  let judged =
+    List.map
+      (fun fault ->
+        fault_verdict ~wal_bug fault
+          (List.filter (fun c -> c.config.Config.fault = fault) cells))
+      faults
+  in
+  match
+    List.concat_map (floor_failures ~min_distinct) cells
+    @ List.concat_map snd judged
+  with
+  | [] -> Ok (List.concat_map fst judged)
+  | failures -> Error failures

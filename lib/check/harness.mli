@@ -93,3 +93,54 @@ val explore :
   report
 
 val report_to_string : report -> string
+
+(** {1 Sweep cells}
+
+    Every checker sweep runs through one cell loop: a cell is a workload
+    under one configuration (whose [Config.fault] is the cell's fault),
+    explored by each strategy in turn. *)
+
+type cell = {
+  workload : Workloads.t;
+  config : Config.t;
+  reports : report list;  (** one per strategy × world seed, in run order *)
+  union : int;  (** distinct schedules across [reports] *)
+}
+
+(** [world_seeds ~seed config] — [[seed]], or five seeds spaced by 31
+    for a durable config: crash faults draw from the thread PRNG, so
+    whether a commit crashes depends on the world seed, not the
+    schedule. *)
+val world_seeds : seed:int -> Config.t -> int list
+
+(** [run_cell ~strategies ~runs ~seed ~workload ~config ()] explores the
+    cell with each strategy over {!world_seeds}, [runs] split evenly
+    across the seeds, all sharing one [seen] table.  [on_report] sees
+    each report as it lands, with the cell's union so far. *)
+val run_cell :
+  ?max_steps:int ->
+  ?wal_bug:bool ->
+  ?on_report:(report -> union:int -> unit) ->
+  strategies:Strategy.kind list ->
+  runs:int ->
+  seed:int ->
+  workload:Workloads.t ->
+  config:Config.t ->
+  unit ->
+  cell
+
+(** [verdict cells] judges a sweep.  Every cell must have no truncated
+    run and meet its floors: at least one injected crash under a crash
+    fault, {!Workloads.min_dfrees} deferred frees,
+    {!Workloads.min_forwarded} forwarded reads, and — fault-free cells
+    only — [min_distinct] (default 0) distinct schedules.  The cells of
+    each fault are then judged by {!Captured_stm.Fault.expectation}
+    ([Flagged] whenever [wal_bug]): fault-free and [Contained] cells
+    must show no violation, [Flagged] ones at least one and no exception
+    escaping a fiber.  [Ok notes] lists each flagged catch; [Error]
+    lists every failure. *)
+val verdict :
+  ?min_distinct:int ->
+  ?wal_bug:bool ->
+  cell list ->
+  (string list, string list) result

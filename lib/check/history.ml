@@ -29,29 +29,3 @@ let iter t f =
 
 let attach t = Txn.set_tracer (Some (fun tid ev -> record t ~tid ev))
 let detach () = Txn.set_tracer None
-
-let class_name = function
-  | Txn.Instrumented -> ""
-  | Txn.Elided_static -> "/static"
-  | Txn.Elided_stack -> "/stack"
-  | Txn.Elided_heap -> "/heap"
-  | Txn.Elided_private -> "/private"
-
-let event_to_string = function
-  | Txn.Ev_begin { attempt } -> Printf.sprintf "begin#%d" attempt
-  | Txn.Ev_read { addr; value; cls } ->
-      Printf.sprintf "rd%s %d=%d" (class_name cls) addr value
-  | Txn.Ev_write { addr; value; cls } ->
-      Printf.sprintf "wr%s %d:=%d" (class_name cls) addr value
-  | Txn.Ev_alloc { addr; size } -> Printf.sprintf "alloc %d+%d" addr size
-  | Txn.Ev_alloca { addr; size } -> Printf.sprintf "alloca %d+%d" addr size
-  | Txn.Ev_free { addr } -> Printf.sprintf "free %d" addr
-  | Txn.Ev_scope_begin -> "scope{"
-  | Txn.Ev_scope_commit -> "}commit"
-  | Txn.Ev_scope_abort -> "}abort"
-  | Txn.Ev_commit -> "commit"
-  | Txn.Ev_abort { user } -> if user then "abort(user)" else "abort"
-  | Txn.Ev_raw_write { addr; value } -> Printf.sprintf "raw %d:=%d" addr value
-
-let entry_to_string e =
-  Printf.sprintf "%4d t%d %s" e.seq e.tid (event_to_string e.ev)

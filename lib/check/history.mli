@@ -23,5 +23,3 @@ val iter : t -> (entry -> unit) -> unit
 val attach : t -> unit
 
 val detach : unit -> unit
-val event_to_string : Txn.event -> string
-val entry_to_string : entry -> string

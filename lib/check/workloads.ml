@@ -346,6 +346,15 @@ let reread ~nthreads ~rounds =
 let min_forwarded w =
   if String.starts_with ~prefix:"reread-" w.name then 1 else 0
 
+(* Likewise for the reclaim pair: a cell that never executed a deferred
+   free proved nothing about reuse. *)
+let min_dfrees w =
+  if
+    String.starts_with ~prefix:"free_race-" w.name
+    || String.starts_with ~prefix:"privatize_race-" w.name
+  then 1
+  else 0
+
 (* Free race: the reclamation hazard end to end.  Thread 0 publishes a
    fresh node, retracts it with a deferred [Txn.free], then immediately
    allocates the same size class — without [+ebr] the LIFO free list
@@ -529,7 +538,7 @@ let reclaim_micros ~nthreads =
   [ free_race ~nthreads ~rounds:3; privatize_race ~nthreads ~rounds:2 ]
 
 (* STAMP app adapter: same verdict-loading dispatch as [App.run]. *)
-let of_app ?(scale = App.Test) app ~nthreads =
+let of_app app ~nthreads =
   {
     name = app.App.name;
     nthreads;
@@ -541,7 +550,7 @@ let of_app ?(scale = App.Test) app ~nthreads =
         | Config.Runtime _ when config.Config.static_filter ->
             App.load_verdicts app
         | Config.Baseline | Config.Runtime _ -> Site.reset_verdicts ());
-        app.App.prepare ~nthreads ~scale config);
+        app.App.prepare ~nthreads ~scale:App.Test config);
   }
 
 let find name ~nthreads =

@@ -66,14 +66,16 @@ val privatize_race : nthreads:int -> rounds:int -> t
     raw store (app-verify red); with [+ebr] every round's update
     survives. *)
 
+val min_dfrees : t -> int
+(** Vacuity floor: the deferred frees a sweep cell of this workload
+    must record — 1 for {!free_race} and {!privatize_race}, 0 for every
+    other workload. *)
+
 val reclaim_micros : nthreads:int -> t list
 (** [free_race] and [privatize_race] at smoke-test sizes — kept out of
     {!micros} because they are red by design without [+ebr]. *)
 
-val of_app : ?scale:App.scale -> App.t -> nthreads:int -> t
-(** A registered STAMP app as a workload ([Test] scale by default);
-    handles compiler-verdict loading like {!App.run}. *)
-
 val find : string -> nthreads:int -> t option
 (** Look up a micro workload (by base name, e.g. ["counter"]) or a
-    registry app (by exact name). *)
+    registry app (by exact name; a STAMP app runs at [Test] scale and
+    loads compiler verdicts like {!App.run}). *)

@@ -135,3 +135,20 @@ let mode_name t =
   ^ (if t.tvalidate then "+tv" else "")
   ^ (if t.durable then "+wal" else "")
   ^ if t.ebr then "+ebr" else ""
+
+let of_mode_name ?(base = default) name =
+  match String.split_on_char '+' name with
+  | (("eager" | "lazy") as versioning) :: flags
+    when List.for_all (fun f -> List.mem f [ "fp"; "tv"; "wal"; "ebr" ]) flags
+         && List.length (List.sort_uniq compare flags) = List.length flags ->
+      let on f = List.mem f flags in
+      Some
+        {
+          base with
+          lazy_versioning = versioning = "lazy";
+          fastpath = on "fp";
+          tvalidate = on "tv";
+          durable = on "wal";
+          ebr = on "ebr";
+        }
+  | _ -> None

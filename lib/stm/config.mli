@@ -179,3 +179,10 @@ val name : t -> string
     self-describing (the [mode] field of [stamp_run --json] and bench
     JSON lines). *)
 val mode_name : t -> string
+
+(** [of_mode_name ~base name] — the inverse of {!mode_name}: [base]
+    (default {!default}) with the versioning mode and the [fp], [tv],
+    [wal] and [ebr] flags set exactly as [name] spells them, e.g.
+    ["eager"], ["lazy+fp"], ["eager+fp+tv+ebr"].  [None] on an unknown
+    head or flag, or a repeated flag. *)
+val of_mode_name : ?base:t -> string -> t option

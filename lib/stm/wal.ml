@@ -243,7 +243,6 @@ type t = {
   mutable synced_raws : int;
   mutable pending_records : int;
   mutable last_record_bytes : int;
-  mutable fsyncs : int;
   mutable appended_bytes : int;  (* total ever serialized *)
   mutable records : int;  (* total records ever appended *)
   mutable crashed : bool;
@@ -272,7 +271,6 @@ let create ?(group = 4) ?dir () =
     synced_raws = 0;
     pending_records = 0;
     last_record_bytes = 0;
-    fsyncs = 0;
     appended_bytes = 0;
     records = 0;
     crashed = false;
@@ -311,8 +309,7 @@ let sync_unlocked t =
     file_append t bytes 0 (Bytes.length bytes);
     t.pending_records <- 0;
     t.synced_seq <- t.seq;
-    t.synced_raws <- t.raws;
-    t.fsyncs <- t.fsyncs + 1
+    t.synced_raws <- t.raws
   end
 
 let sync t = locked t (fun () -> sync_unlocked t)
@@ -381,7 +378,6 @@ let checkpoint t ~snapshot =
       Buffer.add_bytes t.durable b;
       t.records <- t.records + 1;
       t.appended_bytes <- t.appended_bytes + Bytes.length b;
-      t.fsyncs <- t.fsyncs + 1;
       file_rewrite t)
 
 (* Crash halfway through writing the checkpoint record: the old durable
@@ -398,11 +394,9 @@ let checkpoint_torn t ~snapshot =
 
 let group t = t.group
 let pending_records t = t.pending_records
-let last_record_bytes t = t.last_record_bytes
 let seq t = t.seq
 let synced_seq t = t.synced_seq
 let synced_raws t = t.synced_raws
-let fsyncs t = t.fsyncs
 let log_bytes t = Buffer.length t.durable
 let appended_bytes t = t.appended_bytes
 let records t = t.records

@@ -114,7 +114,6 @@ val crash_torn : t -> cut:int -> unit
 
 val group : t -> int
 val pending_records : t -> int
-val last_record_bytes : t -> int
 
 val seq : t -> int
 (** Commit records appended so far (including unsynced). *)
@@ -124,7 +123,6 @@ val synced_seq : t -> int
     commit [<= synced_seq]. *)
 
 val synced_raws : t -> int
-val fsyncs : t -> int
 
 val log_bytes : t -> int
 (** Durable prefix length now (drops at checkpoint truncation). *)

@@ -552,40 +552,31 @@ let crash_fault_kinds =
     Fault.Torn_wal_record;
   ]
 
-(* Whether a commit crashes is drawn from the thread PRNG (world seed),
-   not the schedule, so each leg sweeps several world seeds. *)
-let crash_world_seeds = [ 3; 34; 65; 96; 127 ]
-
+(* Crash faults run through the sweep cell loop: whether a commit crashes
+   is drawn from the thread PRNG, so each durable cell spreads its runs
+   over several world seeds, and the verdict fails a cell whose fault
+   never fired. *)
 let test_crash_faults_recover_clean () =
-  List.iter
-    (fun fault ->
-      List.iter
-        (fun (mname, mode) ->
-          let config =
-            tree |> mode
-            |> Config.with_fault (Some fault)
-            |> Config.with_durable
-          in
-          let crashes = ref 0 in
-          List.iter
-            (fun seed ->
-              let r =
-                Harness.explore
-                  ~workload:(Workloads.counter ~nthreads:2 ~incs:3)
-                  ~config
-                  ~strategy:(Strategy.Random { persist = 85 })
-                  ~runs:15 ~seed ()
-              in
-              crashes := !crashes + r.Harness.crashes;
-              if r.Harness.violations > 0 then
-                Alcotest.failf "%s/%s: %s" (Fault.name fault) mname
-                  (Harness.report_to_string r))
-            crash_world_seeds;
-          if !crashes = 0 then
-            Alcotest.failf "%s/%s: fault never fired (vacuous)"
-              (Fault.name fault) mname)
-        [ ("eager", fun c -> c); ("lazy", Config.with_lazy ~on:true) ])
-    crash_fault_kinds
+  let cells =
+    List.concat_map
+      (fun fault ->
+        List.map
+          (fun mode ->
+            Harness.run_cell
+              ~strategies:[ Strategy.Random { persist = 85 } ]
+              ~runs:75 ~seed:3
+              ~workload:(Workloads.counter ~nthreads:2 ~incs:3)
+              ~config:
+                (tree |> mode
+                |> Config.with_fault (Some fault)
+                |> Config.with_durable)
+              ())
+          [ Fun.id; Config.with_lazy ~on:true ])
+      crash_fault_kinds
+  in
+  match Harness.verdict cells with
+  | Ok _ -> ()
+  | Error failures -> Alcotest.fail (String.concat "\n" failures)
 
 let test_clean_wal_sweep_silent () =
   (* Every clean durable run is additionally full-replay-checked by the
@@ -631,7 +622,7 @@ let test_wal_bug_caught_and_minimized () =
             ~wal_bug:true ()
         in
         if r.Harness.violations > 0 then Some (seed, r) else None)
-      crash_world_seeds
+      (Harness.world_seeds ~seed:3 config)
   in
   match found with
   | None -> Alcotest.fail "seeded recovery bug never flagged"
@@ -737,6 +728,73 @@ let test_reclaim_green_with_ebr_torture () =
         ebr_configs)
     (Workloads.reclaim_micros ~nthreads:2)
 
+(* ------------------------------------------------------------------ *)
+(* Sweep verdict floors, on synthetic cells: a cell that never         *)
+(* exercised what it claims to check is vacuous, whatever the oracle   *)
+(* said                                                                *)
+
+let quiet_report =
+  {
+    Harness.workload = "";
+    config = "";
+    strategy = "random";
+    runs = 40;
+    distinct = 40;
+    truncated = 0;
+    crashes = 0;
+    violations = 0;
+    first = None;
+    max_events = 0;
+    total_commits = 0;
+    total_dfrees = 0;
+    total_forwarded = 0;
+  }
+
+let check_vacuous ~what ~vacuous (cell : Harness.cell) =
+  match Harness.verdict [ cell ] with
+  | Ok _ -> if vacuous then Alcotest.failf "%s: passed" what
+  | Error failures ->
+      if not vacuous then Alcotest.fail (String.concat "\n" failures);
+      Alcotest.(check (list string))
+        what
+        [
+          Printf.sprintf "%s %s: 0 %s < 1 required (vacuous)"
+            cell.Harness.workload.Workloads.name
+            (Config.name cell.Harness.config)
+            what;
+        ]
+        failures
+
+let test_verdict_crash_never_fired () =
+  let cell reports =
+    {
+      Harness.workload = Workloads.counter ~nthreads:2 ~incs:3;
+      config =
+        tree
+        |> Config.with_fault (Some Fault.Crash_pre_commit)
+        |> Config.with_durable;
+      reports;
+      union = 40;
+    }
+  in
+  check_vacuous ~what:"injected crashes" ~vacuous:true (cell [ quiet_report ]);
+  check_vacuous ~what:"injected crashes" ~vacuous:false
+    (cell [ quiet_report; { quiet_report with crashes = 1 } ])
+
+let test_verdict_dfrees_floor () =
+  let cell workload reports =
+    { Harness.workload; config = Config.with_ebr tree; reports; union = 40 }
+  in
+  let free_race = Workloads.free_race ~nthreads:2 ~rounds:3 in
+  Alcotest.(check int) "free_race floor" 1 (Workloads.min_dfrees free_race);
+  check_vacuous ~what:"deferred frees" ~vacuous:true
+    (cell free_race [ quiet_report ]);
+  check_vacuous ~what:"deferred frees" ~vacuous:false
+    (cell free_race [ { quiet_report with total_dfrees = 1 } ]);
+  (* Workloads that do not exist to free carry no floor. *)
+  check_vacuous ~what:"deferred frees" ~vacuous:false
+    (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
+
 let () =
   Alcotest.run "check"
     [
@@ -814,5 +872,12 @@ let () =
             test_privatize_race_red_without_ebr;
           Alcotest.test_case "green with +ebr (30-seed torture)" `Slow
             test_reclaim_green_with_ebr_torture;
+        ] );
+      ( "verdict",
+        [
+          Alcotest.test_case "crash cell that never crashed is vacuous"
+            `Quick test_verdict_crash_never_fired;
+          Alcotest.test_case "free_race cell below min_dfrees is vacuous"
+            `Quick test_verdict_dfrees_floor;
         ] );
     ]

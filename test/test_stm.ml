@@ -1066,6 +1066,34 @@ let test_mode_names () =
   check "mode ignores analysis" true
     (Config.mode_name (Config.runtime Alloc_log.Filter) = "eager")
 
+let test_of_mode_name_roundtrip () =
+  (* All 32 combinations of the five mode flags, on a non-default base
+     so the unspelled fields must survive too. *)
+  let base = Config.with_cm Cm.Karma (Config.runtime Alloc_log.Tree) in
+  for bits = 0 to 31 do
+    let on i = bits land (1 lsl i) <> 0 in
+    let c =
+      base
+      |> Config.with_lazy ~on:(on 0)
+      |> Config.with_fastpath ~on:(on 1)
+      |> Config.with_tvalidate ~on:(on 2)
+      |> Config.with_durable ~on:(on 3)
+      |> Config.with_ebr ~on:(on 4)
+    in
+    let name = Config.mode_name c in
+    check name true (Config.of_mode_name ~base (Config.mode_name c) = Some c);
+    (* Every flag of [name] is rebuilt, not inherited from [base]. *)
+    check (name ^ " over its own config") true
+      (Config.of_mode_name ~base:c name = Some c)
+  done;
+  check "default base" true
+    (Config.of_mode_name "lazy+tv"
+    = Some (Config.default |> Config.with_lazy |> Config.with_tvalidate));
+  List.iter
+    (fun bad -> check ("rejects " ^ bad) true (Config.of_mode_name bad = None))
+    [ ""; "base"; "fp"; "eager+"; "eager+xx"; "lazy+fp+fp"; "eager+tv+tv+wal";
+      "lazy+lazy"; "Eager"; "eager+fp,tv" ]
+
 (* ------------------------------------------------------------------ *)
 (* WAW filter unit tests                                               *)
 
@@ -1983,6 +2011,8 @@ let () =
           Alcotest.test_case "config name suffixes" `Quick
             test_config_name_suffixes;
           Alcotest.test_case "mode names" `Quick test_mode_names;
+          Alcotest.test_case "of_mode_name inverts mode_name" `Quick
+            test_of_mode_name_roundtrip;
         ] );
       ( "waw",
         [
