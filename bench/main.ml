@@ -99,6 +99,11 @@ let headline fmt =
 
 let row_label name = Printf.printf "%-14s" name
 
+(* A configuration as [Config.to_string] spells it, which is also how
+   every JSON line and table header below names it. *)
+let config s =
+  match Config.of_string s with Ok c -> c | Error m -> invalid_arg m
+
 (* ------------------------------------------------------------------ *)
 (* Shared run helpers                                                   *)
 
@@ -154,8 +159,7 @@ let run_json ~section ~nthreads app cfg =
   json_line ~section
     [
       ("app", str app.App.name);
-      ("config", str (Config.name cfg));
-      ("mode", str (Config.mode_name cfg));
+      ("config", str (Config.to_string cfg));
       ("threads", string_of_int nthreads);
     ]
     r;
@@ -172,8 +176,8 @@ let ab ~section app off on =
   let sa = a.Engine.stats and sb = b.Engine.stats in
   assert (sa.Stats.commits = sb.Stats.commits);
   assert (sa.Stats.user_aborts = sb.Stats.user_aborts);
-  Printf.printf "# %-14s %s: %s vs %s  makespan %+5.1f%%  %s\n%!" app.App.name
-    (Config.name off) (Config.mode_name off) (Config.mode_name on)
+  Printf.printf "# %-14s %s vs %s  makespan %+5.1f%%  %s\n%!" app.App.name
+    (Config.to_string off) (Config.to_string on)
     (change ~base:a.Engine.makespan b.Engine.makespan)
     (moved sa sb);
   b
@@ -217,24 +221,20 @@ let fig8 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 9: portion of barriers removed per technique                  *)
 
-let fig9_configs =
-  [
-    ("tree", Config.runtime Alloc_log.Tree);
-    ("array", Config.runtime Alloc_log.Array);
-    ("filtering", Config.runtime Alloc_log.Filter);
-    ("compiler", Config.compiler);
-  ]
+let fig9_configs = List.map config [ "tree"; "array"; "filtering"; "compiler" ]
 
 let fig9 () =
   headline "Figure 9: %% of barriers removed by each capture-analysis technique";
   Printf.printf "%-14s | %s\n" ""
     (String.concat " | "
-       (List.map (fun (n, _) -> Printf.sprintf "%9s r%% w%%" n) fig9_configs));
+       (List.map
+          (fun c -> Printf.sprintf "%9s r%% w%%" (Config.to_string c))
+          fig9_configs));
   List.iter
     (fun app ->
       row_label app.App.name;
       List.iter
-        (fun (_, cfg) ->
+        (fun cfg ->
           let r = run_sim app cfg ~nthreads:1 ~seed:1 in
           let s = r.Engine.stats in
           (* Sanity: compiler runs must never have violated soundness. *)
@@ -255,27 +255,32 @@ let fig9 () =
 (* ------------------------------------------------------------------ *)
 (* Table 1: abort-to-commit ratio at 16 threads                         *)
 
-let table_configs =
-  [
-    ("baseline", Config.baseline);
-    ("tree", Config.runtime Alloc_log.Tree);
-    ("array", Config.runtime Alloc_log.Array);
-    ("filtering", Config.runtime Alloc_log.Filter);
-    ("compiler", Config.compiler);
-  ]
+let table_configs = Config.baseline :: fig9_configs
+
+(* A table's header row: one right-aligned column per configuration, as
+   wide as the widest name; the rows print their cells [col_width] wide. *)
+let col_width configs =
+  List.fold_left
+    (fun w c -> max w (String.length (Config.to_string c)))
+    9 configs
+
+let config_header configs =
+  Printf.printf "%-14s" "";
+  List.iter
+    (fun c -> Printf.printf " %*s" (col_width configs) (Config.to_string c))
+    configs;
+  print_newline ()
 
 let table1 () =
   let reps = if !quick then 1 else 3 in
   headline "Table 1: abort-to-commit ratio at %d threads (mean of %d seeds)"
     sim_threads reps;
-  Printf.printf "%-14s" "";
-  List.iter (fun (n, _) -> Printf.printf " %9s" n) table_configs;
-  print_newline ();
+  config_header table_configs;
   List.iter
     (fun app ->
       row_label app.App.name;
       List.iter
-        (fun (_, cfg) ->
+        (fun cfg ->
           let ratios =
             List.init reps (fun k ->
                 let r = run_sim app cfg ~nthreads:sim_threads ~seed:(1 + k) in
@@ -294,14 +299,12 @@ let table2 () =
   let reps = if !quick then 3 else 5 in
   headline "Table 2: %% relative standard deviation at %d threads (%d runs)"
     sim_threads reps;
-  Printf.printf "%-14s" "";
-  List.iter (fun (n, _) -> Printf.printf " %9s" n) table_configs;
-  print_newline ();
+  config_header table_configs;
   List.iter
     (fun app ->
       row_label app.App.name;
       List.iter
-        (fun (_, cfg) ->
+        (fun cfg ->
           let samples =
             List.init reps (fun k ->
                 let r =
@@ -318,12 +321,7 @@ let table2 () =
 (* Figure 10: single-thread improvement (native wall-clock)             *)
 
 let scope_configs =
-  [
-    ("rt s+h,r+w", Config.runtime ~scope:Config.full_scope Alloc_log.Tree);
-    ("rt s+h,w", Config.runtime ~scope:Config.write_only_scope Alloc_log.Tree);
-    ("rt h,w", Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree);
-    ("compiler", Config.compiler);
-  ]
+  List.map config [ "tree"; "tree+scope:shw"; "tree+scope:hw"; "compiler" ]
 
 let fig10 () =
   let reps = if !quick then 2 else 5 in
@@ -331,9 +329,7 @@ let fig10 () =
     "Figure 10: single-thread improvement vs baseline (native wall-clock, \
      median of %d, %%; negative = slowdown)"
     reps;
-  Printf.printf "%-14s" "";
-  List.iter (fun (n, _) -> Printf.printf " %11s" n) scope_configs;
-  print_newline ();
+  config_header scope_configs;
   List.iter
     (fun app ->
       (* Batch enough fresh runs per sample that one sample spans >=20ms:
@@ -354,8 +350,9 @@ let fig10 () =
       let base = median Config.baseline in
       row_label app.App.name;
       List.iter
-        (fun (_, cfg) ->
-          Printf.printf " %11.1f" (improvement ~base (median cfg)))
+        (fun cfg ->
+          Printf.printf " %*.1f" (col_width scope_configs)
+            (improvement ~base (median cfg)))
         scope_configs;
       print_newline ();
       Printf.printf "%!")
@@ -369,9 +366,7 @@ let fig11 ~name configs =
   headline
     "Figure %s: improvement vs baseline at %d threads (virtual makespan,      median of %d seeds, %%)"
     name sim_threads reps;
-  Printf.printf "%-14s" "";
-  List.iter (fun (n, _) -> Printf.printf " %11s" n) configs;
-  print_newline ();
+  config_header configs;
   List.iter
     (fun app ->
       let makespan cfg =
@@ -384,7 +379,9 @@ let fig11 ~name configs =
       let base = makespan Config.baseline in
       row_label app.App.name;
       List.iter
-        (fun (_, cfg) -> Printf.printf " %11.1f" (improvement ~base (makespan cfg)))
+        (fun cfg ->
+          Printf.printf " %*.1f" (col_width configs)
+            (improvement ~base (makespan cfg)))
         configs;
       print_newline ())
     apps
@@ -392,13 +389,8 @@ let fig11 ~name configs =
 let fig11a () = fig11 ~name:"11a" scope_configs
 
 let fig11b_configs =
-  [
-    ("tree", Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree);
-    ("array", Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Array);
-    ( "filtering",
-      Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Filter );
-    ("compiler", Config.compiler);
-  ]
+  List.map config
+    [ "tree+scope:hw"; "array+scope:hw"; "filtering+scope:hw"; "compiler" ]
 
 let fig11b () = fig11 ~name:"11b (heap, write-only runtime checks)" fig11b_configs
 
@@ -643,19 +635,17 @@ let ablation () =
   (* (d) Check scope: runtime checks on reads are what hurts kmeans. *)
   Printf.printf "\n(d) runtime check scope vs makespan (kmeans-high, 1 thr)\n";
   List.iter
-    (fun (name, cfg) ->
+    (fun cfg ->
       let r =
         App.run (Option.get (Registry.find "kmeans-high")) ~nthreads:1
           ~scale:(scale ()) ~mode:(`Sim 1) cfg
       in
-      Printf.printf "  %-12s makespan=%d\n" name r.Engine.makespan)
-    (("baseline", Config.baseline) :: scope_configs)
+      Printf.printf "  %-14s makespan=%d\n" (Config.to_string cfg)
+        r.Engine.makespan)
+    (Config.baseline :: scope_configs)
 
 (* ------------------------------------------------------------------ *)
 (* Fast path A/B: hierarchical capture-check on vs off, per backend      *)
-
-let fastpath_backends =
-  [ Alloc_log.Tree; Alloc_log.Array; Alloc_log.Filter ]
 
 let fastpath () =
   headline
@@ -667,7 +657,7 @@ let fastpath () =
         (fun backend ->
           let cfg = Config.runtime backend in
           ignore (ab ~section:"fastpath" app cfg (Config.with_fastpath cfg)))
-        fastpath_backends)
+        Alloc_log.all_backends)
     apps
 
 (* ------------------------------------------------------------------ *)
@@ -683,7 +673,7 @@ let tvalidate () =
       List.iter
         (fun cfg ->
           ignore (ab ~section:"tvalidate" app cfg (Config.with_tvalidate cfg)))
-        (Config.baseline :: List.map Config.runtime fastpath_backends))
+        (Config.baseline :: List.map Config.runtime Alloc_log.all_backends))
     apps
 
 (* ------------------------------------------------------------------ *)
@@ -752,8 +742,7 @@ let contention () =
                 [
                   ("policy", str (Cm.policy_name policy));
                   ("app", str name);
-                  ("config", str (Config.name cfg));
-                  ("mode", str (Config.mode_name cfg));
+                  ("config", str (Config.to_string cfg));
                   ("threads", string_of_int sim_threads);
                 ]
                 r;
@@ -767,28 +756,18 @@ let contention () =
                 (show r.Engine.stats
                    [ "cm_max_consec_aborts"; "cm_starvation_events" ]))
             Cm.all_policies)
-    [
-      ( "vacation-high",
-        Config.runtime Alloc_log.Tree |> Config.with_fastpath
-        |> Config.with_ebr );
-      ("kmeans-high", Config.runtime Alloc_log.Tree |> Config.with_fastpath);
-      ("bayes", Config.runtime Alloc_log.Tree);
-      ( "intruder",
-        Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree
-        |> Config.with_lazy |> Config.with_tvalidate |> Config.with_ebr );
-    ]
+    (List.map
+       (fun (app, c) -> (app, config c))
+       [
+         ("vacation-high", "tree+fp+ebr"); ("kmeans-high", "tree+fp");
+         ("bayes", "tree"); ("intruder", "tree+scope:hw+tv+lazy+ebr");
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Scale: native multicore sweep — real domains, wall clock              *)
 
 let scale_configs =
-  let base = Config.runtime Alloc_log.Tree in
-  [
-    ("base", base);
-    ("fp", Config.with_fastpath base);
-    ("tv", Config.with_tvalidate base);
-    ("fptv", Config.with_fastpath (Config.with_tvalidate base));
-  ]
+  List.map config [ "tree"; "tree+fp"; "tree+tv"; "tree+fp+tv" ]
 
 let scale_section () =
   headline
@@ -819,7 +798,8 @@ let scale_section () =
       let base_tp = ref 0. in
       let base_ar = ref 0. in
       List.iter
-        (fun (cfg_name, cfg) ->
+        (fun cfg ->
+          let cfg_name = Config.to_string cfg in
           List.iteri
             (fun i n ->
               (* Median over reps; each rep re-prepares the world so runs
@@ -860,7 +840,7 @@ let scale_section () =
                 ]
                 r;
               Printf.printf
-                "# %-14s %-5s %2d dom  abort/commit %5.2f (%+5.2f vs 1 dom)  \
+                "# %-14s %-10s %2d dom  abort/commit %5.2f (%+5.2f vs 1 dom)  \
                  wall %8.2f ms  %9.0f commits/s  speedup %5.2fx\n%!"
                 app.App.name cfg_name n ar ar_delta (1000. *. med_wall)
                 throughput speedup)
@@ -902,14 +882,8 @@ let wal_section () =
   headline
     "Durable transactions: WAL overhead + captured-write log elision + \
      recovery replay (1 thread, simulator, JSON lines)";
-  let eager =
-    Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree
-  in
   let configs =
-    [
-      Config.with_durable eager;
-      eager |> Config.with_lazy |> Config.with_tvalidate |> Config.with_durable;
-    ]
+    List.map config [ "tree+scope:hw+wal"; "tree+scope:hw+tv+lazy+wal" ]
   in
   List.iter
     (fun app ->
@@ -931,7 +905,7 @@ let wal_section () =
           (* Recovery must replay every synced commit record. *)
           assert (List.length rc.Wal.r_applied_seqs = Wal.synced_seq w);
           let s = r.Engine.stats in
-          let mode = Config.mode_name cfg in
+          let name = Config.to_string cfg in
           let appended = Wal.appended_bytes w in
           let per_commit =
             float_of_int appended /. float_of_int (max 1 s.Stats.commits)
@@ -939,7 +913,7 @@ let wal_section () =
           json_line ~section:"wal"
             [
               ("app", str app.App.name);
-              ("mode", str mode);
+              ("config", str name);
               ("log_bytes", string_of_int (Wal.log_bytes w));
               ("appended_bytes", string_of_int appended);
               ("bytes_per_commit", Printf.sprintf "%.1f" per_commit);
@@ -951,9 +925,9 @@ let wal_section () =
             + s.Stats.writes_elided_static
           in
           Printf.printf
-            "# %-14s %-12s %7d B logged (%6.1f B/txn)  log skips %5.1f%% of \
+            "# %-14s %-25s %7d B logged (%6.1f B/txn)  log skips %5.1f%% of \
              elided writes  recovery %7.3f ms  %s\n"
-            app.App.name mode appended per_commit
+            app.App.name name appended per_commit
             (100. *. float_of_int s.Stats.wal_skips
             /. float_of_int (max 1 elided))
             rc.Wal.r_wall_ms

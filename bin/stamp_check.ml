@@ -15,13 +15,6 @@ module Harness = Captured_check.Harness
 module Oracle = Captured_check.Oracle
 module Workloads = Captured_check.Workloads
 
-let analysis_of_name = function
-  | "baseline" -> Some Config.baseline
-  | "tree" -> Some (Config.runtime Captured_core.Alloc_log.Tree)
-  | "array" -> Some (Config.runtime Captured_core.Alloc_log.Array)
-  | "filter" -> Some (Config.runtime Captured_core.Alloc_log.Filter)
-  | _ -> None
-
 let split_csv s =
   String.split_on_char ',' s |> List.map String.trim
   |> List.filter (fun x -> x <> "")
@@ -52,7 +45,7 @@ let report_json (r : Harness.report) union =
           (json_escape (Oracle.violation_to_string f.Harness.violation))
           (json_escape (Strategy.interventions_to_string f.Harness.minimized)))
 
-let sweep workloads_csv apps_csv nthreads analysis_name modes_csv
+let sweep workloads_csv apps_csv nthreads modes_csv
     strategies_csv runs seed max_steps persist pct_depth dfs_preemptions
     min_distinct faults_csv wal_bug json =
   let runs = if runs = 0 then 400 else runs in
@@ -74,14 +67,7 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv
       (split_csv csv)
   in
   let plan =
-    let* base =
-      Option.to_result (analysis_of_name analysis_name)
-        ~none:(Printf.sprintf "unknown analysis %S" analysis_name)
-    in
-    let* modes =
-      resolve ~what:"mode" ~known:"eager or lazy, then any of +fp +tv +wal +ebr"
-        (Config.of_mode_name ~base) modes_csv
-    in
+    let* modes = all Config.of_string (split_csv modes_csv) in
     let* strategies =
       resolve ~what:"strategy" ~known:"random, pct, dfs"
         (function
@@ -114,15 +100,18 @@ let sweep workloads_csv apps_csv nthreads analysis_name modes_csv
                  "counter,bank,publish,scoped,zombie,zombie_reread,zombie_owned"
            else workloads_csv ^ "," ^ apps_csv)
       in
-      (* Crash faults and the seeded recovery bug need the WAL;
-         premature-reuse skips the grace period only EBR imposes. *)
-      let durable =
-        wal_bug || Option.fold ~none:false ~some:Fault.is_crash fault
-      and ebr = fault = Some Fault.Premature_reuse in
+      (* --fault overrides a mode's own +fault:F.  Crash faults and the
+         seeded recovery bug need the WAL; premature-reuse skips the
+         grace period only EBR imposes. *)
       let config mode =
-        let c = Config.with_fault fault mode in
-        let c = if durable then Config.with_durable c else c in
-        if ebr then Config.with_ebr c else c
+        let c = if fault = None then mode else Config.with_fault fault mode in
+        let f = c.Config.fault in
+        let c =
+          if wal_bug || Option.fold ~none:false ~some:Fault.is_crash f then
+            Config.with_durable c
+          else c
+        in
+        if f = Some Fault.Premature_reuse then Config.with_ebr c else c
       in
       Ok
         (List.concat_map
@@ -191,23 +180,22 @@ let threads_arg =
   let doc = "Simulated threads per workload." in
   Arg.(value & opt int 2 & info [ "threads"; "t" ] ~docv:"N" ~doc)
 
-let analysis_arg =
-  let doc = "Base analysis: baseline, tree, array or filter." in
-  Arg.(value & opt string "tree" & info [ "analysis" ] ~docv:"NAME" ~doc)
-
 let modes_arg =
   let doc =
-    "STM modes to sweep, spelled as the $(b,mode) field of stamp_run \
-     --json: $(b,eager) or $(b,lazy) (deferred-update redo buffer), then \
-     any of $(b,+fp) (capture-check fast path), $(b,+tv) (timestamp \
-     validation), $(b,+wal) (durable transactions) and $(b,+ebr) \
-     (epoch-based reclamation), e.g. lazy+fp or eager+fp+tv+ebr.  Crash \
-     faults and $(b,--wal-bug-torn) imply +wal; $(b,--fault \
-     premature-reuse) implies +ebr."
+    "Comma-separated configurations to sweep, spelled as stamp_run \
+     $(b,--config) takes them and every JSON $(b,config) key prints them \
+     (Config.to_string): a head ($(b,baseline), $(b,compiler), \
+     $(b,tree), $(b,array) or $(b,filtering)), then any of $(b,+fp) \
+     (capture-check fast path), $(b,+tv) (timestamp validation), \
+     $(b,+lazy) (deferred-update redo buffer), $(b,+wal) (durable \
+     transactions), $(b,+ebr) (epoch-based reclamation) and the other \
+     tokens stamp_run --help lists, e.g. tree+fp+lazy or \
+     tree+fp+tv+ebr.  Crash faults and $(b,--wal-bug-torn) imply +wal; \
+     $(b,--fault premature-reuse) implies +ebr."
   in
   Arg.(
     value
-    & opt string "eager,eager+fp,eager+tv,eager+fp+tv"
+    & opt string "tree,tree+fp,tree+tv,tree+fp+tv"
     & info [ "modes" ] ~docv:"NAMES" ~doc)
 
 let strategies_arg =
@@ -302,13 +290,13 @@ let cmd =
       `P "Crash points — every simulated death must recover cleanly:";
       `Pre
         "  stamp_check --fault crash-pre-commit,torn-wal-record \
-         --modes eager,lazy+tv -w counter,bank -s random,pct -n 40";
+         --modes tree,tree+tv+lazy -w counter,bank -s random,pct -n 40";
       `P "Recovery-oracle self-test — a seeded replay bug must be flagged:";
       `Pre "  stamp_check --fault torn-wal-record --wal-bug-torn -w bank";
       `P "Reclaim sweep — use-after-free rule armed, reuse gated on epochs:";
       `Pre
-        "  stamp_check -w free_race,privatize_race --modes eager+ebr,lazy+ebr \
-         -s random,pct";
+        "  stamp_check -w free_race,privatize_race \
+         --modes tree+ebr,tree+lazy+ebr -s random,pct";
       `P "Premature-reuse fault — the oracle must flag the skipped grace:";
       `Pre "  stamp_check --fault premature-reuse";
     ]
@@ -317,9 +305,8 @@ let cmd =
     (Cmd.info "stamp_check" ~doc ~man)
     Term.(
       ret
-        (const sweep $ workloads_arg $ apps_arg $ threads_arg $ analysis_arg
-       $ modes_arg $ strategies_arg $ runs_arg $ seed_arg $ max_steps_arg
-       $ persist_arg $ pct_depth_arg $ dfs_preemptions_arg $ min_distinct_arg
+        (const sweep $ workloads_arg $ apps_arg $ threads_arg $ modes_arg
+       $ strategies_arg $ runs_arg $ seed_arg $ max_steps_arg $ persist_arg $ pct_depth_arg $ dfs_preemptions_arg $ min_distinct_arg
        $ fault_arg $ wal_bug_arg $ json_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -5,35 +5,19 @@
    Examples:
      stamp_run list
      stamp_run run vacation-high --config tree --threads 16
-     stamp_run run yada --config compiler --scale large --native
+     stamp_run run yada --config tree+scope:hw+fp+ebr --scale large --native
+     stamp_run run intruder --config tree+lazy+fault:crash-pre-commit \
+       --wal wal-out --recover
      stamp_run analyze bayes *)
 
 module Config = Captured_stm.Config
-module Cm = Captured_stm.Cm
 module Fault = Captured_stm.Fault
 module Wal = Captured_stm.Wal
 module Engine = Captured_stm.Engine
 module Stats = Captured_stm.Stats
-module Alloc_log = Captured_core.Alloc_log
 module App = Captured_apps.App
 module Registry = Captured_apps.Registry
 open Cmdliner
-
-let config_of_name ~scope = function
-  | "baseline" -> Ok Config.baseline
-  | "tree" -> Ok (Config.runtime ~scope Alloc_log.Tree)
-  | "array" -> Ok (Config.runtime ~scope Alloc_log.Array)
-  | "filter" | "filtering" -> Ok (Config.runtime ~scope Alloc_log.Filter)
-  | "hybrid" -> Ok (Config.runtime_hybrid ~scope Alloc_log.Tree)
-  | "compiler" -> Ok Config.compiler
-  | "audit" -> Ok Config.audit
-  | other -> Error (Printf.sprintf "unknown config %s" other)
-
-let scope_of_name = function
-  | "full" -> Ok Config.full_scope
-  | "write" -> Ok Config.write_only_scope
-  | "heap-write" -> Ok Config.heap_write_only_scope
-  | other -> Error (Printf.sprintf "unknown scope %s" other)
 
 let scale_of_name = function
   | "test" -> Ok App.Test
@@ -48,11 +32,11 @@ let orec_records config = 1 lsl config.Config.orec_bits
 let print_json ~app ~config ~threads (r : Engine.result) ~native =
   Printf.printf
     "{\"app\":\"%s\",\"config\":\"%s\",\"threads\":%d,\"backend\":\"%s\",\
-     \"mode\":\"%s\",\"orecs\":%d,%s,\"makespan\":%d,\
+     \"orecs\":%d,%s,\"makespan\":%d,\
      \"wall_ms\":%.3f,\"per_thread_wall_ms\":[%s]}\n"
-    app (Config.name config) threads
+    app (Config.to_string config) threads
     (if native then "native" else "sim")
-    (Config.mode_name config) (orec_records config)
+    (orec_records config)
     (Stats.json_fields r.Engine.stats)
     r.Engine.makespan
     (1000. *. r.Engine.wall)
@@ -77,25 +61,6 @@ let print_result (r : Engine.result) ~native =
       r.Engine.per_thread_wall
   end
   else Printf.printf "%-25s %d cycles\n" "virtual makespan:" r.Engine.makespan
-
-let cm_of_name name =
-  match Cm.policy_of_name name with
-  | Some p -> Ok p
-  | None ->
-      Error
-        (Printf.sprintf "unknown contention-management policy %s (known: %s)"
-           name
-           (String.concat " " (List.map Cm.policy_name Cm.all_policies)))
-
-let fault_of_name = function
-  | "" -> Ok None
-  | name -> (
-      match Fault.of_name name with
-      | Some f -> Ok (Some f)
-      | None ->
-          Error
-            (Printf.sprintf "unknown fault %s (known: %s)" name
-               (String.concat " " Fault.names)))
 
 let print_recovery ~json dir (rc : Wal.recovery) =
   if json then
@@ -122,29 +87,17 @@ let print_recovery ~json dir (rc : Wal.recovery) =
     Printf.printf "recovery wall:      %.3f ms\n" rc.Wal.r_wall_ms
   end
 
-let run_cmd app_name config_name scope_name scale_name threads native seed
-    fastpath tvalidate lazy_ fences ebr cm_name
-    fault_name wal_dir wal_group recover json =
+let run_cmd app_name config_name scale_name threads native seed wal_dir
+    recover json =
   let ( let* ) = Result.bind in
   let outcome =
-    let* scope = scope_of_name scope_name in
-    let* config = config_of_name ~scope config_name in
-    let config = if fastpath then Config.with_fastpath config else config in
-    let config = if tvalidate then Config.with_tvalidate config else config in
-    let config = if lazy_ then Config.with_lazy config else config in
-    let config = if fences then Config.with_fences config else config in
-    let config = if ebr then Config.with_ebr config else config in
-    let* cm = cm_of_name cm_name in
-    let config = Config.with_cm cm config in
-    let* fault = fault_of_name fault_name in
-    let config = Config.with_fault fault config in
-    let* config =
-      if wal_dir = "" then Ok config
-      else if wal_group < 1 then Error "--wal-group must be >= 1"
-      else Ok (Config.with_durable ~group:wal_group config)
+    let* config = Config.of_string config_name in
+    let config = if wal_dir = "" then config else Config.with_durable config in
+    let fault_name =
+      Option.fold ~none:"" ~some:Fault.name config.Config.fault
     in
     let* () =
-      match fault with
+      match config.Config.fault with
       | Some f when Fault.is_crash f && native ->
           Error
             (Printf.sprintf
@@ -155,6 +108,8 @@ let run_cmd app_name config_name scope_name scale_name threads native seed
           Error
             (Printf.sprintf "fault %s needs a durable log: pass --wal DIR"
                (Fault.name f))
+      | _ when recover && wal_dir = "" ->
+          Error "--recover replays the log under --wal DIR: pass --wal DIR"
       | _ -> Ok ()
     in
     let* scale = scale_of_name scale_name in
@@ -166,13 +121,13 @@ let run_cmd app_name config_name scope_name scale_name threads native seed
     | Some app ->
         if not json then
           Printf.printf "%s [%s, %d threads, %s, %s, %d orecs]\n\n"
-            app.App.name (Config.name config) threads scale_name
+            app.App.name (Config.to_string config) threads scale_name
             (if native then "native domains" else "simulator")
             (orec_records config);
         let mode = if native then `Native else `Sim seed in
         let wal_dir_opt = if wal_dir = "" then None else Some wal_dir in
         let after_run () =
-          if recover && wal_dir <> "" then
+          if recover then
             let* rc =
               Result.map_error (fun m -> "recovery: " ^ m)
                 (Wal.recover_dir wal_dir)
@@ -247,12 +202,12 @@ let app_arg =
 let config_arg =
   Arg.(value & opt string "baseline"
        & info [ "config"; "c" ] ~docv:"CONFIG"
-           ~doc:"baseline | tree | array | filter | hybrid | compiler | audit")
-
-let scope_arg =
-  Arg.(value & opt string "full"
-       & info [ "scope" ] ~docv:"SCOPE"
-           ~doc:"Runtime-check scope: full | write | heap-write")
+           ~doc:"Configuration, as Config.to_string spells it: a head \
+                 (baseline | compiler | tree | array | filtering), then \
+                 any of +scope:L (L in shrw) +sf +audit +fp +tv +lazy \
+                 +wal +group:N +ebr +cm:P +fence +fault:F +orecs:N \
+                 +cap:N, e.g. tree+fp+tv+ebr.  Faults are for testing \
+                 only: verification may fail, which is the point.")
 
 let scale_arg =
   Arg.(value & opt string "bench"
@@ -269,60 +224,6 @@ let native_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulator seed.")
 
-let fastpath_arg =
-  Arg.(value & flag
-       & info [ "fastpath" ]
-           ~doc:"Hierarchical capture-check fast path (bounds summary, MRU \
-                 block cache, adaptive array-to-tree promotion).")
-
-let tvalidate_arg =
-  Arg.(value & flag
-       & info [ "tvalidate" ]
-           ~doc:"Timestamp-based validation (global version clock, O(1) \
-                 snapshot checks, snapshot extension, read-only commit \
-                 fast path).")
-
-let lazy_arg =
-  Arg.(value & flag
-       & info [ "lazy" ]
-           ~doc:"Lazy versioning (deferred update): write barriers buffer \
-                 values in a per-transaction redo table instead of \
-                 acquiring ownership records; commit acquires the write \
-                 set, validates, publishes and releases.  Captured writes \
-                 bypass the buffer entirely (redo_skips).")
-
-let fences_arg =
-  Arg.(value & flag
-       & info [ "fences" ]
-           ~doc:"Debug: full memory fence between the read barrier's data \
-                 load and its confirming orec load.  The STM is argued \
-                 correct without it (DESIGN.md, memory-model section); \
-                 use to separate ordering bugs from logic bugs on native \
-                 runs.")
-
-let ebr_arg =
-  Arg.(value & flag
-       & info [ "ebr" ]
-           ~doc:"Epoch-based reclamation (+ebr): committed transactional \
-                 frees park in a per-thread limbo list and return to the \
-                 allocator only after two grace periods, so no concurrent \
-                 attempt can read a recarved block.  Adds the limbo / \
-                 epoch-advance / reclaim-stall counters to the report.")
-
-let cm_arg =
-  Arg.(value & opt string "backoff"
-       & info [ "cm" ] ~docv:"POLICY"
-           ~doc:"Contention-management policy: backoff | karma | timestamp.")
-
-let fault_arg =
-  Arg.(value & opt string ""
-       & info [ "fault" ] ~docv:"NAME"
-           ~doc:"Inject a structured fault (skip-validation | stale-read | \
-                 delayed-unlock | spurious-abort | alloc-log-drop | \
-                 clock-stall | redo-drop | publish-partial | \
-                 premature-reuse). Testing only: verification may fail, \
-                 which is the point.")
-
 let json_arg =
   Arg.(value & flag
        & info [ "json" ] ~doc:"Emit one JSON object instead of the text report.")
@@ -332,33 +233,23 @@ let wal_dir_arg =
        & info [ "wal" ] ~docv:"DIR"
            ~doc:"Durable transactions: mirror every committed write set to \
                  a write-ahead log under $(docv) (implies the +wal config \
-                 suffix).  Captured writes are elided from the log \
+                 token).  Captured writes are elided from the log \
                  (wal_skips); allocation payload images cover them.")
-
-let wal_group_arg =
-  Arg.(value & opt int 4
-       & info [ "wal-group" ] ~docv:"N"
-           ~doc:"Group commit: fsync once per N commit records (1 = every \
-                 commit).")
 
 let recover_arg =
   Arg.(value & flag
        & info [ "recover" ]
            ~doc:"After the run (or the injected crash), replay the log \
-                 from the last checkpoint and report what recovery \
-                 restored.")
+                 under --wal DIR from the last checkpoint and report what \
+                 recovery restored.  Needs --wal DIR.")
 
 let wal_pos_arg =
   Arg.(required & pos 0 (some string) None
        & info [] ~docv:"DIR" ~doc:"Directory holding wal.log.")
 
 let run_term =
-  Term.(ret (const run_cmd $ app_arg $ config_arg $ scope_arg $ scale_arg
-             $ threads_arg $ native_arg $ seed_arg
-             $ fastpath_arg $ tvalidate_arg $ lazy_arg $ fences_arg
-             $ ebr_arg $ cm_arg
-             $ fault_arg $ wal_dir_arg $ wal_group_arg $ recover_arg
-             $ json_arg))
+  Term.(ret (const run_cmd $ app_arg $ config_arg $ scale_arg $ threads_arg
+             $ native_arg $ seed_arg $ wal_dir_arg $ recover_arg $ json_arg))
 
 let recover_term =
   Term.(ret (const recover_cmd $ wal_pos_arg $ json_arg))

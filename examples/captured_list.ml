@@ -49,7 +49,7 @@ let run config =
   let r = Engine.run_sim ~seed:1 world body in
   let s = r.Engine.stats in
   Printf.printf "%-34s reads %6d (elided %5d)  writes %5d (elided %5d)  makespan %8d\n"
-    (Config.name config) s.Stats.reads (Stats.reads_elided s) s.Stats.writes
+    (Config.to_string config) s.Stats.reads (Stats.reads_elided s) s.Stats.writes
     (Stats.writes_elided s) r.Engine.makespan
 
 let () =

@@ -23,7 +23,7 @@ let () =
       let s = r.Engine.stats in
       if config == Config.baseline then base := float_of_int r.Engine.makespan;
       Printf.printf "%-34s %8.1f%% %8.1f%% %9.2f %10d (%+.1f%%)\n"
-        (Config.name config)
+        (Config.to_string config)
         (100. *. float_of_int (Stats.reads_elided s)
         /. float_of_int (max 1 s.Stats.reads))
         (100. *. float_of_int (Stats.writes_elided s)

@@ -340,7 +340,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
           : int));
   {
     workload = workload.Workloads.name;
-    config = Config.name config;
+    config = Config.to_string config;
     strategy = Strategy.kind_name strategy;
     runs = !ran;
     distinct = !distinct;
@@ -415,7 +415,7 @@ let total f c = List.fold_left (fun acc r -> acc + f r) 0 c.reports
 (* What a cell must show to count as evidence, whatever its fault
    promises: no truncated run, every floor met. *)
 let floor_failures ~min_distinct c =
-  let label = c.workload.Workloads.name ^ " " ^ Config.name c.config in
+  let label = c.workload.Workloads.name ^ " " ^ Config.to_string c.config in
   let below what n floor =
     if n < floor then
       Some
@@ -467,7 +467,7 @@ let fault_verdict ~wal_bug fault cells =
         List.map
           (fun (c, r) ->
             Printf.sprintf "%s %s %s: %d oracle violations"
-              c.workload.Workloads.name (Config.name c.config) r.strategy
+              c.workload.Workloads.name (Config.to_string c.config) r.strategy
               r.violations)
           caught )
   | Some f -> (

@@ -68,8 +68,6 @@ let with_fastpath ?(on = true) t = { t with fastpath = on }
 let with_tvalidate ?(on = true) t = { t with tvalidate = on }
 let with_cm policy t = { t with cm = policy }
 
-let with_fences ?(on = true) t = { t with fences = on }
-
 type clock = Scan | Global
 
 let clock t = if t.tvalidate then Global else Scan
@@ -94,61 +92,135 @@ let has_fault t kind = match t.fault with Some k -> k = kind | None -> false
 
 let audit = { default with audit = true }
 
-let name t =
-  let scope_name s =
-    match (s.check_stack, s.check_heap, s.on_reads, s.on_writes) with
-    | true, true, true, true -> "stack+heap,r+w"
-    | true, true, false, true -> "stack+heap,w"
-    | false, true, false, true -> "heap,w"
-    | _ ->
-        Printf.sprintf "%s%s,%s%s"
-          (if s.check_stack then "stack" else "")
-          (if s.check_heap then "+heap" else "")
-          (if s.on_reads then "r" else "")
-          (if s.on_writes then "+w" else "")
-  in
-  let suffix =
-    (if t.fastpath then "+fp" else "")
-    ^ (if t.tvalidate then "+tv" else "")
-    ^ (if t.lazy_versioning then "+lazy" else "")
-    ^ (if t.durable then "+wal" else "")
-    ^ (if t.ebr then "+ebr" else "")
-    ^ (match t.cm with
-      | Cm.Backoff -> ""
-      | p -> "+cm:" ^ Cm.policy_name p)
-    ^ (if t.fences then "+fence" else "")
-    ^ (match t.fault with
-      | None -> ""
-      | Some f -> "+fault:" ^ Fault.name f)
-  in
-  match t.analysis with
-  | Baseline -> (if t.audit then "audit" else "baseline") ^ suffix
-  | Runtime b ->
-      Printf.sprintf "%s-%s(%s)%s"
-        (if t.static_filter then "hybrid" else "runtime")
-        (Alloc_log.backend_name b) (scope_name t.scope) suffix
-  | Compiler -> "compiler" ^ suffix
+(* The configuration grammar: a head naming [analysis] (a runtime backend
+   as {!Alloc_log.backend_name} spells it), then one [+] token per field
+   off its [default] value, in this table's order. *)
+type token = {
+  key : string;
+  help : string;
+  show : t -> string option;  (** [None] at the field's default *)
+  read : string option -> t -> t option;  (** the text after [key:] *)
+}
 
-let mode_name t =
-  (if t.lazy_versioning then "lazy" else "eager")
-  ^ (if t.fastpath then "+fp" else "")
-  ^ (if t.tvalidate then "+tv" else "")
-  ^ (if t.durable then "+wal" else "")
-  ^ if t.ebr then "+ebr" else ""
+let flag key get set =
+  {
+    key;
+    help = key;
+    show = (fun t -> if get t then Some key else None);
+    read = (fun arg t -> if arg = None then Some (set t) else None);
+  }
 
-let of_mode_name ?(base = default) name =
-  match String.split_on_char '+' name with
-  | (("eager" | "lazy") as versioning) :: flags
-    when List.for_all (fun f -> List.mem f [ "fp"; "tv"; "wal"; "ebr" ]) flags
-         && List.length (List.sort_uniq compare flags) = List.length flags ->
-      let on f = List.mem f flags in
-      Some
-        {
-          base with
-          lazy_versioning = versioning = "lazy";
-          fastpath = on "fp";
-          tvalidate = on "tv";
-          durable = on "wal";
-          ebr = on "ebr";
-        }
-  | _ -> None
+let valued key help get set print parse =
+  {
+    key;
+    help = key ^ ":" ^ help;
+    show =
+      (fun t ->
+        if get t = get default then None else Some (key ^ ":" ^ print (get t)));
+    read = (fun arg t -> Option.map (set t) (Option.bind arg parse));
+  }
+
+(* Canonical decimal only, so every accepted integer prints back as read. *)
+let int_token key ~lo ~hi get set =
+  valued key
+    (Printf.sprintf "N (%d <= N%s)" lo
+       (if hi = max_int then "" else Printf.sprintf " <= %d" hi))
+    get set string_of_int
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when lo <= n && n <= hi && string_of_int n = s -> Some n
+      | _ -> None)
+
+let scope_letters s =
+  (if s.check_stack then "s" else "")
+  ^ (if s.check_heap then "h" else "")
+  ^ (if s.on_reads then "r" else "")
+  ^ if s.on_writes then "w" else ""
+
+(* Letters must be a subsequence of [shrw]: one spelling per scope. *)
+let scope_of_letters l =
+  let has c = String.contains l c in
+  let s =
+    { check_stack = has 's'; check_heap = has 'h'; on_reads = has 'r';
+      on_writes = has 'w' }
+  in
+  if scope_letters s = l then Some s else None
+
+let tokens =
+  [
+    valued "scope" "L (L a subsequence of shrw)"
+      (fun t -> t.scope)
+      (fun t scope -> { t with scope })
+      scope_letters scope_of_letters;
+    flag "sf" (fun t -> t.static_filter) (fun t -> { t with static_filter = true });
+    flag "audit" (fun t -> t.audit) (fun t -> { t with audit = true });
+    flag "fp" (fun t -> t.fastpath) with_fastpath;
+    flag "tv" (fun t -> t.tvalidate) with_tvalidate;
+    flag "lazy" (fun t -> t.lazy_versioning) with_lazy;
+    flag "wal" (fun t -> t.durable) (fun t -> { t with durable = true });
+    int_token "group" ~lo:1 ~hi:max_int
+      (fun t -> t.wal_group)
+      (fun t wal_group -> { t with wal_group });
+    flag "ebr" (fun t -> t.ebr) with_ebr;
+    valued "cm"
+      (String.concat "|" (List.map Cm.policy_name Cm.all_policies))
+      (fun t -> t.cm)
+      (fun t cm -> { t with cm })
+      Cm.policy_name Cm.policy_of_name;
+    flag "fence" (fun t -> t.fences) (fun t -> { t with fences = true });
+    valued "fault" (String.concat "|" Fault.names)
+      (fun t -> t.fault)
+      (fun t fault -> { t with fault })
+      (function Some f -> Fault.name f | None -> "")
+      (fun s -> Option.map Option.some (Fault.of_name s));
+    int_token "orecs" ~lo:4 ~hi:24
+      (fun t -> t.orec_bits)
+      (fun t orec_bits -> { t with orec_bits });
+    int_token "cap" ~lo:1 ~hi:max_int
+      (fun t -> t.array_capacity)
+      (fun t array_capacity -> { t with array_capacity });
+  ]
+
+let heads =
+  ("baseline", Baseline) :: ("compiler", Compiler)
+  :: List.map
+       (fun b -> (Alloc_log.backend_name b, Runtime b))
+       Alloc_log.all_backends
+
+let to_string t =
+  String.concat "+"
+    (fst (List.find (fun (_, a) -> a = t.analysis) heads)
+    :: List.filter_map (fun tok -> tok.show t) tokens)
+
+let of_string s =
+  let fail what part =
+    Error
+      (Printf.sprintf "%s %S in config %S (known: %s, then any of %s)" what
+         part s
+         (String.concat "|" (List.map fst heads))
+         (String.concat " " (List.map (fun tok -> "+" ^ tok.help) tokens)))
+  in
+  let rec parse t seen = function
+    | [] -> Ok t
+    | part :: rest -> (
+        let key, arg =
+          match String.index_opt part ':' with
+          | None -> (part, None)
+          | Some i ->
+              ( String.sub part 0 i,
+                Some (String.sub part (i + 1) (String.length part - i - 1)) )
+        in
+        match List.find_opt (fun tok -> tok.key = key) tokens with
+        | None -> fail "unknown token" part
+        | Some _ when List.mem key seen -> fail "repeated token" part
+        | Some tok -> (
+            match tok.read arg t with
+            | None -> fail "bad value in token" part
+            | Some t -> parse t (key :: seen) rest))
+  in
+  match String.split_on_char '+' s with
+  | [] -> assert false
+  | head :: parts -> (
+      match List.assoc_opt head heads with
+      | None -> fail "unknown head" head
+      | Some analysis -> parse { default with analysis } [] parts)

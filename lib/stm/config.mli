@@ -53,26 +53,27 @@ type t = {
           access (Figure 8 measurement mode); independent of elision. *)
   orec_bits : int;
       (** log2 of the ownership-record table size (default 17: one word
-          per record, 1 MiB). *)
+          per record, 1 MiB; [+orecs:N] token). *)
   array_capacity : int;
+      (** Range-array backend capacity, in blocks ([+cap:N] token). *)
   cm : Cm.policy;
       (** Contention-management policy for the retry loop ([+cm:<name>]
-          suffix; [Backoff] — the default — is suffix-free and reproduces
+          token; [Backoff] — the default — is token-free and reproduces
           the pre-CM behaviour bit for bit). *)
   fault : Fault.kind option;
       (** Injected fault for the robustness layer / checker self-tests
-          ([+fault:<name>] suffix).  Never enable outside tests. *)
+          ([+fault:<name>] token).  Never enable outside tests. *)
   fences : bool;
       (** Debug mode: issue a full (SC) memory fence between the data load
           and the post-read orec check in the optimistic read barrier
-          ([+fence] suffix).  The STM is argued correct {e without} this
+          ([+fence] token).  The STM is argued correct {e without} this
           (DESIGN.md §10: the one racy window is caught by validation); the
           flag exists to empirically separate "memory-model bug" from
           "logic bug" when chasing a native-mode failure — if a symptom
           vanishes under [+fence], suspect the ordering argument. *)
   lazy_versioning : bool;
       (** Deferred-update (lazy-versioning, TL2-style) backend ([+lazy]
-          suffix).  Write barriers buffer into a per-transaction redo
+          token).  Write barriers buffer into a per-transaction redo
           log ({!Redo}) instead of acquiring orecs and undo-logging
           eagerly; reads probe the buffer first (read-own-write);
           commit acquires the write-set orecs, validates, publishes the
@@ -82,7 +83,7 @@ type t = {
           ([Stats.redo_skips]).  Composes with every other flag;
           [false] (default) is the eager-undo engine, bit for bit. *)
   durable : bool;
-      (** Durable transactions ([+wal] suffix): writer commits append a
+      (** Durable transactions ([+wal] token): writer commits append a
           redo-style record (derived from the redo buffer under [+lazy],
           captured from the undo log's addresses under eager) to a
           write-ahead log at the serialization point, batched by group
@@ -94,7 +95,7 @@ type t = {
       (** Group-commit batch size: pending WAL records accumulated
           before an fsync ([>= 1]; 1 = sync every commit). *)
   ebr : bool;
-      (** Epoch-based reclamation ([+ebr] suffix; DESIGN.md §14):
+      (** Epoch-based reclamation ([+ebr] token; DESIGN.md §14):
           committed deferred frees park on a per-thread limbo list
           ({!Reclaim}) for two grace periods before {!Alloc.free} runs,
           so no in-flight reader — including a sandboxed zombie running
@@ -128,16 +129,12 @@ val runtime_hybrid : ?scope:scope -> Captured_core.Alloc_log.backend -> t
 val with_fastpath : ?on:bool -> t -> t
 
 (** [with_tvalidate t] enables ([?on:false]: disables) timestamp-based
-    validation (global version clock; [+tv] name suffix). *)
+    validation (global version clock; [+tv] token). *)
 val with_tvalidate : ?on:bool -> t -> t
 
 (** [with_cm policy t] selects the contention-management policy
-    ([+cm:<name>] suffix for non-default policies). *)
+    ([+cm:<name>] token for non-default policies). *)
 val with_cm : Cm.policy -> t -> t
-
-(** [with_fences t] enables ([?on:false]: disables) the debug read-barrier
-    fence ([+fence] suffix). *)
-val with_fences : ?on:bool -> t -> t
 
 (** The validation clock a configuration runs under, derived from
     [tvalidate] (DESIGN.md §11):
@@ -149,20 +146,20 @@ type clock = Scan | Global
 
 val clock : t -> clock
 
-(** [with_lazy t] selects the deferred-update backend ([+lazy] suffix;
+(** [with_lazy t] selects the deferred-update backend ([+lazy] token;
     [?on:false] returns to eager undo). *)
 val with_lazy : ?on:bool -> t -> t
 
-(** [with_durable t] enables durable transactions ([+wal] suffix);
+(** [with_durable t] enables durable transactions ([+wal] token);
     [?group] sets the group-commit batch size (default kept).  Raises
     [Invalid_argument] on [group < 1]. *)
 val with_durable : ?group:int -> ?on:bool -> t -> t
 
 (** [with_ebr t] enables ([?on:false]: disables) epoch-based
-    reclamation of transactionally freed blocks ([+ebr] suffix). *)
+    reclamation of transactionally freed blocks ([+ebr] token). *)
 val with_ebr : ?on:bool -> t -> t
 
-(** [with_fault f t] injects fault [f] ([+fault:<name>] suffix). *)
+(** [with_fault f t] injects fault [f] ([+fault:<name>] token). *)
 val with_fault : Fault.kind option -> t -> t
 
 (** [has_fault t k] — is fault [k] the one injected in [t]? *)
@@ -171,18 +168,22 @@ val has_fault : t -> Fault.kind -> bool
 val audit : t
 (** Baseline + audit counting (Figure 8 runs). *)
 
-val name : t -> string
+(** [to_string t] — the one spelling of a configuration, used by
+    [stamp_run --config], [stamp_check --modes] and every JSON [config]
+    key.  A head naming [analysis] — [baseline], [compiler], or a runtime
+    backend as {!Captured_core.Alloc_log.backend_name} spells it
+    ([tree], [array], [filtering]) — then one [+] token per field off its
+    {!default} value, in this order:
+    [+scope:L] ([L] the subsequence of [shrw] switched on: stack and heap
+    checks, read and write barriers; Figure 11b is [+scope:hw]),
+    [+sf] (static_filter), [+audit], [+fp], [+tv], [+lazy], [+wal],
+    [+group:N] (wal_group), [+ebr], [+cm:P], [+fence], [+fault:F],
+    [+orecs:N] (orec_bits) and [+cap:N] (array_capacity).
+    E.g. ["tree+fp+ebr"], ["tree+scope:hw+tv+lazy+wal+ebr"]. *)
+val to_string : t -> string
 
-(** [mode_name t] — the versioning mode plus the active optimisation
-    suffixes, e.g. ["eager"], ["lazy+fp+tv"], ["lazy+tv+wal+ebr"].
-    Stable across analysis/scope choices, so A/B result streams are
-    self-describing (the [mode] field of [stamp_run --json] and bench
-    JSON lines). *)
-val mode_name : t -> string
-
-(** [of_mode_name ~base name] — the inverse of {!mode_name}: [base]
-    (default {!default}) with the versioning mode and the [fp], [tv],
-    [wal] and [ebr] flags set exactly as [name] spells them, e.g.
-    ["eager"], ["lazy+fp"], ["eager+fp+tv+ebr"].  [None] on an unknown
-    head or flag, or a repeated flag. *)
-val of_mode_name : ?base:t -> string -> t option
+(** [of_string s] — the inverse of {!to_string}: [of_string (to_string t)
+    = Ok t] for every [t].  Tokens may come in any order; an unknown head
+    or token, a repeated token or an out-of-range value ([+group:0],
+    [+orecs:x]) is an [Error] naming the known spellings. *)
+val of_string : string -> (t, string) result

@@ -236,7 +236,7 @@ let suite_for app =
         List.map
           (fun n ->
             Alcotest.test_case
-              (Printf.sprintf "%s n=%d" (Config.name cfg) n)
+              (Printf.sprintf "%s n=%d" (Config.to_string cfg) n)
               `Quick
               (test_app_config app cfg n))
           [ 1; 4 ])

@@ -122,7 +122,7 @@ let test_partial_release_observable () =
               done)
       in
       Alcotest.(check bool)
-        (Config.name config ^ ": one orec released, the other locked")
+        (Config.to_string config ^ ": one orec released, the other locked")
         true !seen)
     [
       Config.baseline;
@@ -724,7 +724,7 @@ let test_reclaim_green_with_ebr_torture () =
           done;
           if !dfrees = 0 then
             Alcotest.failf "%s/%s: no deferred frees (vacuous)"
-              workload.Workloads.name (Config.name config))
+              workload.Workloads.name (Config.to_string config))
         ebr_configs)
     (Workloads.reclaim_micros ~nthreads:2)
 
@@ -760,7 +760,7 @@ let check_vacuous ~what ~vacuous (cell : Harness.cell) =
         [
           Printf.sprintf "%s %s: 0 %s < 1 required (vacuous)"
             cell.Harness.workload.Workloads.name
-            (Config.name cell.Harness.config)
+            (Config.to_string cell.Harness.config)
             what;
         ]
         failures

@@ -205,7 +205,7 @@ let test_vacation_native (name, config) () =
 let test_vacation_native_fences () =
   match
     App.run_checked vacation ~nthreads:2 ~scale:App.Test ~mode:`Native
-      (Config.with_fences (Config.runtime Alloc_log.Tree))
+      (Result.get_ok (Config.of_string "tree+fence"))
   with
   | Error msg -> Alcotest.failf "verification failed with fences: %s" msg
   | Ok r -> check_int "commits" 80 r.Engine.stats.Stats.commits

@@ -42,7 +42,7 @@ let test_commit_visible cfg =
   let cell = Alloc.alloc (Engine.global_arena w) 1 in
   let th = Engine.setup_thread w in
   Txn.atomic th (fun tx -> Txn.write tx cell 7);
-  check_int (Config.name cfg) 7 (Txn.atomic th (fun tx -> Txn.read tx cell))
+  check_int (Config.to_string cfg) 7 (Txn.atomic th (fun tx -> Txn.read tx cell))
 
 let test_abort_rolls_back cfg =
   let w = mk_world cfg in
@@ -54,7 +54,7 @@ let test_abort_rolls_back cfg =
          Txn.write tx cell 99;
          Txn.abort tx)
    with Txn.User_abort -> ());
-  check_int (Config.name cfg) 10 (Memory.get (Engine.memory w) cell)
+  check_int (Config.to_string cfg) 10 (Memory.get (Engine.memory w) cell)
 
 let test_exception_rolls_back cfg =
   let w = mk_world cfg in
@@ -66,7 +66,7 @@ let test_exception_rolls_back cfg =
          Txn.write tx cell 50;
          failwith "boom")
    with Failure _ -> ());
-  check_int (Config.name cfg) 5 (Memory.get (Engine.memory w) cell)
+  check_int (Config.to_string cfg) 5 (Memory.get (Engine.memory w) cell)
 
 let test_alloc_commit_keeps cfg =
   let w = mk_world cfg in
@@ -91,7 +91,7 @@ let test_alloc_abort_frees cfg =
          Txn.write tx a 1;
          Txn.abort tx)
    with Txn.User_abort -> ());
-  check_int (Config.name cfg) 0 (Alloc.live_blocks arena)
+  check_int (Config.to_string cfg) 0 (Alloc.live_blocks arena)
 
 let test_free_deferred_on_abort cfg =
   (* Freeing a pre-existing block inside an aborting transaction must not
@@ -118,7 +118,7 @@ let test_alloc_then_free_same_txn cfg =
       let a = Txn.alloc tx 8 in
       Txn.write tx a 1;
       Txn.free tx a);
-  check_int (Config.name cfg) 0 (Alloc.live_blocks (Engine.arena_of w 0))
+  check_int (Config.to_string cfg) 0 (Alloc.live_blocks (Engine.arena_of w 0))
 
 (* A block a transaction allocates, writes through the full barrier and
    frees again must leave the free list intact: rolling back (eager
@@ -198,7 +198,7 @@ let test_read_your_writes cfg =
         Txn.write tx cell 41;
         Txn.read tx cell + 1)
   in
-  check_int (Config.name cfg) 42 v
+  check_int (Config.to_string cfg) 42 v
 
 let test_waw_single_undo cfg =
   let w = mk_world cfg in
@@ -470,7 +470,7 @@ let test_sim_counter_atomicity cfg =
           Txn.atomic th (fun tx -> Txn.write tx counter (Txn.read tx counter + 1))
         done)
   in
-  check_int (Config.name cfg) (8 * incs) (Memory.get (Engine.memory w) counter);
+  check_int (Config.to_string cfg) (8 * incs) (Memory.get (Engine.memory w) counter);
   check_int "commits" (8 * incs) result.Engine.stats.Stats.commits
 
 let test_sim_bank_conservation cfg =
@@ -499,7 +499,7 @@ let test_sim_bank_conservation cfg =
   for i = 0 to naccounts - 1 do
     total := !total + Memory.get m (accounts + i)
   done;
-  check_int (Config.name cfg) (100 * naccounts) !total
+  check_int (Config.to_string cfg) (100 * naccounts) !total
 
 let test_sim_deterministic () =
   let run () =
@@ -719,7 +719,7 @@ let prop_tvalidate_model =
    invariant under every config. *)
 let prop_sim_invariant cfg =
   QCheck.Test.make
-    ~name:(Printf.sprintf "sim invariant (%s)" (Config.name cfg))
+    ~name:(Printf.sprintf "sim invariant (%s)" (Config.to_string cfg))
     ~count:20
     QCheck.(int_range 1 1000)
     (fun seed ->
@@ -762,7 +762,7 @@ let prop_sim_invariant cfg =
    including aborts). *)
 let prop_stm_torture cfg =
   QCheck.Test.make
-    ~name:(Printf.sprintf "torture (%s)" (Config.name cfg))
+    ~name:(Printf.sprintf "torture (%s)" (Config.to_string cfg))
     ~count:15
     QCheck.(int_range 1 10000)
     (fun seed ->
@@ -1041,58 +1041,6 @@ let test_cm_backoff_schedule_unchanged () =
   in
   check "explicit backoff identical" true
     (run Config.baseline = run (Config.with_cm Cm.Backoff Config.baseline))
-
-let test_config_name_suffixes () =
-  let n = Config.name (Config.with_cm Cm.Karma Config.baseline) in
-  check "cm suffix" true (n = "baseline+cm:karma");
-  let n =
-    Config.name (Config.with_fault (Some Fault.Stale_read) Config.baseline)
-  in
-  check "fault suffix" true (n = "baseline+fault:stale-read");
-  let n = Config.name (Config.with_lazy Config.baseline) in
-  check "lazy suffix" true (n = "baseline+lazy");
-  check "default suffix-free" true (Config.name Config.baseline = "baseline")
-
-let test_mode_names () =
-  check "eager default" true (Config.mode_name Config.baseline = "eager");
-  check "lazy" true
-    (Config.mode_name (Config.with_lazy Config.baseline) = "lazy");
-  check "lazy+fp" true
-    (Config.mode_name
-       (Config.with_lazy (Config.with_fastpath (Config.runtime Alloc_log.Tree)))
-    = "lazy+fp");
-  check "eager+tv" true
-    (Config.mode_name (Config.with_tvalidate Config.baseline) = "eager+tv");
-  check "mode ignores analysis" true
-    (Config.mode_name (Config.runtime Alloc_log.Filter) = "eager")
-
-let test_of_mode_name_roundtrip () =
-  (* All 32 combinations of the five mode flags, on a non-default base
-     so the unspelled fields must survive too. *)
-  let base = Config.with_cm Cm.Karma (Config.runtime Alloc_log.Tree) in
-  for bits = 0 to 31 do
-    let on i = bits land (1 lsl i) <> 0 in
-    let c =
-      base
-      |> Config.with_lazy ~on:(on 0)
-      |> Config.with_fastpath ~on:(on 1)
-      |> Config.with_tvalidate ~on:(on 2)
-      |> Config.with_durable ~on:(on 3)
-      |> Config.with_ebr ~on:(on 4)
-    in
-    let name = Config.mode_name c in
-    check name true (Config.of_mode_name ~base (Config.mode_name c) = Some c);
-    (* Every flag of [name] is rebuilt, not inherited from [base]. *)
-    check (name ^ " over its own config") true
-      (Config.of_mode_name ~base:c name = Some c)
-  done;
-  check "default base" true
-    (Config.of_mode_name "lazy+tv"
-    = Some (Config.default |> Config.with_lazy |> Config.with_tvalidate));
-  List.iter
-    (fun bad -> check ("rejects " ^ bad) true (Config.of_mode_name bad = None))
-    [ ""; "base"; "fp"; "eager+"; "eager+xx"; "lazy+fp+fp"; "eager+tv+tv+wal";
-      "lazy+lazy"; "Eager"; "eager+fp,tv" ]
 
 (* ------------------------------------------------------------------ *)
 (* WAW filter unit tests                                               *)
@@ -1614,25 +1562,11 @@ let test_wal_skips_equal_elided_writes () =
   | Error m -> Alcotest.failf "recovery failed: %s" m
   | Ok rc -> check_int "shared restored" 4 (Memory.get rc.Wal.r_memory shared)
 
-let test_mode_name_wal_suffix () =
-  check "eager+wal" true
-    (Config.mode_name (Config.with_durable Config.baseline) = "eager+wal");
-  check "lazy+tv+wal" true
-    (Config.mode_name
-       (Config.baseline |> Config.with_lazy |> Config.with_tvalidate
-      |> Config.with_durable)
-    = "lazy+tv+wal");
-  check "+wal before +ebr" true
-    (Config.mode_name
-       (Config.baseline |> Config.with_lazy |> Config.with_tvalidate
-      |> Config.with_durable |> Config.with_ebr)
-    = "lazy+tv+wal+ebr")
-
 let config_cases name f =
   List.map
     (fun cfg ->
       Alcotest.test_case
-        (Printf.sprintf "%s [%s]" name (Config.name cfg))
+        (Printf.sprintf "%s [%s]" name (Config.to_string cfg))
         `Quick
         (fun () -> f cfg))
     all_configs
@@ -1774,7 +1708,7 @@ let check_forward_guard ?(cool = fun _ _ -> ()) ?(bypassed = 0) cfg =
         let second = Txn.read_at ~site:forward_site tx a in
         (first, second, Txn.read_at ~site:forward_site tx a))
   in
-  let name = Config.name cfg in
+  let name = Config.to_string cfg in
   check_int (name ^ ": the write was a direct store") 1
     (Stats.writes_elided st);
   check_int (name ^ ": reads took full barriers") elided0
@@ -1876,14 +1810,188 @@ let test_reclaim_engine_parity () =
   check_int "live words parity" words0 words1;
   check "frees went through limbo" true (s.Stats.limbo_blocks > 0)
 
-let test_ebr_config_name () =
-  check "config suffix" true
-    (Config.name (Config.with_ebr Config.baseline) = "baseline+ebr");
-  check "mode suffix" true
-    (Config.mode_name (Config.with_ebr Config.baseline) = "eager+ebr");
-  check "with_ebr ~on:false round-trips" true
-    (Config.name (Config.with_ebr ~on:false (Config.with_ebr Config.baseline))
-    = "baseline")
+(* ------------------------------------------------------------------ *)
+(* The config grammar: Config.to_string / Config.of_string              *)
+
+let tree = Config.runtime Alloc_log.Tree
+let fp = Config.with_fastpath
+let tv = Config.with_tvalidate
+let lz = Config.with_lazy
+let wal = Config.with_durable
+let ebr = Config.with_ebr
+
+(* Exact spellings.  Every config a benchmark workload or a CI checker
+   alias runs is here, so a change of spelling shows up as a diff. *)
+let golden_configs =
+  [
+    (* each head, and a token for each field *)
+    (Config.baseline, "baseline");
+    (Config.compiler, "compiler");
+    (Config.runtime Alloc_log.Array, "array");
+    (Config.runtime Alloc_log.Filter, "filtering");
+    (Config.audit, "baseline+audit");
+    (Config.runtime_hybrid Alloc_log.Tree, "tree+sf");
+    (Config.runtime ~scope:Config.write_only_scope Alloc_log.Tree,
+     "tree+scope:shw");
+    (Config.with_cm Cm.Karma Config.baseline, "baseline+cm:karma");
+    (Config.with_fault (Some Fault.Stale_read) Config.baseline,
+     "baseline+fault:stale-read");
+    (Config.with_durable ~group:1 Config.baseline, "baseline+wal+group:1");
+    ({ Config.compiler with Config.audit = true; orec_bits = 10 },
+     "compiler+audit+orecs:10");
+    ({ tree with Config.array_capacity = 8; fences = true },
+     "tree+fence+cap:8");
+    (ebr ~on:false (ebr Config.baseline), "baseline");
+    (* perf's four workloads: vacation, kmeans, intruder-durable, kv *)
+    (ebr (fp tree), "tree+fp+ebr");
+    (fp tree, "tree+fp");
+    ( Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree
+      |> lz |> tv |> wal ~group:4 |> ebr,
+      "tree+scope:hw+tv+lazy+wal+ebr" );
+    (ebr (tv (fp tree)), "tree+fp+tv+ebr");
+    (* @check-smoke (and the fault-matrix modes) *)
+    (tree, "tree");
+    (tv tree, "tree+tv");
+    (tv (fp tree), "tree+fp+tv");
+    (lz tree, "tree+lazy");
+    (lz (fp tree), "tree+fp+lazy");
+    (* the clean +wal sweep of @crash-matrix *)
+    (wal tree, "tree+wal");
+    (wal (lz tree), "tree+lazy+wal");
+    (wal (tv (fp tree)), "tree+fp+tv+wal");
+    (* @reclaim-smoke *)
+    (ebr tree, "tree+ebr");
+    (ebr (tv tree), "tree+tv+ebr");
+    (ebr (lz tree), "tree+lazy+ebr");
+  ]
+
+(* The fault and crash matrices cross each fault with a mode list; the
+   fault's token goes last. *)
+let golden_fault_cells =
+  let crash = List.filter Fault.is_crash Fault.all in
+  let cells faults modes =
+    List.concat_map
+      (fun f ->
+        List.map
+          (fun (c, s) ->
+            (Config.with_fault (Some f) c, s ^ "+fault:" ^ Fault.name f))
+          modes)
+      faults
+  in
+  cells
+    Fault.
+      [
+        Skip_validation; Stale_read; Delayed_unlock; Spurious_abort;
+        Alloc_log_drop; Clock_stall;
+      ]
+    [ (tree, "tree"); (fp tree, "tree+fp"); (tv tree, "tree+tv");
+      (tv (fp tree), "tree+fp+tv") ]
+  @ cells Fault.[ Redo_drop; Publish_partial ]
+      [ (lz tree, "tree+lazy"); (lz (fp tree), "tree+fp+lazy") ]
+  @ cells [ Fault.Premature_reuse ]
+      [ (ebr tree, "tree+ebr"); (ebr (lz tree), "tree+lazy+ebr") ]
+  @ cells crash
+      [
+        (wal tree, "tree+wal"); (wal (lz tree), "tree+lazy+wal");
+        (wal (tv (fp tree)), "tree+fp+tv+wal");
+        (wal (lz (tv tree)), "tree+tv+lazy+wal");
+        (ebr (wal tree), "tree+wal+ebr");
+        (ebr (wal (lz (tv tree))), "tree+tv+lazy+wal+ebr");
+      ]
+
+let check_golden table () =
+  List.iter
+    (fun (c, s) ->
+      Alcotest.(check string) s s (Config.to_string c);
+      check (s ^ " parses back") true (Config.of_string s = Ok c))
+    table
+
+(* Tokens may come in any order; the printed order is fixed. *)
+let test_config_any_order () =
+  check "tree+ebr+tv+fp" true
+    (Config.of_string "tree+ebr+tv+fp" = Ok (ebr (tv (fp tree))));
+  check "baseline+cap:8+scope:hw" true
+    (Config.of_string "baseline+cap:8+scope:hw"
+    = Ok
+        {
+          Config.baseline with
+          Config.array_capacity = 8;
+          scope = Config.heap_write_only_scope;
+        })
+
+let test_config_rejects () =
+  let mentions m known =
+    let n = String.length known in
+    let rec at i =
+      i + n <= String.length m && (String.sub m i n = known || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun bad ->
+      match Config.of_string bad with
+      | Ok c -> Alcotest.failf "%S parsed as %s" bad (Config.to_string c)
+      | Error m ->
+          (* the error names the known spellings *)
+          check (bad ^ ": names the grammar") true
+            (List.for_all
+               (mentions m)
+               [ "tree"; "filtering"; "+fp"; "+cm:backoff|karma|timestamp" ]))
+    [
+      ""; "eager"; "filter"; "tree+xx"; "tree+fp+fp"; "tree+lazy+tv+lazy";
+      "tree+group:0"; "tree+cm:nope"; "tree+orecs:x"; "tree+orecs:3";
+      "tree+orecs:25"; "tree+cap:0"; "tree+group:07"; "tree+fp:1"; "tree+wal:";
+      "tree+scope:wh"; "tree+scope:x"; "tree+"; "Tree"; "tree,tree+fp";
+      "tree+fault:nope";
+    ]
+
+let gen_config =
+  let open QCheck.Gen in
+  let* analysis =
+    oneofl
+      Config.(
+        [ Baseline; Compiler ]
+        @ List.map (fun b -> Runtime b) Alloc_log.all_backends)
+  and* check_stack = bool
+  and* check_heap = bool
+  and* on_reads = bool
+  and* on_writes = bool
+  and* fastpath = bool
+  and* tvalidate = bool
+  and* static_filter = bool
+  and* audit = bool
+  and* orec_bits = int_range 4 24
+  and* array_capacity = int_range 1 64
+  and* cm = oneofl Cm.all_policies
+  and* fault = opt (oneofl Fault.all)
+  and* fences = bool
+  and* lazy_versioning = bool
+  and* durable = bool
+  and* wal_group = int_range 1 64
+  and* ebr = bool in
+  return
+    {
+      Config.analysis;
+      scope = { Config.check_stack; check_heap; on_reads; on_writes };
+      fastpath;
+      tvalidate;
+      static_filter;
+      audit;
+      orec_bits;
+      array_capacity;
+      cm;
+      fault;
+      fences;
+      lazy_versioning;
+      durable;
+      wal_group;
+      ebr;
+    }
+
+let prop_config_roundtrip =
+  QCheck.Test.make ~name:"of_string inverts to_string" ~count:2000
+    (QCheck.make ~print:Config.to_string gen_config)
+    (fun c -> Config.of_string (Config.to_string c) = Ok c)
 
 let qsuite name tests = (name, List.map Qc.to_alcotest tests)
 
@@ -2008,11 +2116,6 @@ let () =
             test_cm_policies_correct_under_contention;
           Alcotest.test_case "backoff schedule unchanged" `Quick
             test_cm_backoff_schedule_unchanged;
-          Alcotest.test_case "config name suffixes" `Quick
-            test_config_name_suffixes;
-          Alcotest.test_case "mode names" `Quick test_mode_names;
-          Alcotest.test_case "of_mode_name inverts mode_name" `Quick
-            test_of_mode_name_roundtrip;
         ] );
       ( "waw",
         [
@@ -2047,8 +2150,6 @@ let () =
             test_torn_checkpoint_falls_back;
           Alcotest.test_case "wal skips = elided writes" `Quick
             test_wal_skips_equal_elided_writes;
-          Alcotest.test_case "mode name +wal" `Quick
-            test_mode_name_wal_suffix;
         ]
         @ List.map Qc.to_alcotest
             [
@@ -2067,8 +2168,17 @@ let () =
             test_reclaim_flush_unconditional;
           Alcotest.test_case "end-of-run allocator parity" `Quick
             test_reclaim_engine_parity;
-          Alcotest.test_case "config name +ebr" `Quick test_ebr_config_name;
         ] );
+      ( "config",
+        [
+          Alcotest.test_case "golden spellings" `Quick
+            (check_golden golden_configs);
+          Alcotest.test_case "golden alias fault cells" `Quick
+            (check_golden golden_fault_cells);
+          Alcotest.test_case "any token order" `Quick test_config_any_order;
+          Alcotest.test_case "rejections" `Quick test_config_rejects;
+        ]
+        @ List.map Qc.to_alcotest [ prop_config_roundtrip ] );
       qsuite "invariants" (List.map prop_sim_invariant all_configs);
       qsuite "torture" (List.map prop_stm_torture all_configs);
     ]

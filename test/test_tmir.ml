@@ -789,7 +789,7 @@ let test_configs_agree_on_memory () =
   in
   let base = run Config.baseline in
   List.iter
-    (fun cfg -> check_int (Config.name cfg) base (run cfg))
+    (fun cfg -> check_int (Config.to_string cfg) base (run cfg))
     [
       Config.runtime Captured_core.Alloc_log.Tree;
       Config.runtime Captured_core.Alloc_log.Array;
