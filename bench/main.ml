@@ -725,36 +725,52 @@ let contention () =
         [ 2; 4; 8; 16 ])
     Cm.all_policies;
   (* Every policy on real apps, each under its benchmark configuration:
-     [run_sim] fails unless the app's own verification passes. *)
+     [run_sim] fails unless the app's own verification passes.  One JSON
+     line per seed; the [#] line is the per-policy median over the seeds
+     (one seed under --quick), which is what EXPERIMENTS.md records. *)
+  let seeds = if !quick then [ 1 ] else List.init 8 (fun i -> i + 1) in
   List.iter
     (fun (name, cfg) ->
       match List.find_opt (fun app -> app.App.name = name) apps with
       | None -> ()
       | Some app ->
           (* [Cm.all_policies] lists the default, [Backoff], first. *)
-          let base = ref 0 in
+          let base = ref 0. in
           List.iter
             (fun policy ->
               let cfg = Config.with_cm policy cfg in
-              let r = run_sim app cfg ~nthreads:sim_threads ~seed:1 in
-              if policy = Cm.Backoff then base := r.Engine.makespan;
-              json_line ~section:"contention"
-                [
-                  ("policy", str (Cm.policy_name policy));
-                  ("app", str name);
-                  ("config", str (Config.to_string cfg));
-                  ("threads", string_of_int sim_threads);
-                ]
-                r;
+              let runs =
+                List.map
+                  (fun seed ->
+                    let r = run_sim app cfg ~nthreads:sim_threads ~seed in
+                    json_line ~section:"contention"
+                      [
+                        ("policy", str (Cm.policy_name policy));
+                        ("app", str name);
+                        ("config", str (Config.to_string cfg));
+                        ("threads", string_of_int sim_threads);
+                        ("seed", string_of_int seed);
+                      ]
+                      r;
+                    r)
+                  seeds
+              in
+              let med f = Ustats.median (List.map f runs) in
+              let makespan = med (fun r -> float_of_int r.Engine.makespan) in
+              if policy = Cm.Backoff then base := makespan;
               Printf.printf
-                "# %-14s %-9s %2d thr  abort/commit %5.2f  makespan %9d \
-                 (%+5.1f%% vs backoff)  %s\n"
-                name (Cm.policy_name policy) sim_threads
-                (Stats.abort_ratio r.Engine.stats)
-                r.Engine.makespan
-                (change ~base:!base r.Engine.makespan)
-                (show r.Engine.stats
-                   [ "cm_max_consec_aborts"; "cm_starvation_events" ]))
+                "# %-14s %-9s %2d thr  %d-seed median: abort/commit \
+                 %5.2f  makespan %9.0f (%+5.1f%% vs backoff)  \
+                 cm_max_consec_aborts %.0f  backoff_share %.2f\n"
+                name (Cm.policy_name policy) sim_threads (List.length seeds)
+                (med (fun r -> Stats.abort_ratio r.Engine.stats))
+                makespan
+                (100. *. (makespan -. !base) /. !base)
+                (med (fun r ->
+                     float_of_int r.Engine.stats.Stats.cm_max_consec_aborts))
+                (med (fun r ->
+                     float_of_int r.Engine.stats.Stats.backoff_cycles
+                     /. float_of_int (sim_threads * r.Engine.makespan))))
             Cm.all_policies)
     (List.map
        (fun (app, c) -> (app, config c))

@@ -2,11 +2,13 @@
 
    The STM is a requester-aborts design: a conflicting transaction kills
    itself and retries, and the only livelock defence is how long it waits
-   before doing so.  [Backoff] is the original policy — capped exponential
-   backoff in the retry attempt, jittered — and reproduces it exactly
-   (same cycle formula, same single PRNG draw per abort), so the default
-   configuration's simulated schedules are bit-identical with or without
-   this module.
+   before doing so.  [Backoff], the default, is [Costs.backoff]: a
+   64-cycle unit doubled per consecutive abort, capped at
+   [Costs.backoff_max_shift] doublings (2048 cycles, about one
+   transaction of the costliest benchmark app, so a waiter stops once a
+   peer has had time to commit), plus one PRNG draw of jitter per abort.
+   Natively that jitter-free cap sits under [Platform.native_relax]'s
+   sleep threshold, so only a long abort run's jitter makes a retry sleep.
 
    [Karma] discounts the exponent by work invested: a transaction that
    has already logged a large read/undo set across its failed attempts

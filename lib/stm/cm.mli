@@ -6,7 +6,10 @@
     source (for [Timestamp]'s age order). *)
 
 type policy =
-  | Backoff  (** Capped exponential backoff — the original (default). *)
+  | Backoff
+      (** Default: {!Costs.backoff}, exponential in the attempt and capped
+          at [64 lsl Costs.backoff_max_shift] jitter-free cycles, about one
+          transaction of the costliest benchmark app. *)
   | Karma  (** Backoff exponent discounted by work already invested. *)
   | Timestamp
       (** Oldest-wins by ticket age with a starvation counter: a

@@ -51,8 +51,20 @@ let capture_promote = 48
    therefore cannot be one whose checks were paying for themselves. *)
 let site_check = 1
 
+(* Backoff after a conflict abort: a 64-cycle unit doubled per attempt up
+   to [backoff_max_shift] doublings, plus [jitter land 63] per attempt.
+   The cap is one transaction's length: 64 lsl 5 = 2048 cycles is just
+   over the longest one-thread cost per commit among the benchmark apps
+   (intruder, 1.593 Mcycles / 834 commits ~ 1900 cycles).  A waiter that
+   has waited as long as a whole peer transaction has given that peer
+   time to commit; waiting longer only idles.  Natively the jitter-free
+   wait therefore stays under [Platform.native_relax]'s 4096-cycle sleep
+   threshold, so a retry sleeps only once [63 * attempt] of jitter pushes
+   it past. *)
+let backoff_max_shift = 5
+
 let backoff ~attempt ~jitter =
-  let shift = min attempt 10 in
+  let shift = min attempt backoff_max_shift in
   (64 lsl shift) + (jitter land 63) * attempt
 
 (* Contention management (Cm): Karma converts this much logged work

@@ -76,11 +76,16 @@ val site_check : int
 (** [+fp] site tier ({!Site_tier}): the per-access lookup of the site's
     bypass state, paid by every in-scope access, checked or bypassed. *)
 
+val backoff_max_shift : int
+(** Doublings after which {!backoff}'s exponential window stops growing:
+    the jitter-free wait never exceeds [64 lsl backoff_max_shift] = 2048
+    cycles, about one transaction of the costliest benchmark app. *)
+
 val backoff : attempt:int -> jitter:int -> int
 (** Exponential backoff cycles for retry [attempt] (1-based); [jitter] in
-    [0, 63] decorrelates threads.  Monotone in [attempt] (capped at 10
-    doublings), adds at most [63 * attempt] jitter cycles over the
-    jitter-free value, never negative. *)
+    [0, 63] decorrelates threads.  Monotone in [attempt] (capped at
+    {!backoff_max_shift} doublings), adds at most [63 * attempt] jitter
+    cycles over the jitter-free value, never negative. *)
 
 val karma_per_discount : int
 (** {!Cm.Karma}: logged work per one-attempt backoff discount. *)

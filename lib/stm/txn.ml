@@ -1639,9 +1639,11 @@ let abort_scope tx =
 (* The atomic runner                                                   *)
 
 (* Post-abort wait, delegated to the contention manager.  The jitter is
-   drawn here — one [Prng.int] per abort, exactly as the pre-CM loop did
-   — so the default [Backoff] policy replays the original schedules bit
-   for bit. *)
+   drawn here, one [Prng.int] per abort whatever the policy, so switching
+   policy changes the waits but not the PRNG stream.  Under the default
+   [Backoff] the wait is [Costs.backoff]: at most 2048 jitter-free cycles,
+   under [Platform.native_relax]'s sleep threshold, so a native retry
+   spins unless its jitter pushes it past. *)
 let backoff th attempt ~work =
   let jitter = Prng.int th.prng 64 in
   let cycles = Cm.on_abort th.cm th.stats ~attempt ~work ~jitter in

@@ -424,8 +424,11 @@ let test_costs_relative_magnitudes () =
   check "owned faster than fresh" true (Costs.read_owned < Costs.read_barrier);
   check "backoff grows" true
     (Costs.backoff ~attempt:5 ~jitter:0 > Costs.backoff ~attempt:1 ~jitter:0);
-  check "backoff capped" true
-    (Costs.backoff ~attempt:60 ~jitter:0 = Costs.backoff ~attempt:11 ~jitter:0)
+  (* The window stops doubling exactly at [backoff_max_shift]. *)
+  let cap = 64 lsl Costs.backoff_max_shift in
+  check_int "backoff capped" cap (Costs.backoff ~attempt:60 ~jitter:0);
+  check_int "cap reached at attempt 6" cap (Costs.backoff ~attempt:6 ~jitter:0);
+  check_int "cap is 2048 cycles" 2048 cap
 
 (* Fault.Delayed_unlock only makes waiters spin out if the commit holds
    its locks longer than a waiter's whole lock-wait budget. *)
@@ -435,7 +438,8 @@ let test_costs_delayed_unlock_outlasts_wait () =
 
 (* The documented contract of Costs.backoff, as properties: monotone in
    the attempt number, jitter adds at most [63 * attempt] over the
-   jitter-free value, and the result is never negative. *)
+   jitter-free value, the jitter-free value never exceeds the cap, and
+   the result is never negative. *)
 let backoff_args =
   QCheck.(pair (int_range 1 100) (int_range 0 1_000_000))
 
@@ -453,6 +457,11 @@ let prop_backoff_jitter_bounded =
       in
       0 <= d && d <= 63 * attempt)
 
+let prop_backoff_capped =
+  QCheck.Test.make ~name:"Costs.backoff jitter-free at most the cap"
+    ~count:500 QCheck.(int_range 0 1000) (fun attempt ->
+      Costs.backoff ~attempt ~jitter:0 <= 64 lsl Costs.backoff_max_shift)
+
 let prop_backoff_non_negative =
   QCheck.Test.make ~name:"Costs.backoff never negative" ~count:500
     QCheck.(pair (int_range 0 1000) small_nat)
@@ -463,9 +472,9 @@ let prop_backoff_non_negative =
 
 let mk_cm policy = Cm.create ~policy ~shared:(Cm.create_shared ())
 
-let test_cm_backoff_bit_identical () =
-  (* The default policy must reproduce the pre-CM retry loop exactly:
-     same cycles for every (attempt, jitter) the old code could see. *)
+let test_cm_backoff_is_costs_backoff () =
+  (* The Backoff policy is exactly [Costs.backoff], cap included, for
+     every (attempt, jitter) the retry loop can pass it. *)
   let cm = mk_cm Cm.Backoff in
   let st = Stats.create () in
   for attempt = 1 to 15 do
@@ -601,12 +610,13 @@ let () =
              [
                prop_backoff_monotone;
                prop_backoff_jitter_bounded;
+               prop_backoff_capped;
                prop_backoff_non_negative;
              ] );
       ( "cm",
         [
-          Alcotest.test_case "backoff bit-identical" `Quick
-            test_cm_backoff_bit_identical;
+          Alcotest.test_case "backoff is Costs.backoff" `Quick
+            test_cm_backoff_is_costs_backoff;
           Alcotest.test_case "karma discounts" `Quick test_cm_karma_discounts;
           Alcotest.test_case "timestamp starvation" `Quick
             test_cm_timestamp_starvation;

@@ -1025,9 +1025,9 @@ let test_cm_policies_correct_under_contention () =
         320 r.Engine.stats.Stats.commits)
     Cm.all_policies
 
-let test_cm_backoff_schedule_unchanged () =
-  (* The Backoff policy (default) must reproduce the pre-CM schedules
-     bit for bit; selecting it explicitly changes nothing either. *)
+let test_cm_default_is_backoff () =
+  (* The default contention manager is Backoff: selecting it explicitly
+     leaves the schedule (makespan, aborts) bit for bit unchanged. *)
   let run cfg =
     let w = mk_world ~nthreads:4 cfg in
     let cell = Alloc.alloc (Engine.global_arena w) 1 in
@@ -2114,8 +2114,8 @@ let () =
             test_fault_stale_read_potent;
           Alcotest.test_case "cm policies correct" `Quick
             test_cm_policies_correct_under_contention;
-          Alcotest.test_case "backoff schedule unchanged" `Quick
-            test_cm_backoff_schedule_unchanged;
+          Alcotest.test_case "default cm is backoff" `Quick
+            test_cm_default_is_backoff;
         ] );
       ( "waw",
         [
