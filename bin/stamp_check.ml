@@ -32,12 +32,12 @@ let json_escape s =
 
 let report_json (r : Harness.report) union =
   Printf.sprintf
-    "{\"workload\":\"%s\",\"config\":\"%s\",\"strategy\":\"%s\",\"runs\":%d,\"new_schedules\":%d,\"union_distinct\":%d,\"truncated\":%d,\"crashes\":%d,\"dfrees\":%d,\"forwarded\":%d,\"violations\":%d%s}"
+    "{\"workload\":\"%s\",\"config\":\"%s\",\"strategy\":\"%s\",\"runs\":%d,\"new_schedules\":%d,\"union_distinct\":%d,\"truncated\":%d,\"crashes\":%d,\"dfrees\":%d,\"forwarded\":%d,\"rescued\":%d,\"violations\":%d%s}"
     (json_escape r.Harness.workload)
     (json_escape r.Harness.config)
     r.Harness.strategy r.Harness.runs r.Harness.distinct union
     r.Harness.truncated r.Harness.crashes r.Harness.total_dfrees
-    r.Harness.total_forwarded r.Harness.violations
+    r.Harness.total_forwarded r.Harness.total_rescued r.Harness.violations
     (match r.Harness.first with
     | None -> ""
     | Some f ->
@@ -161,14 +161,16 @@ open Cmdliner
 let workloads_arg =
   let doc =
     "Comma-separated micro workloads (counter, bank, publish, scoped, \
-     zombie, zombie_reread, zombie_owned, reread, free_race, \
+     zombie, zombie_reread, zombie_owned, reread, linemate, free_race, \
      privatize_race).  Default: the first seven — fault sweeps drop the \
      three zombies, whose termination depends on the validation \
      machinery faults break, and $(b,--fault premature-reuse) sweeps \
      free_race alone (none when $(b,--apps) is given alone).  reread, \
      the read-forwarding workload, fails any cell that forwarded no \
-     read; the reclaim pair fails any cell that deferred no free, and is \
-     red by design without $(b,+ebr), so it must be named explicitly."
+     read; linemate, the value-checked-validation workload, any cell \
+     that rescued no read; the reclaim pair any cell that deferred no \
+     free, and is red by design without $(b,+ebr), so it must be named \
+     explicitly."
   in
   Arg.(value & opt string "" & info [ "workloads"; "w" ] ~docv:"NAMES" ~doc)
 
@@ -242,7 +244,7 @@ let min_distinct_arg =
 let fault_arg =
   let doc =
     "Comma-separated structured faults to inject, one sweep each \
-     (skip-validation — the checker canary —, stale-read, \
+     (skip-validation — the checker canary —, blind-rescue, stale-read, \
      delayed-unlock, spurious-abort, alloc-log-drop, clock-stall, \
      redo-drop, publish-partial, the crash points crash-pre-commit, \
      crash-mid-publish, crash-post-publish, crash-mid-checkpoint and \

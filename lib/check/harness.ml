@@ -23,6 +23,7 @@ type run = {
   forwarded : int;
       (* [Stats.reads_forwarded] of a completed run (0 otherwise) — the
          reread sweeps' vacuity signal *)
+  rescued : int;  (* [Stats.value_rescues], likewise for linemate *)
 }
 
 let count_dfrees hist =
@@ -115,6 +116,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         events = History.length hist;
         dfrees;
         forwarded = 0;
+        rescued = 0;
       }
   | `Crashed (_, Wal.Crashed) when wal <> None ->
       (* Injected process death: the run ends mid-flight by design.  The
@@ -131,6 +133,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         events = History.length hist;
         dfrees;
         forwarded = 0;
+        rescued = 0;
       }
   | `Crashed (tid, e) ->
       (* No fiber raises in a correct run (conflicts retry internally):
@@ -152,6 +155,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         events = History.length hist;
         dfrees;
         forwarded = 0;
+        rescued = 0;
       }
   | `Done r ->
       let orecs = Engine.orecs p.App.world in
@@ -195,6 +199,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         events = History.length hist;
         dfrees;
         forwarded = r.Engine.stats.Stats.reads_forwarded;
+        rescued = r.Engine.stats.Stats.value_rescues;
       }
 
 type found = {
@@ -219,6 +224,7 @@ type report = {
       (* deferred frees summed over runs — zero means the sweep never
          exercised the path it claims to check (vacuous) *)
   total_forwarded : int;  (* forwarded reads summed over runs, likewise *)
+  total_rescued : int;  (* value rescues summed over runs, likewise *)
 }
 
 (* Bounded exhaustive DFS with preemption bounding: run a prescription,
@@ -272,6 +278,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
   and total_commits = ref 0
   and total_dfrees = ref 0
   and total_forwarded = ref 0
+  and total_rescued = ref 0
   and ran = ref 0 in
   let first = ref None in
   let note (r : run) interventions =
@@ -287,6 +294,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
     total_commits := !total_commits + r.commits;
     total_dfrees := !total_dfrees + r.dfrees;
     total_forwarded := !total_forwarded + r.forwarded;
+    total_rescued := !total_rescued + r.rescued;
     match r.violation with
     | None -> ()
     | Some v ->
@@ -352,6 +360,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
     total_commits = !total_commits;
     total_dfrees = !total_dfrees;
     total_forwarded = !total_forwarded;
+    total_rescued = !total_rescued;
   }
 
 let report_to_string r =
@@ -361,9 +370,11 @@ let report_to_string r =
       else Printf.sprintf "crashes=%d " r.crashes)
     ^ (if r.total_dfrees = 0 then ""
        else Printf.sprintf "dfrees=%d " r.total_dfrees)
+    ^ (if r.total_forwarded = 0 then ""
+       else Printf.sprintf "forwarded=%d " r.total_forwarded)
     ^
-    if r.total_forwarded = 0 then ""
-    else Printf.sprintf "forwarded=%d " r.total_forwarded)
+    if r.total_rescued = 0 then ""
+    else Printf.sprintf "rescued=%d " r.total_rescued)
     (if r.violations = 0 then "ok"
      else
        match r.first with
@@ -444,6 +455,9 @@ let floor_failures ~min_distinct c =
       below "forwarded reads"
         (total (fun r -> r.total_forwarded) c)
         (Workloads.min_forwarded c.workload);
+      below "value rescues"
+        (total (fun r -> r.total_rescued) c)
+        (Workloads.min_rescued c.workload);
       below "distinct schedules" c.union
         (if c.config.Config.fault = None then min_distinct else 0);
     ]

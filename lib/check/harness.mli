@@ -23,6 +23,9 @@ type run = {
   forwarded : int;
       (** forwarded reads of a completed run (0 for truncated or crashed
           ones) — checked against {!Workloads.min_forwarded} *)
+  rescued : int;
+      (** value rescues of a completed run, likewise — checked against
+          {!Workloads.min_rescued} *)
 }
 
 (** Oracle strictness a configuration has earned: [All_attempts] under
@@ -73,6 +76,7 @@ type report = {
   total_commits : int;
   total_dfrees : int;  (** deferred frees summed over the runs *)
   total_forwarded : int;  (** forwarded reads summed over the runs *)
+  total_rescued : int;  (** value rescues summed over the runs *)
 }
 
 (** [explore ~workload ~config ~strategy ()] runs one strategy's budget
@@ -132,7 +136,8 @@ val run_cell :
 (** [verdict cells] judges a sweep.  Every cell must have no truncated
     run and meet its floors: at least one injected crash under a crash
     fault, {!Workloads.min_dfrees} deferred frees,
-    {!Workloads.min_forwarded} forwarded reads, and — fault-free cells
+    {!Workloads.min_forwarded} forwarded reads,
+    {!Workloads.min_rescued} value rescues, and — fault-free cells
     only — [min_distinct] (default 0) distinct schedules.  The cells of
     each fault are then judged by {!Captured_stm.Fault.expectation}
     ([Flagged] whenever [wal_bug]): fault-free and [Contained] cells

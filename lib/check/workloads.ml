@@ -346,6 +346,78 @@ let reread ~nthreads ~rounds =
 let min_forwarded w =
   if String.starts_with ~prefix:"reread-" w.name then 1 else 0
 
+(* Line-mates: value-checked validation under concurrent commits.  Each
+   thread read-modify-writes its own word of one conflict-detection line
+   (one orec) together with [sum], on another line, which counts every
+   increment.  Between its writes a thread reads a word of the line,
+   leaves a window for a commit, reads [sum] and records what it saw (a
+   writing commit, so commit-time validation runs under both clocks).
+   Round 1 (mod 3) reads its own word, which only it writes: a peer's
+   commit moves the orec but not the word, and validation rescues the
+   entry instead of aborting.  Round 2 reads the next thread's word,
+   which a peer's commit does change: that entry must fail, or the
+   attempt pairs an old word with a new [sum], which the oracle flags
+   ([Fault.Blind_rescue] is exactly that).  Round 3 reads the next
+   thread's word and then its own: the entry's logged pair is the
+   unchanged own word, and only the entry's several-addresses mark keeps
+   validation from rescuing the changed one.  The sweep fails a cell
+   that rescued nothing. *)
+let linemate ~nthreads ~rounds =
+  {
+    name = Printf.sprintf "linemate-%dx%d" nthreads rounds;
+    nthreads;
+    reclaim_oracle = false;
+    prepare =
+      (fun config ->
+        let world = small_world ~nthreads config in
+        let arena = Engine.global_arena world in
+        let line = Captured_stm.Orec.line_words in
+        let block = Alloc.alloc arena (4 * line) in
+        let base = (block + line - 1) land lnot (line - 1) in
+        let word t = base + (t mod line) in
+        let sum = base + (2 * line) in
+        (* One line per thread: the records are not what is under test. *)
+        let seen = Alloc.alloc arena (nthreads * line) in
+        let body th =
+          let tid = Txn.thread_id th in
+          for r = 1 to rounds do
+            Txn.atomic th (fun tx ->
+                Txn.write tx (word tid) (Txn.read tx (word tid) + 1);
+                Txn.write tx sum (Txn.read tx sum + 1));
+            Txn.atomic th (fun tx ->
+                let v =
+                  match r mod 3 with
+                  | 1 -> Txn.read tx (word tid)
+                  | 2 -> Txn.read tx (word (tid + 1))
+                  | _ ->
+                      let m = Txn.read tx (word (tid + 1)) in
+                      m + Txn.read tx (word tid)
+                in
+                Txn.tx_work tx 10;
+                Txn.write tx (seen + (tid * line)) (v + Txn.read tx sum))
+          done
+        in
+        let verify () =
+          let mem = Engine.memory world in
+          let total =
+            List.fold_left ( + ) 0
+              (List.init (min nthreads line) (fun t -> Memory.get mem (word t)))
+          in
+          let expect = nthreads * rounds in
+          if total = expect && Memory.get mem sum = expect then Ok ()
+          else
+            Error
+              (Printf.sprintf "linemate words total %d, sum %d, expected %d"
+                 total (Memory.get mem sum) expect)
+        in
+        { App.world; body; verify });
+  }
+
+(* Vacuity floor: a [linemate] cell that rescued no read proved
+   nothing about the rescue. *)
+let min_rescued w =
+  if String.starts_with ~prefix:"linemate-" w.name then 1 else 0
+
 (* Likewise for the reclaim pair: a cell that never executed a deferred
    free proved nothing about reuse. *)
 let min_dfrees w =
@@ -529,6 +601,7 @@ let micros ~nthreads =
       ~spin:(fun tx b -> Txn.write tx b (Txn.read tx b))
       ~nthreads ~rounds:3;
     reread ~nthreads ~rounds:3;
+    linemate ~nthreads ~rounds:3;
   ]
 
 (* Kept out of [micros]: without [+ebr] these are red by design (they

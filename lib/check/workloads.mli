@@ -50,8 +50,19 @@ val min_forwarded : t -> int
 (** Vacuity floor: the forwarded reads a sweep cell of this workload
     must record — 1 for {!reread}, 0 for every other workload. *)
 
+val linemate : nthreads:int -> rounds:int -> t
+(** Threads read-modify-write different words of one conflict-detection
+    line while others read a line-mate between two reads of a shared
+    total: a peer's commit moves the orec under a read whose word it did
+    not write, which validation must rescue, and under a read whose word
+    it did write, which validation must reject. *)
+
+val min_rescued : t -> int
+(** Vacuity floor: the value rescues a sweep cell of this workload must
+    record — 1 for {!linemate}, 0 for every other workload. *)
+
 val micros : nthreads:int -> t list
-(** The eight micro workloads at smoke-test sizes. *)
+(** The nine micro workloads at smoke-test sizes. *)
 
 val free_race : nthreads:int -> rounds:int -> t
 (** Publish / retract-with-deferred-free / recycle-same-class against

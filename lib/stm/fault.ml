@@ -16,6 +16,7 @@
 
 type kind =
   | Skip_validation
+  | Blind_rescue
   | Stale_read
   | Delayed_unlock
   | Spurious_abort
@@ -33,6 +34,7 @@ type kind =
 let all =
   [
     Skip_validation;
+    Blind_rescue;
     Stale_read;
     Delayed_unlock;
     Spurious_abort;
@@ -50,6 +52,7 @@ let all =
 
 let name = function
   | Skip_validation -> "skip-validation"
+  | Blind_rescue -> "blind-rescue"
   | Stale_read -> "stale-read"
   | Delayed_unlock -> "delayed-unlock"
   | Spurious_abort -> "spurious-abort"
@@ -75,16 +78,16 @@ let is_crash = function
   | Crash_pre_commit | Crash_mid_publish | Crash_post_publish
   | Crash_mid_checkpoint | Torn_wal_record ->
       true
-  | Skip_validation | Stale_read | Delayed_unlock | Spurious_abort
-  | Alloc_log_drop | Clock_stall | Redo_drop | Publish_partial
-  | Premature_reuse ->
+  | Skip_validation | Blind_rescue | Stale_read | Delayed_unlock
+  | Spurious_abort | Alloc_log_drop | Clock_stall | Redo_drop
+  | Publish_partial | Premature_reuse ->
       false
 
 type expectation = Contained | Flagged
 
 let expectation = function
-  | Skip_validation | Stale_read | Clock_stall | Redo_drop | Publish_partial
-  | Premature_reuse ->
+  | Skip_validation | Blind_rescue | Stale_read | Clock_stall | Redo_drop
+  | Publish_partial | Premature_reuse ->
       Flagged
   | Delayed_unlock | Spurious_abort | Alloc_log_drop | Crash_pre_commit
   | Crash_mid_publish | Crash_post_publish | Crash_mid_checkpoint
@@ -93,11 +96,15 @@ let expectation = function
 
 (* Percent chance per opportunity.  [Skip_validation] is unconditional —
    it predates this registry as [bug_skip_validation] and the canary
-   tests rely on every validation lying.  [Spurious_abort]'s site is
+   tests rely on every validation lying.  [Blind_rescue] is too: its
+   site is already rare (a moved orec over a single-address entry), and
+   it draws no PRNG, so its schedules match the fault-free ones up to
+   the first blind adoption.  [Spurious_abort]'s site is
    every barrier, so its rate is kept low enough that transactions still
    commit within a few attempts. *)
 let rate = function
   | Skip_validation -> 100
+  | Blind_rescue -> 100
   | Stale_read -> 50
   | Delayed_unlock -> 50
   | Spurious_abort -> 4
@@ -120,6 +127,10 @@ let describe = function
   | Skip_validation ->
       "read-set validation always reports success; per-read timestamp \
        checks are skipped (lost updates slip through)"
+  | Blind_rescue ->
+      "validation rescues a read whose orec moved without checking that \
+       memory still holds the logged value (a commit to the very word read \
+       passes as a line-mate's)"
   | Stale_read ->
       "a read barrier occasionally opens a window between value load and \
        version log and trusts the post-window version (TOCTOU: a stale \

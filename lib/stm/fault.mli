@@ -10,6 +10,10 @@ type kind =
   | Skip_validation
       (** Validation always succeeds; per-read timestamp checks skipped.
           The original [bug_skip_validation] checker canary. *)
+  | Blind_rescue
+      (** Validation's value-checked rescue adopts a moved orec's word
+          without comparing the logged value with memory, so a commit to
+          the very word read passes as a line-mate's. *)
   | Stale_read
       (** Read barrier occasionally trusts a post-window orec version for
           a pre-window value (TOCTOU). *)
@@ -76,6 +80,7 @@ type expectation = Contained | Flagged
 val expectation : kind -> expectation
 
 val rate : kind -> int
-(** Percent chance per opportunity (100 for {!Skip_validation}). *)
+(** Percent chance per opportunity (100 for {!Skip_validation} and
+    {!Blind_rescue}). *)
 
 val describe : kind -> string

@@ -18,6 +18,7 @@ type t = {
   mutable waw_hits : int;
   mutable undo_entries : int;
   mutable validations : int;
+  mutable value_rescues : int;
   mutable lock_waits : int;
   mutable audit_reads_heap : int;
   mutable audit_reads_stack : int;
@@ -89,6 +90,7 @@ let create () =
     waw_hits = 0;
     undo_entries = 0;
     validations = 0;
+    value_rescues = 0;
     lock_waits = 0;
     audit_reads_heap = 0;
     audit_reads_stack = 0;
@@ -204,6 +206,8 @@ let counters =
     sum "undo_entries" (fun t -> t.undo_entries)
       (fun t v -> t.undo_entries <- v);
     sum "validations" (fun t -> t.validations) (fun t v -> t.validations <- v);
+    sum "value_rescues" (fun t -> t.value_rescues)
+      (fun t v -> t.value_rescues <- v);
     sum "lock_waits" (fun t -> t.lock_waits) (fun t v -> t.lock_waits <- v);
     sum "audit_reads_heap" (fun t -> t.audit_reads_heap)
       (fun t v -> t.audit_reads_heap <- v);

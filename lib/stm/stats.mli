@@ -34,6 +34,10 @@ type t = {
   mutable waw_hits : int;
   mutable undo_entries : int;
   mutable validations : int;
+  mutable value_rescues : int;
+      (** Read-log entries whose orec moved yet whose word still held
+          the logged value: validation adopted the new orec word instead
+          of aborting (a line-mate's commit, not a conflict). *)
   mutable lock_waits : int;
   (* audit-mode classification (Figure 8) *)
   mutable audit_reads_heap : int;

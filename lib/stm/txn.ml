@@ -86,11 +86,14 @@ and tx = {
   thread : thread;
   (* read set: distinct orecs with the word observed first, indexed by
      orec in [read_index]; beside each, the address and value last read
-     under that orec (read-after-read forwarding, [full_read]) *)
+     under that orec (read-after-read forwarding, [full_read]), and 1 in
+     [read_multi] once a second address was read under it (the pair then
+     speaks for one of several reads: no value rescue, [rescue_entry]) *)
   mutable read_orecs : int array;
   mutable read_words : int array;
   mutable read_addrs : int array;
   mutable read_vals : int array;
+  mutable read_multi : int array;
   mutable n_reads : int;
   read_index : Read_map.t;
   (* undo log *)
@@ -212,12 +215,14 @@ let push_read tx oi word addr value =
     tx.read_orecs <- grow tx.read_orecs;
     tx.read_words <- grow tx.read_words;
     tx.read_addrs <- grow tx.read_addrs;
-    tx.read_vals <- grow tx.read_vals
+    tx.read_vals <- grow tx.read_vals;
+    tx.read_multi <- grow tx.read_multi
   end;
   Array.unsafe_set tx.read_orecs n oi;
   Array.unsafe_set tx.read_words n word;
   Array.unsafe_set tx.read_addrs n addr;
   Array.unsafe_set tx.read_vals n value;
+  Array.unsafe_set tx.read_multi n 0;
   Read_map.add tx.read_index oi n;
   tx.n_reads <- n + 1
 
@@ -302,6 +307,7 @@ let make_tx th =
     read_words = Array.make 64 0;
     read_addrs = Array.make 64 0;
     read_vals = Array.make 64 0;
+    read_multi = Array.make 64 0;
     n_reads = 0;
     read_index = Read_map.create ();
     undo_addrs = Array.make 64 0;
@@ -419,7 +425,66 @@ let rec reads_valid th orecs words n k =
   || (read_entry_valid th (Array.unsafe_get orecs k) (Array.unsafe_get words k)
      && reads_valid th orecs words n (k + 1))
 
-let validate tx =
+(* Value-checked rescue of read-log entry [k], whose orec moved.  Four
+   words share an orec, so a commit to a line-mate moves the word of
+   every read under it.  When this attempt read one address under the
+   orec and memory still holds the logged value, the read is as current
+   under the new word as it was under the old, and the entry adopts the
+   new word.  The new word must be unlocked (memory under a lock may
+   hold an uncommitted value) and stable around the value load (the
+   sandwich [full_read_loop] runs).  Under the Global clock it must also
+   be no newer than [upto], the instant the caller proves the read set
+   at: a later stamp is a commit serialized after that instant, and an
+   A-B-A on the word could hide a different value at it.  An entry that
+   covers several addresses is never rescued: the log keeps only the
+   last pair, and the line-mate commit may have changed an earlier
+   one. *)
+let rescue_entry tx k ~upto =
+  let th = tx.thread in
+  let oi = Array.unsafe_get tx.read_orecs k in
+  let w = Orec.get th.orecs oi in
+  (not (Orec.is_locked w))
+  && Array.unsafe_get tx.read_multi k = 0
+  && (match th.clock with
+     | Scan -> true
+     | Global -> Orec.version_of w <= upto)
+  && (if Config.has_fault th.config Fault.Blind_rescue then begin
+        (* Injected fault (checker self-test): adopt without looking. *)
+        th.stats.faults_injected <- th.stats.faults_injected + 1;
+        true
+      end
+      else
+        let v = mem_get th (Array.unsafe_get tx.read_addrs k) in
+        Orec.get th.orecs oi = w && v = Array.unsafe_get tx.read_vals k)
+  && begin
+       Array.unsafe_set tx.read_words k w;
+       th.stats.value_rescues <- th.stats.value_rescues + 1;
+       true
+     end
+
+(* The first validation pass: every entry still holds its word or is
+   rescued.  Returns the number rescued, or -1 at the first entry that
+   is neither. *)
+let rec rescue_scan tx ~upto k rescued =
+  if k >= tx.n_reads then rescued
+  else if
+    read_entry_valid tx.thread
+      (Array.unsafe_get tx.read_orecs k)
+      (Array.unsafe_get tx.read_words k)
+  then rescue_scan tx ~upto (k + 1) rescued
+  else if rescue_entry tx k ~upto then
+    rescue_scan tx ~upto (k + 1) (rescued + 1)
+  else -1
+
+(* Prove the read set consistent at one instant, or return false.  A
+   scan is not atomic: an entry checked before a rescue may have moved
+   by the time the rescue's value load ran, so a pass that rescued
+   anything is followed by one more version-only pass over the whole
+   log.  Every read then holds from its (possibly rescued) observation
+   until its second check, and all observations precede all second
+   checks.  [upto] bounds rescued versions under the Global clock
+   ([rescue_entry]); Scan ignores it. *)
+let validate tx ~upto =
   let th = tx.thread in
   th.stats.validations <- th.stats.validations + 1;
   charge_validation th (Costs.validate_per_read * tx.n_reads);
@@ -429,7 +494,16 @@ let validate tx =
        th.stats.faults_injected <- th.stats.faults_injected + 1;
        true
      end)
-  || reads_valid th tx.read_orecs tx.read_words tx.n_reads 0
+  ||
+  let rescued = rescue_scan tx ~upto 0 0 in
+  rescued = 0
+  || rescued > 0
+     && begin
+          charge_validation th
+            ((rescued * (Costs.validate_per_read + Costs.direct_access))
+            + (Costs.validate_per_read * tx.n_reads));
+          reads_valid th tx.read_orecs tx.read_words tx.n_reads 0
+        end
 
 (* Snapshot extension (lazy snapshot algorithm, Global clock only): a
    version newer than the snapshot was observed.  The clock is sampled
@@ -442,7 +516,7 @@ let extend_snapshot tx =
   let now = Orec.clock th.orecs in
   th.stats.snapshot_extensions <- th.stats.snapshot_extensions + 1;
   charge_validation th Costs.snapshot_extend;
-  if not (validate tx) then raise Retry_conflict;
+  if not (validate tx ~upto:now) then raise Retry_conflict;
   tx.start_ts <- now
 
 (* The zombie guard.  Under the Global clock it is O(1): an unmoved
@@ -456,7 +530,7 @@ let revalidate tx =
       charge_validation th Costs.tvalidate_check;
       if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx
       else th.stats.validations_skipped <- th.stats.validations_skipped + 1
-  | Scan -> if not (validate tx) then raise Retry_conflict
+  | Scan -> if not (validate tx ~upto:tx.start_ts) then raise Retry_conflict
 
 (* Validation fuel: the one bound on un-revalidated execution.  Every
    transactional operation burns one unit — owned, forwarded and
@@ -483,7 +557,7 @@ let sandbox_bounds tx addr =
   let th = tx.thread in
   if addr < 1 || addr >= Memory.size th.memory then begin
     th.stats.sandbox_bounds <- th.stats.sandbox_bounds + 1;
-    if validate tx then
+    if validate tx ~upto:tx.start_ts then
       invalid_arg (Printf.sprintf "Txn: address %d outside memory" addr)
     else raise Retry_conflict
   end
@@ -726,6 +800,8 @@ let rec full_read_loop tx oi addr logged spins =
          word as the pair it replaces. *)
       if logged >= 0 then begin
         if tx.read_words.(logged) <> w1 then raise Retry_conflict;
+        if Array.unsafe_get tx.read_addrs logged <> addr then
+          Array.unsafe_set tx.read_multi logged 1;
         Array.unsafe_set tx.read_addrs logged addr;
         Array.unsafe_set tx.read_vals logged v;
         v
@@ -1478,7 +1554,7 @@ let commit_validate tx =
       end
       else begin
         th.platform.consume (Costs.commit_per_read * tx.n_reads);
-        if not (validate tx) then raise Retry_conflict
+        if not (validate tx ~upto:wv) then raise Retry_conflict
       end;
       Orec.stamped ~ts:wv
   | Scan ->
@@ -1486,7 +1562,7 @@ let commit_validate tx =
         (Costs.commit_base
         + (Costs.commit_per_read * tx.n_reads)
         + (Costs.commit_per_orec * tx.n_acq));
-      if not (validate tx) then raise Retry_conflict;
+      if not (validate tx ~upto:tx.start_ts) then raise Retry_conflict;
       bump_prev
 
 (* One commit sequence for every clock and versioning mode.  The commit
@@ -1696,7 +1772,7 @@ let atomic th f =
             (* Zombie sandbox: a transaction on an invalid snapshot can
                raise anything; re-validate to tell a real error from
                conflict fallout, and swallow the phantom. *)
-            if validate tx then Failed e
+            if validate tx ~upto:tx.start_ts then Failed e
             else begin
               th.stats.sandbox_aborts <- th.stats.sandbox_aborts + 1;
               Conflict

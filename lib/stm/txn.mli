@@ -169,10 +169,6 @@ val yield_hint : thread -> unit
     transactional operation it burns one unit of validation fuel. *)
 val tx_work : tx -> int -> unit
 
-(** {2 Introspection} *)
-
-val validate : tx -> bool
-
 (** {2 Event tracing}
 
     Hook for the schedule-exploration checker ({!Captured_check}): when a

@@ -519,6 +519,38 @@ let test_publish_partial_flagged_under_lazy () =
   Alcotest.(check bool) "partial publish flagged" true
     (r.Harness.violations > 0)
 
+(* A rescue that skips the value check passes a commit to the very word
+   read as a line-mate's; linemate's true conflicts must expose it under
+   both clocks and both versioning modes, each on its own. *)
+let test_blind_rescue_flagged_everywhere () =
+  List.iter
+    (fun mode ->
+      let config = Config.with_fault (Some Fault.Blind_rescue) mode in
+      let r =
+        Harness.explore
+          ~workload:(Workloads.linemate ~nthreads:2 ~rounds:3)
+          ~config
+          ~strategy:(Strategy.Random { persist = 85 })
+          ~runs:200 ~seed:3 ()
+      in
+      let name = Config.to_string config in
+      Alcotest.(check bool)
+        (name ^ ": rescued") true
+        (r.Harness.total_rescued > 0);
+      match r.Harness.first with
+      | Some f ->
+          Alcotest.(check bool)
+            (name ^ ": caught by the oracle, not a crash")
+            true
+            (f.Harness.violation.Oracle.kind <> "fiber-exception")
+      | None -> Alcotest.failf "%s: blind rescue not flagged" name)
+    [
+      tree;
+      Config.with_tvalidate tree;
+      Config.with_lazy tree;
+      Config.with_lazy (Config.with_tvalidate tree);
+    ]
+
 let test_clean_lazy_config_no_false_positive () =
   let workload = Workloads.counter ~nthreads:2 ~incs:3 in
   let r =
@@ -748,6 +780,7 @@ let quiet_report =
     total_commits = 0;
     total_dfrees = 0;
     total_forwarded = 0;
+    total_rescued = 0;
   }
 
 let check_vacuous ~what ~vacuous (cell : Harness.cell) =
@@ -793,6 +826,19 @@ let test_verdict_dfrees_floor () =
     (cell free_race [ { quiet_report with total_dfrees = 1 } ]);
   (* Workloads that do not exist to free carry no floor. *)
   check_vacuous ~what:"deferred frees" ~vacuous:false
+    (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
+
+let test_verdict_rescued_floor () =
+  let cell workload reports =
+    { Harness.workload; config = tree; reports; union = 40 }
+  in
+  let linemate = Workloads.linemate ~nthreads:2 ~rounds:3 in
+  Alcotest.(check int) "linemate floor" 1 (Workloads.min_rescued linemate);
+  check_vacuous ~what:"value rescues" ~vacuous:true
+    (cell linemate [ quiet_report ]);
+  check_vacuous ~what:"value rescues" ~vacuous:false
+    (cell linemate [ { quiet_report with total_rescued = 1 } ]);
+  check_vacuous ~what:"value rescues" ~vacuous:false
     (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
 
 let () =
@@ -855,6 +901,8 @@ let () =
             test_redo_drop_flagged_under_lazy;
           Alcotest.test_case "publish-partial flagged under lazy" `Quick
             test_publish_partial_flagged_under_lazy;
+          Alcotest.test_case "blind-rescue flagged in every mode" `Quick
+            test_blind_rescue_flagged_everywhere;
           Alcotest.test_case "crash faults recover clean" `Quick
             test_crash_faults_recover_clean;
           Alcotest.test_case "clean +wal sweep silent" `Quick
@@ -879,5 +927,7 @@ let () =
             `Quick test_verdict_crash_never_fired;
           Alcotest.test_case "free_race cell below min_dfrees is vacuous"
             `Quick test_verdict_dfrees_floor;
+          Alcotest.test_case "linemate cell below min_rescued is vacuous"
+            `Quick test_verdict_rescued_floor;
         ] );
     ]

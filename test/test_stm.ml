@@ -625,6 +625,90 @@ let test_tv_snapshot_extension () =
   check_int "no conflict aborts" 0 s.Stats.aborts;
   check_int "written value" 5 (Memory.get (Engine.memory w) c1)
 
+(* ------------------------------------------------------------------ *)
+(* Value-checked validation: a moved orec over an unchanged word        *)
+
+(* Thread 0 reads [reads] (addresses of one conflict-detection line),
+   waits long enough for thread 1 to commit [5] to [target], then
+   writes its sum to a cell on another line, so commit-time validation
+   runs under both clocks. *)
+let run_linemate cfg ~reads ~target =
+  let w = mk_world ~nthreads:2 cfg in
+  let line = Orec.line_words in
+  let block = Alloc.alloc (Engine.global_arena w) (4 * line) in
+  let base = (block + line - 1) land lnot (line - 1) in
+  let out = base + (2 * line) in
+  let orecs = Engine.orecs w in
+  check "one orec under the line" true
+    (List.for_all
+       (fun k -> Orec.index_of orecs (base + k) = Orec.index_of orecs base)
+       (List.init line Fun.id));
+  check "the output on its own orec" true
+    (Orec.index_of orecs out <> Orec.index_of orecs base);
+  let r =
+    Engine.run_sim ~seed:1 w (fun th ->
+        if Txn.thread_id th = 0 then
+          Txn.atomic th (fun tx ->
+              let sum =
+                List.fold_left
+                  (fun acc k -> acc + Txn.read tx (base + k))
+                  0 reads
+              in
+              Txn.tx_work tx 200_000;
+              Txn.write tx out sum)
+        else Txn.atomic th (fun tx -> Txn.write tx (base + target) 5))
+  in
+  (r.Engine.stats, Memory.get (Engine.memory w) out)
+
+let linemate_configs =
+  [
+    Config.baseline;
+    tv_cfg;
+    Config.with_lazy Config.baseline;
+    Config.with_lazy tv_cfg;
+  ]
+
+(* A commit to a line-mate moves the orec under the read, but not the
+   word read: validation adopts the new orec word and the attempt
+   commits. *)
+let test_linemate_commit_rescued () =
+  List.iter
+    (fun cfg ->
+      let name = Config.to_string cfg in
+      let s, out = run_linemate cfg ~reads:[ 0 ] ~target:1 in
+      check_int (name ^ ": both committed") 2 s.Stats.commits;
+      check_int (name ^ ": no abort") 0 s.Stats.aborts;
+      check_int (name ^ ": one rescue") 1 s.Stats.value_rescues;
+      check_int (name ^ ": the old word") 0 out)
+    linemate_configs
+
+(* A commit to the word read is a true conflict: no rescue, the attempt
+   aborts and its retry reads the new value. *)
+let test_same_word_commit_aborts () =
+  List.iter
+    (fun cfg ->
+      let name = Config.to_string cfg in
+      let s, out = run_linemate cfg ~reads:[ 0 ] ~target:0 in
+      check_int (name ^ ": both committed") 2 s.Stats.commits;
+      check_int (name ^ ": one abort") 1 s.Stats.aborts;
+      check_int (name ^ ": no rescue") 0 s.Stats.value_rescues;
+      check_int (name ^ ": the retry saw the commit") 5 out)
+    linemate_configs
+
+(* Two words read under one orec: the log keeps one (address, value)
+   pair per orec, so it cannot tell which word the commit changed, and
+   the entry is not rescued even though neither word moved. *)
+let test_two_words_not_rescued () =
+  List.iter
+    (fun cfg ->
+      let name = Config.to_string cfg in
+      let s, out = run_linemate cfg ~reads:[ 0; 2 ] ~target:1 in
+      check_int (name ^ ": both committed") 2 s.Stats.commits;
+      check_int (name ^ ": one abort") 1 s.Stats.aborts;
+      check_int (name ^ ": no rescue") 0 s.Stats.value_rescues;
+      check_int (name ^ ": sum of unchanged words") 0 out)
+    linemate_configs
+
 (* Model-level agreement with the full read-set-scan reference, on
    randomized orec histories.  The replayed reader applies exactly the
    runtime's TS rule — accept a fresh read outright when its version is
@@ -2096,6 +2180,15 @@ let () =
             test_tv_snapshot_extension;
         ]
         @ List.map Qc.to_alcotest [ prop_tvalidate_model ] );
+      ( "value rescue",
+        [
+          Alcotest.test_case "line-mate commit rescued" `Quick
+            test_linemate_commit_rescued;
+          Alcotest.test_case "same-word commit aborts" `Quick
+            test_same_word_commit_aborts;
+          Alcotest.test_case "two words not rescued" `Quick
+            test_two_words_not_rescued;
+        ] );
       ( "robustness",
         [
           Alcotest.test_case "fuel forces validation" `Quick
