@@ -2180,7 +2180,7 @@ let () =
             test_tv_snapshot_extension;
         ]
         @ List.map Qc.to_alcotest [ prop_tvalidate_model ] );
-      ( "value rescue",
+      ( "rescue",
         [
           Alcotest.test_case "line-mate commit rescued" `Quick
             test_linemate_commit_rescued;
