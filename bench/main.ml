@@ -9,7 +9,6 @@
 
 open Captured_apps
 module Config = Captured_stm.Config
-module Cm = Captured_stm.Cm
 module Engine = Captured_stm.Engine
 module Stats = Captured_stm.Stats
 module Txn = Captured_stm.Txn
@@ -677,101 +676,79 @@ let tvalidate () =
     apps
 
 (* ------------------------------------------------------------------ *)
-(* Contention: CM policy sweep — abort behaviour vs thread count         *)
+(* Contention: abort behaviour of the retry backoff vs thread count      *)
 
 let contention () =
   headline
-    "Contention: CM policy sweep (shared-counter increments, then four \
-     apps at 16 threads; simulator, JSON lines)";
+    "Contention: retry backoff (shared-counter increments, then four apps \
+     at 16 threads; simulator, JSON lines)";
   let incs = if !quick then 40 else 200 in
   List.iter
-    (fun policy ->
-      List.iter
-        (fun nthreads ->
-          let cfg = Config.with_cm policy Config.baseline in
-          let w = Engine.create ~nthreads cfg in
-          let arena = Engine.global_arena w in
-          let cell = Captured_tmem.Alloc.alloc arena 1 in
-          (* A read phase before the contended RMW gives the Karma policy
-             work to credit; the scan cells are never written. *)
-          let scan = Captured_tmem.Alloc.alloc arena 16 in
-          let r =
-            Engine.run_sim ~seed:1 w (fun th ->
-                for _ = 1 to incs do
-                  Txn.atomic th (fun tx ->
-                      for k = 0 to 15 do
-                        ignore (Txn.read tx (scan + k) : int)
-                      done;
-                      Txn.write tx cell (Txn.read tx cell + 1);
-                      Txn.tx_work tx 50)
-                done)
-          in
-          (* Every policy must still be correct under maximal contention. *)
-          assert (
-            Captured_tmem.Memory.get (Engine.memory w) cell
-            = nthreads * incs);
-          json_line ~section:"contention"
-            [
-              ("policy", str (Cm.policy_name policy));
-              ("threads", string_of_int nthreads);
-            ]
-            r;
-          Printf.printf "# %-9s %2d thr  abort/commit %5.2f  makespan %9d  %s\n"
-            (Cm.policy_name policy) nthreads
-            (Stats.abort_ratio r.Engine.stats)
-            r.Engine.makespan
-            (show r.Engine.stats
-               [ "cm_max_consec_aborts"; "cm_starvation_events" ]))
-        [ 2; 4; 8; 16 ])
-    Cm.all_policies;
-  (* Every policy on real apps, each under its benchmark configuration:
-     [run_sim] fails unless the app's own verification passes.  One JSON
-     line per seed; the [#] line is the per-policy median over the seeds
-     (one seed under --quick), which is what EXPERIMENTS.md records. *)
+    (fun nthreads ->
+      let w = Engine.create ~nthreads Config.baseline in
+      let arena = Engine.global_arena w in
+      let cell = Captured_tmem.Alloc.alloc arena 1 in
+      (* A read phase before the contended RMW; the scan cells are never
+         written. *)
+      let scan = Captured_tmem.Alloc.alloc arena 16 in
+      let r =
+        Engine.run_sim ~seed:1 w (fun th ->
+            for _ = 1 to incs do
+              Txn.atomic th (fun tx ->
+                  for k = 0 to 15 do
+                    ignore (Txn.read tx (scan + k) : int)
+                  done;
+                  Txn.write tx cell (Txn.read tx cell + 1);
+                  Txn.tx_work tx 50)
+            done)
+      in
+      (* Still correct under maximal contention. *)
+      assert (
+        Captured_tmem.Memory.get (Engine.memory w) cell = nthreads * incs);
+      json_line ~section:"contention" [ ("threads", string_of_int nthreads) ] r;
+      Printf.printf "# %2d thr  abort/commit %5.2f  makespan %9d  %s\n"
+        nthreads
+        (Stats.abort_ratio r.Engine.stats)
+        r.Engine.makespan
+        (show r.Engine.stats [ "cm_max_consec_aborts" ]))
+    [ 2; 4; 8; 16 ];
+  (* Real apps, each under its benchmark configuration: [run_sim] fails
+     unless the app's own verification passes.  One JSON line per seed;
+     the [#] line is the median over the seeds (one seed under --quick),
+     which is what EXPERIMENTS.md records. *)
   let seeds = if !quick then [ 1 ] else List.init 8 (fun i -> i + 1) in
   List.iter
     (fun (name, cfg) ->
       match List.find_opt (fun app -> app.App.name = name) apps with
       | None -> ()
       | Some app ->
-          (* [Cm.all_policies] lists the default, [Backoff], first. *)
-          let base = ref 0. in
-          List.iter
-            (fun policy ->
-              let cfg = Config.with_cm policy cfg in
-              let runs =
-                List.map
-                  (fun seed ->
-                    let r = run_sim app cfg ~nthreads:sim_threads ~seed in
-                    json_line ~section:"contention"
-                      [
-                        ("policy", str (Cm.policy_name policy));
-                        ("app", str name);
-                        ("config", str (Config.to_string cfg));
-                        ("threads", string_of_int sim_threads);
-                        ("seed", string_of_int seed);
-                      ]
-                      r;
-                    r)
-                  seeds
-              in
-              let med f = Ustats.median (List.map f runs) in
-              let makespan = med (fun r -> float_of_int r.Engine.makespan) in
-              if policy = Cm.Backoff then base := makespan;
-              Printf.printf
-                "# %-14s %-9s %2d thr  %d-seed median: abort/commit \
-                 %5.2f  makespan %9.0f (%+5.1f%% vs backoff)  \
-                 cm_max_consec_aborts %.0f  backoff_share %.2f\n"
-                name (Cm.policy_name policy) sim_threads (List.length seeds)
-                (med (fun r -> Stats.abort_ratio r.Engine.stats))
-                makespan
-                (100. *. (makespan -. !base) /. !base)
-                (med (fun r ->
-                     float_of_int r.Engine.stats.Stats.cm_max_consec_aborts))
-                (med (fun r ->
-                     float_of_int r.Engine.stats.Stats.backoff_cycles
-                     /. float_of_int (sim_threads * r.Engine.makespan))))
-            Cm.all_policies)
+          let runs =
+            List.map
+              (fun seed ->
+                let r = run_sim app cfg ~nthreads:sim_threads ~seed in
+                json_line ~section:"contention"
+                  [
+                    ("app", str name);
+                    ("config", str (Config.to_string cfg));
+                    ("threads", string_of_int sim_threads);
+                    ("seed", string_of_int seed);
+                  ]
+                  r;
+                r)
+              seeds
+          in
+          let med f = Ustats.median (List.map f runs) in
+          Printf.printf
+            "# %-14s %2d thr  %d-seed median: abort/commit %5.2f  makespan \
+             %9.0f  cm_max_consec_aborts %.0f  backoff_share %.2f\n"
+            name sim_threads (List.length seeds)
+            (med (fun r -> Stats.abort_ratio r.Engine.stats))
+            (med (fun r -> float_of_int r.Engine.makespan))
+            (med (fun r ->
+                 float_of_int r.Engine.stats.Stats.cm_max_consec_aborts))
+            (med (fun r ->
+                 float_of_int r.Engine.stats.Stats.backoff_cycles
+                 /. float_of_int (sim_threads * r.Engine.makespan))))
     (List.map
        (fun (app, c) -> (app, config c))
        [

@@ -202,12 +202,10 @@ let app_arg =
 let config_arg =
   Arg.(value & opt string "baseline"
        & info [ "config"; "c" ] ~docv:"CONFIG"
-           ~doc:"Configuration, as Config.to_string spells it: a head \
-                 (baseline | compiler | tree | array | filtering), then \
-                 any of +scope:L (L in shrw) +sf +audit +fp +tv +lazy \
-                 +wal +group:N +ebr +cm:P +fence +fault:F +orecs:N \
-                 +cap:N, e.g. tree+fp+tv+ebr.  Faults are for testing \
-                 only: verification may fail, which is the point.")
+           ~doc:("Configuration, as Config.to_string spells it: "
+                 ^ Manpage.escape (Config.grammar ())
+                 ^ "; e.g. tree+fp+tv+ebr.  Faults are for testing only: \
+                    verification may fail, which is the point."))
 
 let scale_arg =
   Arg.(value & opt string "bench"

@@ -18,7 +18,6 @@ type t = {
   audit : bool;
   orec_bits : int;
   array_capacity : int;
-  cm : Cm.policy;
   fault : Fault.kind option;
   fences : bool;
   lazy_versioning : bool;
@@ -46,7 +45,6 @@ let default =
     audit = false;
     orec_bits = 17;
     array_capacity = 4;
-    cm = Cm.Backoff;
     fault = None;
     fences = false;
     lazy_versioning = false;
@@ -66,7 +64,6 @@ let runtime_hybrid ?(scope = full_scope) backend =
 
 let with_fastpath ?(on = true) t = { t with fastpath = on }
 let with_tvalidate ?(on = true) t = { t with tvalidate = on }
-let with_cm policy t = { t with cm = policy }
 
 type clock = Scan | Global
 
@@ -162,11 +159,6 @@ let tokens =
       (fun t -> t.wal_group)
       (fun t wal_group -> { t with wal_group });
     flag "ebr" (fun t -> t.ebr) with_ebr;
-    valued "cm"
-      (String.concat "|" (List.map Cm.policy_name Cm.all_policies))
-      (fun t -> t.cm)
-      (fun t cm -> { t with cm })
-      Cm.policy_name Cm.policy_of_name;
     flag "fence" (fun t -> t.fences) (fun t -> { t with fences = true });
     valued "fault" (String.concat "|" Fault.names)
       (fun t -> t.fault)
@@ -192,13 +184,15 @@ let to_string t =
     (fst (List.find (fun (_, a) -> a = t.analysis) heads)
     :: List.filter_map (fun tok -> tok.show t) tokens)
 
+let grammar () =
+  Printf.sprintf "%s, then any of %s"
+    (String.concat "|" (List.map fst heads))
+    (String.concat " " (List.map (fun tok -> "+" ^ tok.help) tokens))
+
 let of_string s =
   let fail what part =
     Error
-      (Printf.sprintf "%s %S in config %S (known: %s, then any of %s)" what
-         part s
-         (String.concat "|" (List.map fst heads))
-         (String.concat " " (List.map (fun tok -> "+" ^ tok.help) tokens)))
+      (Printf.sprintf "%s %S in config %S (known: %s)" what part s (grammar ()))
   in
   let rec parse t seen = function
     | [] -> Ok t

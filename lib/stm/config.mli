@@ -56,10 +56,6 @@ type t = {
           per record, 1 MiB; [+orecs:N] token). *)
   array_capacity : int;
       (** Range-array backend capacity, in blocks ([+cap:N] token). *)
-  cm : Cm.policy;
-      (** Contention-management policy for the retry loop ([+cm:<name>]
-          token; [Backoff] — the default — is token-free and reproduces
-          the pre-CM behaviour bit for bit). *)
   fault : Fault.kind option;
       (** Injected fault for the robustness layer / checker self-tests
           ([+fault:<name>] token).  Never enable outside tests. *)
@@ -132,10 +128,6 @@ val with_fastpath : ?on:bool -> t -> t
     validation (global version clock; [+tv] token). *)
 val with_tvalidate : ?on:bool -> t -> t
 
-(** [with_cm policy t] selects the contention-management policy
-    ([+cm:<name>] token for non-default policies). *)
-val with_cm : Cm.policy -> t -> t
-
 (** The validation clock a configuration runs under, derived from
     [tvalidate] (DESIGN.md §11):
     - [Scan]: no [+tv] — commits bump each released orec's version and
@@ -177,10 +169,16 @@ val audit : t
     [+scope:L] ([L] the subsequence of [shrw] switched on: stack and heap
     checks, read and write barriers; Figure 11b is [+scope:hw]),
     [+sf] (static_filter), [+audit], [+fp], [+tv], [+lazy], [+wal],
-    [+group:N] (wal_group), [+ebr], [+cm:P], [+fence], [+fault:F],
+    [+group:N] (wal_group), [+ebr], [+fence], [+fault:F],
     [+orecs:N] (orec_bits) and [+cap:N] (array_capacity).
     E.g. ["tree+fp+ebr"], ["tree+scope:hw+tv+lazy+wal+ebr"]. *)
 val to_string : t -> string
+
+(** The grammar {!of_string} accepts, spelled out from the token table:
+    the heads, then every [+] token with the form of its value.  Its
+    errors quote it, and [stamp_run --help] prints it.  Built on each
+    call, so it costs no live heap. *)
+val grammar : unit -> string
 
 (** [of_string s] — the inverse of {!to_string}: [of_string (to_string t)
     = Ok t] for every [t].  Tokens may come in any order; an unknown head

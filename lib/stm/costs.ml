@@ -67,13 +67,6 @@ let backoff ~attempt ~jitter =
   let shift = min attempt backoff_max_shift in
   (64 lsl shift) + (jitter land 63) * attempt
 
-(* Contention management (Cm): Karma converts this much logged work
-   (read-set + undo entries) into one attempt's worth of backoff
-   discount; Timestamp replaces the exponential curve with this linear
-   per-abort unit, scaled down by ticket age. *)
-let karma_per_discount = 32
-let cm_linear_backoff = 96
-
 (* Deferred updates (lazy versioning): the Bloom summary test is one
    AND+branch on a word kept hot; a buffer probe after a summary hit is
    a short open-addressed walk; a fresh insert appends to the log and

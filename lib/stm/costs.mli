@@ -38,8 +38,7 @@ val lock_spin : int
 (** One lock-wait spin iteration on a held orec. *)
 
 val spin_limit : int
-(** Lock-wait spins before a barrier self-aborts ({!Cm.spin_patience}
-    scales it for starving transactions). *)
+(** Lock-wait spins before a barrier self-aborts. *)
 
 val fuel_budget : int
 (** Zombie guard: transactional operations per attempt between forced
@@ -86,12 +85,6 @@ val backoff : attempt:int -> jitter:int -> int
     [0, 63] decorrelates threads.  Monotone in [attempt] (capped at
     {!backoff_max_shift} doublings), adds at most [63 * attempt] jitter
     cycles over the jitter-free value, never negative. *)
-
-val karma_per_discount : int
-(** {!Cm.Karma}: logged work per one-attempt backoff discount. *)
-
-val cm_linear_backoff : int
-(** {!Cm.Timestamp}: linear per-consecutive-abort backoff unit. *)
 
 val redo_summary_check : int
 (** Lazy versioning: one-AND Bloom summary test fronting every barrier's

@@ -14,7 +14,6 @@ type world = {
   global_arena : Alloc.t;
   stacks : Tstack.t array;
   arenas : Alloc.t array;
-  cm_shared : Cm.shared;
   mutable wal : Wal.t option;
       (* Durable transactions: the world's write-ahead-log device, shared
          by every thread.  Attached explicitly ([attach_wal]) so the
@@ -55,7 +54,6 @@ let create ?(global_words = 1 lsl 18) ?(stack_words = 1 lsl 14)
     global_arena;
     stacks;
     arenas;
-    cm_shared = Cm.create_shared ();
     wal = None;
     reclaim = Reclaim.create_shared nthreads;
   }
@@ -117,7 +115,7 @@ let thread_seed seed tid =
 let make_thread w ~tid ~platform ~seed =
   Txn.create_thread ~tid ~platform ~memory:w.memory ~stack:w.stacks.(tid)
     ~arena:w.arenas.(tid) ~orecs:w.orecs ~config:w.config
-    ~cm_shared:w.cm_shared ?wal:w.wal ~reclaim_shared:w.reclaim
+    ?wal:w.wal ~reclaim_shared:w.reclaim
     ~seed:(thread_seed seed tid) ()
 
 (* End-of-run limbo flush: every fiber has finished / every domain has

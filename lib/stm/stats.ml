@@ -50,7 +50,6 @@ type t = {
   mutable sandbox_bounds : int;
   mutable faults_injected : int;
   mutable cm_max_consec_aborts : int;
-  mutable cm_starvation_events : int;
   mutable redo_inserts : int;
   mutable redo_hits : int;
   mutable redo_skips : int;
@@ -122,7 +121,6 @@ let create () =
     sandbox_bounds = 0;
     faults_injected = 0;
     cm_max_consec_aborts = 0;
-    cm_starvation_events = 0;
     redo_inserts = 0;
     redo_hits = 0;
     redo_skips = 0;
@@ -266,8 +264,6 @@ let counters =
       (fun t v -> t.faults_injected <- v);
     peak "cm_max_consec_aborts" (fun t -> t.cm_max_consec_aborts)
       (fun t v -> t.cm_max_consec_aborts <- v);
-    sum "cm_starvation_events" (fun t -> t.cm_starvation_events)
-      (fun t v -> t.cm_starvation_events <- v);
     sum "redo_inserts" (fun t -> t.redo_inserts)
       (fun t v -> t.redo_inserts <- v);
     sum "redo_hits" (fun t -> t.redo_hits) (fun t v -> t.redo_hits <- v);

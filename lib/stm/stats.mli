@@ -92,13 +92,13 @@ type t = {
           read-set scans, per-read timestamp compares, clock compares and
           snapshot-extension bookkeeping — the quantity timestamp-based
           validation exists to shrink. *)
-  (* robustness layer: sandbox, contention management, fault injection *)
+  (* robustness layer: sandbox, retry backoff, fault injection *)
   mutable spin_aborts : int;
       (** Conflict aborts caused by a lock-wait spin exhausting its limit
           (previously folded into [aborts], which still includes them). *)
   mutable backoff_cycles : int;
       (** Total simulated cycles burnt between a conflict abort and its
-          retry, whatever the contention-management policy. *)
+          retry ({!Costs.backoff}). *)
   mutable fuel_exhaustions : int;
       (** Zombie-guard firings: validation-fuel budgets
           ([Costs.fuel_budget] operations) that ran dry, forcing a
@@ -115,9 +115,6 @@ type t = {
   mutable cm_max_consec_aborts : int;
       (** Longest run of consecutive conflict aborts by any single
           transaction (merged across threads with [max], not [+]). *)
-  mutable cm_starvation_events : int;
-      (** Transactions the [Timestamp] policy declared starving (past the
-          consecutive-abort threshold). *)
   (* lazy versioning ([Config.lazy_versioning]) *)
   mutable redo_inserts : int;
       (** Fresh entries appended to the redo buffer (distinct shared

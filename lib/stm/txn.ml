@@ -61,7 +61,6 @@ type thread = {
   stats : Stats.t;
   private_log : Private_log.t;
   prng : Prng.t;
-  cm : Cm.t;
   (* The orec word this thread's acquisitions store.  An orec holds it
      exactly while the current attempt owns the record: every attempt
      releases all it acquired before the next begins. *)
@@ -115,7 +114,6 @@ and tx = {
   top_audit_log : Alloc_log.t option;
   mutable scopes : scope list; (* innermost first; non-empty while live *)
   mutable live : bool;
-  mutable attempts : int;
   (* Zombie-guard fuel left this attempt (see [burn_fuel]). *)
   mutable fuel : int;
   (* Snapshot timestamp (Global clock): the read set is known consistent
@@ -147,12 +145,9 @@ and scope = {
 (* Thread construction                                                 *)
 
 let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
-    ?cm_shared ?wal ?reclaim_shared ~seed () =
+    ?wal ?reclaim_shared ~seed () =
   if tid < 0 || tid >= Stats.max_tids then
     invalid_arg "Txn.create_thread: tid does not fit the conflict-pair key";
-  let cm_shared =
-    match cm_shared with Some s -> s | None -> Cm.create_shared ()
-  in
   {
     tid;
     platform;
@@ -165,7 +160,6 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     stats = Stats.create ();
     private_log = Private_log.create ();
     prng = Prng.create seed;
-    cm = Cm.create ~policy:config.Config.cm ~shared:cm_shared;
     lock_word = Orec.locked_word ~owner:tid;
     fence_dummy = Atomic.make 0;
     wal = (if config.Config.durable then wal else None);
@@ -322,7 +316,6 @@ let make_tx th =
     top_audit_log;
     scopes = [];
     live = false;
-    attempts = 0;
     fuel = 0;
     start_ts = 0;
   }
@@ -751,11 +744,11 @@ let note_conflict th w =
   if owner <> th.tid then Stats.note_pair th.stats ~tid:th.tid ~peer:owner
 
 (* One lock-wait spin on an orec found holding the locked word [w]; the
-   attempt self-aborts once the contention manager's patience is spent. *)
+   attempt self-aborts after [Costs.spin_limit] spins. *)
 let spin_on_lock th w spins =
   th.stats.lock_waits <- th.stats.lock_waits + 1;
   if spins = 0 then note_conflict th w;
-  if spins >= Cm.spin_patience th.cm then begin
+  if spins >= Costs.spin_limit then begin
     th.stats.spin_aborts <- th.stats.spin_aborts + 1;
     raise Retry_conflict
   end;
@@ -1271,7 +1264,7 @@ let push_scope tx ~top =
     :: tx.scopes;
   if not top then emit th.tid Ev_scope_begin
 
-let begin_top tx =
+let begin_top tx ~attempt =
   let th = tx.thread in
   (* Small random jitter decorrelates thread phases (memory and pipeline
      variance on a real machine). *)
@@ -1290,7 +1283,6 @@ let begin_top tx =
   tx.n_undo <- 0;
   tx.n_acq <- 0;
   tx.fuel <- Costs.fuel_budget;
-  if tx.attempts = 0 then Cm.note_begin th.cm;
   (* Only the Global clock has a snapshot timestamp; skipping the clock
      read keeps Scan's begin clock-free. *)
   tx.start_ts <- (match th.clock with Global -> Orec.clock th.orecs | Scan -> 0);
@@ -1300,9 +1292,8 @@ let begin_top tx =
   (match tx.top_audit_log with Some l -> Alloc_log.clear l | None -> ());
   tx.scopes <- [];
   tx.live <- true;
-  tx.attempts <- tx.attempts + 1;
   push_scope tx ~top:true;
-  emit th.tid (Ev_begin { attempt = tx.attempts })
+  emit th.tid (Ev_begin { attempt })
 
 let rollback_undo tx ~down_to =
   let th = tx.thread in
@@ -1379,8 +1370,6 @@ let commit_epilogue tx =
       ebr_service th r);
   tx.scopes <- [];
   tx.live <- false;
-  tx.attempts <- 0;
-  Cm.on_complete th.cm;
   th.stats.commits <- th.stats.commits + 1
 
 (* Lazy versioning, commit phase 1: acquire every write-set orec, in
@@ -1639,10 +1628,7 @@ let abort_top tx ~user =
   | [] -> ());
   tx.scopes <- [];
   tx.live <- false;
-  if user then begin
-    th.stats.user_aborts <- th.stats.user_aborts + 1;
-    tx.attempts <- 0
-  end
+  if user then th.stats.user_aborts <- th.stats.user_aborts + 1
   else th.stats.aborts <- th.stats.aborts + 1;
   (* EBR: an aborted attempt is quiescent too — its reads are dead, so
      it must stop holding the global epoch back before the retry's
@@ -1714,16 +1700,17 @@ let abort_scope tx =
 (* ------------------------------------------------------------------ *)
 (* The atomic runner                                                   *)
 
-(* Post-abort wait, delegated to the contention manager.  The jitter is
-   drawn here, one [Prng.int] per abort whatever the policy, so switching
-   policy changes the waits but not the PRNG stream.  Under the default
-   [Backoff] the wait is [Costs.backoff]: at most 2048 jitter-free cycles,
-   under [Platform.native_relax]'s sleep threshold, so a native retry
-   spins unless its jitter pushes it past. *)
-let backoff th attempt ~work =
+(* Post-abort wait before retry [attempt + 1]: [Costs.backoff], with one
+   [Prng.int] of jitter per abort.  The wait is at most 2048 jitter-free
+   cycles, under [Platform.native_relax]'s sleep threshold, so a native
+   retry spins unless its jitter pushes it past.  [attempt] is also the
+   transaction's run of consecutive conflict aborts so far. *)
+let backoff th attempt =
+  let st = th.stats in
+  if attempt > st.cm_max_consec_aborts then st.cm_max_consec_aborts <- attempt;
   let jitter = Prng.int th.prng 64 in
-  let cycles = Cm.on_abort th.cm th.stats ~attempt ~work ~jitter in
-  th.stats.backoff_cycles <- th.stats.backoff_cycles + cycles;
+  let cycles = Costs.backoff ~attempt ~jitter in
+  st.backoff_cycles <- st.backoff_cycles + cycles;
   th.platform.consume cycles;
   (* Native domains really wait the backoff out ([relax] is a no-op on the
      simulator, where [consume] just charged it as virtual time). *)
@@ -1761,7 +1748,7 @@ let atomic th f =
   end
   else begin
     let rec attempt n =
-      begin_top tx;
+      begin_top tx ~attempt:n;
       let outcome =
         match f tx with
         | r -> ( try Committed (let () = commit_top tx in r) with
@@ -1781,17 +1768,14 @@ let atomic th f =
       match outcome with
       | Committed r -> r
       | Conflict ->
-          let work = tx.n_reads + tx.n_undo + tx.n_acq in
           abort_top tx ~user:false;
-          backoff th n ~work;
+          backoff th n;
           attempt (n + 1)
       | Userabort ->
           abort_top tx ~user:true;
-          Cm.on_complete th.cm;
           raise User_abort
       | Failed e ->
           abort_top tx ~user:false;
-          Cm.on_complete th.cm;
           raise e
     in
     attempt 1

@@ -22,7 +22,8 @@
     lazy acquire, read-only fast path, per-clock validation, serialize
     (publish, WAL append, commit event), release, then the fsync a
     group-completing WAL append owes.  Conflicts abort the
-    requester, which retries after the contention manager's backoff.
+    requester, which retries after a capped exponential backoff
+    ({!Costs.backoff}).
 
     Every barrier first runs the capture analysis configured in
     {!Config.t} (paper Figure 2): accesses proven captured go straight to
@@ -57,7 +58,6 @@ val create_thread :
   arena:Captured_tmem.Alloc.t ->
   orecs:Orec.t ->
   config:Config.t ->
-  ?cm_shared:Cm.shared ->
   ?wal:Wal.t ->
   ?reclaim_shared:Reclaim.shared ->
   seed:int ->
@@ -67,11 +67,8 @@ val create_thread :
     distinct [tid]s: an orec locked with a thread's id is that thread's
     to read and write.  [tid] must be below {!Stats.max_tids}, the bound
     the conflict-pair key packs tids into; raises [Invalid_argument]
-    otherwise.  [cm_shared] links this thread's contention
-    manager to its world's ticket source; omitted, the thread gets a
-    private one (fine for single-thread use).  [wal] attaches the world's write-ahead log
-    device; it only takes effect when [config.durable] is set.
-    [reclaim_shared] links this thread into the world's epoch-based
+    otherwise.  [wal] attaches the world's write-ahead log device; it
+    only takes effect when [config.durable] is set.  [reclaim_shared] links this thread into the world's epoch-based
     reclamation state (announcement slot = [tid]); it only takes effect
     when [config.ebr] is set. *)
 

@@ -468,73 +468,6 @@ let prop_backoff_non_negative =
     (fun (attempt, jitter) -> Costs.backoff ~attempt ~jitter >= 0)
 
 (* ------------------------------------------------------------------ *)
-(* Contention management *)
-
-let mk_cm policy = Cm.create ~policy ~shared:(Cm.create_shared ())
-
-let test_cm_backoff_is_costs_backoff () =
-  (* The Backoff policy is exactly [Costs.backoff], cap included, for
-     every (attempt, jitter) the retry loop can pass it. *)
-  let cm = mk_cm Cm.Backoff in
-  let st = Stats.create () in
-  for attempt = 1 to 15 do
-    List.iter
-      (fun jitter ->
-        check_int
-          (Printf.sprintf "attempt=%d jitter=%d" attempt jitter)
-          (Costs.backoff ~attempt ~jitter)
-          (Cm.on_abort cm st ~attempt ~work:3 ~jitter))
-      [ 0; 17; 63 ]
-  done
-
-let test_cm_karma_discounts () =
-  let cm = mk_cm Cm.Karma in
-  let st = Stats.create () in
-  (* First abort with no work invested: full exponential delay. *)
-  let first = Cm.on_abort cm st ~attempt:6 ~work:0 ~jitter:0 in
-  check_int "no karma yet" (Costs.backoff ~attempt:6 ~jitter:0) first;
-  (* 200 work units credited at abort time shorten the delay. *)
-  let second = Cm.on_abort cm st ~attempt:6 ~work:200 ~jitter:0 in
-  check "credited work discounts" true (second < first);
-  (* Completion resets the credit. *)
-  Cm.on_complete cm;
-  check_int "reset after completion"
-    (Costs.backoff ~attempt:6 ~jitter:0)
-    (Cm.on_abort cm st ~attempt:6 ~work:0 ~jitter:0)
-
-let test_cm_timestamp_starvation () =
-  let shared = Cm.create_shared () in
-  let old = Cm.create ~policy:Cm.Timestamp ~shared in
-  Cm.note_begin old;
-  let st = Stats.create () in
-  (* Under the starvation threshold: linear backoff, no events. *)
-  let d1 = Cm.on_abort old st ~attempt:1 ~work:3 ~jitter:0 in
-  check "pre-threshold delay positive" true (d1 >= 1);
-  check_int "no starvation yet" 0 st.Stats.cm_starvation_events;
-  (* Drive past the threshold: the manager flips to starving, records
-     the event and retries near-immediately with extended patience. *)
-  for attempt = 2 to 12 do
-    ignore (Cm.on_abort old st ~attempt ~work:3 ~jitter:0 : int)
-  done;
-  check_int "one starvation event" 1 st.Stats.cm_starvation_events;
-  check_int "max consecutive aborts tracked" 12 st.Stats.cm_max_consec_aborts;
-  let starved = Cm.on_abort old st ~attempt:13 ~work:3 ~jitter:7 in
-  check "starving retry is near-immediate" true (starved <= 64);
-  check_int "starving spins 8x longer" (8 * Costs.spin_limit)
-    (Cm.spin_patience old);
-  Cm.on_complete old;
-  check_int "patience resets" Costs.spin_limit (Cm.spin_patience old)
-
-let test_cm_names_roundtrip () =
-  List.iter
-    (fun p ->
-      match Cm.policy_of_name (Cm.policy_name p) with
-      | Some p' -> check (Cm.policy_name p) true (p = p')
-      | None -> Alcotest.failf "policy %s does not round-trip" (Cm.policy_name p))
-    Cm.all_policies;
-  check "unknown rejected" true (Cm.policy_of_name "bogus" = None)
-
-(* ------------------------------------------------------------------ *)
 (* Fault registry *)
 
 let test_fault_names_roundtrip () =
@@ -613,15 +546,6 @@ let () =
                prop_backoff_capped;
                prop_backoff_non_negative;
              ] );
-      ( "cm",
-        [
-          Alcotest.test_case "backoff is Costs.backoff" `Quick
-            test_cm_backoff_is_costs_backoff;
-          Alcotest.test_case "karma discounts" `Quick test_cm_karma_discounts;
-          Alcotest.test_case "timestamp starvation" `Quick
-            test_cm_timestamp_starvation;
-          Alcotest.test_case "policy names" `Quick test_cm_names_roundtrip;
-        ] );
       ( "fault",
         [
           Alcotest.test_case "registry round-trip" `Quick

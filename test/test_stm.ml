@@ -24,12 +24,13 @@ let all_configs =
     Config.with_lazy (Config.runtime Alloc_log.Tree);
     Config.with_lazy (Config.with_fastpath (Config.runtime Alloc_log.Tree));
     Config.with_lazy (Config.with_tvalidate Config.baseline);
-    (* the benchmark families: kv's config (epoch-based reclamation) and
-       the non-default contention managers *)
+    (* the benchmark families: kv's config (epoch-based reclamation) *)
     Config.runtime Alloc_log.Tree |> Config.with_fastpath
     |> Config.with_tvalidate |> Config.with_ebr;
-    Config.with_cm Cm.Timestamp (Config.runtime Alloc_log.Tree);
-    Config.with_cm Cm.Karma (Config.with_lazy (Config.runtime Alloc_log.Tree));
+    (* the compiler's shared-site filter, and intruder's narrow scope *)
+    Config.runtime_hybrid Alloc_log.Tree;
+    Config.with_lazy
+      (Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree);
   ]
 
 let mk_world ?(nthreads = 1) config = Engine.create ~nthreads config
@@ -1091,40 +1092,116 @@ let test_fault_stale_read_potent () =
   check "lost updates occurred" true (!broken > 0)
 
 let test_cm_policies_correct_under_contention () =
-  List.iter
-    (fun policy ->
-      let cfg = Config.with_cm policy Config.baseline in
-      let w = mk_world ~nthreads:8 cfg in
-      let cell = Alloc.alloc (Engine.global_arena w) 1 in
-      let r =
-        Engine.run_sim w (fun th ->
-            for _ = 1 to 40 do
-              Txn.atomic th (fun tx ->
-                  Txn.write tx cell (Txn.read tx cell + 1))
-            done)
-      in
-      check_int (Cm.policy_name policy) 320 (Memory.get (Engine.memory w) cell);
-      check_int
-        (Cm.policy_name policy ^ " commits")
-        320 r.Engine.stats.Stats.commits)
-    Cm.all_policies
-
-let test_cm_default_is_backoff () =
-  (* The default contention manager is Backoff: selecting it explicitly
-     leaves the schedule (makespan, aborts) bit for bit unchanged. *)
-  let run cfg =
-    let w = mk_world ~nthreads:4 cfg in
-    let cell = Alloc.alloc (Engine.global_arena w) 1 in
-    let r =
-      Engine.run_sim ~seed:7 w (fun th ->
-          for _ = 1 to 100 do
-            Txn.atomic th (fun tx -> Txn.write tx cell (Txn.read tx cell + 1))
-          done)
-    in
-    (r.Engine.makespan, r.Engine.stats.Stats.aborts)
+  let w = mk_world ~nthreads:8 Config.baseline in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let r =
+    Engine.run_sim w (fun th ->
+        for _ = 1 to 40 do
+          Txn.atomic th (fun tx -> Txn.write tx cell (Txn.read tx cell + 1))
+        done)
   in
-  check "explicit backoff identical" true
-    (run Config.baseline = run (Config.with_cm Cm.Backoff Config.baseline))
+  check_int "counter" 320 (Memory.get (Engine.memory w) cell);
+  check_int "commits" 320 r.Engine.stats.Stats.commits;
+  check "contended" true (r.Engine.stats.Stats.aborts > 0)
+
+(* One transaction that calls [Txn.restart] [k] times, then commits an
+   increment of [cell]. *)
+let restart_then_commit th cell k =
+  let left = ref k in
+  Txn.atomic th (fun tx ->
+      Txn.write tx cell (Txn.read tx cell + 1);
+      if !left > 0 then begin
+        decr left;
+        Txn.restart tx
+      end)
+
+(* The [attempt] of every [Ev_begin] that [f th cell] emits on a fresh
+   single-thread world. *)
+let begin_attempts f =
+  let w = mk_world Config.baseline in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let th = Engine.setup_thread w in
+  let attempts = ref [] in
+  Txn.set_tracer
+    (Some
+       (fun _ -> function
+         | Txn.Ev_begin { attempt } -> attempts := attempt :: !attempts
+         | _ -> ()));
+  Fun.protect
+    ~finally:(fun () -> Txn.set_tracer None)
+    (fun () -> f th cell);
+  List.rev !attempts
+
+(* A transaction that raises starts no abort run for the next one: each
+   of [failing; ok; ok] begins at attempt 1. *)
+let test_attempt_resets_after_failure () =
+  Alcotest.(check (list int)) "Ev_begin attempts" [ 1; 1; 1 ]
+    (begin_attempts (fun th cell ->
+         (try
+            Txn.atomic th (fun tx ->
+                Txn.write tx cell 1;
+                failwith "boom")
+          with Failure _ -> ());
+         Txn.atomic th (fun tx -> Txn.write tx cell 2);
+         Txn.atomic th (fun tx -> Txn.write tx cell 3)))
+
+(* Attempts count up across restarts, and every way out of the retry
+   loop — commit, user abort, exception — starts the next transaction
+   at 1. *)
+let test_attempt_numbers () =
+  Alcotest.(check (list int)) "Ev_begin attempts" [ 1; 2; 3; 1; 1; 1; 2 ]
+    (begin_attempts (fun th cell ->
+         restart_then_commit th cell 2;
+         (try Txn.atomic th (fun tx -> Txn.abort tx)
+          with Txn.User_abort -> ());
+         (try Txn.atomic th (fun _ -> failwith "boom") with Failure _ -> ());
+         restart_then_commit th cell 1))
+
+(* One thread runs [restart_then_commit] once per element of
+   [restarts]. *)
+let run_abort_runs restarts =
+  let w = mk_world Config.baseline in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let r =
+    Engine.run_sim w (fun th -> List.iter (restart_then_commit th cell) restarts)
+  in
+  check_int "one increment per commit" (List.length restarts)
+    (Memory.get (Engine.memory w) cell);
+  r.Engine.stats
+
+(* The longest abort run is the retry loop's own attempt count: a
+   transaction that restarts k times then commits records k, and the
+   next transaction starts a fresh run. *)
+let test_max_consec_aborts () =
+  let k = 5 in
+  let st = run_abort_runs [ k; 0 ] in
+  check_int "cm_max_consec_aborts" k st.Stats.cm_max_consec_aborts;
+  check_int "aborts" k st.Stats.aborts;
+  check_int "commits" 2 st.Stats.commits
+
+(* Over several transactions: the longest run is the largest restart
+   count, every restart is one abort, and retry [a] waits
+   [Costs.backoff ~attempt:a] with some jitter in [0, 63]. *)
+let prop_abort_runs =
+  QCheck.Test.make ~name:"abort runs and backoff cycles" ~count:40
+    QCheck.(list_of_size Gen.(int_range 1 4) (int_range 0 8))
+    (fun restarts ->
+      let st = run_abort_runs restarts in
+      let waits jitter =
+        List.fold_left
+          (fun acc k ->
+            let sum = ref acc in
+            for attempt = 1 to k do
+              sum := !sum + Costs.backoff ~attempt ~jitter
+            done;
+            !sum)
+          0 restarts
+      in
+      st.Stats.cm_max_consec_aborts = List.fold_left max 0 restarts
+      && st.Stats.aborts = List.fold_left ( + ) 0 restarts
+      && st.Stats.commits = List.length restarts
+      && waits 0 <= st.Stats.backoff_cycles
+      && st.Stats.backoff_cycles <= waits 63)
 
 (* ------------------------------------------------------------------ *)
 (* WAW filter unit tests                                               *)
@@ -1917,7 +1994,6 @@ let golden_configs =
     (Config.runtime_hybrid Alloc_log.Tree, "tree+sf");
     (Config.runtime ~scope:Config.write_only_scope Alloc_log.Tree,
      "tree+scope:shw");
-    (Config.with_cm Cm.Karma Config.baseline, "baseline+cm:karma");
     (Config.with_fault (Some Fault.Stale_read) Config.baseline,
      "baseline+fault:stale-read");
     (Config.with_durable ~group:1 Config.baseline, "baseline+wal+group:1");
@@ -2018,16 +2094,48 @@ let test_config_rejects () =
       | Error m ->
           (* the error names the known spellings *)
           check (bad ^ ": names the grammar") true
-            (List.for_all
-               (mentions m)
-               [ "tree"; "filtering"; "+fp"; "+cm:backoff|karma|timestamp" ]))
+            (List.for_all (mentions m)
+               [ "tree"; "filtering"; "+fp"; Config.grammar () ]))
     [
       ""; "eager"; "filter"; "tree+xx"; "tree+fp+fp"; "tree+lazy+tv+lazy";
-      "tree+group:0"; "tree+cm:nope"; "tree+orecs:x"; "tree+orecs:3";
+      "tree+group:0"; "tree+orecs:x"; "tree+orecs:3";
       "tree+orecs:25"; "tree+cap:0"; "tree+group:07"; "tree+fp:1"; "tree+wal:";
       "tree+scope:wh"; "tree+scope:x"; "tree+"; "Tree"; "tree,tree+fp";
       "tree+fault:nope";
-    ]
+    ];
+  (* there is no contention-manager token, whatever its value *)
+  List.iter
+    (fun bad ->
+      match Config.of_string bad with
+      | Ok _ -> Alcotest.failf "%S parsed" bad
+      | Error m ->
+          check (bad ^ ": unknown token, names the grammar") true
+            (String.starts_with ~prefix:"unknown token" m
+            && mentions m (Config.grammar ())))
+    [ "tree+cm:karma"; "tree+cm:backoff"; "tree+cm:nope" ]
+
+(* [Config.grammar] is built from the token table, so every token a
+   spelling can print is in it, and nothing else is. *)
+let test_config_grammar () =
+  (* the keys of the [+key] or [+key:value] words in [s] *)
+  let keys s =
+    List.concat_map
+      (fun word ->
+        List.tl (String.split_on_char '+' word)
+        |> List.map (fun tok -> List.hd (String.split_on_char ':' tok)))
+      (String.split_on_char ' ' s)
+  in
+  let grammar_keys = keys (Config.grammar ()) in
+  List.iter
+    (fun (_, spelling) ->
+      List.iter
+        (fun key ->
+          check (spelling ^ ": +" ^ key ^ " in the grammar") true
+            (List.mem key grammar_keys))
+        (keys spelling))
+    golden_configs;
+  check_int "one entry per token" 13 (List.length grammar_keys);
+  check "no contention-manager token" false (List.mem "cm" grammar_keys)
 
 let gen_config =
   let open QCheck.Gen in
@@ -2046,7 +2154,6 @@ let gen_config =
   and* audit = bool
   and* orec_bits = int_range 4 24
   and* array_capacity = int_range 1 64
-  and* cm = oneofl Cm.all_policies
   and* fault = opt (oneofl Fault.all)
   and* fences = bool
   and* lazy_versioning = bool
@@ -2063,7 +2170,6 @@ let gen_config =
       audit;
       orec_bits;
       array_capacity;
-      cm;
       fault;
       fences;
       lazy_versioning;
@@ -2207,9 +2313,13 @@ let () =
             test_fault_stale_read_potent;
           Alcotest.test_case "cm policies correct" `Quick
             test_cm_policies_correct_under_contention;
-          Alcotest.test_case "default cm is backoff" `Quick
-            test_cm_default_is_backoff;
-        ] );
+          Alcotest.test_case "attempt resets after failure" `Quick
+            test_attempt_resets_after_failure;
+          Alcotest.test_case "attempt numbers" `Quick test_attempt_numbers;
+          Alcotest.test_case "max consecutive aborts" `Quick
+            test_max_consec_aborts;
+        ]
+        @ List.map Qc.to_alcotest [ prop_abort_runs ] );
       ( "waw",
         [
           Alcotest.test_case "note dedup" `Quick test_waw_note_dedup;
@@ -2270,6 +2380,8 @@ let () =
             (check_golden golden_fault_cells);
           Alcotest.test_case "any token order" `Quick test_config_any_order;
           Alcotest.test_case "rejections" `Quick test_config_rejects;
+          Alcotest.test_case "grammar names every token" `Quick
+            test_config_grammar;
         ]
         @ List.map Qc.to_alcotest [ prop_config_roundtrip ] );
       qsuite "invariants" (List.map prop_sim_invariant all_configs);
