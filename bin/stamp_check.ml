@@ -47,7 +47,7 @@ let report_json (r : Harness.report) union =
 
 let sweep workloads_csv apps_csv nthreads modes_csv
     strategies_csv runs seed max_steps persist pct_depth dfs_preemptions
-    min_distinct faults_csv wal_bug json =
+    min_distinct faults_csv json =
   let runs = if runs = 0 then 400 else runs in
   let ( let* ) = Result.bind in
   let rec all f = function
@@ -100,14 +100,14 @@ let sweep workloads_csv apps_csv nthreads modes_csv
                  "counter,bank,publish,scoped,zombie,zombie_reread,zombie_owned"
            else workloads_csv ^ "," ^ apps_csv)
       in
-      (* --fault overrides a mode's own +fault:F.  Crash faults and the
-         seeded recovery bug need the WAL; premature-reuse skips the
-         grace period only EBR imposes. *)
+      (* --fault overrides a mode's own +fault:F.  Crash faults need
+         the WAL; premature-reuse skips the grace period only EBR
+         imposes. *)
       let config mode =
         let c = if fault = None then mode else Config.with_fault fault mode in
         let f = c.Config.fault in
         let c =
-          if wal_bug || Option.fold ~none:false ~some:Fault.is_crash f then
+          if Option.fold ~none:false ~some:Fault.is_crash f then
             Config.with_durable c
           else c
         in
@@ -132,7 +132,7 @@ let sweep workloads_csv apps_csv nthreads modes_csv
       let cells =
         List.map
           (fun (workload, config) ->
-            Harness.run_cell ~max_steps ~wal_bug ~on_report ~strategies ~runs
+            Harness.run_cell ~max_steps ~on_report ~strategies ~runs
               ~seed ~workload ~config ())
           cells
       in
@@ -150,7 +150,7 @@ let sweep workloads_csv apps_csv nthreads modes_csv
           (List.fold_left (fun acc c -> acc + c.Harness.union) 0 cells)
           (total (fun r -> r.Harness.crashes))
           (List.length cells);
-      match Harness.verdict ~min_distinct ~wal_bug cells with
+      match Harness.verdict ~min_distinct cells with
       | Ok notes ->
           if not json then List.iter print_endline notes;
           `Ok ()
@@ -192,8 +192,8 @@ let modes_arg =
      $(b,+lazy) (deferred-update redo buffer), $(b,+wal) (durable \
      transactions), $(b,+ebr) (epoch-based reclamation) and the other \
      tokens stamp_run --help lists, e.g. tree+fp+lazy or \
-     tree+fp+tv+ebr.  Crash faults and $(b,--wal-bug-torn) imply +wal; \
-     $(b,--fault premature-reuse) implies +ebr."
+     tree+fp+tv+ebr.  Crash faults imply +wal; $(b,--fault \
+     premature-reuse) implies +ebr."
   in
   Arg.(
     value
@@ -243,26 +243,16 @@ let min_distinct_arg =
 
 let fault_arg =
   let doc =
-    "Comma-separated structured faults to inject, one sweep each \
-     (skip-validation — the checker canary —, blind-rescue, stale-read, \
-     delayed-unlock, spurious-abort, alloc-log-drop, clock-stall, \
-     redo-drop, publish-partial, the crash points crash-pre-commit, \
-     crash-mid-publish, crash-post-publish, crash-mid-checkpoint and \
-     torn-wal-record, and premature-reuse).  Each is judged by its own \
-     expectation: $(i,contained) faults must produce zero violations, \
-     $(i,flagged) faults must be detected by the oracle with no \
-     exception escaping a fiber.  A crash-fault cell that never crashed \
-     fails as vacuous."
+    "Comma-separated structured faults to inject, one sweep each: "
+    ^ String.concat ", " Fault.names
+    ^ ".  skip-validation is the opacity oracle's canary and \
+       torn-tail-replayed (a seeded replay-the-torn-tail recovery bug) \
+       the recovery oracle's.  Each is judged by its own expectation: \
+       $(i,contained) faults must produce zero violations, $(i,flagged) \
+       faults must be detected by the oracle with no exception escaping \
+       a fiber.  A crash-fault cell that never crashed fails as vacuous."
   in
   Arg.(value & opt string "" & info [ "fault" ] ~docv:"NAMES" ~doc)
-
-let wal_bug_arg =
-  let doc =
-    "Checker self-test: seed a recovery bug (replay the torn tail record \
-     as if it were whole) and require the recovery oracle to flag it.  \
-     Implies +wal; pair with $(b,--fault torn-wal-record)."
-  in
-  Arg.(value & flag & info [ "wal-bug-torn" ] ~doc)
 
 let json_arg =
   let doc = "Emit one JSON object per report line." in
@@ -294,7 +284,7 @@ let cmd =
         "  stamp_check --fault crash-pre-commit,torn-wal-record \
          --modes tree,tree+tv+lazy -w counter,bank -s random,pct -n 40";
       `P "Recovery-oracle self-test — a seeded replay bug must be flagged:";
-      `Pre "  stamp_check --fault torn-wal-record --wal-bug-torn -w bank";
+      `Pre "  stamp_check --fault torn-tail-replayed -w bank";
       `P "Reclaim sweep — use-after-free rule armed, reuse gated on epochs:";
       `Pre
         "  stamp_check -w free_race,privatize_race \
@@ -309,6 +299,6 @@ let cmd =
       ret
         (const sweep $ workloads_arg $ apps_arg $ threads_arg $ modes_arg
        $ strategies_arg $ runs_arg $ seed_arg $ max_steps_arg $ persist_arg $ pct_depth_arg $ dfs_preemptions_arg $ min_distinct_arg
-       $ fault_arg $ wal_bug_arg $ json_arg))
+       $ fault_arg $ json_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -18,16 +18,20 @@ type t = {
   model : Captured_tmir.Ir.program Lazy.t;
 }
 
-let load_verdicts app =
+let load_verdicts app config =
   Site.reset_verdicts ();
-  let analysis = Captured_tmir.Capture_analysis.analyze (Lazy.force app.model) in
-  Captured_tmir.Capture_analysis.apply analysis
+  let static =
+    match config.Config.analysis with
+    | Config.Compiler -> true
+    | Config.Runtime _ -> config.Config.static_filter
+    | Config.Baseline -> false
+  in
+  if static then
+    Captured_tmir.Capture_analysis.apply
+      (Captured_tmir.Capture_analysis.analyze (Lazy.force app.model))
 
 let run_checked ?wal_dir app ~nthreads ~scale ~mode config =
-  (match config.Config.analysis with
-  | Config.Compiler -> load_verdicts app
-  | Config.Runtime _ when config.Config.static_filter -> load_verdicts app
-  | Config.Baseline | Config.Runtime _ -> Site.reset_verdicts ());
+  load_verdicts app config;
   let p = app.prepare ~nthreads ~scale config in
   if config.Config.durable then begin
     (* Attach after setup: the baseline checkpoint snapshots the built

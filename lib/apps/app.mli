@@ -28,12 +28,9 @@ type t = {
           before Compiler-configured runs. *)
 }
 
-(** [run app ~nthreads ~scale ~mode config] prepares and executes one run.
-    [`Sim seed] uses the simulator; [`Native] uses domains.  For
-    [Config.Compiler] configurations the app's model is analyzed and its
-    verdicts loaded first (after resetting the site table); for other
-    configurations verdicts are reset.  Raises [Failure] if [verify]
-    fails. *)
+(** [run app ~nthreads ~scale ~mode config] prepares and executes one run
+    after {!load_verdicts}.  [`Sim seed] uses the simulator; [`Native]
+    uses domains.  Raises [Failure] if [verify] fails. *)
 val run :
   t ->
   nthreads:int ->
@@ -42,11 +39,12 @@ val run :
   Config.t ->
   Engine.result
 
-(** [load_verdicts app] resets the global site table, analyzes the app's
-    IR model and loads its capture verdicts — what [run] does implicitly
-    for [Compiler]/hybrid configurations.  Exposed for harnesses that
-    drive [prepare]/[Engine.run_sim] directly ({!Captured_check}). *)
-val load_verdicts : t -> unit
+(** [load_verdicts app config] resets the global site table, then, for
+    [Config.Compiler] and for [Runtime] with [static_filter] (hybrid),
+    analyzes the app's IR model and loads its capture verdicts.  [run]
+    calls it first; harnesses that drive [prepare]/[Engine.run_sim]
+    directly ({!Captured_check}) call it themselves. *)
+val load_verdicts : t -> Config.t -> unit
 
 (** As [run] but returns the verification error instead of raising.
     Durable configurations ([Config.durable]) get a fresh WAL device

@@ -44,12 +44,17 @@ module Wal = Captured_stm.Wal
 (* Crash-and-replay check: recover from the device (fresh memory +
    arenas rebuilt from the last checkpoint and the durable log) and hold
    the result to the recovery oracle's prefix-consistency contract.
-   [wal_bug] routes through the seeded apply-the-torn-tail recovery bug
-   (the checker's ddmin self-test target). *)
-let recovery_violation ?(wal_bug = false) ~wal ~init ~hist () =
+   [Fault.Torn_tail_replayed] routes through the seeded
+   apply-the-torn-tail recovery bug (the checker's ddmin self-test
+   target). *)
+let recovery_violation ~config ~wal ~init ~hist =
   let synced_seq = Wal.synced_seq wal in
   let synced_raws = Wal.synced_raws wal in
-  match Wal.recover ~bug_apply_torn:wal_bug wal with
+  match
+    Wal.recover
+      ~bug_apply_torn:(Config.has_fault config Fault.Torn_tail_replayed)
+      wal
+  with
   | Error m ->
       Some { Oracle.kind = "recovery-error"; tid = -1; seq = 0; detail = m }
   | Ok rc ->
@@ -73,7 +78,7 @@ let recovery_violation ?(wal_bug = false) ~wal ~init ~hist () =
    replay it through the oracle.  Deterministic in (workload, config,
    seed, control). *)
 let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
-    ?(wal_bug = false) ~(workload : Workloads.t) ~config control =
+    ~(workload : Workloads.t) ~config control =
   let p = workload.Workloads.prepare config in
   let mem = Engine.memory p.App.world in
   let size = Memory.size mem in
@@ -125,7 +130,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
       let wal = Option.get wal in
       {
         trace;
-        violation = recovery_violation ~wal_bug ~wal ~init ~hist ();
+        violation = recovery_violation ~config ~wal ~init ~hist;
         truncated = false;
         crashed = true;
         commits = 0;
@@ -181,13 +186,13 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
                [Crash_mid_checkpoint] tears and must fall back to the
                previous checkpoint on a second recovery. *)
             Wal.sync wal;
-            match recovery_violation ~wal_bug ~wal ~init ~hist () with
+            match recovery_violation ~config ~wal ~init ~hist with
             | Some v -> (Some v, false)
             | None -> (
                 match Engine.checkpoint p.App.world with
                 | () -> (None, false)
                 | exception Wal.Crashed ->
-                    (recovery_violation ~wal_bug ~wal ~init ~hist (), true)))
+                    (recovery_violation ~config ~wal ~init ~hist, true)))
       in
       {
         trace;
@@ -231,7 +236,7 @@ type report = {
    then branch on every consume decision after its last prescribed step
    (those all followed the default = continue, so each alternative is one
    more preemption). *)
-let dfs_explore ~workload ~config ~seed ~max_steps ~wal_bug ~bound ~budget ~note =
+let dfs_explore ~workload ~config ~seed ~max_steps ~bound ~budget ~note =
   let stack = ref [ [] ] in
   let runs = ref 0 in
   while !stack <> [] && !runs < budget do
@@ -242,7 +247,6 @@ let dfs_explore ~workload ~config ~seed ~max_steps ~wal_bug ~bound ~budget ~note
         incr runs;
         let r =
           run_one ~workload ~config ~seed ~max_steps ~record_detail:true
-            ~wal_bug
             (Strategy.replay_control ~interventions:p ())
         in
         note r p;
@@ -265,8 +269,7 @@ let dfs_explore ~workload ~config ~seed ~max_steps ~wal_bug ~bound ~budget ~note
   !runs
 
 let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
-    ?(seed = 1) ?(max_steps = 200_000) ?(minimize = true) ?(wal_bug = false)
-    ?seen () =
+    ?(seed = 1) ?(max_steps = 200_000) ?(minimize = true) ?seen () =
   let seen =
     match seen with Some s -> s | None -> Hashtbl.create (4 * runs)
   in
@@ -305,7 +308,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
               Minimize.ddmin
                 ~test:(fun subset ->
                   let rr =
-                    run_one ~workload ~config ~seed ~max_steps ~wal_bug
+                    run_one ~workload ~config ~seed ~max_steps
                       (Strategy.replay_control ~interventions:subset ())
                   in
                   rr.violation <> None)
@@ -319,7 +322,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
   | Strategy.Random { persist } ->
       for i = 0 to runs - 1 do
         let r =
-          run_one ~workload ~config ~seed ~max_steps ~wal_bug
+          run_one ~workload ~config ~seed ~max_steps
             (Strategy.random_control ~seed:(seed + (7919 * i)) ~persist)
         in
         note r (Strategy.interventions r.trace)
@@ -328,14 +331,14 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
       (* One default-policy probe estimates the schedule length PCT
          samples its priority-change points over. *)
       let probe =
-        run_one ~workload ~config ~seed ~max_steps ~wal_bug
+        run_one ~workload ~config ~seed ~max_steps
           (Strategy.replay_control ())
       in
       note probe (Strategy.interventions probe.trace);
       let length = max 1 (Strategy.steps probe.trace) in
       for i = 1 to runs - 1 do
         let r =
-          run_one ~workload ~config ~seed ~max_steps ~wal_bug
+          run_one ~workload ~config ~seed ~max_steps
             (Strategy.pct_control ~seed:(seed + (7919 * i))
                ~nthreads:workload.Workloads.nthreads ~depth ~length)
         in
@@ -343,7 +346,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
       done
   | Strategy.Dfs { preemptions } ->
       ignore
-        (dfs_explore ~workload ~config ~seed ~max_steps ~wal_bug
+        (dfs_explore ~workload ~config ~seed ~max_steps
            ~bound:preemptions ~budget:runs ~note:(fun r p -> note r p)
           : int));
   {
@@ -385,7 +388,7 @@ let report_to_string r =
              (Strategy.interventions_to_string f.minimized))
 
 (* One sweep cell: a workload under one config (which carries the
-   cell's fault).  Crash-point faults (and the seeded recovery bug) draw
+   cell's fault).  Crash-point faults draw
    from the thread PRNG, so whether a commit crashes depends on the
    world seed, not the schedule: durable cells spread their run budget
    over five world seeds. *)
@@ -400,7 +403,7 @@ let world_seeds ~seed (config : Config.t) =
   if config.Config.durable then List.init 5 (fun i -> seed + (31 * i))
   else [ seed ]
 
-let run_cell ?max_steps ?wal_bug ?(on_report = fun _ ~union:_ -> ())
+let run_cell ?max_steps ?(on_report = fun _ ~union:_ -> ())
     ~strategies ~runs ~seed ~workload ~config () =
   let seeds = world_seeds ~seed config in
   let runs = max 1 (runs / List.length seeds) in
@@ -412,7 +415,7 @@ let run_cell ?max_steps ?wal_bug ?(on_report = fun _ ~union:_ -> ())
           (fun seed ->
             let r =
               explore ~workload ~config ~strategy ~runs ~seed ?max_steps
-                ?wal_bug ~seen ()
+                ~seen ()
             in
             on_report r ~union:(Hashtbl.length seen);
             r)
@@ -465,7 +468,7 @@ let floor_failures ~min_distinct c =
 (* Every cell sharing [fault], judged by its expectation: fault-free and
    Contained cells must stay silent, Flagged ones must be caught without
    an exception escaping a fiber.  Returns (notes, failures). *)
-let fault_verdict ~wal_bug fault cells =
+let fault_verdict fault cells =
   let caught =
     List.concat_map
       (fun c ->
@@ -494,7 +497,7 @@ let fault_verdict ~wal_bug fault cells =
             | None -> false)
           caught
       in
-      match if wal_bug then Fault.Flagged else Fault.expectation f with
+      match Fault.expectation f with
       | Fault.Contained when caught <> [] ->
           fail "fault %s escaped containment: violations in %d strategy runs"
             name (List.length caught)
@@ -517,7 +520,7 @@ let fault_verdict ~wal_bug fault cells =
               caught,
             [] ))
 
-let verdict ?(min_distinct = 0) ?(wal_bug = false) cells =
+let verdict ?(min_distinct = 0) cells =
   let faults =
     List.fold_left
       (fun acc c ->
@@ -528,7 +531,7 @@ let verdict ?(min_distinct = 0) ?(wal_bug = false) cells =
   let judged =
     List.map
       (fun fault ->
-        fault_verdict ~wal_bug fault
+        fault_verdict fault
           (List.filter (fun c -> c.config.Config.fault = fault) cells))
       faults
   in

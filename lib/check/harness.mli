@@ -28,10 +28,6 @@ type run = {
           {!Workloads.min_rescued} *)
 }
 
-(** Oracle strictness a configuration has earned: [All_attempts] under
-    per-read validation (+tv), else [Committed_only]. *)
-val strictness_for : Config.t -> Oracle.strictness
-
 (** [run_one ~workload ~config control] prepares a fresh world, runs it
     under [control] and replays the history through the oracle.
     Deterministic in (workload, config, seed, control).
@@ -42,13 +38,13 @@ val strictness_for : Config.t -> Oracle.strictness
     alone; a clean durable run is additionally crash-replayed in full
     (recover-and-compare on every run) and finished with a checkpoint —
     which, under [Fault.Crash_mid_checkpoint], tears and forces a
-    second recovery from the previous checkpoint.  [wal_bug] enables
-    the seeded apply-the-torn-tail recovery bug (ddmin self-test). *)
+    second recovery from the previous checkpoint.  Under
+    [Fault.Torn_tail_replayed] recovery replays a torn tail record as
+    if it were whole (the recovery oracle's self-test). *)
 val run_one :
   ?seed:int ->
   ?max_steps:int ->
   ?record_detail:bool ->
-  ?wal_bug:bool ->
   workload:Workloads.t ->
   config:Config.t ->
   Sched.control ->
@@ -91,7 +87,6 @@ val explore :
   ?seed:int ->
   ?max_steps:int ->
   ?minimize:bool ->
-  ?wal_bug:bool ->
   ?seen:(int, unit) Hashtbl.t ->
   unit ->
   report
@@ -123,7 +118,6 @@ val world_seeds : seed:int -> Config.t -> int list
     each report as it lands, with the cell's union so far. *)
 val run_cell :
   ?max_steps:int ->
-  ?wal_bug:bool ->
   ?on_report:(report -> union:int -> unit) ->
   strategies:Strategy.kind list ->
   runs:int ->
@@ -139,13 +133,12 @@ val run_cell :
     {!Workloads.min_forwarded} forwarded reads,
     {!Workloads.min_rescued} value rescues, and — fault-free cells
     only — [min_distinct] (default 0) distinct schedules.  The cells of
-    each fault are then judged by {!Captured_stm.Fault.expectation}
-    ([Flagged] whenever [wal_bug]): fault-free and [Contained] cells
+    each fault are then judged by {!Captured_stm.Fault.expectation}:
+    fault-free and [Contained] cells
     must show no violation, [Flagged] ones at least one and no exception
     escaping a fiber.  [Ok notes] lists each flagged catch; [Error]
     lists every failure. *)
 val verdict :
   ?min_distinct:int ->
-  ?wal_bug:bool ->
   cell list ->
   (string list, string list) result

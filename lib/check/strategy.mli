@@ -21,10 +21,6 @@ type kind =
 
 val kind_name : kind -> string
 
-(** The deterministic default policy: continue the current fiber at
-    consume points, rotate to the next fiber id at explicit yields. *)
-val default_choice : ready:int array -> current:int -> point:Sched.point -> int
-
 (** {2 Trace recording} *)
 
 type decision = {

@@ -610,7 +610,7 @@ let micros ~nthreads =
 let reclaim_micros ~nthreads =
   [ free_race ~nthreads ~rounds:3; privatize_race ~nthreads ~rounds:2 ]
 
-(* STAMP app adapter: same verdict-loading dispatch as [App.run]. *)
+(* STAMP app adapter: loads verdicts as [App.run] does. *)
 let of_app app ~nthreads =
   {
     name = app.App.name;
@@ -618,11 +618,7 @@ let of_app app ~nthreads =
     reclaim_oracle = false;
     prepare =
       (fun config ->
-        (match config.Config.analysis with
-        | Config.Compiler -> App.load_verdicts app
-        | Config.Runtime _ when config.Config.static_filter ->
-            App.load_verdicts app
-        | Config.Baseline | Config.Runtime _ -> Site.reset_verdicts ());
+        App.load_verdicts app config;
         app.App.prepare ~nthreads ~scale:App.Test config);
   }
 

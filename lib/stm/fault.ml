@@ -29,6 +29,7 @@ type kind =
   | Crash_post_publish
   | Crash_mid_checkpoint
   | Torn_wal_record
+  | Torn_tail_replayed
   | Premature_reuse
 
 let all =
@@ -47,6 +48,7 @@ let all =
     Crash_post_publish;
     Crash_mid_checkpoint;
     Torn_wal_record;
+    Torn_tail_replayed;
     Premature_reuse;
   ]
 
@@ -65,6 +67,7 @@ let name = function
   | Crash_post_publish -> "crash-post-publish"
   | Crash_mid_checkpoint -> "crash-mid-checkpoint"
   | Torn_wal_record -> "torn-wal-record"
+  | Torn_tail_replayed -> "torn-tail-replayed"
   | Premature_reuse -> "premature-reuse"
 
 let names = List.map name all
@@ -76,7 +79,7 @@ let of_name s = List.find_opt (fun k -> name k = s) all
    attached ([Config.durable]). *)
 let is_crash = function
   | Crash_pre_commit | Crash_mid_publish | Crash_post_publish
-  | Crash_mid_checkpoint | Torn_wal_record ->
+  | Crash_mid_checkpoint | Torn_wal_record | Torn_tail_replayed ->
       true
   | Skip_validation | Blind_rescue | Stale_read | Delayed_unlock
   | Spurious_abort | Alloc_log_drop | Clock_stall | Redo_drop
@@ -87,7 +90,7 @@ type expectation = Contained | Flagged
 
 let expectation = function
   | Skip_validation | Blind_rescue | Stale_read | Clock_stall | Redo_drop
-  | Publish_partial | Premature_reuse ->
+  | Publish_partial | Torn_tail_replayed | Premature_reuse ->
       Flagged
   | Delayed_unlock | Spurious_abort | Alloc_log_drop | Crash_pre_commit
   | Crash_mid_publish | Crash_post_publish | Crash_mid_checkpoint
@@ -120,7 +123,7 @@ let rate = function
   | Crash_mid_publish -> 20
   | Crash_post_publish -> 20
   | Crash_mid_checkpoint -> 100
-  | Torn_wal_record -> 20
+  | Torn_wal_record | Torn_tail_replayed -> 20
   | Premature_reuse -> 50
 
 let describe = function
@@ -183,6 +186,10 @@ let describe = function
        commit record reaches the log and the process dies (recovery \
        must detect the torn tail via checksum/length framing and drop \
        it; only fires under +wal)"
+  | Torn_tail_replayed ->
+      "torn-wal-record's tear, with recovery seeded to replay the torn \
+       tail record as if it were whole (the recovery oracle's self-test: \
+       it must flag the result; only fires under +wal)"
   | Premature_reuse ->
       "a commit-time deferred free occasionally skips the grace period \
        and returns its block to the arena free lists immediately, so the \

@@ -55,6 +55,11 @@ type kind =
       (** An fsync tears mid-record: a byte prefix of a commit record
           reaches the log and the process dies.  Recovery must drop the
           torn tail.  Site only exists under [+wal]. *)
+  | Torn_tail_replayed
+      (** {!Torn_wal_record}'s tear at its site and rate, with recovery
+          seeded to replay the torn tail record as if it were whole
+          ([Wal.recover ~bug_apply_torn]): the recovery oracle's
+          self-test, as {!Skip_validation} is the opacity oracle's. *)
   | Premature_reuse
       (** A commit-time deferred free occasionally bypasses the limbo
           list and frees immediately, so the next same-class allocation

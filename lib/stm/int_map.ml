@@ -1,11 +1,12 @@
-(* Read-set index: orec index -> read-log position.
+(* Per-transaction int -> int index (read set: orec -> read-log
+   position; redo buffer: address -> log index).
 
    Open addressing with linear probing over three parallel int arrays.
    Slots are epoch-stamped, so [next_attempt] forgets every entry with
-   one increment (the trick {!Redo} and {!Waw} use); growth doubles the
-   table once it is half full and rehashes the live entries.  The slot
-   is the high bits of a multiplicative hash of the key, like
-   [Orec.index_of]: low product bits depend only on low key bits. *)
+   one increment; growth doubles the table once it is half full and
+   rehashes the live entries.  The slot is the high bits of a
+   multiplicative hash of the key, like [Orec.index_of]: low product
+   bits depend only on low key bits. *)
 
 type t = {
   mutable keys : int array;

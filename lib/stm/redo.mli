@@ -2,28 +2,27 @@
     update) backend.
 
     Buffered writes live in an append-only log (first-insert order,
-    last value wins) indexed by an open-addressed hash table, plus a
-    63-bit Bloom-style summary word so the hot read path can rule out
-    read-own-write with a single AND before probing the table.
+    last value wins) indexed by an {!Int_map} from address to log
+    index, plus a 63-bit Bloom-style summary word so the hot read path
+    can rule out read-own-write with a single AND before probing the
+    index.
 
     The structure is integer-only and allocation-free on the hot path
     (probes and overwrites allocate nothing; only growth allocates).
-    [clear] is O(1): table slots are epoch-stamped rather than wiped,
-    mirroring {!Waw}. *)
+    [clear] is O(1): {!Int_map.next_attempt} is an epoch bump. *)
 
 type t
 
 val create : unit -> t
 
-(** Drop every entry in O(1) (epoch bump). Called at transaction
-    begin. *)
+(** Drop every entry in O(1). Called at transaction begin. *)
 val clear : t -> unit
 
 (** Number of live log entries (= distinct buffered addresses). *)
 val size : t -> int
 
 (** One-branch Bloom filter test. [false] means the address is
-    definitely not buffered; [true] means "probe the table". Stale
+    definitely not buffered; [true] means "probe the index". Stale
     bits survive {!truncate} — false positives only. *)
 val summary_hit : t -> int -> bool
 
@@ -41,7 +40,7 @@ val value : t -> int -> int
 val set_value : t -> int -> int -> unit
 
 (** Append a fresh entry. The address must not be present ([find]
-    returned [-1]). Grows the table as needed. *)
+    returned [-1]). Grows the log and index as needed. *)
 val insert : t -> int -> int -> unit
 
 (** [remove_range t ~from ~lo ~hi] drops the entries at log index
@@ -52,7 +51,8 @@ val insert : t -> int -> int -> unit
 val remove_range : t -> from:int -> lo:int -> hi:int -> unit
 
 (** Drop log entries [\[n..)] — the fresh inserts of an aborting
-    nested scope, which are always a suffix of the log. Their table
-    slots are tombstoned; summary bits are left stale
+    nested scope, which are always a suffix of the log. Their
+    addresses map to [-1] in the index, so {!find} answers absent
+    until they are inserted again; summary bits are left stale
     (conservative). *)
 val truncate : t -> int -> unit

@@ -2,7 +2,7 @@ module Memory = Captured_tmem.Memory
 module Tstack = Captured_tmem.Tstack
 module Alloc = Captured_tmem.Alloc
 module Alloc_log = Captured_core.Alloc_log
-module Private_log = Captured_core.Private_log
+module Range_filter = Captured_core.Range_filter
 module Site = Captured_core.Site
 module Platform = Captured_sim.Platform
 module Prng = Captured_util.Prng
@@ -59,7 +59,9 @@ type thread = {
   (* Validation clock, fixed for the thread's lifetime by [config]. *)
   clock : Config.clock;
   stats : Stats.t;
-  private_log : Private_log.t;
+  (* Annotated private blocks (paper Figure 7): unlike a scope's capture
+     log, it persists across transactions. *)
+  private_log : Alloc_log.t;
   prng : Prng.t;
   (* The orec word this thread's acquisitions store.  An orec holds it
      exactly while the current attempt owns the record: every attempt
@@ -94,7 +96,7 @@ and tx = {
   mutable read_vals : int array;
   mutable read_multi : int array;
   mutable n_reads : int;
-  read_index : Read_map.t;
+  read_index : Int_map.t;
   (* undo log *)
   mutable undo_addrs : int array;
   mutable undo_vals : int array;
@@ -103,10 +105,12 @@ and tx = {
   mutable acq_orecs : int array;
   mutable acq_prev : int array;
   mutable n_acq : int;
-  waw : Waw.t;
+  (* Write-after-write filter: addresses already undo-logged (or, lazily,
+     journalled) in the current scope, one word each ([waw_note]). *)
+  waw : Range_filter.t;
   (* Redo buffer (lazy versioning): buffered writes live here until
-     commit publishes them.  Always allocated (three small int arrays);
-     stays empty in eager mode.  In lazy mode the undo log above is
+     commit publishes them.  Always allocated (small); stays empty in
+     eager mode.  In lazy mode the undo log above is
      repurposed as a journal of overwritten *buffer* values — memory is
      never written before commit, so there is nothing to undo there. *)
   redo : Redo.t;
@@ -158,7 +162,7 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     config;
     clock = Config.clock config;
     stats = Stats.create ();
-    private_log = Private_log.create ();
+    private_log = Alloc_log.create Alloc_log.Tree;
     prng = Prng.create seed;
     lock_word = Orec.locked_word ~owner:tid;
     fence_dummy = Atomic.make 0;
@@ -217,7 +221,7 @@ let push_read tx oi word addr value =
   Array.unsafe_set tx.read_addrs n addr;
   Array.unsafe_set tx.read_vals n value;
   Array.unsafe_set tx.read_multi n 0;
-  Read_map.add tx.read_index oi n;
+  Int_map.add tx.read_index oi n;
   tx.n_reads <- n + 1
 
 let push_undo tx addr value =
@@ -275,26 +279,20 @@ let push_dfree scope addr =
 (* ------------------------------------------------------------------ *)
 (* Transaction object (one per thread, reused across transactions)     *)
 
+(* A scope's fresh capture log (runtime heap checks only) and audit
+   log (audit mode only). *)
+let new_capture_log (cfg : Config.t) =
+  match cfg.analysis with
+  | Config.Runtime backend when cfg.scope.Config.check_heap ->
+      Some
+        (Alloc_log.create ~array_capacity:cfg.array_capacity
+           ~fastpath:cfg.fastpath backend)
+  | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
+
+let new_audit_log (cfg : Config.t) =
+  if cfg.audit then Some (Alloc_log.create Alloc_log.Tree) else None
+
 let make_tx th =
-  let cfg = th.config in
-  let runtime_heap =
-    match cfg.analysis with
-    | Config.Runtime _ -> cfg.scope.Config.check_heap
-    | Config.Baseline | Config.Compiler -> false
-  in
-  let top_capture_log =
-    if runtime_heap then
-      match cfg.analysis with
-      | Config.Runtime backend ->
-          Some
-            (Alloc_log.create ~array_capacity:cfg.array_capacity
-               ~fastpath:cfg.fastpath backend)
-      | Config.Baseline | Config.Compiler -> None
-    else None
-  in
-  let top_audit_log =
-    if cfg.audit then Some (Alloc_log.create Alloc_log.Tree) else None
-  in
   {
     thread = th;
     read_orecs = Array.make 64 0;
@@ -303,17 +301,19 @@ let make_tx th =
     read_vals = Array.make 64 0;
     read_multi = Array.make 64 0;
     n_reads = 0;
-    read_index = Read_map.create ();
+    read_index = Int_map.create ();
     undo_addrs = Array.make 64 0;
     undo_vals = Array.make 64 0;
     n_undo = 0;
     acq_orecs = Array.make 16 0;
     acq_prev = Array.make 16 0;
     n_acq = 0;
-    waw = Waw.create ();
+    (* 1024 buckets: the collision pattern decides which rewrites get a
+       redundant undo entry, and undo entries are charged cycles. *)
+    waw = Range_filter.create ~buckets:1024 ();
     redo = Redo.create ();
-    top_capture_log;
-    top_audit_log;
+    top_capture_log = new_capture_log th.config;
+    top_audit_log = new_audit_log th.config;
     scopes = [];
     live = false;
     fuel = 0;
@@ -639,9 +639,9 @@ let heap_capture_check th log ~lo ~hi =
   (cost lsl 1) lor captured
 
 let private_check th addr size cost =
-  if Private_log.size th.private_log > 0 then
-    let c = cost + Private_log.search_cost th.private_log in
-    if Private_log.contains th.private_log ~addr ~size then
+  if Alloc_log.size th.private_log > 0 then
+    let c = cost + Alloc_log.search_cost th.private_log in
+    if Alloc_log.contains th.private_log ~lo:addr ~hi:(addr + size) then
       elision ~cls:elide_private_code ~cost:c
     else elision ~cls:keep_code ~cost:c
   else elision ~cls:keep_code ~cost
@@ -755,7 +755,7 @@ let spin_on_lock th w spins =
   th.platform.consume Costs.lock_spin;
   th.platform.yield ()
 
-(* [logged] is the orec's read-log position ([Read_map.find], -1 when
+(* [logged] is the orec's read-log position ([Int_map.find], -1 when
    fresh), probed once by [full_read]: only this thread adds entries, and
    nothing in the loop does before it returns. *)
 let rec full_read_loop tx oi addr logged spins =
@@ -842,7 +842,7 @@ let full_read tx addr =
     mem_get th addr
   end
   else begin
-    let logged = Read_map.find tx.read_index oi in
+    let logged = Int_map.find tx.read_index oi in
     if
       logged >= 0
       && Array.unsafe_get tx.read_addrs logged = addr
@@ -949,13 +949,20 @@ let rec acquire_loop tx oi spins =
     (* A read of this orec logged earlier in the attempt stays valid while
        the lock is held iff it read the version just replaced (see
        [read_entry_valid]). *)
-    let logged = Read_map.find tx.read_index oi in
+    let logged = Int_map.find tx.read_index oi in
     if logged >= 0 && tx.read_words.(logged) = w then
       tx.read_words.(logged) <- th.lock_word;
     th.stats.orec_acquires <- th.stats.orec_acquires + 1;
     push_acq tx oi w
   end
   else acquire_loop tx oi (spins + 1)
+
+(* Write-after-write check: has [addr] been noted since the filter was
+   last cleared?  Notes it either way. *)
+let waw_note tx addr =
+  let hit = Range_filter.contains tx.waw ~lo:addr ~hi:(addr + 1) in
+  Range_filter.insert tx.waw ~lo:addr ~hi:(addr + 1);
+  hit
 
 let full_write tx addr v =
   let th = tx.thread in
@@ -965,7 +972,7 @@ let full_write tx addr v =
     th.platform.consume Costs.write_barrier_acquire;
     acquire_loop tx oi 0
   end;
-  if Waw.note tx.waw addr then begin
+  if waw_note tx addr then begin
     th.stats.waw_hits <- th.stats.waw_hits + 1;
     th.platform.consume Costs.waw_hit
   end
@@ -1000,7 +1007,7 @@ let lazy_write tx addr v ~site =
        log uses, and skipped entirely at top level, where abort drops
        the whole buffer wholesale. *)
     th.platform.consume Costs.redo_lookup;
-    (if Waw.note tx.waw addr then begin
+    (if waw_note tx addr then begin
        st.waw_hits <- st.waw_hits + 1;
        th.platform.consume Costs.waw_hit
      end
@@ -1026,7 +1033,7 @@ let lazy_write tx addr v ~site =
       else begin
         th.platform.consume Costs.redo_insert;
         st.redo_inserts <- st.redo_inserts + 1;
-        ignore (Waw.note tx.waw addr : bool);
+        ignore (waw_note tx addr : bool);
         Redo.insert tx.redo addr v
       end;
       match !tracer with
@@ -1208,46 +1215,33 @@ let alloca tx n =
   emit th.tid (Ev_alloca { addr; size = n });
   addr
 
-let stack_save tx = Tstack.save tx.thread.stack
-let stack_restore tx frame = Tstack.restore tx.thread.stack frame
-
 (* ------------------------------------------------------------------ *)
 (* Annotation API (paper, Figure 7)                                    *)
 
 let add_private_block th ~addr ~size =
-  Private_log.add_block th.private_log ~addr ~size
+  if size <= 0 then invalid_arg "Txn.add_private_block";
+  ignore
+    (Alloc_log.add th.private_log ~lo:addr ~hi:(addr + size) : Alloc_log.added)
 
 let remove_private_block th ~addr ~size =
-  Private_log.remove_block th.private_log ~addr ~size
+  ignore (Alloc_log.remove th.private_log ~lo:addr ~hi:(addr + size) : bool)
 
 (* ------------------------------------------------------------------ *)
 (* Begin / commit / abort                                              *)
 
 let push_scope tx ~top =
   let th = tx.thread in
-  let cfg = th.config in
+  (* Nested scopes answer capture questions relative to themselves
+     (paper §2.2.1): fresh logs. *)
   let capture_log =
-    if top then tx.top_capture_log
-    else
-      (* Nested scopes answer capture questions relative to themselves
-         (paper §2.2.1): fresh log. *)
-      match cfg.Config.analysis with
-      | Config.Runtime backend when cfg.Config.scope.Config.check_heap ->
-          Some
-            (Alloc_log.create ~array_capacity:cfg.Config.array_capacity
-               ~fastpath:cfg.Config.fastpath backend)
-      | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
+    if top then tx.top_capture_log else new_capture_log th.config
   in
-  let audit_log =
-    if top then tx.top_audit_log
-    else if cfg.Config.audit then Some (Alloc_log.create Alloc_log.Tree)
-    else None
-  in
+  let audit_log = if top then tx.top_audit_log else new_audit_log th.config in
   (* A nested scope must not trust the parent's write-after-write notes:
      an address undo-logged by the outer scope still needs a fresh undo
      entry inside the child, or partial abort cannot restore it (the
      paper's §2.2.1 live-in observation, applied to the WAW filter). *)
-  if not top then Waw.clear tx.waw;
+  if not top then Range_filter.clear tx.waw;
   tx.scopes <-
     {
       start_sp = Tstack.save th.stack;
@@ -1279,14 +1273,14 @@ let begin_top tx ~attempt =
       th.platform.consume Costs.ebr_announce;
       Reclaim.announce r);
   tx.n_reads <- 0;
-  Read_map.next_attempt tx.read_index;
+  Int_map.next_attempt tx.read_index;
   tx.n_undo <- 0;
   tx.n_acq <- 0;
   tx.fuel <- Costs.fuel_budget;
   (* Only the Global clock has a snapshot timestamp; skipping the clock
      read keeps Scan's begin clock-free. *)
   tx.start_ts <- (match th.clock with Global -> Orec.clock th.orecs | Scan -> 0);
-  Waw.clear tx.waw;
+  Range_filter.clear tx.waw;
   Redo.clear tx.redo;
   (match tx.top_capture_log with Some l -> Alloc_log.clear l | None -> ());
   (match tx.top_audit_log with Some l -> Alloc_log.clear l | None -> ());
@@ -1473,8 +1467,12 @@ let wal_append_commit tx =
         (* Injected crash: the fsync tears mid-record — a byte prefix
            reaches the log, nothing is acknowledged, the process dies.
            Group commit is suppressed so the record is still pending
-           when the tear happens. *)
-        if fault_fires th Fault.Torn_wal_record then begin
+           when the tear happens.  [Torn_tail_replayed] tears here too;
+           its bug is in recovery. *)
+        if
+          fault_fires th Fault.Torn_wal_record
+          || fault_fires th Fault.Torn_tail_replayed
+        then begin
           let bytes, _ =
             Wal.append_commit ~group_commit:false w ~tid:th.tid ~writes
               ~allocs ~frees
@@ -1692,7 +1690,7 @@ let abort_scope tx =
        else rollback_undo tx ~down_to:child.undo_mark);
       free_scope_allocs th child;
       Tstack.restore th.stack child.start_sp;
-      Waw.clear tx.waw;
+      Range_filter.clear tx.waw;
       tx.scopes <- rest;
       th.stats.nested_aborts <- th.stats.nested_aborts + 1;
       emit th.tid Ev_scope_abort
@@ -1853,10 +1851,6 @@ let tx_work tx cycles =
   tx.thread.platform.consume cycles
 
 let thread_stats th = th.stats
-let thread_wal th = th.wal
 let thread_id th = th.tid
-let thread_config th = th.config
-let thread_memory th = th.memory
-let thread_arena th = th.arena
 let thread_stack th = th.stack
 let thread_prng th = th.prng

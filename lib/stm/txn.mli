@@ -87,7 +87,6 @@ val abort : tx -> 'a
     [TM_RESTART]). *)
 val restart : tx -> 'a
 
-val in_txn : thread -> bool
 val depth : tx -> int
 
 (** {2 Barriers} *)
@@ -118,12 +117,15 @@ val free : tx -> Memory.addr -> unit
 (** [alloca tx n] — stack allocation inside the transaction (captured). *)
 val alloca : tx -> int -> Memory.addr
 
-val stack_save : tx -> Captured_tmem.Tstack.frame
-val stack_restore : tx -> Captured_tmem.Tstack.frame -> unit
-
 (** {2 Annotation API (paper Figure 7)} *)
 
+(** [add_private_block th ~addr ~size] marks [\[addr, addr+size)] safe
+    for barrier-free access by [th] until removed; the annotation
+    persists across transactions.  Raises [Invalid_argument] if
+    [size <= 0] or if the block overlaps one already annotated (the
+    annotations are then unchanged). *)
 val add_private_block : thread -> addr:Memory.addr -> size:int -> unit
+
 val remove_private_block : thread -> addr:Memory.addr -> size:int -> unit
 
 (** {2 Privatization ([Config.ebr])}
@@ -204,10 +206,6 @@ type event =
     restores the free default.  Global — one tracer at a time. *)
 val set_tracer : (int -> event -> unit) option -> unit
 val thread_stats : thread -> Stats.t
-val thread_wal : thread -> Wal.t option
 val thread_id : thread -> int
-val thread_config : thread -> Config.t
-val thread_memory : thread -> Memory.t
-val thread_arena : thread -> Captured_tmem.Alloc.t
 val thread_stack : thread -> Captured_tmem.Tstack.t
 val thread_prng : thread -> Captured_util.Prng.t

@@ -35,9 +35,6 @@ type record =
       (** Recovery root: commit/raw floors + {!Captured_tmem.Snapshot}
           encoding of memory and allocator state. *)
 
-val record_words : record -> int
-val record_bytes : record -> int
-
 val commit_record_words :
   writes:(int * int) array ->
   allocs:(int * int * int array) array ->

@@ -130,4 +130,3 @@ let decode words =
 
 let mem_words t = t.mem_words
 let live_cells t = Array.length t.cells
-let num_arenas t = Array.length t.arenas

@@ -27,4 +27,3 @@ val decode : int array -> (t, string) result
 
 val mem_words : t -> int
 val live_cells : t -> int
-val num_arenas : t -> int

@@ -28,7 +28,6 @@ let div a b =
 
 let neg x = -x
 let abs x = Stdlib.abs x
-let sq x = mul x x
 
 let sqrt x =
   if x < 0 then invalid_arg "Fixed.sqrt: negative"

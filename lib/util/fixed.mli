@@ -27,9 +27,6 @@ val div : t -> t -> t
 val neg : t -> t
 val abs : t -> t
 
-val sq : t -> t
-(** [sq x] is [mul x x]. *)
-
 val sqrt : t -> t
 (** Integer Newton iteration; [sqrt x] for [x < 0] raises
     [Invalid_argument]. *)

@@ -636,12 +636,11 @@ let test_clean_wal_sweep_silent () =
        fun c -> c |> Config.with_lazy |> Config.with_tvalidate);
     ]
 
-let test_wal_bug_caught_and_minimized () =
-  let config =
-    tree
-    |> Config.with_fault (Some Fault.Torn_wal_record)
-    |> Config.with_durable
+let test_torn_tail_replayed_caught () =
+  let with_fault f =
+    tree |> Config.with_fault (Some f) |> Config.with_durable
   in
+  let config = with_fault Fault.Torn_tail_replayed in
   let workload = Workloads.bank ~nthreads:2 ~accounts:3 ~transfers:3 in
   let strategy = Strategy.Random { persist = 85 } in
   (* The seeded replay-the-torn-tail bug must be flagged by the recovery
@@ -650,8 +649,7 @@ let test_wal_bug_caught_and_minimized () =
     List.find_map
       (fun seed ->
         let r =
-          Harness.explore ~workload ~config ~strategy ~runs:40 ~seed
-            ~wal_bug:true ()
+          Harness.explore ~workload ~config ~strategy ~runs:40 ~seed ()
         in
         if r.Harness.violations > 0 then Some (seed, r) else None)
       (Harness.world_seeds ~seed:3 config)
@@ -673,18 +671,24 @@ let test_wal_bug_caught_and_minimized () =
             (List.length f.Harness.minimized
             <= List.length f.Harness.interventions);
           let replay =
-            Harness.run_one ~workload ~config ~seed ~wal_bug:true
+            Harness.run_one ~workload ~config ~seed
               (Strategy.replay_control ~interventions:f.Harness.minimized ())
           in
           Alcotest.(check bool)
             "minimized reproducer replays" true
             (replay.Harness.violation <> None);
-          (* ...and the identical sweep without the bug is silent. *)
+          (* ...and the identical sweep with only the tear is silent. *)
           let clean =
-            Harness.explore ~workload ~config ~strategy ~runs:40 ~seed ()
+            Harness.explore ~workload
+              ~config:(with_fault Fault.Torn_wal_record)
+              ~strategy ~runs:40 ~seed ()
           in
           Alcotest.(check int)
-            "no violations without the seeded bug" 0 clean.Harness.violations)
+            "no violations without the seeded bug" 0 clean.Harness.violations;
+          (* Both faults tear at the same site and rate, so the runs
+             crash identically. *)
+          Alcotest.(check int)
+            "same crashes" r.Harness.crashes clean.Harness.crashes)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch-based reclamation: the free-race zombie UAF is red without    *)
@@ -908,7 +912,7 @@ let () =
           Alcotest.test_case "clean +wal sweep silent" `Quick
             test_clean_wal_sweep_silent;
           Alcotest.test_case "seeded recovery bug caught+minimized" `Quick
-            test_wal_bug_caught_and_minimized;
+            test_torn_tail_replayed_caught;
           Alcotest.test_case "clean lazy config silent" `Quick
             test_clean_lazy_config_no_false_positive;
         ] );

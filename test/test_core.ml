@@ -153,6 +153,71 @@ let test_filter_collision_conservative () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Range_filter as the write-after-write filter: one-word probes, each
+   a [contains] then an [insert] of [addr, addr+1), as [Txn]'s write
+   barrier notes an undo-logged address.  A false hit would lose an
+   undo entry; a miss only costs a redundant one. *)
+
+let waw_note f addr =
+  let hit = Range_filter.contains f ~lo:addr ~hi:(addr + 1) in
+  Range_filter.insert f ~lo:addr ~hi:(addr + 1);
+  hit
+
+let test_waw_basic () =
+  let w = Range_filter.create ~buckets:1024 () in
+  check "first note" false (waw_note w 100);
+  check "second note hits" true (waw_note w 100);
+  check "other address" false (waw_note w 101);
+  Range_filter.clear w;
+  check "cleared" false (waw_note w 100)
+
+let test_waw_no_false_hits () =
+  let w = Range_filter.create ~buckets:16 () in
+  let noted = Hashtbl.create 64 in
+  let g = Captured_util.Prng.create 5 in
+  for _ = 1 to 500 do
+    let a = 1 + Captured_util.Prng.int g 1000 in
+    if waw_note w a then
+      check "hit only if really noted" true (Hashtbl.mem noted a);
+    Hashtbl.replace noted a ()
+  done
+
+let test_waw_note_dedup () =
+  let w = Range_filter.create ~buckets:1024 () in
+  check "fresh addr misses" false (waw_note w 42);
+  check "other addr misses" false (waw_note w 43);
+  check "other addr then hits" true (waw_note w 43);
+  check "first still hits" true (waw_note w 42)
+
+(* The eviction order decides which rewrites get a second undo entry,
+   and undo entries are charged cycles.  Hunt for a colliding pair in a
+   minimum-size table rather than assuming the hash. *)
+let test_waw_collision_evicts () =
+  let w = Range_filter.create ~buckets:16 () in
+  let rec find b =
+    if b > 1_000_000 then Alcotest.fail "no collision found"
+    else begin
+      Range_filter.clear w;
+      ignore (waw_note w 0 : bool);
+      ignore (waw_note w b : bool);
+      if not (waw_note w 0) then b else find (b + 1)
+    end
+  in
+  let b = find 1 in
+  Range_filter.clear w;
+  ignore (waw_note w 0 : bool);
+  check "collider is a fresh miss" false (waw_note w b);
+  check "evicted addr misses again" false (waw_note w 0);
+  check "eviction went the other way too" false (waw_note w b)
+
+let test_waw_clear () =
+  let w = Range_filter.create ~buckets:1024 () in
+  ignore (waw_note w 7 : bool);
+  Range_filter.clear w;
+  check "miss after clear" false (waw_note w 7);
+  check "hit after re-note" true (waw_note w 7)
+
+(* ------------------------------------------------------------------ *)
 (* Cross-backend property: conservative w.r.t. a reference model        *)
 
 let ops_gen =
@@ -610,143 +675,6 @@ let prop_filter_conservative_direct =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Private_log *)
-
-let test_private_log () =
-  let p = Private_log.create () in
-  Private_log.add_block p ~addr:100 ~size:50;
-  check "annotated" true (Private_log.contains p ~addr:120 ~size:4);
-  Private_log.remove_block p ~addr:100 ~size:50;
-  check "deannotated" false (Private_log.contains p ~addr:120 ~size:4)
-
-let test_private_log_persists () =
-  (* Unlike the allocation log, there is no per-transaction clear — just
-     check multiple adds stay. *)
-  let p = Private_log.create () in
-  Private_log.add_block p ~addr:100 ~size:10;
-  Private_log.add_block p ~addr:300 ~size:10;
-  check_int "two blocks" 2 (Private_log.size p)
-
-let test_private_log_zero_size () =
-  let p = Private_log.create () in
-  Alcotest.check_raises "zero" (Invalid_argument "Private_log.add_block")
-    (fun () -> Private_log.add_block p ~addr:10 ~size:0);
-  Alcotest.check_raises "negative" (Invalid_argument "Private_log.add_block")
-    (fun () -> Private_log.add_block p ~addr:10 ~size:(-3));
-  check_int "log untouched" 0 (Private_log.size p)
-
-let test_private_log_overlap_rejected () =
-  let p = Private_log.create () in
-  Private_log.add_block p ~addr:100 ~size:50;
-  check "overlapping annotation raises" true
-    (try
-       Private_log.add_block p ~addr:120 ~size:4;
-       false
-     with Invalid_argument _ -> true);
-  check_int "still one block" 1 (Private_log.size p);
-  check "original intact" true (Private_log.contains p ~addr:100 ~size:50)
-
-(* Model property: a random script of annotate / deannotate / bad-add
-   operations against a reference set of disjoint blocks.  The default
-   (tree) backend is precise, so membership must match the model exactly;
-   duplicate, overlapping and zero-length annotations must be rejected
-   without disturbing the log. *)
-let prop_private_log_model =
-  QCheck.Test.make ~name:"Private_log vs reference set model" ~count:300
-    QCheck.(
-      list_of_size (Gen.int_range 1 80)
-        (pair (int_range 0 3) (int_range 0 39)))
-    (fun script ->
-      let p = Private_log.create () in
-      let model = Hashtbl.create 64 in
-      let ok = ref true in
-      List.iter
-        (fun (op, i) ->
-          let lo, hi = block_of i in
-          let size = hi - lo in
-          (match op with
-          | 0 ->
-              if Hashtbl.mem model i then begin
-                (* duplicate annotation of a live block must be rejected *)
-                try
-                  Private_log.add_block p ~addr:lo ~size;
-                  ok := false
-                with Invalid_argument _ -> ()
-              end
-              else begin
-                Private_log.add_block p ~addr:lo ~size;
-                Hashtbl.replace model i ()
-              end
-          | 1 ->
-              if Hashtbl.mem model i then begin
-                (* a partially overlapping annotation is also an error *)
-                try
-                  Private_log.add_block p ~addr:(lo + 2) ~size;
-                  ok := false
-                with Invalid_argument _ -> ()
-              end
-          | 2 ->
-              Private_log.remove_block p ~addr:lo ~size;
-              Hashtbl.remove model i
-          | _ -> (
-              (* zero-length annotations are rejected up front *)
-              try
-                Private_log.add_block p ~addr:lo ~size:0;
-                ok := false
-              with Invalid_argument _ -> ()));
-          if Private_log.size p <> Hashtbl.length model then ok := false)
-        script;
-      for i = 0 to 39 do
-        let lo, hi = block_of i in
-        let expect = Hashtbl.mem model i in
-        if Private_log.contains p ~addr:lo ~size:(hi - lo) <> expect then
-          ok := false;
-        if Private_log.contains p ~addr:lo ~size:1 <> expect then ok := false;
-        (* one past the block is never annotated *)
-        if Private_log.contains p ~addr:hi ~size:1 then ok := false
-      done;
-      !ok)
-
-(* The imprecise backends must stay conservative: claiming a block is
-   annotated when the model disagrees would let barriers skip real
-   shared accesses. *)
-let prop_private_log_conservative backend =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "Private_log conservative (%s)"
-         (Alloc_log.backend_name backend))
-    ~count:200
-    QCheck.(
-      list_of_size (Gen.int_range 1 80) (pair bool (int_range 0 39)))
-    (fun script ->
-      let p = Private_log.create ~backend () in
-      let model = Hashtbl.create 64 in
-      let ok = ref true in
-      List.iter
-        (fun (add, i) ->
-          let lo, hi = block_of i in
-          let size = hi - lo in
-          if add then begin
-            if not (Hashtbl.mem model i) then begin
-              Private_log.add_block p ~addr:lo ~size;
-              Hashtbl.replace model i ()
-            end
-          end
-          else begin
-            Private_log.remove_block p ~addr:lo ~size;
-            Hashtbl.remove model i
-          end)
-        script;
-      for i = 0 to 39 do
-        let lo, hi = block_of i in
-        if
-          Private_log.contains p ~addr:lo ~size:(hi - lo)
-          && not (Hashtbl.mem model i)
-        then ok := false
-      done;
-      !ok)
-
-(* ------------------------------------------------------------------ *)
 (* Site *)
 
 let test_site_declare_meta () =
@@ -802,6 +730,15 @@ let () =
           Alcotest.test_case "default capacity" `Quick
             test_array_default_capacity_is_cacheline;
         ] );
+      ( "waw",
+        [
+          Alcotest.test_case "basic" `Quick test_waw_basic;
+          Alcotest.test_case "no false hits" `Quick test_waw_no_false_hits;
+          Alcotest.test_case "note dedup" `Quick test_waw_note_dedup;
+          Alcotest.test_case "collision evicts" `Quick
+            test_waw_collision_evicts;
+          Alcotest.test_case "clear" `Quick test_waw_clear;
+        ] );
       ( "range_filter",
         [
           Alcotest.test_case "basic" `Quick test_filter_basic;
@@ -853,21 +790,6 @@ let () =
           Alcotest.test_case "cost hooks" `Quick test_alloc_log_costs;
           Alcotest.test_case "clear" `Quick test_alloc_log_clear_resets_size;
         ] );
-      ( "private_log",
-        [
-          Alcotest.test_case "annotate" `Quick test_private_log;
-          Alcotest.test_case "persists" `Quick test_private_log_persists;
-          Alcotest.test_case "zero-size rejected" `Quick
-            test_private_log_zero_size;
-          Alcotest.test_case "overlap rejected" `Quick
-            test_private_log_overlap_rejected;
-        ] );
-      qsuite "private_log-props"
-        [
-          prop_private_log_model;
-          prop_private_log_conservative Alloc_log.Array;
-          prop_private_log_conservative Alloc_log.Filter;
-        ];
       ( "site",
         [
           Alcotest.test_case "declare/meta" `Quick test_site_declare_meta;

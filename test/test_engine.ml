@@ -128,37 +128,16 @@ let test_tid_bound () =
     [ -1; Stats.max_tids ]
 
 (* ------------------------------------------------------------------ *)
-(* WAW filter *)
-
-let test_waw_basic () =
-  let w = Waw.create () in
-  check "first note" false (Waw.note w 100);
-  check "second note hits" true (Waw.note w 100);
-  check "other address" false (Waw.note w 101);
-  Waw.clear w;
-  check "cleared" false (Waw.note w 100)
-
-let test_waw_no_false_hits () =
-  (* Exactness matters: a false hit would lose an undo entry. *)
-  let w = Waw.create ~buckets:16 () in
-  let noted = Hashtbl.create 64 in
-  let g = Captured_util.Prng.create 5 in
-  for _ = 1 to 500 do
-    let a = 1 + Captured_util.Prng.int g 1000 in
-    let hit = Waw.note w a in
-    if hit then check "hit only if really noted and retained" true (Hashtbl.mem noted a);
-    Hashtbl.replace noted a ()
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Read-set index *)
+(* Int_map (read-set and redo-buffer index) *)
 
 (* Random add / find / next-attempt sequences against a Hashtbl model.
    Keys come from a pool of 2-200 keys: small pools revisit keys (value
    replacement, repeat finds); large ones double the 64-slot table two or
    three times within an attempt.  Every table is filled up to its half-full
    growth point, so keys share home slots and probe past each other.
-   Pools mix small, huge and negative keys. *)
+   Pools mix small, huge and negative keys.  About one add in twelve stores
+   -1, the redo buffer's dropped-key mark, which [find] must report
+   exactly as it reports an absent key. *)
 let prop_read_map_model =
   QCheck.Test.make ~name:"read map vs Hashtbl model" ~count:300
     QCheck.(int_range 1 1_000_000)
@@ -174,25 +153,25 @@ let prop_read_map_model =
             | 1 -> P.int g (1 lsl 40)
             | _ -> -1 - P.int g 1000)
       in
-      let m = Read_map.create () in
+      let m = Int_map.create () in
       let model : (int, int) Hashtbl.t = Hashtbl.create 64 in
       let ok = ref true in
       let agrees k =
-        Read_map.find m k
+        Int_map.find m k
         = (match Hashtbl.find_opt model k with Some v -> v | None -> -1)
       in
       for _ = 1 to 1000 do
         let k = pool.(P.int g (Array.length pool)) in
         (match P.int g 200 with
         | 0 ->
-            Read_map.next_attempt m;
+            Int_map.next_attempt m;
             Hashtbl.reset model
         | n when n < 110 ->
-            let v = P.int g 1_000_000 in
-            Read_map.add m k v;
+            let v = if n < 10 then -1 else P.int g 1_000_000 in
+            Int_map.add m k v;
             Hashtbl.replace model k v
         | _ -> if not (agrees k) then ok := false);
-        if Read_map.length m <> Hashtbl.length model then ok := false
+        if Int_map.length m <> Hashtbl.length model then ok := false
       done;
       Array.iter (fun k -> if not (agrees k) then ok := false) pool;
       !ok)
@@ -501,11 +480,6 @@ let () =
         :: Alcotest.test_case "tid bound" `Quick test_tid_bound
         :: List.map Qc.to_alcotest [ prop_index_in_table; prop_word_roundtrip ]
       );
-      ( "waw",
-        [
-          Alcotest.test_case "basic" `Quick test_waw_basic;
-          Alcotest.test_case "no false hits" `Quick test_waw_no_false_hits;
-        ] );
       ("read map", List.map Qc.to_alcotest [ prop_read_map_model ]);
       ( "engine",
         [

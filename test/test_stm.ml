@@ -1204,52 +1204,127 @@ let prop_abort_runs =
       && st.Stats.backoff_cycles <= waits 63)
 
 (* ------------------------------------------------------------------ *)
-(* WAW filter unit tests                                               *)
+(* Redo buffer against a model: a Hashtbl of buffered values plus the
+   addresses in first-insert order.  Random insert (or set_value when
+   already buffered), truncate, remove_range and clear, with every
+   address's [find] checked after each step, so a truncated or removed
+   address must read -1 until it is inserted again.  Pools of up to
+   100 addresses grow the 64-entry log and index within an attempt. *)
 
-let test_waw_note_dedup () =
-  let t = Waw.create () in
-  check "fresh addr misses" false (Waw.note t 42);
-  check "second note hits" true (Waw.note t 42);
-  check "other addr misses" false (Waw.note t 43);
-  check "other addr then hits" true (Waw.note t 43);
-  check "first still hits" true (Waw.note t 42)
+let prop_redo_model =
+  QCheck.Test.make ~name:"redo vs model" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let module P = Captured_util.Prng in
+      let g = P.create seed in
+      let pool =
+        Array.init (2 + P.int g 99) (fun k ->
+            if P.bool g then k else P.int g (1 lsl 40))
+      in
+      let r = Redo.create () in
+      let vals : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      let order = ref [||] in
+      let keep f =
+        order := Array.of_list (List.filter f (Array.to_list !order));
+        Hashtbl.filter_map_inplace
+          (fun a v -> if f a then Some v else None)
+          vals
+      in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      for _ = 1 to 400 do
+        let a = pool.(P.int g (Array.length pool)) in
+        let n = Array.length !order in
+        (match P.int g 100 with
+        | 0 ->
+            Redo.clear r;
+            keep (fun _ -> false)
+        | k when k < 6 ->
+            let m = P.int g (n + 1) in
+            Redo.truncate r m;
+            let kept = Array.sub !order 0 m in
+            keep (fun a -> Array.mem a kept)
+        | k when k < 10 ->
+            let from = P.int g (n + 1) in
+            let lo = pool.(P.int g (Array.length pool)) in
+            let hi = lo + P.int g 8 in
+            Redo.remove_range r ~from ~lo ~hi;
+            let dropped = Array.sub !order from (n - from) in
+            keep (fun a -> not (Array.mem a dropped && a >= lo && a < hi))
+        | _ ->
+            let v = P.int g 1000 in
+            let i = Redo.find r a in
+            if i >= 0 then Redo.set_value r i v
+            else begin
+              Redo.insert r a v;
+              order := Array.append !order [| a |]
+            end;
+            Hashtbl.replace vals a v);
+        expect (Redo.size r = Array.length !order);
+        Array.iteri
+          (fun i a ->
+            expect (Redo.addr r i = a);
+            expect (Redo.value r i = Hashtbl.find vals a);
+            expect (Redo.find r a = i);
+            expect (Redo.summary_hit r a))
+          !order;
+        Array.iter
+          (fun a -> if not (Hashtbl.mem vals a) then expect (Redo.find r a = -1))
+          pool
+      done;
+      !ok)
 
-let test_waw_collision_evicts () =
-  (* Eviction must forget the displaced address: a false HIT would lose
-     an undo entry (or, lazily, a journal entry); false misses only cost
-     a redundant one.  Hunt for a colliding pair in a minimum-size
-     table rather than assuming the hash. *)
-  let t = Waw.create ~buckets:16 () in
-  let rec find b =
-    if b > 1_000_000 then Alcotest.fail "no collision found"
-    else begin
-      Waw.clear t;
-      ignore (Waw.note t 0 : bool);
-      ignore (Waw.note t b : bool);
-      if not (Waw.note t 0) then b else find (b + 1)
-    end
-  in
-  let b = find 1 in
-  Waw.clear t;
-  ignore (Waw.note t 0 : bool);
-  check "collider is a fresh miss" false (Waw.note t b);
-  check "evicted addr misses again" false (Waw.note t 0);
-  check "eviction went the other way too" false (Waw.note t b)
+(* ------------------------------------------------------------------ *)
+(* Private-block annotations (paper Figure 7) through [Txn]             *)
 
-let test_waw_clear () =
-  let t = Waw.create () in
-  ignore (Waw.note t 7 : bool);
-  check "hit before clear" true (Waw.note t 7);
-  Waw.clear t;
-  check "miss after clear" false (Waw.note t 7)
+let private_world () =
+  let w = mk_world Config.baseline in
+  let block = Alloc.alloc (Engine.global_arena w) 64 in
+  (block, Engine.setup_thread w)
 
-let test_waw_hits_possible () =
-  let t = Waw.create () in
-  check "empty: no hits possible" false (Waw.hits_possible t);
-  ignore (Waw.note t 5 : bool);
-  check "nonempty: hits possible" true (Waw.hits_possible t);
-  Waw.clear t;
-  check "cleared: none again" false (Waw.hits_possible t)
+(* Whether one transactional read of [addr] took the private elision. *)
+let read_elided th addr =
+  let st = Txn.thread_stats th in
+  let before = st.Stats.reads_elided_private in
+  Txn.atomic th (fun tx -> ignore (Txn.read tx addr : int));
+  st.Stats.reads_elided_private > before
+
+let test_private_annotate () =
+  let block, th = private_world () in
+  Txn.add_private_block th ~addr:block ~size:16;
+  check "inside elides" true (read_elided th (block + 15));
+  check "one past kept" false (read_elided th (block + 16));
+  Txn.remove_private_block th ~addr:block ~size:16;
+  check "removed: kept" false (read_elided th block)
+
+let test_private_persists () =
+  let block, th = private_world () in
+  Txn.add_private_block th ~addr:block ~size:10;
+  Txn.add_private_block th ~addr:(block + 30) ~size:10;
+  for _ = 1 to 3 do
+    check "first block" true (read_elided th block);
+    check "second block" true (read_elided th (block + 39))
+  done
+
+let test_private_zero_size () =
+  let block, th = private_world () in
+  Alcotest.check_raises "zero" (Invalid_argument "Txn.add_private_block")
+    (fun () -> Txn.add_private_block th ~addr:block ~size:0);
+  Alcotest.check_raises "negative" (Invalid_argument "Txn.add_private_block")
+    (fun () -> Txn.add_private_block th ~addr:block ~size:(-3));
+  check "nothing annotated" false (read_elided th block)
+
+let test_private_overlap_rejected () =
+  let block, th = private_world () in
+  Txn.add_private_block th ~addr:block ~size:50;
+  check "overlapping annotation raises" true
+    (try
+       Txn.add_private_block th ~addr:(block + 20) ~size:40;
+       false
+     with Invalid_argument _ -> true);
+  check "original start" true (read_elided th block);
+  check "original end" true (read_elided th (block + 49));
+  check "overlap tail not added" false (read_elided th (block + 55))
 
 (* ------------------------------------------------------------------ *)
 (* Lazy versioning (deferred update)                                   *)
@@ -2320,14 +2395,15 @@ let () =
             test_max_consec_aborts;
         ]
         @ List.map Qc.to_alcotest [ prop_abort_runs ] );
-      ( "waw",
+      ( "private_log",
         [
-          Alcotest.test_case "note dedup" `Quick test_waw_note_dedup;
-          Alcotest.test_case "collision evicts" `Quick
-            test_waw_collision_evicts;
-          Alcotest.test_case "clear" `Quick test_waw_clear;
-          Alcotest.test_case "hits possible" `Quick test_waw_hits_possible;
+          Alcotest.test_case "annotate" `Quick test_private_annotate;
+          Alcotest.test_case "persists" `Quick test_private_persists;
+          Alcotest.test_case "zero-size rejected" `Quick test_private_zero_size;
+          Alcotest.test_case "overlap rejected" `Quick
+            test_private_overlap_rejected;
         ] );
+      qsuite "redo" [ prop_redo_model ];
       ( "lazy",
         [
           Alcotest.test_case "defers stores" `Quick test_lazy_defers_stores;
