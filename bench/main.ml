@@ -464,6 +464,8 @@ let micro () =
     let cell =
       Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
     in
+    (* An array block: line-aligned, so [m] and [m + 1] are line-mates. *)
+    assert (Captured_stm.Orec.line_words_at (Engine.orecs w) cell = line);
     let th = Engine.setup_thread w in
     let lines = Array.init accesses (fun k -> cell + (k * line)) in
     Staged.stage (fun () ->

@@ -161,14 +161,15 @@ open Cmdliner
 let workloads_arg =
   let doc =
     "Comma-separated micro workloads (counter, bank, publish, scoped, \
-     zombie, zombie_reread, zombie_owned, reread, linemate, free_race, \
-     privatize_race).  Default: the first seven — fault sweeps drop the \
-     three zombies, whose termination depends on the validation \
+     zombie, zombie_reread, zombie_owned, reread, linemate, recordmix, \
+     free_race, privatize_race).  Default: the first seven — fault sweeps \
+     drop the three zombies, whose termination depends on the validation \
      machinery faults break, and $(b,--fault premature-reuse) sweeps \
      free_race alone (none when $(b,--apps) is given alone).  reread, \
      the read-forwarding workload, fails any cell that forwarded no \
      read; linemate, the value-checked-validation workload, any cell \
-     that rescued no read; the reclaim pair any cell that deferred no \
+     that rescued no read; recordmix mixes one-word and 4-word conflict \
+     granules; the reclaim pair any cell that deferred no \
      free, and is red by design without $(b,+ebr), so it must be named \
      explicitly."
   in

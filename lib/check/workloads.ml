@@ -287,6 +287,9 @@ let reread ~nthreads ~rounds =
         let arena = Engine.global_arena world in
         let line = Captured_stm.Orec.line_words in
         let block = Alloc.alloc arena (4 * line) in
+        (* An array block: [a] and [b] share a 4-word line. *)
+        assert (
+          Captured_stm.Orec.line_words_at (Engine.orecs world) block = line);
         let a = (block + line - 1) land lnot (line - 1) in
         let b = a + 1 and c = a + (2 * line) in
         let seen = Alloc.alloc arena nthreads in
@@ -373,6 +376,9 @@ let linemate ~nthreads ~rounds =
         let arena = Engine.global_arena world in
         let line = Captured_stm.Orec.line_words in
         let block = Alloc.alloc arena (4 * line) in
+        (* An array block: the threads' words share a 4-word line. *)
+        assert (
+          Captured_stm.Orec.line_words_at (Engine.orecs world) block = line);
         let base = (block + line - 1) land lnot (line - 1) in
         let word t = base + (t mod line) in
         let sum = base + (2 * line) in
@@ -409,6 +415,81 @@ let linemate ~nthreads ~rounds =
             Error
               (Printf.sprintf "linemate words total %d, sum %d, expected %d"
                  total (Memory.get mem sum) expect)
+        in
+        { App.world; body; verify });
+  }
+
+(* Record mix: the two conflict granules side by side.  A 4-word record
+   (one orec per word) and a 16-word array (one orec per 4-word line)
+   are carved back to back.  Thread [t] read-modify-writes record words
+   [t] and [t + 1] (mod 4), adjacent words on separate orecs that its
+   neighbours also write, and adds 2 to word [t] of the array's first
+   line, whose words share one orec; so every commit adds 2 to both
+   sums.  Every other round a thread also reads the whole record and the
+   whole line and records the difference of their sums, which any
+   consistent snapshot holds at 0.  A lost update on a record word (a
+   skipped validation) breaks the sums; a false conflict on the line
+   only costs an abort. *)
+let recordmix ~nthreads ~rounds =
+  {
+    name = Printf.sprintf "recordmix-%dx%d" nthreads rounds;
+    nthreads;
+    reclaim_oracle = false;
+    prepare =
+      (fun config ->
+        let world = small_world ~nthreads config in
+        let arena = Engine.global_arena world in
+        let orecs = Engine.orecs world in
+        let line = Captured_stm.Orec.line_words in
+        let record = Alloc.alloc arena line in
+        let array = Alloc.alloc arena (4 * line) in
+        assert (Captured_stm.Orec.line_words_at orecs record = 1);
+        assert (Captured_stm.Orec.line_words_at orecs array = line);
+        let seen = Alloc.alloc arena nthreads in
+        let sum tx base =
+          List.fold_left (fun acc k -> acc + Txn.read tx (base + k)) 0
+            (List.init line Fun.id)
+        in
+        let body th =
+          let tid = Txn.thread_id th in
+          let i = record + (tid mod line)
+          and j = record + ((tid + 1) mod line)
+          and l = array + (tid mod line) in
+          for r = 1 to rounds do
+            Txn.atomic th (fun tx ->
+                let a = Txn.read tx i and b = Txn.read tx j in
+                Txn.tx_work tx 10;
+                Txn.write tx i (a + 1);
+                Txn.write tx j (b + 1);
+                Txn.write tx l (Txn.read tx l + 2));
+            if r land 1 = 0 then
+              Txn.atomic th (fun tx ->
+                  Txn.write tx (seen + tid) (sum tx record - sum tx array))
+          done
+        in
+        let verify () =
+          let mem = Engine.memory world in
+          let total base =
+            List.fold_left ( + ) 0
+              (List.init line (fun k -> Memory.get mem (base + k)))
+          in
+          let expect = 2 * nthreads * rounds in
+          let torn =
+            List.find_opt
+              (fun tid -> Memory.get mem (seen + tid) <> 0)
+              (List.init nthreads Fun.id)
+          in
+          if total record <> expect || total array <> expect then
+            Error
+              (Printf.sprintf "recordmix sums %d and %d, expected %d"
+                 (total record) (total array) expect)
+          else
+            match torn with
+            | Some tid ->
+                Error
+                  (Printf.sprintf "thread %d saw sums differ by %d" tid
+                     (Memory.get mem (seen + tid)))
+            | None -> Ok ()
         in
         { App.world; body; verify });
   }
@@ -602,6 +683,7 @@ let micros ~nthreads =
       ~nthreads ~rounds:3;
     reread ~nthreads ~rounds:3;
     linemate ~nthreads ~rounds:3;
+    recordmix ~nthreads ~rounds:4;
   ]
 
 (* Kept out of [micros]: without [+ebr] these are red by design (they

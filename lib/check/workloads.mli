@@ -57,6 +57,12 @@ val linemate : nthreads:int -> rounds:int -> t
     not write, which validation must rescue, and under a read whose word
     it did write, which validation must reject. *)
 
+val recordmix : nthreads:int -> rounds:int -> t
+(** Record mix: a record block (one orec per word) and an array block
+    (one orec per 4-word line) carved back to back; each thread updates
+    two adjacent record words its neighbours also write and one word of
+    the array's shared line, keeping the two blocks' sums equal. *)
+
 val min_rescued : t -> int
 (** Vacuity floor: the value rescues a sweep cell of this workload must
     record — 1 for {!linemate}, 0 for every other workload. *)

@@ -10,13 +10,17 @@ external store : int array -> int -> int -> unit = "captured_orec_store"
 external cas : int array -> int -> int -> int -> bool = "captured_orec_cas"
 [@@noalloc]
 
-(* Conflict-detection granule: four words share a record. *)
-let line_words_log2 = 2
-let line_words = 1 lsl line_words_log2
+module Memory = Captured_tmem.Memory
+
+(* Array-line granule: four aligned words of an array share a record.
+   Record blocks use one-word granules; the memory's page table says
+   which a word has. *)
+let line_words = 1 lsl Memory.line_log2
 
 type t = {
   records : int array;
   shift : int; (* take the HIGH bits of the multiplicative hash *)
+  granules : Bytes.t; (* the memory's page table, shared; empty if none *)
   version_clock : int Atomic.t;
 }
 
@@ -29,18 +33,32 @@ type t = {
    case, one word every [+tv] writer commit touches, so it keeps its own
    padded line ({!Padding}).  Cost: 2^bits words (1 MiB at the default 17
    bits). *)
-let create ~bits =
+let make granules ~bits =
   if bits < 4 || bits > 24 then invalid_arg "Orec.create: bits";
   {
     records = Array.make (1 lsl bits) 0;
     shift = 62 - bits;
+    granules;
     version_clock = Padding.padded_atomic 0;
   }
+
+let create ~bits = make Bytes.empty ~bits
+let over memory ~bits = make (Memory.granules memory) ~bits
+
+(* The address's granule, from its page's byte; addresses off the table
+   (a table made by [create]) use array lines. *)
+let granule_log2 t addr =
+  let page = addr lsr Memory.page_log2 in
+  if page < Bytes.length t.granules then
+    Char.code (Bytes.unsafe_get t.granules page)
+  else Memory.line_log2
+
+let line_words_at t addr = 1 lsl granule_log2 t addr
 
 (* Fibonacci hashing: the low product bits are periodic in the address
    (stride 2^k aliasing!), so the index must come from the HIGH bits. *)
 let index_of t addr =
-  (((addr lsr line_words_log2) * 0x2545F4914F6CDD1D) land max_int)
+  (((addr lsr granule_log2 t addr) * 0x2545F4914F6CDD1D) land max_int)
   lsr t.shift
 
 let count t = Array.length t.records

@@ -1,9 +1,14 @@
 (** Ownership-record (transaction-record) table (paper, §2.1).
 
-    A system-wide table maps each memory line (cache-line granularity) to
-    one record via a hash; the table is deliberately finite, so distinct
-    addresses alias — the *false conflicts* whose reduction explains part
-    of the paper's speedups (Table 1).
+    A system-wide table maps each conflict granule to one record via a
+    hash; the table is deliberately finite, so distinct addresses alias —
+    the *false conflicts* whose reduction explains part of the paper's
+    speedups (Table 1).  The granule is a property of the block holding
+    the word ({!Captured_tmem.Alloc}): each word of a record block (at
+    most 8 words) has its own granule, and an array block shares one per
+    aligned 4-word line.  The memory's page table
+    ({!Captured_tmem.Memory.granules}) carries it, one byte per 64-word
+    page, so [index_of] is one byte load, a shift and a multiply.
 
     Record encoding in one int: even values are versions
     ([version lsl 1]); odd values are locks ([owner lsl 1 lor 1]).
@@ -20,14 +25,23 @@
 type t
 
 val line_words : int
-(** Words per conflict-detection granule (4): aligned runs of this many
+(** Words per array line (4): on array pages, aligned runs of this many
     words always map to one record. *)
 
 val create : bits:int -> t
-(** A table of 2^[bits] records ([4 <= bits <= 24]). *)
+(** A table of 2^[bits] records ([4 <= bits <= 24]) with no page table:
+    every address uses array lines. *)
+
+val over : Captured_tmem.Memory.t -> bits:int -> t
+(** [over memory ~bits] is a table whose granules follow [memory]'s page
+    table (shared, so pages the allocator claims later are seen). *)
 
 val index_of : t -> int -> int
-(** Record index for a word address. *)
+(** Record index for a word address.  Allocation-free. *)
+
+val line_words_at : t -> int -> int
+(** Words sharing [addr]'s granule: 1 on record pages, [line_words]
+    elsewhere. *)
 
 val count : t -> int
 

@@ -418,9 +418,10 @@ let rec reads_valid th orecs words n k =
   || (read_entry_valid th (Array.unsafe_get orecs k) (Array.unsafe_get words k)
      && reads_valid th orecs words n (k + 1))
 
-(* Value-checked rescue of read-log entry [k], whose orec moved.  Four
-   words share an orec, so a commit to a line-mate moves the word of
-   every read under it.  When this attempt read one address under the
+(* Value-checked rescue of read-log entry [k], whose orec moved.  The
+   four words of an array line share an orec, and the hash aliases
+   unrelated words, so a commit moves the word of reads it did not
+   change.  When this attempt read one address under the
    orec and memory still holds the logged value, the read is as current
    under the new word as it was under the old, and the entry adopts the
    new word.  The new word must be unlocked (memory under a lock may

@@ -1,11 +1,22 @@
 (* Size classes: exact sizes 1..64, then one class per power of two up to the
-   region size.  Class index <-> smallest payload it serves. *)
+   region size.  Class index <-> smallest payload it serves.
+
+   Two cursors carve the region from its two ends.  Records (carved payload
+   of at most [record_words] words) pack upward from the first page
+   boundary at or above [base]; every page the record cursor claims is
+   turned to one-word conflict granules before a block on it is handed out
+   ({!Memory.mark_word_pages}).  Arrays carve downward from [limit] with
+   4-word-aligned payloads, on pages that keep 4-word lines.  The two never
+   share a page. *)
 
 type t = {
   memory : Memory.t;
   base : Memory.addr;
   limit : Memory.addr;
-  mutable wilderness : Memory.addr; (* next never-used word *)
+  mutable records_top : Memory.addr;
+      (* records fill [page_up base, records_top) *)
+  mutable records_end : Memory.addr; (* page_up records_top *)
+  mutable arrays_low : Memory.addr; (* arrays fill [arrays_low, limit) *)
   free_lists : Memory.addr array; (* head payload address per class, 0 = empty *)
   mutable live_blocks : int;
   mutable live_words : int;
@@ -15,6 +26,15 @@ exception Out_of_memory
 
 let exact_classes = 64
 let num_classes = exact_classes + 48
+
+(* One 64-byte cache line.  A record fits one, so one record per word costs
+   at most eight ownership records a block; above that, blocks are arrays
+   and share a record per 4-word line (EXPERIMENTS.md, "Conflict granule
+   per block"). *)
+let record_words = 8
+let is_record size = size <= record_words
+
+let line_words = 1 lsl Memory.line_log2
 
 let class_of_size n =
   if n <= exact_classes then n - 1
@@ -28,17 +48,31 @@ let class_of_size n =
    the same capacity and can be reused for any request mapping there. *)
 let carve_size n = if n <= exact_classes then n else 1 lsl (class_of_size n - exact_classes + 7)
 
+let page_up a = (a + Memory.page_words - 1) land lnot (Memory.page_words - 1)
+
 let create memory ~base ~words =
   if base <= 0 || words < 4 then invalid_arg "Alloc.create";
+  let limit = base + words in
   {
     memory;
     base;
-    limit = base + words;
-    wilderness = base;
+    limit;
+    records_top = page_up base;
+    records_end = page_up base;
+    arrays_low = limit land lnot (line_words - 1);
     free_lists = Array.make num_classes 0;
     live_blocks = 0;
     live_words = 0;
   }
+
+(* Advance the record cursor to [top], first claiming the pages it
+   enters. *)
+let claim_records t top =
+  if top > t.records_end then begin
+    Memory.mark_word_pages t.memory ~lo:t.records_end ~hi:top;
+    t.records_end <- page_up top
+  end;
+  if top > t.records_top then t.records_top <- top
 
 let header_of t addr = Memory.get t.memory (addr - 1)
 let set_header t addr size allocated =
@@ -60,12 +94,22 @@ let alloc t n =
       t.free_lists.(cls) <- Memory.get t.memory head;
       head
     end
+    else if is_record size then begin
+      let addr = t.records_top + 1 in
+      let top = addr + size in
+      (* New record pages must end at or below the array cursor. *)
+      if top <= t.records_end then t.records_top <- top
+      else if page_up top <= t.arrays_low then claim_records t top
+      else raise Out_of_memory;
+      addr
+    end
     else begin
-      let need = size + 1 in
-      if t.wilderness + need > t.limit then raise Out_of_memory;
-      let header_addr = t.wilderness in
-      t.wilderness <- t.wilderness + need;
-      header_addr + 1
+      (* Payload on a line boundary, header just below it: the block's
+         lines hold no other block's payload. *)
+      let addr = (t.arrays_low - size) land lnot (line_words - 1) in
+      if addr - 1 < t.records_end then raise Out_of_memory;
+      t.arrays_low <- addr - 1;
+      addr
     end
   in
   set_header t addr size true;
@@ -113,7 +157,8 @@ let words t = t.limit - t.base
 type state = {
   s_base : Memory.addr;
   s_words : int;
-  s_wilderness : Memory.addr;
+  s_records_top : Memory.addr;
+  s_arrays_low : Memory.addr;
   s_free_lists : int array;
   s_live_blocks : int;
   s_live_words : int;
@@ -123,7 +168,8 @@ let capture_state t =
   {
     s_base = t.base;
     s_words = t.limit - t.base;
-    s_wilderness = t.wilderness;
+    s_records_top = t.records_top;
+    s_arrays_low = t.arrays_low;
     s_free_lists = Array.copy t.free_lists;
     s_live_blocks = t.live_blocks;
     s_live_words = t.live_words;
@@ -132,15 +178,15 @@ let capture_state t =
 let restore_state memory s =
   if Array.length s.s_free_lists <> num_classes then
     invalid_arg "Alloc.restore_state: class count mismatch";
-  {
-    memory;
-    base = s.s_base;
-    limit = s.s_base + s.s_words;
-    wilderness = s.s_wilderness;
-    free_lists = Array.copy s.s_free_lists;
-    live_blocks = s.s_live_blocks;
-    live_words = s.s_live_words;
-  }
+  let t = create memory ~base:s.s_base ~words:s.s_words in
+  Array.blit s.s_free_lists 0 t.free_lists 0 num_classes;
+  t.arrays_low <- s.s_arrays_low;
+  t.live_blocks <- s.s_live_blocks;
+  t.live_words <- s.s_live_words;
+  (* Re-mark the record pages: the restored memory's page table must map
+     every word to the record it had when the state was captured. *)
+  claim_records t s.s_records_top;
+  t
 
 (* Remove a specific block from this arena's free lists, if present.
    Free lists are singly linked through the first payload word, so a hit
@@ -175,16 +221,18 @@ let unlink_free t ~addr ~size =
   end
 
 (* Address-faithful replay of a logged allocation: the block goes exactly
-   where the original run put it.  Blocks carved beyond the snapshot's
-   wilderness advance it (any gap left by allocations that never
-   committed stays dead space — the allocator never walks the heap, so
-   unreachable gaps are harmless).  The caller is responsible for
+   where the original run put it.  A block carved beyond the snapshot's
+   cursor of its kind advances that cursor, and a record block re-marks
+   the pages the record cursor claimed (any gap left by allocations that
+   never committed stays dead space — the allocator never walks the heap,
+   so unreachable gaps are harmless).  The caller is responsible for
    unlinking the block from a free list first ({!unlink_free} — possibly
    a different arena's, cross-thread frees move blocks between arenas)
    and for writing the payload image. *)
 let replay_alloc_at t ~addr ~size =
   if not (owns t addr) then invalid_arg "Alloc.replay_alloc_at: not owned";
-  if addr + size > t.wilderness then t.wilderness <- addr + size;
+  if is_record size then claim_records t (addr + size)
+  else if addr - 1 < t.arrays_low then t.arrays_low <- addr - 1;
   set_header t addr size true;
   t.live_blocks <- t.live_blocks + 1;
   t.live_words <- t.live_words + size

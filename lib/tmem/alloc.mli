@@ -9,13 +9,39 @@
 
     No coalescing is performed; the STAMP-style workloads recycle a small
     set of block sizes, which segregated lists serve without fragmentation
-    growth. *)
+    growth.
+
+    {2 Records and arrays}
+
+    The allocator also decides each word's conflict granule
+    ({!Memory.granules}).  A block whose carved payload is at most
+    {!record_words} words is a {e record} and gets one ownership record
+    per word; a larger block is an {e array} and shares one per aligned
+    4-word line.  Two cursors carve each arena from its two ends:
+
+    - the record cursor packs records upward from the first page boundary
+      at or above [base], and turns each page to word granules when it
+      first claims it, before any block on it is handed out;
+    - the array cursor carves arrays downward from [limit] (rounded down
+      to a line), each payload on a line boundary, so no line of an array
+      holds another block's payload.
+
+    The cursors never share a page; an allocation that would make them
+    raises [Out_of_memory].  The record cursor starts on a page boundary
+    and never claims the page holding [limit], so it never marks a page
+    shared with a stack or a neighbouring arena.  Free lists are per size
+    class, so a recycled block keeps its kind and its granule, also when
+    it was freed into another arena; {!restore_state} and
+    {!replay_alloc_at} re-mark the record pages, so recovery rebuilds the
+    same mapping. *)
 
 type t
 
 exception Out_of_memory
 
-(** [create mem ~base ~words] makes an arena over [\[base, base+words)]. *)
+(** [create mem ~base ~words] makes an arena over [\[base, base+words)].
+    Blocks are carved only above the first page boundary at or above
+    [base] (see above). *)
 val create : Memory.t -> base:Memory.addr -> words:int -> t
 
 (** [alloc t n] returns the address of a fresh [n]-word block
@@ -38,6 +64,9 @@ val block_size : t -> Memory.addr -> int
     really occupies. *)
 val carve_size : int -> int
 
+val record_words : int
+(** 8: the largest carved payload that is a record (one 64-byte line). *)
+
 val live_blocks : t -> int
 val live_words : t -> int
 
@@ -58,7 +87,8 @@ val words : t -> int
 type state = {
   s_base : Memory.addr;
   s_words : int;
-  s_wilderness : Memory.addr;
+  s_records_top : Memory.addr;  (** record cursor: next unused word *)
+  s_arrays_low : Memory.addr;  (** array cursor: lowest used word *)
   s_free_lists : int array;  (** head payload address per size class *)
   s_live_blocks : int;
   s_live_words : int;
@@ -67,7 +97,8 @@ type state = {
 val capture_state : t -> state
 
 (** [restore_state mem s] rebuilds an arena over [mem] from a captured
-    state.  [mem] must already hold the matching memory image. *)
+    state and marks its record pages in [mem]'s page table.  [mem] must
+    already hold the matching memory image. *)
 val restore_state : Memory.t -> state -> t
 
 (** [unlink_free t ~addr ~size] removes the free block at [addr] from
@@ -79,8 +110,9 @@ val restore_state : Memory.t -> state -> t
 val unlink_free : t -> addr:Memory.addr -> size:int -> bool
 
 (** [replay_alloc_at t ~addr ~size] re-performs a logged allocation at
-    its original address during recovery: advances the wilderness past
-    the block if needed, writes the header and bumps live counts.  The
+    its original address during recovery: advances the cursor of the
+    block's kind past it if needed (re-marking record pages), writes the
+    header and bumps live counts.  The
     caller unlinks the block from free lists first and writes the
     payload image. *)
 val replay_alloc_at : t -> addr:Memory.addr -> size:int -> unit

@@ -4,7 +4,7 @@
    and freed-then-reused regions are mostly zero, so this keeps
    checkpoint records proportional to live data).  The allocator side is
    tiny — free lists are threaded through memory cells themselves, so a
-   [state] record per arena (base/limit/wilderness/class heads/live
+   [state] record per arena (base/limit/both cursors/class heads/live
    counts) completes the image.
 
    Integrity is the WAL's job: a snapshot travels inside a checkpoint
@@ -41,11 +41,11 @@ let restore t =
 
 (* Word encoding, consumed by the WAL checkpoint record:
    [mem_words; n_cells; (addr value)*; n_arenas;
-    per arena: base words wilderness live_blocks live_words
+    per arena: base words records_top arrays_low live_blocks live_words
                n_classes head*] *)
 
 let encoded_words t =
-  let per_arena s = 6 + Array.length s.Alloc.s_free_lists in
+  let per_arena s = 7 + Array.length s.Alloc.s_free_lists in
   2
   + (2 * Array.length t.cells)
   + 1
@@ -70,7 +70,8 @@ let encode t =
     (fun s ->
       put s.Alloc.s_base;
       put s.Alloc.s_words;
-      put s.Alloc.s_wilderness;
+      put s.Alloc.s_records_top;
+      put s.Alloc.s_arrays_low;
       put s.Alloc.s_live_blocks;
       put s.Alloc.s_live_words;
       put (Array.length s.Alloc.s_free_lists);
@@ -106,9 +107,14 @@ let decode words =
       Array.init n_arenas (fun _ ->
           let s_base = take () in
           let s_words = take () in
-          let s_wilderness = take () in
+          let s_records_top = take () in
+          let s_arrays_low = take () in
           let s_live_blocks = take () in
           let s_live_words = take () in
+          (* [Alloc.restore_state] marks record pages up to the record
+             cursor, so it must lie inside the memory. *)
+          if s_base <= 0 || s_words < 4 || s_records_top > mem_words then
+            failwith "snapshot: arena out of range";
           let n_classes = take () in
           if n_classes < 0 || n_classes > len then
             failwith "snapshot: bad class count";
@@ -116,7 +122,8 @@ let decode words =
           {
             Alloc.s_base;
             s_words;
-            s_wilderness;
+            s_records_top;
+            s_arrays_low;
             s_free_lists;
             s_live_blocks;
             s_live_words;

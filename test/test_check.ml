@@ -551,6 +551,35 @@ let test_blind_rescue_flagged_everywhere () =
       Config.with_lazy (Config.with_tvalidate tree);
     ]
 
+(* Adjacent record words sit on separate one-word orecs; a skipped
+   validation must still lose an update on the word two threads share,
+   under both clocks and both versioning modes, each on its own. *)
+let test_skip_validation_flagged_on_recordmix () =
+  List.iter
+    (fun mode ->
+      let config = Config.with_fault (Some Fault.Skip_validation) mode in
+      let r =
+        Harness.explore
+          ~workload:(Workloads.recordmix ~nthreads:2 ~rounds:4)
+          ~config
+          ~strategy:(Strategy.Random { persist = 85 })
+          ~runs:200 ~seed:3 ()
+      in
+      let name = Config.to_string config in
+      match r.Harness.first with
+      | Some f ->
+          Alcotest.(check bool)
+            (name ^ ": caught by the oracle, not a crash")
+            true
+            (f.Harness.violation.Oracle.kind <> "fiber-exception")
+      | None -> Alcotest.failf "%s: skipped validation not flagged" name)
+    [
+      tree;
+      Config.with_tvalidate tree;
+      Config.with_lazy tree;
+      Config.with_lazy (Config.with_tvalidate tree);
+    ]
+
 let test_clean_lazy_config_no_false_positive () =
   let workload = Workloads.counter ~nthreads:2 ~incs:3 in
   let r =
@@ -907,6 +936,8 @@ let () =
             test_publish_partial_flagged_under_lazy;
           Alcotest.test_case "blind-rescue flagged in every mode" `Quick
             test_blind_rescue_flagged_everywhere;
+          Alcotest.test_case "skip-validation flagged on recordmix" `Quick
+            test_skip_validation_flagged_on_recordmix;
           Alcotest.test_case "crash faults recover clean" `Quick
             test_crash_faults_recover_clean;
           Alcotest.test_case "clean +wal sweep silent" `Quick

@@ -1689,6 +1689,57 @@ let test_crash_recovery_torture () =
   done;
   check "torture saw crashes" true (!crashes > 0)
 
+(* Recovery rebuilds the conflict granules: every word of every block a
+   committed transaction allocated maps to the same record in the
+   recovered memory, for blocks restored from the mid-run checkpoint
+   (record pages re-marked by [Alloc.restore_state]) and for blocks
+   replayed after it (re-marked by [Alloc.replay_alloc_at]).  Enough
+   records are allocated on each side of the checkpoint to claim fresh
+   pages. *)
+let test_wal_recovery_keeps_granules () =
+  let config = Config.runtime Alloc_log.Tree |> Config.with_durable in
+  let w = Engine.create ~nthreads:1 config in
+  let anchor = Alloc.alloc (Engine.global_arena w) 1 in
+  let wal = Wal.create ~group:1 () in
+  Engine.attach_wal w wal;
+  let th = Engine.setup_thread w in
+  let blocks = ref [] in
+  let round k =
+    Txn.atomic th (fun tx ->
+        let n = 1 + (k mod 20) in
+        let b = Txn.alloc tx n in
+        blocks := (b, n) :: !blocks;
+        for i = 0 to n - 1 do
+          Txn.write tx (b + i) (k + i + 1)
+        done;
+        Txn.write tx anchor b)
+  in
+  for k = 0 to 59 do
+    round k
+  done;
+  Engine.checkpoint w;
+  for k = 60 to 119 do
+    round k
+  done;
+  Wal.sync wal;
+  let words =
+    List.concat_map (fun (b, n) -> List.init n (fun i -> b + i)) !blocks
+  in
+  check "records and arrays both allocated" true
+    (List.exists (fun (_, n) -> n <= Alloc.record_words) !blocks
+    && List.exists (fun (_, n) -> n > Alloc.record_words) !blocks);
+  match Wal.recover wal with
+  | Error m -> Alcotest.failf "recovery failed: %s" m
+  | Ok rc ->
+      let bits = config.Config.orec_bits in
+      let before = Orec.over (Engine.memory w) ~bits
+      and after = Orec.over rc.Wal.r_memory ~bits in
+      List.iter
+        (fun a ->
+          check_int (Printf.sprintf "record of word %d" a)
+            (Orec.index_of before a) (Orec.index_of after a))
+        words
+
 (* Kill-anywhere: truncate a clean run\'s log at every record boundary
    (simulating death at each acknowledged point) and at unaligned cuts
    inside each record (torn tails); every prefix must recover to the
@@ -2429,6 +2480,8 @@ let () =
             test_torn_checkpoint_falls_back;
           Alcotest.test_case "wal skips = elided writes" `Quick
             test_wal_skips_equal_elided_writes;
+          Alcotest.test_case "recovery keeps granules" `Quick
+            test_wal_recovery_keeps_granules;
         ]
         @ List.map Qc.to_alcotest
             [

@@ -321,16 +321,36 @@ let test_snapshot_roundtrip () =
   check_int "free list carried over" p (Alloc.alloc a' 4)
 
 let test_snapshot_decode_truncated () =
-  let m = Memory.create ~words:64 in
-  let a = Alloc.create m ~base:8 ~words:32 in
+  (* Blocks are carved above the arena's first page boundary; one record
+     and one array move both cursors. *)
+  let m = Memory.create ~words:256 in
+  let a = Alloc.create m ~base:40 ~words:152 in
   Memory.set m 3 1;
   ignore (Alloc.alloc a 4);
+  ignore (Alloc.alloc a 12);
   let words = Snapshot.encode (Snapshot.capture m [| a |]) in
   for cut = 0 to Array.length words - 1 do
     match Snapshot.decode (Array.sub words 0 cut) with
     | Ok _ -> Alcotest.failf "truncation to %d words accepted" cut
     | Error _ -> ()
   done
+
+(* The record cursor is where restore marks pages up to, so a snapshot
+   whose cursor lies past the memory is rejected, not restored. *)
+let test_snapshot_decode_rejects_bad_cursor () =
+  let m = Memory.create ~words:256 in
+  let a = Alloc.create m ~base:40 ~words:152 in
+  ignore (Alloc.alloc a 4);
+  let snap = Snapshot.capture m [| a |] in
+  let words = Snapshot.encode snap in
+  (* [mem_words; n_cells; cells; n_arenas; base; words; records_top ...] *)
+  let cursor = 2 + (2 * Snapshot.live_cells snap) + 3 in
+  check_int "cursor word" (Alloc.capture_state a).Alloc.s_records_top
+    words.(cursor);
+  words.(cursor) <- 257;
+  match Snapshot.decode words with
+  | Ok _ -> Alcotest.fail "record cursor past the memory accepted"
+  | Error _ -> ()
 
 (* Property: capture/encode/decode/restore is the identity on the memory
    image and on the allocator's observable state, for arbitrary
@@ -372,6 +392,190 @@ let prop_snapshot_roundtrip =
           && List.for_all
                (fun addr -> Memory.get m addr = Memory.get m' addr)
                (List.init (Memory.size m - 1) (fun i -> i + 1)))
+
+(* ------------------------------------------------------------------ *)
+(* Conflict granules: records on word granules, arrays on aligned lines *)
+
+module Orec = Captured_stm.Orec
+
+let words_of p size = List.init size (fun k -> p + k)
+let granule_line orecs a = a / Orec.line_words_at orecs a
+
+(* The three granule invariants over the live blocks, each
+   [(addr, size, indices at allocation)]. *)
+let granules_ok orecs live =
+  let payload_owner a =
+    List.find_opt (fun (p, size, _) -> p <= a && a < p + size) live
+  in
+  List.for_all
+    (fun (p, size, indices) ->
+      let same_records =
+        List.map (Orec.index_of orecs) (words_of p size) = indices
+      in
+      if size <= Alloc.record_words then
+        same_records
+        && List.for_all
+             (fun a -> granule_line orecs a <> granule_line orecs (a + 1))
+             (words_of p (size - 1))
+      else
+        let first = p land lnot (Orec.line_words - 1) in
+        let last =
+          (p + size + Orec.line_words - 1) land lnot (Orec.line_words - 1)
+        in
+        same_records
+        && List.for_all
+             (fun a -> Orec.line_words_at orecs a = Orec.line_words)
+             (words_of p size)
+        && List.for_all
+             (fun a ->
+               match payload_owner a with
+               | None -> true
+               | Some (q, _, _) -> q = p)
+             (words_of first (last - first)))
+    live
+
+(* Property: over random mixed-size allocations and frees on two arenas,
+   cross-arena frees included, every live word keeps the record it had
+   when its block was handed out, records sit on word granules and no
+   array line holds another block's payload. *)
+let prop_granules_stable =
+  QCheck.Test.make ~name:"granules fixed per block, lines never shared"
+    ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 1 80)
+        (pair (int_range 0 3) (int_range 1 70)))
+    (fun ops ->
+      let m = Memory.create ~words:8192 in
+      let orecs = Orec.over m ~bits:12 in
+      let arenas =
+        [|
+          Alloc.create m ~base:1 ~words:4000;
+          Alloc.create m ~base:4100 ~words:4000;
+        |]
+      in
+      let live = ref [] in
+      List.for_all
+        (fun (op, n) ->
+          let arena = arenas.(op land 1) in
+          (if op < 2 then
+             match Alloc.alloc arena n with
+             | p ->
+                 let size = Alloc.block_size arena p in
+                 let indices =
+                   List.map (Orec.index_of orecs) (words_of p size)
+                 in
+                 live := (p, size, indices) :: !live
+             | exception Alloc.Out_of_memory -> ()
+           else
+             match List.nth_opt !live (n mod max 1 (List.length !live)) with
+             | Some ((p, _, _) as b) ->
+                 Alloc.free arena p;
+                 live := List.filter (fun b' -> b' != b) !live
+             | None -> ());
+          granules_ok orecs !live)
+        ops)
+
+(* The record cursor climbs from the first page boundary above [base]
+   and the array cursor descends from [limit]: they fill the arena until
+   they would share a page, then raise [Out_of_memory], whichever kind
+   asks, and never overlap. *)
+let test_cursors_meet () =
+  List.iter
+    (fun sizes ->
+      let m = Memory.create ~words:1024 in
+      let a = Alloc.create m ~base:100 ~words:700 in
+      let blocks = ref [] in
+      let rec fill = function
+        | [] -> fill sizes
+        | n :: rest -> (
+            match Alloc.alloc a n with
+            | p ->
+                blocks := (p, Alloc.block_size a p) :: !blocks;
+                fill rest
+            | exception Alloc.Out_of_memory -> ())
+      in
+      fill sizes;
+      let blocks = !blocks in
+      check "filled some" true (List.length blocks > 10);
+      let page p = p lsr Memory.page_log2 in
+      let pages kind =
+        List.concat_map
+          (fun (p, size) ->
+            if (size <= Alloc.record_words) = kind then
+              [ page (p - 1); page (p + size - 1) ]
+            else [])
+          blocks
+      in
+      let records = pages true and arrays = pages false in
+      check "records inside the arena" true
+        (List.for_all (fun pg -> pg >= page 128) records);
+      check "no page shared by the cursors" true
+        (List.for_all (fun r -> List.for_all (fun x -> r < x) arrays) records);
+      let records_end =
+        List.fold_left
+          (fun acc (p, size) ->
+            if size <= Alloc.record_words then max acc (p + size) else acc)
+          128 blocks
+      and arrays_low =
+        List.fold_left
+          (fun acc (p, size) ->
+            if size > Alloc.record_words then min acc (p - 1) else acc)
+          800 blocks
+      in
+      check "the cursors met" true
+        (arrays_low - records_end < (2 * Memory.page_words) + 65);
+      let orecs = Orec.over m ~bits:10 in
+      check "records on word pages, arrays on line pages" true
+        (List.for_all
+           (fun (p, size) ->
+             Orec.line_words_at orecs p
+             = if size <= Alloc.record_words then 1 else Orec.line_words)
+           blocks);
+      List.iter
+        (fun (p, s) ->
+          List.iter
+            (fun (q, t) ->
+              if p <> q && p - 1 < q + t && q - 1 < p + s then
+                Alcotest.failf "blocks %d+%d and %d+%d overlap" p s q t)
+            blocks)
+        blocks)
+    [ [ 3; 20 ]; [ 8 ]; [ 40 ]; [ 1; 9; 5; 64 ] ]
+
+(* A checkpoint round trip rebuilds the page table: every live word of
+   the restored memory maps to the record it had. *)
+let test_snapshot_keeps_granules () =
+  let m = Memory.create ~words:4096 in
+  let arenas =
+    [|
+      Alloc.create m ~base:1 ~words:2000; Alloc.create m ~base:2001 ~words:2000;
+    |]
+  in
+  let blocks =
+    List.concat_map
+      (fun n ->
+        Array.to_list
+          (Array.map
+             (fun a ->
+               let p = Alloc.alloc a n in
+               Memory.set m p n;
+               (p, Alloc.block_size a p))
+             arenas))
+      [ 1; 5; 8; 9; 30; 2; 7; 100; 3; 4; 6; 16 ]
+  in
+  let words = List.concat_map (fun (p, s) -> words_of p s) blocks in
+  let orecs = Orec.over m ~bits:12 in
+  let snap =
+    match Snapshot.decode (Snapshot.encode (Snapshot.capture m arenas)) with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "decode failed: %s" e
+  in
+  let m', _ = Snapshot.restore snap in
+  let orecs' = Orec.over m' ~bits:12 in
+  List.iter
+    (fun a ->
+      check_int (Printf.sprintf "record of word %d" a) (Orec.index_of orecs a)
+        (Orec.index_of orecs' a))
+    words
 
 let qsuite name tests = (name, List.map Qc.to_alcotest tests)
 
@@ -418,6 +622,15 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "decode rejects truncation" `Quick
             test_snapshot_decode_truncated;
+          Alcotest.test_case "decode rejects a cursor off the memory" `Quick
+            test_snapshot_decode_rejects_bad_cursor;
         ] );
       qsuite "snapshot-props" [ prop_snapshot_roundtrip ];
+      ( "granules",
+        [
+          Alcotest.test_case "cursors meet" `Quick test_cursors_meet;
+          Alcotest.test_case "snapshot keeps granules" `Quick
+            test_snapshot_keeps_granules;
+        ] );
+      qsuite "granule-props" [ prop_granules_stable ];
     ]
