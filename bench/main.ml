@@ -1,11 +1,14 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation (Section 4), plus a Bechamel micro-benchmark section for the
-   barrier-cost claims and an ablation section for the design choices
-   DESIGN.md calls out.
+   barrier-cost claims, an ablation section for the design choices
+   DESIGN.md calls out, and one A/B section for the configuration tokens.
 
-   Usage: main.exe [--quick] [--only fig8,table1,...] [--app NAME,...]
+   Usage: main.exe [--quick] [--only fig8,table1,ab:fp,...] [--app NAME,...]
    Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b micro ablation
-   fastpath tvalidate contention scale lazyab wal reclaim *)
+   contention scale wal, and ab:TOKEN[@BASE] (BASE defaults to tree+fp+ebr):
+   every app at 1 and 16 threads, seeds 1-8 (seed 1 under --quick), under
+   BASE without TOKEN and BASE with it.  With no --only, every section
+   runs, the A/B section as ab:fp, ab:tv, ab:lazy and ab:sf. *)
 
 open Captured_apps
 module Config = Captured_stm.Config
@@ -14,6 +17,29 @@ module Stats = Captured_stm.Stats
 module Txn = Captured_stm.Txn
 module Alloc_log = Captured_core.Alloc_log
 module Ustats = Captured_util.Stats
+
+(* [ab:TOKEN@BASE]'s two arms, both spelled by [Config.to_string]: BASE
+   with TOKEN's fields at their defaults, then that plus [+TOKEN]. *)
+let ab_arms spec =
+  let token, base =
+    match String.index_opt spec '@' with
+    | None -> (spec, "tree+fp+ebr")
+    | Some i ->
+        (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
+  in
+  let key part = List.hd (String.split_on_char ':' part) in
+  let keys = List.map key (String.split_on_char '+' token) in
+  let ( let* ) = Result.bind in
+  let* b = Config.of_string base in
+  let* off =
+    Config.of_string
+      (String.concat "+"
+         (List.filteri
+            (fun i part -> i = 0 || not (List.mem (key part) keys))
+            (String.split_on_char '+' (Config.to_string b))))
+  in
+  let* on = Config.of_string (Config.to_string off ^ "+" ^ token) in
+  Ok (token, off, on)
 
 (* ------------------------------------------------------------------ *)
 (* CLI                                                                  *)
@@ -25,11 +51,24 @@ let only_apps : string list ref = ref []
 let known_sections =
   [
     "fig8"; "fig9"; "table1"; "table2"; "fig10"; "fig11a"; "fig11b"; "micro";
-    "ablation"; "fastpath"; "tvalidate"; "contention"; "scale"; "lazyab";
-    "wal"; "reclaim";
+    "ablation"; "contention"; "scale"; "wal";
   ]
 
+(* [Some spec] for an A/B section [ab:spec]. *)
+let ab_spec section =
+  if String.starts_with ~prefix:"ab:" section then
+    Some (String.sub section 3 (String.length section - 3))
+  else None
+
 let scale_domains : int list ref = ref []
+
+(* Argument errors exit 2 before anything runs. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("error: " ^ m);
+      exit 2)
+    fmt
 
 let () =
   let rec parse = function
@@ -44,11 +83,13 @@ let () =
            measured nothing. *)
         List.iter
           (fun section ->
-            if not (List.mem section known_sections) then begin
-              Printf.eprintf "error: unknown section %s (try: %s)\n%!" section
-                (String.concat " " known_sections);
-              exit 2
-            end)
+            match Option.map ab_arms (ab_spec section) with
+            | Some (Error m) -> fail "%s: %s" section m
+            | Some (Ok _) -> ()
+            | None when List.mem section known_sections -> ()
+            | None ->
+                fail "unknown section %s (try: %s ab:TOKEN[@BASE])" section
+                  (String.concat " " known_sections))
           !only;
         parse rest
     | "--app" :: spec :: rest ->
@@ -58,33 +99,26 @@ let () =
         (try
            scale_domains :=
              List.map int_of_string (String.split_on_char ',' spec)
-         with Failure _ ->
-           Printf.eprintf "error: --domains wants e.g. 1,2,4\n%!";
-           exit 2);
-        if List.exists (fun d -> d < 1) !scale_domains then begin
-          Printf.eprintf "error: --domains entries must be >= 1\n%!";
-          exit 2
-        end;
+         with Failure _ -> fail "--domains wants e.g. 1,2,4");
+        if List.exists (fun d -> d < 1) !scale_domains then
+          fail "--domains entries must be >= 1";
         parse rest
-    | arg :: rest ->
-        Printf.eprintf "warning: ignoring argument %s\n%!" arg;
-        parse rest
+    | arg :: _ ->
+        fail "unknown argument %s (try: --quick --only --app --domains)" arg
   in
   parse (List.tl (Array.to_list Sys.argv))
 
 let wants section = !only = [] || List.mem section !only
 let scale () = if !quick then App.Test else App.Bench
 let sim_threads = 16
+let seeds = if !quick then [ 1 ] else List.init 8 (fun i -> i + 1)
 
 let apps =
   List.iter
     (fun name ->
-      if not (List.exists (fun app -> app.App.name = name) Registry.all)
-      then begin
-        Printf.eprintf "error: unknown app %s (try: %s)\n%!" name
-          (String.concat " " (Registry.names ()));
-        exit 2
-      end)
+      if not (List.exists (fun app -> app.App.name = name) Registry.all) then
+        fail "unknown app %s (try: %s)" name
+          (String.concat " " (Registry.names ())))
     !only_apps;
   List.filter
     (fun app -> !only_apps = [] || List.mem app.App.name !only_apps)
@@ -114,10 +148,6 @@ let run_native1 app cfg =
 
 let improvement ~base x = 100. *. (base -. x) /. base
 
-(* Percent change of [x] from [base] (negative = fewer cycles). *)
-let change ~base x =
-  -.improvement ~base:(float_of_int (max 1 base)) (float_of_int x)
-
 let str s = "\"" ^ s ^ "\""
 
 (* Every section's JSON line: the section's own keys, every counter
@@ -134,6 +164,21 @@ let json_line ~section extras (r : Engine.result) =
     (Stats.json_fields s) (Stats.abort_ratio s) r.Engine.makespan
     (1000. *. r.Engine.wall)
 
+(* One simulator run of [app], printed as a JSON line keyed by [extras],
+   then app, config, threads and seed. *)
+let run_json ~section extras app cfg ~nthreads ~seed =
+  let r = run_sim app cfg ~nthreads ~seed in
+  json_line ~section
+    (extras
+    @ [
+        ("app", str app.App.name);
+        ("config", str (Config.to_string cfg));
+        ("threads", string_of_int nthreads);
+        ("seed", string_of_int seed);
+      ])
+    r;
+  r
+
 (* Named counters of one run, ["name value"], for the [#] summary lines. *)
 let show (s : Stats.t) names =
   String.concat "  "
@@ -142,44 +187,6 @@ let show (s : Stats.t) names =
          let c = List.find (fun c -> c.Stats.name = n) Stats.counters in
          Printf.sprintf "%s %d" n (c.Stats.get s))
        names)
-
-(* Every counter that differs between two runs, ["name a->b"]. *)
-let moved (a : Stats.t) (b : Stats.t) =
-  String.concat "  "
-    (List.filter_map
-       (fun c ->
-         let x = c.Stats.get a and y = c.Stats.get b in
-         if x = y then None
-         else Some (Printf.sprintf "%s %d->%d" c.Stats.name x y))
-       Stats.counters)
-
-let run_json ~section ~nthreads app cfg =
-  let r = run_sim app cfg ~nthreads ~seed:1 in
-  json_line ~section
-    [
-      ("app", str app.App.name);
-      ("config", str (Config.to_string cfg));
-      ("threads", string_of_int nthreads);
-    ]
-    r;
-  r
-
-(* The A/B sections: [app] on one thread under [off] and [on], same seed.
-   The change may move costs, never outcomes, so commits and user aborts
-   must match (each app verified its own invariants inside [run_sim]).
-   Prints both JSON lines, then a [#] line with the makespan change and
-   every counter that moved; returns the [on] run. *)
-let ab ~section app off on =
-  let a = run_json ~section ~nthreads:1 app off in
-  let b = run_json ~section ~nthreads:1 app on in
-  let sa = a.Engine.stats and sb = b.Engine.stats in
-  assert (sa.Stats.commits = sb.Stats.commits);
-  assert (sa.Stats.user_aborts = sb.Stats.user_aborts);
-  Printf.printf "# %-14s %s vs %s  makespan %+5.1f%%  %s\n%!" app.App.name
-    (Config.to_string off) (Config.to_string on)
-    (change ~base:a.Engine.makespan b.Engine.makespan)
-    (moved sa sb);
-  b
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: breakdown of compiler-inserted barriers                    *)
@@ -270,26 +277,31 @@ let config_header configs =
     configs;
   print_newline ()
 
+(* The header, then one row per app: [row app] is that app's cell per
+   configuration, printed with [prec] decimals. *)
+let config_table ?(prec = 1) configs row =
+  config_header configs;
+  List.iter
+    (fun app ->
+      let cell = row app in
+      row_label app.App.name;
+      List.iter
+        (fun cfg -> Printf.printf " %*.*f" (col_width configs) prec (cell cfg))
+        configs;
+      print_newline ())
+    apps
+
 let table1 () =
   let reps = if !quick then 1 else 3 in
   headline "Table 1: abort-to-commit ratio at %d threads (mean of %d seeds)"
     sim_threads reps;
-  config_header table_configs;
-  List.iter
-    (fun app ->
-      row_label app.App.name;
-      List.iter
-        (fun cfg ->
-          let ratios =
-            List.init reps (fun k ->
-                let r = run_sim app cfg ~nthreads:sim_threads ~seed:(1 + k) in
-                Stats.abort_ratio r.Engine.stats)
-          in
-          Printf.printf " %9.2f"
-            (List.fold_left ( +. ) 0. ratios /. float_of_int reps))
-        table_configs;
-      print_newline ())
-    apps
+  config_table ~prec:2 table_configs (fun app cfg ->
+      let ratios =
+        List.init reps (fun k ->
+            let r = run_sim app cfg ~nthreads:sim_threads ~seed:(1 + k) in
+            Stats.abort_ratio r.Engine.stats)
+      in
+      List.fold_left ( +. ) 0. ratios /. float_of_int reps)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: %% relative standard deviation at 16 threads (5 runs)       *)
@@ -298,23 +310,13 @@ let table2 () =
   let reps = if !quick then 3 else 5 in
   headline "Table 2: %% relative standard deviation at %d threads (%d runs)"
     sim_threads reps;
-  config_header table_configs;
-  List.iter
-    (fun app ->
-      row_label app.App.name;
-      List.iter
-        (fun cfg ->
-          let samples =
-            List.init reps (fun k ->
-                let r =
-                  run_sim app cfg ~nthreads:sim_threads ~seed:(100 + k)
-                in
-                float_of_int r.Engine.makespan)
-          in
-          Printf.printf " %9.2f" (Ustats.rel_stddev_percent (Ustats.of_list samples)))
-        table_configs;
-      print_newline ())
-    apps
+  config_table ~prec:2 table_configs (fun app cfg ->
+      let samples =
+        List.init reps (fun k ->
+            let r = run_sim app cfg ~nthreads:sim_threads ~seed:(100 + k) in
+            float_of_int r.Engine.makespan)
+      in
+      Ustats.rel_stddev_percent (Ustats.of_list samples))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 10: single-thread improvement (native wall-clock)             *)
@@ -328,9 +330,7 @@ let fig10 () =
     "Figure 10: single-thread improvement vs baseline (native wall-clock, \
      median of %d, %%; negative = slowdown)"
     reps;
-  config_header scope_configs;
-  List.iter
-    (fun app ->
+  config_table scope_configs (fun app ->
       (* Batch enough fresh runs per sample that one sample spans >=20ms:
          single runs are milliseconds and wall-clock noise would swamp
          them. *)
@@ -347,15 +347,7 @@ let fig10 () =
         Ustats.median (List.init reps (fun _ -> sample cfg))
       in
       let base = median Config.baseline in
-      row_label app.App.name;
-      List.iter
-        (fun cfg ->
-          Printf.printf " %*.1f" (col_width scope_configs)
-            (improvement ~base (median cfg)))
-        scope_configs;
-      print_newline ();
-      Printf.printf "%!")
-    apps
+      fun cfg -> improvement ~base (median cfg))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11a/11b: 16-thread improvement (simulated makespan)           *)
@@ -365,25 +357,16 @@ let fig11 ~name configs =
   headline
     "Figure %s: improvement vs baseline at %d threads (virtual makespan,      median of %d seeds, %%)"
     name sim_threads reps;
-  config_header configs;
-  List.iter
-    (fun app ->
+  config_table configs (fun app ->
       let makespan cfg =
-        Captured_util.Stats.median
+        Ustats.median
           (List.init reps (fun k ->
                float_of_int
                  (run_sim app cfg ~nthreads:sim_threads ~seed:(1 + k))
                    .Engine.makespan))
       in
       let base = makespan Config.baseline in
-      row_label app.App.name;
-      List.iter
-        (fun cfg ->
-          Printf.printf " %*.1f" (col_width configs)
-            (improvement ~base (makespan cfg)))
-        configs;
-      print_newline ())
-    apps
+      fun cfg -> improvement ~base (makespan cfg))
 
 let fig11a () = fig11 ~name:"11a" scope_configs
 
@@ -646,38 +629,6 @@ let ablation () =
     (Config.baseline :: scope_configs)
 
 (* ------------------------------------------------------------------ *)
-(* Fast path A/B: hierarchical capture-check on vs off, per backend      *)
-
-let fastpath () =
-  headline
-    "Fast path A/B: hierarchical capture check (site tier + summary + MRU \
-     + promotion) on vs off, 1 thread, simulator (JSON lines)";
-  List.iter
-    (fun app ->
-      List.iter
-        (fun backend ->
-          let cfg = Config.runtime backend in
-          ignore (ab ~section:"fastpath" app cfg (Config.with_fastpath cfg)))
-        Alloc_log.all_backends)
-    apps
-
-(* ------------------------------------------------------------------ *)
-(* Timestamp validation A/B: global-version-clock validation on vs off   *)
-
-let tvalidate () =
-  headline
-    "Timestamp validation A/B: global version clock + O(1) snapshot checks \
-     + read-only commit fast path, on vs off, 1 thread, simulator (JSON \
-     lines)";
-  List.iter
-    (fun app ->
-      List.iter
-        (fun cfg ->
-          ignore (ab ~section:"tvalidate" app cfg (Config.with_tvalidate cfg)))
-        (Config.baseline :: List.map Config.runtime Alloc_log.all_backends))
-    apps
-
-(* ------------------------------------------------------------------ *)
 (* Contention: abort behaviour of the retry backoff vs thread count      *)
 
 let contention () =
@@ -718,7 +669,6 @@ let contention () =
      unless the app's own verification passes.  One JSON line per seed;
      the [#] line is the median over the seeds (one seed under --quick),
      which is what EXPERIMENTS.md records. *)
-  let seeds = if !quick then [ 1 ] else List.init 8 (fun i -> i + 1) in
   List.iter
     (fun (name, cfg) ->
       match List.find_opt (fun app -> app.App.name = name) apps with
@@ -727,16 +677,8 @@ let contention () =
           let runs =
             List.map
               (fun seed ->
-                let r = run_sim app cfg ~nthreads:sim_threads ~seed in
-                json_line ~section:"contention"
-                  [
-                    ("app", str name);
-                    ("config", str (Config.to_string cfg));
-                    ("threads", string_of_int sim_threads);
-                    ("seed", string_of_int seed);
-                  ]
-                  r;
-                r)
+                run_json ~section:"contention" [] app cfg ~nthreads:sim_threads
+                  ~seed)
               seeds
           in
           let med f = Ustats.median (List.map f runs) in
@@ -844,31 +786,6 @@ let scale_section () =
     apps
 
 (* ------------------------------------------------------------------ *)
-(* Eager vs lazy versioning A/B: same app, same seed, deferred updates   *)
-
-(* Apps whose transactions initialise freshly-allocated structures, so the
-   capture check must prove writes captured and lazy mode must elide their
-   redo-buffer traffic (the acceptance floor for the paper's claim). *)
-let lazyab_must_skip = [ "genome"; "vacation-low"; "vacation-high"; "yada" ]
-
-let lazyab () =
-  headline
-    "Eager vs lazy versioning A/B: write-buffer (redo) backend, captured \
-     writes bypass the buffer, 1 thread, simulator (JSON lines)";
-  let tree = Config.runtime Alloc_log.Tree in
-  List.iter
-    (fun app ->
-      List.iter
-        (fun cfg ->
-          let lz = ab ~section:"lazyab" app cfg (Config.with_lazy cfg) in
-          (* The paper's payoff must actually materialise on the alloc-
-             heavy apps once the capture check is in play. *)
-          if List.mem app.App.name lazyab_must_skip then
-            assert (lz.Engine.stats.Stats.redo_skips > 0))
-        [ tree; Config.with_fastpath tree ])
-    apps
-
-(* ------------------------------------------------------------------ *)
 (* Durable transactions: WAL overhead and recovery cost                 *)
 
 module Wal = Captured_stm.Wal
@@ -931,33 +848,98 @@ let wal_section () =
     apps
 
 (* ------------------------------------------------------------------ *)
-(* Epoch-based reclamation A/B: limbo depth and reclaim-stall overhead  *)
+(* A/B: one configuration token off vs on, on every app                 *)
 
-let reclaim_section () =
-  headline
-    "Reclaim A/B: epoch-based reclamation on vs off — identical outcomes, \
-     limbo high-water and stall overhead (simulator, JSON lines)";
-  let cfg = Config.runtime Alloc_log.Tree in
+(* bayes's commit count at 16 threads depends on the schedule: it differs
+   between the arms on every seed for fp, tv, lazy, sf and ebr, and no
+   other app's does.  Its cells compare cycles per commit instead of
+   makespan and skip the equal-outcome check. *)
+let per_commit app nthreads = app.App.name = "bayes" && nthreads = sim_threads
+
+(* The A/B purpose checks, as data: what each asserts, the cells it
+   covers (arms, app, threads), and its test on one seed's two runs. *)
+let ab_checks =
+  [
+    (* A token may move costs, never outcomes. *)
+    ( "equal commits and user aborts",
+      (fun _ _ app nthreads -> not (per_commit app nthreads)),
+      fun (a : Stats.t) (b : Stats.t) ->
+        a.commits = b.commits && a.user_aborts = b.user_aborts );
+    (* Apps whose transactions initialise freshly allocated structures:
+       once a runtime capture check proves those writes captured, lazy
+       versioning must keep them out of the redo buffer. *)
+    ( "redo_skips > 0",
+      (fun (off : Config.t) (on : Config.t) app _ ->
+        on.lazy_versioning && (not off.lazy_versioning)
+        && (match on.analysis with Runtime _ -> true | _ -> false)
+        && List.mem app.App.name
+             [ "genome"; "vacation-low"; "vacation-high"; "yada" ]),
+      fun _ b -> b.redo_skips > 0 );
+  ]
+
+(* Every counter whose total differs between the arms, ["name a->b"]. *)
+let moved (a : Stats.t) (b : Stats.t) =
+  String.concat "  "
+    (List.filter_map
+       (fun c ->
+         let x = c.Stats.get a and y = c.Stats.get b in
+         if x = y then None
+         else Some (Printf.sprintf "%s %d->%d" c.Stats.name x y))
+       Stats.counters)
+
+(* Both arms per seed, one JSON line each; then one [#] line per (app,
+   threads) cell: the median change over the seeds (negative = arm B is
+   faster), its range, the seeds arm B wins, both arms' abort/commit and
+   every counter whose seed total moved. *)
+let ab_section spec =
+  let token, off, on = Result.get_ok (ab_arms spec) in
+  headline "A/B %s: %s vs %s (%d seeds; simulator, JSON lines)" spec
+    (Config.to_string off) (Config.to_string on) (List.length seeds);
   List.iter
     (fun app ->
-      (* (a) Single-thread A/B under identical seeds: EBR only defers when
-         a freed block returns to the free lists, so commit and user-abort
-         counts must match exactly. *)
-      ignore (ab ~section:"reclaim" app cfg (Config.with_ebr cfg));
-      (* (b) 16-thread leg: limbo depth and epoch traffic under real
-         contention (EBR's extra cycles shift interleavings, so only the
-         +ebr run's own counters are meaningful here). *)
-      let run = run_json ~section:"reclaim" ~nthreads:sim_threads app in
-      let off = run cfg in
-      let on = run (Config.with_ebr cfg) in
-      Printf.printf "# %-14s %d thr: makespan %+5.1f%%  %s\n" app.App.name
-        sim_threads
-        (change ~base:off.Engine.makespan on.Engine.makespan)
-        (show on.Engine.stats
-           [
-             "tx_frees"; "limbo_blocks"; "limbo_words"; "epoch_advances";
-             "reclaim_stalls";
-           ]))
+      List.iter
+        (fun nthreads ->
+          let run = run_json ~section:"ab" [ ("token", str token) ] app ~nthreads in
+          let runs =
+            List.map
+              (fun seed ->
+                let a = run off ~seed and b = run on ~seed in
+                List.iter
+                  (fun (what, applies, holds) ->
+                    if applies off on app nthreads
+                       && not (holds a.Engine.stats b.Engine.stats)
+                    then
+                      failwith
+                        (Printf.sprintf
+                           "ab:%s: %s fails on %s, %s vs %s, %d threads, seed %d"
+                           spec what app.App.name (Config.to_string off)
+                           (Config.to_string on) nthreads seed))
+                  ab_checks;
+                (a, b))
+              seeds
+          in
+          let cost (r : Engine.result) =
+            float_of_int r.makespan
+            /. float_of_int
+                 (if per_commit app nthreads then max 1 r.stats.commits else 1)
+          in
+          let changes =
+            List.map (fun (a, b) -> -.improvement ~base:(cost a) (cost b)) runs
+          in
+          let total arm = Stats.sum (List.map (fun r -> (arm r).Engine.stats) runs) in
+          let sa = total fst and sb = total snd in
+          Printf.printf
+            "# ab:%s %-14s %2d thr  %s %+5.1f%% (%+.1f..%+.1f)  wins %d/%d  \
+             abort/commit %.2f -> %.2f  %s\n%!"
+            spec app.App.name nthreads
+            (if per_commit app nthreads then "cycles/commit" else "makespan")
+            (Ustats.median changes)
+            (List.fold_left min infinity changes)
+            (List.fold_left max neg_infinity changes)
+            (List.length (List.filter (fun c -> c < 0.) changes))
+            (List.length seeds)
+            (Stats.abort_ratio sa) (Stats.abort_ratio sb) (moved sa sb))
+        [ 1; sim_threads ])
     apps
 
 (* ------------------------------------------------------------------ *)
@@ -974,13 +956,14 @@ let () =
   if wants "fig10" then fig10 ();
   if wants "fig11a" then fig11a ();
   if wants "fig11b" then fig11b ();
-  if wants "micro" then micro ();
   if wants "ablation" then ablation ();
-  if wants "fastpath" then fastpath ();
-  if wants "tvalidate" then tvalidate ();
   if wants "contention" then contention ();
   if wants "scale" then scale_section ();
-  if wants "lazyab" then lazyab ();
   if wants "wal" then wal_section ();
-  if wants "reclaim" then reclaim_section ();
+  List.iter ab_section
+    (if !only = [] then [ "fp"; "tv"; "lazy"; "sf" ]
+     else List.filter_map ab_spec !only);
+  (* Last: after Bechamel's sampling loop, every later simulator run
+     grows the OCaml heap for good (one app's A/B: 11M -> 108M words). *)
+  if wants "micro" then micro ();
   Printf.printf "\ndone.\n"

@@ -8,8 +8,6 @@ let dummy = { seq = 0; tid = 0; ev = Txn.Ev_commit }
 
 let create () = { entries = Array.make 1024 dummy; len = 0 }
 
-let clear t = t.len <- 0
-
 let record t ~tid ev =
   if t.len >= Array.length t.entries then begin
     let bigger = Array.make (2 * Array.length t.entries) dummy in
@@ -20,7 +18,6 @@ let record t ~tid ev =
   t.len <- t.len + 1
 
 let length t = t.len
-let get t i = t.entries.(i)
 
 let iter t f =
   for i = 0 to t.len - 1 do

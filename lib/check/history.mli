@@ -12,10 +12,8 @@ type entry = { seq : int; tid : int; ev : Txn.event }
 type t
 
 val create : unit -> t
-val clear : t -> unit
 val record : t -> tid:int -> Txn.event -> unit
 val length : t -> int
-val get : t -> int -> entry
 val iter : t -> (entry -> unit) -> unit
 
 (** [attach t] installs a tracer appending every event to [t];

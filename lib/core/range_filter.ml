@@ -3,7 +3,6 @@ type t = {
   epochs : int array; (* slot is live only if its epoch matches [epoch] *)
   shift : int;
   mutable epoch : int;
-  mutable blocks : int;
 }
 
 let round_pow2 n =
@@ -18,7 +17,6 @@ let create ?(buckets = 4096) () =
     epochs = Array.make b 0;
     shift = 62 - log2 b 0;
     epoch = 1;
-    blocks = 0;
   }
 
 (* Multiplicative hashing via the high product bits (the low bits are
@@ -31,8 +29,7 @@ let insert t ~lo ~hi =
     let s = slot_of t addr in
     t.slots.(s) <- addr;
     t.epochs.(s) <- t.epoch
-  done;
-  t.blocks <- t.blocks + 1
+  done
 
 let live t s = t.epochs.(s) = t.epoch
 
@@ -42,8 +39,7 @@ let remove t ~lo ~hi =
     (* Only clear slots still holding our address: a collision may have
        repurposed the slot for a live block, which must stay marked. *)
     if live t s && t.slots.(s) = addr then t.epochs.(s) <- 0
-  done;
-  if t.blocks > 0 then t.blocks <- t.blocks - 1
+  done
 
 (* Top-level recursion: barrier fast path, must not allocate a closure. *)
 let rec contains_from t hi addr =
@@ -55,10 +51,6 @@ let rec contains_from t hi addr =
 
 let contains t ~lo ~hi = hi > lo && contains_from t hi lo
 
-let size t = t.blocks
-
 (* Emptying the log is a transaction-end operation, so it must be cheap:
    bumping the epoch invalidates every slot in O(1). *)
-let clear t =
-  t.epoch <- t.epoch + 1;
-  t.blocks <- 0
+let clear t = t.epoch <- t.epoch + 1

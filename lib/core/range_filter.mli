@@ -24,7 +24,4 @@ val remove : t -> lo:int -> hi:int -> unit
 (** [contains t ~lo ~hi] checks every word of [\[lo, hi)]. *)
 val contains : t -> lo:int -> hi:int -> bool
 
-val size : t -> int
-(** Live logged blocks (bookkeeping count, not slots). *)
-
 val clear : t -> unit

@@ -57,10 +57,3 @@ let set_shared_by_name name =
   match find name with Some id -> set_shared id | None -> ()
 
 let is_shared_static id = !shared_verdicts.(id)
-
-let captured_sites () =
-  let acc = ref [] in
-  for id = !next - 1 downto 0 do
-    if !verdicts.(id) then acc := !metas.(id).name :: !acc
-  done;
-  !acc

@@ -46,7 +46,6 @@ val set_captured : id -> unit
 val set_captured_by_name : string -> unit
 
 val is_captured_static : id -> bool
-val captured_sites : unit -> string list
 
 (** [set_shared id] records that compiler analysis proved every execution
     of [id] accesses definitely-shared memory (globals), so runtime

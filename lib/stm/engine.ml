@@ -85,13 +85,10 @@ let attach_wal w wal =
   Wal.checkpoint wal ~snapshot:(snapshot w)
 
 let wal w = w.wal
-let reclaim w = w.reclaim
 
 let memory w = w.memory
 let global_arena w = w.global_arena
 let arena_of w i = w.arenas.(i)
-let nthreads w = w.nthreads
-let config w = w.config
 let orecs w = w.orecs
 let clock w = Orec.clock w.orecs
 

@@ -24,20 +24,11 @@ val global_arena : world -> Captured_tmem.Alloc.t
 (** Arena for init-time shared data (single-threaded use only). *)
 
 val arena_of : world -> int -> Captured_tmem.Alloc.t
-val nthreads : world -> int
-val config : world -> Config.t
 val orecs : world -> Orec.t
 
 val clock : world -> int
 (** Current value of the world's global version clock (0 until the first
     writing commit under [Config.tvalidate]). *)
-
-val reclaim : world -> Reclaim.shared
-(** The world's epoch-based-reclamation state (always allocated; only
-    linked into threads when [Config.ebr] is set).  Both runners flush
-    every limbo list at end of run — after fibers complete / domains
-    join, a provably quiescent point — so results and post-run
-    checkpoints see exact allocator parity with a no-EBR run. *)
 
 (** {2 Durable transactions} *)
 
@@ -55,10 +46,6 @@ val checkpoint : world -> unit
     [Fault.Crash_mid_checkpoint] fault this tears the checkpoint record
     and raises {!Wal.Crashed} — recovery must fall back to the previous
     checkpoint. *)
-
-val snapshot : world -> int array
-(** Encoded snapshot of memory + arenas ([global; per-thread...] order),
-    without touching the WAL. *)
 
 type result = {
   per_thread : Stats.t array;

@@ -126,73 +126,3 @@ let rate = function
   | Torn_wal_record | Torn_tail_replayed -> 20
   | Premature_reuse -> 50
 
-let describe = function
-  | Skip_validation ->
-      "read-set validation always reports success; per-read timestamp \
-       checks are skipped (lost updates slip through)"
-  | Blind_rescue ->
-      "validation rescues a read whose orec moved without checking that \
-       memory still holds the logged value (a commit to the very word read \
-       passes as a line-mate's)"
-  | Stale_read ->
-      "a read barrier occasionally opens a window between value load and \
-       version log and trusts the post-window version (TOCTOU: a stale \
-       value can pass commit validation)"
-  | Delayed_unlock ->
-      "a writing commit occasionally burns extra cycles before releasing \
-       its orecs (waiters spin out and self-abort; correctness is \
-       unaffected)"
-  | Spurious_abort ->
-      "barriers occasionally raise a conflict out of thin air (retry \
-       machinery must absorb it)"
-  | Alloc_log_drop ->
-      "transactional allocations are occasionally left out of the capture \
-       log (elision lost, accesses fall back to full barriers — the \
-       conservative direction)"
-  | Clock_stall ->
-      "a writing commit occasionally stamps its orecs with an un-advanced \
-       clock value (under +tv, O(1) snapshot checks wrongly accept lines \
-       changed since the snapshot)"
-  | Redo_drop ->
-      "a lazy-mode write barrier occasionally loses its store on the way \
-       into the redo buffer (the transaction commits without it — lost \
-       update; only fires under +lazy)"
-  | Publish_partial ->
-      "a lazy-mode writer commit occasionally publishes only the first \
-       half of its redo log but still releases every orec with a fresh \
-       version (the unpublished tail is silently lost; only fires under \
-       +lazy)"
-  | Crash_pre_commit ->
-      "the process occasionally dies at commit entry, before any orec is \
-       acquired or any WAL record written (recovery must show none of \
-       the transaction's effects; only fires under +wal)"
-  | Crash_mid_publish ->
-      "the process occasionally dies halfway through writing back the \
-       redo log (lazy) or after in-place stores but before the WAL \
-       append (eager) — memory holds a partial/unlogged transaction that \
-       recovery must discard (only fires under +wal)"
-  | Crash_post_publish ->
-      "the process occasionally dies right after the commit record is \
-       fsynced and the commit acknowledged, before orecs are released \
-       (recovery must replay the acknowledged transaction; only fires \
-       under +wal)"
-  | Crash_mid_checkpoint ->
-      "the process dies halfway through writing a checkpoint record \
-       (recovery must ignore the torn checkpoint and fall back to the \
-       previous one plus the un-truncated log; fires at every \
-       checkpoint under +wal)"
-  | Torn_wal_record ->
-      "an fsync occasionally tears mid-record: a byte prefix of the \
-       commit record reaches the log and the process dies (recovery \
-       must detect the torn tail via checksum/length framing and drop \
-       it; only fires under +wal)"
-  | Torn_tail_replayed ->
-      "torn-wal-record's tear, with recovery seeded to replay the torn \
-       tail record as if it were whole (the recovery oracle's self-test: \
-       it must flag the result; only fires under +wal)"
-  | Premature_reuse ->
-      "a commit-time deferred free occasionally skips the grace period \
-       and returns its block to the arena free lists immediately, so the \
-       next same-class allocation recarves it while stale readers may \
-       still hold pointers in (use-after-free the oracle must flag; only \
-       fires under +ebr)"

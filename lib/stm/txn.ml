@@ -325,8 +325,6 @@ let innermost tx =
   | s :: _ -> s
   | [] -> invalid_arg "Txn: no active scope"
 
-let depth tx = List.length tx.scopes
-
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 

@@ -87,8 +87,6 @@ val abort : tx -> 'a
     [TM_RESTART]). *)
 val restart : tx -> 'a
 
-val depth : tx -> int
-
 (** {2 Barriers} *)
 
 (** [read_at ~site tx addr] — transactional load.  [site] identifies the

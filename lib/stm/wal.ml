@@ -244,7 +244,6 @@ type t = {
   mutable pending_records : int;
   mutable last_record_bytes : int;
   mutable appended_bytes : int;  (* total ever serialized *)
-  mutable records : int;  (* total records ever appended *)
   mutable crashed : bool;
   dir : string option;
   mutex : Mutex.t;
@@ -272,7 +271,6 @@ let create ?(group = 4) ?dir () =
     pending_records = 0;
     last_record_bytes = 0;
     appended_bytes = 0;
-    records = 0;
     crashed = false;
     dir;
     mutex = Mutex.create ();
@@ -323,7 +321,6 @@ let append_unlocked t ~group_commit r =
     Buffer.add_bytes t.pending b;
     t.last_record_bytes <- Bytes.length b;
     t.appended_bytes <- t.appended_bytes + Bytes.length b;
-    t.records <- t.records + 1;
     t.pending_records <- t.pending_records + 1;
     let syncing = group_commit && t.pending_records >= t.group in
     if syncing then sync_unlocked t;
@@ -376,7 +373,6 @@ let checkpoint t ~snapshot =
       let b = encode_record r in
       Buffer.clear t.durable;
       Buffer.add_bytes t.durable b;
-      t.records <- t.records + 1;
       t.appended_bytes <- t.appended_bytes + Bytes.length b;
       file_rewrite t)
 
@@ -394,13 +390,10 @@ let checkpoint_torn t ~snapshot =
 
 let group t = t.group
 let pending_records t = t.pending_records
-let seq t = t.seq
 let synced_seq t = t.synced_seq
 let synced_raws t = t.synced_raws
 let log_bytes t = Buffer.length t.durable
 let appended_bytes t = t.appended_bytes
-let records t = t.records
-let crashed t = t.crashed
 let contents t = locked t (fun () -> Buffer.to_bytes t.durable)
 
 (* ------------------------------------------------------------------ *)

@@ -112,9 +112,6 @@ val crash_torn : t -> cut:int -> unit
 val group : t -> int
 val pending_records : t -> int
 
-val seq : t -> int
-(** Commit records appended so far (including unsynced). *)
-
 val synced_seq : t -> int
 (** Highest *acknowledged* commit seq: recovery must never lose a
     commit [<= synced_seq]. *)
@@ -127,8 +124,6 @@ val log_bytes : t -> int
 val appended_bytes : t -> int
 (** Total bytes ever serialized (monotone; the WAL-volume metric). *)
 
-val records : t -> int
-val crashed : t -> bool
 val contents : t -> Bytes.t
 
 (** {1 Recovery} *)

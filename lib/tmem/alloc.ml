@@ -145,7 +145,6 @@ let live_blocks t = t.live_blocks
 let live_words t = t.live_words
 let mem t = t.memory
 let base t = t.base
-let words t = t.limit - t.base
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / recovery support (durable transactions)                 *)

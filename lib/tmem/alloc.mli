@@ -75,7 +75,6 @@ val owns : t -> Memory.addr -> bool
 
 val mem : t -> Memory.t
 val base : t -> Memory.addr
-val words : t -> int
 
 (** {2 Checkpoint / recovery support}
 

@@ -135,5 +135,4 @@ let decode words =
   | snap -> Ok snap
   | exception Failure msg -> Error msg
 
-let mem_words t = t.mem_words
 let live_cells t = Array.length t.cells

@@ -25,5 +25,4 @@ val encode : t -> int array
     out-of-range input. *)
 val decode : int array -> (t, string) result
 
-val mem_words : t -> int
 val live_cells : t -> int

@@ -30,4 +30,3 @@ let restore t f =
 let in_live_range t ~from_sp addr size =
   addr >= t.sp && addr + size <= from_sp
 
-let mem t = t.memory

@@ -35,4 +35,3 @@ val in_live_range : t -> from_sp:Memory.addr -> Memory.addr -> int -> bool
     This is the paper's [is_captured_on_stack] with [from_sp] playing
     [start_sp]. *)
 
-val mem : t -> Memory.t

@@ -305,9 +305,6 @@ let analyze ?(inline_depth = 5) program =
 
 let verdicts r = r.list
 
-let captured_sites r =
-  List.filter_map (fun v -> if v.captured then Some v.site else None) r.list
-
 let apply r =
   List.iter
     (fun v ->

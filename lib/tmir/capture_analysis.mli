@@ -36,8 +36,6 @@ val analyze : ?inline_depth:int -> Ir.program -> result
 
 val verdicts : result -> verdict list
 
-val captured_sites : result -> string list
-
 (** [apply result] loads every captured and definitely-shared verdict
     into the global {!Captured_core.Site} table (after a
     [Site.reset_verdicts]). *)
