@@ -46,8 +46,7 @@ let report_json (r : Harness.report) union =
           (json_escape (Strategy.interventions_to_string f.Harness.minimized)))
 
 let sweep workloads_csv apps_csv nthreads modes_csv
-    strategies_csv runs seed max_steps persist pct_depth dfs_preemptions
-    min_distinct faults_csv json =
+    strategies_csv runs seed max_steps min_distinct faults_csv json =
   let runs = if runs = 0 then 400 else runs in
   let ( let* ) = Result.bind in
   let rec all f = function
@@ -71,9 +70,9 @@ let sweep workloads_csv apps_csv nthreads modes_csv
     let* strategies =
       resolve ~what:"strategy" ~known:"random, pct, dfs"
         (function
-          | "random" -> Some (Strategy.Random { persist })
-          | "pct" -> Some (Strategy.Pct { depth = pct_depth })
-          | "dfs" -> Some (Strategy.Dfs { preemptions = dfs_preemptions })
+          | "random" -> Some Strategy.Random
+          | "pct" -> Some Strategy.Pct
+          | "dfs" -> Some Strategy.Dfs
           | _ -> None)
         strategies_csv
     in
@@ -202,7 +201,13 @@ let modes_arg =
     & info [ "modes" ] ~docv:"NAMES" ~doc)
 
 let strategies_arg =
-  let doc = "Exploration strategies: random, pct, dfs." in
+  let doc =
+    Printf.sprintf
+      "Exploration strategies: random (a random walk keeping the running \
+       thread %d%% of the time), pct (bug depth %d), dfs (at most %d \
+       preemptions)."
+      Strategy.persist Strategy.pct_depth Strategy.dfs_preemptions
+  in
   Arg.(
     value
     & opt string "random,pct,dfs"
@@ -222,18 +227,6 @@ let seed_arg =
 let max_steps_arg =
   let doc = "Scheduler decision budget per run before truncation." in
   Arg.(value & opt int 200_000 & info [ "max-steps" ] ~docv:"N" ~doc)
-
-let persist_arg =
-  let doc = "Random walk: percent chance to keep running at consume points." in
-  Arg.(value & opt int 85 & info [ "persist" ] ~docv:"PCT" ~doc)
-
-let pct_depth_arg =
-  let doc = "PCT bug depth d (d - 1 priority-change points)." in
-  Arg.(value & opt int 3 & info [ "pct-depth" ] ~docv:"N" ~doc)
-
-let dfs_preemptions_arg =
-  let doc = "DFS preemption bound." in
-  Arg.(value & opt int 2 & info [ "dfs-preemptions" ] ~docv:"N" ~doc)
 
 let min_distinct_arg =
   let doc =
@@ -299,7 +292,7 @@ let cmd =
     Term.(
       ret
         (const sweep $ workloads_arg $ apps_arg $ threads_arg $ modes_arg
-       $ strategies_arg $ runs_arg $ seed_arg $ max_steps_arg $ persist_arg $ pct_depth_arg $ dfs_preemptions_arg $ min_distinct_arg
+       $ strategies_arg $ runs_arg $ seed_arg $ max_steps_arg $ min_distinct_arg
        $ fault_arg $ json_arg))
 
 let () = exit (Cmd.eval cmd)

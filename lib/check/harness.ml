@@ -319,15 +319,16 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
         end
   in
   (match strategy with
-  | Strategy.Random { persist } ->
+  | Strategy.Random ->
       for i = 0 to runs - 1 do
         let r =
           run_one ~workload ~config ~seed ~max_steps
-            (Strategy.random_control ~seed:(seed + (7919 * i)) ~persist)
+            (Strategy.random_control ~seed:(seed + (7919 * i))
+               ~persist:Strategy.persist)
         in
         note r (Strategy.interventions r.trace)
       done
-  | Strategy.Pct { depth } ->
+  | Strategy.Pct ->
       (* One default-policy probe estimates the schedule length PCT
          samples its priority-change points over. *)
       let probe =
@@ -340,19 +341,21 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
         let r =
           run_one ~workload ~config ~seed ~max_steps
             (Strategy.pct_control ~seed:(seed + (7919 * i))
-               ~nthreads:workload.Workloads.nthreads ~depth ~length)
+               ~nthreads:workload.Workloads.nthreads ~depth:Strategy.pct_depth
+               ~length)
         in
         note r (Strategy.interventions r.trace)
       done
-  | Strategy.Dfs { preemptions } ->
+  | Strategy.Dfs ->
       ignore
         (dfs_explore ~workload ~config ~seed ~max_steps
-           ~bound:preemptions ~budget:runs ~note:(fun r p -> note r p)
+           ~bound:Strategy.dfs_preemptions ~budget:runs
+           ~note:(fun r p -> note r p)
           : int));
   {
     workload = workload.Workloads.name;
     config = Config.to_string config;
-    strategy = Strategy.kind_name strategy;
+    strategy = Strategy.name strategy;
     runs = !ran;
     distinct = !distinct;
     truncated = !truncated;

@@ -82,7 +82,7 @@ type report = {
 val explore :
   workload:Workloads.t ->
   config:Config.t ->
-  strategy:Strategy.kind ->
+  strategy:Strategy.t ->
   ?runs:int ->
   ?seed:int ->
   ?max_steps:int ->
@@ -119,7 +119,7 @@ val world_seeds : seed:int -> Config.t -> int list
 val run_cell :
   ?max_steps:int ->
   ?on_report:(report -> union:int -> unit) ->
-  strategies:Strategy.kind list ->
+  strategies:Strategy.t list ->
   runs:int ->
   seed:int ->
   workload:Workloads.t ->

@@ -1,15 +1,13 @@
 module Sched = Captured_sim.Sched
 module Prng = Captured_util.Prng
 
-type kind =
-  | Random of { persist : int }
-  | Pct of { depth : int }
-  | Dfs of { preemptions : int }
+type t = Random | Pct | Dfs
 
-let kind_name = function
-  | Random _ -> "random"
-  | Pct _ -> "pct"
-  | Dfs _ -> "dfs"
+let persist = 85
+let pct_depth = 3
+let dfs_preemptions = 2
+
+let name = function Random -> "random" | Pct -> "pct" | Dfs -> "dfs"
 
 let mem ready id = Array.exists (fun x -> x = id) ready
 

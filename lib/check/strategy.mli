@@ -8,18 +8,29 @@
 
 module Sched = Captured_sim.Sched
 
-type kind =
-  | Random of { persist : int }
-      (** Seeded random walk; [persist]% chance to keep running at each
+type t =
+  | Random
+      (** Seeded random walk; {!persist}% chance to keep running at each
           consume point. *)
-  | Pct of { depth : int }
-      (** PCT-style priority scheduling with [depth - 1] priority-change
-          points (detects bugs of preemption depth [depth]). *)
-  | Dfs of { preemptions : int }
+  | Pct
+      (** PCT-style priority scheduling with [pct_depth - 1]
+          priority-change points (detects bugs of preemption depth
+          {!pct_depth}). *)
+  | Dfs
       (** Bounded exhaustive search: every schedule reachable with at
-          most [preemptions] preemptions at consume points. *)
+          most {!dfs_preemptions} preemptions at consume points. *)
 
-val kind_name : kind -> string
+val persist : int
+(** The random walk's percent chance to keep the running fiber at a
+    consume point. *)
+
+val pct_depth : int
+(** The bug depth PCT targets. *)
+
+val dfs_preemptions : int
+(** The DFS preemption bound. *)
+
+val name : t -> string
 
 (** {2 Trace recording} *)
 

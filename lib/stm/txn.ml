@@ -80,11 +80,8 @@ type thread = {
   (* +fp site tier: per-site hit windows deciding which sites skip the
      capture check (thread-owned; sized from the sites declared so far). *)
   site_tier : Site_tier.t;
-  mutable active : tx option;
-}
-
-and tx = {
-  thread : thread;
+  (* The transaction descriptor: the logs below are reset by every
+     top-level begin and reused across attempts. *)
   (* read set: distinct orecs with the word observed first, indexed by
      orec in [read_index]; beside each, the address and value last read
      under that orec (read-after-read forwarding, [full_read]), and 1 in
@@ -108,22 +105,27 @@ and tx = {
   (* Write-after-write filter: addresses already undo-logged (or, lazily,
      journalled) in the current scope, one word each ([waw_note]). *)
   waw : Range_filter.t;
-  (* Redo buffer (lazy versioning): buffered writes live here until
+  (* Redo buffer (lazy versioning): buffered writes stay here until
      commit publishes them.  Always allocated (small); stays empty in
      eager mode.  In lazy mode the undo log above is
      repurposed as a journal of overwritten *buffer* values — memory is
      never written before commit, so there is nothing to undo there. *)
   redo : Redo.t;
   top_capture_log : Alloc_log.t option; (* reused by the top-level scope *)
-  top_audit_log : Alloc_log.t option;
-  mutable scopes : scope list; (* innermost first; non-empty while live *)
-  mutable live : bool;
+  (* Innermost first.  A transaction runs exactly while this is
+     non-empty: [begin_top] pushes the top scope, commit and top-level
+     abort empty it. *)
+  mutable scopes : scope list;
   (* Zombie-guard fuel left this attempt (see [burn_fuel]). *)
   mutable fuel : int;
   (* Snapshot timestamp (Global clock): the read set is known consistent
      at the instant the global clock held this value. *)
   mutable start_ts : int;
 }
+
+(* A transaction is its thread's own descriptor; txn.mli keeps the two
+   types apart, so callers still cannot pass one for the other. *)
+and tx = thread
 
 and scope = {
   start_sp : Memory.addr;
@@ -132,12 +134,12 @@ and scope = {
      mark are this scope's fresh inserts, dropped on partial abort. *)
   redo_mark : int;
   capture_log : Alloc_log.t option;
-  audit_log : Alloc_log.t option;
   (* Speculative allocations and deferred frees as grow-only parallel int
      arrays, oldest-first — list conses here would make [alloc]/[free]
      allocate on the OCaml heap inside the barrier-free fast path.  All
      newest-first effects (rollback freeing, deferred-free execution, the
-     [unlog_alloc] scan) walk the arrays [downto]. *)
+     [unlog_alloc] scan) walk the arrays [downto].  The allocations are
+     also the scope's audit-mode record ([audit_classify]). *)
   mutable alloc_addrs : int array;
   mutable alloc_sizes : int array;
   mutable n_allocs : int;
@@ -147,6 +149,15 @@ and scope = {
 
 (* ------------------------------------------------------------------ *)
 (* Thread construction                                                 *)
+
+(* A scope's fresh capture log (runtime heap checks only). *)
+let new_capture_log (cfg : Config.t) =
+  match cfg.analysis with
+  | Config.Runtime backend when cfg.scope.Config.check_heap ->
+      Some
+        (Alloc_log.create ~array_capacity:cfg.array_capacity
+           ~fastpath:cfg.fastpath backend)
+  | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
 
 let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     ?wal ?reclaim_shared ~seed () =
@@ -174,7 +185,27 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
          | None -> None
        else None);
     site_tier = Site_tier.create ~sites:(Site.count ());
-    active = None;
+    read_orecs = Array.make 64 0;
+    read_words = Array.make 64 0;
+    read_addrs = Array.make 64 0;
+    read_vals = Array.make 64 0;
+    read_multi = Array.make 64 0;
+    n_reads = 0;
+    read_index = Int_map.create ();
+    undo_addrs = Array.make 64 0;
+    undo_vals = Array.make 64 0;
+    n_undo = 0;
+    acq_orecs = Array.make 16 0;
+    acq_prev = Array.make 16 0;
+    n_acq = 0;
+    (* 1024 buckets: the collision pattern decides which rewrites get a
+       redundant undo entry, and undo entries are charged cycles. *)
+    waw = Range_filter.create ~buckets:1024 ();
+    redo = Redo.create ();
+    top_capture_log = new_capture_log config;
+    scopes = [];
+    fuel = 0;
+    start_ts = 0;
   }
 
 (* A full (SC) fence: an SC read-modify-write on a thread-private atomic
@@ -233,7 +264,7 @@ let push_undo tx addr value =
   Array.unsafe_set tx.undo_addrs n addr;
   Array.unsafe_set tx.undo_vals n value;
   tx.n_undo <- n + 1;
-  tx.thread.stats.undo_entries <- tx.thread.stats.undo_entries + 1
+  tx.stats.undo_entries <- tx.stats.undo_entries + 1
 
 let push_acq tx oi prev =
   let n = tx.n_acq in
@@ -276,54 +307,10 @@ let push_dfree scope addr =
   scope.dfree_addrs.(n) <- addr;
   scope.n_dfrees <- n + 1
 
-(* ------------------------------------------------------------------ *)
-(* Transaction object (one per thread, reused across transactions)     *)
-
-(* A scope's fresh capture log (runtime heap checks only) and audit
-   log (audit mode only). *)
-let new_capture_log (cfg : Config.t) =
-  match cfg.analysis with
-  | Config.Runtime backend when cfg.scope.Config.check_heap ->
-      Some
-        (Alloc_log.create ~array_capacity:cfg.array_capacity
-           ~fastpath:cfg.fastpath backend)
-  | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
-
-let new_audit_log (cfg : Config.t) =
-  if cfg.audit then Some (Alloc_log.create Alloc_log.Tree) else None
-
-let make_tx th =
-  {
-    thread = th;
-    read_orecs = Array.make 64 0;
-    read_words = Array.make 64 0;
-    read_addrs = Array.make 64 0;
-    read_vals = Array.make 64 0;
-    read_multi = Array.make 64 0;
-    n_reads = 0;
-    read_index = Int_map.create ();
-    undo_addrs = Array.make 64 0;
-    undo_vals = Array.make 64 0;
-    n_undo = 0;
-    acq_orecs = Array.make 16 0;
-    acq_prev = Array.make 16 0;
-    n_acq = 0;
-    (* 1024 buckets: the collision pattern decides which rewrites get a
-       redundant undo entry, and undo entries are charged cycles. *)
-    waw = Range_filter.create ~buckets:1024 ();
-    redo = Redo.create ();
-    top_capture_log = new_capture_log th.config;
-    top_audit_log = new_audit_log th.config;
-    scopes = [];
-    live = false;
-    fuel = 0;
-    start_ts = 0;
-  }
-
 let innermost tx =
   match tx.scopes with
   | s :: _ -> s
-  | [] -> invalid_arg "Txn: no active scope"
+  | [] -> invalid_arg "Txn: no open scope"
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -338,7 +325,7 @@ let read_entry_valid th oi word = Orec.get th.orecs oi = word
 (* An attempt that has acquired nothing owns nothing, which spares
    read-only prefixes the orec load. *)
 let owns tx oi =
-  tx.n_acq > 0 && Orec.get tx.thread.orecs oi = tx.thread.lock_word
+  tx.n_acq > 0 && Orec.get tx.orecs oi = tx.lock_word
 
 let charge_validation th cost =
   th.platform.consume cost;
@@ -411,10 +398,12 @@ let wal_raw th addr value =
 (* Top-level recursion: a local [let rec] would close over the tx and
    allocate on every validation (which [burn_fuel] runs from the
    barrier path). *)
-let rec reads_valid th orecs words n k =
-  k >= n
-  || (read_entry_valid th (Array.unsafe_get orecs k) (Array.unsafe_get words k)
-     && reads_valid th orecs words n (k + 1))
+let rec reads_valid tx k =
+  k >= tx.n_reads
+  || read_entry_valid tx
+       (Array.unsafe_get tx.read_orecs k)
+       (Array.unsafe_get tx.read_words k)
+     && reads_valid tx (k + 1)
 
 (* Value-checked rescue of read-log entry [k], whose orec moved.  The
    four words of an array line share an orec, and the hash aliases
@@ -432,25 +421,24 @@ let rec reads_valid th orecs words n k =
    last pair, and the line-mate commit may have changed an earlier
    one. *)
 let rescue_entry tx k ~upto =
-  let th = tx.thread in
   let oi = Array.unsafe_get tx.read_orecs k in
-  let w = Orec.get th.orecs oi in
+  let w = Orec.get tx.orecs oi in
   (not (Orec.is_locked w))
   && Array.unsafe_get tx.read_multi k = 0
-  && (match th.clock with
+  && (match tx.clock with
      | Scan -> true
      | Global -> Orec.version_of w <= upto)
-  && (if Config.has_fault th.config Fault.Blind_rescue then begin
+  && (if Config.has_fault tx.config Fault.Blind_rescue then begin
         (* Injected fault (checker self-test): adopt without looking. *)
-        th.stats.faults_injected <- th.stats.faults_injected + 1;
+        tx.stats.faults_injected <- tx.stats.faults_injected + 1;
         true
       end
       else
-        let v = mem_get th (Array.unsafe_get tx.read_addrs k) in
-        Orec.get th.orecs oi = w && v = Array.unsafe_get tx.read_vals k)
+        let v = mem_get tx (Array.unsafe_get tx.read_addrs k) in
+        Orec.get tx.orecs oi = w && v = Array.unsafe_get tx.read_vals k)
   && begin
        Array.unsafe_set tx.read_words k w;
-       th.stats.value_rescues <- th.stats.value_rescues + 1;
+       tx.stats.value_rescues <- tx.stats.value_rescues + 1;
        true
      end
 
@@ -460,7 +448,7 @@ let rescue_entry tx k ~upto =
 let rec rescue_scan tx ~upto k rescued =
   if k >= tx.n_reads then rescued
   else if
-    read_entry_valid tx.thread
+    read_entry_valid tx
       (Array.unsafe_get tx.read_orecs k)
       (Array.unsafe_get tx.read_words k)
   then rescue_scan tx ~upto (k + 1) rescued
@@ -477,13 +465,12 @@ let rec rescue_scan tx ~upto k rescued =
    checks.  [upto] bounds rescued versions under the Global clock
    ([rescue_entry]); Scan ignores it. *)
 let validate tx ~upto =
-  let th = tx.thread in
-  th.stats.validations <- th.stats.validations + 1;
-  charge_validation th (Costs.validate_per_read * tx.n_reads);
+  tx.stats.validations <- tx.stats.validations + 1;
+  charge_validation tx (Costs.validate_per_read * tx.n_reads);
   (* Injected fault (checker self-test): report success without looking. *)
-  (Config.has_fault th.config Fault.Skip_validation
+  (Config.has_fault tx.config Fault.Skip_validation
   && begin
-       th.stats.faults_injected <- th.stats.faults_injected + 1;
+       tx.stats.faults_injected <- tx.stats.faults_injected + 1;
        true
      end)
   ||
@@ -491,10 +478,10 @@ let validate tx ~upto =
   rescued = 0
   || rescued > 0
      && begin
-          charge_validation th
+          charge_validation tx
             ((rescued * (Costs.validate_per_read + Costs.direct_access))
             + (Costs.validate_per_read * tx.n_reads));
-          reads_valid th tx.read_orecs tx.read_words tx.n_reads 0
+          reads_valid tx 0
         end
 
 (* Snapshot extension (lazy snapshot algorithm, Global clock only): a
@@ -504,10 +491,9 @@ let validate tx ~upto =
    at the sample" — and the sample becomes the new [start_ts] instead of
    the attempt aborting. *)
 let extend_snapshot tx =
-  let th = tx.thread in
-  let now = Orec.clock th.orecs in
-  th.stats.snapshot_extensions <- th.stats.snapshot_extensions + 1;
-  charge_validation th Costs.snapshot_extend;
+  let now = Orec.clock tx.orecs in
+  tx.stats.snapshot_extensions <- tx.stats.snapshot_extensions + 1;
+  charge_validation tx Costs.snapshot_extend;
   if not (validate tx ~upto:now) then raise Retry_conflict;
   tx.start_ts <- now
 
@@ -516,12 +502,11 @@ let extend_snapshot tx =
    cannot have been invalidated.  Scan has no global instant to compare
    against, so the guard is a full validation. *)
 let revalidate tx =
-  let th = tx.thread in
-  match th.clock with
+  match tx.clock with
   | Global ->
-      charge_validation th Costs.tvalidate_check;
-      if Orec.clock th.orecs > tx.start_ts then extend_snapshot tx
-      else th.stats.validations_skipped <- th.stats.validations_skipped + 1
+      charge_validation tx Costs.tvalidate_check;
+      if Orec.clock tx.orecs > tx.start_ts then extend_snapshot tx
+      else tx.stats.validations_skipped <- tx.stats.validations_skipped + 1
   | Scan -> if not (validate tx ~upto:tx.start_ts) then raise Retry_conflict
 
 (* Validation fuel: the one bound on un-revalidated execution.  Every
@@ -533,9 +518,8 @@ let revalidate tx =
 let burn_fuel tx =
   tx.fuel <- tx.fuel - 1;
   if tx.fuel = 0 then begin
-    let th = tx.thread in
     tx.fuel <- Costs.fuel_budget;
-    th.stats.fuel_exhaustions <- th.stats.fuel_exhaustions + 1;
+    tx.stats.fuel_exhaustions <- tx.stats.fuel_exhaustions + 1;
     revalidate tx
   end
 
@@ -546,9 +530,8 @@ let burn_fuel tx =
    the program's own and propagates; if not, it is phantom fallout —
    silently abort and retry. *)
 let sandbox_bounds tx addr =
-  let th = tx.thread in
-  if addr < 1 || addr >= Memory.size th.memory then begin
-    th.stats.sandbox_bounds <- th.stats.sandbox_bounds + 1;
+  if addr < 1 || addr >= Memory.size tx.memory then begin
+    tx.stats.sandbox_bounds <- tx.stats.sandbox_bounds + 1;
     if validate tx ~upto:tx.start_ts then
       invalid_arg (Printf.sprintf "Txn: address %d outside memory" addr)
     else raise Retry_conflict
@@ -649,18 +632,17 @@ let private_check th addr size cost =
    heap elision, or [keep_code]; either way the cost is [cost] plus what
    the checks charged. *)
 let capture_check tx addr size ~cost =
-  let th = tx.thread in
-  let sc = th.config.Config.scope in
+  let sc = tx.config.Config.scope in
   let scope = innermost tx in
   if
     sc.check_stack
-    && Tstack.in_live_range th.stack ~from_sp:scope.start_sp addr size
+    && Tstack.in_live_range tx.stack ~from_sp:scope.start_sp addr size
   then elision ~cls:elide_stack_code ~cost:(cost + Costs.stack_check)
   else begin
     let cost = if sc.check_stack then cost + Costs.stack_check else cost in
     match scope.capture_log with
     | Some log when sc.check_heap ->
-        let r = heap_capture_check th log ~lo:addr ~hi:(addr + size) in
+        let r = heap_capture_check tx log ~lo:addr ~hi:(addr + size) in
         let cost = cost + (r lsr 1) in
         elision ~cls:(if r land 1 = 1 then elide_heap_code else keep_code) ~cost
     | Some _ | None -> elision ~cls:keep_code ~cost
@@ -672,24 +654,23 @@ let capture_check tx addr size ~cost =
    barrier.  That is sound because the full barrier is correct for any
    address, captured or not (see [free] for the one hazard it had). *)
 let try_elide tx addr size ~site ~is_write =
-  let th = tx.thread in
-  let cfg = th.config in
+  let cfg = tx.config in
   match cfg.analysis with
   | Config.Compiler ->
       if Site.is_captured_static site then
         elision ~cls:elide_static_code ~cost:0
-      else private_check th addr size 0
-  | Config.Baseline -> private_check th addr size 0
+      else private_check tx addr size 0
+  | Config.Baseline -> private_check tx addr size 0
   | Config.Runtime _ ->
       let sc = cfg.scope in
       let applies =
         (if is_write then sc.on_writes else sc.on_reads)
         && not (cfg.static_filter && Site.is_shared_static site)
       in
-      if not applies then private_check th addr size 0
-      else if cfg.fastpath && Site_tier.bypass th.site_tier site then begin
-        th.stats.capture_site_bypasses <- th.stats.capture_site_bypasses + 1;
-        private_check th addr size Costs.site_check
+      if not applies then private_check tx addr size 0
+      else if cfg.fastpath && Site_tier.bypass tx.site_tier site then begin
+        tx.stats.capture_site_bypasses <- tx.stats.capture_site_bypasses + 1;
+        private_check tx addr size Costs.site_check
       end
       else begin
         let e =
@@ -697,26 +678,29 @@ let try_elide tx addr size ~site ~is_write =
             ~cost:(if cfg.fastpath then Costs.site_check else 0)
         in
         let captured = elision_class e <> keep_code in
-        if cfg.fastpath then Site_tier.record th.site_tier site ~hit:captured;
-        if captured then e else private_check th addr size (elision_cost e)
+        if cfg.fastpath then Site_tier.record tx.site_tier site ~hit:captured;
+        if captured then e else private_check tx addr size (elision_cost e)
       end
 
-(* Audit-mode classification for Figure 8: a precise tree + the stack check
-   decide captured-ness; [manual] sites are the paper's "required"
-   estimate. *)
+(* Does a block the scope allocated (entries [0..k]) contain [lo, hi)? *)
+let rec allocated_in scope ~lo ~hi k =
+  k >= 0
+  && ((scope.alloc_addrs.(k) <= lo
+      && hi <= scope.alloc_addrs.(k) + scope.alloc_sizes.(k))
+     || allocated_in scope ~lo ~hi (k - 1))
+
+(* Audit-mode classification for Figure 8: the scope's own allocation
+   record + the stack check decide captured-ness; [manual] sites are the
+   paper's "required" estimate. *)
 let audit_classify tx addr size ~site ~is_write =
-  let th = tx.thread in
   let scope = innermost tx in
-  let st = th.stats in
+  let st = tx.stats in
   let on_stack =
-    Tstack.in_live_range th.stack ~from_sp:scope.start_sp addr size
+    Tstack.in_live_range tx.stack ~from_sp:scope.start_sp addr size
   in
   let on_heap =
     (not on_stack)
-    &&
-    match scope.audit_log with
-    | Some log -> Alloc_log.contains log ~lo:addr ~hi:(addr + size)
-    | None -> false
+    && allocated_in scope ~lo:addr ~hi:(addr + size) (scope.n_allocs - 1)
   in
   let manual = (Site.meta site).Site.manual in
   if Site.is_captured_static site && not (on_stack || on_heap) then
@@ -758,25 +742,24 @@ let spin_on_lock th w spins =
    fresh), probed once by [full_read]: only this thread adds entries, and
    nothing in the loop does before it returns. *)
 let rec full_read_loop tx oi addr logged spins =
-  let th = tx.thread in
-  let w1 = Orec.get th.orecs oi in
+  let w1 = Orec.get tx.orecs oi in
   if Orec.is_locked w1 then begin
-    spin_on_lock th w1 spins;
+    spin_on_lock tx w1 spins;
     full_read_loop tx oi addr logged (spins + 1)
   end
   else begin
-    let v = mem_get th addr in
+    let v = mem_get tx addr in
     (* Debug mode: pin the data load before the confirming orec load even
        under a hypothetically weaker model (see Config.fences). *)
-    if th.config.Config.fences then fence th;
-    if logged < 0 && fault_fires th Fault.Stale_read then begin
+    if tx.config.Config.fences then fence tx;
+    if logged < 0 && fault_fires tx Fault.Stale_read then begin
       (* Injected TOCTOU: open a scheduling window after the value load,
          then log whatever version the orec holds on the other side —
          skipping the w1=w2 sandwich and the +tv snapshot check.  If a
          commit lands in the window, [v] is stale yet the logged word is
          current, so commit-time validation passes a broken snapshot. *)
-      th.platform.consume 1;
-      let w2 = Orec.get th.orecs oi in
+      tx.platform.consume 1;
+      let w2 = Orec.get tx.orecs oi in
       if Orec.is_locked w2 then full_read_loop tx oi addr logged (spins + 1)
       else begin
         push_read tx oi w2 addr v;
@@ -784,7 +767,7 @@ let rec full_read_loop tx oi addr logged spins =
       end
     end
     else begin
-    let w2 = Orec.get th.orecs oi in
+    let w2 = Orec.get tx.orecs oi in
     if w1 = w2 then begin
       (* Dedup: log each orec once; observing a *different* version than
          first logged is already a conflict.  The entry's forwarding pair
@@ -812,13 +795,13 @@ let rec full_read_loop tx oi addr logged spins =
            [start_ts] instead of logging the pre-extension pair. *)
         let ts = Orec.version_of w1 in
         let newer =
-          match th.clock with
+          match tx.clock with
           | Scan -> false
           | Global ->
-              charge_validation th Costs.ts_read_check;
+              charge_validation tx Costs.ts_read_check;
               ts > tx.start_ts
         in
-        if newer && not (Config.has_fault th.config Fault.Skip_validation)
+        if newer && not (Config.has_fault tx.config Fault.Skip_validation)
         then begin
           extend_snapshot tx;
           full_read_loop tx oi addr logged spins
@@ -834,18 +817,17 @@ let rec full_read_loop tx oi addr logged spins =
   end
 
 let full_read tx addr =
-  let th = tx.thread in
-  let oi = Orec.index_of th.orecs addr in
+  let oi = Orec.index_of tx.orecs addr in
   if owns tx oi then begin
-    th.platform.consume Costs.read_owned;
-    mem_get th addr
+    tx.platform.consume Costs.read_owned;
+    mem_get tx addr
   end
   else begin
     let logged = Int_map.find tx.read_index oi in
     if
       logged >= 0
       && Array.unsafe_get tx.read_addrs logged = addr
-      && mem_get th addr = Array.unsafe_get tx.read_vals logged
+      && mem_get tx addr = Array.unsafe_get tx.read_vals logged
     then begin
       (* Read-after-read forwarding: this attempt already read [addr]
          under the logged word, and the logged value is the one its
@@ -861,12 +843,12 @@ let full_read tx addr =
          read's: the map lookup plus one data load.  Under Scan a fresh
          read is logged unchecked, so a zombie spinning on re-reads of
          it is ended only by the fuel [read_at] burns. *)
-      th.stats.reads_forwarded <- th.stats.reads_forwarded + 1;
-      th.platform.consume Costs.read_owned;
+      tx.stats.reads_forwarded <- tx.stats.reads_forwarded + 1;
+      tx.platform.consume Costs.read_owned;
       Array.unsafe_get tx.read_vals logged
     end
     else begin
-      th.platform.consume Costs.read_barrier;
+      tx.platform.consume Costs.read_barrier;
       full_read_loop tx oi addr logged 0
     end
   end
@@ -881,13 +863,12 @@ let access_class_of cls =
   else Elided_static
 
 let read_at ~site tx addr =
-  let th = tx.thread in
-  let st = th.stats in
+  let st = tx.stats in
   st.reads <- st.reads + 1;
   burn_fuel tx;
   sandbox_bounds tx addr;
-  if fault_fires th Fault.Spurious_abort then raise Retry_conflict;
-  if th.config.Config.audit then audit_classify tx addr 1 ~site ~is_write:false;
+  if fault_fires tx Fault.Spurious_abort then raise Retry_conflict;
+  if tx.config.Config.audit then audit_classify tx addr 1 ~site ~is_write:false;
   (* Lazy versioning: probe the redo buffer *before* the capture check —
      one AND on the summary word when the buffer cannot hold the address.
      The order matters: a nested scope can buffer a write to memory an
@@ -895,9 +876,9 @@ let read_at ~site tx addr =
      is newer than what memory holds. *)
   let redo_i =
     if
-      th.config.Config.lazy_versioning
+      tx.config.Config.lazy_versioning
       && begin
-           th.platform.consume Costs.redo_summary_check;
+           tx.platform.consume Costs.redo_summary_check;
            Redo.summary_hit tx.redo addr
          end
     then Redo.find tx.redo addr
@@ -905,11 +886,11 @@ let read_at ~site tx addr =
   in
   if redo_i >= 0 then begin
     st.redo_hits <- st.redo_hits + 1;
-    th.platform.consume Costs.redo_lookup;
+    tx.platform.consume Costs.redo_lookup;
     let value = Redo.value tx.redo redo_i in
     (match !tracer with
     | None -> ()
-    | Some f -> f th.tid (Ev_read { addr; value; cls = Instrumented }));
+    | Some f -> f tx.tid (Ev_read { addr; value; cls = Instrumented }));
     value
   end
   else begin
@@ -917,18 +898,18 @@ let read_at ~site tx addr =
     let cls = elision_class e in
     let value =
       if cls = keep_code then begin
-        th.platform.consume (elision_cost e);
+        tx.platform.consume (elision_cost e);
         full_read tx addr
       end
       else begin
         count_elided_read st cls;
-        th.platform.consume (elision_cost e + Costs.direct_access);
-        mem_get th addr
+        tx.platform.consume (elision_cost e + Costs.direct_access);
+        mem_get tx addr
       end
     in
     (match !tracer with
     | None -> ()
-    | Some f -> f th.tid (Ev_read { addr; value; cls = access_class_of cls }));
+    | Some f -> f tx.tid (Ev_read { addr; value; cls = access_class_of cls }));
     value
   end
 
@@ -938,20 +919,19 @@ let read tx addr = read_at ~site:Site.anonymous_read tx addr
 (* Write barrier                                                       *)
 
 let rec acquire_loop tx oi spins =
-  let th = tx.thread in
-  let w = Orec.get th.orecs oi in
+  let w = Orec.get tx.orecs oi in
   if Orec.is_locked w then begin
-    spin_on_lock th w spins;
+    spin_on_lock tx w spins;
     acquire_loop tx oi (spins + 1)
   end
-  else if Orec.try_lock th.orecs oi ~owner:th.tid ~expected:w then begin
+  else if Orec.try_lock tx.orecs oi ~owner:tx.tid ~expected:w then begin
     (* A read of this orec logged earlier in the attempt stays valid while
        the lock is held iff it read the version just replaced (see
        [read_entry_valid]). *)
     let logged = Int_map.find tx.read_index oi in
     if logged >= 0 && tx.read_words.(logged) = w then
-      tx.read_words.(logged) <- th.lock_word;
-    th.stats.orec_acquires <- th.stats.orec_acquires + 1;
+      tx.read_words.(logged) <- tx.lock_word;
+    tx.stats.orec_acquires <- tx.stats.orec_acquires + 1;
     push_acq tx oi w
   end
   else acquire_loop tx oi (spins + 1)
@@ -964,22 +944,21 @@ let waw_note tx addr =
   hit
 
 let full_write tx addr v =
-  let th = tx.thread in
-  let oi = Orec.index_of th.orecs addr in
-  if owns tx oi then th.platform.consume Costs.write_barrier_owned
+  let oi = Orec.index_of tx.orecs addr in
+  if owns tx oi then tx.platform.consume Costs.write_barrier_owned
   else begin
-    th.platform.consume Costs.write_barrier_acquire;
+    tx.platform.consume Costs.write_barrier_acquire;
     acquire_loop tx oi 0
   end;
   if waw_note tx addr then begin
-    th.stats.waw_hits <- th.stats.waw_hits + 1;
-    th.platform.consume Costs.waw_hit
+    tx.stats.waw_hits <- tx.stats.waw_hits + 1;
+    tx.platform.consume Costs.waw_hit
   end
   else begin
-    th.platform.consume Costs.undo_log_entry;
-    push_undo tx addr (mem_get th addr)
+    tx.platform.consume Costs.undo_log_entry;
+    push_undo tx addr (mem_get tx addr)
   end;
-  mem_set th addr v
+  mem_set tx addr v
 
 (* Lazy-versioning write barrier.  Probe the buffer first (same ordering
    argument as the read barrier: an already-buffered address must stay
@@ -992,9 +971,8 @@ let full_write tx addr v =
    is not needed here; it moves to the direct-store path below and to
    commit-time acquisition ([lazy_acquire]). *)
 let lazy_write tx addr v ~site =
-  let th = tx.thread in
-  let st = th.stats in
-  th.platform.consume Costs.redo_summary_check;
+  let st = tx.stats in
+  tx.platform.consume Costs.redo_summary_check;
   let i =
     if Redo.summary_hit tx.redo addr then Redo.find tx.redo addr else -1
   in
@@ -1005,39 +983,39 @@ let lazy_write tx addr v ~site =
        can restore it — dedup'd by the same WAW filter the eager undo
        log uses, and skipped entirely at top level, where abort drops
        the whole buffer wholesale. *)
-    th.platform.consume Costs.redo_lookup;
+    tx.platform.consume Costs.redo_lookup;
     (if waw_note tx addr then begin
        st.waw_hits <- st.waw_hits + 1;
-       th.platform.consume Costs.waw_hit
+       tx.platform.consume Costs.waw_hit
      end
      else
        match tx.scopes with
        | _ :: _ :: _ ->
-           th.platform.consume Costs.undo_log_entry;
+           tx.platform.consume Costs.undo_log_entry;
            push_undo tx addr (Redo.value tx.redo i)
        | _ -> ());
     Redo.set_value tx.redo i v;
     match !tracer with
     | None -> ()
-    | Some f -> f th.tid (Ev_write { addr; value = v; cls = Instrumented })
+    | Some f -> f tx.tid (Ev_write { addr; value = v; cls = Instrumented })
   end
   else begin
     let e = try_elide tx addr 1 ~site ~is_write:true in
     let cls = elision_class e in
     if cls = keep_code then begin
-      th.platform.consume (elision_cost e);
+      tx.platform.consume (elision_cost e);
       (* Injected fault: the store is lost on the way into the buffer —
          the transaction commits without it. *)
-      if fault_fires th Fault.Redo_drop then ()
+      if fault_fires tx Fault.Redo_drop then ()
       else begin
-        th.platform.consume Costs.redo_insert;
+        tx.platform.consume Costs.redo_insert;
         st.redo_inserts <- st.redo_inserts + 1;
         ignore (waw_note tx addr : bool);
         Redo.insert tx.redo addr v
       end;
       match !tracer with
       | None -> ()
-      | Some f -> f th.tid (Ev_write { addr; value = v; cls = Instrumented })
+      | Some f -> f tx.tid (Ev_write { addr; value = v; cls = Instrumented })
     end
     else begin
       (* Captured/private/static: direct store, no buffer entry, no
@@ -1046,48 +1024,47 @@ let lazy_write tx addr v ~site =
       sandbox_bounds tx addr;
       count_elided_write st cls;
       st.redo_skips <- st.redo_skips + 1;
-      th.platform.consume (elision_cost e + Costs.direct_access);
-      wal_elided_store th cls addr v;
-      mem_set th addr v;
+      tx.platform.consume (elision_cost e + Costs.direct_access);
+      wal_elided_store tx cls addr v;
+      mem_set tx addr v;
       match !tracer with
       | None -> ()
       | Some f ->
-          f th.tid (Ev_write { addr; value = v; cls = access_class_of cls })
+          f tx.tid (Ev_write { addr; value = v; cls = access_class_of cls })
     end
   end
 
 let write_at ~site tx addr v =
-  let th = tx.thread in
-  let st = th.stats in
+  let st = tx.stats in
   st.writes <- st.writes + 1;
   burn_fuel tx;
-  if th.config.Config.lazy_versioning then begin
-    if fault_fires th Fault.Spurious_abort then raise Retry_conflict;
-    if th.config.Config.audit then
+  if tx.config.Config.lazy_versioning then begin
+    if fault_fires tx Fault.Spurious_abort then raise Retry_conflict;
+    if tx.config.Config.audit then
       audit_classify tx addr 1 ~site ~is_write:true;
     lazy_write tx addr v ~site
   end
   else begin
     sandbox_bounds tx addr;
-    if fault_fires th Fault.Spurious_abort then raise Retry_conflict;
-    if th.config.Config.audit then
+    if fault_fires tx Fault.Spurious_abort then raise Retry_conflict;
+    if tx.config.Config.audit then
       audit_classify tx addr 1 ~site ~is_write:true;
     let e = try_elide tx addr 1 ~site ~is_write:true in
     let cls = elision_class e in
     (if cls = keep_code then begin
-       th.platform.consume (elision_cost e);
+       tx.platform.consume (elision_cost e);
        full_write tx addr v
      end
      else begin
        count_elided_write st cls;
-       th.platform.consume (elision_cost e + Costs.direct_access);
-       wal_elided_store th cls addr v;
-       mem_set th addr v
+       tx.platform.consume (elision_cost e + Costs.direct_access);
+       wal_elided_store tx cls addr v;
+       mem_set tx addr v
      end);
     match !tracer with
     | None -> ()
     | Some f ->
-        f th.tid (Ev_write { addr; value = v; cls = access_class_of cls })
+        f tx.tid (Ev_write { addr; value = v; cls = access_class_of cls })
   end
 
 let write tx addr v = write_at ~site:Site.anonymous_write tx addr v
@@ -1111,31 +1088,27 @@ let capture_log_add th log ~lo ~hi =
 let log_alloc tx addr size =
   let scope = innermost tx in
   push_alloc scope addr size;
-  (match scope.capture_log with
+  match scope.capture_log with
   | Some log ->
       (* Injected fault: the allocation never reaches the capture log, so
          later accesses to the block miss the elision check and take full
          barriers — lost performance, never lost safety. *)
-      if fault_fires tx.thread Fault.Alloc_log_drop then ()
+      if fault_fires tx Fault.Alloc_log_drop then ()
       else begin
-        tx.thread.platform.consume
+        tx.platform.consume
           (Alloc_log.add_cost log ~lo:addr ~hi:(addr + size));
-        capture_log_add tx.thread log ~lo:addr ~hi:(addr + size)
+        capture_log_add tx log ~lo:addr ~hi:(addr + size)
       end
-  | None -> ());
-  match scope.audit_log with
-  | Some log -> ignore (Alloc_log.add log ~lo:addr ~hi:(addr + size) : Alloc_log.added)
   | None -> ()
 
 let alloc tx n =
-  let th = tx.thread in
   burn_fuel tx;
-  th.platform.consume Costs.alloc;
-  th.stats.tx_allocs <- th.stats.tx_allocs + 1;
-  let addr = Alloc.alloc th.arena n in
-  let size = Alloc.block_size th.arena addr in
+  tx.platform.consume Costs.alloc;
+  tx.stats.tx_allocs <- tx.stats.tx_allocs + 1;
+  let addr = Alloc.alloc tx.arena n in
+  let size = Alloc.block_size tx.arena addr in
   log_alloc tx addr size;
-  emit th.tid (Ev_alloc { addr; size });
+  emit tx.tid (Ev_alloc { addr; size });
   addr
 
 (* Newest-first scan (free usually targets the latest allocation); returns
@@ -1159,9 +1132,6 @@ let unlog_alloc scope addr =
     (match scope.capture_log with
     | Some log -> ignore (Alloc_log.remove log ~lo:addr ~hi:(addr + sz) : bool)
     | None -> ());
-    (match scope.audit_log with
-    | Some log -> ignore (Alloc_log.remove log ~lo:addr ~hi:(addr + sz) : bool)
-    | None -> ());
     sz
   end
 
@@ -1173,7 +1143,7 @@ let unlog_alloc scope addr =
    after its allocation, so only the entries logged since this scope
    began are scanned; none are charged. *)
 let drop_block_entries tx scope ~lo ~hi =
-  if tx.thread.config.Config.lazy_versioning then
+  if tx.config.Config.lazy_versioning then
     Redo.remove_range tx.redo ~from:scope.redo_mark ~lo ~hi
   else begin
     let j = ref scope.undo_mark in
@@ -1189,17 +1159,16 @@ let drop_block_entries tx scope ~lo ~hi =
   end
 
 let free tx addr =
-  let th = tx.thread in
   burn_fuel tx;
-  th.platform.consume Costs.free;
-  th.stats.tx_frees <- th.stats.tx_frees + 1;
+  tx.platform.consume Costs.free;
+  tx.stats.tx_frees <- tx.stats.tx_frees + 1;
   let scope = innermost tx in
-  emit th.tid (Ev_free { addr });
+  emit tx.tid (Ev_free { addr });
   let size = unlog_alloc scope addr in
   if size >= 0 then begin
     (* Allocated by this very scope: really free it now. *)
     drop_block_entries tx scope ~lo:addr ~hi:(addr + size);
-    Alloc.free th.arena addr
+    Alloc.free tx.arena addr
   end
   else
     (* Not ours (or an outer scope's): the free takes effect only if the
@@ -1207,11 +1176,10 @@ let free tx addr =
     push_dfree scope addr
 
 let alloca tx n =
-  let th = tx.thread in
   burn_fuel tx;
-  th.platform.consume Costs.alloca;
-  let addr = Tstack.alloca th.stack n in
-  emit th.tid (Ev_alloca { addr; size = n });
+  tx.platform.consume Costs.alloca;
+  let addr = Tstack.alloca tx.stack n in
+  emit tx.tid (Ev_alloca { addr; size = n });
   addr
 
 (* ------------------------------------------------------------------ *)
@@ -1229,13 +1197,11 @@ let remove_private_block th ~addr ~size =
 (* Begin / commit / abort                                              *)
 
 let push_scope tx ~top =
-  let th = tx.thread in
   (* Nested scopes answer capture questions relative to themselves
      (paper §2.2.1): fresh logs. *)
   let capture_log =
-    if top then tx.top_capture_log else new_capture_log th.config
+    if top then tx.top_capture_log else new_capture_log tx.config
   in
-  let audit_log = if top then tx.top_audit_log else new_audit_log th.config in
   (* A nested scope must not trust the parent's write-after-write notes:
      an address undo-logged by the outer scope still needs a fresh undo
      entry inside the child, or partial abort cannot restore it (the
@@ -1243,11 +1209,10 @@ let push_scope tx ~top =
   if not top then Range_filter.clear tx.waw;
   tx.scopes <-
     {
-      start_sp = Tstack.save th.stack;
+      start_sp = Tstack.save tx.stack;
       undo_mark = tx.n_undo;
       redo_mark = Redo.size tx.redo;
       capture_log;
-      audit_log;
       alloc_addrs = empty_ints;
       alloc_sizes = empty_ints;
       n_allocs = 0;
@@ -1255,21 +1220,20 @@ let push_scope tx ~top =
       n_dfrees = 0;
     }
     :: tx.scopes;
-  if not top then emit th.tid Ev_scope_begin
+  if not top then emit tx.tid Ev_scope_begin
 
 let begin_top tx ~attempt =
-  let th = tx.thread in
   (* Small random jitter decorrelates thread phases (memory and pipeline
      variance on a real machine). *)
-  th.platform.consume (Costs.txn_begin + Prng.int th.prng 8);
-  (* EBR: publish "active at the epoch I just observed" before any read
+  tx.platform.consume (Costs.txn_begin + Prng.int tx.prng 8);
+  (* EBR: publish "running at the epoch I just observed" before any read
      can happen.  The freeing side stamps limbo entries with the global
      epoch at commit, so this announcement is exactly what holds the
      global back from advancing two steps while this attempt runs. *)
-  (match th.reclaim with
+  (match tx.reclaim with
   | None -> ()
   | Some r ->
-      th.platform.consume Costs.ebr_announce;
+      tx.platform.consume Costs.ebr_announce;
       Reclaim.announce r);
   tx.n_reads <- 0;
   Int_map.next_attempt tx.read_index;
@@ -1278,22 +1242,19 @@ let begin_top tx ~attempt =
   tx.fuel <- Costs.fuel_budget;
   (* Only the Global clock has a snapshot timestamp; skipping the clock
      read keeps Scan's begin clock-free. *)
-  tx.start_ts <- (match th.clock with Global -> Orec.clock th.orecs | Scan -> 0);
+  tx.start_ts <- (match tx.clock with Global -> Orec.clock tx.orecs | Scan -> 0);
   Range_filter.clear tx.waw;
   Redo.clear tx.redo;
   (match tx.top_capture_log with Some l -> Alloc_log.clear l | None -> ());
-  (match tx.top_audit_log with Some l -> Alloc_log.clear l | None -> ());
   tx.scopes <- [];
-  tx.live <- true;
   push_scope tx ~top:true;
-  emit th.tid (Ev_begin { attempt })
+  emit tx.tid (Ev_begin { attempt })
 
 let rollback_undo tx ~down_to =
-  let th = tx.thread in
   for k = tx.n_undo - 1 downto down_to do
-    Memory.set th.memory tx.undo_addrs.(k) tx.undo_vals.(k)
+    Memory.set tx.memory tx.undo_addrs.(k) tx.undo_vals.(k)
   done;
-  th.platform.consume (Costs.abort_per_undo * (tx.n_undo - down_to));
+  tx.platform.consume (Costs.abort_per_undo * (tx.n_undo - down_to));
   tx.n_undo <- down_to
 
 let free_scope_allocs th scope =
@@ -1319,10 +1280,9 @@ let bump_prev = -2
    zero-cycle charge never reaches the scheduler's deadline (and is free
    natively), so schedules are untouched. *)
 let release tx ~word =
-  let th = tx.thread in
   for k = 0 to tx.n_acq - 1 do
-    if k > 0 then th.platform.consume 0;
-    Orec.unlock th.orecs tx.acq_orecs.(k)
+    if k > 0 then tx.platform.consume 0;
+    Orec.unlock tx.orecs tx.acq_orecs.(k)
       (if word >= 0 then word
        else
          let prev = tx.acq_prev.(k) in
@@ -1331,13 +1291,12 @@ let release tx ~word =
   tx.n_acq <- 0
 
 let commit_epilogue tx =
-  let th = tx.thread in
   let scope = innermost tx in
-  (match th.reclaim with
+  (match tx.reclaim with
   | None ->
       (* Newest-first, matching the order the old cons-list executed in. *)
       for k = scope.n_dfrees - 1 downto 0 do
-        Alloc.free th.arena scope.dfree_addrs.(k)
+        Alloc.free tx.arena scope.dfree_addrs.(k)
       done
   | Some r ->
       (* EBR: committed frees park in limbo (header still allocated, no
@@ -1348,22 +1307,21 @@ let commit_epilogue tx =
          oracle must flag. *)
       for k = scope.n_dfrees - 1 downto 0 do
         let addr = scope.dfree_addrs.(k) in
-        if fault_fires th Fault.Premature_reuse then
-          Alloc.free th.arena addr
+        if fault_fires tx Fault.Premature_reuse then
+          Alloc.free tx.arena addr
         else begin
-          th.platform.consume Costs.limbo_push;
-          Reclaim.retire r ~addr ~size:(Alloc.block_size th.arena addr)
+          tx.platform.consume Costs.limbo_push;
+          Reclaim.retire r ~addr ~size:(Alloc.block_size tx.arena addr)
         end
       done;
-      let st = th.stats in
+      let st = tx.stats in
       st.limbo_blocks <- max st.limbo_blocks (Reclaim.pending r);
       st.limbo_words <- max st.limbo_words (Reclaim.pending_words r);
-      th.platform.consume Costs.ebr_announce;
+      tx.platform.consume Costs.ebr_announce;
       Reclaim.announce_quiescent r;
-      ebr_service th r);
+      ebr_service tx r);
   tx.scopes <- [];
-  tx.live <- false;
-  th.stats.commits <- th.stats.commits + 1
+  tx.stats.commits <- tx.stats.commits + 1
 
 (* Lazy versioning, commit phase 1: acquire every write-set orec, in
    the buffer's first-insert order.  The write barrier deferred both
@@ -1373,14 +1331,13 @@ let commit_epilogue tx =
    Lock-wait patience bounds deadlock exactly as the eager barrier's
    acquisition does. *)
 let lazy_acquire tx =
-  let th = tx.thread in
   let r = tx.redo in
   for k = 0 to Redo.size r - 1 do
     let addr = Redo.addr r k in
     sandbox_bounds tx addr;
-    let oi = Orec.index_of th.orecs addr in
+    let oi = Orec.index_of tx.orecs addr in
     if not (owns tx oi) then begin
-      th.platform.consume Costs.commit_acquire;
+      tx.platform.consume Costs.commit_acquire;
       acquire_loop tx oi 0
     end
   done
@@ -1394,24 +1351,23 @@ let lazy_acquire tx =
    still lets the commit release fresh versions — the lost-update
    shape the oracle must flag. *)
 let publish tx =
-  let th = tx.thread in
   let r = tx.redo in
   let n = Redo.size r in
   if n > 0 then begin
     let cost = Costs.publish_per_entry * n in
-    th.stats.publish_cycles <- th.stats.publish_cycles + cost;
-    th.platform.consume cost;
-    let limit = if fault_fires th Fault.Publish_partial then n / 2 else n in
+    tx.stats.publish_cycles <- tx.stats.publish_cycles + cost;
+    tx.platform.consume cost;
+    let limit = if fault_fires tx Fault.Publish_partial then n / 2 else n in
     (* Injected crash: the process dies after writing back the first
        half of the buffer — memory holds a partial transaction whose
        commit record never reached the log. *)
     let crash_at =
-      if th.wal <> None && fault_fires th Fault.Crash_mid_publish then n / 2
+      if tx.wal <> None && fault_fires tx Fault.Crash_mid_publish then n / 2
       else -1
     in
     for k = 0 to limit - 1 do
-      if k = crash_at then wal_crash th;
-      mem_set th (Redo.addr r k) (Redo.value r k)
+      if k = crash_at then wal_crash tx;
+      mem_set tx (Redo.addr r k) (Redo.value r k)
     done
   end
 
@@ -1435,25 +1391,24 @@ let publish tx =
    released ([commit_top]), so peers do not spin on locks held across
    the device wait. *)
 let wal_append_commit tx =
-  match tx.thread.wal with
+  match tx.wal with
   | None -> 0
   | Some w ->
-      let th = tx.thread in
       let writes =
-        if th.config.Config.lazy_versioning then
+        if tx.config.Config.lazy_versioning then
           Array.init (Redo.size tx.redo) (fun k ->
               (Redo.addr tx.redo k, Redo.value tx.redo k))
         else
           Array.init tx.n_undo (fun k ->
               let a = tx.undo_addrs.(k) in
-              (a, mem_get th a))
+              (a, mem_get tx a))
       in
       let scope = innermost tx in
       let allocs =
         Array.init scope.n_allocs (fun k ->
             let addr = scope.alloc_addrs.(k) in
-            let size = Alloc.block_size th.arena addr in
-            (addr, size, Array.init size (fun i -> mem_get th (addr + i))))
+            let size = Alloc.block_size tx.arena addr in
+            (addr, size, Array.init size (fun i -> mem_get tx (addr + i))))
       in
       let frees = Array.sub scope.dfree_addrs 0 scope.n_dfrees in
       if
@@ -1462,28 +1417,28 @@ let wal_append_commit tx =
         || Array.length frees > 0
       then begin
         let words = Wal.commit_record_words ~writes ~allocs ~frees in
-        th.platform.consume (Costs.wal_append_per_word * words);
+        tx.platform.consume (Costs.wal_append_per_word * words);
         (* Injected crash: the fsync tears mid-record — a byte prefix
            reaches the log, nothing is acknowledged, the process dies.
            Group commit is suppressed so the record is still pending
            when the tear happens.  [Torn_tail_replayed] tears here too;
            its bug is in recovery. *)
         if
-          fault_fires th Fault.Torn_wal_record
-          || fault_fires th Fault.Torn_tail_replayed
+          fault_fires tx Fault.Torn_wal_record
+          || fault_fires tx Fault.Torn_tail_replayed
         then begin
           let bytes, _ =
-            Wal.append_commit ~group_commit:false w ~tid:th.tid ~writes
+            Wal.append_commit ~group_commit:false w ~tid:tx.tid ~writes
               ~allocs ~frees
           in
-          Wal.crash_torn w ~cut:(1 + Prng.int th.prng (max 1 (bytes - 1)));
+          Wal.crash_torn w ~cut:(1 + Prng.int tx.prng (max 1 (bytes - 1)));
           raise Wal.Crashed
         end;
-        let bytes, synced = Wal.append_commit w ~tid:th.tid ~writes ~allocs ~frees in
-        th.stats.wal_records <- th.stats.wal_records + 1;
-        th.stats.wal_bytes <- th.stats.wal_bytes + bytes;
+        let bytes, synced = Wal.append_commit w ~tid:tx.tid ~writes ~allocs ~frees in
+        tx.stats.wal_records <- tx.stats.wal_records + 1;
+        tx.stats.wal_bytes <- tx.stats.wal_bytes + bytes;
         if synced then begin
-          th.stats.wal_fsyncs <- th.stats.wal_fsyncs + 1;
+          tx.stats.wal_fsyncs <- tx.stats.wal_fsyncs + 1;
           Costs.wal_fsync
         end
         else 0
@@ -1495,20 +1450,19 @@ let wal_append_commit tx =
    order, with crash points bracketing the sequence.  Returns the fsync
    cycles the append owes ([wal_append_commit]). *)
 let commit_serialize tx =
-  let th = tx.thread in
-  if th.config.Config.lazy_versioning then publish tx
+  if tx.config.Config.lazy_versioning then publish tx
   else
     (* Eager "mid-publish": stores are already in place from the body;
        the crash window is after them and before the WAL append. *)
-    crash_point th Fault.Crash_mid_publish;
+    crash_point tx Fault.Crash_mid_publish;
   let fsync = wal_append_commit tx in
-  emit th.tid Ev_commit;
+  emit tx.tid Ev_commit;
   (* Post-publish crash: force the fsync first — the record is durable,
      the acknowledgement was delivered, and the process dies before a
      single orec release.  Recovery must replay this commit. *)
-  if th.wal <> None && fault_fires th Fault.Crash_post_publish then begin
-    (match th.wal with Some w -> Wal.sync w | None -> ());
-    wal_crash th
+  if tx.wal <> None && fault_fires tx Fault.Crash_post_publish then begin
+    (match tx.wal with Some w -> Wal.sync w | None -> ());
+    wal_crash tx
   end;
   fsync
 
@@ -1516,35 +1470,34 @@ let commit_serialize tx =
    consistent (or raise), and return the word {!release} stores into the
    acquired orecs. *)
 let commit_validate tx =
-  let th = tx.thread in
-  match th.clock with
+  match tx.clock with
   | Global ->
-      th.platform.consume
+      tx.platform.consume
         (Costs.commit_base + Costs.clock_advance
         + (Costs.commit_per_orec * tx.n_acq));
       let wv =
         (* Injected fault: stamp with the clock's current value without
            advancing it — released orecs look no newer than the last
            real commit, so O(1) snapshot checks wrongly accept them. *)
-        if fault_fires th Fault.Clock_stall then Orec.clock th.orecs
+        if fault_fires tx Fault.Clock_stall then Orec.clock tx.orecs
         else begin
-          th.stats.clock_advances <- th.stats.clock_advances + 1;
-          Orec.advance_clock th.orecs
+          tx.stats.clock_advances <- tx.stats.clock_advances + 1;
+          Orec.advance_clock tx.orecs
         end
       in
       if wv - 1 = tx.start_ts then begin
         (* No commit landed since the snapshot: the read set is still
            current by construction; the O(n_reads) scan is one compare. *)
-        charge_validation th Costs.tvalidate_check;
-        th.stats.validations_skipped <- th.stats.validations_skipped + 1
+        charge_validation tx Costs.tvalidate_check;
+        tx.stats.validations_skipped <- tx.stats.validations_skipped + 1
       end
       else begin
-        th.platform.consume (Costs.commit_per_read * tx.n_reads);
+        tx.platform.consume (Costs.commit_per_read * tx.n_reads);
         if not (validate tx ~upto:wv) then raise Retry_conflict
       end;
       Orec.stamped ~ts:wv
   | Scan ->
-      th.platform.consume
+      tx.platform.consume
         (Costs.commit_base
         + (Costs.commit_per_read * tx.n_reads)
         + (Costs.commit_per_orec * tx.n_acq));
@@ -1568,47 +1521,45 @@ let commit_validate tx =
    in four before they are durable, so acknowledging after the release
    weakens nothing. *)
 let commit_top tx =
-  let th = tx.thread in
   (* Injected crash: death at commit entry — nothing acquired, nothing
      published, nothing logged.  Recovery must show none of it. *)
-  crash_point th Fault.Crash_pre_commit;
+  crash_point tx Fault.Crash_pre_commit;
   (* Lazy mode acquires the write set up front; [tx.n_acq] below then
      means the same thing it does in eager mode (notably for the
      read-only fast path: an empty buffer acquired nothing). *)
-  if th.config.Config.lazy_versioning then lazy_acquire tx;
+  if tx.config.Config.lazy_versioning then lazy_acquire tx;
   let fsync =
-    if th.clock <> Scan && tx.n_acq = 0 then begin
+    if tx.clock <> Scan && tx.n_acq = 0 then begin
       (* Read-only fast path: every read was checked against the snapshot
          as it happened, so the read set is a consistent snapshot by
          construction — serialize there.  No validation scan, no clock
          bump, nothing to release. *)
-      th.platform.consume Costs.commit_base;
-      th.stats.readonly_fast_commits <- th.stats.readonly_fast_commits + 1;
+      tx.platform.consume Costs.commit_base;
+      tx.stats.readonly_fast_commits <- tx.stats.readonly_fast_commits + 1;
       (* Acquired nothing, but may still have durable effects: an
          alloc-only transaction (every write elided into its own blocks)
          reaches here with a nonempty alloc set whose images must survive
          — append its record.  True read-only commits append nothing,
          keeping the fast path fast. *)
       let fsync = wal_append_commit tx in
-      emit th.tid Ev_commit;
+      emit tx.tid Ev_commit;
       fsync
     end
     else begin
       let word = commit_validate tx in
       let fsync = commit_serialize tx in
-      if tx.n_acq > 0 && fault_fires th Fault.Delayed_unlock then
-        th.platform.consume Costs.fault_unlock_delay;
+      if tx.n_acq > 0 && fault_fires tx Fault.Delayed_unlock then
+        tx.platform.consume Costs.fault_unlock_delay;
       release tx ~word;
       fsync
     end
   in
-  if fsync > 0 then th.platform.consume fsync;
+  if fsync > 0 then tx.platform.consume fsync;
   commit_epilogue tx
 
 let abort_top tx ~user =
-  let th = tx.thread in
-  th.platform.consume Costs.abort_base;
-  if th.config.Config.lazy_versioning then
+  tx.platform.consume Costs.abort_base;
+  if tx.config.Config.lazy_versioning then
     (* Deferred updates: buffered writes never touched memory, so
        dropping the buffer (cleared at the next begin) IS the
        rollback.  The undo log holds buffer-value journal entries,
@@ -1618,29 +1569,27 @@ let abort_top tx ~user =
   else rollback_undo tx ~down_to:0;
   release tx ~word:restore_prev;
   (* Free speculative allocations scope by scope, innermost first. *)
-  List.iter (fun scope -> free_scope_allocs th scope) tx.scopes;
+  List.iter (fun scope -> free_scope_allocs tx scope) tx.scopes;
   (* Restore the stack to the outermost scope's entry point. *)
   (match List.rev tx.scopes with
-  | outermost :: _ -> Tstack.restore th.stack outermost.start_sp
+  | outermost :: _ -> Tstack.restore tx.stack outermost.start_sp
   | [] -> ());
   tx.scopes <- [];
-  tx.live <- false;
-  if user then th.stats.user_aborts <- th.stats.user_aborts + 1
-  else th.stats.aborts <- th.stats.aborts + 1;
+  if user then tx.stats.user_aborts <- tx.stats.user_aborts + 1
+  else tx.stats.aborts <- tx.stats.aborts + 1;
   (* EBR: an aborted attempt is quiescent too — its reads are dead, so
      it must stop holding the global epoch back before the retry's
      begin re-announces. *)
-  (match th.reclaim with
+  (match tx.reclaim with
   | None -> ()
   | Some r ->
-      th.platform.consume Costs.ebr_announce;
+      tx.platform.consume Costs.ebr_announce;
       Reclaim.announce_quiescent r;
-      ebr_service th r);
-  emit th.tid (Ev_abort { user })
+      ebr_service tx r);
+  emit tx.tid (Ev_abort { user })
 
 (* Nested commit: fold the child scope into its parent. *)
 let commit_scope tx =
-  let th = tx.thread in
   match tx.scopes with
   | [] | [ _ ] -> invalid_arg "Txn.commit_scope: no nested scope"
   | child :: (parent :: _ as rest) ->
@@ -1649,31 +1598,26 @@ let commit_scope tx =
       for k = 0 to child.n_allocs - 1 do
         let addr = child.alloc_addrs.(k) and size = child.alloc_sizes.(k) in
         push_alloc parent addr size;
-        (match parent.capture_log with
-        | Some log -> capture_log_add th log ~lo:addr ~hi:(addr + size)
-        | None -> ());
-        match parent.audit_log with
-        | Some log ->
-            ignore (Alloc_log.add log ~lo:addr ~hi:(addr + size) : Alloc_log.added)
+        match parent.capture_log with
+        | Some log -> capture_log_add tx log ~lo:addr ~hi:(addr + size)
         | None -> ()
       done;
       for k = 0 to child.n_dfrees - 1 do
         push_dfree parent child.dfree_addrs.(k)
       done;
       tx.scopes <- rest;
-      th.stats.nested_commits <- th.stats.nested_commits + 1;
-      emit th.tid Ev_scope_commit
+      tx.stats.nested_commits <- tx.stats.nested_commits + 1;
+      emit tx.tid Ev_scope_commit
 
 (* Nested (partial) abort: roll the child scope back, keep the parent
    running.  Acquired orecs are kept (safe, merely pessimistic); the WAW
    filter must be reset because undo entries it vouches for are gone. *)
 let abort_scope tx =
-  let th = tx.thread in
   match tx.scopes with
   | [] | [ _ ] -> invalid_arg "Txn.abort_scope: no nested scope"
   | child :: rest ->
-      th.platform.consume Costs.abort_base;
-      (if th.config.Config.lazy_versioning then begin
+      tx.platform.consume Costs.abort_base;
+      (if tx.config.Config.lazy_versioning then begin
          (* Roll the *buffer* back, not memory: replay the journal of
             overwritten buffered values newest-first, then drop the
             child's fresh inserts (always a suffix of the redo log). *)
@@ -1681,18 +1625,18 @@ let abort_scope tx =
            let i = Redo.find tx.redo tx.undo_addrs.(k) in
            if i >= 0 then Redo.set_value tx.redo i tx.undo_vals.(k)
          done;
-         th.platform.consume
+         tx.platform.consume
            (Costs.abort_per_undo * (tx.n_undo - child.undo_mark));
          tx.n_undo <- child.undo_mark;
          Redo.truncate tx.redo child.redo_mark
        end
        else rollback_undo tx ~down_to:child.undo_mark);
-      free_scope_allocs th child;
-      Tstack.restore th.stack child.start_sp;
+      free_scope_allocs tx child;
+      Tstack.restore tx.stack child.start_sp;
       Range_filter.clear tx.waw;
       tx.scopes <- rest;
-      th.stats.nested_aborts <- th.stats.nested_aborts + 1;
-      emit th.tid Ev_scope_abort
+      tx.stats.nested_aborts <- tx.stats.nested_aborts + 1;
+      emit tx.tid Ev_scope_abort
 
 (* ------------------------------------------------------------------ *)
 (* The atomic runner                                                   *)
@@ -1714,19 +1658,12 @@ let backoff th attempt =
   th.platform.relax cycles;
   th.platform.yield ()
 
-let get_tx th =
-  match th.active with
-  | Some tx -> tx
-  | None ->
-      let tx = make_tx th in
-      th.active <- Some tx;
-      tx
-
 type 'a outcome = Committed of 'a | Conflict | Userabort | Failed of exn
 
-let atomic th f =
-  let tx = get_tx th in
-  if tx.live then begin
+let in_txn th = th.scopes <> []
+
+let atomic tx f =
+  if in_txn tx then begin
     (* Nested transaction. *)
     push_scope tx ~top:false;
     match f tx with
@@ -1758,7 +1695,7 @@ let atomic th f =
                conflict fallout, and swallow the phantom. *)
             if validate tx ~upto:tx.start_ts then Failed e
             else begin
-              th.stats.sandbox_aborts <- th.stats.sandbox_aborts + 1;
+              tx.stats.sandbox_aborts <- tx.stats.sandbox_aborts + 1;
               Conflict
             end
       in
@@ -1766,7 +1703,7 @@ let atomic th f =
       | Committed r -> r
       | Conflict ->
           abort_top tx ~user:false;
-          backoff th n;
+          backoff tx n;
           attempt (n + 1)
       | Userabort ->
           abort_top tx ~user:true;
@@ -1780,9 +1717,6 @@ let atomic th f =
 
 let abort _tx = raise User_abort
 let restart _tx = raise Retry_conflict
-
-let in_txn th =
-  match th.active with Some tx -> tx.live | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Privatization                                                       *)
@@ -1847,7 +1781,7 @@ let work th cycles = th.platform.consume cycles
 let yield_hint th = th.platform.yield ()
 let tx_work tx cycles =
   burn_fuel tx;
-  tx.thread.platform.consume cycles
+  tx.platform.consume cycles
 
 let thread_stats th = th.stats
 let thread_id th = th.tid

@@ -1,4 +1,11 @@
-(** Transactions: descriptors, barriers with capture analysis, nesting.
+(** Transactions: the per-thread descriptor, barriers with capture
+    analysis, nesting.
+
+    Each thread owns one transaction descriptor (paper §3.1.2): the read,
+    undo and redo logs, the acquired orecs and the stack of nested
+    scopes, each scope with its own allocation log.  The logs are
+    allocated with the thread and reset by every top-level begin; a
+    transaction runs exactly while its scope stack is non-empty.
 
     Reads are optimistic and invisible (Intel C++ STM / McRT style, paper
     §2.1): a read barrier logs the orec version it observed, validated at
@@ -44,11 +51,15 @@ exception User_abort
 (** Raised by {!abort}; propagates out of {!atomic} after rollback. *)
 
 type thread
-(** Per-logical-thread context: stack, arena, stats, private log, RNG and
-    the platform (native or simulated). *)
+(** Per-logical-thread context: stack, arena, stats, private log, RNG,
+    the platform (native or simulated) and the thread's transaction
+    descriptor. *)
 
 type tx
-(** An active transaction (one per thread, reused across attempts). *)
+(** The running transaction: the thread's own descriptor, seen from
+    inside {!atomic}.  It is typed apart from {!thread}, so barriers take
+    only what {!atomic} hands its body, and plain code takes only the
+    thread. *)
 
 val create_thread :
   tid:int ->

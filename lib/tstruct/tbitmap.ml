@@ -12,12 +12,6 @@ let site_word_w = Site.declare ~write:true "bitmap.word_w"
 let site_init_nbits = Site.declare ~manual:false ~write:true "bitmap.init.nbits"
 let site_init_word = Site.declare ~manual:false ~write:true "bitmap.init.word"
 
-let site_names =
-  [
-    "bitmap.nbits_r"; "bitmap.word_r"; "bitmap.word_w"; "bitmap.init.nbits";
-    "bitmap.init.word";
-  ]
-
 let words_for n = (n + bits_per_word - 1) / bits_per_word
 
 let create (acc : Access.t) ~nbits =
@@ -29,7 +23,6 @@ let create (acc : Access.t) ~nbits =
   done;
   h
 
-let destroy (acc : Access.t) h = acc.free h
 let nbits (acc : Access.t) h = acc.read ~site:site_nbits_r h
 
 let check acc h i =

@@ -3,8 +3,6 @@
 type handle = int
 
 val create : Access.t -> nbits:int -> handle
-val destroy : Access.t -> handle -> unit
-val nbits : Access.t -> handle -> int
 val set : Access.t -> handle -> int -> bool
 (** False if already set (STAMP semantics). *)
 
@@ -12,4 +10,3 @@ val clear : Access.t -> handle -> int -> unit
 val test : Access.t -> handle -> int -> bool
 val count : Access.t -> handle -> int
 val find_clear : Access.t -> handle -> start:int -> int option
-val site_names : string list

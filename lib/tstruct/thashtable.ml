@@ -10,12 +10,6 @@ let site_init_nbuckets =
 let site_init_bucket =
   Site.declare ~manual:false ~write:true "hashtable.init.bucket"
 
-let site_names =
-  [
-    "hashtable.nbuckets_r"; "hashtable.bucket_r"; "hashtable.init.nbuckets";
-    "hashtable.init.bucket";
-  ]
-
 let hash key nbuckets = ((key * 0x9E3779B97F4A7C1) land max_int lsr 32) mod nbuckets
 
 let create (acc : Access.t) ?(buckets = 64) () =
@@ -33,13 +27,6 @@ let bucket_of (acc : Access.t) h key =
   let n = buckets acc h in
   acc.read ~site:site_bucket_r (h + 1 + hash key n)
 
-let destroy (acc : Access.t) h =
-  let n = buckets acc h in
-  for k = 1 to n do
-    Tlist.destroy acc (acc.read ~site:site_bucket_r (h + k))
-  done;
-  acc.free h
-
 let size (acc : Access.t) h =
   let n = buckets acc h in
   let total = ref 0 in
@@ -52,14 +39,4 @@ let insert (acc : Access.t) h ~key ~value =
   Tlist.insert acc (bucket_of acc h key) ~key ~value
 
 let find (acc : Access.t) h key = Tlist.find acc (bucket_of acc h key) key
-let contains (acc : Access.t) h key = Option.is_some (find acc h key)
 let remove (acc : Access.t) h key = Tlist.remove acc (bucket_of acc h key) key
-
-let fold (acc : Access.t) h ~init ~f =
-  let n = buckets acc h in
-  let result = ref init in
-  for k = 1 to n do
-    let lst = acc.read ~site:site_bucket_r (h + k) in
-    result := Tlist.fold acc lst ~init:!result ~f
-  done;
-  !result

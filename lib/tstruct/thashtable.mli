@@ -7,16 +7,10 @@
 type handle = int
 
 val create : Access.t -> ?buckets:int -> unit -> handle
-val destroy : Access.t -> handle -> unit
 val size : Access.t -> handle -> int
-val buckets : Access.t -> handle -> int
 
 val insert : Access.t -> handle -> key:int -> value:int -> bool
 (** False if the key is already present. *)
 
 val find : Access.t -> handle -> int -> int option
-val contains : Access.t -> handle -> int -> bool
 val remove : Access.t -> handle -> int -> bool
-
-val fold : Access.t -> handle -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-val site_names : string list

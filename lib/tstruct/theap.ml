@@ -21,13 +21,6 @@ let site_init_cap = Site.declare ~manual:false ~write:true "heap.init.cap"
 let site_init_data = Site.declare ~manual:false ~write:true "heap.init.data"
 let site_grow_slot_w = Site.declare ~manual:false ~write:true "heap.grow.slot_w"
 
-let site_names =
-  [
-    "heap.size_r"; "heap.size_w"; "heap.cap_r"; "heap.cap_w"; "heap.data_r";
-    "heap.data_w"; "heap.slot_r"; "heap.slot_w"; "heap.init.size";
-    "heap.init.cap"; "heap.init.data"; "heap.grow.slot_w";
-  ]
-
 let create (acc : Access.t) ?(capacity = 16) () =
   let cap = max 2 capacity in
   let h = acc.alloc header_words in
@@ -36,10 +29,6 @@ let create (acc : Access.t) ?(capacity = 16) () =
   acc.write ~site:site_init_cap (h + h_cap) cap;
   acc.write ~site:site_init_data (h + h_data) data;
   h
-
-let destroy (acc : Access.t) h =
-  acc.free (acc.read ~site:site_data_r (h + h_data));
-  acc.free h
 
 let size (acc : Access.t) h = acc.read ~site:site_size_r (h + h_size)
 let is_empty acc h = size acc h = 0

@@ -10,10 +10,7 @@ type cmp = Access.t -> int -> int -> int
 (** [cmp acc a b] — positive if [a] ranks above [b]. *)
 
 val create : Access.t -> ?capacity:int -> unit -> handle
-val destroy : Access.t -> handle -> unit
 val size : Access.t -> handle -> int
-val is_empty : Access.t -> handle -> bool
 val insert : Access.t -> cmp -> handle -> int -> unit
 val pop : Access.t -> cmp -> handle -> int option
 val peek : Access.t -> handle -> int option
-val site_names : string list

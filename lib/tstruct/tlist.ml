@@ -44,27 +44,6 @@ let site_remove_next_r = Site.declare ~write:false (s "list.remove.next_r")
 let site_iter_write = Site.declare ~manual:false ~write:true (s "list.iter.write")
 let site_iter_read = Site.declare ~manual:false ~write:false (s "list.iter.read")
 
-let site_names =
-  [
-    "list.traverse.key";
-    "list.traverse.next";
-    "list.find.val";
-    "list.node_init.key";
-    "list.node_init.val";
-    "list.node_init.next";
-    "list.link.next";
-    "list.header.first_r";
-    "list.header.first_w";
-    "list.size_r";
-    "list.size_w";
-    "list.header_init.first";
-    "list.header_init.size";
-    "list.unlink.next";
-    "list.remove.next_r";
-    "list.iter.write";
-    "list.iter.read";
-  ]
-
 let create (acc : Access.t) =
   let h = acc.alloc header_words in
   acc.write ~site:site_header_init_first (h + h_first) 0;
@@ -72,7 +51,6 @@ let create (acc : Access.t) =
   h
 
 let size (acc : Access.t) h = acc.read ~site:site_size_r (h + h_size)
-let is_empty acc h = size acc h = 0
 
 (* Find the last node with key < [key]; 0 means "insert at head".  Returns
    (prev, curr) where curr is the first node with key >= [key] (or 0). *)

@@ -11,15 +11,11 @@
 type handle = int
 (** Address of the list header. *)
 
-val header_words : int
-val node_words : int
-
 val create : Access.t -> handle
 val destroy : Access.t -> handle -> unit
 (** Frees all nodes and the header. *)
 
 val size : Access.t -> handle -> int
-val is_empty : Access.t -> handle -> bool
 
 (** [insert acc lst ~key ~value] — false if [key] already present. *)
 val insert : Access.t -> handle -> key:int -> value:int -> bool
@@ -45,7 +41,3 @@ val iter_has_next : Access.t -> iter:int -> bool
 (** [iter_next acc ~iter] — (key, value) under the cursor; advances.
     Raises [Invalid_argument] past the end. *)
 val iter_next : Access.t -> iter:int -> int * int
-
-(** {2 Site labels} (exposed for the IR models) *)
-
-val site_names : string list

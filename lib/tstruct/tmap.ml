@@ -36,15 +36,6 @@ let site_header_init_root =
 let site_header_init_size =
   Site.declare ~manual:false ~write:true "map.header_init.size"
 
-let site_names =
-  [
-    "map.root_r"; "map.root_w"; "map.size_r"; "map.size_w"; "map.key_r";
-    "map.val_r"; "map.val_w"; "map.prio_r"; "map.left_r"; "map.right_r";
-    "map.left_w"; "map.right_w"; "map.node_init.key"; "map.node_init.val";
-    "map.node_init.prio"; "map.node_init.left"; "map.node_init.right";
-    "map.header_init.root"; "map.header_init.size";
-  ]
-
 (* Deterministic priority: structure identical across runs and configs. *)
 let prio_of_key key = (key * 0x2545F4914F6CDD1D) land max_int
 

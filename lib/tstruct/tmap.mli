@@ -34,5 +34,3 @@ val min_binding : Access.t -> handle -> (int * int) option
 
 (** In-order fold (read-only traversal). *)
 val fold : Access.t -> handle -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-
-val site_names : string list

@@ -8,12 +8,6 @@ let site_first_w = Site.declare ~write:true "pair.first_w"
 let site_init_first = Site.declare ~manual:false ~write:true "pair.init.first"
 let site_init_second = Site.declare ~manual:false ~write:true "pair.init.second"
 
-let site_names =
-  [
-    "pair.first_r"; "pair.second_r"; "pair.first_w"; "pair.init.first";
-    "pair.init.second";
-  ]
-
 let create (acc : Access.t) ~first ~second =
   let p = acc.alloc 2 in
   acc.write ~site:site_init_first p first;

@@ -7,4 +7,3 @@ val destroy : Access.t -> handle -> unit
 val first : Access.t -> handle -> int
 val second : Access.t -> handle -> int
 val set_first : Access.t -> handle -> int -> unit
-val site_names : string list

@@ -25,14 +25,6 @@ let site_init_data = Site.declare ~manual:false ~write:true "queue.init.data"
 let site_grow_slot_w =
   Site.declare ~manual:false ~write:true "queue.grow.slot_w"
 
-let site_names =
-  [
-    "queue.pop_r"; "queue.pop_w"; "queue.push_r"; "queue.push_w";
-    "queue.cap_r"; "queue.cap_w"; "queue.data_r"; "queue.data_w";
-    "queue.slot_r"; "queue.slot_w"; "queue.init.pop"; "queue.init.push";
-    "queue.init.cap"; "queue.init.data"; "queue.grow.slot_w";
-  ]
-
 let create (acc : Access.t) ?(capacity = 8) () =
   let cap = max 2 capacity in
   let h = acc.alloc header_words in
@@ -42,10 +34,6 @@ let create (acc : Access.t) ?(capacity = 8) () =
   acc.write ~site:site_init_cap (h + h_cap) cap;
   acc.write ~site:site_init_data (h + h_data) data;
   h
-
-let destroy (acc : Access.t) h =
-  acc.free (acc.read ~site:site_data_r (h + h_data));
-  acc.free h
 
 (* STAMP convention: pop points one before the first element. *)
 let is_empty (acc : Access.t) h =

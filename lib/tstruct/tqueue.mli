@@ -5,9 +5,7 @@
 type handle = int
 
 val create : Access.t -> ?capacity:int -> unit -> handle
-val destroy : Access.t -> handle -> unit
 val is_empty : Access.t -> handle -> bool
 val length : Access.t -> handle -> int
 val push : Access.t -> handle -> int -> unit
 val pop : Access.t -> handle -> int option
-val site_names : string list

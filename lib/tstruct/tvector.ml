@@ -21,14 +21,6 @@ let site_init_data = Site.declare ~manual:false ~write:true "vector.init.data"
 let site_grow_slot_w =
   Site.declare ~manual:false ~write:true "vector.grow.slot_w"
 
-let site_names =
-  [
-    "vector.size_r"; "vector.size_w"; "vector.cap_r"; "vector.cap_w";
-    "vector.data_r"; "vector.data_w"; "vector.slot_r"; "vector.slot_w";
-    "vector.init.size"; "vector.init.cap"; "vector.init.data";
-    "vector.grow.slot_w";
-  ]
-
 let create (acc : Access.t) ?(capacity = 8) () =
   let cap = max 1 capacity in
   let h = acc.alloc header_words in

@@ -11,4 +11,3 @@ val at : Access.t -> handle -> int -> int
 
 val set : Access.t -> handle -> int -> int -> unit
 val clear : Access.t -> handle -> unit
-val site_names : string list

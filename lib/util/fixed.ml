@@ -26,7 +26,6 @@ let div a b =
     let rem = a - (hi * b) in
     (hi lsl scale_bits) + ((rem lsl scale_bits) / b)
 
-let neg x = -x
 let abs x = Stdlib.abs x
 
 let sqrt x =

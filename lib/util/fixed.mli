@@ -24,7 +24,6 @@ val mul : t -> t -> t
 val div : t -> t -> t
 (** [div _ 0] raises [Division_by_zero]. *)
 
-val neg : t -> t
 val abs : t -> t
 
 val sqrt : t -> t

@@ -332,11 +332,7 @@ let test_micros_clean () =
                    r.Harness.workload r.Harness.config r.Harness.strategy)
                 true
                 (r.Harness.total_forwarded >= Workloads.min_forwarded workload))
-            [
-              Strategy.Random { persist = 85 };
-              Strategy.Pct { depth = 3 };
-              Strategy.Dfs { preemptions = 2 };
-            ])
+            [ Strategy.Random; Strategy.Pct; Strategy.Dfs ])
         (Workloads.micros ~nthreads:2))
     configs
 
@@ -348,7 +344,7 @@ let test_injected_bug_caught () =
   let workload = Workloads.counter ~nthreads:2 ~incs:3 in
   let r =
     Harness.explore ~workload ~config
-      ~strategy:(Strategy.Random { persist = 85 })
+      ~strategy:Strategy.Random
       ~runs:200 ~seed:3 ()
   in
   match r.Harness.first with
@@ -372,7 +368,7 @@ let test_injected_bug_caught_by_dfs () =
   let workload = Workloads.counter ~nthreads:2 ~incs:3 in
   let r =
     Harness.explore ~workload ~config
-      ~strategy:(Strategy.Dfs { preemptions = 2 })
+      ~strategy:Strategy.Dfs
       ~runs:200 ~seed:3 ()
   in
   Alcotest.(check bool) "dfs finds it" true (r.Harness.violations > 0)
@@ -381,12 +377,7 @@ let test_injected_bug_caught_by_dfs () =
 (* Zombies: the trap genuinely fires, and the always-armed fuel        *)
 (* terminates it                                                       *)
 
-let all_strategies =
-  [
-    Strategy.Random { persist = 85 };
-    Strategy.Pct { depth = 3 };
-    Strategy.Dfs { preemptions = 2 };
-  ]
+let all_strategies = [ Strategy.Random; Strategy.Pct; Strategy.Dfs ]
 
 (* The micros sweep already proves zombie runs terminate; this probe
    (the same workload, plus an OCaml-side flag set on trap entry) proves
@@ -450,7 +441,7 @@ let test_contained_faults_stay_contained () =
           (fun workload ->
             let r =
               Harness.explore ~workload ~config
-                ~strategy:(Strategy.Random { persist = 85 })
+                ~strategy:Strategy.Random
                 ~runs:80 ~seed:3 ()
             in
             if r.Harness.violations > 0 then
@@ -468,7 +459,7 @@ let test_stale_read_flagged () =
     Harness.explore
       ~workload:(Workloads.counter ~nthreads:2 ~incs:3)
       ~config
-      ~strategy:(Strategy.Random { persist = 85 })
+      ~strategy:Strategy.Random
       ~runs:300 ~seed:3 ()
   in
   Alcotest.(check bool) "stale reads flagged" true (r.Harness.violations > 0);
@@ -488,7 +479,7 @@ let test_clock_stall_flagged_under_tv () =
     Harness.explore
       ~workload:(Workloads.counter ~nthreads:2 ~incs:3)
       ~config
-      ~strategy:(Strategy.Random { persist = 85 })
+      ~strategy:Strategy.Random
       ~runs:300 ~seed:3 ()
   in
   Alcotest.(check bool) "clock stall flagged" true (r.Harness.violations > 0)
@@ -499,7 +490,7 @@ let test_redo_drop_flagged_under_lazy () =
     Harness.explore
       ~workload:(Workloads.counter ~nthreads:2 ~incs:3)
       ~config
-      ~strategy:(Strategy.Random { persist = 85 })
+      ~strategy:Strategy.Random
       ~runs:300 ~seed:3 ()
   in
   Alcotest.(check bool) "dropped redo insert flagged" true
@@ -513,7 +504,7 @@ let test_publish_partial_flagged_under_lazy () =
     Harness.explore
       ~workload:(Workloads.counter ~nthreads:2 ~incs:3)
       ~config
-      ~strategy:(Strategy.Random { persist = 85 })
+      ~strategy:Strategy.Random
       ~runs:300 ~seed:3 ()
   in
   Alcotest.(check bool) "partial publish flagged" true
@@ -530,7 +521,7 @@ let test_blind_rescue_flagged_everywhere () =
         Harness.explore
           ~workload:(Workloads.linemate ~nthreads:2 ~rounds:3)
           ~config
-          ~strategy:(Strategy.Random { persist = 85 })
+          ~strategy:Strategy.Random
           ~runs:200 ~seed:3 ()
       in
       let name = Config.to_string config in
@@ -562,7 +553,7 @@ let test_skip_validation_flagged_on_recordmix () =
         Harness.explore
           ~workload:(Workloads.recordmix ~nthreads:2 ~rounds:4)
           ~config
-          ~strategy:(Strategy.Random { persist = 85 })
+          ~strategy:Strategy.Random
           ~runs:200 ~seed:3 ()
       in
       let name = Config.to_string config in
@@ -584,7 +575,7 @@ let test_clean_lazy_config_no_false_positive () =
   let workload = Workloads.counter ~nthreads:2 ~incs:3 in
   let r =
     Harness.explore ~workload ~config:(Config.with_lazy tree)
-      ~strategy:(Strategy.Random { persist = 85 })
+      ~strategy:Strategy.Random
       ~runs:200 ~seed:3 ()
   in
   Alcotest.(check int) "no violations under lazy" 0 r.Harness.violations
@@ -594,7 +585,7 @@ let test_clean_config_no_false_positive () =
   let workload = Workloads.counter ~nthreads:2 ~incs:3 in
   let r =
     Harness.explore ~workload ~config:tree
-      ~strategy:(Strategy.Random { persist = 85 })
+      ~strategy:Strategy.Random
       ~runs:200 ~seed:3 ()
   in
   Alcotest.(check int) "no violations" 0 r.Harness.violations
@@ -624,7 +615,7 @@ let test_crash_faults_recover_clean () =
         List.map
           (fun mode ->
             Harness.run_cell
-              ~strategies:[ Strategy.Random { persist = 85 } ]
+              ~strategies:[ Strategy.Random ]
               ~runs:75 ~seed:3
               ~workload:(Workloads.counter ~nthreads:2 ~incs:3)
               ~config:
@@ -650,7 +641,7 @@ let test_clean_wal_sweep_silent () =
         Harness.explore
           ~workload:(Workloads.bank ~nthreads:2 ~accounts:3 ~transfers:3)
           ~config
-          ~strategy:(Strategy.Random { persist = 85 })
+          ~strategy:Strategy.Random
           ~runs:120 ~seed:3 ()
       in
       if r.Harness.violations > 0 then
@@ -671,7 +662,7 @@ let test_torn_tail_replayed_caught () =
   in
   let config = with_fault Fault.Torn_tail_replayed in
   let workload = Workloads.bank ~nthreads:2 ~accounts:3 ~transfers:3 in
-  let strategy = Strategy.Random { persist = 85 } in
+  let strategy = Strategy.Random in
   (* The seeded replay-the-torn-tail bug must be flagged by the recovery
      oracle on some world seed... *)
   let found =
@@ -728,7 +719,7 @@ let test_free_race_red_without_ebr () =
   let workload = Workloads.free_race ~nthreads:2 ~rounds:3 in
   let r =
     Harness.explore ~workload ~config:tree
-      ~strategy:(Strategy.Random { persist = 85 })
+      ~strategy:Strategy.Random
       ~runs:200 ~seed:3 ()
   in
   match r.Harness.first with
@@ -751,7 +742,7 @@ let test_privatize_race_red_without_ebr () =
   let workload = Workloads.privatize_race ~nthreads:2 ~rounds:2 in
   let r =
     Harness.explore ~workload ~config:tree
-      ~strategy:(Strategy.Random { persist = 85 })
+      ~strategy:Strategy.Random
       ~runs:300 ~seed:3 ()
   in
   Alcotest.(check bool)
@@ -780,7 +771,7 @@ let test_reclaim_green_with_ebr_torture () =
           for seed = 1 to 30 do
             let r =
               Harness.explore ~workload ~config
-                ~strategy:(Strategy.Random { persist = 85 })
+                ~strategy:Strategy.Random
                 ~runs:10 ~seed ~minimize:false ()
             in
             if r.Harness.violations > 0 then

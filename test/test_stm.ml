@@ -354,6 +354,42 @@ let test_audit_classification () =
   check_int "required" 1 st.Stats.audit_reads_required;
   check_int "other" 1 st.Stats.audit_reads_other
 
+(* Each nested scope answers the audit's heap question from its own
+   allocations (paper §2.2.1): the child does not count the parent's
+   block, counts its own, and once the child commits the parent counts
+   the child's block too.  The site is declared but not manual, so a
+   read that is neither heap nor stack counts as "other". *)
+let audit_nested_site =
+  Site.declare ~manual:false ~write:false "stm.test.audit_nested"
+
+let test_audit_nested_scopes () =
+  let w = mk_world Config.audit in
+  let th = Engine.setup_thread w in
+  let st = Txn.thread_stats th in
+  let read tx a = ignore (Txn.read_at ~site:audit_nested_site tx a : int) in
+  Txn.atomic th (fun tx ->
+      let outer = Txn.alloc tx 4 in
+      let inner =
+        Txn.atomic th (fun tx' ->
+            read tx' outer;
+            check_int "child: parent's block is not heap" 0
+              st.Stats.audit_reads_heap;
+            check_int "child: parent's block is other" 1
+              st.Stats.audit_reads_other;
+            let inner = Txn.alloc tx' 4 in
+            read tx' inner;
+            check_int "child: own block is heap" 1 st.Stats.audit_reads_heap;
+            inner)
+      in
+      read tx inner;
+      check_int "parent: committed child's block is heap" 2
+        st.Stats.audit_reads_heap;
+      read tx outer;
+      check_int "parent: own block is heap" 3 st.Stats.audit_reads_heap);
+  check_int "other" 1 st.Stats.audit_reads_other;
+  check_int "required" 0 st.Stats.audit_reads_required;
+  check_int "stack" 0 st.Stats.audit_reads_stack
+
 (* ------------------------------------------------------------------ *)
 (* Nesting                                                             *)
 
@@ -2097,6 +2133,34 @@ let test_reclaim_engine_parity () =
   check_int "live words parity" words0 words1;
   check "frees went through limbo" true (s.Stats.limbo_blocks > 0)
 
+(* [quiesce] is a fence between transactions: it refuses to run inside
+   one, top-level or nested, and runs once the transaction is over,
+   however it ended. *)
+let test_quiesce_outside_transactions () =
+  let w = mk_world (Config.with_ebr (Config.runtime Alloc_log.Tree)) in
+  let th = Engine.setup_thread w in
+  let inside what =
+    Alcotest.check_raises what
+      (Invalid_argument "Txn.quiesce: called inside a transaction") (fun () ->
+        Txn.quiesce th)
+  in
+  Txn.atomic th (fun _ -> inside "top level");
+  Txn.atomic th (fun _ -> Txn.atomic th (fun _ -> inside "nested"));
+  Txn.quiesce th;
+  (try Txn.atomic th (fun tx -> Txn.abort tx) with Txn.User_abort -> ());
+  Txn.quiesce th;
+  Txn.atomic th (fun _ ->
+      (try Txn.atomic th (fun tx' -> Txn.abort tx') with Txn.User_abort -> ());
+      inside "after a nested abort");
+  Txn.quiesce th;
+  let attempts = ref 0 in
+  Txn.atomic th (fun tx ->
+      incr attempts;
+      if !attempts = 1 then Txn.restart tx;
+      inside "retried attempt");
+  check_int "restarted once" 2 !attempts;
+  Txn.quiesce th
+
 (* ------------------------------------------------------------------ *)
 (* The config grammar: Config.to_string / Config.of_string              *)
 
@@ -2374,6 +2438,8 @@ let () =
             test_private_annotation_elides;
           Alcotest.test_case "audit classification" `Quick
             test_audit_classification;
+          Alcotest.test_case "audit classification under nesting" `Quick
+            test_audit_nested_scopes;
         ] );
       ( "nesting",
         [
@@ -2500,6 +2566,8 @@ let () =
             test_reclaim_flush_unconditional;
           Alcotest.test_case "end-of-run allocator parity" `Quick
             test_reclaim_engine_parity;
+          Alcotest.test_case "quiesce only outside transactions" `Quick
+            test_quiesce_outside_transactions;
         ] );
       ( "config",
         [
