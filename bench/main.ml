@@ -639,6 +639,11 @@ let ablation () =
 (* ------------------------------------------------------------------ *)
 (* Contention: abort behaviour of the retry backoff vs thread count      *)
 
+(* Share of all thread time spent in retry backoff. *)
+let backoff_share ~nthreads (r : Engine.result) =
+  float_of_int r.Engine.stats.Stats.backoff_cycles
+  /. float_of_int (nthreads * r.Engine.makespan)
+
 let contention () =
   headline
     "Contention: retry backoff (shared-counter increments, then four apps \
@@ -667,11 +672,13 @@ let contention () =
       assert (
         Captured_tmem.Memory.get (Engine.memory w) cell = nthreads * incs);
       json_line ~section:"contention" [ ("threads", string_of_int nthreads) ] r;
-      Printf.printf "# %2d thr  abort/commit %5.2f  makespan %9d  %s\n"
+      Printf.printf
+        "# %2d thr  abort/commit %5.2f  makespan %9d  %s  backoff_share %.2f\n"
         nthreads
         (Stats.abort_ratio r.Engine.stats)
         r.Engine.makespan
-        (show r.Engine.stats [ "cm_max_consec_aborts" ]))
+        (show r.Engine.stats [ "cm_max_consec_aborts"; "spin_aborts" ])
+        (backoff_share ~nthreads r))
     [ 2; 4; 8; 16 ];
   (* Real apps, each under its benchmark configuration: [run_sim] fails
      unless the app's own verification passes.  One JSON line per seed;
@@ -698,9 +705,7 @@ let contention () =
             (med (fun r -> float_of_int r.Engine.makespan))
             (med (fun r ->
                  float_of_int r.Engine.stats.Stats.cm_max_consec_aborts))
-            (med (fun r ->
-                 float_of_int r.Engine.stats.Stats.backoff_cycles
-                 /. float_of_int (sim_threads * r.Engine.makespan))))
+            (med (backoff_share ~nthreads:sim_threads)))
     (List.map
        (fun (app, c) -> (app, config c))
        [

@@ -84,7 +84,9 @@ val backoff : attempt:int -> jitter:int -> int
 (** Exponential backoff cycles for retry [attempt] (1-based); [jitter] in
     [0, 63] decorrelates threads.  Monotone in [attempt] (capped at
     {!backoff_max_shift} doublings), adds at most [63 * attempt] jitter
-    cycles over the jitter-free value, never negative. *)
+    cycles over the jitter-free value, never negative.  It is the longest
+    retry wait: a lock-wait abort stops waiting once the orec that stopped
+    it is released. *)
 
 val redo_summary_check : int
 (** Lazy versioning: one-AND Bloom summary test fronting every barrier's

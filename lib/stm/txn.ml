@@ -121,6 +121,12 @@ type thread = {
   (* Snapshot timestamp (Global clock): the read set is known consistent
      at the instant the global clock held this value. *)
   mutable start_ts : int;
+  (* The orec whose lock ended this attempt ([spin_on_lock]), -1 for
+     none, and the locked word it held then: [backoff] waits for that word
+     to leave the orec.  Cleared by [begin_top], so it never outlives the
+     attempt that spun out. *)
+  mutable blocker : int;
+  mutable blocker_word : int;
 }
 
 (* A transaction is its thread's own descriptor; txn.mli keeps the two
@@ -206,6 +212,8 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     scopes = [];
     fuel = 0;
     start_ts = 0;
+    blocker = -1;
+    blocker_word = 0;
   }
 
 (* A full (SC) fence: an SC read-modify-write on a thread-private atomic
@@ -726,13 +734,16 @@ let note_conflict th w =
   let owner = Orec.owner_of w in
   if owner <> th.tid then Stats.note_pair th.stats ~tid:th.tid ~peer:owner
 
-(* One lock-wait spin on an orec found holding the locked word [w]; the
-   attempt self-aborts after [Costs.spin_limit] spins. *)
-let spin_on_lock th w spins =
+(* One lock-wait spin on orec [oi], found holding the locked word [w];
+   the attempt self-aborts after [Costs.spin_limit] spins, naming [oi]
+   and [w] as its blocker for [backoff]. *)
+let spin_on_lock th oi w spins =
   th.stats.lock_waits <- th.stats.lock_waits + 1;
   if spins = 0 then note_conflict th w;
   if spins >= Costs.spin_limit then begin
     th.stats.spin_aborts <- th.stats.spin_aborts + 1;
+    th.blocker <- oi;
+    th.blocker_word <- w;
     raise Retry_conflict
   end;
   th.platform.consume Costs.lock_spin;
@@ -744,7 +755,7 @@ let spin_on_lock th w spins =
 let rec full_read_loop tx oi addr logged spins =
   let w1 = Orec.get tx.orecs oi in
   if Orec.is_locked w1 then begin
-    spin_on_lock tx w1 spins;
+    spin_on_lock tx oi w1 spins;
     full_read_loop tx oi addr logged (spins + 1)
   end
   else begin
@@ -921,7 +932,7 @@ let read tx addr = read_at ~site:Site.anonymous_read tx addr
 let rec acquire_loop tx oi spins =
   let w = Orec.get tx.orecs oi in
   if Orec.is_locked w then begin
-    spin_on_lock tx w spins;
+    spin_on_lock tx oi w spins;
     acquire_loop tx oi (spins + 1)
   end
   else if Orec.try_lock tx.orecs oi ~owner:tx.tid ~expected:w then begin
@@ -1240,6 +1251,7 @@ let begin_top tx ~attempt =
   tx.n_undo <- 0;
   tx.n_acq <- 0;
   tx.fuel <- Costs.fuel_budget;
+  tx.blocker <- -1;
   (* Only the Global clock has a snapshot timestamp; skipping the clock
      read keeps Scan's begin clock-free. *)
   tx.start_ts <- (match tx.clock with Global -> Orec.clock tx.orecs | Scan -> 0);
@@ -1641,21 +1653,43 @@ let abort_scope tx =
 (* ------------------------------------------------------------------ *)
 (* The atomic runner                                                   *)
 
-(* Post-abort wait before retry [attempt + 1]: [Costs.backoff], with one
-   [Prng.int] of jitter per abort.  The wait is at most 2048 jitter-free
-   cycles, under [Platform.native_relax]'s sleep threshold, so a native
-   retry spins unless its jitter pushes it past.  [attempt] is also the
-   transaction's run of consecutive conflict aborts so far. *)
+(* Post-abort wait before retry [attempt + 1], within the window
+   [Costs.backoff] draws from one [Prng.int] of jitter per abort.  An
+   attempt that spun out on a lock ([blocker] set) polls that orec in
+   lock-spin steps and retries as soon as the orec no longer holds the
+   locked word seen, or once the window is used up: a lock-wait abort never
+   waits longer than the window, and every other abort waits all of it.
+   The window is at most 2048 jitter-free cycles, under
+   [Platform.native_relax]'s sleep threshold, so a native retry spins
+   unless its jitter pushes it past.  [attempt] is also the transaction's
+   run of consecutive conflict aborts so far. *)
 let backoff th attempt =
   let st = th.stats in
   if attempt > st.cm_max_consec_aborts then st.cm_max_consec_aborts <- attempt;
   let jitter = Prng.int th.prng 64 in
   let cycles = Costs.backoff ~attempt ~jitter in
-  st.backoff_cycles <- st.backoff_cycles + cycles;
-  th.platform.consume cycles;
-  (* Native domains really wait the backoff out ([relax] is a no-op on the
-     simulator, where [consume] just charged it as virtual time). *)
-  th.platform.relax cycles;
+  (* Native domains really wait ([relax] is a no-op on the simulator,
+     where [consume] just charged the wait as virtual time). *)
+  let rec poll waited =
+    if waited >= cycles || Orec.get th.orecs th.blocker <> th.blocker_word
+    then waited
+    else begin
+      let step = min Costs.lock_spin (cycles - waited) in
+      th.platform.consume step;
+      th.platform.relax step;
+      th.platform.yield ();
+      poll (waited + step)
+    end
+  in
+  let waited =
+    if th.blocker >= 0 then poll 0
+    else begin
+      th.platform.consume cycles;
+      th.platform.relax cycles;
+      cycles
+    end
+  in
+  st.backoff_cycles <- st.backoff_cycles + waited;
   th.platform.yield ()
 
 type 'a outcome = Committed of 'a | Conflict | Userabort | Failed of exn

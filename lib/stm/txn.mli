@@ -30,7 +30,8 @@
     (publish, WAL append, commit event), release, then the fsync a
     group-completing WAL append owes.  Conflicts abort the
     requester, which retries after a capped exponential backoff
-    ({!Costs.backoff}).
+    ({!Costs.backoff}), cut short once the orec whose lock made it give
+    up is released.
 
     Every barrier first runs the capture analysis configured in
     {!Config.t} (paper Figure 2): accesses proven captured go straight to

@@ -339,42 +339,46 @@ let test_zero_alloc_forwarded_path () =
    before the native-backend work; any drift in commits, aborts or
    virtual makespan means replay/exploration traces are invalidated. *)
 
-(* Every pin was re-pinned when the conflict granule became a property
-   of the block: records (at most 8 words) got one orec per word, arrays
-   kept aligned 4-word lines ([Alloc], [Orec.index_of]).  Tree nodes and
-   reservations no longer share orecs, and arrays moved to the top of
-   their arena, so every schedule shifts; commits stay 160 and 198.
-   Previous (aborts, makespan) in each comment.  Before that, every
-   vacation-low pin was re-pinned when validation learned to rescue a
-   read whose orec a line-mate's commit moved but whose word it left
-   alone ([Txn.rescue_entry]); before that, the default backoff's
-   exponential window was capped at [Costs.backoff_max_shift] = 5
-   doublings. *)
+(* Every pin was re-pinned when a lock-wait abort learned to end its
+   backoff as soon as the orec that stopped it is released
+   ([Txn.backoff]): a retry now starts at the blocker's release instead
+   of the window's end, so every schedule with a spun-out reader or
+   writer shifts; commits stay 160 and 198.  Previous (aborts, makespan)
+   first in each comment.  Before that, every pin was re-pinned when the
+   conflict granule became a property of the block: records (at most 8
+   words) got one orec per word, arrays kept aligned 4-word lines
+   ([Alloc], [Orec.index_of]), tree nodes and reservations stopped
+   sharing orecs and arrays moved to the top of their arena (the older
+   figures second in each comment).  Before that, every vacation-low pin
+   was re-pinned when validation learned to rescue a read whose orec a
+   line-mate's commit moved but whose word it left alone
+   ([Txn.rescue_entry]); before that, the default backoff's exponential
+   window was capped at [Costs.backoff_max_shift] = 5 doublings. *)
 let sim_refs =
   let tree = Config.runtime Alloc_log.Tree in
   [
-    (* was 109, 178113 *)
-    ("baseline", Config.baseline, 65, 152518);
-    (* was 110, 175729 *)
+    (* was 65, 152518; 109, 178113 *)
+    ("baseline", Config.baseline, 79, 172722);
+    (* was 82, 170107; 110, 175729 *)
     ( "baseline+fp+tv",
       Config.with_fastpath (Config.with_tvalidate Config.baseline),
-      82,
-      170107 );
-    (* was 95, 204794 *)
-    ("tree", tree, 57, 153243);
-    (* was 82, 155692 *)
-    ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 38, 132014);
+      62,
+      162396 );
+    (* was 57, 153243; 95, 204794 *)
+    ("tree", tree, 57, 158201);
+    (* was 38, 132014; 82, 155692 *)
+    ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 60, 145671);
     (* Commit-path coverage: the lazy acquire and the durable commit
        record. *)
-    (* was 52, 163639 *)
-    ("tree+lazy", Config.with_lazy tree, 35, 160849);
-    (* was 47, 172114 *)
-    ("tree+lazy+tv", Config.with_lazy (Config.with_tvalidate tree), 38, 202566);
-    (* was 57, 224093 *)
+    (* was 35, 160849; 52, 163639 *)
+    ("tree+lazy", Config.with_lazy tree, 45, 174786);
+    (* was 38, 202566; 47, 172114 *)
+    ("tree+lazy+tv", Config.with_lazy (Config.with_tvalidate tree), 49, 173221);
+    (* was 42, 166995; 57, 224093 *)
     ( "tree+lazy+tv+wal",
       Config.with_durable (Config.with_lazy (Config.with_tvalidate tree)),
-      42,
-      166995 );
+      48,
+      172071 );
   ]
 
 let test_sim_determinism (name, config, aborts, makespan) () =
@@ -392,9 +396,11 @@ let test_sim_determinism_kmeans () =
       (Config.runtime Alloc_log.Tree)
   in
   check_int "commits" 198 r.Engine.stats.Stats.commits;
-  (* was 33, 47189: the 8-word counters record now takes eight orecs *)
+  (* was 33, 47189: the 8-word counters record now takes eight orecs;
+     then 15, 42096 before lock-wait aborts ended their backoff at the
+     blocker's release *)
   check_int "aborts" 15 r.Engine.stats.Stats.aborts;
-  check_int "makespan" 42096 r.Engine.makespan
+  check_int "makespan" 42345 r.Engine.makespan
 
 (* ------------------------------------------------------------------ *)
 

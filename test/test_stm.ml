@@ -1239,6 +1239,107 @@ let prop_abort_runs =
       && waits 0 <= st.Stats.backoff_cycles
       && st.Stats.backoff_cycles <= waits 63)
 
+(* Thread 0 writes [cell] and holds its orec for [hold] cycles; thread 1
+   starts once the lock is taken and runs one transaction whose attempt
+   [a] (from 1) is [body tx cell a].  Returns thread 1's stats and the
+   wait before each of its retries: the growth of its [backoff_cycles]
+   from one attempt's start to the next. *)
+let run_blocked ~hold body =
+  let w = mk_world ~nthreads:2 Config.baseline in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let seen = ref [] in
+  let r =
+    Engine.run_sim ~seed:1 w (fun th ->
+        if Txn.thread_id th = 0 then
+          Txn.atomic th (fun tx ->
+              Txn.write tx cell 1;
+              Txn.tx_work tx hold)
+        else begin
+          Txn.work th 200;
+          let attempt = ref 0 in
+          Txn.atomic th (fun tx ->
+              incr attempt;
+              seen := (Txn.thread_stats th).Stats.backoff_cycles :: !seen;
+              body tx cell !attempt)
+        end)
+  in
+  let rec waits = function
+    | later :: (earlier :: _ as rest) -> (later - earlier) :: waits rest
+    | _ -> []
+  in
+  (r.Engine.per_thread.(1), List.rev (waits !seen))
+
+(* Thread 0's hold ends inside the window thread 1 drew after its first
+   spin-out: thread 1 retries at the release, well before the window's
+   end, and reads the committed value. *)
+let blocker_release = 480
+
+let test_backoff_ends_at_release () =
+  let value = ref 0 in
+  let st, waits =
+    run_blocked ~hold:blocker_release (fun tx cell _ ->
+        value := Txn.read tx cell)
+  in
+  check_int "one spin-out" 1 st.Stats.spin_aborts;
+  check_int "one abort" 1 st.Stats.aborts;
+  check_int "commits on the second attempt" 1 st.Stats.commits;
+  check_int "reads the holder's value" 1 !value;
+  match waits with
+  | [ wait ] ->
+      check "waited less than the shortest window" true
+        (wait < Costs.backoff ~attempt:1 ~jitter:0);
+      check_int "backoff_cycles is the wait" wait st.Stats.backoff_cycles
+  | _ -> Alcotest.fail "expected one retry"
+
+(* A hold that outlasts every window: each wait is the full window the
+   abort drew, as with no blocker.  Attempts past the third skip the
+   read, so the transaction commits while thread 0 still holds. *)
+let test_backoff_full_window_while_held () =
+  let spins = 3 in
+  let st, waits =
+    run_blocked ~hold:100_000 (fun tx cell a ->
+        if a <= spins then ignore (Txn.read tx cell : int))
+  in
+  check_int "spin-outs" spins st.Stats.spin_aborts;
+  check_int "commits" 1 st.Stats.commits;
+  check_int "one wait per spin-out" spins (List.length waits);
+  List.iteri
+    (fun k wait ->
+      let attempt = k + 1 in
+      check
+        (Printf.sprintf "wait %d is a full window" attempt)
+        true
+        (Costs.backoff ~attempt ~jitter:0 <= wait
+        && wait <= Costs.backoff ~attempt ~jitter:63))
+    waits;
+  let window jitter =
+    List.fold_left ( + ) 0
+      (List.init spins (fun k -> Costs.backoff ~attempt:(k + 1) ~jitter))
+  in
+  check "backoff_cycles within the windows" true
+    (window 0 <= st.Stats.backoff_cycles
+    && st.Stats.backoff_cycles <= window 63)
+
+(* The blocker does not outlive its attempt: a [Txn.restart] on the
+   attempt after a lock-wait abort waits the full window. *)
+let test_backoff_blocker_cleared () =
+  let st, waits =
+    run_blocked ~hold:blocker_release (fun tx cell a ->
+        ignore (Txn.read tx cell : int);
+        if a = 2 then Txn.restart tx)
+  in
+  check_int "one spin-out" 1 st.Stats.spin_aborts;
+  check_int "two aborts" 2 st.Stats.aborts;
+  check_int "commits" 1 st.Stats.commits;
+  match waits with
+  | [ released; restarted ] ->
+      check "the lock-wait retry ended early" true
+        (released < Costs.backoff ~attempt:1 ~jitter:0);
+      check "the restart waited a full window" true
+        (Costs.backoff ~attempt:2 ~jitter:0 <= restarted
+        && restarted <= Costs.backoff ~attempt:2 ~jitter:63)
+  | _ -> Alcotest.fail "expected two retries"
+
 (* ------------------------------------------------------------------ *)
 (* Redo buffer against a model: a Hashtbl of buffered values plus the
    addresses in first-insert order.  Random insert (or set_value when
@@ -2510,6 +2611,12 @@ let () =
           Alcotest.test_case "attempt numbers" `Quick test_attempt_numbers;
           Alcotest.test_case "max consecutive aborts" `Quick
             test_max_consec_aborts;
+          Alcotest.test_case "backoff ends at release" `Quick
+            test_backoff_ends_at_release;
+          Alcotest.test_case "backoff full window while held" `Quick
+            test_backoff_full_window_while_held;
+          Alcotest.test_case "backoff blocker cleared" `Quick
+            test_backoff_blocker_cleared;
         ]
         @ List.map Qc.to_alcotest [ prop_abort_runs ] );
       ( "private_log",
