@@ -32,12 +32,13 @@ let json_escape s =
 
 let report_json (r : Harness.report) union =
   Printf.sprintf
-    "{\"workload\":\"%s\",\"config\":\"%s\",\"strategy\":\"%s\",\"runs\":%d,\"new_schedules\":%d,\"union_distinct\":%d,\"truncated\":%d,\"crashes\":%d,\"dfrees\":%d,\"forwarded\":%d,\"rescued\":%d,\"violations\":%d%s}"
+    "{\"workload\":\"%s\",\"config\":\"%s\",\"strategy\":\"%s\",\"runs\":%d,\"new_schedules\":%d,\"union_distinct\":%d,\"truncated\":%d,\"crashes\":%d,\"dfrees\":%d,\"forwarded\":%d,\"rescued\":%d,\"extended\":%d,\"violations\":%d%s}"
     (json_escape r.Harness.workload)
     (json_escape r.Harness.config)
     r.Harness.strategy r.Harness.runs r.Harness.distinct union
     r.Harness.truncated r.Harness.crashes r.Harness.total_dfrees
-    r.Harness.total_forwarded r.Harness.total_rescued r.Harness.violations
+    r.Harness.total_forwarded r.Harness.total_rescued
+    r.Harness.total_extended r.Harness.violations
     (match r.Harness.first with
     | None -> ""
     | Some f ->
@@ -161,16 +162,17 @@ let workloads_arg =
   let doc =
     "Comma-separated micro workloads (counter, bank, publish, scoped, \
      zombie, zombie_reread, zombie_owned, reread, linemate, recordmix, \
-     free_race, privatize_race).  Default: the first seven — fault sweeps \
-     drop the three zombies, whose termination depends on the validation \
-     machinery faults break, and $(b,--fault premature-reuse) sweeps \
-     free_race alone (none when $(b,--apps) is given alone).  reread, \
-     the read-forwarding workload, fails any cell that forwarded no \
-     read; linemate, the value-checked-validation workload, any cell \
-     that rescued no read; recordmix mixes one-word and 4-word conflict \
-     granules; the reclaim pair any cell that deferred no \
-     free, and is red by design without $(b,+ebr), so it must be named \
-     explicitly."
+     longread, free_race, privatize_race).  Default: the first seven — \
+     fault sweeps drop the three zombies, whose termination depends on \
+     the validation machinery faults break, and $(b,--fault \
+     premature-reuse) sweeps free_race alone (none when $(b,--apps) is \
+     given alone).  reread, the read-forwarding workload, fails any \
+     cell that forwarded no read; linemate, the value-checked-validation \
+     workload, any cell that rescued no read; recordmix mixes one-word \
+     and 4-word conflict granules; longread, the long-read-log lock-wait \
+     workload, any cell that extended no lock wait past the spin limit; \
+     the reclaim pair any cell that deferred no free, and is red by \
+     design without $(b,+ebr), so it must be named explicitly."
   in
   Arg.(value & opt string "" & info [ "workloads"; "w" ] ~docv:"NAMES" ~doc)
 

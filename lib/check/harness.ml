@@ -24,6 +24,7 @@ type run = {
       (* [Stats.reads_forwarded] of a completed run (0 otherwise) — the
          reread sweeps' vacuity signal *)
   rescued : int;  (* [Stats.value_rescues], likewise for linemate *)
+  extended : int;  (* [Stats.waits_extended], likewise for longread *)
 }
 
 let count_dfrees hist =
@@ -122,6 +123,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         dfrees;
         forwarded = 0;
         rescued = 0;
+        extended = 0;
       }
   | `Crashed (_, Wal.Crashed) when wal <> None ->
       (* Injected process death: the run ends mid-flight by design.  The
@@ -139,6 +141,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         dfrees;
         forwarded = 0;
         rescued = 0;
+        extended = 0;
       }
   | `Crashed (tid, e) ->
       (* No fiber raises in a correct run (conflicts retry internally):
@@ -161,6 +164,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         dfrees;
         forwarded = 0;
         rescued = 0;
+        extended = 0;
       }
   | `Done r ->
       let orecs = Engine.orecs p.App.world in
@@ -205,6 +209,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         dfrees;
         forwarded = r.Engine.stats.Stats.reads_forwarded;
         rescued = r.Engine.stats.Stats.value_rescues;
+        extended = r.Engine.stats.Stats.waits_extended;
       }
 
 type found = {
@@ -230,6 +235,7 @@ type report = {
          exercised the path it claims to check (vacuous) *)
   total_forwarded : int;  (* forwarded reads summed over runs, likewise *)
   total_rescued : int;  (* value rescues summed over runs, likewise *)
+  total_extended : int;  (* extended lock waits summed over runs, likewise *)
 }
 
 (* Bounded exhaustive DFS with preemption bounding: run a prescription,
@@ -282,6 +288,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
   and total_dfrees = ref 0
   and total_forwarded = ref 0
   and total_rescued = ref 0
+  and total_extended = ref 0
   and ran = ref 0 in
   let first = ref None in
   let note (r : run) interventions =
@@ -298,6 +305,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
     total_dfrees := !total_dfrees + r.dfrees;
     total_forwarded := !total_forwarded + r.forwarded;
     total_rescued := !total_rescued + r.rescued;
+    total_extended := !total_extended + r.extended;
     match r.violation with
     | None -> ()
     | Some v ->
@@ -367,6 +375,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
     total_dfrees = !total_dfrees;
     total_forwarded = !total_forwarded;
     total_rescued = !total_rescued;
+    total_extended = !total_extended;
   }
 
 let report_to_string r =
@@ -378,9 +387,11 @@ let report_to_string r =
        else Printf.sprintf "dfrees=%d " r.total_dfrees)
     ^ (if r.total_forwarded = 0 then ""
        else Printf.sprintf "forwarded=%d " r.total_forwarded)
+    ^ (if r.total_rescued = 0 then ""
+       else Printf.sprintf "rescued=%d " r.total_rescued)
     ^
-    if r.total_rescued = 0 then ""
-    else Printf.sprintf "rescued=%d " r.total_rescued)
+    if r.total_extended = 0 then ""
+    else Printf.sprintf "extended=%d " r.total_extended)
     (if r.violations = 0 then "ok"
      else
        match r.first with
@@ -464,6 +475,9 @@ let floor_failures ~min_distinct c =
       below "value rescues"
         (total (fun r -> r.total_rescued) c)
         (Workloads.min_rescued c.workload);
+      below "extended lock waits"
+        (total (fun r -> r.total_extended) c)
+        (Workloads.min_extended c.workload);
       below "distinct schedules" c.union
         (if c.config.Config.fault = None then min_distinct else 0);
     ]

@@ -26,6 +26,9 @@ type run = {
   rescued : int;
       (** value rescues of a completed run, likewise — checked against
           {!Workloads.min_rescued} *)
+  extended : int;
+      (** lock waits past [Costs.spin_limit] of a completed run,
+          likewise — checked against {!Workloads.min_extended} *)
 }
 
 (** [run_one ~workload ~config control] prepares a fresh world, runs it
@@ -73,6 +76,7 @@ type report = {
   total_dfrees : int;  (** deferred frees summed over the runs *)
   total_forwarded : int;  (** forwarded reads summed over the runs *)
   total_rescued : int;  (** value rescues summed over the runs *)
+  total_extended : int;  (** extended lock waits summed over the runs *)
 }
 
 (** [explore ~workload ~config ~strategy ()] runs one strategy's budget
@@ -131,7 +135,8 @@ val run_cell :
     run and meet its floors: at least one injected crash under a crash
     fault, {!Workloads.min_dfrees} deferred frees,
     {!Workloads.min_forwarded} forwarded reads,
-    {!Workloads.min_rescued} value rescues, and — fault-free cells
+    {!Workloads.min_rescued} value rescues,
+    {!Workloads.min_extended} extended lock waits, and — fault-free cells
     only — [min_distinct] (default 0) distinct schedules.  The cells of
     each fault are then judged by {!Captured_stm.Fault.expectation}:
     fault-free and [Contained] cells

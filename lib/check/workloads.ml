@@ -494,6 +494,98 @@ let recordmix ~nthreads ~rounds =
         { App.world; body; verify });
   }
 
+(* Long reads: lock waits that outlast [Costs.spin_limit] spins.  A
+   16-cell block (two records, one orec per cell) holds fixed values,
+   [hot] counts commits, and each thread owns a 64-cell area that holds
+   the block four times over.  A transaction reads the whole block,
+   increments [hot], copies what it read into its area, then, in odd
+   rounds, rewrites one block cell with the value it read (the orec
+   moves, the value does not).  A reader blocked on [hot] has 16 reads
+   logged and owns no orec, so it may wait up to its redo break-even
+   ([Txn.spin_on_lock]).  The copy is what holds [hot] for enough
+   scheduling points for such a wait to pass the mark: eagerly while it
+   is written, lazily while the commit acquires the area's orecs.  The
+   doom scan finds the reader lost once an odd-round holder holds the
+   cell it rewrites, and rescues a logged cell whose rewrite has
+   committed.  [hot] ends at the number of commits, and every area
+   holds the block.  The sweep fails a cell that never extended a
+   wait. *)
+let longread ~nthreads ~rounds =
+  {
+    name = Printf.sprintf "longread-%dx%d" nthreads rounds;
+    nthreads;
+    reclaim_oracle = false;
+    prepare =
+      (fun config ->
+        let world = small_world ~nthreads config in
+        let mem = Engine.memory world in
+        let arena = Engine.global_arena world in
+        (* Cell [k] of an area made of [n] records. *)
+        let area n =
+          let records =
+            Array.init n (fun _ -> Alloc.alloc arena Alloc.record_words)
+          in
+          fun k -> records.(k / Alloc.record_words) + (k mod Alloc.record_words)
+        in
+        let cells = 2 * Alloc.record_words in
+        let block = area 2 in
+        let copies = Array.init nthreads (fun _ -> area 8) in
+        let hot = Alloc.alloc arena 1 in
+        assert (
+          Captured_stm.Orec.line_words_at (Engine.orecs world) (block 0) = 1);
+        for k = 0 to cells - 1 do
+          Memory.set mem (block k) (k + 1)
+        done;
+        let body th =
+          let tid = Txn.thread_id th in
+          let copy = copies.(tid) in
+          let vals = Array.make cells 0 in
+          for r = 1 to rounds do
+            Txn.atomic th (fun tx ->
+                for k = 0 to cells - 1 do
+                  vals.(k) <- Txn.read tx (block k)
+                done;
+                Txn.write tx hot (Txn.read tx hot + 1);
+                for k = 0 to (4 * cells) - 1 do
+                  Txn.write tx (copy k) vals.(k mod cells)
+                done;
+                if r land 1 = 1 then begin
+                  let c = (tid + r) mod cells in
+                  Txn.write tx (block c) vals.(c)
+                end)
+          done
+        in
+        let verify () =
+          let bad =
+            List.find_opt
+              (fun (t, k) ->
+                Memory.get mem (copies.(t) k) <> (k mod cells) + 1)
+              (List.concat_map
+                 (fun t -> List.init (4 * cells) (fun k -> (t, k)))
+                 (List.init nthreads Fun.id))
+          in
+          let expect = nthreads * rounds in
+          if Memory.get mem hot <> expect then
+            Error
+              (Printf.sprintf "longread hot %d, expected %d"
+                 (Memory.get mem hot) expect)
+          else
+            match bad with
+            | Some (t, k) ->
+                Error
+                  (Printf.sprintf "thread %d copied %d for block cell %d" t
+                     (Memory.get mem (copies.(t) k))
+                     (k mod cells))
+            | None -> Ok ()
+        in
+        { App.world; body; verify });
+  }
+
+(* Vacuity floor: a [longread] cell that never waited past
+   [Costs.spin_limit] proved nothing about the longer wait. *)
+let min_extended w =
+  if String.starts_with ~prefix:"longread-" w.name then 1 else 0
+
 (* Vacuity floor: a [linemate] cell that rescued no read proved
    nothing about the rescue. *)
 let min_rescued w =
@@ -684,6 +776,7 @@ let micros ~nthreads =
     reread ~nthreads ~rounds:3;
     linemate ~nthreads ~rounds:3;
     recordmix ~nthreads ~rounds:4;
+    longread ~nthreads ~rounds:2;
   ]
 
 (* Kept out of [micros]: without [+ebr] these are red by design (they

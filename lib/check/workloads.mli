@@ -63,6 +63,18 @@ val recordmix : nthreads:int -> rounds:int -> t
     two adjacent record words its neighbours also write and one word of
     the array's shared line, keeping the two blocks' sums equal. *)
 
+val longread : nthreads:int -> rounds:int -> t
+(** Long reads: each transaction reads a 16-cell block (one orec per
+    cell), then increments a hot cell and one block cell, keeping the
+    block's sum equal to the hot cell.  A reader blocked on a lock has a
+    long read log and owns no orec, so it may wait past
+    [Costs.spin_limit] spins, or be found doomed at that mark. *)
+
+val min_extended : t -> int
+(** Vacuity floor: the lock waits past [Costs.spin_limit] a sweep cell
+    of this workload must record — 1 for {!longread}, 0 for every other
+    workload. *)
+
 val min_rescued : t -> int
 (** Vacuity floor: the value rescues a sweep cell of this workload must
     record — 1 for {!linemate}, 0 for every other workload. *)

@@ -99,6 +99,8 @@ let ebr_advance = 6
 let grace_wait = 10
 
 (* Fault injection: extra cycles a Delayed_unlock commit burns while
-   still holding its orecs — deliberately beyond the lock-wait budget
-   (spin_limit * lock_spin = 128) so waiters spin out. *)
+   still holding its orecs — deliberately beyond the [spin_limit]
+   lock-wait budget (spin_limit * lock_spin = 128), so waiters that own
+   an orec or have a short read log spin out.  A waiter with no orec
+   and a long log waits up to its redo break-even, and may outlast it. *)
 let fault_unlock_delay = 160

@@ -38,7 +38,14 @@ val lock_spin : int
 (** One lock-wait spin iteration on a held orec. *)
 
 val spin_limit : int
-(** Lock-wait spins before a barrier self-aborts. *)
+(** Lock-wait spins before a barrier self-aborts, for an attempt that
+    owns an orec or whose read log is short.  An attempt that owns no
+    orec may spin up to its redo break-even instead:
+    [min (n_reads * read_barrier) (64 lsl backoff_max_shift) / lock_spin]
+    spins when that is larger, waiting while the wait costs less than
+    re-running the reads an abort would discard, never past 2048
+    cycles.  At [spin_limit] spins such a wait scans its read log once
+    and ends if the attempt is already lost ([Txn.spin_on_lock]). *)
 
 val fuel_budget : int
 (** Zombie guard: transactional operations per attempt between forced
@@ -133,5 +140,7 @@ val grace_wait : int
 
 val fault_unlock_delay : int
 (** {!Fault.Delayed_unlock}: cycles a commit holds its locks beyond the
-    release point — more than a waiter's whole budget,
-    [spin_limit * lock_spin]. *)
+    release point — more than the whole budget,
+    [spin_limit * lock_spin], of a waiter that owns an orec or has a
+    short read log, which therefore spins out.  A waiter with a longer
+    budget ({!spin_limit}) may wait the delay out. *)

@@ -21,8 +21,10 @@ type kind =
           (TOCTOU: a stale value can pass commit validation). *)
   | Delayed_unlock
       (** A writing commit occasionally burns extra cycles before
-          releasing its orecs.  Waiters spin out and self-abort;
-          correctness is unaffected. *)
+          releasing its orecs.  Waiters that own an orec, or whose read
+          log is too short to be worth waiting for, spin out and
+          self-abort; a waiter with a long log and no orec may wait the
+          delay out ({!Costs.spin_limit}).  Correctness is unaffected. *)
   | Spurious_abort
       (** Barriers occasionally raise a conflict out of thin air; the
           retry machinery must absorb it. *)

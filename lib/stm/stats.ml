@@ -44,6 +44,7 @@ type t = {
   mutable clock_advances : int;
   mutable validation_cycles : int;
   mutable spin_aborts : int;
+  mutable waits_extended : int;
   mutable backoff_cycles : int;
   mutable fuel_exhaustions : int;
   mutable sandbox_aborts : int;
@@ -115,6 +116,7 @@ let create () =
     clock_advances = 0;
     validation_cycles = 0;
     spin_aborts = 0;
+    waits_extended = 0;
     backoff_cycles = 0;
     fuel_exhaustions = 0;
     sandbox_aborts = 0;
@@ -252,6 +254,8 @@ let counters =
     sum "validation_cycles" (fun t -> t.validation_cycles)
       (fun t v -> t.validation_cycles <- v);
     sum "spin_aborts" (fun t -> t.spin_aborts) (fun t v -> t.spin_aborts <- v);
+    sum "waits_extended" (fun t -> t.waits_extended)
+      (fun t v -> t.waits_extended <- v);
     sum "backoff_cycles" (fun t -> t.backoff_cycles)
       (fun t v -> t.backoff_cycles <- v);
     sum "fuel_exhaustions" (fun t -> t.fuel_exhaustions)

@@ -96,6 +96,10 @@ type t = {
   mutable spin_aborts : int;
       (** Conflict aborts caused by a lock-wait spin exhausting its limit
           (previously folded into [aborts], which still includes them). *)
+  mutable waits_extended : int;
+      (** Lock waits that went past [Costs.spin_limit] spins: an attempt
+          that owns no orec and whose read log makes redoing it dearer
+          than waiting, and whose doom scan found it not yet lost. *)
   mutable backoff_cycles : int;
       (** Total simulated cycles burnt between a conflict abort and its
           retry ({!Costs.backoff}). *)

@@ -734,17 +734,59 @@ let note_conflict th w =
   let owner = Orec.owner_of w in
   if owner <> th.tid then Stats.note_pair th.stats ~tid:th.tid ~peer:owner
 
-(* One lock-wait spin on orec [oi], found holding the locked word [w];
-   the attempt self-aborts after [Costs.spin_limit] spins, naming [oi]
-   and [w] as its blocker for [backoff]. *)
+(* Lock-wait spins an attempt may spend before it self-aborts.  An
+   attempt that owns an orec gets [Costs.spin_limit], so no wait-for
+   cycle passes through a long waiter.  One that owns nothing waits
+   while the wait costs less than re-running the reads an abort would
+   throw away (the spin-then-block break-even), never past the longest
+   backoff window. *)
+let wait_budget th =
+  if th.n_acq > 0 then Costs.spin_limit
+  else
+    max Costs.spin_limit
+      (min
+         (th.n_reads * Costs.read_barrier)
+         (Costs.backoff ~attempt:Costs.backoff_max_shift ~jitter:0)
+      / Costs.lock_spin)
+
+(* The doom scan: is the attempt lost whatever the wait brings?  It is
+   once a read-log entry, from [k] on, is held locked by the blocker's
+   [owner] (whose commit will move it), or has moved, is unlocked and
+   fails the value rescue.  Each entry examined is charged as a
+   validation step. *)
+let rec doomed th ~owner k =
+  k < th.n_reads
+  && begin
+       charge_validation th Costs.validate_per_read;
+       let w = Orec.get th.orecs (Array.unsafe_get th.read_orecs k) in
+       (w <> Array.unsafe_get th.read_words k
+       && if Orec.is_locked w then Orec.owner_of w = owner
+          else not (rescue_entry th k ~upto:th.start_ts))
+       || doomed th ~owner (k + 1)
+     end
+
+(* One lock-wait spin on orec [oi], found holding the locked word [w].
+   The attempt self-aborts, naming [oi] and [w] as its blocker for
+   [backoff], once it has spun its [wait_budget], or at
+   [Costs.spin_limit] spins if the budget is larger but the doom scan
+   finds the attempt lost.  The scan runs once per wait, at exactly
+   [Costs.spin_limit] spins (a wait whose count a re-read stepped past
+   that mark skips it).  Natively a wait is a run of [cpu_relax]. *)
 let spin_on_lock th oi w spins =
   th.stats.lock_waits <- th.stats.lock_waits + 1;
   if spins = 0 then note_conflict th w;
   if spins >= Costs.spin_limit then begin
-    th.stats.spin_aborts <- th.stats.spin_aborts + 1;
-    th.blocker <- oi;
-    th.blocker_word <- w;
-    raise Retry_conflict
+    if
+      spins >= wait_budget th
+      || (spins = Costs.spin_limit && doomed th ~owner:(Orec.owner_of w) 0)
+    then begin
+      th.stats.spin_aborts <- th.stats.spin_aborts + 1;
+      th.blocker <- oi;
+      th.blocker_word <- w;
+      raise Retry_conflict
+    end;
+    if spins = Costs.spin_limit then
+      th.stats.waits_extended <- th.stats.waits_extended + 1
   end;
   th.platform.consume Costs.lock_spin;
   th.platform.yield ()

@@ -28,10 +28,12 @@
     sequence:
     lazy acquire, read-only fast path, per-clock validation, serialize
     (publish, WAL append, commit event), release, then the fsync a
-    group-completing WAL append owes.  Conflicts abort the
-    requester, which retries after a capped exponential backoff
-    ({!Costs.backoff}), cut short once the orec whose lock made it give
-    up is released.
+    group-completing WAL append owes.  A barrier that finds an orec
+    locked spins {!Costs.spin_limit} times, or, in an attempt that owns
+    no orec and has a long read log, up to that log's redo break-even.
+    Conflicts abort the requester, which retries after a capped
+    exponential backoff ({!Costs.backoff}), cut short once the orec
+    whose lock made it give up is released.
 
     Every barrier first runs the capture analysis configured in
     {!Config.t} (paper Figure 2): accesses proven captured go straight to

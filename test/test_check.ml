@@ -805,6 +805,7 @@ let quiet_report =
     total_dfrees = 0;
     total_forwarded = 0;
     total_rescued = 0;
+    total_extended = 0;
   }
 
 let check_vacuous ~what ~vacuous (cell : Harness.cell) =
@@ -863,6 +864,19 @@ let test_verdict_rescued_floor () =
   check_vacuous ~what:"value rescues" ~vacuous:false
     (cell linemate [ { quiet_report with total_rescued = 1 } ]);
   check_vacuous ~what:"value rescues" ~vacuous:false
+    (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
+
+let test_verdict_extended_floor () =
+  let cell workload reports =
+    { Harness.workload; config = tree; reports; union = 40 }
+  in
+  let longread = Workloads.longread ~nthreads:2 ~rounds:2 in
+  Alcotest.(check int) "longread floor" 1 (Workloads.min_extended longread);
+  check_vacuous ~what:"extended lock waits" ~vacuous:true
+    (cell longread [ quiet_report ]);
+  check_vacuous ~what:"extended lock waits" ~vacuous:false
+    (cell longread [ { quiet_report with total_extended = 1 } ]);
+  check_vacuous ~what:"extended lock waits" ~vacuous:false
     (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
 
 let () =
@@ -955,5 +969,7 @@ let () =
             `Quick test_verdict_dfrees_floor;
           Alcotest.test_case "linemate cell below min_rescued is vacuous"
             `Quick test_verdict_rescued_floor;
+          Alcotest.test_case "longread cell below min_extended is vacuous"
+            `Quick test_verdict_extended_floor;
         ] );
     ]

@@ -4,6 +4,9 @@ module Memory = Captured_tmem.Memory
 module Alloc = Captured_tmem.Alloc
 module Sync = Captured_apps.Sync
 module Access = Captured_tstruct.Access
+module App = Captured_apps.App
+module Alloc_log = Captured_core.Alloc_log
+module Workloads = Captured_check.Workloads
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -410,10 +413,30 @@ let test_costs_relative_magnitudes () =
   check_int "cap is 2048 cycles" 2048 cap
 
 (* Fault.Delayed_unlock only makes waiters spin out if the commit holds
-   its locks longer than a waiter's whole lock-wait budget. *)
+   its locks longer than a waiter's whole lock-wait budget: this holds
+   for the [spin_limit] budget of a waiter that owns an orec or has a
+   short read log, not for the longer budget a waiter with no orec and
+   a long log gets ([Txn.spin_on_lock]). *)
 let test_costs_delayed_unlock_outlasts_wait () =
   check "delay > spin_limit * lock_spin" true
     (Costs.fault_unlock_delay > Costs.spin_limit * Costs.lock_spin)
+
+(* The fault still bites where the budget is [spin_limit]: on the
+   counter micro every waiter has read at most the one cell, so a
+   delayed unlock makes at least one of them spin out, and the count
+   stays exact. *)
+let test_delayed_unlock_spins_out () =
+  let counter = Workloads.counter ~nthreads:2 ~incs:4 in
+  let p =
+    counter.Workloads.prepare
+      (Config.with_fault (Some Fault.Delayed_unlock)
+         (Config.runtime Alloc_log.Tree))
+  in
+  let r = Engine.run_sim ~seed:1 p.App.world p.App.body in
+  check "counter verifies" true (p.App.verify () = Ok ());
+  check "the fault fired" true (r.Engine.stats.Stats.faults_injected > 0);
+  check "a waiter spun out" true (r.Engine.stats.Stats.spin_aborts > 0);
+  check_int "no extended wait" 0 r.Engine.stats.Stats.waits_extended
 
 (* The documented contract of Costs.backoff, as properties: monotone in
    the attempt number, jitter adds at most [63 * attempt] over the
@@ -524,5 +547,7 @@ let () =
         [
           Alcotest.test_case "registry round-trip" `Quick
             test_fault_names_roundtrip;
+          Alcotest.test_case "delayed unlock spins out a counter waiter"
+            `Quick test_delayed_unlock_spins_out;
         ] );
     ]

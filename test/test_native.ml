@@ -111,6 +111,48 @@ let test_snapshot_extension () =
   run_snapshot_extension ~mode:(`Sim 11);
   run_snapshot_extension ~mode:`Native
 
+(* Long read logs: each transaction reads a 64-cell block (an array:
+   16 lines, so 16 read-log entries) before it increments the counter,
+   so a domain that finds the counter locked owns no orec and may wait
+   up to its redo break-even, after a doom scan of those entries,
+   instead of spinning out at [Costs.spin_limit] ([Txn.spin_on_lock]).
+   The block holds zeros, which every read adds to the increment. *)
+let run_longread ~nthreads ~incs config =
+  let w = Engine.create ~nthreads config in
+  let block = Alloc.alloc (Engine.global_arena w) 64 in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let r =
+    Engine.run_native w (fun th ->
+        for _ = 1 to incs do
+          Txn.atomic th (fun tx ->
+              let sum = ref 1 in
+              for k = 0 to 63 do
+                sum := !sum + Txn.read tx (block + k)
+              done;
+              Txn.write tx cell (Txn.read tx cell + !sum))
+        done)
+  in
+  (r, Memory.get (Engine.memory w) cell)
+
+let longread_configs =
+  [
+    ("eager", Config.baseline);
+    ("tv", global_config);
+    ("lazy", Config.with_lazy Config.baseline);
+    ("lazy+tv", Config.with_lazy global_config);
+  ]
+
+let test_longread_domains nthreads () =
+  let incs = 1000 in
+  List.iter
+    (fun (name, config) ->
+      let r, total = run_longread ~nthreads ~incs config in
+      let commits = r.Engine.stats.Stats.commits in
+      check_int (name ^ ": every transaction committed") (nthreads * incs)
+        commits;
+      check_int (name ^ ": counter = committed increments") commits total)
+    longread_configs
+
 (* ------------------------------------------------------------------ *)
 (* Bank micro: random transfers conserve the total balance *)
 
@@ -339,17 +381,24 @@ let test_zero_alloc_forwarded_path () =
    before the native-backend work; any drift in commits, aborts or
    virtual makespan means replay/exploration traces are invalidated. *)
 
-(* Every pin was re-pinned when a lock-wait abort learned to end its
-   backoff as soon as the orec that stopped it is released
+(* Every vacation-low pin was re-pinned when an attempt that owns no
+   orec learned to wait out a lock up to its redo break-even
+   ([Txn.spin_on_lock]): vacation's read logs are long enough that its
+   readers now wait past [Costs.spin_limit] spins instead of spinning
+   out, so every schedule with such a wait shifts; commits stay 160.
+   kmeans-low's pin does not move: its two-entry read logs keep the old
+   budget.  Previous (aborts, makespan) first in each comment.  Before
+   that, every pin was re-pinned when a lock-wait abort learned to end
+   its backoff as soon as the orec that stopped it is released
    ([Txn.backoff]): a retry now starts at the blocker's release instead
    of the window's end, so every schedule with a spun-out reader or
-   writer shifts; commits stay 160 and 198.  Previous (aborts, makespan)
-   first in each comment.  Before that, every pin was re-pinned when the
+   writer shifts; commits stay 160 and 198 (the figures second in each
+   comment).  Before that, every pin was re-pinned when the
    conflict granule became a property of the block: records (at most 8
    words) got one orec per word, arrays kept aligned 4-word lines
    ([Alloc], [Orec.index_of]), tree nodes and reservations stopped
    sharing orecs and arrays moved to the top of their arena (the older
-   figures second in each comment).  Before that, every vacation-low pin
+   figures third in each comment).  Before that, every vacation-low pin
    was re-pinned when validation learned to rescue a read whose orec a
    line-mate's commit moved but whose word it left alone
    ([Txn.rescue_entry]); before that, the default backoff's exponential
@@ -357,28 +406,28 @@ let test_zero_alloc_forwarded_path () =
 let sim_refs =
   let tree = Config.runtime Alloc_log.Tree in
   [
-    (* was 65, 152518; 109, 178113 *)
-    ("baseline", Config.baseline, 79, 172722);
-    (* was 82, 170107; 110, 175729 *)
+    (* was 79, 172722; 65, 152518; 109, 178113 *)
+    ("baseline", Config.baseline, 67, 162117);
+    (* was 62, 162396; 82, 170107; 110, 175729 *)
     ( "baseline+fp+tv",
       Config.with_fastpath (Config.with_tvalidate Config.baseline),
-      62,
-      162396 );
-    (* was 57, 153243; 95, 204794 *)
-    ("tree", tree, 57, 158201);
-    (* was 38, 132014; 82, 155692 *)
-    ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 60, 145671);
+      49,
+      151266 );
+    (* was 57, 158201; 57, 153243; 95, 204794 *)
+    ("tree", tree, 53, 175141);
+    (* was 60, 145671; 38, 132014; 82, 155692 *)
+    ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 39, 133810);
     (* Commit-path coverage: the lazy acquire and the durable commit
        record. *)
-    (* was 35, 160849; 52, 163639 *)
-    ("tree+lazy", Config.with_lazy tree, 45, 174786);
-    (* was 38, 202566; 47, 172114 *)
-    ("tree+lazy+tv", Config.with_lazy (Config.with_tvalidate tree), 49, 173221);
-    (* was 42, 166995; 57, 224093 *)
+    (* was 45, 174786; 35, 160849; 52, 163639 *)
+    ("tree+lazy", Config.with_lazy tree, 36, 165311);
+    (* was 49, 173221; 38, 202566; 47, 172114 *)
+    ("tree+lazy+tv", Config.with_lazy (Config.with_tvalidate tree), 38, 225948);
+    (* was 48, 172071; 42, 166995; 57, 224093 *)
     ( "tree+lazy+tv+wal",
       Config.with_durable (Config.with_lazy (Config.with_tvalidate tree)),
-      48,
-      172071 );
+      50,
+      195181 );
   ]
 
 let test_sim_determinism (name, config, aborts, makespan) () =
@@ -420,6 +469,10 @@ let () =
             (test_orec_adjacent_mutex 2);
           Alcotest.test_case "adjacent orecs 4 domains" `Quick
             (test_orec_adjacent_mutex 4);
+          Alcotest.test_case "long read logs 2 domains" `Quick
+            (test_longread_domains 2);
+          Alcotest.test_case "long read logs 4 domains" `Quick
+            (test_longread_domains 4);
         ] );
       ( "global clock",
         [

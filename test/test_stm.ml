@@ -1241,33 +1241,53 @@ let prop_abort_runs =
 
 (* Thread 0 writes [cell] and holds its orec for [hold] cycles; thread 1
    starts once the lock is taken and runs one transaction whose attempt
-   [a] (from 1) is [body tx cell a].  Returns thread 1's stats and the
-   wait before each of its retries: the growth of its [backoff_cycles]
-   from one attempt's start to the next. *)
-let run_blocked ~hold body =
+   [a] (from 1) is [body tx cell a].  Before [body], each attempt first
+   writes a cell of its own when [own] (so it owns an orec), then reads
+   [reads] other one-word cells (its read log).  With [doom], thread 0
+   also writes the first of those cells [doom_at] cycles into its hold,
+   after thread 1 has read it.  Returns thread 1's stats, the wait
+   before each of its retries (the growth of its [backoff_cycles] from
+   one attempt's start to the next) and the lock-wait spins of each
+   attempt but the last (the growth of its [lock_waits]). *)
+let doom_at = 300
+
+let run_blocked ?(reads = 0) ?(own = false) ?(doom = false) ~hold body =
   let w = mk_world ~nthreads:2 Config.baseline in
-  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let arena = Engine.global_arena w in
+  let cell = Alloc.alloc arena 1 in
+  let mine = Alloc.alloc arena 1 in
+  let others = Array.init reads (fun _ -> Alloc.alloc arena 1) in
   let seen = ref [] in
   let r =
     Engine.run_sim ~seed:1 w (fun th ->
         if Txn.thread_id th = 0 then
           Txn.atomic th (fun tx ->
               Txn.write tx cell 1;
-              Txn.tx_work tx hold)
+              if doom then begin
+                Txn.tx_work tx doom_at;
+                Txn.write tx others.(0) 1;
+                Txn.tx_work tx (hold - doom_at)
+              end
+              else Txn.tx_work tx hold)
         else begin
           Txn.work th 200;
           let attempt = ref 0 in
           Txn.atomic th (fun tx ->
               incr attempt;
-              seen := (Txn.thread_stats th).Stats.backoff_cycles :: !seen;
+              let st = Txn.thread_stats th in
+              seen := (st.Stats.backoff_cycles, st.Stats.lock_waits) :: !seen;
+              if own then Txn.write tx mine !attempt;
+              Array.iter (fun c -> ignore (Txn.read tx c : int)) others;
               body tx cell !attempt)
         end)
   in
-  let rec waits = function
-    | later :: (earlier :: _ as rest) -> (later - earlier) :: waits rest
+  let rec growth = function
+    | later :: (earlier :: _ as rest) -> (later - earlier) :: growth rest
     | _ -> []
   in
-  (r.Engine.per_thread.(1), List.rev (waits !seen))
+  ( r.Engine.per_thread.(1),
+    List.rev (growth (List.map fst !seen)),
+    List.rev (growth (List.map snd !seen)) )
 
 (* Thread 0's hold ends inside the window thread 1 drew after its first
    spin-out: thread 1 retries at the release, well before the window's
@@ -1276,7 +1296,7 @@ let blocker_release = 480
 
 let test_backoff_ends_at_release () =
   let value = ref 0 in
-  let st, waits =
+  let st, waits, _ =
     run_blocked ~hold:blocker_release (fun tx cell _ ->
         value := Txn.read tx cell)
   in
@@ -1296,7 +1316,7 @@ let test_backoff_ends_at_release () =
    read, so the transaction commits while thread 0 still holds. *)
 let test_backoff_full_window_while_held () =
   let spins = 3 in
-  let st, waits =
+  let st, waits, _ =
     run_blocked ~hold:100_000 (fun tx cell a ->
         if a <= spins then ignore (Txn.read tx cell : int))
   in
@@ -1323,7 +1343,7 @@ let test_backoff_full_window_while_held () =
 (* The blocker does not outlive its attempt: a [Txn.restart] on the
    attempt after a lock-wait abort waits the full window. *)
 let test_backoff_blocker_cleared () =
-  let st, waits =
+  let st, waits, _ =
     run_blocked ~hold:blocker_release (fun tx cell a ->
         ignore (Txn.read tx cell : int);
         if a = 2 then Txn.restart tx)
@@ -1339,6 +1359,90 @@ let test_backoff_blocker_cleared () =
         (Costs.backoff ~attempt:2 ~jitter:0 <= restarted
         && restarted <= Costs.backoff ~attempt:2 ~jitter:63)
   | _ -> Alcotest.fail "expected two retries"
+
+(* An attempt that owns no orec waits out a lock up to its redo
+   break-even ([Txn.spin_on_lock]): with [long_log] reads logged, that is
+   [long_budget] spins, past [Costs.spin_limit].  A wait that ends after
+   n spins records n + 1 lock waits (the last finds the wait over). *)
+let long_log = 16
+let long_budget = long_log * Costs.read_barrier / Costs.lock_spin
+
+(* Thread 0 holds [cell] this long: thread 1's wait on it outlasts
+   [Costs.spin_limit] spins but not [long_budget]. *)
+let mid_hold = 1000
+
+let read_cell tx cell _ = ignore (Txn.read tx cell : int)
+
+let test_wait_extended () =
+  check "the budget exceeds spin_limit" true (long_budget > Costs.spin_limit);
+  let st, _, _ = run_blocked ~reads:long_log ~hold:mid_hold read_cell in
+  check_int "no spin-out" 0 st.Stats.spin_aborts;
+  check_int "one extended wait" 1 st.Stats.waits_extended;
+  check_int "commits on the first attempt" 0 st.Stats.aborts;
+  check_int "commits" 1 st.Stats.commits;
+  check "waited past spin_limit, inside the budget" true
+    (st.Stats.lock_waits > Costs.spin_limit + 1
+    && st.Stats.lock_waits <= long_budget)
+
+(* Thread 0 also holds a cell thread 1 already read: its commit will
+   move that entry, so the doom scan ends the wait at [Costs.spin_limit]
+   and thread 1 commits on its retry, over thread 0's values. *)
+let test_wait_doomed () =
+  let value = ref 0 in
+  let st, _, spins =
+    run_blocked ~reads:long_log ~doom:true ~hold:mid_hold (fun tx cell _ ->
+        value := Txn.read tx cell)
+  in
+  check_int "one spin-out" 1 st.Stats.spin_aborts;
+  check_int "no extended wait" 0 st.Stats.waits_extended;
+  check_int "commits on the second attempt" 1 st.Stats.aborts;
+  check_int "commits" 1 st.Stats.commits;
+  check_int "reads the holder's value" 1 !value;
+  Alcotest.(check (list int))
+    "spun out at spin_limit" [ Costs.spin_limit + 1 ] spins
+
+(* An attempt that owns an orec keeps [Costs.spin_limit], however long
+   its read log. *)
+let test_wait_owner_short () =
+  let st, _, spins =
+    run_blocked ~reads:long_log ~own:true ~hold:mid_hold read_cell
+  in
+  check_int "one spin-out" 1 st.Stats.spin_aborts;
+  check_int "no extended wait" 0 st.Stats.waits_extended;
+  check_int "commits" 1 st.Stats.commits;
+  Alcotest.(check (list int))
+    "spun out at spin_limit" [ Costs.spin_limit + 1 ] spins
+
+(* A hold longer than the budget: the wait ends after exactly the
+   budget, then the backoff waits its window, the lock still being
+   held.  With 80 reads logged the break-even (560 spins) passes the
+   longest backoff window, 2048 cycles, which caps the wait at 512
+   spins. *)
+let test_wait_budget_spent () =
+  List.iter
+    (fun (reads, hold, budget) ->
+      let st, waits, spins = run_blocked ~reads ~hold read_cell in
+      let label what = Printf.sprintf "%d reads: %s" reads what in
+      check_int (label "commits") 1 st.Stats.commits;
+      check
+        (label "every spin-out ended an extended wait")
+        true
+        (st.Stats.spin_aborts >= 1
+        && st.Stats.waits_extended >= st.Stats.spin_aborts);
+      (match spins with
+      | first :: _ ->
+          check_int (label "first wait spun the budget") (budget + 1) first
+      | [] -> Alcotest.fail (label "expected a spin-out"));
+      match waits with
+      | wait :: _ ->
+          check (label "then a full backoff window") true
+            (Costs.backoff ~attempt:1 ~jitter:0 <= wait
+            && wait <= Costs.backoff ~attempt:1 ~jitter:63)
+      | [] -> Alcotest.fail (label "expected a retry"))
+    [
+      (long_log, 3000, long_budget);
+      (80, 8000, (64 lsl Costs.backoff_max_shift) / Costs.lock_spin);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Redo buffer against a model: a Hashtbl of buffered values plus the
@@ -2617,6 +2721,13 @@ let () =
             test_backoff_full_window_while_held;
           Alcotest.test_case "backoff blocker cleared" `Quick
             test_backoff_blocker_cleared;
+          Alcotest.test_case "wait extended to the break-even" `Quick
+            test_wait_extended;
+          Alcotest.test_case "doomed wait spins out" `Quick test_wait_doomed;
+          Alcotest.test_case "owner keeps spin_limit" `Quick
+            test_wait_owner_short;
+          Alcotest.test_case "wait ends at the budget" `Quick
+            test_wait_budget_spent;
         ]
         @ List.map Qc.to_alcotest [ prop_abort_runs ] );
       ( "private_log",
