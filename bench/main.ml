@@ -48,12 +48,6 @@ let quick = ref false
 let only : string list ref = ref []
 let only_apps : string list ref = ref []
 
-let known_sections =
-  [
-    "fig8"; "fig9"; "table1"; "table2"; "fig10"; "fig11a"; "fig11b"; "micro";
-    "ablation"; "contention"; "scale"; "wal";
-  ]
-
 (* [Some spec] for an A/B section [ab:spec]. *)
 let ab_spec section =
   if String.starts_with ~prefix:"ab:" section then
@@ -78,19 +72,6 @@ let () =
         parse rest
     | "--only" :: spec :: rest ->
         only := String.split_on_char ',' spec;
-        (* Fail fast on typos, exactly like --app does for workload names:
-           a silently-ignored section name would report "done." having
-           measured nothing. *)
-        List.iter
-          (fun section ->
-            match Option.map ab_arms (ab_spec section) with
-            | Some (Error m) -> fail "%s: %s" section m
-            | Some (Ok _) -> ()
-            | None when List.mem section known_sections -> ()
-            | None ->
-                fail "unknown section %s (try: %s ab:TOKEN[@BASE])" section
-                  (String.concat " " known_sections))
-          !only;
         parse rest
     | "--app" :: spec :: rest ->
         only_apps := String.split_on_char ',' spec;
@@ -114,12 +95,6 @@ let sim_threads = 16
 let seeds = if !quick then [ 1 ] else List.init 8 (fun i -> i + 1)
 
 let apps =
-  List.iter
-    (fun name ->
-      if not (List.exists (fun app -> app.App.name = name) Registry.all) then
-        fail "unknown app %s (try: %s)" name
-          (String.concat " " (Registry.names ())))
-    !only_apps;
   List.filter
     (fun app -> !only_apps = [] || List.mem app.App.name !only_apps)
     Registry.all
@@ -363,7 +338,8 @@ let fig10 () =
 let fig11 ~name configs =
   let reps = if !quick then 1 else 3 in
   headline
-    "Figure %s: improvement vs baseline at %d threads (virtual makespan,      median of %d seeds, %%)"
+    "Figure %s: improvement vs baseline at %d threads (virtual makespan, \
+     median of %d seeds, %%)"
     name sim_threads reps;
   config_table configs (fun app ->
       let makespan cfg =
@@ -957,26 +933,55 @@ let ab_section spec =
 
 (* ------------------------------------------------------------------ *)
 
+(* Every section in run order.  The A/B sections run just before
+   [micro], which is last: after Bechamel's sampling loop, every later
+   simulator run grows the OCaml heap for good (one app's A/B: 11M ->
+   108M words). *)
+let sections =
+  [
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("table1", table1);
+    ("table2", table2);
+    ("fig10", fig10);
+    ("fig11a", fig11a);
+    ("fig11b", fig11b);
+    ("ablation", ablation);
+    ("contention", contention);
+    ("scale", scale_section);
+    ("wal", wal_section);
+    ("micro", micro);
+  ]
+
 let () =
+  (* Fail fast on typos in --only and --app: a silently-ignored name
+     would report "done." having measured nothing. *)
+  List.iter
+    (fun section ->
+      match Option.map ab_arms (ab_spec section) with
+      | Some (Error m) -> fail "%s: %s" section m
+      | Some (Ok _) -> ()
+      | None when List.mem_assoc section sections -> ()
+      | None ->
+          fail "unknown section %s (try: %s ab:TOKEN[@BASE])" section
+            (String.concat " " (List.map fst sections)))
+    !only;
+  List.iter
+    (fun name ->
+      if not (List.exists (fun app -> app.App.name = name) Registry.all) then
+        fail "unknown app %s (try: %s)" name
+          (String.concat " " (Registry.names ())))
+    !only_apps;
   Printf.printf
     "captured-memory STM reproduction harness (scale=%s, %d sim threads)\n"
     (if !quick then "test/quick" else "bench")
     sim_threads;
-  if wants "fig8" then fig8 ();
-  if wants "fig9" then fig9 ();
-  if wants "table1" then table1 ();
-  if wants "table2" then table2 ();
-  if wants "fig10" then fig10 ();
-  if wants "fig11a" then fig11a ();
-  if wants "fig11b" then fig11b ();
-  if wants "ablation" then ablation ();
-  if wants "contention" then contention ();
-  if wants "scale" then scale_section ();
-  if wants "wal" then wal_section ();
-  List.iter ab_section
-    (if !only = [] then [ "fp"; "tv"; "lazy"; "sf" ]
-     else List.filter_map ab_spec !only);
-  (* Last: after Bechamel's sampling loop, every later simulator run
-     grows the OCaml heap for good (one app's A/B: 11M -> 108M words). *)
-  if wants "micro" then micro ();
+  List.iter
+    (fun (name, run) ->
+      if name = "micro" then
+        List.iter ab_section
+          (if !only = [] then [ "fp"; "tv"; "lazy"; "sf" ]
+           else List.filter_map ab_spec !only);
+      if wants name then run ())
+    sections;
   Printf.printf "\ndone.\n"

@@ -13,6 +13,7 @@ module Fault = Captured_stm.Fault
 module Strategy = Captured_check.Strategy
 module Harness = Captured_check.Harness
 module Oracle = Captured_check.Oracle
+module Signal = Captured_check.Signal
 module Workloads = Captured_check.Workloads
 
 let split_csv s =
@@ -32,13 +33,16 @@ let json_escape s =
 
 let report_json (r : Harness.report) union =
   Printf.sprintf
-    "{\"workload\":\"%s\",\"config\":\"%s\",\"strategy\":\"%s\",\"runs\":%d,\"new_schedules\":%d,\"union_distinct\":%d,\"truncated\":%d,\"crashes\":%d,\"dfrees\":%d,\"forwarded\":%d,\"rescued\":%d,\"extended\":%d,\"violations\":%d%s}"
+    "{\"workload\":\"%s\",\"config\":\"%s\",\"strategy\":\"%s\",\"runs\":%d,\"new_schedules\":%d,\"union_distinct\":%d,\"truncated\":%d,\"crashes\":%d,%s\"violations\":%d%s}"
     (json_escape r.Harness.workload)
     (json_escape r.Harness.config)
     r.Harness.strategy r.Harness.runs r.Harness.distinct union
-    r.Harness.truncated r.Harness.crashes r.Harness.total_dfrees
-    r.Harness.total_forwarded r.Harness.total_rescued
-    r.Harness.total_extended r.Harness.violations
+    r.Harness.truncated r.Harness.crashes
+    (String.concat ""
+       (List.map
+          (fun (key, n) -> Printf.sprintf "\"%s\":%d," key n)
+          (Signal.keyed r.Harness.signals)))
+    r.Harness.violations
     (match r.Harness.first with
     | None -> ""
     | Some f ->

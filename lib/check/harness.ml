@@ -14,26 +14,9 @@ type run = {
   truncated : bool;
   crashed : bool;  (* ended in an injected process death (recovery ran) *)
   commits : int;
-  aborts : int;
   events : int;
-  dfrees : int;
-      (* [Ev_free] events observed — the reclaim sweeps' vacuity signal:
-         a cell claiming the use-after-free rule held must actually have
-         exercised frees *)
-  forwarded : int;
-      (* [Stats.reads_forwarded] of a completed run (0 otherwise) — the
-         reread sweeps' vacuity signal *)
-  rescued : int;  (* [Stats.value_rescues], likewise for linemate *)
-  extended : int;  (* [Stats.waits_extended], likewise for longread *)
+  signals : int array;  (* one count per [Signal.all] row *)
 }
-
-let count_dfrees hist =
-  let n = ref 0 in
-  History.iter hist (fun e ->
-      match e.History.ev with
-      | Captured_stm.Txn.Ev_free _ -> incr n
-      | _ -> ());
-  !n
 
 (* The oracle's strict (aborted-attempts-too) mode is sound exactly when
    every read is validated as it happens. *)
@@ -109,63 +92,36 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         | Step_budget_exceeded -> `Truncated
         | Sched.Fiber_failure (tid, e) -> `Crashed (tid, e))
   in
-  let dfrees = count_dfrees hist in
+  let finish ?(truncated = false) ?(crashed = false) ?stats violation =
+    {
+      trace;
+      violation;
+      truncated;
+      crashed;
+      commits = Option.fold ~none:0 ~some:(fun s -> s.Stats.commits) stats;
+      events = History.length hist;
+      signals = Array.map (fun s -> s.Signal.read hist stats) Signal.all;
+    }
+  in
   match outcome with
-  | `Truncated ->
-      {
-        trace;
-        violation = None;
-        truncated = true;
-        crashed = false;
-        commits = 0;
-        aborts = 0;
-        events = History.length hist;
-        dfrees;
-        forwarded = 0;
-        rescued = 0;
-        extended = 0;
-      }
+  | `Truncated -> finish ~truncated:true None
   | `Crashed (_, Wal.Crashed) when wal <> None ->
       (* Injected process death: the run ends mid-flight by design.  The
          verdict is the recovery oracle's alone — replay the durable log
          and hold the result to prefix consistency. *)
-      let wal = Option.get wal in
-      {
-        trace;
-        violation = recovery_violation ~config ~wal ~init ~hist;
-        truncated = false;
-        crashed = true;
-        commits = 0;
-        aborts = 0;
-        events = History.length hist;
-        dfrees;
-        forwarded = 0;
-        rescued = 0;
-        extended = 0;
-      }
+      finish ~crashed:true
+        (recovery_violation ~config ~wal:(Option.get wal) ~init ~hist)
   | `Crashed (tid, e) ->
       (* No fiber raises in a correct run (conflicts retry internally):
          an escaped exception is zombie fallout or a harness bug. *)
-      {
-        trace;
-        violation =
-          Some
-            {
-              Oracle.kind = "fiber-exception";
-              tid;
-              seq = History.length hist;
-              detail = Printexc.to_string e;
-            };
-        truncated = false;
-        crashed = false;
-        commits = 0;
-        aborts = 0;
-        events = History.length hist;
-        dfrees;
-        forwarded = 0;
-        rescued = 0;
-        extended = 0;
-      }
+      finish
+        (Some
+           {
+             Oracle.kind = "fiber-exception";
+             tid;
+             seq = History.length hist;
+             detail = Printexc.to_string e;
+           })
   | `Done r ->
       let orecs = Engine.orecs p.App.world in
       let violation =
@@ -198,19 +154,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
                 | exception Wal.Crashed ->
                     (recovery_violation ~config ~wal ~init ~hist, true)))
       in
-      {
-        trace;
-        violation;
-        truncated = false;
-        crashed;
-        commits = r.Engine.stats.Stats.commits;
-        aborts = r.Engine.stats.Stats.aborts;
-        events = History.length hist;
-        dfrees;
-        forwarded = r.Engine.stats.Stats.reads_forwarded;
-        rescued = r.Engine.stats.Stats.value_rescues;
-        extended = r.Engine.stats.Stats.waits_extended;
-      }
+      finish ~crashed ~stats:r.Engine.stats violation
 
 type found = {
   violation : Oracle.violation;
@@ -228,14 +172,7 @@ type report = {
   crashes : int;  (* runs ending in an injected process death *)
   violations : int;
   first : found option;
-  max_events : int;
-  total_commits : int;
-  total_dfrees : int;
-      (* deferred frees summed over runs — zero means the sweep never
-         exercised the path it claims to check (vacuous) *)
-  total_forwarded : int;  (* forwarded reads summed over runs, likewise *)
-  total_rescued : int;  (* value rescues summed over runs, likewise *)
-  total_extended : int;  (* extended lock waits summed over runs, likewise *)
+  signals : int array;  (* [run.signals] summed over the runs *)
 }
 
 (* Bounded exhaustive DFS with preemption bounding: run a prescription,
@@ -283,12 +220,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
   and truncated = ref 0
   and crashes = ref 0
   and violations = ref 0
-  and max_events = ref 0
-  and total_commits = ref 0
-  and total_dfrees = ref 0
-  and total_forwarded = ref 0
-  and total_rescued = ref 0
-  and total_extended = ref 0
+  and signals = Array.map (fun _ -> 0) Signal.all
   and ran = ref 0 in
   let first = ref None in
   let note (r : run) interventions =
@@ -300,12 +232,7 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
     end;
     if r.truncated then incr truncated;
     if r.crashed then incr crashes;
-    max_events := max !max_events r.events;
-    total_commits := !total_commits + r.commits;
-    total_dfrees := !total_dfrees + r.dfrees;
-    total_forwarded := !total_forwarded + r.forwarded;
-    total_rescued := !total_rescued + r.rescued;
-    total_extended := !total_extended + r.extended;
+    Array.iteri (fun i n -> signals.(i) <- signals.(i) + n) r.signals;
     match r.violation with
     | None -> ()
     | Some v ->
@@ -370,28 +297,19 @@ let explore ~(workload : Workloads.t) ~config ~strategy ?(runs = 200)
     crashes = !crashes;
     violations = !violations;
     first = !first;
-    max_events = !max_events;
-    total_commits = !total_commits;
-    total_dfrees = !total_dfrees;
-    total_forwarded = !total_forwarded;
-    total_rescued = !total_rescued;
-    total_extended = !total_extended;
+    signals;
   }
 
 let report_to_string r =
+  let counts =
+    List.filter_map
+      (fun (what, n) ->
+        if n = 0 then None else Some (Printf.sprintf "%s=%d " what n))
+      (("crashes", r.crashes) :: Signal.keyed r.signals)
+  in
   Printf.sprintf "%-14s %-28s %-6s runs=%-5d new-schedules=%-5d trunc=%-3d %s%s"
     r.workload r.config r.strategy r.runs r.distinct r.truncated
-    ((if r.crashes = 0 then ""
-      else Printf.sprintf "crashes=%d " r.crashes)
-    ^ (if r.total_dfrees = 0 then ""
-       else Printf.sprintf "dfrees=%d " r.total_dfrees)
-    ^ (if r.total_forwarded = 0 then ""
-       else Printf.sprintf "forwarded=%d " r.total_forwarded)
-    ^ (if r.total_rescued = 0 then ""
-       else Printf.sprintf "rescued=%d " r.total_rescued)
-    ^
-    if r.total_extended = 0 then ""
-    else Printf.sprintf "extended=%d " r.total_extended)
+    (String.concat "" counts)
     (if r.violations = 0 then "ok"
      else
        match r.first with
@@ -454,33 +372,29 @@ let floor_failures ~min_distinct c =
   let crash_fault =
     match c.config.Config.fault with Some f -> Fault.is_crash f | None -> false
   in
+  let signal i (s : Signal.t) =
+    below s.label
+      (total (fun r -> r.signals.(i)) c)
+      (if List.memq s c.workload.Workloads.floors then 1 else 0)
+  in
   List.filter_map Fun.id
-    [
-      (let n = total (fun r -> r.truncated) c in
-       if n > 0 then
-         Some
-           (Printf.sprintf
-              "%s: %d truncated runs (possible livelock; raise the step \
-               budget if legitimate)"
-              label n)
-       else None);
-      below "injected crashes" (total (fun r -> r.crashes) c)
-        (if crash_fault then 1 else 0);
-      below "deferred frees"
-        (total (fun r -> r.total_dfrees) c)
-        (Workloads.min_dfrees c.workload);
-      below "forwarded reads"
-        (total (fun r -> r.total_forwarded) c)
-        (Workloads.min_forwarded c.workload);
-      below "value rescues"
-        (total (fun r -> r.total_rescued) c)
-        (Workloads.min_rescued c.workload);
-      below "extended lock waits"
-        (total (fun r -> r.total_extended) c)
-        (Workloads.min_extended c.workload);
-      below "distinct schedules" c.union
-        (if c.config.Config.fault = None then min_distinct else 0);
-    ]
+    ([
+       (let n = total (fun r -> r.truncated) c in
+        if n > 0 then
+          Some
+            (Printf.sprintf
+               "%s: %d truncated runs (possible livelock; raise the step \
+                budget if legitimate)"
+               label n)
+        else None);
+       below "injected crashes" (total (fun r -> r.crashes) c)
+         (if crash_fault then 1 else 0);
+     ]
+    @ Array.to_list (Array.mapi signal Signal.all)
+    @ [
+        below "distinct schedules" c.union
+          (if c.config.Config.fault = None then min_distinct else 0);
+      ])
 
 (* Every cell sharing [fault], judged by its expectation: fault-free and
    Contained cells must stay silent, Flagged ones must be caught without

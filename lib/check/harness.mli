@@ -15,20 +15,9 @@ type run = {
           ({!Captured_stm.Wal.Crashed}); [violation] is the recovery
           oracle's verdict *)
   commits : int;
-  aborts : int;
   events : int;
-  dfrees : int;
-      (** [Ev_free] events observed — reclaim sweeps use it as a
-          vacuity signal (a cell that never freed proves nothing) *)
-  forwarded : int;
-      (** forwarded reads of a completed run (0 for truncated or crashed
-          ones) — checked against {!Workloads.min_forwarded} *)
-  rescued : int;
-      (** value rescues of a completed run, likewise — checked against
-          {!Workloads.min_rescued} *)
-  extended : int;
-      (** lock waits past [Costs.spin_limit] of a completed run,
-          likewise — checked against {!Workloads.min_extended} *)
+  signals : int array;
+      (** one count per {!Signal.all} row, each read by its row *)
 }
 
 (** [run_one ~workload ~config control] prepares a fresh world, runs it
@@ -71,12 +60,7 @@ type report = {
   crashes : int;  (** runs ending in an injected process death *)
   violations : int;
   first : found option;
-  max_events : int;
-  total_commits : int;
-  total_dfrees : int;  (** deferred frees summed over the runs *)
-  total_forwarded : int;  (** forwarded reads summed over the runs *)
-  total_rescued : int;  (** value rescues summed over the runs *)
-  total_extended : int;  (** extended lock waits summed over the runs *)
+  signals : int array;  (** [run.signals] summed over the runs *)
 }
 
 (** [explore ~workload ~config ~strategy ()] runs one strategy's budget
@@ -133,13 +117,10 @@ val run_cell :
 
 (** [verdict cells] judges a sweep.  Every cell must have no truncated
     run and meet its floors: at least one injected crash under a crash
-    fault, {!Workloads.min_dfrees} deferred frees,
-    {!Workloads.min_forwarded} forwarded reads,
-    {!Workloads.min_rescued} value rescues,
-    {!Workloads.min_extended} extended lock waits, and — fault-free cells
-    only — [min_distinct] (default 0) distinct schedules.  The cells of
-    each fault are then judged by {!Captured_stm.Fault.expectation}:
-    fault-free and [Contained] cells
+    fault, one count of each of its workload's {!Workloads.t.floors}
+    signals, and — fault-free cells only — [min_distinct] (default 0)
+    distinct schedules.  The cells of each fault are then judged by
+    {!Captured_stm.Fault.expectation}: fault-free and [Contained] cells
     must show no violation, [Flagged] ones at least one and no exception
     escaping a fiber.  [Ok notes] lists each flagged catch; [Error]
     lists every failure. *)

@@ -24,7 +24,11 @@ let partition l n =
     go 0 l []
   end
 
-let diff l remove = List.filter (fun x -> not (List.mem x remove)) l
+(* [l] without every element of [remove], in linear time. *)
+let diff l remove =
+  let drop = Hashtbl.create (List.length remove) in
+  List.iter (fun x -> Hashtbl.replace drop x ()) remove;
+  List.filter (fun x -> not (Hashtbl.mem drop x)) l
 
 (* [ddmin ~budget ~test cs]: smallest subset of [cs] (in the ddmin sense:
    1-minimal up to chunk granularity) on which [test] still fails

@@ -12,6 +12,11 @@ type t = {
       (** arm the oracle's use-after-free rule even without
           [Config.ebr] — set by workloads whose frees deliberately race
           readers; app workloads coordinate their frees themselves *)
+  floors : Signal.t list;
+      (** vacuity floors: a sweep cell must record each listed signal at
+          least once — {!reread} forwarded reads, {!linemate} value
+          rescues, {!longread} extended lock waits, the reclaim pair
+          deferred frees; no other workload lists one *)
   prepare : Config.t -> App.prepared;
 }
 
@@ -46,10 +51,6 @@ val reread : nthreads:int -> rounds:int -> t
     runs against concurrent commits; the cells hold distinct values, so
     a read answered for the wrong address breaks the invariant. *)
 
-val min_forwarded : t -> int
-(** Vacuity floor: the forwarded reads a sweep cell of this workload
-    must record — 1 for {!reread}, 0 for every other workload. *)
-
 val linemate : nthreads:int -> rounds:int -> t
 (** Threads read-modify-write different words of one conflict-detection
     line while others read a line-mate between two reads of a shared
@@ -70,17 +71,8 @@ val longread : nthreads:int -> rounds:int -> t
     long read log and owns no orec, so it may wait past
     [Costs.spin_limit] spins, or be found doomed at that mark. *)
 
-val min_extended : t -> int
-(** Vacuity floor: the lock waits past [Costs.spin_limit] a sweep cell
-    of this workload must record — 1 for {!longread}, 0 for every other
-    workload. *)
-
-val min_rescued : t -> int
-(** Vacuity floor: the value rescues a sweep cell of this workload must
-    record — 1 for {!linemate}, 0 for every other workload. *)
-
 val micros : nthreads:int -> t list
-(** The nine micro workloads at smoke-test sizes. *)
+(** The eleven micro workloads at smoke-test sizes. *)
 
 val free_race : nthreads:int -> rounds:int -> t
 (** Publish / retract-with-deferred-free / recycle-same-class against
@@ -94,11 +86,6 @@ val privatize_race : nthreads:int -> rounds:int -> t
     the quiescence fence is a no-op and an abort's undo can clobber the
     raw store (app-verify red); with [+ebr] every round's update
     survives. *)
-
-val min_dfrees : t -> int
-(** Vacuity floor: the deferred frees a sweep cell of this workload
-    must record — 1 for {!free_race} and {!privatize_race}, 0 for every
-    other workload. *)
 
 val reclaim_micros : nthreads:int -> t list
 (** [free_race] and [privatize_race] at smoke-test sizes — kept out of

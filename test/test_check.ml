@@ -17,6 +17,7 @@ module Strategy = Captured_check.Strategy
 module Minimize = Captured_check.Minimize
 module Workloads = Captured_check.Workloads
 module Harness = Captured_check.Harness
+module Signal = Captured_check.Signal
 
 let tree = Config.runtime Alloc_log.Tree
 
@@ -45,6 +46,8 @@ let test_deterministic () =
     (Strategy.hash b.Harness.trace);
   Alcotest.(check int) "same commits" a.Harness.commits b.Harness.commits;
   Alcotest.(check int) "same events" a.Harness.events b.Harness.events;
+  Alcotest.(check (array int))
+    "same signals" a.Harness.signals b.Harness.signals;
   Alcotest.(check bool) "no violation" true (a.Harness.violation = None)
 
 let test_replay_fidelity () =
@@ -310,6 +313,10 @@ let test_ddmin_single () =
 (* ------------------------------------------------------------------ *)
 (* Clean sweeps: every micro workload × config, three strategies       *)
 
+(* The count [signals] (a run's or a report's) holds for [s]. *)
+let count signals s =
+  signals.(Option.get (Array.find_index (( == ) s) Signal.all))
+
 let test_micros_clean () =
   List.iter
     (fun config ->
@@ -327,11 +334,15 @@ let test_micros_clean () =
                 (Printf.sprintf "%s/%s/%s truncations" r.Harness.workload
                    r.Harness.config r.Harness.strategy)
                 0 r.Harness.truncated;
-              Alcotest.(check bool)
-                (Printf.sprintf "%s/%s/%s forwarded-read floor"
-                   r.Harness.workload r.Harness.config r.Harness.strategy)
-                true
-                (r.Harness.total_forwarded >= Workloads.min_forwarded workload))
+              (* Only the forwarded-read floor holds for each strategy
+                 alone in every config here (linemate under baseline
+                 and dfs rescues nothing). *)
+              if List.memq Signal.forwarded workload.Workloads.floors then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s/%s/%s forwarded-read floor"
+                     r.Harness.workload r.Harness.config r.Harness.strategy)
+                  true
+                  (count r.Harness.signals Signal.forwarded > 0))
             [ Strategy.Random; Strategy.Pct; Strategy.Dfs ])
         (Workloads.micros ~nthreads:2))
     configs
@@ -527,7 +538,7 @@ let test_blind_rescue_flagged_everywhere () =
       let name = Config.to_string config in
       Alcotest.(check bool)
         (name ^ ": rescued") true
-        (r.Harness.total_rescued > 0);
+        (count r.Harness.signals Signal.rescued > 0);
       match r.Harness.first with
       | Some f ->
           Alcotest.(check bool)
@@ -776,7 +787,7 @@ let test_reclaim_green_with_ebr_torture () =
             in
             if r.Harness.violations > 0 then
               Alcotest.failf "seed %d: %s" seed (Harness.report_to_string r);
-            dfrees := !dfrees + r.Harness.total_dfrees
+            dfrees := !dfrees + count r.Harness.signals Signal.dfrees
           done;
           if !dfrees = 0 then
             Alcotest.failf "%s/%s: no deferred frees (vacuous)"
@@ -800,12 +811,14 @@ let quiet_report =
     crashes = 0;
     violations = 0;
     first = None;
-    max_events = 0;
-    total_commits = 0;
-    total_dfrees = 0;
-    total_forwarded = 0;
-    total_rescued = 0;
-    total_extended = 0;
+    signals = Array.map (fun _ -> 0) Signal.all;
+  }
+
+(* [quiet_report] with one run's worth of [s]. *)
+let recorded s =
+  {
+    quiet_report with
+    signals = Array.map (fun s' -> if s' == s then 1 else 0) Signal.all;
   }
 
 let check_vacuous ~what ~vacuous (cell : Harness.cell) =
@@ -822,6 +835,29 @@ let check_vacuous ~what ~vacuous (cell : Harness.cell) =
             what;
         ]
         failures
+
+(* Every workload's floors, pinned: each signal is floored by the
+   workloads that exist to exercise it, and by no other. *)
+let test_workload_floors () =
+  let expected =
+    [
+      ("reread", [ "forwarded" ]);
+      ("linemate", [ "rescued" ]);
+      ("longread", [ "extended" ]);
+      ("free_race", [ "dfrees" ]);
+      ("privatize_race", [ "dfrees" ]);
+    ]
+  in
+  List.iter
+    (fun (w : Workloads.t) ->
+      let base = String.sub w.name 0 (String.rindex w.name '-') in
+      Alcotest.(check (list string))
+        w.name
+        (Option.value ~default:[] (List.assoc_opt base expected))
+        (List.map (fun s -> s.Signal.key) w.floors))
+    (Workloads.micros ~nthreads:2
+    @ Workloads.reclaim_micros ~nthreads:2
+    @ [ Option.get (Workloads.find "vacation-high" ~nthreads:2) ])
 
 let test_verdict_crash_never_fired () =
   let cell reports =
@@ -844,11 +880,10 @@ let test_verdict_dfrees_floor () =
     { Harness.workload; config = Config.with_ebr tree; reports; union = 40 }
   in
   let free_race = Workloads.free_race ~nthreads:2 ~rounds:3 in
-  Alcotest.(check int) "free_race floor" 1 (Workloads.min_dfrees free_race);
   check_vacuous ~what:"deferred frees" ~vacuous:true
     (cell free_race [ quiet_report ]);
   check_vacuous ~what:"deferred frees" ~vacuous:false
-    (cell free_race [ { quiet_report with total_dfrees = 1 } ]);
+    (cell free_race [ recorded Signal.dfrees ]);
   (* Workloads that do not exist to free carry no floor. *)
   check_vacuous ~what:"deferred frees" ~vacuous:false
     (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
@@ -858,11 +893,10 @@ let test_verdict_rescued_floor () =
     { Harness.workload; config = tree; reports; union = 40 }
   in
   let linemate = Workloads.linemate ~nthreads:2 ~rounds:3 in
-  Alcotest.(check int) "linemate floor" 1 (Workloads.min_rescued linemate);
   check_vacuous ~what:"value rescues" ~vacuous:true
     (cell linemate [ quiet_report ]);
   check_vacuous ~what:"value rescues" ~vacuous:false
-    (cell linemate [ { quiet_report with total_rescued = 1 } ]);
+    (cell linemate [ recorded Signal.rescued ]);
   check_vacuous ~what:"value rescues" ~vacuous:false
     (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
 
@@ -871,11 +905,10 @@ let test_verdict_extended_floor () =
     { Harness.workload; config = tree; reports; union = 40 }
   in
   let longread = Workloads.longread ~nthreads:2 ~rounds:2 in
-  Alcotest.(check int) "longread floor" 1 (Workloads.min_extended longread);
   check_vacuous ~what:"extended lock waits" ~vacuous:true
     (cell longread [ quiet_report ]);
   check_vacuous ~what:"extended lock waits" ~vacuous:false
-    (cell longread [ { quiet_report with total_extended = 1 } ]);
+    (cell longread [ recorded Signal.extended ]);
   check_vacuous ~what:"extended lock waits" ~vacuous:false
     (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
 
@@ -963,6 +996,8 @@ let () =
         ] );
       ( "verdict",
         [
+          Alcotest.test_case "every workload's floors" `Quick
+            test_workload_floors;
           Alcotest.test_case "crash cell that never crashed is vacuous"
             `Quick test_verdict_crash_never_fired;
           Alcotest.test_case "free_race cell below min_dfrees is vacuous"
