@@ -32,11 +32,11 @@ let orec_records config = 1 lsl config.Config.orec_bits
 let print_json ~app ~config ~threads (r : Engine.result) ~native =
   Printf.printf
     "{\"app\":\"%s\",\"config\":\"%s\",\"threads\":%d,\"backend\":\"%s\",\
-     \"orecs\":%d,%s,\"makespan\":%d,\
+     \"orecs\":%d,\"resident_words\":%d,%s,\"makespan\":%d,\
      \"wall_ms\":%.3f,\"per_thread_wall_ms\":[%s]}\n"
     app (Config.to_string config) threads
     (if native then "native" else "sim")
-    (orec_records config)
+    (orec_records config) r.Engine.resident_words
     (Stats.json_fields r.Engine.stats)
     r.Engine.makespan
     (1000. *. r.Engine.wall)
@@ -50,6 +50,7 @@ let print_result (r : Engine.result) ~native =
   let s = r.Engine.stats in
   print_string (Stats.report s);
   Printf.printf "%-25s %.3f\n" "abort ratio:" (Stats.abort_ratio s);
+  Printf.printf "%-25s %d\n" "resident words:" r.Engine.resident_words;
   if native then begin
     Printf.printf "%-25s %.3f ms\n" "wall time:" (1000. *. r.Engine.wall);
     Printf.printf "%-25s %.3f ms (slowest domain)\n" "native makespan:"

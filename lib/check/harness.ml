@@ -43,7 +43,7 @@ let recovery_violation ~config ~wal ~init ~hist =
       Some { Oracle.kind = "recovery-error"; tid = -1; seq = 0; detail = m }
   | Ok rc ->
       Oracle.check_recovery
-        ~initial:(fun a -> init.(a))
+        ~initial:(Memory.get init)
         ~recovered:(fun a -> Memory.get rc.Wal.r_memory a)
         ~history:hist
         ~facts:
@@ -65,9 +65,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
     ~(workload : Workloads.t) ~config control =
   let p = workload.Workloads.prepare config in
   let mem = Engine.memory p.App.world in
-  let size = Memory.size mem in
-  let init = Array.make size 0 in
-  Memory.blit_to_array mem 1 init 1 (size - 1);
+  let init = Memory.copy mem in
   let wal =
     if config.Config.durable then begin
       let w = Wal.create ~group:config.Config.wal_group () in
@@ -131,7 +129,7 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
           ~reclaim:
             (config.Config.ebr || workload.Workloads.reclaim_oracle)
           ~index_of:(Captured_stm.Orec.index_of orecs)
-          ~initial:(fun a -> init.(a))
+          ~initial:(Memory.get init)
           ~final:(fun a -> Memory.get mem a)
           ~history:hist ~verify:p.App.verify ()
       in

@@ -98,6 +98,7 @@ type result = {
   makespan : int;
   wall : float;
   per_thread_wall : float array;
+  resident_words : int;
 }
 
 (* Per-thread seed: the root stream with [tid] draws discarded.
@@ -133,7 +134,7 @@ let flush_limbo w =
               : int))
     (Reclaim.handles w.reclaim)
 
-let collect threads makespan wall per_thread_wall =
+let collect w threads makespan wall per_thread_wall =
   let per_thread = Array.map Txn.thread_stats threads in
   {
     per_thread;
@@ -141,6 +142,7 @@ let collect threads makespan wall per_thread_wall =
     makespan;
     wall;
     per_thread_wall;
+    resident_words = Memory.resident_words w.memory;
   }
 
 let run_sim ?quantum ?control ?(seed = 42) w body =
@@ -163,7 +165,7 @@ let run_sim ?quantum ?control ?(seed = 42) w body =
     Array.map (function Some th -> th | None -> assert false) threads
   in
   flush_limbo w;
-  collect threads (Sched.makespan sim) wall (Array.make w.nthreads 0.)
+  collect w threads (Sched.makespan sim) wall (Array.make w.nthreads 0.)
 
 let run_native ?(seed = 42) w body =
   let n = w.nthreads in
@@ -203,7 +205,7 @@ let run_native ?(seed = 42) w body =
   let makespan =
     int_of_float (1e9 *. Array.fold_left max 0. per_thread_wall)
   in
-  collect threads makespan wall per_thread_wall
+  collect w threads makespan wall per_thread_wall
 
 let setup_thread ?(seed = 42) w =
   make_thread w ~tid:0 ~platform:(Platform.native ~tid:0) ~seed

@@ -1,11 +1,12 @@
 (** World setup and thread execution.
 
-    A [world] is one application instance: flat memory carved into a
-    global region (shared data built at init time), per-thread stacks and
-    per-thread allocator arenas, plus the system-wide ownership-record
-    table.  Threads then execute either on simulator fibers (deterministic
-    virtual time — the multithread experiments) or on real domains
-    (wall-clock — the single-thread experiments). *)
+    A [world] is one application instance: one word-addressed memory
+    carved into a global region (shared data built at init time),
+    per-thread stacks and per-thread allocator arenas, plus the
+    system-wide ownership-record table.  Threads then execute either on
+    simulator fibers (deterministic virtual time — the multithread
+    experiments) or on real domains (wall-clock — the single-thread
+    experiments). *)
 
 type world
 
@@ -17,7 +18,9 @@ val create :
   Config.t ->
   world
 (** Defaults: 256 Ki global words, 16 Ki stack words and 256 Ki arena
-    words per thread. *)
+    words per thread.  These sizes reserve address space only: the memory
+    is demand-paged ({!Captured_tmem.Memory}), so a world costs heap for
+    the chunks its set-up and run write, not for what it reserves. *)
 
 val memory : world -> Captured_tmem.Memory.t
 val global_arena : world -> Captured_tmem.Alloc.t
@@ -57,6 +60,9 @@ type result = {
   per_thread_wall : float array;
       (** native runs: per-domain wall seconds; all zero on simulated
           runs (virtual time lives in [makespan]) *)
+  resident_words : int;
+      (** the world's memory footprint after the run:
+          {!Captured_tmem.Memory.resident_words} *)
 }
 
 (** [run_sim ?quantum ?control ?seed world body] executes [body thread]

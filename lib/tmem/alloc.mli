@@ -1,4 +1,4 @@
-(** Segregated-free-list arena allocator over a region of flat memory.
+(** Segregated-free-list arena allocator over a region of memory.
 
     Each logical thread owns one arena (no synchronisation on the hot
     path), mirroring McRT-Malloc's per-thread structure.  Blocks carry a

@@ -1,12 +1,30 @@
 type addr = int
 
-(* [granules] holds one byte per [page_words]-word page: the log2 of the
+(* Cells live in [chunk_words]-word chunks, reached through one table
+   slot per chunk.  Every slot starts on [zero_chunk], which is shared by
+   every memory and never written: a read of an untouched chunk returns
+   its 0, a zero store leaves it in place, and the first non-zero store
+   replaces the slot with a fresh chunk of its own ([materialize]).  A slot
+   therefore changes at most once, so a world pays heap only for the
+   chunks its workload writes, however much address space it reserves.
+
+   [granules] holds one byte per [page_words]-word page: the log2 of the
    conflict granule (words per ownership record) for every word on the
    page.  Pages start on 4-word array lines and turn to one-word granules
    once, when an arena's record cursor first claims them ({!Alloc}). *)
-type t = { cells : int array; granules : Bytes.t }
+type t = {
+  words : int;
+  chunks : int array array;
+  grow : Mutex.t;  (* serializes materializations *)
+  granules : Bytes.t;
+}
 
 let null = 0
+
+let chunk_log2 = 10
+let chunk_words = 1 lsl chunk_log2
+let chunk_mask = chunk_words - 1
+let zero_chunk = Array.make chunk_words 0
 
 let page_log2 = 6
 let page_words = 1 lsl page_log2
@@ -16,34 +34,127 @@ let word_log2 = 0
 let create ~words =
   if words < 2 then invalid_arg "Memory.create: too small";
   {
-    cells = Array.make words 0;
+    words;
+    chunks = Array.make ((words + chunk_mask) lsr chunk_log2) zero_chunk;
+    grow = Mutex.create ();
     granules =
       Bytes.make ((words + page_words - 1) lsr page_log2) (Char.chr line_log2);
   }
 
-let size t = Array.length t.cells
+let size t = t.words
 
-let get t addr =
-  if addr <= 0 then invalid_arg "Memory.get: null/negative address";
-  t.cells.(addr)
+(* Chunk [i], materialized if it was still the zero chunk.  Domains can
+   race to store into the same untouched chunk: the re-check under
+   [grow] lets exactly one of them install a chunk, and the others then
+   store into that one. *)
+let[@inline never] materialize t i =
+  Mutex.lock t.grow;
+  let c = t.chunks.(i) in
+  let c =
+    if c != zero_chunk then c
+    else begin
+      let fresh = Array.make chunk_words 0 in
+      t.chunks.(i) <- fresh;
+      fresh
+    end
+  in
+  Mutex.unlock t.grow;
+  c
 
-let set t addr v =
-  if addr <= 0 then invalid_arg "Memory.set: null/negative address";
-  t.cells.(addr) <- v
+(* The accessors keep their slow paths in tail calls, so the fast path
+   makes no call and needs no stack frame. *)
+let[@inline never] first_store t i off v =
+  Array.unsafe_set (materialize t i) off v
 
 (* Unchecked accessors for the STM barrier fast paths, which have already
    range-checked the address (Txn.sandbox_bounds runs before any memory
    touch).  Everything else keeps the checked accessors. *)
-let unsafe_get t addr = Array.unsafe_get t.cells addr
-let unsafe_set t addr v = Array.unsafe_set t.cells addr v
+let unsafe_get t addr =
+  Array.unsafe_get
+    (Array.unsafe_get t.chunks (addr lsr chunk_log2))
+    (addr land chunk_mask)
+
+let unsafe_set t addr v =
+  let i = addr lsr chunk_log2 in
+  let c = Array.unsafe_get t.chunks i in
+  if c != zero_chunk then Array.unsafe_set c (addr land chunk_mask) v
+  else if v <> 0 then first_store t i (addr land chunk_mask) v
+
+(* The checked accessors raise their own message below 1 and an array
+   access's bounds error from [size] up, so paging stays invisible to
+   callers that match on either. *)
+let[@inline never] bad_addr addr msg =
+  invalid_arg (if addr <= 0 then msg else "index out of bounds")
+
+let get t addr =
+  if addr > 0 && addr < t.words then unsafe_get t addr
+  else bad_addr addr "Memory.get: null/negative address"
+
+let set t addr v =
+  if addr > 0 && addr < t.words then unsafe_set t addr v
+  else bad_addr addr "Memory.set: null/negative address"
+
+(* [Array.blit]'s own range check, with the memory as the array at
+   [addr]. *)
+let check_blit t addr a pos len =
+  if len < 0 || addr > t.words - len || pos < 0 || pos > Array.length a - len
+  then invalid_arg "Array.blit"
+
+(* [f chunk off pos n] for each chunk-bounded piece of [len] words from
+   [addr], [pos] advancing alongside. *)
+let rec pieces f addr pos len =
+  if len > 0 then begin
+    let off = addr land chunk_mask in
+    let n = min len (chunk_words - off) in
+    f (addr lsr chunk_log2) off pos n;
+    pieces f (addr + n) (pos + n) (len - n)
+  end
 
 let blit_to_array t src dst dst_pos len =
   if src <= 0 then invalid_arg "Memory.blit_to_array";
-  Array.blit t.cells src dst dst_pos len
+  check_blit t src dst dst_pos len;
+  pieces
+    (fun i off pos n -> Array.blit t.chunks.(i) off dst pos n)
+    src dst_pos len
+
+let rec all_zero a pos n =
+  n = 0 || (a.(pos) = 0 && all_zero a (pos + 1) (n - 1))
 
 let blit_of_array t src src_pos dst len =
   if dst <= 0 then invalid_arg "Memory.blit_of_array";
-  Array.blit src src_pos t.cells dst len
+  check_blit t dst src src_pos len;
+  pieces
+    (fun i off pos n ->
+      let c = t.chunks.(i) in
+      if c != zero_chunk then Array.blit src pos c off n
+      else if not (all_zero src pos n) then
+        Array.blit src pos (materialize t i) off n)
+    dst src_pos len
+
+let copy t =
+  {
+    t with
+    chunks =
+      Array.map (fun c -> if c == zero_chunk then c else Array.copy c) t.chunks;
+    grow = Mutex.create ();
+    granules = Bytes.copy t.granules;
+  }
+
+let iter_nonzero t f =
+  Array.iteri
+    (fun i c ->
+      if c != zero_chunk then
+        let base = i lsl chunk_log2 in
+        for off = 0 to min chunk_words (t.words - base) - 1 do
+          let v = Array.unsafe_get c off in
+          if v <> 0 && base + off > 0 then f (base + off) v
+        done)
+    t.chunks
+
+let resident_words t =
+  Array.fold_left
+    (fun n c -> if c == zero_chunk then n else n + chunk_words)
+    0 t.chunks
 
 let granules t = t.granules
 

@@ -1,16 +1,28 @@
-(** Flat word-addressed transactional memory.
+(** Word-addressed transactional memory.
 
-    One big [int array] plays the role of the process address space:
+    One word-addressed space plays the role of the process address space:
     workload "pointers" are indices into it.  Capture analysis is about
     address ranges, so a simulated address space exposes exactly the
     structure the paper's runtime checks need (contiguous stacks, arbitrary
     heap blocks) while staying observable and deterministic.
 
+    The space is demand-paged, like the memory of a real process: it is a
+    table of {!chunk_words}-word chunks, and every chunk starts as one
+    shared, never-written zero chunk.  A read of an untouched chunk
+    returns 0; the first non-zero store to a chunk gives it cells of its
+    own.  So a memory costs heap for the chunks written, not for its
+    {!size}, and walks over the whole memory ({!iter_nonzero}, {!copy})
+    visit resident chunks only.  Paging is invisible otherwise: every
+    accessor reads and writes exactly as a flat zero-filled array would,
+    and raises the same exceptions.
+
     Cells are read and written with plain (non-atomic) array accesses:
     under the OCaml memory model racy int accesses are defined (no
     tearing), and the STM's ownership records — which are [Atomic.t] —
     provide all required synchronisation, exactly as lock words do for a
-    C runtime. *)
+    C runtime.  A chunk-table slot changes once, from the zero chunk to a
+    fresh chunk, under a lock that domains racing to the same first store
+    re-check (DESIGN.md §10). *)
 
 type t
 
@@ -19,7 +31,8 @@ type addr = int
 
 val null : addr
 
-(** [create ~words] allocates a memory of [words] cells, zero-filled. *)
+(** [create ~words] reserves a memory of [words] cells, all reading 0.
+    Only its chunk table and granule table are allocated. *)
 val create : words:int -> t
 
 val size : t -> int
@@ -42,6 +55,24 @@ val blit_to_array : t -> addr -> int array -> int -> int -> unit
     by workloads privatising data). *)
 
 val blit_of_array : t -> int array -> int -> addr -> int -> unit
+
+(** {2 Resident chunks} *)
+
+val chunk_words : int
+(** 1024: the paging unit.  A chunk is resident from its first non-zero
+    store on. *)
+
+val resident_words : t -> int
+(** Words held in resident chunks: {!chunk_words} per chunk written so
+    far.  0 on a fresh memory; reads never change it. *)
+
+val iter_nonzero : t -> (addr -> int -> unit) -> unit
+(** [iter_nonzero t f] calls [f addr v] for every non-zero cell, in
+    ascending address order, visiting resident chunks only. *)
+
+val copy : t -> t
+(** An independent memory with the same cells and granules; untouched
+    chunks stay shared with the zero chunk. *)
 
 (** {2 Conflict granules}
 

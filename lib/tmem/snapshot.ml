@@ -1,11 +1,14 @@
-(* Checkpoint image of a flat memory plus its arena allocators.
+(* Checkpoint image of a memory plus its arena allocators.
 
    Snapshots are sparse: only non-zero cells are recorded (fresh memory
    and freed-then-reused regions are mostly zero, so this keeps
-   checkpoint records proportional to live data).  The allocator side is
-   tiny — free lists are threaded through memory cells themselves, so a
-   [state] record per arena (base/limit/both cursors/class heads/live
-   counts) completes the image.
+   checkpoint records proportional to live data).  Capture walks the
+   memory's resident chunks only, and restore writes only the recorded
+   cells into a fresh memory, so both cost what the image holds, not the
+   memory's size.  The allocator side is tiny — free lists are threaded
+   through memory cells themselves, so a [state] record per arena
+   (base/limit/both cursors/class heads/live counts) completes the
+   image.
 
    Integrity is the WAL's job: a snapshot travels inside a checkpoint
    record whose frame checksum covers every word here, so [decode] only
@@ -18,21 +21,18 @@ type t = {
 }
 
 let capture memory arenas =
-  let words = Memory.size memory in
   let n = ref 0 in
-  for addr = 1 to words - 1 do
-    if Memory.unsafe_get memory addr <> 0 then incr n
-  done;
+  Memory.iter_nonzero memory (fun _ _ -> incr n);
   let cells = Array.make !n (0, 0) in
   let k = ref 0 in
-  for addr = 1 to words - 1 do
-    let v = Memory.unsafe_get memory addr in
-    if v <> 0 then begin
+  Memory.iter_nonzero memory (fun addr v ->
       cells.(!k) <- (addr, v);
-      incr k
-    end
-  done;
-  { mem_words = words; cells; arenas = Array.map Alloc.capture_state arenas }
+      incr k);
+  {
+    mem_words = Memory.size memory;
+    cells;
+    arenas = Array.map Alloc.capture_state arenas;
+  }
 
 let restore t =
   let memory = Memory.create ~words:t.mem_words in

@@ -1,4 +1,4 @@
-(** Checkpoint image of a flat memory plus its arena allocators.
+(** Checkpoint image of a memory plus its arena allocators.
 
     Used by the durable-transaction layer: a snapshot is taken at
     checkpoint time, serialized into a WAL checkpoint record, and the
@@ -11,7 +11,8 @@
 type t
 
 (** [capture mem arenas] snapshots the current memory image (sparse:
-    non-zero cells only) together with each arena's allocator state. *)
+    non-zero cells only, found in resident chunks) together with each
+    arena's allocator state. *)
 val capture : Memory.t -> Alloc.t array -> t
 
 (** [restore t] builds a fresh memory and arena set matching the

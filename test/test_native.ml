@@ -182,6 +182,75 @@ let test_bank_invariant () =
   check_int "balance conserved" (accounts * opening) !total
 
 (* ------------------------------------------------------------------ *)
+(* First stores into untouched chunks *)
+
+(* Domains race to make the first stores into the same untouched memory
+   chunks: transactional writes at distinct addresses of one block, and
+   raw stores to distinct addresses of a second block each domain has
+   privatized.  Both blocks span whole chunks that nothing has written
+   yet (allocation zeroes by zero stores, which leave a chunk
+   untouched).  If two domains could each install a chunk for the same
+   slot, the stores into the one that lost would vanish; every store
+   must survive, and each chunk must be materialized exactly once. *)
+let first_store_chunks = 6
+
+let test_first_store_race ndomains () =
+  let cw = Memory.chunk_words in
+  for round = 1 to 20 do
+    let w = Engine.create ~nthreads:ndomains (Config.with_ebr Config.baseline) in
+    let mem = Engine.memory w in
+    (* A fresh block and the chunks wholly inside it, each named by its
+       first word. *)
+    let block () =
+      let b = Alloc.alloc (Engine.global_arena w) (first_store_chunks * cw) in
+      let first = (b + cw - 1) / cw
+      and stop = (b + (first_store_chunks * cw)) / cw in
+      (b, Array.init (stop - first) (fun k -> (first + k) * cw))
+    in
+    let _, tx_chunks = block () in
+    let raw_block, raw_chunks = block () in
+    let chunks = Array.append tx_chunks raw_chunks in
+    let value tid c = 1 + tid + (round * 100) + c in
+    let resident = Memory.resident_words mem in
+    let arrived = Atomic.make 0 in
+    let _ =
+      Engine.run_native ~seed:round w (fun th ->
+          let tid = Txn.thread_id th in
+          Txn.privatize th ~addr:raw_block ~size:(first_store_chunks * cw);
+          (* Start together, so the first stores overlap. *)
+          Atomic.incr arrived;
+          while Atomic.get arrived < ndomains do
+            Domain.cpu_relax ()
+          done;
+          (* The two kinds of first store, alternating. *)
+          for k = 0 to first_store_chunks - 1 do
+            if k < Array.length tx_chunks then begin
+              let c = tx_chunks.(k) in
+              Txn.atomic th (fun tx -> Txn.write tx (c + tid) (value tid c))
+            end;
+            if k < Array.length raw_chunks then begin
+              let r = raw_chunks.(k) in
+              Txn.raw_write th (r + tid) (value tid r)
+            end
+          done)
+    in
+    Array.iter
+      (fun c ->
+        for tid = 0 to ndomains - 1 do
+          check_int
+            (Printf.sprintf "round %d: store of thread %d at %d" round tid
+               (c + tid))
+            (value tid c)
+            (Memory.get mem (c + tid))
+        done)
+      chunks;
+    check_int
+      (Printf.sprintf "round %d: each chunk materialized once" round)
+      (resident + (Array.length chunks * cw))
+      (Memory.resident_words mem)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Orec stubs under real parallelism *)
 
 (* Domains lock eight adjacent records of the dense table (one cache
@@ -473,6 +542,10 @@ let () =
             (test_longread_domains 2);
           Alcotest.test_case "long read logs 4 domains" `Quick
             (test_longread_domains 4);
+          Alcotest.test_case "first stores 2 domains" `Quick
+            (test_first_store_race 2);
+          Alcotest.test_case "first stores 4 domains" `Quick
+            (test_first_store_race 4);
         ] );
       ( "global clock",
         [

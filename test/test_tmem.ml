@@ -48,6 +48,168 @@ let test_memory_blit () =
   Memory.blit_to_array m 10 dst 0 4;
   Alcotest.(check (array int)) "roundtrip" src dst
 
+(* Paging is invisible: random accessor sequences on a memory of three
+   and a bit chunks agree with a flat zero-filled reference array driven
+   by the flat-array code the chunk table replaced, in results and in
+   raised exceptions.  Addresses and lengths crowd the chunk boundaries
+   and the ends, and values are mostly 0, so zero stores land in
+   untouched chunks and blits cross chunks.  The memory holds exactly the
+   chunks that took a non-zero store, and its capture encodes exactly
+   what a scan of the whole reference does. *)
+let paged_words = (3 * Memory.chunk_words) + 100
+let blit_buf = 5000
+
+type mem_op =
+  | Get of int
+  | Set of int * int
+  | Unsafe_set of int * int
+  | Blit_to of int * int * int  (** src, dst_pos, len *)
+  | Blit_of of int * int * int * int  (** fill, src_pos, dst, len *)
+
+(* A blit source: 0 everywhere for [fill = 0], else every fifth word
+   non-zero. *)
+let blit_source fill =
+  Array.init blit_buf (fun i -> if fill <> 0 && i mod 5 = 0 then fill else 0)
+
+let show_mem_op = function
+  | Get a -> Printf.sprintf "get %d" a
+  | Set (a, v) -> Printf.sprintf "set %d %d" a v
+  | Unsafe_set (a, v) -> Printf.sprintf "unsafe_set %d %d" a v
+  | Blit_to (a, p, l) -> Printf.sprintf "blit_to %d [%d] %d" a p l
+  | Blit_of (f, p, a, l) -> Printf.sprintf "blit_of (fill %d) [%d] %d %d" f p a l
+
+let arb_mem_ops =
+  let open QCheck.Gen in
+  let cw = Memory.chunk_words in
+  let addr =
+    frequency
+      [
+        (3, int_range 1 (paged_words - 1));
+        (3, map2 (fun k d -> (k * cw) + d) (int_range 0 3) (int_range (-3) 3));
+        (1, oneofl [ -1; 0; 1; paged_words - 1; paged_words; paged_words + 1 ]);
+      ]
+  in
+  let valid = map (fun a -> max 1 (min a (paged_words - 1))) addr in
+  let value = frequency [ (2, return 0); (3, int_range (-9) 9) ] in
+  let len =
+    frequency [ (3, int_range 0 8); (2, int_range 0 (2 * cw)); (1, return (-1)) ]
+  in
+  let pos =
+    frequency [ (5, int_range 0 50); (1, oneofl [ -1; blit_buf - 1; blit_buf ]) ]
+  in
+  let op =
+    frequency
+      [
+        (3, map (fun a -> Get a) addr);
+        (3, map2 (fun a v -> Set (a, v)) addr value);
+        (2, map2 (fun a v -> Unsafe_set (a, v)) valid value);
+        (2, map3 (fun a p l -> Blit_to (a, p, l)) addr pos len);
+        ( 2,
+          map3
+            (fun (f, p) a l -> Blit_of (f, p, a, l))
+            (pair value pos) addr len );
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+    (list_size (int_range 1 40) op)
+
+(* What an operation returned, or the exception it raised. *)
+let outcome f =
+  match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let prop_paging_invisible =
+  QCheck.Test.make ~name:"paged memory agrees with a flat array" ~count:200
+    arb_mem_ops (fun ops ->
+      let m = Memory.create ~words:paged_words in
+      let flat = Array.make paged_words 0 in
+      (* Chunks a non-zero store reached, by index. *)
+      let written = Hashtbl.create 4 in
+      let wrote a v =
+        if v <> 0 then Hashtbl.replace written (a / Memory.chunk_words) ()
+      in
+      let same name paged reference =
+        if outcome paged <> outcome reference then
+          QCheck.Test.fail_reportf "%s: paged and flat disagree" name
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Get a ->
+              same (show_mem_op op)
+                (fun () -> [ Memory.get m a ])
+                (fun () ->
+                  if a <= 0 then invalid_arg "Memory.get: null/negative address";
+                  [ flat.(a) ])
+          | Set (a, v) ->
+              same (show_mem_op op)
+                (fun () -> [ Memory.set m a v ])
+                (fun () ->
+                  if a <= 0 then invalid_arg "Memory.set: null/negative address";
+                  flat.(a) <- v;
+                  wrote a v;
+                  [ () ])
+          | Unsafe_set (a, v) ->
+              Memory.unsafe_set m a v;
+              flat.(a) <- v;
+              wrote a v
+          | Blit_to (a, p, l) ->
+              let mine = Array.make blit_buf 7 and ref_ = Array.make blit_buf 7 in
+              same (show_mem_op op)
+                (fun () -> Memory.blit_to_array m a mine p l)
+                (fun () ->
+                  if a <= 0 then invalid_arg "Memory.blit_to_array";
+                  Array.blit flat a ref_ p l);
+              if mine <> ref_ then
+                QCheck.Test.fail_reportf "%s: copied words differ"
+                  (show_mem_op op)
+          | Blit_of (f, p, a, l) ->
+              let src = blit_source f in
+              same (show_mem_op op)
+                (fun () -> Memory.blit_of_array m src p a l)
+                (fun () ->
+                  if a <= 0 then invalid_arg "Memory.blit_of_array";
+                  Array.blit src p flat a l;
+                  for k = 0 to l - 1 do
+                    wrote (a + k) src.(p + k)
+                  done))
+        ops;
+      for a = 1 to paged_words - 1 do
+        if Memory.get m a <> flat.(a) then
+          QCheck.Test.fail_reportf "word %d: %d, flat %d" a (Memory.get m a)
+            flat.(a)
+      done;
+      let scan = ref [] in
+      for a = paged_words - 1 downto 1 do
+        if flat.(a) <> 0 then scan := a :: flat.(a) :: !scan
+      done;
+      let reference =
+        Array.of_list ((paged_words :: (List.length !scan / 2) :: !scan) @ [ 0 ])
+      in
+      Memory.resident_words m = Hashtbl.length written * Memory.chunk_words
+      && Snapshot.encode (Snapshot.capture m [||]) = reference)
+
+let test_memory_resident_words () =
+  let cw = Memory.chunk_words in
+  let m = Memory.create ~words:(4 * cw) in
+  check_int "fresh" 0 (Memory.resident_words m);
+  for a = 1 to (4 * cw) - 1 do
+    ignore (Memory.get m a : int)
+  done;
+  Memory.blit_to_array m 1 (Array.make cw 0) 0 cw;
+  check_int "reads" 0 (Memory.resident_words m);
+  Memory.set m (cw + 5) 0;
+  Memory.blit_of_array m (Array.make 10 0) 0 (2 * cw) 10;
+  check_int "zero stores" 0 (Memory.resident_words m);
+  Memory.set m (cw + 5) 3;
+  check_int "first non-zero store" cw (Memory.resident_words m);
+  Memory.set m (cw + 6) 4;
+  check_int "same chunk" cw (Memory.resident_words m);
+  ignore (Memory.get m (3 * cw) : int);
+  check_int "read after" cw (Memory.resident_words m);
+  Memory.unsafe_set m (3 * cw) 1;
+  check_int "second chunk" (2 * cw) (Memory.resident_words m)
+
 (* ------------------------------------------------------------------ *)
 (* Tstack *)
 
@@ -587,8 +749,10 @@ let () =
           Alcotest.test_case "get/set" `Quick test_memory_get_set;
           Alcotest.test_case "null rejected" `Quick test_memory_null_rejected;
           Alcotest.test_case "blit" `Quick test_memory_blit;
+          Alcotest.test_case "resident words" `Quick test_memory_resident_words;
         ] );
-      qsuite "memory-props" [ prop_unsafe_agrees_with_checked ];
+      qsuite "memory-props"
+        [ prop_unsafe_agrees_with_checked; prop_paging_invisible ];
       ( "tstack",
         [
           Alcotest.test_case "grows down" `Quick test_stack_grows_down;
