@@ -567,22 +567,6 @@ let ablation () =
          (capture gain %.1f%%)\n"
         bits ratio base fp (improvement ~base fp))
     [ 8; 10; 12; 14; 17; 18 ];
-  (* (c) Range-array capacity (yada, write elision rate). *)
-  Printf.printf "\n(c) range-array capacity vs writes elided (yada, 1 thr)\n";
-  List.iter
-    (fun cap ->
-      let cfg =
-        { (Config.runtime Alloc_log.Array) with Config.array_capacity = cap }
-      in
-      let r =
-        App.run (Option.get (Registry.find "yada")) ~nthreads:1
-          ~scale:(scale ()) ~mode:(`Sim 1) cfg
-      in
-      let s = r.Engine.stats in
-      Printf.printf "  capacity=%2d  writes elided=%4.1f%%\n" cap
-        (100. *. float_of_int (Stats.writes_elided s)
-        /. float_of_int (max 1 s.Stats.writes)))
-    [ 1; 2; 4; 8; 16 ];
   (* (d') Hybrid (paper future work): compiler-proved shared sites skip
      the runtime checks — recovering baseline speed where there is nothing
      to elide while keeping full elision elsewhere. *)

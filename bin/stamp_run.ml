@@ -7,7 +7,8 @@
      stamp_run run vacation-high --config tree --threads 16
      stamp_run run yada --config tree+scope:hw+fp+ebr --scale large --native
      stamp_run run intruder --config tree+lazy+fault:crash-pre-commit \
-       --wal wal-out --recover
+       --wal wal-out
+     stamp_run recover wal-out
      stamp_run analyze bayes *)
 
 module Config = Captured_stm.Config
@@ -88,8 +89,7 @@ let print_recovery ~json dir (rc : Wal.recovery) =
     Printf.printf "recovery wall:      %.3f ms\n" rc.Wal.r_wall_ms
   end
 
-let run_cmd app_name config_name scale_name threads native seed wal_dir
-    recover json =
+let run_cmd app_name config_name scale_name threads native seed wal_dir json =
   let ( let* ) = Result.bind in
   let outcome =
     let* config = Config.of_string config_name in
@@ -109,8 +109,6 @@ let run_cmd app_name config_name scale_name threads native seed wal_dir
           Error
             (Printf.sprintf "fault %s needs a durable log: pass --wal DIR"
                (Fault.name f))
-      | _ when recover && wal_dir = "" ->
-          Error "--recover replays the log under --wal DIR: pass --wal DIR"
       | _ -> Ok ()
     in
     let* scale = scale_of_name scale_name in
@@ -127,15 +125,6 @@ let run_cmd app_name config_name scale_name threads native seed wal_dir
             (orec_records config);
         let mode = if native then `Native else `Sim seed in
         let wal_dir_opt = if wal_dir = "" then None else Some wal_dir in
-        let after_run () =
-          if recover then
-            let* rc =
-              Result.map_error (fun m -> "recovery: " ^ m)
-                (Wal.recover_dir wal_dir)
-            in
-            Ok (print_recovery ~json wal_dir rc)
-          else Ok ()
-        in
         let run_outcome =
           try
             `Done
@@ -153,7 +142,7 @@ let run_cmd app_name config_name scale_name threads native seed wal_dir
               print_result result ~native;
               Printf.printf "\nverification: OK\n"
             end;
-            after_run ()
+            Ok ()
         | `Crashed tid ->
             (* Injected crash-point fired: the durable prefix mirrored to
                --wal DIR is all that survives, exactly like a real
@@ -163,12 +152,12 @@ let run_cmd app_name config_name scale_name threads native seed wal_dir
                 "simulated crash on thread %d (%s); durable log left in \
                  %s\n"
                 tid fault_name wal_dir
-            else if not recover then
+            else
               Printf.printf
                 "{\"app\":\"%s\",\"crashed\":true,\"fault\":\"%s\",\
                  \"tid\":%d,\"wal\":\"%s\"}\n"
                 app.App.name fault_name tid wal_dir;
-            after_run ())
+            Ok ())
   in
   match outcome with
   | Ok () -> `Ok ()
@@ -235,20 +224,13 @@ let wal_dir_arg =
                  token).  Captured writes are elided from the log \
                  (wal_skips); allocation payload images cover them.")
 
-let recover_arg =
-  Arg.(value & flag
-       & info [ "recover" ]
-           ~doc:"After the run (or the injected crash), replay the log \
-                 under --wal DIR from the last checkpoint and report what \
-                 recovery restored.  Needs --wal DIR.")
-
 let wal_pos_arg =
   Arg.(required & pos 0 (some string) None
        & info [] ~docv:"DIR" ~doc:"Directory holding wal.log.")
 
 let run_term =
   Term.(ret (const run_cmd $ app_arg $ config_arg $ scale_arg $ threads_arg
-             $ native_arg $ seed_arg $ wal_dir_arg $ recover_arg $ json_arg))
+             $ native_arg $ seed_arg $ wal_dir_arg $ json_arg))
 
 let recover_term =
   Term.(ret (const recover_cmd $ wal_pos_arg $ json_arg))
@@ -261,8 +243,8 @@ let cmds =
       Term.(ret (const analyze_cmd $ app_arg));
     Cmd.v
       (Cmd.info "recover"
-         ~doc:"Replay a write-ahead log left by a crashed `stamp_run run \
-               --wal DIR` and report the restored state")
+         ~doc:"Replay the write-ahead log a `stamp_run run --wal DIR` \
+               left (crashed or not) and report the restored state")
       recover_term;
   ]
 

@@ -484,15 +484,6 @@ let hashtable_remove =
       Return (v "r");
     ]
 
-let pair_create =
-  func "pair_create" [ "a"; "b" ]
-    [
-      Malloc { dst = "p"; words = i 2; label = "pair" };
-      store ~manual:false ~site:"pair.init.first" (v "p") (v "a");
-      store ~manual:false ~site:"pair.init.second" (v "p" +: i 1) (v "b");
-      Return (v "p");
-    ]
-
 let funcs =
   [
     list_create;
@@ -513,5 +504,4 @@ let funcs =
     hashtable_insert;
     hashtable_find;
     hashtable_remove;
-    pair_create;
   ]

@@ -14,5 +14,5 @@ val funcs : Captured_tmir.Ir.func list
 (** [list_create; list_insert; list_remove; list_find; list_iter_sum;
     map_insert; map_update; map_find; map_remove; queue_push; queue_pop;
     heap_insert; heap_pop; vector_push; hashtable_insert; hashtable_find;
-    hashtable_remove; pair_create] — add these to an app model's function
+    hashtable_remove] — add these to an app model's function
     list and call them from its transaction functions. *)

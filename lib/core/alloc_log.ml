@@ -14,7 +14,6 @@ type repr =
 
 type t = {
   declared : backend;
-  array_capacity : int option;
   mutable repr : repr; (* mutated only by Array -> Tree promotion *)
   mutable blocks : int;
   cache : Capture_cache.t option;
@@ -22,16 +21,15 @@ type t = {
   mutable promotions : int;
 }
 
-let create ?array_capacity ?filter_buckets ?(fastpath = false) backend =
+let create ?filter_buckets ?(fastpath = false) backend =
   let repr =
     match backend with
     | Tree -> Rtree (Range_tree.create ())
-    | Array -> Rarray (Range_array.create ?capacity:array_capacity ())
+    | Array -> Rarray (Range_array.create ())
     | Filter -> Rfilter (Range_filter.create ?buckets:filter_buckets ())
   in
   {
     declared = backend;
-    array_capacity;
     repr;
     blocks = 0;
     cache = (if fastpath then Some (Capture_cache.create ()) else None);
@@ -175,7 +173,7 @@ let clear t =
       (* A promoted log reverts to its declared cache-line array: the next
          transaction starts on the cheap backend again. *)
       if t.declared = Array then
-        t.repr <- Rarray (Range_array.create ?capacity:t.array_capacity ())
+        t.repr <- Rarray (Range_array.create ())
       else Range_tree.clear r
   | Rarray r -> Range_array.clear r
   | Rfilter r -> Range_filter.clear r);

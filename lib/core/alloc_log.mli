@@ -21,8 +21,7 @@ val all_backends : backend list
 
 type t
 
-val create :
-  ?array_capacity:int -> ?filter_buckets:int -> ?fastpath:bool -> backend -> t
+val create : ?filter_buckets:int -> ?fastpath:bool -> backend -> t
 (** [fastpath] (default [false]) enables the capture-cache front line and
     Array-to-Tree saturation promotion. *)
 

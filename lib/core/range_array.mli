@@ -1,12 +1,16 @@
 (** Cache-line-sized unsorted array of memory ranges (paper, Figure 6).
 
-    Holds at most [capacity] ranges (default 4, a 64-byte line of 32-bit
-    start/end pairs).  Insertions beyond capacity are silently dropped:
+    Holds at most [capacity] ranges ({!default_capacity}, a 64-byte line
+    of 32-bit start/end pairs; the allocation log's array backend always
+    uses it).  Insertions beyond capacity are silently dropped:
     capture analysis may be arbitrarily inaccurate for an in-place-update
     STM as long as it is conservative, and the paper found a few tracked
     allocations capture almost all the benefit. *)
 
 type t
+
+val default_capacity : int
+(** 4. *)
 
 val create : ?capacity:int -> unit -> t
 val capacity : t -> int

@@ -17,7 +17,6 @@ type t = {
   static_filter : bool;
   audit : bool;
   orec_bits : int;
-  array_capacity : int;
   fault : Fault.kind option;
   fences : bool;
   lazy_versioning : bool;
@@ -44,7 +43,6 @@ let default =
     static_filter = false;
     audit = false;
     orec_bits = 17;
-    array_capacity = 4;
     fault = None;
     fences = false;
     lazy_versioning = false;
@@ -168,9 +166,6 @@ let tokens =
     int_token "orecs" ~lo:4 ~hi:24
       (fun t -> t.orec_bits)
       (fun t orec_bits -> { t with orec_bits });
-    int_token "cap" ~lo:1 ~hi:max_int
-      (fun t -> t.array_capacity)
-      (fun t array_capacity -> { t with array_capacity });
   ]
 
 let heads =

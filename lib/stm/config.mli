@@ -54,8 +54,6 @@ type t = {
   orec_bits : int;
       (** log2 of the ownership-record table size (default 17: one word
           per record, 1 MiB; [+orecs:N] token). *)
-  array_capacity : int;
-      (** Range-array backend capacity, in blocks ([+cap:N] token). *)
   fault : Fault.kind option;
       (** Injected fault for the robustness layer / checker self-tests
           ([+fault:<name>] token).  Never enable outside tests. *)
@@ -169,8 +167,8 @@ val audit : t
     [+scope:L] ([L] the subsequence of [shrw] switched on: stack and heap
     checks, read and write barriers; Figure 11b is [+scope:hw]),
     [+sf] (static_filter), [+audit], [+fp], [+tv], [+lazy], [+wal],
-    [+group:N] (wal_group), [+ebr], [+fence], [+fault:F],
-    [+orecs:N] (orec_bits) and [+cap:N] (array_capacity).
+    [+group:N] (wal_group), [+ebr], [+fence], [+fault:F] and
+    [+orecs:N] (orec_bits).
     E.g. ["tree+fp+ebr"], ["tree+scope:hw+tv+lazy+wal+ebr"]. *)
 val to_string : t -> string
 

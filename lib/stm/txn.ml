@@ -44,9 +44,20 @@ type event =
 let tracer : (int -> event -> unit) option ref = ref None
 let set_tracer f = tracer := f
 
-(* For cold sites (begin/commit/abort/alloc); hot barriers inline the
-   match so disabled tracing allocates nothing. *)
+(* For cold sites (begin/commit/abort/alloc).  The barriers' emitters
+   take scalars and build the event only under [Some f], so disabled
+   tracing allocates nothing. *)
 let emit tid ev = match !tracer with None -> () | Some f -> f tid ev
+
+let emit_read tid addr value cls =
+  match !tracer with
+  | None -> ()
+  | Some f -> f tid (Ev_read { addr; value; cls })
+
+let emit_write tid addr value cls =
+  match !tracer with
+  | None -> ()
+  | Some f -> f tid (Ev_write { addr; value; cls })
 
 type thread = {
   tid : int;
@@ -80,6 +91,10 @@ type thread = {
   (* +fp site tier: per-site hit windows deciding which sites skip the
      capture check (thread-owned; sized from the sites declared so far). *)
   site_tier : Site_tier.t;
+  (* Cycles the current barrier's capture and private checks spent
+     ([try_elide] resets it): the barrier charges them with the access,
+     in one [consume]. *)
+  mutable check_cost : int;
   (* The transaction descriptor: the logs below are reset by every
      top-level begin and reused across attempts. *)
   (* read set: distinct orecs with the word observed first, indexed by
@@ -160,9 +175,7 @@ and scope = {
 let new_capture_log (cfg : Config.t) =
   match cfg.analysis with
   | Config.Runtime backend when cfg.scope.Config.check_heap ->
-      Some
-        (Alloc_log.create ~array_capacity:cfg.array_capacity
-           ~fastpath:cfg.fastpath backend)
+      Some (Alloc_log.create ~fastpath:cfg.fastpath backend)
   | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
 
 let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
@@ -191,6 +204,7 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
          | None -> None
        else None);
     site_tier = Site_tier.create ~sites:(Site.count ());
+    check_cost = 0;
     read_orecs = Array.make 64 0;
     read_words = Array.make 64 0;
     read_addrs = Array.make 64 0;
@@ -239,10 +253,10 @@ let mem_set th addr v =
 (* Parallel logs grow together (each push site grows every array of its
    log at the same length); the push sites write the new entry directly
    into the (possibly fresh) arrays — no [ref] cells or tuples, these run
-   on the barrier fast path. *)
+   on the barrier fast path.  An empty log grows to 8 entries. *)
 let grow xs =
   let cap = Array.length xs in
-  let xs' = Array.make (2 * cap) 0 in
+  let xs' = Array.make (max 8 (2 * cap)) 0 in
   Array.blit xs 0 xs' 0 cap;
   xs'
 
@@ -291,14 +305,9 @@ let empty_ints : int array = [||]
 
 let push_alloc scope addr size =
   let n = scope.n_allocs in
-  let cap = Array.length scope.alloc_addrs in
-  if n >= cap then begin
-    let cap' = if cap = 0 then 8 else 2 * cap in
-    let a = Array.make cap' 0 and s = Array.make cap' 0 in
-    Array.blit scope.alloc_addrs 0 a 0 cap;
-    Array.blit scope.alloc_sizes 0 s 0 cap;
-    scope.alloc_addrs <- a;
-    scope.alloc_sizes <- s
+  if n >= Array.length scope.alloc_addrs then begin
+    scope.alloc_addrs <- grow scope.alloc_addrs;
+    scope.alloc_sizes <- grow scope.alloc_sizes
   end;
   scope.alloc_addrs.(n) <- addr;
   scope.alloc_sizes.(n) <- size;
@@ -306,12 +315,8 @@ let push_alloc scope addr size =
 
 let push_dfree scope addr =
   let n = scope.n_dfrees in
-  let cap = Array.length scope.dfree_addrs in
-  if n >= cap then begin
-    let a = Array.make (if cap = 0 then 8 else 2 * cap) 0 in
-    Array.blit scope.dfree_addrs 0 a 0 cap;
-    scope.dfree_addrs <- a
-  end;
+  if n >= Array.length scope.dfree_addrs then
+    scope.dfree_addrs <- grow scope.dfree_addrs;
   scope.dfree_addrs.(n) <- addr;
   scope.n_dfrees <- n + 1
 
@@ -354,12 +359,17 @@ let fault_fires th kind =
 (* ------------------------------------------------------------------ *)
 (* Epoch-based reclamation hooks (Config.ebr)                          *)
 
-(* One reclaim sweep: try to advance the global epoch, then release
-   every limbo entry whose two grace periods have elapsed back to this
-   thread's arena (same "freeing thread keeps it" placement as the
-   immediate free it replaces).  A sweep that leaves entries behind is
-   a stall — some in-flight reader is still holding the epoch back. *)
-let ebr_service th r =
+(* An attempt's quiescent exit (commit or abort: its reads are dead, so
+   it must stop holding the global epoch back before the next begin
+   re-announces), then one reclaim sweep: try to advance the global
+   epoch, then release every limbo entry whose two grace periods have
+   elapsed back to this thread's arena (same "freeing thread keeps it"
+   placement as the immediate free it replaces).  A sweep that leaves
+   entries behind is a stall — some in-flight reader is still holding
+   the epoch back. *)
+let ebr_exit th r =
+  th.platform.consume Costs.ebr_announce;
+  Reclaim.announce_quiescent r;
   th.platform.consume Costs.ebr_advance;
   if Reclaim.try_advance (Reclaim.shared_of r) then
     th.stats.epoch_advances <- th.stats.epoch_advances + 1;
@@ -384,6 +394,14 @@ let wal_crash th =
    drawing the PRNG, so their schedules are untouched. *)
 let crash_point th kind = if th.wal <> None && fault_fires th kind then wal_crash th
 
+(* Account one appended record, raw or commit; true when its append
+   completed a group and synced the log. *)
+let wal_account th (bytes, synced) =
+  th.stats.wal_records <- th.stats.wal_records + 1;
+  th.stats.wal_bytes <- th.stats.wal_bytes + bytes;
+  if synced then th.stats.wal_fsyncs <- th.stats.wal_fsyncs + 1;
+  synced
+
 (* Append a raw (immediately-visible) store to the log.  Used for
    non-transactional stores and for private-elided writes inside a
    transaction — both take effect now and survive aborts, so recovery
@@ -398,10 +416,7 @@ let wal_raw th addr value =
       th.platform.consume
         ((Costs.wal_append_per_word * Wal.raw_record_words)
         + if will_sync then Costs.wal_fsync else 0);
-      let bytes, synced = Wal.append_raw w ~addr ~value in
-      th.stats.wal_records <- th.stats.wal_records + 1;
-      th.stats.wal_bytes <- th.stats.wal_bytes + bytes;
-      if synced then th.stats.wal_fsyncs <- th.stats.wal_fsyncs + 1
+      ignore (wal_account th (Wal.append_raw w ~addr ~value) : bool)
 
 (* Top-level recursion: a local [let rec] would close over the tx and
    allocate on every validation (which [burn_fuel] runs from the
@@ -548,51 +563,31 @@ let sandbox_bounds tx addr =
 (* ------------------------------------------------------------------ *)
 (* Capture analysis in barriers (paper, Figure 2)                      *)
 
-(* Elision verdicts, int-encoded — a variant with payloads would allocate
-   a block per barrier invocation.  Low 3 bits: class; rest: the
-   (failed-)check cycles to charge on top of the access. *)
-let keep_code = 0
-let elide_static_code = 1
-let elide_stack_code = 2
-let elide_heap_code = 3
-let elide_private_code = 4
-let elision ~cls ~cost = (cost lsl 3) lor cls
-let elision_class e = e land 7
-let elision_cost e = e asr 3
+(* Every check below returns its verdict as an [access_class] — constant
+   constructors, so an immediate — and adds the cycles it spent to
+   [check_cost]. *)
 
-(* The per-class counter of an elided ([cls <> keep_code]) access. *)
-let count_elided_read (st : Stats.t) cls =
-  if cls = elide_stack_code then
-    st.reads_elided_stack <- st.reads_elided_stack + 1
-  else if cls = elide_heap_code then
-    st.reads_elided_heap <- st.reads_elided_heap + 1
-  else if cls = elide_private_code then
-    st.reads_elided_private <- st.reads_elided_private + 1
-  else st.reads_elided_static <- st.reads_elided_static + 1
-
-let count_elided_write (st : Stats.t) cls =
-  if cls = elide_stack_code then
-    st.writes_elided_stack <- st.writes_elided_stack + 1
-  else if cls = elide_heap_code then
-    st.writes_elided_heap <- st.writes_elided_heap + 1
-  else if cls = elide_private_code then
-    st.writes_elided_private <- st.writes_elided_private + 1
-  else st.writes_elided_static <- st.writes_elided_static + 1
-
-(* Durable elision of an elided store: captured (stack/heap/static)
-   stores need no WAL entry — stacks are transient and own-allocation
-   images ride in the commit record.  Private stores are immediately
-   visible shared state and survive aborts, so they are logged raw. *)
-let wal_elided_store th cls addr v =
-  if th.wal <> None then
-    if cls = elide_private_code then wal_raw th addr v
-    else th.stats.wal_skips <- th.stats.wal_skips + 1
+(* The per-class counter of an access. *)
+let count_elided (st : Stats.t) ~is_write cls =
+  match (is_write, cls) with
+  | _, Instrumented -> ()
+  | false, Elided_static ->
+      st.reads_elided_static <- st.reads_elided_static + 1
+  | false, Elided_stack -> st.reads_elided_stack <- st.reads_elided_stack + 1
+  | false, Elided_heap -> st.reads_elided_heap <- st.reads_elided_heap + 1
+  | false, Elided_private ->
+      st.reads_elided_private <- st.reads_elided_private + 1
+  | true, Elided_static ->
+      st.writes_elided_static <- st.writes_elided_static + 1
+  | true, Elided_stack ->
+      st.writes_elided_stack <- st.writes_elided_stack + 1
+  | true, Elided_heap -> st.writes_elided_heap <- st.writes_elided_heap + 1
+  | true, Elided_private ->
+      st.writes_elided_private <- st.writes_elided_private + 1
 
 (* One hierarchical heap capture check: classify the probe, charge the
    tier that answered, and account it.  Without fastpath the hierarchy
-   degenerates to the bare backend probe at its usual price.  Result is
-   int-encoded (bit 0: captured; rest: cycles) — a tuple would allocate
-   on the barrier fast path. *)
+   degenerates to the bare backend probe at its usual price. *)
 let heap_capture_check th log ~lo ~hi =
   let outcome = Alloc_log.probe log ~lo ~hi in
   let st = th.stats in
@@ -621,73 +616,70 @@ let heap_capture_check th log ~lo ~hi =
         + Alloc_log.search_cost log
   in
   st.Stats.capture_check_cycles <- st.Stats.capture_check_cycles + cost;
-  let captured =
-    match outcome with
-    | Alloc_log.Mru_hit | Alloc_log.Backend_hit -> 1
-    | Alloc_log.Summary_reject | Alloc_log.Backend_miss -> 0
-  in
-  (cost lsl 1) lor captured
+  th.check_cost <- th.check_cost + cost;
+  match outcome with
+  | Alloc_log.Mru_hit | Alloc_log.Backend_hit -> Elided_heap
+  | Alloc_log.Summary_reject | Alloc_log.Backend_miss -> Instrumented
 
-let private_check th addr size cost =
-  if Alloc_log.size th.private_log > 0 then
-    let c = cost + Alloc_log.search_cost th.private_log in
+let private_check th addr size =
+  if Alloc_log.size th.private_log > 0 then begin
+    th.check_cost <- th.check_cost + Alloc_log.search_cost th.private_log;
     if Alloc_log.contains th.private_log ~lo:addr ~hi:(addr + size) then
-      elision ~cls:elide_private_code ~cost:c
-    else elision ~cls:keep_code ~cost:c
-  else elision ~cls:keep_code ~cost
+      Elided_private
+    else Instrumented
+  end
+  else Instrumented
 
 (* The runtime stack and heap capture checks of one access: a stack or
-   heap elision, or [keep_code]; either way the cost is [cost] plus what
-   the checks charged. *)
-let capture_check tx addr size ~cost =
+   heap elision, or [Instrumented]. *)
+let capture_check tx addr size =
   let sc = tx.config.Config.scope in
   let scope = innermost tx in
+  if sc.check_stack then tx.check_cost <- tx.check_cost + Costs.stack_check;
   if
     sc.check_stack
     && Tstack.in_live_range tx.stack ~from_sp:scope.start_sp addr size
-  then elision ~cls:elide_stack_code ~cost:(cost + Costs.stack_check)
-  else begin
-    let cost = if sc.check_stack then cost + Costs.stack_check else cost in
+  then Elided_stack
+  else
     match scope.capture_log with
     | Some log when sc.check_heap ->
-        let r = heap_capture_check tx log ~lo:addr ~hi:(addr + size) in
-        let cost = cost + (r lsr 1) in
-        elision ~cls:(if r land 1 = 1 then elide_heap_code else keep_code) ~cost
-    | Some _ | None -> elision ~cls:keep_code ~cost
-  end
+        heap_capture_check tx log ~lo:addr ~hi:(addr + size)
+    | Some _ | None -> Instrumented
 
-(* Runtime analysis under +fp puts the site tier first: a site whose
-   checks rarely hit is bypassed, and its access takes the same path as
-   an access outside the check scope — private-log check, then the full
-   barrier.  That is sound because the full barrier is correct for any
-   address, captured or not (see [free] for the one hazard it had). *)
+(* The elision verdict of one access, its check cycles left in
+   [check_cost].  Runtime analysis under +fp puts the site tier first: a
+   site whose checks rarely hit is bypassed, and its access takes the
+   same path as an access outside the check scope — private-log check,
+   then the full barrier.  That is sound because the full barrier is
+   correct for any address, captured or not (see [free] for the one
+   hazard it had). *)
 let try_elide tx addr size ~site ~is_write =
   let cfg = tx.config in
+  tx.check_cost <- 0;
   match cfg.analysis with
   | Config.Compiler ->
-      if Site.is_captured_static site then
-        elision ~cls:elide_static_code ~cost:0
-      else private_check tx addr size 0
-  | Config.Baseline -> private_check tx addr size 0
+      if Site.is_captured_static site then Elided_static
+      else private_check tx addr size
+  | Config.Baseline -> private_check tx addr size
   | Config.Runtime _ ->
       let sc = cfg.scope in
       let applies =
         (if is_write then sc.on_writes else sc.on_reads)
         && not (cfg.static_filter && Site.is_shared_static site)
       in
-      if not applies then private_check tx addr size 0
-      else if cfg.fastpath && Site_tier.bypass tx.site_tier site then begin
-        tx.stats.capture_site_bypasses <- tx.stats.capture_site_bypasses + 1;
-        private_check tx addr size Costs.site_check
-      end
+      if not applies then private_check tx addr size
       else begin
-        let e =
-          capture_check tx addr size
-            ~cost:(if cfg.fastpath then Costs.site_check else 0)
-        in
-        let captured = elision_class e <> keep_code in
-        if cfg.fastpath then Site_tier.record tx.site_tier site ~hit:captured;
-        if captured then e else private_check tx addr size (elision_cost e)
+        if cfg.fastpath then tx.check_cost <- Costs.site_check;
+        if cfg.fastpath && Site_tier.bypass tx.site_tier site then begin
+          tx.stats.capture_site_bypasses <- tx.stats.capture_site_bypasses + 1;
+          private_check tx addr size
+        end
+        else begin
+          let cls = capture_check tx addr size in
+          let captured = cls <> Instrumented in
+          if cfg.fastpath then Site_tier.record tx.site_tier site ~hit:captured;
+          if captured then cls else private_check tx addr size
+        end
       end
 
 (* Does a block the scope allocated (entries [0..k]) contain [lo, hi)? *)
@@ -906,15 +898,6 @@ let full_read tx addr =
     end
   end
 
-(* Event class for an int-encoded elision verdict (traced paths only —
-   constant constructors, so this is allocation-free anyway). *)
-let access_class_of cls =
-  if cls = keep_code then Instrumented
-  else if cls = elide_stack_code then Elided_stack
-  else if cls = elide_heap_code then Elided_heap
-  else if cls = elide_private_code then Elided_private
-  else Elided_static
-
 let read_at ~site tx addr =
   let st = tx.stats in
   st.reads <- st.reads + 1;
@@ -941,28 +924,22 @@ let read_at ~site tx addr =
     st.redo_hits <- st.redo_hits + 1;
     tx.platform.consume Costs.redo_lookup;
     let value = Redo.value tx.redo redo_i in
-    (match !tracer with
-    | None -> ()
-    | Some f -> f tx.tid (Ev_read { addr; value; cls = Instrumented }));
+    emit_read tx.tid addr value Instrumented;
     value
   end
   else begin
-    let e = try_elide tx addr 1 ~site ~is_write:false in
-    let cls = elision_class e in
+    let cls = try_elide tx addr 1 ~site ~is_write:false in
     let value =
-      if cls = keep_code then begin
-        tx.platform.consume (elision_cost e);
-        full_read tx addr
-      end
-      else begin
-        count_elided_read st cls;
-        tx.platform.consume (elision_cost e + Costs.direct_access);
-        mem_get tx addr
-      end
+      match cls with
+      | Instrumented ->
+          tx.platform.consume tx.check_cost;
+          full_read tx addr
+      | _ ->
+          count_elided st ~is_write:false cls;
+          tx.platform.consume (tx.check_cost + Costs.direct_access);
+          mem_get tx addr
     in
-    (match !tracer with
-    | None -> ()
-    | Some f -> f tx.tid (Ev_read { addr; value; cls = access_class_of cls }));
+    emit_read tx.tid addr value cls;
     value
   end
 
@@ -996,6 +973,16 @@ let waw_note tx addr =
   Range_filter.insert tx.waw ~lo:addr ~hi:(addr + 1);
   hit
 
+(* [waw_note], with a hit counted and charged: the rewrite needs no new
+   undo (or journal) entry. *)
+let waw_hit tx addr =
+  waw_note tx addr
+  && begin
+       tx.stats.waw_hits <- tx.stats.waw_hits + 1;
+       tx.platform.consume Costs.waw_hit;
+       true
+     end
+
 let full_write tx addr v =
   let oi = Orec.index_of tx.orecs addr in
   if owns tx oi then tx.platform.consume Costs.write_barrier_owned
@@ -1003,13 +990,24 @@ let full_write tx addr v =
     tx.platform.consume Costs.write_barrier_acquire;
     acquire_loop tx oi 0
   end;
-  if waw_note tx addr then begin
-    tx.stats.waw_hits <- tx.stats.waw_hits + 1;
-    tx.platform.consume Costs.waw_hit
-  end
-  else begin
+  if not (waw_hit tx addr) then begin
     tx.platform.consume Costs.undo_log_entry;
     push_undo tx addr (mem_get tx addr)
+  end;
+  mem_set tx addr v
+
+(* The direct store of an elided write.  Durably, captured
+   (stack/heap/static) stores need no WAL entry — stacks are transient
+   and own-allocation images ride in the commit record.  Private stores
+   are immediately visible shared state and survive aborts, so they are
+   logged raw. *)
+let direct_store tx cls addr v =
+  count_elided tx.stats ~is_write:true cls;
+  tx.platform.consume (tx.check_cost + Costs.direct_access);
+  if tx.wal <> None then begin
+    match cls with
+    | Elided_private -> wal_raw tx addr v
+    | _ -> tx.stats.wal_skips <- tx.stats.wal_skips + 1
   end;
   mem_set tx addr v
 
@@ -1037,87 +1035,58 @@ let lazy_write tx addr v ~site =
        log uses, and skipped entirely at top level, where abort drops
        the whole buffer wholesale. *)
     tx.platform.consume Costs.redo_lookup;
-    (if waw_note tx addr then begin
-       st.waw_hits <- st.waw_hits + 1;
-       tx.platform.consume Costs.waw_hit
-     end
-     else
+    (if not (waw_hit tx addr) then
        match tx.scopes with
        | _ :: _ :: _ ->
            tx.platform.consume Costs.undo_log_entry;
            push_undo tx addr (Redo.value tx.redo i)
        | _ -> ());
     Redo.set_value tx.redo i v;
-    match !tracer with
-    | None -> ()
-    | Some f -> f tx.tid (Ev_write { addr; value = v; cls = Instrumented })
+    emit_write tx.tid addr v Instrumented
   end
   else begin
-    let e = try_elide tx addr 1 ~site ~is_write:true in
-    let cls = elision_class e in
-    if cls = keep_code then begin
-      tx.platform.consume (elision_cost e);
-      (* Injected fault: the store is lost on the way into the buffer —
-         the transaction commits without it. *)
-      if fault_fires tx Fault.Redo_drop then ()
-      else begin
-        tx.platform.consume Costs.redo_insert;
-        st.redo_inserts <- st.redo_inserts + 1;
-        ignore (waw_note tx addr : bool);
-        Redo.insert tx.redo addr v
-      end;
-      match !tracer with
-      | None -> ()
-      | Some f -> f tx.tid (Ev_write { addr; value = v; cls = Instrumented })
-    end
-    else begin
-      (* Captured/private/static: direct store, no buffer entry, no
-         commit-time write-back.  Direct stores touch memory now, so
-         the sandbox bounds guard applies here. *)
-      sandbox_bounds tx addr;
-      count_elided_write st cls;
-      st.redo_skips <- st.redo_skips + 1;
-      tx.platform.consume (elision_cost e + Costs.direct_access);
-      wal_elided_store tx cls addr v;
-      mem_set tx addr v;
-      match !tracer with
-      | None -> ()
-      | Some f ->
-          f tx.tid (Ev_write { addr; value = v; cls = access_class_of cls })
-    end
+    let cls = try_elide tx addr 1 ~site ~is_write:true in
+    (match cls with
+    | Instrumented ->
+        tx.platform.consume tx.check_cost;
+        (* Injected fault: the store is lost on the way into the buffer —
+           the transaction commits without it. *)
+        if not (fault_fires tx Fault.Redo_drop) then begin
+          tx.platform.consume Costs.redo_insert;
+          st.redo_inserts <- st.redo_inserts + 1;
+          ignore (waw_note tx addr : bool);
+          Redo.insert tx.redo addr v
+        end
+    | _ ->
+        (* Captured/private/static: direct store, no buffer entry, no
+           commit-time write-back.  Direct stores touch memory now, so
+           the sandbox bounds guard applies here. *)
+        sandbox_bounds tx addr;
+        st.redo_skips <- st.redo_skips + 1;
+        direct_store tx cls addr v);
+    emit_write tx.tid addr v cls
   end
 
+(* An eager write touches memory at once, so its bounds guard runs
+   before anything else; a lazy one defers the guard to its direct store
+   or to commit ([lazy_write]). *)
 let write_at ~site tx addr v =
   let st = tx.stats in
   st.writes <- st.writes + 1;
   burn_fuel tx;
-  if tx.config.Config.lazy_versioning then begin
-    if fault_fires tx Fault.Spurious_abort then raise Retry_conflict;
-    if tx.config.Config.audit then
-      audit_classify tx addr 1 ~site ~is_write:true;
-    lazy_write tx addr v ~site
-  end
+  let lazy_v = tx.config.Config.lazy_versioning in
+  if not lazy_v then sandbox_bounds tx addr;
+  if fault_fires tx Fault.Spurious_abort then raise Retry_conflict;
+  if tx.config.Config.audit then audit_classify tx addr 1 ~site ~is_write:true;
+  if lazy_v then lazy_write tx addr v ~site
   else begin
-    sandbox_bounds tx addr;
-    if fault_fires tx Fault.Spurious_abort then raise Retry_conflict;
-    if tx.config.Config.audit then
-      audit_classify tx addr 1 ~site ~is_write:true;
-    let e = try_elide tx addr 1 ~site ~is_write:true in
-    let cls = elision_class e in
-    (if cls = keep_code then begin
-       tx.platform.consume (elision_cost e);
-       full_write tx addr v
-     end
-     else begin
-       count_elided_write st cls;
-       tx.platform.consume (elision_cost e + Costs.direct_access);
-       wal_elided_store tx cls addr v;
-       mem_set tx addr v
-     end);
-    match !tracer with
-    | None -> ()
-    | Some f ->
-        f tx.tid (Ev_write { addr; value = v; cls = access_class_of cls })
+    let cls = try_elide tx addr 1 ~site ~is_write:true in
+    (match cls with
+    | Instrumented ->
+        tx.platform.consume tx.check_cost;
+        full_write tx addr v
+    | _ -> direct_store tx cls addr v);
+    emit_write tx.tid addr v cls
   end
 
 let write tx addr v = write_at ~site:Site.anonymous_write tx addr v
@@ -1371,9 +1340,7 @@ let commit_epilogue tx =
       let st = tx.stats in
       st.limbo_blocks <- max st.limbo_blocks (Reclaim.pending r);
       st.limbo_words <- max st.limbo_words (Reclaim.pending_words r);
-      tx.platform.consume Costs.ebr_announce;
-      Reclaim.announce_quiescent r;
-      ebr_service tx r);
+      ebr_exit tx r);
   tx.scopes <- [];
   tx.stats.commits <- tx.stats.commits + 1
 
@@ -1488,13 +1455,10 @@ let wal_append_commit tx =
           Wal.crash_torn w ~cut:(1 + Prng.int tx.prng (max 1 (bytes - 1)));
           raise Wal.Crashed
         end;
-        let bytes, synced = Wal.append_commit w ~tid:tx.tid ~writes ~allocs ~frees in
-        tx.stats.wal_records <- tx.stats.wal_records + 1;
-        tx.stats.wal_bytes <- tx.stats.wal_bytes + bytes;
-        if synced then begin
-          tx.stats.wal_fsyncs <- tx.stats.wal_fsyncs + 1;
-          Costs.wal_fsync
-        end
+        if
+          wal_account tx
+            (Wal.append_commit w ~tid:tx.tid ~writes ~allocs ~frees)
+        then Costs.wal_fsync
         else 0
       end
       else 0
@@ -1631,15 +1595,7 @@ let abort_top tx ~user =
   tx.scopes <- [];
   if user then tx.stats.user_aborts <- tx.stats.user_aborts + 1
   else tx.stats.aborts <- tx.stats.aborts + 1;
-  (* EBR: an aborted attempt is quiescent too — its reads are dead, so
-     it must stop holding the global epoch back before the retry's
-     begin re-announces. *)
-  (match tx.reclaim with
-  | None -> ()
-  | Some r ->
-      tx.platform.consume Costs.ebr_announce;
-      Reclaim.announce_quiescent r;
-      ebr_service tx r);
+  (match tx.reclaim with None -> () | Some r -> ebr_exit tx r);
   emit tx.tid (Ev_abort { user })
 
 (* Nested commit: fold the child scope into its parent. *)

@@ -24,7 +24,7 @@
    the durable prefix — the moment a commit becomes *acknowledged*.  A
    crash discards pending bytes; a torn crash persists a byte prefix of
    the last pending record.  With [~dir] the durable prefix is mirrored
-   to [<dir>/wal.log] so `stamp_run --recover` works across processes. *)
+   to [<dir>/wal.log] so `stamp_run recover DIR` works across processes. *)
 
 module Memory = Captured_tmem.Memory
 module Alloc = Captured_tmem.Alloc

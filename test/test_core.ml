@@ -237,7 +237,7 @@ let prop_conservative backend =
          (Alloc_log.backend_name backend))
     ~count:300 ops_gen
     (fun script ->
-      let log = Alloc_log.create ~array_capacity:4 ~filter_buckets:64 backend in
+      let log = Alloc_log.create ~filter_buckets:64 backend in
       let model = Hashtbl.create 32 in
       List.iter
         (fun (add, i) ->
@@ -304,7 +304,7 @@ let test_alloc_log_costs () =
     log_add tree ~lo:(k * 100) ~hi:((k * 100) + 8)
   done;
   check "tree probe grows with depth" true (Alloc_log.search_cost tree > c0);
-  let arr = Alloc_log.create ~array_capacity:4 Alloc_log.Array in
+  let arr = Alloc_log.create Alloc_log.Array in
   let a0 = Alloc_log.search_cost arr in
   log_add arr ~lo:10 ~hi:20;
   log_add arr ~lo:30 ~hi:40;
@@ -379,38 +379,44 @@ let test_cache_remove_invalidates_mru () =
 (* ------------------------------------------------------------------ *)
 (* Alloc_log fast path: saturation reporting, promotion, remove sync *)
 
+(* Fill an array log to its capacity, [Range_array.default_capacity] = 4
+   blocks at [10 + 20k, 20 + 20k), each add answering [Kept]. *)
+let fill_array log =
+  for k = 0 to Range_array.default_capacity - 1 do
+    check "kept" true
+      (Alloc_log.add log ~lo:(10 + (20 * k)) ~hi:(20 + (20 * k))
+      = Alloc_log.Kept)
+  done
+
 let test_array_overflow_reported () =
-  let log = Alloc_log.create ~array_capacity:2 Alloc_log.Array in
-  check "kept" true (Alloc_log.add log ~lo:10 ~hi:20 = Alloc_log.Kept);
-  check "kept" true (Alloc_log.add log ~lo:30 ~hi:40 = Alloc_log.Kept);
+  let log = Alloc_log.create Alloc_log.Array in
+  fill_array log;
   check "overflow reported" true
-    (Alloc_log.add log ~lo:50 ~hi:60 = Alloc_log.Dropped);
+    (Alloc_log.add log ~lo:500 ~hi:510 = Alloc_log.Dropped);
   (* A dropped block is not tracked: size must reflect the backend. *)
-  check_int "size excludes drops" 2 (Alloc_log.size log);
-  check "dropped unfound" false (Alloc_log.contains log ~lo:55 ~hi:56)
+  check_int "size excludes drops" 4 (Alloc_log.size log);
+  check "dropped unfound" false (Alloc_log.contains log ~lo:505 ~hi:506)
 
 let test_array_promotes_to_tree () =
-  let log = Alloc_log.create ~array_capacity:2 ~fastpath:true Alloc_log.Array in
-  check "kept" true (Alloc_log.add log ~lo:10 ~hi:20 = Alloc_log.Kept);
-  check "kept" true (Alloc_log.add log ~lo:30 ~hi:40 = Alloc_log.Kept);
-  check "promoted" true (Alloc_log.add log ~lo:50 ~hi:60 = Alloc_log.Promoted);
+  let log = Alloc_log.create ~fastpath:true Alloc_log.Array in
+  fill_array log;
+  check "promoted" true
+    (Alloc_log.add log ~lo:500 ~hi:510 = Alloc_log.Promoted);
   check "declared backend stays Array" true
     (Alloc_log.backend log = Alloc_log.Array);
   check "promoted flag" true (Alloc_log.promoted log);
   check_int "one promotion" 1 (Alloc_log.promotions log);
-  (* No precision lost: all three blocks answer, including the overflowing
+  (* No precision lost: all five blocks answer, including the overflowing
      one and the pre-promotion ones. *)
   check "pre-promotion found" true (Alloc_log.contains log ~lo:12 ~hi:13);
-  check "pre-promotion found" true (Alloc_log.contains log ~lo:35 ~hi:36);
-  check "overflow found" true (Alloc_log.contains log ~lo:55 ~hi:56);
-  check_int "size counts all" 3 (Alloc_log.size log);
+  check "pre-promotion found" true (Alloc_log.contains log ~lo:75 ~hi:76);
+  check "overflow found" true (Alloc_log.contains log ~lo:505 ~hi:506);
+  check_int "size counts all" 5 (Alloc_log.size log);
   (* Clear reverts to the cheap array backend. *)
   Alloc_log.clear log;
-  check "kept again after clear" true
-    (Alloc_log.add log ~lo:10 ~hi:20 = Alloc_log.Kept);
+  fill_array log;
   check "fresh array also promotes" true
-    (Alloc_log.add log ~lo:30 ~hi:40 = Alloc_log.Kept
-    && Alloc_log.add log ~lo:50 ~hi:60 = Alloc_log.Promoted)
+    (Alloc_log.add log ~lo:500 ~hi:510 = Alloc_log.Promoted)
 
 let test_remove_miss_keeps_count () =
   List.iter
@@ -499,8 +505,7 @@ let prop_fastpath_conservative backend =
     ~count:300 ops_gen
     (fun script ->
       let log =
-        Alloc_log.create ~array_capacity:4 ~filter_buckets:64 ~fastpath:true
-          backend
+        Alloc_log.create ~filter_buckets:64 ~fastpath:true backend
       in
       let model = Hashtbl.create 32 in
       List.iter
@@ -545,8 +550,7 @@ let prop_fastpath_probe_interleaved backend =
         (pair (int_range 0 2) (int_range 0 19) (* op, block index *)))
     (fun script ->
       let log =
-        Alloc_log.create ~array_capacity:4 ~filter_buckets:64 ~fastpath:true
-          backend
+        Alloc_log.create ~filter_buckets:64 ~fastpath:true backend
       in
       let model = Hashtbl.create 32 in
       let ok = ref true in

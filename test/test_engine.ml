@@ -480,8 +480,37 @@ let test_fault_names_roundtrip () =
       | None -> Alcotest.failf "fault %s does not round-trip" (Fault.name f))
     Fault.all;
   check "unknown rejected" true (Fault.of_name "bogus" = None);
-  check "rates sane" true
-    (List.for_all (fun f -> Fault.rate f > 0 && Fault.rate f <= 100) Fault.all)
+  (* Every kind's row, in [Fault.all]'s order: name, crash point or not,
+     expectation, percent rate. *)
+  let golden =
+    Fault.
+      [
+        ("skip-validation", false, Flagged, 100);
+        ("blind-rescue", false, Flagged, 100);
+        ("stale-read", false, Flagged, 50);
+        ("delayed-unlock", false, Contained, 50);
+        ("spurious-abort", false, Contained, 4);
+        ("alloc-log-drop", false, Contained, 50);
+        ("clock-stall", false, Flagged, 50);
+        ("redo-drop", false, Flagged, 50);
+        ("publish-partial", false, Flagged, 50);
+        ("crash-pre-commit", true, Contained, 20);
+        ("crash-mid-publish", true, Contained, 20);
+        ("crash-post-publish", true, Contained, 20);
+        ("crash-mid-checkpoint", true, Contained, 100);
+        ("torn-wal-record", true, Contained, 20);
+        ("torn-tail-replayed", true, Flagged, 20);
+        ("premature-reuse", false, Flagged, 50);
+      ]
+  in
+  check_int "one row per kind" (List.length golden) (List.length Fault.all);
+  List.iter2
+    (fun f (name, crash, expectation, rate) ->
+      Alcotest.(check string) "name" name (Fault.name f);
+      check (name ^ " crash") crash (Fault.is_crash f);
+      check (name ^ " expectation") true (Fault.expectation f = expectation);
+      check_int (name ^ " rate") rate (Fault.rate f))
+    Fault.all golden
 
 let () =
   Alcotest.run "engine"

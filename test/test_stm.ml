@@ -2394,8 +2394,7 @@ let golden_configs =
     (Config.with_durable ~group:1 Config.baseline, "baseline+wal+group:1");
     ({ Config.compiler with Config.audit = true; orec_bits = 10 },
      "compiler+audit+orecs:10");
-    ({ tree with Config.array_capacity = 8; fences = true },
-     "tree+fence+cap:8");
+    ({ tree with Config.fences = true }, "tree+fence");
     (ebr ~on:false (ebr Config.baseline), "baseline");
     (* perf's four workloads: vacation, kmeans, intruder-durable, kv *)
     (ebr (fp tree), "tree+fp+ebr");
@@ -2465,12 +2464,12 @@ let check_golden table () =
 let test_config_any_order () =
   check "tree+ebr+tv+fp" true
     (Config.of_string "tree+ebr+tv+fp" = Ok (ebr (tv (fp tree))));
-  check "baseline+cap:8+scope:hw" true
-    (Config.of_string "baseline+cap:8+scope:hw"
+  check "baseline+orecs:10+scope:hw" true
+    (Config.of_string "baseline+orecs:10+scope:hw"
     = Ok
         {
           Config.baseline with
-          Config.array_capacity = 8;
+          Config.orec_bits = 10;
           scope = Config.heap_write_only_scope;
         })
 
@@ -2494,11 +2493,12 @@ let test_config_rejects () =
     [
       ""; "eager"; "filter"; "tree+xx"; "tree+fp+fp"; "tree+lazy+tv+lazy";
       "tree+group:0"; "tree+orecs:x"; "tree+orecs:3";
-      "tree+orecs:25"; "tree+cap:0"; "tree+group:07"; "tree+fp:1"; "tree+wal:";
+      "tree+orecs:25"; "tree+group:07"; "tree+fp:1"; "tree+wal:";
       "tree+scope:wh"; "tree+scope:x"; "tree+"; "Tree"; "tree,tree+fp";
       "tree+fault:nope";
     ];
-  (* there is no contention-manager token, whatever its value *)
+  (* there is no contention-manager token, whatever its value, and no
+     range-array capacity token: the capacity is a constant *)
   List.iter
     (fun bad ->
       match Config.of_string bad with
@@ -2507,7 +2507,7 @@ let test_config_rejects () =
           check (bad ^ ": unknown token, names the grammar") true
             (String.starts_with ~prefix:"unknown token" m
             && mentions m (Config.grammar ())))
-    [ "tree+cm:karma"; "tree+cm:backoff"; "tree+cm:nope" ]
+    [ "tree+cm:karma"; "tree+cm:backoff"; "tree+cm:nope"; "tree+cap:8" ]
 
 (* [Config.grammar] is built from the token table, so every token a
    spelling can print is in it, and nothing else is. *)
@@ -2529,7 +2529,7 @@ let test_config_grammar () =
             (List.mem key grammar_keys))
         (keys spelling))
     golden_configs;
-  check_int "one entry per token" 13 (List.length grammar_keys);
+  check_int "one entry per token" 12 (List.length grammar_keys);
   check "no contention-manager token" false (List.mem "cm" grammar_keys)
 
 let gen_config =
@@ -2548,7 +2548,6 @@ let gen_config =
   and* static_filter = bool
   and* audit = bool
   and* orec_bits = int_range 4 24
-  and* array_capacity = int_range 1 64
   and* fault = opt (oneofl Fault.all)
   and* fences = bool
   and* lazy_versioning = bool
@@ -2564,7 +2563,6 @@ let gen_config =
       static_filter;
       audit;
       orec_bits;
-      array_capacity;
       fault;
       fences;
       lazy_versioning;

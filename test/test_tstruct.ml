@@ -247,46 +247,6 @@ let test_vector_bounds () =
           ignore (Tvector.at acc v 1)))
 
 (* ------------------------------------------------------------------ *)
-(* Tbitmap *)
-
-let test_bitmap_basic () =
-  with_acc (fun acc _ _ ->
-      let b = Tbitmap.create acc ~nbits:200 in
-      check "set 0" true (Tbitmap.set acc b 0);
-      check "set 150" true (Tbitmap.set acc b 150);
-      check "set again" false (Tbitmap.set acc b 150);
-      check "test" true (Tbitmap.test acc b 150);
-      check "not set" false (Tbitmap.test acc b 151);
-      check_int "count" 2 (Tbitmap.count acc b);
-      Tbitmap.clear acc b 150;
-      check "cleared" false (Tbitmap.test acc b 150);
-      Alcotest.(check (option int)) "find clear" (Some 1)
-        (Tbitmap.find_clear acc b ~start:1))
-
-let test_bitmap_word_boundaries () =
-  with_acc (fun acc _ _ ->
-      let b = Tbitmap.create acc ~nbits:130 in
-      (* Bits at 61,62,63 straddle the 62-bit word boundary. *)
-      List.iter (fun i -> ignore (Tbitmap.set acc b i : bool)) [ 61; 62; 63 ];
-      check "61" true (Tbitmap.test acc b 61);
-      check "62" true (Tbitmap.test acc b 62);
-      check "63" true (Tbitmap.test acc b 63);
-      check "60" false (Tbitmap.test acc b 60);
-      check_int "count" 3 (Tbitmap.count acc b))
-
-(* ------------------------------------------------------------------ *)
-(* Tpair *)
-
-let test_pair () =
-  with_acc (fun acc _ _ ->
-      let p = Tpair.create acc ~first:1 ~second:2 in
-      check_int "first" 1 (Tpair.first acc p);
-      check_int "second" 2 (Tpair.second acc p);
-      Tpair.set_first acc p 10;
-      check_int "set" 10 (Tpair.first acc p);
-      Tpair.destroy acc p)
-
-(* ------------------------------------------------------------------ *)
 (* Tmap *)
 
 let test_map_insert_find_remove () =
@@ -512,13 +472,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_vector_basic;
           Alcotest.test_case "bounds" `Quick test_vector_bounds;
         ] );
-      ( "tbitmap",
-        [
-          Alcotest.test_case "basic" `Quick test_bitmap_basic;
-          Alcotest.test_case "word boundaries" `Quick
-            test_bitmap_word_boundaries;
-        ] );
-      ("tpair", [ Alcotest.test_case "basic" `Quick test_pair ]);
       ( "tmap",
         [
           Alcotest.test_case "insert/find/remove" `Quick
