@@ -50,7 +50,10 @@ let word_bytes = 8
 let magic = 0x57414C00 (* "WAL\0" *)
 let kind_commit = 1
 let kind_raw = 2
-let kind_checkpoint = 3
+(* A checkpoint's snapshot is a run-length image (Snapshot).  Kind 3 was
+   the earlier cell-pair image; it is no longer read, so a log holding one
+   fails recovery as corrupt instead of restoring a misread image. *)
+let kind_checkpoint = 4
 
 let kind_of = function
   | Commit _ -> kind_commit
@@ -90,12 +93,36 @@ let checksum_seed = 0x57414C
    words; anything larger is structural corruption, not truncation. *)
 let max_payload_words = 1 lsl 32
 
+(* Store [a]'s words into [b] from byte [pos], folding each into the
+   checksum [sum]; returns the new sum.  A loop of its own, not a
+   closure call per word, since a checkpoint's snapshot is most of the
+   log's bytes. *)
+let put_words b pos sum a =
+  let sum = ref sum in
+  for i = 0 to Array.length a - 1 do
+    let w = Array.unsafe_get a i in
+    sum := mix !sum w;
+    Bytes.set_int64_le b (pos + (i * word_bytes)) (Int64.of_int w)
+  done;
+  !sum
+
+(* Straight into a [Bytes] of the record's exact size, checksummed as it
+   is written. *)
 let encode_record r =
-  let buf = Buffer.create (record_bytes r) in
-  let sum = ref checksum_seed in
+  let b = Bytes.create (record_bytes r) in
+  let pos = ref 0 and sum = ref checksum_seed in
   let put w =
     sum := mix !sum w;
-    Buffer.add_int64_le buf (Int64.of_int w)
+    Bytes.set_int64_le b !pos (Int64.of_int w);
+    pos := !pos + word_bytes
+  in
+  let put_each a =
+    sum := put_words b !pos !sum a;
+    pos := !pos + (Array.length a * word_bytes)
+  in
+  let put_array a =
+    put (Array.length a);
+    put_each a
   in
   put (magic lor kind_of r);
   put (payload_words r);
@@ -114,33 +141,33 @@ let encode_record r =
         (fun (addr, size, image) ->
           put addr;
           put size;
-          Array.iter put image)
+          put_each image)
         allocs;
-      put (Array.length frees);
-      Array.iter put frees
+      put_array frees
   | Raw { addr; value } ->
       put addr;
       put value
   | Checkpoint { seq; raws; snapshot } ->
       put seq;
       put raws;
-      put (Array.length snapshot);
-      Array.iter put snapshot);
-  Buffer.add_int64_le buf (Int64.of_int !sum);
-  Buffer.to_bytes buf
+      put_array snapshot);
+  Bytes.set_int64_le b !pos (Int64.of_int !sum);
+  b
 
 type decode_error = Torn | Corrupt
 
-(* [decode_record bytes ~pos] parses one record starting at [pos].
-   Returns the record and the position just past it. *)
-let decode_record bytes ~pos =
-  let len = Bytes.length bytes in
-  let word i = Int64.to_int (Bytes.get_int64_le bytes (pos + (i * word_bytes))) in
+let word_at bytes pos = Int64.to_int (Bytes.get_int64_le bytes pos)
+
+(* [frame bytes ~pos ~len] checks the frame of the record at byte [pos]
+   of the first [len] bytes: magic, length and checksum.  Returns the
+   record's kind and its length in words. *)
+let frame bytes ~pos ~len =
+  let word i = word_at bytes (pos + (i * word_bytes)) in
   if pos + (2 * word_bytes) > len then Error Torn
   else
-    let w0 = word 0 in
-    let kind = w0 lxor magic in
-    if kind < kind_commit || kind > kind_checkpoint then Error Corrupt
+    let kind = word 0 lxor magic in
+    if kind <> kind_commit && kind <> kind_raw && kind <> kind_checkpoint then
+      Error Corrupt
     else
       let n_payload = word 1 in
       (* Absolute plausibility bound only: a length that merely runs past
@@ -157,84 +184,110 @@ let decode_record bytes ~pos =
           for i = 0 to total - 2 do
             sum := mix !sum (word i)
           done;
-          if word (total - 1) <> !sum then Error Corrupt
-          else
-            (* Structural parse; checksummed input can still disagree
-               with the frame length, so guard every sub-read. *)
-            let k = ref 2 in
-            let take () =
-              if !k >= total - 1 then failwith "short";
-              let v = word !k in
-              incr k;
-              v
-            in
-            let arr n f =
-              if n < 0 || n > n_payload then failwith "count";
-              Array.init n (fun _ -> f ())
-            in
-            match
-              let r =
-                if kind = kind_commit then begin
-                  let seq = take () in
-                  let tid = take () in
-                  let writes =
-                    arr (take ()) (fun () ->
-                        let a = take () in
-                        let v = take () in
-                        (a, v))
-                  in
-                  let allocs =
-                    arr (take ()) (fun () ->
-                        let addr = take () in
-                        let size = take () in
-                        let image = arr size take in
-                        (addr, size, image))
-                  in
-                  let frees = arr (take ()) take in
-                  Commit { seq; tid; writes; allocs; frees }
-                end
-                else if kind = kind_raw then begin
-                  let addr = take () in
-                  let value = take () in
-                  Raw { addr; value }
-                end
-                else begin
-                  let seq = take () in
-                  let raws = take () in
-                  let snapshot = arr (take ()) take in
-                  Checkpoint { seq; raws; snapshot }
-                end
-              in
-              if !k <> total - 1 then failwith "trailing";
-              r
-            with
-            | r -> Ok (r, pos + (total * word_bytes))
-            | exception Failure _ -> Error Corrupt
+          if word (total - 1) <> !sum then Error Corrupt else Ok (kind, total)
         end
+
+(* A framed checkpoint's [(seq, raws, first snapshot byte, snapshot
+   words)]; its snapshot must fill the rest of the frame. *)
+let checkpoint_at bytes ~pos ~total =
+  let word i = word_at bytes (pos + (i * word_bytes)) in
+  if total < 6 || word 4 <> total - 6 then failwith "count";
+  (word 2, word 3, pos + (5 * word_bytes), total - 6)
+
+(* Structural parse of a framed record; checksummed input can still
+   disagree with the frame length, so every sub-read is guarded
+   ([Failure] = corrupt). *)
+let parse_record bytes ~pos ~kind ~total =
+  if kind = kind_checkpoint then
+    let seq, raws, first, n = checkpoint_at bytes ~pos ~total in
+    let snapshot = Array.init n (fun i -> word_at bytes (first + (i * word_bytes))) in
+    Checkpoint { seq; raws; snapshot }
+  else begin
+    let k = ref 2 in
+    let take () =
+      if !k >= total - 1 then failwith "short";
+      let v = word_at bytes (pos + (!k * word_bytes)) in
+      incr k;
+      v
+    in
+    let arr n f =
+      if n < 0 || n > total - 3 then failwith "count";
+      Array.init n (fun _ -> f ())
+    in
+    let r =
+      if kind = kind_commit then begin
+        let seq = take () in
+        let tid = take () in
+        let writes =
+          arr (take ()) (fun () ->
+              let a = take () in
+              let v = take () in
+              (a, v))
+        in
+        let allocs =
+          arr (take ()) (fun () ->
+              let addr = take () in
+              let size = take () in
+              let image = arr size take in
+              (addr, size, image))
+        in
+        let frees = arr (take ()) take in
+        Commit { seq; tid; writes; allocs; frees }
+      end
+      else begin
+        let addr = take () in
+        let value = take () in
+        Raw { addr; value }
+      end
+    in
+    if !k <> total - 1 then failwith "trailing";
+    r
+  end
+
+(* The record at [pos] of the first [len] bytes, read by [parse] once
+   its frame checks out, and the position past it. *)
+let decode_at ~parse bytes ~pos ~len =
+  match frame bytes ~pos ~len with
+  | Error _ as e -> e
+  | Ok (kind, total) -> (
+      match parse bytes ~pos ~kind ~total with
+      | r -> Ok (r, pos + (total * word_bytes))
+      | exception Failure _ -> Error Corrupt)
+
+let decode_record bytes ~pos =
+  decode_at ~parse:parse_record bytes ~pos ~len:(Bytes.length bytes)
 
 type tail = Clean | Torn_tail | Corrupt_tail
 
-(* [scan bytes] decodes records front to back; stops at the first torn
-   or corrupt frame (everything past an undecodable record is lost —
-   there is no resynchronisation).  Returns the records, the tail state
-   and the byte offset where decoding stopped. *)
-let scan bytes =
-  let len = Bytes.length bytes in
+(* Decode the first [len] bytes front to back; stop at the first torn or
+   corrupt frame (everything past an undecodable record is lost — there
+   is no resynchronisation).  Returns the records, the tail state and the
+   byte offset where decoding stopped. *)
+let scan_from ~parse bytes ~len =
   let rec go acc pos =
     if pos >= len then (List.rev acc, Clean, pos)
     else
-      match decode_record bytes ~pos with
+      match decode_at ~parse bytes ~pos ~len with
       | Ok (r, next) -> go (r :: acc) next
       | Error Torn -> (List.rev acc, Torn_tail, pos)
       | Error Corrupt -> (List.rev acc, Corrupt_tail, pos)
   in
   go [] 0
 
+let scan bytes = scan_from ~parse:parse_record bytes ~len:(Bytes.length bytes)
+
 (* ------------------------------------------------------------------ *)
 (* Device                                                               *)
 
+(* The durable prefix is two segments: [base], the last checkpoint
+   record as [encode_record] wrote it (empty before the first), then the
+   first [log_len] bytes of [log], which syncs append behind it.  The
+   checkpoint is written once, never copied into a growing buffer, and
+   recovery reads both segments in place.  No record spans the two. *)
 type t = {
-  durable : Buffer.t;  (* bytes that survived an fsync *)
+  mutable base : Bytes.t;
+  mutable log : Bytes.t;
+  mutable log_len : int;
   pending : Buffer.t;  (* appended, not yet fsynced *)
   group : int;
   mutable seq : int;  (* commit records appended (incl. pending) *)
@@ -261,7 +314,9 @@ let create ?(group = 4) ?dir () =
       close_out oc
   | None -> ());
   {
-    durable = Buffer.create 4096;
+    base = Bytes.empty;
+    log = Bytes.create 4096;
+    log_len = 0;
     pending = Buffer.create 1024;
     group;
     seq = 0;
@@ -288,7 +343,7 @@ let file_append t bytes off len =
         open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ]
           0o644 (log_file d)
       in
-      output_substring oc (Bytes.unsafe_to_string bytes) off len;
+      output oc bytes off len;
       close_out oc
 
 let file_rewrite t =
@@ -296,15 +351,27 @@ let file_rewrite t =
   | None -> ()
   | Some d ->
       let oc = open_out_bin (log_file d) in
-      Buffer.output_buffer oc t.durable;
+      output_bytes oc t.base;
+      output oc t.log 0 t.log_len;
       close_out oc
+
+(* Move the first [n] pending bytes to the end of the durable log. *)
+let persist_pending t n =
+  let need = t.log_len + n in
+  if need > Bytes.length t.log then begin
+    let log = Bytes.create (max need (2 * Bytes.length t.log)) in
+    Bytes.blit t.log 0 log 0 t.log_len;
+    t.log <- log
+  end;
+  Buffer.blit t.pending 0 t.log t.log_len n;
+  t.log_len <- need
 
 let sync_unlocked t =
   if (not t.crashed) && Buffer.length t.pending > 0 then begin
-    let bytes = Buffer.to_bytes t.pending in
-    Buffer.add_buffer t.durable t.pending;
+    let at = t.log_len in
+    persist_pending t (Buffer.length t.pending);
     Buffer.clear t.pending;
-    file_append t bytes 0 (Bytes.length bytes);
+    file_append t t.log at (t.log_len - at);
     t.pending_records <- 0;
     t.synced_seq <- t.seq;
     t.synced_raws <- t.raws
@@ -349,16 +416,19 @@ let crash t =
 (* Process death during an fsync of the last appended record: everything
    pending before it reaches the durable prefix, plus [cut] bytes of the
    record itself.  Nothing is acknowledged (the fsync never returned). *)
-let crash_torn t ~cut =
-  locked t (fun () ->
-      let plen = Buffer.length t.pending in
-      let cut = max 0 (min cut (t.last_record_bytes - 1)) in
-      let keep = max 0 (plen - t.last_record_bytes + cut) in
-      Buffer.add_subbytes t.durable (Buffer.to_bytes t.pending) 0 keep;
-      Buffer.clear t.pending;
-      t.pending_records <- 0;
-      t.crashed <- true;
-      file_rewrite t)
+let crash_torn_unlocked t ~cut =
+  let plen = Buffer.length t.pending in
+  let cut = max 0 (min cut (t.last_record_bytes - 1)) in
+  persist_pending t (max 0 (plen - t.last_record_bytes + cut));
+  Buffer.clear t.pending;
+  t.pending_records <- 0;
+  t.crashed <- true;
+  file_rewrite t
+
+let crash_torn t ~cut = locked t (fun () -> crash_torn_unlocked t ~cut)
+
+let checkpoint_record t ~snapshot =
+  encode_record (Checkpoint { seq = t.seq; raws = t.raws; snapshot })
 
 (* Checkpoint protocol: flush the log, append the checkpoint record,
    fsync it, then truncate the durable prefix to start at the checkpoint.
@@ -369,32 +439,36 @@ let checkpoint t ~snapshot =
   locked t (fun () ->
       if t.crashed then invalid_arg "Wal.checkpoint: crashed device";
       sync_unlocked t;
-      let r = Checkpoint { seq = t.seq; raws = t.raws; snapshot } in
-      let b = encode_record r in
-      Buffer.clear t.durable;
-      Buffer.add_bytes t.durable b;
+      let b = checkpoint_record t ~snapshot in
+      t.base <- b;
+      t.log_len <- 0;
       t.appended_bytes <- t.appended_bytes + Bytes.length b;
       file_rewrite t)
 
-(* Crash halfway through writing the checkpoint record: the old durable
-   prefix keeps its contents (truncation never happened) and gains a
-   torn checkpoint tail that recovery must drop. *)
+(* Crash halfway through writing the checkpoint record: a torn append of
+   it.  The old durable prefix keeps its contents (truncation never
+   happened) and gains a torn checkpoint tail that recovery must drop. *)
 let checkpoint_torn t ~snapshot =
   locked t (fun () ->
       sync_unlocked t;
-      let r = Checkpoint { seq = t.seq; raws = t.raws; snapshot } in
-      let b = encode_record r in
-      Buffer.add_subbytes t.durable b 0 (Bytes.length b / 2);
-      t.crashed <- true;
-      file_rewrite t)
+      let b = checkpoint_record t ~snapshot in
+      Buffer.add_bytes t.pending b;
+      t.last_record_bytes <- Bytes.length b;
+      crash_torn_unlocked t ~cut:(Bytes.length b / 2))
 
 let group t = t.group
 let pending_records t = t.pending_records
 let synced_seq t = t.synced_seq
 let synced_raws t = t.synced_raws
-let log_bytes t = Buffer.length t.durable
+let log_bytes t = Bytes.length t.base + t.log_len
 let appended_bytes t = t.appended_bytes
-let contents t = locked t (fun () -> Buffer.to_bytes t.durable)
+
+let contents t =
+  locked t (fun () ->
+      let b = Bytes.create (log_bytes t) in
+      Bytes.blit t.base 0 b 0 (Bytes.length t.base);
+      Bytes.blit t.log 0 b (Bytes.length t.base) t.log_len;
+      b)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                             *)
@@ -450,10 +524,9 @@ let replay_commit mem arenas ~tid ~writes ~allocs ~frees ~freed_acc =
    whatever complete write pairs of the torn commit record made it to
    the log — exactly the partial-transaction visibility the framing
    exists to prevent. *)
-let apply_torn_tail mem bytes ~pos =
-  let len = Bytes.length bytes in
+let apply_torn_tail mem bytes ~len ~pos =
   let avail = (len - pos) / word_bytes in
-  let word i = Int64.to_int (Bytes.get_int64_le bytes (pos + (i * word_bytes))) in
+  let word i = word_at bytes (pos + (i * word_bytes)) in
   if avail >= 5 && word 0 = magic lor kind_commit then begin
     let nw = word 4 in
     let n = min nw ((avail - 5) / 2) in
@@ -464,23 +537,55 @@ let apply_torn_tail mem bytes ~pos =
     done
   end
 
-let recover_bytes ?(bug_apply_torn = false) bytes =
+(* What recovery reads from the log: records to replay, and checkpoints
+   left where they lie, so the image is restored straight from the log's
+   bytes. *)
+type root = {
+  floor_seq : int;
+  floor_raws : int;
+  image : Bytes.t;  (* the snapshot is [words] words from byte [first] *)
+  first : int;
+  words : int;
+}
+
+type entry = Replay of record | Root of root
+
+let parse_entry bytes ~pos ~kind ~total =
+  if kind = kind_checkpoint then
+    let floor_seq, floor_raws, first, words = checkpoint_at bytes ~pos ~total in
+    Root { floor_seq; floor_raws; image = bytes; first; words }
+  else Replay (parse_record bytes ~pos ~kind ~total)
+
+(* Scan [(bytes, len)] segments as one stream; the first torn or corrupt
+   frame ends it, at [(bytes, len, pos)]. *)
+let rec scan_segments = function
+  | [] -> ([], Clean, None)
+  | (bytes, len) :: rest -> (
+      match scan_from ~parse:parse_entry bytes ~len with
+      | entries, Clean, _ ->
+          let more, tail, stop = scan_segments rest in
+          (entries @ more, tail, stop)
+      | entries, tail, pos -> (entries, tail, Some (bytes, len, pos)))
+
+(* The last checkpoint that made it to the log whole, and the records
+   behind it. *)
+let rec after_last_root root rest = function
+  | [] -> (root, List.rev rest)
+  | Root r :: tl -> after_last_root (Some r) [] tl
+  | Replay r :: tl -> after_last_root root (r :: rest) tl
+
+let recover_segments ?(bug_apply_torn = false) segments =
   let t0 = Captured_util.Clock.now () in
-  let all, tail, stop = scan bytes in
-  (* Recovery root: the last checkpoint that made it to the log whole. *)
-  let rec split_at_last_ckpt acc best = function
-    | [] -> best
-    | (Checkpoint { seq; raws; snapshot } as r) :: rest ->
-        split_at_last_ckpt (r :: acc) (Some (seq, raws, snapshot, rest)) rest
-    | r :: rest -> split_at_last_ckpt (r :: acc) best rest
-  in
-  match split_at_last_ckpt [] None all with
-  | None -> Error "no checkpoint record in log"
-  | Some (floor_seq, floor_raws, snap_words, rest) -> (
-      match Snapshot.decode snap_words with
+  let entries, tail, stop = scan_segments segments in
+  match after_last_root None [] entries with
+  | None, _ -> Error "no checkpoint record in log"
+  | Some { floor_seq; floor_raws; image; first; words }, rest -> (
+      match
+        Snapshot.restore_words ~len:words (fun i ->
+            word_at image (first + (i * word_bytes)))
+      with
       | Error e -> Error ("checkpoint snapshot: " ^ e)
-      | Ok snap ->
-          let mem, arenas = Snapshot.restore snap in
+      | Ok (mem, arenas) ->
           let applied = ref [] in
           let raws_applied = ref 0 in
           let freed = ref [] in
@@ -502,11 +607,12 @@ let recover_bytes ?(bug_apply_torn = false) bytes =
                     incr raws_applied
                 | Checkpoint _ -> ())
             rest;
-          (match !err with
-          | Some _ -> ()
-          | None -> if bug_apply_torn && tail = Torn_tail then
-                apply_torn_tail mem bytes ~pos:stop);
-          (match !err with
+          (match (!err, stop) with
+          | None, Some (bytes, len, pos) when bug_apply_torn && tail = Torn_tail
+            ->
+              apply_torn_tail mem bytes ~len ~pos
+          | _ -> ());
+          match !err with
           | Some msg -> Error ("replay: " ^ msg)
           | None ->
               Ok
@@ -517,14 +623,20 @@ let recover_bytes ?(bug_apply_torn = false) bytes =
                   r_floor_raws = floor_raws;
                   r_applied_seqs = List.rev !applied;
                   r_raws_applied = !raws_applied;
-                  r_records = List.length all;
+                  r_records = List.length entries;
                   r_torn = tail = Torn_tail;
                   r_corrupt = tail = Corrupt_tail;
                   r_freed = List.rev !freed;
                   r_wall_ms = (Captured_util.Clock.now () -. t0) *. 1000.;
-                }))
+                })
 
-let recover ?bug_apply_torn t = recover_bytes ?bug_apply_torn (contents t)
+let recover_bytes ?bug_apply_torn bytes =
+  recover_segments ?bug_apply_torn [ (bytes, Bytes.length bytes) ]
+
+let recover ?bug_apply_torn t =
+  locked t (fun () ->
+      recover_segments ?bug_apply_torn
+        [ (t.base, Bytes.length t.base); (t.log, t.log_len) ])
 
 let recover_dir ?bug_apply_torn dir =
   let path = log_file dir in

@@ -33,7 +33,8 @@ type record =
           visible, survives aborts, so it is logged at the barrier. *)
   | Checkpoint of { seq : int; raws : int; snapshot : int array }
       (** Recovery root: commit/raw floors + {!Captured_tmem.Snapshot}
-          encoding of memory and allocator state. *)
+          encoding of memory and allocator state (runs of non-zero
+          words, then the arenas). *)
 
 val commit_record_words :
   writes:(int * int) array ->
@@ -46,7 +47,8 @@ val commit_record_words :
 val raw_record_words : int
 
 val encode_record : record -> Bytes.t
-(** [magic|kind; payload_len; payload...; checksum], 8 LE bytes/word. *)
+(** [magic|kind; payload_len; payload...; checksum], 8 LE bytes/word,
+    written into a [Bytes] of exactly the record's size. *)
 
 type decode_error =
   | Torn  (** frame runs past the end of the input (interrupted fsync) *)
@@ -94,7 +96,9 @@ val sync : t -> unit
 
 val checkpoint : t -> snapshot:int array -> unit
 (** Flush, append a checkpoint record, fsync, truncate the log behind
-    it.  [snapshot] is {!Captured_tmem.Snapshot.encode} output. *)
+    it.  [snapshot] is {!Captured_tmem.Snapshot.encode} output.  The
+    record's bytes are kept as they were encoded, as the first segment
+    of the durable log; later syncs append behind it. *)
 
 val checkpoint_torn : t -> snapshot:int array -> unit
 (** [Fault.Crash_mid_checkpoint]'s effect: flush, then die halfway
@@ -150,4 +154,7 @@ val recover_bytes : ?bug_apply_torn:bool -> Bytes.t -> (recovery, string) result
     ddmin self-test). *)
 
 val recover : ?bug_apply_torn:bool -> t -> (recovery, string) result
+(** {!recover_bytes} over the device's durable log, read in place: the
+    checkpoint is restored straight from its record's bytes. *)
+
 val recover_dir : ?bug_apply_torn:bool -> string -> (recovery, string) result

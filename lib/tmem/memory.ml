@@ -110,11 +110,19 @@ let rec pieces f addr pos len =
     pieces f (addr + n) (pos + n) (len - n)
   end
 
+(* A loop rather than [Array.blit], which stores into an array outside
+   the minor heap through [caml_modify], one call per word; [dst] holds
+   ints, so plain stores do.  A checkpoint copies its whole image this
+   way. *)
 let blit_to_array t src dst dst_pos len =
   if src <= 0 then invalid_arg "Memory.blit_to_array";
   check_blit t src dst dst_pos len;
   pieces
-    (fun i off pos n -> Array.blit t.chunks.(i) off dst pos n)
+    (fun i off pos n ->
+      let c = t.chunks.(i) in
+      for j = 0 to n - 1 do
+        Array.unsafe_set dst (pos + j) (Array.unsafe_get c (off + j))
+      done)
     src dst_pos len
 
 let rec all_zero a pos n =
@@ -140,16 +148,31 @@ let copy t =
     granules = Bytes.copy t.granules;
   }
 
-let iter_nonzero t f =
-  Array.iteri
-    (fun i c ->
-      if c != zero_chunk then
-        let base = i lsl chunk_log2 in
-        for off = 0 to min chunk_words (t.words - base) - 1 do
-          let v = Array.unsafe_get c off in
-          if v <> 0 && base + off > 0 then f (base + off) v
-        done)
-    t.chunks
+(* One scan over the resident chunks, carrying the open run across chunk
+   boundaries; an untouched chunk is all zero, so it closes any run. *)
+let iter_runs t f =
+  let start = ref (-1) in
+  for i = 0 to Array.length t.chunks - 1 do
+    let c = Array.unsafe_get t.chunks i in
+    let base = i lsl chunk_log2 in
+    if c == zero_chunk then begin
+      if !start >= 0 then begin
+        f !start (base - !start);
+        start := -1
+      end
+    end
+    else
+      for off = 0 to chunk_mask do
+        if Array.unsafe_get c off <> 0 then begin
+          if !start < 0 && base + off > 0 then start := base + off
+        end
+        else if !start >= 0 then begin
+          f !start (base + off - !start);
+          start := -1
+        end
+      done
+  done;
+  if !start >= 0 then f !start (t.words - !start)
 
 let resident_words t =
   Array.fold_left

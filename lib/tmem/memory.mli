@@ -11,7 +11,7 @@
     shared, never-written zero chunk.  A read of an untouched chunk
     returns 0; the first non-zero store to a chunk gives it cells of its
     own.  So a memory costs heap for the chunks written, not for its
-    {!size}, and walks over the whole memory ({!iter_nonzero}, {!copy})
+    {!size}, and walks over the whole memory ({!iter_runs}, {!copy})
     visit resident chunks only.  Paging is invisible otherwise: every
     accessor reads and writes exactly as a flat zero-filled array would,
     and raises the same exceptions.
@@ -66,9 +66,10 @@ val resident_words : t -> int
 (** Words held in resident chunks: {!chunk_words} per chunk written so
     far.  0 on a fresh memory; reads never change it. *)
 
-val iter_nonzero : t -> (addr -> int -> unit) -> unit
-(** [iter_nonzero t f] calls [f addr v] for every non-zero cell, in
-    ascending address order, visiting resident chunks only. *)
+val iter_runs : t -> (addr -> int -> unit) -> unit
+(** [iter_runs t f] calls [f addr len] for every maximal run of [len]
+    consecutive non-zero cells from [addr], in ascending address order,
+    visiting resident chunks only.  A run may cross chunk boundaries. *)
 
 val copy : t -> t
 (** An independent memory with the same cells and granules; untouched

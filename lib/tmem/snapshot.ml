@@ -1,71 +1,72 @@
 (* Checkpoint image of a memory plus its arena allocators.
 
-   Snapshots are sparse: only non-zero cells are recorded (fresh memory
-   and freed-then-reused regions are mostly zero, so this keeps
-   checkpoint records proportional to live data).  Capture walks the
-   memory's resident chunks only, and restore writes only the recorded
-   cells into a fresh memory, so both cost what the image holds, not the
-   memory's size.  The allocator side is tiny — free lists are threaded
-   through memory cells themselves, so a [state] record per arena
-   (base/limit/both cursors/class heads/live counts) completes the
-   image.
+   A snapshot is its own word encoding, run-length over the memory:
+
+     [mem_words; n_runs; (addr len v_1 .. v_len)*; n_arenas;
+      per arena: base words records_top arrays_low live_blocks live_words
+                 n_classes head*]
+
+   Runs are maximal stretches of consecutive non-zero words, in
+   ascending, disjoint order; every word outside them is 0 (fresh memory
+   and freed-then-reused regions are mostly zero, so the image is
+   proportional to live data, plus two words per run).  Capture finds
+   the runs in one scan of the memory's resident chunks
+   ([Memory.iter_runs]), then sizes the image exactly and copies the
+   runs in; restore writes only the runs into a fresh memory.  Both cost
+   what the image holds, not the memory's size.  The allocator side is
+   tiny — free lists are threaded through memory cells themselves, so a
+   [state] per arena (base/limit/both cursors/class heads/live counts)
+   completes the image.
 
    Integrity is the WAL's job: a snapshot travels inside a checkpoint
-   record whose frame checksum covers every word here, so [decode] only
-   needs structural bounds checks, not its own checksum. *)
+   record whose frame checksum covers every word here, so decoding only
+   needs structural checks, not its own checksum.  Recovery restores
+   straight from the log's bytes ([restore_words]), so no copy of the
+   image is made on the way back either. *)
 
-type t = {
-  mem_words : int;  (* Memory.size of the captured memory *)
-  cells : (int * int) array;  (* non-zero (addr, value), ascending addr *)
-  arenas : Alloc.state array;
-}
+type t = int array (* the encoding above *)
+
+let header_words = 2
+
+let arena_words states =
+  Array.fold_left
+    (fun acc s -> acc + 7 + Array.length s.Alloc.s_free_lists)
+    1 states
 
 let capture memory arenas =
-  let n = ref 0 in
-  Memory.iter_nonzero memory (fun _ _ -> incr n);
-  let cells = Array.make !n (0, 0) in
-  let k = ref 0 in
-  Memory.iter_nonzero memory (fun addr v ->
-      cells.(!k) <- (addr, v);
-      incr k);
-  {
-    mem_words = Memory.size memory;
-    cells;
-    arenas = Array.map Alloc.capture_state arenas;
-  }
-
-let restore t =
-  let memory = Memory.create ~words:t.mem_words in
-  Array.iter (fun (addr, v) -> Memory.set memory addr v) t.cells;
-  (memory, Array.map (Alloc.restore_state memory) t.arenas)
-
-(* Word encoding, consumed by the WAL checkpoint record:
-   [mem_words; n_cells; (addr value)*; n_arenas;
-    per arena: base words records_top arrays_low live_blocks live_words
-               n_classes head*] *)
-
-let encoded_words t =
-  let per_arena s = 7 + Array.length s.Alloc.s_free_lists in
-  2
-  + (2 * Array.length t.cells)
-  + 1
-  + Array.fold_left (fun acc s -> acc + per_arena s) 0 t.arenas
-
-let encode t =
-  let out = Array.make (encoded_words t) 0 in
+  let states = Array.map Alloc.capture_state arenas in
+  (* The runs as (addr, len) pairs. *)
+  let runs = ref (Array.make 512 0) and n_runs = ref 0 and cells = ref 0 in
+  Memory.iter_runs memory (fun addr n ->
+      let i = 2 * !n_runs in
+      if i = Array.length !runs then begin
+        let a = Array.make (2 * i) 0 in
+        Array.blit !runs 0 a 0 i;
+        runs := a
+      end;
+      !runs.(i) <- addr;
+      !runs.(i + 1) <- n;
+      incr n_runs;
+      cells := !cells + n);
+  let runs = !runs and n_runs = !n_runs in
+  let out =
+    Array.make (header_words + (2 * n_runs) + !cells + arena_words states) 0
+  in
   let k = ref 0 in
   let put v =
     out.(!k) <- v;
     incr k
   in
-  put t.mem_words;
-  put (Array.length t.cells);
-  Array.iter
-    (fun (addr, v) ->
-      put addr;
-      put v)
-    t.cells;
-  put (Array.length t.arenas);
+  put (Memory.size memory);
+  put n_runs;
+  for r = 0 to n_runs - 1 do
+    let addr = runs.(2 * r) and n = runs.((2 * r) + 1) in
+    put addr;
+    put n;
+    Memory.blit_to_array memory addr out !k n;
+    k := !k + n
+  done;
+  put (Array.length states);
   Array.iter
     (fun s ->
       put s.Alloc.s_base;
@@ -76,31 +77,39 @@ let encode t =
       put s.Alloc.s_live_words;
       put (Array.length s.Alloc.s_free_lists);
       Array.iter put s.Alloc.s_free_lists)
-    t.arenas;
+    states;
   out
 
-let decode words =
+(* Structural parse of the [len]-word encoding whose [i]th word is
+   [word i].  [into mem_words] is called once the memory size is known
+   and returns the sink each run is handed to, as [addr i n] with [i]
+   the index of its first value word.  Returns the arena states. *)
+let parse ~len word ~into =
   let k = ref 0 in
-  let len = Array.length words in
   let take () =
     if !k >= len then failwith "snapshot truncated";
-    let v = words.(!k) in
+    let v = word !k in
     incr k;
     v
   in
   match
     let mem_words = take () in
     if mem_words <= 0 then failwith "snapshot: bad memory size";
-    let n_cells = take () in
-    if n_cells < 0 || n_cells > len then failwith "snapshot: bad cell count";
-    let cells =
-      Array.init n_cells (fun _ ->
-          let addr = take () in
-          let v = take () in
-          if addr <= 0 || addr >= mem_words then
-            failwith "snapshot: cell out of range";
-          (addr, v))
-    in
+    let run = into mem_words in
+    let n_runs = take () in
+    if n_runs < 0 || n_runs > len then failwith "snapshot: bad run count";
+    let next = ref 1 in
+    for _ = 1 to n_runs do
+      let addr = take () in
+      let n = take () in
+      if n <= 0 then failwith "snapshot: empty run";
+      if addr < !next then failwith "snapshot: runs out of order";
+      if n > mem_words - addr then failwith "snapshot: run out of range";
+      if n > len - !k then failwith "snapshot truncated";
+      run addr !k n;
+      k := !k + n;
+      next := addr + n
+    done;
     let n_arenas = take () in
     if n_arenas < 0 || n_arenas > len then failwith "snapshot: bad arena count";
     let arenas =
@@ -130,9 +139,46 @@ let decode words =
           })
     in
     if !k <> len then failwith "snapshot: trailing words";
-    { mem_words; cells; arenas }
+    arenas
   with
-  | snap -> Ok snap
+  | arenas -> Ok arenas
   | exception Failure msg -> Error msg
 
-let live_cells t = Array.length t.cells
+let restore_words ~len word =
+  let memory = ref None in
+  let into words =
+    let m = Memory.create ~words in
+    memory := Some m;
+    fun addr i n ->
+      for j = 0 to n - 1 do
+        Memory.set m (addr + j) (word (i + j))
+      done
+  in
+  match parse ~len word ~into with
+  | Error _ as e -> e
+  | Ok states ->
+      let m = Option.get !memory in
+      Ok (m, Array.map (Alloc.restore_state m) states)
+
+let restore t =
+  match restore_words ~len:(Array.length t) (Array.get t) with
+  | Ok r -> r
+  | Error e -> invalid_arg ("Snapshot.restore: " ^ e)
+
+let encode t = t
+
+let decode words =
+  match
+    parse ~len:(Array.length words) (Array.get words) ~into:(fun _ _ _ _ -> ())
+  with
+  | Ok _ -> Ok words
+  | Error _ as e -> e
+
+let live_cells t =
+  let cells = ref 0 and k = ref header_words in
+  for _ = 1 to t.(1) do
+    let n = t.(!k + 1) in
+    cells := !cells + n;
+    k := !k + 2 + n
+  done;
+  !cells

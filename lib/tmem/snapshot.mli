@@ -5,13 +5,16 @@
     log behind it is truncated.  Recovery restores the snapshot and
     replays the remaining log records on top.
 
-    The encoding carries no checksum of its own — snapshots travel
-    inside WAL records whose frame checksum covers every word. *)
+    The image is run-length: maximal runs of consecutive non-zero words,
+    [[addr; len; v_1 .. v_len]], in ascending order, then each arena's
+    allocator state (DESIGN.md §13 "Record format").  The encoding
+    carries no checksum of its own — snapshots travel inside WAL records
+    whose frame checksum covers every word. *)
 
 type t
 
-(** [capture mem arenas] snapshots the current memory image (sparse:
-    non-zero cells only, found in resident chunks) together with each
+(** [capture mem arenas] snapshots the current memory image (the runs
+    of non-zero words, found in resident chunks) together with each
     arena's allocator state. *)
 val capture : Memory.t -> Alloc.t array -> t
 
@@ -19,11 +22,24 @@ val capture : Memory.t -> Alloc.t array -> t
     snapshot.  The arenas alias the returned memory. *)
 val restore : t -> Memory.t * Alloc.t array
 
-(** Flat word serialization, for embedding in a WAL record. *)
+(** Flat word serialization, for embedding in a WAL record: the
+    snapshot's own words, shared, not copied.  Its length is
+    [2 + Σ (2 + run length) + 1 + Σ (7 + size classes)] over runs and
+    arenas. *)
 val encode : t -> int array
 
-(** Structural parse of {!encode} output.  [Error _] on truncated or
-    out-of-range input. *)
+(** Structural check of {!encode} output.  [Error _] on truncated input,
+    a run that is empty, overlaps or precedes the one before it, or
+    leaves the memory, and on an arena out of range.  The snapshot
+    shares [words]. *)
 val decode : int array -> (t, string) result
 
+(** [restore_words ~len word] checks and restores the [len]-word
+    encoding whose [i]th word is [word i], as {!decode} then {!restore}
+    would, writing each run into the fresh memory as it is read: WAL
+    recovery restores a checkpoint straight from the log's bytes. *)
+val restore_words :
+  len:int -> (int -> int) -> (Memory.t * Alloc.t array, string) result
+
+(** Non-zero words in the image. *)
 val live_cells : t -> int

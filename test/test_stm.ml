@@ -1787,6 +1787,31 @@ let prop_wal_truncation_torn =
       | [], Wal.Torn_tail, 0 -> true
       | _ -> false)
 
+(* A checkpoint frame too short to hold its [seq; raws; n] header, with
+   a valid checksum, is corrupt: decoding must neither read past the
+   frame nor raise.  The checksum is the WAL's documented fold
+   (DESIGN.md §13), rebuilt here to forge the frame. *)
+let test_wal_short_checkpoint_corrupt () =
+  let mix h w =
+    let h = (h lxor w) * 0x2545F4914F6CDD1D in
+    let h = h lxor (h lsr 31) in
+    let h = h * 0x100000001B3 in
+    h lxor (h lsr 27)
+  in
+  List.iter
+    (fun payload ->
+      let words = [ 0x57414C00 lor 4; List.length payload ] @ payload in
+      let sum = List.fold_left mix 0x57414C words in
+      let b = Bytes.create (8 * (List.length words + 1)) in
+      List.iteri
+        (fun i w -> Bytes.set_int64_le b (8 * i) (Int64.of_int w))
+        (words @ [ sum ]);
+      match Wal.decode_record b ~pos:0 with
+      | Error Wal.Corrupt -> ()
+      | Error Wal.Torn -> Alcotest.fail "short checkpoint read as torn"
+      | Ok _ -> Alcotest.fail "short checkpoint accepted")
+    [ []; [ 7 ]; [ 7; 0 ] ]
+
 (* Commit records over pairwise-disjoint write sets must replay to the
    same state in any interleaving — the redo images are absolute, so
    non-conflicting transaction order is immaterial to recovery. *)
@@ -2089,6 +2114,38 @@ let test_wal_skips_equal_elided_writes () =
   match Wal.recover wal with
   | Error m -> Alcotest.failf "recovery failed: %s" m
   | Ok rc -> check_int "shared restored" 4 (Memory.get rc.Wal.r_memory shared)
+
+(* A transactional store into a block annotated private is elided
+   ([writes_elided_private]) but, unlike a captured one, is not a
+   [wal_skips]: it is visible at once and survives an abort, so it is
+   logged as a raw record at the barrier, and recovery replays it.
+   [abort] makes the writing attempt end in a user abort. *)
+let private_store_under_wal ~abort () =
+  let config = Config.runtime Alloc_log.Tree |> Config.with_durable in
+  let w = Engine.create ~nthreads:1 config in
+  let block = Alloc.alloc (Engine.global_arena w) 8 in
+  let wal = Wal.create ~group:4 () in
+  Engine.attach_wal w wal;
+  let th = Engine.setup_thread w in
+  Txn.add_private_block th ~addr:block ~size:8;
+  let s = Txn.thread_stats th in
+  let skips = s.Stats.wal_skips in
+  (match
+     Txn.atomic th (fun tx ->
+         Txn.write tx (block + 3) 77;
+         if abort then Txn.abort tx)
+   with
+  | () -> check "attempt committed" false abort
+  | exception Txn.User_abort -> check "attempt aborted" true abort);
+  Wal.sync wal;
+  check_int "private write elided" 1 s.Stats.writes_elided_private;
+  check_int "not a captured skip" skips s.Stats.wal_skips;
+  check_int "value in memory" 77 (Memory.get (Engine.memory w) (block + 3));
+  match Wal.recover wal with
+  | Error m -> Alcotest.failf "recovery failed: %s" m
+  | Ok rc ->
+      check_int "raw record replayed" 1 rc.Wal.r_raws_applied;
+      check_int "value restored" 77 (Memory.get rc.Wal.r_memory (block + 3))
 
 let config_cases name f =
   List.map
@@ -2764,6 +2821,12 @@ let () =
             test_wal_skips_equal_elided_writes;
           Alcotest.test_case "recovery keeps granules" `Quick
             test_wal_recovery_keeps_granules;
+          Alcotest.test_case "private store logged raw and replayed" `Quick
+            (private_store_under_wal ~abort:false);
+          Alcotest.test_case "private store survives an abort" `Quick
+            (private_store_under_wal ~abort:true);
+          Alcotest.test_case "short checkpoint frame is corrupt" `Quick
+            test_wal_short_checkpoint_corrupt;
         ]
         @ List.map Qc.to_alcotest
             [

@@ -55,8 +55,28 @@ let test_memory_blit () =
    and the ends, and values are mostly 0, so zero stores land in
    untouched chunks and blits cross chunks.  The memory holds exactly the
    chunks that took a non-zero store, and its capture encodes exactly
-   what a scan of the whole reference does. *)
+   the runs a scan of the whole reference finds. *)
 let paged_words = (3 * Memory.chunk_words) + 100
+
+(* The run-length image of a flat memory, as a snapshot encodes it:
+   [addr; len; v_1 .. v_len] per maximal run of non-zero words above
+   address 0, in ascending order, and the number of runs. *)
+let runs_of flat =
+  let size = Array.length flat in
+  let rec go acc n a =
+    if a >= size then (List.concat (List.rev acc), n)
+    else if flat.(a) = 0 then go acc n (a + 1)
+    else begin
+      let e = ref a in
+      while !e < size && flat.(!e) <> 0 do
+        incr e
+      done;
+      let run = a :: (!e - a) :: Array.to_list (Array.sub flat a (!e - a)) in
+      go (run :: acc) (n + 1) !e
+    end
+  in
+  go [] 0 1
+
 let blit_buf = 5000
 
 type mem_op =
@@ -179,13 +199,8 @@ let prop_paging_invisible =
           QCheck.Test.fail_reportf "word %d: %d, flat %d" a (Memory.get m a)
             flat.(a)
       done;
-      let scan = ref [] in
-      for a = paged_words - 1 downto 1 do
-        if flat.(a) <> 0 then scan := a :: flat.(a) :: !scan
-      done;
-      let reference =
-        Array.of_list ((paged_words :: (List.length !scan / 2) :: !scan) @ [ 0 ])
-      in
+      let runs, n_runs = runs_of flat in
+      let reference = Array.of_list ((paged_words :: n_runs :: runs) @ [ 0 ]) in
       Memory.resident_words m = Hashtbl.length written * Memory.chunk_words
       && Snapshot.encode (Snapshot.capture m [||]) = reference)
 
@@ -497,6 +512,15 @@ let test_snapshot_decode_truncated () =
     | Error _ -> ()
   done
 
+(* Index of the arena count in an encoding: past the header and every
+   [addr; len; values] run. *)
+let arena_section words =
+  let k = ref 2 in
+  for _ = 1 to words.(1) do
+    k := !k + 2 + words.(!k + 1)
+  done;
+  !k
+
 (* The record cursor is where restore marks pages up to, so a snapshot
    whose cursor lies past the memory is rejected, not restored. *)
 let test_snapshot_decode_rejects_bad_cursor () =
@@ -505,14 +529,68 @@ let test_snapshot_decode_rejects_bad_cursor () =
   ignore (Alloc.alloc a 4);
   let snap = Snapshot.capture m [| a |] in
   let words = Snapshot.encode snap in
-  (* [mem_words; n_cells; cells; n_arenas; base; words; records_top ...] *)
-  let cursor = 2 + (2 * Snapshot.live_cells snap) + 3 in
+  (* [mem_words; n_runs; runs; n_arenas; base; words; records_top ...] *)
+  let cursor = arena_section words + 3 in
   check_int "cursor word" (Alloc.capture_state a).Alloc.s_records_top
     words.(cursor);
   words.(cursor) <- 257;
   match Snapshot.decode words with
   | Ok _ -> Alcotest.fail "record cursor past the memory accepted"
   | Error _ -> ()
+
+(* Encoded size = header (memory size, run count) + 2 words and the
+   values per run + the arena section (its count, then 7 words and the
+   class heads per arena).  The image has a zero word inside a block, a
+   run across a chunk boundary and a run ending at the last word. *)
+let test_snapshot_size_law () =
+  let cw = Memory.chunk_words in
+  let words = 2 * cw in
+  let m = Memory.create ~words in
+  let a = Alloc.create m ~base:(cw + 64) ~words:512 in
+  let p = Alloc.alloc a 6 in
+  List.iteri (fun i v -> Memory.set m (p + i) v) [ 1; 2; 0; 4; 5; 6 ];
+  for addr = cw - 3 to cw + 2 do
+    Memory.set m addr addr
+  done;
+  Memory.set m (words - 1) 9;
+  let snap = Snapshot.capture m [| a |] in
+  let enc = Snapshot.encode snap in
+  let flat = Array.init words (fun i -> if i = 0 then 0 else Memory.get m i) in
+  let runs, n_runs = runs_of flat in
+  check "encoding is the flat image's runs" true
+    (Array.sub enc 0 (arena_section enc)
+    = Array.of_list (words :: n_runs :: runs));
+  let cells = Array.fold_left (fun n v -> if v <> 0 then n + 1 else n) 0 flat in
+  let classes = Array.length (Alloc.capture_state a).Alloc.s_free_lists in
+  check_int "size law"
+    (2 + ((2 * n_runs) + cells) + (1 + 7 + classes))
+    (Array.length enc);
+  check "chunk-crossing run is one run" true
+    (enc.(2) = cw - 3 && enc.(3) = 6)
+
+(* Hand-built encodings of a 64-word memory and no arenas: the valid one
+   decodes, each malformed run list is rejected, and so is every cut of
+   the valid one. *)
+let test_snapshot_decode_rejects_bad_runs () =
+  let valid = [| 64; 2; 5; 2; 7; 8; 10; 1; 9; 0 |] in
+  check "valid runs decode" true (Result.is_ok (Snapshot.decode valid));
+  List.iter
+    (fun (what, words) ->
+      match Snapshot.decode words with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error _ -> ())
+    [
+      ("overlapping runs", [| 64; 2; 5; 3; 1; 2; 3; 7; 1; 9; 0 |]);
+      ("unsorted runs", [| 64; 2; 10; 1; 9; 5; 1; 7; 0 |]);
+      ("a zero-length run", [| 64; 1; 5; 0; 0 |]);
+      ("a run at address 0", [| 64; 1; 0; 1; 3; 0 |]);
+      ("a run past the memory", [| 64; 1; 63; 2; 1; 2; 0 |]);
+      ("a run longer than its words", [| 64; 1; 5; 3; 1; 2 |]);
+    ];
+  for cut = 0 to Array.length valid - 1 do
+    if Result.is_ok (Snapshot.decode (Array.sub valid 0 cut)) then
+      Alcotest.failf "cut to %d words accepted" cut
+  done
 
 (* Property: capture/encode/decode/restore is the identity on the memory
    image and on the allocator's observable state, for arbitrary
@@ -554,6 +632,55 @@ let prop_snapshot_roundtrip =
           && List.for_all
                (fun addr -> Memory.get m addr = Memory.get m' addr)
                (List.init (Memory.size m - 1) (fun i -> i + 1)))
+
+(* Property: the codec round-trips run-length images with zero words
+   inside written stretches, runs across a chunk boundary, a run ending
+   at the last word, and the empty image; the encoding is exactly the
+   flat image's maximal runs. *)
+let prop_snapshot_runs_roundtrip =
+  let cw = Memory.chunk_words in
+  let stretch =
+    QCheck.Gen.(
+      int_range 1 40 >>= fun len ->
+      frequency
+        [
+          (2, int_range 1 (paged_words - len));
+          (2, map (fun k -> (k * cw) - (len / 2)) (int_range 1 3));
+          (1, return (paged_words - len));
+        ]
+      >>= fun start ->
+      list_repeat len (frequency [ (1, return 0); (4, int_range (-99) 99) ])
+      >>= fun values -> return (start, values))
+  in
+  QCheck.Test.make ~name:"snapshot run-length roundtrip" ~count:300
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat "; "
+           (List.map (fun (a, vs) -> Printf.sprintf "%d+%d" a (List.length vs)) l))
+       QCheck.Gen.(list_size (int_range 0 6) stretch))
+    (fun stretches ->
+      let m = Memory.create ~words:paged_words in
+      let flat = Array.make paged_words 0 in
+      List.iter
+        (fun (start, values) ->
+          List.iteri
+            (fun i v ->
+              Memory.set m (start + i) v;
+              flat.(start + i) <- v)
+            values)
+        stretches;
+      let runs, n_runs = runs_of flat in
+      let enc = Snapshot.encode (Snapshot.capture m [||]) in
+      match Snapshot.decode enc with
+      | Error e -> QCheck.Test.fail_reportf "decode: %s" e
+      | Ok snap ->
+          let m', _ = Snapshot.restore snap in
+          enc = Array.of_list ((paged_words :: n_runs :: runs) @ [ 0 ])
+          && Snapshot.live_cells snap
+             = Array.fold_left (fun n v -> if v <> 0 then n + 1 else n) 0 flat
+          && List.for_all
+               (fun a -> Memory.get m' a = flat.(a))
+               (List.init (paged_words - 1) (fun i -> i + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Conflict granules: records on word granules, arrays on aligned lines *)
@@ -788,8 +915,12 @@ let () =
             test_snapshot_decode_truncated;
           Alcotest.test_case "decode rejects a cursor off the memory" `Quick
             test_snapshot_decode_rejects_bad_cursor;
+          Alcotest.test_case "decode rejects malformed runs" `Quick
+            test_snapshot_decode_rejects_bad_runs;
+          Alcotest.test_case "size law" `Quick test_snapshot_size_law;
         ] );
-      qsuite "snapshot-props" [ prop_snapshot_roundtrip ];
+      qsuite "snapshot-props"
+        [ prop_snapshot_roundtrip; prop_snapshot_runs_roundtrip ];
       ( "granules",
         [
           Alcotest.test_case "cursors meet" `Quick test_cursors_meet;
