@@ -250,7 +250,7 @@ let prepare ~nthreads ~scale config =
     Txn.write_at ~site:site_task_init_gain tx (t + t_gain) gain;
     Theap.insert acc heap_cmp work t;
     Txn.write_at ~site:site_pending_w tx pending
-      (Txn.read_at ~site:site_pending_r tx pending + 1)
+      (Txn.read_for_write_at ~site:site_pending_r tx pending + 1)
   in
   let body th =
     let tid = Txn.thread_id th in
@@ -292,7 +292,7 @@ let prepare ~nthreads ~scale config =
           Txn.atomic th (fun tx ->
               let acc = Access.of_tx tx in
               Txn.write_at ~site:site_pending_w tx pending
-                (Txn.read_at ~site:site_pending_r tx pending - 1);
+                (Txn.read_for_write_at ~site:site_pending_r tx pending - 1);
               if
                 parent_count acc var < p.max_parents
                 && (not (has_parent acc var pid))

@@ -185,9 +185,10 @@ let prepare ~nthreads ~scale config =
           Txn.atomic th (fun tx ->
               if attacked then
                 Txn.write_at ~site:site_attacks_w tx counters
-                  (Txn.read_at ~site:site_attacks_r tx counters + 1);
+                  (Txn.read_for_write_at ~site:site_attacks_r tx counters + 1);
               Txn.write_at ~site:site_done_w tx (counters + 1)
-                (Txn.read_at ~site:site_done_r tx (counters + 1) + 1));
+                (Txn.read_for_write_at ~site:site_done_r tx (counters + 1)
+                   + 1));
           Txn.raw_free th buf
     done
   in

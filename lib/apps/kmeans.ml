@@ -175,11 +175,11 @@ let prepare ~high ~nthreads ~scale (config : Config.t) =
         let c = !best in
         Txn.atomic th (fun tx ->
             Txn.write_at ~site:site_count_w tx (counts + c)
-              (Txn.read_at ~site:site_count_r tx (counts + c) + 1);
+              (Txn.read_for_write_at ~site:site_count_r tx (counts + c) + 1);
             for d = 0 to p.dims - 1 do
               let a = acc + (c * p.dims) + d in
               Txn.write_at ~site:site_acc_w tx a
-                (Txn.read_at ~site:site_acc_r tx a + point.(d))
+                (Txn.read_for_write_at ~site:site_acc_r tx a + point.(d))
             done)
       done;
       Sync.wait barrier th ~serial:recompute ()

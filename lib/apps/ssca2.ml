@@ -56,7 +56,7 @@ let prepare ~nthreads ~scale config =
       let u = Txn.raw_read th (edge_src + e) in
       Txn.atomic th (fun tx ->
           Txn.write_at ~site:site_deg_w tx (degree + u)
-            (Txn.read_at ~site:site_deg_r tx (degree + u) + 1))
+            (Txn.read_for_write_at ~site:site_deg_r tx (degree + u) + 1))
     done;
     let prefix_sums () =
       let total = ref 0 in

@@ -187,9 +187,11 @@ let prepare ~high ~nthreads ~scale config =
                           (info + i_price) best_price.(t);
                         ignore (Tlist.insert acc lst ~key ~value:info : bool);
                         Txn.write_at ~site:site_free_w tx (r + r_free)
-                          (Txn.read_at ~site:site_free_r tx (r + r_free) - 1);
+                          (Txn.read_for_write_at ~site:site_free_r tx (r + r_free)
+                             - 1);
                         Txn.write_at ~site:site_used_w tx (r + r_used)
-                          (Txn.read_at ~site:site_used_r tx (r + r_used) + 1)
+                          (Txn.read_for_write_at ~site:site_used_r tx (r + r_used)
+                             + 1)
                       end
                   end
               done
@@ -214,9 +216,11 @@ let prepare ~high ~nthreads ~scale config =
                   (match Tmap.find acc resource_maps.(t) id with
                   | Some r ->
                       Txn.write_at ~site:site_free_w tx (r + r_free)
-                        (Txn.read_at ~site:site_free_r tx (r + r_free) + 1);
+                        (Txn.read_for_write_at ~site:site_free_r tx (r + r_free)
+                           + 1);
                       Txn.write_at ~site:site_used_w tx (r + r_used)
-                        (Txn.read_at ~site:site_used_r tx (r + r_used) - 1)
+                        (Txn.read_for_write_at ~site:site_used_r tx (r + r_used)
+                           - 1)
                   | None -> ());
                   Txn.free tx info
                 done;

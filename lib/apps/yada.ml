@@ -138,7 +138,7 @@ let prepare ~nthreads ~scale config =
                 if alive = 0 then begin
                   (* Defensive: still account the popped work item. *)
                   Txn.write_at ~site:site_pending_w tx pending
-                    (Txn.read_at ~site:site_pending_r tx pending - 1);
+                    (Txn.read_for_write_at ~site:site_pending_r tx pending - 1);
                   true
                 end
                 else begin
@@ -181,7 +181,8 @@ let prepare ~nthreads ~scale config =
                   spawn b c;
                   spawn c a;
                   Txn.write_at ~site:site_pending_w tx pending
-                    (Txn.read_at ~site:site_pending_r tx pending + !bumped);
+                    (Txn.read_for_write_at ~site:site_pending_r tx pending
+                       + !bumped);
                   true
                 end)
       in

@@ -536,6 +536,66 @@ let longread ~nthreads ~rounds =
       in
       { App.world; body; verify })
 
+(* Read-for-write: two cells on distinct orecs, [a] and [b], kept equal.
+   Every round a thread adds one to both, each through
+   [Txn.read_for_write_at]; in even rounds it first reads [a] plainly, so
+   its read-for-write of [a] finds the orec already logged and takes the
+   plain read path.  In odd rounds it also reads [a] and [b] in a
+   transaction of their own, with a window between the two, and records
+   their difference, which any consistent snapshot holds at 0.  A
+   read-for-write whose replaced version is newer than the snapshot
+   extends it, so under the Global clock a stale plain read before it
+   must abort the attempt; a skipped validation loses an update or
+   records a torn difference.  The sweep fails an eager cell that never
+   acquired an orec at a read-for-write. *)
+let rfw ~nthreads ~rounds =
+  micro "rfw" ~floors:[ Signal.rfw ] ~nthreads rounds (fun config ->
+      let world = small_world ~nthreads config in
+      let arena = Engine.global_arena world in
+      let cells = Alloc.alloc arena 2 in
+      let a = cells and b = cells + 1 in
+      assert (Captured_stm.Orec.line_words_at (Engine.orecs world) a = 1);
+      let seen = Alloc.alloc arena nthreads in
+      let rfw tx addr =
+        Txn.read_for_write_at ~site:Site.anonymous_read tx addr
+      in
+      let body th =
+        let tid = Txn.thread_id th in
+        for r = 1 to rounds do
+          Txn.atomic th (fun tx ->
+              if r land 1 = 0 then ignore (Txn.read tx a : int);
+              Txn.write tx a (rfw tx a + 1);
+              Txn.tx_work tx 5;
+              Txn.write tx b (rfw tx b + 1));
+          if r land 1 = 1 then
+            Txn.atomic th (fun tx ->
+                let x = Txn.read tx a in
+                Txn.tx_work tx 5;
+                Txn.write tx (seen + tid) (x - Txn.read tx b))
+        done
+      in
+      let verify () =
+        let mem = Engine.memory world in
+        let expect = nthreads * rounds in
+        let torn =
+          List.find_opt
+            (fun tid -> Memory.get mem (seen + tid) <> 0)
+            (List.init nthreads Fun.id)
+        in
+        if Memory.get mem a <> expect || Memory.get mem b <> expect then
+          Error
+            (Printf.sprintf "rfw cells (%d, %d), expected %d"
+               (Memory.get mem a) (Memory.get mem b) expect)
+        else
+          match torn with
+          | Some tid ->
+              Error
+                (Printf.sprintf "thread %d saw the cells differ by %d" tid
+                   (Memory.get mem (seen + tid)))
+          | None -> Ok ()
+      in
+      { App.world; body; verify })
+
 (* Free race: the reclamation hazard end to end.  Thread 0 publishes a
    fresh node, retracts it with a deferred [Txn.free], then immediately
    allocates the same size class — without [+ebr] the LIFO free list
@@ -703,6 +763,7 @@ let micros ~nthreads =
     linemate ~nthreads ~rounds:3;
     recordmix ~nthreads ~rounds:4;
     longread ~nthreads ~rounds:2;
+    rfw ~nthreads ~rounds:3;
   ]
 
 (* Kept out of [micros]: without [+ebr] these are red by design (they

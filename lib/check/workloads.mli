@@ -15,8 +15,9 @@ type t = {
   floors : Signal.t list;
       (** vacuity floors: a sweep cell must record each listed signal at
           least once — {!reread} forwarded reads, {!linemate} value
-          rescues, {!longread} extended lock waits, the reclaim pair
-          deferred frees; no other workload lists one *)
+          rescues, {!longread} extended lock waits, {!rfw} read-for-write
+          acquisitions (eager cells only), the reclaim pair deferred
+          frees; no other workload lists one *)
   prepare : Config.t -> App.prepared;
 }
 
@@ -71,8 +72,16 @@ val longread : nthreads:int -> rounds:int -> t
     long read log and owns no orec, so it may wait past
     [Costs.spin_limit] spins, or be found doomed at that mark. *)
 
+val rfw : nthreads:int -> rounds:int -> t
+(** Read-for-write: every transaction increments two cells on distinct
+    orecs through {!Captured_stm.Txn.read_for_write_at}, some after a
+    plain read of the first (the already-logged fallback), while other
+    transactions read both cells and record their difference.  The
+    cells end equal to the number of increments, and every difference
+    recorded is 0. *)
+
 val micros : nthreads:int -> t list
-(** The eleven micro workloads at smoke-test sizes. *)
+(** The twelve micro workloads at smoke-test sizes. *)
 
 val free_race : nthreads:int -> rounds:int -> t
 (** Publish / retract-with-deferred-free / recycle-same-class against

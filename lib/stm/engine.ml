@@ -64,25 +64,23 @@ let create ?(global_words = 1 lsl 18) ?(stack_words = 1 lsl 14)
    thread's own arena ("freeing thread keeps it"). *)
 let all_arenas w = Array.append [| w.global_arena |] w.arenas
 
-let snapshot w =
-  Captured_tmem.Snapshot.encode
-    (Captured_tmem.Snapshot.capture w.memory (all_arenas w))
+let image w = Captured_tmem.Snapshot.image w.memory (all_arenas w)
 
 let checkpoint w =
   match w.wal with
   | None -> ()
   | Some wal ->
       if Config.has_fault w.config Fault.Crash_mid_checkpoint then begin
-        Wal.checkpoint_torn wal ~snapshot:(snapshot w);
+        Wal.checkpoint_torn wal (image w);
         raise Wal.Crashed
       end
-      else Wal.checkpoint wal ~snapshot:(snapshot w)
+      else Wal.checkpoint wal (image w)
 
 let attach_wal w wal =
   w.wal <- Some wal;
   (* Baseline checkpoint: recovery always has a root to restore, even if
      the run crashes before the first periodic checkpoint. *)
-  Wal.checkpoint wal ~snapshot:(snapshot w)
+  Wal.checkpoint wal (image w)
 
 let wal w = w.wal
 

@@ -65,6 +65,7 @@ type t = {
   mutable reclaim_stalls : int;
   mutable grace_waits : int;
   mutable orec_acquires : int;
+  mutable rfw_acquires : int;
   mutable conflict_episodes : int;
   conflict_pairs : (int, int) Hashtbl.t;
 }
@@ -137,6 +138,7 @@ let create () =
     reclaim_stalls = 0;
     grace_waits = 0;
     orec_acquires = 0;
+    rfw_acquires = 0;
     conflict_episodes = 0;
     conflict_pairs = Hashtbl.create 8;
   }
@@ -288,6 +290,8 @@ let counters =
     sum "grace_waits" (fun t -> t.grace_waits) (fun t v -> t.grace_waits <- v);
     sum "orec_acquires" (fun t -> t.orec_acquires)
       (fun t v -> t.orec_acquires <- v);
+    sum "rfw_acquires" (fun t -> t.rfw_acquires)
+      (fun t v -> t.rfw_acquires <- v);
     sum "conflict_episodes" (fun t -> t.conflict_episodes)
       (fun t v -> t.conflict_episodes <- v);
   ]

@@ -163,6 +163,9 @@ type t = {
   (* conflict accounting *)
   mutable orec_acquires : int;
       (** Orec acquisitions (write locks). *)
+  mutable rfw_acquires : int;
+      (** The orec acquisitions a read-for-write made
+          ({!Txn.read_for_write_at}): counted in [orec_acquires] too. *)
   mutable conflict_episodes : int;
       (** Lock-wait episodes: a barrier found the orec held by another
           thread (counted once per wait, not per spin). *)

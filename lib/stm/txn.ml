@@ -716,7 +716,7 @@ let audit_classify tx addr size ~site ~is_write =
   else st.audit_reads_other <- st.audit_reads_other + 1
 
 (* ------------------------------------------------------------------ *)
-(* Read barrier                                                        *)
+(* Lock waits                                                          *)
 
 (* Conflict accounting: one episode per wait (first spin only), keyed by
    the (waiter, owner) thread pair.  Pure counters — no cycle charges, no
@@ -783,8 +783,40 @@ let spin_on_lock th oi w spins =
   th.platform.consume Costs.lock_spin;
   th.platform.yield ()
 
+(* ------------------------------------------------------------------ *)
+(* Orec acquisition                                                    *)
+
+(* Lock orec [oi]; returns the unlocked word the lock replaced. *)
+let rec acquire_loop tx oi spins =
+  let w = Orec.get tx.orecs oi in
+  if Orec.is_locked w then begin
+    spin_on_lock tx oi w spins;
+    acquire_loop tx oi (spins + 1)
+  end
+  else if Orec.try_lock tx.orecs oi ~owner:tx.tid ~expected:w then begin
+    (* A read of this orec logged earlier in the attempt stays valid while
+       the lock is held iff it read the version just replaced (see
+       [read_entry_valid]). *)
+    let logged = Int_map.find tx.read_index oi in
+    if logged >= 0 && tx.read_words.(logged) = w then
+      tx.read_words.(logged) <- tx.lock_word;
+    tx.stats.orec_acquires <- tx.stats.orec_acquires + 1;
+    push_acq tx oi w;
+    w
+  end
+  else acquire_loop tx oi (spins + 1)
+
+(* The eager barriers' encounter-time acquisition, at the write
+   barrier's price. *)
+let acquire tx oi =
+  tx.platform.consume Costs.write_barrier_acquire;
+  acquire_loop tx oi 0
+
+(* ------------------------------------------------------------------ *)
+(* Read barrier                                                        *)
+
 (* [logged] is the orec's read-log position ([Int_map.find], -1 when
-   fresh), probed once by [full_read]: only this thread adds entries, and
+   fresh), probed once by its caller: only this thread adds entries, and
    nothing in the loop does before it returns. *)
 let rec full_read_loop tx oi addr logged spins =
   let w1 = Orec.get tx.orecs oi in
@@ -861,44 +893,76 @@ let rec full_read_loop tx oi addr logged spins =
     end
   end
 
-let full_read tx addr =
-  let oi = Orec.index_of tx.orecs addr in
-  if owns tx oi then begin
+let owned_read tx addr =
+  tx.platform.consume Costs.read_owned;
+  mem_get tx addr
+
+(* A read of an orec this attempt does not own; [logged] is its read-log
+   position, -1 when fresh. *)
+let unowned_read tx oi addr logged =
+  if
+    logged >= 0
+    && Array.unsafe_get tx.read_addrs logged = addr
+    && mem_get tx addr = Array.unsafe_get tx.read_vals logged
+  then begin
+    (* Read-after-read forwarding: this attempt already read [addr]
+       under the logged word, and the logged value is the one its
+       snapshot holds — the first read's sandwich proved it current
+       under that word, and every validation since re-checked the word
+       — so the orec sandwich would only re-prove it.  Commit
+       validation still catches a concurrent commit to the line.  The
+       value guard is for this thread's own direct stores (elided
+       captured or private writes, raw stores), which bump no orec yet
+       can follow a full-barrier read (reads outside the check scope,
+       or at a bypassed +fp site): memory that no longer holds the
+       logged value takes the full path.  The price is an owned
+       read's: the map lookup plus one data load.  Under Scan a fresh
+       read is logged unchecked, so a zombie spinning on re-reads of
+       it is ended only by the fuel [read_at] burns. *)
+    tx.stats.reads_forwarded <- tx.stats.reads_forwarded + 1;
     tx.platform.consume Costs.read_owned;
-    mem_get tx addr
+    Array.unsafe_get tx.read_vals logged
   end
   else begin
-    let logged = Int_map.find tx.read_index oi in
-    if
-      logged >= 0
-      && Array.unsafe_get tx.read_addrs logged = addr
-      && mem_get tx addr = Array.unsafe_get tx.read_vals logged
-    then begin
-      (* Read-after-read forwarding: this attempt already read [addr]
-         under the logged word, and the logged value is the one its
-         snapshot holds — the first read's sandwich proved it current
-         under that word, and every validation since re-checked the word
-         — so the orec sandwich would only re-prove it.  Commit
-         validation still catches a concurrent commit to the line.  The
-         value guard is for this thread's own direct stores (elided
-         captured or private writes, raw stores), which bump no orec yet
-         can follow a full-barrier read (reads outside the check scope,
-         or at a bypassed +fp site): memory that no longer holds the
-         logged value takes the full path.  The price is an owned
-         read's: the map lookup plus one data load.  Under Scan a fresh
-         read is logged unchecked, so a zombie spinning on re-reads of
-         it is ended only by the fuel [read_at] burns. *)
-      tx.stats.reads_forwarded <- tx.stats.reads_forwarded + 1;
-      tx.platform.consume Costs.read_owned;
-      Array.unsafe_get tx.read_vals logged
-    end
-    else begin
-      tx.platform.consume Costs.read_barrier;
-      full_read_loop tx oi addr logged 0
-    end
+    tx.platform.consume Costs.read_barrier;
+    full_read_loop tx oi addr logged 0
   end
 
-let read_at ~site tx addr =
+let full_read tx addr =
+  let oi = Orec.index_of tx.orecs addr in
+  if owns tx oi then owned_read tx addr
+  else unowned_read tx oi addr (Int_map.find tx.read_index oi)
+
+(* Read-for-write (the TM ABI's [_ITM_RfW]): the read of a
+   read-modify-write whose write follows on every path that does not
+   abort.  A fresh orec is acquired here, at the write barrier's price,
+   and its value loaded under the lock: no read-log entry, so no
+   validation or commit cost for it, and the write finds the orec owned.
+   Under the Global clock the replaced version must still fit the
+   snapshot, which is extended if it is newer, exactly as a fresh read's
+   would be.  An orec this attempt already logged takes the plain read
+   path: acquiring it would cost more than the forwarded read plus the
+   write's acquisition. *)
+let full_read_for_write tx addr =
+  let oi = Orec.index_of tx.orecs addr in
+  if owns tx oi then owned_read tx addr
+  else
+    let logged = Int_map.find tx.read_index oi in
+    if logged >= 0 then unowned_read tx oi addr logged
+    else begin
+      let replaced = acquire tx oi in
+      tx.stats.rfw_acquires <- tx.stats.rfw_acquires + 1;
+      (match tx.clock with
+      | Scan -> ()
+      | Global ->
+          charge_validation tx Costs.ts_read_check;
+          if Orec.version_of replaced > tx.start_ts then extend_snapshot tx);
+      mem_get tx addr
+    end
+
+(* The read barrier; [for_write] takes the read-for-write path at an
+   instrumented access. *)
+let read_with ~site ~for_write tx addr =
   let st = tx.stats in
   st.reads <- st.reads + 1;
   burn_fuel tx;
@@ -933,7 +997,7 @@ let read_at ~site tx addr =
       match cls with
       | Instrumented ->
           tx.platform.consume tx.check_cost;
-          full_read tx addr
+          if for_write then full_read_for_write tx addr else full_read tx addr
       | _ ->
           count_elided st ~is_write:false cls;
           tx.platform.consume (tx.check_cost + Costs.direct_access);
@@ -943,28 +1007,17 @@ let read_at ~site tx addr =
     value
   end
 
+let read_at ~site tx addr = read_with ~site ~for_write:false tx addr
+
+(* Lazy versioning acquires nothing before commit: there a read-for-write
+   is a read. *)
+let read_for_write_at ~site tx addr =
+  read_with ~site ~for_write:(not tx.config.Config.lazy_versioning) tx addr
+
 let read tx addr = read_at ~site:Site.anonymous_read tx addr
 
 (* ------------------------------------------------------------------ *)
 (* Write barrier                                                       *)
-
-let rec acquire_loop tx oi spins =
-  let w = Orec.get tx.orecs oi in
-  if Orec.is_locked w then begin
-    spin_on_lock tx oi w spins;
-    acquire_loop tx oi (spins + 1)
-  end
-  else if Orec.try_lock tx.orecs oi ~owner:tx.tid ~expected:w then begin
-    (* A read of this orec logged earlier in the attempt stays valid while
-       the lock is held iff it read the version just replaced (see
-       [read_entry_valid]). *)
-    let logged = Int_map.find tx.read_index oi in
-    if logged >= 0 && tx.read_words.(logged) = w then
-      tx.read_words.(logged) <- tx.lock_word;
-    tx.stats.orec_acquires <- tx.stats.orec_acquires + 1;
-    push_acq tx oi w
-  end
-  else acquire_loop tx oi (spins + 1)
 
 (* Write-after-write check: has [addr] been noted since the filter was
    last cleared?  Notes it either way. *)
@@ -986,10 +1039,7 @@ let waw_hit tx addr =
 let full_write tx addr v =
   let oi = Orec.index_of tx.orecs addr in
   if owns tx oi then tx.platform.consume Costs.write_barrier_owned
-  else begin
-    tx.platform.consume Costs.write_barrier_acquire;
-    acquire_loop tx oi 0
-  end;
+  else ignore (acquire tx oi : int);
   if not (waw_hit tx addr) then begin
     tx.platform.consume Costs.undo_log_entry;
     push_undo tx addr (mem_get tx addr)
@@ -1359,7 +1409,7 @@ let lazy_acquire tx =
     let oi = Orec.index_of tx.orecs addr in
     if not (owns tx oi) then begin
       tx.platform.consume Costs.commit_acquire;
-      acquire_loop tx oi 0
+      ignore (acquire_loop tx oi 0 : int)
     end
   done
 

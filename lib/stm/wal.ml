@@ -72,7 +72,6 @@ let payload_words = function
 
 (* Frame = magic word + length word + payload + checksum word. *)
 let record_words r = 3 + payload_words r
-let record_bytes r = word_bytes * record_words r
 
 let commit_record_words ~writes ~allocs ~frees =
   record_words (Commit { seq = 0; tid = 0; writes; allocs; frees })
@@ -93,66 +92,92 @@ let checksum_seed = 0x57414C
    words; anything larger is structural corruption, not truncation. *)
 let max_payload_words = 1 lsl 32
 
-(* Store [a]'s words into [b] from byte [pos], folding each into the
-   checksum [sum]; returns the new sum.  A loop of its own, not a
-   closure call per word, since a checkpoint's snapshot is most of the
-   log's bytes. *)
-let put_words b pos sum a =
-  let sum = ref sum in
-  for i = 0 to Array.length a - 1 do
-    let w = Array.unsafe_get a i in
-    sum := mix !sum w;
-    Bytes.set_int64_le b (pos + (i * word_bytes)) (Int64.of_int w)
-  done;
-  !sum
+(* A record written straight into a [Bytes] of its exact size,
+   checksummed as it is written. *)
+type writer = { bytes : Bytes.t; mutable pos : int; mutable sum : int }
 
-(* Straight into a [Bytes] of the record's exact size, checksummed as it
-   is written. *)
+let put w v =
+  w.sum <- mix w.sum v;
+  Bytes.set_int64_le w.bytes w.pos (Int64.of_int v);
+  w.pos <- w.pos + word_bytes
+
+(* A writer holding the frame header of a record of kind [kind] with
+   [payload] payload words. *)
+let start ~kind ~payload =
+  let w =
+    {
+      bytes = Bytes.create (word_bytes * (3 + payload));
+      pos = 0;
+      sum = checksum_seed;
+    }
+  in
+  put w (magic lor kind);
+  put w payload;
+  w
+
+(* [len] words of [a] from [off]: a loop of its own, not a closure call
+   per word, since a checkpoint's snapshot is most of the log's bytes. *)
+let put_slice w a off len =
+  if off < 0 || len < 0 || off > Array.length a - len then
+    invalid_arg "Wal.put_slice";
+  let sum = ref w.sum and pos = w.pos in
+  for i = 0 to len - 1 do
+    let v = Array.unsafe_get a (off + i) in
+    sum := mix !sum v;
+    Bytes.set_int64_le w.bytes (pos + (i * word_bytes)) (Int64.of_int v)
+  done;
+  w.sum <- !sum;
+  w.pos <- pos + (len * word_bytes)
+
+(* The checksum word ends the frame. *)
+let finish w =
+  assert (w.pos = Bytes.length w.bytes - word_bytes);
+  Bytes.set_int64_le w.bytes w.pos (Int64.of_int w.sum);
+  w.bytes
+
+let put_checkpoint_head w ~seq ~raws ~words =
+  put w seq;
+  put w raws;
+  put w words
+
 let encode_record r =
-  let b = Bytes.create (record_bytes r) in
-  let pos = ref 0 and sum = ref checksum_seed in
-  let put w =
-    sum := mix !sum w;
-    Bytes.set_int64_le b !pos (Int64.of_int w);
-    pos := !pos + word_bytes
-  in
-  let put_each a =
-    sum := put_words b !pos !sum a;
-    pos := !pos + (Array.length a * word_bytes)
-  in
-  let put_array a =
-    put (Array.length a);
-    put_each a
-  in
-  put (magic lor kind_of r);
-  put (payload_words r);
+  let w = start ~kind:(kind_of r) ~payload:(payload_words r) in
   (match r with
   | Commit { seq; tid; writes; allocs; frees } ->
-      put seq;
-      put tid;
-      put (Array.length writes);
+      put w seq;
+      put w tid;
+      put w (Array.length writes);
       Array.iter
         (fun (a, v) ->
-          put a;
-          put v)
+          put w a;
+          put w v)
         writes;
-      put (Array.length allocs);
+      put w (Array.length allocs);
       Array.iter
         (fun (addr, size, image) ->
-          put addr;
-          put size;
-          put_each image)
+          put w addr;
+          put w size;
+          put_slice w image 0 (Array.length image))
         allocs;
-      put_array frees
+      put w (Array.length frees);
+      put_slice w frees 0 (Array.length frees)
   | Raw { addr; value } ->
-      put addr;
-      put value
+      put w addr;
+      put w value
   | Checkpoint { seq; raws; snapshot } ->
-      put seq;
-      put raws;
-      put_array snapshot);
-  Bytes.set_int64_le b !pos (Int64.of_int !sum);
-  b
+      put_checkpoint_head w ~seq ~raws ~words:(Array.length snapshot);
+      put_slice w snapshot 0 (Array.length snapshot));
+  finish w
+
+(* The checkpoint record of a live image, its words written from memory
+   into the record as the image streams them: the same bytes as
+   [encode_record] of a [Checkpoint] holding the image's encoding. *)
+let encode_checkpoint ~seq ~raws image =
+  let words = Snapshot.image_words image in
+  let w = start ~kind:kind_checkpoint ~payload:(3 + words) in
+  put_checkpoint_head w ~seq ~raws ~words;
+  Snapshot.write_image image (put_slice w);
+  finish w
 
 type decode_error = Torn | Corrupt
 
@@ -427,19 +452,19 @@ let crash_torn_unlocked t ~cut =
 
 let crash_torn t ~cut = locked t (fun () -> crash_torn_unlocked t ~cut)
 
-let checkpoint_record t ~snapshot =
-  encode_record (Checkpoint { seq = t.seq; raws = t.raws; snapshot })
+let checkpoint_record t image =
+  encode_checkpoint ~seq:t.seq ~raws:t.raws image
 
 (* Checkpoint protocol: flush the log, append the checkpoint record,
    fsync it, then truncate the durable prefix to start at the checkpoint.
    A crash between the fsync and the truncation merely leaves the old
    prefix in place — recovery uses the *last* valid checkpoint either
    way, so truncation is pure space reclamation. *)
-let checkpoint t ~snapshot =
+let checkpoint t image =
   locked t (fun () ->
       if t.crashed then invalid_arg "Wal.checkpoint: crashed device";
       sync_unlocked t;
-      let b = checkpoint_record t ~snapshot in
+      let b = checkpoint_record t image in
       t.base <- b;
       t.log_len <- 0;
       t.appended_bytes <- t.appended_bytes + Bytes.length b;
@@ -448,10 +473,10 @@ let checkpoint t ~snapshot =
 (* Crash halfway through writing the checkpoint record: a torn append of
    it.  The old durable prefix keeps its contents (truncation never
    happened) and gains a torn checkpoint tail that recovery must drop. *)
-let checkpoint_torn t ~snapshot =
+let checkpoint_torn t image =
   locked t (fun () ->
       sync_unlocked t;
-      let b = checkpoint_record t ~snapshot in
+      let b = checkpoint_record t image in
       Buffer.add_bytes t.pending b;
       t.last_record_bytes <- Bytes.length b;
       crash_torn_unlocked t ~cut:(Bytes.length b / 2))

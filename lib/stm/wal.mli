@@ -94,13 +94,15 @@ val append_raw : t -> addr:int -> value:int -> int * bool
 val sync : t -> unit
 (** Force pending bytes durable (the final flush of a clean run). *)
 
-val checkpoint : t -> snapshot:int array -> unit
-(** Flush, append a checkpoint record, fsync, truncate the log behind
-    it.  [snapshot] is {!Captured_tmem.Snapshot.encode} output.  The
-    record's bytes are kept as they were encoded, as the first segment
-    of the durable log; later syncs append behind it. *)
+val checkpoint : t -> Captured_tmem.Snapshot.image -> unit
+(** Flush, append a checkpoint record of the image, fsync, truncate the
+    log behind it.  The image is encoded straight from memory into the
+    record ({!Captured_tmem.Snapshot.write_image}), byte for byte the
+    {!encode_record} of a [Checkpoint] holding its encoding, and those
+    bytes are kept as the first segment of the durable log; later syncs
+    append behind it. *)
 
-val checkpoint_torn : t -> snapshot:int array -> unit
+val checkpoint_torn : t -> Captured_tmem.Snapshot.image -> unit
 (** [Fault.Crash_mid_checkpoint]'s effect: flush, then die halfway
     through the checkpoint record — the old log survives with a torn
     checkpoint tail and no truncation.  Leaves the device crashed. *)

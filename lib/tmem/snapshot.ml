@@ -9,10 +9,12 @@
    Runs are maximal stretches of consecutive non-zero words, in
    ascending, disjoint order; every word outside them is 0 (fresh memory
    and freed-then-reused regions are mostly zero, so the image is
-   proportional to live data, plus two words per run).  Capture finds
+   proportional to live data, plus two words per run).  An [image] finds
    the runs in one scan of the memory's resident chunks
-   ([Memory.iter_runs]), then sizes the image exactly and copies the
-   runs in; restore writes only the runs into a fresh memory.  Both cost
+   ([Memory.iter_runs]) and sizes the encoding exactly; writing it
+   streams the words to a sink through one small buffer, so a WAL
+   checkpoint encodes straight into its record; restore writes only the
+   runs into a fresh memory.  Both cost
    what the image holds, not the memory's size.  The allocator side is
    tiny — free lists are threaded through memory cells themselves, so a
    [state] per arena (base/limit/both cursors/class heads/live counts)
@@ -33,9 +35,19 @@ let arena_words states =
     (fun acc s -> acc + 7 + Array.length s.Alloc.s_free_lists)
     1 states
 
-let capture memory arenas =
+(* A live memory's image, found but not copied: the runs as (addr, len)
+   pairs and the arenas' states.  Its values are read when it is
+   written. *)
+type image = {
+  memory : Memory.t;
+  runs : int array;
+  n_runs : int;
+  cells : int;
+  states : Alloc.state array;
+}
+
+let image memory arenas =
   let states = Array.map Alloc.capture_state arenas in
-  (* The runs as (addr, len) pairs. *)
   let runs = ref (Array.make 512 0) and n_runs = ref 0 and cells = ref 0 in
   Memory.iter_runs memory (fun addr n ->
       let i = 2 * !n_runs in
@@ -48,25 +60,44 @@ let capture memory arenas =
       !runs.(i + 1) <- n;
       incr n_runs;
       cells := !cells + n);
-  let runs = !runs and n_runs = !n_runs in
-  let out =
-    Array.make (header_words + (2 * n_runs) + !cells + arena_words states) 0
+  { memory; runs = !runs; n_runs = !n_runs; cells = !cells; states }
+
+let image_words im =
+  header_words + (2 * im.n_runs) + im.cells + arena_words im.states
+
+(* Words go through one buffer of this many, handed to the sink each
+   time it fills: the encoding is never whole in memory. *)
+let buffer_words = 1024
+
+let write_image im sink =
+  let buf = Array.make buffer_words 0 and k = ref 0 in
+  let flush () =
+    if !k > 0 then begin
+      sink buf 0 !k;
+      k := 0
+    end
   in
-  let k = ref 0 in
   let put v =
-    out.(!k) <- v;
+    if !k = buffer_words then flush ();
+    buf.(!k) <- v;
     incr k
   in
-  put (Memory.size memory);
-  put n_runs;
-  for r = 0 to n_runs - 1 do
-    let addr = runs.(2 * r) and n = runs.((2 * r) + 1) in
+  put (Memory.size im.memory);
+  put im.n_runs;
+  for r = 0 to im.n_runs - 1 do
+    let addr = im.runs.(2 * r) and n = im.runs.((2 * r) + 1) in
     put addr;
     put n;
-    Memory.blit_to_array memory addr out !k n;
-    k := !k + n
+    let copied = ref 0 in
+    while !copied < n do
+      if !k = buffer_words then flush ();
+      let m = min (n - !copied) (buffer_words - !k) in
+      Memory.blit_to_array im.memory (addr + !copied) buf !k m;
+      k := !k + m;
+      copied := !copied + m
+    done
   done;
-  put (Array.length states);
+  put (Array.length im.states);
   Array.iter
     (fun s ->
       put s.Alloc.s_base;
@@ -77,7 +108,15 @@ let capture memory arenas =
       put s.Alloc.s_live_words;
       put (Array.length s.Alloc.s_free_lists);
       Array.iter put s.Alloc.s_free_lists)
-    states;
+    im.states;
+  flush ()
+
+let capture memory arenas =
+  let im = image memory arenas in
+  let out = Array.make (image_words im) 0 and k = ref 0 in
+  write_image im (fun a pos n ->
+      Array.blit a pos out !k n;
+      k := !k + n);
   out
 
 (* Structural parse of the [len]-word encoding whose [i]th word is

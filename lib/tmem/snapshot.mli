@@ -13,9 +13,25 @@
 
 type t
 
-(** [capture mem arenas] snapshots the current memory image (the runs
-    of non-zero words, found in resident chunks) together with each
-    arena's allocator state. *)
+(** A live memory's image, found but not copied: the runs of non-zero
+    words (found in resident chunks) and each arena's allocator state.
+    The run values are read from the memory when the image is written,
+    so it must be written before the memory changes. *)
+type image
+
+val image : Memory.t -> Alloc.t array -> image
+
+(** Length of the image's encoding, as {!encode} would give it. *)
+val image_words : image -> int
+
+(** [write_image im sink] hands the image's encoding to [sink], in
+    order, as slices [sink a pos len] of one reused buffer: a WAL
+    checkpoint writes it straight into its record. *)
+val write_image : image -> (int array -> int -> int -> unit) -> unit
+
+(** [capture mem arenas] snapshots the current memory image together
+    with each arena's allocator state: {!image}, written into an
+    array. *)
 val capture : Memory.t -> Alloc.t array -> t
 
 (** [restore t] builds a fresh memory and arena set matching the

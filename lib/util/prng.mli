@@ -4,7 +4,8 @@
     independent, reproducible stream.  All workloads draw randomness from
     here (never from [Stdlib.Random]) so that simulator runs are
     bit-reproducible across machines and across the optimisation
-    configurations being compared. *)
+    configurations being compared.  The state is held unboxed, so a
+    draw allocates nothing. *)
 
 type t
 

@@ -844,6 +844,7 @@ let test_workload_floors () =
       ("reread", [ "forwarded" ]);
       ("linemate", [ "rescued" ]);
       ("longread", [ "extended" ]);
+      ("rfw", [ "rfw" ]);
       ("free_race", [ "dfrees" ]);
       ("privatize_race", [ "dfrees" ]);
     ]
@@ -910,6 +911,22 @@ let test_verdict_extended_floor () =
   check_vacuous ~what:"extended lock waits" ~vacuous:false
     (cell longread [ recorded Signal.extended ]);
   check_vacuous ~what:"extended lock waits" ~vacuous:false
+    (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
+
+(* The read-for-write floor holds only where the barrier acquires: under
+   +lazy a read-for-write is a plain read, and its cell carries no
+   floor. *)
+let test_verdict_rfw_floor () =
+  let cell ?(config = tree) workload reports =
+    { Harness.workload; config; reports; union = 40 }
+  in
+  let rfw = Workloads.rfw ~nthreads:2 ~rounds:3 in
+  let what = "read-for-write acquisitions" in
+  check_vacuous ~what ~vacuous:true (cell rfw [ quiet_report ]);
+  check_vacuous ~what ~vacuous:false (cell rfw [ recorded Signal.rfw ]);
+  check_vacuous ~what ~vacuous:false
+    (cell ~config:(Config.with_lazy tree) rfw [ quiet_report ]);
+  check_vacuous ~what ~vacuous:false
     (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
 
 let () =
@@ -1006,5 +1023,7 @@ let () =
             `Quick test_verdict_rescued_floor;
           Alcotest.test_case "longread cell below min_extended is vacuous"
             `Quick test_verdict_extended_floor;
+          Alcotest.test_case "eager rfw cell below min_rfw is vacuous"
+            `Quick test_verdict_rfw_floor;
         ] );
     ]

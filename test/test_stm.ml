@@ -663,6 +663,127 @@ let test_tv_snapshot_extension () =
   check_int "written value" 5 (Memory.get (Engine.memory w) c1)
 
 (* ------------------------------------------------------------------ *)
+(* Read-for-write                                                       *)
+
+let rfw tx addr = Txn.read_for_write_at ~site:Site.anonymous_read tx addr
+
+(* One increment of [cell] on one simulated thread: its stats and
+   makespan.  [read] is the barrier the increment reads through. *)
+let sim_increment cfg ~read =
+  let w = mk_world cfg in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  Memory.set (Engine.memory w) cell 41;
+  let r =
+    Engine.run_sim ~seed:1 w (fun th ->
+        Txn.atomic th (fun tx -> Txn.write tx cell (read tx cell + 1)))
+  in
+  check_int "incremented" 42 (Memory.get (Engine.memory w) cell);
+  r
+
+(* The read acquires the orec and logs nothing: no validation or commit
+   cost for it, and the write finds the orec owned.  The saving is the
+   read barrier, its commit and validation share, less the owned write's
+   price. *)
+let test_rfw_acquires_once () =
+  let plain = sim_increment Config.baseline ~read:Txn.read in
+  let r = sim_increment Config.baseline ~read:rfw in
+  let s = r.Engine.stats in
+  check_int "one rfw acquisition" 1 s.Stats.rfw_acquires;
+  check_int "one acquisition in all" 1 s.Stats.orec_acquires;
+  check_int "still counted as a read" 1 s.Stats.reads;
+  check_int "nothing to validate" 0 s.Stats.validation_cycles;
+  check "the plain read was validated" true
+    (plain.Engine.stats.Stats.validation_cycles > 0);
+  check_int "makespan saved"
+    (Costs.read_barrier + Costs.commit_per_read + Costs.validate_per_read
+    - Costs.write_barrier_owned)
+    (plain.Engine.makespan - r.Engine.makespan)
+
+(* An orec the attempt already read is not acquired at the read: the
+   read-for-write is forwarded from the read log, and the write
+   acquires. *)
+let test_rfw_logged_forwards () =
+  let w = mk_world Config.baseline in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  Memory.set (Engine.memory w) cell 7;
+  let th = Engine.setup_thread w in
+  let v =
+    Txn.atomic th (fun tx ->
+        let x = Txn.read tx cell in
+        let y = rfw tx cell in
+        Txn.write tx cell (y + 1);
+        x + y)
+  in
+  let s = Txn.thread_stats th in
+  check_int "both reads saw 7" 14 v;
+  check_int "forwarded" 1 s.Stats.reads_forwarded;
+  check_int "no rfw acquisition" 0 s.Stats.rfw_acquires;
+  check_int "the write acquired" 1 s.Stats.orec_acquires;
+  check_int "stored" 8 (Memory.get (Engine.memory w) cell)
+
+(* Under +lazy a read-for-write is a read: the same counters, cycles and
+   PRNG draws as [Txn.read], here on two contending threads. *)
+let test_rfw_lazy_is_read () =
+  let run read =
+    let w = mk_world ~nthreads:2 (Config.with_lazy tv_cfg) in
+    let cells = Alloc.alloc (Engine.global_arena w) 2 in
+    let r =
+      Engine.run_sim ~seed:3 w (fun th ->
+          for _ = 1 to 20 do
+            Txn.atomic th (fun tx ->
+                Txn.write tx cells (read tx cells + 1);
+                Txn.tx_work tx 7;
+                Txn.write tx (cells + 1) (read tx (cells + 1) + 1))
+          done)
+    in
+    check_int "counted" 40 (Memory.get (Engine.memory w) (cells + 1));
+    r
+  in
+  let a = run Txn.read and b = run rfw in
+  check "contended" true (a.Engine.stats.Stats.aborts > 0);
+  Alcotest.(check string)
+    "stats" (Stats.json_fields a.Engine.stats)
+    (Stats.json_fields b.Engine.stats);
+  check_int "makespan" a.Engine.makespan b.Engine.makespan
+
+(* Under the Global clock a read-for-write that replaces a version newer
+   than the snapshot extends it.  Thread 0 reads [c0], waits while
+   thread 1 commits, then adds [c0] to [c1] through a read-for-write.
+   When thread 1 wrote only [c1] the extension validates and the attempt
+   commits; when it also wrote [c0] the read set fails, the attempt
+   aborts and its retry sums the new values. *)
+let run_rfw_extension ~peer_writes_c0 =
+  let w = mk_world ~nthreads:2 tv_cfg in
+  let c0 = Alloc.alloc (Engine.global_arena w) 1 in
+  let c1 = Alloc.alloc (Engine.global_arena w) 1 in
+  let r =
+    Engine.run_sim ~seed:1 w (fun th ->
+        if Txn.thread_id th = 0 then
+          Txn.atomic th (fun tx ->
+              let x = Txn.read tx c0 in
+              Txn.tx_work tx 200_000;
+              Txn.write tx c1 (x + rfw tx c1))
+        else
+          Txn.atomic th (fun tx ->
+              if peer_writes_c0 then Txn.write tx c0 5;
+              Txn.write tx c1 5))
+  in
+  (r.Engine.stats, Memory.get (Engine.memory w) c1)
+
+let test_rfw_tv_extends () =
+  let s, c1 = run_rfw_extension ~peer_writes_c0:false in
+  check_int "extended" 1 s.Stats.snapshot_extensions;
+  check_int "no abort" 0 s.Stats.aborts;
+  check_int "one rfw acquisition" 1 s.Stats.rfw_acquires;
+  check_int "c1 = 0 + 5" 5 c1
+
+let test_rfw_tv_invalid_aborts () =
+  let s, c1 = run_rfw_extension ~peer_writes_c0:true in
+  check_int "extended" 1 s.Stats.snapshot_extensions;
+  check_int "the stale read aborted the attempt" 1 s.Stats.aborts;
+  check_int "c1 = 5 + 5" 10 c1
+
+(* ------------------------------------------------------------------ *)
 (* Value-checked validation: a moved orec over an unchanged word        *)
 
 (* Thread 0 reads [reads] (addresses of one conflict-detection line),
@@ -1787,6 +1908,31 @@ let prop_wal_truncation_torn =
       | [], Wal.Torn_tail, 0 -> true
       | _ -> false)
 
+(* A checkpoint writes its image straight from memory into the record:
+   the bytes must be those of the record holding the image's encoding.
+   The image has runs longer than the stream's buffer, one across a
+   memory chunk boundary, isolated words, and an arena. *)
+let test_wal_checkpoint_streams_image () =
+  let m = Memory.create ~words:16384 in
+  let a = Alloc.create m ~base:12288 ~words:2048 in
+  let p = Alloc.alloc a 6 in
+  Memory.set m p 5;
+  List.iter
+    (fun (lo, n) ->
+      for k = 0 to n - 1 do
+        Memory.set m (lo + k) ((7 * k) - lo)
+      done)
+    [ (3, 1); (100, 3000); (4000, 1); (5000, 2100); (9000, 1024) ];
+  let wal = Wal.create () in
+  Wal.checkpoint wal (Snapshot.image m [| a |]);
+  let snapshot = Snapshot.encode (Snapshot.capture m [| a |]) in
+  check "image longer than the stream buffer" true
+    (Array.length snapshot > 4 * 1024);
+  Alcotest.(check bytes)
+    "record bytes"
+    (Wal.encode_record (Wal.Checkpoint { seq = 0; raws = 0; snapshot }))
+    (Wal.contents wal)
+
 (* A checkpoint frame too short to hold its [seq; raws; n] header, with
    a valid checksum, is corrupt: decoding must neither read past the
    frame nor raise.  The checksum is the WAL's documented fold
@@ -2738,6 +2884,18 @@ let () =
             test_tv_snapshot_extension;
         ]
         @ List.map Qc.to_alcotest [ prop_tvalidate_model ] );
+      ( "read-for-write",
+        [
+          Alcotest.test_case "acquires once, logs no read" `Quick
+            test_rfw_acquires_once;
+          Alcotest.test_case "logged orec forwards" `Quick
+            test_rfw_logged_forwards;
+          Alcotest.test_case "lazy is a read" `Quick test_rfw_lazy_is_read;
+          Alcotest.test_case "tv newer version extends" `Quick
+            test_rfw_tv_extends;
+          Alcotest.test_case "tv invalid read set aborts" `Quick
+            test_rfw_tv_invalid_aborts;
+        ] );
       ( "rescue",
         [
           Alcotest.test_case "line-mate commit rescued" `Quick
@@ -2827,6 +2985,8 @@ let () =
             (private_store_under_wal ~abort:true);
           Alcotest.test_case "short checkpoint frame is corrupt" `Quick
             test_wal_short_checkpoint_corrupt;
+          Alcotest.test_case "checkpoint streams the image" `Quick
+            test_wal_checkpoint_streams_image;
         ]
         @ List.map Qc.to_alcotest
             [

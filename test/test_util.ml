@@ -51,6 +51,56 @@ let test_prng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 100 Fun.id) sorted
 
+(* The stream is splitmix64: the first draws of a few seeds, pinned, so
+   a change to the state's representation cannot move a simulator
+   schedule.  Each row: two [bits], [int 1000], [int 8], [bool],
+   [float], then [bits] of a [split]. *)
+let test_prng_golden () =
+  List.iter
+    (fun (seed, b1, b2, i, i8, bo, f, sb) ->
+      let g = Prng.create seed in
+      let name = Printf.sprintf "seed %d" seed in
+      check_int (name ^ " bits") b1 (Prng.bits g);
+      check_int (name ^ " bits") b2 (Prng.bits g);
+      check_int (name ^ " int 1000") i (Prng.int g 1000);
+      check_int (name ^ " int 8") i8 (Prng.int g 8);
+      check (name ^ " bool") bo (Prng.bool g);
+      Alcotest.(check (float 0.)) (name ^ " float") f (Prng.float g);
+      check_int (name ^ " split") sb (Prng.bits (Prng.split g)))
+    [
+      ( 0, 4073552104164651883, 1990071630548588925, 419, 3, true,
+        0x1.4f2e7c31d1fa8p-2, 13327785762851631 );
+      ( 1, 2612804094800205616, 3439311302766607129, 647, 2, true,
+        0x1.869a17ff202ap-1, 4470306042571336620 );
+      ( 42, 3419864383188818853, 737456523031723072, 964, 5, false,
+        0x1.bc8863f47901bp-1, 3514271895982479775 );
+      ( -3, 4456242780781963383, 4259814868351066432, 127, 2, true,
+        0x1.059fd10cdf58p-5, 2816798804512355801 );
+    ]
+
+(* Minor-heap words [f ()] allocates.  Both probes below carry the same
+   constant overhead (the boxed float holding [before]), so equal deltas
+   at different draw counts mean a draw allocates nothing. *)
+let minor_delta f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_prng_no_alloc () =
+  let g = Prng.create 9 in
+  let sink = ref 0 in
+  let draws n =
+    minor_delta (fun () ->
+        for _ = 1 to n do
+          (* A power of two, a rejection-sampled bound, and a coin. *)
+          sink := !sink + Prng.int g 8 + Prng.int g 1000
+                  + Bool.to_int (Prng.bool g)
+        done)
+  in
+  ignore (draws 8 : float);
+  Alcotest.(check (float 0.)) "draws allocate nothing" (draws 64) (draws 4096);
+  check "drew" true (!sink > 0)
+
 let test_prng_int_covers () =
   let g = Prng.create 8 in
   let seen = Array.make 4 false in
@@ -197,6 +247,9 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick
             test_prng_shuffle_permutation;
           Alcotest.test_case "int covers" `Quick test_prng_int_covers;
+          Alcotest.test_case "golden first draws" `Quick test_prng_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_prng_no_alloc;
           Alcotest.test_case "float unit" `Quick test_prng_float_unit;
           Alcotest.test_case "jump matches skip" `Quick
             test_prng_jump_matches_skip;
