@@ -2884,7 +2884,7 @@ let () =
             test_tv_snapshot_extension;
         ]
         @ List.map Qc.to_alcotest [ prop_tvalidate_model ] );
-      ( "read-for-write",
+      ( "rfw",
         [
           Alcotest.test_case "acquires once, logs no read" `Quick
             test_rfw_acquires_once;
