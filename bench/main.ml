@@ -1,14 +1,16 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
-   evaluation (Section 4), plus a Bechamel micro-benchmark section for the
-   barrier-cost claims, an ablation section for the design choices
-   DESIGN.md calls out, and one A/B section for the configuration tokens.
+   evaluation (Section 4), plus two Bechamel sections (micro, for the
+   barrier-cost claims; calibrate, each priced path's native time beside
+   its Costs price), an ablation section for the design choices DESIGN.md
+   calls out, and one A/B section for the configuration tokens.
 
    Usage: main.exe [--quick] [--only fig8,table1,ab:fp,...] [--app NAME,...]
-   Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b micro ablation
-   contention scale wal, and ab:TOKEN[@BASE] (BASE defaults to tree+fp+ebr):
-   every app at 1 and 16 threads, seeds 1-8 (seed 1 under --quick), under
-   BASE without TOKEN and BASE with it.  With no --only, every section
-   runs, the A/B section as ab:fp, ab:tv, ab:lazy and ab:sf. *)
+   Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b micro calibrate
+   ablation contention scale wal, and ab:TOKEN[@BASE] (BASE defaults to
+   tree+fp+ebr): every app at 1 and 16 threads, seeds 1-8 (seed 1 under
+   --quick), under BASE without TOKEN and BASE with it.  With no --only,
+   every section runs, the A/B section as ab:fp, ab:tv, ab:lazy and
+   ab:sf. *)
 
 open Captured_apps
 module Config = Captured_stm.Config
@@ -17,6 +19,7 @@ module Stats = Captured_stm.Stats
 module Txn = Captured_stm.Txn
 module Alloc_log = Captured_core.Alloc_log
 module Ustats = Captured_util.Stats
+module Profile = Captured_util.Profile
 
 (* [ab:TOKEN@BASE]'s two arms, both spelled by [Config.to_string]: BASE
    with TOKEN's fields at their defaults, then that plus [+TOKEN]. *)
@@ -125,7 +128,9 @@ let improvement ~base x = 100. *. (base -. x) /. base
 
 let str s = "\"" ^ s ^ "\""
 
-(* Every section's JSON line: the section's own keys, every counter
+(* Every section's JSON line: the section, the build profile
+   ([Profile.profile]: only the default release build inlines across
+   modules), the section's own keys, every counter
    ({!Stats.json_fields}), then the abort ratio, the makespan (cycles; ns
    on native runs) and the wall time. *)
 let json_line ~section extras (r : Engine.result) =
@@ -135,7 +140,8 @@ let json_line ~section extras (r : Engine.result) =
     (String.concat ","
        (List.map
           (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v)
-          (("section", str section) :: extras)))
+          (("section", str section) :: ("profile", str Profile.profile)
+          :: extras)))
     (Stats.json_fields s) (Stats.abort_ratio s) r.Engine.makespan
     (1000. *. r.Engine.wall)
 
@@ -361,23 +367,102 @@ let fig11b_configs =
 let fig11b () = fig11 ~name:"11b (heap, write-only runtime checks)" fig11b_configs
 
 (* ------------------------------------------------------------------ *)
+(* Bechamel harness, shared by micro and calibrate                      *)
+
+(* One world per flavour; each measured closure runs one transaction of
+   [accesses] accesses (plus begin/commit), so figures are directly
+   comparable. *)
+let accesses = 64
+
+let mk_world cfg =
+  let w = Engine.create ~nthreads:1 cfg in
+  let cell = Captured_tmem.Alloc.alloc (Engine.global_arena w) accesses in
+  let th = Engine.setup_thread w in
+  (th, cell)
+
+let empty_txn () =
+  let th, _ = mk_world Config.baseline in
+  Bechamel.Staged.stage (fun () -> Txn.atomic th (fun _ -> ()))
+
+(* [reads] reads of one block the transaction allocated: captured, so
+   elided under a runtime analysis, or under the compiler analysis at a
+   [site] it proved captured. *)
+let txn_captured_reads ?(reads = accesses)
+    ?(site = Captured_core.Site.anonymous_read) cfg =
+  let th, _ = mk_world cfg in
+  Bechamel.Staged.stage (fun () ->
+      Txn.atomic th (fun tx ->
+          let b = Txn.alloc tx accesses in
+          Txn.write tx b 1;
+          for _ = 1 to reads do
+            ignore (Txn.read_at ~site tx b : int)
+          done;
+          Txn.free tx b))
+
+(* Re-reads: [accesses] lines, each read at two line-mates [m] and
+   [m + 1] (one read-log entry per line, naming the address read last).
+   Then [reread_passes] passes re-read [m + 1] — forwarded from the
+   entry — or alternate [m], [m + 1], ... so each re-read names the
+   address the entry does not and takes the full barrier (orec load, data
+   load, orec load, map probe).  [None]: the first pass only, the
+   baseline both are measured against. *)
+let reread_passes = 64
+
+let txn_rereads forwarded =
+  let line = Captured_stm.Orec.line_words in
+  let w = Engine.create ~nthreads:1 Config.baseline in
+  let cell =
+    Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
+  in
+  (* An array block: line-aligned, so [m] and [m + 1] are line-mates. *)
+  assert (Captured_stm.Orec.line_words_at (Engine.orecs w) cell = line);
+  let th = Engine.setup_thread w in
+  let lines = Array.init accesses (fun k -> cell + (k * line)) in
+  Bechamel.Staged.stage (fun () ->
+      Txn.atomic th (fun tx ->
+          Array.iter
+            (fun m ->
+              ignore (Txn.read tx m : int);
+              ignore (Txn.read tx (m + 1) : int))
+            lines;
+          match forwarded with
+          | None -> ()
+          | Some fwd ->
+              for p = 1 to reread_passes do
+                let d = if fwd then 1 else (p + 1) land 1 in
+                Array.iter (fun m -> ignore (Txn.read tx (m + d) : int)) lines
+              done))
+
+(* Bechamel's OLS estimate, in ns per run, of each test (grouped names,
+   "group/test"), sorted by name; [None] where the fit failed. *)
+let bechamel_ns tests =
+  let open Bechamel in
+  let open Toolkit in
+  let cfg =
+    Benchmark.cfg ~limit:2000
+      ~quota:(Time.second (if !quick then 0.1 else 0.4))
+      ~kde:None ()
+  in
+  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
+  let ols =
+    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
+  in
+  let results = Analyze.all ols Instance.monotonic_clock raw in
+  Hashtbl.fold
+    (fun name r acc ->
+      let est =
+        match Analyze.OLS.estimates r with Some (e :: _) -> Some e | _ -> None
+      in
+      (name, est) :: acc)
+    results []
+  |> List.sort compare
+
+(* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (Bechamel): barrier and capture-check costs         *)
 
 let micro () =
   headline "Micro: barrier & capture-check latencies (Bechamel, ns per txn)";
   let open Bechamel in
-  let open Toolkit in
-  (* One world per flavour; each measured closure runs one transaction of
-     64 accesses (plus begin/commit), so figures are directly comparable. *)
-  let accesses = 64 in
-  let mk_world cfg =
-    let w = Engine.create ~nthreads:1 cfg in
-    let cell =
-      Captured_tmem.Alloc.alloc (Engine.global_arena w) accesses
-    in
-    let th = Engine.setup_thread w in
-    (th, cell)
-  in
   let txn_shared_reads cfg =
     let th, cell = mk_world cfg in
     Staged.stage (fun () ->
@@ -406,54 +491,6 @@ let micro () =
             done;
             Txn.free tx b))
   in
-  let txn_captured_reads cfg =
-    let th, _ = mk_world cfg in
-    Staged.stage (fun () ->
-        Txn.atomic th (fun tx ->
-            let b = Txn.alloc tx accesses in
-            Txn.write tx b 1;
-            for _ = 1 to accesses do
-              ignore (Txn.read tx b : int)
-            done;
-            Txn.free tx b))
-  in
-  (* Re-reads: 64 lines, each read at two line-mates [m] and [m + 1]
-     (one read-log entry per line, naming the address read last).  Then
-     [reread_passes] passes re-read [m + 1] — forwarded from the entry —
-     or alternate [m], [m + 1], ... so each re-read names the address the
-     entry does not and takes the full barrier (orec load, data load,
-     orec load, map probe).  [None]: the first pass only, the baseline
-     both are measured against. *)
-  let reread_passes = 64 in
-  let txn_rereads forwarded =
-    let line = Captured_stm.Orec.line_words in
-    let w = Engine.create ~nthreads:1 Config.baseline in
-    let cell =
-      Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
-    in
-    (* An array block: line-aligned, so [m] and [m + 1] are line-mates. *)
-    assert (Captured_stm.Orec.line_words_at (Engine.orecs w) cell = line);
-    let th = Engine.setup_thread w in
-    let lines = Array.init accesses (fun k -> cell + (k * line)) in
-    Staged.stage (fun () ->
-        Txn.atomic th (fun tx ->
-            Array.iter
-              (fun m ->
-                ignore (Txn.read tx m : int);
-                ignore (Txn.read tx (m + 1) : int))
-              lines;
-            match forwarded with
-            | None -> ()
-            | Some fwd ->
-                for p = 1 to reread_passes do
-                  let d = if fwd then 1 else (p + 1) land 1 in
-                  Array.iter (fun m -> ignore (Txn.read tx (m + d) : int)) lines
-                done))
-  in
-  let empty_txn =
-    let th, _ = mk_world Config.baseline in
-    Staged.stage (fun () -> Txn.atomic th (fun _ -> ()))
-  in
   let direct_reads =
     let th, cell = mk_world Config.baseline in
     Staged.stage (fun () ->
@@ -467,7 +504,7 @@ let micro () =
   let tests =
     Test.make_grouped ~name:"stm"
       [
-        Test.make ~name:"empty-txn" empty_txn;
+        Test.make ~name:"empty-txn" (empty_txn ());
         Test.make ~name:"direct-64-reads" direct_reads;
         Test.make ~name:"baseline-64-shared-reads" (txn_shared_reads Config.baseline);
         Test.make ~name:"baseline-64-shared-writes" (txn_shared_writes Config.baseline);
@@ -486,31 +523,15 @@ let micro () =
         Test.make ~name:"baseline-...+4096-rereads(full)" (txn_rereads (Some false));
       ]
   in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if !quick then 0.1 else 0.4))
-      ~kde:None ()
-  in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] in
+  let results = bechamel_ns tests in
   List.iter
-    (fun name ->
-      match Analyze.OLS.estimates (Hashtbl.find results name) with
-      | Some (est :: _) -> Printf.printf "%-42s %12.1f ns\n" name est
-      | Some [] | None -> Printf.printf "%-42s %12s\n" name "n/a")
-    (List.sort compare names);
+    (function
+      | name, Some est -> Printf.printf "%-42s %12.1f ns\n" name est
+      | name, None -> Printf.printf "%-42s %12s\n" name "n/a")
+    results;
   (* The simulator prices a forwarded re-read as an owned read; set the
      native per-read costs beside that ratio. *)
-  let est name =
-    match Hashtbl.find_opt results ("stm/" ^ name) with
-    | Some r -> (
-        match Analyze.OLS.estimates r with Some (e :: _) -> Some e | _ -> None)
-    | None -> None
-  in
+  let est name = Option.join (List.assoc_opt ("stm/" ^ name) results) in
   match
     ( est "baseline-128-line-mate-reads",
       est "baseline-...+4096-rereads(forwarded)",
@@ -527,6 +548,220 @@ let micro () =
         Costs.read_owned Costs.read_barrier
         (float_of_int Costs.read_owned /. float_of_int Costs.read_barrier)
   | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Calibrate: each priced path's native time beside its Costs price     *)
+
+(* One row per path the cost model prices: its native ns per operation,
+   that time scaled so a full read reads [Costs.read_barrier] (28), and
+   the cycles the simulator charges for the same work.  A barrier row is
+   the difference between two transactions that differ only in the
+   measured operations, divided by their number, so begin, commit and
+   the loop cancel; a probe or spin row times a loop of [accesses] bare
+   calls.  The model prices an elided read as its capture check plus
+   [direct_access]; the check rows price the first part, and the elided
+   read the order check uses is the compiler's static elision, which runs
+   no check.  The read the runtime analysis elides, check included, is
+   reported beside it.  The section fails (exit 1) unless the native
+   times keep the model's order: elided < forwarded < full read, summary
+   reject < backend probe.  It is a calibration aid, not a gate: shared
+   hosts move its figures, so CI does not run it. *)
+let calibrate () =
+  headline
+    "Calibrate: native ns per priced path vs Costs (Bechamel; scaled so a \
+     full read = %d)"
+    Captured_stm.Costs.read_barrier;
+  let open Bechamel in
+  let module Costs = Captured_stm.Costs in
+  let module Orec = Captured_stm.Orec in
+  let module Site = Captured_core.Site in
+  (* Read-for-write on [accesses] lines of an array block, one orec
+     each; the write that would follow is left out, so a row is one
+     acquisition plus its release at commit. *)
+  let txn_rfw =
+    let line = Orec.line_words in
+    let w = Engine.create ~nthreads:1 Config.baseline in
+    let cell =
+      Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
+    in
+    let th = Engine.setup_thread w in
+    Staged.stage (fun () ->
+        Txn.atomic th (fun tx ->
+            for k = 0 to accesses - 1 do
+              ignore
+                (Txn.read_for_write_at ~site:Site.anonymous_read tx
+                   (cell + (k * line))
+                  : int)
+            done))
+  in
+  (* A fast-path tree log of [blocks] 32-word blocks 64 words apart.
+     Probes below its envelope are summary rejects; probes into the gaps
+     pass the summary, miss the MRU block and take the tree (a miss
+     leaves the MRU entry as it was). *)
+  let blocks = 8 and base = 1 lsl 20 in
+  let log = Alloc_log.create ~fastpath:true Alloc_log.Tree in
+  for k = 0 to blocks - 1 do
+    ignore (Alloc_log.add log ~lo:(base + (64 * k)) ~hi:(base + (64 * k) + 32)
+             : Alloc_log.added)
+  done;
+  let probe_at first k = first + (64 * (k mod (blocks - 1))) in
+  let backend_path =
+    Printf.sprintf "capture backend probe (tree, %d blocks)" blocks
+  in
+  let reject_at = probe_at 0 and gap_at = probe_at (base + 40) in
+  assert (Alloc_log.probe log ~lo:(reject_at 1) ~hi:(reject_at 1 + 1)
+          = Alloc_log.Summary_reject);
+  assert (Alloc_log.probe log ~lo:(gap_at 1) ~hi:(gap_at 1 + 1)
+          = Alloc_log.Backend_miss);
+  let probes at =
+    Staged.stage (fun () ->
+        for k = 0 to accesses - 1 do
+          ignore
+            (Sys.opaque_identity (Alloc_log.probe log ~lo:(at k) ~hi:(at k + 1)))
+        done)
+  in
+  (* A native lock-wait spin: load the orec, find it locked (here by a
+     thread that never comes), relax. *)
+  let lock_spins =
+    let w = Engine.create ~nthreads:1 Config.baseline in
+    let orecs = Engine.orecs w in
+    let locked = Orec.try_lock orecs 0 ~owner:1 ~expected:(Orec.get orecs 0) in
+    assert locked;
+    let platform = Captured_sim.Platform.native ~tid:0 in
+    Staged.stage (fun () ->
+        for _ = 1 to accesses do
+          if Orec.is_locked (Orec.get orecs 0) then platform.yield ()
+        done)
+  in
+  let static_site = Site.declare ~write:false "calibrate.captured" in
+  Site.set_captured static_site;
+  let cfg_fp = config "tree+fp" and cfg_compiler = config "compiler" in
+  let rereads = reread_passes * accesses in
+  let tests =
+    Test.make_grouped ~name:"calibrate"
+      [
+        Test.make ~name:"reread-base" (txn_rereads None);
+        Test.make ~name:"reread-forwarded" (txn_rereads (Some true));
+        Test.make ~name:"reread-full" (txn_rereads (Some false));
+        Test.make ~name:"static-base"
+          (txn_captured_reads ~reads:0 ~site:static_site cfg_compiler);
+        Test.make ~name:"static-reads"
+          (txn_captured_reads ~reads:rereads ~site:static_site cfg_compiler);
+        Test.make ~name:"runtime-base" (txn_captured_reads ~reads:0 cfg_fp);
+        Test.make ~name:"runtime-reads"
+          (txn_captured_reads ~reads:rereads cfg_fp);
+        Test.make ~name:"empty-txn" (empty_txn ());
+        Test.make ~name:"rfw" txn_rfw;
+        Test.make ~name:"summary-reject" (probes reject_at);
+        Test.make ~name:"backend-probe" (probes gap_at);
+        Test.make ~name:"lock-spin" lock_spins;
+      ]
+  in
+  (* Each row's ns per operation, from one round's estimates [est]. *)
+  let per ?base name n est =
+    match (est name, Option.fold ~none:(Some 0.) ~some:est base) with
+    | Some t, Some b -> Some ((t -. b) /. float_of_int n)
+    | _ -> None
+  in
+  (* (path, measurement, simulator cycles, how the model prices it) *)
+  let specs =
+    [
+      ( "read full",
+        per ~base:"reread-base" "reread-full" rereads,
+        Costs.read_barrier,
+        "read_barrier" );
+      ( "read forwarded",
+        per ~base:"reread-base" "reread-forwarded" rereads,
+        Costs.read_owned,
+        "read_owned" );
+      ( "read elided (compiler, static)",
+        per ~base:"static-base" "static-reads" rereads,
+        Costs.direct_access,
+        "direct_access" );
+      ( "read elided (tree+fp, check included)",
+        per ~base:"runtime-base" "runtime-reads" rereads,
+        Costs.site_check + Costs.stack_check + Costs.capture_summary_check
+        + Costs.direct_access,
+        "site_check + stack_check + capture_summary_check + direct_access" );
+      ( "read-for-write",
+        per ~base:"empty-txn" "rfw" accesses,
+        Costs.write_barrier_acquire + Costs.commit_per_orec,
+        "write_barrier_acquire + commit_per_orec" );
+      ( "capture summary reject",
+        per "summary-reject" accesses,
+        Costs.capture_summary_check,
+        "capture_summary_check" );
+      ( backend_path,
+        per "backend-probe" accesses,
+        Costs.capture_summary_check + Costs.capture_mru_check
+        + Alloc_log.search_cost log,
+        "capture_summary_check + capture_mru_check + Alloc_log.search_cost" );
+      ("lock-spin step", per "lock-spin" accesses, Costs.lock_spin, "lock_spin");
+    ]
+  in
+  (* A shared host drifts over the seconds one round takes, so the whole
+     set is measured [rounds] times and each row reports its median; a
+     row and its base are neighbours in the test list, so each round's
+     difference is taken close in time. *)
+  let rounds = if !quick then 1 else 5 in
+  let samples =
+    List.init rounds (fun _ ->
+        let results = bechamel_ns tests in
+        let est name =
+          Option.join (List.assoc_opt ("calibrate/" ^ name) results)
+        in
+        List.map (fun (_, measure, _, _) -> measure est) specs)
+  in
+  let rows =
+    List.mapi
+      (fun i (path, _, cycles, model) ->
+        let values = List.filter_map (fun round -> List.nth round i) samples in
+        let t =
+          if List.length values = rounds then Some (Ustats.median values)
+          else None
+        in
+        (path, t, cycles, model))
+      specs
+  in
+  let ns path =
+    let _, t, _, _ = List.find (fun (p, _, _, _) -> p = path) rows in
+    t
+  in
+  let full = ns "read full" in
+  Printf.printf "%-40s %9s %9s %7s  %s\n" "path" "ns/op" "scaled" "cycles"
+    "Costs";
+  List.iter
+    (fun (path, t, cycles, model) ->
+      let scaled =
+        match (t, full) with
+        | Some t, Some f when f > 0. ->
+            Some (t *. float_of_int Costs.read_barrier /. f)
+        | _ -> None
+      in
+      let cell = Option.fold ~none:"n/a" ~some:(Printf.sprintf "%.1f") in
+      Printf.printf "%-40s %9s %9s %7d  %s\n" path (cell t) (cell scaled)
+        cycles model)
+    rows;
+  (* The order the model relies on, strictly increasing. *)
+  let rec increasing = function
+    | Some a :: (Some b :: _ as rest) -> a < b && increasing rest
+    | [ Some _ ] -> true
+    | _ -> false
+  in
+  let broken =
+    List.filter
+      (fun paths -> not (increasing (List.map ns paths)))
+      [
+        [ "read elided (compiler, static)"; "read forwarded"; "read full" ];
+        [ "capture summary reject"; backend_path ];
+      ]
+  in
+  List.iter
+    (fun paths ->
+      Printf.eprintf "calibrate: native order broken: %s\n"
+        (String.concat " < " paths))
+    broken;
+  if broken <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                            *)
@@ -928,18 +1163,19 @@ let ab_section spec =
    banks major-GC work credit that the allocation-driven slices then pay
    back by doing no work, so for the rest of the process no major cycle
    completes and every later simulator run grows the heap for good
-   (nothing is retained: one [Gc.full_major] frees it all).  So [micro]
-   runs in a child process of its own, unless it is all this process
-   runs; the child's banner and closing line are dropped. *)
-let micro_isolated () =
-  if !only = [ "micro" ] then micro ()
+   (nothing is retained: one [Gc.full_major] frees it all).  So each
+   Bechamel section ([micro], [calibrate]) runs in a child process of its
+   own, unless it is all this process runs; the child's banner and closing
+   line are dropped. *)
+let isolated name run () =
+  if !only = [ name ] then run ()
   else begin
     flush stdout;
     let child =
       Unix.open_process_args_in Sys.executable_name
         (Array.of_list
            ((Sys.executable_name :: (if !quick then [ "--quick" ] else []))
-           @ [ "--only"; "micro" ]))
+           @ [ "--only"; name ]))
     in
     (try
        while true do
@@ -953,7 +1189,7 @@ let micro_isolated () =
      with End_of_file -> ());
     match Unix.close_process_in child with
     | Unix.WEXITED 0 -> ()
-    | _ -> fail "micro: the child process failed"
+    | _ -> fail "%s: the child process failed" name
   end
 
 (* Every section in run order; the A/B sections run after them. *)
@@ -966,7 +1202,8 @@ let sections =
     ("fig10", fig10);
     ("fig11a", fig11a);
     ("fig11b", fig11b);
-    ("micro", micro_isolated);
+    ("micro", isolated "micro" micro);
+    ("calibrate", isolated "calibrate" calibrate);
     ("ablation", ablation);
     ("contention", contention);
     ("scale", scale_section);
@@ -993,9 +1230,10 @@ let () =
           (String.concat " " (Registry.names ())))
     !only_apps;
   Printf.printf
-    "captured-memory STM reproduction harness (scale=%s, %d sim threads)\n"
+    "captured-memory STM reproduction harness (scale=%s, %d sim threads, \
+     %s build)\n"
     (if !quick then "test/quick" else "bench")
-    sim_threads;
+    sim_threads Profile.profile;
   List.iter (fun (name, run) -> if wants name then run ()) sections;
   List.iter ab_section
     (if !only = [] then [ "fp"; "tv"; "lazy"; "sf" ]

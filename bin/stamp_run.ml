@@ -18,6 +18,7 @@ module Engine = Captured_stm.Engine
 module Stats = Captured_stm.Stats
 module App = Captured_apps.App
 module Registry = Captured_apps.Registry
+module Profile = Captured_util.Profile
 open Cmdliner
 
 let scale_of_name = function
@@ -27,17 +28,20 @@ let scale_of_name = function
   | other -> Error (Printf.sprintf "unknown scale %s" other)
 
 (* Orec table geometry: runs that differ only in table size behave
-   differently under contention, so every report names it. *)
+   differently under contention, so every report names it.  Every report
+   also names its build profile ([Profile.profile]): only the default
+   release build inlines across modules, which moves every native
+   figure. *)
 let orec_records config = 1 lsl config.Config.orec_bits
 
 let print_json ~app ~config ~threads (r : Engine.result) ~native =
   Printf.printf
     "{\"app\":\"%s\",\"config\":\"%s\",\"threads\":%d,\"backend\":\"%s\",\
-     \"orecs\":%d,\"resident_words\":%d,%s,\"makespan\":%d,\
-     \"wall_ms\":%.3f,\"per_thread_wall_ms\":[%s]}\n"
+     \"profile\":\"%s\",\"orecs\":%d,\"resident_words\":%d,%s,\
+     \"makespan\":%d,\"wall_ms\":%.3f,\"per_thread_wall_ms\":[%s]}\n"
     app (Config.to_string config) threads
     (if native then "native" else "sim")
-    (orec_records config) r.Engine.resident_words
+    Profile.profile (orec_records config) r.Engine.resident_words
     (Stats.json_fields r.Engine.stats)
     r.Engine.makespan
     (1000. *. r.Engine.wall)
@@ -119,10 +123,10 @@ let run_cmd app_name config_name scale_name threads native seed wal_dir json =
              (String.concat " " (Registry.names ())))
     | Some app ->
         if not json then
-          Printf.printf "%s [%s, %d threads, %s, %s, %d orecs]\n\n"
+          Printf.printf "%s [%s, %d threads, %s, %s, %d orecs, %s build]\n\n"
             app.App.name (Config.to_string config) threads scale_name
             (if native then "native domains" else "simulator")
-            (orec_records config);
+            (orec_records config) Profile.profile;
         let mode = if native then `Native else `Sim seed in
         let wal_dir_opt = if wal_dir = "" then None else Some wal_dir in
         let run_outcome =
