@@ -403,12 +403,15 @@ let txn_captured_reads ?(reads = accesses)
    [m + 1] (one read-log entry per line, naming the address read last).
    Then [reread_passes] passes re-read [m + 1] — forwarded from the
    entry — or alternate [m], [m + 1], ... so each re-read names the
-   address the entry does not and takes the full barrier (orec load, data
-   load, orec load, map probe).  [None]: the first pass only, the
-   baseline both are measured against. *)
+   address the entry does not and takes the line-mate path (map probe,
+   data load, one orec load against the logged word).  [None]: the first
+   pass only, the baseline both are measured against. *)
 let reread_passes = 64
 
-let txn_rereads forwarded =
+(* A one-thread baseline world holding an array block of [accesses]
+   lines: its thread and the block, whose [k]th line starts at
+   [cell + k * line_words] and has one orec. *)
+let lines_world () =
   let line = Captured_stm.Orec.line_words in
   let w = Engine.create ~nthreads:1 Config.baseline in
   let cell =
@@ -416,7 +419,11 @@ let txn_rereads forwarded =
   in
   (* An array block: line-aligned, so [m] and [m + 1] are line-mates. *)
   assert (Captured_stm.Orec.line_words_at (Engine.orecs w) cell = line);
-  let th = Engine.setup_thread w in
+  (Engine.setup_thread w, cell)
+
+let txn_rereads forwarded =
+  let line = Captured_stm.Orec.line_words in
+  let th, cell = lines_world () in
   let lines = Array.init accesses (fun k -> cell + (k * line)) in
   Bechamel.Staged.stage (fun () ->
       Txn.atomic th (fun tx ->
@@ -520,7 +527,8 @@ let micro () =
         Test.make ~name:"baseline-128-line-mate-reads" (txn_rereads None);
         Test.make ~name:"baseline-...+4096-rereads(forwarded)"
           (txn_rereads (Some true));
-        Test.make ~name:"baseline-...+4096-rereads(full)" (txn_rereads (Some false));
+        Test.make ~name:"baseline-...+4096-rereads(line-mate)"
+          (txn_rereads (Some false));
       ]
   in
   let results = bechamel_ns tests in
@@ -529,32 +537,29 @@ let micro () =
       | name, Some est -> Printf.printf "%-42s %12.1f ns\n" name est
       | name, None -> Printf.printf "%-42s %12s\n" name "n/a")
     results;
-  (* The simulator prices a forwarded re-read as an owned read; set the
-     native per-read costs beside that ratio. *)
+  (* The simulator prices a forwarded and a line-mate re-read alike, as
+     an owned read; set the native per-read costs beside each other. *)
   let est name = Option.join (List.assoc_opt ("stm/" ^ name) results) in
   match
     ( est "baseline-128-line-mate-reads",
       est "baseline-...+4096-rereads(forwarded)",
-      est "baseline-...+4096-rereads(full)" )
+      est "baseline-...+4096-rereads(line-mate)" )
   with
-  | Some base, Some fwd, Some full ->
+  | Some base, Some fwd, Some mate ->
       let per t = (t -. base) /. float_of_int (reread_passes * accesses) in
-      let module Costs = Captured_stm.Costs in
       Printf.printf
-        "# re-read per read: forwarded %.1f ns, full barrier %.1f ns, ratio \
-         %.2f (simulated %d / %d = %.2f)\n"
-        (per fwd) (per full)
-        (per fwd /. per full)
-        Costs.read_owned Costs.read_barrier
-        (float_of_int Costs.read_owned /. float_of_int Costs.read_barrier)
+        "# re-read per read: forwarded %.1f ns, line-mate %.1f ns (both \
+         simulated at read_owned = %d)\n"
+        (per fwd) (per mate) Captured_stm.Costs.read_owned
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Calibrate: each priced path's native time beside its Costs price     *)
 
 (* One row per path the cost model prices: its native ns per operation,
-   that time scaled so a full read reads [Costs.read_barrier] (28), and
-   the cycles the simulator charges for the same work.  A barrier row is
+   that time scaled so a fresh read reads its price (the read barrier
+   plus its entry's share of commit validation, 32), and the cycles the
+   simulator charges for the same work.  A barrier row is
    the difference between two transactions that differ only in the
    measured operations, divided by their number, so begin, commit and
    the loop cancel; a probe or spin row times a loop of [accesses] bare
@@ -563,16 +568,20 @@ let micro () =
    read the order check uses is the compiler's static elision, which runs
    no check.  The read the runtime analysis elides, check included, is
    reported beside it.  The section fails (exit 1) unless the native
-   times keep the model's order: elided < forwarded < full read, summary
-   reject < backend probe.  It is a calibration aid, not a gate: shared
-   hosts move its figures, so CI does not run it. *)
+   times keep the model's order: elided < forwarded < fresh read,
+   elided < line-mate read < fresh read, summary reject < backend
+   probe.  It is a calibration aid, not a gate: shared hosts move its
+   figures, so CI does not run it. *)
 let calibrate () =
+  let module Costs = Captured_stm.Costs in
+  let fresh_cycles =
+    Costs.read_barrier + Costs.commit_per_read + Costs.validate_per_read
+  in
   headline
     "Calibrate: native ns per priced path vs Costs (Bechamel; scaled so a \
-     full read = %d)"
-    Captured_stm.Costs.read_barrier;
+     fresh read = %d)"
+    fresh_cycles;
   let open Bechamel in
-  let module Costs = Captured_stm.Costs in
   let module Orec = Captured_stm.Orec in
   let module Site = Captured_core.Site in
   (* Read-for-write on [accesses] lines of an array block, one orec
@@ -580,11 +589,7 @@ let calibrate () =
      acquisition plus its release at commit. *)
   let txn_rfw =
     let line = Orec.line_words in
-    let w = Engine.create ~nthreads:1 Config.baseline in
-    let cell =
-      Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
-    in
-    let th = Engine.setup_thread w in
+    let th, cell = lines_world () in
     Staged.stage (fun () ->
         Txn.atomic th (fun tx ->
             for k = 0 to accesses - 1 do
@@ -633,6 +638,17 @@ let calibrate () =
           if Orec.is_locked (Orec.get orecs 0) then platform.yield ()
         done)
   in
+  (* The first read of each of [accesses] lines of an array block: one
+     fresh read-log entry each, validated at commit. *)
+  let txn_fresh_reads =
+    let line = Orec.line_words in
+    let th, cell = lines_world () in
+    Staged.stage (fun () ->
+        Txn.atomic th (fun tx ->
+            for k = 0 to accesses - 1 do
+              ignore (Txn.read tx (cell + (k * line)) : int)
+            done))
+  in
   let static_site = Site.declare ~write:false "calibrate.captured" in
   Site.set_captured static_site;
   let cfg_fp = config "tree+fp" and cfg_compiler = config "compiler" in
@@ -642,7 +658,7 @@ let calibrate () =
       [
         Test.make ~name:"reread-base" (txn_rereads None);
         Test.make ~name:"reread-forwarded" (txn_rereads (Some true));
-        Test.make ~name:"reread-full" (txn_rereads (Some false));
+        Test.make ~name:"reread-line-mate" (txn_rereads (Some false));
         Test.make ~name:"static-base"
           (txn_captured_reads ~reads:0 ~site:static_site cfg_compiler);
         Test.make ~name:"static-reads"
@@ -650,6 +666,7 @@ let calibrate () =
         Test.make ~name:"runtime-base" (txn_captured_reads ~reads:0 cfg_fp);
         Test.make ~name:"runtime-reads"
           (txn_captured_reads ~reads:rereads cfg_fp);
+        Test.make ~name:"fresh-reads" txn_fresh_reads;
         Test.make ~name:"empty-txn" (empty_txn ());
         Test.make ~name:"rfw" txn_rfw;
         Test.make ~name:"summary-reject" (probes reject_at);
@@ -666,10 +683,14 @@ let calibrate () =
   (* (path, measurement, simulator cycles, how the model prices it) *)
   let specs =
     [
-      ( "read full",
-        per ~base:"reread-base" "reread-full" rereads,
-        Costs.read_barrier,
-        "read_barrier" );
+      ( "read fresh",
+        per ~base:"empty-txn" "fresh-reads" accesses,
+        fresh_cycles,
+        "read_barrier + commit_per_read + validate_per_read" );
+      ( "read line-mate",
+        per ~base:"reread-base" "reread-line-mate" rereads,
+        Costs.read_owned,
+        "read_owned" );
       ( "read forwarded",
         per ~base:"reread-base" "reread-forwarded" rereads,
         Costs.read_owned,
@@ -727,15 +748,15 @@ let calibrate () =
     let _, t, _, _ = List.find (fun (p, _, _, _) -> p = path) rows in
     t
   in
-  let full = ns "read full" in
+  let fresh = ns "read fresh" in
   Printf.printf "%-40s %9s %9s %7s  %s\n" "path" "ns/op" "scaled" "cycles"
     "Costs";
   List.iter
     (fun (path, t, cycles, model) ->
       let scaled =
-        match (t, full) with
+        match (t, fresh) with
         | Some t, Some f when f > 0. ->
-            Some (t *. float_of_int Costs.read_barrier /. f)
+            Some (t *. float_of_int fresh_cycles /. f)
         | _ -> None
       in
       let cell = Option.fold ~none:"n/a" ~some:(Printf.sprintf "%.1f") in
@@ -752,7 +773,8 @@ let calibrate () =
     List.filter
       (fun paths -> not (increasing (List.map ns paths)))
       [
-        [ "read elided (compiler, static)"; "read forwarded"; "read full" ];
+        [ "read elided (compiler, static)"; "read forwarded"; "read fresh" ];
+        [ "read elided (compiler, static)"; "read line-mate"; "read fresh" ];
         [ "capture summary reject"; backend_path ];
       ]
   in

@@ -166,7 +166,8 @@ let workloads_arg =
   let doc =
     "Comma-separated micro workloads (counter, bank, publish, scoped, \
      zombie, zombie_reread, zombie_owned, reread, linemate, recordmix, \
-     longread, free_race, privatize_race).  Default: the first seven — \
+     longread, rfw, rollback, free_race, privatize_race).  Default: the \
+     first seven — \
      fault sweeps drop the three zombies, whose termination depends on \
      the validation machinery faults break, and $(b,--fault \
      premature-reuse) sweeps free_race alone (none when $(b,--apps) is \
@@ -175,7 +176,10 @@ let workloads_arg =
      workload, any cell that rescued no read; recordmix mixes one-word \
      and 4-word conflict granules; longread, the long-read-log lock-wait \
      workload, any cell that extended no lock wait past the spin limit; \
-     the reclaim pair any cell that deferred no free, and is red by \
+     rfw, any eager cell that acquired no orec at a read-for-write; \
+     rollback (a writer's in-place store undone by its abort), any cell \
+     that read no line-mate under its logged word, as reread and \
+     linemate also fail; the reclaim pair any cell that deferred no free, and is red by \
      design without $(b,+ebr), so it must be named explicitly."
   in
   Arg.(value & opt string "" & info [ "workloads"; "w" ] ~docv:"NAMES" ~doc)

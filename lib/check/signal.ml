@@ -33,6 +33,9 @@ let of_stats ?(applies = everywhere) label key f =
 let forwarded =
   of_stats "forwarded reads" "forwarded" (fun s -> s.Stats.reads_forwarded)
 
+let line_mate =
+  of_stats "line-mate reads" "line_mate" (fun s -> s.Stats.reads_line_mate)
+
 let rescued =
   of_stats "value rescues" "rescued" (fun s -> s.Stats.value_rescues)
 
@@ -46,7 +49,7 @@ let rfw =
     ~applies:(fun c -> not c.Captured_stm.Config.lazy_versioning)
     (fun s -> s.Stats.rfw_acquires)
 
-let all = [| dfrees; forwarded; rescued; extended; rfw |]
+let all = [| dfrees; forwarded; line_mate; rescued; extended; rfw |]
 
 let keyed counts =
   Array.to_list (Array.map2 (fun s n -> (s.key, n)) all counts)

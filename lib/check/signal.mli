@@ -19,6 +19,10 @@ val dfrees : t
 val forwarded : t
 (** [Stats.reads_forwarded]. *)
 
+val line_mate : t
+(** [Stats.reads_line_mate]: reads under an orec already in the read
+    log, proved by one orec load. *)
+
 val rescued : t
 (** [Stats.value_rescues]. *)
 

@@ -255,13 +255,15 @@ let zombie ~name ~spin ~nthreads ~rounds =
    the invariant.  Readers read a and c, leave a window for a commit,
    then re-read a (forwarded from its read-log entry), read line-mate b
    (which takes over the entry's forwarding pair), re-read c and b
-   (forwarded) and a (full path: the entry now names b).
+   (forwarded) and a (a line-mate read again: the entry now names b).
    Every other round a reader also writes what it saw, so both the
    read-only fast path and writer commit validation run over forwarded
-   reads.  The oracle holds every committed snapshot to the invariant;
-   the sweep fails a cell that never forwarded a read. *)
+   and line-mate reads.  The oracle holds every committed snapshot to
+   the invariant; the sweep fails a cell that never forwarded a read or
+   never proved a line-mate read by its logged word. *)
 let reread ~nthreads ~rounds =
-  micro "reread" ~floors:[ Signal.forwarded ] ~nthreads rounds (fun config ->
+  micro "reread" ~floors:[ Signal.forwarded; Signal.line_mate ] ~nthreads
+    rounds (fun config ->
       let world = small_world ~nthreads config in
       let arena = Engine.global_arena world in
       let line = Captured_stm.Orec.line_words in
@@ -337,9 +339,10 @@ let reread ~nthreads ~rounds =
    thread's word and then its own: the entry's logged pair is the
    unchanged own word, and only the entry's several-addresses mark keeps
    validation from rescuing the changed one.  The sweep fails a cell
-   that rescued nothing. *)
+   that rescued nothing, or read no line-mate under its logged word. *)
 let linemate ~nthreads ~rounds =
-  micro "linemate" ~floors:[ Signal.rescued ] ~nthreads rounds (fun config ->
+  micro "linemate" ~floors:[ Signal.rescued; Signal.line_mate ] ~nthreads
+    rounds (fun config ->
       let world = small_world ~nthreads config in
       let arena = Engine.global_arena world in
       let line = Captured_stm.Orec.line_words in
@@ -596,6 +599,90 @@ let rfw ~nthreads ~rounds =
       in
       { App.world; body; verify })
 
+(* Rollback: no reader may admit a value that only an aborted writer
+   stored.  Cells [a] and [b] share a conflict-detection line (one orec)
+   and are equal in every committed state.  Each round thread 0 stores
+   [dirty] into [a], yields, user-aborts and yields again, then commits
+   an increment of both.  Eagerly the store is in place, under the held
+   orec, and the abort's undo puts [a] back before the release; the
+   yields hand the reader the windows on either side of the abort.
+   Readers read [a] and [b] alternately, four reads with a window
+   between each two, and record the spread of what they saw: [a] first in odd
+   rounds (a fresh read under the orec sandwich; the later reads are
+   line-mates) and [b] first in even rounds (every read of [a] is a
+   line-mate, proved by one orec load after its value load).  If the
+   abort released the orec with the word the reader had logged, a
+   reader whose value load fell before the abort and its orec load
+   after would admit [dirty]: the oracle flags the read, and the
+   recorded spread shows it.  Under [+lazy] the store never reaches
+   memory.  The sweep fails a cell that read no line-mate under its
+   logged word. *)
+let rollback ~nthreads ~rounds =
+  micro "rollback" ~floors:[ Signal.line_mate ] ~nthreads rounds
+    (fun config ->
+      let world = small_world ~nthreads config in
+      let arena = Engine.global_arena world in
+      let line = Captured_stm.Orec.line_words in
+      let block = Alloc.alloc arena (4 * line) in
+      assert (
+        Captured_stm.Orec.line_words_at (Engine.orecs world) block = line);
+      let a = (block + line - 1) land lnot (line - 1) in
+      let b = a + 1 in
+      let dirty = 666 in
+      let seen = Alloc.alloc arena nthreads in
+      let body th =
+        let tid = Txn.thread_id th in
+        if tid = 0 then
+          for _ = 1 to rounds do
+            (try
+               Txn.atomic th (fun tx ->
+                   Txn.write tx a dirty;
+                   Txn.yield_hint th;
+                   Txn.abort tx)
+             with Txn.User_abort -> ());
+            Txn.yield_hint th;
+            Txn.atomic th (fun tx ->
+                Txn.write tx a (Txn.read tx a + 1);
+                Txn.write tx b (Txn.read tx b + 1))
+          done
+        else
+          for r = 1 to rounds do
+            let first, second = if r land 1 = 1 then (a, b) else (b, a) in
+            Txn.atomic th (fun tx ->
+                let x1 = Txn.read tx first in
+                Txn.tx_work tx 2;
+                let y1 = Txn.read tx second in
+                Txn.tx_work tx 2;
+                let x2 = Txn.read tx first in
+                Txn.tx_work tx 2;
+                let y2 = Txn.read tx second in
+                let lo = min (min x1 x2) (min y1 y2)
+                and hi = max (max x1 x2) (max y1 y2) in
+                Txn.write tx (seen + tid) (hi - lo));
+            Txn.work th 3
+          done
+      in
+      let verify () =
+        let mem = Engine.memory world in
+        let torn =
+          List.find_opt
+            (fun tid -> Memory.get mem (seen + tid) <> 0)
+            (List.init (nthreads - 1) (fun i -> i + 1))
+        in
+        if Memory.get mem a <> rounds || Memory.get mem b <> rounds then
+          Error
+            (Printf.sprintf "rollback cells (%d, %d), expected %d"
+               (Memory.get mem a) (Memory.get mem b) rounds)
+        else
+          match torn with
+          | Some tid ->
+              Error
+                (Printf.sprintf "reader %d saw the cells differ by %d" tid
+                   (Memory.get mem (seen + tid)))
+          | None -> Ok ()
+      in
+      { App.world; body; verify })
+
 (* Free race: the reclamation hazard end to end.  Thread 0 publishes a
    fresh node, retracts it with a deferred [Txn.free], then immediately
    allocates the same size class — without [+ebr] the LIFO free list
@@ -764,6 +851,7 @@ let micros ~nthreads =
     recordmix ~nthreads ~rounds:4;
     longread ~nthreads ~rounds:2;
     rfw ~nthreads ~rounds:3;
+    rollback ~nthreads ~rounds:3;
   ]
 
 (* Kept out of [micros]: without [+ebr] these are red by design (they

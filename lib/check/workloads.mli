@@ -14,10 +14,11 @@ type t = {
           readers; app workloads coordinate their frees themselves *)
   floors : Signal.t list;
       (** vacuity floors: a sweep cell must record each listed signal at
-          least once — {!reread} forwarded reads, {!linemate} value
-          rescues, {!longread} extended lock waits, {!rfw} read-for-write
-          acquisitions (eager cells only), the reclaim pair deferred
-          frees; no other workload lists one *)
+          least once — {!reread} forwarded and line-mate reads,
+          {!linemate} value rescues and line-mate reads, {!rollback}
+          line-mate reads, {!longread} extended lock waits, {!rfw}
+          read-for-write acquisitions (eager cells only), the reclaim
+          pair deferred frees; no other workload lists one *)
   prepare : Config.t -> App.prepared;
 }
 
@@ -80,8 +81,16 @@ val rfw : nthreads:int -> rounds:int -> t
     cells end equal to the number of increments, and every difference
     recorded is 0. *)
 
+val rollback : nthreads:int -> rounds:int -> t
+(** Rollback: a writer stores a value in place, then aborts, while
+    readers read its cell fresh and as a line-mate of a cell they read
+    first, and record the difference of the two cells (0 in every
+    committed state).  A reader that admits the aborted value is an
+    opacity violation: an eager abort must not hand back the orec word
+    the reader logged. *)
+
 val micros : nthreads:int -> t list
-(** The twelve micro workloads at smoke-test sizes. *)
+(** The thirteen micro workloads at smoke-test sizes. *)
 
 val free_race : nthreads:int -> rounds:int -> t
 (** Publish / retract-with-deferred-free / recycle-same-class against

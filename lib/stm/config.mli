@@ -99,7 +99,6 @@ type t = {
           [false] (default) frees at commit, bit for bit as before. *)
 }
 
-val full_scope : scope
 val write_only_scope : scope
 (** Stack+heap checks, write barriers only. *)
 

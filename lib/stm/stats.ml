@@ -11,6 +11,7 @@ type t = {
   mutable reads_elided_private : int;
   mutable reads_elided_static : int;
   mutable reads_forwarded : int;
+  mutable reads_line_mate : int;
   mutable writes_elided_stack : int;
   mutable writes_elided_heap : int;
   mutable writes_elided_private : int;
@@ -84,6 +85,7 @@ let create () =
     reads_elided_private = 0;
     reads_elided_static = 0;
     reads_forwarded = 0;
+    reads_line_mate = 0;
     writes_elided_stack = 0;
     writes_elided_heap = 0;
     writes_elided_private = 0;
@@ -196,6 +198,8 @@ let counters =
       (fun t v -> t.reads_elided_static <- v);
     sum "reads_forwarded" (fun t -> t.reads_forwarded)
       (fun t v -> t.reads_forwarded <- v);
+    sum "reads_line_mate" (fun t -> t.reads_line_mate)
+      (fun t v -> t.reads_line_mate <- v);
     sum "writes_elided_stack" (fun t -> t.writes_elided_stack)
       (fun t v -> t.writes_elided_stack <- v);
     sum "writes_elided_heap" (fun t -> t.writes_elided_heap)

@@ -27,6 +27,11 @@ type t = {
       (** Instrumented reads of an address the attempt had already read,
           answered from the read log without the orec sandwich (a subset
           of [reads] minus the elided ones). *)
+  mutable reads_line_mate : int;
+      (** Instrumented reads under an orec already in the read log that
+          were not forwarded (another address of the line, or a value
+          this thread's own direct store changed), proved current by one
+          orec load against the logged word. *)
   mutable writes_elided_stack : int;
   mutable writes_elided_heap : int;
   mutable writes_elided_private : int;

@@ -117,6 +117,9 @@ type thread = {
   mutable acq_orecs : int array;
   mutable acq_prev : int array;
   mutable n_acq : int;
+  (* The attempt has stored into memory under an acquired orec (eager
+     versioning): its abort must release fresh words ([abort_word]). *)
+  mutable wrote_in_place : bool;
   (* Write-after-write filter: addresses already undo-logged (or, lazily,
      journalled) in the current scope, one word each ([waw_note]). *)
   waw : Range_filter.t;
@@ -218,6 +221,7 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     acq_orecs = Array.make 16 0;
     acq_prev = Array.make 16 0;
     n_acq = 0;
+    wrote_in_place = false;
     (* 1024 buckets: the collision pattern decides which rewrites get a
        redundant undo entry, and undo entries are charged cycles. *)
     waw = Range_filter.create ~buckets:1024 ();
@@ -825,6 +829,10 @@ let rec full_read_loop tx oi addr logged spins =
     full_read_loop tx oi addr logged (spins + 1)
   end
   else begin
+    (* Zero-cycle decision points around the data load, as in [release]:
+       the checker can preempt between the two orec loads and the value,
+       where a peer's in-place write and abort fit natively. *)
+    tx.platform.consume 0;
     let v = mem_get tx addr in
     (* Debug mode: pin the data load before the confirming orec load even
        under a hypothetically weaker model (see Config.fences). *)
@@ -844,6 +852,7 @@ let rec full_read_loop tx oi addr logged spins =
       end
     end
     else begin
+    tx.platform.consume 0;
     let w2 = Orec.get tx.orecs oi in
     if w1 = w2 then begin
       (* Dedup: log each orec once; observing a *different* version than
@@ -900,33 +909,61 @@ let owned_read tx addr =
 (* A read of an orec this attempt does not own; [logged] is its read-log
    position, -1 when fresh. *)
 let unowned_read tx oi addr logged =
-  if
-    logged >= 0
-    && Array.unsafe_get tx.read_addrs logged = addr
-    && mem_get tx addr = Array.unsafe_get tx.read_vals logged
-  then begin
-    (* Read-after-read forwarding: this attempt already read [addr]
-       under the logged word, and the logged value is the one its
-       snapshot holds — the first read's sandwich proved it current
-       under that word, and every validation since re-checked the word
-       — so the orec sandwich would only re-prove it.  Commit
-       validation still catches a concurrent commit to the line.  The
-       value guard is for this thread's own direct stores (elided
-       captured or private writes, raw stores), which bump no orec yet
-       can follow a full-barrier read (reads outside the check scope,
-       or at a bypassed +fp site): memory that no longer holds the
-       logged value takes the full path.  The price is an owned
-       read's: the map lookup plus one data load.  Under Scan a fresh
-       read is logged unchecked, so a zombie spinning on re-reads of
-       it is ended only by the fuel [read_at] burns. *)
-    tx.stats.reads_forwarded <- tx.stats.reads_forwarded + 1;
-    tx.platform.consume Costs.read_owned;
-    Array.unsafe_get tx.read_vals logged
-  end
-  else begin
+  if logged < 0 then begin
     tx.platform.consume Costs.read_barrier;
     full_read_loop tx oi addr logged 0
   end
+  else
+    let v = mem_get tx addr in
+    if
+      Array.unsafe_get tx.read_addrs logged = addr
+      && v = Array.unsafe_get tx.read_vals logged
+    then begin
+      (* Read-after-read forwarding: this attempt already read [addr]
+         under the logged word, and the logged value is the one its
+         snapshot holds — the first read's sandwich proved it current
+         under that word, and every validation since re-checked the word
+         — so the orec sandwich would only re-prove it.  Commit
+         validation still catches a concurrent commit to the line.  The
+         value guard is for this thread's own direct stores (elided
+         captured or private writes, raw stores), which bump no orec yet
+         can follow a full-barrier read (reads outside the check scope,
+         or at a bypassed +fp site): memory that no longer holds the
+         logged value takes the line-mate path below.  The price is an
+         owned read's: the map lookup plus one data load.  Under Scan a
+         fresh read is logged unchecked, so a zombie spinning on re-reads
+         of it is ended only by the fuel [read_at] burns. *)
+      tx.stats.reads_forwarded <- tx.stats.reads_forwarded + 1;
+      tx.platform.consume Costs.read_owned;
+      v
+    end
+    else begin
+      (* Line-mate read: another address under the logged orec (or this
+         one, changed by the thread's own direct store).  The orec held
+         the logged word when the entry was made, and a word never
+         returns once it leaves an orec (an eager abort that wrote in
+         place releases a fresh one, [abort_word]), so finding it again
+         after the data load proves the orec never moved in between:
+         [v] is current under the logged word.  One orec load replaces
+         the sandwich; the charge sits between the two loads, the window
+         a peer's commit can land in natively.  Any other word takes the
+         full barrier, which spins on a lock or aborts on a newer
+         version. *)
+      tx.platform.consume Costs.read_owned;
+      if tx.config.Config.fences then fence tx;
+      if Orec.get tx.orecs oi = Array.unsafe_get tx.read_words logged then begin
+        tx.stats.reads_line_mate <- tx.stats.reads_line_mate + 1;
+        if Array.unsafe_get tx.read_addrs logged <> addr then
+          Array.unsafe_set tx.read_multi logged 1;
+        Array.unsafe_set tx.read_addrs logged addr;
+        Array.unsafe_set tx.read_vals logged v;
+        v
+      end
+      else begin
+        tx.platform.consume Costs.read_barrier;
+        full_read_loop tx oi addr logged 0
+      end
+    end
 
 let full_read tx addr =
   let oi = Orec.index_of tx.orecs addr in
@@ -1044,6 +1081,7 @@ let full_write tx addr v =
     tx.platform.consume Costs.undo_log_entry;
     push_undo tx addr (mem_get tx addr)
   end;
+  tx.wrote_in_place <- true;
   mem_set tx addr v
 
 (* The direct store of an elided write.  Durably, captured
@@ -1311,6 +1349,7 @@ let begin_top tx ~attempt =
   Int_map.next_attempt tx.read_index;
   tx.n_undo <- 0;
   tx.n_acq <- 0;
+  tx.wrote_in_place <- false;
   tx.fuel <- Costs.fuel_budget;
   tx.blocker <- -1;
   (* Only the Global clock has a snapshot timestamp; skipping the clock
@@ -1341,8 +1380,9 @@ let free_scope_allocs th scope =
 (* Release words.  A non-negative word is a stamped version stored into
    every released orec (Global commits).  The two negative
    codes derive each orec's word from the version it held when it was
-   acquired: [restore_prev] puts that version back (abort), [bump_prev]
-   stores it plus one (Scan commit). *)
+   acquired: [restore_prev] puts that version back (an abort that wrote
+   nothing in place), [bump_prev] stores it plus one (Scan commit, or a
+   Scan abort that did, [abort_word]). *)
 let restore_prev = -1
 let bump_prev = -2
 
@@ -1625,6 +1665,27 @@ let commit_top tx =
   if fsync > 0 then tx.platform.consume fsync;
   commit_epilogue tx
 
+(* The word an aborting attempt releases its orecs with.  An attempt
+   that never stored in place (lazy versioning, or eager before its
+   first write) puts each orec's old version back.  One that did hands
+   out a word no orec held before: a reader may have loaded its
+   uncommitted store between two loads of the orec, and finding the old
+   word on the far side must not vouch for that value (the line-mate
+   read in [unowned_read] rests on this, and so does the sandwich of
+   [full_read_loop]).  Under Scan that is the old version + 1, the word
+   a commit would store; under Global a fresh clock value, since the
+   old version + 1 could equal the stamp the next commit draws while
+   the clock has not moved. *)
+let abort_word tx =
+  if not tx.wrote_in_place then restore_prev
+  else
+    match tx.clock with
+    | Scan -> bump_prev
+    | Global ->
+        tx.platform.consume Costs.clock_advance;
+        tx.stats.clock_advances <- tx.stats.clock_advances + 1;
+        Orec.stamped ~ts:(Orec.advance_clock tx.orecs)
+
 let abort_top tx ~user =
   tx.platform.consume Costs.abort_base;
   if tx.config.Config.lazy_versioning then
@@ -1635,7 +1696,7 @@ let abort_top tx ~user =
        it. *)
     tx.n_undo <- 0
   else rollback_undo tx ~down_to:0;
-  release tx ~word:restore_prev;
+  release tx ~word:(abort_word tx);
   (* Free speculative allocations scope by scope, innermost first. *)
   List.iter (fun scope -> free_scope_allocs tx scope) tx.scopes;
   (* Restore the stack to the outermost scope's entry point. *)

@@ -81,7 +81,7 @@ val copy : t -> t
     conflict-detection granule of its words, that is how many aligned
     words share one ownership record ({!Captured_stm.Orec.index_of}).
     A fresh memory is all [line_log2] (4-word lines).  {!Alloc} turns a
-    page to [word_log2] (one record per word) when an arena's record
+    page to 0 (one record per word) when an arena's record
     cursor first claims it, before any block on it is handed out; no
     page ever changes back, and no other write ever touches the table,
     so a reachable word keeps its record for the memory's lifetime. *)
@@ -93,13 +93,11 @@ val page_words : int
 val line_log2 : int
 (** 2: array pages, stacks and unclaimed memory use 4-word lines. *)
 
-val word_log2 : int
-(** 0: record pages use one-word granules. *)
-
 val granules : t -> Bytes.t
 (** The page table itself, shared (not copied): byte [addr lsr page_log2]
     is [addr]'s granule.  Read-only for everyone but {!mark_word_pages}. *)
 
 val mark_word_pages : t -> lo:addr -> hi:addr -> unit
 (** [mark_word_pages t ~lo ~hi] sets every page meeting [\[lo, hi)] to
-    [word_log2] ([lo < hi]).  Only an arena's record cursor calls it. *)
+    0, one-word granules ([lo < hi]).  Only an arena's record cursor
+    calls it. *)

@@ -1,6 +1,6 @@
 (* Checkpoint image of a memory plus its arena allocators.
 
-   A snapshot is its own word encoding, run-length over the memory:
+   The image's word encoding is run-length over the memory:
 
      [mem_words; n_runs; (addr len v_1 .. v_len)*; n_arenas;
       per arena: base words records_top arrays_low live_blocks live_words
@@ -25,8 +25,6 @@
    needs structural checks, not its own checksum.  Recovery restores
    straight from the log's bytes ([restore_words]), so no copy of the
    image is made on the way back either. *)
-
-type t = int array (* the encoding above *)
 
 let header_words = 2
 
@@ -111,14 +109,6 @@ let write_image im sink =
     im.states;
   flush ()
 
-let capture memory arenas =
-  let im = image memory arenas in
-  let out = Array.make (image_words im) 0 and k = ref 0 in
-  write_image im (fun a pos n ->
-      Array.blit a pos out !k n;
-      k := !k + n);
-  out
-
 (* Structural parse of the [len]-word encoding whose [i]th word is
    [word i].  [into mem_words] is called once the memory size is known
    and returns the sink each run is handed to, as [addr i n] with [i]
@@ -198,26 +188,3 @@ let restore_words ~len word =
   | Ok states ->
       let m = Option.get !memory in
       Ok (m, Array.map (Alloc.restore_state m) states)
-
-let restore t =
-  match restore_words ~len:(Array.length t) (Array.get t) with
-  | Ok r -> r
-  | Error e -> invalid_arg ("Snapshot.restore: " ^ e)
-
-let encode t = t
-
-let decode words =
-  match
-    parse ~len:(Array.length words) (Array.get words) ~into:(fun _ _ _ _ -> ())
-  with
-  | Ok _ -> Ok words
-  | Error _ as e -> e
-
-let live_cells t =
-  let cells = ref 0 and k = ref header_words in
-  for _ = 1 to t.(1) do
-    let n = t.(!k + 1) in
-    cells := !cells + n;
-    k := !k + 2 + n
-  done;
-  !cells

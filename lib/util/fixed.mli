@@ -7,7 +7,6 @@
 
 type t = int
 
-val scale_bits : int
 val one : t
 val zero : t
 

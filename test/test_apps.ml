@@ -24,12 +24,15 @@ let configs =
     Config.audit;
   ]
 
-(* Forwarded reads are a subset of the instrumented ones: an elided read
-   never reaches the read log.  Vacation re-reads addresses in most
-   transactions, so its forwarding can never be silently off. *)
+(* Forwarded and line-mate reads are disjoint subsets of the
+   instrumented ones: an elided read never reaches the read log, and a
+   read that reaches it is answered by at most one of the two paths.
+   Vacation re-reads addresses in most transactions, so its forwarding
+   can never be silently off. *)
 let check_forwarded app (s : Stats.t) =
-  check "forwarded <= reads - elided reads" true
-    (s.Stats.reads_forwarded <= s.Stats.reads - Stats.reads_elided s);
+  check "forwarded + line-mate <= reads - elided reads" true
+    (s.Stats.reads_forwarded + s.Stats.reads_line_mate
+    <= s.Stats.reads - Stats.reads_elided s);
   if List.mem app.App.name [ "vacation-high"; "vacation-low" ] then
     check "vacation forwards re-reads" true (s.Stats.reads_forwarded > 0)
 

@@ -841,10 +841,11 @@ let check_vacuous ~what ~vacuous (cell : Harness.cell) =
 let test_workload_floors () =
   let expected =
     [
-      ("reread", [ "forwarded" ]);
-      ("linemate", [ "rescued" ]);
+      ("reread", [ "forwarded"; "line_mate" ]);
+      ("linemate", [ "rescued"; "line_mate" ]);
       ("longread", [ "extended" ]);
       ("rfw", [ "rfw" ]);
+      ("rollback", [ "line_mate" ]);
       ("free_race", [ "dfrees" ]);
       ("privatize_race", [ "dfrees" ]);
     ]
@@ -894,11 +895,25 @@ let test_verdict_rescued_floor () =
     { Harness.workload; config = tree; reports; union = 40 }
   in
   let linemate = Workloads.linemate ~nthreads:2 ~rounds:3 in
+  (* Its other floor, line-mate reads, is met by a run of its own. *)
+  let mates = recorded Signal.line_mate in
   check_vacuous ~what:"value rescues" ~vacuous:true
-    (cell linemate [ quiet_report ]);
+    (cell linemate [ mates ]);
   check_vacuous ~what:"value rescues" ~vacuous:false
-    (cell linemate [ recorded Signal.rescued ]);
+    (cell linemate [ recorded Signal.rescued; mates ]);
   check_vacuous ~what:"value rescues" ~vacuous:false
+    (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
+
+let test_verdict_line_mate_floor () =
+  let cell workload reports =
+    { Harness.workload; config = tree; reports; union = 40 }
+  in
+  let rollback = Workloads.rollback ~nthreads:2 ~rounds:3 in
+  let what = "line-mate reads" in
+  check_vacuous ~what ~vacuous:true (cell rollback [ quiet_report ]);
+  check_vacuous ~what ~vacuous:false
+    (cell rollback [ recorded Signal.line_mate ]);
+  check_vacuous ~what ~vacuous:false
     (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
 
 let test_verdict_extended_floor () =
@@ -1025,5 +1040,7 @@ let () =
             `Quick test_verdict_extended_floor;
           Alcotest.test_case "eager rfw cell below min_rfw is vacuous"
             `Quick test_verdict_rfw_floor;
+          Alcotest.test_case "rollback cell below min_line_mate is vacuous"
+            `Quick test_verdict_line_mate_floor;
         ] );
     ]

@@ -867,6 +867,164 @@ let test_two_words_not_rescued () =
       check_int (name ^ ": sum of unchanged words") 0 out)
     linemate_configs
 
+(* ------------------------------------------------------------------ *)
+(* Line-mate reads and the abort word                                   *)
+
+(* A read under an orec already in the read log, at an address the
+   entry does not name, is proved by one orec load against the logged
+   word: counted as a line-mate read, priced as an owned read, and the
+   entry's forwarding pair moves to it (a re-read of it is forwarded). *)
+let test_line_mate_read () =
+  List.iter
+    (fun cfg ->
+      let name = Config.to_string cfg in
+      let w = mk_world cfg in
+      let line = Orec.line_words in
+      let block = Alloc.alloc (Engine.global_arena w) (4 * line) in
+      let base = (block + line - 1) land lnot (line - 1) in
+      for k = 0 to line - 1 do
+        Memory.set (Engine.memory w) (base + k) (10 * (k + 1))
+      done;
+      let th = Engine.setup_thread w in
+      let s = Txn.thread_stats th in
+      let sum =
+        Txn.atomic th (fun tx ->
+            let a = Txn.read tx base in
+            let b = Txn.read tx (base + 1) in
+            let b' = Txn.read tx (base + 1) in
+            let c = Txn.read tx (base + 2) in
+            a + b + b' + c)
+      in
+      check_int (name ^ ": values") (10 + 20 + 20 + 30) sum;
+      check_int (name ^ ": two line-mate reads") 2 s.Stats.reads_line_mate;
+      check_int (name ^ ": the re-read forwarded") 1 s.Stats.reads_forwarded)
+    linemate_configs
+
+(* A line-mate read whose orec moved since it was logged takes the full
+   barrier, which aborts the attempt as a re-read of a moved orec
+   always did; the retry's line-mate read finds its own logged word. *)
+let test_line_mate_moved_orec () =
+  List.iter
+    (fun cfg ->
+      let name = Config.to_string cfg in
+      let w = mk_world ~nthreads:2 cfg in
+      let line = Orec.line_words in
+      let block = Alloc.alloc (Engine.global_arena w) (4 * line) in
+      let base = (block + line - 1) land lnot (line - 1) in
+      let out = base + (2 * line) in
+      let r =
+        Engine.run_sim ~seed:1 w (fun th ->
+            if Txn.thread_id th = 0 then
+              Txn.atomic th (fun tx ->
+                  let a = Txn.read tx base in
+                  Txn.tx_work tx 200_000;
+                  Txn.write tx out (a + Txn.read tx (base + 2)))
+            else Txn.atomic th (fun tx -> Txn.write tx (base + 1) 5))
+      in
+      let s = r.Engine.stats in
+      check_int (name ^ ": both committed") 2 s.Stats.commits;
+      check_int (name ^ ": the moved orec aborted the attempt") 1
+        s.Stats.aborts;
+      check_int (name ^ ": the retry's line-mate read") 1
+        s.Stats.reads_line_mate;
+      check_int (name ^ ": unchanged words") 0 (Memory.get (Engine.memory w) out))
+    linemate_configs
+
+(* At one thread no orec moves under a logged read, so every line-mate
+   read takes the one-load path and nothing else changes: the makespan
+   falls by exactly [read_barrier - read_owned] cycles per line-mate
+   read.  The third figure is the run's makespan when each of those
+   reads took the full barrier instead (measured before the path
+   existed). *)
+let line_mate_refs =
+  [
+    ("intruder", "tree", 201_630);
+    ("intruder", "tree+scope:hw+lazy+tv", 172_039);
+    ("vacation-high", "tree+fp+ebr", 135_552);
+  ]
+
+let test_line_mate_identity () =
+  List.iter
+    (fun (app, spelling, full_barrier_makespan) ->
+      let app = Option.get (Captured_apps.Registry.find app) in
+      let cfg = Result.get_ok (Config.of_string spelling) in
+      let r =
+        Captured_apps.App.run app ~nthreads:1 ~scale:Captured_apps.App.Test
+          ~mode:(`Sim 1) cfg
+      in
+      let mates = r.Engine.stats.Stats.reads_line_mate in
+      let name = app.Captured_apps.App.name ^ " " ^ spelling in
+      check (name ^ ": line-mate reads ran") true (mates > 0);
+      check_int (name ^ ": makespan change = -16 x line-mate reads")
+        (full_barrier_makespan
+        - ((Costs.read_barrier - Costs.read_owned) * mates))
+        r.Engine.makespan)
+    line_mate_refs
+
+let orec_word w addr =
+  let orecs = Engine.orecs w in
+  Orec.get orecs (Orec.index_of orecs addr)
+
+(* An eager attempt that stored in place and aborts releases each orec
+   with a word it never held, so a reader that loaded the uncommitted
+   value between two loads of the orec cannot find its logged word on
+   the far side.  Under Scan that is the old version + 1; under Global a
+   freshly advanced clock value, one [clock_advances] more.  [wrote th
+   tx cell] runs inside the aborting attempt. *)
+let check_abort_word ~fresh cfg ~wrote label =
+  let name = Config.to_string cfg ^ " " ^ label in
+  let w = mk_world cfg in
+  let cell = Alloc.alloc (Engine.global_arena w) 1 in
+  let th = Engine.setup_thread w in
+  Txn.atomic th (fun tx -> Txn.write tx cell 1);
+  let orecs = Engine.orecs w and s = Txn.thread_stats th in
+  let before = orec_word w cell
+  and clock = Orec.clock orecs
+  and advances = s.Stats.clock_advances in
+  (try
+     Txn.atomic th (fun tx ->
+         wrote th tx cell;
+         Txn.abort tx)
+   with Txn.User_abort -> ());
+  let after = orec_word w cell in
+  check_int (name ^ ": rolled back") 1 (Memory.get (Engine.memory w) cell);
+  check (name ^ ": released") false (Orec.is_locked after);
+  let tv = cfg.Config.tvalidate in
+  let expect =
+    if not fresh then before
+    else if tv then Orec.stamped ~ts:(clock + 1)
+    else Orec.bumped before
+  in
+  check_int (name ^ ": abort word") expect after;
+  check_int (name ^ ": clock advances")
+    (if fresh && tv then 1 else 0)
+    (s.Stats.clock_advances - advances);
+  check_int (name ^ ": clock") (if fresh && tv then clock + 1 else clock)
+    (Orec.clock orecs)
+
+let test_abort_word () =
+  let store _ tx cell = Txn.write tx cell 666 in
+  let rfw_only _ tx cell = ignore (rfw tx cell : int) in
+  let nested th _ cell =
+    (* A child's in-place store, undone by its partial abort while the
+       orec stays held: the top-level abort must still hand out a fresh
+       word. *)
+    try
+      Txn.atomic th (fun tx ->
+          store th tx cell;
+          Txn.abort tx)
+    with Txn.User_abort -> ()
+  in
+  List.iter
+    (fun cfg ->
+      check_abort_word ~fresh:true cfg ~wrote:store "in-place store";
+      check_abort_word ~fresh:true cfg ~wrote:nested "nested store";
+      check_abort_word ~fresh:false cfg ~wrote:rfw_only "acquired, no store")
+    [ Config.baseline; tv_cfg ];
+  List.iter
+    (fun cfg -> check_abort_word ~fresh:false cfg ~wrote:store "buffered store")
+    [ Config.with_lazy Config.baseline; Config.with_lazy tv_cfg ]
+
 (* Model-level agreement with the full read-set-scan reference, on
    randomized orec histories.  The replayed reader applies exactly the
    runtime's TS rule — accept a fresh read outright when its version is
@@ -1832,6 +1990,16 @@ let prop_lazy_read_own_write =
 module Sched = Captured_sim.Sched
 module Snapshot = Captured_tmem.Snapshot
 
+(* A memory's checkpoint encoding, as a checkpoint record carries it:
+   the image written out into one array. *)
+let snapshot_words m arenas =
+  let im = Snapshot.image m arenas in
+  let out = Array.make (Snapshot.image_words im) 0 and k = ref 0 in
+  Snapshot.write_image im (fun a pos n ->
+      Array.blit a pos out !k n;
+      k := !k + n);
+  out
+
 (* -- codec generators ---------------------------------------------- *)
 
 let gen_commit_record =
@@ -1925,7 +2093,7 @@ let test_wal_checkpoint_streams_image () =
     [ (3, 1); (100, 3000); (4000, 1); (5000, 2100); (9000, 1024) ];
   let wal = Wal.create () in
   Wal.checkpoint wal (Snapshot.image m [| a |]);
-  let snapshot = Snapshot.encode (Snapshot.capture m [| a |]) in
+  let snapshot = snapshot_words m [| a |] in
   check "image longer than the stream buffer" true
     (Array.length snapshot > 4 * 1024);
   Alcotest.(check bytes)
@@ -1971,7 +2139,7 @@ let prop_wal_replay_order_insensitive =
       let words = 64 in
       let mem = Memory.create ~words in
       let arena = Alloc.create mem ~base:1 ~words:(words - 1) in
-      let snapshot = Snapshot.encode (Snapshot.capture mem [| arena |]) in
+      let snapshot = snapshot_words mem [| arena |] in
       let ckpt = Wal.Checkpoint { seq = 0; raws = 0; snapshot } in
       (* one single-write commit per distinct address *)
       let commits =
@@ -2904,6 +3072,17 @@ let () =
             test_same_word_commit_aborts;
           Alcotest.test_case "two words not rescued" `Quick
             test_two_words_not_rescued;
+        ] );
+      ( "line-mate",
+        [
+          Alcotest.test_case "proved by one orec load" `Quick
+            test_line_mate_read;
+          Alcotest.test_case "moved orec takes the full barrier" `Quick
+            test_line_mate_moved_orec;
+          Alcotest.test_case "1-thread makespan identity" `Quick
+            test_line_mate_identity;
+          Alcotest.test_case "eager abort releases a fresh word" `Quick
+            test_abort_word;
         ] );
       ( "robustness",
         [

@@ -58,6 +58,25 @@ let test_memory_blit () =
    the runs a scan of the whole reference finds. *)
 let paged_words = (3 * Memory.chunk_words) + 100
 
+(* A memory's checkpoint encoding, as a WAL checkpoint record carries
+   it: the image written out into one array. *)
+let encode m arenas =
+  let im = Snapshot.image m arenas in
+  let out = Array.make (Snapshot.image_words im) 0 and k = ref 0 in
+  Snapshot.write_image im (fun a pos n ->
+      Array.blit a pos out !k n;
+      k := !k + n);
+  out
+
+(* Check and restore an encoding, as recovery does from a log. *)
+let restore words =
+  Snapshot.restore_words ~len:(Array.length words) (Array.get words)
+
+let restored words =
+  match restore words with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "restore failed: %s" e
+
 (* The run-length image of a flat memory, as a snapshot encodes it:
    [addr; len; v_1 .. v_len] per maximal run of non-zero words above
    address 0, in ascending order, and the number of runs. *)
@@ -202,7 +221,7 @@ let prop_paging_invisible =
       let runs, n_runs = runs_of flat in
       let reference = Array.of_list ((paged_words :: n_runs :: runs) @ [ 0 ]) in
       Memory.resident_words m = Hashtbl.length written * Memory.chunk_words
-      && Snapshot.encode (Snapshot.capture m [||]) = reference)
+      && encode m [||] = reference)
 
 let test_memory_resident_words () =
   let cw = Memory.chunk_words in
@@ -465,6 +484,19 @@ let prop_cross_arena_free_replay =
 (* ------------------------------------------------------------------ *)
 (* Snapshot (checkpoint images for the durable-transaction layer) *)
 
+(* Index of the arena count in an encoding: past the header and every
+   [addr; len; values] run. *)
+let arena_section words =
+  let k = ref 2 in
+  for _ = 1 to words.(1) do
+    k := !k + 2 + words.(!k + 1)
+  done;
+  !k
+
+(* Values an encoding's runs hold: its non-zero words. *)
+let live_cells words =
+  arena_section words - 2 - (2 * words.(1))
+
 let test_snapshot_roundtrip () =
   let m = Memory.create ~words:256 in
   let a = Alloc.create m ~base:64 ~words:128 in
@@ -475,14 +507,9 @@ let test_snapshot_roundtrip () =
   Memory.set m p 7;
   Memory.set m (q + 3) 11;
   Alloc.free a p;
-  let snap = Snapshot.capture m [| a |] in
-  check "sparse image nonempty" true (Snapshot.live_cells snap >= 3);
-  let snap' =
-    match Snapshot.decode (Snapshot.encode snap) with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "decode failed: %s" e
-  in
-  let m', arenas' = Snapshot.restore snap' in
+  let words = encode m [| a |] in
+  check "sparse image nonempty" true (live_cells words >= 3);
+  let m', arenas' = restored words in
   check_int "words" (Memory.size m) (Memory.size m');
   for addr = 1 to Memory.size m - 1 do
     if Memory.get m addr <> Memory.get m' addr then
@@ -505,21 +532,12 @@ let test_snapshot_decode_truncated () =
   Memory.set m 3 1;
   ignore (Alloc.alloc a 4);
   ignore (Alloc.alloc a 12);
-  let words = Snapshot.encode (Snapshot.capture m [| a |]) in
+  let words = encode m [| a |] in
   for cut = 0 to Array.length words - 1 do
-    match Snapshot.decode (Array.sub words 0 cut) with
+    match restore (Array.sub words 0 cut) with
     | Ok _ -> Alcotest.failf "truncation to %d words accepted" cut
     | Error _ -> ()
   done
-
-(* Index of the arena count in an encoding: past the header and every
-   [addr; len; values] run. *)
-let arena_section words =
-  let k = ref 2 in
-  for _ = 1 to words.(1) do
-    k := !k + 2 + words.(!k + 1)
-  done;
-  !k
 
 (* The record cursor is where restore marks pages up to, so a snapshot
    whose cursor lies past the memory is rejected, not restored. *)
@@ -527,14 +545,13 @@ let test_snapshot_decode_rejects_bad_cursor () =
   let m = Memory.create ~words:256 in
   let a = Alloc.create m ~base:40 ~words:152 in
   ignore (Alloc.alloc a 4);
-  let snap = Snapshot.capture m [| a |] in
-  let words = Snapshot.encode snap in
+  let words = encode m [| a |] in
   (* [mem_words; n_runs; runs; n_arenas; base; words; records_top ...] *)
   let cursor = arena_section words + 3 in
   check_int "cursor word" (Alloc.capture_state a).Alloc.s_records_top
     words.(cursor);
   words.(cursor) <- 257;
-  match Snapshot.decode words with
+  match restore words with
   | Ok _ -> Alcotest.fail "record cursor past the memory accepted"
   | Error _ -> ()
 
@@ -553,8 +570,7 @@ let test_snapshot_size_law () =
     Memory.set m addr addr
   done;
   Memory.set m (words - 1) 9;
-  let snap = Snapshot.capture m [| a |] in
-  let enc = Snapshot.encode snap in
+  let enc = encode m [| a |] in
   let flat = Array.init words (fun i -> if i = 0 then 0 else Memory.get m i) in
   let runs, n_runs = runs_of flat in
   check "encoding is the flat image's runs" true
@@ -573,10 +589,10 @@ let test_snapshot_size_law () =
    the valid one. *)
 let test_snapshot_decode_rejects_bad_runs () =
   let valid = [| 64; 2; 5; 2; 7; 8; 10; 1; 9; 0 |] in
-  check "valid runs decode" true (Result.is_ok (Snapshot.decode valid));
+  check "valid runs decode" true (Result.is_ok (restore valid));
   List.iter
     (fun (what, words) ->
-      match Snapshot.decode words with
+      match restore words with
       | Ok _ -> Alcotest.failf "%s accepted" what
       | Error _ -> ())
     [
@@ -588,11 +604,11 @@ let test_snapshot_decode_rejects_bad_runs () =
       ("a run longer than its words", [| 64; 1; 5; 3; 1; 2 |]);
     ];
   for cut = 0 to Array.length valid - 1 do
-    if Result.is_ok (Snapshot.decode (Array.sub valid 0 cut)) then
+    if Result.is_ok (restore (Array.sub valid 0 cut)) then
       Alcotest.failf "cut to %d words accepted" cut
   done
 
-(* Property: capture/encode/decode/restore is the identity on the memory
+(* Property: image/write/restore is the identity on the memory
    image and on the allocator's observable state, for arbitrary
    write/alloc/free interleavings. *)
 let prop_snapshot_roundtrip =
@@ -620,11 +636,9 @@ let prop_snapshot_roundtrip =
                   live := rest
               | [] -> ()))
         ops;
-      let snap = Snapshot.capture m [| a |] in
-      match Snapshot.decode (Snapshot.encode snap) with
+      match restore (encode m [| a |]) with
       | Error _ -> false
-      | Ok snap' ->
-          let m', arenas' = Snapshot.restore snap' in
+      | Ok (m', arenas') ->
           let a' = arenas'.(0) in
           Memory.size m' = Memory.size m
           && Alloc.live_blocks a' = Alloc.live_blocks a
@@ -670,13 +684,12 @@ let prop_snapshot_runs_roundtrip =
             values)
         stretches;
       let runs, n_runs = runs_of flat in
-      let enc = Snapshot.encode (Snapshot.capture m [||]) in
-      match Snapshot.decode enc with
-      | Error e -> QCheck.Test.fail_reportf "decode: %s" e
-      | Ok snap ->
-          let m', _ = Snapshot.restore snap in
+      let enc = encode m [||] in
+      match restore enc with
+      | Error e -> QCheck.Test.fail_reportf "restore: %s" e
+      | Ok (m', _) ->
           enc = Array.of_list ((paged_words :: n_runs :: runs) @ [ 0 ])
-          && Snapshot.live_cells snap
+          && live_cells enc
              = Array.fold_left (fun n v -> if v <> 0 then n + 1 else n) 0 flat
           && List.for_all
                (fun a -> Memory.get m' a = flat.(a))
@@ -853,12 +866,7 @@ let test_snapshot_keeps_granules () =
   in
   let words = List.concat_map (fun (p, s) -> words_of p s) blocks in
   let orecs = Orec.over m ~bits:12 in
-  let snap =
-    match Snapshot.decode (Snapshot.encode (Snapshot.capture m arenas)) with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "decode failed: %s" e
-  in
-  let m', _ = Snapshot.restore snap in
+  let m', _ = restored (encode m arenas) in
   let orecs' = Orec.over m' ~bits:12 in
   List.iter
     (fun a ->
