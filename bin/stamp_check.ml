@@ -176,7 +176,7 @@ let workloads_arg =
      workload, any cell that rescued no read; recordmix mixes one-word \
      and 4-word conflict granules; longread, the long-read-log lock-wait \
      workload, any cell that extended no lock wait past the spin limit; \
-     rfw, any eager cell that acquired no orec at a read-for-write; \
+     rfw, any cell that acquired no orec at a read-for-write; \
      rollback (a writer's in-place store undone by its abort), any cell \
      that read no line-mate under its logged word, as reread and \
      linemate also fail; the reclaim pair any cell that deferred no free, and is red by \

@@ -373,9 +373,7 @@ let floor_failures ~min_distinct c =
   let signal i (s : Signal.t) =
     below s.label
       (total (fun r -> r.signals.(i)) c)
-      (if List.memq s c.workload.Workloads.floors && s.Signal.applies c.config
-       then 1
-       else 0)
+      (if List.memq s c.workload.Workloads.floors then 1 else 0)
   in
   List.filter_map Fun.id
     ([

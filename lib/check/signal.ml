@@ -4,10 +4,7 @@ type t = {
   label : string;
   key : string;
   read : History.t -> Stats.t option -> int;
-  applies : Captured_stm.Config.t -> bool;
 }
-
-let everywhere _ = true
 
 (* Frees are counted from the history, so a run cut short by an injected
    crash still shows the frees it executed. *)
@@ -23,12 +20,11 @@ let dfrees =
             | Captured_stm.Txn.Ev_free _ -> incr n
             | _ -> ());
         !n);
-    applies = everywhere;
   }
 
 (* A completed run's counter; 0 for a truncated or crashed run. *)
-let of_stats ?(applies = everywhere) label key f =
-  { label; key; read = (fun _ -> Option.fold ~none:0 ~some:f); applies }
+let of_stats label key f =
+  { label; key; read = (fun _ -> Option.fold ~none:0 ~some:f) }
 
 let forwarded =
   of_stats "forwarded reads" "forwarded" (fun s -> s.Stats.reads_forwarded)
@@ -42,12 +38,8 @@ let rescued =
 let extended =
   of_stats "extended lock waits" "extended" (fun s -> s.Stats.waits_extended)
 
-(* Lazy versioning acquires nothing before commit: its read-for-write
-   is a read. *)
 let rfw =
-  of_stats "read-for-write acquisitions" "rfw"
-    ~applies:(fun c -> not c.Captured_stm.Config.lazy_versioning)
-    (fun s -> s.Stats.rfw_acquires)
+  of_stats "read-for-write acquisitions" "rfw" (fun s -> s.Stats.rfw_acquires)
 
 let all = [| dfrees; forwarded; line_mate; rescued; extended; rfw |]
 

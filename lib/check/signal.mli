@@ -8,9 +8,6 @@ type t = {
   read : History.t -> Captured_stm.Stats.t option -> int;
       (** one run's count, from its history and — [None] for a
           truncated or crashed run — its stats *)
-  applies : Captured_stm.Config.t -> bool;
-      (** the configs whose engine has the path: a floor on the signal
-          holds only under them *)
 }
 
 val dfrees : t
@@ -30,9 +27,8 @@ val extended : t
 (** [Stats.waits_extended]: lock waits past [Costs.spin_limit]. *)
 
 val rfw : t
-(** [Stats.rfw_acquires]: orecs a read-for-write acquired.  Applies
-    only to eager versioning, where {!Captured_stm.Txn.read_for_write_at}
-    is not a plain read. *)
+(** [Stats.rfw_acquires]: orecs a read-for-write acquired, on both
+    engines. *)
 
 val all : t array
 (** The table, in report order; counts are arrays aligned with it. *)

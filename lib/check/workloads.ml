@@ -549,8 +549,8 @@ let longread ~nthreads ~rounds =
    read-for-write whose replaced version is newer than the snapshot
    extends it, so under the Global clock a stale plain read before it
    must abort the attempt; a skipped validation loses an update or
-   records a torn difference.  The sweep fails an eager cell that never
-   acquired an orec at a read-for-write. *)
+   records a torn difference.  The sweep fails a cell, eager or lazy,
+   that never acquired an orec at a read-for-write. *)
 let rfw ~nthreads ~rounds =
   micro "rfw" ~floors:[ Signal.rfw ] ~nthreads rounds (fun config ->
       let world = small_world ~nthreads config in

@@ -17,7 +17,7 @@ type t = {
           least once — {!reread} forwarded and line-mate reads,
           {!linemate} value rescues and line-mate reads, {!rollback}
           line-mate reads, {!longread} extended lock waits, {!rfw}
-          read-for-write acquisitions (eager cells only), the reclaim
+          read-for-write acquisitions, the reclaim
           pair deferred frees; no other workload lists one *)
   prepare : Config.t -> App.prepared;
 }

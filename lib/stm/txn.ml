@@ -1046,10 +1046,10 @@ let read_with ~site ~for_write tx addr =
 
 let read_at ~site tx addr = read_with ~site ~for_write:false tx addr
 
-(* Lazy versioning acquires nothing before commit: there a read-for-write
-   is a read. *)
-let read_for_write_at ~site tx addr =
-  read_with ~site ~for_write:(not tx.config.Config.lazy_versioning) tx addr
+(* One path for both engines.  Under lazy versioning the orec acquired
+   here is held until commit, as an eager one is; the write that follows
+   buffers as usual and [lazy_acquire] skips the owned orec. *)
+let read_for_write_at ~site tx addr = read_with ~site ~for_write:true tx addr
 
 let read tx addr = read_at ~site:Site.anonymous_read tx addr
 

@@ -112,13 +112,19 @@ val read_at : site:Site.id -> tx -> Memory.addr -> int
 val write_at : site:Site.id -> tx -> Memory.addr -> int -> unit
 
 (** [read_for_write_at ~site tx addr] — the read of a read-modify-write
-    (the TM ABI's read-for-write barrier): as {!read_at}, but the eager
-    engine acquires the orec at the read, as {!write_at} would, and logs
-    no read, so the write that follows finds the orec owned.  Use it
-    only where a {!write_at} to [addr] follows on every path that does
-    not abort: an acquisition without its write is a lock held, and a
-    false conflict raised, for nothing.  An orec the attempt has already
-    read takes the plain read path.  Under [+lazy] it is {!read_at}. *)
+    (the TM ABI's read-for-write barrier): as {!read_at}, but it acquires
+    the orec at the read, as the eager {!write_at} would, and logs no
+    read.  One path serves both engines: the eager write that follows
+    finds the orec owned, and under [+lazy] the write buffers as usual
+    while the orec stays held to commit, whose acquisition skips it.
+    Use it only where a {!write_at} to [addr] follows on every path that
+    does not abort: an acquisition without its write is a lock held, and
+    a false conflict raised, for nothing.  A data structure whose update
+    may find nothing to change (a pop from an empty queue or heap)
+    writes the word back unchanged to keep that contract.  Read the
+    other words the update needs first, so the lock is not held across
+    their reads ([Tqueue.pop] acquires [pop] last).  An orec the attempt
+    has already read takes the plain read path. *)
 val read_for_write_at : site:Site.id -> tx -> Memory.addr -> int
 
 (** [read tx addr] — {!read_at} at the anonymous catch-all site. *)

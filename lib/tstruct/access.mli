@@ -4,6 +4,13 @@
 
 type t = {
   read : site:Captured_core.Site.id -> int -> int;
+  read_for_write : site:Captured_core.Site.id -> int -> int;
+      (** The read of a read-modify-write: a write to the same address
+          follows on every path that does not abort.  Inside a
+          transaction it is {!Captured_stm.Txn.read_for_write_at}, which
+          acquires the orec at the read on both engines, so a header word
+          read through it stays locked until commit; outside one it is
+          [read]. *)
   write : site:Captured_core.Site.id -> int -> int -> unit;
   alloc : int -> int;
   free : int -> unit;

@@ -49,8 +49,14 @@ let grow (acc : Access.t) h =
   acc.write ~site:site_data_w (h + h_data) new_data;
   acc.write ~site:site_cap_w (h + h_cap) new_cap
 
+(* [insert] and [pop] write [size] on every path (an empty heap's pop
+   writes it back unchanged), so they read it through the read-for-write
+   barrier. *)
+let size_for_write (acc : Access.t) h =
+  acc.read_for_write ~site:site_size_r (h + h_size)
+
 let insert (acc : Access.t) (cmp : cmp) h v =
-  let n = size acc h in
+  let n = size_for_write acc h in
   if n = acc.read ~site:site_cap_r (h + h_cap) then grow acc h;
   let data = acc.read ~site:site_data_r (h + h_data) in
   set_slot acc data n v;
@@ -74,8 +80,11 @@ let peek (acc : Access.t) h =
   else Some (slot acc (acc.read ~site:site_data_r (h + h_data)) 0)
 
 let pop (acc : Access.t) (cmp : cmp) h =
-  let n = size acc h in
-  if n = 0 then None
+  let n = size_for_write acc h in
+  if n = 0 then begin
+    acc.write ~site:site_size_w (h + h_size) n;
+    None
+  end
   else begin
     let data = acc.read ~site:site_data_r (h + h_data) in
     let top = slot acc data 0 in

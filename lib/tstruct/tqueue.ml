@@ -79,14 +79,20 @@ let push (acc : Access.t) h v =
     acc.write ~site:site_push_w (h + h_push) ((push_i + 1) mod cap)
   end
 
+(* Every path writes [pop] (an empty queue's unchanged), so it is read
+   through the read-for-write barrier, and read last so that its orec is
+   not held across the other header reads. *)
 let pop (acc : Access.t) h =
-  let pop_i = acc.read ~site:site_pop_r (h + h_pop) in
   let push_i = acc.read ~site:site_push_r (h + h_push) in
   let cap = acc.read ~site:site_cap_r (h + h_cap) in
+  let data = acc.read ~site:site_data_r (h + h_data) in
+  let pop_i = acc.read_for_write ~site:site_pop_r (h + h_pop) in
   let first = (pop_i + 1) mod cap in
-  if first = push_i then None
+  if first = push_i then begin
+    acc.write ~site:site_pop_w (h + h_pop) pop_i;
+    None
+  end
   else begin
-    let data = acc.read ~site:site_data_r (h + h_data) in
     let v = acc.read ~site:site_slot_r (data + first) in
     acc.write ~site:site_pop_w (h + h_pop) first;
     Some v

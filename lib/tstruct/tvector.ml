@@ -37,7 +37,7 @@ let destroy (acc : Access.t) h =
 let size (acc : Access.t) h = acc.read ~site:site_size_r (h + h_size)
 
 let push_back (acc : Access.t) h v =
-  let n = size acc h in
+  let n = acc.read_for_write ~site:site_size_r (h + h_size) in
   let cap = acc.read ~site:site_cap_r (h + h_cap) in
   let data =
     if n = cap then begin

@@ -928,11 +928,10 @@ let test_verdict_extended_floor () =
   check_vacuous ~what:"extended lock waits" ~vacuous:false
     (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
 
-(* The read-for-write floor holds only where the barrier acquires: under
-   +lazy a read-for-write is a plain read, and its cell carries no
-   floor. *)
-let test_verdict_rfw_floor () =
-  let cell ?(config = tree) workload reports =
+(* The read-for-write floor: an rfw cell that acquired no orec at a
+   read-for-write proved nothing, and no other workload carries it. *)
+let rfw_floor_cases config =
+  let cell workload reports =
     { Harness.workload; config; reports; union = 40 }
   in
   let rfw = Workloads.rfw ~nthreads:2 ~rounds:3 in
@@ -940,9 +939,13 @@ let test_verdict_rfw_floor () =
   check_vacuous ~what ~vacuous:true (cell rfw [ quiet_report ]);
   check_vacuous ~what ~vacuous:false (cell rfw [ recorded Signal.rfw ]);
   check_vacuous ~what ~vacuous:false
-    (cell ~config:(Config.with_lazy tree) rfw [ quiet_report ]);
-  check_vacuous ~what ~vacuous:false
     (cell (Workloads.counter ~nthreads:2 ~incs:3) [ quiet_report ])
+
+let test_verdict_rfw_floor () = rfw_floor_cases tree
+
+(* Lazy versioning acquires at a read-for-write too, so its cells carry
+   the same floor. *)
+let test_verdict_rfw_floor_lazy () = rfw_floor_cases (Config.with_lazy tree)
 
 let () =
   Alcotest.run "check"
@@ -1040,6 +1043,8 @@ let () =
             `Quick test_verdict_extended_floor;
           Alcotest.test_case "eager rfw cell below min_rfw is vacuous"
             `Quick test_verdict_rfw_floor;
+          Alcotest.test_case "lazy rfw cell below min_rfw is vacuous"
+            `Quick test_verdict_rfw_floor_lazy;
           Alcotest.test_case "rollback cell below min_line_mate is vacuous"
             `Quick test_verdict_line_mate_floor;
         ] );

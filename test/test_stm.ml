@@ -721,30 +721,35 @@ let test_rfw_logged_forwards () =
   check_int "the write acquired" 1 s.Stats.orec_acquires;
   check_int "stored" 8 (Memory.get (Engine.memory w) cell)
 
-(* Under +lazy a read-for-write is a read: the same counters, cycles and
-   PRNG draws as [Txn.read], here on two contending threads. *)
-let test_rfw_lazy_is_read () =
-  let run read =
-    let w = mk_world ~nthreads:2 (Config.with_lazy tv_cfg) in
-    let cells = Alloc.alloc (Engine.global_arena w) 2 in
-    let r =
-      Engine.run_sim ~seed:3 w (fun th ->
-          for _ = 1 to 20 do
-            Txn.atomic th (fun tx ->
-                Txn.write tx cells (read tx cells + 1);
-                Txn.tx_work tx 7;
-                Txn.write tx (cells + 1) (read tx (cells + 1) + 1))
-          done)
-    in
-    check_int "counted" 40 (Memory.get (Engine.memory w) (cells + 1));
-    r
-  in
-  let a = run Txn.read and b = run rfw in
-  check "contended" true (a.Engine.stats.Stats.aborts > 0);
-  Alcotest.(check string)
-    "stats" (Stats.json_fields a.Engine.stats)
-    (Stats.json_fields b.Engine.stats);
-  check_int "makespan" a.Engine.makespan b.Engine.makespan
+(* Under +lazy a read-for-write acquires at the read too, and the
+   buffered write's commit-time acquisition then finds the orec owned.
+   Against a plain read the increment trades the read barrier and the
+   commit-time acquisition for the encounter-time one; under Scan it
+   also logs no read, so the commit charges no read and validation
+   scans none.  Under Global both reads pay the same snapshot check and
+   the one-thread commit skips its scan either way. *)
+let test_rfw_lazy_acquires () =
+  List.iter
+    (fun (cfg, scan) ->
+      let name = Config.to_string cfg in
+      let plain = sim_increment cfg ~read:Txn.read in
+      let r = sim_increment cfg ~read:rfw in
+      let s = r.Engine.stats in
+      check_int (name ^ ": one rfw acquisition") 1 s.Stats.rfw_acquires;
+      check_int (name ^ ": one acquisition in all") 1 s.Stats.orec_acquires;
+      check_int (name ^ ": the write still buffers") 1 s.Stats.redo_inserts;
+      let unlogged =
+        if scan then Costs.commit_per_read + Costs.validate_per_read else 0
+      in
+      check_int (name ^ ": makespan saved")
+        (Costs.read_barrier + Costs.commit_acquire
+        - Costs.write_barrier_acquire + unlogged)
+        (plain.Engine.makespan - r.Engine.makespan))
+    (let tree = Config.runtime Alloc_log.Tree in
+     [
+       (Config.with_lazy tree, true);
+       (Config.with_lazy (Config.with_tvalidate tree), false);
+     ])
 
 (* Under the Global clock a read-for-write that replaces a version newer
    than the snapshot extends it.  Thread 0 reads [c0], waits while
@@ -934,12 +939,16 @@ let test_line_mate_moved_orec () =
    read takes the one-load path and nothing else changes: the makespan
    falls by exactly [read_barrier - read_owned] cycles per line-mate
    read.  The third figure is the run's makespan when each of those
-   reads took the full barrier instead (measured before the path
-   existed). *)
+   reads took the full barrier instead (measured in a copy with the path
+   off).  The intruder figures moved when its queue pop and the lazy
+   engine's read-for-write began to acquire at the read; the figures
+   before that are in the comments. *)
 let line_mate_refs =
   [
-    ("intruder", "tree", 201_630);
-    ("intruder", "tree+scope:hw+lazy+tv", 172_039);
+    (* was 201_630 *)
+    ("intruder", "tree", 200_181);
+    (* was 172_039 *)
+    ("intruder", "tree+scope:hw+lazy+tv", 171_746);
     ("vacation-high", "tree+fp+ebr", 135_552);
   ]
 
@@ -3058,7 +3067,8 @@ let () =
             test_rfw_acquires_once;
           Alcotest.test_case "logged orec forwards" `Quick
             test_rfw_logged_forwards;
-          Alcotest.test_case "lazy is a read" `Quick test_rfw_lazy_is_read;
+          Alcotest.test_case "lazy acquires at the read" `Quick
+            test_rfw_lazy_acquires;
           Alcotest.test_case "tv newer version extends" `Quick
             test_rfw_tv_extends;
           Alcotest.test_case "tv invalid read set aborts" `Quick

@@ -3,6 +3,7 @@ module Config = Captured_stm.Config
 module Engine = Captured_stm.Engine
 module Txn = Captured_stm.Txn
 module Alloc = Captured_tmem.Alloc
+module Stats = Captured_stm.Stats
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -443,6 +444,90 @@ let test_concurrent_queue () =
   check_int "consumers drained everything" 120
     (popped.(4) + popped.(5) + popped.(6) + popped.(7))
 
+(* ------------------------------------------------------------------ *)
+(* Read-for-write headers *)
+
+let rfw_engines = [ "tree"; "tree+lazy" ]
+
+let thread_under spelling =
+  let w =
+    Engine.create ~nthreads:1 (Result.get_ok (Config.of_string spelling))
+  in
+  Engine.setup_thread w
+
+let queue_of xs acc =
+  let q = Tqueue.create acc () in
+  List.iter (Tqueue.push acc q) xs;
+  q
+
+let heap_of xs acc =
+  let h = Theap.create acc () in
+  List.iter (Theap.insert acc int_cmp h) xs;
+  h
+
+(* Each header update writes the word it read on every path, so it takes
+   exactly one orec, at the read, on both engines.  [setup] builds the
+   structure outside any transaction; [op] runs in one. *)
+let test_rfw_one_acquisition () =
+  let pop_q acc q = ignore (Tqueue.pop acc q : int option) in
+  let pop_h acc h = ignore (Theap.pop acc int_cmp h : int option) in
+  let cases =
+    [
+      ("queue pop", queue_of [ 1; 2 ], pop_q);
+      ("empty queue pop", queue_of [], pop_q);
+      ("heap pop", heap_of [ 3; 1 ], pop_h);
+      ("empty heap pop", heap_of [], pop_h);
+      ("heap insert", heap_of [ 3 ], fun acc h -> Theap.insert acc int_cmp h 5);
+      ( "vector push_back",
+        (fun acc -> Tvector.create acc ()),
+        fun acc v -> Tvector.push_back acc v 9 );
+    ]
+  in
+  List.iter
+    (fun spelling ->
+      List.iter
+        (fun (name, setup, op) ->
+          let th = thread_under spelling in
+          let h = setup (Access.raw th) in
+          let s = Txn.thread_stats th in
+          let before = s.Stats.rfw_acquires in
+          Txn.atomic th (fun tx -> op (Access.of_tx tx) h);
+          check_int (spelling ^ " " ^ name) 1 (s.Stats.rfw_acquires - before))
+        cases)
+    rfw_engines
+
+(* An empty pop writes its header word back unchanged: every header word
+   (four for a queue, three for a heap) reads as before, and the queue
+   works on. *)
+let test_rfw_empty_pop_unchanged () =
+  List.iter
+    (fun spelling ->
+      let th = thread_under spelling in
+      let raw = Access.raw th in
+      let header h words =
+        List.init words (fun k ->
+            raw.Access.read ~site:Captured_core.Site.anonymous_read (h + k))
+      in
+      (* Drained once, so its pop index has moved from the initial one. *)
+      let q = queue_of [ 1 ] raw in
+      ignore (Tqueue.pop raw q : int option);
+      let heap = heap_of [] raw in
+      let q_before = header q 4 and heap_before = header heap 3 in
+      Txn.atomic th (fun tx ->
+          let acc = Access.of_tx tx in
+          Alcotest.(check (option int))
+            (spelling ^ " queue empty") None (Tqueue.pop acc q);
+          Alcotest.(check (option int))
+            (spelling ^ " heap empty") None (Theap.pop acc int_cmp heap));
+      Alcotest.(check (list int)) (spelling ^ " queue header") q_before
+        (header q 4);
+      Alcotest.(check (list int)) (spelling ^ " heap header") heap_before
+        (header heap 3);
+      Tqueue.push raw q 7;
+      Alcotest.(check (option int))
+        (spelling ^ " queue works on") (Some 7) (Tqueue.pop raw q))
+    rfw_engines
+
 let qsuite name tests = (name, List.map Qc.to_alcotest tests)
 
 let () =
@@ -493,6 +578,13 @@ let () =
           prop_map_inorder_sorted;
           prop_hashtable_vs_model;
         ];
+      ( "read-for-write",
+        [
+          Alcotest.test_case "one acquisition per header update" `Quick
+            test_rfw_one_acquisition;
+          Alcotest.test_case "empty pop leaves contents unchanged" `Quick
+            test_rfw_empty_pop_unchanged;
+        ] );
       ( "concurrent",
         [
           Alcotest.test_case "map inserts" `Quick test_concurrent_map_inserts;
