@@ -1,16 +1,16 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
-   evaluation (Section 4), plus two Bechamel sections (micro, for the
-   barrier-cost claims; calibrate, each priced path's native time beside
-   its Costs price), an ablation section for the design choices DESIGN.md
-   calls out, and one A/B section for the configuration tokens.
+   evaluation (Section 4), plus a Bechamel section (calibrate, each priced
+   path's native time beside its Costs price), an ablation section for the
+   design choices DESIGN.md calls out, and one A/B section for the
+   configuration tokens.
 
    Usage: main.exe [--quick] [--only fig8,table1,ab:fp,...] [--app NAME,...]
-   Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b micro calibrate
-   ablation contention scale wal, and ab:TOKEN[@BASE] (BASE defaults to
+   Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b ablation
+   contention scale wal calibrate, and ab:TOKEN[@BASE] (BASE defaults to
    tree+fp+ebr): every app at 1 and 16 threads, seeds 1-8 (seed 1 under
    --quick), under BASE without TOKEN and BASE with it.  With no --only,
    every section runs, the A/B section as ab:fp, ab:tv, ab:lazy and
-   ab:sf. *)
+   ab:sf, and calibrate last. *)
 
 open Captured_apps
 module Config = Captured_stm.Config
@@ -120,9 +120,6 @@ let config s =
 
 let run_sim app cfg ~nthreads ~seed =
   App.run app ~nthreads ~scale:(scale ()) ~mode:(`Sim seed) cfg
-
-let run_native1 app cfg =
-  App.run app ~nthreads:1 ~scale:(scale ()) ~mode:`Native cfg
 
 let improvement ~base x = 100. *. (base -. x) /. base
 
@@ -308,94 +305,80 @@ let table2 () =
       Ustats.rel_stddev_percent (Ustats.of_list samples))
 
 (* ------------------------------------------------------------------ *)
-(* Figure 10: single-thread improvement (native wall-clock)             *)
+(* Figures 10, 11a and 11b: improvement (simulated makespan)            *)
 
-let scope_configs =
-  List.map config [ "tree"; "tree+scope:shw"; "tree+scope:hw"; "compiler" ]
-
-let fig10 () =
-  let reps = if !quick then 2 else 5 in
-  headline
-    "Figure 10: single-thread improvement vs baseline (native wall-clock, \
-     median of %d, %%; negative = slowdown)"
-    reps;
-  config_table scope_configs (fun app ->
-      (* Batch enough fresh runs per sample that one sample spans >=20ms:
-         single runs are milliseconds and wall-clock noise would swamp
-         them. *)
-      let probe = (run_native1 app Config.baseline).Engine.wall in
-      let batch =
-        max (if !quick then 1 else 3) (min 64 (int_of_float (0.02 /. max 1e-5 probe)))
-      in
-      let sample cfg =
-        List.fold_left ( +. ) 0.
-          (List.init batch (fun _ -> (run_native1 app cfg).Engine.wall))
-      in
-      let median cfg =
-        ignore (sample cfg : float) (* warm-up *);
-        Ustats.median (List.init reps (fun _ -> sample cfg))
-      in
-      let base = median Config.baseline in
-      fun cfg -> improvement ~base (median cfg))
-
-(* ------------------------------------------------------------------ *)
-(* Figure 11a/11b: 16-thread improvement (simulated makespan)           *)
-
-let fig11 ~name configs =
+let fig11 ~name ~threads configs =
   let reps = if !quick then 1 else 3 in
   headline
-    "Figure %s: improvement vs baseline at %d threads (virtual makespan, \
+    "Figure %s: improvement vs baseline at %d thread%s (virtual makespan, \
      median of %d seeds, %%)"
-    name sim_threads reps;
+    name threads
+    (if threads = 1 then "" else "s")
+    reps;
   config_table configs (fun app ->
       let makespan cfg =
         Ustats.median
           (List.init reps (fun k ->
                float_of_int
-                 (run_sim app cfg ~nthreads:sim_threads ~seed:(1 + k))
+                 (run_sim app cfg ~nthreads:threads ~seed:(1 + k))
                    .Engine.makespan))
       in
       let base = makespan Config.baseline in
       fun cfg -> improvement ~base (makespan cfg))
 
-let fig11a () = fig11 ~name:"11a" scope_configs
+let scope_configs =
+  List.map config [ "tree"; "tree+scope:shw"; "tree+scope:hw"; "compiler" ]
+
+(* One thread has no conflicts, so Figure 10 measures what barriers and
+   capture checks cost, priced by the simulator's cost model. *)
+let fig10 () = fig11 ~name:"10" ~threads:1 scope_configs
+let fig11a () = fig11 ~name:"11a" ~threads:sim_threads scope_configs
 
 let fig11b_configs =
   List.map config
     [ "tree+scope:hw"; "array+scope:hw"; "filtering+scope:hw"; "compiler" ]
 
-let fig11b () = fig11 ~name:"11b (heap, write-only runtime checks)" fig11b_configs
+let fig11b () =
+  fig11 ~name:"11b (heap, write-only runtime checks)" ~threads:sim_threads
+    fig11b_configs
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel harness, shared by micro and calibrate                      *)
+(* Calibrate: each priced path's native time beside its Costs price     *)
 
-(* One world per flavour; each measured closure runs one transaction of
-   [accesses] accesses (plus begin/commit), so figures are directly
-   comparable. *)
+(* Each measured closure runs one transaction of [accesses] operations
+   (plus begin/commit), or a loop of [accesses] bare calls. *)
 let accesses = 64
 
-let mk_world cfg =
+let line = Captured_stm.Orec.line_words
+
+(* A one-thread world under [cfg] holding an array block of [accesses]
+   lines, one orec each: its thread and each line's first word. *)
+let lines_world cfg =
   let w = Engine.create ~nthreads:1 cfg in
-  let cell = Captured_tmem.Alloc.alloc (Engine.global_arena w) accesses in
-  let th = Engine.setup_thread w in
-  (th, cell)
+  let cell =
+    Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
+  in
+  (* An array block: line-aligned, so [m] and [m + 1] are line-mates. *)
+  assert (Captured_stm.Orec.line_words_at (Engine.orecs w) cell = line);
+  (Engine.setup_thread w, Array.init accesses (fun k -> cell + (k * line)))
 
-let empty_txn () =
-  let th, _ = mk_world Config.baseline in
-  Bechamel.Staged.stage (fun () -> Txn.atomic th (fun _ -> ()))
+(* One transaction calling [op tx m] on each line's first word [m]. *)
+let txn_lines ?(cfg = Config.baseline) op =
+  let th, lines = lines_world cfg in
+  Bechamel.Staged.stage (fun () ->
+      Txn.atomic th (fun tx -> Array.iter (op tx) lines))
 
-(* [reads] reads of one block the transaction allocated: captured, so
-   elided under a runtime analysis, or under the compiler analysis at a
-   [site] it proved captured. *)
-let txn_captured_reads ?(reads = accesses)
-    ?(site = Captured_core.Site.anonymous_read) cfg =
-  let th, _ = mk_world cfg in
+(* [n] calls of [op tx b] on a block [b] the transaction allocated:
+   captured, so elided under a runtime analysis, or under the compiler
+   analysis at a site it proved captured.  [n] = 0 is their base. *)
+let txn_captured cfg n op =
+  let th = Engine.setup_thread (Engine.create ~nthreads:1 cfg) in
   Bechamel.Staged.stage (fun () ->
       Txn.atomic th (fun tx ->
           let b = Txn.alloc tx accesses in
           Txn.write tx b 1;
-          for _ = 1 to reads do
-            ignore (Txn.read_at ~site tx b : int)
+          for _ = 1 to n do
+            op tx b
           done;
           Txn.free tx b))
 
@@ -408,23 +391,8 @@ let txn_captured_reads ?(reads = accesses)
    pass only, the baseline both are measured against. *)
 let reread_passes = 64
 
-(* A one-thread baseline world holding an array block of [accesses]
-   lines: its thread and the block, whose [k]th line starts at
-   [cell + k * line_words] and has one orec. *)
-let lines_world () =
-  let line = Captured_stm.Orec.line_words in
-  let w = Engine.create ~nthreads:1 Config.baseline in
-  let cell =
-    Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
-  in
-  (* An array block: line-aligned, so [m] and [m + 1] are line-mates. *)
-  assert (Captured_stm.Orec.line_words_at (Engine.orecs w) cell = line);
-  (Engine.setup_thread w, cell)
-
 let txn_rereads forwarded =
-  let line = Captured_stm.Orec.line_words in
-  let th, cell = lines_world () in
-  let lines = Array.init accesses (fun k -> cell + (k * line)) in
+  let th, lines = lines_world Config.baseline in
   Bechamel.Staged.stage (fun () ->
       Txn.atomic th (fun tx ->
           Array.iter
@@ -464,116 +432,28 @@ let bechamel_ns tests =
     results []
   |> List.sort compare
 
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (Bechamel): barrier and capture-check costs         *)
-
-let micro () =
-  headline "Micro: barrier & capture-check latencies (Bechamel, ns per txn)";
-  let open Bechamel in
-  let txn_shared_reads cfg =
-    let th, cell = mk_world cfg in
-    Staged.stage (fun () ->
-        Txn.atomic th (fun tx ->
-            for k = 0 to accesses - 1 do
-              ignore (Txn.read tx (cell + k) : int)
-            done))
-  in
-  let txn_shared_writes cfg =
-    let th, cell = mk_world cfg in
-    let i = ref 0 in
-    Staged.stage (fun () ->
-        incr i;
-        Txn.atomic th (fun tx ->
-            for k = 0 to accesses - 1 do
-              Txn.write tx (cell + k) !i
-            done))
-  in
-  let txn_captured_writes cfg =
-    let th, _ = mk_world cfg in
-    Staged.stage (fun () ->
-        Txn.atomic th (fun tx ->
-            let b = Txn.alloc tx accesses in
-            for k = 0 to accesses - 1 do
-              Txn.write tx (b + k) k
-            done;
-            Txn.free tx b))
-  in
-  let direct_reads =
-    let th, cell = mk_world Config.baseline in
-    Staged.stage (fun () ->
-        for k = 0 to accesses - 1 do
-          ignore (Txn.raw_read th (cell + k) : int)
-        done)
-  in
-  let cfg_tree = Config.runtime Alloc_log.Tree in
-  let cfg_array = Config.runtime Alloc_log.Array in
-  let cfg_filter = Config.runtime Alloc_log.Filter in
-  let tests =
-    Test.make_grouped ~name:"stm"
-      [
-        Test.make ~name:"empty-txn" (empty_txn ());
-        Test.make ~name:"direct-64-reads" direct_reads;
-        Test.make ~name:"baseline-64-shared-reads" (txn_shared_reads Config.baseline);
-        Test.make ~name:"baseline-64-shared-writes" (txn_shared_writes Config.baseline);
-        Test.make ~name:"baseline-64-captured-writes"
-          (txn_captured_writes Config.baseline);
-        Test.make ~name:"tree-64-captured-writes" (txn_captured_writes cfg_tree);
-        Test.make ~name:"array-64-captured-writes" (txn_captured_writes cfg_array);
-        Test.make ~name:"filter-64-captured-writes" (txn_captured_writes cfg_filter);
-        Test.make ~name:"tree-64-captured-reads" (txn_captured_reads cfg_tree);
-        Test.make ~name:"tree-64-shared-reads(miss)" (txn_shared_reads cfg_tree);
-        Test.make ~name:"array-64-shared-reads(miss)" (txn_shared_reads cfg_array);
-        Test.make ~name:"filter-64-shared-reads(miss)" (txn_shared_reads cfg_filter);
-        Test.make ~name:"baseline-128-line-mate-reads" (txn_rereads None);
-        Test.make ~name:"baseline-...+4096-rereads(forwarded)"
-          (txn_rereads (Some true));
-        Test.make ~name:"baseline-...+4096-rereads(line-mate)"
-          (txn_rereads (Some false));
-      ]
-  in
-  let results = bechamel_ns tests in
-  List.iter
-    (function
-      | name, Some est -> Printf.printf "%-42s %12.1f ns\n" name est
-      | name, None -> Printf.printf "%-42s %12s\n" name "n/a")
-    results;
-  (* The simulator prices a forwarded and a line-mate re-read alike, as
-     an owned read; set the native per-read costs beside each other. *)
-  let est name = Option.join (List.assoc_opt ("stm/" ^ name) results) in
-  match
-    ( est "baseline-128-line-mate-reads",
-      est "baseline-...+4096-rereads(forwarded)",
-      est "baseline-...+4096-rereads(line-mate)" )
-  with
-  | Some base, Some fwd, Some mate ->
-      let per t = (t -. base) /. float_of_int (reread_passes * accesses) in
-      Printf.printf
-        "# re-read per read: forwarded %.1f ns, line-mate %.1f ns (both \
-         simulated at read_owned = %d)\n"
-        (per fwd) (per mate) Captured_stm.Costs.read_owned
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Calibrate: each priced path's native time beside its Costs price     *)
-
 (* One row per path the cost model prices: its native ns per operation,
    that time scaled so a fresh read reads its price (the read barrier
    plus its entry's share of commit validation, 32), and the cycles the
    simulator charges for the same work.  A barrier row is
    the difference between two transactions that differ only in the
    measured operations, divided by their number, so begin, commit and
-   the loop cancel; a probe or spin row times a loop of [accesses] bare
-   calls.  The model prices an elided read as its capture check plus
-   [direct_access]; the check rows price the first part, and the elided
-   read the order check uses is the compiler's static elision, which runs
-   no check.  The read the runtime analysis elides, check included, is
-   reported beside it.  The section fails (exit 1) unless the native
+   the loop cancel; a raw-read, probe or spin row times a loop of
+   [accesses] bare calls.  The model prices an elided read as its
+   capture check plus [direct_access]; the check rows price the first
+   part, and the elided read the order check uses is the compiler's
+   static elision, which runs no check.  The accesses the runtime
+   analysis elides, check included, are reported beside it, per backend
+   (and for the tree under +fp), with the fresh read each backend's
+   failed check leaves.  The section fails (exit 1) unless the native
    times keep the model's order: elided < forwarded < fresh read,
    elided < line-mate read < fresh read, summary reject < backend
    probe.  It is a calibration aid, not a gate: shared hosts move its
    figures, so CI does not run it. *)
 let calibrate () =
   let module Costs = Captured_stm.Costs in
+  let module Orec = Captured_stm.Orec in
+  let module Site = Captured_core.Site in
   let fresh_cycles =
     Costs.read_barrier + Costs.commit_per_read + Costs.validate_per_read
   in
@@ -582,23 +462,9 @@ let calibrate () =
      fresh read = %d)"
     fresh_cycles;
   let open Bechamel in
-  let module Orec = Captured_stm.Orec in
-  let module Site = Captured_core.Site in
-  (* Read-for-write on [accesses] lines of an array block, one orec
-     each; the write that would follow is left out, so a row is one
-     acquisition plus its release at commit. *)
-  let txn_rfw =
-    let line = Orec.line_words in
-    let th, cell = lines_world () in
-    Staged.stage (fun () ->
-        Txn.atomic th (fun tx ->
-            for k = 0 to accesses - 1 do
-              ignore
-                (Txn.read_for_write_at ~site:Site.anonymous_read tx
-                   (cell + (k * line))
-                  : int)
-            done))
-  in
+  let read tx m = ignore (Txn.read tx m : int) in
+  let write tx m = Txn.write tx m 1 in
+  let no_op _ _ = () in
   (* A fast-path tree log of [blocks] 32-word blocks 64 words apart.
      Probes below its envelope are summary rejects; probes into the gaps
      pass the summary, miss the MRU block and take the tree (a miss
@@ -638,53 +504,110 @@ let calibrate () =
           if Orec.is_locked (Orec.get orecs 0) then platform.yield ()
         done)
   in
-  (* The first read of each of [accesses] lines of an array block: one
-     fresh read-log entry each, validated at commit. *)
-  let txn_fresh_reads =
-    let line = Orec.line_words in
-    let th, cell = lines_world () in
+  (* Loads outside any transaction. *)
+  let raw_reads =
+    let th, lines = lines_world Config.baseline in
     Staged.stage (fun () ->
-        Txn.atomic th (fun tx ->
-            for k = 0 to accesses - 1 do
-              ignore (Txn.read tx (cell + (k * line)) : int)
-            done))
+        Array.iter (fun m -> ignore (Txn.raw_read th m : int)) lines)
   in
   let static_site = Site.declare ~write:false "calibrate.captured" in
   Site.set_captured static_site;
+  let static_read tx b = ignore (Txn.read_at ~site:static_site tx b : int) in
   let cfg_fp = config "tree+fp" and cfg_compiler = config "compiler" in
   let rereads = reread_passes * accesses in
-  let tests =
-    Test.make_grouped ~name:"calibrate"
-      [
-        Test.make ~name:"reread-base" (txn_rereads None);
-        Test.make ~name:"reread-forwarded" (txn_rereads (Some true));
-        Test.make ~name:"reread-line-mate" (txn_rereads (Some false));
-        Test.make ~name:"static-base"
-          (txn_captured_reads ~reads:0 ~site:static_site cfg_compiler);
-        Test.make ~name:"static-reads"
-          (txn_captured_reads ~reads:rereads ~site:static_site cfg_compiler);
-        Test.make ~name:"runtime-base" (txn_captured_reads ~reads:0 cfg_fp);
-        Test.make ~name:"runtime-reads"
-          (txn_captured_reads ~reads:rereads cfg_fp);
-        Test.make ~name:"fresh-reads" txn_fresh_reads;
-        Test.make ~name:"empty-txn" (empty_txn ());
-        Test.make ~name:"rfw" txn_rfw;
-        Test.make ~name:"summary-reject" (probes reject_at);
-        Test.make ~name:"backend-probe" (probes gap_at);
-        Test.make ~name:"lock-spin" lock_spins;
-      ]
-  in
   (* Each row's ns per operation, from one round's estimates [est]. *)
   let per ?base name n est =
     match (est name, Option.fold ~none:(Some 0.) ~some:est base) with
     | Some t, Some b -> Some ((t -. b) /. float_of_int n)
     | _ -> None
   in
+  let checked = "stack_check + Alloc_log.search_cost" in
+  (* Each runtime backend without +fp: its tests, and its rows for an
+     access its capture check elides (a stack check, then a probe of a
+     one-block log that hits), read and written, and for a fresh read
+     after the same checks miss an empty log. *)
+  let backend_tests, backend_rows =
+    List.split
+      (List.map
+         (fun b ->
+           let cfg = Config.runtime b in
+           let name = Config.to_string cfg in
+           let one_block = Alloc_log.create b in
+           ignore (Alloc_log.add one_block ~lo:base ~hi:(base + accesses)
+                    : Alloc_log.added);
+           let hit =
+             Costs.stack_check + Alloc_log.search_cost one_block
+             + Costs.direct_access
+           in
+           let t s = name ^ "-" ^ s and row what = what ^ " (" ^ name ^ ")" in
+           ( [
+               Test.make ~name:(t "base") (txn_captured cfg 0 no_op);
+               Test.make ~name:(t "captured-reads")
+                 (txn_captured cfg rereads read);
+               Test.make ~name:(t "captured-writes")
+                 (txn_captured cfg rereads write);
+               Test.make ~name:(t "lines") (txn_lines ~cfg no_op);
+               Test.make ~name:(t "failed-check-reads") (txn_lines ~cfg read);
+             ],
+             [
+               ( row "read captured",
+                 per ~base:(t "base") (t "captured-reads") rereads,
+                 hit,
+                 checked ^ " + direct_access" );
+               ( row "write captured",
+                 per ~base:(t "base") (t "captured-writes") rereads,
+                 hit,
+                 checked ^ " + direct_access" );
+               ( row "read after failed check",
+                 per ~base:(t "lines") (t "failed-check-reads") accesses,
+                 Costs.stack_check
+                 + Alloc_log.search_cost (Alloc_log.create b)
+                 + fresh_cycles,
+                 checked ^ " + read fresh" );
+             ] ))
+         Alloc_log.[ Tree; Array; Filter ])
+  in
+  let tests =
+    Test.make_grouped ~name:"calibrate"
+      ([
+         Test.make ~name:"raw-reads" raw_reads;
+         Test.make ~name:"lines" (txn_lines no_op);
+         Test.make ~name:"fresh-reads" (txn_lines read);
+         Test.make ~name:"rfw"
+           (txn_lines (fun tx m ->
+                ignore (Txn.read_for_write_at ~site:Site.anonymous_read tx m
+                         : int)));
+         Test.make ~name:"fresh-writes" (txn_lines write);
+         Test.make ~name:"owned-writes"
+           (txn_lines (fun tx m ->
+                for d = 0 to line - 1 do
+                  write tx (m + d)
+                done));
+         Test.make ~name:"reread-base" (txn_rereads None);
+         Test.make ~name:"reread-forwarded" (txn_rereads (Some true));
+         Test.make ~name:"reread-line-mate" (txn_rereads (Some false));
+         Test.make ~name:"static-base" (txn_captured cfg_compiler 0 no_op);
+         Test.make ~name:"static-reads"
+           (txn_captured cfg_compiler rereads static_read);
+         Test.make ~name:"runtime-base" (txn_captured cfg_fp 0 no_op);
+         Test.make ~name:"runtime-reads" (txn_captured cfg_fp rereads read);
+       ]
+      @ List.concat backend_tests
+      @ [
+          Test.make ~name:"summary-reject" (probes reject_at);
+          Test.make ~name:"backend-probe" (probes gap_at);
+          Test.make ~name:"lock-spin" lock_spins;
+        ])
+  in
   (* (path, measurement, simulator cycles, how the model prices it) *)
   let specs =
     [
+      ( "read raw (Txn.raw_read)",
+        per "raw-reads" accesses,
+        Costs.direct_access,
+        "direct_access" );
       ( "read fresh",
-        per ~base:"empty-txn" "fresh-reads" accesses,
+        per ~base:"lines" "fresh-reads" accesses,
         fresh_cycles,
         "read_barrier + commit_per_read + validate_per_read" );
       ( "read line-mate",
@@ -705,20 +628,36 @@ let calibrate () =
         + Costs.direct_access,
         "site_check + stack_check + capture_summary_check + direct_access" );
       ( "read-for-write",
-        per ~base:"empty-txn" "rfw" accesses,
+        per ~base:"lines" "rfw" accesses,
         Costs.write_barrier_acquire + Costs.commit_per_orec,
         "write_barrier_acquire + commit_per_orec" );
-      ( "capture summary reject",
-        per "summary-reject" accesses,
-        Costs.capture_summary_check,
-        "capture_summary_check" );
-      ( backend_path,
-        per "backend-probe" accesses,
-        Costs.capture_summary_check + Costs.capture_mru_check
-        + Alloc_log.search_cost log,
-        "capture_summary_check + capture_mru_check + Alloc_log.search_cost" );
-      ("lock-spin step", per "lock-spin" accesses, Costs.lock_spin, "lock_spin");
+      ( "write fresh",
+        per ~base:"lines" "fresh-writes" accesses,
+        Costs.write_barrier_acquire + Costs.undo_log_entry
+        + Costs.commit_per_orec,
+        "write_barrier_acquire + undo_log_entry + commit_per_orec" );
+      ( "write owned (line-mate)",
+        per ~base:"fresh-writes" "owned-writes" (accesses * (line - 1)),
+        Costs.write_barrier_owned + Costs.undo_log_entry,
+        "write_barrier_owned + undo_log_entry" );
     ]
+    @ List.concat backend_rows
+    @ [
+        ( "capture summary reject",
+          per "summary-reject" accesses,
+          Costs.capture_summary_check,
+          "capture_summary_check" );
+        ( backend_path,
+          per "backend-probe" accesses,
+          Costs.capture_summary_check + Costs.capture_mru_check
+          + Alloc_log.search_cost log,
+          "capture_summary_check + capture_mru_check + Alloc_log.search_cost"
+        );
+        ( "lock-spin step",
+          per "lock-spin" accesses,
+          Costs.lock_spin,
+          "lock_spin" );
+      ]
   in
   (* A shared host drifts over the seconds one round takes, so the whole
      set is measured [rounds] times and each row reports its median; a
@@ -763,6 +702,17 @@ let calibrate () =
       Printf.printf "%-40s %9s %9s %7d  %s\n" path (cell t) (cell scaled)
         cycles model)
     rows;
+  (* A reader that owns no orec spins on a lock while the wait costs less
+     than re-reading its log: [read_barrier / lock_spin] spins per logged
+     read in the model ([Txn.wait_budget]). *)
+  (match (ns "read fresh", ns "lock-spin step") with
+  | Some r, Some s when s > 0. ->
+      Printf.printf
+        "# lock-wait break-even: a fresh read costs %.1f lock-spin steps \
+         natively (%.1f / %.1f ns); Costs: read_barrier / lock_spin = %d\n"
+        (r /. s) r s
+        (Costs.read_barrier / Costs.lock_spin)
+  | _ -> ());
   (* The order the model relies on, strictly increasing. *)
   let rec increasing = function
     | Some a :: (Some b :: _ as rest) -> a < b && increasing rest
@@ -823,35 +773,7 @@ let ablation () =
         "  bits=%2d  abort/commit=%.3f  makespan=%.0f  tree+fp makespan=%.0f \
          (capture gain %.1f%%)\n"
         bits ratio base fp (improvement ~base fp))
-    [ 8; 10; 12; 14; 17; 18 ];
-  (* (d') Hybrid (paper future work): compiler-proved shared sites skip
-     the runtime checks — recovering baseline speed where there is nothing
-     to elide while keeping full elision elsewhere. *)
-  Printf.printf
-    "\n(e) hybrid static-filter (runtime tree, full scope, 1 thr makespans)\n";
-  List.iter
-    (fun appname ->
-      let run cfg =
-        (App.run (Option.get (Registry.find appname)) ~nthreads:1
-           ~scale:(scale ()) ~mode:(`Sim 1) cfg)
-          .Engine.makespan
-      in
-      Printf.printf "  %-12s baseline=%8d  runtime=%8d  hybrid=%8d\n" appname
-        (run Config.baseline)
-        (run (Config.runtime Alloc_log.Tree))
-        (run (Config.runtime_hybrid Alloc_log.Tree)))
-    [ "kmeans-high"; "ssca2"; "labyrinth"; "vacation-high" ];
-  (* (d) Check scope: runtime checks on reads are what hurts kmeans. *)
-  Printf.printf "\n(d) runtime check scope vs makespan (kmeans-high, 1 thr)\n";
-  List.iter
-    (fun cfg ->
-      let r =
-        App.run (Option.get (Registry.find "kmeans-high")) ~nthreads:1
-          ~scale:(scale ()) ~mode:(`Sim 1) cfg
-      in
-      Printf.printf "  %-14s makespan=%d\n" (Config.to_string cfg)
-        r.Engine.makespan)
-    (Config.baseline :: scope_configs)
+    [ 8; 10; 12; 14; 17; 18 ]
 
 (* ------------------------------------------------------------------ *)
 (* Contention: abort behaviour of the retry backoff vs thread count      *)
@@ -1180,41 +1102,14 @@ let ab_section spec =
 
 (* ------------------------------------------------------------------ *)
 
-(* Bechamel settles the heap before every sample with [Gc.compact], some
-   thousands of times per run.  Under OCaml 5.1 each explicit collection
-   banks major-GC work credit that the allocation-driven slices then pay
-   back by doing no work, so for the rest of the process no major cycle
-   completes and every later simulator run grows the heap for good
-   (nothing is retained: one [Gc.full_major] frees it all).  So each
-   Bechamel section ([micro], [calibrate]) runs in a child process of its
-   own, unless it is all this process runs; the child's banner and closing
-   line are dropped. *)
-let isolated name run () =
-  if !only = [ name ] then run ()
-  else begin
-    flush stdout;
-    let child =
-      Unix.open_process_args_in Sys.executable_name
-        (Array.of_list
-           ((Sys.executable_name :: (if !quick then [ "--quick" ] else []))
-           @ [ "--only"; name ]))
-    in
-    (try
-       while true do
-         let line = input_line child in
-         if
-           not
-             (String.starts_with ~prefix:"captured-memory STM" line
-             || line = "done.")
-         then print_endline line
-       done
-     with End_of_file -> ());
-    match Unix.close_process_in child with
-    | Unix.WEXITED 0 -> ()
-    | _ -> fail "%s: the child process failed" name
-  end
-
-(* Every section in run order; the A/B sections run after them. *)
+(* Every section in run order.  The A/B sections run after all of them
+   but calibrate: Bechamel settles the heap before every sample with
+   [Gc.compact], some thousands of times per run, and under OCaml 5.1
+   each explicit collection banks major-GC work credit that the
+   allocation-driven slices then pay back by doing no work, so for the
+   rest of the process no major cycle completes and every later
+   simulator run grows the heap for good.  The one Bechamel section
+   therefore runs last. *)
 let sections =
   [
     ("fig8", fig8);
@@ -1224,12 +1119,11 @@ let sections =
     ("fig10", fig10);
     ("fig11a", fig11a);
     ("fig11b", fig11b);
-    ("micro", isolated "micro" micro);
-    ("calibrate", isolated "calibrate" calibrate);
     ("ablation", ablation);
     ("contention", contention);
     ("scale", scale_section);
     ("wal", wal_section);
+    ("calibrate", calibrate);
   ]
 
 let () =
@@ -1256,8 +1150,13 @@ let () =
      %s build)\n"
     (if !quick then "test/quick" else "bench")
     sim_threads Profile.profile;
-  List.iter (fun (name, run) -> if wants name then run ()) sections;
+  let run (name, run) = if wants name then run () in
+  let bechamel, others =
+    List.partition (fun (name, _) -> name = "calibrate") sections
+  in
+  List.iter run others;
   List.iter ab_section
     (if !only = [] then [ "fp"; "tv"; "lazy"; "sf" ]
      else List.filter_map ab_spec !only);
+  List.iter run bechamel;
   Printf.printf "\ndone.\n"

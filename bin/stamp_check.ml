@@ -10,6 +10,7 @@
 
 module Config = Captured_stm.Config
 module Fault = Captured_stm.Fault
+module Stats = Captured_stm.Stats
 module Strategy = Captured_check.Strategy
 module Harness = Captured_check.Harness
 module Oracle = Captured_check.Oracle
@@ -188,9 +189,25 @@ let apps_arg =
   let doc = "Comma-separated registered STAMP apps to sweep (Test scale)." in
   Arg.(value & opt string "" & info [ "apps" ] ~docv:"NAMES" ~doc)
 
+(* A thread count the engine takes: 1 to [Stats.max_tids]; anything else
+   is rejected with cmdliner's exit 124 before a sweep starts. *)
+let threads_conv =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 && n <= Stats.max_tids -> Ok n
+        | _ ->
+            Error
+              (`Msg
+                 (Printf.sprintf "%s is not a thread count in 1..%d" s
+                    Stats.max_tids))),
+      Format.pp_print_int )
+
 let threads_arg =
-  let doc = "Simulated threads per workload." in
-  Arg.(value & opt int 2 & info [ "threads"; "t" ] ~docv:"N" ~doc)
+  let doc =
+    Printf.sprintf "Simulated threads per workload, 1 to %d." Stats.max_tids
+  in
+  Arg.(value & opt threads_conv 2 & info [ "threads"; "t" ] ~docv:"N" ~doc)
 
 let modes_arg =
   let doc =

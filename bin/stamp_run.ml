@@ -205,8 +205,24 @@ let scale_arg =
   Arg.(value & opt string "bench"
        & info [ "scale"; "s" ] ~docv:"SCALE" ~doc:"test | bench | large")
 
+(* A thread count the engine takes: 1 to [Stats.max_tids]; anything else
+   is rejected with cmdliner's exit 124 before a run starts. *)
+let threads_conv =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 && n <= Stats.max_tids -> Ok n
+        | _ ->
+            Error
+              (`Msg
+                 (Printf.sprintf "%s is not a thread count in 1..%d" s
+                    Stats.max_tids))),
+      Format.pp_print_int )
+
 let threads_arg =
-  Arg.(value & opt int 16 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Logical threads.")
+  Arg.(value & opt threads_conv 16
+       & info [ "threads"; "t" ] ~docv:"N"
+           ~doc:(Printf.sprintf "Logical threads, 1 to %d." Stats.max_tids))
 
 let native_arg =
   Arg.(value & flag
