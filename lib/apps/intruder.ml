@@ -101,96 +101,104 @@ let prepare ~nthreads ~scale config =
   let sessions = Tmap.create setup in
   (* Counters: [attacks; processed]. *)
   let counters = Alloc.alloc arena 2 in
+  (* Decode [frag] into its flow's session; on the flow's last fragment,
+     assemble the flow into a fresh (captured) buffer and free the
+     session. *)
+  let decode tx acc frag =
+    let flow = Txn.read_at ~site:site_frag_flow_r tx (frag + f_flow) in
+    let fid = Txn.read_at ~site:site_frag_id_r tx (frag + f_frag) in
+    let nfrags = Txn.read_at ~site:site_frag_nfrags_r tx (frag + f_nfrags) in
+    let flen = Txn.read_at ~site:site_frag_len_r tx (frag + f_len) in
+    let sess =
+      match Tmap.find acc sessions flow with
+      | Some s -> s
+      | None ->
+          let s = Txn.alloc tx session_words in
+          Txn.write_at ~site:site_sess_init_received tx (s + se_received) 0;
+          Txn.write_at ~site:site_sess_init_len tx (s + se_len) 0;
+          Txn.write_at ~site:site_sess_init_list tx (s + se_list)
+            (Tlist.create acc);
+          ignore (Tmap.insert acc sessions ~key:flow ~value:s : bool);
+          s
+    in
+    let lst = Txn.read_at ~site:site_sess_list_r tx (sess + se_list) in
+    ignore (Tlist.insert acc lst ~key:fid ~value:frag : bool);
+    let received =
+      Txn.read_at ~site:site_sess_received_r tx (sess + se_received) + 1
+    in
+    Txn.write_at ~site:site_sess_received_w tx (sess + se_received) received;
+    let total_len =
+      Txn.read_at ~site:site_sess_len_r tx (sess + se_len) + flen
+    in
+    Txn.write_at ~site:site_sess_len_w tx (sess + se_len) total_len;
+    if received < nfrags then None
+    else begin
+      let buf = Txn.alloc tx (total_len + 1) in
+      Txn.write_at ~site:site_buf_w tx buf total_len;
+      let pos = ref 1 in
+      let it = Txn.alloca tx Tlist.iter_words in
+      Tlist.iter_reset acc ~iter:it lst;
+      while Tlist.iter_has_next acc ~iter:it do
+        let _, fr = Tlist.iter_next acc ~iter:it in
+        let fl = Txn.read_at ~site:site_frag_len_r tx (fr + f_len) in
+        for k = 0 to fl - 1 do
+          Txn.write_at ~site:site_buf_w tx (buf + !pos)
+            (Txn.read_at ~site:site_frag_char_r tx
+               (fr + frag_header_words + k));
+          incr pos
+        done
+      done;
+      Tlist.destroy acc lst;
+      ignore (Tmap.remove acc sessions flow : bool);
+      Txn.free tx sess;
+      Some buf
+    end
+  in
   let body th =
-    let continue = ref true in
-    while !continue do
-      (* Capture (pop + decode) in one transaction, like STAMP's decoder
-         step; the detector runs outside. *)
-      let completed =
+    (* One transaction per packet, pipelined: it decodes the packet the
+       thread holds and pops the next one as its last access, so the
+       queue head's orec (acquired at the pop's read-for-write) is held
+       only from that pop to the commit, never across a decode.  A
+       thread's first packet comes from a pop of its own: a first
+       transaction that popped, decoded and popped again would hold the
+       head through its decode, and decoders that hold map nodes while
+       waiting for the head then abort it, and it them, without end
+       (filtering+scope:hw, 16 threads, seed 3: 7 commits in 5 M
+       events).  STAMP pops every packet in a transaction of its own
+       (TMSTREAM_GETPACKET); the pipelined pop saves that commit per
+       packet.  The detector runs outside. *)
+    let rec loop frag =
+      let buf, next =
         Txn.atomic th (fun tx ->
             let acc = Access.of_tx tx in
-            match Tqueue.pop acc input with
-            | None -> `Drained
-            | Some frag ->
-                let flow = Txn.read_at ~site:site_frag_flow_r tx (frag + f_flow) in
-                let fid = Txn.read_at ~site:site_frag_id_r tx (frag + f_frag) in
-                let nfrags =
-                  Txn.read_at ~site:site_frag_nfrags_r tx (frag + f_nfrags)
-                in
-                let flen = Txn.read_at ~site:site_frag_len_r tx (frag + f_len) in
-                let sess =
-                  match Tmap.find acc sessions flow with
-                  | Some s -> s
-                  | None ->
-                      let s = Txn.alloc tx session_words in
-                      Txn.write_at ~site:site_sess_init_received tx
-                        (s + se_received) 0;
-                      Txn.write_at ~site:site_sess_init_len tx (s + se_len) 0;
-                      Txn.write_at ~site:site_sess_init_list tx (s + se_list)
-                        (Tlist.create acc);
-                      ignore (Tmap.insert acc sessions ~key:flow ~value:s : bool);
-                      s
-                in
-                let lst = Txn.read_at ~site:site_sess_list_r tx (sess + se_list) in
-                ignore (Tlist.insert acc lst ~key:fid ~value:frag : bool);
-                let received =
-                  Txn.read_at ~site:site_sess_received_r tx (sess + se_received) + 1
-                in
-                Txn.write_at ~site:site_sess_received_w tx (sess + se_received)
-                  received;
-                let total_len =
-                  Txn.read_at ~site:site_sess_len_r tx (sess + se_len) + flen
-                in
-                Txn.write_at ~site:site_sess_len_w tx (sess + se_len) total_len;
-                if received < nfrags then `Continue
-                else begin
-                  (* Complete: assemble into a fresh (captured) buffer. *)
-                  let buf = Txn.alloc tx (total_len + 1) in
-                  Txn.write_at ~site:site_buf_w tx buf total_len;
-                  let pos = ref 1 in
-                  let it = Txn.alloca tx Tlist.iter_words in
-                  Tlist.iter_reset acc ~iter:it lst;
-                  while Tlist.iter_has_next acc ~iter:it do
-                    let _, fr = Tlist.iter_next acc ~iter:it in
-                    let fl = Txn.read_at ~site:site_frag_len_r tx (fr + f_len) in
-                    for k = 0 to fl - 1 do
-                      Txn.write_at ~site:site_buf_w tx (buf + !pos)
-                        (Txn.read_at ~site:site_frag_char_r tx
-                           (fr + frag_header_words + k));
-                      incr pos
-                    done
-                  done;
-                  Tlist.destroy acc lst;
-                  ignore (Tmap.remove acc sessions flow : bool);
-                  Txn.free tx sess;
-                  `Detect buf
-                end)
+            let buf = decode tx acc frag in
+            (buf, Tqueue.pop acc input))
       in
-      match completed with
-      | `Drained -> continue := false
-      | `Continue -> ()
-      | `Detect buf ->
-          (* The buffer is privatised: only this thread holds it. *)
-          let len = Txn.raw_read th buf in
-          let slen = Array.length signature in
-          let found = ref false in
-          for s = 1 to len - slen + 1 do
-            let rec matches k =
-              k >= slen || (Txn.raw_read th (buf + s + k) = signature.(k) && matches (k + 1))
-            in
-            if matches 0 then found := true
-          done;
-          Txn.work th (len * 2);
-          let attacked = !found in
-          Txn.atomic th (fun tx ->
-              if attacked then
-                Txn.write_at ~site:site_attacks_w tx counters
-                  (Txn.read_for_write_at ~site:site_attacks_r tx counters + 1);
-              Txn.write_at ~site:site_done_w tx (counters + 1)
-                (Txn.read_for_write_at ~site:site_done_r tx (counters + 1)
-                   + 1));
-          Txn.raw_free th buf
-    done
+      Option.iter detect buf;
+      Option.iter loop next
+    and detect buf =
+      (* The buffer is privatised: only this thread holds it. *)
+      let len = Txn.raw_read th buf in
+      let slen = Array.length signature in
+      let found = ref false in
+      for s = 1 to len - slen + 1 do
+        let rec matches k =
+          k >= slen || (Txn.raw_read th (buf + s + k) = signature.(k) && matches (k + 1))
+        in
+        if matches 0 then found := true
+      done;
+      Txn.work th (len * 2);
+      let attacked = !found in
+      Txn.atomic th (fun tx ->
+          if attacked then
+            Txn.write_at ~site:site_attacks_w tx counters
+              (Txn.read_for_write_at ~site:site_attacks_r tx counters + 1);
+          Txn.write_at ~site:site_done_w tx (counters + 1)
+            (Txn.read_for_write_at ~site:site_done_r tx (counters + 1) + 1));
+      Txn.raw_free th buf
+    in
+    Option.iter loop
+      (Txn.atomic th (fun tx -> Tqueue.pop (Access.of_tx tx) input))
   in
   let verify () =
     let attacks = Memory.get mem counters in
@@ -222,140 +230,141 @@ let model =
         @ [
             {
               name = "intruder_decode";
-              params = [];
+              params = [ "frag" ];
               body =
                 [
+                  (* Decode the packet the thread holds, then pop the next
+                     one as the transaction's last access. *)
                   Atomic
                     [
+                      load ~site:"intruder.frag.flow_r" "flow" (v "frag");
+                      load ~site:"intruder.frag.id_r" "fid"
+                        (v "frag" +: i 1);
+                      load ~site:"intruder.frag.nfrags_r" "nfrags"
+                        (v "frag" +: i 2);
+                      load ~site:"intruder.frag.len_r" "flen"
+                        (v "frag" +: i 3);
                       Call
-                        { dst = Some "frag"; func = "queue_pop"; args = [ Global "intr_input" ] };
+                        {
+                          dst = Some "sess";
+                          func = "map_find";
+                          args = [ Global "intr_sessions"; v "flow" ];
+                        };
                       If
-                        ( v "frag" <>: i 0,
+                        ( v "sess" =: i 0,
                           [
-                            load ~site:"intruder.frag.flow_r" "flow" (v "frag");
-                            load ~site:"intruder.frag.id_r" "fid"
-                              (v "frag" +: i 1);
-                            load ~site:"intruder.frag.nfrags_r" "nfrags"
-                              (v "frag" +: i 2);
-                            load ~site:"intruder.frag.len_r" "flen"
-                              (v "frag" +: i 3);
+                            Malloc
+                              {
+                                dst = "sess";
+                                words = i 3;
+                                label = "intr.session";
+                              };
+                            store ~manual:false
+                              ~site:"intruder.sess_init.received"
+                              (v "sess") (i 0);
+                            store ~manual:false
+                              ~site:"intruder.sess_init.len"
+                              (v "sess" +: i 1) (i 0);
                             Call
                               {
-                                dst = Some "sess";
-                                func = "map_find";
-                                args = [ Global "intr_sessions"; v "flow" ];
+                                dst = Some "newlst";
+                                func = "list_create";
+                                args = [];
                               };
-                            If
-                              ( v "sess" =: i 0,
-                                [
-                                  Malloc
-                                    {
-                                      dst = "sess";
-                                      words = i 3;
-                                      label = "intr.session";
-                                    };
-                                  store ~manual:false
-                                    ~site:"intruder.sess_init.received"
-                                    (v "sess") (i 0);
-                                  store ~manual:false
-                                    ~site:"intruder.sess_init.len"
-                                    (v "sess" +: i 1) (i 0);
-                                  Call
-                                    {
-                                      dst = Some "newlst";
-                                      func = "list_create";
-                                      args = [];
-                                    };
-                                  store ~manual:false
-                                    ~site:"intruder.sess_init.list"
-                                    (v "sess" +: i 2) (v "newlst");
-                                  Call
-                                    {
-                                      dst = None;
-                                      func = "map_insert";
-                                      args =
-                                        [ Global "intr_sessions"; v "flow"; v "sess" ];
-                                    };
-                                ],
-                                [] );
-                            load ~site:"intruder.sess.list_r" "lst"
-                              (v "sess" +: i 2);
+                            store ~manual:false
+                              ~site:"intruder.sess_init.list"
+                              (v "sess" +: i 2) (v "newlst");
                             Call
                               {
                                 dst = None;
-                                func = "list_insert";
-                                args = [ v "lst"; v "fid"; v "frag" ];
+                                func = "map_insert";
+                                args =
+                                  [ Global "intr_sessions"; v "flow"; v "sess" ];
                               };
-                            load ~site:"intruder.sess.received_r" "rcv"
-                              (v "sess");
-                            store ~site:"intruder.sess.received_w" (v "sess")
-                              (v "rcv" +: i 1);
-                            load ~site:"intruder.sess.len_r" "tl"
-                              (v "sess" +: i 1);
-                            store ~site:"intruder.sess.len_w" (v "sess" +: i 1)
-                              (v "tl" +: v "flen");
-                            If
-                              ( v "rcv" +: i 1 >=: v "nfrags",
-                                [
-                                  Malloc
-                                    {
-                                      dst = "buf";
-                                      words = v "tl" +: v "flen" +: i 1;
-                                      label = "intr.buf";
-                                    };
-                                  store ~manual:false ~site:"intruder.buf_w"
-                                    (v "buf") (v "tl" +: v "flen");
-                                  (* Copy loop: captured buffer writes,
-                                     shared fragment reads through the
-                                     list iterator. *)
-                                  Alloca
-                                    { dst = "it"; words = 1; label = "intr.iter" };
-                                  load ~site:"list.header.first_r" "f0" (v "lst");
-                                  store ~manual:false ~site:"list.iter.write"
-                                    (v "it") (v "f0");
-                                  load ~manual:false ~site:"list.iter.read"
-                                    "node" (v "it");
-                                  Let ("pos", i 1);
-                                  While
-                                    ( v "node" <>: i 0,
-                                      [
-                                        load ~site:"list.find.val" "fr"
-                                          (v "node" +: i 1);
-                                        load ~site:"intruder.frag.len_r" "fl"
-                                          (v "fr" +: i 3);
-                                        Let ("k", i 0);
-                                        While
-                                          ( v "k" <: v "fl",
-                                            [
-                                              load ~site:"intruder.frag.char_r"
-                                                "c" (v "fr" +: i 4 +: v "k");
-                                              store ~manual:false
-                                                ~site:"intruder.buf_w"
-                                                (v "buf" +: v "pos") (v "c");
-                                              Let ("pos", v "pos" +: i 1);
-                                              Let ("k", v "k" +: i 1);
-                                            ] );
-                                        load ~site:"list.traverse.next" "nxt"
-                                          (v "node" +: i 2);
-                                        store ~manual:false
-                                          ~site:"list.iter.write" (v "it")
-                                          (v "nxt");
-                                        load ~manual:false
-                                          ~site:"list.iter.read" "node" (v "it");
-                                      ] );
-                                  Call
-                                    {
-                                      dst = None;
-                                      func = "map_remove";
-                                      args = [ Global "intr_sessions"; v "flow" ];
-                                    };
-                                  Free (v "sess");
-                                ],
-                                [] );
                           ],
                           [] );
+                      load ~site:"intruder.sess.list_r" "lst"
+                        (v "sess" +: i 2);
+                      Call
+                        {
+                          dst = None;
+                          func = "list_insert";
+                          args = [ v "lst"; v "fid"; v "frag" ];
+                        };
+                      load ~site:"intruder.sess.received_r" "rcv"
+                        (v "sess");
+                      store ~site:"intruder.sess.received_w" (v "sess")
+                        (v "rcv" +: i 1);
+                      load ~site:"intruder.sess.len_r" "tl"
+                        (v "sess" +: i 1);
+                      store ~site:"intruder.sess.len_w" (v "sess" +: i 1)
+                        (v "tl" +: v "flen");
+                      If
+                        ( v "rcv" +: i 1 >=: v "nfrags",
+                          [
+                            Malloc
+                              {
+                                dst = "buf";
+                                words = v "tl" +: v "flen" +: i 1;
+                                label = "intr.buf";
+                              };
+                            store ~manual:false ~site:"intruder.buf_w"
+                              (v "buf") (v "tl" +: v "flen");
+                            (* Copy loop: captured buffer writes,
+                               shared fragment reads through the
+                               list iterator. *)
+                            Alloca
+                              { dst = "it"; words = 1; label = "intr.iter" };
+                            load ~site:"list.header.first_r" "f0" (v "lst");
+                            store ~manual:false ~site:"list.iter.write"
+                              (v "it") (v "f0");
+                            load ~manual:false ~site:"list.iter.read"
+                              "node" (v "it");
+                            Let ("pos", i 1);
+                            While
+                              ( v "node" <>: i 0,
+                                [
+                                  load ~site:"list.find.val" "fr"
+                                    (v "node" +: i 1);
+                                  load ~site:"intruder.frag.len_r" "fl"
+                                    (v "fr" +: i 3);
+                                  Let ("k", i 0);
+                                  While
+                                    ( v "k" <: v "fl",
+                                      [
+                                        load ~site:"intruder.frag.char_r"
+                                          "c" (v "fr" +: i 4 +: v "k");
+                                        store ~manual:false
+                                          ~site:"intruder.buf_w"
+                                          (v "buf" +: v "pos") (v "c");
+                                        Let ("pos", v "pos" +: i 1);
+                                        Let ("k", v "k" +: i 1);
+                                      ] );
+                                  load ~site:"list.traverse.next" "nxt"
+                                    (v "node" +: i 2);
+                                  store ~manual:false
+                                    ~site:"list.iter.write" (v "it")
+                                    (v "nxt");
+                                  load ~manual:false
+                                    ~site:"list.iter.read" "node" (v "it");
+                                ] );
+                            Call
+                              {
+                                dst = None;
+                                func = "map_remove";
+                                args = [ Global "intr_sessions"; v "flow" ];
+                              };
+                            Free (v "sess");
+                          ],
+                          [] );
+                      Call
+                        {
+                          dst = Some "next";
+                          func = "queue_pop";
+                          args = [ Global "intr_input" ];
+                        };
                     ];
-                  Return (i 0);
+                  Return (v "next");
                 ];
             };
             {

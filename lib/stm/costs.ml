@@ -55,7 +55,7 @@ let site_check = 1
    to [backoff_max_shift] doublings, plus [jitter land 63] per attempt.
    The cap is one transaction's length: 64 lsl 5 = 2048 cycles is just
    over the longest one-thread cost per commit among the benchmark apps
-   (intruder, 1.593 Mcycles / 834 commits ~ 1900 cycles).  A waiter that
+   (intruder-durable, 1.505 Mcycles / 834 commits ~ 1800 cycles).  A waiter that
    has waited as long as a whole peer transaction has given that peer
    time to commit; waiting longer only idles.  Natively the jitter-free
    wait therefore stays under [Platform.native_relax]'s 4096-cycle sleep

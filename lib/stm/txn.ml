@@ -1485,8 +1485,9 @@ let publish tx =
 (* Durable commit: build the redo-style record and append it at the
    serialization point.  The write set is the redo buffer under [+lazy]
    (one entry per distinct address, publish order); under eager undo it
-   is the undo log's addresses paired with their *current* memory values
-   (the post-transaction image — in-place stores already happened).
+   is the undo log's distinct addresses paired with their *current*
+   memory values (the post-transaction image — in-place stores already
+   happened), so both engines log the same write set.
    Captured writes are in neither ([wal_skips], counted at the barrier).
    Surviving allocations are logged with their full payload images —
    this is what makes captured-write elision sound durably: a captured
@@ -1510,9 +1511,21 @@ let wal_append_commit tx =
           Array.init (Redo.size tx.redo) (fun k ->
               (Redo.addr tx.redo k, Redo.value tx.redo k))
         else
-          Array.init tx.n_undo (fun k ->
-              let a = tx.undo_addrs.(k) in
-              (a, mem_get tx a))
+          (* The undo log can name an address twice: the write-after-write
+             filter is a lossy hash table ([Range_filter]), so a write
+             after a colliding one takes a second entry.  Rollback does
+             not mind (entries are undone newest first); the record keeps
+             each address once, as the redo buffer's exact index does. *)
+          let seen = Hashtbl.create tx.n_undo in
+          Array.of_seq
+            (Seq.filter_map
+               (fun a ->
+                 if Hashtbl.mem seen a then None
+                 else begin
+                   Hashtbl.add seen a ();
+                   Some (a, mem_get tx a)
+                 end)
+               (Seq.take tx.n_undo (Array.to_seq tx.undo_addrs)))
       in
       let scope = innermost tx in
       let allocs =

@@ -258,4 +258,34 @@ let suite_for app =
   in
   (app.App.name, cases)
 
-let () = Alcotest.run "apps" (List.map suite_for (apps ()))
+(* Intruder under the benchmark's durable config must scale: its decode
+   transaction pops the next packet as its last access, so the input
+   queue's head is held only from that pop to the commit.  At test scale
+   and seed 1 the 4-thread makespan is 0.40 of the 1-thread one; with
+   the pop first, the head was held through every decode and the ratio
+   was 0.85. *)
+let test_intruder_scales () =
+  let app = Option.get (Registry.find "intruder") in
+  let cfg =
+    Result.get_ok (Config.of_string "tree+scope:hw+tv+lazy+wal+ebr")
+  in
+  let makespan nthreads =
+    match App.run_checked app ~nthreads ~scale:App.Test ~mode:(`Sim 1) cfg with
+    | Ok r -> r.Engine.makespan
+    | Error m -> Alcotest.failf "intruder at %d threads: %s" nthreads m
+  in
+  let m1 = makespan 1 and m4 = makespan 4 in
+  ignore (makespan 16 : int);
+  check "4-thread makespan <= 0.45 x 1-thread" true
+    (float_of_int m4 <= 0.45 *. float_of_int m1)
+
+let () =
+  Alcotest.run "apps"
+    (List.map suite_for (apps ())
+    @ [
+        ( "scaling",
+          [
+            Alcotest.test_case "intruder 1/4/16 threads" `Quick
+              test_intruder_scales;
+          ] );
+      ])
