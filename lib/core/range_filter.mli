@@ -8,10 +8,7 @@
     unlogging a block clears its slots even if a collision had repurposed
     them — both produce only false negatives, never false positives, so the
     filter stays conservative.  Checks are a hash and a compare; logging
-    and unlogging cost grows with the block size.
-
-    The STM's write-after-write filter is the same table probed one word
-    at a time: [contains] then [insert] on [\[addr, addr+1)]. *)
+    and unlogging cost grows with the block size. *)
 
 type t
 

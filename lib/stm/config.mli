@@ -2,8 +2,9 @@
     barriers apply, and where.
 
     The paper's evaluated systems map to:
-    - [Baseline]: no capture analysis (write-after-write undo-log filtering
-      stays on — the paper's baseline has those "cheap checks").
+    - [Baseline]: no capture analysis (a rewrite of an address already
+      in the write set still takes no second log entry — the paper's
+      baseline has those "cheap checks").
     - [Runtime backend]: the barrier first runs runtime capture analysis
       (Figure 2) with the given allocation-log backend; [scope] selects
       Figure 10/11's configurations (stack and/or heap checks, in read
@@ -67,8 +68,8 @@ type t = {
           vanishes under [+fence], suspect the ordering argument. *)
   lazy_versioning : bool;
       (** Deferred-update (lazy-versioning, TL2-style) backend ([+lazy]
-          token).  Write barriers buffer into a per-transaction redo
-          log ({!Redo}) instead of acquiring orecs and undo-logging
+          token).  Write barriers buffer into the per-transaction write
+          set ({!Write_set}) instead of acquiring orecs and undo-logging
           eagerly; reads probe the buffer first (read-own-write);
           commit acquires the write-set orecs, validates, publishes the
           buffered values and releases.  The paper's capture payoff
@@ -78,8 +79,8 @@ type t = {
           [false] (default) is the eager-undo engine, bit for bit. *)
   durable : bool;
       (** Durable transactions ([+wal] token): writer commits append a
-          redo-style record (derived from the redo buffer under [+lazy],
-          captured from the undo log's addresses under eager) to a
+          redo-style record (the write set's addresses with their new
+          values, buffered under [+lazy], in memory under eager) to a
           write-ahead log at the serialization point, batched by group
           commit ([wal_group]).  Stores the capture analysis proved
           transaction-local never reach the log ([Stats.wal_skips]).

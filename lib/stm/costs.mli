@@ -20,7 +20,12 @@ val write_barrier_owned : int
 (** Subsequent writes to an already-owned orec. *)
 
 val undo_log_entry : int
+(** Eager versioning: a first write's write-set entry; either engine: a
+    nested scope's journal entry for an outer scope's entry. *)
+
 val waw_hit : int
+(** A rewrite of an address already in the write set (no new entry). *)
+
 val read_owned : int
 
 val commit_base : int

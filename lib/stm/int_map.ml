@@ -1,5 +1,5 @@
 (* Per-transaction int -> int index (read set: orec -> read-log
-   position; redo buffer: address -> log index).
+   position; write set: address -> log index).
 
    Open addressing with linear probing over three parallel int arrays.
    Slots are epoch-stamped, so [next_attempt] forgets every entry with

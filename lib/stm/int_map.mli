@@ -1,5 +1,5 @@
 (** Per-transaction int -> int index: the read set's orec -> read-log
-    position map and the redo buffer's address -> log-index map.
+    position map and the write set's address -> log-index map.
 
     Sized by the transaction's footprint: an open-addressed table that
     doubles when half full.  Probes allocate nothing; only growth does.

@@ -37,7 +37,14 @@ type t = {
   mutable writes_elided_private : int;
   mutable writes_elided_static : int;
   mutable waw_hits : int;
+      (** Instrumented writes to an address already in the write set,
+          on both engines (none takes a new write-set entry).  Under
+          [+lazy], [redo_inserts + waw_hits + redo_skips] is [writes]
+          (less any a [Redo_drop] fault lost). *)
   mutable undo_entries : int;
+      (** Write-set inserts under eager versioning, plus nested-scope
+          journal entries on either engine (a scope's first rewrite of
+          an entry an outer scope made). *)
   mutable validations : int;
   mutable value_rescues : int;
       (** Read-log entries whose orec moved yet whose word still held

@@ -2,7 +2,6 @@ module Memory = Captured_tmem.Memory
 module Tstack = Captured_tmem.Tstack
 module Alloc = Captured_tmem.Alloc
 module Alloc_log = Captured_core.Alloc_log
-module Range_filter = Captured_core.Range_filter
 module Site = Captured_core.Site
 module Platform = Captured_sim.Platform
 module Prng = Captured_util.Prng
@@ -109,9 +108,12 @@ type thread = {
   mutable read_multi : int array;
   mutable n_reads : int;
   read_index : Int_map.t;
-  (* undo log *)
+  (* Nested-scope journal: an entry's value (memory word under eager,
+     buffered value under lazy) and stamp from before a nested scope's
+     first rewrite of a write-set entry an outer scope made ([rewrite]). *)
   mutable undo_addrs : int array;
   mutable undo_vals : int array;
+  mutable undo_stamps : int array;
   mutable n_undo : int;
   (* acquired orec indices, each with the unlocked word it replaced *)
   mutable acq_orecs : int array;
@@ -120,15 +122,12 @@ type thread = {
   (* The attempt has stored into memory under an acquired orec (eager
      versioning): its abort must release fresh words ([abort_word]). *)
   mutable wrote_in_place : bool;
-  (* Write-after-write filter: addresses already undo-logged (or, lazily,
-     journalled) in the current scope, one word each ([waw_note]). *)
-  waw : Range_filter.t;
-  (* Redo buffer (lazy versioning): buffered writes stay here until
-     commit publishes them.  Always allocated (small); stays empty in
-     eager mode.  In lazy mode the undo log above is
-     repurposed as a journal of overwritten *buffer* values — memory is
-     never written before commit, so there is nothing to undo there. *)
-  redo : Redo.t;
+  (* The write set: old values under eager versioning (rollback), new
+     ones under lazy (publish); either way the commit record's addresses
+     in first-write order. *)
+  wset : Write_set.t;
+  (* Scope serials handed out so far, by this thread's every attempt. *)
+  mutable scope_serial : int;
   top_capture_log : Alloc_log.t option; (* reused by the top-level scope *)
   (* Innermost first.  A transaction runs exactly while this is
      non-empty: [begin_top] pushes the top scope, commit and top-level
@@ -154,9 +153,14 @@ and tx = thread
 and scope = {
   start_sp : Memory.addr;
   undo_mark : int;
-  (* Redo-log length at scope begin (lazy versioning): entries past the
-     mark are this scope's fresh inserts, dropped on partial abort. *)
-  redo_mark : int;
+  (* Write-set length at scope begin: entries past the mark are this
+     scope's fresh inserts, restored (eager) and dropped on partial
+     abort. *)
+  wset_mark : int;
+  (* Greater than the serial of every scope opened before this one in
+     the attempt: a write-set entry stamped at or above it was inserted
+     or journalled by this scope or a child that committed into it. *)
+  serial : int;
   capture_log : Alloc_log.t option;
   (* Speculative allocations and deferred frees as grow-only parallel int
      arrays, oldest-first — list conses here would make [alloc]/[free]
@@ -217,15 +221,14 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     read_index = Int_map.create ();
     undo_addrs = Array.make 64 0;
     undo_vals = Array.make 64 0;
+    undo_stamps = Array.make 64 0;
     n_undo = 0;
     acq_orecs = Array.make 16 0;
     acq_prev = Array.make 16 0;
     n_acq = 0;
     wrote_in_place = false;
-    (* 1024 buckets: the collision pattern decides which rewrites get a
-       redundant undo entry, and undo entries are charged cycles. *)
-    waw = Range_filter.create ~buckets:1024 ();
-    redo = Redo.create ();
+    wset = Write_set.create ();
+    scope_serial = 0;
     top_capture_log = new_capture_log config;
     scopes = [];
     fuel = 0;
@@ -281,16 +284,17 @@ let push_read tx oi word addr value =
   Int_map.add tx.read_index oi n;
   tx.n_reads <- n + 1
 
-let push_undo tx addr value =
+let push_undo tx addr value stamp =
   let n = tx.n_undo in
   if n >= Array.length tx.undo_addrs then begin
     tx.undo_addrs <- grow tx.undo_addrs;
-    tx.undo_vals <- grow tx.undo_vals
+    tx.undo_vals <- grow tx.undo_vals;
+    tx.undo_stamps <- grow tx.undo_stamps
   end;
   Array.unsafe_set tx.undo_addrs n addr;
   Array.unsafe_set tx.undo_vals n value;
-  tx.n_undo <- n + 1;
-  tx.stats.undo_entries <- tx.stats.undo_entries + 1
+  Array.unsafe_set tx.undo_stamps n stamp;
+  tx.n_undo <- n + 1
 
 let push_acq tx oi prev =
   let n = tx.n_acq in
@@ -1006,25 +1010,23 @@ let read_with ~site ~for_write tx addr =
   sandbox_bounds tx addr;
   if fault_fires tx Fault.Spurious_abort then raise Retry_conflict;
   if tx.config.Config.audit then audit_classify tx addr 1 ~site ~is_write:false;
-  (* Lazy versioning: probe the redo buffer *before* the capture check —
-     one AND on the summary word when the buffer cannot hold the address.
+  (* Lazy versioning: probe the write set *before* the capture check —
+     one AND on the summary word when the set cannot hold the address.
      The order matters: a nested scope can buffer a write to memory an
      enclosing scope captured (and would elide), and the buffered value
-     is newer than what memory holds. *)
+     is newer than what memory holds.  Only lazy entries hold new values:
+     an eager entry's value is the old word, never a read's answer. *)
   let redo_i =
-    if
-      tx.config.Config.lazy_versioning
-      && begin
-           tx.platform.consume Costs.redo_summary_check;
-           Redo.summary_hit tx.redo addr
-         end
-    then Redo.find tx.redo addr
+    if tx.config.Config.lazy_versioning then begin
+      tx.platform.consume Costs.redo_summary_check;
+      Write_set.probe tx.wset addr
+    end
     else -1
   in
   if redo_i >= 0 then begin
     st.redo_hits <- st.redo_hits + 1;
     tx.platform.consume Costs.redo_lookup;
-    let value = Redo.value tx.redo redo_i in
+    let value = Write_set.value tx.wset redo_i in
     emit_read tx.tid addr value Instrumented;
     value
   end
@@ -1056,30 +1058,36 @@ let read tx addr = read_at ~site:Site.anonymous_read tx addr
 (* ------------------------------------------------------------------ *)
 (* Write barrier                                                       *)
 
-(* Write-after-write check: has [addr] been noted since the filter was
-   last cleared?  Notes it either way. *)
-let waw_note tx addr =
-  let hit = Range_filter.contains tx.waw ~lo:addr ~hi:(addr + 1) in
-  Range_filter.insert tx.waw ~lo:addr ~hi:(addr + 1);
-  hit
-
-(* [waw_note], with a hit counted and charged: the rewrite needs no new
-   undo (or journal) entry. *)
-let waw_hit tx addr =
-  waw_note tx addr
-  && begin
-       tx.stats.waw_hits <- tx.stats.waw_hits + 1;
-       tx.platform.consume Costs.waw_hit;
-       true
-     end
+(* A rewrite of write-set entry [i], whose value until now is [cur]
+   (the memory word under eager versioning, the buffered one under
+   lazy).  The first rewrite in a scope of an entry an outer scope made
+   journals [cur] so that the scope's partial abort can put it back;
+   the entry's stamp tells whether this scope, or a child that committed
+   into it, already did.  At top level every stamp passes: top-level
+   abort restores or drops the whole write set. *)
+let rewrite tx i cur =
+  let st = tx.stats and serial = (innermost tx).serial in
+  st.waw_hits <- st.waw_hits + 1;
+  let stamp = Write_set.stamp tx.wset i in
+  if stamp >= serial then tx.platform.consume Costs.waw_hit
+  else begin
+    tx.platform.consume Costs.undo_log_entry;
+    st.undo_entries <- st.undo_entries + 1;
+    push_undo tx (Write_set.addr tx.wset i) cur stamp;
+    Write_set.set_stamp tx.wset i serial
+  end
 
 let full_write tx addr v =
   let oi = Orec.index_of tx.orecs addr in
   if owns tx oi then tx.platform.consume Costs.write_barrier_owned
   else ignore (acquire tx oi : int);
-  if not (waw_hit tx addr) then begin
+  let old = mem_get tx addr in
+  let i = Write_set.probe tx.wset addr in
+  if i >= 0 then rewrite tx i old
+  else begin
     tx.platform.consume Costs.undo_log_entry;
-    push_undo tx addr (mem_get tx addr)
+    tx.stats.undo_entries <- tx.stats.undo_entries + 1;
+    Write_set.insert tx.wset addr old ~stamp:(innermost tx).serial
   end;
   tx.wrote_in_place <- true;
   mem_set tx addr v
@@ -1112,24 +1120,13 @@ let direct_store tx cls addr v =
 let lazy_write tx addr v ~site =
   let st = tx.stats in
   tx.platform.consume Costs.redo_summary_check;
-  let i =
-    if Redo.summary_hit tx.redo addr then Redo.find tx.redo addr else -1
-  in
+  let i = Write_set.probe tx.wset addr in
   if i >= 0 then begin
     (* Write-after-write in the buffer: update in place (publish order
-       keeps the first-insert slot).  The first overwrite per scope
-       journals the previous buffered value so a nested partial abort
-       can restore it — dedup'd by the same WAW filter the eager undo
-       log uses, and skipped entirely at top level, where abort drops
-       the whole buffer wholesale. *)
+       keeps the first-insert slot). *)
     tx.platform.consume Costs.redo_lookup;
-    (if not (waw_hit tx addr) then
-       match tx.scopes with
-       | _ :: _ :: _ ->
-           tx.platform.consume Costs.undo_log_entry;
-           push_undo tx addr (Redo.value tx.redo i)
-       | _ -> ());
-    Redo.set_value tx.redo i v;
+    rewrite tx i (Write_set.value tx.wset i);
+    Write_set.set_value tx.wset i v;
     emit_write tx.tid addr v Instrumented
   end
   else begin
@@ -1142,8 +1139,7 @@ let lazy_write tx addr v ~site =
         if not (fault_fires tx Fault.Redo_drop) then begin
           tx.platform.consume Costs.redo_insert;
           st.redo_inserts <- st.redo_inserts + 1;
-          ignore (waw_note tx addr : bool);
-          Redo.insert tx.redo addr v
+          Write_set.insert tx.wset addr v ~stamp:(innermost tx).serial
         end
     | _ ->
         (* Captured/private/static: direct store, no buffer entry, no
@@ -1246,27 +1242,26 @@ let unlog_alloc scope addr =
   end
 
 (* A block this scope allocated and now frees is dead, and so are the
-   instrumented writes into it: an undo entry would be rolled back, and
-   a redo entry published, over the free-list link [Alloc.free] stores
-   in the block's first word — a lost block after an abort, or a
-   corrupted free list after a lazy commit.  Writes to a block happen
+   instrumented writes into it: a write-set or journal entry would be
+   rolled back (eager), or published (lazy), over the free-list link
+   [Alloc.free] stores in the block's first word — a lost block after an
+   abort, or a corrupted free list after a lazy commit — and would
+   outlive the block into its next carving.  Writes to a block happen
    after its allocation, so only the entries logged since this scope
    began are scanned; none are charged. *)
 let drop_block_entries tx scope ~lo ~hi =
-  if tx.config.Config.lazy_versioning then
-    Redo.remove_range tx.redo ~from:scope.redo_mark ~lo ~hi
-  else begin
-    let j = ref scope.undo_mark in
-    for k = scope.undo_mark to tx.n_undo - 1 do
-      let a = tx.undo_addrs.(k) in
-      if a < lo || a >= hi then begin
-        tx.undo_addrs.(!j) <- a;
-        tx.undo_vals.(!j) <- tx.undo_vals.(k);
-        incr j
-      end
-    done;
-    tx.n_undo <- !j
-  end
+  Write_set.remove_range tx.wset ~from:scope.wset_mark ~lo ~hi;
+  let j = ref scope.undo_mark in
+  for k = scope.undo_mark to tx.n_undo - 1 do
+    let a = tx.undo_addrs.(k) in
+    if a < lo || a >= hi then begin
+      tx.undo_addrs.(!j) <- a;
+      tx.undo_vals.(!j) <- tx.undo_vals.(k);
+      tx.undo_stamps.(!j) <- tx.undo_stamps.(k);
+      incr j
+    end
+  done;
+  tx.n_undo <- !j
 
 let free tx addr =
   burn_fuel tx;
@@ -1312,16 +1307,19 @@ let push_scope tx ~top =
   let capture_log =
     if top then tx.top_capture_log else new_capture_log tx.config
   in
-  (* A nested scope must not trust the parent's write-after-write notes:
-     an address undo-logged by the outer scope still needs a fresh undo
-     entry inside the child, or partial abort cannot restore it (the
-     paper's §2.2.1 live-in observation, applied to the WAW filter). *)
-  if not top then Range_filter.clear tx.waw;
+  (* A nested scope must not trust the entries its parent wrote: an
+     address the outer scope logged still needs a journal entry inside
+     the child, or partial abort cannot restore it (the paper's §2.2.1
+     live-in observation, applied to the write set); the fresh serial
+     makes every older stamp fall short ([rewrite]). *)
+  let serial = tx.scope_serial in
+  tx.scope_serial <- serial + 1;
   tx.scopes <-
     {
       start_sp = Tstack.save tx.stack;
       undo_mark = tx.n_undo;
-      redo_mark = Redo.size tx.redo;
+      wset_mark = Write_set.size tx.wset;
+      serial;
       capture_log;
       alloc_addrs = empty_ints;
       alloc_sizes = empty_ints;
@@ -1355,19 +1353,22 @@ let begin_top tx ~attempt =
   (* Only the Global clock has a snapshot timestamp; skipping the clock
      read keeps Scan's begin clock-free. *)
   tx.start_ts <- (match tx.clock with Global -> Orec.clock tx.orecs | Scan -> 0);
-  Range_filter.clear tx.waw;
-  Redo.clear tx.redo;
+  Write_set.clear tx.wset;
   (match tx.top_capture_log with Some l -> Alloc_log.clear l | None -> ());
   tx.scopes <- [];
   push_scope tx ~top:true;
   emit tx.tid (Ev_begin { attempt })
 
-let rollback_undo tx ~down_to =
-  for k = tx.n_undo - 1 downto down_to do
-    Memory.set tx.memory tx.undo_addrs.(k) tx.undo_vals.(k)
+(* Eager rollback of the write-set entries from [from] on, newest
+   first: each address gets back the word it held before its first
+   write.  Returns the number of entries restored.  (Lazy entries never
+   reached memory: there is nothing to restore.) *)
+let restore_writes tx ~from =
+  let ws = tx.wset in
+  for k = Write_set.size ws - 1 downto from do
+    Memory.set tx.memory (Write_set.addr ws k) (Write_set.value ws k)
   done;
-  tx.platform.consume (Costs.abort_per_undo * (tx.n_undo - down_to));
-  tx.n_undo <- down_to
+  Write_set.size ws - from
 
 let free_scope_allocs th scope =
   (* Newest-first, which is the right order for stack-like reuse in the
@@ -1435,16 +1436,16 @@ let commit_epilogue tx =
   tx.stats.commits <- tx.stats.commits + 1
 
 (* Lazy versioning, commit phase 1: acquire every write-set orec, in
-   the buffer's first-insert order.  The write barrier deferred both
+   first-insert order.  The write barrier deferred both
    the bounds guard and the acquisition; garbage addresses a zombie
    buffered surface here, before any store — [sandbox_bounds] keeps
    its validate-then-classify contract (program bug vs. phantom).
    Lock-wait patience bounds deadlock exactly as the eager barrier's
    acquisition does. *)
 let lazy_acquire tx =
-  let r = tx.redo in
-  for k = 0 to Redo.size r - 1 do
-    let addr = Redo.addr r k in
+  let ws = tx.wset in
+  for k = 0 to Write_set.size ws - 1 do
+    let addr = Write_set.addr ws k in
     sandbox_bounds tx addr;
     let oi = Orec.index_of tx.orecs addr in
     if not (owns tx oi) then begin
@@ -1462,8 +1463,8 @@ let lazy_acquire tx =
    still lets the commit release fresh versions — the lost-update
    shape the oracle must flag. *)
 let publish tx =
-  let r = tx.redo in
-  let n = Redo.size r in
+  let ws = tx.wset in
+  let n = Write_set.size ws in
   if n > 0 then begin
     let cost = Costs.publish_per_entry * n in
     tx.stats.publish_cycles <- tx.stats.publish_cycles + cost;
@@ -1478,16 +1479,15 @@ let publish tx =
     in
     for k = 0 to limit - 1 do
       if k = crash_at then wal_crash tx;
-      mem_set tx (Redo.addr r k) (Redo.value r k)
+      mem_set tx (Write_set.addr ws k) (Write_set.value ws k)
     done
   end
 
 (* Durable commit: build the redo-style record and append it at the
-   serialization point.  The write set is the redo buffer under [+lazy]
-   (one entry per distinct address, publish order); under eager undo it
-   is the undo log's distinct addresses paired with their *current*
-   memory values (the post-transaction image — in-place stores already
-   happened), so both engines log the same write set.
+   serialization point: the write set's addresses in first-write order,
+   each with its new value — the buffered one under [+lazy], the
+   current memory word under eager versioning (the in-place stores
+   already happened) — so both engines log the same write set.
    Captured writes are in neither ([wal_skips], counted at the barrier).
    Surviving allocations are logged with their full payload images —
    this is what makes captured-write elision sound durably: a captured
@@ -1506,26 +1506,13 @@ let wal_append_commit tx =
   match tx.wal with
   | None -> 0
   | Some w ->
+      let ws = tx.wset in
       let writes =
-        if tx.config.Config.lazy_versioning then
-          Array.init (Redo.size tx.redo) (fun k ->
-              (Redo.addr tx.redo k, Redo.value tx.redo k))
-        else
-          (* The undo log can name an address twice: the write-after-write
-             filter is a lossy hash table ([Range_filter]), so a write
-             after a colliding one takes a second entry.  Rollback does
-             not mind (entries are undone newest first); the record keeps
-             each address once, as the redo buffer's exact index does. *)
-          let seen = Hashtbl.create tx.n_undo in
-          Array.of_seq
-            (Seq.filter_map
-               (fun a ->
-                 if Hashtbl.mem seen a then None
-                 else begin
-                   Hashtbl.add seen a ();
-                   Some (a, mem_get tx a)
-                 end)
-               (Seq.take tx.n_undo (Array.to_seq tx.undo_addrs)))
+        Array.init (Write_set.size ws) (fun k ->
+            let a = Write_set.addr ws k in
+            ( a,
+              if tx.config.Config.lazy_versioning then Write_set.value ws k
+              else mem_get tx a ))
       in
       let scope = innermost tx in
       let allocs =
@@ -1699,16 +1686,14 @@ let abort_word tx =
         tx.stats.clock_advances <- tx.stats.clock_advances + 1;
         Orec.stamped ~ts:(Orec.advance_clock tx.orecs)
 
+(* Top-level abort: the write set's old values are the pre-transaction
+   image, so the journal is not replayed (the next begin clears both);
+   lazy buffered writes never touched memory, so dropping them IS the
+   rollback. *)
 let abort_top tx ~user =
   tx.platform.consume Costs.abort_base;
-  if tx.config.Config.lazy_versioning then
-    (* Deferred updates: buffered writes never touched memory, so
-       dropping the buffer (cleared at the next begin) IS the
-       rollback.  The undo log holds buffer-value journal entries,
-       never memory values — replaying it into memory would corrupt
-       it. *)
-    tx.n_undo <- 0
-  else rollback_undo tx ~down_to:0;
+  if not tx.config.Config.lazy_versioning then
+    tx.platform.consume (Costs.abort_per_undo * restore_writes tx ~from:0);
   release tx ~word:(abort_word tx);
   (* Free speculative allocations scope by scope, innermost first. *)
   List.iter (fun scope -> free_scope_allocs tx scope) tx.scopes;
@@ -1744,30 +1729,35 @@ let commit_scope tx =
       emit tx.tid Ev_scope_commit
 
 (* Nested (partial) abort: roll the child scope back, keep the parent
-   running.  Acquired orecs are kept (safe, merely pessimistic); the WAW
-   filter must be reset because undo entries it vouches for are gone. *)
+   running.  Acquired orecs are kept (safe, merely pessimistic).  The
+   child's journal is replayed newest first — into memory (eager) or the
+   buffer (lazy), each entry's stamp put back — and only then are the
+   child's fresh inserts (a suffix of the write set) restored and
+   dropped: a grandchild may have journalled an entry the child
+   inserted. *)
 let abort_scope tx =
   match tx.scopes with
   | [] | [ _ ] -> invalid_arg "Txn.abort_scope: no nested scope"
   | child :: rest ->
+      let ws = tx.wset in
       tx.platform.consume Costs.abort_base;
-      (if tx.config.Config.lazy_versioning then begin
-         (* Roll the *buffer* back, not memory: replay the journal of
-            overwritten buffered values newest-first, then drop the
-            child's fresh inserts (always a suffix of the redo log). *)
-         for k = tx.n_undo - 1 downto child.undo_mark do
-           let i = Redo.find tx.redo tx.undo_addrs.(k) in
-           if i >= 0 then Redo.set_value tx.redo i tx.undo_vals.(k)
-         done;
-         tx.platform.consume
-           (Costs.abort_per_undo * (tx.n_undo - child.undo_mark));
-         tx.n_undo <- child.undo_mark;
-         Redo.truncate tx.redo child.redo_mark
-       end
-       else rollback_undo tx ~down_to:child.undo_mark);
+      for k = tx.n_undo - 1 downto child.undo_mark do
+        let a = tx.undo_addrs.(k) and v = tx.undo_vals.(k) in
+        let i = Write_set.find ws a in
+        Write_set.set_stamp ws i tx.undo_stamps.(k);
+        if tx.config.Config.lazy_versioning then Write_set.set_value ws i v
+        else Memory.set tx.memory a v
+      done;
+      let restored =
+        if tx.config.Config.lazy_versioning then 0
+        else restore_writes tx ~from:child.wset_mark
+      in
+      tx.platform.consume
+        (Costs.abort_per_undo * (tx.n_undo - child.undo_mark + restored));
+      tx.n_undo <- child.undo_mark;
+      Write_set.truncate ws child.wset_mark;
       free_scope_allocs tx child;
       Tstack.restore tx.stack child.start_sp;
-      Range_filter.clear tx.waw;
       tx.scopes <- rest;
       tx.stats.nested_aborts <- tx.stats.nested_aborts + 1;
       emit tx.tid Ev_scope_abort

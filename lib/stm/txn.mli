@@ -1,9 +1,9 @@
 (** Transactions: the per-thread descriptor, barriers with capture
     analysis, nesting.
 
-    Each thread owns one transaction descriptor (paper §3.1.2): the read,
-    undo and redo logs, the acquired orecs and the stack of nested
-    scopes, each scope with its own allocation log.  The logs are
+    Each thread owns one transaction descriptor (paper §3.1.2): the read
+    log, the write set ({!Write_set}) and its nested-scope journal, the
+    acquired orecs and the stack of nested scopes, each scope with its own allocation log.  The logs are
     allocated with the thread and reset by every top-level begin; a
     transaction runs exactly while its scope stack is non-empty.
 
@@ -16,11 +16,11 @@
     take one of two
     versioning modes ({!Config.t.lazy_versioning}):
 
-    - eager (default): a write barrier acquires the orec, undo-logs the
-      old value (unless the write-after-write filter has seen the
-      address) and stores in place;
-    - lazy: a write barrier buffers the value in a per-transaction redo
-      log; commit acquires the write set, then publishes the buffer.
+    - eager (default): a write barrier acquires the orec, logs the old
+      value in the write set (unless the address is already there) and
+      stores in place;
+    - lazy: a write barrier buffers the value in the write set; commit
+      acquires the write set's orecs, then publishes it.
 
     Validation runs under one of two clocks ({!Config.clock}): [Scan]
     (full read-set scans, per-record version bumps) or [Global] (shared

@@ -11,9 +11,9 @@
      match is *corrupt* and recovery stops at it.
 
    Commit records are redo-style regardless of the engine: under [+lazy]
-   the write set IS the redo buffer; under eager undo the record pairs
-   the undo log's addresses with their post-transaction memory values at
-   the serialization point (a true undo-style durable design presupposes
+   the write set holds the buffered values; under eager undo the record
+   pairs the write set's addresses with their post-transaction memory
+   values at the serialization point (a true undo-style durable design presupposes
    persisting in-place stores as they happen, which a process-model WAL
    cannot do).  Captured writes appear in neither engine's record — the
    paper's elision carried into the persistence layer ([Stats.wal_skips]).

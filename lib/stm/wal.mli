@@ -1,9 +1,10 @@
 (** Write-ahead log for durable transactions (DESIGN.md §13).
 
     Self-framing byte log + group-commit device + recovery replay.
-    Commit records are redo-style under both engines: the [+lazy] redo
-    buffer is logged as-is; eager undo logs its addresses paired with
-    their post-transaction values at the serialization point.  Writes
+    Commit records are redo-style under both engines: the [+lazy] write
+    set is logged as-is; eager undo logs the write set's addresses
+    paired with their post-transaction values at the serialization
+    point.  Writes
     the capture analysis proved transaction-local appear in neither
     ([Stats.wal_skips]) — the paper's elision carried into the
     persistence layer.

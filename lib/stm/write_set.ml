@@ -1,17 +1,20 @@
-(* Redo buffer for deferred updates (lazy versioning).
+(* The transaction's write set, one structure for both engines.
 
    Two halves:
 
-   - an append-only log of (addr, value) pairs in first-insert order —
-     publish walks it front to back, and since overwrites update the
-     value in place there is exactly one entry per address and
-     last-write-wins is automatic;
+   - an append-only log of (addr, value, stamp) triples in first-insert
+     order — one entry per address.  Under eager versioning the value is
+     the word memory held before the transaction's first store there
+     (what rollback restores); under lazy versioning it is the buffered
+     new value, updated in place by every rewrite (last write wins, and
+     publish walks the log front to back).  The stamp names the scope
+     that inserted the entry or last journalled it ([Txn.rewrite]);
    - an [Int_map] from addr to log index, cleared between transactions
      in O(1).  A dropped entry's address maps to -1, which the map
      reports as absent.
 
-   A 63-bit Bloom-style summary word fronts the map: the read barrier
-   tests one bit and on a miss never touches the map at all.
+   A 63-bit Bloom-style summary word fronts the map: the lazy read
+   barrier tests one bit and on a miss never touches the map at all.
    `1 lsl 63` has unspecified behaviour on 63-bit OCaml ints, so the
    bit index is `hash mod 63`. *)
 
@@ -19,6 +22,7 @@ type t = {
   index : Int_map.t;
   mutable log_addrs : int array;
   mutable log_vals : int array;
+  mutable log_stamps : int array;
   mutable n : int; (* live log entries *)
   mutable summary : int;
 }
@@ -28,6 +32,7 @@ let create () =
     index = Int_map.create ();
     log_addrs = Array.make 64 0;
     log_vals = Array.make 64 0;
+    log_stamps = Array.make 64 0;
     n = 0;
     summary = 0;
   }
@@ -42,22 +47,24 @@ let hash a = (a * 0x2545F4914F6CDD1D) land max_int
 let bit a = 1 lsl (hash a mod 63)
 let summary_hit t a = t.summary land bit a <> 0
 let find t a = Int_map.find t.index a
+let probe t a = if summary_hit t a then find t a else -1
 let addr t i = t.log_addrs.(i)
 let value t i = t.log_vals.(i)
 let set_value t i v = t.log_vals.(i) <- v
+let stamp t i = t.log_stamps.(i)
+let set_stamp t i s = t.log_stamps.(i) <- s
 
-let insert t a v =
+let insert t a v ~stamp =
   Int_map.add t.index a t.n;
   if t.n = Array.length t.log_addrs then begin
-    let cap = t.n * 2 in
-    let la = Array.make cap 0 and lv = Array.make cap 0 in
-    Array.blit t.log_addrs 0 la 0 t.n;
-    Array.blit t.log_vals 0 lv 0 t.n;
-    t.log_addrs <- la;
-    t.log_vals <- lv
+    let grow xs = Array.append xs (Array.make t.n 0) in
+    t.log_addrs <- grow t.log_addrs;
+    t.log_vals <- grow t.log_vals;
+    t.log_stamps <- grow t.log_stamps
   end;
   t.log_addrs.(t.n) <- a;
   t.log_vals.(t.n) <- v;
+  t.log_stamps.(t.n) <- stamp;
   t.n <- t.n + 1;
   t.summary <- t.summary lor bit a
 
@@ -71,6 +78,7 @@ let remove_range t ~from ~lo ~hi =
     if a < lo || a >= hi then begin
       t.log_addrs.(!j) <- a;
       t.log_vals.(!j) <- t.log_vals.(k);
+      t.log_stamps.(!j) <- t.log_stamps.(k);
       incr j
     end
   done;

@@ -232,6 +232,28 @@ let test_app_durable app () =
     check "captured writes skip the log" true
       (r.Engine.stats.Stats.wal_skips > 0)
 
+(* One write set for both engines: at one thread, eager and lazy
+   versioning run the same transactions, so every eager write-set insert
+   is a lazy buffer insert (no app rewrites an outer entry inside a
+   nested scope), and both engines log the same commit records. *)
+let test_app_write_set_law app () =
+  let run spelling =
+    let cfg = Result.get_ok (Config.of_string spelling) in
+    let p = app.App.prepare ~nthreads:1 ~scale:App.Test cfg in
+    Engine.attach_wal p.App.world (Wal.create ~group:cfg.Config.wal_group ());
+    let r = Engine.run_sim ~seed:1 p.App.world p.App.body in
+    (match p.App.verify () with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s verify failed: %s" spelling m);
+    r.Engine.stats
+  in
+  let eager = run "tree+fp+wal" and lazy_ = run "tree+fp+lazy+wal" in
+  Alcotest.(check int)
+    "eager undo entries = lazy buffer inserts" eager.Stats.undo_entries
+    lazy_.Stats.redo_inserts;
+  Alcotest.(check int) "same WAL bytes" eager.Stats.wal_bytes
+    lazy_.Stats.wal_bytes
+
 let suite_for app =
   let cases =
     List.concat_map
@@ -254,6 +276,8 @@ let suite_for app =
         Alcotest.test_case "mode matrix" `Quick (test_app_mode_matrix app);
         Alcotest.test_case "hybrid" `Quick (test_app_hybrid app);
         Alcotest.test_case "durable wal" `Quick (test_app_durable app);
+        Alcotest.test_case "write-set law" `Quick
+          (test_app_write_set_law app);
       ]
   in
   (app.App.name, cases)

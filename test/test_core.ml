@@ -153,69 +153,72 @@ let test_filter_collision_conservative () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Range_filter as the write-after-write filter: one-word probes, each
-   a [contains] then an [insert] of [addr, addr+1), as [Txn]'s write
-   barrier notes an undo-logged address.  A false hit would lose an
-   undo entry; a miss only costs a redundant one. *)
+(* The filtering backend's structure under one-word probes: each a
+   [contains] then an [insert] of [addr, addr+1), the pattern of a
+   write-after-write check (the group keeps that name; the STM's own
+   check is its exact write set).  A hit must name a word really
+   inserted since the last [clear]; an insert may evict a colliding
+   word, which then misses again. *)
 
-let waw_note f addr =
+let probe_note f addr =
   let hit = Range_filter.contains f ~lo:addr ~hi:(addr + 1) in
   Range_filter.insert f ~lo:addr ~hi:(addr + 1);
   hit
 
-let test_waw_basic () =
+let test_probe_basic () =
   let w = Range_filter.create ~buckets:1024 () in
-  check "first note" false (waw_note w 100);
-  check "second note hits" true (waw_note w 100);
-  check "other address" false (waw_note w 101);
+  check "first note" false (probe_note w 100);
+  check "second note hits" true (probe_note w 100);
+  check "other address" false (probe_note w 101);
   Range_filter.clear w;
-  check "cleared" false (waw_note w 100)
+  check "cleared" false (probe_note w 100)
 
-let test_waw_no_false_hits () =
+let test_probe_no_false_hits () =
   let w = Range_filter.create ~buckets:16 () in
   let noted = Hashtbl.create 64 in
   let g = Captured_util.Prng.create 5 in
   for _ = 1 to 500 do
     let a = 1 + Captured_util.Prng.int g 1000 in
-    if waw_note w a then
+    if probe_note w a then
       check "hit only if really noted" true (Hashtbl.mem noted a);
     Hashtbl.replace noted a ()
   done
 
-let test_waw_note_dedup () =
+let test_probe_note_dedup () =
   let w = Range_filter.create ~buckets:1024 () in
-  check "fresh addr misses" false (waw_note w 42);
-  check "other addr misses" false (waw_note w 43);
-  check "other addr then hits" true (waw_note w 43);
-  check "first still hits" true (waw_note w 42)
+  check "fresh addr misses" false (probe_note w 42);
+  check "other addr misses" false (probe_note w 43);
+  check "other addr then hits" true (probe_note w 43);
+  check "first still hits" true (probe_note w 42)
 
-(* The eviction order decides which rewrites get a second undo entry,
-   and undo entries are charged cycles.  Hunt for a colliding pair in a
-   minimum-size table rather than assuming the hash. *)
-let test_waw_collision_evicts () =
+(* A colliding insert evicts: the filter stays conservative for range
+   queries only because it never answers a hit it cannot vouch for.
+   Hunt for a colliding pair in a minimum-size table rather than
+   assuming the hash. *)
+let test_probe_collision_evicts () =
   let w = Range_filter.create ~buckets:16 () in
   let rec find b =
     if b > 1_000_000 then Alcotest.fail "no collision found"
     else begin
       Range_filter.clear w;
-      ignore (waw_note w 0 : bool);
-      ignore (waw_note w b : bool);
-      if not (waw_note w 0) then b else find (b + 1)
+      ignore (probe_note w 0 : bool);
+      ignore (probe_note w b : bool);
+      if not (probe_note w 0) then b else find (b + 1)
     end
   in
   let b = find 1 in
   Range_filter.clear w;
-  ignore (waw_note w 0 : bool);
-  check "collider is a fresh miss" false (waw_note w b);
-  check "evicted addr misses again" false (waw_note w 0);
-  check "eviction went the other way too" false (waw_note w b)
+  ignore (probe_note w 0 : bool);
+  check "collider is a fresh miss" false (probe_note w b);
+  check "evicted addr misses again" false (probe_note w 0);
+  check "eviction went the other way too" false (probe_note w b)
 
-let test_waw_clear () =
+let test_probe_clear () =
   let w = Range_filter.create ~buckets:1024 () in
-  ignore (waw_note w 7 : bool);
+  ignore (probe_note w 7 : bool);
   Range_filter.clear w;
-  check "miss after clear" false (waw_note w 7);
-  check "hit after re-note" true (waw_note w 7)
+  check "miss after clear" false (probe_note w 7);
+  check "hit after re-note" true (probe_note w 7)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-backend property: conservative w.r.t. a reference model        *)
@@ -736,12 +739,12 @@ let () =
         ] );
       ( "waw",
         [
-          Alcotest.test_case "basic" `Quick test_waw_basic;
-          Alcotest.test_case "no false hits" `Quick test_waw_no_false_hits;
-          Alcotest.test_case "note dedup" `Quick test_waw_note_dedup;
+          Alcotest.test_case "basic" `Quick test_probe_basic;
+          Alcotest.test_case "no false hits" `Quick test_probe_no_false_hits;
+          Alcotest.test_case "note dedup" `Quick test_probe_note_dedup;
           Alcotest.test_case "collision evicts" `Quick
-            test_waw_collision_evicts;
-          Alcotest.test_case "clear" `Quick test_waw_clear;
+            test_probe_collision_evicts;
+          Alcotest.test_case "clear" `Quick test_probe_clear;
         ] );
       ( "range_filter",
         [

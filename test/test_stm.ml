@@ -464,24 +464,99 @@ let test_nested_child_alloc_captured_in_child () =
   let st = Txn.thread_stats th in
   check_int "child's own alloc elided" 1 st.Stats.writes_elided_heap
 
-let test_nested_waw_partial_abort () =
-  (* Regression: the outer scope undo-logs [cell]; the WAW filter must
-     not let the nested scope skip its own undo entry, or partial abort
-     cannot restore the outer scope's value. *)
-  let w = mk_world Config.baseline in
-  let cell = Alloc.alloc (Engine.global_arena w) 1 in
-  Memory.set (Engine.memory w) cell 5;
+(* Runs [f] as a nested scope and aborts it when [abort]. *)
+let nested th ~abort f =
+  try
+    Txn.atomic th (fun tx ->
+        f tx;
+        if abort then Txn.abort tx)
+  with Txn.User_abort -> ()
+
+(* Nested scopes over the one write set, on both engines (every write
+   takes the full barrier: no capture analysis).  Whether a rewrite needs
+   a journal entry is decided per scope, exactly: an outer entry is
+   journalled once per scope that rewrites it, a committed child's
+   journal serves its parent, and an aborted child's leaves no trace. *)
+let test_nested_waw_partial_abort cfg =
+  let w = mk_world cfg in
+  let arena = Engine.global_arena w and m = Engine.memory w in
+  let cell = Alloc.alloc arena 1 and other = Alloc.alloc arena 1 in
+  Memory.set m cell 5;
+  Memory.set m other 50;
   let th = Engine.setup_thread w in
+  let st = Txn.thread_stats th in
+  (* The outer scope logs [cell]; the child must still journal it, or
+     partial abort cannot restore the outer value. *)
   Txn.atomic th (fun tx ->
       Txn.write tx cell 10;
-      (try
-         Txn.atomic th (fun tx' ->
-             Txn.write tx' cell 99;
-             Txn.abort tx')
-       with Txn.User_abort -> ());
+      nested th ~abort:true (fun tx' -> Txn.write tx' cell 99);
       check_int "partial abort restored the outer value" 10
         (Txn.read tx cell));
-  check_int "final" 10 (Memory.get (Engine.memory w) cell)
+  check_int "final" 10 (Memory.get m cell);
+  (* Sibling scopes rewrite the same outer address inside a nested
+     parent.  The first sibling's abort must leave the entry unjournalled
+     by the parent, so the parent's own rewrite journals it; the
+     committed sibling's journal then serves the parent's abort. *)
+  Txn.atomic th (fun tx ->
+      Txn.write tx cell 1;
+      nested th ~abort:true (fun tx' ->
+          nested th ~abort:true (fun tx'' -> Txn.write tx'' cell 2);
+          Txn.write tx' cell 3;
+          nested th ~abort:false (fun tx'' -> Txn.write tx'' cell 4);
+          nested th ~abort:true (fun tx'' -> Txn.write tx'' cell 6);
+          check_int "aborted sibling restored the committed one's value" 4
+            (Txn.read tx' cell));
+      check_int "parent abort restored the outer value" 1 (Txn.read tx cell));
+  check_int "siblings: final" 1 (Memory.get m cell);
+  (* A parent rewrite after a child commits: the child journalled the
+     parent's entry and inserted [other]; neither rewrite by the parent
+     takes a new entry (nor does a scope's rewrite of its own entry),
+     and the parent's abort restores both. *)
+  Txn.atomic th (fun tx ->
+      Txn.write tx cell 7;
+      nested th ~abort:true (fun tx' ->
+          Txn.write tx' cell 8;
+          let entries = st.Stats.undo_entries in
+          Txn.write tx' cell 8;
+          check_int "own rewrite takes no entry" entries st.Stats.undo_entries;
+          nested th ~abort:false (fun tx'' ->
+              Txn.write tx'' cell 9;
+              Txn.write tx'' other 51);
+          let entries = st.Stats.undo_entries in
+          Txn.write tx' cell 11;
+          Txn.write tx' other 52;
+          check_int "parent rewrites take no entry" entries
+            st.Stats.undo_entries);
+      check_int "cell restored" 7 (Txn.read tx cell);
+      check_int "other restored" 50 (Txn.read tx other));
+  check_int "child commit: cell" 7 (Memory.get m cell);
+  check_int "child commit: other" 50 (Memory.get m other);
+  (* A grandchild journals an entry the child inserted, then commits;
+     the child's abort replays that journal before it restores (or
+     drops) its own inserts. *)
+  Txn.atomic th (fun tx ->
+      nested th ~abort:true (fun tx' ->
+          Txn.write tx' other 60;
+          nested th ~abort:false (fun tx'' -> Txn.write tx'' other 61));
+      check_int "grandchild journal replayed first" 50 (Txn.read tx other));
+  check_int "grandchild: final" 50 (Memory.get m other);
+  (* A child rewrites a block its parent allocated; the parent frees the
+     block, then aborts.  The block's entries, the child's journal entry
+     included, must not be replayed over the free-list link the free
+     stored in its first word. *)
+  let sentinel = 777 in
+  Txn.atomic th (fun tx ->
+      nested th ~abort:true (fun tx' ->
+          let b = Txn.alloc tx' 4 in
+          Txn.write tx' b sentinel;
+          nested th ~abort:false (fun tx'' ->
+              Txn.write tx'' b 12;
+              Txn.write tx'' cell 13);
+          Txn.free tx' b);
+      check_int "freed block: cell restored" 7 (Txn.read tx cell);
+      let x = Txn.alloc tx 4 in
+      let y = Txn.alloc tx 4 in
+      check "free list intact" true (x <> sentinel && y <> sentinel))
 
 let test_nested_commit_merges_capture () =
   (* After the child commits, its allocations belong to the parent and are
@@ -1736,14 +1811,16 @@ let test_wait_budget_spent () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Redo buffer against a model: a Hashtbl of buffered values plus the
+(* The write set against a model: a Hashtbl of values plus the
    addresses in first-insert order.  Random insert (or set_value when
-   already buffered), truncate, remove_range and clear, with every
+   already present), truncate, remove_range and clear, with every
    address's [find] checked after each step, so a truncated or removed
-   address must read -1 until it is inserted again.  Pools of up to
-   100 addresses grow the 64-entry log and index within an attempt. *)
+   address must read -1 until it is inserted again.  Each entry's stamp
+   is set to its value, so compaction must move the two together.
+   Pools of up to 100 addresses grow the 64-entry log and index within
+   an attempt. *)
 
-let prop_redo_model =
+let prop_write_set_model =
   QCheck.Test.make ~name:"redo vs model" ~count:300
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
@@ -1753,7 +1830,7 @@ let prop_redo_model =
         Array.init (2 + P.int g 99) (fun k ->
             if P.bool g then k else P.int g (1 lsl 40))
       in
-      let r = Redo.create () in
+      let r = Write_set.create () in
       let vals : (int, int) Hashtbl.t = Hashtbl.create 64 in
       let order = ref [||] in
       let keep f =
@@ -1769,39 +1846,43 @@ let prop_redo_model =
         let n = Array.length !order in
         (match P.int g 100 with
         | 0 ->
-            Redo.clear r;
+            Write_set.clear r;
             keep (fun _ -> false)
         | k when k < 6 ->
             let m = P.int g (n + 1) in
-            Redo.truncate r m;
+            Write_set.truncate r m;
             let kept = Array.sub !order 0 m in
             keep (fun a -> Array.mem a kept)
         | k when k < 10 ->
             let from = P.int g (n + 1) in
             let lo = pool.(P.int g (Array.length pool)) in
             let hi = lo + P.int g 8 in
-            Redo.remove_range r ~from ~lo ~hi;
+            Write_set.remove_range r ~from ~lo ~hi;
             let dropped = Array.sub !order from (n - from) in
             keep (fun a -> not (Array.mem a dropped && a >= lo && a < hi))
         | _ ->
             let v = P.int g 1000 in
-            let i = Redo.find r a in
-            if i >= 0 then Redo.set_value r i v
+            let i = Write_set.find r a in
+            if i >= 0 then begin
+              Write_set.set_value r i v;
+              Write_set.set_stamp r i v
+            end
             else begin
-              Redo.insert r a v;
+              Write_set.insert r a v ~stamp:v;
               order := Array.append !order [| a |]
             end;
             Hashtbl.replace vals a v);
-        expect (Redo.size r = Array.length !order);
+        expect (Write_set.size r = Array.length !order);
         Array.iteri
           (fun i a ->
-            expect (Redo.addr r i = a);
-            expect (Redo.value r i = Hashtbl.find vals a);
-            expect (Redo.find r a = i);
-            expect (Redo.summary_hit r a))
+            expect (Write_set.addr r i = a);
+            expect (Write_set.value r i = Hashtbl.find vals a);
+            expect (Write_set.stamp r i = Hashtbl.find vals a);
+            expect (Write_set.find r a = i);
+            expect (Write_set.summary_hit r a))
           !order;
         Array.iter
-          (fun a -> if not (Hashtbl.mem vals a) then expect (Redo.find r a = -1))
+          (fun a -> if not (Hashtbl.mem vals a) then expect (Write_set.find r a = -1))
           pool
       done;
       !ok)
@@ -2441,13 +2522,13 @@ let test_wal_skips_equal_elided_writes () =
   | Error m -> Alcotest.failf "recovery failed: %s" m
   | Ok rc -> check_int "shared restored" 4 (Memory.get rc.Wal.r_memory shared)
 
-(* The smallest reproducer of eager and lazy logs differing: one
-   transaction writes [a], then an address whose slot in the
-   write-after-write filter (1024 buckets, as [Txn] sizes it) evicts
-   [a], then [a] again.  The eager undo log takes a second entry for [a]
-   (3 entries for 2 addresses); the commit record must still name [a]
-   once, so both engines log the same bytes and recovery restores the
-   last value. *)
+(* One transaction writes [a], then an address whose slot in a
+   1024-bucket [Range_filter] evicts [a], then [a] again — the pair that
+   made eager and lazy logs differ when the eager engine found rewrites
+   through such a filter.  The write set is exact on both engines: one
+   entry per address (2 undo entries for 2 addresses), the commit record
+   names [a] once, both engines log the same bytes and recovery restores
+   the last value. *)
 let test_wal_write_set_same_on_both_engines () =
   let waw = Captured_core.Range_filter.create ~buckets:1024 () in
   let evicts a b =
@@ -2473,7 +2554,7 @@ let test_wal_write_set_same_on_both_engines () =
         Txn.write tx a 3);
     let s = Txn.thread_stats th in
     if name = "eager" then
-      check_int "eager: a takes a second undo entry" 3 s.Stats.undo_entries;
+      check_int "eager: one undo entry per address" 2 s.Stats.undo_entries;
     (match Wal.recover wal with
     | Error m -> Alcotest.failf "%s: recovery failed: %s" name m
     | Ok rc ->
@@ -2518,14 +2599,14 @@ let private_store_under_wal ~abort () =
       check_int "raw record replayed" 1 rc.Wal.r_raws_applied;
       check_int "value restored" 77 (Memory.get rc.Wal.r_memory (block + 3))
 
-let config_cases name f =
+let config_cases ?(configs = all_configs) name f =
   List.map
     (fun cfg ->
       Alcotest.test_case
         (Printf.sprintf "%s [%s]" name (Config.to_string cfg))
         `Quick
         (fun () -> f cfg))
-    all_configs
+    configs
 
 (* ------------------------------------------------------------------ *)
 (* Site tier (+fp): per-site sampled capture checks                    *)
@@ -3084,9 +3165,9 @@ let () =
             test_nested_child_alloc_captured_in_child;
           Alcotest.test_case "commit merges capture" `Quick
             test_nested_commit_merges_capture;
-          Alcotest.test_case "nested WAW partial abort" `Quick
-            test_nested_waw_partial_abort;
-        ] );
+        ]
+        @ config_cases ~configs:[ Config.baseline; lazy_baseline ]
+            "nested WAW partial abort" test_nested_waw_partial_abort );
       ( "concurrency",
         config_cases "sim counter atomicity" test_sim_counter_atomicity
         @ config_cases "sim bank conservation" test_sim_bank_conservation
@@ -3188,7 +3269,7 @@ let () =
           Alcotest.test_case "overlap rejected" `Quick
             test_private_overlap_rejected;
         ] );
-      qsuite "redo" [ prop_redo_model ];
+      qsuite "redo" [ prop_write_set_model ];
       ( "lazy",
         [
           Alcotest.test_case "defers stores" `Quick test_lazy_defers_stores;
