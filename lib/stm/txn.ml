@@ -108,13 +108,6 @@ type thread = {
   mutable read_multi : int array;
   mutable n_reads : int;
   read_index : Int_map.t;
-  (* Nested-scope journal: an entry's value (memory word under eager,
-     buffered value under lazy) and stamp from before a nested scope's
-     first rewrite of a write-set entry an outer scope made ([rewrite]). *)
-  mutable undo_addrs : int array;
-  mutable undo_vals : int array;
-  mutable undo_stamps : int array;
-  mutable n_undo : int;
   (* acquired orec indices, each with the unlocked word it replaced *)
   mutable acq_orecs : int array;
   mutable acq_prev : int array;
@@ -124,15 +117,16 @@ type thread = {
   mutable wrote_in_place : bool;
   (* The write set: old values under eager versioning (rollback), new
      ones under lazy (publish); either way the commit record's addresses
-     in first-write order. *)
+     in first-write order.  It also holds the nested-scope journal. *)
   wset : Write_set.t;
   (* Scope serials handed out so far, by this thread's every attempt. *)
   mutable scope_serial : int;
-  top_capture_log : Alloc_log.t option; (* reused by the top-level scope *)
-  (* Innermost first.  A transaction runs exactly while this is
-     non-empty: [begin_top] pushes the top scope, commit and top-level
-     abort empty it. *)
-  mutable scopes : scope list;
+  (* The open scopes are [scopes.(0 .. depth-1)], outermost first: slots
+     every attempt reuses, grown on the first nesting this deep.  A
+     transaction runs exactly while [depth > 0]: [begin_top] pushes the
+     top scope, commit and top-level abort pop them all. *)
+  mutable scopes : scope array;
+  mutable depth : int;
   (* Zombie-guard fuel left this attempt (see [burn_fuel]). *)
   mutable fuel : int;
   (* Snapshot timestamp (Global clock): the read set is known consistent
@@ -151,16 +145,17 @@ type thread = {
 and tx = thread
 
 and scope = {
-  start_sp : Memory.addr;
-  undo_mark : int;
-  (* Write-set length at scope begin: entries past the mark are this
-     scope's fresh inserts, restored (eager) and dropped on partial
-     abort. *)
-  wset_mark : int;
+  mutable start_sp : Memory.addr;
+  (* Write-set journal and log lengths at scope begin: entries past the
+     log mark are this scope's fresh inserts, restored (eager) and
+     dropped on partial abort. *)
+  mutable journal_mark : int;
+  mutable wset_mark : int;
   (* Greater than the serial of every scope opened before this one in
      the attempt: a write-set entry stamped at or above it was inserted
      or journalled by this scope or a child that committed into it. *)
-  serial : int;
+  mutable serial : int;
+  (* Runtime heap checks only; cleared each time the slot is pushed. *)
   capture_log : Alloc_log.t option;
   (* Speculative allocations and deferred frees as grow-only parallel int
      arrays, oldest-first — list conses here would make [alloc]/[free]
@@ -178,12 +173,25 @@ and scope = {
 (* ------------------------------------------------------------------ *)
 (* Thread construction                                                 *)
 
-(* A scope's fresh capture log (runtime heap checks only). *)
-let new_capture_log (cfg : Config.t) =
-  match cfg.analysis with
-  | Config.Runtime backend when cfg.scope.Config.check_heap ->
-      Some (Alloc_log.create ~fastpath:cfg.fastpath backend)
-  | Config.Runtime _ | Config.Baseline | Config.Compiler -> None
+(* A scope slot.  Its alloc and deferred-free logs start as the shared
+   empty array (most scopes never allocate) and grow on first use. *)
+let new_scope (cfg : Config.t) =
+  {
+    start_sp = 0;
+    journal_mark = 0;
+    wset_mark = 0;
+    serial = 0;
+    capture_log =
+      (match cfg.analysis with
+      | Config.Runtime backend when cfg.scope.Config.check_heap ->
+          Some (Alloc_log.create ~fastpath:cfg.fastpath backend)
+      | Config.Runtime _ | Config.Baseline | Config.Compiler -> None);
+    alloc_addrs = [||];
+    alloc_sizes = [||];
+    n_allocs = 0;
+    dfree_addrs = [||];
+    n_dfrees = 0;
+  }
 
 let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     ?wal ?reclaim_shared ~seed () =
@@ -219,18 +227,14 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     read_multi = Array.make 64 0;
     n_reads = 0;
     read_index = Int_map.create ();
-    undo_addrs = Array.make 64 0;
-    undo_vals = Array.make 64 0;
-    undo_stamps = Array.make 64 0;
-    n_undo = 0;
     acq_orecs = Array.make 16 0;
     acq_prev = Array.make 16 0;
     n_acq = 0;
     wrote_in_place = false;
     wset = Write_set.create ();
     scope_serial = 0;
-    top_capture_log = new_capture_log config;
-    scopes = [];
+    scopes = [| new_scope config |];
+    depth = 0;
     fuel = 0;
     start_ts = 0;
     blocker = -1;
@@ -284,18 +288,6 @@ let push_read tx oi word addr value =
   Int_map.add tx.read_index oi n;
   tx.n_reads <- n + 1
 
-let push_undo tx addr value stamp =
-  let n = tx.n_undo in
-  if n >= Array.length tx.undo_addrs then begin
-    tx.undo_addrs <- grow tx.undo_addrs;
-    tx.undo_vals <- grow tx.undo_vals;
-    tx.undo_stamps <- grow tx.undo_stamps
-  end;
-  Array.unsafe_set tx.undo_addrs n addr;
-  Array.unsafe_set tx.undo_vals n value;
-  Array.unsafe_set tx.undo_stamps n stamp;
-  tx.n_undo <- n + 1
-
 let push_acq tx oi prev =
   let n = tx.n_acq in
   if n >= Array.length tx.acq_orecs then begin
@@ -305,11 +297,6 @@ let push_acq tx oi prev =
   Array.unsafe_set tx.acq_orecs n oi;
   Array.unsafe_set tx.acq_prev n prev;
   tx.n_acq <- n + 1
-
-(* Scope alloc/deferred-free logs.  Scopes start with this shared empty
-   array (a scope is born on every transaction attempt; most never
-   allocate) and grow on first use. *)
-let empty_ints : int array = [||]
 
 let push_alloc scope addr size =
   let n = scope.n_allocs in
@@ -329,9 +316,8 @@ let push_dfree scope addr =
   scope.n_dfrees <- n + 1
 
 let innermost tx =
-  match tx.scopes with
-  | s :: _ -> s
-  | [] -> invalid_arg "Txn: no open scope"
+  if tx.depth = 0 then invalid_arg "Txn: no open scope";
+  tx.scopes.(tx.depth - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -352,38 +338,43 @@ let charge_validation th cost =
   th.platform.consume cost;
   th.stats.validation_cycles <- th.stats.validation_cycles + cost
 
+(* Count one injected fault; true. *)
+let injected th =
+  th.stats.faults_injected <- th.stats.faults_injected + 1;
+  true
+
 (* [fault_fires th k] — true when [k] is the configured injected fault
    and its per-opportunity PRNG draw fires.  Configurations without fault
    [k] make no draw, so their streams (and schedules) are untouched. *)
 let fault_fires th kind =
   match th.config.Config.fault with
   | Some k when k = kind ->
-      let fired = Prng.chance th.prng ~percent:(Fault.rate kind) in
-      if fired then
-        th.stats.faults_injected <- th.stats.faults_injected + 1;
-      fired
+      Prng.chance th.prng ~percent:(Fault.rate kind) && injected th
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Epoch-based reclamation hooks (Config.ebr)                          *)
 
-(* An attempt's quiescent exit (commit or abort: its reads are dead, so
-   it must stop holding the global epoch back before the next begin
-   re-announces), then one reclaim sweep: try to advance the global
-   epoch, then release every limbo entry whose two grace periods have
-   elapsed back to this thread's arena (same "freeing thread keeps it"
-   placement as the immediate free it replaces).  A sweep that leaves
-   entries behind is a stall — some in-flight reader is still holding
-   the epoch back. *)
-let ebr_exit th r =
-  th.platform.consume Costs.ebr_announce;
-  Reclaim.announce_quiescent r;
-  th.platform.consume Costs.ebr_advance;
+(* One reclaim sweep: try to advance the global epoch, then release
+   every limbo entry whose two grace periods have elapsed back to this
+   thread's arena (same "freeing thread keeps it" placement as the
+   immediate free it replaces). *)
+let ebr_sweep th r =
   if Reclaim.try_advance (Reclaim.shared_of r) then
     th.stats.epoch_advances <- th.stats.epoch_advances + 1;
   ignore
     (Reclaim.drain r ~free:(fun ~addr ~size:_ -> Alloc.free th.arena addr)
-      : int);
+      : int)
+
+(* An attempt's quiescent exit (commit or abort: its reads are dead, so
+   it must stop holding the global epoch back before the next begin
+   re-announces), then one sweep.  A sweep that leaves entries behind is
+   a stall — some in-flight reader is still holding the epoch back. *)
+let ebr_exit th r =
+  th.platform.consume Costs.ebr_announce;
+  Reclaim.announce_quiescent r;
+  th.platform.consume Costs.ebr_advance;
+  ebr_sweep th r;
   if Reclaim.pending r > 0 then
     th.stats.reclaim_stalls <- th.stats.reclaim_stalls + 1
 
@@ -426,6 +417,16 @@ let wal_raw th addr value =
         + if will_sync then Costs.wal_fsync else 0);
       ignore (wal_account th (Wal.append_raw w ~addr ~value) : bool)
 
+(* Read-log entry [k] now speaks for the read of [v] at [addr], as current
+   under its word as the pair it replaces (read-after-read forwarding,
+   [unowned_read]); a second address marks it multi. *)
+let forward_pair tx k addr v =
+  if Array.unsafe_get tx.read_addrs k <> addr then
+    Array.unsafe_set tx.read_multi k 1;
+  Array.unsafe_set tx.read_addrs k addr;
+  Array.unsafe_set tx.read_vals k v;
+  v
+
 (* Top-level recursion: a local [let rec] would close over the tx and
    allocate on every validation (which [burn_fuel] runs from the
    barrier path). *)
@@ -459,14 +460,11 @@ let rescue_entry tx k ~upto =
   && (match tx.clock with
      | Scan -> true
      | Global -> Orec.version_of w <= upto)
-  && (if Config.has_fault tx.config Fault.Blind_rescue then begin
-        (* Injected fault (checker self-test): adopt without looking. *)
-        tx.stats.faults_injected <- tx.stats.faults_injected + 1;
-        true
-      end
-      else
-        let v = mem_get tx (Array.unsafe_get tx.read_addrs k) in
-        Orec.get tx.orecs oi = w && v = Array.unsafe_get tx.read_vals k)
+  (* Injected fault (checker self-test): adopt without looking. *)
+  && ((Config.has_fault tx.config Fault.Blind_rescue && injected tx)
+     ||
+     let v = mem_get tx (Array.unsafe_get tx.read_addrs k) in
+     Orec.get tx.orecs oi = w && v = Array.unsafe_get tx.read_vals k)
   && begin
        Array.unsafe_set tx.read_words k w;
        tx.stats.value_rescues <- tx.stats.value_rescues + 1;
@@ -499,11 +497,7 @@ let validate tx ~upto =
   tx.stats.validations <- tx.stats.validations + 1;
   charge_validation tx (Costs.validate_per_read * tx.n_reads);
   (* Injected fault (checker self-test): report success without looking. *)
-  (Config.has_fault tx.config Fault.Skip_validation
-  && begin
-       tx.stats.faults_injected <- tx.stats.faults_injected + 1;
-       true
-     end)
+  (Config.has_fault tx.config Fault.Skip_validation && injected tx)
   ||
   let rescued = rescue_scan tx ~upto 0 0 in
   rescued = 0
@@ -593,6 +587,15 @@ let count_elided (st : Stats.t) ~is_write cls =
   | true, Elided_private ->
       st.writes_elided_private <- st.writes_elided_private + 1
 
+(* The price of the summary tier and, when active, the MRU tier.  With
+   the MRU tier skipped (filter backend or <=1 block) an MRU hit can only
+   come from an exact single-block envelope, where the MRU compare is
+   against the same two words as the bounds compare: the summary price
+   covers it. *)
+let cache_tiers_cost log =
+  Costs.capture_summary_check
+  + if Alloc_log.mru_tier_active log then Costs.capture_mru_check else 0
+
 (* One hierarchical heap capture check: classify the probe, charge the
    tier that answered, and account it.  Without fastpath the hierarchy
    degenerates to the bare backend probe at its usual price. *)
@@ -607,20 +610,10 @@ let heap_capture_check th log ~lo ~hi =
         Costs.capture_summary_check
     | Alloc_log.Mru_hit ->
         st.Stats.capture_mru_hits <- st.Stats.capture_mru_hits + 1;
-        (* With the MRU tier skipped (filter backend or <=1 block) a hit
-           can only come from an exact single-block envelope, where the
-           MRU compare is against the same two words as the bounds
-           compare — the summary price covers it. *)
-        Costs.capture_summary_check
-        + (if Alloc_log.mru_tier_active log then Costs.capture_mru_check
-           else 0)
+        cache_tiers_cost log
     | Alloc_log.Backend_hit | Alloc_log.Backend_miss ->
         st.Stats.capture_backend_probes <- st.Stats.capture_backend_probes + 1;
-        (if Alloc_log.fastpath log then
-           Costs.capture_summary_check
-           + (if Alloc_log.mru_tier_active log then Costs.capture_mru_check
-              else 0)
-         else 0)
+        (if Alloc_log.fastpath log then cache_tiers_cost log else 0)
         + Alloc_log.search_cost log
   in
   st.Stats.capture_check_cycles <- st.Stats.capture_check_cycles + cost;
@@ -861,15 +854,10 @@ let rec full_read_loop tx oi addr logged spins =
     if w1 = w2 then begin
       (* Dedup: log each orec once; observing a *different* version than
          first logged is already a conflict.  The entry's forwarding pair
-         moves to this read: (addr, v) is as current under the logged
-         word as the pair it replaces. *)
+         moves to this read. *)
       if logged >= 0 then begin
         if tx.read_words.(logged) <> w1 then raise Retry_conflict;
-        if Array.unsafe_get tx.read_addrs logged <> addr then
-          Array.unsafe_set tx.read_multi logged 1;
-        Array.unsafe_set tx.read_addrs logged addr;
-        Array.unsafe_set tx.read_vals logged v;
-        v
+        forward_pair tx logged addr v
       end
       else begin
         (* One compare per *fresh* read keeps the snapshot invariant:
@@ -957,11 +945,7 @@ let unowned_read tx oi addr logged =
       if tx.config.Config.fences then fence tx;
       if Orec.get tx.orecs oi = Array.unsafe_get tx.read_words logged then begin
         tx.stats.reads_line_mate <- tx.stats.reads_line_mate + 1;
-        if Array.unsafe_get tx.read_addrs logged <> addr then
-          Array.unsafe_set tx.read_multi logged 1;
-        Array.unsafe_set tx.read_addrs logged addr;
-        Array.unsafe_set tx.read_vals logged v;
-        v
+        forward_pair tx logged addr v
       end
       else begin
         tx.platform.consume Costs.read_barrier;
@@ -1068,13 +1052,12 @@ let read tx addr = read_at ~site:Site.anonymous_read tx addr
 let rewrite tx i cur =
   let st = tx.stats and serial = (innermost tx).serial in
   st.waw_hits <- st.waw_hits + 1;
-  let stamp = Write_set.stamp tx.wset i in
-  if stamp >= serial then tx.platform.consume Costs.waw_hit
+  if Write_set.stamp tx.wset i >= serial then
+    tx.platform.consume Costs.waw_hit
   else begin
     tx.platform.consume Costs.undo_log_entry;
     st.undo_entries <- st.undo_entries + 1;
-    push_undo tx (Write_set.addr tx.wset i) cur stamp;
-    Write_set.set_stamp tx.wset i serial
+    Write_set.journal tx.wset i cur ~serial
   end
 
 let full_write tx addr v =
@@ -1250,18 +1233,8 @@ let unlog_alloc scope addr =
    after its allocation, so only the entries logged since this scope
    began are scanned; none are charged. *)
 let drop_block_entries tx scope ~lo ~hi =
-  Write_set.remove_range tx.wset ~from:scope.wset_mark ~lo ~hi;
-  let j = ref scope.undo_mark in
-  for k = scope.undo_mark to tx.n_undo - 1 do
-    let a = tx.undo_addrs.(k) in
-    if a < lo || a >= hi then begin
-      tx.undo_addrs.(!j) <- a;
-      tx.undo_vals.(!j) <- tx.undo_vals.(k);
-      tx.undo_stamps.(!j) <- tx.undo_stamps.(k);
-      incr j
-    end
-  done;
-  tx.n_undo <- !j
+  Write_set.drop_block tx.wset ~from:scope.wset_mark
+    ~journal_from:scope.journal_mark ~lo ~hi
 
 let free tx addr =
   burn_fuel tx;
@@ -1301,34 +1274,28 @@ let remove_private_block th ~addr ~size =
 (* ------------------------------------------------------------------ *)
 (* Begin / commit / abort                                              *)
 
-let push_scope tx ~top =
+let push_scope tx =
+  let d = tx.depth in
+  if d = Array.length tx.scopes then
+    tx.scopes <- Array.append tx.scopes [| new_scope tx.config |];
+  let s = tx.scopes.(d) in
   (* Nested scopes answer capture questions relative to themselves
-     (paper §2.2.1): fresh logs. *)
-  let capture_log =
-    if top then tx.top_capture_log else new_capture_log tx.config
-  in
+     (paper §2.2.1): empty logs. *)
+  (match s.capture_log with Some l -> Alloc_log.clear l | None -> ());
+  s.n_allocs <- 0;
+  s.n_dfrees <- 0;
   (* A nested scope must not trust the entries its parent wrote: an
      address the outer scope logged still needs a journal entry inside
      the child, or partial abort cannot restore it (the paper's §2.2.1
      live-in observation, applied to the write set); the fresh serial
      makes every older stamp fall short ([rewrite]). *)
-  let serial = tx.scope_serial in
-  tx.scope_serial <- serial + 1;
-  tx.scopes <-
-    {
-      start_sp = Tstack.save tx.stack;
-      undo_mark = tx.n_undo;
-      wset_mark = Write_set.size tx.wset;
-      serial;
-      capture_log;
-      alloc_addrs = empty_ints;
-      alloc_sizes = empty_ints;
-      n_allocs = 0;
-      dfree_addrs = empty_ints;
-      n_dfrees = 0;
-    }
-    :: tx.scopes;
-  if not top then emit tx.tid Ev_scope_begin
+  s.serial <- tx.scope_serial;
+  tx.scope_serial <- tx.scope_serial + 1;
+  s.start_sp <- Tstack.save tx.stack;
+  s.journal_mark <- Write_set.journal_size tx.wset;
+  s.wset_mark <- Write_set.size tx.wset;
+  tx.depth <- d + 1;
+  if d > 0 then emit tx.tid Ev_scope_begin
 
 let begin_top tx ~attempt =
   (* Small random jitter decorrelates thread phases (memory and pipeline
@@ -1345,7 +1312,6 @@ let begin_top tx ~attempt =
       Reclaim.announce r);
   tx.n_reads <- 0;
   Int_map.next_attempt tx.read_index;
-  tx.n_undo <- 0;
   tx.n_acq <- 0;
   tx.wrote_in_place <- false;
   tx.fuel <- Costs.fuel_budget;
@@ -1354,21 +1320,9 @@ let begin_top tx ~attempt =
      read keeps Scan's begin clock-free. *)
   tx.start_ts <- (match tx.clock with Global -> Orec.clock tx.orecs | Scan -> 0);
   Write_set.clear tx.wset;
-  (match tx.top_capture_log with Some l -> Alloc_log.clear l | None -> ());
-  tx.scopes <- [];
-  push_scope tx ~top:true;
+  tx.depth <- 0;
+  push_scope tx;
   emit tx.tid (Ev_begin { attempt })
-
-(* Eager rollback of the write-set entries from [from] on, newest
-   first: each address gets back the word it held before its first
-   write.  Returns the number of entries restored.  (Lazy entries never
-   reached memory: there is nothing to restore.) *)
-let restore_writes tx ~from =
-  let ws = tx.wset in
-  for k = Write_set.size ws - 1 downto from do
-    Memory.set tx.memory (Write_set.addr ws k) (Write_set.value ws k)
-  done;
-  Write_set.size ws - from
 
 let free_scope_allocs th scope =
   (* Newest-first, which is the right order for stack-like reuse in the
@@ -1432,7 +1386,7 @@ let commit_epilogue tx =
       st.limbo_blocks <- max st.limbo_blocks (Reclaim.pending r);
       st.limbo_words <- max st.limbo_words (Reclaim.pending_words r);
       ebr_exit tx r);
-  tx.scopes <- [];
+  tx.depth <- 0;
   tx.stats.commits <- tx.stats.commits + 1
 
 (* Lazy versioning, commit phase 1: acquire every write-set orec, in
@@ -1693,15 +1647,16 @@ let abort_word tx =
 let abort_top tx ~user =
   tx.platform.consume Costs.abort_base;
   if not tx.config.Config.lazy_versioning then
-    tx.platform.consume (Costs.abort_per_undo * restore_writes tx ~from:0);
+    tx.platform.consume
+      (Costs.abort_per_undo * Write_set.restore tx.wset tx.memory ~from:0);
   release tx ~word:(abort_word tx);
-  (* Free speculative allocations scope by scope, innermost first. *)
-  List.iter (fun scope -> free_scope_allocs tx scope) tx.scopes;
-  (* Restore the stack to the outermost scope's entry point. *)
-  (match List.rev tx.scopes with
-  | outermost :: _ -> Tstack.restore tx.stack outermost.start_sp
-  | [] -> ());
-  tx.scopes <- [];
+  (* Free speculative allocations scope by scope, innermost first, then
+     restore the stack to the outermost scope's entry point. *)
+  for d = tx.depth - 1 downto 0 do
+    free_scope_allocs tx tx.scopes.(d)
+  done;
+  Tstack.restore tx.stack tx.scopes.(0).start_sp;
+  tx.depth <- 0;
   if user then tx.stats.user_aborts <- tx.stats.user_aborts + 1
   else tx.stats.aborts <- tx.stats.aborts + 1;
   (match tx.reclaim with None -> () | Some r -> ebr_exit tx r);
@@ -1709,58 +1664,41 @@ let abort_top tx ~user =
 
 (* Nested commit: fold the child scope into its parent. *)
 let commit_scope tx =
-  match tx.scopes with
-  | [] | [ _ ] -> invalid_arg "Txn.commit_scope: no nested scope"
-  | child :: (parent :: _ as rest) ->
-      (* Oldest-first append keeps the parent's log in allocation order,
-         exactly as the old list fold over [List.rev child.allocs] did. *)
-      for k = 0 to child.n_allocs - 1 do
-        let addr = child.alloc_addrs.(k) and size = child.alloc_sizes.(k) in
-        push_alloc parent addr size;
-        match parent.capture_log with
-        | Some log -> capture_log_add tx log ~lo:addr ~hi:(addr + size)
-        | None -> ()
-      done;
-      for k = 0 to child.n_dfrees - 1 do
-        push_dfree parent child.dfree_addrs.(k)
-      done;
-      tx.scopes <- rest;
-      tx.stats.nested_commits <- tx.stats.nested_commits + 1;
-      emit tx.tid Ev_scope_commit
+  let d = tx.depth - 1 in
+  if d < 1 then invalid_arg "Txn.commit_scope: no nested scope";
+  let child = tx.scopes.(d) and parent = tx.scopes.(d - 1) in
+  (* Oldest-first append keeps the parent's log in allocation order. *)
+  for k = 0 to child.n_allocs - 1 do
+    let addr = child.alloc_addrs.(k) and size = child.alloc_sizes.(k) in
+    push_alloc parent addr size;
+    match parent.capture_log with
+    | Some log -> capture_log_add tx log ~lo:addr ~hi:(addr + size)
+    | None -> ()
+  done;
+  for k = 0 to child.n_dfrees - 1 do
+    push_dfree parent child.dfree_addrs.(k)
+  done;
+  tx.depth <- d;
+  tx.stats.nested_commits <- tx.stats.nested_commits + 1;
+  emit tx.tid Ev_scope_commit
 
 (* Nested (partial) abort: roll the child scope back, keep the parent
-   running.  Acquired orecs are kept (safe, merely pessimistic).  The
-   child's journal is replayed newest first — into memory (eager) or the
-   buffer (lazy), each entry's stamp put back — and only then are the
-   child's fresh inserts (a suffix of the write set) restored and
-   dropped: a grandchild may have journalled an entry the child
-   inserted. *)
+   running.  Acquired orecs are kept (safe, merely pessimistic). *)
 let abort_scope tx =
-  match tx.scopes with
-  | [] | [ _ ] -> invalid_arg "Txn.abort_scope: no nested scope"
-  | child :: rest ->
-      let ws = tx.wset in
-      tx.platform.consume Costs.abort_base;
-      for k = tx.n_undo - 1 downto child.undo_mark do
-        let a = tx.undo_addrs.(k) and v = tx.undo_vals.(k) in
-        let i = Write_set.find ws a in
-        Write_set.set_stamp ws i tx.undo_stamps.(k);
-        if tx.config.Config.lazy_versioning then Write_set.set_value ws i v
-        else Memory.set tx.memory a v
-      done;
-      let restored =
-        if tx.config.Config.lazy_versioning then 0
-        else restore_writes tx ~from:child.wset_mark
-      in
-      tx.platform.consume
-        (Costs.abort_per_undo * (tx.n_undo - child.undo_mark + restored));
-      tx.n_undo <- child.undo_mark;
-      Write_set.truncate ws child.wset_mark;
-      free_scope_allocs tx child;
-      Tstack.restore tx.stack child.start_sp;
-      tx.scopes <- rest;
-      tx.stats.nested_aborts <- tx.stats.nested_aborts + 1;
-      emit tx.tid Ev_scope_abort
+  let d = tx.depth - 1 in
+  if d < 1 then invalid_arg "Txn.abort_scope: no nested scope";
+  let child = tx.scopes.(d) in
+  tx.platform.consume Costs.abort_base;
+  tx.platform.consume
+    (Costs.abort_per_undo
+    * Write_set.abort_scope tx.wset tx.memory
+        ~in_place:(not tx.config.Config.lazy_versioning)
+        ~from:child.wset_mark ~journal_from:child.journal_mark);
+  free_scope_allocs tx child;
+  Tstack.restore tx.stack child.start_sp;
+  tx.depth <- d;
+  tx.stats.nested_aborts <- tx.stats.nested_aborts + 1;
+  emit tx.tid Ev_scope_abort
 
 (* ------------------------------------------------------------------ *)
 (* The atomic runner                                                   *)
@@ -1806,12 +1744,12 @@ let backoff th attempt =
 
 type 'a outcome = Committed of 'a | Conflict | Userabort | Failed of exn
 
-let in_txn th = th.scopes <> []
+let in_txn th = th.depth > 0
 
 let atomic tx f =
   if in_txn tx then begin
     (* Nested transaction. *)
-    push_scope tx ~top:false;
+    push_scope tx;
     match f tx with
     | r ->
         commit_scope tx;
@@ -1886,12 +1824,7 @@ let quiesce th =
       while Reclaim.global_epoch s < target do
         th.stats.grace_waits <- th.stats.grace_waits + 1;
         th.platform.consume Costs.grace_wait;
-        if Reclaim.try_advance s then
-          th.stats.epoch_advances <- th.stats.epoch_advances + 1;
-        ignore
-          (Reclaim.drain r
-             ~free:(fun ~addr ~size:_ -> Alloc.free th.arena addr)
-            : int);
+        ebr_sweep th r;
         th.platform.yield ()
       done
 

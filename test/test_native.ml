@@ -600,6 +600,34 @@ let test_zero_alloc_lazy_captured () =
   check_int "every store skipped the buffer" (64 + 512)
     (s.Stats.redo_skips - skips)
 
+(* A whole one-thread transaction — begin, [n] full-barrier writes,
+   commit — allocates the same few words at every size: the runner's
+   retry closure and its result, never a scope or a log.  The body
+   closure is built before the count starts. *)
+let test_commit_words spelling () =
+  let w =
+    Engine.create ~nthreads:1 (Result.get_ok (Config.of_string spelling))
+  in
+  let th = Engine.setup_thread w in
+  let base = Alloc.alloc (Engine.global_arena w) 512 in
+  let per_commit n =
+    let body tx =
+      for k = 0 to n - 1 do
+        Txn.write tx (base + k) k
+      done
+    in
+    (* Warm-up: grows the tx-resident logs past [n]. *)
+    Txn.atomic th body;
+    minor_delta (fun () ->
+        for _ = 1 to 100 do
+          Txn.atomic th body
+        done)
+    /. 100.
+  in
+  let small = per_commit 8 and large = per_commit 512 in
+  Alcotest.(check (float 0.)) "minor words per commit, any size" small large;
+  Alcotest.(check (float 0.)) "minor words per commit" 9. small
+
 (* ------------------------------------------------------------------ *)
 (* Simulator determinism: the hot-path rewrite must not change a single
    scheduling decision.  Reference numbers captured from the simulator
@@ -803,6 +831,10 @@ let () =
             (test_zero_alloc_lazy_buffer "baseline+tv+lazy");
           Alcotest.test_case "lazy captured store path" `Quick
             test_zero_alloc_lazy_captured;
+          Alcotest.test_case "commit words baseline" `Quick
+            (test_commit_words "baseline");
+          Alcotest.test_case "commit words baseline+lazy" `Quick
+            (test_commit_words "baseline+lazy");
         ] );
       ( "sim-determinism",
         List.map
