@@ -953,27 +953,22 @@ let unowned_read tx oi addr logged =
       end
     end
 
-let full_read tx addr =
-  let oi = Orec.index_of tx.orecs addr in
-  if owns tx oi then owned_read tx addr
-  else unowned_read tx oi addr (Int_map.find tx.read_index oi)
-
-(* Read-for-write (the TM ABI's [_ITM_RfW]): the read of a
-   read-modify-write whose write follows on every path that does not
-   abort.  A fresh orec is acquired here, at the write barrier's price,
-   and its value loaded under the lock: no read-log entry, so no
-   validation or commit cost for it, and the write finds the orec owned.
-   Under the Global clock the replaced version must still fit the
-   snapshot, which is extended if it is newer, exactly as a fresh read's
-   would be.  An orec this attempt already logged takes the plain read
-   path: acquiring it would cost more than the forwarded read plus the
-   write's acquisition. *)
-let full_read_for_write tx addr =
+(* An instrumented read.  [for_write] makes it a read-for-write (the TM
+   ABI's [_ITM_RfW]): the read of a read-modify-write whose write
+   follows on every path that does not abort.  A fresh orec is then
+   acquired here, at the write barrier's price, and its value loaded
+   under the lock: no read-log entry, so no validation or commit cost
+   for it, and the write finds the orec owned.  Under the Global clock
+   the replaced version must still fit the snapshot, which is extended
+   if it is newer, exactly as a fresh read's would be.  An orec this
+   attempt already logged takes the plain read path: acquiring it would
+   cost more than the forwarded read plus the write's acquisition. *)
+let full_read ~for_write tx addr =
   let oi = Orec.index_of tx.orecs addr in
   if owns tx oi then owned_read tx addr
   else
     let logged = Int_map.find tx.read_index oi in
-    if logged >= 0 then unowned_read tx oi addr logged
+    if logged >= 0 || not for_write then unowned_read tx oi addr logged
     else begin
       let replaced = acquire tx oi in
       tx.stats.rfw_acquires <- tx.stats.rfw_acquires + 1;
@@ -1020,7 +1015,7 @@ let read_with ~site ~for_write tx addr =
       match cls with
       | Instrumented ->
           tx.platform.consume tx.check_cost;
-          if for_write then full_read_for_write tx addr else full_read tx addr
+          full_read ~for_write tx addr
       | _ ->
           count_elided st ~is_write:false cls;
           tx.platform.consume (tx.check_cost + Costs.direct_access);
@@ -1360,28 +1355,23 @@ let release tx ~word =
 
 let commit_epilogue tx =
   let scope = innermost tx in
+  (* Committed frees, newest first.  Under EBR they park in limbo (header
+     still allocated, no free-list link written) until two grace periods
+     pass, so a lagging or zombie reader that still holds a pre-free
+     pointer can never see the block recarved under it.
+     [Premature_reuse] skips the grace period for one free — the
+     use-after-free the oracle must flag. *)
+  for k = scope.n_dfrees - 1 downto 0 do
+    let addr = scope.dfree_addrs.(k) in
+    match tx.reclaim with
+    | Some r when not (fault_fires tx Fault.Premature_reuse) ->
+        tx.platform.consume Costs.limbo_push;
+        Reclaim.retire r ~addr ~size:(Alloc.block_size tx.arena addr)
+    | Some _ | None -> Alloc.free tx.arena addr
+  done;
   (match tx.reclaim with
-  | None ->
-      (* Newest-first, matching the order the old cons-list executed in. *)
-      for k = scope.n_dfrees - 1 downto 0 do
-        Alloc.free tx.arena scope.dfree_addrs.(k)
-      done
+  | None -> ()
   | Some r ->
-      (* EBR: committed frees park in limbo (header still allocated, no
-         free-list link written) until two grace periods pass, so a
-         lagging or zombie reader that still holds a pre-free pointer
-         can never see the block recarved under it.  [Premature_reuse]
-         skips the grace period for one free — the use-after-free the
-         oracle must flag. *)
-      for k = scope.n_dfrees - 1 downto 0 do
-        let addr = scope.dfree_addrs.(k) in
-        if fault_fires tx Fault.Premature_reuse then
-          Alloc.free tx.arena addr
-        else begin
-          tx.platform.consume Costs.limbo_push;
-          Reclaim.retire r ~addr ~size:(Alloc.block_size tx.arena addr)
-        end
-      done;
       let st = tx.stats in
       st.limbo_blocks <- max st.limbo_blocks (Reclaim.pending r);
       st.limbo_words <- max st.limbo_words (Reclaim.pending_words r);
@@ -1522,10 +1512,11 @@ let commit_serialize tx =
   (* Post-publish crash: force the fsync first — the record is durable,
      the acknowledgement was delivered, and the process dies before a
      single orec release.  Recovery must replay this commit. *)
-  if tx.wal <> None && fault_fires tx Fault.Crash_post_publish then begin
-    (match tx.wal with Some w -> Wal.sync w | None -> ());
-    wal_crash tx
-  end;
+  (match tx.wal with
+  | Some w when fault_fires tx Fault.Crash_post_publish ->
+      Wal.sync w;
+      wal_crash tx
+  | Some _ | None -> ());
   fsync
 
 (* Commit-time validation: charge the commit, prove the read set still
@@ -1757,10 +1748,8 @@ let atomic tx f =
     | exception Retry_conflict ->
         (* Conflicts abort the whole (flattened) transaction. *)
         raise Retry_conflict
-    | exception User_abort ->
-        abort_scope tx;
-        raise User_abort
     | exception e ->
+        (* A user abort, or an error, rolls back this scope only. *)
         abort_scope tx;
         raise e
   end
