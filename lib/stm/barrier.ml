@@ -28,9 +28,10 @@ let rec full_read_loop tx oi addr logged spins =
     full_read_loop tx oi addr logged (spins + 1)
   end
   else begin
-    (* Zero-cycle decision points around the data load, as in [release]:
-       the checker can preempt between the two orec loads and the value,
-       where a peer's in-place write and abort fit natively. *)
+    (* Zero-cycle decision points around the data load, as in
+       [Commit.release]: the checker can preempt between the two orec
+       loads and the value, where a peer's in-place write and abort fit
+       natively. *)
     tx.platform.consume 0;
     let v = mem_get tx addr in
     (* Debug mode: pin the data load before the confirming orec load even
@@ -136,8 +137,8 @@ let unowned_read tx oi addr logged =
          one, changed by the thread's own direct store).  The orec held
          the logged word when the entry was made, and a word never
          returns once it leaves an orec (an eager abort that wrote in
-         place releases a fresh one, [abort_word]), so finding it again
-         after the data load proves the orec never moved in between:
+         place releases a fresh one, [Commit.abort_word]), so finding it
+         again after the data load proves the orec never moved in between:
          [v] is current under the logged word.  One orec load replaces
          the sandwich; the charge sits between the two loads, the window
          a peer's commit can land in natively.  Any other word takes the
@@ -233,7 +234,7 @@ let read_at ~site tx addr = read_with ~site ~for_write:false tx addr
 
 (* One path for both engines.  Under lazy versioning the orec acquired
    here is held until commit, as an eager one is; the write that follows
-   buffers as usual and [lazy_acquire] skips the owned orec. *)
+   buffers as usual and [Commit.lazy_acquire] skips the owned orec. *)
 let read_for_write_at ~site tx addr = read_with ~site ~for_write:true tx addr
 
 let read tx addr = read_at ~site:Site.anonymous_read tx addr
@@ -298,7 +299,7 @@ let direct_store tx cls addr v =
    counted in [redo_skips] — while shared writes append a fresh entry.
    Buffered writes touch no memory, so the eager barrier's bounds guard
    is not needed here; it moves to the direct-store path below and to
-   commit-time acquisition ([lazy_acquire]). *)
+   commit-time acquisition ([Commit.lazy_acquire]). *)
 let lazy_write tx addr v ~site =
   let st = tx.stats in
   tx.platform.consume Costs.redo_summary_check;

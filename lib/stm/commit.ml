@@ -49,7 +49,7 @@ let push_scope tx =
      address the outer scope logged still needs a journal entry inside
      the child, or partial abort cannot restore it (the paper's §2.2.1
      live-in observation, applied to the write set); the fresh serial
-     makes every older stamp fall short ([rewrite]). *)
+     makes every older stamp fall short ([Barrier.rewrite]). *)
   s.serial <- tx.scope_serial;
   tx.scope_serial <- tx.scope_serial + 1;
   s.start_sp <- Tstack.save tx.stack;
@@ -146,10 +146,10 @@ let commit_epilogue tx =
   tx.stats.commits <- tx.stats.commits + 1
 
 (* Lazy versioning, commit phase 1: acquire every write-set orec, in
-   first-insert order.  The write barrier deferred both
-   the bounds guard and the acquisition; garbage addresses a zombie
-   buffered surface here, before any store — [sandbox_bounds] keeps
-   its validate-then-classify contract (program bug vs. phantom).
+   first-insert order.  The write barrier deferred both the bounds guard
+   and the acquisition; garbage addresses a zombie buffered surface
+   here, before any store — [Validation.sandbox_bounds] keeps its
+   validate-then-classify contract (program bug vs. phantom).
    Lock-wait patience bounds deadlock exactly as the eager barrier's
    acquisition does. *)
 let lazy_acquire tx =
@@ -383,11 +383,11 @@ let commit_top tx =
    out a word no orec held before: a reader may have loaded its
    uncommitted store between two loads of the orec, and finding the old
    word on the far side must not vouch for that value (the line-mate
-   read in [unowned_read] rests on this, and so does the sandwich of
-   [full_read_loop]).  Under Scan that is the old version + 1, the word
-   a commit would store; under Global a fresh clock value, since the
-   old version + 1 could equal the stamp the next commit draws while
-   the clock has not moved. *)
+   read in [Barrier.unowned_read] rests on this, and so does the
+   sandwich of [Barrier.full_read_loop]).  Under Scan that is the old
+   version + 1, the word a commit would store; under Global a fresh
+   clock value, since the old version + 1 could equal the stamp the next
+   commit draws while the clock has not moved. *)
 let abort_word tx =
   if not tx.wrote_in_place then restore_prev
   else

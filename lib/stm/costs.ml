@@ -61,7 +61,7 @@ let site_check = 1
    wait therefore stays under [Platform.native_relax]'s 4096-cycle sleep
    threshold, so a retry sleeps only once [63 * attempt] of jitter pushes
    it past.  The window is the longest wait: an abort whose barrier spun
-   out on a lock ends it once that orec is released ([Txn.backoff]). *)
+   out on a lock ends it once that orec is released ([Lock_wait.backoff]). *)
 let backoff_max_shift = 5
 
 let backoff ~attempt ~jitter =

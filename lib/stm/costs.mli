@@ -50,7 +50,7 @@ val spin_limit : int
     spins when that is larger, waiting while the wait costs less than
     re-running the reads an abort would discard, never past 2048
     cycles.  At [spin_limit] spins such a wait scans its read log once
-    and ends if the attempt is already lost ([Txn.spin_on_lock]). *)
+    and ends if the attempt is already lost ([Lock_wait.spin_on_lock]). *)
 
 val fuel_budget : int
 (** Zombie guard: transactional operations per attempt between forced

@@ -100,16 +100,17 @@ type thread = {
      capture check (thread-owned; sized from the sites declared so far). *)
   site_tier : Site_tier.t;
   (* Cycles the current barrier's capture and private checks spent
-     ([try_elide] resets it): the barrier charges them with the access,
-     in one [consume]. *)
+     ([Elision.try_elide] resets it): the barrier charges them with the
+     access, in one [consume]. *)
   mutable check_cost : int;
   (* The transaction descriptor: the logs below are reset by every
      top-level begin and reused across attempts. *)
   (* read set: distinct orecs with the word observed first, indexed by
      orec in [read_index]; beside each, the address and value last read
-     under that orec (read-after-read forwarding, [full_read]), and 1 in
-     [read_multi] once a second address was read under it (the pair then
-     speaks for one of several reads: no value rescue, [rescue_entry]) *)
+     under that orec (read-after-read forwarding, [Barrier.full_read]),
+     and 1 in [read_multi] once a second address was read under it (the
+     pair then speaks for one of several reads: no value rescue,
+     [Validation.rescue_entry]) *)
   mutable read_orecs : int array;
   mutable read_words : int array;
   mutable read_addrs : int array;
@@ -122,7 +123,8 @@ type thread = {
   mutable acq_prev : int array;
   mutable n_acq : int;
   (* The attempt has stored into memory under an acquired orec (eager
-     versioning): its abort must release fresh words ([abort_word]). *)
+     versioning): its abort must release fresh words
+     ([Commit.abort_word]). *)
   mutable wrote_in_place : bool;
   (* The write set: old values under eager versioning (rollback), new
      ones under lazy (publish); either way the commit record's addresses
@@ -132,19 +134,20 @@ type thread = {
   mutable scope_serial : int;
   (* The open scopes are [scopes.(0 .. depth-1)], outermost first: slots
      every attempt reuses, grown on the first nesting this deep.  A
-     transaction runs exactly while [depth > 0]: [begin_top] pushes the
-     top scope, commit and top-level abort pop them all. *)
+     transaction runs exactly while [depth > 0]: [Commit.begin_top]
+     pushes the top scope, commit and top-level abort pop them all. *)
   mutable scopes : scope array;
   mutable depth : int;
-  (* Zombie-guard fuel left this attempt (see [burn_fuel]). *)
+  (* Zombie-guard fuel left this attempt (see [Validation.burn_fuel]). *)
   mutable fuel : int;
   (* Snapshot timestamp (Global clock): the read set is known consistent
      at the instant the global clock held this value. *)
   mutable start_ts : int;
-  (* The orec whose lock ended this attempt ([spin_on_lock]), -1 for
-     none, and the locked word it held then: [backoff] waits for that word
-     to leave the orec.  Cleared by [begin_top], so it never outlives the
-     attempt that spun out. *)
+  (* The orec whose lock ended this attempt ([Lock_wait.spin_on_lock]),
+     -1 for none, and the locked word it held then: [Lock_wait.backoff]
+     waits for that word to leave the orec.  Cleared by
+     [Commit.begin_top], so it never outlives the attempt that spun
+     out. *)
   mutable blocker : int;
   mutable blocker_word : int;
 }
@@ -167,11 +170,12 @@ and scope = {
   (* Runtime heap checks only; cleared each time the slot is pushed. *)
   capture_log : Alloc_log.t option;
   (* Speculative allocations and deferred frees as grow-only parallel int
-     arrays, oldest-first — list conses here would make [alloc]/[free]
-     allocate on the OCaml heap inside the barrier-free fast path.  All
-     newest-first effects (rollback freeing, deferred-free execution, the
-     [unlog_alloc] scan) walk the arrays [downto].  The allocations are
-     also the scope's audit-mode record ([audit_classify]). *)
+     arrays, oldest-first — list conses here would make
+     [Barrier.alloc]/[Barrier.free] allocate on the OCaml heap inside the
+     barrier-free fast path.  All newest-first effects (rollback freeing,
+     deferred-free execution, the [Barrier.unlog_alloc] scan) walk the
+     arrays [downto].  The allocations are also the scope's audit-mode
+     record ([Elision.audit_classify]). *)
   mutable alloc_addrs : int array;
   mutable alloc_sizes : int array;
   mutable n_allocs : int;
@@ -256,7 +260,7 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
    without it. *)
 let fence th = ignore (Atomic.fetch_and_add th.fence_dummy 1 : int)
 
-(* Barrier memory accesses: [sandbox_bounds] validates every address
+(* Barrier memory accesses: [Validation.sandbox_bounds] validates every address
    before the barrier body runs, so the unchecked accessors are in
    contract; audit mode keeps the checked ones as a cross-check. *)
 let mem_get th addr =
@@ -346,7 +350,7 @@ let fault_fires th kind =
 (* Durable-transaction support (write-ahead log)                        *)
 
 (* Injected process death.  The exception deliberately escapes the
-   retry loop ([atomic] only catches [Retry_conflict]) and the fiber:
+   retry loop ([Txn.atomic] only catches [Retry_conflict]) and the fiber:
    the simulated process is gone, and the harness moves to recovery. *)
 let wal_crash th =
   (match th.wal with Some w -> Wal.crash w | None -> ());

@@ -96,7 +96,7 @@ let capture_check tx addr size =
    site whose checks rarely hit is bypassed, and its access takes the
    same path as an access outside the check scope — private-log check,
    then the full barrier.  That is sound because the full barrier is
-   correct for any address, captured or not (see [free] for the one
+   correct for any address, captured or not (see [Barrier.free] for the one
    hazard it had). *)
 let try_elide tx addr size ~site ~is_write =
   let cfg = tx.config in

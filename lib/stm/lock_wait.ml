@@ -70,7 +70,7 @@ let rec acquire_loop tx oi spins =
   else if Orec.try_lock tx.orecs oi ~owner:tx.tid ~expected:w then begin
     (* A read of this orec logged earlier in the attempt stays valid while
        the lock is held iff it read the version just replaced (see
-       [read_entry_valid]). *)
+       [Validation.read_entry_valid]). *)
     let logged = Int_map.find tx.read_index oi in
     if logged >= 0 && tx.read_words.(logged) = w then
       tx.read_words.(logged) <- tx.lock_word;

@@ -12,7 +12,7 @@ open Descriptor
 (* A logged read holds while its orec still carries the logged word.  An
    orec the attempt read and then acquired carries [lock_word]; the
    acquisition re-logs the read as [lock_word] when the version it
-   replaced is the one read ([acquire_loop]), so such a read holds
+   replaced is the one read ([Lock_wait.acquire_loop]), so such a read holds
    exactly when the write did not follow a concurrent commit. *)
 let read_entry_valid th oi word = Orec.get th.orecs oi = word
 
@@ -43,7 +43,7 @@ let rec reads_valid tx k =
    under the new word as it was under the old, and the entry adopts the
    new word.  The new word must be unlocked (memory under a lock may
    hold an uncommitted value) and stable around the value load (the
-   sandwich [full_read_loop] runs).  Under the Global clock it must also
+   sandwich [Barrier.full_read_loop] runs).  Under the Global clock it must also
    be no newer than [upto], the instant the caller proves the read set
    at: a later stamp is a commit serialized after that instant, and an
    A-B-A on the word could hide a different value at it.  An entry that
@@ -134,7 +134,7 @@ let revalidate tx =
 
 (* Validation fuel: the one bound on un-revalidated execution.  Every
    transactional operation burns one unit — owned, forwarded and
-   capture-elided accesses and [tx_work] included, which no barrier slow
+   capture-elided accesses and [Txn.tx_work] included, which no barrier slow
    path sees — so a zombie spinning on any of them dies within
    [Costs.fuel_budget] operations.  An empty tank forces the zombie
    guard and refills. *)
