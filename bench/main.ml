@@ -498,7 +498,7 @@ let calibrate () =
     let orecs = Engine.orecs w in
     let locked = Orec.try_lock orecs 0 ~owner:1 ~expected:(Orec.get orecs 0) in
     assert locked;
-    let platform = Captured_sim.Platform.native ~tid:0 in
+    let platform = Captured_sim.Platform.native in
     Staged.stage (fun () ->
         for _ = 1 to accesses do
           if Orec.is_locked (Orec.get orecs 0) then platform.yield ()

@@ -1,7 +1,6 @@
 type t = {
   consume : int -> unit;
   yield : unit -> unit;
-  self : unit -> int;
   relax : int -> unit;
 }
 
@@ -19,19 +18,12 @@ let native_relax cycles =
     done
   else Unix.sleepf (1e-8 *. float_of_int cycles)
 
-let native ~tid =
-  {
-    consume = ignore;
-    yield = Domain.cpu_relax;
-    self = (fun () -> tid);
-    relax = native_relax;
-  }
+let native = { consume = ignore; yield = Domain.cpu_relax; relax = native_relax }
 
 let simulated ctx =
   {
     consume = Sched.consume ctx;
     yield = (fun () -> Sched.yield ctx);
-    self = (fun () -> Sched.self ctx);
     (* The simulator charges backoff via [consume] (virtual time); a real
        delay here would only slow the host down. *)
     relax = ignore;

@@ -8,7 +8,6 @@ type t = {
   consume : int -> unit;
       (** Charge virtual cycles (no-op on the native platform). *)
   yield : unit -> unit;  (** Back off while spinning on a lock. *)
-  self : unit -> int;  (** Logical thread id. *)
   relax : int -> unit;
       (** Really wait out a backoff of roughly that many cycles.  No-op on
           the simulator (backoff is charged as virtual time via [consume]);
@@ -17,9 +16,9 @@ type t = {
           their lock holder may need. *)
 }
 
-(** [native ~tid] is a platform for a real domain: [consume] is free,
-    [yield] is [Domain.cpu_relax], [relax] spins/sleeps. *)
-val native : tid:int -> t
+(** The platform of a real domain: [consume] is free, [yield] is
+    [Domain.cpu_relax], [relax] spins/sleeps. *)
+val native : t
 
 (** [simulated ctx] adapts a simulator fiber context. *)
 val simulated : Sched.ctx -> t

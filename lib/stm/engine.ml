@@ -143,7 +143,7 @@ let collect w threads makespan wall per_thread_wall =
     resident_words = Memory.resident_words w.memory;
   }
 
-let run_sim ?quantum ?control ?(seed = 42) w body =
+let run_sim ?control ?(seed = 42) w body =
   let threads = Array.make w.nthreads None in
   let fibers =
     Array.init w.nthreads (fun tid ctx ->
@@ -157,7 +157,7 @@ let run_sim ?quantum ?control ?(seed = 42) w body =
         body th)
   in
   let (sim, wall) =
-    Clock.time (fun () -> Sched.run ?quantum ?control ~threads:fibers ())
+    Clock.time (fun () -> Sched.run ?control ~threads:fibers ())
   in
   let threads =
     Array.map (function Some th -> th | None -> assert false) threads
@@ -174,7 +174,7 @@ let run_native ?(seed = 42) w body =
      collection race-free. *)
   let slots = Array.make n None in
   let run tid =
-    let th = make_thread w ~tid ~platform:(Platform.native ~tid) ~seed in
+    let th = make_thread w ~tid ~platform:Platform.native ~seed in
     let ((), thread_wall) = Clock.time (fun () -> body th) in
     slots.(tid) <- Some (th, thread_wall)
   in
@@ -206,4 +206,4 @@ let run_native ?(seed = 42) w body =
   collect w threads makespan wall per_thread_wall
 
 let setup_thread ?(seed = 42) w =
-  make_thread w ~tid:0 ~platform:(Platform.native ~tid:0) ~seed
+  make_thread w ~tid:0 ~platform:Platform.native ~seed

@@ -65,13 +65,12 @@ type result = {
           {!Captured_tmem.Memory.resident_words} *)
 }
 
-(** [run_sim ?quantum ?control ?seed world body] executes [body thread]
+(** [run_sim ?control ?seed world body] executes [body thread]
     for each of the world's logical threads on simulator fibers.
     Deterministic for a fixed [seed].  [control] switches the scheduler to
     controlled mode (see {!Captured_sim.Sched.run}) for systematic
     schedule exploration. *)
 val run_sim :
-  ?quantum:int ->
   ?control:Captured_sim.Sched.control ->
   ?seed:int ->
   world ->

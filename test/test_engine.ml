@@ -115,7 +115,7 @@ let test_tid_bound () =
   let w = Engine.create ~nthreads:1 Config.baseline in
   let mem = Engine.memory w in
   let thread tid =
-    Txn.create_thread ~tid ~platform:(Captured_sim.Platform.native ~tid)
+    Txn.create_thread ~tid ~platform:Captured_sim.Platform.native
       ~memory:mem
       ~stack:(Captured_tmem.Tstack.create mem ~base:1 ~words:16)
       ~arena:(Engine.arena_of w 0) ~orecs:(Engine.orecs w)

@@ -133,25 +133,27 @@ let test_many_fibers_many_switches () =
   check "ran" true (Sched.makespan sim >= 6000)
 
 let test_platform_native () =
-  let p = Platform.native ~tid:5 in
+  let p = Platform.native in
   p.Platform.consume 100;
   p.Platform.yield ();
-  check_int "self" 5 (p.Platform.self ())
+  (* A wait past the spin threshold sleeps, about 1e-8 s a cycle. *)
+  let t0 = Unix.gettimeofday () in
+  p.Platform.relax 100_000;
+  check "long relax sleeps" true (Unix.gettimeofday () -. t0 >= 5e-4)
 
 let test_platform_simulated () =
-  let observed = ref (-1) in
-  let _ =
+  let sim =
     Sched.run
       ~threads:
         [|
           (fun ctx ->
             let p = Platform.simulated ctx in
             p.Platform.consume 42;
-            observed := p.Platform.self ());
+            p.Platform.relax 1000);
         |]
       ()
   in
-  check_int "self via platform" 0 !observed
+  check_int "consume is virtual time, relax is free" 42 (Sched.makespan sim)
 
 let () =
   Alcotest.run "sim"
