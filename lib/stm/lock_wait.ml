@@ -1,6 +1,7 @@
 (* Lock waits: the spin on a locked orec, its budget and the abort
    that ends it, orec acquisition, and the backoff after an abort.
-   Writes the acquisition log, [blocker] and [blocker_word]. *)
+   Writes the acquisition log, the word of a read it re-logs, [blocker]
+   and [blocker_word]. *)
 
 open Descriptor
 
