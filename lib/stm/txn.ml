@@ -19,9 +19,40 @@ let remove_private_block th ~addr ~size =
 (* ------------------------------------------------------------------ *)
 (* The atomic runner                                                   *)
 
-type 'a outcome = Committed of 'a | Conflict | Userabort | Failed of exn
-
 let in_txn th = th.depth > 0
+
+(* One top-level attempt and its retries: a conflict rolls back, backs
+   off and tail-calls the next attempt (the handlers of a [match ... with
+   exception] are tail calls), and a commit returns the body's result
+   as it is, so the runner allocates nothing of its own. *)
+let rec attempt tx f n =
+  Commit.begin_top tx ~attempt:n;
+  match f tx with
+  | r -> (
+      match Commit.commit_top tx with
+      | () -> r
+      | exception Retry_conflict -> retry tx f n)
+  | exception Retry_conflict -> retry tx f n
+  | exception User_abort ->
+      Commit.abort_top tx ~user:true;
+      raise User_abort
+  | exception e ->
+      (* Zombie sandbox: a transaction on an invalid snapshot can raise
+         anything; re-validate to tell a real error from conflict
+         fallout, and swallow the phantom. *)
+      if Validation.validate tx ~upto:tx.start_ts then begin
+        Commit.abort_top tx ~user:false;
+        raise e
+      end
+      else begin
+        tx.stats.sandbox_aborts <- tx.stats.sandbox_aborts + 1;
+        retry tx f n
+      end
+
+and retry tx f n =
+  Commit.abort_top tx ~user:false;
+  Lock_wait.backoff tx n;
+  attempt tx f (n + 1)
 
 let atomic tx f =
   if in_txn tx then begin
@@ -39,40 +70,7 @@ let atomic tx f =
         Commit.abort_scope tx;
         raise e
   end
-  else begin
-    let rec attempt n =
-      Commit.begin_top tx ~attempt:n;
-      let outcome =
-        match f tx with
-        | r -> ( try Committed (let () = Commit.commit_top tx in r) with
-                 | Retry_conflict -> Conflict)
-        | exception Retry_conflict -> Conflict
-        | exception User_abort -> Userabort
-        | exception e ->
-            (* Zombie sandbox: a transaction on an invalid snapshot can
-               raise anything; re-validate to tell a real error from
-               conflict fallout, and swallow the phantom. *)
-            if Validation.validate tx ~upto:tx.start_ts then Failed e
-            else begin
-              tx.stats.sandbox_aborts <- tx.stats.sandbox_aborts + 1;
-              Conflict
-            end
-      in
-      match outcome with
-      | Committed r -> r
-      | Conflict ->
-          Commit.abort_top tx ~user:false;
-          Lock_wait.backoff tx n;
-          attempt (n + 1)
-      | Userabort ->
-          Commit.abort_top tx ~user:true;
-          raise User_abort
-      | Failed e ->
-          Commit.abort_top tx ~user:false;
-          raise e
-    in
-    attempt 1
-  end
+  else attempt tx f 1
 
 let abort _tx = raise User_abort
 let restart _tx = raise Retry_conflict
