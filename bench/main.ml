@@ -704,7 +704,7 @@ let calibrate () =
     rows;
   (* A reader that owns no orec spins on a lock while the wait costs less
      than re-reading its log: [read_barrier / lock_spin] spins per logged
-     read in the model ([Txn.wait_budget]). *)
+     read in the model ([Lock_wait.wait_budget]). *)
   (match (ns "read fresh", ns "lock-spin step") with
   | Some r, Some s when s > 0. ->
       Printf.printf

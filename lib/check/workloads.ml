@@ -466,7 +466,7 @@ let recordmix ~nthreads ~rounds =
    rounds, rewrites one block cell with the value it read (the orec
    moves, the value does not).  A reader blocked on [hot] has 16 reads
    logged and owns no orec, so it may wait up to its redo break-even
-   ([Txn.spin_on_lock]).  The copy is what holds [hot] for enough
+   ([Lock_wait.spin_on_lock]).  The copy is what holds [hot] for enough
    scheduling points for such a wait to pass the mark: eagerly while it
    is written, lazily while the commit acquires the area's orecs.  The
    doom scan finds the reader lost once an odd-round holder holds the

@@ -67,7 +67,7 @@ let[@inline never] first_store t i off v =
   Array.unsafe_set (materialize t i) off v
 
 (* Unchecked accessors for the STM barrier fast paths, which have already
-   range-checked the address (Txn.sandbox_bounds runs before any memory
+   range-checked the address (Validation.sandbox_bounds runs before any memory
    touch).  Everything else keeps the checked accessors. *)
 let unsafe_get t addr =
   Array.unsafe_get

@@ -416,7 +416,7 @@ let test_costs_relative_magnitudes () =
    its locks longer than a waiter's whole lock-wait budget: this holds
    for the [spin_limit] budget of a waiter that owns an orec or has a
    short read log, not for the longer budget a waiter with no orec and
-   a long log gets ([Txn.spin_on_lock]). *)
+   a long log gets ([Lock_wait.spin_on_lock]). *)
 let test_costs_delayed_unlock_outlasts_wait () =
   check "delay > spin_limit * lock_spin" true
     (Costs.fault_unlock_delay > Costs.spin_limit * Costs.lock_spin)

@@ -117,7 +117,7 @@ let test_snapshot_extension () =
    16 lines, so 16 read-log entries) before it increments the counter,
    so a domain that finds the counter locked owns no orec and may wait
    up to its redo break-even, after a doom scan of those entries,
-   instead of spinning out at [Costs.spin_limit] ([Txn.spin_on_lock]).
+   instead of spinning out at [Costs.spin_limit] ([Lock_wait.spin_on_lock]).
    The block holds zeros, which every read adds to the increment. *)
 let run_longread ~nthreads ~incs config =
   let w = Engine.create ~nthreads config in
@@ -637,7 +637,7 @@ let test_commit_words spelling () =
 
 (* The two baseline vacation-low pins were re-pinned when the eager
    engine's lossy write-after-write filter gave way to the exact write
-   set both engines share ([Txn.rewrite]): a rewrite that followed a
+   set both engines share ([Barrier.rewrite]): a rewrite that followed a
    colliding write used to take a second undo entry and pay
    [Costs.undo_log_entry] again, and now pays [Costs.waw_hit], so those
    schedules shift; commits stay 160.  The runtime-analysis pins do not
@@ -652,9 +652,9 @@ let test_commit_words spelling () =
    comments of the pins that moved.
    Before that, every vacation-low pin was re-pinned when a read under an orec
    already in the read log became one data load and one orec load
-   ([Txn.unowned_read]'s line-mate path, 16 cycles cheaper than the
+   ([Barrier.unowned_read]'s line-mate path, 16 cycles cheaper than the
    full barrier it replaced) and an eager abort that stored in place
-   began to release fresh orec words ([Txn.abort_word]): readers that
+   began to release fresh orec words ([Commit.abort_word]): readers that
    logged such an orec now abort or rescue instead of finding the old
    word back.  Commits stay 160; kmeans-low never reads a line-mate and
    aborts nothing it wrote in place, so its pin does not move.  The
@@ -669,14 +669,14 @@ let test_commit_words spelling () =
    before that come first in the comments of the pins that moved.
    Before that, every vacation-low pin was re-pinned when an attempt that owns no
    orec learned to wait out a lock up to its redo break-even
-   ([Txn.spin_on_lock]): vacation's read logs are long enough that its
+   ([Lock_wait.spin_on_lock]): vacation's read logs are long enough that its
    readers now wait past [Costs.spin_limit] spins instead of spinning
    out, so every schedule with such a wait shifts; commits stay 160.
    kmeans-low's pin does not move: its two-entry read logs keep the old
    budget.  Previous (aborts, makespan) first in each comment.  Before
    that, every pin was re-pinned when a lock-wait abort learned to end
    its backoff as soon as the orec that stopped it is released
-   ([Txn.backoff]): a retry now starts at the blocker's release instead
+   ([Lock_wait.backoff]): a retry now starts at the blocker's release instead
    of the window's end, so every schedule with a spun-out reader or
    writer shifts; commits stay 160 and 198 (the figures second in each
    comment).  Before that, every pin was re-pinned when the
@@ -687,7 +687,7 @@ let test_commit_words spelling () =
    figures third in each comment).  Before that, every vacation-low pin
    was re-pinned when validation learned to rescue a read whose orec a
    line-mate's commit moved but whose word it left alone
-   ([Txn.rescue_entry]); before that, the default backoff's exponential
+   ([Validation.rescue_entry]); before that, the default backoff's exponential
    window was capped at [Costs.backoff_max_shift] = 5 doublings. *)
 let sim_refs =
   let tree = Config.runtime Alloc_log.Tree in

@@ -1727,7 +1727,7 @@ let test_backoff_blocker_cleared () =
   | _ -> Alcotest.fail "expected two retries"
 
 (* An attempt that owns no orec waits out a lock up to its redo
-   break-even ([Txn.spin_on_lock]): with [long_log] reads logged, that is
+   break-even ([Lock_wait.spin_on_lock]): with [long_log] reads logged, that is
    [long_budget] spins, past [Costs.spin_limit].  A wait that ends after
    n spins records n + 1 lock waits (the last finds the wait over). *)
 let long_log = 16
@@ -2613,7 +2613,7 @@ let config_cases ?(configs = all_configs) name f =
 
 let tier_site = Site.declare ~write:false "stm.test.tier"
 
-(* One access through the tier as [Txn.try_elide] makes it: [true] when
+(* One access through the tier as [Elision.try_elide] makes it: [true] when
    the capture check ran (and found [hit]). *)
 let tier_access t ~hit =
   (not (Site_tier.bypass t tier_site))
