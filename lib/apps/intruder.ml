@@ -110,16 +110,13 @@ let prepare ~nthreads ~scale config =
     let nfrags = Txn.read_at ~site:site_frag_nfrags_r tx (frag + f_nfrags) in
     let flen = Txn.read_at ~site:site_frag_len_r tx (frag + f_len) in
     let sess =
-      match Tmap.find acc sessions flow with
-      | Some s -> s
-      | None ->
+      Tmap.find_or_add acc sessions ~key:flow ~make:(fun () ->
           let s = Txn.alloc tx session_words in
           Txn.write_at ~site:site_sess_init_received tx (s + se_received) 0;
           Txn.write_at ~site:site_sess_init_len tx (s + se_len) 0;
           Txn.write_at ~site:site_sess_init_list tx (s + se_list)
             (Tlist.create acc);
-          ignore (Tmap.insert acc sessions ~key:flow ~value:s : bool);
-          s
+          s)
     in
     let lst = Txn.read_at ~site:site_sess_list_r tx (sess + se_list) in
     ignore (Tlist.insert acc lst ~key:fid ~value:frag : bool);

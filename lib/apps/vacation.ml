@@ -142,9 +142,10 @@ let prepare ~high ~nthreads ~scale config =
         Txn.atomic th (fun tx ->
             let acc = Access.of_tx tx in
             (* Query phase: track the best-priced available resource per
-               type. *)
+               type, and keep the node found for it. *)
             let best_id = Array.make ntypes (-1) in
             let best_price = Array.make ntypes (-1) in
+            let best_r = Array.make ntypes 0 in
             Array.iter
               (fun (t, id) ->
                 match Tmap.find acc resource_maps.(t) id with
@@ -154,46 +155,45 @@ let prepare ~high ~nthreads ~scale config =
                     let price = Txn.read_at ~site:site_price_r tx (r + r_price) in
                     if free > 0 && price > best_price.(t) then begin
                       best_price.(t) <- price;
-                      best_id.(t) <- id
+                      best_id.(t) <- id;
+                      best_r.(t) <- r
                     end)
               queries;
             let any = Array.exists (fun id -> id >= 0) best_id in
             if any then begin
-              (* Ensure the customer exists. *)
+              (* Get or create the customer, in one descent. *)
               let cust =
-                match Tmap.find acc customer_map cid with
-                | Some c -> c
-                | None ->
+                Tmap.find_or_add acc customer_map ~key:cid ~make:(fun () ->
                     let c = Txn.alloc tx customer_words in
                     Txn.write_at ~site:site_cust_init_id tx (c + c_id) cid;
                     Txn.write_at ~site:site_cust_init_list tx (c + c_list)
                       (Tlist.create acc);
-                    ignore (Tmap.insert acc customer_map ~key:cid ~value:c : bool);
-                    c
+                    c)
               in
               let lst = Txn.read_at ~site:site_cust_list_r tx (cust + c_list) in
               for t = 0 to ntypes - 1 do
                 if best_id.(t) >= 0 then begin
-                  match Tmap.find acc resource_maps.(t) best_id.(t) with
-                  | None -> ()
-                  | Some r ->
-                      let key = (t * p.relations * 4) + best_id.(t) in
-                      if not (Tlist.contains acc lst key) then begin
-                        let info = Txn.alloc tx info_words in
-                        Txn.write_at ~site:site_info_init_type tx (info + i_type) t;
-                        Txn.write_at ~site:site_info_init_rid tx (info + i_rid)
-                          best_id.(t);
-                        Txn.write_at ~site:site_info_init_price tx
-                          (info + i_price) best_price.(t);
-                        ignore (Tlist.insert acc lst ~key ~value:info : bool);
-                        Txn.write_at ~site:site_free_w tx (r + r_free)
-                          (Txn.read_for_write_at ~site:site_free_r tx (r + r_free)
-                             - 1);
-                        Txn.write_at ~site:site_used_w tx (r + r_used)
-                          (Txn.read_for_write_at ~site:site_used_r tx (r + r_used)
-                             + 1)
-                      end
+                  (* The reservation info is built first; the list
+                     insert's own presence test then decides, and a
+                     duplicate frees the (captured) block. *)
+                  let r = best_r.(t) in
+                  let key = (t * p.relations * 4) + best_id.(t) in
+                  let info = Txn.alloc tx info_words in
+                  Txn.write_at ~site:site_info_init_type tx (info + i_type) t;
+                  Txn.write_at ~site:site_info_init_rid tx (info + i_rid)
+                    best_id.(t);
+                  Txn.write_at ~site:site_info_init_price tx (info + i_price)
+                    best_price.(t);
+                  if Tlist.insert acc lst ~key ~value:info then begin
+                    Txn.write_at ~site:site_free_w tx (r + r_free)
+                      (Txn.read_for_write_at ~site:site_free_r tx (r + r_free)
+                         - 1);
+                    Txn.write_at ~site:site_used_w tx (r + r_used)
+                      (Txn.read_for_write_at ~site:site_used_r tx (r + r_used)
+                         + 1)
                   end
+                  else Txn.free tx info
+                end
               done
             end)
       end

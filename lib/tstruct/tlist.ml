@@ -52,25 +52,25 @@ let create (acc : Access.t) =
 
 let size (acc : Access.t) h = acc.read ~site:site_size_r (h + h_size)
 
-(* Find the last node with key < [key]; 0 means "insert at head".  Returns
-   (prev, curr) where curr is the first node with key >= [key] (or 0). *)
+(* Walk to the first node with key >= [key].  Returns (prev, curr,
+   found): [prev] is the last node with a smaller key (0 means "insert at
+   head"), [curr] the node the walk stopped on (0 at the end), and
+   [found] whether [curr] holds [key] — the key read that stopped the
+   walk, so no caller reads it again. *)
 let locate (acc : Access.t) h key =
   let rec go prev curr =
-    if curr = 0 then (prev, 0)
+    if curr = 0 then (prev, 0, false)
     else
       let k = acc.read ~site:site_traverse_key (curr + f_key) in
       if k < key then
         go curr (acc.read ~site:site_traverse_next (curr + f_next))
-      else (prev, curr)
+      else (prev, curr, k = key)
   in
   go 0 (acc.read ~site:site_header_first_r (h + h_first))
 
 let insert (acc : Access.t) h ~key ~value =
-  let prev, curr = locate acc h key in
-  let exists =
-    curr <> 0 && acc.read ~site:site_traverse_key (curr + f_key) = key
-  in
-  if exists then false
+  let prev, curr, found = locate acc h key in
+  if found then false
   else begin
     let node = acc.alloc node_words in
     acc.write ~site:site_node_init_key (node + f_key) key;
@@ -83,10 +83,8 @@ let insert (acc : Access.t) h ~key ~value =
   end
 
 let find (acc : Access.t) h key =
-  let _, curr = locate acc h key in
-  if curr <> 0 && acc.read ~site:site_traverse_key (curr + f_key) = key then
-    Some (acc.read ~site:site_find_val (curr + f_val))
-  else None
+  let _, curr, found = locate acc h key in
+  if found then Some (acc.read ~site:site_find_val (curr + f_val)) else None
 
 let contains acc h key = Option.is_some (find acc h key)
 
@@ -101,9 +99,8 @@ let fold (acc : Access.t) h ~init ~f =
   go (acc.read ~site:site_header_first_r (h + h_first)) init
 
 let remove (acc : Access.t) h key =
-  let prev, curr = locate acc h key in
-  if curr = 0 || acc.read ~site:site_traverse_key (curr + f_key) <> key then
-    false
+  let prev, curr, found = locate acc h key in
+  if not found then false
   else begin
     let next = acc.read ~site:site_remove_next_r (curr + f_next) in
     if prev = 0 then acc.write ~site:site_header_first_w (h + h_first) next

@@ -105,66 +105,101 @@ let write_slot (acc : Access.t) slot v =
   | Right n -> acc.write ~site:site_right_w (n + f_right) v
 
 
-(* Insert: descend to the leaf position, link the fresh node, then rotate
-   it up while its priority beats its parent's.  We implement the rotation
-   pass by re-descending from the root (parent pointers are not stored),
-   which touches the same O(log n) shared nodes an RB insert would. *)
-let insert_node (acc : Access.t) h ~key ~value ~overwrite =
-  let rec descend slot =
-    let n = read_slot acc slot in
-    if n = 0 then begin
-      let node = acc.alloc node_words in
-      acc.write ~site:site_init_key (node + f_key) key;
-      acc.write ~site:site_init_val (node + f_val) value;
-      acc.write ~site:site_init_prio (node + f_prio) (prio_of_key key);
-      acc.write ~site:site_init_left (node + f_left) 0;
-      acc.write ~site:site_init_right (node + f_right) 0;
-      write_slot acc slot node;
-      `Inserted node
+(* Insert, update and find-or-add share one walk: descend to the key or
+   to the leaf position, link a fresh node there, then rotate it up while
+   its priority beats its parent's.  Parent pointers are not stored, so
+   the rotations run as the descent unwinds, touching the same O(log n)
+   shared nodes an RB insert would.  Priorities derive from keys, so each
+   rotation test compares [prio_of_key] of the key the descent read at
+   that parent with the new key's, and reads no stored [prio].
+
+   [walk] is the request and the fresh node's children while it rises:
+   linked as a leaf, it takes each parent it rotates past as its right
+   child (rotating right) or its left child (rotating left), so no
+   rotation reads the fresh node back. *)
+type mode = Insert | Update | Find_or_add
+
+type walk = {
+  key : int;
+  prio : int;
+  mode : mode;
+  make : unit -> int;  (* Find_or_add only *)
+  mutable value : int;  (* the value stored, or found by Find_or_add *)
+  mutable left : int;
+  mutable right : int;
+}
+
+(* [descend]'s results: [present] the key was there; [placed] a fresh
+   node is linked and outranks no parent left on the path; any other
+   result is the fresh node, still to be tested against its parent. *)
+let present = -1
+let placed = 0
+
+let rec descend (acc : Access.t) w slot =
+  let n = read_slot acc slot in
+  if n = 0 then begin
+    (match w.mode with
+    | Find_or_add -> w.value <- w.make ()
+    | Insert | Update -> ());
+    let node = acc.alloc node_words in
+    acc.write ~site:site_init_key (node + f_key) w.key;
+    acc.write ~site:site_init_val (node + f_val) w.value;
+    acc.write ~site:site_init_prio (node + f_prio) w.prio;
+    acc.write ~site:site_init_left (node + f_left) 0;
+    acc.write ~site:site_init_right (node + f_right) 0;
+    write_slot acc slot node;
+    node
+  end
+  else
+    let k = key_of acc n in
+    if w.key = k then begin
+      (match w.mode with
+      | Insert -> ()
+      | Update -> acc.write ~site:site_val_w (n + f_val) w.value
+      | Find_or_add -> w.value <- acc.read ~site:site_val_r (n + f_val));
+      present
     end
-    else
-      let k = key_of acc n in
-      if key = k then
-        if overwrite then begin
-          acc.write ~site:site_val_w (n + f_val) value;
-          `Overwrote
-        end
-        else `Present
-      else if key < k then begin
-        match descend (Left n) with
-        | `Inserted child ->
-            (* Rotate right if the child out-prioritises us. *)
-            if prio_of acc child > prio_of acc n then begin
-              write_slot acc (Left n) (right_of acc child);
-              acc.write ~site:site_right_w (child + f_right) n;
-              write_slot acc slot child;
-              `Inserted child
-            end
-            else `Done
-        | other -> other
+    else if w.key < k then begin
+      let child = descend acc w (Left n) in
+      if child <= placed then child
+      else if w.prio > prio_of_key k then begin
+        (* Rotate right: the child takes [n] as its right child. *)
+        write_slot acc (Left n) w.right;
+        acc.write ~site:site_right_w (child + f_right) n;
+        w.right <- n;
+        write_slot acc slot child;
+        child
       end
-      else begin
-        match descend (Right n) with
-        | `Inserted child ->
-            if prio_of acc child > prio_of acc n then begin
-              write_slot acc (Right n) (left_of acc child);
-              acc.write ~site:site_left_w (child + f_left) n;
-              write_slot acc slot child;
-              `Inserted child
-            end
-            else `Done
-        | other -> other
+      else placed
+    end
+    else begin
+      let child = descend acc w (Right n) in
+      if child <= placed then child
+      else if w.prio > prio_of_key k then begin
+        write_slot acc (Right n) w.left;
+        acc.write ~site:site_left_w (child + f_left) n;
+        w.left <- n;
+        write_slot acc slot child;
+        child
       end
-  in
-  match descend (Root h) with
-  | `Inserted _ | `Done -> true
-  | `Overwrote -> false
-  | `Present -> false
+      else placed
+    end
 
-let insert acc h ~key ~value = insert_node acc h ~key ~value ~overwrite:false
+let no_make () = invalid_arg "Tmap: no value to make"
 
-let update (acc : Access.t) h ~key ~value =
-  insert_node acc h ~key ~value ~overwrite:true
+let request ~key ~value ~make mode =
+  { key; prio = prio_of_key key; mode; make; value; left = 0; right = 0 }
+
+let insert acc h ~key ~value =
+  descend acc (request ~key ~value ~make:no_make Insert) (Root h) <> present
+
+let update acc h ~key ~value =
+  descend acc (request ~key ~value ~make:no_make Update) (Root h) <> present
+
+let find_or_add acc h ~key ~make =
+  let w = request ~key ~value:0 ~make Find_or_add in
+  ignore (descend acc w (Root h) : int);
+  w.value
 
 (* Remove: find the node, rotate it down to a leaf (always promoting the
    higher-priority child), unlink, free. *)
@@ -232,3 +267,24 @@ let fold (acc : Access.t) h ~init ~f =
       go (right_of acc n) acc_v
   in
   go (acc.read ~site:site_root_r (h + h_root)) init
+
+let check (acc : Access.t) h =
+  (* [go n ~lo ~hi ~above] checks the subtree at [n]: its keys must lie
+     strictly between the bounds present, and its priorities must not
+     exceed [above]. *)
+  let rec go n ~lo ~hi ~above =
+    if n = 0 then Ok ()
+    else
+      let k = key_of acc n and p = prio_of acc n in
+      if Option.fold ~none:false ~some:(fun b -> k <= b) lo
+         || Option.fold ~none:false ~some:(fun b -> k >= b) hi
+      then Error (Printf.sprintf "key %d out of search order" k)
+      else if p <> prio_of_key k then
+        Error (Printf.sprintf "key %d stores priority %d" k p)
+      else if p > above then
+        Error (Printf.sprintf "key %d outranks its parent" k)
+      else
+        Result.bind (go (left_of acc n) ~lo ~hi:(Some k) ~above:p) (fun () ->
+            go (right_of acc n) ~lo:(Some k) ~hi ~above:p)
+  in
+  go (acc.read ~site:site_root_r (h + h_root)) ~lo:None ~hi:None ~above:max_int

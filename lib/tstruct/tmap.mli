@@ -5,8 +5,10 @@
     O(log n) paths).  The substitution keeps what the capture analysis
     sees — traversal reads along a logarithmic path, rebalancing writes to
     existing shared nodes, fresh-node initialisation writes — while being
-    much less error-prone in a word-addressed memory.  Documented in
-    DESIGN.md. *)
+    much less error-prone in a word-addressed memory.  A node's priority
+    is a function of its key, so an insertion's rotations compare the
+    priorities of keys its descent already read instead of reading the
+    stored ones.  Documented in DESIGN.md. *)
 
 type handle = int
 
@@ -21,6 +23,12 @@ val insert : Access.t -> handle -> key:int -> value:int -> bool
 (** [update acc map ~key ~value] — inserts or overwrites; true if fresh. *)
 val update : Access.t -> handle -> key:int -> value:int -> bool
 
+(** [find_or_add acc map ~key ~make] — the value bound to [key]; if
+    [key] is absent, binds it to [make ()] and returns that, in the one
+    descent that found it absent.  [make] runs at most once, and only on
+    a miss. *)
+val find_or_add : Access.t -> handle -> key:int -> make:(unit -> int) -> int
+
 val find : Access.t -> handle -> int -> int option
 val contains : Access.t -> handle -> int -> bool
 
@@ -34,3 +42,8 @@ val min_binding : Access.t -> handle -> (int * int) option
 
 (** In-order fold (read-only traversal). *)
 val fold : Access.t -> handle -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
+
+(** [check acc map] — [Ok ()] if the keys are in search-tree order, every
+    node stores the priority its key derives, and no node outranks its
+    parent; otherwise what broke, at the first node found. *)
+val check : Access.t -> handle -> (unit, string) result

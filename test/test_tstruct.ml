@@ -354,6 +354,185 @@ let prop_map_inorder_sorted =
           out = List.sort_uniq compare keys))
 
 (* ------------------------------------------------------------------ *)
+(* One walk per lookup: an accessor over [Access.raw] that records every
+   address read, so a test can tell whether an operation read an address
+   twice. *)
+
+let recording th =
+  let raw = Access.raw th in
+  let reads = ref [] in
+  let note a = reads := a :: !reads in
+  let acc =
+    {
+      raw with
+      Access.read =
+        (fun ~site a ->
+          note a;
+          raw.Access.read ~site a);
+      read_for_write =
+        (fun ~site a ->
+          note a;
+          raw.Access.read_for_write ~site a);
+    }
+  in
+  (acc, reads)
+
+(* Runs [op] with the read record cleared and fails naming [what] if it
+   read any address twice. *)
+let reads_once reads what op =
+  reads := [];
+  let r = op () in
+  let addrs = List.sort compare !reads in
+  let rec dup = function
+    | a :: (b :: _ as rest) -> if a = b then Some a else dup rest
+    | _ -> None
+  in
+  (match dup addrs with
+  | Some a -> Alcotest.failf "%s read address %d twice" what a
+  | None -> ());
+  check (what ^ " read something") true (addrs <> []);
+  r
+
+let map_keys = [ 50; 20; 80; 10; 30; 70; 90; 25; 35; 65; 5; 95; 42 ]
+
+let test_map_reads_once () =
+  with_acc (fun _ th _ ->
+      let acc, reads = recording th in
+      let m = Tmap.create acc in
+      List.iter
+        (fun k ->
+          check "insert fresh" true
+            (reads_once reads (Printf.sprintf "insert %d" k) (fun () ->
+                 Tmap.insert acc m ~key:k ~value:(k * 10))))
+        map_keys;
+      check "insert present" false
+        (reads_once reads "insert present" (fun () ->
+             Tmap.insert acc m ~key:30 ~value:0));
+      check "update present" false
+        (reads_once reads "update present" (fun () ->
+             Tmap.update acc m ~key:30 ~value:300));
+      List.iter
+        (fun k ->
+          let what = Printf.sprintf "find %d" k in
+          Alcotest.(check (option int))
+            what
+            (if List.mem k map_keys then Some (k * 10) else None)
+            (reads_once reads what (fun () -> Tmap.find acc m k)))
+        [ 50; 25; 95; 42; 0; 43; 100 ];
+      let makes = ref 0 in
+      let make v () =
+        incr makes;
+        v
+      in
+      List.iter
+        (fun k ->
+          let what = Printf.sprintf "find_or_add hit %d" k in
+          check_int what (k * 10)
+            (reads_once reads what (fun () ->
+                 Tmap.find_or_add acc m ~key:k ~make:(make (-1)))))
+        [ 50; 5; 65; 95 ];
+      check_int "make never runs on a hit" 0 !makes;
+      List.iter
+        (fun k ->
+          let before = !makes in
+          let what = Printf.sprintf "find_or_add miss %d" k in
+          check_int what (k + 1)
+            (reads_once reads what (fun () ->
+                 Tmap.find_or_add acc m ~key:k ~make:(make (k + 1))));
+          check_int (what ^ ": make ran once") (before + 1) !makes;
+          Alcotest.(check (option int))
+            (what ^ ": bound") (Some (k + 1)) (Tmap.find acc m k))
+        [ 1; 99; 60; 33; 51 ];
+      Alcotest.(check (result unit string)) "treap invariants" (Ok ())
+        (Tmap.check acc m))
+
+let test_list_reads_once () =
+  with_acc (fun _ th _ ->
+      let acc, reads = recording th in
+      let l = Tlist.create acc in
+      List.iter
+        (fun k ->
+          check "insert fresh" true
+            (reads_once reads (Printf.sprintf "insert %d" k) (fun () ->
+                 Tlist.insert acc l ~key:k ~value:(k * 10))))
+        [ 5; 1; 9; 3; 7 ];
+      List.iter
+        (fun k ->
+          check "insert present" false
+            (reads_once reads (Printf.sprintf "insert present %d" k)
+               (fun () -> Tlist.insert acc l ~key:k ~value:0)))
+        [ 1; 5; 9 ];
+      List.iter
+        (fun k ->
+          let what = Printf.sprintf "find %d" k in
+          Alcotest.(check (option int))
+            what
+            (if k mod 2 = 1 && k < 10 then Some (k * 10) else None)
+            (reads_once reads what (fun () -> Tlist.find acc l k)))
+        [ 1; 5; 9; 0; 4; 10 ];
+      List.iter
+        (fun (k, present) ->
+          check
+            (Printf.sprintf "remove %d" k)
+            present
+            (reads_once reads (Printf.sprintf "remove %d" k) (fun () ->
+                 Tlist.remove acc l k)))
+        [ (4, false); (1, true); (9, true); (10, false); (5, true) ])
+
+module Int_map = Map.Make (Int)
+
+(* Random insert / find_or_add / update / remove scripts against
+   [Map.Make (Int)]: every result agrees with the reference, [make] runs
+   exactly on the misses, and the treap keeps search order, key-derived
+   stored priorities and heap order. *)
+let prop_map_find_or_add =
+  QCheck.Test.make ~name:"treap find_or_add and invariants" ~count:300
+    QCheck.(list (pair (int_range 0 3) (int_range 0 80)))
+    (fun script ->
+      with_acc (fun acc _ _ ->
+          let m = Tmap.create acc in
+          let final =
+            List.fold_left
+              (fun model (op, k) ->
+                match op with
+                | 0 ->
+                    let fresh = Tmap.insert acc m ~key:k ~value:k in
+                    if fresh = Int_map.mem k model then
+                      QCheck.Test.fail_reportf "insert %d: %b" k fresh;
+                    if fresh then Int_map.add k k model else model
+                | 1 ->
+                    let made = ref 0 in
+                    let v =
+                      Tmap.find_or_add acc m ~key:k ~make:(fun () ->
+                          incr made;
+                          k + 500)
+                    in
+                    let present = Int_map.find_opt k model in
+                    let expected = Option.value present ~default:(k + 500) in
+                    let misses = if present = None then 1 else 0 in
+                    if v <> expected || !made <> misses then
+                      QCheck.Test.fail_reportf "find_or_add %d: %d, made %d"
+                        k v !made;
+                    Int_map.add k v model
+                | 2 ->
+                    let fresh = Tmap.update acc m ~key:k ~value:(k + 1000) in
+                    if fresh = Int_map.mem k model then
+                      QCheck.Test.fail_reportf "update %d: %b" k fresh;
+                    Int_map.add k (k + 1000) model
+                | _ ->
+                    let removed = Tmap.remove acc m k in
+                    if removed <> Int_map.mem k model then
+                      QCheck.Test.fail_reportf "remove %d: %b" k removed;
+                    Int_map.remove k model)
+              Int_map.empty script
+          in
+          (match Tmap.check acc m with
+          | Ok () -> ()
+          | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
+          List.rev (Tmap.fold acc m ~init:[] ~f:(fun a k v -> (k, v) :: a))
+          = Int_map.bindings final))
+
+(* ------------------------------------------------------------------ *)
 (* Thashtable *)
 
 let test_hashtable_basic () =
@@ -540,6 +719,8 @@ let () =
           Alcotest.test_case "remove" `Quick test_list_remove;
           Alcotest.test_case "iterator" `Quick test_list_iterator;
           Alcotest.test_case "destroy" `Quick test_list_destroy_frees_all;
+          Alcotest.test_case "reads each address once" `Quick
+            test_list_reads_once;
         ] );
       ( "tqueue",
         [
@@ -566,6 +747,8 @@ let () =
           Alcotest.test_case "find_le" `Quick test_map_find_le;
           Alcotest.test_case "min_binding" `Quick test_map_min_binding;
           Alcotest.test_case "remove frees" `Quick test_map_remove_frees;
+          Alcotest.test_case "reads each address once" `Quick
+            test_map_reads_once;
         ] );
       ( "thashtable",
         [ Alcotest.test_case "basic" `Quick test_hashtable_basic ] );
@@ -576,6 +759,7 @@ let () =
           prop_heap_sorts;
           prop_map_vs_model;
           prop_map_inorder_sorted;
+          prop_map_find_or_add;
           prop_hashtable_vs_model;
         ];
       ( "read-for-write",
