@@ -143,9 +143,12 @@ let prepare ~nthreads ~scale config =
     let first_key = content_hash mem genome p.seg_len in
     let reader = Engine.setup_thread world in
     let acc = Access.raw reader in
-    match Thashtable.find acc dedup first_key with
-    | None -> Error "first segment missing from table"
-    | Some first ->
+    match
+      (Tmap.check acc suffix_index, Thashtable.find acc dedup first_key)
+    with
+    | Error e, _ -> Error ("suffix index: " ^ e)
+    | Ok (), None -> Error "first segment missing from table"
+    | Ok (), Some first ->
         let buf = Buffer.create p.genome_len in
         let rec walk r count =
           if count > nunique then Error "chain longer than genome"

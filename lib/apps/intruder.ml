@@ -209,7 +209,7 @@ let prepare ~nthreads ~scale config =
     else if Tmap.size acc sessions <> 0 then
       Error
         (Printf.sprintf "%d sessions left undrained" (Tmap.size acc sessions))
-    else Ok ()
+    else Result.map_error (fun e -> "sessions: " ^ e) (Tmap.check acc sessions)
   in
   { App.world; body; verify }
 

@@ -152,8 +152,8 @@ let list_iter_sum =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Tmap (treap): node = {key, val, prio, left, right}, header = {root,  *)
-(* size}                                                               *)
+(* Tmap (treap): node = {key, val, left, right}, header = {root, size}; *)
+(* a node's priority derives from its key                              *)
 
 let map_descend =
   [
@@ -176,8 +176,8 @@ let map_descend =
                       Let ("parent", v "n");
                       If
                         ( v "key" <: v "k",
-                          [ load ~site:"map.left_r" "n" (v "n" +: i 3) ],
-                          [ load ~site:"map.right_r" "n" (v "n" +: i 4) ] );
+                          [ load ~site:"map.left_r" "n" (v "n" +: i 2) ],
+                          [ load ~site:"map.right_r" "n" (v "n" +: i 3) ] );
                     ] );
               ] );
         ] );
@@ -196,15 +196,13 @@ let map_insert_body ~with_update =
              [ store ~site:"map.val_w" (v "n" +: i 1) (v "value") ]
            else []),
           [
-            Malloc { dst = "node"; words = i 5; label = "map.node" };
+            Malloc { dst = "node"; words = i 4; label = "map.node" };
             store ~manual:false ~site:"map.node_init.key" (v "node") (v "key");
             store ~manual:false ~site:"map.node_init.val" (v "node" +: i 1)
               (v "value");
-            store ~manual:false ~site:"map.node_init.prio" (v "node" +: i 2)
-              (v "key" *: i 31);
-            store ~manual:false ~site:"map.node_init.left" (v "node" +: i 3)
+            store ~manual:false ~site:"map.node_init.left" (v "node" +: i 2)
               (i 0);
-            store ~manual:false ~site:"map.node_init.right" (v "node" +: i 4)
+            store ~manual:false ~site:"map.node_init.right" (v "node" +: i 3)
               (i 0);
             If
               ( v "parent" =: i 0,
@@ -213,14 +211,15 @@ let map_insert_body ~with_update =
                   (* Parent link + rotation writes: all on shared nodes;
                      rotations also rewrite the fresh node's links through
                      the same sites, which keeps them conservative. *)
-                  store ~site:"map.left_w" (v "parent" +: i 3) (v "node");
-                  store ~site:"map.right_w" (v "parent" +: i 4) (v "node");
-                  load ~site:"map.prio_r" "pp" (v "parent" +: i 2);
+                  store ~site:"map.left_w" (v "parent" +: i 2) (v "node");
+                  store ~site:"map.right_w" (v "parent" +: i 3) (v "node");
+                  (* The rotation test ranks the parent's key, which the
+                     descent read last, against the new key. *)
                   If
-                    ( v "pp" <: v "key" *: i 31,
+                    ( v "k" *: i 31 <: v "key" *: i 31,
                       [
-                        store ~site:"map.left_w" (v "node" +: i 3) (v "parent");
-                        store ~site:"map.right_w" (v "node" +: i 4)
+                        store ~site:"map.left_w" (v "node" +: i 2) (v "parent");
+                        store ~site:"map.right_w" (v "node" +: i 3)
                           (v "parent");
                         store ~site:"map.root_w" (v "map") (v "node");
                       ],
@@ -253,17 +252,18 @@ let map_remove =
         If
           ( v "found",
             [
-              (* Rotate-down writes on shared nodes, then unlink+free. *)
-              load ~site:"map.left_r" "l" (v "n" +: i 3);
-              load ~site:"map.right_r" "r" (v "n" +: i 4);
-              store ~site:"map.left_w" (v "n" +: i 3) (v "r");
-              store ~site:"map.right_w" (v "n" +: i 4) (v "l");
+              (* The subtrees merge into the parent link: spine-link
+                 writes on shared nodes, then free. *)
+              load ~site:"map.left_r" "l" (v "n" +: i 2);
+              load ~site:"map.right_r" "r" (v "n" +: i 3);
+              store ~site:"map.left_w" (v "r" +: i 2) (v "l");
+              store ~site:"map.right_w" (v "l" +: i 3) (v "r");
               If
                 ( v "parent" =: i 0,
                   [ store ~site:"map.root_w" (v "map") (v "l") ],
                   [
-                    store ~site:"map.left_w" (v "parent" +: i 3) (v "l");
-                    store ~site:"map.right_w" (v "parent" +: i 4) (v "r");
+                    store ~site:"map.left_w" (v "parent" +: i 2) (v "l");
+                    store ~site:"map.right_w" (v "parent" +: i 3) (v "r");
                   ] );
               Free (v "n");
             ],

@@ -289,6 +289,15 @@ let prepare ~high ~nthreads ~scale config =
                 (1 + Option.value ~default:0 (Hashtbl.find_opt outstanding k))))
     in
     let error = ref None in
+    let check_map what m =
+      match Tmap.check acc m with
+      | Error e when !error = None -> error := Some (what ^ ": " ^ e)
+      | _ -> ()
+    in
+    Array.iteri
+      (fun t m -> check_map (Printf.sprintf "resource map %d" t) m)
+      resource_maps;
+    check_map "customer map" customer_map;
     for t = 0 to ntypes - 1 do
       Tmap.fold acc resource_maps.(t) ~init:() ~f:(fun () id r ->
           let total = acc.Access.read ~site:site_total_r (r + r_total) in

@@ -224,7 +224,7 @@ let prepare ~nthreads ~scale config =
       Error
         (Printf.sprintf "element counts inconsistent: %d alive, %d dead"
            !alive_count !dead_count)
-    else Ok ()
+    else Result.map_error (fun e -> "elements: " ^ e) (Tmap.check acc elements)
   in
   { App.world; body; verify }
 

@@ -193,11 +193,12 @@ let publish tx =
     done
   end
 
-(* Durable commit: build the redo-style record and append it at the
-   serialization point: the write set's addresses in first-write order,
-   each with its new value — the buffered one under [+lazy], the
-   current memory word under eager versioning (the in-place stores
-   already happened) — so both engines log the same write set.
+(* Durable commit: append the redo-style record at the serialization
+   point, encoded straight from the write set ([Wal.append_commit]): its
+   addresses in first-write order, each with its new value — the
+   buffered one under [+lazy], the current memory word under eager
+   versioning (the in-place stores already happened) — so both engines
+   log the same write set.
    Captured writes are in neither ([wal_skips], counted at the barrier).
    Surviving allocations are logged with their full payload images —
    this is what makes captured-write elision sound durably: a captured
@@ -217,25 +218,19 @@ let wal_append_commit tx =
   | None -> 0
   | Some w ->
       let ws = tx.wset in
-      let writes =
-        Array.init (Write_set.size ws) (fun k ->
-            let a = Write_set.addr ws k in
-            ( a,
-              if tx.config.Config.lazy_versioning then Write_set.value ws k
-              else mem_get tx a ))
-      in
+      let buffered = tx.config.Config.lazy_versioning in
       let scope = innermost tx in
       let allocs =
-        Array.init scope.n_allocs (fun k ->
-            let addr = scope.alloc_addrs.(k) in
-            let size = Alloc.block_size tx.arena addr in
-            (addr, size, Array.init size (fun i -> mem_get tx (addr + i))))
+        if scope.n_allocs = 0 then [||]
+        else
+          Array.init scope.n_allocs (fun k ->
+              let addr = scope.alloc_addrs.(k) in
+              let size = Alloc.block_size tx.arena addr in
+              (addr, size, Array.init size (fun i -> mem_get tx (addr + i))))
       in
       let frees = Array.sub scope.dfree_addrs 0 scope.n_dfrees in
-      if
-        Array.length writes > 0
-        || Array.length allocs > 0
-        || Array.length frees > 0
+      let writes = Write_set.size ws in
+      if writes > 0 || Array.length allocs > 0 || Array.length frees > 0
       then begin
         let words = Wal.commit_record_words ~writes ~allocs ~frees in
         tx.platform.consume (Costs.wal_append_per_word * words);
@@ -249,15 +244,16 @@ let wal_append_commit tx =
           || fault_fires tx Fault.Torn_tail_replayed
         then begin
           let bytes, _ =
-            Wal.append_commit ~group_commit:false w ~tid:tx.tid ~writes
-              ~allocs ~frees
+            Wal.append_commit ~group_commit:false w ~tid:tx.tid ~writes:ws
+              ~buffered ~memory:tx.memory ~allocs ~frees
           in
           Wal.crash_torn w ~cut:(1 + Prng.int tx.prng (max 1 (bytes - 1)));
           raise Wal.Crashed
         end;
         if
           wal_account tx
-            (Wal.append_commit w ~tid:tx.tid ~writes ~allocs ~frees)
+            (Wal.append_commit w ~tid:tx.tid ~writes:ws ~buffered
+               ~memory:tx.memory ~allocs ~frees)
         then Costs.wal_fsync
         else 0
       end

@@ -40,7 +40,8 @@ type t = {
   mutable base : Bytes.t;
   mutable log : Bytes.t;
   mutable log_len : int;
-  pending : Buffer.t;  (* appended, not yet fsynced *)
+  mutable pending : Bytes.t;  (* appended, not yet fsynced: [pending_len] bytes *)
+  mutable pending_len : int;
   group : int;
   mutable seq : int;  (* commit records appended (incl. pending) *)
   mutable raws : int;  (* raw records appended (incl. pending) *)
@@ -69,7 +70,8 @@ let create ?(group = 4) ?dir () =
     base = Bytes.empty;
     log = Bytes.create 4096;
     log_len = 0;
-    pending = Buffer.create 1024;
+    pending = Bytes.create 1024;
+    pending_len = 0;
     group;
     seq = 0;
     raws = 0;
@@ -115,14 +117,14 @@ let persist_pending t n =
     Bytes.blit t.log 0 log 0 t.log_len;
     t.log <- log
   end;
-  Buffer.blit t.pending 0 t.log t.log_len n;
+  Bytes.blit t.pending 0 t.log t.log_len n;
   t.log_len <- need
 
 let sync_unlocked t =
-  if (not t.crashed) && Buffer.length t.pending > 0 then begin
+  if (not t.crashed) && t.pending_len > 0 then begin
     let at = t.log_len in
-    persist_pending t (Buffer.length t.pending);
-    Buffer.clear t.pending;
+    persist_pending t t.pending_len;
+    t.pending_len <- 0;
     file_append t t.log at (t.log_len - at);
     t.pending_records <- 0;
     t.synced_seq <- t.seq;
@@ -131,36 +133,90 @@ let sync_unlocked t =
 
 let sync t = locked t (fun () -> sync_unlocked t)
 
-(* Serialize [r] into pending; group-commit sync once [group] records
-   accumulate.  Returns (record bytes, whether this append fsynced). *)
-let append_unlocked t ~group_commit r =
-  if t.crashed then (0, false)
-  else begin
-    let b = encode_record r in
-    Buffer.add_bytes t.pending b;
-    t.last_record_bytes <- Bytes.length b;
-    t.appended_bytes <- t.appended_bytes + Bytes.length b;
-    t.pending_records <- t.pending_records + 1;
-    let syncing = group_commit && t.pending_records >= t.group in
-    if syncing then sync_unlocked t;
-    (Bytes.length b, syncing)
+(* Room for [n] more pending bytes. *)
+let reserve t n =
+  let need = t.pending_len + n in
+  if need > Bytes.length t.pending then begin
+    let b = Bytes.create (max need (2 * Bytes.length t.pending)) in
+    Bytes.blit t.pending 0 b 0 t.pending_len;
+    t.pending <- b
   end
 
-let append_commit ?(group_commit = true) t ~tid ~writes ~allocs ~frees =
-  locked t (fun () ->
-      let seq = t.seq + 1 in
-      t.seq <- seq;
-      append_unlocked t ~group_commit (Commit { seq; tid; writes; allocs; frees }))
+(* Records are encoded in place at the end of pending: [open_record]
+   reserves the frame and writes its header, [close_record] its checksum,
+   then group-commits once [group] records accumulate.  Returns (record
+   bytes, whether this append fsynced). *)
+let open_record t ~kind ~payload =
+  reserve t (word_bytes * frame_words payload);
+  start_at t.pending ~pos:t.pending_len ~kind ~payload
+
+let close_record t ~group_commit w =
+  finish w;
+  let len = w.pos - t.pending_len in
+  t.pending_len <- w.pos;
+  t.last_record_bytes <- len;
+  t.appended_bytes <- t.appended_bytes + len;
+  t.pending_records <- t.pending_records + 1;
+  let syncing = group_commit && t.pending_records >= t.group in
+  if syncing then sync_unlocked t;
+  (len, syncing)
+
+(* The commit record is encoded from the write set as it stands, with no
+   intermediate pair array. *)
+let append_commit_unlocked t ~group_commit ~tid ~writes ~buffered ~memory
+    ~allocs ~frees =
+  let seq = t.seq + 1 in
+  t.seq <- seq;
+  if t.crashed then (0, false)
+  else begin
+    let n = Write_set.size writes in
+    let w =
+      open_record t ~kind:kind_commit
+        ~payload:(commit_payload_words ~writes:n ~allocs ~frees)
+    in
+    put_commit_head w ~seq ~tid ~writes:n;
+    for k = 0 to n - 1 do
+      let addr = Write_set.addr writes k in
+      put w addr;
+      put w
+        (if buffered then Write_set.value writes k
+         else Memory.get memory addr)
+    done;
+    put_commit_tail w ~allocs ~frees;
+    close_record t ~group_commit w
+  end
+
+(* [locked] would allocate a closure per commit; the lock is released by
+   hand, on the way out of a raise too. *)
+let append_commit ?(group_commit = true) t ~tid ~writes ~buffered ~memory
+    ~allocs ~frees =
+  Mutex.lock t.mutex;
+  match
+    append_commit_unlocked t ~group_commit ~tid ~writes ~buffered ~memory
+      ~allocs ~frees
+  with
+  | r ->
+      Mutex.unlock t.mutex;
+      r
+  | exception e ->
+      Mutex.unlock t.mutex;
+      raise e
 
 let append_raw t ~addr ~value =
   locked t (fun () ->
       t.raws <- t.raws + 1;
-      append_unlocked t ~group_commit:true (Raw { addr; value }))
+      if t.crashed then (0, false)
+      else begin
+        let w = open_record t ~kind:kind_raw ~payload:raw_payload_words in
+        put w addr;
+        put w value;
+        close_record t ~group_commit:true w
+      end)
 
 (* Process death: pending (unacknowledged) bytes are lost. *)
 let crash t =
   locked t (fun () ->
-      Buffer.clear t.pending;
+      t.pending_len <- 0;
       t.pending_records <- 0;
       t.crashed <- true;
       file_rewrite t)
@@ -169,10 +225,10 @@ let crash t =
    pending before it reaches the durable prefix, plus [cut] bytes of the
    record itself.  Nothing is acknowledged (the fsync never returned). *)
 let crash_torn_unlocked t ~cut =
-  let plen = Buffer.length t.pending in
+  let plen = t.pending_len in
   let cut = max 0 (min cut (t.last_record_bytes - 1)) in
   persist_pending t (max 0 (plen - t.last_record_bytes + cut));
-  Buffer.clear t.pending;
+  t.pending_len <- 0;
   t.pending_records <- 0;
   t.crashed <- true;
   file_rewrite t
@@ -204,7 +260,9 @@ let checkpoint_torn t image =
   locked t (fun () ->
       sync_unlocked t;
       let b = checkpoint_record t image in
-      Buffer.add_bytes t.pending b;
+      reserve t (Bytes.length b);
+      Bytes.blit b 0 t.pending t.pending_len (Bytes.length b);
+      t.pending_len <- t.pending_len + Bytes.length b;
       t.last_record_bytes <- Bytes.length b;
       crash_torn_unlocked t ~cut:(Bytes.length b / 2))
 

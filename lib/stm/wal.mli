@@ -38,12 +38,10 @@ type record =
           words, then the arenas). *)
 
 val commit_record_words :
-  writes:(int * int) array ->
-  allocs:(int * int * int array) array ->
-  frees:int array ->
-  int
-(** Frame size of the commit record these sets would produce — lets the
-    commit path charge WAL costs before touching the device. *)
+  writes:int -> allocs:(int * int * int array) array -> frees:int array -> int
+(** Frame size of the commit record of [writes] redo pairs and these
+    sets — lets the commit path charge WAL costs before touching the
+    device. *)
 
 val raw_record_words : int
 
@@ -79,12 +77,17 @@ val append_commit :
   ?group_commit:bool ->
   t ->
   tid:int ->
-  writes:(int * int) array ->
+  writes:Write_set.t ->
+  buffered:bool ->
+  memory:Captured_tmem.Memory.t ->
   allocs:(int * int * int array) array ->
   frees:int array ->
   int * bool
-(** Assigns the next commit [seq], serializes into the pending buffer,
-    group-commits if due ([group_commit:false] suppresses the automatic
+(** Assigns the next commit [seq] and encodes the record straight into
+    the pending buffer: [writes]' addresses in first-write order, each
+    with its buffered value ([buffered], lazy versioning) or the word
+    [memory] holds now (eager), the bytes {!encode_record} gives the
+    [Commit] of those pairs.  Group-commits if due ([group_commit:false] suppresses the automatic
     sync — the torn-record fault uses it to guarantee the record is
     still pending when the crash tears it).  Returns (record bytes,
     whether this append fsynced).  No-op returning [(0, false)] on a

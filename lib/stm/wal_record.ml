@@ -38,23 +38,32 @@ let kind_of = function
   | Raw _ -> kind_raw
   | Checkpoint _ -> kind_checkpoint
 
+(* A commit's payload: seq, tid, the write count and its pairs, the
+   allocation count and each allocation's addr, size and image, the free
+   count and the frees. *)
+let commit_payload_words ~writes ~allocs ~frees =
+  let alloc_words = ref 0 in
+  for k = 0 to Array.length allocs - 1 do
+    let _, size, _ = allocs.(k) in
+    alloc_words := !alloc_words + 2 + size
+  done;
+  2 + 1 + (2 * writes) + 1 + !alloc_words + 1 + Array.length frees
+
+let raw_payload_words = 2
+
 let payload_words = function
   | Commit { writes; allocs; frees; _ } ->
-      2 + 1
-      + (2 * Array.length writes)
-      + 1
-      + Array.fold_left (fun acc (_, size, _) -> acc + 2 + size) 0 allocs
-      + 1 + Array.length frees
-  | Raw _ -> 2
+      commit_payload_words ~writes:(Array.length writes) ~allocs ~frees
+  | Raw _ -> raw_payload_words
   | Checkpoint { snapshot; _ } -> 3 + Array.length snapshot
 
 (* Frame = magic word + length word + payload + checksum word. *)
-let record_words r = 3 + payload_words r
+let frame_words payload = 3 + payload
 
 let commit_record_words ~writes ~allocs ~frees =
-  record_words (Commit { seq = 0; tid = 0; writes; allocs; frees })
+  frame_words (commit_payload_words ~writes ~allocs ~frees)
 
-let raw_record_words = record_words (Raw { addr = 0; value = 0 })
+let raw_record_words = frame_words raw_payload_words
 
 (* Multiply-xor-shift word mix (splitmix-style, 63-bit): a single bit
    flip anywhere in the covered words avalanches through the fold. *)
@@ -70,8 +79,8 @@ let checksum_seed = 0x57414C
    words; anything larger is structural corruption, not truncation. *)
 let max_payload_words = 1 lsl 32
 
-(* A record written straight into a [Bytes] of its exact size,
-   checksummed as it is written. *)
+(* A record written straight into a [Bytes] that has room for it from
+   [pos] on, checksummed as it is written. *)
 type writer = { bytes : Bytes.t; mutable pos : int; mutable sum : int }
 
 let put w v =
@@ -79,19 +88,19 @@ let put w v =
   Bytes.set_int64_le w.bytes w.pos (Int64.of_int v);
   w.pos <- w.pos + word_bytes
 
-(* A writer holding the frame header of a record of kind [kind] with
-   [payload] payload words. *)
-let start ~kind ~payload =
-  let w =
-    {
-      bytes = Bytes.create (word_bytes * (3 + payload));
-      pos = 0;
-      sum = checksum_seed;
-    }
-  in
+(* A writer at byte [pos] of [bytes] holding the frame header of a
+   record of kind [kind] with [payload] payload words. *)
+let start_at bytes ~pos ~kind ~payload =
+  let w = { bytes; pos; sum = checksum_seed } in
   put w (magic lor kind);
   put w payload;
   w
+
+(* The same, into a fresh [Bytes] of the record's exact size. *)
+let start ~kind ~payload =
+  start_at
+    (Bytes.create (word_bytes * frame_words payload))
+    ~pos:0 ~kind ~payload
 
 (* [len] words of [a] from [off]: a loop of its own, not a closure call
    per word, since a checkpoint's snapshot is most of the log's bytes. *)
@@ -107,10 +116,15 @@ let put_slice w a off len =
   w.sum <- !sum;
   w.pos <- pos + (len * word_bytes)
 
-(* The checksum word ends the frame. *)
+(* The checksum word ends the frame; [w.pos] is then the byte past it. *)
 let finish w =
-  assert (w.pos = Bytes.length w.bytes - word_bytes);
   Bytes.set_int64_le w.bytes w.pos (Int64.of_int w.sum);
+  w.pos <- w.pos + word_bytes
+
+(* [finish] on a writer from [start]: the record's bytes. *)
+let finish_bytes w =
+  finish w;
+  assert (w.pos = Bytes.length w.bytes);
   w.bytes
 
 let put_checkpoint_head w ~seq ~raws ~words =
@@ -118,34 +132,43 @@ let put_checkpoint_head w ~seq ~raws ~words =
   put w raws;
   put w words
 
+(* A commit record is written in three parts, so the write pairs can come
+   straight from a write set ([Wal.append_commit]): the head, [writes]
+   pairs of [put w addr; put w value], then the tail. *)
+let put_commit_head w ~seq ~tid ~writes =
+  put w seq;
+  put w tid;
+  put w writes
+
+let put_commit_tail w ~allocs ~frees =
+  put w (Array.length allocs);
+  for k = 0 to Array.length allocs - 1 do
+    let addr, size, image = allocs.(k) in
+    put w addr;
+    put w size;
+    put_slice w image 0 (Array.length image)
+  done;
+  put w (Array.length frees);
+  put_slice w frees 0 (Array.length frees)
+
 let encode_record r =
   let w = start ~kind:(kind_of r) ~payload:(payload_words r) in
   (match r with
   | Commit { seq; tid; writes; allocs; frees } ->
-      put w seq;
-      put w tid;
-      put w (Array.length writes);
+      put_commit_head w ~seq ~tid ~writes:(Array.length writes);
       Array.iter
         (fun (a, v) ->
           put w a;
           put w v)
         writes;
-      put w (Array.length allocs);
-      Array.iter
-        (fun (addr, size, image) ->
-          put w addr;
-          put w size;
-          put_slice w image 0 (Array.length image))
-        allocs;
-      put w (Array.length frees);
-      put_slice w frees 0 (Array.length frees)
+      put_commit_tail w ~allocs ~frees
   | Raw { addr; value } ->
       put w addr;
       put w value
   | Checkpoint { seq; raws; snapshot } ->
       put_checkpoint_head w ~seq ~raws ~words:(Array.length snapshot);
       put_slice w snapshot 0 (Array.length snapshot));
-  finish w
+  finish_bytes w
 
 (* The checkpoint record of a live image, its words written from memory
    into the record as the image streams them: the same bytes as
@@ -155,7 +178,7 @@ let encode_checkpoint ~seq ~raws image =
   let w = start ~kind:kind_checkpoint ~payload:(3 + words) in
   put_checkpoint_head w ~seq ~raws ~words;
   Captured_tmem.Snapshot.write_image image (put_slice w);
-  finish w
+  finish_bytes w
 
 type decode_error = Torn | Corrupt
 

@@ -3,15 +3,15 @@ module Site = Captured_core.Site
 type handle = int
 
 (* Header: [0]=root, [1]=size.
-   Node: [0]=key, [1]=val, [2]=prio, [3]=left, [4]=right. *)
-let node_words = 5
+   Node: [0]=key, [1]=val, [2]=left, [3]=right.  A node's priority is a
+   function of its key ([prio_of_key]), so no node stores it. *)
+let node_words = 4
 let h_root = 0
 let h_size = 1
 let f_key = 0
 let f_val = 1
-let f_prio = 2
-let f_left = 3
-let f_right = 4
+let f_left = 2
+let f_right = 3
 
 let site_root_r = Site.declare ~write:false "map.root_r"
 let site_root_w = Site.declare ~write:true "map.root_w"
@@ -20,14 +20,12 @@ let _site_size_w = Site.declare ~write:true "map.size_w"
 let site_key_r = Site.declare ~write:false "map.key_r"
 let site_val_r = Site.declare ~write:false "map.val_r"
 let site_val_w = Site.declare ~write:true "map.val_w"
-let site_prio_r = Site.declare ~write:false "map.prio_r"
 let site_left_r = Site.declare ~write:false "map.left_r"
 let site_right_r = Site.declare ~write:false "map.right_r"
 let site_left_w = Site.declare ~write:true "map.left_w"
 let site_right_w = Site.declare ~write:true "map.right_w"
 let site_init_key = Site.declare ~manual:false ~write:true "map.node_init.key"
 let site_init_val = Site.declare ~manual:false ~write:true "map.node_init.val"
-let site_init_prio = Site.declare ~manual:false ~write:true "map.node_init.prio"
 let site_init_left = Site.declare ~manual:false ~write:true "map.node_init.left"
 let site_init_right =
   Site.declare ~manual:false ~write:true "map.node_init.right"
@@ -36,8 +34,22 @@ let site_header_init_root =
 let site_header_init_size =
   Site.declare ~manual:false ~write:true "map.header_init.size"
 
-(* Deterministic priority: structure identical across runs and configs. *)
-let prio_of_key key = (key * 0x2545F4914F6CDD1D) land max_int
+(* Deterministic priority, so the shape depends on the key set alone, in
+   every run and config.  A key ranks first by its count of trailing
+   zero bits (0 in class 0), then by a multiplicative hash in the low
+   [hash_bits] bits.  In a range of consecutive keys the key with the
+   most trailing zeros is unique and splits the range in halves, so a
+   dense or strided range builds the perfectly balanced tree; keys of
+   one class rank by the hash, as in a plain hashed treap.  The hash is
+   a bijection on the low bits, so two keys tie only if they differ by a
+   multiple of 2^56 within one class. *)
+let hash_bits = 56
+let hash_mask = (1 lsl hash_bits) - 1
+
+let prio_of_key key =
+  let rec zeros k n = if k land 1 = 1 then n else zeros (k lsr 1) (n + 1) in
+  let cls = if key = 0 then 0 else zeros key 0 in
+  (cls lsl hash_bits) lor ((key * 0x2545F4914F6CDD1D) land hash_mask)
 
 let create (acc : Access.t) =
   let h = acc.alloc 2 in
@@ -62,7 +74,6 @@ let size (acc : Access.t) h =
 let key_of (acc : Access.t) n = acc.read ~site:site_key_r (n + f_key)
 let left_of (acc : Access.t) n = acc.read ~site:site_left_r (n + f_left)
 let right_of (acc : Access.t) n = acc.read ~site:site_right_r (n + f_right)
-let prio_of (acc : Access.t) n = acc.read ~site:site_prio_r (n + f_prio)
 
 let destroy (acc : Access.t) h =
   let rec go n =
@@ -88,30 +99,29 @@ let find (acc : Access.t) h key =
 
 let contains acc h key = Option.is_some (find acc h key)
 
-(* [set_child acc parent_slot child]: parent_slot is the address of the
-   link being rewritten (root field or a node's left/right field);
-   [which] picks the site. *)
-type slot = Root of int | Left of int | Right of int
+(* A link is the word that points at a subtree, named by an int so a
+   descent allocates nothing per step: [root_link] the header's root
+   field, [n] node [n]'s left field, [-n] its right field (node
+   addresses are positive). *)
+let root_link = 0
 
-let read_slot (acc : Access.t) = function
-  | Root h -> acc.read ~site:site_root_r (h + h_root)
-  | Left n -> left_of acc n
-  | Right n -> right_of acc n
+let read_link (acc : Access.t) h link =
+  if link = root_link then acc.read ~site:site_root_r (h + h_root)
+  else if link > 0 then left_of acc link
+  else right_of acc (-link)
 
-let write_slot (acc : Access.t) slot v =
-  match slot with
-  | Root h -> acc.write ~site:site_root_w (h + h_root) v
-  | Left n -> acc.write ~site:site_left_w (n + f_left) v
-  | Right n -> acc.write ~site:site_right_w (n + f_right) v
-
+let write_link (acc : Access.t) h link v =
+  if link = root_link then acc.write ~site:site_root_w (h + h_root) v
+  else if link > 0 then acc.write ~site:site_left_w (link + f_left) v
+  else acc.write ~site:site_right_w (f_right - link) v
 
 (* Insert, update and find-or-add share one walk: descend to the key or
    to the leaf position, link a fresh node there, then rotate it up while
    its priority beats its parent's.  Parent pointers are not stored, so
    the rotations run as the descent unwinds, touching the same O(log n)
-   shared nodes an RB insert would.  Priorities derive from keys, so each
-   rotation test compares [prio_of_key] of the key the descent read at
-   that parent with the new key's, and reads no stored [prio].
+   shared nodes an RB insert would.  Each rotation test compares
+   [prio_of_key] of the key the descent read at that parent with the new
+   key's.
 
    [walk] is the request and the fresh node's children while it rises:
    linked as a leaf, it takes each parent it rotates past as its right
@@ -135,8 +145,8 @@ type walk = {
 let present = -1
 let placed = 0
 
-let rec descend (acc : Access.t) w slot =
-  let n = read_slot acc slot in
+let rec descend (acc : Access.t) h w link =
+  let n = read_link acc h link in
   if n = 0 then begin
     (match w.mode with
     | Find_or_add -> w.value <- w.make ()
@@ -144,10 +154,9 @@ let rec descend (acc : Access.t) w slot =
     let node = acc.alloc node_words in
     acc.write ~site:site_init_key (node + f_key) w.key;
     acc.write ~site:site_init_val (node + f_val) w.value;
-    acc.write ~site:site_init_prio (node + f_prio) w.prio;
     acc.write ~site:site_init_left (node + f_left) 0;
     acc.write ~site:site_init_right (node + f_right) 0;
-    write_slot acc slot node;
+    write_link acc h link node;
     node
   end
   else
@@ -160,26 +169,26 @@ let rec descend (acc : Access.t) w slot =
       present
     end
     else if w.key < k then begin
-      let child = descend acc w (Left n) in
+      let child = descend acc h w n in
       if child <= placed then child
       else if w.prio > prio_of_key k then begin
         (* Rotate right: the child takes [n] as its right child. *)
-        write_slot acc (Left n) w.right;
+        write_link acc h n w.right;
         acc.write ~site:site_right_w (child + f_right) n;
         w.right <- n;
-        write_slot acc slot child;
+        write_link acc h link child;
         child
       end
       else placed
     end
     else begin
-      let child = descend acc w (Right n) in
+      let child = descend acc h w (-n) in
       if child <= placed then child
       else if w.prio > prio_of_key k then begin
-        write_slot acc (Right n) w.left;
+        write_link acc h (-n) w.left;
         acc.write ~site:site_left_w (child + f_left) n;
         w.left <- n;
-        write_slot acc slot child;
+        write_link acc h link child;
         child
       end
       else placed
@@ -191,50 +200,59 @@ let request ~key ~value ~make mode =
   { key; prio = prio_of_key key; mode; make; value; left = 0; right = 0 }
 
 let insert acc h ~key ~value =
-  descend acc (request ~key ~value ~make:no_make Insert) (Root h) <> present
+  descend acc h (request ~key ~value ~make:no_make Insert) root_link <> present
 
 let update acc h ~key ~value =
-  descend acc (request ~key ~value ~make:no_make Update) (Root h) <> present
+  descend acc h (request ~key ~value ~make:no_make Update) root_link <> present
 
 let find_or_add acc h ~key ~make =
   let w = request ~key ~value:0 ~make Find_or_add in
-  ignore (descend acc w (Root h) : int);
+  ignore (descend acc h w root_link : int);
   w.value
 
-(* Remove: find the node, rotate it down to a leaf (always promoting the
-   higher-priority child), unlink, free. *)
+(* Removal merges the removed node's two subtrees into the link that
+   pointed at it: walking down the left subtree's right spine and the
+   right subtree's left spine, the higher-priority node of the pair goes
+   into the link in hand, and the link to fill becomes its inner child
+   link — the treap a rotate-down would leave, with no rotation through
+   the removed node.  The node not placed stays in hand with its
+   priority, a link is written only when its subtree root changes, and
+   each node's key and inner link are read once.  [cur] is what [link]
+   holds now; [l] and [r] are the roots still to merge, [pl] and [pr]
+   their priorities. *)
+let rec zip acc h link cur l pl r pr =
+  if l = 0 || r = 0 then begin
+    let m = if l = 0 then r else l in
+    if m <> cur then write_link acc h link m
+  end
+  else if pl > pr then begin
+    if l <> cur then write_link acc h link l;
+    let lr = right_of acc l in
+    zip acc h (-l) lr lr (prio_at acc lr) r pr
+  end
+  else begin
+    if r <> cur then write_link acc h link r;
+    let rl = left_of acc r in
+    zip acc h r rl l pl rl (prio_at acc rl)
+  end
+
+and prio_at acc n = if n = 0 then 0 else prio_of_key (key_of acc n)
+
 let remove (acc : Access.t) h key =
-  let rec rotate_down slot n =
-    let l = left_of acc n and r = right_of acc n in
-    if l = 0 && r = 0 then write_slot acc slot 0
-    else if r = 0 || (l <> 0 && prio_of acc l > prio_of acc r) then begin
-      (* Rotate right: l becomes the subtree root. *)
-      write_slot acc (Left n) (right_of acc l);
-      acc.write ~site:site_right_w (l + f_right) n;
-      write_slot acc slot l;
-      rotate_down (Right l) n
-    end
-    else begin
-      write_slot acc (Right n) (left_of acc r);
-      acc.write ~site:site_left_w (r + f_left) n;
-      write_slot acc slot r;
-      rotate_down (Left r) n
-    end
-  in
-  let rec descend slot =
-    let n = read_slot acc slot in
+  let rec go link n =
     if n = 0 then false
     else
       let k = key_of acc n in
       if key = k then begin
-        rotate_down slot n;
+        let l = left_of acc n and r = right_of acc n in
+        zip acc h link n l (prio_at acc l) r (prio_at acc r);
         acc.free n;
         true
       end
-      else if key < k then descend (Left n)
-      else descend (Right n)
+      else if key < k then go n (left_of acc n)
+      else go (-n) (right_of acc n)
   in
-  descend (Root h)
+  go root_link (acc.read ~site:site_root_r (h + h_root))
 
 let find_le (acc : Access.t) h key =
   let rec go n best =
@@ -268,19 +286,27 @@ let fold (acc : Access.t) h ~init ~f =
   in
   go (acc.read ~site:site_root_r (h + h_root)) init
 
+let shape (acc : Access.t) h =
+  let rec go n depth (height, total) =
+    if n = 0 then (height, total)
+    else
+      let below = (max height depth, total + depth) in
+      go (right_of acc n) (depth + 1) (go (left_of acc n) (depth + 1) below)
+  in
+  go (acc.read ~site:site_root_r (h + h_root)) 1 (0, 0)
+
 let check (acc : Access.t) h =
   (* [go n ~lo ~hi ~above] checks the subtree at [n]: its keys must lie
-     strictly between the bounds present, and its priorities must not
+     strictly between the bounds present, and their priorities must not
      exceed [above]. *)
   let rec go n ~lo ~hi ~above =
     if n = 0 then Ok ()
     else
-      let k = key_of acc n and p = prio_of acc n in
+      let k = key_of acc n in
+      let p = prio_of_key k in
       if Option.fold ~none:false ~some:(fun b -> k <= b) lo
          || Option.fold ~none:false ~some:(fun b -> k >= b) hi
       then Error (Printf.sprintf "key %d out of search order" k)
-      else if p <> prio_of_key k then
-        Error (Printf.sprintf "key %d stores priority %d" k p)
       else if p > above then
         Error (Printf.sprintf "key %d outranks its parent" k)
       else

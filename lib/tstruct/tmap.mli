@@ -1,14 +1,15 @@
 (** Ordered map over transactional memory.
 
     STAMP's MAP is a red-black tree; this implementation is a *treap*
-    (BST with deterministic per-key hash priorities, giving expected
-    O(log n) paths).  The substitution keeps what the capture analysis
-    sees — traversal reads along a logarithmic path, rebalancing writes to
-    existing shared nodes, fresh-node initialisation writes — while being
-    much less error-prone in a word-addressed memory.  A node's priority
-    is a function of its key, so an insertion's rotations compare the
-    priorities of keys its descent already read instead of reading the
-    stored ones.  Documented in DESIGN.md. *)
+    (BST with deterministic per-key priorities).  The substitution keeps
+    what the capture analysis sees — traversal reads along a logarithmic
+    path, rebalancing writes to existing shared nodes, fresh-node
+    initialisation writes — while being much less error-prone in a
+    word-addressed memory.  A node's priority is a function of its key
+    (its count of trailing zero bits, then a hash), so a dense or strided
+    key range builds the perfectly balanced tree, no node stores its
+    priority, and rotations compare the priorities of keys the walk
+    already read.  Documented in DESIGN.md. *)
 
 type handle = int
 
@@ -43,7 +44,11 @@ val min_binding : Access.t -> handle -> (int * int) option
 (** In-order fold (read-only traversal). *)
 val fold : Access.t -> handle -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 
-(** [check acc map] — [Ok ()] if the keys are in search-tree order, every
-    node stores the priority its key derives, and no node outranks its
-    parent; otherwise what broke, at the first node found. *)
+(** [shape acc map] — the tree's height and the sum of its nodes'
+    depths (the root at depth 1), read by a full walk. *)
+val shape : Access.t -> handle -> int * int
+
+(** [check acc map] — [Ok ()] if the keys are in search-tree order and
+    no node's key-derived priority outranks its parent's; otherwise what
+    broke, at the first node found. *)
 val check : Access.t -> handle -> (unit, string) result

@@ -604,11 +604,15 @@ let test_zero_alloc_lazy_captured () =
    commit — allocates the same few words at every size, and never a
    retry closure, a boxed result, a scope or a log.  The body closure is
    built before the count starts.  Was 9 words while the runner's retry
-   loop was a closure and a commit boxed its result. *)
-let test_commit_words spelling () =
-  let w =
-    Engine.create ~nthreads:1 (Result.get_ok (Config.of_string spelling))
-  in
+   loop was a closure and a commit boxed its result.  A durable commit
+   encodes its write set straight into the log's pending buffer, so it
+   too allocates the same words at every size: 7 more, the record writer
+   and the append's result pair ([Wal.append_commit]).  Its transactions
+   allocate no block, whose image the record would copy. *)
+let test_commit_words spelling words () =
+  let config = Result.get_ok (Config.of_string spelling) in
+  let w = Engine.create ~nthreads:1 config in
+  if config.Config.durable then Engine.attach_wal w (Wal.create ());
   let th = Engine.setup_thread w in
   let base = Alloc.alloc (Engine.global_arena w) 512 in
   let per_commit n =
@@ -627,7 +631,7 @@ let test_commit_words spelling () =
   in
   let small = per_commit 8 and large = per_commit 512 in
   Alcotest.(check (float 0.)) "minor words per commit, any size" small large;
-  Alcotest.(check (float 0.)) "minor words per commit" 2. small
+  Alcotest.(check (float 0.)) "minor words per commit" words small
 
 (* ------------------------------------------------------------------ *)
 (* Simulator determinism: the hot-path rewrite must not change a single
@@ -635,7 +639,15 @@ let test_commit_words spelling () =
    before the native-backend work; any drift in commits, aborts or
    virtual makespan means replay/exploration traces are invalidated. *)
 
-(* Every vacation-low pin was re-pinned when lookups stopped re-reading
+(* Every vacation-low pin was re-pinned when the treap began to rank
+   keys by their trailing zero bits before the hash ([Tmap.prio_of_key]):
+   the dense resource ids build a perfectly balanced tree, so every
+   lookup walks fewer nodes; nodes stopped storing their priority, and
+   a removal merges the two subtrees instead of rotating the node down.
+   Attempts read less and run shorter, so every schedule shifts;
+   commits stay 160.  kmeans-low reads no map, so its pin does not
+   move.  The figures before that come first in each comment.
+   Before that, every vacation-low pin was re-pinned when lookups stopped re-reading
    what they had just read: a reservation keeps the resource node its
    query found, lets the list insert's presence test replace a separate
    [Tlist.contains] and gets or creates its customer in one descent
@@ -643,7 +655,7 @@ let test_commit_words spelling () =
    instead of reading stored ones, and a list walk reports the key it
    stopped on.  Attempts read less and run shorter, so every schedule
    shifts; commits stay 160.  kmeans-low reads no map or list, so its
-   pin does not move.  The figures before that come first in each
+   pin does not move.  The figures before that come second in each
    comment.
    Before that, the two baseline vacation-low pins were re-pinned when the eager
    engine's lossy write-after-write filter gave way to the exact write
@@ -702,35 +714,35 @@ let test_commit_words spelling () =
 let sim_refs =
   let tree = Config.runtime Alloc_log.Tree in
   [
-    (* was 53, 155180; 54, 152470; 51, 148410; 67, 162117; 79, 172722;
-       65, 152518; 109, 178113 *)
-    ("baseline", Config.baseline, 65, 160136);
-    (* was 49, 154849; 44, 163196; 38, 144631; 49, 151266; 62, 162396;
-       82, 170107; 110, 175729 *)
+    (* was 65, 160136; 53, 155180; 54, 152470; 51, 148410; 67, 162117;
+       79, 172722; 65, 152518; 109, 178113 *)
+    ("baseline", Config.baseline, 47, 128644);
+    (* was 42, 135583; 49, 154849; 44, 163196; 38, 144631; 49, 151266;
+       62, 162396; 82, 170107; 110, 175729 *)
     ( "baseline+fp+tv",
       Config.with_fastpath (Config.with_tvalidate Config.baseline),
-      42,
-      135583 );
-    (* was 41, 146651; 40, 161928; 53, 175141; 57, 158201; 57, 153243;
-       95, 204794 *)
-    ("tree", tree, 50, 144334);
-    (* was 45, 139490; 32, 132184; 39, 133810; 60, 145671; 38, 132014;
-       82, 155692 *)
-    ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 33, 109013);
+      38,
+      136683 );
+    (* was 50, 144334; 41, 146651; 40, 161928; 53, 175141; 57, 158201;
+       57, 153243; 95, 204794 *)
+    ("tree", tree, 44, 125416);
+    (* was 33, 109013; 45, 139490; 32, 132184; 39, 133810; 60, 145671;
+       38, 132014; 82, 155692 *)
+    ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 27, 107237);
     (* Commit-path coverage: the lazy acquire and the durable commit
        record. *)
-    (* was 54, 168660; 31, 149424; 36, 165311; 45, 174786; 35, 160849;
-       52, 163639 *)
-    ("tree+lazy", Config.with_lazy tree, 36, 125198);
-    (* was 50, 201871; 39, 187098; 38, 225948; 49, 173221; 38, 202566;
-       47, 172114 *)
-    ("tree+lazy+tv", Config.with_lazy (Config.with_tvalidate tree), 31, 110489);
-    (* was 46, 172733; 44, 164142; 50, 195181; 48, 172071; 42, 166995;
-       57, 224093 *)
+    (* was 36, 125198; 54, 168660; 31, 149424; 36, 165311; 45, 174786;
+       35, 160849; 52, 163639 *)
+    ("tree+lazy", Config.with_lazy tree, 29, 114947);
+    (* was 31, 110489; 50, 201871; 39, 187098; 38, 225948; 49, 173221;
+       38, 202566; 47, 172114 *)
+    ("tree+lazy+tv", Config.with_lazy (Config.with_tvalidate tree), 33, 125125);
+    (* was 35, 144651; 46, 172733; 44, 164142; 50, 195181; 48, 172071;
+       42, 166995; 57, 224093 *)
     ( "tree+lazy+tv+wal",
       Config.with_durable (Config.with_lazy (Config.with_tvalidate tree)),
-      35,
-      144651 );
+      27,
+      118756 );
   ]
 
 let test_sim_determinism (name, config, aborts, makespan) () =
@@ -853,9 +865,13 @@ let () =
           Alcotest.test_case "lazy captured store path" `Quick
             test_zero_alloc_lazy_captured;
           Alcotest.test_case "commit words baseline" `Quick
-            (test_commit_words "baseline");
+            (test_commit_words "baseline" 2.);
           Alcotest.test_case "commit words baseline+lazy" `Quick
-            (test_commit_words "baseline+lazy");
+            (test_commit_words "baseline+lazy" 2.);
+          Alcotest.test_case "commit words baseline+wal" `Quick
+            (test_commit_words "baseline+wal" 9.);
+          Alcotest.test_case "commit words baseline+lazy+wal" `Quick
+            (test_commit_words "baseline+lazy+wal" 9.);
         ] );
       ( "sim-determinism",
         List.map

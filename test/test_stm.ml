@@ -1021,7 +1021,10 @@ let test_line_mate_moved_orec () =
    access (the pop's capture checks now search the decode's
    allocations: same reads and line-mate reads, more check cycles), and
    again when its decode began to get or create its session in one
-   descent; the figures before each move are in the comments.
+   descent, and again when the treap began to rank keys by trailing zero
+   bits and to remove a node by merging its subtrees (yada's figure
+   moved then too: its element map is the same treap); the figures
+   before each move are in the comments.
    vacation-high (tree+fp+ebr, 135_552) left the list when its walks
    stopped re-reading: it now makes no line-mate read (seven of its ten
    came back when the rotations' reads of the fresh node's child links,
@@ -1029,11 +1032,12 @@ let test_line_mate_moved_orec () =
    back).  yada, also allocation-heavy, keeps the tree+fp+ebr row. *)
 let line_mate_refs =
   [
-    (* was 201_630, then 200_181, then 201_907 *)
-    ("intruder", "tree", 192_412);
-    (* was 172_039, then 171_746, then 172_034 *)
-    ("intruder", "tree+scope:hw+lazy+tv", 163_586);
-    ("yada", "tree+fp+ebr", 24_087);
+    (* was 201_630, then 200_181, then 201_907, then 192_412 *)
+    ("intruder", "tree", 185_541);
+    (* was 172_039, then 171_746, then 172_034, then 163_586 *)
+    ("intruder", "tree+scope:hw+lazy+tv", 158_752);
+    (* was 24_087 *)
+    ("yada", "tree+fp+ebr", 20_507);
   ]
 
 let test_line_mate_identity () =
@@ -2573,6 +2577,77 @@ let test_wal_write_set_same_on_both_engines () =
       List.iter (check_int "same record bytes as eager" eager) others
   | [] -> assert false
 
+(* The commit path encodes its record straight from the write set
+   ([Wal.append_commit]); [Wal.encode_record] is the reference codec.
+   Every commit frame the live path appends must be the bytes
+   [encode_record] gives the record it decodes to, and that record must
+   name the write set in first-write order with final values, the
+   surviving allocation with its image and the deferred free.  Under
+   [baseline] no write is elided, so the fresh block's words are in the
+   write set too. *)
+let test_wal_commit_bytes_match_codec () =
+  let run (name, mode) =
+    let config = mode Config.baseline |> Config.with_durable ~group:1 in
+    let w = Engine.create ~nthreads:1 config in
+    let arena = Engine.global_arena w in
+    let a = Alloc.alloc arena 1 and b = Alloc.alloc arena 1 in
+    let wal = Wal.create ~group:1 () in
+    Engine.attach_wal w wal;
+    let th = Engine.setup_thread w in
+    let old =
+      Txn.atomic th (fun tx ->
+          let o = Txn.alloc tx 3 in
+          Txn.write tx (o + 1) 9;
+          o)
+    in
+    let fresh =
+      Txn.atomic th (fun tx ->
+          Txn.write tx a 1;
+          Txn.write tx b 2;
+          Txn.write tx a 3;
+          let f = Txn.alloc tx 2 in
+          Txn.write tx f 4;
+          Txn.write tx (f + 1) 5;
+          Txn.free tx old;
+          f)
+    in
+    Txn.atomic th (fun tx -> Txn.write tx b 6);
+    Wal.sync wal;
+    let bytes = Wal.contents wal in
+    let rec frames acc pos =
+      if pos >= Bytes.length bytes then List.rev acc
+      else
+        match Wal.decode_record bytes ~pos with
+        | Error _ -> Alcotest.failf "%s: undecodable log at %d" name pos
+        | Ok ((Wal.Commit _ as r), next) ->
+            let live = Bytes.sub bytes pos (next - pos) in
+            Alcotest.(check bytes)
+              (name ^ ": live bytes = encode_record")
+              (Wal.encode_record r) live;
+            frames (r :: acc) next
+        | Ok (_, next) -> frames acc next
+    in
+    match frames [] 0 with
+    | [ Wal.Commit c1; Wal.Commit c2; Wal.Commit c3 ] ->
+        check_int (name ^ ": first commit's allocs") 1 (Array.length c1.allocs);
+        Alcotest.(check (array (pair int int)))
+          (name ^ ": write set in first-write order, final values")
+          [| (a, 3); (b, 2); (fresh, 4); (fresh + 1, 5) |]
+          c2.writes;
+        (match c2.allocs with
+        | [| (addr, _, image) |] ->
+            check_int (name ^ ": alloc address") fresh addr;
+            check_int (name ^ ": alloc image") 4 image.(0);
+            check_int (name ^ ": alloc image") 5 image.(1)
+        | _ -> Alcotest.failf "%s: one alloc expected" name);
+        Alcotest.(check (array int)) (name ^ ": frees") [| old |] c2.frees;
+        Alcotest.(check (array (pair int int)))
+          (name ^ ": write-only commit") [| (b, 6) |] c3.writes
+    | l -> Alcotest.failf "%s: %d commit records" name (List.length l)
+  in
+  List.iter run
+    [ ("baseline", fun c -> c); ("baseline+lazy", Config.with_lazy ~on:true) ]
+
 (* A transactional store into a block annotated private is elided
    ([writes_elided_private]) but, unlike a captured one, is not a
    [wal_skips]: it is visible at once and survives an abort, so it is
@@ -3452,6 +3527,8 @@ let () =
             test_wal_skips_equal_elided_writes;
           Alcotest.test_case "same write set on both engines" `Quick
             test_wal_write_set_same_on_both_engines;
+          Alcotest.test_case "commit bytes match the codec" `Quick
+            test_wal_commit_bytes_match_codec;
           Alcotest.test_case "recovery keeps granules" `Quick
             test_wal_recovery_keeps_granules;
           Alcotest.test_case "private store logged raw and replayed" `Quick

@@ -443,8 +443,130 @@ let test_map_reads_once () =
           Alcotest.(check (option int))
             (what ^ ": bound") (Some (k + 1)) (Tmap.find acc m k))
         [ 1; 99; 60; 33; 51 ];
+      List.iter
+        (fun (k, present) ->
+          let what = Printf.sprintf "remove %d" k in
+          check what present
+            (reads_once reads what (fun () -> Tmap.remove acc m k));
+          Alcotest.(check (option int)) (what ^ ": gone") None
+            (Tmap.find acc m k))
+        [ (20, true); (80, true); (21, false); (50, true); (5, true) ];
       Alcotest.(check (result unit string)) "treap invariants" (Ok ())
         (Tmap.check acc m))
+
+(* Shape.  Priorities rank keys by trailing zero bits first, so the key
+   set alone fixes the tree, and a range [s, 2s, ..., ns] is perfectly
+   balanced: the key with the most trailing zeros is unique in any run
+   of multiples of [s] and splits it.  Heights are [Tmap.shape]'s, the
+   root at depth 1. *)
+let ceil_log2_succ n =
+  let rec go h = if 1 lsl h >= n + 1 then h else go (h + 1) in
+  go 0
+
+let build acc keys =
+  let m = Tmap.create acc in
+  List.iter (fun k -> ignore (Tmap.insert acc m ~key:k ~value:k : bool)) keys;
+  m
+
+let test_map_balanced_ranges () =
+  with_acc (fun acc _ _ ->
+      let edges =
+        List.concat_map
+          (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+          (List.init 7 (fun i -> i + 8))
+      in
+      let sizes = List.init 150 (fun i -> i + 1) @ edges @ [ 1 lsl 14 ] in
+      List.iter
+        (fun stride ->
+          List.iter
+            (fun n ->
+              if stride = 1 || n <= 4096 then begin
+                let m = build acc (List.init n (fun i -> stride * (i + 1))) in
+                let height, _ = Tmap.shape acc m in
+                check_int
+                  (Printf.sprintf "%d keys, stride %d: height" n stride)
+                  (ceil_log2_succ n) height;
+                Tmap.destroy acc m
+              end)
+            sizes)
+        [ 1; 2; 3; 12; 1024 ])
+
+(* The two maps the benchmarks walk: vacation's resource ids 0..8191 and
+   kv's prefill of 2^14 even keys.  A red-black tree built by the same
+   inserts has average depth 12.00 and 13.00; the hashed treap these
+   priorities replaced had 14.22 and 18.48. *)
+let test_map_benchmark_depths () =
+  with_acc (fun acc _ _ ->
+      List.iter
+        (fun (what, keys, height, average) ->
+          let m = build acc keys in
+          let h, total = Tmap.shape acc m in
+          check_int (what ^ ": height") height h;
+          Alcotest.(check (float 0.005))
+            (what ^ ": average depth") average
+            (float_of_int total /. float_of_int (List.length keys));
+          Tmap.destroy acc m)
+        [
+          ("vacation ids", List.init 8192 Fun.id, 14, 12.00);
+          ("kv prefill", List.init (1 lsl 14) (fun i -> 2 * i), 15, 13.00);
+        ])
+
+(* The worst case: a class holding one key gives one level, so the
+   powers of two, one key per class, form a chain as long as the key
+   count — 63 with [min_int], the 63-bit [2^62] — in any insertion
+   order. *)
+let test_map_powers_of_two () =
+  with_acc (fun acc _ _ ->
+      let powers = min_int :: List.init 62 (fun i -> 1 lsl i) in
+      List.iter
+        (fun (what, keys) ->
+          let m = build acc keys in
+          Alcotest.(check (pair int int))
+            (what ^ ": a chain") (63, 63 * 64 / 2) (Tmap.shape acc m);
+          Alcotest.(check (result unit string)) (what ^ ": invariants") (Ok ())
+            (Tmap.check acc m);
+          Tmap.destroy acc m)
+        [ ("ascending", powers); ("descending", List.rev powers) ])
+
+(* Node depths of the treap that ranks keys by the multiplicative hash
+   alone (the priorities before trailing zeros came first): (height, sum
+   of depths), built as the Cartesian tree of the sorted keys. *)
+let hashed_treap_shape keys =
+  let a = Array.of_list (List.sort_uniq compare keys) in
+  let n = Array.length a in
+  let prio k = (k * 0x2545F4914F6CDD1D) land max_int in
+  let left = Array.make n (-1) and right = Array.make n (-1) in
+  let stack = ref [] in
+  Array.iteri
+    (fun i k ->
+      let rec pop last = function
+        | j :: rest when prio a.(j) < prio k -> pop j rest
+        | st -> (last, st)
+      in
+      let last, st = pop (-1) !stack in
+      left.(i) <- last;
+      (match st with j :: _ -> right.(j) <- i | [] -> ());
+      stack := i :: st)
+    a;
+  let rec go i d (h, total) =
+    if i < 0 then (h, total)
+    else go right.(i) (d + 1) (go left.(i) (d + 1) (max h d, total + d))
+  in
+  go (List.fold_left (fun _ i -> i) (-1) !stack) 1 (0, 0)
+
+(* Random keys: ranking by trailing zeros first keeps a hashed treap's
+   shape.  Their average depths agree in expectation; the bound leaves
+   room for small maps, where one shape can run 80 % deeper than the
+   other (0.8 of the bound at worst over 500 000 random maps). *)
+let prop_map_depth_vs_hashed =
+  QCheck.Test.make ~name:"treap depth against the hash-only treap" ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 300) (int_range 0 (1 lsl 20)))
+    (fun keys ->
+      with_acc (fun acc _ _ ->
+          let m = build acc keys in
+          let _, total = Tmap.shape acc m in
+          let _, hashed = hashed_treap_shape keys in
+          total <= (2 * hashed) + List.length (List.sort_uniq compare keys)))
 
 let test_list_reads_once () =
   with_acc (fun _ th _ ->
@@ -482,12 +604,14 @@ let test_list_reads_once () =
 module Int_map = Map.Make (Int)
 
 (* Random insert / find_or_add / update / remove scripts against
-   [Map.Make (Int)]: every result agrees with the reference, [make] runs
-   exactly on the misses, and the treap keeps search order, key-derived
-   stored priorities and heap order. *)
+   [Map.Make (Int)], with removes right after a [find] or a
+   [find_or_add] of the same key, as the apps remove: every result
+   agrees with the reference, [make] runs exactly on the misses, and
+   the treap keeps search order and heap order on key-derived
+   priorities. *)
 let prop_map_find_or_add =
   QCheck.Test.make ~name:"treap find_or_add and invariants" ~count:300
-    QCheck.(list (pair (int_range 0 3) (int_range 0 80)))
+    QCheck.(list (pair (int_range 0 5) (int_range 0 80)))
     (fun script ->
       with_acc (fun acc _ _ ->
           let m = Tmap.create acc in
@@ -519,10 +643,24 @@ let prop_map_find_or_add =
                     if fresh = Int_map.mem k model then
                       QCheck.Test.fail_reportf "update %d: %b" k fresh;
                     Int_map.add k (k + 1000) model
-                | _ ->
+                | 3 ->
                     let removed = Tmap.remove acc m k in
                     if removed <> Int_map.mem k model then
                       QCheck.Test.fail_reportf "remove %d: %b" k removed;
+                    Int_map.remove k model
+                | 4 ->
+                    let found = Tmap.find acc m k in
+                    if found <> Int_map.find_opt k model then
+                      QCheck.Test.fail_reportf "find %d" k;
+                    if Tmap.remove acc m k <> Option.is_some found then
+                      QCheck.Test.fail_reportf "remove after find %d" k;
+                    Int_map.remove k model
+                | _ ->
+                    let v = Tmap.find_or_add acc m ~key:k ~make:(fun () -> k) in
+                    if v <> Option.value (Int_map.find_opt k model) ~default:k
+                    then QCheck.Test.fail_reportf "find_or_add %d: %d" k v;
+                    if not (Tmap.remove acc m k) then
+                      QCheck.Test.fail_reportf "remove after find_or_add %d" k;
                     Int_map.remove k model)
               Int_map.empty script
           in
@@ -749,6 +887,12 @@ let () =
           Alcotest.test_case "remove frees" `Quick test_map_remove_frees;
           Alcotest.test_case "reads each address once" `Quick
             test_map_reads_once;
+          Alcotest.test_case "ranges are balanced" `Quick
+            test_map_balanced_ranges;
+          Alcotest.test_case "benchmark maps' depths" `Quick
+            test_map_benchmark_depths;
+          Alcotest.test_case "powers of two chain" `Quick
+            test_map_powers_of_two;
         ] );
       ( "thashtable",
         [ Alcotest.test_case "basic" `Quick test_hashtable_basic ] );
@@ -760,6 +904,7 @@ let () =
           prop_map_vs_model;
           prop_map_inorder_sorted;
           prop_map_find_or_add;
+          prop_map_depth_vs_hashed;
           prop_hashtable_vs_model;
         ];
       ( "read-for-write",
