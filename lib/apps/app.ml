@@ -30,7 +30,7 @@ let load_verdicts app config =
     Captured_tmir.Capture_analysis.apply
       (Captured_tmir.Capture_analysis.analyze (Lazy.force app.model))
 
-let run_checked ?wal_dir app ~nthreads ~scale ~mode config =
+let run_checked ?wal_dir ?max_cycles app ~nthreads ~scale ~mode config =
   load_verdicts app config;
   let p = app.prepare ~nthreads ~scale config in
   if config.Config.durable then begin
@@ -43,7 +43,7 @@ let run_checked ?wal_dir app ~nthreads ~scale ~mode config =
   end;
   let result =
     match mode with
-    | `Sim seed -> Engine.run_sim ~seed p.world p.body
+    | `Sim seed -> Engine.run_sim ?max_cycles ~seed p.world p.body
     | `Native -> Engine.run_native p.world p.body
   in
   (* Final flush: a clean shutdown acknowledges everything pending, so a

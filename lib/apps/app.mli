@@ -51,9 +51,12 @@ val load_verdicts : t -> Config.t -> unit
     attached after [prepare] (so the baseline checkpoint snapshots the
     built world) and flushed after the run; [wal_dir] mirrors the
     durable log to [<wal_dir>/wal.log] for cross-process recovery
-    ({!Captured_stm.Wal.recover_dir}). *)
+    ({!Captured_stm.Wal.recover_dir}).  [max_cycles] bounds every
+    simulated thread's virtual clock
+    ({!Captured_sim.Sched.Budget_exceeded}). *)
 val run_checked :
   ?wal_dir:string ->
+  ?max_cycles:int ->
   t ->
   nthreads:int ->
   scale:scale ->

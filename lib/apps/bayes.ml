@@ -12,7 +12,8 @@ module Tvector = Captured_tstruct.Tvector
 module Theap = Captured_tstruct.Theap
 open Captured_tmir.Ir
 
-let site_data_r = Site.declare ~manual:false ~write:false "bayes.data_r"
+let site_data_r = Site.declare ~manual:false ~init_only:true ~write:false
+    "bayes.data_r"
 let site_parents_r = Site.declare ~write:false "bayes.parents_r"
 let site_task_init_var =
   Site.declare ~manual:false ~write:true "bayes.task_init.var"
@@ -20,9 +21,12 @@ let site_task_init_parent =
   Site.declare ~manual:false ~write:true "bayes.task_init.parent"
 let site_task_init_gain =
   Site.declare ~manual:false ~write:true "bayes.task_init.gain"
-let site_task_var_r = Site.declare ~write:false "bayes.task.var_r"
-let site_task_parent_r = Site.declare ~write:false "bayes.task.parent_r"
-let site_task_gain_r = Site.declare ~write:false "bayes.task.gain_r"
+let site_task_var_r =
+  Site.declare ~init_only:true ~write:false "bayes.task.var_r"
+let site_task_parent_r =
+  Site.declare ~init_only:true ~write:false "bayes.task.parent_r"
+let site_task_gain_r =
+  Site.declare ~init_only:true ~write:false "bayes.task.gain_r"
 let site_pending_r = Site.declare ~write:false "bayes.pending_r"
 let site_pending_w = Site.declare ~write:true "bayes.pending_w"
 

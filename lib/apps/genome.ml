@@ -16,7 +16,8 @@ let s_next = 1
 let segment_words = 3
 
 let site_link_w = Site.declare ~write:true "genome.link_w"
-let site_content_r = Site.declare ~write:false "genome.content_r"
+let site_content_r =
+  Site.declare ~init_only:true ~write:false "genome.content_r"
 
 type params = {
   genome_len : int;

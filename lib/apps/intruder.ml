@@ -24,11 +24,16 @@ let se_len = 1
 let se_list = 2
 let session_words = 3
 
-let site_frag_flow_r = Site.declare ~write:false "intruder.frag.flow_r"
-let site_frag_id_r = Site.declare ~write:false "intruder.frag.id_r"
-let site_frag_nfrags_r = Site.declare ~write:false "intruder.frag.nfrags_r"
-let site_frag_len_r = Site.declare ~write:false "intruder.frag.len_r"
-let site_frag_char_r = Site.declare ~write:false "intruder.frag.char_r"
+let site_frag_flow_r =
+  Site.declare ~init_only:true ~write:false "intruder.frag.flow_r"
+let site_frag_id_r =
+  Site.declare ~init_only:true ~write:false "intruder.frag.id_r"
+let site_frag_nfrags_r =
+  Site.declare ~init_only:true ~write:false "intruder.frag.nfrags_r"
+let site_frag_len_r =
+  Site.declare ~init_only:true ~write:false "intruder.frag.len_r"
+let site_frag_char_r =
+  Site.declare ~init_only:true ~write:false "intruder.frag.char_r"
 let site_sess_init_received =
   Site.declare ~manual:false ~write:true "intruder.sess_init.received"
 let site_sess_init_len =
@@ -39,7 +44,8 @@ let site_sess_received_r = Site.declare ~write:false "intruder.sess.received_r"
 let site_sess_received_w = Site.declare ~write:true "intruder.sess.received_w"
 let site_sess_len_r = Site.declare ~write:false "intruder.sess.len_r"
 let site_sess_len_w = Site.declare ~write:true "intruder.sess.len_w"
-let site_sess_list_r = Site.declare ~write:false "intruder.sess.list_r"
+let site_sess_list_r =
+  Site.declare ~init_only:true ~write:false "intruder.sess.list_r"
 let site_buf_w = Site.declare ~manual:false ~write:true "intruder.buf_w"
 let site_attacks_r = Site.declare ~write:false "intruder.attacks_r"
 let site_attacks_w = Site.declare ~write:true "intruder.attacks_w"

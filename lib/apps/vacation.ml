@@ -34,7 +34,8 @@ let site_used_r = Site.declare ~write:false "vacation.res.used_r"
 let site_used_w = Site.declare ~write:true "vacation.res.used_w"
 let site_price_r = Site.declare ~write:false "vacation.res.price_r"
 let site_price_w = Site.declare ~write:true "vacation.res.price_w"
-let site_total_r = Site.declare ~write:false "vacation.res.total_r"
+let site_total_r =
+  Site.declare ~init_only:true ~write:false "vacation.res.total_r"
 let site_res_init_total =
   Site.declare ~manual:false ~write:true "vacation.res_init.total"
 let site_res_init_used =
@@ -47,15 +48,18 @@ let site_cust_init_id =
   Site.declare ~manual:false ~write:true "vacation.cust_init.id"
 let site_cust_init_list =
   Site.declare ~manual:false ~write:true "vacation.cust_init.list"
-let site_cust_list_r = Site.declare ~write:false "vacation.cust.list_r"
+let site_cust_list_r =
+  Site.declare ~init_only:true ~write:false "vacation.cust.list_r"
 let site_info_init_type =
   Site.declare ~manual:false ~write:true "vacation.info_init.type"
 let site_info_init_rid =
   Site.declare ~manual:false ~write:true "vacation.info_init.rid"
 let site_info_init_price =
   Site.declare ~manual:false ~write:true "vacation.info_init.price"
-let site_info_type_r = Site.declare ~write:false "vacation.info.type_r"
-let site_info_rid_r = Site.declare ~write:false "vacation.info.rid_r"
+let site_info_type_r =
+  Site.declare ~init_only:true ~write:false "vacation.info.type_r"
+let site_info_rid_r =
+  Site.declare ~init_only:true ~write:false "vacation.info.rid_r"
 
 type params = {
   relations : int; (* resources per type *)
@@ -100,6 +104,30 @@ let params_of ~high = function
       }
 
 let ntypes = 3
+
+(* Reservations outstanding per (type, resource id) over every
+   customer's list; an [Error] names the first reservation whose type
+   word names no resource table. *)
+let tally_reservations (acc : Access.t) customer_map =
+  let outstanding = Hashtbl.create 64 in
+  let bad = ref None in
+  Tmap.fold acc customer_map ~init:() ~f:(fun () cid cust ->
+      let lst = acc.Access.read ~site:Site.anonymous_read (cust + c_list) in
+      Tlist.fold acc lst ~init:() ~f:(fun () key info ->
+          let t = acc.Access.read ~site:Site.anonymous_read (info + i_type) in
+          let id = acc.Access.read ~site:Site.anonymous_read (info + i_rid) in
+          if t >= 0 && t < ntypes then
+            let k = (t, id) in
+            let n = Option.value ~default:0 (Hashtbl.find_opt outstanding k) in
+            Hashtbl.replace outstanding k (n + 1)
+          else if !bad = None then
+            bad :=
+              Some
+                (Printf.sprintf
+                   "customer %d: reservation %d (info %d) has type %d, not in \
+                    0..%d"
+                   cid key info t (ntypes - 1))));
+  match !bad with None -> Ok outstanding | Some m -> Error m
 
 let prepare ~high ~nthreads ~scale config =
   let p = params_of ~high scale in
@@ -269,26 +297,14 @@ let prepare ~high ~nthreads ~scale config =
     done
   in
   let verify () =
-    let mem = Engine.memory world in
-    let reader = Engine.setup_thread world in
-    let acc = Access.raw reader in
-    ignore mem;
+    let acc = Access.raw (Engine.setup_thread world) in
     (* used+free = total for every resource, and used matches outstanding
        reservations. *)
-    let outstanding = Hashtbl.create 64 in
-    let cust_count = ref 0 in
-    let _ =
-      Tmap.fold acc customer_map ~init:() ~f:(fun () _cid cust ->
-          incr cust_count;
-          let lst = acc.Access.read ~site:Site.anonymous_read (cust + c_list) in
-          Tlist.fold acc lst ~init:() ~f:(fun () _key info ->
-              let t = acc.Access.read ~site:Site.anonymous_read (info + i_type) in
-              let id = acc.Access.read ~site:Site.anonymous_read (info + i_rid) in
-              let k = (t, id) in
-              Hashtbl.replace outstanding k
-                (1 + Option.value ~default:0 (Hashtbl.find_opt outstanding k))))
+    let outstanding, error =
+      match tally_reservations acc customer_map with
+      | Ok outstanding -> (outstanding, ref None)
+      | Error m -> (Hashtbl.create 0, ref (Some m))
     in
-    let error = ref None in
     let check_map what m =
       match Tmap.check acc m with
       | Error e when !error = None -> error := Some (what ^ ": " ^ e)

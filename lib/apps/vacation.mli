@@ -20,3 +20,12 @@
 
 val high : App.t
 val low : App.t
+
+(** [tally_reservations acc customer_map] counts the reservations every
+    customer's list holds per (resource type, resource id), as the
+    verifier does; an [Error] names the customer, the reservation and
+    its info record when a type word names no resource table. *)
+val tally_reservations :
+  Captured_tstruct.Access.t ->
+  int ->
+  ((int * int, int) Hashtbl.t, string) result

@@ -22,14 +22,17 @@ let e_area = 3
 let e_alive = 4
 let element_words = 5
 
-let site_vertex_x_r = Site.declare ~write:false "yada.vertex.x_r"
-let site_vertex_y_r = Site.declare ~write:false "yada.vertex.y_r"
+let site_vertex_x_r =
+  Site.declare ~init_only:true ~write:false "yada.vertex.x_r"
+let site_vertex_y_r =
+  Site.declare ~init_only:true ~write:false "yada.vertex.y_r"
 let site_vertex_init_x =
   Site.declare ~manual:false ~write:true "yada.vertex_init.x"
 let site_vertex_init_y =
   Site.declare ~manual:false ~write:true "yada.vertex_init.y"
-let site_elem_v_r = Site.declare ~write:false "yada.elem.v_r"
-let site_elem_area_r = Site.declare ~write:false "yada.elem.area_r"
+let site_elem_v_r = Site.declare ~init_only:true ~write:false "yada.elem.v_r"
+let site_elem_area_r =
+  Site.declare ~init_only:true ~write:false "yada.elem.area_r"
 let site_elem_alive_r = Site.declare ~write:false "yada.elem.alive_r"
 let site_elem_alive_w = Site.declare ~write:true "yada.elem.alive_w"
 let site_elem_init_v1 = Site.declare ~manual:false ~write:true "yada.elem_init.v1"

@@ -89,6 +89,21 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
   let sizes : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let freed_words : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let recarved : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Init-only declarations: each word read at an init-only site since
+     its block's last allocation, with the first such read's instant.
+     A write to one, other than by the attempt that allocated its
+     block, breaks the declaration the unbarriered read relied on. *)
+  let init_read : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let check_init_write ~tid ~seq addr value =
+    match Hashtbl.find_opt init_read addr with
+    | Some rseq ->
+        fail ~kind:"init-only-rewrite" ~tid ~seq
+          (Printf.sprintf
+             "addr %d was read at an init-only site at %d, since its \
+              block's last allocation, and is now overwritten with %d"
+             addr rseq value)
+    | None -> ()
+  in
   let value_at addr t =
     match Hashtbl.find_opt timeline addr with
     | None -> Val (initial addr)
@@ -175,6 +190,8 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
             | [] -> ())
         | None -> ())
     | Txn.Ev_read { addr; value; cls } -> (
+        if cls = Txn.Elided_init && not (Hashtbl.mem init_read addr) then
+          Hashtbl.add init_read addr seq;
         match Hashtbl.find_opt live tid with
         | None -> ()
         | Some a -> (
@@ -218,7 +235,7 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
                   | Txn.Elided_private -> true
                   | Txn.Instrumented -> false
                   | Txn.Elided_static | Txn.Elided_stack | Txn.Elided_heap
-                    ->
+                  | Txn.Elided_init ->
                       in_owned a addr
                 in
                 if not skip then begin
@@ -250,6 +267,7 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
         match Hashtbl.find_opt live tid with
         | None -> ()
         | Some a ->
+            if not (in_owned a addr) then check_init_write ~tid ~seq addr value;
             if cls = Txn.Elided_private then
               (* Private-annotated writes are never rolled back. *)
               append addr seq (Val value)
@@ -266,7 +284,8 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
             end)
     | Txn.Ev_alloc { addr; size } | Txn.Ev_alloca { addr; size } -> (
         for i = addr to addr + size - 1 do
-          Hashtbl.replace allocated i ()
+          Hashtbl.replace allocated i ();
+          Hashtbl.remove init_read i
         done;
         if reclaim then begin
           Hashtbl.replace sizes addr size;
@@ -365,7 +384,9 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
                 (Printf.sprintf "aborted reads fit no instant in [%d,%d]: %s"
                    a.begin_seq seq (describe_reads a));
             Hashtbl.remove live tid)
-    | Txn.Ev_raw_write { addr; value } -> append addr seq (Val value)
+    | Txn.Ev_raw_write { addr; value } ->
+        check_init_write ~tid ~seq addr value;
+        append addr seq (Val value)
   in
   try
     History.iter history on_event;
@@ -492,7 +513,7 @@ let check_recovery ~initial ~recovered ~history ~facts () =
           | Txn.Elided_private ->
               (* Logged raw at the barrier; survives aborts. *)
               stream := SRaw (addr, value) :: !stream
-          | Txn.Elided_stack -> ()
+          | Txn.Elided_stack | Txn.Elided_init (* reads only *) -> ()
           | Txn.Instrumented | Txn.Elided_heap | Txn.Elided_static ->
               push_eff tid (RW { w_addr = addr; w_value = value; w_cls = cls })
           )

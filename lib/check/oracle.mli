@@ -27,11 +27,19 @@
       read value at commit — the lost-update detector;
     - {b no-snapshot-aborted}: the snapshot condition applied to aborted
       attempts, only under [All_attempts] (see below);
+    - {b init-only-rewrite}: a write (transactional, in place or
+      buffered, or raw) to a word read at an init-only site
+      ({!Captured_core.Site.declare}) since its block's last allocation,
+      unless the writing attempt allocated the block.  The barrier loads
+      such words with no validation, so the site's declaration is what
+      makes those reads opaque; the rule fires at the write, in every
+      strictness mode;
     - {b final-state}: memory after the run must match the timeline
       (allocator-recycled addresses excluded);
     - {b app-verify}: the workload's own invariant checker.
 
-    Reads the barrier elided as captured are exempt only when the address
+    Reads the barrier elided as captured, or loaded directly at an
+    init-only site, are exempt only when the address
     lies in a block the same attempt allocated — an elision that leaks
     to genuinely shared memory is checked as a shared access and fails.
     Reads of addresses whose ownership record the attempt itself

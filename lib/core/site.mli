@@ -11,16 +11,24 @@
     [manual] marks sites that STAMP's original hand instrumentation also
     barriered — the paper's estimate of *required* barriers; sites the
     OCaml analogue instruments beyond those model compiler
-    over-instrumentation. *)
+    over-instrumentation.
+
+    [init_only] marks a read site whose words are written only while
+    their block is captured by the writing attempt, or during set-up
+    before any thread runs: from the block's publication until its
+    free, the word cannot change, so the read barrier loads it directly
+    (DESIGN.md, "Init-only reads"). *)
 
 type id = private int
 
-type meta = { name : string; write : bool; manual : bool }
+type meta = { name : string; write : bool; manual : bool; init_only : bool }
 
-(** [declare ?manual ~write name] registers a site; [name] must be unique.
-    [manual] defaults to true (assume required unless stated otherwise).
-    Call at module initialisation, before threads run. *)
-val declare : ?manual:bool -> write:bool -> string -> id
+(** [declare ?manual ?init_only ~write name] registers a site; [name]
+    must be unique.  [manual] defaults to true (assume required unless
+    stated otherwise), [init_only] to false; [~init_only:true] on a write
+    site raises [Invalid_argument].  Call at module initialisation,
+    before threads run. *)
+val declare : ?manual:bool -> ?init_only:bool -> write:bool -> string -> id
 
 val anonymous_read : id
 val anonymous_write : id
@@ -28,6 +36,10 @@ val anonymous_write : id
     workloads. *)
 
 val meta : id -> meta
+
+(** [is_init_only id] is [(meta id).init_only], read on the barrier's hot
+    path. *)
+val is_init_only : id -> bool
 val count : unit -> int
 val find : string -> id option
 

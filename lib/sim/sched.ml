@@ -1,4 +1,5 @@
 exception Fiber_failure of int * exn
+exception Budget_exceeded of { tid : int; cycles : int }
 
 type resume = Finished | Yielded
 
@@ -23,6 +24,10 @@ type sched = {
   heap : fiber array;
   mutable heap_len : int;
   mutable deadline : int;
+  (* Default mode's cycle budget: no fiber's clock may pass it.  Every
+     deadline is clipped to it, so the check costs nothing until a
+     fiber reaches it. *)
+  max_cycles : int;
   mutable switches : int;
   finish : int array;
   (* Controlled mode (systematic testing): when set, every consume/yield
@@ -91,10 +96,15 @@ let heap_peek_vtime s = if s.heap_len = 0 then max_int else s.heap.(0).vtime
 
 let next_deadline s =
   let head = heap_peek_vtime s in
-  if head = max_int then max_int else head + s.quantum
+  min s.max_cycles (if head = max_int then max_int else head + s.quantum)
+
+let over_budget s f =
+  if f.vtime >= s.max_cycles then
+    raise (Budget_exceeded { tid = f.id; cycles = f.vtime })
 
 let reschedule ctx =
   let s = ctx.sched and f = ctx.fiber in
+  over_budget s f;
   (* Only switch if someone else is actually behind us in virtual time;
      otherwise just extend the deadline. *)
   if heap_peek_vtime s <= f.vtime then Effect.perform Yield
@@ -113,6 +123,7 @@ let consume ctx c =
 
 let yield ctx =
   ctx.fiber.vtime <- ctx.fiber.vtime + 1;
+  if not ctx.sched.controlled then over_budget ctx.sched ctx.fiber;
   if ctx.sched.heap_len > 0 then begin
     if ctx.sched.controlled then ctx.sched.pending_point <- Yield_point;
     Effect.perform Yield
@@ -150,7 +161,7 @@ let pick_controlled s (control : control) =
     Some f
   end
 
-let run ?(quantum = 200) ?control ~threads () =
+let run ?(quantum = 200) ?(max_cycles = max_int) ?control ~threads () =
   let n = Array.length threads in
   let dummy = { id = -1; vtime = 0; state = Done } in
   let s =
@@ -159,6 +170,7 @@ let run ?(quantum = 200) ?control ~threads () =
       heap = Array.make (max n 1) dummy;
       heap_len = 0;
       deadline = 0;
+      max_cycles;
       switches = 0;
       finish = Array.make (max n 1) 0;
       controlled = Option.is_some control;
@@ -172,7 +184,10 @@ let run ?(quantum = 200) ?control ~threads () =
     let handler : (resume, resume) Effect.Deep.handler =
       {
         retc = (fun r -> r);
-        exnc = (fun e -> raise (Fiber_failure (i, e)));
+        exnc =
+          (function
+          | Budget_exceeded _ as e -> raise e
+          | e -> raise (Fiber_failure (i, e)));
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with

@@ -32,16 +32,27 @@ type control = ready:int array -> current:int -> point:point -> int
     points with a single runnable fiber resume it without consulting the
     control, so decision indices are stable across replays. *)
 
-(** [run ?quantum ?control ~threads ()] executes [threads.(i) ctx] for each
-    [i] as a fiber and returns the completed simulation.  [quantum]
-    (default 200) is the preemption grain in cycles.
+(** [run ?quantum ?max_cycles ?control ~threads ()] executes
+    [threads.(i) ctx] for each [i] as a fiber and returns the completed
+    simulation.  [quantum] (default 200) is the preemption grain in
+    cycles.  [max_cycles] (default unbounded) is a budget on every
+    fiber's virtual clock in default mode: a fiber that reaches it
+    raises {!Budget_exceeded}, so a run that cannot finish (a walk round
+    a cyclic structure, a spin nobody ends) fails at once instead of
+    hanging.  A run that stays under the budget is scheduled exactly as
+    without one.
 
     With [control] the scheduler runs in {e controlled mode}: virtual-time
     ordering and the quantum are ignored, every [consume] and [yield] with
     another runnable fiber suspends the caller, and [control] picks who
     runs next — the systematic-testing hook ({!Captured_check}). *)
 val run :
-  ?quantum:int -> ?control:control -> threads:(ctx -> unit) array -> unit -> t
+  ?quantum:int ->
+  ?max_cycles:int ->
+  ?control:control ->
+  threads:(ctx -> unit) array ->
+  unit ->
+  t
 
 (** [consume ctx c] charges [c] virtual cycles to the calling fiber; may
     switch to another fiber. *)
@@ -69,3 +80,7 @@ val switches : t -> int
 exception Fiber_failure of int * exn
 (** Raised by [run] if a fiber raises; carries the thread id and the
     original exception. *)
+
+exception Budget_exceeded of { tid : int; cycles : int }
+(** Raised by [run] when fiber [tid]'s clock reaches the [max_cycles]
+    budget; [cycles] is its clock then. *)

@@ -185,7 +185,9 @@ let full_read ~for_write tx addr =
     end
 
 (* The read barrier; [for_write] takes the read-for-write path at an
-   instrumented access. *)
+   instrumented access.  A plain read at an init-only site is served
+   after the write-set probe: under +lazy an init store whose capture
+   check was bypassed sits in the buffer, not in memory. *)
 let read_with ~site ~for_write tx addr =
   let st = tx.stats in
   st.reads <- st.reads + 1;
@@ -212,6 +214,19 @@ let read_with ~site ~for_write tx addr =
     tx.platform.consume Costs.redo_lookup;
     let value = Write_set.value tx.wset redo_i in
     emit_read tx.tid addr value Instrumented;
+    value
+  end
+  else if (not for_write) && Site.is_init_only site then begin
+    (* Init-only read: the word was stored while its block was captured
+       (or before any thread ran) and cannot change until the block is
+       freed, so it needs no capture check and no read-log entry.  The
+       pointer that reached the block came through a validated read,
+       and under +ebr the block is not recarved while this attempt lives
+       (DESIGN.md, "Init-only reads"). *)
+    Elision.count_elided st ~is_write:false Elided_init;
+    tx.platform.consume Costs.direct_access;
+    let value = mem_get tx addr in
+    emit_read tx.tid addr value Elided_init;
     value
   end
   else begin

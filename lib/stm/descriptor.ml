@@ -27,6 +27,7 @@ type access_class =
   | Elided_stack
   | Elided_heap
   | Elided_private
+  | Elided_init
 
 type event =
   | Ev_begin of { attempt : int }

@@ -16,13 +16,14 @@ open Descriptor
 (* The per-class counter of an access. *)
 let count_elided (st : Stats.t) ~is_write cls =
   match (is_write, cls) with
-  | _, Instrumented -> ()
+  | _, Instrumented | true, Elided_init (* reads only *) -> ()
   | false, Elided_static ->
       st.reads_elided_static <- st.reads_elided_static + 1
   | false, Elided_stack -> st.reads_elided_stack <- st.reads_elided_stack + 1
   | false, Elided_heap -> st.reads_elided_heap <- st.reads_elided_heap + 1
   | false, Elided_private ->
       st.reads_elided_private <- st.reads_elided_private + 1
+  | false, Elided_init -> st.reads_elided_init <- st.reads_elided_init + 1
   | true, Elided_static ->
       st.writes_elided_static <- st.writes_elided_static + 1
   | true, Elided_stack ->

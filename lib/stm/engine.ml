@@ -143,7 +143,7 @@ let collect w threads makespan wall per_thread_wall =
     resident_words = Memory.resident_words w.memory;
   }
 
-let run_sim ?control ?(seed = 42) w body =
+let run_sim ?control ?max_cycles ?(seed = 42) w body =
   let threads = Array.make w.nthreads None in
   let fibers =
     Array.init w.nthreads (fun tid ctx ->
@@ -157,7 +157,7 @@ let run_sim ?control ?(seed = 42) w body =
         body th)
   in
   let (sim, wall) =
-    Clock.time (fun () -> Sched.run ?control ~threads:fibers ())
+    Clock.time (fun () -> Sched.run ?control ?max_cycles ~threads:fibers ())
   in
   let threads =
     Array.map (function Some th -> th | None -> assert false) threads

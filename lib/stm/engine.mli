@@ -65,13 +65,15 @@ type result = {
           {!Captured_tmem.Memory.resident_words} *)
 }
 
-(** [run_sim ?control ?seed world body] executes [body thread]
+(** [run_sim ?control ?max_cycles ?seed world body] executes [body thread]
     for each of the world's logical threads on simulator fibers.
     Deterministic for a fixed [seed].  [control] switches the scheduler to
     controlled mode (see {!Captured_sim.Sched.run}) for systematic
-    schedule exploration. *)
+    schedule exploration; [max_cycles] bounds every thread's virtual
+    clock ({!Captured_sim.Sched.Budget_exceeded}). *)
 val run_sim :
   ?control:Captured_sim.Sched.control ->
+  ?max_cycles:int ->
   ?seed:int ->
   world ->
   (Txn.thread -> unit) ->

@@ -10,6 +10,7 @@ type t = {
   mutable reads_elided_heap : int;
   mutable reads_elided_private : int;
   mutable reads_elided_static : int;
+  mutable reads_elided_init : int;
   mutable reads_forwarded : int;
   mutable reads_line_mate : int;
   mutable writes_elided_stack : int;
@@ -84,6 +85,7 @@ let create () =
     reads_elided_heap = 0;
     reads_elided_private = 0;
     reads_elided_static = 0;
+    reads_elided_init = 0;
     reads_forwarded = 0;
     reads_line_mate = 0;
     writes_elided_stack = 0;
@@ -196,6 +198,8 @@ let counters =
       (fun t v -> t.reads_elided_private <- v);
     sum "reads_elided_static" (fun t -> t.reads_elided_static)
       (fun t v -> t.reads_elided_static <- v);
+    sum "reads_elided_init" (fun t -> t.reads_elided_init)
+      (fun t v -> t.reads_elided_init <- v);
     sum "reads_forwarded" (fun t -> t.reads_forwarded)
       (fun t v -> t.reads_forwarded <- v);
     sum "reads_line_mate" (fun t -> t.reads_line_mate)
@@ -322,7 +326,7 @@ let sum xs =
 
 let reads_elided t =
   t.reads_elided_stack + t.reads_elided_heap + t.reads_elided_private
-  + t.reads_elided_static
+  + t.reads_elided_static + t.reads_elided_init
 
 let writes_elided t =
   t.writes_elided_stack + t.writes_elided_heap + t.writes_elided_private

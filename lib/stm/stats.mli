@@ -23,6 +23,10 @@ type t = {
   mutable reads_elided_heap : int;
   mutable reads_elided_private : int;
   mutable reads_elided_static : int;
+  mutable reads_elided_init : int;
+      (** Plain reads at a site declared init-only
+          ({!Captured_core.Site.declare}): loaded directly, with no
+          capture check and no read-log entry. *)
   mutable reads_forwarded : int;
       (** Instrumented reads of an address the attempt had already read,
           answered from the read log without the orec sandwich (a subset
@@ -222,6 +226,9 @@ val pairs : t -> (int * int * int) list
     descending count. *)
 
 val reads_elided : t -> int
+(** Every elided read: the four capture classes and the init-only
+    reads. *)
+
 val writes_elided : t -> int
 val abort_ratio : t -> float
 (** aborts / commits — the paper's Table 1 metric. *)

@@ -203,14 +203,17 @@ val tx_work : tx -> int -> unit
     boundary reports an event carrying the value it moved.  The default is
     [None] and costs one ref load per barrier. *)
 
-(** How the barrier treated the access: fully instrumented, or elided by
-    one of the capture-analysis verdicts (paper Figure 2). *)
+(** How the barrier treated the access: fully instrumented, elided by
+    one of the capture-analysis verdicts (paper Figure 2), or — reads
+    only — loaded directly at an init-only site
+    ({!Captured_core.Site.declare}). *)
 type access_class =
   | Instrumented
   | Elided_static
   | Elided_stack
   | Elided_heap
   | Elided_private
+  | Elided_init
 
 type event =
   | Ev_begin of { attempt : int }  (** top-level (re)start *)

@@ -3,8 +3,10 @@ module Site = Captured_core.Site
 type handle = int
 
 (* Layout: [0]=nbuckets, [1..nbuckets] = Tlist handles. *)
-let site_nbuckets_r = Site.declare ~write:false "hashtable.nbuckets_r"
-let site_bucket_r = Site.declare ~write:false "hashtable.bucket_r"
+let site_nbuckets_r =
+  Site.declare ~init_only:true ~write:false "hashtable.nbuckets_r"
+let site_bucket_r =
+  Site.declare ~init_only:true ~write:false "hashtable.bucket_r"
 let site_init_nbuckets =
   Site.declare ~manual:false ~write:true "hashtable.init.nbuckets"
 let site_init_bucket =

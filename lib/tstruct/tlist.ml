@@ -21,9 +21,11 @@ let h_size = 1
    in STAMP, i.e. pure compiler over-instrumentation. *)
 let s = Printf.sprintf
 
-let site_traverse_key = Site.declare ~write:false (s "list.traverse.key")
+let site_traverse_key =
+  Site.declare ~init_only:true ~write:false (s "list.traverse.key")
 let site_traverse_next = Site.declare ~write:false (s "list.traverse.next")
-let site_find_val = Site.declare ~write:false (s "list.find.val")
+let site_find_val =
+  Site.declare ~init_only:true ~write:false (s "list.find.val")
 let site_node_init_key =
   Site.declare ~manual:false ~write:true (s "list.node_init.key")
 let site_node_init_val =

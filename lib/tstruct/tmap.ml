@@ -17,7 +17,7 @@ let site_root_r = Site.declare ~write:false "map.root_r"
 let site_root_w = Site.declare ~write:true "map.root_w"
 let _site_size_r = Site.declare ~write:false "map.size_r"
 let _site_size_w = Site.declare ~write:true "map.size_w"
-let site_key_r = Site.declare ~write:false "map.key_r"
+let site_key_r = Site.declare ~init_only:true ~write:false "map.key_r"
 let site_val_r = Site.declare ~write:false "map.val_r"
 let site_val_w = Site.declare ~write:true "map.val_w"
 let site_left_r = Site.declare ~write:false "map.left_r"

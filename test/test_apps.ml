@@ -6,6 +6,13 @@ module Alloc_log = Captured_core.Alloc_log
 
 let check = Alcotest.(check bool)
 
+(* Every simulated run here stops at this many virtual cycles on any
+   thread ([Sched.Budget_exceeded]): a run that cannot finish, such as a
+   walk round a cyclic map, fails in about a second instead of holding
+   the suite.  The longest run here, an app at bench scale on four
+   threads, takes under a million cycles. *)
+let max_cycles = 50_000_000
+
 let apps () = Registry.all
 
 let configs =
@@ -40,7 +47,8 @@ let check_forwarded app (s : Stats.t) =
    must run to completion and satisfy its own verifier. *)
 let test_app_config app cfg nthreads () =
   match
-    App.run_checked app ~nthreads ~scale:App.Test ~mode:(`Sim 7) cfg
+    App.run_checked ~max_cycles app ~nthreads ~scale:App.Test ~mode:(`Sim 7)
+      cfg
   with
   | Ok r ->
       check "committed something" true (r.Engine.stats.Stats.commits > 0);
@@ -56,7 +64,7 @@ let test_app_compiler_sound app () =
   in
   Captured_tmir.Capture_analysis.apply analysis;
   let p = app.App.prepare ~nthreads:2 ~scale:App.Test Config.audit in
-  let r = Engine.run_sim ~seed:11 p.App.world p.App.body in
+  let r = Engine.run_sim ~max_cycles ~seed:11 p.App.world p.App.body in
   Captured_core.Site.reset_verdicts ();
   Alcotest.(check int)
     "no static-capture violations" 0
@@ -66,7 +74,7 @@ let test_app_compiler_sound app () =
 let test_app_deterministic app () =
   let run () =
     let p = app.App.prepare ~nthreads:4 ~scale:App.Test Config.baseline in
-    let r = Engine.run_sim ~seed:3 p.App.world p.App.body in
+    let r = Engine.run_sim ~max_cycles ~seed:3 p.App.world p.App.body in
     (r.Engine.makespan, r.Engine.stats.Stats.commits,
      r.Engine.stats.Stats.aborts)
   in
@@ -84,7 +92,7 @@ let test_app_elision_profile app () =
           (Captured_tmir.Capture_analysis.analyze (Lazy.force app.App.model))
     | _ -> ());
     let p = app.App.prepare ~nthreads:1 ~scale:App.Test cfg in
-    let r = Engine.run_sim ~seed:5 p.App.world p.App.body in
+    let r = Engine.run_sim ~max_cycles ~seed:5 p.App.world p.App.body in
     Captured_core.Site.reset_verdicts ();
     Stats.reads_elided r.Engine.stats + Stats.writes_elided r.Engine.stats
   in
@@ -104,8 +112,10 @@ let test_app_elision_profile app () =
 (* Bench-scale smoke: the parameters the harness really uses must verify
    too (Test scale alone could hide size-dependent bugs). *)
 let test_app_bench_scale app () =
-  match App.run_checked app ~nthreads:4 ~scale:App.Bench ~mode:(`Sim 2)
-          Config.baseline with
+  match
+    App.run_checked ~max_cycles app ~nthreads:4 ~scale:App.Bench
+      ~mode:(`Sim 2) Config.baseline
+  with
   | Ok r -> check "ran" true (r.Engine.stats.Stats.commits > 0)
   | Error m -> Alcotest.failf "bench-scale verify failed: %s" m
 
@@ -131,7 +141,8 @@ let test_app_mode_matrix app () =
           base |> Config.with_fastpath ~on:fp |> Config.with_tvalidate ~on:tv
         in
         match
-          App.run_checked app ~nthreads:1 ~scale:App.Test ~mode:(`Sim 7) cfg
+          App.run_checked ~max_cycles app ~nthreads:1 ~scale:App.Test
+            ~mode:(`Sim 7) cfg
         with
         | Ok r -> r
         | Error m ->
@@ -183,7 +194,7 @@ let test_app_mode_matrix app () =
 (* Hybrid config: verifies and still elides at least as much as nothing. *)
 let test_app_hybrid app () =
   match
-    App.run_checked app ~nthreads:4 ~scale:App.Test ~mode:(`Sim 7)
+    App.run_checked ~max_cycles app ~nthreads:4 ~scale:App.Test ~mode:(`Sim 7)
       (Config.runtime_hybrid Alloc_log.Tree)
   with
   | Ok r ->
@@ -208,7 +219,7 @@ let test_app_durable app () =
   let p = app.App.prepare ~nthreads:2 ~scale:App.Test cfg in
   let w = Wal.create ~group:cfg.Config.wal_group () in
   Engine.attach_wal p.App.world w;
-  let r = Engine.run_sim ~seed:9 p.App.world p.App.body in
+  let r = Engine.run_sim ~max_cycles ~seed:9 p.App.world p.App.body in
   Wal.sync w;
   (match p.App.verify () with
   | Ok () -> ()
@@ -241,7 +252,7 @@ let test_app_write_set_law app () =
     let cfg = Result.get_ok (Config.of_string spelling) in
     let p = app.App.prepare ~nthreads:1 ~scale:App.Test cfg in
     Engine.attach_wal p.App.world (Wal.create ~group:cfg.Config.wal_group ());
-    let r = Engine.run_sim ~seed:1 p.App.world p.App.body in
+    let r = Engine.run_sim ~max_cycles ~seed:1 p.App.world p.App.body in
     (match p.App.verify () with
     | Ok () -> ()
     | Error m -> Alcotest.failf "%s verify failed: %s" spelling m);
@@ -294,7 +305,10 @@ let test_intruder_scales () =
     Result.get_ok (Config.of_string "tree+scope:hw+tv+lazy+wal+ebr")
   in
   let makespan nthreads =
-    match App.run_checked app ~nthreads ~scale:App.Test ~mode:(`Sim 1) cfg with
+    match
+      App.run_checked ~max_cycles app ~nthreads ~scale:App.Test ~mode:(`Sim 1)
+        cfg
+    with
     | Ok r -> r.Engine.makespan
     | Error m -> Alcotest.failf "intruder at %d threads: %s" nthreads m
   in
@@ -302,6 +316,76 @@ let test_intruder_scales () =
   ignore (makespan 16 : int);
   check "4-thread makespan <= 0.45 x 1-thread" true
     (float_of_int m4 <= 0.45 *. float_of_int m1)
+
+(* A reservation whose type word names no resource table is reported
+   by vacation's verifier, naming the customer and the reservation, not
+   raised as an out-of-bounds index.  Records as in vacation.ml: a
+   customer is {id, reservation list}, a reservation's info record
+   {type, resource id, price}. *)
+let test_vacation_bad_type_word () =
+  let module Access = Captured_tstruct.Access in
+  let module Tmap = Captured_tstruct.Tmap in
+  let module Tlist = Captured_tstruct.Tlist in
+  let w = Engine.create ~nthreads:1 Config.baseline in
+  let acc = Access.of_arena (Engine.global_arena w) in
+  let site = Captured_core.Site.anonymous_write in
+  let customers = Tmap.create acc in
+  let info = acc.Access.alloc 3 in
+  let reserve ~cid ~key ~rtype =
+    let c = acc.Access.alloc 2 and lst = Tlist.create acc in
+    acc.Access.write ~site c cid;
+    acc.Access.write ~site (c + 1) lst;
+    acc.Access.write ~site info rtype;
+    acc.Access.write ~site (info + 1) 5;
+    acc.Access.write ~site (info + 2) 100;
+    ignore (Tlist.insert acc lst ~key ~value:info : bool);
+    ignore (Tmap.insert acc customers ~key:cid ~value:c : bool)
+  in
+  reserve ~cid:3 ~key:41 ~rtype:1;
+  (match Vacation.tally_reservations acc customers with
+  | Ok t ->
+      Alcotest.(check (option int)) "tallied" (Some 1)
+        (Hashtbl.find_opt t (1, 5))
+  | Error m -> Alcotest.failf "a sound reservation failed: %s" m);
+  acc.Access.write ~site info 7;
+  match Vacation.tally_reservations acc customers with
+  | Ok _ -> Alcotest.fail "a type word of 7 passed"
+  | Error m ->
+      Alcotest.(check string) "names the reservation"
+        (Printf.sprintf
+           "customer 3: reservation 41 (info %d) has type 7, not in 0..2"
+           info)
+        m
+
+(* The budget at work: a treap whose root is its own left child sends
+   a lookup below every key round the cycle until the budget ends it. *)
+let test_cyclic_map_fails_within_budget () =
+  let module Access = Captured_tstruct.Access in
+  let module Tmap = Captured_tstruct.Tmap in
+  let module Txn = Captured_stm.Txn in
+  let module Memory = Captured_tmem.Memory in
+  let w = Engine.create ~nthreads:1 (Config.runtime Alloc_log.Tree) in
+  let setup = Access.of_arena (Engine.global_arena w) in
+  let m = Tmap.create setup in
+  for k = 1 to 7 do
+    ignore (Tmap.insert setup m ~key:k ~value:k : bool)
+  done;
+  let mem = Engine.memory w in
+  let root = Memory.get mem m in
+  (* Node layout as in tmap.ml: key, value, left, right. *)
+  Memory.set mem (root + 2) root;
+  let started = Sys.time () in
+  (match
+     Engine.run_sim ~max_cycles ~seed:1 w (fun th ->
+         ignore
+           (Txn.atomic th (fun tx -> Tmap.find (Access.of_tx tx) m 0)
+             : int option))
+   with
+  | _ -> Alcotest.fail "a walk round a cyclic map finished"
+  | exception Captured_sim.Sched.Budget_exceeded { tid; cycles } ->
+      Alcotest.(check int) "the walking thread" 0 tid;
+      check "stopped at the budget" true (cycles >= max_cycles));
+  check "within seconds" true (Sys.time () -. started < 30.)
 
 let () =
   Alcotest.run "apps"
@@ -311,5 +395,15 @@ let () =
           [
             Alcotest.test_case "intruder 1/4/16 threads" `Quick
               test_intruder_scales;
+          ] );
+        ( "vacation verifier",
+          [
+            Alcotest.test_case "bad type word is an error" `Quick
+              test_vacation_bad_type_word;
+          ] );
+        ( "budget",
+          [
+            Alcotest.test_case "cyclic map fails within the budget" `Quick
+              test_cyclic_map_fails_within_budget;
           ] );
       ])

@@ -796,6 +796,124 @@ let test_reclaim_green_with_ebr_torture () =
     (Workloads.reclaim_micros ~nthreads:2)
 
 (* ------------------------------------------------------------------ *)
+(* Init-only declarations                                              *)
+
+(* A site declared init-only although the word it reads is rewritten
+   after publication: the oracle's self-test. *)
+let init_site =
+  Captured_core.Site.declare ~init_only:true ~write:false
+    "check.test.init_only_key"
+
+(* Thread 0 publishes a node whose first word it stores while the node
+   is captured, waits until thread 1 has committed a read of that word
+   through [init_site], then (with [rewrite]) stores to the word again:
+   the published word changes under a declaration that says it cannot.
+   Every schedule orders the read before the rewrite. *)
+let init_rewrite ~rewrite =
+  {
+    Workloads.name = (if rewrite then "init_rewrite" else "init_read");
+    nthreads = 2;
+    reclaim_oracle = false;
+    floors = [];
+    prepare =
+      (fun config ->
+        let world =
+          Engine.create ~global_words:1024 ~stack_words:256 ~arena_words:1024
+            ~nthreads:2
+            { config with Config.orec_bits = 10 }
+        in
+        let arena = Engine.global_arena world in
+        let ptr = Alloc.alloc arena 1 and seen = Alloc.alloc arena 1 in
+        let rec wait th cell =
+          if Txn.atomic th (fun tx -> Txn.read tx cell) = 0 then begin
+            Txn.work th 4;
+            Txn.yield_hint th;
+            wait th cell
+          end
+        in
+        let body th =
+          if Txn.thread_id th = 0 then begin
+            Txn.atomic th (fun tx ->
+                let n = Txn.alloc tx 2 in
+                Txn.write tx n 7;
+                Txn.write tx ptr n);
+            wait th seen;
+            if rewrite then
+              Txn.atomic th (fun tx ->
+                  let n = Txn.read tx ptr in
+                  Txn.write tx n 8)
+          end
+          else begin
+            wait th ptr;
+            Txn.atomic th (fun tx ->
+                let n = Txn.read tx ptr in
+                Txn.write tx seen (Txn.read_at ~site:init_site tx n))
+          end
+        in
+        { App.world; body; verify = (fun () -> Ok ()) });
+  }
+
+let init_modes =
+  configs
+  @ List.map Config.with_lazy [ tree; Config.with_tvalidate tree ]
+  @ [ Config.with_ebr tree; Config.compiler; Config.with_lazy Config.baseline ]
+
+let test_init_rewrite_red_everywhere () =
+  List.iter
+    (fun config ->
+      let name = Config.to_string config in
+      let explore ~rewrite =
+        Harness.explore ~workload:(init_rewrite ~rewrite) ~config
+          ~strategy:Strategy.Random ~runs:20 ~seed:5 ~minimize:false ()
+      in
+      let clean = explore ~rewrite:false and red = explore ~rewrite:true in
+      Alcotest.(check int) (name ^ ": reading alone is silent") 0
+        clean.Harness.violations;
+      Alcotest.(check int) (name ^ ": every rewrite flagged") red.Harness.runs
+        red.Harness.violations;
+      match red.Harness.first with
+      | Some f ->
+          Alcotest.(check string) (name ^ ": kind") "init-only-rewrite"
+            f.Harness.violation.Oracle.kind
+      | None -> Alcotest.failf "%s: rewrite not flagged" name)
+    init_modes
+
+let init_rd addr value = Txn.Ev_read { addr; value; cls = Txn.Elided_init }
+
+(* The rule on hand-built histories: a raw store and another attempt's
+   store to a word read init-only are flagged; a store by the attempt
+   that allocated the block, or after the block was allocated again, is
+   not. *)
+let test_oracle_init_only_rule () =
+  let kind v = Option.map (fun (v : Oracle.violation) -> v.kind) v in
+  let alloc = Txn.Ev_alloc { addr = 10; size = 2 } in
+  let check_kind what want events =
+    Alcotest.(check (option string)) what want (kind (run_oracle events))
+  in
+  check_kind "raw store flagged" (Some "init-only-rewrite")
+    [
+      (0, Txn.Ev_begin { attempt = 0 }); (0, init_rd 10 0); (0, Txn.Ev_commit);
+      (1, Txn.Ev_raw_write { addr = 10; value = 5 });
+    ];
+  check_kind "peer's store flagged" (Some "init-only-rewrite")
+    [
+      (0, Txn.Ev_begin { attempt = 0 }); (0, init_rd 10 0);
+      (1, Txn.Ev_begin { attempt = 0 }); (1, wr 10 5);
+    ];
+  check_kind "allocating attempt exempt" None
+    [
+      (1, Txn.Ev_begin { attempt = 0 }); (1, alloc); (1, wr 10 5);
+      (0, Txn.Ev_begin { attempt = 0 }); (0, init_rd 10 5); (0, Txn.Ev_commit);
+      (1, wr 10 6); (1, Txn.Ev_abort { user = false });
+    ];
+  check_kind "reallocation resets" None
+    [
+      (0, Txn.Ev_begin { attempt = 0 }); (0, init_rd 10 0); (0, Txn.Ev_commit);
+      (1, Txn.Ev_begin { attempt = 0 }); (1, alloc); (1, Txn.Ev_commit);
+      (2, Txn.Ev_raw_write { addr = 10; value = 5 });
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Sweep verdict floors, on synthetic cells: a cell that never         *)
 (* exercised what it claims to check is vacuous, whatever the oracle   *)
 (* said                                                                *)
@@ -971,6 +1089,8 @@ let () =
           Alcotest.test_case "partial abort rollback" `Quick
             test_oracle_partial_abort_rollback;
           Alcotest.test_case "final state" `Quick test_oracle_final_state;
+          Alcotest.test_case "init-only rewrite rule" `Quick
+            test_oracle_init_only_rule;
         ] );
       ( "minimize",
         [
@@ -1028,6 +1148,8 @@ let () =
             test_privatize_race_red_without_ebr;
           Alcotest.test_case "green with +ebr (30-seed torture)" `Slow
             test_reclaim_green_with_ebr_torture;
+          Alcotest.test_case "init-only rewrite red in every mode" `Quick
+            test_init_rewrite_red_everywhere;
         ] );
       ( "verdict",
         [

@@ -689,7 +689,20 @@ let test_site_declare_meta () =
   let m = Site.meta s in
   check "name" true (m.Site.name = "test.site.alpha");
   check "write" true m.Site.write;
-  check "manual" false m.Site.manual
+  check "manual" false m.Site.manual;
+  check "not init-only" false m.Site.init_only
+
+(* An init-only site reads words no one writes after publication; a
+   write site cannot be one. *)
+let test_site_init_only () =
+  let s = Site.declare ~init_only:true ~write:false "test.site.init" in
+  check "init-only" true (Site.meta s).Site.init_only;
+  check "is_init_only" true (Site.is_init_only s);
+  check "anonymous read is not" false (Site.is_init_only Site.anonymous_read);
+  Alcotest.check_raises "write site"
+    (Invalid_argument "Site.declare: init-only write site test.site.init_w")
+    (fun () ->
+      ignore (Site.declare ~init_only:true ~write:true "test.site.init_w"))
 
 let test_site_duplicate_rejected () =
   ignore (Site.declare ~write:false "test.site.dup");
@@ -801,6 +814,7 @@ let () =
         [
           Alcotest.test_case "declare/meta" `Quick test_site_declare_meta;
           Alcotest.test_case "duplicate" `Quick test_site_duplicate_rejected;
+          Alcotest.test_case "init-only" `Quick test_site_init_only;
           Alcotest.test_case "verdicts" `Quick test_site_verdicts;
           Alcotest.test_case "by name" `Quick test_site_by_name;
         ] );

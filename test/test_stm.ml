@@ -1029,15 +1029,21 @@ let test_line_mate_moved_orec () =
    stopped re-reading: it now makes no line-mate read (seven of its ten
    came back when the rotations' reads of the fresh node's child links,
    which follow the thread's own captured stores to them, were put
-   back).  yada, also allocation-heavy, keeps the tree+fp+ebr row. *)
+   back).  yada, also allocation-heavy, keeps the tree+fp+ebr row.
+   intruder left the list when its fragment reads, the line-mate reads
+   of its multi-line fragment records, became init-only reads
+   ([Site.declare ~init_only]), which log nothing: its rows were tree
+   201_630, then 200_181, 201_907, 192_412 and 185_541, and
+   tree+scope:hw+lazy+tv 172_039, then 171_746, 172_034, 163_586 and
+   158_752.  labyrinth (grid reads) and bayes under the lazy engine
+   took their places. *)
 let line_mate_refs =
   [
-    (* was 201_630, then 200_181, then 201_907, then 192_412 *)
-    ("intruder", "tree", 185_541);
-    (* was 172_039, then 171_746, then 172_034, then 163_586 *)
-    ("intruder", "tree+scope:hw+lazy+tv", 158_752);
-    (* was 24_087 *)
-    ("yada", "tree+fp+ebr", 20_507);
+    ("labyrinth", "tree", 57_401);
+    ("bayes", "tree+scope:hw+lazy+tv", 105_152);
+    (* was 24_087, then 20_507; moved when yada's vertex and element
+       reads became init-only *)
+    ("yada", "tree+fp+ebr", 14_583);
   ]
 
 let test_line_mate_identity () =
@@ -3261,6 +3267,17 @@ let static_price () =
     (fun tx b -> ignore (Txn.read_at ~site:price_static_site tx b : int))
     ()
 
+(* An init-only read loads its word directly: no capture check and no
+   read-log entry, so no validation or commit share either.  Under
+   +lazy the write-set probe still runs first. *)
+let price_init_site =
+  Site.declare ~init_only:true ~write:false "stm.test.price_init_only"
+
+let init_read_price ?cfg ~expected () =
+  lines_price ?cfg ~expected
+    (fun tx m -> ignore (Txn.read_at ~site:price_init_site tx m : int))
+    ()
+
 (* Each runtime backend without +fp: an access its check elides (a stack
    check, then a probe of a one-block log that hits), read and written,
    and a fresh read after the same checks miss an empty log. *)
@@ -3305,6 +3322,12 @@ let price_cases =
          price_write);
     Alcotest.test_case "write owned (line-mate)" `Quick test_price_owned_write;
     Alcotest.test_case "read elided (compiler, static)" `Quick static_price;
+    Alcotest.test_case "read init-only" `Quick
+      (init_read_price ~expected:Costs.direct_access);
+    Alcotest.test_case "read init-only (+lazy)" `Quick
+      (init_read_price
+         ~cfg:(Config.with_lazy (Config.runtime Alloc_log.Tree))
+         ~expected:(Costs.redo_summary_check + Costs.direct_access));
     Alcotest.test_case "read elided (tree+fp, check included)" `Quick
       (captured_price
          (Config.with_fastpath (Config.runtime Alloc_log.Tree))

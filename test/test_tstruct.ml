@@ -671,6 +671,145 @@ let prop_map_find_or_add =
           = Int_map.bindings final))
 
 (* ------------------------------------------------------------------ *)
+(* Init-only contract: the barrier loads a word read at an init-only
+   site with no validation, so no operation may store to such a word of
+   a node linked before it began.  [init_words walk] is every address a
+   full [walk] reads at an init-only site; [kept_init_words] runs [op]
+   over an accessor that records every address written and names the
+   first write to one of those words. *)
+
+let init_words th walk =
+  let raw = Access.raw th in
+  let words = Hashtbl.create 64 in
+  walk
+    {
+      raw with
+      Access.read =
+        (fun ~site a ->
+          if Captured_core.Site.is_init_only site then
+            Hashtbl.replace words a ();
+          raw.Access.read ~site a);
+    };
+  words
+
+let kept_init_words th ~walk what op =
+  let fixed = init_words th walk in
+  let raw = Access.raw th in
+  let written = ref [] in
+  let r =
+    op
+      {
+        raw with
+        Access.write =
+          (fun ~site a v ->
+            written := a :: !written;
+            raw.Access.write ~site a v);
+      }
+  in
+  match List.find_opt (Hashtbl.mem fixed) (List.rev !written) with
+  | Some a -> Error (Printf.sprintf "%s stored to init-only word %d" what a)
+  | None -> Ok r
+
+(* Random scripts of treap insert, update, find_or_add and remove and
+   list insert and remove on one map and one list: no operation stores
+   to a key word of a node linked before it, nor to a list value. *)
+let prop_init_only_contract =
+  QCheck.Test.make ~name:"operations keep init-only words" ~count:300
+    QCheck.(list (pair (int_range 0 5) (int_range 0 40)))
+    (fun script ->
+      with_acc (fun acc th _ ->
+          let m = Tmap.create acc and l = Tlist.create acc in
+          let walk_map a = ignore (Tmap.fold a m ~init:() ~f:(fun () _ _ -> ()))
+          and walk_list a =
+            ignore (Tlist.fold a l ~init:() ~f:(fun () _ _ -> ()))
+          in
+          List.for_all
+            (fun (op, k) ->
+              let walk, what, run =
+                match op with
+                | 0 ->
+                    ( walk_map, "Tmap.insert",
+                      fun a -> ignore (Tmap.insert a m ~key:k ~value:k : bool) )
+                | 1 ->
+                    ( walk_map, "Tmap.update",
+                      fun a ->
+                        ignore (Tmap.update a m ~key:k ~value:(k + 1) : bool) )
+                | 2 ->
+                    ( walk_map, "Tmap.find_or_add",
+                      fun a ->
+                        ignore
+                          (Tmap.find_or_add a m ~key:k ~make:(fun () -> k)
+                            : int) )
+                | 3 ->
+                    ( walk_map, "Tmap.remove",
+                      fun a -> ignore (Tmap.remove a m k : bool) )
+                | 4 ->
+                    ( walk_list, "Tlist.insert",
+                      fun a ->
+                        ignore (Tlist.insert a l ~key:k ~value:k : bool) )
+                | _ ->
+                    ( walk_list, "Tlist.remove",
+                      fun a -> ignore (Tlist.remove a l k : bool) )
+              in
+              let what = Printf.sprintf "%s %d" what k in
+              match kept_init_words th ~walk what run with
+              | Ok () -> true
+              | Error e -> QCheck.Test.fail_reportf "%s" e)
+            script))
+
+(* The textbook BST removal the contract rules out: a node with two
+   children takes its in-order successor's key and value, and the
+   successor is unlinked instead.  Node layout as in tmap.ml: key,
+   value, left, right; the header's first word is the root. *)
+let copying_remove (acc : Access.t) h key =
+  let site = Captured_core.Site.anonymous_read
+  and wsite = Captured_core.Site.anonymous_write in
+  let rec leftmost link n =
+    let l = acc.read ~site (n + 2) in
+    if l = 0 then (link, n) else leftmost (l + 2) l
+  in
+  let rec go link n =
+    if n <> 0 then begin
+      let k = acc.read ~site n in
+      if key < k then go (n + 2) (acc.read ~site (n + 2))
+      else if key > k then go (n + 3) (acc.read ~site (n + 3))
+      else
+        let l = acc.read ~site (n + 2) and r = acc.read ~site (n + 3) in
+        if l = 0 || r = 0 then begin
+          acc.write ~site:wsite link (if l = 0 then r else l);
+          acc.free n
+        end
+        else begin
+          let slink, s = leftmost (n + 3) r in
+          acc.write ~site:wsite n (acc.read ~site s);
+          acc.write ~site:wsite (n + 1) (acc.read ~site (s + 1));
+          acc.write ~site:wsite slink (acc.read ~site (s + 3));
+          acc.free s
+        end
+    end
+  in
+  go h (acc.read ~site h)
+
+let test_copying_remove_breaks_contract () =
+  with_acc (fun acc th _ ->
+      let m = Tmap.create acc in
+      for k = 1 to 15 do
+        ignore (Tmap.insert acc m ~key:k ~value:k : bool)
+      done;
+      let walk a = ignore (Tmap.fold a m ~init:() ~f:(fun () _ _ -> ())) in
+      (* 8 has the most trailing zeros: the root, with two children. *)
+      (match
+         kept_init_words th ~walk "copying remove 8" (fun a ->
+             copying_remove a m 8)
+       with
+      | Ok () -> Alcotest.fail "a removal that copies a key passed"
+      | Error _ -> ());
+      check "Tmap.remove keeps them" true
+        (Result.is_ok
+           (kept_init_words th ~walk "Tmap.remove 4" (fun a ->
+                ignore (Tmap.remove a m 4 : bool)))))
+
+(* ------------------------------------------------------------------ *)
 (* Thashtable *)
 
 let test_hashtable_basic () =
@@ -893,6 +1032,8 @@ let () =
             test_map_benchmark_depths;
           Alcotest.test_case "powers of two chain" `Quick
             test_map_powers_of_two;
+          Alcotest.test_case "copying removal breaks init-only keys" `Quick
+            test_copying_remove_breaks_contract;
         ] );
       ( "thashtable",
         [ Alcotest.test_case "basic" `Quick test_hashtable_basic ] );
@@ -905,6 +1046,7 @@ let () =
           prop_map_inorder_sorted;
           prop_map_find_or_add;
           prop_map_depth_vs_hashed;
+          prop_init_only_contract;
           prop_hashtable_vs_model;
         ];
       ( "read-for-write",
