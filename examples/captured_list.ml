@@ -48,9 +48,15 @@ let run config =
   in
   let r = Engine.run_sim ~seed:1 world body in
   let s = r.Engine.stats in
-  Printf.printf "%-34s reads %6d (elided %5d)  writes %5d (elided %5d)  makespan %8d\n"
-    (Config.to_string config) s.Stats.reads (Stats.reads_elided s) s.Stats.writes
-    (Stats.writes_elided s) r.Engine.makespan
+  (* The list's keys and values are init-only reads, loaded directly in
+     every configuration; the capture elisions are counted apart. *)
+  Printf.printf
+    "%-18s reads %6d (captured %5d, init-only %5d)  writes %5d (captured \
+     %5d)  makespan %8d\n"
+    (Config.to_string config) s.Stats.reads
+    (Stats.reads_elided s - s.Stats.reads_elided_init)
+    s.Stats.reads_elided_init s.Stats.writes (Stats.writes_elided s)
+    r.Engine.makespan
 
 let () =
   print_endline
