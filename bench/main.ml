@@ -1,11 +1,14 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation (Section 4), plus a Bechamel section (calibrate, each priced
    path's native time beside its Costs price), an ablation section for the
-   design choices DESIGN.md calls out, and one A/B section for the
-   configuration tokens.
+   design choices DESIGN.md calls out, a pins section of single runs that
+   guard the simulator's schedule, and one A/B section for the
+   configuration tokens.  The simulated sections, fig8 to pins, print the
+   same bytes on every run; bench/dune diffs them against two recorded
+   copies, one per scale, that `dune promote` re-records.
 
    Usage: main.exe [--quick] [--only fig8,table1,ab:fp,...] [--app NAME,...]
-   Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b ablation
+   Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b ablation pins
    contention scale wal calibrate, and ab:TOKEN[@BASE] (BASE defaults to
    tree+fp+ebr): every app at 1 and 16 threads, seeds 1-8 (seed 1 under
    --quick), under BASE without TOKEN and BASE with it.  With no --only,
@@ -791,6 +794,47 @@ let ablation () =
     [ 8; 10; 12; 14; 17; 18 ]
 
 (* ------------------------------------------------------------------ *)
+(* Pins: single runs that guard the simulator's schedule                *)
+
+(* App, config spelling, threads, seed, and what the cell guards.  Any
+   change to a scheduling decision moves commits, aborts or makespan of
+   some cell; the recorded copies (bench/dune) turn that into a diff. *)
+let pin_cells =
+  [
+    ("vacation-low", "baseline", 4, 3, "eager undo log, no capture checks");
+    ("vacation-low", "baseline+fp+tv", 4, 3, "global-clock validation");
+    ("vacation-low", "tree", 4, 3, "runtime capture analysis");
+    ("vacation-low", "tree+fp+tv", 4, 3, "capture fast path, global clock");
+    ("vacation-low", "tree+lazy", 4, 3, "lazy acquire and redo publish");
+    ("vacation-low", "tree+tv+lazy", 4, 3, "lazy commit, global clock");
+    ("vacation-low", "tree+tv+lazy+wal", 4, 3, "durable commit record");
+    ("kmeans-low", "tree", 2, 7, "nothing captured, hot read-for-write");
+    ( "bayes",
+      "tree+lazy",
+      16,
+      1,
+      "starvation under partial lazy read-for-write rules" );
+    ("bayes", "tree+tv+lazy", 16, 1, "the same starvation, global clock");
+  ]
+
+let pins () =
+  headline "Pins: single simulator runs (commits, aborts, makespan)";
+  List.iter
+    (fun (name, spelling, nthreads, seed, guards) ->
+      match List.find_opt (fun app -> app.App.name = name) apps with
+      | None -> ()
+      | Some app ->
+          let cfg = config spelling in
+          let r = run_sim app cfg ~nthreads ~seed in
+          let s = r.Engine.stats in
+          Printf.printf
+            "%-14s %-16s %2d thr seed %d  commits %6d  aborts %6d  makespan \
+             %9d  %s\n"
+            name (Config.to_string cfg) nthreads seed s.Stats.commits
+            s.Stats.aborts r.Engine.makespan guards)
+    pin_cells
+
+(* ------------------------------------------------------------------ *)
 (* Contention: abort behaviour of the retry backoff vs thread count      *)
 
 (* Share of all thread time spent in retry backoff. *)
@@ -1135,6 +1179,7 @@ let sections =
     ("fig11a", fig11a);
     ("fig11b", fig11b);
     ("ablation", ablation);
+    ("pins", pins);
     ("contention", contention);
     ("scale", scale_section);
     ("wal", wal_section);

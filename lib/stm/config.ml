@@ -57,9 +57,6 @@ let runtime ?(scope = full_scope) backend =
 
 let compiler = { default with analysis = Compiler }
 
-let runtime_hybrid ?(scope = full_scope) backend =
-  { default with analysis = Runtime backend; scope; static_filter = true }
-
 let with_fastpath ?(on = true) t = { t with fastpath = on }
 let with_tvalidate ?(on = true) t = { t with tvalidate = on }
 

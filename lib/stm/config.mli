@@ -114,10 +114,6 @@ val baseline : t
 val runtime : ?scope:scope -> Captured_core.Alloc_log.backend -> t
 val compiler : t
 
-(** Runtime capture analysis + compiler shared-site filtering: barriers at
-    definitely-shared sites skip the runtime checks entirely. *)
-val runtime_hybrid : ?scope:scope -> Captured_core.Alloc_log.backend -> t
-
 (** [with_fastpath t] enables ([?on:false]: disables) the hierarchical
     capture-check fast path. *)
 val with_fastpath : ?on:bool -> t -> t

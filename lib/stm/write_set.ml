@@ -66,7 +66,6 @@ let addr t i = t.log_addrs.(i)
 let value t i = t.log_vals.(i)
 let set_value t i v = t.log_vals.(i) <- v
 let stamp t i = t.log_stamps.(i)
-let set_stamp t i s = t.log_stamps.(i) <- s
 
 let grow xs = Array.append xs (Array.make (Array.length xs) 0)
 

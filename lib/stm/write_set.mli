@@ -52,8 +52,6 @@ val set_value : t -> int -> int -> unit
 (** Scope serial stamped on the [i]-th log entry. *)
 val stamp : t -> int -> int
 
-val set_stamp : t -> int -> int -> unit
-
 (** Append a fresh entry. The address must not be present ([find]
     returned [-1]). Grows the log and index as needed. *)
 val insert : t -> int -> int -> stamp:int -> unit

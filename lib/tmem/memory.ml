@@ -125,20 +125,6 @@ let blit_to_array t src dst dst_pos len =
       done)
     src dst_pos len
 
-let rec all_zero a pos n =
-  n = 0 || (a.(pos) = 0 && all_zero a (pos + 1) (n - 1))
-
-let blit_of_array t src src_pos dst len =
-  if dst <= 0 then invalid_arg "Memory.blit_of_array";
-  check_blit t dst src src_pos len;
-  pieces
-    (fun i off pos n ->
-      let c = t.chunks.(i) in
-      if c != zero_chunk then Array.blit src pos c off n
-      else if not (all_zero src pos n) then
-        Array.blit src pos (materialize t i) off n)
-    dst src_pos len
-
 let copy t =
   {
     t with

@@ -54,8 +54,6 @@ val blit_to_array : t -> addr -> int array -> int -> int -> unit
 (** [blit_to_array t src dst dst_pos len] copies words out of memory (used
     by workloads privatising data). *)
 
-val blit_of_array : t -> int array -> int -> addr -> int -> unit
-
 (** {2 Resident chunks} *)
 
 val chunk_words : int

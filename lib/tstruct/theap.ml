@@ -31,7 +31,6 @@ let create (acc : Access.t) ?(capacity = 16) () =
   h
 
 let size (acc : Access.t) h = acc.read ~site:site_size_r (h + h_size)
-let is_empty acc h = size acc h = 0
 
 let slot (acc : Access.t) data k = acc.read ~site:site_slot_r (data + k)
 let set_slot (acc : Access.t) data k v = acc.write ~site:site_slot_w (data + k) v
@@ -74,10 +73,6 @@ let insert (acc : Access.t) (cmp : cmp) h v =
   in
   up n;
   acc.write ~site:site_size_w (h + h_size) (n + 1)
-
-let peek (acc : Access.t) h =
-  if is_empty acc h then None
-  else Some (slot acc (acc.read ~site:site_data_r (h + h_data)) 0)
 
 let pop (acc : Access.t) (cmp : cmp) h =
   let n = size_for_write acc h in

@@ -13,4 +13,3 @@ val create : Access.t -> ?capacity:int -> unit -> handle
 val size : Access.t -> handle -> int
 val insert : Access.t -> cmp -> handle -> int -> unit
 val pop : Access.t -> cmp -> handle -> int option
-val peek : Access.t -> handle -> int option

@@ -254,28 +254,6 @@ let remove (acc : Access.t) h key =
   in
   go root_link (acc.read ~site:site_root_r (h + h_root))
 
-let find_le (acc : Access.t) h key =
-  let rec go n best =
-    if n = 0 then best
-    else
-      let k = key_of acc n in
-      if k = key then Some (k, acc.read ~site:site_val_r (n + f_val))
-      else if k < key then
-        go (right_of acc n) (Some (k, acc.read ~site:site_val_r (n + f_val)))
-      else go (left_of acc n) best
-  in
-  go (acc.read ~site:site_root_r (h + h_root)) None
-
-let min_binding (acc : Access.t) h =
-  let rec go n =
-    if n = 0 then None
-    else
-      let l = left_of acc n in
-      if l = 0 then Some (key_of acc n, acc.read ~site:site_val_r (n + f_val))
-      else go l
-  in
-  go (acc.read ~site:site_root_r (h + h_root))
-
 let fold (acc : Access.t) h ~init ~f =
   let rec go n acc_v =
     if n = 0 then acc_v

@@ -36,11 +36,6 @@ val contains : Access.t -> handle -> int -> bool
 (** [remove acc map key] — false if absent; frees the node. *)
 val remove : Access.t -> handle -> int -> bool
 
-(** [find_le acc map key] — greatest (key', value) with key' <= key. *)
-val find_le : Access.t -> handle -> int -> (int * int) option
-
-val min_binding : Access.t -> handle -> (int * int) option
-
 (** In-order fold (read-only traversal). *)
 val fold : Access.t -> handle -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 

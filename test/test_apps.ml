@@ -195,7 +195,7 @@ let test_app_mode_matrix app () =
 let test_app_hybrid app () =
   match
     App.run_checked ~max_cycles app ~nthreads:4 ~scale:App.Test ~mode:(`Sim 7)
-      (Config.runtime_hybrid Alloc_log.Tree)
+      (Result.get_ok (Config.of_string "tree+sf"))
   with
   | Ok r ->
       check "ran" true (r.Engine.stats.Stats.commits > 0);

@@ -629,8 +629,7 @@ let test_zero_alloc_lazy_captured () =
 (* A whole one-thread transaction — begin, [n] full-barrier writes,
    commit — allocates the same few words at every size, and never a
    retry closure, a boxed result, a scope or a log.  The body closure is
-   built before the count starts.  Was 9 words while the runner's retry
-   loop was a closure and a commit boxed its result.  A durable commit
+   built before the count starts.  A durable commit
    encodes its write set straight into the log's pending buffer, so it
    too allocates the same words at every size: 7 more, the record writer
    and the append's result pair ([Wal.append_commit]).  Its transactions
@@ -658,182 +657,6 @@ let test_commit_words spelling words () =
   let small = per_commit 8 and large = per_commit 512 in
   Alcotest.(check (float 0.)) "minor words per commit, any size" small large;
   Alcotest.(check (float 0.)) "minor words per commit" words small
-
-(* ------------------------------------------------------------------ *)
-(* Simulator determinism: the hot-path rewrite must not change a single
-   scheduling decision.  Reference numbers captured from the simulator
-   before the native-backend work; any drift in commits, aborts or
-   virtual makespan means replay/exploration traces are invalidated. *)
-
-(* Every vacation-low pin was re-pinned when plain reads at init-only
-   sites ([Site.declare ~init_only]: treap and list keys, list values,
-   the customer's list and the reservation's type and id) began to load
-   their word directly, with no capture check and no read-log entry:
-   attempts read less and validate shorter logs, so every schedule
-   shifts; commits stay 160.  kmeans-low reads no init-only site, so
-   its pin does not move.  The figures before that come first in each
-   comment.
-   Before that, every vacation-low pin was re-pinned when the treap
-   began to rank keys by their trailing zero bits before the hash
-   ([Tmap.prio_of_key]): the dense resource ids build a perfectly balanced tree, so every
-   lookup walks fewer nodes; nodes stopped storing their priority, and
-   a removal merges the two subtrees instead of rotating the node down.
-   Attempts read less and run shorter, so every schedule shifts;
-   commits stay 160.  kmeans-low reads no map, so its pin does not
-   move.  The figures before that come first in each comment.
-   Before that, every vacation-low pin was re-pinned when lookups stopped re-reading
-   what they had just read: a reservation keeps the resource node its
-   query found, lets the list insert's presence test replace a separate
-   [Tlist.contains] and gets or creates its customer in one descent
-   ([Tmap.find_or_add]), treap rotations compare key-derived priorities
-   instead of reading stored ones, and a list walk reports the key it
-   stopped on.  Attempts read less and run shorter, so every schedule
-   shifts; commits stay 160.  kmeans-low reads no map or list, so its
-   pin does not move.  The figures before that come second in each
-   comment.
-   Before that, the two baseline vacation-low pins were re-pinned when the eager
-   engine's lossy write-after-write filter gave way to the exact write
-   set both engines share ([Barrier.rewrite]): a rewrite that followed a
-   colliding write used to take a second undo entry and pay
-   [Costs.undo_log_entry] again, and now pays [Costs.waw_hit], so those
-   schedules shift; commits stay 160.  The runtime-analysis pins do not
-   move, nor do kmeans-low and bayes.  The figures before that come
-   first in the comments of the pins that moved.
-   Before that, the three lazy vacation-low pins were re-pinned when a
-   read-for-write began to acquire its orec at the read under +lazy too
-   ([Txn.read_for_write_at]): reservation and cancellation attempts now
-   hold the counters' orecs from the read to commit, and every lazy
-   schedule shifts; commits stay 160.  The eager pins and
-   kmeans-low do not move.  The figures before that come first in the
-   comments of the pins that moved.
-   Before that, every vacation-low pin was re-pinned when a read under an orec
-   already in the read log became one data load and one orec load
-   ([Barrier.unowned_read]'s line-mate path, 16 cycles cheaper than the
-   full barrier it replaced) and an eager abort that stored in place
-   began to release fresh orec words ([Commit.abort_word]): readers that
-   logged such an orec now abort or rescue instead of finding the old
-   word back.  Commits stay 160; kmeans-low never reads a line-mate and
-   aborts nothing it wrote in place, so its pin does not move.  The
-   figures before that come first in each comment, and each older
-   figure named below sits one place further on.
-   Before that, the four eager vacation-low pins were re-pinned when reservation and
-   cancellation counters, and every kmeans update, began to read through
-   [Txn.read_for_write_at]: the read acquires the orec and logs no read,
-   so those attempts run shorter and hold the orec from the read on, and
-   every schedule shifts; commits stay 160 and 198.  The lazy pins do
-   not move: under [+lazy] a read-for-write is a read.  The figures
-   before that come first in the comments of the pins that moved.
-   Before that, every vacation-low pin was re-pinned when an attempt that owns no
-   orec learned to wait out a lock up to its redo break-even
-   ([Lock_wait.spin_on_lock]): vacation's read logs are long enough that its
-   readers now wait past [Costs.spin_limit] spins instead of spinning
-   out, so every schedule with such a wait shifts; commits stay 160.
-   kmeans-low's pin does not move: its two-entry read logs keep the old
-   budget.  Previous (aborts, makespan) first in each comment.  Before
-   that, every pin was re-pinned when a lock-wait abort learned to end
-   its backoff as soon as the orec that stopped it is released
-   ([Lock_wait.backoff]): a retry now starts at the blocker's release instead
-   of the window's end, so every schedule with a spun-out reader or
-   writer shifts; commits stay 160 and 198 (the figures second in each
-   comment).  Before that, every pin was re-pinned when the
-   conflict granule became a property of the block: records (at most 8
-   words) got one orec per word, arrays kept aligned 4-word lines
-   ([Alloc], [Orec.index_of]), tree nodes and reservations stopped
-   sharing orecs and arrays moved to the top of their arena (the older
-   figures third in each comment).  Before that, every vacation-low pin
-   was re-pinned when validation learned to rescue a read whose orec a
-   line-mate's commit moved but whose word it left alone
-   ([Validation.rescue_entry]); before that, the default backoff's exponential
-   window was capped at [Costs.backoff_max_shift] = 5 doublings. *)
-let sim_refs =
-  let tree = Config.runtime Alloc_log.Tree in
-  [
-    (* was 47, 128644; 65, 160136; 53, 155180; 54, 152470; 51, 148410;
-       67, 162117; 79, 172722; 65, 152518; 109, 178113 *)
-    ("baseline", Config.baseline, 57, 107904);
-    (* was 38, 136683; 42, 135583; 49, 154849; 44, 163196; 38, 144631;
-       49, 151266; 62, 162396; 82, 170107; 110, 175729 *)
-    ( "baseline+fp+tv",
-      Config.with_fastpath (Config.with_tvalidate Config.baseline),
-      35,
-      101309 );
-    (* was 44, 125416; 50, 144334; 41, 146651; 40, 161928; 53, 175141;
-       57, 158201; 57, 153243; 95, 204794 *)
-    ("tree", tree, 36, 82298);
-    (* was 27, 107237; 33, 109013; 45, 139490; 32, 132184; 39, 133810;
-       60, 145671; 38, 132014; 82, 155692 *)
-    ("tree+fp+tv", Config.with_fastpath (Config.with_tvalidate tree), 40, 84473);
-    (* Commit-path coverage: the lazy acquire and the durable commit
-       record. *)
-    (* was 29, 114947; 36, 125198; 54, 168660; 31, 149424; 36, 165311;
-       45, 174786; 35, 160849; 52, 163639 *)
-    ("tree+lazy", Config.with_lazy tree, 27, 92984);
-    (* was 33, 125125; 31, 110489; 50, 201871; 39, 187098; 38, 225948;
-       49, 173221; 38, 202566; 47, 172114 *)
-    ("tree+lazy+tv", Config.with_lazy (Config.with_tvalidate tree), 29, 90421);
-    (* was 27, 118756; 35, 144651; 46, 172733; 44, 164142; 50, 195181;
-       48, 172071; 42, 166995; 57, 224093 *)
-    ( "tree+lazy+tv+wal",
-      Config.with_durable (Config.with_lazy (Config.with_tvalidate tree)),
-      46,
-      108482 );
-  ]
-
-let test_sim_determinism (name, config, aborts, makespan) () =
-  let r =
-    App.run vacation ~nthreads:4 ~scale:App.Test ~mode:(`Sim 3) config
-  in
-  check_int (name ^ " commits") 160 r.Engine.stats.Stats.commits;
-  check_int (name ^ " aborts") aborts r.Engine.stats.Stats.aborts;
-  check_int (name ^ " makespan") makespan r.Engine.makespan
-
-let test_sim_determinism_kmeans () =
-  let kmeans = Option.get (Registry.find "kmeans-low") in
-  let r =
-    App.run kmeans ~nthreads:2 ~scale:App.Test ~mode:(`Sim 7)
-      (Config.runtime Alloc_log.Tree)
-  in
-  check_int "commits" 198 r.Engine.stats.Stats.commits;
-  (* was 15, 42345 before every update read through
-     [Txn.read_for_write_at]; 33, 47189: the 8-word counters record now
-     takes eight orecs; then 15, 42096 before lock-wait aborts ended
-     their backoff at the blocker's release *)
-  check_int "aborts" 6 r.Engine.stats.Stats.aborts;
-  check_int "makespan" 35854 r.Engine.makespan
-
-(* Starvation guard for the lazy read-for-write.  bayes's long apply
-   transaction updates the task heap's header at commit while 15 peers
-   poll the heap, mostly empty, each pop acquiring the header's orec at
-   its read.  With the acquisition made on every read-for-write the
-   polls serialize on the header and the apply commits; a rule that
-   acquires early only while the attempt holds no orec mixes early and
-   commit-time acquisition, lets empty-heap polls lock the header the
-   apply needs at commit, and multiplied the polls: under tree+lazy
-   here, commits 3 867 -> 941 460 and makespan 80 319 -> 17 999 290.
-   Any such partial rule moves these pins by far more than schedule
-   drift would.  Before the lazy read-for-write acquired, the pins were
-   5 417 commits in 104 773 cycles (tree+lazy) and 6 164 in 116 529
-   (tree+lazy+tv).  Both moved again when list and treap walks stopped
-   re-reading the key they stopped on and the stored priorities: the
-   apply reads less, every schedule shifts, and the polls between its
-   commits change with it.  Both moved again when list keys, the task
-   records and the adtree became init-only reads
-   ([Site.declare ~init_only]): the apply and the polls log fewer reads
-   and run shorter. *)
-let bayes_refs =
-  let tree = Config.runtime Alloc_log.Tree in
-  [
-    (* was 3617, 78380; 3867, 80319 *)
-    ("tree+lazy", Config.with_lazy tree, 2458, 58803);
-    (* was 3641, 84276; 3248, 84496 *)
-    ("tree+lazy+tv", Config.with_lazy (Config.with_tvalidate tree), 2614, 66715);
-  ]
-
-let test_sim_determinism_bayes (name, config, commits, makespan) () =
-  let bayes = Option.get (Registry.find "bayes") in
-  let r = App.run bayes ~nthreads:16 ~scale:App.Test ~mode:(`Sim 1) config in
-  check_int (name ^ " commits") commits r.Engine.stats.Stats.commits;
-  check_int (name ^ " makespan") makespan r.Engine.makespan
 
 (* ------------------------------------------------------------------ *)
 
@@ -914,19 +737,4 @@ let () =
           Alcotest.test_case "commit words baseline+lazy+wal" `Quick
             (test_commit_words "baseline+lazy+wal" 9.);
         ] );
-      ( "sim-determinism",
-        List.map
-          (fun ((name, _, _, _) as entry) ->
-            Alcotest.test_case ("vacation-low " ^ name) `Quick
-              (test_sim_determinism entry))
-          sim_refs
-        @ [
-            Alcotest.test_case "kmeans-low tree" `Quick
-              test_sim_determinism_kmeans;
-          ]
-        @ List.map
-            (fun ((name, _, _, _) as entry) ->
-              Alcotest.test_case ("bayes 16 threads " ^ name) `Quick
-                (test_sim_determinism_bayes entry))
-            bayes_refs );
     ]

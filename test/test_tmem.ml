@@ -43,7 +43,7 @@ let prop_unsafe_agrees_with_checked =
 let test_memory_blit () =
   let m = Memory.create ~words:64 in
   let src = [| 1; 2; 3; 4 |] in
-  Memory.blit_of_array m src 0 10 4;
+  Array.iteri (fun i v -> Memory.set m (10 + i) v) src;
   let dst = Array.make 4 0 in
   Memory.blit_to_array m 10 dst 0 4;
   Alcotest.(check (array int)) "roundtrip" src dst
@@ -103,19 +103,12 @@ type mem_op =
   | Set of int * int
   | Unsafe_set of int * int
   | Blit_to of int * int * int  (** src, dst_pos, len *)
-  | Blit_of of int * int * int * int  (** fill, src_pos, dst, len *)
-
-(* A blit source: 0 everywhere for [fill = 0], else every fifth word
-   non-zero. *)
-let blit_source fill =
-  Array.init blit_buf (fun i -> if fill <> 0 && i mod 5 = 0 then fill else 0)
 
 let show_mem_op = function
   | Get a -> Printf.sprintf "get %d" a
   | Set (a, v) -> Printf.sprintf "set %d %d" a v
   | Unsafe_set (a, v) -> Printf.sprintf "unsafe_set %d %d" a v
   | Blit_to (a, p, l) -> Printf.sprintf "blit_to %d [%d] %d" a p l
-  | Blit_of (f, p, a, l) -> Printf.sprintf "blit_of (fill %d) [%d] %d %d" f p a l
 
 let arb_mem_ops =
   let open QCheck.Gen in
@@ -143,10 +136,6 @@ let arb_mem_ops =
         (3, map2 (fun a v -> Set (a, v)) addr value);
         (2, map2 (fun a v -> Unsafe_set (a, v)) valid value);
         (2, map3 (fun a p l -> Blit_to (a, p, l)) addr pos len);
-        ( 2,
-          map3
-            (fun (f, p) a l -> Blit_of (f, p, a, l))
-            (pair value pos) addr len );
       ]
   in
   QCheck.make
@@ -201,17 +190,7 @@ let prop_paging_invisible =
                   Array.blit flat a ref_ p l);
               if mine <> ref_ then
                 QCheck.Test.fail_reportf "%s: copied words differ"
-                  (show_mem_op op)
-          | Blit_of (f, p, a, l) ->
-              let src = blit_source f in
-              same (show_mem_op op)
-                (fun () -> Memory.blit_of_array m src p a l)
-                (fun () ->
-                  if a <= 0 then invalid_arg "Memory.blit_of_array";
-                  Array.blit src p flat a l;
-                  for k = 0 to l - 1 do
-                    wrote (a + k) src.(p + k)
-                  done))
+                  (show_mem_op op))
         ops;
       for a = 1 to paged_words - 1 do
         if Memory.get m a <> flat.(a) then
@@ -233,7 +212,7 @@ let test_memory_resident_words () =
   Memory.blit_to_array m 1 (Array.make cw 0) 0 cw;
   check_int "reads" 0 (Memory.resident_words m);
   Memory.set m (cw + 5) 0;
-  Memory.blit_of_array m (Array.make 10 0) 0 (2 * cw) 10;
+  Memory.set m (2 * cw) 0;
   check_int "zero stores" 0 (Memory.resident_words m);
   Memory.set m (cw + 5) 3;
   check_int "first non-zero store" cw (Memory.resident_words m);

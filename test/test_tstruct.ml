@@ -182,14 +182,6 @@ let test_heap_max_order () =
       Alcotest.(check (list int))
         "ascending after reverse" [ 1; 2; 3; 5; 7; 8; 9 ] (drain []))
 
-let test_heap_peek () =
-  with_acc (fun acc _ _ ->
-      let h = Theap.create acc () in
-      Alcotest.(check (option int)) "empty" None (Theap.peek acc h);
-      Theap.insert acc int_cmp h 4;
-      Theap.insert acc int_cmp h 6;
-      Alcotest.(check (option int)) "max" (Some 6) (Theap.peek acc h))
-
 let test_heap_indirect_cmp () =
   (* yada-style: entries are addresses, ordered by a dereferenced field. *)
   with_acc (fun acc _ _ ->
@@ -277,30 +269,6 @@ let test_map_inorder () =
       let keys = Tmap.fold acc m ~init:[] ~f:(fun a k _ -> k :: a) in
       Alcotest.(check (list int))
         "sorted" [ 1; 2; 3; 5; 8; 9 ] (List.rev keys))
-
-let test_map_find_le () =
-  with_acc (fun acc _ _ ->
-      let m = Tmap.create acc in
-      List.iter
-        (fun k -> ignore (Tmap.insert acc m ~key:k ~value:(k * 2) : bool))
-        [ 10; 20; 30 ];
-      Alcotest.(check (option (pair int int))) "exact" (Some (20, 40))
-        (Tmap.find_le acc m 20);
-      Alcotest.(check (option (pair int int))) "below" (Some (20, 40))
-        (Tmap.find_le acc m 25);
-      Alcotest.(check (option (pair int int))) "under min" None
-        (Tmap.find_le acc m 5))
-
-let test_map_min_binding () =
-  with_acc (fun acc _ _ ->
-      let m = Tmap.create acc in
-      Alcotest.(check (option (pair int int))) "empty" None
-        (Tmap.min_binding acc m);
-      List.iter
-        (fun k -> ignore (Tmap.insert acc m ~key:k ~value:k : bool))
-        [ 7; 3; 9 ];
-      Alcotest.(check (option (pair int int))) "min" (Some (3, 3))
-        (Tmap.min_binding acc m))
 
 let test_map_remove_frees () =
   with_acc (fun acc _ w ->
@@ -1007,7 +975,6 @@ let () =
       ( "theap",
         [
           Alcotest.test_case "max order" `Quick test_heap_max_order;
-          Alcotest.test_case "peek" `Quick test_heap_peek;
           Alcotest.test_case "indirect cmp" `Quick test_heap_indirect_cmp;
         ] );
       ( "tvector",
@@ -1021,8 +988,6 @@ let () =
             test_map_insert_find_remove;
           Alcotest.test_case "update" `Quick test_map_update;
           Alcotest.test_case "inorder" `Quick test_map_inorder;
-          Alcotest.test_case "find_le" `Quick test_map_find_le;
-          Alcotest.test_case "min_binding" `Quick test_map_min_binding;
           Alcotest.test_case "remove frees" `Quick test_map_remove_frees;
           Alcotest.test_case "reads each address once" `Quick
             test_map_reads_once;
