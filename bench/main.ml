@@ -1,6 +1,7 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation (Section 4), plus a Bechamel section (calibrate, each priced
-   path's native time beside its Costs price), an ablation section for the
+   path's native time beside its Costs price, one row per path of the
+   catalogue in bench/paths), an ablation section for the
    design choices DESIGN.md calls out, a pins section of single runs that
    guard the simulator's schedule, and one A/B section for the
    configuration tokens.  The simulated sections, fig8 to pins, print the
@@ -352,69 +353,6 @@ let fig11b () =
 (* ------------------------------------------------------------------ *)
 (* Calibrate: each priced path's native time beside its Costs price     *)
 
-(* Each measured closure runs one transaction of [accesses] operations
-   (plus begin/commit), or a loop of [accesses] bare calls. *)
-let accesses = 64
-
-let line = Captured_stm.Orec.line_words
-
-(* A one-thread world under [cfg] holding an array block of [accesses]
-   lines, one orec each: its thread and each line's first word. *)
-let lines_world cfg =
-  let w = Engine.create ~nthreads:1 cfg in
-  let cell =
-    Captured_tmem.Alloc.alloc (Engine.global_arena w) (accesses * line)
-  in
-  (* An array block: line-aligned, so [m] and [m + 1] are line-mates. *)
-  assert (Captured_stm.Orec.line_words_at (Engine.orecs w) cell = line);
-  (Engine.setup_thread w, Array.init accesses (fun k -> cell + (k * line)))
-
-(* One transaction calling [op tx m] on each line's first word [m]. *)
-let txn_lines ?(cfg = Config.baseline) op =
-  let th, lines = lines_world cfg in
-  Bechamel.Staged.stage (fun () ->
-      Txn.atomic th (fun tx -> Array.iter (op tx) lines))
-
-(* [n] calls of [op tx b] on a block [b] the transaction allocated:
-   captured, so elided under a runtime analysis, or under the compiler
-   analysis at a site it proved captured.  [n] = 0 is their base. *)
-let txn_captured cfg n op =
-  let th = Engine.setup_thread (Engine.create ~nthreads:1 cfg) in
-  Bechamel.Staged.stage (fun () ->
-      Txn.atomic th (fun tx ->
-          let b = Txn.alloc tx accesses in
-          Txn.write tx b 1;
-          for _ = 1 to n do
-            op tx b
-          done;
-          Txn.free tx b))
-
-(* Re-reads: [accesses] lines, each read at two line-mates [m] and
-   [m + 1] (one read-log entry per line, naming the address read last).
-   Then [reread_passes] passes re-read [m + 1] — forwarded from the
-   entry — or alternate [m], [m + 1], ... so each re-read names the
-   address the entry does not and takes the line-mate path (map probe,
-   data load, one orec load against the logged word).  [None]: the first
-   pass only, the baseline both are measured against. *)
-let reread_passes = 64
-
-let txn_rereads forwarded =
-  let th, lines = lines_world Config.baseline in
-  Bechamel.Staged.stage (fun () ->
-      Txn.atomic th (fun tx ->
-          Array.iter
-            (fun m ->
-              ignore (Txn.read tx m : int);
-              ignore (Txn.read tx (m + 1) : int))
-            lines;
-          match forwarded with
-          | None -> ()
-          | Some fwd ->
-              for p = 1 to reread_passes do
-                let d = if fwd then 1 else (p + 1) land 1 in
-                Array.iter (fun m -> ignore (Txn.read tx (m + d) : int)) lines
-              done))
-
 (* Bechamel's OLS estimate, in ns per run, of each test (grouped names,
    "group/test"), sorted by name; [None] where the fit failed. *)
 let bechamel_ns tests =
@@ -439,286 +377,91 @@ let bechamel_ns tests =
     results []
   |> List.sort compare
 
-(* One row per path the cost model prices: its native ns per operation,
-   that time scaled so a fresh read reads its price (the read barrier
-   plus its entry's share of commit validation, 32), and the cycles the
-   simulator charges for the same work.  A barrier row is
-   the difference between two transactions that differ only in the
-   measured operations, divided by their number, so begin, commit and
-   the loop cancel; a raw-read, probe or spin row times a loop of
-   [accesses] bare calls.  The model prices an elided read as its
-   capture check plus [direct_access]; the check rows price the first
-   part, and the elided read the order check uses is the compiler's
-   static elision, which runs no check.  The accesses the runtime
-   analysis elides, check included, are reported beside it, per backend
-   (and for the tree under +fp), with the fresh read each backend's
-   failed check leaves, and so is a published word read at an init-only
-   site, which takes no check and no read-log entry.  The section fails
-   (exit 1) unless the native times keep the model's order: elided < forwarded < fresh read,
-   elided < line-mate read < fresh read, summary reject < backend
-   probe.  It is a calibration aid, not a gate: shared hosts move its
-   figures, so CI does not run it. *)
+(* One row per path in the catalogue (bench/paths, library
+   captured_paths, which test_stm and test_native read as well): its
+   native ns per operation, that time scaled so a fresh read reads its
+   price (the read barrier plus its entry's share of commit validation,
+   32), and the cycles the simulator charges for the same work.  A row is
+   its run with [Captured_paths.max_ops] operations minus its run with
+   none, divided by their number, so its prefix, begin, commit and the
+   loop cancel; a bare row (raw read, probe, spin) times a loop of bare
+   calls.  The model prices an elided read as its capture check plus
+   [direct_access]; the check rows price the first part, and the elided
+   read the order check uses is the compiler's static elision, which
+   runs no check.  The section fails (exit 1) unless the native times
+   keep the model's order: elided < forwarded < fresh read, elided <
+   line-mate read < fresh read, summary reject < backend probe.  It is a
+   calibration aid, not a gate: shared hosts move its figures, so CI does
+   not run it. *)
 let calibrate () =
   let module Costs = Captured_stm.Costs in
-  let module Orec = Captured_stm.Orec in
-  let module Site = Captured_core.Site in
-  let fresh_cycles =
-    Costs.read_barrier + Costs.commit_per_read + Costs.validate_per_read
-  in
+  let module Paths = Captured_paths in
+  let fresh_cycles = (Paths.find "read fresh").price in
   headline
     "Calibrate: native ns per priced path vs Costs (Bechamel; scaled so a \
-     fresh read = %d)"
+     fresh read = %g)"
     fresh_cycles;
   let open Bechamel in
-  let read tx m = ignore (Txn.read tx m : int) in
-  let write tx m = Txn.write tx m 1 in
-  let no_op _ _ = () in
-  (* A fast-path tree log of [blocks] 32-word blocks 64 words apart.
-     Probes below its envelope are summary rejects; probes into the gaps
-     pass the summary, miss the MRU block and take the tree (a miss
-     leaves the MRU entry as it was). *)
-  let blocks = 8 and base = 1 lsl 20 in
-  let log = Alloc_log.create ~fastpath:true Alloc_log.Tree in
-  for k = 0 to blocks - 1 do
-    ignore (Alloc_log.add log ~lo:(base + (64 * k)) ~hi:(base + (64 * k) + 32)
-             : Alloc_log.added)
-  done;
-  let probe_at first k = first + (64 * (k mod (blocks - 1))) in
-  let backend_path =
-    Printf.sprintf "capture backend probe (tree, %d blocks)" blocks
-  in
-  let reject_at = probe_at 0 and gap_at = probe_at (base + 40) in
-  assert (Alloc_log.probe log ~lo:(reject_at 1) ~hi:(reject_at 1 + 1)
-          = Alloc_log.Summary_reject);
-  assert (Alloc_log.probe log ~lo:(gap_at 1) ~hi:(gap_at 1 + 1)
-          = Alloc_log.Backend_miss);
-  let probes at =
-    Staged.stage (fun () ->
-        for k = 0 to accesses - 1 do
-          ignore
-            (Sys.opaque_identity (Alloc_log.probe log ~lo:(at k) ~hi:(at k + 1)))
-        done)
-  in
-  (* A native lock-wait spin: load the orec, find it locked (here by a
-     thread that never comes), relax. *)
-  let lock_spins =
-    let w = Engine.create ~nthreads:1 Config.baseline in
-    let orecs = Engine.orecs w in
-    let locked = Orec.try_lock orecs 0 ~owner:1 ~expected:(Orec.get orecs 0) in
-    assert locked;
-    let platform = Captured_sim.Platform.native in
-    Staged.stage (fun () ->
-        for _ = 1 to accesses do
-          if Orec.is_locked (Orec.get orecs 0) then platform.yield ()
-        done)
-  in
-  (* Loads outside any transaction. *)
-  let raw_reads =
-    let th, lines = lines_world Config.baseline in
-    Staged.stage (fun () ->
-        Array.iter (fun m -> ignore (Txn.raw_read th m : int)) lines)
-  in
-  let static_site = Site.declare ~write:false "calibrate.captured" in
-  Site.set_captured static_site;
-  let static_read tx b = ignore (Txn.read_at ~site:static_site tx b : int) in
-  let init_site =
-    Site.declare ~init_only:true ~write:false "calibrate.init_only"
-  in
-  let cfg_fp = config "tree+fp" and cfg_compiler = config "compiler" in
-  let rereads = reread_passes * accesses in
-  (* Each row's ns per operation, from one round's estimates [est]. *)
-  let per ?base name n est =
-    match (est name, Option.fold ~none:(Some 0.) ~some:est base) with
-    | Some t, Some b -> Some ((t -. b) /. float_of_int n)
-    | _ -> None
-  in
-  let checked = "stack_check + Alloc_log.search_cost" in
-  (* Each runtime backend without +fp: its tests, and its rows for an
-     access its capture check elides (a stack check, then a probe of a
-     one-block log that hits), read and written, and for a fresh read
-     after the same checks miss an empty log. *)
-  let backend_tests, backend_rows =
-    List.split
-      (List.map
-         (fun b ->
-           let cfg = Config.runtime b in
-           let name = Config.to_string cfg in
-           let one_block = Alloc_log.create b in
-           ignore (Alloc_log.add one_block ~lo:base ~hi:(base + accesses)
-                    : Alloc_log.added);
-           let hit =
-             Costs.stack_check + Alloc_log.search_cost one_block
-             + Costs.direct_access
-           in
-           let t s = name ^ "-" ^ s and row what = what ^ " (" ^ name ^ ")" in
-           ( [
-               Test.make ~name:(t "base") (txn_captured cfg 0 no_op);
-               Test.make ~name:(t "captured-reads")
-                 (txn_captured cfg rereads read);
-               Test.make ~name:(t "captured-writes")
-                 (txn_captured cfg rereads write);
-               Test.make ~name:(t "lines") (txn_lines ~cfg no_op);
-               Test.make ~name:(t "failed-check-reads") (txn_lines ~cfg read);
-             ],
-             [
-               ( row "read captured",
-                 per ~base:(t "base") (t "captured-reads") rereads,
-                 hit,
-                 checked ^ " + direct_access" );
-               ( row "write captured",
-                 per ~base:(t "base") (t "captured-writes") rereads,
-                 hit,
-                 checked ^ " + direct_access" );
-               ( row "read after failed check",
-                 per ~base:(t "lines") (t "failed-check-reads") accesses,
-                 Costs.stack_check
-                 + Alloc_log.search_cost (Alloc_log.create b)
-                 + fresh_cycles,
-                 checked ^ " + read fresh" );
-             ] ))
-         Alloc_log.[ Tree; Array; Filter ])
-  in
+  let n = Paths.max_ops in
+  (* Each row's two runs, neighbours in the test list, so each round's
+     difference is taken close in time. *)
   let tests =
     Test.make_grouped ~name:"calibrate"
-      ([
-         Test.make ~name:"raw-reads" raw_reads;
-         Test.make ~name:"lines" (txn_lines no_op);
-         Test.make ~name:"fresh-reads" (txn_lines read);
-         Test.make ~name:"rfw"
-           (txn_lines (fun tx m ->
-                ignore (Txn.read_for_write_at ~site:Site.anonymous_read tx m
-                         : int)));
-         Test.make ~name:"fresh-writes" (txn_lines write);
-         Test.make ~name:"owned-writes"
-           (txn_lines (fun tx m ->
-                for d = 0 to line - 1 do
-                  write tx (m + d)
-                done));
-         Test.make ~name:"reread-base" (txn_rereads None);
-         Test.make ~name:"reread-forwarded" (txn_rereads (Some true));
-         Test.make ~name:"reread-line-mate" (txn_rereads (Some false));
-         Test.make ~name:"init-reads"
-           (txn_lines (fun tx m ->
-                ignore (Txn.read_at ~site:init_site tx m : int)));
-         Test.make ~name:"static-base" (txn_captured cfg_compiler 0 no_op);
-         Test.make ~name:"static-reads"
-           (txn_captured cfg_compiler rereads static_read);
-         Test.make ~name:"runtime-base" (txn_captured cfg_fp 0 no_op);
-         Test.make ~name:"runtime-reads" (txn_captured cfg_fp rereads read);
-       ]
-      @ List.concat backend_tests
-      @ [
-          Test.make ~name:"summary-reject" (probes reject_at);
-          Test.make ~name:"backend-probe" (probes gap_at);
-          Test.make ~name:"lock-spin" lock_spins;
-        ])
-  in
-  (* (path, measurement, simulator cycles, how the model prices it) *)
-  let specs =
-    [
-      ( "read raw (Txn.raw_read)",
-        per "raw-reads" accesses,
-        Costs.direct_access,
-        "direct_access" );
-      ( "read fresh",
-        per ~base:"lines" "fresh-reads" accesses,
-        fresh_cycles,
-        "read_barrier + commit_per_read + validate_per_read" );
-      ( "read line-mate",
-        per ~base:"reread-base" "reread-line-mate" rereads,
-        Costs.read_owned,
-        "read_owned" );
-      ( "read forwarded",
-        per ~base:"reread-base" "reread-forwarded" rereads,
-        Costs.read_owned,
-        "read_owned" );
-      ( "read elided (compiler, static)",
-        per ~base:"static-base" "static-reads" rereads,
-        Costs.direct_access,
-        "direct_access" );
-      ( "read init-only (Site ~init_only)",
-        per ~base:"lines" "init-reads" accesses,
-        Costs.direct_access,
-        "direct_access" );
-      ( "read elided (tree+fp, check included)",
-        per ~base:"runtime-base" "runtime-reads" rereads,
-        Costs.site_check + Costs.stack_check + Costs.capture_summary_check
-        + Costs.direct_access,
-        "site_check + stack_check + capture_summary_check + direct_access" );
-      ( "read-for-write",
-        per ~base:"lines" "rfw" accesses,
-        Costs.write_barrier_acquire + Costs.commit_per_orec,
-        "write_barrier_acquire + commit_per_orec" );
-      ( "write fresh",
-        per ~base:"lines" "fresh-writes" accesses,
-        Costs.write_barrier_acquire + Costs.undo_log_entry
-        + Costs.commit_per_orec,
-        "write_barrier_acquire + undo_log_entry + commit_per_orec" );
-      ( "write owned (line-mate)",
-        per ~base:"fresh-writes" "owned-writes" (accesses * (line - 1)),
-        Costs.write_barrier_owned + Costs.undo_log_entry,
-        "write_barrier_owned + undo_log_entry" );
-    ]
-    @ List.concat backend_rows
-    @ [
-        ( "capture summary reject",
-          per "summary-reject" accesses,
-          Costs.capture_summary_check,
-          "capture_summary_check" );
-        ( backend_path,
-          per "backend-probe" accesses,
-          Costs.capture_summary_check + Costs.capture_mru_check
-          + Alloc_log.search_cost log,
-          "capture_summary_check + capture_mru_check + Alloc_log.search_cost"
-        );
-        ( "lock-spin step",
-          per "lock-spin" accesses,
-          Costs.lock_spin,
-          "lock_spin" );
-      ]
+      (List.concat
+         (List.mapi
+            (fun i (row : Paths.t) ->
+              let w, run = Paths.setup row in
+              let th = Captured_stm.Engine.setup_thread w in
+              List.map
+                (fun ops ->
+                  Test.make
+                    ~name:(Printf.sprintf "%02d-%d" i ops)
+                    (Staged.stage (fun () -> run th ops)))
+                [ 0; n ])
+            Paths.all))
   in
   (* A shared host drifts over the seconds one round takes, so the whole
-     set is measured [rounds] times and each row reports its median; a
-     row and its base are neighbours in the test list, so each round's
-     difference is taken close in time. *)
+     set is measured [rounds] times and each row reports its median. *)
   let rounds = if !quick then 1 else 5 in
   let samples =
     List.init rounds (fun _ ->
         let results = bechamel_ns tests in
-        let est name =
-          Option.join (List.assoc_opt ("calibrate/" ^ name) results)
+        let est i ops =
+          Option.join
+            (List.assoc_opt (Printf.sprintf "calibrate/%02d-%d" i ops) results)
         in
-        List.map (fun (_, measure, _, _) -> measure est) specs)
+        List.mapi
+          (fun i _ ->
+            match (est i n, est i 0) with
+            | Some t, Some b -> Some ((t -. b) /. float_of_int n)
+            | _ -> None)
+          Paths.all)
   in
   let rows =
     List.mapi
-      (fun i (path, _, cycles, model) ->
+      (fun i (row : Paths.t) ->
         let values = List.filter_map (fun round -> List.nth round i) samples in
         let t =
           if List.length values = rounds then Some (Ustats.median values)
           else None
         in
-        (path, t, cycles, model))
-      specs
+        (row, t))
+      Paths.all
   in
-  let ns path =
-    let _, t, _, _ = List.find (fun (p, _, _, _) -> p = path) rows in
-    t
-  in
+  let ns path = List.assoc (Paths.find path) rows in
   let fresh = ns "read fresh" in
-  Printf.printf "%-40s %9s %9s %7s  %s\n" "path" "ns/op" "scaled" "cycles"
+  Printf.printf "%-48s %9s %9s %7s  %s\n" "path" "ns/op" "scaled" "cycles"
     "Costs";
   List.iter
-    (fun (path, t, cycles, model) ->
+    (fun ((row : Paths.t), t) ->
       let scaled =
         match (t, fresh) with
-        | Some t, Some f when f > 0. ->
-            Some (t *. float_of_int fresh_cycles /. f)
+        | Some t, Some f when f > 0. -> Some (t *. fresh_cycles /. f)
         | _ -> None
       in
       let cell = Option.fold ~none:"n/a" ~some:(Printf.sprintf "%.1f") in
-      Printf.printf "%-40s %9s %9s %7d  %s\n" path (cell t) (cell scaled)
-        cycles model)
+      Printf.printf "%-48s %9s %9s %7g  %s\n" row.name (cell t) (cell scaled)
+        row.price row.formula)
     rows;
   (* A reader that owns no orec spins on a lock while the wait costs less
      than re-reading its log: [read_barrier / lock_spin] spins per logged
@@ -743,7 +486,7 @@ let calibrate () =
       [
         [ "read elided (compiler, static)"; "read forwarded"; "read fresh" ];
         [ "read elided (compiler, static)"; "read line-mate"; "read fresh" ];
-        [ "capture summary reject"; backend_path ];
+        [ "capture summary reject"; "capture backend probe (tree, 8 blocks)" ];
       ]
   in
   List.iter

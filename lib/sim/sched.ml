@@ -1,6 +1,20 @@
 exception Fiber_failure of int * exn
 exception Budget_exceeded of { tid : int; cycles : int }
 
+(* An uncaught failure names the thread and what it raised, not
+   [Fiber_failure(6, _)]. *)
+let () =
+  Printexc.register_printer (function
+    | Fiber_failure (tid, e) ->
+        Some
+          (Printf.sprintf "Sched.Fiber_failure: thread %d raised %s" tid
+             (Printexc.to_string e))
+    | Budget_exceeded { tid; cycles } ->
+        Some
+          (Printf.sprintf
+             "Sched.Budget_exceeded: thread %d reached %d cycles" tid cycles)
+    | _ -> None)
+
 type resume = Finished | Yielded
 
 type fiber = {

@@ -79,8 +79,9 @@ val switches : t -> int
 
 exception Fiber_failure of int * exn
 (** Raised by [run] if a fiber raises; carries the thread id and the
-    original exception. *)
+    original exception.  [Printexc.to_string] prints both. *)
 
 exception Budget_exceeded of { tid : int; cycles : int }
 (** Raised by [run] when fiber [tid]'s clock reaches the [max_cycles]
-    budget; [cycles] is its clock then. *)
+    budget; [cycles] is its clock then.  [Printexc.to_string] prints
+    both. *)

@@ -387,6 +387,23 @@ let test_cyclic_map_fails_within_budget () =
       check "stopped at the budget" true (cycles >= max_cycles));
   check "within seconds" true (Sys.time () -. started < 30.)
 
+(* Every site an app's IR model names inside an atomic block is a
+   declared site: [Site.set_captured_by_name] ignores unknown names, so a
+   misspelled label would silently drop the compiler's verdict. *)
+let test_model_sites_declared () =
+  List.iter
+    (fun (app : App.t) ->
+      let labels = Captured_tmir.Ir.atomic_sites (Lazy.force app.model) in
+      check (app.name ^ ": the model names sites") true (labels <> []);
+      List.iter
+        (fun label ->
+          check
+            (Printf.sprintf "%s: model site %S is declared" app.name label)
+            true
+            (Option.is_some (Captured_core.Site.find label)))
+        labels)
+    (apps ())
+
 let () =
   Alcotest.run "apps"
     (List.map suite_for (apps ())
@@ -405,5 +422,10 @@ let () =
           [
             Alcotest.test_case "cyclic map fails within the budget" `Quick
               test_cyclic_map_fails_within_budget;
+          ] );
+        ( "models",
+          [
+            Alcotest.test_case "model sites are declared" `Quick
+              test_model_sites_declared;
           ] );
       ])

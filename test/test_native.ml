@@ -334,297 +334,82 @@ let minor_delta f =
   f ();
   Gc.minor_words () -. before
 
-let test_zero_alloc_full_path () =
-  (* Baseline config: every access takes the full orec-protected barrier
-     (read-set and write-set pushes included). *)
-  let w = Engine.create ~nthreads:1 Config.baseline in
+(* Each path in the catalogue (bench/paths) allocates nothing: its run
+   with 64 and with 512 operations allocates what its run with none
+   does, and its counter, where it has one, moves once per operation.
+   The run's world and thread are reused, after one warm-up run that
+   grows the tx-resident logs past any size the measured runs need. *)
+let zero_alloc_row (row : Captured_paths.t) =
+  let w, run = Captured_paths.setup row in
   let th = Engine.setup_thread w in
-  let span = 2048 in
-  let base = Alloc.alloc (Engine.global_arena w) span in
-  (* Warm-up: grows the tx-resident read/write-set/journal/acquire arrays
-     past any size the measured loops need; the tx record is reused
-     afterwards. *)
-  Txn.atomic th (fun tx ->
-      for k = 0 to span - 1 do
-        Txn.write tx (base + k) (Txn.read tx (base + k) + 1)
-      done;
-      Txn.atomic th (fun tx' ->
-          for k = 0 to span - 1 do
-            Txn.write tx' (base + k) k
-          done));
+  let count () =
+    match row.counter with
+    | Some (_, get) -> get (Txn.thread_stats th)
+    | None -> 0
+  in
   let measure n =
-    Txn.atomic th (fun tx ->
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              Txn.write tx (base + k) (Txn.read tx (base + k) + 1)
-            done))
+    let before = count () in
+    let words = minor_delta (fun () -> run th n) in
+    (words, count () - before)
   in
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "full barriers allocate nothing" small large;
-  (* Each address written twice: an insert, then a rewrite. *)
-  let measure_rewrites n =
-    Txn.atomic th (fun tx ->
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              Txn.write tx (base + k) k;
-              Txn.write tx (base + k) (k + 1)
-            done))
-  in
-  let small = measure_rewrites 64 and large = measure_rewrites 512 in
-  Alcotest.(check (float 0.)) "rewrites allocate nothing" small large;
-  (* A nested scope rewrites the outer scope's entries: a journal entry,
-     then a rewrite of the scope's own.  Opening the scope allocates; the
-     measured loop runs inside it. *)
-  let measure_nested n =
-    Txn.atomic th (fun tx ->
-        for k = 0 to n - 1 do
-          Txn.write tx (base + k) k
-        done;
-        Txn.atomic th (fun tx' ->
-            minor_delta (fun () ->
-                for k = 0 to n - 1 do
-                  Txn.write tx' (base + k) (k + 1);
-                  Txn.write tx' (base + k) (k + 2)
-                done)))
-  in
-  let small = measure_nested 64 and large = measure_nested 512 in
-  Alcotest.(check (float 0.)) "nested rewrites allocate nothing" small large
+  ignore (measure Captured_paths.max_ops : float * int);
+  let none, base = measure 0 in
+  List.iter
+    (fun n ->
+      let words, moved = measure n in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s: %d operations allocate nothing" row.name n)
+        none words;
+      Option.iter
+        (fun (name, _) ->
+          check_int (Printf.sprintf "%s: %s, once per operation" row.name name)
+            n (moved - base))
+        row.counter)
+    [ 64; 512 ]
 
-let test_zero_alloc_elided_path () =
-  (* Runtime capture analysis: accesses to a block allocated inside the
-     transaction are elided down to raw loads/stores. *)
-  let w =
-    Engine.create ~nthreads:1
-      (Config.with_fastpath (Config.runtime Alloc_log.Tree))
-  in
-  let th = Engine.setup_thread w in
-  let measure n =
-    Txn.atomic th (fun tx ->
-        let block = Txn.alloc tx 512 in
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              Txn.write tx (block + k) (Txn.read tx (block + k) + 1)
-            done))
-  in
-  (* One throwaway round warms the capture-log internals. *)
-  ignore (measure 8 : float);
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "elided barriers allocate nothing" small large;
-  let s = Txn.thread_stats th in
-  check "accesses really were elided" true
-    (s.Stats.reads_elided_heap + s.Stats.reads_elided_private > 500)
+(* One case per barrier path, over the rows that take it; every other
+   row is a case of its own. *)
+let zero_alloc_named =
+  [
+    ( "full barrier path",
+      [
+        "read fresh"; "write fresh"; "read owned (line-mate written)";
+        "write owned (line-mate)"; "write rewrite (write-after-write)";
+        "write rewrite (nested scope)";
+      ] );
+    ( "elided barrier path",
+      [
+        "read elided (tree+fp, check included)";
+        "write elided (tree+fp, check included)";
+      ] );
+    ( "bypassed site path",
+      [ "read at a bypassed site (tree+fp)"; "write at a bypassed site (tree+fp)" ]
+    );
+    ("forwarded read path", [ "read forwarded" ]);
+    ("read-for-write path", [ "read-for-write" ]);
+    ("read-for-write path baseline+lazy", [ "read-for-write, then write (+lazy)" ]);
+    ("line-mate read path", [ "read line-mate" ]);
+    ("init-only read path", [ "read init-only (Site ~init_only)" ]);
+    ("init-only read path tree+fp+lazy", [ "read init-only (+lazy)" ]);
+    ( "lazy buffer path baseline+lazy",
+      [ "write, read back and rewrite (baseline+lazy)" ] );
+    ( "lazy buffer path baseline+tv+lazy",
+      [ "write, read back and rewrite (baseline+tv+lazy)" ] );
+    ("lazy captured store path", [ "write captured (tree+fp+lazy)" ]);
+  ]
 
-let init_site =
-  Captured_core.Site.declare ~init_only:true ~write:false "native.test.init"
-
-(* Init-only reads of published words load them directly, on both
-   engines (under +lazy after the write-set probe), and allocate
-   nothing. *)
-let test_zero_alloc_init_path spelling () =
-  let config = Result.get_ok (Config.of_string spelling) in
-  let w = Engine.create ~nthreads:1 config in
-  let th = Engine.setup_thread w in
-  let base = Alloc.alloc (Engine.global_arena w) 512 in
-  let measure n =
-    Txn.atomic th (fun tx ->
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              ignore (Txn.read_at ~site:init_site tx (base + k) : int)
-            done))
+let zero_alloc_cases =
+  let named = List.concat_map snd zero_alloc_named in
+  let case name rows =
+    Alcotest.test_case name `Quick (fun () -> List.iter zero_alloc_row rows)
   in
-  ignore (measure 8 : float);
-  let s = Txn.thread_stats th in
-  let before = s.Stats.reads_elided_init in
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "init-only reads allocate nothing" small large;
-  check_int "every read was init-only" (64 + 512)
-    (s.Stats.reads_elided_init - before)
-
-let bypassed_site =
-  Captured_core.Site.declare ~write:true "native.test.bypassed"
-
-let test_zero_alloc_bypassed_site () =
-  (* +fp site tier: a named site that only ever touches shared memory is
-     bypassed after one window, and its accesses then pay the tier and
-     the full barrier — with no allocation either. *)
-  let w =
-    Engine.create ~nthreads:1
-      (Config.with_fastpath (Config.runtime Alloc_log.Tree))
-  in
-  let th = Engine.setup_thread w in
-  let span = 2048 in
-  let base = Alloc.alloc (Engine.global_arena w) span in
-  let site = bypassed_site in
-  let touch tx n =
-    for k = 0 to n - 1 do
-      Txn.write_at ~site tx (base + k) (Txn.read_at ~site tx (base + k) + 1)
-    done
-  in
-  (* Warm-up: sizes the tx arrays and closes the site's first window. *)
-  Txn.atomic th (fun tx -> touch tx span);
-  let s = Txn.thread_stats th in
-  let bypasses = s.Stats.capture_site_bypasses in
-  let measure n =
-    Txn.atomic th (fun tx -> minor_delta (fun () -> touch tx n))
-  in
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "bypassed barriers allocate nothing" small large;
-  check "accesses really were bypassed" true
-    (s.Stats.capture_site_bypasses - bypasses > 1000)
-
-let test_zero_alloc_forwarded_path () =
-  (* Re-reads of addresses the attempt already read are forwarded from
-     the read log — with no allocation either.  The 512-read leg also
-     empties the validation fuel, which forwarded reads burn, so it
-     covers one zombie-guard validation as well. *)
-  let w = Engine.create ~nthreads:1 Config.baseline in
-  let th = Engine.setup_thread w in
-  (* One cell per conflict-detection line, so each has its own read-log
-     entry (a line-mate's read would take the entry's forwarding pair). *)
-  let line = Orec.line_words and cells = 64 in
-  let base = Alloc.alloc (Engine.global_arena w) (line * cells) in
-  check "an array block: one orec per 4-word line" true
-    (Orec.line_words_at (Engine.orecs w) base = line);
-  let cell k = base + (line * (k land (cells - 1))) in
-  let s = Txn.thread_stats th in
-  let measure n =
-    Txn.atomic th (fun tx ->
-        for k = 0 to cells - 1 do
-          ignore (Txn.read tx (cell k) : int)
-        done;
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              ignore (Txn.read tx (cell k) : int)
-            done))
-  in
-  (* Warm-up: grows the tx-resident read log and its map. *)
-  ignore (measure 8 : float);
-  let forwarded = s.Stats.reads_forwarded in
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "forwarded reads allocate nothing" small large;
-  check_int "every re-read was forwarded" (64 + 512)
-    (s.Stats.reads_forwarded - forwarded)
-
-let test_zero_alloc_line_mate_path () =
-  (* Reads of a line-mate of an address the attempt already read are
-     proved by one orec load against the logged word — with no
-     allocation either.  The measured loop alternates between two other
-     words of each line, so no read is forwarded. *)
-  let w = Engine.create ~nthreads:1 Config.baseline in
-  let th = Engine.setup_thread w in
-  let line = Orec.line_words and cells = 64 in
-  let base = Alloc.alloc (Engine.global_arena w) (line * cells) in
-  check "an array block: one orec per 4-word line" true
-    (Orec.line_words_at (Engine.orecs w) base = line);
-  let cell k = base + (line * (k land (cells - 1))) in
-  let s = Txn.thread_stats th in
-  let measure n =
-    Txn.atomic th (fun tx ->
-        for k = 0 to cells - 1 do
-          ignore (Txn.read tx (cell k) : int)
-        done;
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              ignore (Txn.read tx (cell k + 1 + ((k / cells) land 1)) : int)
-            done))
-  in
-  (* Warm-up: grows the tx-resident read log and its map. *)
-  ignore (measure 8 : float);
-  let mates = s.Stats.reads_line_mate and forwarded = s.Stats.reads_forwarded in
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "line-mate reads allocate nothing" small large;
-  check_int "every read was a line-mate" (64 + 512)
-    (s.Stats.reads_line_mate - mates);
-  check_int "none forwarded" 0 (s.Stats.reads_forwarded - forwarded)
-
-let test_zero_alloc_rfw_path spelling () =
-  (* Read-modify-writes through the read-for-write barrier: the first
-     word of each 4-word line acquires its orec at the read, the others
-     find it owned — with no allocation either.  Under +lazy the writes
-     buffer, and the commit acquires nothing more. *)
-  let w =
-    Engine.create ~nthreads:1 (Result.get_ok (Config.of_string spelling))
-  in
-  let th = Engine.setup_thread w in
-  let span = 2048 in
-  let base = Alloc.alloc (Engine.global_arena w) span in
-  let site = Captured_core.Site.anonymous_read in
-  let touch tx n =
-    for k = 0 to n - 1 do
-      Txn.write tx (base + k) (Txn.read_for_write_at ~site tx (base + k) + 1)
-    done
-  in
-  (* Warm-up: grows the tx-resident undo and acquisition arrays. *)
-  Txn.atomic th (fun tx -> touch tx span);
-  let s = Txn.thread_stats th in
-  let acquired = s.Stats.rfw_acquires and all = s.Stats.orec_acquires in
-  let measure n =
-    Txn.atomic th (fun tx -> minor_delta (fun () -> touch tx n))
-  in
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "read-for-write barriers allocate nothing"
-    small large;
-  check_int "one acquisition per line" ((64 + 512) / Orec.line_words)
-    (s.Stats.rfw_acquires - acquired);
-  check_int "no other acquisition" (s.Stats.rfw_acquires - acquired)
-    (s.Stats.orec_acquires - all)
-
-(* Lazy versioning: a first write inserts a redo entry, the second
-   overwrites it in place, and the read between them is answered from
-   the buffer (read-own-write). *)
-let test_zero_alloc_lazy_buffer spelling () =
-  let w =
-    Engine.create ~nthreads:1 (Result.get_ok (Config.of_string spelling))
-  in
-  let th = Engine.setup_thread w in
-  let span = 2048 in
-  let base = Alloc.alloc (Engine.global_arena w) span in
-  (* Warm-up: grows the tx-resident redo log and its map. *)
-  Txn.atomic th (fun tx ->
-      for k = 0 to span - 1 do
-        Txn.write tx (base + k) k
-      done);
-  let s = Txn.thread_stats th in
-  let hits = s.Stats.redo_hits in
-  let measure n =
-    Txn.atomic th (fun tx ->
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              Txn.write tx (base + k) k;
-              Txn.write tx (base + k) (Txn.read tx (base + k) + 1)
-            done))
-  in
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "buffered writes allocate nothing" small large;
-  check_int "every read was answered from the buffer" (64 + 512)
-    (s.Stats.redo_hits - hits)
-
-(* Lazy versioning with capture analysis: stores into a block the
-   transaction allocated skip the redo buffer and go straight to
-   memory. *)
-let test_zero_alloc_lazy_captured () =
-  let w =
-    Engine.create ~nthreads:1
-      (Result.get_ok (Config.of_string "tree+fp+lazy"))
-  in
-  let th = Engine.setup_thread w in
-  let measure n =
-    Txn.atomic th (fun tx ->
-        let block = Txn.alloc tx 512 in
-        minor_delta (fun () ->
-            for k = 0 to n - 1 do
-              Txn.write tx (block + k) k
-            done))
-  in
-  (* One throwaway round warms the capture-log internals. *)
-  ignore (measure 8 : float);
-  let s = Txn.thread_stats th in
-  let skips = s.Stats.redo_skips in
-  let small = measure 64 and large = measure 512 in
-  Alcotest.(check (float 0.)) "captured direct stores allocate nothing" small
-    large;
-  check_int "every store skipped the buffer" (64 + 512)
-    (s.Stats.redo_skips - skips)
+  List.map
+    (fun (name, rows) -> case name (List.map Captured_paths.find rows))
+    zero_alloc_named
+  @ List.filter_map
+      (fun (row : Captured_paths.t) ->
+        if List.mem row.name named then None else Some (case row.name [ row ]))
+      Captured_paths.all
 
 (* A whole one-thread transaction — begin, [n] full-barrier writes,
    commit — allocates the same few words at every size, and never a
@@ -703,31 +488,8 @@ let () =
               test_vacation_native_fences;
           ] );
       ( "zero-alloc",
-        [
-          Alcotest.test_case "full barrier path" `Quick
-            test_zero_alloc_full_path;
-          Alcotest.test_case "elided barrier path" `Quick
-            test_zero_alloc_elided_path;
-          Alcotest.test_case "bypassed site path" `Quick
-            test_zero_alloc_bypassed_site;
-          Alcotest.test_case "forwarded read path" `Quick
-            test_zero_alloc_forwarded_path;
-          Alcotest.test_case "read-for-write path" `Quick
-            (test_zero_alloc_rfw_path "baseline");
-          Alcotest.test_case "read-for-write path baseline+lazy" `Quick
-            (test_zero_alloc_rfw_path "baseline+lazy");
-          Alcotest.test_case "line-mate read path" `Quick
-            test_zero_alloc_line_mate_path;
-          Alcotest.test_case "init-only read path" `Quick
-            (test_zero_alloc_init_path "baseline");
-          Alcotest.test_case "init-only read path tree+fp+lazy" `Quick
-            (test_zero_alloc_init_path "tree+fp+lazy");
-          Alcotest.test_case "lazy buffer path baseline+lazy" `Quick
-            (test_zero_alloc_lazy_buffer "baseline+lazy");
-          Alcotest.test_case "lazy buffer path baseline+tv+lazy" `Quick
-            (test_zero_alloc_lazy_buffer "baseline+tv+lazy");
-          Alcotest.test_case "lazy captured store path" `Quick
-            test_zero_alloc_lazy_captured;
+        zero_alloc_cases
+        @ [
           Alcotest.test_case "commit words baseline" `Quick
             (test_commit_words "baseline" 2.);
           Alcotest.test_case "commit words baseline+lazy" `Quick
@@ -736,5 +498,5 @@ let () =
             (test_commit_words "baseline+wal" 9.);
           Alcotest.test_case "commit words baseline+lazy+wal" `Quick
             (test_commit_words "baseline+lazy+wal" 9.);
-        ] );
+          ] );
     ]

@@ -110,6 +110,18 @@ let test_fiber_failure () =
     (Sched.Fiber_failure (0, Failure "kaput"))
     boom
 
+(* An uncaught failure prints the thread and the inner exception, or
+   the cycle count, not an opaque [_]. *)
+let test_failure_printers () =
+  Alcotest.(check string) "fiber failure"
+    "Sched.Fiber_failure: thread 6 raised \
+     Invalid_argument(\"Alloc: block not allocated\")"
+    (Printexc.to_string
+       (Sched.Fiber_failure (6, Invalid_argument "Alloc: block not allocated")));
+  Alcotest.(check string) "budget exceeded"
+    "Sched.Budget_exceeded: thread 3 reached 5000 cycles"
+    (Printexc.to_string (Sched.Budget_exceeded { tid = 3; cycles = 5000 }))
+
 let test_self_ids () =
   let seen = Array.make 4 (-1) in
   let _ =
@@ -167,6 +179,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "yield fairness" `Quick test_yield_fairness;
           Alcotest.test_case "fiber failure" `Quick test_fiber_failure;
+          Alcotest.test_case "failure printers" `Quick test_failure_printers;
           Alcotest.test_case "self ids" `Quick test_self_ids;
           Alcotest.test_case "many switches" `Quick
             test_many_fibers_many_switches;

@@ -1469,25 +1469,19 @@ let test_fault_alloc_log_drop_contained () =
 
 let test_fault_stale_read_potent () =
   (* The stale-read fault must be able to break snapshot consistency:
-     some seed loses an update (that is what the checker's oracle is
-     expected to flag).  Containment would make the fault sweep
-     vacuous. *)
-  let cfg = Config.with_fault (Some Fault.Stale_read) Config.baseline in
-  let broken = ref 0 and fired = ref 0 in
-  for seed = 1 to 25 do
-    let w = mk_world ~nthreads:4 cfg in
-    let cell = Alloc.alloc (Engine.global_arena w) 1 in
-    let r =
-      Engine.run_sim ~seed w (fun th ->
-          for _ = 1 to 25 do
-            Txn.atomic th (fun tx -> Txn.write tx cell (Txn.read tx cell + 1))
-          done)
-    in
-    fired := !fired + r.Engine.stats.Stats.faults_injected;
-    if Memory.get (Engine.memory w) cell <> 100 then incr broken
-  done;
-  check "fault fired" true (!fired > 0);
-  check "lost updates occurred" true (!broken > 0)
+     containment would make the fault sweep vacuous.  A free-running
+     schedule opens the fault's window only by luck, so the checker's
+     random walk drives the runs, as @fault-matrix does, and the oracle
+     must flag some run for the update it lost. *)
+  let module Harness = Captured_check.Harness in
+  let r =
+    Harness.explore
+      ~workload:(Captured_check.Workloads.counter ~nthreads:2 ~incs:3)
+      ~config:(Config.with_fault (Some Fault.Stale_read) Config.baseline)
+      ~strategy:Captured_check.Strategy.Random ~runs:200 ~seed:1
+      ~minimize:false ()
+  in
+  check "lost updates flagged" true (r.Harness.violations > 0)
 
 let test_cm_policies_correct_under_contention () =
   let w = mk_world ~nthreads:8 Config.baseline in
@@ -3156,168 +3150,33 @@ let prop_config_roundtrip =
 (* ------------------------------------------------------------------ *)
 (* Path prices                                                          *)
 
-(* The simulator's price of each transactional path bench's calibrate
-   section prints, checked against the Costs expression it prints
-   beside it.  A price is the makespan difference of two one-thread
+(* The price of each path in the catalogue (bench/paths): the cycles
+   the row records must be the Costs expression bench's calibrate
+   section prints beside it, and, for a row the simulator runs, its
+   charge.  That charge is the makespan difference of two one-thread
    runs of one transaction that differ only in the measured operations,
-   divided by their count: begin, commit and the rest cancel.  The
-   makespan pins in test_native say that something moved; these say
-   which path. *)
+   divided by their count: begin, commit and the rest cancel.  A
+   refactor that moves a charge, or a change to a Costs constant, fails
+   here, naming the path. *)
 
-let price_lines = 64
+let price_ops = 64
 
-(* The makespan of one transaction under [cfg] calling [body tx lines],
-   [lines] the first words of [price_lines] lines of an array block, one
-   orec each. *)
-let lines_makespan ?(cfg = Config.baseline) body =
-  let w = Engine.create ~nthreads:1 cfg in
-  let line = Orec.line_words in
-  let cell = Alloc.alloc (Engine.global_arena w) (price_lines * line) in
-  assert (Orec.line_words_at (Engine.orecs w) cell = line);
-  let lines = Array.init price_lines (fun k -> cell + (k * line)) in
-  (Engine.run_sim ~seed:1 w (fun th ->
-       Txn.atomic th (fun tx -> body tx lines)))
-    .Engine.makespan
+let price_case (row : Captured_paths.t) =
+  Alcotest.test_case row.name `Quick (fun () ->
+      Alcotest.(check (float 0.)) ("recorded price: " ^ row.formula)
+        row.cycles row.price;
+      if row.simulated then begin
+        let makespan n =
+          let w, run = Captured_paths.setup row in
+          (Engine.run_sim ~seed:1 w (fun th -> run th n)).Engine.makespan
+        in
+        Alcotest.(check (float 0.)) "simulated cycles per operation"
+          row.cycles
+          (float_of_int (makespan price_ops - makespan 0)
+          /. float_of_int price_ops)
+      end)
 
-(* The makespan of one transaction under [cfg] making [n] calls of
-   [op tx b] on a block [b] it allocated. *)
-let captured_makespan cfg n op =
-  let w = Engine.create ~nthreads:1 cfg in
-  (Engine.run_sim ~seed:1 w (fun th ->
-       Txn.atomic th (fun tx ->
-           let b = Txn.alloc tx price_lines in
-           Txn.write tx b 1;
-           for _ = 1 to n do
-             op tx b
-           done;
-           Txn.free tx b)))
-    .Engine.makespan
-
-let price_read tx m = ignore (Txn.read tx m : int)
-let price_write tx m = Txn.write tx m 1
-let each_line op tx lines = Array.iter (op tx) lines
-
-let fresh_read_price =
-  Costs.read_barrier + Costs.commit_per_read + Costs.validate_per_read
-
-(* Each line read at [m] and its line-mate [m + 1], then [passes] passes
-   that re-read [m + 1] (forwarded) or alternate [m], [m + 1]
-   (line-mate). *)
-let rereads ~forwarded ~passes tx lines =
-  each_line (fun tx m -> price_read tx m; price_read tx (m + 1)) tx lines;
-  for p = 1 to passes do
-    let d = if forwarded then 1 else (p + 1) land 1 in
-    each_line (fun tx m -> price_read tx (m + d)) tx lines
-  done
-
-let check_price ~expected ~n ~base measured =
-  Alcotest.(check (float 0.)) "cycles per operation" (float_of_int expected)
-    (float_of_int (measured - base) /. float_of_int n)
-
-let lines_price ?cfg ~expected op () =
-  check_price ~expected ~n:price_lines
-    ~base:(lines_makespan ?cfg (each_line (fun _ _ -> ())))
-    (lines_makespan ?cfg (each_line op))
-
-let reread_price ~forwarded () =
-  check_price ~expected:Costs.read_owned ~n:(2 * price_lines)
-    ~base:(lines_makespan (rereads ~forwarded ~passes:0))
-    (lines_makespan (rereads ~forwarded ~passes:2))
-
-let test_price_owned_write () =
-  check_price
-    ~expected:(Costs.write_barrier_owned + Costs.undo_log_entry)
-    ~n:(price_lines * (Orec.line_words - 1))
-    ~base:(lines_makespan (each_line price_write))
-    (lines_makespan
-       (each_line (fun tx m ->
-            for d = 0 to Orec.line_words - 1 do
-              price_write tx (m + d)
-            done)))
-
-let captured_price cfg ~expected op () =
-  check_price ~expected ~n:price_lines
-    ~base:(captured_makespan cfg 0 op)
-    (captured_makespan cfg price_lines op)
-
-let price_static_site = Site.declare ~write:false "stm.test.price_captured"
-
-let static_price () =
-  Site.set_captured price_static_site;
-  captured_price Config.compiler ~expected:Costs.direct_access
-    (fun tx b -> ignore (Txn.read_at ~site:price_static_site tx b : int))
-    ()
-
-(* An init-only read loads its word directly: no capture check and no
-   read-log entry, so no validation or commit share either.  Under
-   +lazy the write-set probe still runs first. *)
-let price_init_site =
-  Site.declare ~init_only:true ~write:false "stm.test.price_init_only"
-
-let init_read_price ?cfg ~expected () =
-  lines_price ?cfg ~expected
-    (fun tx m -> ignore (Txn.read_at ~site:price_init_site tx m : int))
-    ()
-
-(* Each runtime backend without +fp: an access its check elides (a stack
-   check, then a probe of a one-block log that hits), read and written,
-   and a fresh read after the same checks miss an empty log. *)
-let backend_prices b =
-  let cfg = Config.runtime b and name = Alloc_log.backend_name b in
-  let one_block = Alloc_log.create b in
-  ignore (Alloc_log.add one_block ~lo:64 ~hi:(64 + price_lines)
-           : Alloc_log.added);
-  let hit =
-    Costs.stack_check + Alloc_log.search_cost one_block + Costs.direct_access
-  in
-  let case what f = Alcotest.test_case (what ^ " (" ^ name ^ ")") `Quick f in
-  [
-    case "read captured" (captured_price cfg ~expected:hit price_read);
-    case "write captured" (captured_price cfg ~expected:hit price_write);
-    case "read after failed check"
-      (lines_price ~cfg
-         ~expected:
-           (Costs.stack_check
-           + Alloc_log.search_cost (Alloc_log.create b)
-           + fresh_read_price)
-         price_read);
-  ]
-
-let price_cases =
-  [
-    Alcotest.test_case "read fresh" `Quick
-      (lines_price ~expected:fresh_read_price price_read);
-    Alcotest.test_case "read line-mate" `Quick
-      (reread_price ~forwarded:false);
-    Alcotest.test_case "read forwarded" `Quick (reread_price ~forwarded:true);
-    Alcotest.test_case "read-for-write" `Quick
-      (lines_price
-         ~expected:(Costs.write_barrier_acquire + Costs.commit_per_orec)
-         (fun tx m ->
-           ignore (Txn.read_for_write_at ~site:Site.anonymous_read tx m : int)));
-    Alcotest.test_case "write fresh" `Quick
-      (lines_price
-         ~expected:
-           (Costs.write_barrier_acquire + Costs.undo_log_entry
-          + Costs.commit_per_orec)
-         price_write);
-    Alcotest.test_case "write owned (line-mate)" `Quick test_price_owned_write;
-    Alcotest.test_case "read elided (compiler, static)" `Quick static_price;
-    Alcotest.test_case "read init-only" `Quick
-      (init_read_price ~expected:Costs.direct_access);
-    Alcotest.test_case "read init-only (+lazy)" `Quick
-      (init_read_price
-         ~cfg:(Config.with_lazy (Config.runtime Alloc_log.Tree))
-         ~expected:(Costs.redo_summary_check + Costs.direct_access));
-    Alcotest.test_case "read elided (tree+fp, check included)" `Quick
-      (captured_price
-         (Config.with_fastpath (Config.runtime Alloc_log.Tree))
-         ~expected:
-           (Costs.site_check + Costs.stack_check + Costs.capture_summary_check
-          + Costs.direct_access)
-         price_read);
-  ]
-  @ List.concat_map backend_prices Alloc_log.all_backends
+let price_cases = List.map price_case Captured_paths.all
 
 let qsuite name tests = (name, List.map Qc.to_alcotest tests)
 
