@@ -11,7 +11,7 @@
    Usage: main.exe [--quick] [--only fig8,table1,ab:fp,...] [--app NAME,...]
    Sections: fig8 fig9 table1 table2 fig10 fig11a fig11b ablation pins
    contention scale wal calibrate, and ab:TOKEN[@BASE] (BASE defaults to
-   tree+fp+ebr): every app at 1 and 16 threads, seeds 1-8 (seed 1 under
+   tree+fp): every app at 1 and 16 threads, seeds 1-8 (seed 1 under
    --quick), under BASE without TOKEN and BASE with it.  With no --only,
    every section runs, the A/B section as ab:fp, ab:tv, ab:lazy and
    ab:sf, and calibrate last. *)
@@ -30,7 +30,7 @@ module Profile = Captured_util.Profile
 let ab_arms spec =
   let token, base =
     match String.index_opt spec '@' with
-    | None -> (spec, "tree+fp+ebr")
+    | None -> (spec, "tree+fp")
     | Some i ->
         (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
   in
@@ -558,6 +558,12 @@ let pin_cells =
       1,
       "starvation under partial lazy read-for-write rules" );
     ("bayes", "tree+tv+lazy", 16, 1, "the same starvation, global clock");
+    ( "vacation-high",
+      "filtering+tv",
+      16,
+      22,
+      "freed blocks reused under zombie readers; died with Fiber_failure \
+       before reclamation was unconditional" );
   ]
 
 let pins () =
@@ -650,8 +656,8 @@ let contention () =
     (List.map
        (fun (app, c) -> (app, config c))
        [
-         ("vacation-high", "tree+fp+ebr"); ("kmeans-high", "tree+fp");
-         ("bayes", "tree"); ("intruder", "tree+scope:hw+tv+lazy+ebr");
+         ("vacation-high", "tree+fp"); ("kmeans-high", "tree+fp");
+         ("bayes", "tree"); ("intruder", "tree+scope:hw+tv+lazy");
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -811,7 +817,7 @@ let wal_section () =
 (* A/B: one configuration token off vs on, on every app                 *)
 
 (* bayes's commit count at 16 threads depends on the schedule: it differs
-   between the arms on every seed for fp, tv, lazy, sf and ebr, and no
+   between the arms on every seed for fp, tv, lazy and sf, and no
    other app's does.  Its cells compare cycles per commit instead of
    makespan and skip the equal-outcome check. *)
 let per_commit app nthreads = app.App.name = "bayes" && nthreads = sim_threads

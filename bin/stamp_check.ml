@@ -106,17 +106,12 @@ let sweep workloads_csv apps_csv nthreads modes_csv
            else workloads_csv ^ "," ^ apps_csv)
       in
       (* --fault overrides a mode's own +fault:F.  Crash faults need
-         the WAL; premature-reuse skips the grace period only EBR
-         imposes. *)
+         the WAL. *)
       let config mode =
         let c = if fault = None then mode else Config.with_fault fault mode in
-        let f = c.Config.fault in
-        let c =
-          if Option.fold ~none:false ~some:Fault.is_crash f then
-            Config.with_durable c
-          else c
-        in
-        if f = Some Fault.Premature_reuse then Config.with_ebr c else c
+        if Option.fold ~none:false ~some:Fault.is_crash c.Config.fault then
+          Config.with_durable c
+        else c
       in
       Ok
         (List.concat_map
@@ -180,8 +175,8 @@ let workloads_arg =
      rfw, any cell that acquired no orec at a read-for-write; \
      rollback (a writer's in-place store undone by its abort), any cell \
      that read no line-mate under its logged word, as reread and \
-     linemate also fail; the reclaim pair any cell that deferred no free, and is red by \
-     design without $(b,+ebr), so it must be named explicitly."
+     linemate also fail; the reclaim pair (free_race, privatize_race), \
+     any cell that deferred no free."
   in
   Arg.(value & opt string "" & info [ "workloads"; "w" ] ~docv:"NAMES" ~doc)
 
@@ -217,10 +212,8 @@ let modes_arg =
      $(b,tree), $(b,array) or $(b,filtering)), then any of $(b,+fp) \
      (capture-check fast path), $(b,+tv) (timestamp validation), \
      $(b,+lazy) (deferred-update redo buffer), $(b,+wal) (durable \
-     transactions), $(b,+ebr) (epoch-based reclamation) and the other \
-     tokens stamp_run --help lists, e.g. tree+fp+lazy or \
-     tree+fp+tv+ebr.  Crash faults imply +wal; $(b,--fault \
-     premature-reuse) implies +ebr."
+     transactions) and the other tokens stamp_run --help lists, e.g. \
+     tree+fp+lazy or tree+fp+tv+lazy.  Crash faults imply +wal."
   in
   Arg.(
     value
@@ -306,10 +299,10 @@ let cmd =
          --modes tree,tree+tv+lazy -w counter,bank -s random,pct -n 40";
       `P "Recovery-oracle self-test — a seeded replay bug must be flagged:";
       `Pre "  stamp_check --fault torn-tail-replayed -w bank";
-      `P "Reclaim sweep — use-after-free rule armed, reuse gated on epochs:";
+      `P "Reclaim sweep — frees racing readers, reuse gated on epochs:";
       `Pre
         "  stamp_check -w free_race,privatize_race \
-         --modes tree+ebr,tree+lazy+ebr -s random,pct";
+         --modes tree,tree+lazy -s random,pct";
       `P "Premature-reuse fault — the oracle must flag the skipped grace:";
       `Pre "  stamp_check --fault premature-reuse";
     ]

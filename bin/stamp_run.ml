@@ -5,7 +5,7 @@
    Examples:
      stamp_run list
      stamp_run run vacation-high --config tree --threads 16
-     stamp_run run yada --config tree+scope:hw+fp+ebr --scale large --native
+     stamp_run run yada --config tree+scope:hw+fp --scale large --native
      stamp_run run intruder --config tree+lazy+fault:crash-pre-commit \
        --wal wal-out
      stamp_run recover wal-out
@@ -198,7 +198,7 @@ let config_arg =
        & info [ "config"; "c" ] ~docv:"CONFIG"
            ~doc:("Configuration, as Config.to_string spells it: "
                  ^ Manpage.escape (Config.grammar ())
-                 ^ "; e.g. tree+fp+tv+ebr.  Faults are for testing only: \
+                 ^ "; e.g. tree+fp+tv+lazy.  Faults are for testing only: \
                     verification may fail, which is the point."))
 
 let scale_arg =

@@ -126,8 +126,6 @@ let run_one ?(seed = 7) ?(max_steps = 200_000) ?(record_detail = false)
         Oracle.check
           ~strictness:(strictness_for config)
           ~lazy_mode:config.Config.lazy_versioning
-          ~reclaim:
-            (config.Config.ebr || workload.Workloads.reclaim_oracle)
           ~index_of:(Captured_stm.Orec.index_of orecs)
           ~initial:(Memory.get init)
           ~final:(fun a -> Memory.get mem a)

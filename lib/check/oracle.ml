@@ -68,7 +68,7 @@ let in_owned a addr =
   List.exists (fun (lo, hi) -> addr >= lo && addr < hi) a.owned
 
 let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
-    ?(lazy_mode = false) ?(reclaim = false) ~initial ~final ~history ~verify
+    ?(lazy_mode = false) ~initial ~final ~history ~verify
     () =
   (* Per-address committed-value timeline, newest entry first.  An address
      absent from the table has held its initial value throughout. *)
@@ -76,7 +76,7 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
     Hashtbl.create 256
   in
   let allocated : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Reclamation model ([reclaim]): requested sizes from allocation
+  (* Reclamation model: requested sizes from allocation
      events; words covered by committed deferred frees and not yet
      reused ([freed_words] : word -> freeing commit seq); and words
      whose freed block a later allocation recarved ([recarved], same
@@ -208,7 +208,7 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
                    memory.  The reader is usually a doomed zombie, so the
                    rule fires immediately in every strictness mode —
                    commit-gating would hide exactly the dangerous case. *)
-                (if reclaim && not (in_owned a addr) then
+                (if not (in_owned a addr) then
                    match Hashtbl.find_opt recarved addr with
                    | Some fseq when a.begin_seq < fseq ->
                        fail ~kind:"use-after-free" ~tid ~seq
@@ -287,18 +287,16 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
           Hashtbl.replace allocated i ();
           Hashtbl.remove init_read i
         done;
-        if reclaim then begin
-          Hashtbl.replace sizes addr size;
-          (* Reuse of freed words: from here on, a read of these words
-             by an attempt older than the free is a use-after-free. *)
-          for i = addr to addr + size - 1 do
-            match Hashtbl.find_opt freed_words i with
-            | Some fseq ->
-                Hashtbl.replace recarved i fseq;
-                Hashtbl.remove freed_words i
-            | None -> ()
-          done
-        end;
+        Hashtbl.replace sizes addr size;
+        (* Reuse of freed words: from here on, a read of these words by
+           an attempt older than the free is a use-after-free. *)
+        for i = addr to addr + size - 1 do
+          match Hashtbl.find_opt freed_words i with
+          | Some fseq ->
+              Hashtbl.replace recarved i fseq;
+              Hashtbl.remove freed_words i
+          | None -> ()
+        done;
         match Hashtbl.find_opt live tid with
         | None -> ()
         | Some a ->
@@ -318,7 +316,7 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
            exclude it from the final-state replay like any recycled cell. *)
         Hashtbl.replace allocated addr ();
         match Hashtbl.find_opt live tid with
-        | Some a when reclaim && not (in_owned a addr) ->
+        | Some a when not (in_owned a addr) ->
             a.freed <- addr :: a.freed;
             a.freed_n <- a.freed_n + 1
         | _ -> ())
@@ -356,19 +354,18 @@ let check ?(strictness = Committed_only) ?(index_of = fun (a : int) -> a)
               (List.rev a.pending);
             (* Deferred frees take effect now: the block's words become
                reusable, stamped with this commit's instant. *)
-            if reclaim then
-              List.iter
-                (fun addr ->
-                  let size =
-                    match Hashtbl.find_opt sizes addr with
-                    | Some s -> Captured_tmem.Alloc.carve_size s
-                    | None -> 1 (* size unknown (pre-history block) *)
-                  in
-                  for i = addr to addr + size - 1 do
-                    Hashtbl.replace freed_words i seq;
-                    Hashtbl.remove recarved i
-                  done)
-                a.freed;
+            List.iter
+              (fun addr ->
+                let size =
+                  match Hashtbl.find_opt sizes addr with
+                  | Some s -> Captured_tmem.Alloc.carve_size s
+                  | None -> 1 (* size unknown (pre-history block) *)
+                in
+                for i = addr to addr + size - 1 do
+                  Hashtbl.replace freed_words i seq;
+                  Hashtbl.remove recarved i
+                done)
+              a.freed;
             Hashtbl.remove live tid)
     | Txn.Ev_abort _ -> (
         match Hashtbl.find_opt live tid with

@@ -11,12 +11,12 @@
       between must agree.  Under [Committed_only] the verdict is held
       until the attempt commits — a mismatched zombie read in an attempt
       the STM later aborts is legal there;
-    - {b use-after-free} (only with [reclaim]): a read of a word that a
-      commit newer than the attempt's begin freed and a later allocation
-      then recarved.  Fires immediately in every strictness mode — the
-      reader is usually a doomed zombie, and the allocator's header/link
-      stores bump no ownership record, so no validation discipline can
-      catch the access.  Epoch-based reclamation ([Config.ebr]) makes
+    - {b use-after-free}: a read of a word that a commit newer than the
+      attempt's begin freed and a later allocation then recarved.  Fires
+      immediately in every strictness mode — the reader is usually a
+      doomed zombie, and the allocator's header/link stores bump no
+      ownership record, so no validation discipline can catch the
+      access.  Epoch-based reclamation ({!Captured_stm.Reclaim}) makes
       the rule unreachable by holding reuse in limbo until every such
       attempt has finished;
     - {b no-snapshot}: a committed attempt's first reads must all match
@@ -71,18 +71,11 @@ val violation_to_string : violation -> string
     take no locks until commit, so the self-locked-orec read exemption
     never applies mid-attempt — the oracle is strictly {e stricter}
     there.  Read-own-write is still enforced (the engine answers those
-    reads from its redo buffer).
-
-    [reclaim] arms the use-after-free rule (default off: workloads whose
-    frees are coordinated by the application — STAMP's vacation, bayes —
-    would otherwise be held to a guarantee the no-EBR engine never
-    claimed).  The harness arms it when the config runs [+ebr] or the
-    workload opts in ([Workloads.reclaim_oracle]). *)
+    reads from its redo buffer). *)
 val check :
   ?strictness:strictness ->
   ?index_of:(int -> int) ->
   ?lazy_mode:bool ->
-  ?reclaim:bool ->
   initial:(int -> int) ->
   final:(int -> int) ->
   history:History.t ->

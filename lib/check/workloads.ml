@@ -11,11 +11,6 @@ module Registry = Captured_apps.Registry
 type t = {
   name : string;
   nthreads : int;
-  reclaim_oracle : bool;
-      (* Arm the oracle's use-after-free rule even without [Config.ebr]:
-         set by workloads whose frees deliberately race readers.  App
-         workloads leave it off — their frees are coordinated by the
-         application, a guarantee the no-EBR engine never made. *)
   floors : Signal.t list;
       (* Vacuity floors, set by the workload that exists to exercise the
          path: a sweep cell that records none of a listed signal proved
@@ -24,11 +19,10 @@ type t = {
 }
 
 (* A micro workload, named [base-NxM] for its thread count and size. *)
-let micro ?(reclaim_oracle = false) ?(floors = []) base ~nthreads n prepare =
+let micro ?(floors = []) base ~nthreads n prepare =
   {
     name = Printf.sprintf "%s-%dx%d" base nthreads n;
     nthreads;
-    reclaim_oracle;
     floors;
     prepare;
   }
@@ -685,16 +679,17 @@ let rollback ~nthreads ~rounds =
 
 (* Free race: the reclamation hazard end to end.  Thread 0 publishes a
    fresh node, retracts it with a deferred [Txn.free], then immediately
-   allocates the same size class — without [+ebr] the LIFO free list
-   hands back the very block it just freed, recarving (header rewrite +
-   zeroing) memory a racing reader obtained a pointer to before the
-   retraction.  None of those allocator stores bumps an orec, so no
-   validation discipline catches the reader; only the oracle's
-   use-after-free rule (armed via [reclaim_oracle]) flags it.  With
-   [+ebr] the freed block sits in limbo past every reader's attempt and
-   the recycler carves from the wilderness instead. *)
+   allocates the same size class.  Were the block returned to the LIFO
+   free list at commit, that allocation would hand it straight back,
+   recarving (header rewrite + zeroing) memory a racing reader obtained
+   a pointer to before the retraction.  None of those allocator stores
+   bumps an orec, so no validation discipline would catch the reader;
+   only the oracle's use-after-free rule flags it ([--fault
+   premature-reuse] reopens the hazard).  Epoch-based reclamation keeps
+   the freed block in limbo past every reader's attempt, so the recycler
+   carves from the wilderness instead. *)
 let free_race ~nthreads ~rounds =
-  micro ~reclaim_oracle:true ~floors:[ Signal.dfrees ] "free_race" ~nthreads
+  micro ~floors:[ Signal.dfrees ] "free_race" ~nthreads
     rounds (fun config ->
       let world = small_world ~nthreads config in
       let arena = Engine.global_arena world in
@@ -717,8 +712,8 @@ let free_race ~nthreads ~rounds =
                   Txn.write tx ptr 0;
                   Txn.free tx p
                 end);
-            (* Recycle: same size class, so without EBR this pops the
-               block freed one commit ago. *)
+            (* Recycle: same size class, so a free at commit would
+               pop the block freed one commit ago. *)
             Txn.atomic th (fun tx ->
                 let m = Txn.alloc tx 2 in
                 Txn.write tx m 9999;
@@ -757,15 +752,15 @@ let free_race ~nthreads ~rounds =
    the shared block transactionally, calls [Txn.privatize] and mutates
    it with raw (uninstrumented) stores; the other threads run
    speculative writers that dirty the block in place (eager versioning)
-   and always user-abort.  Without [+ebr] the fence is a no-op, so a
-   raw store can land between a writer's in-place dirty write and its
-   undo — the rollback then clobbers the privatizer's update (or the
-   raw read sees dirty state), and the final tally misses increments:
-   app-verify red.  With [+ebr], [quiesce] outwaits every attempt that
-   could still reach the block (the detach already hides it from new
-   ones), so each round's increment survives: deterministic green. *)
+   and always user-abort.  Were the fence a no-op, a raw store could
+   land between a writer's in-place dirty write and its undo — the
+   rollback would then clobber the privatizer's update (or the raw read
+   see dirty state), and the final tally would miss increments:
+   app-verify red.  [quiesce] outwaits every attempt that could still
+   reach the block (the detach already hides it from new ones), so each
+   round's increment survives. *)
 let privatize_race ~nthreads ~rounds =
-  micro ~reclaim_oracle:true ~floors:[ Signal.dfrees ] "privatize_race"
+  micro ~floors:[ Signal.dfrees ] "privatize_race"
     ~nthreads rounds (fun config ->
       let world = small_world ~nthreads config in
       let arena = Engine.global_arena world in
@@ -852,20 +847,15 @@ let micros ~nthreads =
     longread ~nthreads ~rounds:2;
     rfw ~nthreads ~rounds:3;
     rollback ~nthreads ~rounds:3;
+    free_race ~nthreads ~rounds:3;
+    privatize_race ~nthreads ~rounds:2;
   ]
-
-(* Kept out of [micros]: without [+ebr] these are red by design (they
-   demonstrate the hazard), so the default sweeps must not inherit
-   them.  Reclaim sweeps name them explicitly (or use both lists). *)
-let reclaim_micros ~nthreads =
-  [ free_race ~nthreads ~rounds:3; privatize_race ~nthreads ~rounds:2 ]
 
 (* STAMP app adapter: loads verdicts as [App.run] does. *)
 let of_app app ~nthreads =
   {
     name = app.App.name;
     nthreads;
-    reclaim_oracle = false;
     floors = [];
     prepare =
       (fun config ->
@@ -881,7 +871,7 @@ let find name ~nthreads =
        && String.sub w.name 0 (String.length name + 1) = name ^ "-"
   in
   match
-    List.find_opt micro_matches (micros ~nthreads @ reclaim_micros ~nthreads)
+    List.find_opt micro_matches (micros ~nthreads)
   with
   | Some w -> Some w
   | None -> (

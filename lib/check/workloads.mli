@@ -8,10 +8,6 @@ module App = Captured_apps.App
 type t = {
   name : string;
   nthreads : int;
-  reclaim_oracle : bool;
-      (** arm the oracle's use-after-free rule even without
-          [Config.ebr] — set by workloads whose frees deliberately race
-          readers; app workloads coordinate their frees themselves *)
   floors : Signal.t list;
       (** vacuity floors: a sweep cell must record each listed signal at
           least once — {!reread} forwarded and line-mate reads,
@@ -89,25 +85,22 @@ val rollback : nthreads:int -> rounds:int -> t
     opacity violation: an eager abort must not hand back the orec word
     the reader logged. *)
 
-val micros : nthreads:int -> t list
-(** The thirteen micro workloads at smoke-test sizes. *)
-
 val free_race : nthreads:int -> rounds:int -> t
 (** Publish / retract-with-deferred-free / recycle-same-class against
-    racing readers: without [+ebr] the recycler recarves the block a
-    reader still points into (use-after-free the oracle flags); with
-    [+ebr] reuse waits out the readers in limbo. *)
+    racing readers: reuse waits out the readers in limbo.  Under
+    [+fault:premature-reuse] the recycler recarves the block a reader
+    still points into (a use-after-free the oracle flags). *)
 
 val privatize_race : nthreads:int -> rounds:int -> t
 (** Transactional detach + {!Captured_stm.Txn.privatize} + raw mutation
-    against speculative writers that always roll back: without [+ebr]
-    the quiescence fence is a no-op and an abort's undo can clobber the
-    raw store (app-verify red); with [+ebr] every round's update
-    survives. *)
+    against speculative writers that always roll back: the quiescence
+    fence outwaits every attempt that could still reach the block, so
+    every round's update survives (an abort's undo clobbering the raw
+    store is app-verify red). *)
 
-val reclaim_micros : nthreads:int -> t list
-(** [free_race] and [privatize_race] at smoke-test sizes — kept out of
-    {!micros} because they are red by design without [+ebr]. *)
+val micros : nthreads:int -> t list
+(** The fifteen micro workloads at smoke-test sizes, the reclaim pair
+    ({!free_race}, {!privatize_race}) last. *)
 
 val find : string -> nthreads:int -> t option
 (** Look up a micro workload (by base name, e.g. ["counter"]) or a

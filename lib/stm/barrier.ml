@@ -221,7 +221,7 @@ let read_with ~site ~for_write tx addr =
        (or before any thread ran) and cannot change until the block is
        freed, so it needs no capture check and no read-log entry.  The
        pointer that reached the block came through a validated read,
-       and under +ebr the block is not recarved while this attempt lives
+       and reclamation never recarves the block while this attempt lives
        (DESIGN.md, "Init-only reads"). *)
     Elision.count_elided st ~is_write:false Elided_init;
     tx.platform.consume Costs.direct_access;

@@ -7,7 +7,7 @@
 open Descriptor
 
 (* ------------------------------------------------------------------ *)
-(* Epoch-based reclamation hooks (Config.ebr)                          *)
+(* Epoch-based reclamation hooks                                      *)
 
 (* One reclaim sweep: try to advance the global epoch, then release
    every limbo entry whose two grace periods have elapsed back to this
@@ -22,15 +22,20 @@ let ebr_sweep th r =
 
 (* An attempt's quiescent exit (commit or abort: its reads are dead, so
    it must stop holding the global epoch back before the next begin
-   re-announces), then one sweep.  A sweep that leaves entries behind is
-   a stall — some in-flight reader is still holding the epoch back. *)
+   re-announces), then one sweep if this thread's own limbo holds
+   anything: an advance exists only to drain limbo, and [Txn.quiesce]
+   advances by itself, so a thread that freed nothing pays only its
+   announcements.  A sweep that leaves entries behind is a stall — some
+   in-flight reader is still holding the epoch back. *)
 let ebr_exit th r =
   th.platform.consume Costs.ebr_announce;
   Reclaim.announce_quiescent r;
-  th.platform.consume Costs.ebr_advance;
-  ebr_sweep th r;
-  if Reclaim.pending r > 0 then
-    th.stats.reclaim_stalls <- th.stats.reclaim_stalls + 1
+  if Reclaim.pending r > 0 then begin
+    th.platform.consume Costs.ebr_advance;
+    ebr_sweep th r;
+    if Reclaim.pending r > 0 then
+      th.stats.reclaim_stalls <- th.stats.reclaim_stalls + 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Begin / commit / abort                                              *)
@@ -66,11 +71,8 @@ let begin_top tx ~attempt =
      can happen.  The freeing side stamps limbo entries with the global
      epoch at commit, so this announcement is exactly what holds the
      global back from advancing two steps while this attempt runs. *)
-  (match tx.reclaim with
-  | None -> ()
-  | Some r ->
-      tx.platform.consume Costs.ebr_announce;
-      Reclaim.announce r);
+  tx.platform.consume Costs.ebr_announce;
+  Reclaim.announce tx.reclaim;
   tx.n_reads <- 0;
   Int_map.next_attempt tx.read_index;
   tx.n_acq <- 0;
@@ -121,27 +123,25 @@ let release tx ~word =
 
 let commit_epilogue tx =
   let scope = innermost tx in
-  (* Committed frees, newest first.  Under EBR they park in limbo (header
-     still allocated, no free-list link written) until two grace periods
-     pass, so a lagging or zombie reader that still holds a pre-free
-     pointer can never see the block recarved under it.
-     [Premature_reuse] skips the grace period for one free — the
-     use-after-free the oracle must flag. *)
+  (* Committed frees, newest first.  They park in limbo (header still
+     allocated, no free-list link written) until two grace periods pass,
+     so a lagging or zombie reader that still holds a pre-free pointer
+     can never see the block recarved under it.  [Premature_reuse]
+     skips the grace period for one free — the use-after-free the
+     oracle must flag. *)
+  let r = tx.reclaim in
   for k = scope.n_dfrees - 1 downto 0 do
     let addr = scope.dfree_addrs.(k) in
-    match tx.reclaim with
-    | Some r when not (fault_fires tx Fault.Premature_reuse) ->
-        tx.platform.consume Costs.limbo_push;
-        Reclaim.retire r ~addr ~size:(Alloc.block_size tx.arena addr)
-    | Some _ | None -> Alloc.free tx.arena addr
+    if fault_fires tx Fault.Premature_reuse then Alloc.free tx.arena addr
+    else begin
+      tx.platform.consume Costs.limbo_push;
+      Reclaim.retire r ~addr ~size:(Alloc.block_size tx.arena addr)
+    end
   done;
-  (match tx.reclaim with
-  | None -> ()
-  | Some r ->
-      let st = tx.stats in
-      st.limbo_blocks <- max st.limbo_blocks (Reclaim.pending r);
-      st.limbo_words <- max st.limbo_words (Reclaim.pending_words r);
-      ebr_exit tx r);
+  let st = tx.stats in
+  st.limbo_blocks <- max st.limbo_blocks (Reclaim.pending r);
+  st.limbo_words <- max st.limbo_words (Reclaim.pending_words r);
+  ebr_exit tx r;
   tx.depth <- 0;
   tx.stats.commits <- tx.stats.commits + 1
 
@@ -413,7 +413,7 @@ let abort_top tx ~user =
   tx.depth <- 0;
   if user then tx.stats.user_aborts <- tx.stats.user_aborts + 1
   else tx.stats.aborts <- tx.stats.aborts + 1;
-  (match tx.reclaim with None -> () | Some r -> ebr_exit tx r);
+  ebr_exit tx tx.reclaim;
   emit tx.tid (Ev_abort { user })
 
 (* Nested commit: fold the child scope into its parent. *)

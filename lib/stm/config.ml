@@ -48,7 +48,7 @@ let default =
     lazy_versioning = false;
     durable = false;
     wal_group = 4;
-    ebr = false;
+    ebr = true;
   }
 
 let baseline = default
@@ -76,7 +76,8 @@ let with_durable ?group ?(on = true) t =
   in
   { t with durable = on; wal_group }
 
-let with_ebr ?(on = true) t = { t with ebr = on }
+(* Reclamation is unconditional; kept for callers that still name it. *)
+let with_ebr t = t
 let with_fault fault t = { t with fault }
 (* A match, not [t.fault = Some kind]: that boxes [Some kind] on every
    call, and validation asks on the barrier path. *)
@@ -153,7 +154,6 @@ let tokens =
     int_token "group" ~lo:1 ~hi:max_int
       (fun t -> t.wal_group)
       (fun t wal_group -> { t with wal_group });
-    flag "ebr" (fun t -> t.ebr) with_ebr;
     flag "fence" (fun t -> t.fences) (fun t -> { t with fences = true });
     valued "fault" (String.concat "|" Fault.names)
       (fun t -> t.fault)

@@ -90,14 +90,12 @@ type t = {
       (** Group-commit batch size: pending WAL records accumulated
           before an fsync ([>= 1]; 1 = sync every commit). *)
   ebr : bool;
-      (** Epoch-based reclamation ([+ebr] token; DESIGN.md §14):
-          committed deferred frees park on a per-thread limbo list
-          ({!Reclaim}) for two grace periods before {!Alloc.free} runs,
-          so no in-flight reader — including a sandboxed zombie running
-          on stale reads — can ever see a block it holds a pointer into
-          recarved for a new allocation.  Also arms {!Txn.quiesce} /
-          {!Txn.privatize} (without EBR they are no-op fences).
-          [false] (default) frees at commit, bit for bit as before. *)
+      (** Always [true]: every committed deferred free parks on a
+          per-thread limbo list ({!Reclaim}) for two grace periods
+          before {!Alloc.free} runs (DESIGN.md §14), and there is no
+          token for it.  The field stays only because the benchmark
+          harness (perf/) reads it; it goes when that harness next
+          changes. *)
 }
 
 val write_only_scope : scope
@@ -141,9 +139,9 @@ val with_lazy : ?on:bool -> t -> t
     [Invalid_argument] on [group < 1]. *)
 val with_durable : ?group:int -> ?on:bool -> t -> t
 
-(** [with_ebr t] enables ([?on:false]: disables) epoch-based
-    reclamation of transactionally freed blocks ([+ebr] token). *)
-val with_ebr : ?on:bool -> t -> t
+(** [with_ebr t] is [t]: reclamation is unconditional.  Kept, like the
+    [ebr] field, only because the benchmark harness (perf/) calls it. *)
+val with_ebr : t -> t
 
 (** [with_fault f t] injects fault [f] ([+fault:<name>] token). *)
 val with_fault : Fault.kind option -> t -> t
@@ -163,9 +161,9 @@ val audit : t
     [+scope:L] ([L] the subsequence of [shrw] switched on: stack and heap
     checks, read and write barriers; Figure 11b is [+scope:hw]),
     [+sf] (static_filter), [+audit], [+fp], [+tv], [+lazy], [+wal],
-    [+group:N] (wal_group), [+ebr], [+fence], [+fault:F] and
+    [+group:N] (wal_group), [+fence], [+fault:F] and
     [+orecs:N] (orec_bits).
-    E.g. ["tree+fp+ebr"], ["tree+scope:hw+tv+lazy+wal+ebr"]. *)
+    E.g. ["tree+fp"], ["tree+scope:hw+tv+lazy+wal"]. *)
 val to_string : t -> string
 
 (** The grammar {!of_string} accepts, spelled out from the token table:

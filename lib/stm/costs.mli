@@ -137,7 +137,9 @@ val limbo_push : int
 
 val ebr_advance : int
 (** Epoch-based reclamation: one advance attempt — slot-table scan plus
-    the global-epoch CAS (also a scheduling point under the checker). *)
+    the global-epoch CAS (also a scheduling point under the checker).
+    Charged at an attempt's exit only while the thread's own limbo list
+    holds a block. *)
 
 val grace_wait : int
 (** Epoch-based reclamation: one {!Txn.quiesce} spin iteration behind

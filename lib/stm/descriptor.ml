@@ -92,11 +92,9 @@ type thread = {
   (* Durable transactions: the shared write-ahead log, when attached
      ([Engine.attach_wal]).  [None] makes every WAL site free. *)
   wal : Wal.t option;
-  (* Epoch-based reclamation (Config.ebr): this thread's announcement
-     slot + limbo list.  [None] makes every EBR site free — non-ebr
-     configurations draw no PRNG, consume no cycles, so their schedules
-     stay bit-identical. *)
-  reclaim : Reclaim.t option;
+  (* Epoch-based reclamation: this thread's announcement slot + limbo
+     list, through which every committed free passes. *)
+  reclaim : Reclaim.t;
   (* +fp site tier: per-site hit windows deciding which sites skip the
      capture check (thread-owned; sized from the sites declared so far). *)
   site_tier : Site_tier.t;
@@ -208,7 +206,7 @@ let new_scope (cfg : Config.t) =
   }
 
 let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
-    ?wal ?reclaim_shared ~seed () =
+    ?wal ~reclaim_shared ~seed () =
   if tid < 0 || tid >= Stats.max_tids then
     invalid_arg "Txn.create_thread: tid does not fit the conflict-pair key";
   {
@@ -226,12 +224,7 @@ let create_thread ~tid ~platform ~memory ~stack ~arena ~orecs ~config
     lock_word = Orec.locked_word ~owner:tid;
     fence_dummy = Atomic.make 0;
     wal = (if config.Config.durable then wal else None);
-    reclaim =
-      (if config.Config.ebr then
-         match reclaim_shared with
-         | Some s -> Some (Reclaim.handle s ~slot:tid)
-         | None -> None
-       else None);
+    reclaim = Reclaim.handle reclaim_shared ~slot:tid;
     site_tier = Site_tier.create ~sites:(Site.count ());
     check_cost = 0;
     read_orecs = Array.make 64 0;

@@ -21,8 +21,7 @@ type world = {
          simulated crash. *)
   reclaim : Reclaim.shared;
       (* Epoch-based reclamation: announcement slots + global epoch,
-         one slot per logical thread.  Always allocated (a few padded
-         atomics); threads only link into it when [Config.ebr] is set. *)
+         one slot per logical thread. *)
 }
 
 let create ?(global_words = 1 lsl 18) ?(stack_words = 1 lsl 14)
@@ -117,9 +116,8 @@ let make_thread w ~tid ~platform ~seed =
 (* End-of-run limbo flush: every fiber has finished / every domain has
    joined, so the world is provably quiescent and the remaining limbo
    entries can be released unconditionally — into the retiring thread's
-   own arena (slot = tid), the same placement the immediate free would
-   have used.  Restores exact allocator parity with a no-EBR run, so
-   leak checks and post-run checkpoints never see a limbo block. *)
+   own arena (slot = tid), as a drain would.  No limbo block outlives a
+   run, so leak checks and post-run checkpoints never see one. *)
 let flush_limbo w =
   Array.iteri
     (fun tid h ->

@@ -81,7 +81,7 @@ type kind =
           and returns its block to the arena free lists immediately, so
           the next same-class allocation recarves it while stale readers
           may still hold pointers in (use-after-free the oracle must
-          flag).  Site only exists under [+ebr]. *)
+          flag). *)
 
 val all : kind list
 val name : kind -> string

@@ -155,9 +155,8 @@ let drain t ~free =
   !n
 
 (* Unconditional drain for a provably quiescent point (engine end of
-   run, after every fiber has finished / every domain has joined): the
-   allocator returns to exact parity with a no-EBR run, so leak checks
-   and checkpoints never see a limbo block. *)
+   run, after every fiber has finished / every domain has joined), so
+   leak checks and checkpoints never see a limbo block. *)
 let flush t ~free =
   let n = ref 0 in
   while t.head < t.tail do

@@ -1,4 +1,5 @@
-(** Epoch-based reclamation for the transactional allocator ([+ebr]).
+(** Epoch-based reclamation for the transactional allocator: every
+    committed transactional free passes through it.
 
     Gates block {e reuse} — not the free call — on grace periods.  A
     committed deferred free lands on the freeing thread's limbo list
@@ -67,7 +68,7 @@ val drain : t -> free:(addr:int -> size:int -> unit) -> int
 val flush : t -> free:(addr:int -> size:int -> unit) -> int
 (** Release {e everything} regardless of epoch.  Only sound at a
     provably quiescent point (end of run, after fibers complete /
-    domains join); restores exact allocator parity with a no-EBR run. *)
+    domains join), so no limbo block outlives a run. *)
 
 val pending : t -> int
 (** Blocks currently in limbo on this handle. *)

@@ -161,7 +161,7 @@ type t = {
       (** The paper's insight carried into the persistence layer: writes
           the capture check proved transaction-local, which therefore
           need no WAL entry — the durable mirror of [redo_skips]. *)
-  (* epoch-based reclamation ([Config.ebr]) *)
+  (* epoch-based reclamation ({!Reclaim}) *)
   mutable limbo_blocks : int;
       (** High-water mark of blocks simultaneously in this thread's limbo
           list (merged across threads with [max], not [+]). *)

@@ -85,21 +85,18 @@ let restart _tx = raise Retry_conflict
    [quiesce] returns, no attempt that predates the call is still
    running, and anything it privatized beforehand is invisible to
    transactional readers.  Each spin iteration helps: it tries the
-   advance itself and drains this thread's own limbo.  Without [+ebr]
-   there is no epoch to wait on and the fence is a no-op. *)
+   advance itself and drains this thread's own limbo. *)
 let quiesce th =
   if in_txn th then invalid_arg "Txn.quiesce: called inside a transaction";
-  match th.reclaim with
-  | None -> ()
-  | Some r ->
-      let s = Reclaim.shared_of r in
-      let target = Reclaim.global_epoch s + 2 in
-      while Reclaim.global_epoch s < target do
-        th.stats.grace_waits <- th.stats.grace_waits + 1;
-        th.platform.consume Costs.grace_wait;
-        Commit.ebr_sweep th r;
-        th.platform.yield ()
-      done
+  let r = th.reclaim in
+  let s = Reclaim.shared_of r in
+  let target = Reclaim.global_epoch s + 2 in
+  while Reclaim.global_epoch s < target do
+    th.stats.grace_waits <- th.stats.grace_waits + 1;
+    th.platform.consume Costs.grace_wait;
+    Commit.ebr_sweep th r;
+    th.platform.yield ()
+  done
 
 (* Privatize a block: once the grace period has passed, no in-flight
    reader can reach it, so annotating it private (every later barrier

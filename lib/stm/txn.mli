@@ -73,7 +73,7 @@ val create_thread :
   orecs:Orec.t ->
   config:Config.t ->
   ?wal:Wal.t ->
-  ?reclaim_shared:Reclaim.shared ->
+  reclaim_shared:Reclaim.shared ->
   seed:int ->
   unit ->
   thread
@@ -82,9 +82,10 @@ val create_thread :
     to read and write.  [tid] must be below {!Stats.max_tids}, the bound
     the conflict-pair key packs tids into; raises [Invalid_argument]
     otherwise.  [wal] attaches the world's write-ahead log device; it
-    only takes effect when [config.durable] is set.  [reclaim_shared] links this thread into the world's epoch-based
-    reclamation state (announcement slot = [tid]); it only takes effect
-    when [config.ebr] is set. *)
+    only takes effect when [config.durable] is set.  [reclaim_shared]
+    links this thread into the world's epoch-based reclamation state
+    (announcement slot = [tid]), through which every committed free
+    passes. *)
 
 (** {2 Atomic blocks} *)
 
@@ -156,14 +157,12 @@ val add_private_block : thread -> addr:Memory.addr -> size:int -> unit
 
 val remove_private_block : thread -> addr:Memory.addr -> size:int -> unit
 
-(** {2 Privatization ([Config.ebr])}
+(** {2 Privatization}
 
     The quiescence fence the reclamation layer provides: after
     {!quiesce} returns, every transaction attempt that was in flight
     when it was called has finished, so state a committed transaction
-    detached beforehand can be accessed non-transactionally.  Without
-    [+ebr] there is no epoch to wait on and both calls degrade to the
-    (unsafe) pre-EBR behaviour — a no-op fence. *)
+    detached beforehand can be accessed non-transactionally. *)
 
 val quiesce : thread -> unit
 (** Block (spinning through scheduling points) until the global epoch

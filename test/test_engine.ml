@@ -114,12 +114,13 @@ let test_clock_of_config () =
 let test_tid_bound () =
   let w = Engine.create ~nthreads:1 Config.baseline in
   let mem = Engine.memory w in
+  let reclaim_shared = Reclaim.create_shared Stats.max_tids in
   let thread tid =
     Txn.create_thread ~tid ~platform:Captured_sim.Platform.native
       ~memory:mem
       ~stack:(Captured_tmem.Tstack.create mem ~base:1 ~words:16)
       ~arena:(Engine.arena_of w 0) ~orecs:(Engine.orecs w)
-      ~config:Config.baseline ~seed:1 ()
+      ~config:Config.baseline ~reclaim_shared ~seed:1 ()
   in
   ignore (thread (Stats.max_tids - 1) : Txn.thread);
   List.iter

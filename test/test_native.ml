@@ -199,7 +199,7 @@ let first_store_chunks = 6
 let test_first_store_race ndomains () =
   let cw = Memory.chunk_words in
   for round = 1 to 20 do
-    let w = Engine.create ~nthreads:ndomains (Config.with_ebr Config.baseline) in
+    let w = Engine.create ~nthreads:ndomains Config.baseline in
     let mem = Engine.memory w in
     (* A fresh block and the chunks wholly inside it, each named by its
        first word. *)

@@ -24,9 +24,9 @@ let all_configs =
     Config.with_lazy (Config.runtime Alloc_log.Tree);
     Config.with_lazy (Config.with_fastpath (Config.runtime Alloc_log.Tree));
     Config.with_lazy (Config.with_tvalidate Config.baseline);
-    (* the benchmark families: kv's config (epoch-based reclamation) *)
+    (* the benchmark families: kv's config *)
     Config.runtime Alloc_log.Tree |> Config.with_fastpath
-    |> Config.with_tvalidate |> Config.with_ebr;
+    |> Config.with_tvalidate;
     (* the compiler's shared-site filter, and intruder's narrow scope *)
     Result.get_ok (Config.of_string "tree+sf");
     Config.with_lazy
@@ -105,9 +105,8 @@ let test_free_deferred_on_abort cfg =
          Txn.free tx addr;
          Txn.abort tx)
    with Txn.User_abort -> ());
-  (* The block survived: freeing it now must work exactly once.  Under
-     +ebr the committed free parks in limbo until a quiescence point
-     (a no-op without EBR). *)
+  (* The block survived: freeing it now must work exactly once.  The
+     committed free parks in limbo until a quiescence point. *)
   Txn.atomic th (fun tx -> Txn.free tx addr);
   Txn.quiesce th;
   check_int "back to zero" 0 (Alloc.live_blocks (Engine.arena_of w 0))
@@ -1017,13 +1016,12 @@ let test_line_mate_moved_orec () =
    reads took the full barrier instead (measured in a copy with the path
    off), so these rows are kept by hand rather than in the recorded
    bench output.  The rows cover grid reads (labyrinth), the lazy engine
-   (bayes) and an allocation-heavy app under the fast path and epoch
-   reclamation (yada). *)
+   (bayes) and an allocation-heavy app under the fast path (yada). *)
 let line_mate_refs =
   [
-    ("labyrinth", "tree", 57_401);
-    ("bayes", "tree+scope:hw+lazy+tv", 105_152);
-    ("yada", "tree+fp+ebr", 14_583);
+    ("labyrinth", "tree", 57_485);
+    ("bayes", "tree+scope:hw+lazy+tv", 105_508);
+    ("yada", "tree+fp", 14_529);
   ]
 
 let test_line_mate_identity () =
@@ -1466,22 +1464,6 @@ let test_fault_alloc_log_drop_contained () =
   check "fault fired" true (faulty.Stats.faults_injected > 0);
   check "dropped entries cost elision" true
     (faulty.Stats.writes_elided_heap < clean.Stats.writes_elided_heap)
-
-let test_fault_stale_read_potent () =
-  (* The stale-read fault must be able to break snapshot consistency:
-     containment would make the fault sweep vacuous.  A free-running
-     schedule opens the fault's window only by luck, so the checker's
-     random walk drives the runs, as @fault-matrix does, and the oracle
-     must flag some run for the update it lost. *)
-  let module Harness = Captured_check.Harness in
-  let r =
-    Harness.explore
-      ~workload:(Captured_check.Workloads.counter ~nthreads:2 ~incs:3)
-      ~config:(Config.with_fault (Some Fault.Stale_read) Config.baseline)
-      ~strategy:Captured_check.Strategy.Random ~runs:200 ~seed:1
-      ~minimize:false ()
-  in
-  check "lost updates flagged" true (r.Harness.violations > 0)
 
 let test_cm_policies_correct_under_contention () =
   let w = mk_world ~nthreads:8 Config.baseline in
@@ -2885,35 +2867,32 @@ let test_reclaim_flush_unconditional () =
   check_int "callback ran per block" 2 !count;
   check_int "nothing pending" 0 (Reclaim.pending h)
 
-(* End-of-run parity: the engine flushes every limbo list once the world
-   is provably quiescent, so +ebr leaves the allocator in exactly the
-   state a no-EBR run does — while the stats prove frees really were
-   deferred through limbo along the way. *)
+(* No limbo block outlives a run: the engine flushes every limbo list
+   once the world is provably quiescent, so the allocator ends the run
+   holding exactly the blocks that were never freed — while the stats
+   prove the frees really were deferred through limbo along the way.
+   The freeing thread keeps a freed block, so the live counts are summed
+   over the arena that carved the blocks and the one that freed them. *)
 let test_reclaim_engine_parity () =
-  let run cfg =
-    let w = mk_world cfg in
-    let arena = Engine.global_arena w in
-    let blocks = Array.init 4 (fun _ -> Alloc.alloc arena 2) in
-    let r =
-      Engine.run_sim ~seed:1 w (fun th ->
-          Array.iter
-            (fun b -> Txn.atomic th (fun tx -> Txn.free tx b))
-            blocks)
-    in
-    (Alloc.live_blocks arena, Alloc.live_words arena, r.Engine.stats)
+  let w = mk_world (Config.runtime Alloc_log.Tree) in
+  let arena = Engine.global_arena w in
+  let live f = f arena + f (Engine.arena_of w 0) in
+  let blocks0 = live Alloc.live_blocks and words0 = live Alloc.live_words in
+  let blocks = Array.init 4 (fun _ -> Alloc.alloc arena 2) in
+  let r =
+    Engine.run_sim ~seed:1 w (fun th ->
+        Array.iter (fun b -> Txn.atomic th (fun tx -> Txn.free tx b)) blocks)
   in
-  let cfg = Config.runtime Alloc_log.Tree in
-  let live0, words0, _ = run cfg in
-  let live1, words1, s = run (Config.with_ebr cfg) in
-  check_int "live blocks parity after end-of-run flush" live0 live1;
-  check_int "live words parity" words0 words1;
-  check "frees went through limbo" true (s.Stats.limbo_blocks > 0)
+  check_int "no freed block left live after the run" blocks0
+    (live Alloc.live_blocks);
+  check_int "no freed word left live" words0 (live Alloc.live_words);
+  check "frees went through limbo" true (r.Engine.stats.Stats.limbo_blocks > 0)
 
 (* [quiesce] is a fence between transactions: it refuses to run inside
    one, top-level or nested, and runs once the transaction is over,
    however it ended. *)
 let test_quiesce_outside_transactions () =
-  let w = mk_world (Config.with_ebr (Config.runtime Alloc_log.Tree)) in
+  let w = mk_world (Config.runtime Alloc_log.Tree) in
   let th = Engine.setup_thread w in
   let inside what =
     Alcotest.check_raises what
@@ -2945,7 +2924,6 @@ let fp = Config.with_fastpath
 let tv = Config.with_tvalidate
 let lz = Config.with_lazy
 let wal = Config.with_durable
-let ebr = Config.with_ebr
 
 (* Exact spellings.  Every config a benchmark workload or a CI checker
    alias runs is here, so a change of spelling shows up as a diff. *)
@@ -2966,28 +2944,22 @@ let golden_configs =
     ({ Config.compiler with Config.audit = true; orec_bits = 10 },
      "compiler+audit+orecs:10");
     ({ tree with Config.fences = true }, "tree+fence");
-    (ebr ~on:false (ebr Config.baseline), "baseline");
     (* perf's four workloads: vacation, kmeans, intruder-durable, kv *)
-    (ebr (fp tree), "tree+fp+ebr");
     (fp tree, "tree+fp");
     ( Config.runtime ~scope:Config.heap_write_only_scope Alloc_log.Tree
-      |> lz |> tv |> wal ~group:4 |> ebr,
-      "tree+scope:hw+tv+lazy+wal+ebr" );
-    (ebr (tv (fp tree)), "tree+fp+tv+ebr");
+      |> lz |> tv |> wal ~group:4,
+      "tree+scope:hw+tv+lazy+wal" );
+    (tv (fp tree), "tree+fp+tv");
     (* @check-smoke (and the fault-matrix modes) *)
     (tree, "tree");
     (tv tree, "tree+tv");
-    (tv (fp tree), "tree+fp+tv");
     (lz tree, "tree+lazy");
     (lz (fp tree), "tree+fp+lazy");
+    (lz (tv tree), "tree+tv+lazy");
     (* the clean +wal sweep of @crash-matrix *)
     (wal tree, "tree+wal");
     (wal (lz tree), "tree+lazy+wal");
     (wal (tv (fp tree)), "tree+fp+tv+wal");
-    (* @reclaim-smoke *)
-    (ebr tree, "tree+ebr");
-    (ebr (tv tree), "tree+tv+ebr");
-    (ebr (lz tree), "tree+lazy+ebr");
   ]
 
 (* The fault and crash matrices cross each fault with a mode list; the
@@ -3013,15 +2985,12 @@ let golden_fault_cells =
       (tv (fp tree), "tree+fp+tv") ]
   @ cells Fault.[ Redo_drop; Publish_partial ]
       [ (lz tree, "tree+lazy"); (lz (fp tree), "tree+fp+lazy") ]
-  @ cells [ Fault.Premature_reuse ]
-      [ (ebr tree, "tree+ebr"); (ebr (lz tree), "tree+lazy+ebr") ]
+  @ cells [ Fault.Premature_reuse ] [ (tree, "tree"); (lz tree, "tree+lazy") ]
   @ cells crash
       [
         (wal tree, "tree+wal"); (wal (lz tree), "tree+lazy+wal");
         (wal (tv (fp tree)), "tree+fp+tv+wal");
         (wal (lz (tv tree)), "tree+tv+lazy+wal");
-        (ebr (wal tree), "tree+wal+ebr");
-        (ebr (wal (lz (tv tree))), "tree+tv+lazy+wal+ebr");
       ]
 
 let check_golden table () =
@@ -3033,8 +3002,8 @@ let check_golden table () =
 
 (* Tokens may come in any order; the printed order is fixed. *)
 let test_config_any_order () =
-  check "tree+ebr+tv+fp" true
-    (Config.of_string "tree+ebr+tv+fp" = Ok (ebr (tv (fp tree))));
+  check "tree+lazy+tv+fp" true
+    (Config.of_string "tree+lazy+tv+fp" = Ok (lz (tv (fp tree))));
   check "baseline+orecs:10+scope:hw" true
     (Config.of_string "baseline+orecs:10+scope:hw"
     = Ok
@@ -3068,8 +3037,9 @@ let test_config_rejects () =
       "tree+scope:wh"; "tree+scope:x"; "tree+"; "Tree"; "tree,tree+fp";
       "tree+fault:nope";
     ];
-  (* there is no contention-manager token, whatever its value, and no
-     range-array capacity token: the capacity is a constant *)
+  (* there is no contention-manager token, whatever its value, no
+     range-array capacity token (the capacity is a constant) and no
+     reclamation token (every transactional free is reclaimed) *)
   List.iter
     (fun bad ->
       match Config.of_string bad with
@@ -3078,7 +3048,10 @@ let test_config_rejects () =
           check (bad ^ ": unknown token, names the grammar") true
             (String.starts_with ~prefix:"unknown token" m
             && mentions m (Config.grammar ())))
-    [ "tree+cm:karma"; "tree+cm:backoff"; "tree+cm:nope"; "tree+cap:8" ]
+    [
+      "tree+cm:karma"; "tree+cm:backoff"; "tree+cm:nope"; "tree+cap:8";
+      "tree+ebr"; "tree+fp+tv+ebr";
+    ]
 
 (* [Config.grammar] is built from the token table, so every token a
    spelling can print is in it, and nothing else is. *)
@@ -3100,7 +3073,7 @@ let test_config_grammar () =
             (List.mem key grammar_keys))
         (keys spelling))
     golden_configs;
-  check_int "one entry per token" 12 (List.length grammar_keys);
+  check_int "one entry per token" 11 (List.length grammar_keys);
   check "no contention-manager token" false (List.mem "cm" grammar_keys)
 
 let gen_config =
@@ -3123,8 +3096,7 @@ let gen_config =
   and* fences = bool
   and* lazy_versioning = bool
   and* durable = bool
-  and* wal_group = int_range 1 64
-  and* ebr = bool in
+  and* wal_group = int_range 1 64 in
   return
     {
       Config.analysis;
@@ -3139,7 +3111,7 @@ let gen_config =
       lazy_versioning;
       durable;
       wal_group;
-      ebr;
+      ebr = true;
     }
 
 let prop_config_roundtrip =
@@ -3330,8 +3302,6 @@ let () =
             test_fault_spurious_abort_contained;
           Alcotest.test_case "alloc-log-drop contained" `Quick
             test_fault_alloc_log_drop_contained;
-          Alcotest.test_case "stale-read potent" `Quick
-            test_fault_stale_read_potent;
           Alcotest.test_case "cm policies correct" `Quick
             test_cm_policies_correct_under_contention;
           Alcotest.test_case "attempt resets after failure" `Quick
